@@ -517,8 +517,12 @@ pub struct SnapshotReport {
     pub links: usize,
     /// Source slots (live and churned-out).
     pub sources: usize,
-    /// Events pending in the captured queue.
+    /// Events pending in the captured queue. Link completions are not
+    /// among them (since format v2): see `pending_completions`.
     pub queued_events: usize,
+    /// Links with a transmission completion pending (`tx_done` set): a
+    /// packet on the wire, not suspended by an outage.
+    pub pending_completions: usize,
     /// Flows with an owner entry.
     pub flows: usize,
     /// Whether the captured run had already halted.
@@ -571,6 +575,15 @@ pub fn snapshot_report(text: &str) -> Result<SnapshotReport, String> {
         links: count("links"),
         sources: count("sources"),
         queued_events: count("events"),
+        pending_completions: state
+            .get("links")
+            .and_then(|v| v.items())
+            .map_or(0, |links| {
+                links
+                    .iter()
+                    .filter(|l| l.get("tx_done").is_ok_and(|t| !t.is_null()))
+                    .count()
+            }),
         flows: count("flow_owner"),
         halted: state
             .get("halted")
@@ -596,8 +609,9 @@ pub fn render_snapshot(r: &SnapshotReport) -> String {
     let _ = writeln!(out, " ({} bytes, format v{})", r.bytes, r.version);
     let _ = writeln!(
         out,
-        "state: t={:.6} s, {} link(s), {} source slot(s), {} flow(s), {} queued event(s)",
-        r.now, r.links, r.sources, r.flows, r.queued_events
+        "state: t={:.6} s, {} link(s), {} source slot(s), {} flow(s), {} queued event(s), \
+         {} pending link completion(s)",
+        r.now, r.links, r.sources, r.flows, r.queued_events, r.pending_completions
     );
     let _ = writeln!(
         out,
@@ -757,9 +771,15 @@ mod tests {
     fn snapshot_report_reads_bare_and_enveloped_artifacts() {
         use crate::snap::Value;
         let state = Value::map(vec![
-            ("v", Value::U64(1)),
+            ("v", Value::U64(2)),
             ("now", Value::F64(3.25)),
-            ("links", Value::List(vec![Value::Null, Value::Null])),
+            (
+                "links",
+                Value::List(vec![
+                    Value::map(vec![("tx_done", Value::F64(3.5))]),
+                    Value::map(vec![("tx_done", Value::Null)]),
+                ]),
+            ),
             ("events", Value::List(vec![Value::Null; 5])),
             ("sources", Value::List(vec![Value::Null; 3])),
             (
@@ -773,9 +793,10 @@ mod tests {
         let r = snapshot_report(&bare).unwrap();
         assert_eq!(r.kind, "network");
         assert_eq!(r.seed, None);
-        assert_eq!(r.version, 1);
+        assert_eq!(r.version, 2);
         assert_eq!(r.now, 3.25);
         assert_eq!((r.links, r.sources, r.queued_events, r.flows), (2, 3, 5, 3));
+        assert_eq!(r.pending_completions, 1);
         assert!(r.injector && !r.halted);
 
         let envelope = Value::map(vec![
@@ -794,6 +815,10 @@ mod tests {
         assert!(rendered.contains("chaos-soak"), "{rendered}");
         assert!(rendered.contains("seed 9"), "{rendered}");
         assert!(rendered.contains("2 link(s)"), "{rendered}");
+        assert!(
+            rendered.contains("1 pending link completion(s)"),
+            "{rendered}"
+        );
 
         assert!(snapshot_report("not a snapshot").is_err());
         assert!(snapshot_report("(map (x (u 1)))").is_err());

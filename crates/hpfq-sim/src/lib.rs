@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod flow_map;
 pub mod network;
 pub mod parallel;
 pub mod rng;
@@ -35,14 +36,16 @@ pub mod snapshot;
 pub mod source;
 pub mod stats;
 
+pub use flow_map::FlowMap;
 pub use network::{
     FaultInjector, Hop, LinkLedger, Network, NoFaults, PacketVerdict, Route, SimCommand, SourceId,
 };
 pub use parallel::{FallbackReason, ParallelReport, ShardFailure};
 pub use rng::SmallRng;
 pub use simulation::{Simulation, SourceConfig};
+pub use snapshot::SNAPSHOT_VERSION;
 pub use source::{
-    load_source, CbrSource, GreedyLbSource, PacketTrainSource, PeriodicOnOffSource, PoissonSource,
-    ScheduledOnOffSource, Source, SourceOutput, TraceSource,
+    load_source, CbrSource, Few, GreedyLbSource, PacketTrainSource, PeriodicOnOffSource,
+    PoissonSource, ScheduledOnOffSource, Source, SourceOutput, TraceSource,
 };
 pub use stats::{BandwidthEstimator, FlowStats, ServiceRecord, SimStats};

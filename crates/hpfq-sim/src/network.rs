@@ -28,7 +28,7 @@
 //! flow's leaves are removed at every hop), or halt. Nothing in this path
 //! panics.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
@@ -39,6 +39,7 @@ use hpfq_obs::{
     SpanSnapshot,
 };
 
+use crate::flow_map::FlowMap;
 use crate::source::{Source, SourceOutput};
 use crate::stats::{ServiceRecord, SimStats};
 
@@ -266,13 +267,6 @@ pub(crate) enum DetachReason {
 #[derive(Debug)]
 pub(crate) enum NetEvent {
     Wake(usize),
-    /// A link finished a packet, tagged with that link's transmission
-    /// epoch at scheduling time. Link-rate changes bump the epoch and
-    /// reschedule; a fired event whose epoch is stale is ignored.
-    TxComplete {
-        link: usize,
-        epoch: u64,
-    },
     /// A packet propagated between hops: admit it at `hop` of `src`'s
     /// route.
     Arrive {
@@ -280,6 +274,9 @@ pub(crate) enum NetEvent {
         hop: usize,
         pkt: Packet,
     },
+    /// `pkt` reached its destination: call the source's `on_delivered`.
+    /// Scheduled only for slots whose source wants the callback (see
+    /// [`SourceSlot::wants_delivery`]).
     Deliver(usize, Packet),
     Command(SimCommand),
     /// Tear down hop `hop` of `src`'s route (quarantine or churn). The
@@ -295,6 +292,9 @@ pub(crate) enum NetEvent {
     },
 }
 
+/// The payload bits of a minor key, below the class byte.
+const MINOR_CONTENT: u64 = (1 << 56) - 1;
+
 /// Content-derived tie-break key for [`NetEvent`]s: a class tag in the
 /// top byte, an identifying payload below it. Two runs that pop the same
 /// events at the same times order equal-time events identically **without
@@ -306,8 +306,11 @@ pub(crate) enum NetEvent {
 /// unique; source/link indices identify their timers), so residual
 /// same-key ties are between events of identical content, where FIFO
 /// order is content-determined too.
+///
+/// Class 2 is the link completion ([`tx_minor`]): it is never queued, but
+/// it takes its place in the same order when [`Network::step`] picks
+/// between the queue head and the earliest [`Link::tx_done`].
 pub(crate) fn minor_of(ev: &NetEvent) -> u64 {
-    const CONTENT: u64 = (1 << 56) - 1;
     let (class, content) = match ev {
         NetEvent::Command(cmd) => {
             let c = match cmd {
@@ -319,12 +322,55 @@ pub(crate) fn minor_of(ev: &NetEvent) -> u64 {
             (0u64, c)
         }
         NetEvent::Wake(i) => (1, *i as u64),
-        NetEvent::TxComplete { link, .. } => (2, *link as u64),
         NetEvent::Arrive { pkt, .. } => (3, pkt.id),
         NetEvent::Deliver(_, pkt) => (4, pkt.id),
         NetEvent::Detach { src, hop, .. } => (5, ((*src as u64) << 16) | (*hop as u64 & 0xFFFF)),
     };
-    (class << 56) | (content & CONTENT)
+    (class << 56) | (content & MINOR_CONTENT)
+}
+
+/// Tie-break key of `link`'s transmission completion: class 2, after
+/// commands and wakes at the same instant, before arrivals, deliveries
+/// and detaches.
+pub(crate) fn tx_minor(link: usize) -> u64 {
+    (2 << 56) | (link as u64 & MINOR_CONTENT)
+}
+
+/// How far [`Network::step`] may advance the clock.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Until {
+    /// Events at or before this time (a run horizon).
+    Through(f64),
+    /// Events strictly before this time (a conservative-epoch boundary).
+    Before(f64),
+}
+
+/// What [`Network::step`] found due.
+enum Due {
+    /// A queued event, popped at its time.
+    Event(f64, NetEvent),
+    /// This link's pending completion.
+    Completion(usize),
+}
+
+impl Until {
+    /// The bound for one conservative epoch of a run to `horizon`:
+    /// strictly before the epoch boundary, but inclusive of the horizon
+    /// when the epoch reaches past it, as the sequential loop is.
+    pub(crate) fn epoch(epoch_end: f64, horizon: f64) -> Self {
+        if epoch_end <= horizon {
+            Until::Before(epoch_end)
+        } else {
+            Until::Through(horizon)
+        }
+    }
+
+    fn admits(self, t: f64) -> bool {
+        match self {
+            Until::Through(horizon) => t <= horizon,
+            Until::Before(end) => t < end,
+        }
+    }
 }
 
 /// Per-link byte/packet conservation ledger, for multi-hop accounting
@@ -351,9 +397,12 @@ pub(crate) struct Link<S: NodeScheduler, O: Observer> {
     pub(crate) rate: f64,
     /// Transmission start time of the in-flight packet.
     pub(crate) tx_start: f64,
-    /// Transmission epoch: bumped whenever the pending `TxComplete` is
-    /// invalidated by a link-rate change.
-    pub(crate) tx_epoch: u64,
+    /// When the in-flight packet (or train front) leaves the wire: the
+    /// link's one pending completion. `None` while the link is idle or
+    /// its transmission is suspended by an outage. A link has at most one
+    /// completion outstanding, so it lives here instead of in the event
+    /// queue; a rate change simply overwrites it.
+    pub(crate) tx_done: Option<f64>,
     /// Bits of the in-flight packet not yet on the wire, as of
     /// `tx_updated`.
     pub(crate) tx_remaining_bits: f64,
@@ -365,7 +414,7 @@ pub(crate) struct Link<S: NodeScheduler, O: Observer> {
     /// empty when the network's dispatch batch is 1 — the pristine
     /// one-packet path never touches it. Train packets have left their
     /// leaf queues, so byte accounting counts them as queued-on-link
-    /// until their `TxComplete` fires.
+    /// until their completion fires.
     pub(crate) train: VecDeque<(f64, Packet)>,
     pub(crate) ledger: LinkLedger,
 }
@@ -387,6 +436,11 @@ pub(crate) struct SourceSlot {
     /// Whether `start()` has run (sources start exactly once even across
     /// segmented [`Network::run`] calls).
     pub(crate) started: bool,
+    /// [`Source::wants_delivery`], read when the source was attached.
+    /// Cached here — and replicated to every shard — because the last
+    /// hop, which decides whether to schedule a `Deliver`, may run on a
+    /// shard that does not hold the source itself.
+    pub(crate) wants_delivery: bool,
 }
 
 /// A cross-shard event captured at its source shard, delivered to `dest`'s
@@ -426,7 +480,7 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// a flow's **last** hop).
     pub stats: SimStats,
     /// Maps a flow id to the source that owns it (for delivery routing).
-    pub(crate) flow_owner: BTreeMap<u32, usize>,
+    pub(crate) flow_owner: FlowMap<usize>,
     pub(crate) injector: Option<Box<dyn FaultInjector>>,
     pub(crate) policy: EscalationPolicy,
     pub(crate) escalation: EscalationState,
@@ -488,7 +542,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             engine: Engine::new(),
             sources: Vec::new(),
             stats: SimStats::new(),
-            flow_owner: BTreeMap::new(),
+            flow_owner: FlowMap::new(),
             injector: None,
             policy: EscalationPolicy::warn_only(),
             escalation: EscalationState::new(),
@@ -569,7 +623,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             server,
             rate,
             tx_start: 0.0,
-            tx_epoch: 0,
+            tx_done: None,
             tx_remaining_bits: 0.0,
             tx_updated: 0.0,
             train: VecDeque::new(),
@@ -643,7 +697,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// Outstanding (scheduled, unfired) events — forwarded from the
-    /// engine, for capacity diagnostics and the arena-reuse tests.
+    /// engine, for capacity diagnostics and the arena-reuse tests. Link
+    /// completions are not events: at most one per link is pending, held
+    /// in the link itself.
     pub fn outstanding_events(&self) -> usize {
         self.engine.outstanding()
     }
@@ -677,6 +733,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         }
         let idx = self.sources.len();
         self.sources.push(SourceSlot {
+            wants_delivery: source.wants_delivery(),
             src: Some(Box::new(source)),
             route,
             flow,
@@ -701,7 +758,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         match ev {
             NetEvent::Wake(i) => of_src(*i),
             NetEvent::Deliver(i, _) => of_src(*i),
-            NetEvent::TxComplete { link, .. } => link_shard[*link],
             NetEvent::Arrive { src, hop, .. } | NetEvent::Detach { src, hop, .. } => {
                 link_shard[self.sources[*src].route.hops[*hop].link]
             }
@@ -714,7 +770,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 }
                 SimCommand::RemoveFlow(flow) => self
                     .flow_owner
-                    .get(flow)
+                    .get(*flow)
                     .map(|&i| of_src(i))
                     .unwrap_or(link_shard[0]),
             },
@@ -904,16 +960,14 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 l.tx_start = now;
                 l.tx_remaining_bits = pkt.bits();
                 l.tx_updated = now;
-                let epoch = l.tx_epoch;
-                let done = now + pkt.tx_time(l.rate);
-                self.send(done, NetEvent::TxComplete { link, epoch });
+                l.tx_done = Some(now + pkt.tx_time(l.rate));
             }
             return;
         }
         // Batched mode: plan up to k back-to-back transmissions against the
         // hierarchy in one pass (each start/complete pair runs at its
         // projected wire time under the current rate), then ride them out
-        // as a train — one pending TxComplete for the front at a time.
+        // as a train — one pending completion, the front's, at a time.
         let rate = l.rate;
         let mut start = now;
         for _ in 0..k {
@@ -932,7 +986,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         self.arm_train_front(link, now);
     }
 
-    /// Schedules the pending `TxComplete` for the train's front packet and
+    /// Sets the pending completion for the train's front packet and
     /// points the in-flight bookkeeping (`tx_start`/`tx_remaining_bits`/
     /// `tx_updated`) at it. No-op when the train is empty; during an
     /// outage the bookkeeping is set but the completion waits for
@@ -946,9 +1000,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         l.tx_remaining_bits = pkt.bits();
         l.tx_updated = now;
         if l.rate > 0.0 {
-            let epoch = l.tx_epoch;
-            let done = now + l.tx_remaining_bits / l.rate;
-            self.send(done, NetEvent::TxComplete { link, epoch });
+            l.tx_done = Some(now + l.tx_remaining_bits / l.rate);
         }
     }
 
@@ -973,14 +1025,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             let sent = (now - l.tx_updated) * l.rate;
             l.tx_remaining_bits = (l.tx_remaining_bits - sent).max(0.0);
             l.tx_updated = now;
-            l.tx_epoch += 1;
-            if new_rate > 0.0 {
-                let done = now + l.tx_remaining_bits / new_rate;
-                let epoch = l.tx_epoch;
-                self.send(done, NetEvent::TxComplete { link, epoch });
-            }
+            l.tx_done = (new_rate > 0.0).then(|| now + l.tx_remaining_bits / new_rate);
         }
-        let l = self.link_mut(link);
         l.rate = new_rate;
         // Resync the hierarchy's reference clock: the GPS-exact policies
         // measure elapsed busy time in nominal-rate link seconds, so a
@@ -1024,7 +1070,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// routes therefore behave exactly as the historical instantaneous
     /// quarantine did.
     fn quarantine(&mut self, flow: u32) {
-        let Some(&idx) = self.flow_owner.get(&flow) else {
+        let Some(&idx) = self.flow_owner.get(flow) else {
             return;
         };
         if !self.sources[idx].live {
@@ -1125,6 +1171,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 Ok(leaf) => {
                     let idx = self.sources.len();
                     self.sources.push(SourceSlot {
+                        wants_delivery: source.wants_delivery(),
                         src: Some(source),
                         route: Route::single(leaf, buffer_bytes, delivery_delay),
                         flow,
@@ -1143,7 +1190,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 Err(e) => self.command_errors.push((now, e)),
             },
             SimCommand::RemoveFlow(flow) => {
-                let Some(&idx) = self.flow_owner.get(&flow) else {
+                let Some(&idx) = self.flow_owner.get(flow) else {
                     self.command_errors
                         .push((now, HpfqError::UnknownNode(usize::MAX)));
                     return;
@@ -1239,12 +1286,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         }
     }
 
-    fn tx_complete(&mut self, link: usize, epoch: u64) {
-        if epoch != self.link(link).tx_epoch {
-            // Superseded by a link-rate change; the rescheduled
-            // completion carries the current epoch.
-            return;
-        }
+    /// `link`'s pending completion came due: the in-flight packet (or
+    /// train front) has left the wire.
+    fn tx_complete(&mut self, link: usize) {
         let t = self.engine.now();
         if SpanProfiler::ENABLED {
             self.profiler.span_enter(SpanKind::Vclock);
@@ -1267,7 +1311,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             l.bytes_out += u64::from(pkt.len_bytes);
             l.packets_out += 1;
         }
-        if let Some(&owner) = self.flow_owner.get(&pkt.flow) {
+        if let Some(&owner) = self.flow_owner.get(pkt.flow) {
             let route = &self.sources[owner].route;
             // Routes never repeat a link, so the position identifies the
             // hop just served.
@@ -1290,11 +1334,14 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     );
                 }
                 _ => {
-                    // Final hop: the packet leaves the network. Delivery
-                    // is always scheduled — the owner-side handler drops
-                    // it if the flow has since been removed, so the
-                    // decision is made where the `live` flag is
-                    // authoritative (its owning shard, in parallel runs).
+                    // Final hop: the packet leaves the network. A source
+                    // that wants the callback always gets a delivery
+                    // scheduled — the owner-side handler drops it if the
+                    // flow has since been removed, so that decision is
+                    // made where the `live` flag is authoritative (its
+                    // owning shard, in parallel runs). For a source whose
+                    // `on_delivered` is the default no-op the event would
+                    // change nothing, so none is scheduled.
                     self.stats.record_service(ServiceRecord {
                         id: pkt.id,
                         flow: pkt.flow,
@@ -1303,8 +1350,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                         start: started,
                         end: t,
                     });
-                    let delay = route.hops.last().map(|h| h.prop_delay).unwrap_or(0.0);
-                    self.send(t + delay, NetEvent::Deliver(owner, pkt));
+                    if self.sources[owner].wants_delivery {
+                        let delay = route.hops.last().map(|h| h.prop_delay).unwrap_or(0.0);
+                        self.send(t + delay, NetEvent::Deliver(owner, pkt));
+                    }
                 }
             }
         } else {
@@ -1337,32 +1386,92 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// growing horizons to run in segments; sources are started once.
     pub fn run(&mut self, horizon: f64) {
         self.start_pending_sources();
-        while !self.halted {
-            if SpanProfiler::ENABLED {
-                self.profiler.span_enter(SpanKind::EventPop);
-            }
-            let popped = self.engine.pop_due(horizon);
-            if SpanProfiler::ENABLED {
-                self.profiler.span_exit(SpanKind::EventPop);
-            }
-            let Some((t, ev)) = popped else {
-                break;
-            };
-            if SpanProfiler::ENABLED {
-                self.profiler.span_enter(SpanKind::EventHandle);
-            }
-            self.handle(t, ev);
-            if SpanProfiler::ENABLED {
-                self.profiler.span_exit(SpanKind::EventHandle);
-            }
-        }
+        while !self.halted && self.step(Until::Through(horizon)) {}
         // Unfired events past the horizon stay queued so a subsequent
         // `run` with a larger horizon continues cleanly.
+    }
+
+    /// The link whose pending completion is earliest, with its time.
+    /// Equal times go to the lower link index, as [`tx_minor`] orders them.
+    fn next_completion(&self) -> Option<(f64, usize)> {
+        let mut next: Option<(f64, usize)> = None;
+        for (i, link) in self.links.iter().enumerate() {
+            if let Some(t) = link.as_ref().and_then(|l| l.tx_done) {
+                if next.is_none_or(|(best, _)| t < best) {
+                    next = Some((t, i));
+                }
+            }
+        }
+        next
+    }
+
+    /// Time of the next thing [`Network::step`] would do: the earlier of
+    /// the queue head and the earliest link completion.
+    pub(crate) fn next_event_time(&self) -> Option<f64> {
+        let done = self.next_completion().map(|(t, _)| t);
+        match (self.engine.peek_time(), done) {
+            (Some(head), Some(done)) => Some(head.min(done)),
+            (head, done) => head.or(done),
+        }
+    }
+
+    /// Advances the simulation by one event within `until`; `false` when
+    /// nothing is due. The one pop used by the sequential loop and both
+    /// parallel epoch drivers.
+    pub(crate) fn step(&mut self, until: Until) -> bool {
+        if SpanProfiler::ENABLED {
+            self.profiler.span_enter(SpanKind::EventPop);
+        }
+        let due = self.pop_due(until);
+        if SpanProfiler::ENABLED {
+            self.profiler.span_exit(SpanKind::EventPop);
+        }
+        let Some(due) = due else {
+            return false;
+        };
+        if SpanProfiler::ENABLED {
+            self.profiler.span_enter(SpanKind::EventHandle);
+        }
+        match due {
+            Due::Event(t, ev) => self.handle(t, ev),
+            Due::Completion(link) => self.tx_complete(link),
+        }
+        if SpanProfiler::ENABLED {
+            self.profiler.span_exit(SpanKind::EventHandle);
+        }
+        true
+    }
+
+    /// Takes the earlier, in `(time, minor key)` order, of the queue head
+    /// and the earliest link completion, advancing the clock to it — or
+    /// leaves both pending when that one lies beyond `until`.
+    fn pop_due(&mut self, until: Until) -> Option<Due> {
+        if let Some((done, link)) = self.next_completion() {
+            // Never a tie: no queued event carries the completion class.
+            let first = self
+                .engine
+                .peek_key()
+                .is_none_or(|head| (done, tx_minor(link)) < head);
+            if first {
+                if !until.admits(done) {
+                    return None;
+                }
+                self.link_mut(link).tx_done = None;
+                self.engine.advance_to(done);
+                return Some(Due::Completion(link));
+            }
+        }
+        match until {
+            Until::Through(horizon) => self.engine.pop_due(horizon),
+            Until::Before(end) => self.engine.pop_strictly_before(end),
+        }
+        .map(|(t, ev)| Due::Event(t, ev))
     }
 
     /// Starts any sources not yet started (first call, or sources attached
     /// between run segments).
     pub(crate) fn start_pending_sources(&mut self) {
+        self.stats.reserve_flows(self.flow_owner.len());
         for i in 0..self.sources.len() {
             if !self.sources[i].started {
                 self.sources[i].started = true;
@@ -1390,7 +1499,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 };
                 self.apply_output(i, out);
             }
-            NetEvent::TxComplete { link, epoch } => self.tx_complete(link, epoch),
             NetEvent::Arrive { src, hop, pkt } => self.arrive(src, hop, pkt),
             NetEvent::Deliver(i, pkt) => {
                 if !self.sources[i].live {
@@ -1426,24 +1534,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         leaves + train
     }
 
-    /// Bytes currently queued across every link.
+    /// Bytes currently queued across every link this network (or shard)
+    /// owns.
     pub fn queued_bytes(&self) -> u64 {
-        self.links
-            .iter()
-            .flatten()
-            .map(|l| {
-                let leaves: u64 = l
-                    .server
-                    .leaves_iter()
-                    .map(|leaf| l.server.leaf_queue_bytes(leaf))
-                    .sum();
-                let train: u64 = l
-                    .train
-                    .iter()
-                    .map(|(_, p)| u64::from(p.len_bytes))
-                    .sum();
-                leaves + train
-            })
+        (0..self.links.len())
+            .filter(|&i| self.links[i].is_some())
+            .map(|i| self.queued_bytes_on(i))
             .sum()
     }
 

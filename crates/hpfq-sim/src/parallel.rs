@@ -100,7 +100,7 @@ use hpfq_events::Engine;
 use hpfq_obs::snap::Value;
 use hpfq_obs::{EpochSpan, Observer, SpanKind, SpanProfiler};
 
-use crate::network::{FaultInjector, NetEvent, Network, OutMsg, ShardCtx, SourceSlot};
+use crate::network::{FaultInjector, NetEvent, Network, OutMsg, ShardCtx, SourceSlot, Until};
 use crate::stats::SimStats;
 
 /// Retries the supervisor grants one stint before declaring the failure
@@ -435,7 +435,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
             let start = if epoch_base == 0 {
                 self.engine.now()
             } else {
-                match self.engine.peek_time() {
+                match self.next_event_time() {
                     Some(t) if t <= horizon => t,
                     _ => break 'stints,
                 }
@@ -790,14 +790,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 let net = &mut workers[sid];
                 net.engine.advance_to(t_start);
                 let mut handled = 0u64;
-                while !net.halted {
-                    let due = if epoch_end <= horizon {
-                        net.engine.pop_strictly_before(epoch_end)
-                    } else {
-                        net.engine.pop_due(horizon)
-                    };
-                    let Some((t, ev)) = due else { break };
-                    net.handle(t, ev);
+                while !net.halted && net.step(Until::epoch(epoch_end, horizon)) {
                     handled += 1;
                 }
                 halted |= net.halted;
@@ -838,7 +831,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 for env in inbox {
                     net.engine.schedule_keyed(env.t, env.minor, env.ev);
                 }
-                next_times[sid] = net.engine.peek_time().unwrap_or(f64::INFINITY);
+                next_times[sid] = net.next_event_time().unwrap_or(f64::INFINITY);
             }
             if halted {
                 break;
@@ -1030,6 +1023,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     flow: slot.flow,
                     live: slot.live,
                     started: slot.started,
+                    wants_delivery: slot.wants_delivery,
                 });
             }
         }
@@ -1060,7 +1054,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
     /// The shard that writes `flow`'s service-side stats: the owner of
     /// its route's last-hop link.
     fn service_shard(&self, link_shard: &[usize], flow: u32) -> Option<usize> {
-        let idx = *self.flow_owner.get(&flow)?;
+        let idx = *self.flow_owner.get(flow)?;
         self.sources[idx]
             .route
             .hops
@@ -1085,8 +1079,9 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 self.shard_spans.push(snap);
             }
             self.epoch_log.append(&mut w.epoch_log);
-            // Links move back whole: ledger, hierarchy, observer state and
-            // all. Each was owned by exactly one shard.
+            // Links move back whole: ledger, hierarchy, observer state,
+            // pending completion and all. Each was owned by exactly one
+            // shard.
             for (i, slot) in w.links.iter_mut().enumerate() {
                 if link_shard[i] == sid {
                     self.links[i] = slot.take();
@@ -1105,6 +1100,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                             flow: slot.flow,
                             live: slot.live,
                             started: slot.started,
+                            wants_delivery: slot.wants_delivery,
                         });
                     }
                     continue;
@@ -1119,8 +1115,8 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
             }
             // flow_owner only grows (AddFlow on link 0's shard); absorb
             // all entries.
-            for (flow, idx) in std::mem::take(&mut w.flow_owner) {
-                self.flow_owner.entry(flow).or_insert(idx);
+            for (flow, idx) in std::mem::take(&mut w.flow_owner).into_sorted() {
+                self.flow_owner.get_or_insert_with(flow, || idx);
             }
             // Exact counter/extremum merge (see SimStats::merge_from);
             // per-flow float fields came back from their single writer.
@@ -1209,7 +1205,7 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
         net.engine.advance_to(t_start);
         // Drain this shard's events due inside the window (and horizon):
         // strictly before the epoch boundary, inclusively at the horizon
-        // (matching the sequential loop's `pop_due` semantics there).
+        // (matching the sequential loop there — see `Until::epoch`).
         // A ladder halt stops the drain immediately — like the
         // sequential loop's `while !halted` — and raises the shared halt
         // flag; results are discarded and replayed sequentially anyway,
@@ -1218,14 +1214,7 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
             net.profiler.span_enter(SpanKind::EpochCompute);
         }
         let mut handled = 0u64;
-        while !net.halted {
-            let due = if epoch_end <= horizon {
-                net.engine.pop_strictly_before(epoch_end)
-            } else {
-                net.engine.pop_due(horizon)
-            };
-            let Some((t, ev)) = due else { break };
-            net.handle(t, ev);
+        while !net.halted && net.step(Until::epoch(epoch_end, horizon)) {
             handled += 1;
         }
         if net.halted {
@@ -1298,7 +1287,7 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
         if SpanProfiler::ENABLED {
             net.profiler.span_exit(SpanKind::Exchange);
         }
-        lock_clean(next_times)[sid] = net.engine.peek_time().unwrap_or(f64::INFINITY);
+        lock_clean(next_times)[sid] = net.next_event_time().unwrap_or(f64::INFINITY);
         // Capture the halt flag between the barriers: every shard that
         // halted this epoch stored it before the first barrier, and no
         // shard can be computing the next epoch yet (that requires

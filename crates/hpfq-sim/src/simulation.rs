@@ -14,13 +14,16 @@
 //! * `Wake(source)` — a source timer fires; emitted packets are enqueued at
 //!   the source's leaf (subject to its drop-tail buffer) and the link
 //!   starts transmitting if idle.
-//! * `TxComplete` — the link finishes a packet: the hierarchy runs
+//! * link completion — the link finishes a packet (not a queued event:
+//!   the link holds its one pending completion time, and the loop takes
+//!   whichever of it and the queue head is earlier): the hierarchy runs
 //!   RESET-PATH / RESTART-NODE (pre-selecting the next head), the service
 //!   is recorded, a `Deliver` is scheduled after the source's one-way
-//!   delivery delay, and the next transmission starts immediately (work
-//!   conservation).
+//!   delivery delay if the source wants it, and the next transmission
+//!   starts immediately (work conservation).
 //! * `Deliver(source, pkt)` — the packet reached its destination;
-//!   closed-loop sources (TCP) use this for ACK clocking.
+//!   closed-loop sources (TCP) use this for ACK clocking. Never scheduled
+//!   for sources whose [`Source::wants_delivery`] is `false`.
 //! * `Command(idx)` — a pre-scheduled [`SimCommand`] fires: the link rate
 //!   changes (possibly to 0 — an outage), or a flow joins or leaves the
 //!   hierarchy mid-run (churn).
@@ -52,7 +55,7 @@ pub struct SourceConfig {
 
 impl SourceConfig {
     /// Open-loop attachment: unbounded buffer, no delivery notifications
-    /// needed (delay 0; notifications are still generated but cheap).
+    /// needed (delay 0).
     pub fn open_loop(leaf: NodeId) -> Self {
         SourceConfig {
             leaf,
@@ -288,11 +291,12 @@ mod tests {
             SourceConfig::open_loop(b),
         );
         sim.run(500.0);
-        // ~1500 packets served; per live source there is at most one wake,
-        // one in-flight TxComplete, and one pending Deliver at a time.
+        // ~1500 packets served; the only queued events are the wakes, one
+        // per live source: the link's completion is held in the link, and
+        // open-loop sources ask for no `Deliver`.
         assert!(sim.stats.total_packets > 900, "{}", sim.stats.total_packets);
         assert!(
-            sim.event_arena_len() <= 16,
+            sim.event_arena_len() <= 2,
             "event arena grew to {} slots for {} packets",
             sim.event_arena_len(),
             sim.stats.total_packets
@@ -367,7 +371,7 @@ mod tests {
     }
 
     /// A mid-transmission rate change rescales the in-flight packet's
-    /// completion instead of letting the stale completion fire.
+    /// completion: the link's one pending completion is overwritten.
     #[test]
     fn rate_change_mid_packet_rescales_completion() {
         let mut h = server(8_000.0);
@@ -537,6 +541,129 @@ mod tests {
         assert_eq!(f.fault_drops, 5);
         assert_eq!(f.packets, 5);
         assert_eq!(f.drops, 0);
+        sim.verify_conservation().unwrap();
+    }
+
+    /// A rate change landing at the exact instant the in-flight packet
+    /// completes: the command fires first (its tie-break class is lower),
+    /// finds no bits left and re-times the completion to the same instant
+    /// — which must then fire exactly once.
+    #[test]
+    fn rate_change_at_the_completion_instant_completes_once() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 1.0).unwrap();
+        let mut sim = Simulation::new(h);
+        sim.stats.trace_flow(0);
+        // Two 1000-byte packets, at t=0 and t=1; each takes 1 s at 8 kbit/s.
+        sim.add_source(
+            0,
+            CbrSource::new(0, 1000, 8000.0, 0.0, 1.5),
+            SourceConfig::open_loop(a),
+        );
+        sim.schedule_command(1.0, SimCommand::SetLinkRate(4_000.0));
+        sim.run(10.0);
+        let ends: Vec<f64> = sim.stats.trace(0).iter().map(|r| r.end).collect();
+        // The second packet is sent wholly at the halved rate.
+        assert_eq!(ends, vec![1.0, 3.0]);
+        assert_eq!(sim.outstanding_events(), 0);
+        sim.verify_conservation().unwrap();
+    }
+
+    /// A checkpoint taken during an outage carries a suspended
+    /// transmission — bits credited, no completion pending — and no queued
+    /// event stands in for it; a fresh network restored from it finishes
+    /// exactly as the original does.
+    #[test]
+    fn snapshot_during_an_outage_resumes_the_suspended_packet() {
+        let build = || {
+            let mut h = server(8_000.0);
+            let root = h.root();
+            let a = h.add_leaf(root, 1.0).unwrap();
+            let mut sim = Simulation::new(h);
+            sim.add_source(
+                0,
+                CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
+                SourceConfig::open_loop(a),
+            );
+            sim.schedule_command(2.5, SimCommand::SetLinkRate(0.0));
+            sim.schedule_command(4.5, SimCommand::SetLinkRate(8000.0));
+            sim
+        };
+        let mut sim = build();
+        sim.run(3.0);
+        // Mid-outage: the source's wake and the recovery command.
+        assert_eq!(sim.outstanding_events(), 2);
+        let snap = sim.snapshot().unwrap();
+        let link = &snap.get("links").unwrap().items().unwrap()[0];
+        assert!(link.get("tx_done").unwrap().is_null(), "{link:?}");
+        assert_eq!(
+            link.get("tx_remaining_bits").unwrap().as_f64().unwrap(),
+            4000.0
+        );
+
+        let mut resumed = build();
+        resumed.restore(&snap).unwrap();
+        for sim in [&mut sim, &mut resumed] {
+            sim.run(30.0);
+            assert_eq!(sim.stats.flow(0).packets, 10);
+            assert_eq!(sim.stats.last_departure, 12.0);
+            assert_eq!(sim.outstanding_events(), 0);
+            sim.verify_conservation().unwrap();
+        }
+    }
+
+    /// Batched dispatch (`k > 1`): an outage and a rate change land inside
+    /// planned trains. Only the train front ever has a completion pending,
+    /// every packet completes exactly once, in order, and the queue never
+    /// holds more than the wakes and commands.
+    #[test]
+    fn train_completions_survive_an_outage_and_a_rate_change() {
+        let mut h = server(8_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let b = h.add_leaf(root, 0.5).unwrap();
+        let mut sim = Simulation::new(h);
+        sim.set_dispatch_batch(4);
+        sim.stats.trace_flow(0);
+        sim.stats.trace_flow(1);
+        // Saturating until t=20: 500-byte packets, 0.5 s each at 8 kbit/s.
+        for (flow, leaf) in [(0, a), (1, b)] {
+            sim.add_source(
+                flow,
+                CbrSource::new(flow, 500, 6000.0, 0.0, 20.0),
+                SourceConfig::open_loop(leaf),
+            );
+        }
+        sim.schedule_command(3.2, SimCommand::SetLinkRate(0.0));
+        sim.schedule_command(5.2, SimCommand::SetLinkRate(8000.0));
+        sim.schedule_command(9.1, SimCommand::SetLinkRate(16_000.0));
+        let mut t = 0.0;
+        while t < 60.0 {
+            t += 0.25;
+            sim.run(t);
+            // Two wakes and at most three commands; never a completion.
+            assert!(
+                sim.outstanding_events() <= 5,
+                "{}",
+                sim.outstanding_events()
+            );
+        }
+        let offered = sim.stats.flow(0).offered_packets + sim.stats.flow(1).offered_packets;
+        assert_eq!(sim.stats.total_packets, offered);
+        let mut ends: Vec<(f64, u64)> = [0, 1]
+            .iter()
+            .flat_map(|&f| sim.stats.trace(f).iter().map(|r| (r.end, r.id)))
+            .collect();
+        assert_eq!(ends.len() as u64, offered);
+        ends.sort_by(|x, y| x.0.total_cmp(&y.0));
+        assert!(ends.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1));
+        // No completion inside the outage.
+        assert!(
+            ends.iter().all(|&(t, _)| !(3.2..5.2).contains(&t)),
+            "{ends:?}"
+        );
+        assert!(sim.command_errors.is_empty(), "{:?}", sim.command_errors);
         sim.verify_conservation().unwrap();
     }
 }

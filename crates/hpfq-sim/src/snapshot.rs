@@ -1,8 +1,9 @@
 //! Deterministic whole-network checkpoints.
 //!
 //! [`Network::snapshot`] captures *everything* the event loop's future
-//! depends on — per-link hierarchies and transmission state, the event
-//! queue with its content-derived tie-break keys, statistics, ledgers,
+//! depends on — per-link hierarchies and transmission state (each link's
+//! pending completion included), the event queue with its
+//! content-derived tie-break keys, statistics, ledgers,
 //! escalation state, source generators (RNG streams, plan cursors), and
 //! the fault injector — as one [`Value`] tree. The tree serializes
 //! byte-deterministically ([`Value::to_bytes`]), so two identical runs
@@ -39,8 +40,12 @@ use crate::network::{
 };
 use crate::source::load_source;
 
-/// Format version stamped into every snapshot.
-const SNAPSHOT_VERSION: u64 = 1;
+/// Format version stamped into every snapshot. Version 2 moved each
+/// link's pending completion out of the event list into the link's
+/// `tx_done` field (replacing `tx_epoch` and the `"tx"` event tag) and
+/// added `wants_delivery` to source slots; [`Network::restore`] rejects
+/// any other version with a typed error.
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 fn err(what: String) -> SnapError {
     SnapError { at: 0, what }
@@ -304,11 +309,6 @@ fn load_command(v: &Value) -> Result<SimCommand, SnapError> {
 pub(crate) fn save_event(ev: &NetEvent) -> Result<Value, SnapError> {
     Ok(match ev {
         NetEvent::Wake(i) => Value::List(vec![Value::Str("wake".into()), Value::U64(*i as u64)]),
-        NetEvent::TxComplete { link, epoch } => Value::List(vec![
-            Value::Str("tx".into()),
-            Value::U64(*link as u64),
-            Value::U64(*epoch),
-        ]),
         NetEvent::Arrive { src, hop, pkt } => Value::List(vec![
             Value::Str("arrive".into()),
             Value::U64(*src as u64),
@@ -334,10 +334,6 @@ pub(crate) fn load_event(v: &Value) -> Result<NetEvent, SnapError> {
     let (tag, rest) = tagged(v, "event")?;
     match tag.as_str() {
         "wake" if rest.len() == 1 => Ok(NetEvent::Wake(rest[0].as_usize()?)),
-        "tx" if rest.len() == 2 => Ok(NetEvent::TxComplete {
-            link: rest[0].as_usize()?,
-            epoch: rest[1].as_u64()?,
-        }),
         "arrive" if rest.len() == 3 => Ok(NetEvent::Arrive {
             src: rest[0].as_usize()?,
             hop: rest[1].as_usize()?,
@@ -388,7 +384,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     ("obs", l.server.observer().mark()),
                     ("rate", Value::F64(l.rate)),
                     ("tx_start", Value::F64(l.tx_start)),
-                    ("tx_epoch", Value::U64(l.tx_epoch)),
+                    ("tx_done", Value::opt(l.tx_done.map(Value::F64))),
                     ("tx_remaining_bits", Value::F64(l.tx_remaining_bits)),
                     ("tx_updated", Value::F64(l.tx_updated)),
                     (
@@ -440,13 +436,15 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     ("flow", Value::U64(u64::from(slot.flow))),
                     ("live", Value::Bool(slot.live)),
                     ("started", Value::Bool(slot.started)),
+                    ("wants_delivery", Value::Bool(slot.wants_delivery)),
                 ]))
             })
             .collect::<Result<Vec<_>, SnapError>>()?;
         let flow_owner = self
             .flow_owner
-            .iter()
-            .map(|(&flow, &idx)| {
+            .sorted()
+            .into_iter()
+            .map(|(flow, &idx)| {
                 Value::List(vec![Value::U64(u64::from(flow)), Value::U64(idx as u64)])
             })
             .collect();
@@ -525,7 +523,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             l.server.observer_mut().rewind(lv.get("obs")?);
             l.rate = lv.get("rate")?.as_f64()?;
             l.tx_start = lv.get("tx_start")?.as_f64()?;
-            l.tx_epoch = lv.get("tx_epoch")?.as_u64()?;
+            let done = lv.get("tx_done")?;
+            l.tx_done = if done.is_null() {
+                None
+            } else {
+                Some(done.as_f64()?)
+            };
             l.tx_remaining_bits = lv.get("tx_remaining_bits")?.as_f64()?;
             l.tx_updated = lv.get("tx_updated")?.as_f64()?;
             l.train.clear();
@@ -564,6 +567,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 flow: sv.get("flow")?.as_u32()?,
                 live: sv.get("live")?.as_bool()?,
                 started: sv.get("started")?.as_bool()?,
+                wants_delivery: sv.get("wants_delivery")?.as_bool()?,
             };
             if i < self.sources.len() {
                 self.sources[i] = slot;

@@ -14,14 +14,98 @@ use crate::rng::SmallRng;
 use hpfq_core::{vtime, Packet};
 use hpfq_obs::snap::{SnapError, Value};
 
+/// Zero, one, or many `T`s in order: the storage behind
+/// [`SourceOutput`]'s fields. Nearly every source callback returns at most
+/// one packet and one wake-up, so the first element is held inline and
+/// only a second one allocates. Reads like a slice (`len`, indexing,
+/// `iter`), grows with [`Few::push`], and is consumed by value with `for`.
+#[derive(Debug, Clone)]
+pub struct Few<T>(Repr<T>);
+
+impl<T> Default for Few<T> {
+    fn default() -> Self {
+        Few::new()
+    }
+}
+
+#[derive(Debug, Clone, Default)]
+enum Repr<T> {
+    #[default]
+    Empty,
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T> Few<T> {
+    /// No elements.
+    pub fn new() -> Self {
+        Few(Repr::Empty)
+    }
+
+    /// Exactly `item`, held inline.
+    pub fn one(item: T) -> Self {
+        Few(Repr::One(item))
+    }
+
+    /// Appends `item`.
+    pub fn push(&mut self, item: T) {
+        self.0 = match std::mem::take(&mut self.0) {
+            Repr::Empty => Repr::One(item),
+            Repr::One(first) => Repr::Many(vec![first, item]),
+            Repr::Many(mut items) => {
+                items.push(item);
+                Repr::Many(items)
+            }
+        };
+    }
+}
+
+impl<T> std::ops::Deref for Few<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Empty => &[],
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
+    }
+}
+
+impl<T> FromIterator<T> for Few<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut out = Few::new();
+        for item in iter {
+            out.push(item);
+        }
+        out
+    }
+}
+
+impl<T> IntoIterator for Few<T> {
+    type Item = T;
+    /// The inline element, then the spilled ones: one side is always
+    /// empty (and an empty `Vec` owns no allocation).
+    type IntoIter = std::iter::Chain<std::option::IntoIter<T>, std::vec::IntoIter<T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (inline, spilled) = match self.0 {
+            Repr::Empty => (None, Vec::new()),
+            Repr::One(item) => (Some(item), Vec::new()),
+            Repr::Many(items) => (None, items),
+        };
+        inline.into_iter().chain(spilled)
+    }
+}
+
 /// What a source callback hands back to the simulator.
 #[derive(Debug, Default)]
 pub struct SourceOutput {
     /// Packets to enqueue at the source's leaf, in order, at the current
     /// instant. Lengths and flow ids are the source's responsibility.
-    pub packets: Vec<Packet>,
+    pub packets: Few<Packet>,
     /// Absolute times at which to call [`Source::on_wake`] again.
-    pub wakes: Vec<f64>,
+    pub wakes: Few<f64>,
 }
 
 impl SourceOutput {
@@ -33,8 +117,17 @@ impl SourceOutput {
     /// Output consisting of a single wake-up.
     pub fn wake_at(t: f64) -> Self {
         SourceOutput {
-            packets: Vec::new(),
-            wakes: vec![t],
+            packets: Few::new(),
+            wakes: Few::one(t),
+        }
+    }
+
+    /// One packet now and one further wake-up: the steady-state output of
+    /// every periodic source.
+    pub fn packet_and_wake(pkt: Packet, wake: f64) -> Self {
+        SourceOutput {
+            packets: Few::one(pkt),
+            wakes: Few::one(wake),
         }
     }
 }
@@ -59,6 +152,16 @@ pub trait Source: Send {
     /// sources use the default no-op.
     fn on_delivered(&mut self, _now: f64, _pkt: &Packet) -> SourceOutput {
         SourceOutput::none()
+    }
+
+    /// Whether [`Source::on_delivered`] does anything. A source that
+    /// returns `false` promises its `on_delivered` is the default no-op;
+    /// the simulator then skips scheduling delivery events for its
+    /// packets altogether. Read once, when the source is attached. The
+    /// default is `true`, so closed-loop and external sources keep every
+    /// callback; the built-in open-loop generators return `false`.
+    fn wants_delivery(&self) -> bool {
+        true
     }
 
     /// Short label for reports.
@@ -92,6 +195,10 @@ impl Source for Box<dyn Source> {
 
     fn on_delivered(&mut self, now: f64, pkt: &Packet) -> SourceOutput {
         (**self).on_delivered(now, pkt)
+    }
+
+    fn wants_delivery(&self) -> bool {
+        (**self).wants_delivery()
     }
 
     fn label(&self) -> String {
@@ -170,10 +277,11 @@ impl Source for CbrSource {
         }
         self.seq += 1;
         let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-        SourceOutput {
-            packets: vec![pkt],
-            wakes: vec![now + self.interval],
-        }
+        SourceOutput::packet_and_wake(pkt, now + self.interval)
+    }
+
+    fn wants_delivery(&self) -> bool {
+        false
     }
 
     fn label(&self) -> String {
@@ -275,10 +383,7 @@ impl Source for PeriodicOnOffSource {
                 let k = ((next - self.start_time) / self.period).floor() + 1.0;
                 self.start_time + k * self.period
             };
-            SourceOutput {
-                packets: vec![pkt],
-                wakes: vec![wake],
-            }
+            SourceOutput::packet_and_wake(pkt, wake)
         } else {
             // Woke in the off phase (e.g. first wake landed oddly): go to
             // the next period boundary — strictly in the future, so float
@@ -291,6 +396,10 @@ impl Source for PeriodicOnOffSource {
             }
             SourceOutput::wake_at(wake)
         }
+    }
+
+    fn wants_delivery(&self) -> bool {
+        false
     }
 
     fn label(&self) -> String {
@@ -396,7 +505,7 @@ impl Source for ScheduledOnOffSource {
                 self.next_start_after(now)
             };
             SourceOutput {
-                packets: vec![pkt],
+                packets: Few::one(pkt),
                 wakes: wake.into_iter().collect(),
             }
         } else {
@@ -405,6 +514,10 @@ impl Source for ScheduledOnOffSource {
                 None => SourceOutput::none(),
             }
         }
+    }
+
+    fn wants_delivery(&self) -> bool {
+        false
     }
 
     fn label(&self) -> String {
@@ -511,10 +624,12 @@ impl Source for PoissonSource {
         }
         self.seq += 1;
         let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-        SourceOutput {
-            packets: vec![pkt],
-            wakes: vec![now + self.exp_sample()],
-        }
+        let wake = now + self.exp_sample();
+        SourceOutput::packet_and_wake(pkt, wake)
+    }
+
+    fn wants_delivery(&self) -> bool {
+        false
     }
 
     fn label(&self) -> String {
@@ -636,10 +751,11 @@ impl Source for PacketTrainSource {
             let elapsed_bursts = ((now - self.start_time) / self.period).floor() + 1.0;
             self.start_time + elapsed_bursts * self.period
         };
-        SourceOutput {
-            packets: vec![pkt],
-            wakes: vec![wake],
-        }
+        SourceOutput::packet_and_wake(pkt, wake)
+    }
+
+    fn wants_delivery(&self) -> bool {
+        false
     }
 
     fn label(&self) -> String {
@@ -740,15 +856,16 @@ impl Source for GreedyLbSource {
                 .collect();
             return SourceOutput {
                 packets,
-                wakes: vec![now + f64::from(self.len_bytes) * 8.0 / self.rho_bps],
+                wakes: Few::one(now + f64::from(self.len_bytes) * 8.0 / self.rho_bps),
             };
         }
         self.seq += 1;
         let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-        SourceOutput {
-            packets: vec![pkt],
-            wakes: vec![now + f64::from(self.len_bytes) * 8.0 / self.rho_bps],
-        }
+        SourceOutput::packet_and_wake(pkt, now + f64::from(self.len_bytes) * 8.0 / self.rho_bps)
+    }
+
+    fn wants_delivery(&self) -> bool {
+        false
     }
 
     fn label(&self) -> String {
@@ -839,6 +956,10 @@ impl Source for TraceSource {
         out
     }
 
+    fn wants_delivery(&self) -> bool {
+        false
+    }
+
     fn label(&self) -> String {
         format!("trace-{}", self.flow)
     }
@@ -897,7 +1018,7 @@ mod tests {
         // before its scheduled wake and loop forever.
         let out = src.start();
         assert!(out.packets.is_empty(), "start() must not emit packets");
-        let mut wakes: Vec<f64> = out.wakes;
+        let mut wakes: Vec<f64> = out.wakes.to_vec();
         let mut emitted = Vec::new();
         let mut guard = 0u32;
         while !wakes.is_empty() {

@@ -7,6 +7,8 @@ use std::collections::BTreeMap;
 use hpfq_core::Packet;
 use hpfq_obs::snap::{SnapError, Value};
 
+use crate::flow_map::FlowMap;
+
 /// One transmitted packet, as recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceRecord {
@@ -178,7 +180,9 @@ impl FlowStats {
 /// a long run over every flow would dominate memory).
 #[derive(Debug, Default)]
 pub struct SimStats {
-    flows: BTreeMap<u32, FlowStats>,
+    flows: FlowMap<FlowStats>,
+    /// Empty in most runs, which is checked before any lookup: the packet
+    /// path pays for tracing only when some flow is traced.
     traced: BTreeMap<u32, Vec<ServiceRecord>>,
     /// Total bytes transmitted on the link.
     pub total_bytes: u64,
@@ -199,9 +203,21 @@ impl SimStats {
         self.traced.entry(flow).or_default();
     }
 
+    /// Sizes the per-flow storage for `flows` flows in total. Entries are
+    /// still created on first touch; this only spares a run whose flow
+    /// population is known (the network's registered routes) the
+    /// re-allocations of growing to it.
+    pub fn reserve_flows(&mut self, flows: usize) {
+        self.flows.reserve_total(flows);
+    }
+
+    fn entry(&mut self, flow: u32) -> &mut FlowStats {
+        self.flows.get_or_insert_with(flow, FlowStats::default)
+    }
+
     /// Records a completed transmission.
     pub fn record_service(&mut self, rec: ServiceRecord) {
-        let f = self.flows.entry(rec.flow).or_default();
+        let f = self.entry(rec.flow);
         f.packets += 1;
         f.bytes += u64::from(rec.len_bytes);
         let d = rec.delay();
@@ -213,21 +229,23 @@ impl SimStats {
         self.total_bytes += u64::from(rec.len_bytes);
         self.total_packets += 1;
         self.last_departure = rec.end;
-        if let Some(tr) = self.traced.get_mut(&rec.flow) {
-            tr.push(rec);
+        if !self.traced.is_empty() {
+            if let Some(tr) = self.traced.get_mut(&rec.flow) {
+                tr.push(rec);
+            }
         }
     }
 
     /// Records a packet offered by its source (before any buffer check).
     pub fn record_arrival(&mut self, pkt: &Packet) {
-        let f = self.flows.entry(pkt.flow).or_default();
+        let f = self.entry(pkt.flow);
         f.offered_packets += 1;
         f.offered_bytes += u64::from(pkt.len_bytes);
     }
 
     /// Records a buffer drop of `pkt`, including its size.
     pub fn record_drop(&mut self, pkt: &Packet) {
-        let f = self.flows.entry(pkt.flow).or_default();
+        let f = self.entry(pkt.flow);
         f.drops += 1;
         f.drop_bytes += u64::from(pkt.len_bytes);
     }
@@ -235,21 +253,21 @@ impl SimStats {
     /// Records a packet accepted into the hierarchy (survived fault
     /// injection, validation, and the buffer check).
     pub fn record_accept(&mut self, pkt: &Packet) {
-        let f = self.flows.entry(pkt.flow).or_default();
+        let f = self.entry(pkt.flow);
         f.accepted_packets += 1;
         f.accepted_bytes += u64::from(pkt.len_bytes);
     }
 
     /// Records a packet lost to fault injection or admission validation.
     pub fn record_fault_drop(&mut self, pkt: &Packet) {
-        let f = self.flows.entry(pkt.flow).or_default();
+        let f = self.entry(pkt.flow);
         f.fault_drops += 1;
         f.fault_drop_bytes += u64::from(pkt.len_bytes);
     }
 
     /// Records a packet purged from its queue by flow removal/quarantine.
     pub fn record_purge(&mut self, pkt: &Packet) {
-        let f = self.flows.entry(pkt.flow).or_default();
+        let f = self.entry(pkt.flow);
         f.purged_packets += 1;
         f.purged_bytes += u64::from(pkt.len_bytes);
     }
@@ -267,7 +285,7 @@ impl SimStats {
         let mut accepted = 0u64;
         let mut served = 0u64;
         let mut purged = 0u64;
-        for (flow, f) in &self.flows {
+        for (flow, f) in self.flows.sorted() {
             if f.offered_packets != f.accepted_packets + f.drops + f.fault_drops {
                 return Err(format!(
                     "flow {flow}: offered {} pkts != accepted {} + dropped {} + fault-dropped {}",
@@ -294,7 +312,7 @@ impl SimStats {
 
     /// Aggregates for `flow` (zeroes if it never sent).
     pub fn flow(&self, flow: u32) -> FlowStats {
-        self.flows.get(&flow).cloned().unwrap_or_default()
+        self.flows.get(flow).cloned().unwrap_or_default()
     }
 
     /// The captured trace for a flow registered via
@@ -303,9 +321,9 @@ impl SimStats {
         self.traced.get(&flow).map_or(&[], |v| v.as_slice())
     }
 
-    /// All flows seen, sorted by id (BTreeMap iteration order).
+    /// All flows seen, sorted by id.
     pub fn flows(&self) -> Vec<u32> {
-        self.flows.keys().copied().collect()
+        self.flows.keys()
     }
 
     /// Flows registered for per-packet trace capture, sorted by id.
@@ -322,7 +340,7 @@ impl SimStats {
     /// bit-identically: every other shard contributes `+ 0.0` to the sum
     /// instead of forcing a re-associated `prefix + partial` addition.
     pub fn extract_flow(&mut self, flow: u32) -> Option<FlowStats> {
-        self.flows.remove(&flow)
+        self.flows.remove(flow)
     }
 
     /// Installs `stats` as `flow`'s aggregate entry — the receiving end of
@@ -357,8 +375,8 @@ impl SimStats {
     /// only from `record_service`, which runs at a flow's **last** hop —
     /// a single link, hence a single shard.
     pub fn merge_from(&mut self, other: SimStats) {
-        for (flow, f) in other.flows {
-            let e = self.flows.entry(flow).or_default();
+        for (flow, f) in other.flows.into_sorted() {
+            let e = self.entry(flow);
             e.packets += f.packets;
             e.bytes += f.bytes;
             e.drops += f.drops;
@@ -397,8 +415,9 @@ impl SimStats {
                 "flows",
                 Value::List(
                     self.flows
-                        .iter()
-                        .map(|(&flow, f)| Value::List(vec![Value::U64(u64::from(flow)), f.save()]))
+                        .sorted()
+                        .into_iter()
+                        .map(|(flow, f)| Value::List(vec![Value::U64(u64::from(flow)), f.save()]))
                         .collect(),
                 ),
             ),
@@ -425,7 +444,7 @@ impl SimStats {
     /// Restores state saved by [`SimStats::save_state`], replacing the
     /// current contents wholesale.
     pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let mut flows = BTreeMap::new();
+        let mut flows = FlowMap::new();
         for pair in state.get("flows")?.items()? {
             let fields = pair.items()?;
             if fields.len() != 2 {

@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(seq_of(&out.packets[0]), 0);
         // Grow the window a little: deliver and ACK segments in order.
         let mut t = 0.01;
-        let mut in_flight: Vec<Packet> = out.packets.clone();
+        let mut in_flight: Vec<Packet> = out.packets.to_vec();
         for _ in 0..4 {
             let mut next_flight = Vec::new();
             for pkt in in_flight {

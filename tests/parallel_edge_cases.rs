@@ -133,10 +133,7 @@ impl Source for SourGrapes {
         } else {
             Packet::new(id, self.flow, PKT, now)
         };
-        SourceOutput {
-            packets: vec![pkt],
-            wakes: vec![now + self.interval],
-        }
+        SourceOutput::packet_and_wake(pkt, now + self.interval)
     }
 
     fn label(&self) -> String {

@@ -23,8 +23,8 @@ use hpfq::core::{
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::obs::{InvariantObserver, NoopObserver};
 use hpfq::sim::{
-    CbrSource, Hop, Network, PoissonSource, Route, SimCommand, Simulation, SmallRng, SourceConfig,
-    TraceSource,
+    CbrSource, FlowMap, FlowStats, Hop, Network, PoissonSource, Route, ServiceRecord, SimCommand,
+    SimStats, Simulation, SmallRng, SourceConfig, TraceSource,
 };
 
 // ---------------------------------------------------------------------------
@@ -901,5 +901,141 @@ fn churn_preserves_invariants_wf2q_plus() {
 fn churn_preserves_invariants_sfq() {
     for case in 0..24u64 {
         churn_case(Sfq::new, 0xc4a1_0000 + case);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The flow index behaves exactly like the `BTreeMap<u32, _>` it replaced on
+// the packet path, whatever the ids: dense, sparse, at the top of the range,
+// and crowded enough that probe runs form and are cut by removals.
+// ---------------------------------------------------------------------------
+
+/// A pool of ids small enough that every id is inserted, removed and
+/// re-inserted many times while the table is between 8 and 128 slots.
+fn flow_id_pool(rng: &mut SmallRng) -> Vec<u32> {
+    let mut pool: Vec<u32> = (0..12).collect();
+    pool.extend((0..6).map(|i| u32::MAX - i));
+    pool.extend((1..=8).map(|i| i << 24));
+    pool.extend((0..14).map(|_| rng.gen_range_u32(0, u32::MAX)));
+    pool
+}
+
+#[test]
+fn flow_map_agrees_with_btreemap() {
+    use std::collections::BTreeMap;
+    for case in 0..64u64 {
+        let mut rng = SmallRng::seed_from_u64(0xf10_0000 + case);
+        let pool = flow_id_pool(&mut rng);
+        let mut map: FlowMap<u64> = FlowMap::new();
+        let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
+        if case % 2 == 0 {
+            map.reserve_total(rng.gen_range_usize(0, 64));
+        }
+        for step in 0..rng.gen_range_usize(1, 600) as u64 {
+            let flow = pool[rng.gen_range_usize(0, pool.len())];
+            match rng.gen_range_u32(0, 5) {
+                0 => assert_eq!(map.insert(flow, step), oracle.insert(flow, step)),
+                1 => {
+                    *map.get_or_insert_with(flow, || step) += 1;
+                    *oracle.entry(flow).or_insert(step) += 1;
+                }
+                2 => assert_eq!(map.remove(flow), oracle.remove(&flow), "case {case}"),
+                3 => assert_eq!(map.get(flow), oracle.get(&flow), "case {case}"),
+                _ => {
+                    if let Some(v) = map.get_mut(flow) {
+                        *v ^= step;
+                    }
+                    if let Some(v) = oracle.get_mut(&flow) {
+                        *v ^= step;
+                    }
+                }
+            }
+            assert_eq!(map.len(), oracle.len(), "case {case} step {step}");
+        }
+        assert_eq!(map.keys(), oracle.keys().copied().collect::<Vec<_>>());
+        let pairs: Vec<(u32, u64)> = map.sorted().into_iter().map(|(f, v)| (f, *v)).collect();
+        assert_eq!(
+            pairs,
+            oracle.iter().map(|(f, v)| (*f, *v)).collect::<Vec<_>>()
+        );
+        for &flow in &pool {
+            assert_eq!(map.get(flow), oracle.get(&flow), "case {case} flow {flow}");
+        }
+        assert_eq!(map.into_sorted(), oracle.into_iter().collect::<Vec<_>>());
+    }
+}
+
+/// The same lockstep one level up, through the operations the engine and
+/// the shard split/merge actually perform on `SimStats`: first-touch
+/// creation by `record_*`, `extract_flow` / `seed_flow`, flow-ordered
+/// listing, and serialization that does not depend on insertion history.
+#[test]
+fn sim_stats_flow_table_agrees_with_btreemap() {
+    use std::collections::BTreeMap;
+    for case in 0..32u64 {
+        let mut rng = SmallRng::seed_from_u64(0xf11_0000 + case);
+        let pool = flow_id_pool(&mut rng);
+        let mut stats = SimStats::new();
+        let mut oracle: BTreeMap<u32, FlowStats> = BTreeMap::new();
+        for step in 0..rng.gen_range_usize(1, 400) as u64 {
+            let flow = pool[rng.gen_range_usize(0, pool.len())];
+            match rng.gen_range_u32(0, 4) {
+                0 => {
+                    let rec = ServiceRecord {
+                        id: step,
+                        flow,
+                        len_bytes: 100,
+                        arrival: step as f64,
+                        start: step as f64 + 0.25,
+                        end: step as f64 + 0.5,
+                    };
+                    stats.record_service(rec);
+                    let f = oracle.entry(flow).or_default();
+                    f.packets += 1;
+                    f.bytes += 100;
+                    f.delay_sum += 0.5;
+                    f.delay_max = 0.5;
+                    f.last_departure = rec.end;
+                }
+                1 => {
+                    let pkt = hpfq::core::Packet::new(step, flow, 60, 0.0);
+                    stats.record_arrival(&pkt);
+                    let f = oracle.entry(flow).or_default();
+                    f.offered_packets += 1;
+                    f.offered_bytes += 60;
+                }
+                2 => assert_eq!(stats.extract_flow(flow), oracle.remove(&flow)),
+                _ => {
+                    let seeded = FlowStats {
+                        drops: step,
+                        ..FlowStats::default()
+                    };
+                    stats.seed_flow(flow, seeded.clone());
+                    oracle.insert(flow, seeded);
+                }
+            }
+        }
+        assert_eq!(stats.flows(), oracle.keys().copied().collect::<Vec<_>>());
+        for &flow in &pool {
+            let want = oracle.get(&flow).cloned().unwrap_or_default();
+            assert_eq!(stats.flow(flow), want, "case {case} flow {flow}");
+        }
+        // Rebuilt in flow order from scratch, the collector serializes to
+        // the same bytes: layout history is not observable.
+        let mut rebuilt = SimStats::new();
+        for (flow, f) in &oracle {
+            rebuilt.seed_flow(*flow, f.clone());
+        }
+        rebuilt.total_bytes = stats.total_bytes;
+        rebuilt.total_packets = stats.total_packets;
+        rebuilt.last_departure = stats.last_departure;
+        assert_eq!(
+            stats.save_state().to_bytes(),
+            rebuilt.save_state().to_bytes(),
+            "case {case}"
+        );
+        let mut reloaded = SimStats::new();
+        reloaded.load_state(&stats.save_state()).unwrap();
+        assert_eq!(reloaded.flows(), stats.flows());
     }
 }
