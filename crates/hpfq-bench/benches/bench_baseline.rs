@@ -12,12 +12,11 @@
 //!
 //! A second axis — the **flow-count scaling sweep** (`--sizes
 //! 64,1k,16k,256k,1m,4m`, `k` = ×1024, `m` = ×1024²) — measures the same
-//! two operations on flat WF²Q+ trees of growing width, once per eligible
-//! set backend (dual heap, treap, calendar). Dispatch cost is dominated
-//! by the eligible set: the heap rows must grow sub-linearly (O(log N)),
-//! the calendar rows near-flat (amortized O(1)); the committed baseline
-//! pins both curves. `--eligible <dual-heap|treap|calendar>` restricts
-//! the sweep to one backend for targeted runs.
+//! two operations on flat WF²Q+ trees of growing width, on the dual heap
+//! that ships (`/pifo` rows) and on the calendar queue (`/pifo-calendar`
+//! rows). Dispatch cost is dominated by the eligible set: the heap rows
+//! must grow sub-linearly (O(log N)), the calendar rows near-flat
+//! (amortized O(1)); the committed baseline pins both curves.
 //!
 //! Output: aligned rows on stdout, plus `--json <path>` for the
 //! machine-readable form committed as `results/bench_baseline.json`.
@@ -27,47 +26,13 @@ use hpfq_bench::microbench::{
     json_path_from_args, sizes_from_args, time_op_profile, write_json, BenchRecord, MetaValue,
     Profile,
 };
-use hpfq_core::pifo::rank::DrrRank;
+use hpfq_core::pifo::rank::{DrrRank, Wf2qPlusRank};
 use hpfq_core::{
-    Drr, EligibleBackend, Hierarchy, MixedScheduler, NodeId, Packet, PifoTree, SchedulerKind,
+    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, Packet, PifoTree,
+    SchedulerKind,
 };
 use hpfq_obs::SpanKind;
 use hpfq_sim::{CbrSource, Network, Route};
-
-/// Which scheduler implementation backs every tree node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    /// `SchedulerKind::build_with_backend`: the shared PIFO substrate on
-    /// the given eligible-set backend (`DualHeap` is the product default).
-    Pifo(EligibleBackend),
-    /// `SchedulerKind::build_legacy`: the hand-rolled originals — the
-    /// committed dispatch baseline PIFO rows must stay within 15% of.
-    Legacy,
-}
-
-impl Backend {
-    /// Row-name suffix: legacy rows keep their historical names, default
-    /// PIFO rows append `/pifo` (bench_compare also gates each
-    /// `<name>/pifo` row against the committed hand-rolled `<name>` row),
-    /// and alternate eligible sets append `/pifo-<backend>`.
-    fn suffix(self) -> &'static str {
-        match self {
-            Backend::Pifo(EligibleBackend::DualHeap) => "/pifo",
-            Backend::Pifo(EligibleBackend::Treap) => "/pifo-treap",
-            Backend::Pifo(EligibleBackend::Calendar) => "/pifo-calendar",
-            Backend::Legacy => "",
-        }
-    }
-}
-
-/// Parses `--eligible <dual-heap|treap|calendar>`: restricts the scaling
-/// sweep to one PIFO backend (the depth-shape rows always run the
-/// dual-heap default, which is what ships).
-fn eligible_from_args(args: &[String]) -> Option<EligibleBackend> {
-    let pos = args.iter().position(|a| a == "--eligible")?;
-    let v = args.get(pos + 1).expect("--eligible requires a value");
-    Some(v.parse().unwrap_or_else(|e| panic!("--eligible: {e}")))
-}
 
 const LEAVES: usize = 64;
 /// `(label, depth, fanout)`: fanout^depth == LEAVES for both shapes.
@@ -75,37 +40,32 @@ const SHAPES: [(&str, u32, usize); 2] = [("depth1", 1, 64), ("depth3", 3, 4)];
 /// Default flow-count sweep (overridable via `--sizes`).
 const DEFAULT_SIZES: [u32; 6] = [64, 1024, 16384, 262144, 1_048_576, 4_194_304];
 
+/// The node factory that ships for `kind` ([`SchedulerKind::build`]),
+/// with DRR nodes at the policy's designed operating point: a quantum base
+/// of `drr_base` bits shared across a node's sessions. The shape rows pass
+/// one MTU (12 kbit) *per session*: Shreedhar & Varghese's O(1)-per-packet
+/// bound holds only for quantum >= max packet size, and the crate's
+/// default `quantum_base` (12 kbit shared across `fanout` sessions) puts
+/// every bench packet ~64 quanta deep, so each dispatch degenerates to ~64
+/// ring rotations. That regime is a rotation-loop stress test, not a
+/// dispatch-rate measurement — the ungated `stress` row keeps it visible.
+fn shipped(kind: SchedulerKind, drr_base: f64) -> impl Fn(f64) -> MixedScheduler + Copy {
+    move |rate| match kind {
+        SchedulerKind::Drr => {
+            MixedScheduler::Drr(PifoTree::new(rate, DrrRank::with_quantum_base(drr_base)))
+        }
+        _ => kind.build(rate),
+    }
+}
+
 /// Builds a uniform `depth`-level tree of `fanout^depth` leaves running
-/// `kind` at every node, on the PIFO substrate (`Backend::Pifo`, the
-/// product default) or the hand-rolled originals (`Backend::Legacy`, the
-/// committed perf baseline the PIFO rows are gated against).
-///
-/// DRR nodes run at the policy's designed operating point unless
-/// `drr_base` overrides it: a per-session quantum of one MTU (12 kbit).
-/// Shreedhar & Varghese's O(1)-per-packet bound holds only for quantum >=
-/// max packet size; the crate's default `quantum_base` (12 kbit *shared
-/// across `fanout` sessions*) puts every bench packet ~64 quanta deep, so
-/// each dispatch degenerates to ~64 ring rotations. That regime is a
-/// rotation-loop stress test, not a dispatch-rate measurement — the
-/// ungated `stress` rows keep it visible.
-fn build(
-    kind: SchedulerKind,
-    backend: Backend,
+/// `node` at every node.
+fn build<S: NodeScheduler>(
+    node: impl Fn(f64) -> S + 'static,
     depth: u32,
     fanout: usize,
-    drr_base: Option<f64>,
-) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
-    let drr_base = drr_base.unwrap_or(12_000.0 * fanout as f64);
-    let mut bld = Hierarchy::builder(1e9, move |rate| match (backend, kind) {
-        (Backend::Pifo(EligibleBackend::DualHeap), SchedulerKind::Drr) => {
-            MixedScheduler::PifoDrr(PifoTree::new(rate, DrrRank::with_quantum_base(drr_base)))
-        }
-        (Backend::Legacy, SchedulerKind::Drr) => {
-            MixedScheduler::Drr(Drr::with_quantum_base(rate, drr_base))
-        }
-        (Backend::Pifo(eb), _) => kind.build_with_backend(rate, eb),
-        (Backend::Legacy, _) => kind.build_legacy(rate),
-    });
+) -> (Hierarchy<S>, Vec<NodeId>) {
+    let mut bld = Hierarchy::builder(1e9, node);
     let mut parents = vec![bld.root()];
     for _ in 1..depth {
         let mut next = Vec::new();
@@ -132,15 +92,13 @@ fn build(
 /// batch medians — medians alone still wander double-digit percent on a
 /// shared single-vCPU runner, and the minimum is the standard
 /// noise-robust estimator for tight loops.
-fn bench_dispatch(
-    kind: SchedulerKind,
-    backend: Backend,
+fn bench_dispatch<S: NodeScheduler>(
+    node: impl Fn(f64) -> S + 'static,
     depth: u32,
     fanout: usize,
     profile: Profile,
-    drr_base: Option<f64>,
 ) -> f64 {
-    let (mut h, leaves) = build(kind, backend, depth, fanout, drr_base);
+    let (mut h, leaves) = build(node, depth, fanout);
     let mut id = 0u64;
     for &leaf in &leaves {
         for _ in 0..2 {
@@ -173,14 +131,13 @@ fn bench_dispatch(
 }
 
 /// Median ns per arrival into a backlogged leaf (round-robin over leaves).
-fn bench_enqueue(
-    kind: SchedulerKind,
-    backend: Backend,
+fn bench_enqueue<S: NodeScheduler>(
+    node: impl Fn(f64) -> S + 'static,
     depth: u32,
     fanout: usize,
     profile: Profile,
 ) -> f64 {
-    let (mut h, leaves) = build(kind, backend, depth, fanout, None);
+    let (mut h, leaves) = build(node, depth, fanout);
     let mut id = 0u64;
     for &leaf in &leaves {
         id += 1;
@@ -259,12 +216,28 @@ fn bench_engine(profile: Profile, records: &mut Vec<BenchRecord>) {
     }
 }
 
+/// Times dispatch and enqueue on one tree shape and records both rows
+/// under `name` at `size` flows.
+fn bench_rows<S: NodeScheduler>(
+    records: &mut Vec<BenchRecord>,
+    name: &str,
+    size: usize,
+    node: impl Fn(f64) -> S + Copy + 'static,
+    depth: u32,
+    fanout: usize,
+    profile: Profile,
+) {
+    let ns = bench_dispatch(node, depth, fanout, profile);
+    records.push(BenchRecord::reported("dispatch", name, size, ns));
+    let ns = bench_enqueue(node, depth, fanout, profile);
+    records.push(BenchRecord::reported("enqueue", name, size, ns));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let profile = Profile::from_args(&args);
     let json = json_path_from_args(&args);
     let sizes = sizes_from_args(&args).unwrap_or_else(|| DEFAULT_SIZES.to_vec());
-    let eligible = eligible_from_args(&args);
 
     let mut records = Vec::new();
     println!(
@@ -273,63 +246,46 @@ fn main() {
     );
     for (label, depth, fanout) in SHAPES {
         for kind in SchedulerKind::ALL {
-            for backend in [Backend::Legacy, Backend::Pifo(EligibleBackend::DualHeap)] {
-                if backend == Backend::Legacy && !kind.has_legacy() {
-                    continue; // rr is PIFO-native; no hand-rolled oracle row
-                }
-                let name = format!("{}/{label}{}", kind.name(), backend.suffix());
-                let ns = bench_dispatch(kind, backend, depth, fanout, profile, None);
-                records.push(BenchRecord::reported("dispatch", &name, LEAVES, ns));
-                let ns = bench_enqueue(kind, backend, depth, fanout, profile);
-                records.push(BenchRecord::reported("enqueue", &name, LEAVES, ns));
-            }
+            let name = format!("{}/{label}/pifo", kind.name());
+            let node = shipped(kind, 12_000.0 * fanout as f64);
+            bench_rows(&mut records, &name, LEAVES, node, depth, fanout, profile);
         }
     }
 
-    // Flow-count scaling sweep: flat WF²Q+ trees of growing width, one
-    // row family per eligible-set backend. The heap rows pin the O(log N)
-    // trajectory; the calendar rows pin the amortized-O(1) one. The sweep
-    // — not any single point — is the committed artifact.
+    // Flow-count scaling sweep: flat WF²Q+ trees of growing width on the
+    // dual heap that ships and on the calendar queue. The heap rows pin
+    // the O(log N) trajectory; the calendar rows pin the amortized-O(1)
+    // one. The sweep — not any single point — is the committed artifact.
     println!("== scaling sweep (wf2q+, flat): sizes {:?} ==", sizes);
-    let kind = SchedulerKind::Wf2qPlus;
-    let backends: Vec<Backend> = match eligible {
-        Some(eb) => vec![Backend::Pifo(eb)],
-        None => std::iter::once(Backend::Legacy)
-            .chain(
-                EligibleBackend::all_for(kind)
-                    .iter()
-                    .map(|&eb| Backend::Pifo(eb)),
-            )
-            .collect(),
-    };
     for &size in &sizes {
-        for &backend in &backends {
-            let name = format!("wf2q+/scale{}", backend.suffix());
-            let ns = bench_dispatch(kind, backend, 1, size as usize, profile, None);
-            records.push(BenchRecord::reported("dispatch", &name, size as usize, ns));
-            let ns = bench_enqueue(kind, backend, 1, size as usize, profile);
-            records.push(BenchRecord::reported("enqueue", &name, size as usize, ns));
-        }
+        let n = size as usize;
+        let heap = |r| SchedulerKind::Wf2qPlus.build(r);
+        bench_rows(&mut records, "wf2q+/scale/pifo", n, heap, 1, n, profile);
+        let calendar = |r| PifoTree::<_, CalendarEligibleSet>::with_backend(r, Wf2qPlusRank::new());
+        bench_rows(
+            &mut records,
+            "wf2q+/scale/pifo-calendar",
+            n,
+            calendar,
+            1,
+            n,
+            profile,
+        );
     }
 
-    // Sub-MTU-quantum DRR stress rows: the crate's default quantum base
+    // Sub-MTU-quantum DRR stress row: the crate's default quantum base
     // shared across 64 flows gives 187.5-bit quanta vs 12-kbit packets, so
     // every dispatch pays ~64 ring rotations. Useful for watching the
-    // rotation loop of both backends; deliberately NOT in the gated
-    // `dispatch` group (see `build` docs).
+    // rotation loop; deliberately NOT in the gated `dispatch` group (see
+    // `shipped` docs).
     println!("== stress: sub-MTU-quantum drr ==");
-    for backend in [Backend::Legacy, Backend::Pifo(EligibleBackend::DualHeap)] {
-        let name = format!("drr/subquantum{}", backend.suffix());
-        let ns = bench_dispatch(
-            SchedulerKind::Drr,
-            backend,
-            1,
-            LEAVES,
-            profile,
-            Some(12_000.0),
-        );
-        records.push(BenchRecord::reported("stress", &name, LEAVES, ns));
-    }
+    let ns = bench_dispatch(shipped(SchedulerKind::Drr, 12_000.0), 1, LEAVES, profile);
+    records.push(BenchRecord::reported(
+        "stress",
+        "drr/subquantum/pifo",
+        LEAVES,
+        ns,
+    ));
 
     // Event-engine section: wall clock through the full Network loop (and,
     // with `--features profile`, the per-phase span breakdown).

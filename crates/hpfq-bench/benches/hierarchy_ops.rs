@@ -14,7 +14,7 @@
 //! the full price of *enabled* instrumentation.
 
 use hpfq_bench::microbench::{report, time_op};
-use hpfq_core::{Hierarchy, NodeId, Packet, Wf2qPlus};
+use hpfq_core::{Hierarchy, MixedScheduler, NodeId, Packet, SchedulerKind};
 use hpfq_obs::{CountingObserver, NoopObserver, Observer, SpanProfiler};
 
 // The zero-cost contract, pinned at compile time: the noop observer's
@@ -31,8 +31,12 @@ const _: () = {
 const _: () = assert!(SpanProfiler::ENABLED);
 
 /// Builds a uniform tree of the given depth/fanout and returns its leaves.
-fn build<O: Observer>(depth: u32, fanout: usize, obs: O) -> (Hierarchy<Wf2qPlus, O>, Vec<NodeId>) {
-    let mut bld = Hierarchy::builder_with_observer(1e9, Wf2qPlus::new, obs);
+fn build<O: Observer>(
+    depth: u32,
+    fanout: usize,
+    obs: O,
+) -> (Hierarchy<MixedScheduler, O>, Vec<NodeId>) {
+    let mut bld = Hierarchy::builder_with_observer(1e9, |r| SchedulerKind::Wf2qPlus.build(r), obs);
     let mut parents = vec![bld.root()];
     for _ in 1..depth {
         let mut next = Vec::new();

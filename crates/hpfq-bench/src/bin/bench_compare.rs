@@ -122,47 +122,6 @@ fn main() -> ExitCode {
             );
         }
     }
-    // PIFO-vs-hand-rolled gate: every current `dispatch` row named
-    // `<name>/pifo` is additionally compared against the committed
-    // *hand-rolled* baseline row `<name>` at the same threshold, so a PIFO
-    // substrate regression blocks even when the committed `/pifo` rows
-    // drift with it.
-    let mut pifo_gated = 0usize;
-    for cur in current
-        .iter()
-        .filter(|c| c.group == "dispatch" && c.name.ends_with("/pifo"))
-    {
-        let hand = cur.name.trim_end_matches("/pifo");
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.group == cur.group && b.name == hand && b.size == cur.size)
-        else {
-            println!(
-                "  NO-ORACLE  dispatch/{} @{} (no hand-rolled baseline row '{hand}')",
-                cur.name, cur.size
-            );
-            continue;
-        };
-        pifo_gated += 1;
-        let delta_pct = (cur.ns_per_op / base.ns_per_op - 1.0) * 100.0;
-        let slow = delta_pct > threshold;
-        if slow {
-            regressions += 1;
-        }
-        println!(
-            "  {:<10} dispatch/{} @{} vs hand-rolled {hand}: {:.1} -> {:.1} ns/op ({:+.1}%)",
-            if slow { "REGRESSION" } else { "ok" },
-            cur.name,
-            cur.size,
-            base.ns_per_op,
-            cur.ns_per_op,
-            delta_pct
-        );
-    }
-    if pifo_gated > 0 {
-        println!("== {pifo_gated} PIFO dispatch row(s) gated against the hand-rolled baseline ==");
-    }
-
     // Scaling-sweep slope check: every dispatch row family measured at 2+
     // sizes is a complexity trajectory, not a point. Print the per-size
     // diff as one table per family and gate the end-to-end growth factor

@@ -8,23 +8,21 @@
 //! sessions, to evaluate the `max(V, Smin)` operation of the paper's
 //! eq. (27) / RESTART-NODE line 12.
 //!
-//! Two O(log N) implementations are provided behind the [`EligibleSet`]
-//! trait:
+//! Two implementations are provided behind the [`EligibleSet`] trait:
 //!
 //! * [`dual_heap::DualHeapEligibleSet`] — a pair of lazy binary heaps
 //!   (pending sessions ordered by start time, eligible ones by finish time);
-//!   sessions migrate as the virtual time advances. This is the structure
-//!   used by production WF²Q+ implementations (e.g. dummynet).
-//! * [`treap::TreapEligibleSet`] — a randomized balanced BST keyed by start
-//!   time in which every subtree caches its minimum finish time, answering
-//!   the query in a single descent with no migration.
+//!   sessions migrate as the virtual time advances. Amortized O(log N);
+//!   this is the structure used by production WF²Q+ implementations (e.g.
+//!   dummynet) and the one [`crate::SchedulerKind::build`] ships.
+//! * [`calendar::CalendarEligibleSet`] — a hierarchical calendar queue
+//!   (timing wheel) with the same pop order at amortized O(1).
 //!
 //! Both are exercised against [`BruteForceEligibleSet`] in unit and property
 //! tests, and against each other in the `eligible_set` bench ablation.
 
 pub mod calendar;
 pub mod dual_heap;
-pub mod treap;
 
 use crate::scheduler::SessionId;
 use crate::vtime;
@@ -33,8 +31,8 @@ use crate::vtime;
 ///
 /// This is the generalized *ranked* interface the dual-heap set grew for the
 /// PIFO substrate, lifted to a trait so the driver can swap structures: the
-/// dual heap (amortized O(log N)), the treap (worst-case O(log N) start-keyed
-/// BST), and the hierarchical calendar queue (amortized O(1)). Every method
+/// dual heap (amortized O(log N)) and the hierarchical calendar queue
+/// (amortized O(1)). Every method
 /// mirrors the dual-heap original; the semantic contract — rank model,
 /// monotone thresholds within a busy period, id tie-breaks, the
 /// `MONOTONE_RANKS` tail promise — is documented on
@@ -132,11 +130,9 @@ pub trait EligibleSet {
 
 /// Deterministic total-order key for selecting the minimum-finish eligible
 /// session: finish tag, then session id (the paper's Fig. 2 tie-break).
-/// `start` is carried along as the BST key for deletions, not for ordering.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct FinishKey {
     pub finish: f64,
-    pub start: f64,
     pub id: SessionId,
 }
 
@@ -181,7 +177,7 @@ impl EligibleSet for BruteForceEligibleSet {
         let mut best: Option<(usize, FinishKey)> = None;
         for (i, &(id, start, finish)) in self.members.iter().enumerate() {
             if vtime::exactly_le(start, thr) {
-                let key = FinishKey { finish, start, id };
+                let key = FinishKey { finish, id };
                 if best.as_ref().is_none_or(|(_, b)| key.better_than(b)) {
                     best = Some((i, key));
                 }

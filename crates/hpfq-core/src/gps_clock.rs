@@ -1,5 +1,5 @@
 //! Exact GPS virtual time tracking — the `V_GPS(·)` of paper §2.1,
-//! eqs. (4)–(5) — used by [`crate::Wfq`] and [`crate::Wf2q`].
+//! eqs. (4)–(5) — used by the WFQ and WF²Q policies.
 //!
 //! The clock integrates
 //!

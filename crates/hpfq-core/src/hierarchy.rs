@@ -167,7 +167,7 @@ impl<S: NodeScheduler, O: Observer> std::fmt::Debug for Hierarchy<S, O> {
 /// closure rides along on the hot path.
 ///
 /// ```ignore
-/// let mut b = HierarchyBuilder::new(1e9, Wf2qPlus::new);
+/// let mut b = HierarchyBuilder::new(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
 /// let cls = b.add_internal(b.root(), 0.8)?;
 /// let leaf = b.add_leaf(cls, 0.5)?;
 /// let mut h = b.build();
@@ -309,8 +309,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     ///
     /// Drivers that vary the service rate (fault injection, shaped links)
     /// must call this at every change; otherwise the GPS emulation of
-    /// [`crate::Wfq`]/[`crate::Wf2q`] measures elapsed *real* time against
-    /// work-based tags and its virtual time loses monotonicity.
+    /// WFQ/WF²Q measures elapsed *real* time against work-based tags and its
+    /// virtual time loses monotonicity.
     pub fn set_link_rate_factor(&mut self, now: f64, factor: f64) -> Result<(), HpfqError> {
         if !(factor.is_finite() && factor >= 0.0) {
             return Err(HpfqError::InvalidRate(factor * self.nodes[0].rate));

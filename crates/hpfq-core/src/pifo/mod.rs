@@ -16,9 +16,8 @@
 //!   advances its virtual clock in [`RankProgram::on_dispatch`], and resets
 //!   at busy-period boundaries.
 //!
-//! The seven in-tree programs live in [`rank`] and are proven
-//! *byte-identical* to the hand-rolled originals (kept behind the
-//! `legacy-schedulers` feature as the differential oracle) by the golden
+//! The in-tree programs live in [`rank`] and are held *byte-identical* to
+//! the hand-rolled originals (kept in [`crate::reference`]) by the golden
 //! traces and differential proptests in `tests/pifo_equivalence.rs`: same
 //! dispatch order, same tags, same virtual times, bit-for-bit.
 //!

@@ -35,8 +35,7 @@ struct DrrSlot {
     turn_credited: bool,
 }
 
-/// The DRR rank program. Byte-identical to the legacy `Drr` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The DRR rank program. Byte-identical to [`crate::reference::Drr`].
 #[derive(Debug, Clone)]
 pub struct DrrRank {
     slots: Vec<DrrSlot>,

@@ -13,8 +13,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The FIFO rank program. Byte-identical to the legacy `Fifo` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The FIFO rank program. Byte-identical to [`crate::reference::Fifo`].
 #[derive(Debug, Clone, Default)]
 pub struct FifoRank {
     /// Next sequence value to hand out. `f64` is exact for sequence values

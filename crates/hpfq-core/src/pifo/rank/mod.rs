@@ -1,9 +1,8 @@
 //! The eight in-tree rank programs — one per [`SchedulerKind`] — each
-//! proven byte-identical to its hand-rolled original in
-//! `tests/pifo_equivalence.rs`; the originals remain available behind the
-//! `legacy-schedulers` feature for one release as the differential oracle.
-//! (The overlapped round-robin program [`RrRank`] is PIFO-native: it has no
-//! legacy original and therefore no oracle entry.)
+//! held byte-identical to its hand-rolled original in [`crate::reference`]
+//! by `tests/pifo_equivalence.rs`. (The overlapped round-robin program
+//! [`RrRank`] was written as a rank program: it has no original and
+//! therefore no differential entry.)
 //!
 //! [`crate::MixedScheduler`] holds a monomorphized `PifoTree<P>` per
 //! program (rather than one tree over a program *enum*) so each policy's

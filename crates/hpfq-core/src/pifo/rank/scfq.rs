@@ -10,8 +10,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The SCFQ rank program. Byte-identical to the legacy `Scfq` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The SCFQ rank program. Byte-identical to [`crate::reference::Scfq`].
 #[derive(Debug, Clone, Default)]
 pub struct ScfqRank {
     /// Virtual time = finish tag of the packet most recently dispatched.

@@ -13,8 +13,7 @@ use crate::gps_clock::GpsClock;
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{load_pending, save_pending, SessionId, SessionTable};
 
-/// The WFQ rank program. Byte-identical to the legacy `Wfq` scheduler
-/// (differential oracle behind the `legacy-schedulers` feature).
+/// The WFQ rank program. Byte-identical to [`crate::reference::Wfq`].
 #[derive(Debug, Clone, Default)]
 pub struct WfqRank {
     clock: GpsClock,

@@ -9,9 +9,8 @@
 
 use hpfq_obs::snap::{SnapError, Value};
 
-use crate::scheduler::{
-    load_opt_id, load_sessions, save_opt_id, save_sessions, NodeScheduler, SessionId, SessionState,
-};
+use crate::reference::{load_sessions, save_sessions, SessionState};
+use crate::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId};
 use crate::tag_heap::TagHeap;
 
 /// The SCFQ scheduler.

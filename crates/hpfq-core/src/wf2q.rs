@@ -13,9 +13,9 @@ use hpfq_obs::snap::{SnapError, Value};
 
 use crate::eligible::{dual_heap::DualHeapEligibleSet, EligibleSet};
 use crate::gps_clock::GpsClock;
+use crate::reference::{load_sessions, save_sessions, SessionState};
 use crate::scheduler::{
-    load_opt_id, load_pending, load_sessions, save_opt_id, save_pending, save_sessions,
-    NodeScheduler, SessionId, SessionState,
+    load_opt_id, load_pending, save_opt_id, save_pending, NodeScheduler, SessionId,
 };
 use crate::vtime;
 

@@ -24,13 +24,11 @@
 use hpfq_obs::snap::{SnapError, Value};
 
 use crate::eligible::{dual_heap::DualHeapEligibleSet, EligibleSet};
-use crate::scheduler::{
-    load_opt_id, load_sessions, save_opt_id, save_sessions, NodeScheduler, SessionId, SessionState,
-};
+use crate::reference::{load_sessions, save_sessions, SessionState};
+use crate::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId};
 
 /// The WF²Q+ scheduler, generic over the eligible-set structure (defaulting
-/// to the production dual-heap; see [`crate::TreapEligibleSet`] for the
-/// alternative used in the ablation benchmark).
+/// to the dual heap).
 #[derive(Debug, Clone)]
 pub struct Wf2qPlus<E: EligibleSet = DualHeapEligibleSet> {
     rate: f64,

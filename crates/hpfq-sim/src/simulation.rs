@@ -169,11 +169,11 @@ mod tests {
     use super::*;
     use crate::network::{FaultInjector, PacketVerdict, SimCommand};
     use crate::source::{CbrSource, GreedyLbSource};
-    use hpfq_core::{Packet, Wf2qPlus};
+    use hpfq_core::{MixedScheduler, Packet, SchedulerKind};
     use hpfq_obs::EscalationPolicy;
 
-    fn server(rate: f64) -> Hierarchy<Wf2qPlus> {
-        Hierarchy::builder(rate, Wf2qPlus::new).build()
+    fn server(rate: f64) -> Hierarchy<MixedScheduler> {
+        Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r)).build()
     }
 
     /// Two equal CBR flows at half the link rate each: no queueing beyond

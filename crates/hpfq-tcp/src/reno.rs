@@ -343,7 +343,7 @@ impl Source for TcpSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpfq_core::{Hierarchy, Wf2qPlus};
+    use hpfq_core::{Hierarchy, SchedulerKind};
     use hpfq_sim::{Simulation, SourceConfig};
 
     fn run_one_tcp(
@@ -352,7 +352,7 @@ mod tests {
         delivery_delay: f64,
         horizon: f64,
     ) -> (hpfq_sim::FlowStats, u64) {
-        let mut h = Hierarchy::builder(link_bps, Wf2qPlus::new).build();
+        let mut h = Hierarchy::builder(link_bps, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaf = h.add_leaf(root, 1.0).unwrap();
         let mut sim = Simulation::new(h);
@@ -409,7 +409,7 @@ mod tests {
     /// (the §5.2 premise).
     #[test]
     fn two_flows_follow_scheduler_shares() {
-        let mut h = Hierarchy::builder(800_000.0, Wf2qPlus::new).build();
+        let mut h = Hierarchy::builder(800_000.0, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let a = h.add_leaf(root, 0.75).unwrap();
         let b = h.add_leaf(root, 0.25).unwrap();
@@ -533,7 +533,7 @@ mod tests {
     /// close (every retransmission eventually fills holes).
     #[test]
     fn no_permanent_holes() {
-        let mut h = Hierarchy::builder(400_000.0, Wf2qPlus::new).build();
+        let mut h = Hierarchy::builder(400_000.0, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaf = h.add_leaf(root, 1.0).unwrap();
         let mut sim = Simulation::new(h);

@@ -9,11 +9,11 @@
 //! 50/30/20 at per-packet granularity, and no session can hog the link
 //! even though session A's whole burst is queued first.
 
-use hpfq::core::{Hierarchy, Packet, Wf2qPlus};
+use hpfq::core::{Hierarchy, Packet, SchedulerKind};
 
 fn main() {
     // 1 Mbit/s link; shares must sum to at most 1.
-    let mut server = Hierarchy::builder(1_000_000.0, Wf2qPlus::new).build();
+    let mut server = Hierarchy::builder(1_000_000.0, |r| SchedulerKind::Wf2qPlus.build(r)).build();
     let root = server.root();
     let a = server.add_leaf(root, 0.5).expect("valid share");
     let b = server.add_leaf(root, 0.3).expect("valid share");

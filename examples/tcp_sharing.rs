@@ -10,14 +10,14 @@
 //! plus an on/off CBR source that steals half the link for two seconds in
 //! the middle — watch the TCPs shrink proportionally and recover.
 
-use hpfq::core::{Hierarchy, Wf2qPlus};
+use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::sim::{ScheduledOnOffSource, Simulation, SourceConfig};
 use hpfq::tcp::{TcpConfig, TcpSource};
 
 const LINK: f64 = 8e6;
 
 fn main() {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+    let mut bld = Hierarchy::builder(LINK, |r| SchedulerKind::Wf2qPlus.build(r));
     let root = bld.root();
     let tcp_class = bld.add_internal(root, 0.5).unwrap();
     let burst_leaf = bld.add_leaf(root, 0.5).unwrap();

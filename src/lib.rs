@@ -31,6 +31,6 @@ pub use hpfq_sim as sim;
 pub use hpfq_tcp as tcp;
 
 pub use hpfq_core::{
-    Drr, Fifo, Hierarchy, HierarchyBuilder, HpfqError, MixedScheduler, NodeId, NodeScheduler,
-    Packet, Scfq, SchedulerKind, SessionId, Sfq, Wf2q, Wf2qPlus, Wfq,
+    Hierarchy, HierarchyBuilder, HpfqError, MixedScheduler, NodeId, NodeScheduler, Packet,
+    SchedulerKind, SessionId,
 };

@@ -4,7 +4,10 @@
 //! hierarchical generalization of the one-packet-accuracy property that
 //! motivates WF²Q+ (paper §3.3–3.4 and Theorem 4).
 
-use hpfq::core::{Hierarchy, NodeId, Wf2qPlus};
+use hpfq::core::pifo::rank::Wf2qPlusRank;
+use hpfq::core::{
+    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, PifoTree, SchedulerKind,
+};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::sim::{Simulation, SourceConfig, TraceSource};
 use hpfq_analysis::service_curve_from_records;
@@ -13,16 +16,31 @@ use hpfq_sim::SmallRng;
 const LINK: f64 = 1e6;
 const PKT: u32 = 500; // 4000 bits
 
-struct Mirror {
-    h: Hierarchy<Wf2qPlus>,
+/// WF²Q+ on the dual heap, as [`SchedulerKind::build`] ships it.
+fn shipped(rate: f64) -> MixedScheduler {
+    SchedulerKind::Wf2qPlus.build(rate)
+}
+
+/// WF²Q+ on the calendar queue.
+fn calendar(rate: f64) -> PifoTree<Wf2qPlusRank, CalendarEligibleSet> {
+    PifoTree::with_backend(rate, Wf2qPlusRank::new())
+}
+
+struct Mirror<S: NodeScheduler> {
+    h: Hierarchy<S>,
     fluid: FluidTree,
     leaves: Vec<(NodeId, FluidNodeId)>,
 }
 
 /// Builds mirrored 2-level trees: `classes` internal nodes, each with
 /// `per_class` leaves, shares perturbed by `rng`.
-fn build(classes: usize, per_class: usize, rng: &mut SmallRng) -> Mirror {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+fn build<S: NodeScheduler + 'static>(
+    node: fn(f64) -> S,
+    classes: usize,
+    per_class: usize,
+    rng: &mut SmallRng,
+) -> Mirror<S> {
+    let mut bld = Hierarchy::builder(LINK, node);
     let mut fluid = FluidTree::new();
     let mut leaves = Vec::new();
     // Random class shares summing to 1.
@@ -53,9 +71,14 @@ fn build(classes: usize, per_class: usize, rng: &mut SmallRng) -> Mirror {
 
 #[test]
 fn packet_service_tracks_fluid_service() {
+    packet_service_tracks_fluid_service_on(shipped);
+    packet_service_tracks_fluid_service_on(calendar);
+}
+
+fn packet_service_tracks_fluid_service_on<S: NodeScheduler + 'static>(node: fn(f64) -> S) {
     let mut rng = SmallRng::seed_from_u64(2024);
     for trial in 0..5 {
-        let mirror = build(3, 3, &mut rng);
+        let mirror = build(node, 3, 3, &mut rng);
         let nleaves = mirror.leaves.len();
 
         // Random bursty arrivals: each leaf gets bursts at random times.
@@ -134,7 +157,12 @@ fn packet_service_tracks_fluid_service() {
 /// bandwidth by their shares even while an unrelated class floods.
 #[test]
 fn sibling_shares_respected_under_flooding() {
-    let mut bld = Hierarchy::builder(LINK, Wf2qPlus::new);
+    sibling_shares_respected_under_flooding_on(shipped);
+    sibling_shares_respected_under_flooding_on(calendar);
+}
+
+fn sibling_shares_respected_under_flooding_on<S: NodeScheduler + 'static>(node: fn(f64) -> S) {
+    let mut bld = Hierarchy::builder(LINK, node);
     let root = bld.root();
     let a = bld.add_internal(root, 0.5).unwrap();
     let b = bld.add_leaf(root, 0.5).unwrap();

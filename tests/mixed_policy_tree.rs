@@ -1,58 +1,7 @@
-//! Heterogeneous trees (per-node policies via `MixedScheduler`) and the
-//! treap-backed WF²Q+ variant: both must compose cleanly with the
-//! hierarchy, and the two eligible-set backends must produce *identical*
-//! schedules.
+//! Heterogeneous trees (per-node policies via `MixedScheduler`) must
+//! compose cleanly with the hierarchy.
 
-use hpfq::core::eligible::treap::TreapEligibleSet;
-use hpfq::core::wf2q_plus::Wf2qPlus;
 use hpfq::core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
-use hpfq::sim::SmallRng;
-
-/// WF²Q+ over the dual heap and over the treap must schedule identically
-/// (they implement the same policy; only the data structure differs).
-#[test]
-fn treap_and_dual_heap_schedules_are_identical() {
-    fn schedule<E: hpfq::core::EligibleSet + 'static>(
-        make: impl Fn(f64) -> Wf2qPlus<E> + 'static,
-    ) -> Vec<u64> {
-        let mut bld = Hierarchy::builder(1e6, make);
-        let root = bld.root();
-        let class = bld.add_internal(root, 0.6).unwrap();
-        let l1 = bld.add_leaf(class, 0.5).unwrap();
-        let l2 = bld.add_leaf(class, 0.5).unwrap();
-        let l3 = bld.add_leaf(root, 0.4).unwrap();
-        let mut h = bld.build();
-        let mut rng = SmallRng::seed_from_u64(99);
-        let mut id = 0u64;
-        let mut out = Vec::new();
-        for _round in 0..50 {
-            // Random enqueues...
-            for &leaf in &[l1, l2, l3] {
-                if rng.gen_bool(0.7) {
-                    for _ in 0..rng.gen_range_u32(1, 4) {
-                        id += 1;
-                        h.enqueue(leaf, Packet::new(id, 0, rng.gen_range_u32(100, 1500), 0.0));
-                    }
-                }
-            }
-            // ...then a few dequeues.
-            for _ in 0..rng.gen_range_u32(1, 6) {
-                if let Some(p) = h.dequeue() {
-                    out.push(p.id);
-                }
-            }
-        }
-        while let Some(p) = h.dequeue() {
-            out.push(p.id);
-        }
-        out
-    }
-
-    let a = schedule(Wf2qPlus::new);
-    let b = schedule(|r| Wf2qPlus::with_set(r, TreapEligibleSet::new()));
-    assert_eq!(a, b, "eligible-set backends must not change the schedule");
-    assert!(a.len() > 100);
-}
 
 /// A heterogeneous tree: WF²Q+ at the link, FIFO inside a best-effort
 /// class, DRR inside another. The link-level isolation must hold even

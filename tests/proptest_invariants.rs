@@ -14,12 +14,10 @@
 
 use hpfq::analysis::{empirical_bwfi, service_curve_from_records, wf2q_plus_bwfi};
 use hpfq::core::eligible::{
-    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, treap::TreapEligibleSet,
-    BruteForceEligibleSet, EligibleSet, PifoBackend,
+    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, BruteForceEligibleSet,
+    EligibleSet, PifoBackend,
 };
-use hpfq::core::{
-    Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId, Sfq, Wf2qPlus,
-};
+use hpfq::core::{Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::obs::{InvariantObserver, NoopObserver};
 use hpfq::sim::{
@@ -28,8 +26,8 @@ use hpfq::sim::{
 };
 
 // ---------------------------------------------------------------------------
-// Eligible sets: both O(log N) structures behave exactly like the O(N)
-// reference under arbitrary operation sequences.
+// Eligible sets: the dual heap and the calendar queue behave exactly like
+// the O(N) reference under arbitrary operation sequences.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -65,7 +63,6 @@ fn eligible_sets_agree() {
         let mut rng = SmallRng::seed_from_u64(0x5e7_0000 + case);
         let nops = rng.gen_range_usize(1, 400);
         let mut dual = DualHeapEligibleSet::new();
-        let mut treap = TreapEligibleSet::new();
         let mut cal = CalendarEligibleSet::new();
         let mut oracle = BruteForceEligibleSet::default();
         let mut present = [false; 32];
@@ -77,7 +74,6 @@ fn eligible_sets_agree() {
                         let start = thr + s;
                         let finish = start + d;
                         dual.insert(SessionId(id), start, finish);
-                        treap.insert(SessionId(id), start, finish);
                         EligibleSet::insert(&mut cal, SessionId(id), start, finish);
                         oracle.insert(SessionId(id), start, finish);
                         present[id] = true;
@@ -86,11 +82,9 @@ fn eligible_sets_agree() {
                 SetOp::Pop(adv) => {
                     thr += adv;
                     let a = dual.pop_min_finish(thr);
-                    let b = treap.pop_min_finish(thr);
                     let k = EligibleSet::pop_min_finish(&mut cal, thr);
                     let c = oracle.pop_min_finish(thr);
                     assert_eq!(a, c, "case {case}");
-                    assert_eq!(b, c, "case {case}");
                     assert_eq!(k, c, "case {case} (calendar)");
                     if let Some(id) = c {
                         present[id.0] = false;
@@ -98,16 +92,13 @@ fn eligible_sets_agree() {
                 }
                 SetOp::Threshold => {
                     let a = dual.eligibility_threshold(thr);
-                    let b = treap.eligibility_threshold(thr);
                     let k = EligibleSet::eligibility_threshold(&mut cal, thr);
                     let c = oracle.eligibility_threshold(thr);
                     assert_eq!(a, c, "case {case}");
-                    assert_eq!(b, c, "case {case}");
                     assert_eq!(k, c, "case {case} (calendar)");
                 }
                 SetOp::Remove(id) => {
                     dual.remove(SessionId(id));
-                    treap.remove(SessionId(id));
                     EligibleSet::remove(&mut cal, SessionId(id));
                     oracle.remove(SessionId(id));
                     present[id] = false;
@@ -117,7 +108,6 @@ fn eligible_sets_agree() {
                 SetOp::Clear => unreachable!(),
             }
             assert_eq!(dual.len(), oracle.len(), "case {case}");
-            assert_eq!(treap.len(), oracle.len(), "case {case}");
             assert_eq!(EligibleSet::len(&cal), oracle.len(), "case {case}");
         }
     }
@@ -144,7 +134,7 @@ fn random_tie_op(rng: &mut SmallRng, ids: usize) -> SetOp {
     }
 }
 
-/// The three eligible-set implementations stay in lockstep under a
+/// The eligible-set implementations stay in lockstep under a
 /// tie-saturated churn workload over a larger id space, including full
 /// `clear()` resets mid-sequence.
 #[test]
@@ -154,7 +144,6 @@ fn eligible_sets_agree_under_ties_and_clears() {
         let mut rng = SmallRng::seed_from_u64(0x71e_0000 + case);
         let nops = rng.gen_range_usize(1, 600);
         let mut dual = DualHeapEligibleSet::new();
-        let mut treap = TreapEligibleSet::new();
         let mut cal = CalendarEligibleSet::new();
         let mut oracle = BruteForceEligibleSet::default();
         let mut present = [false; IDS];
@@ -166,7 +155,6 @@ fn eligible_sets_agree_under_ties_and_clears() {
                         let start = thr + s;
                         let finish = start + d;
                         dual.insert(SessionId(id), start, finish);
-                        treap.insert(SessionId(id), start, finish);
                         EligibleSet::insert(&mut cal, SessionId(id), start, finish);
                         oracle.insert(SessionId(id), start, finish);
                         present[id] = true;
@@ -175,11 +163,9 @@ fn eligible_sets_agree_under_ties_and_clears() {
                 SetOp::Pop(adv) => {
                     thr += adv;
                     let a = dual.pop_min_finish(thr);
-                    let b = treap.pop_min_finish(thr);
                     let k = EligibleSet::pop_min_finish(&mut cal, thr);
                     let c = oracle.pop_min_finish(thr);
                     assert_eq!(a, c, "case {case}");
-                    assert_eq!(b, c, "case {case}");
                     assert_eq!(k, c, "case {case} (calendar)");
                     if let Some(id) = c {
                         present[id.0] = false;
@@ -187,23 +173,19 @@ fn eligible_sets_agree_under_ties_and_clears() {
                 }
                 SetOp::Threshold => {
                     let a = dual.eligibility_threshold(thr);
-                    let b = treap.eligibility_threshold(thr);
                     let k = EligibleSet::eligibility_threshold(&mut cal, thr);
                     let c = oracle.eligibility_threshold(thr);
                     assert_eq!(a, c, "case {case}");
-                    assert_eq!(b, c, "case {case}");
                     assert_eq!(k, c, "case {case} (calendar)");
                 }
                 SetOp::Remove(id) => {
                     dual.remove(SessionId(id));
-                    treap.remove(SessionId(id));
                     EligibleSet::remove(&mut cal, SessionId(id));
                     oracle.remove(SessionId(id));
                     present[id] = false;
                 }
                 SetOp::Clear => {
                     dual.clear();
-                    treap.clear();
                     EligibleSet::clear(&mut cal);
                     oracle.clear();
                     present = [false; IDS];
@@ -212,7 +194,6 @@ fn eligible_sets_agree_under_ties_and_clears() {
                 }
             }
             assert_eq!(dual.len(), oracle.len(), "case {case}");
-            assert_eq!(treap.len(), oracle.len(), "case {case}");
             assert_eq!(EligibleSet::len(&cal), oracle.len(), "case {case}");
         }
         // Drain fully: the complete pop order must agree, not just the
@@ -220,11 +201,9 @@ fn eligible_sets_agree_under_ties_and_clears() {
         loop {
             thr += 1.0;
             let a = dual.pop_min_finish(thr);
-            let b = treap.pop_min_finish(thr);
             let k = EligibleSet::pop_min_finish(&mut cal, thr);
             let c = oracle.pop_min_finish(thr);
             assert_eq!(a, c, "case {case} drain");
-            assert_eq!(b, c, "case {case} drain");
             assert_eq!(k, c, "case {case} drain (calendar)");
             if c.is_none() && oracle.is_empty() {
                 break;
@@ -355,7 +334,7 @@ fn wf2q_plus_bwfi_theorem_holds() {
         let specs: Vec<FlowSpec> = (0..nflows).map(|_| random_flow_spec(&mut rng)).collect();
         let total_w: f64 = specs.iter().map(|s| s.weight).sum();
 
-        let mut h = Hierarchy::builder(LINK, Wf2qPlus::new).build();
+        let mut h = Hierarchy::builder(LINK, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaves: Vec<_> = specs
             .iter()
@@ -525,7 +504,7 @@ fn hierarchy_conserves_packets() {
             .collect();
 
         let total: f64 = weights.iter().sum();
-        let mut h = Hierarchy::builder(1e6, Wf2qPlus::new).build();
+        let mut h = Hierarchy::builder(1e6, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaves: Vec<_> = weights
             .iter()
@@ -893,14 +872,14 @@ fn snapshot_restore_round_trip_identity_on_random_churn_networks() {
 #[test]
 fn churn_preserves_invariants_wf2q_plus() {
     for case in 0..24u64 {
-        churn_case(Wf2qPlus::new, 0xc4a0_0000 + case);
+        churn_case(|r| SchedulerKind::Wf2qPlus.build(r), 0xc4a0_0000 + case);
     }
 }
 
 #[test]
 fn churn_preserves_invariants_sfq() {
     for case in 0..24u64 {
-        churn_case(Sfq::new, 0xc4a1_0000 + case);
+        churn_case(|r| SchedulerKind::Sfq.build(r), 0xc4a1_0000 + case);
     }
 }
 
