@@ -1,5 +1,5 @@
 //! Ablation of the SEFF eligible-set structure (DESIGN.md §3.4): dual
-//! lazy heaps (migration on virtual-time advance) vs the hierarchical
+//! 4-ary heaps (migration on virtual-time advance) vs the hierarchical
 //! calendar queue (amortized O(1) bucket rotation), plus the O(N)
 //! brute-force reference for scale.
 //!

@@ -64,8 +64,9 @@ const LEVELS: usize = 4;
 /// `G[l] = NB^l`: tick granularity of level `l` (and `G[LEVELS]` = horizon).
 const G: [i64; LEVELS + 1] = [1, 64, 4096, 262_144, 16_777_216];
 
-/// Wheel entry — same 24-byte layout and inverted heap order as the dual
-/// heap's, so the under/over heaps and in-bucket scans compare identically.
+/// Wheel entry — 24 bytes, ordered `(key, secondary, id)` exactly as the
+/// dual heap orders its entries (inverted here for `BinaryHeap`), so the
+/// under/over heaps and in-bucket scans pop in the same order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct CalEntry {
     key: f64,

@@ -9,20 +9,19 @@
 //! thresholds) is monotone within a busy period, each session migrates at
 //! most once per backlog episode, giving amortized O(log N) per operation.
 //!
-//! Removal is lazy *for the heaps*: heap entries carry a per-session
-//! generation number, [`EligibleSet::remove`] bumps it, and stale entries
-//! are skipped on pop. The monotone tail is instead pruned physically on
-//! the (cold) remove path, so the per-packet tail pop never touches the
-//! generation array. Pops remove entries physically everywhere, so neither
-//! insertion nor popping needs a generation bump.
+//! Both heaps are [`QuadHeap`]s — the implicit 4-ary heap the event queue
+//! runs on — and every entry is self-contained: a pending entry carries
+//! its finish tag along, so migration reads nothing but the entry it just
+//! popped, and the set keeps no per-session array at all. A per-packet
+//! operation therefore touches the heap levels it sifts through and
+//! nothing else. A set of up to five members is one root plus one sibling
+//! group, so the shallow nodes of a hierarchy pay a single four-way scan
+//! per pop.
 //!
-//! The per-session bookkeeping is laid out structure-of-arrays: membership
-//! state, start tags, finish tags, and secondary ranks live in parallel
-//! `Vec`s indexed by session id, and a heap entry carries only its ordering
-//! key pair plus a narrowed `(id, generation)` word. Sift operations
-//! therefore move 24-byte entries instead of 48-byte ones, and the migrate loop's start-tag scan
-//! walks a dense `f64` array — the hot-path layout the scaling sweep in
-//! `hpfq-bench` measures.
+//! [`EligibleSet::remove`] — a logical queue torn down, which no shipped
+//! driver does per packet — is eager: it searches the three containers for
+//! the id and re-sifts around the vacated position, so nothing stale is
+//! ever left behind for the pop paths to skip.
 //!
 //! Besides the [`EligibleSet`] trait (start/finish tags, ties by session
 //! id), the set exposes a generalized *ranked* interface for the PIFO
@@ -40,82 +39,80 @@
 //! so their steady-state cost stays O(1) per operation, matching the
 //! `VecDeque` rings of the hand-rolled schedulers they replace.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
+
+use hpfq_events::heap::QuadHeap;
 
 use super::{EligibleSet, PifoBackend};
 use crate::scheduler::SessionId;
 use crate::vtime;
 
-/// Heap entry; ordering is inverted so `BinaryHeap` (a max-heap) acts as a
-/// min-heap on `(key, secondary, id)`. The key is the eligibility (start)
-/// tag in the pending heap — where `secondary` is held at 0 — and the
-/// primary (finish) rank in the ready heap; the id tie-break reproduces the
-/// session-index order of the paper's Fig. 2 timelines.
+/// An eligible member: its `(key, secondary, id)` rank — the primary
+/// (finish) rank first; the id tie-break reproduces the session-index
+/// order of the paper's Fig. 2 timelines.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct Entry {
+struct Ready {
     key: f64,
     secondary: f64,
     /// Session id, narrowed to keep the entry at 24 bytes (the driver
     /// registers sessions up front; more than `u32::MAX` of them would
     /// exhaust memory long before the narrowing matters).
     id: u32,
-    generation: u32,
 }
 
-impl Eq for Entry {}
+/// A gated member, ordered by `(start, secondary, id)`. It carries the
+/// primary rank it will take in the ready heap, so migrating it needs no
+/// lookup.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pending {
+    start: f64,
+    secondary: f64,
+    finish: f64,
+    id: u32,
+}
 
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted: smaller (key, secondary, id) is "greater" for the heap.
-        let lhs = (other.key, other.secondary, other.id);
-        let rhs = (self.key, self.secondary, self.id);
-        lhs.partial_cmp(&rhs)
-            // lint:allow(L002): insert() asserts finite tags — total order
-            .expect("tags must not be NaN (asserted on insert)")
+/// Lexicographic `(key, secondary, id)` order on finite keys — what
+/// `partial_cmp` on the tuple gives (`-0.0` and `0.0` tie and fall
+/// through to the next field), spelled out so it inlines into the sift
+/// loops. Exact by design: the tie-breaks fire only on identical tags
+/// (Fig. 2 determinism), and a tolerance would reorder dispatch. Ids are
+/// unique within a set, so the order is strict and total.
+#[inline]
+fn rank_lt(a: (f64, f64, u32), b: (f64, f64, u32)) -> bool {
+    if a.0 != b.0 {
+        a.0 < b.0
+    } else if a.1 != b.1 {
+        a.1 < b.1
+    } else {
+        a.2 < b.2
     }
 }
 
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+#[inline]
+fn ready_lt(a: &Ready, b: &Ready) -> bool {
+    rank_lt((a.key, a.secondary, a.id), (b.key, b.secondary, b.id))
 }
 
-/// Membership state only — the tags live in the parallel `starts` /
-/// `finishes` arrays, so this stays a one-byte fieldless enum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    Absent,
-    Pending,
-    Ready,
+#[inline]
+fn pending_lt(a: &Pending, b: &Pending) -> bool {
+    rank_lt((a.start, a.secondary, a.id), (b.start, b.secondary, b.id))
 }
 
 /// See the [module documentation](self).
 #[derive(Debug, Default, Clone)]
 pub struct DualHeapEligibleSet {
     /// Min-heap on start tag of not-yet-eligible sessions.
-    pending: BinaryHeap<Entry>,
+    pending: QuadHeap<Pending>,
     /// Min-heap on finish tag of eligible sessions.
-    ready: BinaryHeap<Entry>,
+    ready: QuadHeap<Ready>,
     /// Sorted monotone tail of the eligible set: immediately-eligible
     /// inserts whose `(key, secondary, id)` rank is >= the current back
     /// land here in O(1). Pops compare this front against the ready heap's
     /// top, so the union still pops in global rank order.
-    ready_tail: VecDeque<Entry>,
-    /// Per-session membership state, indexed by session id.
-    state: Vec<Slot>,
-    /// Per-session start tags (valid while `state` is not `Absent`).
-    starts: Vec<f64>,
-    /// Per-session finish tags (valid while `state` is not `Absent`).
-    finishes: Vec<f64>,
-    /// Per-session generation counters invalidating stale heap entries.
-    generations: Vec<u32>,
-    /// Number of stale (generation-mismatched) entries still parked in the
-    /// two heaps. Membership count is derived (`len()` subtracts this from
-    /// the container sizes), so the per-packet insert/pop paths never
-    /// maintain a live counter.
-    stale: usize,
+    ready_tail: VecDeque<Ready>,
+    /// Membership by session id, kept only to catch a double insert.
+    #[cfg(debug_assertions)]
+    member: Vec<bool>,
 }
 
 impl DualHeapEligibleSet {
@@ -124,26 +121,34 @@ impl DualHeapEligibleSet {
         Self::default()
     }
 
-    /// Pre-sizes the per-session arrays for ids `< n` so the ranked hot
-    /// path can skip the bounds-growth check (the driver registers every
-    /// session before scheduling starts).
+    /// Part of the [`PifoBackend`] contract; this set keeps nothing per
+    /// session, so registering ids is free.
     pub(crate) fn ensure_sessions(&mut self, n: usize) {
-        if n > 0 {
-            self.ensure(SessionId(n - 1));
+        debug_assert!(
+            n <= u32::MAX as usize,
+            "session id overflows entry narrowing"
+        );
+        #[cfg(debug_assertions)]
+        if n > self.member.len() {
+            self.member.resize(n, false);
         }
     }
 
-    fn ensure(&mut self, id: SessionId) {
-        if id.0 >= self.state.len() {
-            self.state.resize(id.0 + 1, Slot::Absent);
-            self.starts.resize(id.0 + 1, 0.0);
-            self.finishes.resize(id.0 + 1, 0.0);
-            self.generations.resize(id.0 + 1, 0);
-            debug_assert!(
-                id.0 <= u32::MAX as usize,
-                "session id overflows entry narrowing"
+    /// Debug builds: records `id` joining (`true`) or leaving the set, and
+    /// panics on a double insert.
+    #[inline]
+    fn note_member(&mut self, id: usize, joins: bool) {
+        #[cfg(debug_assertions)]
+        {
+            self.ensure_sessions(id + 1);
+            assert!(
+                !(joins && self.member[id]),
+                "session {:?} inserted twice",
+                SessionId(id)
             );
+            self.member[id] = joins;
         }
+        let _ = (id, joins);
     }
 
     /// Inserts a member under the generalized PIFO rank model: an optional
@@ -173,46 +178,27 @@ impl DualHeapEligibleSet {
             primary.is_finite() && secondary.is_finite() && elig.is_none_or(f64::is_finite),
             "bad rank ({elig:?}, {primary}, {secondary}) for session {id:?}"
         );
-        debug_assert!(
-            id.0 < self.state.len(),
-            "session {id:?} not registered via ensure_sessions"
-        );
-        debug_assert_eq!(
-            self.state[id.0],
-            Slot::Absent,
-            "session {id:?} inserted twice"
-        );
-        // No generation bump: a member leaves either by pop (entry removed
-        // physically, nothing left to invalidate) or by remove() (which
-        // bumps). The current generation is always newer than any stale
-        // heap entry this id may have left behind.
-        let generation = self.generations[id.0];
+        self.note_member(id.0, true);
         match elig {
             Some(start) => {
-                self.state[id.0] = Slot::Pending;
-                self.starts[id.0] = start;
-                self.finishes[id.0] = primary;
-                self.pending.push(Entry {
-                    key: start,
+                let e = Pending {
+                    start,
                     secondary,
+                    finish: primary,
                     id: id.0 as u32,
-                    generation,
-                });
+                };
+                self.pending.push(e, pending_lt);
             }
             None => {
-                self.state[id.0] = Slot::Ready;
-                let e = Entry {
+                let e = Ready {
                     key: primary,
                     secondary,
                     id: id.0 as u32,
-                    generation,
                 };
                 // Monotone tail: a rank >= the current back appends in
                 // O(1); only out-of-order ranks pay the heap's O(log N).
                 match self.ready_tail.back() {
-                    Some(b) if (e.key, e.secondary, e.id) < (b.key, b.secondary, b.id) => {
-                        self.ready.push(e);
-                    }
+                    Some(b) if ready_lt(&e, b) => self.ready.push(e, ready_lt),
                     _ => self.ready_tail.push_back(e),
                 }
             }
@@ -232,36 +218,16 @@ impl DualHeapEligibleSet {
             primary.is_finite() && secondary.is_finite(),
             "bad rank ({primary}, {secondary}) for session {id:?}"
         );
-        debug_assert!(
-            id.0 < self.state.len(),
-            "session {id:?} not registered via ensure_sessions"
-        );
-        debug_assert_eq!(
-            self.state[id.0],
-            Slot::Absent,
-            "session {id:?} inserted twice"
-        );
-        let e = Entry {
+        self.note_member(id.0, true);
+        let e = Ready {
             key: primary,
             secondary,
             id: id.0 as u32,
-            // Tail entries' generation is never read (tail pops skip the
-            // check, remove() prunes physically by id), so skip the load.
-            generation: 0,
         };
-        // The membership byte is only read by EligibleSet::remove(), which
-        // the PIFO driver — the sole caller of the monotone interface —
-        // never uses; keep it consistent for the debug assertions only.
-        #[cfg(debug_assertions)]
-        {
-            self.state[id.0] = Slot::Ready;
-        }
         match self.ready_tail.back() {
-            Some(b) if (e.key, e.secondary, e.id) < (b.key, b.secondary, b.id) => {
+            Some(b) if ready_lt(&e, b) => {
                 debug_assert!(
-                    self.ready_tail
-                        .front()
-                        .is_none_or(|f| (e.key, e.secondary, e.id) <= (f.key, f.secondary, f.id)),
+                    self.ready_tail.front().is_none_or(|f| !ready_lt(f, &e)),
                     "MONOTONE_RANKS violated: rank between the tail front and back"
                 );
                 self.ready_tail.push_front(e);
@@ -280,12 +246,7 @@ impl DualHeapEligibleSet {
             "MONOTONE_RANKS program has heap entries"
         );
         let top = self.ready_tail.pop_front()?;
-        debug_assert_eq!(self.state[top.id as usize], Slot::Ready);
-        // Debug-only for the same reason as in push_monotone.
-        #[cfg(debug_assertions)]
-        {
-            self.state[top.id as usize] = Slot::Absent;
-        }
+        self.note_member(top.id as usize, false);
         Some(SessionId(top.id as usize))
     }
 
@@ -301,83 +262,37 @@ impl DualHeapEligibleSet {
         EligibleSet::pop_min_finish(self, f64::INFINITY)
     }
 
-    /// Drops stale entries from the top of `pending` and migrates every
-    /// current entry with `start <= thr` into `ready`.
+    /// Migrates every pending entry with `start <= thr` into `ready`.
+    #[inline]
     fn migrate(&mut self, thr: f64) {
-        while let Some(top) = self.pending.peek().copied() {
-            if self.generations[top.id as usize] != top.generation {
-                self.pending.pop();
-                self.stale -= 1;
-                continue;
-            }
+        while let Some(&top) = self.pending.peek() {
             // Exact: the threshold derives from the same tag arithmetic, and
             // blurring it would migrate sessions early and reorder dispatch.
-            if vtime::exactly_lt(thr, top.key) {
+            if vtime::exactly_lt(thr, top.start) {
                 break;
             }
-            self.pending.pop();
-            debug_assert_eq!(self.state[top.id as usize], Slot::Pending);
-            debug_assert_eq!(self.starts[top.id as usize], top.key);
-            self.state[top.id as usize] = Slot::Ready;
-            self.ready.push(Entry {
-                key: self.finishes[top.id as usize],
+            self.pending.pop(pending_lt);
+            let e = Ready {
+                key: top.finish,
                 secondary: top.secondary,
                 id: top.id,
-                generation: top.generation,
-            });
+            };
+            self.ready.push(e, ready_lt);
         }
     }
 
-    /// Minimum start tag among pending members, pruning stale entries.
-    fn pending_min_start(&mut self) -> Option<f64> {
-        while let Some(top) = self.pending.peek().copied() {
-            if self.generations[top.id as usize] == top.generation {
-                return Some(top.key);
-            }
-            self.pending.pop();
-            self.stale -= 1;
-        }
-        None
-    }
-
-    /// Live minimum of the ready heap, pruning stale tops.
-    #[inline]
-    fn live_heap_top(&mut self) -> Option<Entry> {
-        while let Some(top) = self.ready.peek().copied() {
-            if self.generations[top.id as usize] == top.generation {
-                return Some(top);
-            }
-            self.ready.pop();
-            self.stale -= 1;
-        }
-        None
-    }
-
-    /// Front of the monotone tail. Always live: remove() prunes the tail
-    /// physically, so tail entries never go stale.
-    #[inline]
-    fn live_tail_front(&mut self) -> Option<Entry> {
-        self.ready_tail.front().copied()
-    }
-
-    /// Whether any live member is eligible (ready heap or monotone tail).
-    fn ready_nonempty(&mut self) -> bool {
-        self.live_heap_top().is_some() || self.live_tail_front().is_some()
-    }
-
-    /// Snapshot of the live membership as re-insertable `(id, elig,
-    /// primary, secondary)` ranks: eligible members first, sorted by rank
-    /// and saved *open* (they were already admitted, and thresholds are
-    /// monotone within a busy period, so unconditional re-admission is
+    /// Snapshot of the membership as re-insertable `(id, elig, primary,
+    /// secondary)` ranks: eligible members first, sorted by rank and saved
+    /// *open* (they were already admitted, and thresholds are monotone
+    /// within a busy period, so unconditional re-admission is
     /// behavior-identical), then gated members with their eligibility
-    /// keys. Replaying the list through [`Self::insert_ranked`] in order
-    /// reproduces the structure — ring-discipline members re-form the pure
-    /// monotone tail because they arrive open and sorted. Stale heap
-    /// entries are skipped.
+    /// keys, in heap-array order. Replaying the list through
+    /// [`Self::insert_ranked`] in order reproduces the structure —
+    /// ring-discipline members re-form the pure monotone tail because they
+    /// arrive open and sorted, and gated ones re-form the same array (see
+    /// [`QuadHeap::iter`]).
     pub(crate) fn members_in_order(&self) -> Vec<(SessionId, Option<f64>, f64, f64)> {
-        let live = |e: &Entry| self.generations[e.id as usize] == e.generation;
-        let mut open: Vec<&Entry> = self.ready.iter().filter(|e| live(e)).collect();
-        open.extend(self.ready_tail.iter());
+        let mut open: Vec<&Ready> = self.ready.iter().chain(&self.ready_tail).collect();
         open.sort_by(|a, b| {
             (a.key, a.secondary, a.id)
                 .partial_cmp(&(b.key, b.secondary, b.id))
@@ -388,14 +303,14 @@ impl DualHeapEligibleSet {
             .iter()
             .map(|e| (SessionId(e.id as usize), None, e.key, e.secondary))
             .collect();
-        for e in self.pending.iter().filter(|e| live(e)) {
-            out.push((
+        out.extend(self.pending.iter().map(|e| {
+            (
                 SessionId(e.id as usize),
-                Some(e.key),
-                self.finishes[e.id as usize],
+                Some(e.start),
+                e.finish,
                 e.secondary,
-            ));
-        }
+            )
+        }));
         out
     }
 }
@@ -406,94 +321,71 @@ impl EligibleSet for DualHeapEligibleSet {
             start.is_finite() && finish.is_finite() && vtime::exactly_le(start, finish),
             "bad tags ({start}, {finish}) for session {id:?}"
         );
-        self.ensure(id);
         self.insert_ranked(id, Some(start), finish, 0.0);
     }
 
     fn remove(&mut self, id: SessionId) {
-        self.ensure(id);
-        if self.state[id.0] != Slot::Absent {
-            self.state[id.0] = Slot::Absent;
-            self.generations[id.0] += 1; // invalidates any heap entry
-                                         // The monotone tail is never lazily pruned (its per-packet pop
-                                         // skips the generation check), so delete physically here on
-                                         // the cold path. A member not in the tail lives in one of the
-                                         // heaps: its entry just went stale under the generation bump.
-            if let Some(pos) = self.ready_tail.iter().position(|e| e.id as usize == id.0) {
-                self.ready_tail.remove(pos);
-            } else {
-                self.stale += 1;
-            }
+        // Cold path: linear search, then re-sift around the hole.
+        let found = |e: u32| e as usize == id.0;
+        if let Some(pos) = self.ready_tail.iter().position(|e| found(e.id)) {
+            self.ready_tail.remove(pos);
+        } else if let Some(pos) = self.ready.iter().position(|e| found(e.id)) {
+            self.ready.remove_at(pos, ready_lt);
+        } else if let Some(pos) = self.pending.iter().position(|e| found(e.id)) {
+            self.pending.remove_at(pos, pending_lt);
+        } else {
+            return;
         }
+        self.note_member(id.0, false);
     }
 
     fn eligibility_threshold(&mut self, v: f64) -> Option<f64> {
-        if EligibleSet::len(self) == 0 {
-            return None;
-        }
         // Any ready member has start <= some earlier threshold <= v
         // (thresholds are monotone within a busy period), so Smin <= v and
         // the clamp is v itself. Otherwise Smin is the pending minimum.
-        if self.ready_nonempty() {
+        if !self.ready.is_empty() || !self.ready_tail.is_empty() {
             Some(v)
         } else {
-            let smin = self
-                .pending_min_start()
-                // lint:allow(L002): len() > 0 and ready is empty, so pending
-                // holds at least one current-generation entry
-                .expect("live members must be in a heap");
-            Some(v.max(smin))
+            self.pending.peek().map(|top| v.max(top.start))
         }
     }
 
     #[inline]
     fn pop_min_finish(&mut self, thr: f64) -> Option<SessionId> {
         self.migrate(thr);
-        // Ring-discipline fast path: everything lives in the monotone tail
-        // (FIFO/DRR steady state), so a pop is one deque front like the
-        // legacy rings — tail entries are always live (see remove()), so
-        // no generation check either.
-        if self.ready.is_empty() {
-            let top = self.ready_tail.pop_front()?;
-            debug_assert_eq!(self.state[top.id as usize], Slot::Ready);
-            self.state[top.id as usize] = Slot::Absent;
-            return Some(SessionId(top.id as usize));
-        }
-        let take_tail = match (self.live_heap_top(), self.live_tail_front()) {
+        // The smaller of the two fronts. With the ready heap empty this is
+        // the ring-discipline fast path (FIFO/DRR steady state): one deque
+        // pop, like the legacy rings.
+        let take_tail = match (self.ready.peek(), self.ready_tail.front()) {
             (None, None) => return None,
             (None, Some(_)) => true,
             (Some(_), None) => false,
-            (Some(h), Some(t)) => (t.key, t.secondary, t.id) < (h.key, h.secondary, h.id),
+            (Some(h), Some(t)) => ready_lt(t, h),
         };
         let top = if take_tail {
             self.ready_tail.pop_front()
         } else {
-            self.ready.pop()
-        };
-        // Unreachable (both fronts were just pruned live), kept panic-free.
-        let top = top?;
-        debug_assert_eq!(self.state[top.id as usize], Slot::Ready);
-        self.state[top.id as usize] = Slot::Absent;
+            self.ready.pop(ready_lt)
+        }?;
+        self.note_member(top.id as usize, false);
         Some(SessionId(top.id as usize))
     }
 
     fn len(&self) -> usize {
-        // Derived rather than maintained: every container entry is a live
-        // member except the heap entries orphaned by remove().
-        self.pending.len() + self.ready.len() + self.ready_tail.len() - self.stale
+        self.pending.len() + self.ready.len() + self.ready_tail.len()
     }
 
     fn clear(&mut self) {
+        #[cfg(debug_assertions)]
+        {
+            let open = self.ready.iter().chain(&self.ready_tail).map(|e| e.id);
+            for id in self.pending.iter().map(|e| e.id).chain(open) {
+                self.member[id as usize] = false;
+            }
+        }
         self.pending.clear();
         self.ready.clear();
         self.ready_tail.clear();
-        self.state.fill(Slot::Absent);
-        // Bump generations rather than zeroing so pre-clear entries can
-        // never be mistaken for live ones.
-        for g in &mut self.generations {
-            *g += 1;
-        }
-        self.stale = 0;
     }
 }
 
@@ -583,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_is_lazy_but_correct() {
+    fn remove_is_eager_and_correct() {
         let mut s = DualHeapEligibleSet::new();
         s.insert(SessionId(0), 0.0, 1.0);
         s.insert(SessionId(1), 0.0, 2.0);
@@ -591,6 +483,47 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.pop_min_finish(0.0), Some(SessionId(1)));
         assert_eq!(s.pop_min_finish(0.0), None);
+    }
+
+    #[test]
+    fn remove_finds_a_member_in_any_container() {
+        // Ids 0..8 gated and still pending, 8..16 migrated into the ready
+        // heap, 16..20 open and in rank order (the monotone tail).
+        let build = || {
+            let mut s = DualHeapEligibleSet::new();
+            for i in 8..16 {
+                s.insert(SessionId(i), 0.0, (40 - i) as f64);
+            }
+            s.migrate(0.0);
+            for i in 0..8 {
+                s.insert(SessionId(i), (10 - i) as f64, 50.0);
+            }
+            for i in 16..20 {
+                s.insert_ranked(SessionId(i), None, i as f64, 0.0);
+            }
+            assert_eq!(
+                (s.pending.len(), s.ready.len(), s.ready_tail.len()),
+                (8, 8, 4)
+            );
+            s
+        };
+        let drain = |s: &mut DualHeapEligibleSet| -> Vec<usize> {
+            std::iter::from_fn(|| s.pop_min_ranked())
+                .map(|id| id.0)
+                .collect()
+        };
+        let full = drain(&mut build());
+        for gone in 0..20 {
+            let mut s = build();
+            s.remove(SessionId(gone));
+            s.remove(SessionId(gone)); // absent now: a no-op
+            assert_eq!(s.len(), 19);
+            let want: Vec<usize> = full.iter().copied().filter(|&i| i != gone).collect();
+            assert_eq!(drain(&mut s), want, "removed {gone}");
+            // Nothing of the removed member is left behind.
+            s.insert(SessionId(gone), 1.0, 2.0);
+            assert_eq!(drain(&mut s), vec![gone]);
+        }
     }
 
     #[test]
@@ -607,9 +540,11 @@ mod tests {
 
     #[test]
     fn heap_entry_stays_small() {
-        // The point of the SoA split: sift operations move (key, secondary,
-        // id, generation) only. Guard against fields creeping back in.
-        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        // Sift operations move the ordering key and the id, plus — in the
+        // pending heap — the finish tag that spares migration a lookup.
+        // Guard against fields creeping back in.
+        assert_eq!(std::mem::size_of::<Ready>(), 24);
+        assert_eq!(std::mem::size_of::<Pending>(), 32);
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!
 //! Two implementations are provided behind the [`EligibleSet`] trait:
 //!
-//! * [`dual_heap::DualHeapEligibleSet`] — a pair of lazy binary heaps
-//!   (pending sessions ordered by start time, eligible ones by finish time);
-//!   sessions migrate as the virtual time advances. Amortized O(log N);
+//! * [`dual_heap::DualHeapEligibleSet`] — a pair of 4-ary heaps (pending
+//!   sessions ordered by start time, eligible ones by finish time, both on
+//!   the `QuadHeap` the event queue uses); sessions migrate as the virtual
+//!   time advances. Amortized O(log N);
 //!   this is the structure used by production WF²Q+ implementations (e.g.
 //!   dummynet) and the one [`crate::SchedulerKind::build`] ships.
 //! * [`calendar::CalendarEligibleSet`] — a hierarchical calendar queue
@@ -44,8 +45,8 @@ pub trait PifoBackend: std::fmt::Debug + Clone + Default {
     /// Short structure name for snapshots and diagnostics.
     fn backend_name(&self) -> &'static str;
 
-    /// Pre-sizes the per-session arrays for ids `< n` (the driver registers
-    /// every session before scheduling starts).
+    /// Pre-sizes any per-session arrays for ids `< n` (the driver registers
+    /// every session before scheduling starts). The dual heap keeps none.
     fn ensure_sessions(&mut self, n: usize);
 
     /// Inserts a member under the PIFO rank model: optional eligibility key

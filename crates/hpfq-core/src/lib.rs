@@ -18,7 +18,7 @@
 //!
 //! Every policy is a [`RankProgram`] on one substrate: [`PifoTree`], a
 //! programmable scheduler in the PIFO model of Sivaraman et al. (SIGCOMM
-//! 2016), over the SoA dual-heap priority structure.
+//! 2016), over the dual-heap priority structure.
 //! [`SchedulerKind::build`] is the one constructor and [`MixedScheduler`]
 //! holds exactly one `PifoTree<P>` per kind; the calendar-queue structure
 //! is a type parameter (`PifoTree<P, CalendarEligibleSet>`), not a runtime

@@ -10,7 +10,7 @@
 //! * [`PifoTree`] is a [`NodeScheduler`] implementing the driving contract
 //!   (backlog / select / requeue / busy-period reset / checkpointing)
 //!   exactly once, over the crate's one optimized priority structure — the
-//!   SoA dual-heap eligible set ([`DualHeapEligibleSet`]).
+//!   dual-heap eligible set ([`DualHeapEligibleSet`]).
 //! * [`RankProgram`] is the pluggable policy: it stamps ranks on backlog
 //!   and continuation, chooses the eligibility [`Threshold`] per dispatch,
 //!   advances its virtual clock in [`RankProgram::on_dispatch`], and resets
@@ -126,8 +126,8 @@ pub enum Admission {
 /// busy-period boundaries.
 ///
 /// The driver owns the [`SessionTable`] (shares, eq. (28)/(29) tags, head
-/// lengths, backlog flags — structure-of-arrays, so each dispatch pulls
-/// dense tag lanes instead of 48-byte records) and the priority structure;
+/// lengths, backlog flags — one 48-byte record per session, so a dispatch
+/// touches one place in it, not one per field) and the priority structure;
 /// the program owns everything policy-specific (virtual clocks, GPS
 /// emulation, deficit counters, …). `ref_time` arguments carry the driver's reference time
 /// `T = W(0,t)/r`, advanced by `L/r` per dispatch and reset to zero at busy
@@ -264,14 +264,13 @@ pub trait RankProgram {
 }
 
 /// A [`NodeScheduler`] driving any [`RankProgram`] over a pluggable
-/// [`PifoBackend`] priority structure — the SoA dual heap by default, the
+/// [`PifoBackend`] priority structure — the dual heap by default, the
 /// hierarchical calendar queue for amortized O(1) dispatch at scale. See
 /// the [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct PifoTree<P: RankProgram, Q: PifoBackend = DualHeapEligibleSet> {
     rate: f64,
-    /// SoA flow table: each dispatch reads dense tag lanes, not 48-byte
-    /// per-session records (see [`SessionTable`]).
+    /// Flow table: one record per session (see [`SessionTable`]).
     sessions: SessionTable,
     queue: Q,
     /// Reference time `T = W(0,t)/r`, advanced by `L/r` per dispatch —
@@ -345,8 +344,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
 
     fn add_session(&mut self, phi: f64) -> SessionId {
         let id = self.sessions.push(phi, self.rate);
-        // Pre-size the priority structure's per-session arrays so the
-        // per-packet insert path skips the growth check.
+        // Backends with per-session arrays (the calendar) pre-size them
+        // here so the per-packet insert path skips the growth check.
         self.queue.ensure_sessions(self.sessions.len());
         self.program.on_add_session(phi);
         id

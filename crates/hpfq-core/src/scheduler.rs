@@ -182,34 +182,51 @@ pub(crate) fn load_opt_id(v: &Value) -> Result<Option<SessionId>, SnapError> {
     }
 }
 
-/// Structure-of-arrays session table: the per-session metadata the PIFO
-/// driver touches on **every dispatch** — shares, derived inverse rates,
-/// the eq. (28)/(29) head tags, head lengths, and backlog flags — laid
-/// out in parallel `Vec`s indexed by session id.
+/// One session's record: everything the PIFO driver reads or writes for a
+/// session on a dispatch, in 48 bytes (one cache line, or two adjacent
+/// ones).
+#[derive(Debug, Clone, Copy)]
+struct SessionRecord {
+    /// Guaranteed share of the parent server's rate.
+    phi: f64,
+    /// `1 / (phi * server_rate)` — seconds of virtual time per bit.
+    inv_rate: f64,
+    /// Virtual start tag of the head packet; meaningful only while
+    /// `epoch` is the table's.
+    start: f64,
+    /// Virtual finish tag of the head packet; as `start`.
+    finish: f64,
+    /// Length of the head packet in bits (valid while backlogged).
+    head_bits: f64,
+    /// The table epoch (busy period) the tags were stamped in. A record
+    /// from an earlier epoch reads as `(0, 0)`: that is how a busy-period
+    /// reset zeroes every session's tags without visiting any.
+    epoch: u32,
+    /// Whether the session currently offers a head packet (or has one in
+    /// service).
+    backlogged: bool,
+}
+
+/// The session table: the per-session metadata the PIFO driver touches on
+/// **every dispatch** — shares, derived inverse rates, the eq. (28)/(29)
+/// head tags, head lengths, and backlog flags — as one `Vec` of 48-byte
+/// records indexed by session id.
 ///
-/// This extends the dual-heap eligible set's SoA layout to the flow table
-/// itself: a dispatch reads 2–3 of the six fields, so pulling a dense
-/// `f64` lane instead of a 48-byte record keeps the hot cache lines at a
-/// million-session scale packed with useful tags (the scaling sweep in
-/// `hpfq-bench` measures exactly this path). The reference schedulers
-/// keep the AoS [`crate::reference::SessionState`]; serialization is
-/// format-compatible between the two.
+/// Access is random by session id (whichever session the eligible set
+/// popped), never a sweep, and a dispatch uses most of a session's fields
+/// together: stamping reads `finish` and `inv_rate` and writes `start`,
+/// `finish` and `head_bits`. With a lane per field those were three to
+/// five cache misses per stamp at a 128k-session node; a record is one
+/// line, or two adjacent ones.
+/// The reference schedulers keep their own
+/// [`crate::reference::SessionState`]; serialization is format-compatible
+/// between the two.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
-    /// Guaranteed share of the parent server's rate, per session.
-    phi: Vec<f64>,
-    /// `1 / (phi * server_rate)` — seconds of virtual time per bit.
-    inv_rate: Vec<f64>,
-    /// Virtual start tag of each session's head packet.
-    start: Vec<f64>,
-    /// Virtual finish tag of each session's head packet.
-    finish: Vec<f64>,
-    /// Length of each session's head packet in bits (valid while
-    /// backlogged).
-    head_bits: Vec<f64>,
-    /// Whether each session currently offers a head packet (or has one in
-    /// service).
-    backlogged: Vec<bool>,
+    records: Vec<SessionRecord>,
+    /// Current busy period, as stamped into records by the `stamp_*`
+    /// functions. Bumped by [`SessionTable::reset_tags`].
+    epoch: u32,
 }
 
 impl SessionTable {
@@ -220,12 +237,12 @@ impl SessionTable {
 
     /// Number of registered sessions.
     pub fn len(&self) -> usize {
-        self.phi.len()
+        self.records.len()
     }
 
     /// Whether no session is registered.
     pub fn is_empty(&self) -> bool {
-        self.phi.is_empty()
+        self.records.is_empty()
     }
 
     /// Registers an idle session with share `phi` of a `server_rate`
@@ -239,72 +256,91 @@ impl SessionTable {
             server_rate.is_finite() && server_rate > 0.0,
             "server rate must be a positive finite number, got {server_rate}"
         );
-        self.phi.push(phi);
-        self.inv_rate.push(1.0 / (phi * server_rate));
-        self.start.push(0.0);
-        self.finish.push(0.0);
-        self.head_bits.push(0.0);
-        self.backlogged.push(false);
-        SessionId(self.phi.len() - 1)
+        self.records.push(SessionRecord {
+            phi,
+            inv_rate: 1.0 / (phi * server_rate),
+            start: 0.0,
+            finish: 0.0,
+            head_bits: 0.0,
+            epoch: self.epoch,
+            backlogged: false,
+        });
+        SessionId(self.records.len() - 1)
     }
 
     /// The session's guaranteed share.
     #[inline]
     pub fn phi(&self, id: SessionId) -> f64 {
-        self.phi[id.0]
+        self.records[id.0].phi
     }
 
     /// Seconds of virtual time per bit at the session's guaranteed rate.
     #[inline]
     pub fn inv_rate(&self, id: SessionId) -> f64 {
-        self.inv_rate[id.0]
+        self.records[id.0].inv_rate
+    }
+
+    /// `(start, finish)` of record `r` as of the current epoch.
+    #[inline]
+    fn tags_of(&self, r: &SessionRecord) -> (f64, f64) {
+        if r.epoch == self.epoch {
+            (r.start, r.finish)
+        } else {
+            (0.0, 0.0)
+        }
     }
 
     /// Virtual start tag of the session's head packet.
     #[inline]
     pub fn start(&self, id: SessionId) -> f64 {
-        self.start[id.0]
+        self.tags_of(&self.records[id.0]).0
     }
 
     /// Virtual finish tag of the session's head packet.
     #[inline]
     pub fn finish(&self, id: SessionId) -> f64 {
-        self.finish[id.0]
+        self.tags_of(&self.records[id.0]).1
     }
 
     /// Length of the session's head packet in bits.
     #[inline]
     pub fn head_bits(&self, id: SessionId) -> f64 {
-        self.head_bits[id.0]
+        self.records[id.0].head_bits
     }
 
     /// Whether the session currently offers a head packet.
     #[inline]
     pub fn is_backlogged(&self, id: SessionId) -> bool {
-        self.backlogged[id.0]
+        self.records[id.0].backlogged
+    }
+
+    /// Stamps `S = max(F, base)` where given a base and `S = F` otherwise,
+    /// then `F = S + L / r_i` (eq. 29), in the current epoch.
+    #[inline]
+    fn stamp(&mut self, id: SessionId, base: Option<f64>, head_bits: f64) -> &mut SessionRecord {
+        debug_assert!(head_bits.is_finite() && head_bits > 0.0);
+        let epoch = self.epoch;
+        let r = &mut self.records[id.0];
+        let prev_finish = if r.epoch == epoch { r.finish } else { 0.0 };
+        r.start = base.map_or(prev_finish, |b| prev_finish.max(b));
+        r.finish = r.start + head_bits * r.inv_rate;
+        r.head_bits = head_bits;
+        r.epoch = epoch;
+        r
     }
 
     /// Stamps tags for a head arriving to an idle session: `S = max(F, V)`,
     /// `F = S + L / r_i` (eq. 28 second case + eq. 29).
     #[inline]
     pub fn stamp_new_backlog(&mut self, id: SessionId, v: f64, head_bits: f64) {
-        debug_assert!(head_bits.is_finite() && head_bits > 0.0);
-        let i = id.0;
-        self.start[i] = self.finish[i].max(v);
-        self.finish[i] = self.start[i] + head_bits * self.inv_rate[i];
-        self.head_bits[i] = head_bits;
-        self.backlogged[i] = true;
+        self.stamp(id, Some(v), head_bits).backlogged = true;
     }
 
     /// Stamps tags for the next head of a continuously backlogged session:
     /// `S = F` (eq. 28 first case).
     #[inline]
     pub fn stamp_continuation(&mut self, id: SessionId, head_bits: f64) {
-        debug_assert!(head_bits.is_finite() && head_bits > 0.0);
-        let i = id.0;
-        self.start[i] = self.finish[i];
-        self.finish[i] = self.start[i] + head_bits * self.inv_rate[i];
-        self.head_bits[i] = head_bits;
+        self.stamp(id, None, head_bits);
     }
 
     /// Stamps the next head against an exact eq. (28) start base recorded
@@ -312,56 +348,66 @@ impl SessionTable {
     /// `S = max(F, base)`, `F = S + L / r_i`.
     #[inline]
     pub fn stamp_from_base(&mut self, id: SessionId, base: f64, head_bits: f64) {
-        debug_assert!(head_bits.is_finite() && head_bits > 0.0);
-        let i = id.0;
-        self.start[i] = self.finish[i].max(base);
-        self.finish[i] = self.start[i] + head_bits * self.inv_rate[i];
-        self.head_bits[i] = head_bits;
+        self.stamp(id, Some(base), head_bits);
     }
 
     /// Records the head length and backlog flag without touching tags (the
     /// driver's bookkeeping after a program ranked the head).
     #[inline]
     pub(crate) fn note_head(&mut self, id: SessionId, head_bits: f64, backlogged: bool) {
-        self.head_bits[id.0] = head_bits;
-        self.backlogged[id.0] = backlogged;
+        let r = &mut self.records[id.0];
+        r.head_bits = head_bits;
+        r.backlogged = backlogged;
     }
 
     /// Marks the session idle (its dispatched head had no successor).
     #[inline]
     pub(crate) fn set_idle(&mut self, id: SessionId) {
-        self.backlogged[id.0] = false;
+        self.records[id.0].backlogged = false;
     }
 
     /// Number of sessions currently flagged backlogged.
     pub(crate) fn backlogged_count(&self) -> usize {
-        self.backlogged.iter().filter(|&&b| b).count()
+        self.records.iter().filter(|r| r.backlogged).count()
     }
 
-    /// Resets every session's tags at a busy-period boundary.
+    /// Resets every session's tags at a busy-period boundary, in O(1): the
+    /// epoch moves on and every record stamped before reads as zero.
     pub(crate) fn reset_tags(&mut self) {
         debug_assert!(
-            !self.backlogged.iter().any(|&b| b),
+            !self.records.iter().any(|r| r.backlogged),
             "resetting a backlogged session"
         );
-        self.start.fill(0.0);
-        self.finish.fill(0.0);
+        match self.epoch.checked_add(1) {
+            Some(next) => self.epoch = next,
+            None => {
+                // Once per 2^32 busy periods: a record stamped in an epoch
+                // about to be reused must not come back to life.
+                for r in &mut self.records {
+                    (r.start, r.finish, r.epoch) = (0.0, 0.0, 0);
+                }
+                self.epoch = 0;
+            }
+        }
     }
 
     /// Serializes the table — byte-identical to the reference schedulers'
     /// `Vec<SessionState>` encoding, so the two kinds of snapshot stay
-    /// interchangeable.
+    /// interchangeable. Tags from an earlier busy period are written as
+    /// the zeros they read as.
     pub(crate) fn save(&self) -> Value {
         Value::List(
-            (0..self.len())
-                .map(|i| {
+            self.records
+                .iter()
+                .map(|r| {
+                    let (start, finish) = self.tags_of(r);
                     Value::map(vec![
-                        ("phi", Value::F64(self.phi[i])),
-                        ("inv_rate", Value::F64(self.inv_rate[i])),
-                        ("start", Value::F64(self.start[i])),
-                        ("finish", Value::F64(self.finish[i])),
-                        ("head_bits", Value::F64(self.head_bits[i])),
-                        ("backlogged", Value::Bool(self.backlogged[i])),
+                        ("phi", Value::F64(r.phi)),
+                        ("inv_rate", Value::F64(r.inv_rate)),
+                        ("start", Value::F64(start)),
+                        ("finish", Value::F64(finish)),
+                        ("head_bits", Value::F64(r.head_bits)),
+                        ("backlogged", Value::Bool(r.backlogged)),
                     ])
                 })
                 .collect(),
@@ -372,12 +418,15 @@ impl SessionTable {
     pub(crate) fn load(v: &Value) -> Result<SessionTable, SnapError> {
         let mut t = SessionTable::new();
         for sv in v.items()? {
-            t.phi.push(sv.get("phi")?.as_f64()?);
-            t.inv_rate.push(sv.get("inv_rate")?.as_f64()?);
-            t.start.push(sv.get("start")?.as_f64()?);
-            t.finish.push(sv.get("finish")?.as_f64()?);
-            t.head_bits.push(sv.get("head_bits")?.as_f64()?);
-            t.backlogged.push(sv.get("backlogged")?.as_bool()?);
+            t.records.push(SessionRecord {
+                phi: sv.get("phi")?.as_f64()?,
+                inv_rate: sv.get("inv_rate")?.as_f64()?,
+                start: sv.get("start")?.as_f64()?,
+                finish: sv.get("finish")?.as_f64()?,
+                head_bits: sv.get("head_bits")?.as_f64()?,
+                epoch: t.epoch,
+                backlogged: sv.get("backlogged")?.as_bool()?,
+            });
         }
         Ok(t)
     }
@@ -441,6 +490,57 @@ mod tests {
         t.stamp_new_backlog(s, 1.0, 1.0);
         assert_eq!(t.start(s), 9.0);
         assert_eq!(t.finish(s), 10.0);
+    }
+
+    #[test]
+    fn session_record_is_48_bytes() {
+        // Five f64s plus an epoch and a flag sharing the last 8 bytes.
+        assert_eq!(std::mem::size_of::<SessionRecord>(), 48);
+    }
+
+    #[test]
+    fn reset_tags_zeroes_every_session_without_visiting_it() {
+        let mut t = SessionTable::new();
+        let a = t.push(0.5, 2.0);
+        let b = t.push(0.5, 2.0);
+        t.stamp_new_backlog(a, 3.0, 4.0);
+        t.stamp_new_backlog(b, 1.0, 2.0);
+        t.set_idle(a);
+        t.set_idle(b);
+        t.reset_tags();
+        // Both read as zero, and the snapshot says so too (the record
+        // itself still holds the old tags).
+        assert_eq!((t.start(a), t.finish(a)), (0.0, 0.0));
+        assert_eq!(t.records[a.0].finish, 7.0);
+        let saved = t.save();
+        let saved_a = &saved.items().unwrap()[a.0];
+        assert_eq!(saved_a.get("start").unwrap().as_f64().unwrap(), 0.0);
+        assert_eq!(saved_a.get("finish").unwrap().as_f64().unwrap(), 0.0);
+        // The next stamp starts from F = 0, not from the stale tag...
+        t.stamp_new_backlog(a, 0.5, 4.0);
+        assert_eq!((t.start(a), t.finish(a)), (0.5, 4.5));
+        // ...and b, untouched since the reset, still reads zero.
+        assert_eq!((t.start(b), t.finish(b)), (0.0, 0.0));
+        t.stamp_continuation(b, 2.0);
+        assert_eq!((t.start(b), t.finish(b)), (0.0, 2.0));
+    }
+
+    #[test]
+    fn epoch_wraparound_cannot_revive_stale_tags() {
+        let mut t = SessionTable::new();
+        let a = t.push(0.5, 2.0);
+        let b = t.push(0.5, 2.0);
+        // `a` is stamped in epoch 0 and then sleeps through 2^32 resets.
+        t.stamp_new_backlog(a, 3.0, 4.0);
+        t.set_idle(a);
+        t.reset_tags();
+        t.epoch = u32::MAX;
+        t.stamp_new_backlog(b, 1.0, 2.0);
+        t.set_idle(b);
+        t.reset_tags();
+        assert_eq!(t.epoch, 0);
+        assert_eq!((t.start(a), t.finish(a)), (0.0, 0.0));
+        assert_eq!((t.start(b), t.finish(b)), (0.0, 0.0));
     }
 
     #[test]

@@ -175,8 +175,7 @@ impl<E: EligibleSet> NodeScheduler for Wf2qPlus<E> {
     fn save_state(&self) -> Value {
         // The eligible set is not serialized: its membership is exactly the
         // backlogged, not-in-service sessions, and pop order is a pure
-        // function of membership (lazy deletion inside the structure is
-        // caching, not state), so load_state rebuilds it.
+        // function of membership, so load_state rebuilds it.
         Value::map(vec![
             ("rate", Value::F64(self.rate)),
             ("v", Value::F64(self.v)),

@@ -20,6 +20,18 @@
 //! The crate is dependency-free and knows nothing about packets or
 //! scheduling policies: `E` is whatever event enum the client defines.
 //!
+//! # Layout
+//!
+//! The queue is a [`heap::QuadHeap`] — an implicit 4-ary min-heap, shared
+//! with `hpfq-core`'s eligible set — of 16-byte entries: the event time as
+//! a `u64` that orders exactly as [`f64::total_cmp`] does (and converts
+//! back bit for bit, which is what `peek_time`/`pop` return), and the
+//! `u32` index of an arena slot. The slot holds the event together with
+//! its `(minor, seq)`. Sifting compares time keys only; the arena is read
+//! for a comparison just when two time keys are equal, so a queue whose
+//! times are distinct — Poisson wakes, say — orders itself without
+//! touching the events at all, and ties cost two extra loads each.
+//!
 //! # Minor keys and parallel determinism
 //!
 //! [`EventQueue::schedule_keyed`] accepts a caller-supplied **minor key**
@@ -39,31 +51,65 @@
 //! windows, and whole queues can be drained (keys included) when shards
 //! are assembled or merged.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+#![forbid(unsafe_code)]
 
-/// Min-heap key: time, then the caller's minor key, then scheduling
-/// sequence for FIFO tie-breaking.
-#[derive(Debug, PartialEq)]
-struct Key(f64, u64, u64);
+pub mod heap;
 
-impl Eq for Key {}
+use heap::QuadHeap;
 
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // total_cmp never panics; schedule() only accepts finite times, so
-        // the NaN ordering arm is unreachable anyway.
-        self.0
-            .total_cmp(&other.0)
-            .then(self.1.cmp(&other.1))
-            .then(self.2.cmp(&other.2))
+/// Maps a time to a `u64` that orders, as an unsigned integer, exactly as
+/// [`f64::total_cmp`] orders the times: positive floats already sort by
+/// their bit patterns and get the top bit set, negative ones sort in
+/// reverse and get every bit flipped. [`key_time`] inverts it bit for bit,
+/// `-0.0` and NaN payloads included.
+#[inline]
+fn time_key(t: f64) -> u64 {
+    let bits = t.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
     }
 }
 
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+/// The time [`time_key`] mapped to `key`.
+#[inline]
+fn key_time(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// What the heap moves: the time key and the arena slot holding the rest.
+/// 16 bytes, so the four siblings of a sift level are 64 contiguous bytes.
+#[derive(Debug, Clone, Copy)]
+struct HeapEntry {
+    key: u64,
+    slot: u32,
+}
+
+/// One arena slot: the event and the part of its key that only decides
+/// between bit-equal times.
+#[derive(Debug)]
+struct Slot<E> {
+    minor: u64,
+    seq: u64,
+    /// `None` while the slot is on the free list.
+    ev: Option<E>,
+}
+
+/// The firing order: time key, then — read from the arena only when two
+/// times are bit-equal — the caller's minor key, then scheduling sequence.
+/// `seq` is unique, so this is a strict total order.
+#[inline]
+fn fires_before<E>(arena: &[Slot<E>], a: &HeapEntry, b: &HeapEntry) -> bool {
+    if a.key != b.key {
+        return a.key < b.key;
     }
+    let (a, b) = (&arena[a.slot as usize], &arena[b.slot as usize]);
+    (a.minor, a.seq) < (b.minor, b.seq)
 }
 
 /// A time-ordered event queue with FIFO tie-breaking and arena-backed
@@ -72,12 +118,12 @@ impl PartialOrd for Key {
 /// owns the clock (segmented runs, co-simulation).
 #[derive(Debug, Default)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Key, usize)>>,
+    heap: QuadHeap<HeapEntry>,
     /// Event arena. Fired slots are pushed onto `free` and reused, so
     /// memory is bounded by the maximum number of *outstanding* events,
     /// not the total ever scheduled.
-    arena: Vec<Option<E>>,
-    free: Vec<usize>,
+    arena: Vec<Slot<E>>,
+    free: Vec<u32>,
     seq: u64,
 }
 
@@ -85,7 +131,7 @@ impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: QuadHeap::new(),
             arena: Vec::new(),
             free: Vec::new(),
             seq: 0,
@@ -107,30 +153,49 @@ impl<E> EventQueue<E> {
     pub fn schedule_keyed(&mut self, t: f64, minor: u64, ev: E) {
         debug_assert!(t.is_finite(), "non-finite event time {t}");
         self.seq += 1;
+        let filled = Slot {
+            minor,
+            seq: self.seq,
+            ev: Some(ev),
+        };
         let slot = match self.free.pop() {
             Some(slot) => {
-                debug_assert!(self.arena[slot].is_none(), "free slot still occupied");
-                self.arena[slot] = Some(ev);
+                debug_assert!(
+                    self.arena[slot as usize].ev.is_none(),
+                    "free slot still occupied"
+                );
+                self.arena[slot as usize] = filled;
                 slot
             }
             None => {
-                self.arena.push(Some(ev));
-                self.arena.len() - 1
+                let slot = u32::try_from(self.arena.len())
+                    // lint:allow(L002): 2^32 outstanding events are > 100 GiB
+                    // of arena; memory runs out long before the index does
+                    .expect("more than u32::MAX outstanding events");
+                self.arena.push(filled);
+                slot
             }
         };
-        self.heap.push(Reverse((Key(t, minor, self.seq), slot)));
+        let arena = &self.arena;
+        let entry = HeapEntry {
+            key: time_key(t),
+            slot,
+        };
+        self.heap.push(entry, |a, b| fires_before(arena, a, b));
     }
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|Reverse((Key(t, _, _), _))| *t)
+        self.heap.peek().map(|e| key_time(e.key))
     }
 
     /// Time and minor key of the earliest pending event. The pair is the
     /// content-derived part of the firing order, so epoch supervisors can
     /// compare queue heads against a global cut key without popping.
     pub fn peek_key(&self) -> Option<(f64, u64)> {
-        self.heap.peek().map(|Reverse((Key(t, m, _), _))| (*t, *m))
+        self.heap
+            .peek()
+            .map(|e| (key_time(e.key), self.arena[e.slot as usize].minor))
     }
 
     /// Removes and returns the earliest event and its time. Ties fire in
@@ -143,15 +208,17 @@ impl<E> EventQueue<E> {
     /// minor key. Used when draining one queue into another (shard
     /// assembly/merge) where the minor keys must survive the transfer.
     pub fn pop_entry(&mut self) -> Option<(f64, u64, E)> {
-        while let Some(Reverse((Key(t, minor, _), slot))) = self.heap.pop() {
+        loop {
+            let arena = &self.arena;
+            let top = self.heap.pop(|a, b| fires_before(arena, a, b))?;
             // Each heap entry owns its arena slot until fired; a vacated
             // slot (impossible today, tolerated for robustness) is skipped.
-            if let Some(ev) = self.arena[slot].take() {
-                self.free.push(slot);
-                return Some((t, minor, ev));
+            let slot = &mut self.arena[top.slot as usize];
+            if let Some(ev) = slot.ev.take() {
+                self.free.push(top.slot);
+                return Some((key_time(top.key), slot.minor, ev));
             }
         }
-        None
     }
 
     /// Whether no events are pending.
@@ -495,5 +562,113 @@ mod tests {
         assert_eq!(e.peek_time(), Some(0.125));
         assert_eq!(e.pop_due(f64::INFINITY), Some((0.125, 2)));
         assert_eq!(e.peek_time(), Some(0.25));
+    }
+
+    /// One time from every region of the `total_cmp` order short of the
+    /// NaNs: infinities, subnormals, both zeros.
+    const EDGE_TIMES: [f64; 16] = [
+        f64::NEG_INFINITY,
+        f64::MIN,
+        -1.5,
+        -f64::MIN_POSITIVE,
+        -5e-324,
+        -0.0,
+        0.0,
+        5e-324,
+        1e-310,
+        f64::MIN_POSITIVE,
+        0.1,
+        1.0,
+        1.0 + f64::EPSILON,
+        1e300,
+        f64::MAX,
+        f64::INFINITY,
+    ];
+
+    /// The crate is dependency-free, tests included: xorshift64.
+    pub(crate) fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn time_key_is_strictly_monotone_and_inverts_exactly() {
+        let mut times: Vec<f64> = EDGE_TIMES.to_vec();
+        times.push(f64::NAN);
+        times.push(-f64::NAN);
+        times.push(f64::from_bits(0x7ff0_0000_0000_0001)); // signalling NaN
+        let mut state = 0x1234_5678_9abc_def1;
+        // All pairs are compared below; miri runs this interpreted.
+        for _ in 0..if cfg!(miri) { 50 } else { 500 } {
+            times.push(f64::from_bits(xorshift(&mut state)));
+        }
+        for &a in &times {
+            assert_eq!(key_time(time_key(a)).to_bits(), a.to_bits(), "{a:e}");
+            for &b in &times {
+                assert_eq!(
+                    time_key(a).cmp(&time_key(b)),
+                    a.total_cmp(&b),
+                    "{a:e} vs {b:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn queue_matches_sorted_oracle_on_ties_zeros_and_subnormals() {
+        // The oracle is the documented order itself: sort by
+        // (t.total_cmp, minor, seq). Times come from a small pool, so
+        // bit-equal ties are the common case, and an event popped at `t`
+        // is often re-scheduled at the same `t` with a later sequence.
+        let mut state = 0x0dd_ba11;
+        for round in 0..if cfg!(miri) { 4 } else { 100 } {
+            let mut q = EventQueue::new();
+            // (time, minor, seq); the event payload is its seq.
+            let mut model: Vec<(f64, u64, u64)> = Vec::new();
+            let mut seq = 0;
+            let mut schedule = |q: &mut EventQueue<u64>, model: &mut Vec<_>, t: f64, minor| {
+                seq += 1;
+                q.schedule_keyed(t, minor, seq);
+                model.push((t, minor, seq));
+            };
+            for _ in 0..300 {
+                let r = xorshift(&mut state);
+                if r % 5 < 3 || model.is_empty() {
+                    let t = EDGE_TIMES[1 + (r >> 8) as usize % 14];
+                    schedule(&mut q, &mut model, t, (r >> 16) % 3);
+                } else {
+                    model.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+                    let (t, minor, id) = model.remove(0);
+                    assert_eq!(
+                        q.peek_key().map(|(t, m)| (t.to_bits(), m)),
+                        Some((t.to_bits(), minor)),
+                        "round {round}"
+                    );
+                    let (pt, pminor, pid) = q.pop_entry().expect("model is non-empty");
+                    assert_eq!((pt.to_bits(), pminor, pid), (t.to_bits(), minor, id));
+                    if r & 1 == 0 {
+                        // Re-schedule at the popped time: fires after every
+                        // event already queued there with the same minor.
+                        schedule(&mut q, &mut model, t, minor);
+                    }
+                }
+                assert_eq!(q.outstanding(), model.len());
+            }
+            model.sort_by(|a, b| a.0.total_cmp(&b.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+            for (t, minor, id) in model {
+                let (pt, pminor, pid) = q.pop_entry().expect("model is non-empty");
+                assert_eq!((pt.to_bits(), pminor, pid), (t.to_bits(), minor, id));
+            }
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn heap_entry_is_sixteen_bytes() {
+        // Four siblings of a sift level are 64 contiguous bytes; (minor,
+        // seq) creeping back into the entry would make it 32 each.
+        assert_eq!(std::mem::size_of::<HeapEntry>(), 16);
     }
 }

@@ -476,6 +476,12 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     pub(crate) links: Vec<Option<Link<S, O>>>,
     pub(crate) engine: Engine<NetEvent>,
     pub(crate) sources: Vec<SourceSlot>,
+    /// Every source below this index has `started` set, so
+    /// [`Network::start_pending_sources`] begins its scan here instead of
+    /// re-probing every slot on each [`Network::run`] segment. Zero is
+    /// always valid; whatever rewrites `started` flags wholesale (snapshot
+    /// restore, shard merge) resets it.
+    pub(crate) started_below: usize,
     /// Statistics collector (network-wide; service records are written at
     /// a flow's **last** hop).
     pub stats: SimStats,
@@ -541,6 +547,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             links: Vec::new(),
             engine: Engine::new(),
             sources: Vec::new(),
+            started_below: 0,
             stats: SimStats::new(),
             flow_owner: FlowMap::new(),
             injector: None,
@@ -1472,7 +1479,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// between run segments).
     pub(crate) fn start_pending_sources(&mut self) {
         self.stats.reserve_flows(self.flow_owner.len());
-        for i in 0..self.sources.len() {
+        let pending = self.started_below..self.sources.len();
+        self.started_below = pending.end;
+        for i in pending {
             if !self.sources[i].started {
                 self.sources[i].started = true;
                 let out = match self.sources[i].src.as_mut() {

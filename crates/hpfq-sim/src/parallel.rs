@@ -977,6 +977,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     links: Vec::new(),
                     engine,
                     sources: Vec::new(),
+                    started_below: 0,
                     stats,
                     flow_owner: self.flow_owner.clone(),
                     injector: None,
@@ -1069,6 +1070,8 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
         let mut errors: Vec<(f64, usize, hpfq_core::HpfqError)> = Vec::new();
         let mut max_now = self.engine.now();
         self.shard_spans.clear();
+        // Owner shards' `started` flags overwrite the master's below.
+        self.started_below = 0;
         for (sid, mut w) in workers.into_iter().enumerate() {
             // Wall-clock spans fold into the master aggregate and are also
             // kept per shard; epoch windows (simulation time) append in

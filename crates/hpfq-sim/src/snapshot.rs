@@ -552,6 +552,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         // from the snapshot (generator state, cursors, RNG streams).
         let sources_v = snap.get("sources")?.items()?;
         self.sources.truncate(sources_v.len());
+        self.started_below = 0;
         for (i, sv) in sources_v.iter().enumerate() {
             let src = {
                 let raw = sv.get("src")?;

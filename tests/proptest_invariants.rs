@@ -117,7 +117,7 @@ fn eligible_sets_agree() {
 /// coarse grid so equal start *and* equal finish tags are common, plus the
 /// occasional [`SetOp::Clear`]. This is the regime where a sloppy
 /// tie-break (anything other than `(tag, session id)`) diverges between
-/// implementations — exactly what the SoA dual-heap refactor must not
+/// implementations — exactly what a change of heap layout must not
 /// change.
 fn random_tie_op(rng: &mut SmallRng, ids: usize) -> SetOp {
     const Q: f64 = 0.25;

@@ -396,3 +396,81 @@ fn older_format_snapshot_is_refused_with_a_typed_error() {
     // The same bytes under the current version restore fine.
     tandem_net().restore(&snap).unwrap();
 }
+
+/// One link, three leaves, one CBR source attached (flow 1 on the first
+/// leaf); the other two leaves are returned for sources attached later.
+fn late_attach_net() -> (Network<MixedScheduler, Obs>, [hpfq::core::NodeId; 2]) {
+    let kind = SchedulerKind::Wf2qPlus;
+    let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
+        10e6,
+        move |r| kind.build(r),
+        sink(),
+    );
+    let root = bld.root();
+    let first = bld.add_leaf(root, 0.4).unwrap();
+    let late = [
+        bld.add_leaf(root, 0.3).unwrap(),
+        bld.add_leaf(root, 0.3).unwrap(),
+    ];
+    let mut net: Network<MixedScheduler, Obs> = Network::new();
+    net.add_link(bld.build());
+    net.add_route(
+        1,
+        CbrSource::new(1, PKT, 2e6, 0.0, f64::INFINITY),
+        Route::single(first, None, 0.0),
+    );
+    (net, late)
+}
+
+fn late_cbr(flow: u32, start: f64) -> CbrSource {
+    CbrSource::new(flow, PKT, 2e6, start, f64::INFINITY)
+}
+
+/// `Network::run` starts each source exactly once: it keeps a cursor past
+/// the slots it has already started rather than probing every slot per
+/// segment, so whatever rewrites the slots (a restore) must reset it. A
+/// CBR source started twice offers twice the packets, and one never
+/// started offers none — the offered counts are the witness.
+#[test]
+fn sources_attached_between_segments_or_after_restore_start_exactly_once() {
+    let offered =
+        |net: &Network<MixedScheduler, Obs>| [1, 2, 3].map(|f| net.stats.flow(f).offered_packets);
+    // Reference: every source attached before the one and only run.
+    let (mut all, late) = late_attach_net();
+    all.add_route(2, late_cbr(2, 0.1), Route::single(late[0], None, 0.0));
+    all.add_route(3, late_cbr(3, 0.2), Route::single(late[1], None, 0.0));
+    all.run(0.5);
+    let want = offered(&all);
+    assert!(want.iter().all(|&n| n > 5), "workload too small: {want:?}");
+
+    // Segmented: flows 2 and 3 are attached between `run` calls, and
+    // further segments follow each attach.
+    let (mut net, late) = late_attach_net();
+    net.run(0.1);
+    let snap = net.snapshot().unwrap();
+    net.add_route(2, late_cbr(2, 0.1), Route::single(late[0], None, 0.0));
+    net.run(0.15);
+    net.run(0.2);
+    net.add_route(3, late_cbr(3, 0.2), Route::single(late[1], None, 0.0));
+    net.run(0.3);
+    net.run(0.5);
+    assert_eq!(offered(&net), want, "segmented run");
+
+    // Rollback: the same network returns to the one-source checkpoint
+    // (its cursor stood past three slots), then re-attaches and re-runs.
+    net.restore(&snap).unwrap();
+    net.add_route(2, late_cbr(2, 0.1), Route::single(late[0], None, 0.0));
+    net.add_route(3, late_cbr(3, 0.2), Route::single(late[1], None, 0.0));
+    net.run(0.5);
+    assert_eq!(offered(&net), want, "rollback then attach");
+
+    // Resume: a fresh network takes the checkpoint (flow 1 arrives
+    // already started) and gains the other two afterwards.
+    let (mut fresh, late) = late_attach_net();
+    fresh.restore(&snap).unwrap();
+    fresh.add_route(2, late_cbr(2, 0.1), Route::single(late[0], None, 0.0));
+    fresh.run(0.15);
+    fresh.add_route(3, late_cbr(3, 0.2), Route::single(late[1], None, 0.0));
+    fresh.run(0.5);
+    assert_eq!(offered(&fresh), want, "resume then attach");
+}
