@@ -12,11 +12,10 @@
 //!
 //! A second axis — the **flow-count scaling sweep** (`--sizes
 //! 64,1k,16k,256k,1m,4m`, `k` = ×1024, `m` = ×1024²) — measures the same
-//! two operations on flat WF²Q+ trees of growing width, on the dual heap
-//! that ships (`/pifo` rows) and on the calendar queue (`/pifo-calendar`
-//! rows). Dispatch cost is dominated by the eligible set: the heap rows
-//! must grow sub-linearly (O(log N)), the calendar rows near-flat
-//! (amortized O(1)); the committed baseline pins both curves.
+//! two operations on flat WF²Q+ trees of growing width (`wf2q+/scale/pifo`
+//! rows). Dispatch cost is dominated by the eligible set, so the rows must
+//! grow sub-linearly (O(log N), the paper's §3.4 claim); the committed
+//! baseline pins the curve.
 //!
 //! Output: aligned rows on stdout, plus `--json <path>` for the
 //! machine-readable form committed as `results/bench_baseline.json`.
@@ -26,10 +25,9 @@ use hpfq_bench::microbench::{
     json_path_from_args, sizes_from_args, time_op_profile, write_json, BenchRecord, MetaValue,
     Profile,
 };
-use hpfq_core::pifo::rank::{DrrRank, Wf2qPlusRank};
+use hpfq_core::pifo::rank::DrrRank;
 use hpfq_core::{
-    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, Packet, PifoTree,
-    SchedulerKind,
+    Hierarchy, MixedScheduler, NodeId, NodeScheduler, Packet, PifoTree, SchedulerKind,
 };
 use hpfq_obs::SpanKind;
 use hpfq_sim::{CbrSource, Network, Route};
@@ -252,25 +250,14 @@ fn main() {
         }
     }
 
-    // Flow-count scaling sweep: flat WF²Q+ trees of growing width on the
-    // dual heap that ships and on the calendar queue. The heap rows pin
-    // the O(log N) trajectory; the calendar rows pin the amortized-O(1)
-    // one. The sweep — not any single point — is the committed artifact.
+    // Flow-count scaling sweep: flat WF²Q+ trees of growing width. The
+    // rows pin the O(log N) trajectory; the sweep — not any single point —
+    // is the committed artifact.
     println!("== scaling sweep (wf2q+, flat): sizes {:?} ==", sizes);
     for &size in &sizes {
         let n = size as usize;
         let heap = |r| SchedulerKind::Wf2qPlus.build(r);
         bench_rows(&mut records, "wf2q+/scale/pifo", n, heap, 1, n, profile);
-        let calendar = |r| PifoTree::<_, CalendarEligibleSet>::with_backend(r, Wf2qPlusRank::new());
-        bench_rows(
-            &mut records,
-            "wf2q+/scale/pifo-calendar",
-            n,
-            calendar,
-            1,
-            n,
-            profile,
-        );
     }
 
     // Sub-MTU-quantum DRR stress row: the crate's default quantum base

@@ -1,17 +1,13 @@
 //! Ablation of the SEFF eligible-set structure (DESIGN.md §3.4): dual
-//! 4-ary heaps (migration on virtual-time advance) vs the hierarchical
-//! calendar queue (amortized O(1) bucket rotation), plus the O(N)
-//! brute-force reference for scale.
+//! 4-ary heaps (migration on virtual-time advance) against the O(N)
+//! brute-force reference.
 //!
 //! The workload mirrors a busy WF²Q+ node: N sessions resident; each
 //! iteration pops the minimum-finish eligible session at an advancing
 //! threshold and reinserts it with later tags.
 
 use hpfq_bench::microbench::{report, time_op};
-use hpfq_core::eligible::{
-    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, BruteForceEligibleSet,
-    EligibleSet,
-};
+use hpfq_core::eligible::{dual_heap::DualHeapEligibleSet, BruteForceEligibleSet, EligibleSet};
 use hpfq_core::SessionId;
 
 struct Harness<E: EligibleSet> {
@@ -54,8 +50,6 @@ fn main() {
     for n in [16usize, 64, 256, 1024, 4096, 65536, 1 << 20] {
         let mut h = Harness::new(DualHeapEligibleSet::new(), n);
         report("eligible_set", "dual_heap", n, time_op(|| h.step()));
-        let mut h = Harness::new(CalendarEligibleSet::new(), n);
-        report("eligible_set", "calendar", n, time_op(|| h.step()));
         if n <= 1024 {
             let mut h = Harness::new(BruteForceEligibleSet::default(), n);
             report("eligible_set", "brute_force", n, time_op(|| h.step()));

@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! bench_compare <baseline.json> <current.json> [--threshold 15] [--deny]
-//!               [--max-growth 8] [--deny-slope]
 //! ```
 //!
 //! Rows are matched on `(group, name, size)`. A `dispatch`-group row more
@@ -15,68 +14,69 @@
 //! listed so coverage drift is visible, never silent.
 //!
 //! Dispatch rows measured at several sizes (the flow-count scaling sweep)
-//! additionally get a **slope check**: per name, the full per-size
-//! trajectory is diffed and the end-to-end growth factor
-//! `ns(max size) / ns(min size)` must stay within `--max-growth`
-//! (default 8, i.e. the committed O(log N) trajectory at up to 4M flows;
-//! the calendar rows sit near 1). Growth is a property of the *current*
-//! run alone, so it flags a complexity regression even when every
-//! per-size row drifted in lockstep under the pairwise threshold. Slope
-//! violations print a `SLOPE` warning and only affect the exit code under
-//! `--deny-slope` — absolute ns on shared runners are noisy, but a
-//! blown-up growth factor is load-independent enough to gate on.
+//! additionally get a **slope check**: per name, the end-to-end growth
+//! factor `ns(max size) / ns(min size)` must stay within [`MAX_GROWTH`].
+//! Growth is a property of the *current* run alone, so it flags a
+//! complexity regression even when every per-size row drifted in lockstep
+//! under the pairwise threshold. Slope violations print a `SLOPE` warning
+//! and fail the run under `--deny`, like the pairwise regressions.
+//!
+//! A missing or malformed report, or a flag value that does not parse, is
+//! a message on stderr and a non-zero exit code.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use hpfq_bench::microbench::{parse_bench_json, BenchRecord};
 
-fn load(path: &str) -> Vec<BenchRecord> {
-    let text = std::fs::read_to_string(path)
-        // CLI tool — a missing input file must be loud. Not hot-path
-        // tainted, so no lint:allow is needed.
-        .unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    parse_bench_json(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
+/// Ceiling on a dispatch sweep's growth factor. The committed O(log N)
+/// trajectory grows 2.5x from 64 to 4M flows; a structure that went linear
+/// grows by orders of magnitude.
+const MAX_GROWTH: f64 = 8.0;
+
+fn load(path: &str) -> Result<Vec<BenchRecord>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    parse_bench_json(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(msg) => {
+            eprintln!("bench_compare: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Compares the two reports named in `args` and prints the tables;
+/// `Ok(false)` when `--deny` was given and something regressed, `Err` for
+/// input that cannot be compared at all.
+fn run(args: &[String]) -> Result<bool, String> {
     let mut positional: Vec<&String> = Vec::new();
     let mut threshold = 15.0f64;
     let mut deny = false;
-    let mut deny_slope = false;
-    let mut max_growth = 8.0f64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--threshold" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--threshold requires a value");
-                    return ExitCode::FAILURE;
-                };
-                threshold = v.parse().unwrap_or_else(|e| panic!("--threshold {v}: {e}"));
+                let v = it.next().ok_or("--threshold requires a value")?;
+                threshold = v.parse().map_err(|e| format!("--threshold {v}: {e}"))?;
             }
             "--deny" => deny = true,
-            "--deny-slope" => deny_slope = true,
-            "--max-growth" => {
-                let Some(v) = it.next() else {
-                    eprintln!("--max-growth requires a value");
-                    return ExitCode::FAILURE;
-                };
-                max_growth = v.parse().unwrap_or_else(|e| panic!("--max-growth {v}: {e}"));
-            }
             _ => positional.push(a),
         }
     }
     let [baseline_path, current_path] = positional.as_slice() else {
-        eprintln!(
-            "usage: bench_compare <baseline.json> <current.json> [--threshold N] [--deny] \
-             [--max-growth F] [--deny-slope]"
+        return Err(
+            "usage: bench_compare <baseline.json> <current.json> [--threshold N] [--deny]".into(),
         );
-        return ExitCode::FAILURE;
     };
 
-    let baseline = load(baseline_path);
-    let current = load(current_path);
+    let baseline = load(baseline_path)?;
+    let current = load(current_path)?;
 
     let mut regressions = 0usize;
     let mut matched = 0usize;
@@ -122,76 +122,32 @@ fn main() -> ExitCode {
             );
         }
     }
-    // Scaling-sweep slope check: every dispatch row family measured at 2+
-    // sizes is a complexity trajectory, not a point. Print the per-size
-    // diff as one table per family and gate the end-to-end growth factor
-    // of the *current* run, so a structure that quietly degenerated to a
-    // steeper curve is caught even if the committed baseline drifted with
-    // it (the pairwise rows above would then all read "ok").
+    // Scaling-sweep slope check: a dispatch row family measured at 2+
+    // sizes is a complexity trajectory, not a point. Gate the end-to-end
+    // growth factor of the *current* run, so a structure that quietly
+    // degenerated to a steeper curve is caught even if the committed
+    // baseline drifted with it (the pairwise rows above would then all
+    // read "ok").
+    let mut sweeps: BTreeMap<&str, Vec<&BenchRecord>> = BTreeMap::new();
+    for row in current.iter().filter(|r| r.group == "dispatch") {
+        sweeps.entry(&row.name).or_default().push(row);
+    }
+    sweeps.retain(|_, rows| rows.len() >= 2);
+    if !sweeps.is_empty() {
+        println!("== scaling sweeps: growth factor gated at {MAX_GROWTH}x ==");
+    }
     let mut slope_violations = 0usize;
-    let mut sweep_names: Vec<&str> = current
-        .iter()
-        .filter(|r| r.group == "dispatch")
-        .map(|r| r.name.as_str())
-        .collect();
-    sweep_names.sort_unstable();
-    sweep_names.dedup();
-    let mut any_sweep = false;
-    for name in sweep_names {
-        let mut rows: Vec<&BenchRecord> = current
-            .iter()
-            .filter(|r| r.group == "dispatch" && r.name == name)
-            .collect();
-        if rows.len() < 2 {
-            continue;
-        }
+    for (name, rows) in &mut sweeps {
         rows.sort_by_key(|r| r.size);
-        if !any_sweep {
-            println!("== scaling sweeps: growth factor gated at {max_growth}x ==");
-            any_sweep = true;
-        }
         let (first, last) = (rows[0], rows[rows.len() - 1]);
         let growth = last.ns_per_op / first.ns_per_op;
-        let blown = growth > max_growth;
-        if blown {
-            slope_violations += 1;
-        }
+        let blown = growth > MAX_GROWTH;
+        slope_violations += usize::from(blown);
         println!(
-            "  {:<10} dispatch/{name}: {:.1}x growth over {} -> {} flows{}",
+            "  {:<10} dispatch/{name}: {growth:.1}x growth over {} -> {} flows",
             if blown { "SLOPE" } else { "ok" },
-            growth,
             first.size,
-            last.size,
-            if blown {
-                format!(" (limit {max_growth}x)")
-            } else {
-                String::new()
-            }
-        );
-        for row in &rows {
-            let base = baseline
-                .iter()
-                .find(|b| b.group == row.group && b.name == row.name && b.size == row.size)
-                .map(|b| {
-                    format!(
-                        "{:>10.1} -> {:>10.1} ns/op ({:+.1}%)",
-                        b.ns_per_op,
-                        row.ns_per_op,
-                        (row.ns_per_op / b.ns_per_op - 1.0) * 100.0
-                    )
-                })
-                .unwrap_or_else(|| format!("{:>24.1} ns/op (no baseline)", row.ns_per_op));
-            println!("    @{:<8} {base}", row.size);
-        }
-    }
-    if slope_violations > 0 {
-        eprintln!(
-            "warning: {slope_violations} sweep(s) grew beyond {max_growth}x ({})",
-            if deny_slope {
-                "gating"
-            } else {
-                "non-blocking; pass --deny-slope to gate"
-            }
+            last.size
         );
     }
 
@@ -230,18 +186,55 @@ fn main() -> ExitCode {
 
     println!(
         "== {matched} rows compared, {regressions} dispatch regression(s) over {threshold}%, \
-         {slope_violations} sweep slope violation(s) over {max_growth}x =="
+         {slope_violations} sweep slope violation(s) over {MAX_GROWTH}x =="
     );
-    if regressions > 0 {
-        eprintln!(
-            "warning: {regressions} dispatch row(s) regressed beyond {threshold}% \
-             (non-blocking{})",
-            if deny { "" } else { "; pass --deny to gate" }
-        );
+    let failed = regressions + slope_violations > 0;
+    if failed && !deny {
+        eprintln!("warning: non-blocking; pass --deny to gate");
     }
-    if (deny && regressions > 0) || (deny_slope && slope_violations > 0) {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    Ok(!(deny && failed))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hpfq_bench::microbench::records_to_json;
+
+    fn run_on(args: &[&str]) -> Result<bool, String> {
+        run(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn hostile_input_is_an_error_not_a_panic() {
+        let path = |name: &str| {
+            let file = format!("bench_compare-{}-{name}.json", std::process::id());
+            let path = std::env::temp_dir().join(file);
+            path.to_string_lossy().into_owned()
+        };
+        let (good, cut, missing) = (path("good"), path("cut"), path("missing"));
+        let row = |size| BenchRecord {
+            group: "dispatch".into(),
+            name: "wf2q+/scale/pifo".into(),
+            size,
+            ns_per_op: 100.0,
+        };
+        let doc = records_to_json(&[], &[row(64), row(1024)]);
+        std::fs::write(&good, &doc).unwrap();
+        // Cut off inside the second record.
+        std::fs::write(&cut, &doc[..doc.len() - 30]).unwrap();
+
+        assert_eq!(run_on(&[&good, &good, "--deny"]), Ok(true));
+        let err = run_on(&[&good, &missing]).unwrap_err();
+        assert!(err.starts_with(&format!("reading {missing}: ")), "{err}");
+        let err = run_on(&[&cut, &good]).unwrap_err();
+        assert!(err.starts_with(&format!("parsing {cut}: ")), "{err}");
+        let err = run_on(&[&good, &good, "--threshold", "abc"]).unwrap_err();
+        assert!(err.starts_with("--threshold abc: "), "{err}");
+        assert!(run_on(&[&good, &good, "--threshold"]).is_err());
+        assert!(run_on(&[&good]).unwrap_err().starts_with("usage: "));
+
+        for file in [good, cut] {
+            std::fs::remove_file(file).unwrap();
+        }
     }
 }

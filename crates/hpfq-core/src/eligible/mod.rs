@@ -8,21 +8,20 @@
 //! sessions, to evaluate the `max(V, Smin)` operation of the paper's
 //! eq. (27) / RESTART-NODE line 12.
 //!
-//! Two implementations are provided behind the [`EligibleSet`] trait:
+//! One structure answers both, behind the [`EligibleSet`] trait:
+//! [`dual_heap::DualHeapEligibleSet`] — a pair of 4-ary heaps (pending
+//! sessions ordered by start time, eligible ones by finish time, both on
+//! the `QuadHeap` the event queue uses); sessions migrate as the virtual
+//! time advances. Amortized O(log N); this is the structure used by
+//! production WF²Q+ implementations (e.g. dummynet) and the one
+//! [`crate::SchedulerKind::build`] ships.
 //!
-//! * [`dual_heap::DualHeapEligibleSet`] — a pair of 4-ary heaps (pending
-//!   sessions ordered by start time, eligible ones by finish time, both on
-//!   the `QuadHeap` the event queue uses); sessions migrate as the virtual
-//!   time advances. Amortized O(log N);
-//!   this is the structure used by production WF²Q+ implementations (e.g.
-//!   dummynet) and the one [`crate::SchedulerKind::build`] ships.
-//! * [`calendar::CalendarEligibleSet`] — a hierarchical calendar queue
-//!   (timing wheel) with the same pop order at amortized O(1).
-//!
-//! Both are exercised against [`BruteForceEligibleSet`] in unit and property
-//! tests, and against each other in the `eligible_set` bench ablation.
+//! It is held to two oracles that share no code with it: the O(N)
+//! [`BruteForceEligibleSet`] on the start/finish interface (unit and
+//! property tests, the `eligible_set` bench ablation), and a test-local
+//! sort-by-rank PIFO on the ranked [`PifoBackend`] interface
+//! (`tests/pifo_equivalence.rs`).
 
-pub mod calendar;
 pub mod dual_heap;
 
 use crate::scheduler::SessionId;
@@ -31,14 +30,13 @@ use crate::vtime;
 /// Backing priority structure for the PIFO driver ([`crate::pifo::PifoTree`]).
 ///
 /// This is the generalized *ranked* interface the dual-heap set grew for the
-/// PIFO substrate, lifted to a trait so the driver can swap structures: the
-/// dual heap (amortized O(log N)) and the hierarchical calendar queue
-/// (amortized O(1)). Every method
-/// mirrors the dual-heap original; the semantic contract — rank model,
-/// monotone thresholds within a busy period, id tie-breaks, the
-/// `MONOTONE_RANKS` tail promise — is documented on
-/// [`dual_heap::DualHeapEligibleSet`] and applies verbatim to every
-/// implementation. All implementations must pop in the exact same
+/// PIFO substrate, lifted to a trait so that something other than the dual
+/// heap can sit under the driver: a reference PIFO in a test, an
+/// instrumented wrapper in a benchmark. Every method mirrors the dual-heap
+/// original; the semantic contract — rank model, monotone thresholds within
+/// a busy period, id tie-breaks, the `MONOTONE_RANKS` tail promise — is
+/// documented on [`dual_heap::DualHeapEligibleSet`] and applies verbatim to
+/// every implementation. All implementations must pop in the exact same
 /// `(primary, secondary, id)` order: the PIFO equivalence suite drives them
 /// in lockstep and requires byte-identical dispatch sequences.
 pub trait PifoBackend: std::fmt::Debug + Clone + Default {

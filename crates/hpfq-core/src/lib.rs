@@ -18,11 +18,10 @@
 //!
 //! Every policy is a [`RankProgram`] on one substrate: [`PifoTree`], a
 //! programmable scheduler in the PIFO model of Sivaraman et al. (SIGCOMM
-//! 2016), over the dual-heap priority structure.
-//! [`SchedulerKind::build`] is the one constructor and [`MixedScheduler`]
-//! holds exactly one `PifoTree<P>` per kind; the calendar-queue structure
-//! is a type parameter (`PifoTree<P, CalendarEligibleSet>`), not a runtime
-//! choice. The hand-rolled per-policy implementations the rank programs
+//! 2016), over the crate's one priority structure, the dual heap
+//! ([`DualHeapEligibleSet`]). [`SchedulerKind::build`] is the one
+//! constructor and [`MixedScheduler`] holds exactly one `PifoTree<P>` per
+//! kind. The hand-rolled per-policy implementations the rank programs
 //! were derived from are kept in [`mod@reference`], named only by the
 //! differential suites in `tests/pifo_equivalence.rs` that hold each
 //! program byte-identical to them.
@@ -74,9 +73,7 @@ mod wfq;
 /// rules L001/L003 enforce its use).
 pub use hpfq_obs::vtime;
 
-pub use eligible::{
-    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, EligibleSet, PifoBackend,
-};
+pub use eligible::{dual_heap::DualHeapEligibleSet, EligibleSet, PifoBackend};
 pub use error::HpfqError;
 pub use gps_clock::GpsClock;
 pub use hierarchy::{Hierarchy, HierarchyBuilder, NodeId};

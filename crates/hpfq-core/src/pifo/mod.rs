@@ -263,10 +263,10 @@ pub trait RankProgram {
     }
 }
 
-/// A [`NodeScheduler`] driving any [`RankProgram`] over a pluggable
-/// [`PifoBackend`] priority structure — the dual heap by default, the
-/// hierarchical calendar queue for amortized O(1) dispatch at scale. See
-/// the [module documentation](self).
+/// A [`NodeScheduler`] driving any [`RankProgram`] over a [`PifoBackend`]
+/// priority structure: the dual heap, unless a test or a benchmark names
+/// its own (a reference PIFO, an instrumented wrapper). See the
+/// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct PifoTree<P: RankProgram, Q: PifoBackend = DualHeapEligibleSet> {
     rate: f64,
@@ -344,8 +344,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
 
     fn add_session(&mut self, phi: f64) -> SessionId {
         let id = self.sessions.push(phi, self.rate);
-        // Backends with per-session arrays (the calendar) pre-size them
-        // here so the per-packet insert path skips the growth check.
+        // A backend with per-session arrays pre-sizes them here, so its
+        // per-packet insert path skips the growth check.
         self.queue.ensure_sessions(self.sessions.len());
         self.program.on_add_session(phi);
         id

@@ -21,14 +21,12 @@
 //!   are min-rank, so `R` — and therefore every rank — is non-decreasing
 //!   within a busy period).
 //!
-//! Because ranks are small integers drawn from the narrow moving window
-//! `[R, R + ceil(Lmax/quantum)]`, the hierarchical calendar backend files
-//! every insert in its lowest-granularity level and pops in amortized O(1):
-//! this program is the round-robin competitor whose dispatch cost stays
-//! flat at 1M+ sessions. Unlike DRR's ring sequence the ranks are *not*
+//! Ranks are small integers drawn from the narrow moving window
+//! `[R, R + ceil(Lmax/quantum)]`. Unlike DRR's ring sequence they are *not*
 //! monotone — a light session backlogging mid-round slots below a heavy
 //! packet's distant finish round — so the program runs on the general
-//! ranked interface ([`MONOTONE_RANKS`] stays false).
+//! ranked interface ([`MONOTONE_RANKS`] stays false) and pays the dual
+//! heap's O(log N) per packet.
 //!
 //! Fairness: sessions backlogged together receive within one quantum per
 //! round of their share, giving a WFI-style bound of
@@ -234,5 +232,83 @@ impl RankProgram for RrRank {
         self.slack = slack;
         self.round = state.get("round")?.as_u64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pifo::PifoTree;
+    use crate::scheduler::NodeScheduler;
+
+    /// Unequal shares: quanta of 6000, 3600, 1800 and 600 bits per round.
+    const PHIS: [f64; 4] = [0.5, 0.3, 0.15, 0.05];
+    /// Mixed lengths in bits: the longest is twenty of the smallest
+    /// quantum, and the shortest fits fifteen to the largest.
+    const LENGTHS: [f64; 5] = [400.0, 12_000.0, 1_200.0, 4_000.0, 8_000.0];
+
+    /// Length of `session`'s `k`-th packet.
+    fn packet(session: usize, k: usize) -> f64 {
+        LENGTHS[(session * 2 + k * (session + 1)) % LENGTHS.len()]
+    }
+
+    /// Serves `n` packets with every session kept backlogged; returns the
+    /// tree and the bits served per session.
+    fn serve(n: usize) -> (PifoTree<RrRank>, [f64; 4]) {
+        let mut s = PifoTree::new(1e6, RrRank::new());
+        for (i, &phi) in PHIS.iter().enumerate() {
+            s.add_session(phi);
+            s.backlog(SessionId(i), packet(i, 0), None);
+        }
+        let (mut sent, mut served) = ([0usize; 4], [0.0f64; 4]);
+        for step in 0..n {
+            let i = s.select_next().expect("every session is backlogged").0;
+            served[i] += packet(i, sent[i]);
+            sent[i] += 1;
+            s.requeue(SessionId(i), Some(packet(i, sent[i])));
+            // The scheduler's own spec (Luangsomboon & Liebeherr): a
+            // backlogged session with quantum `q` has been served `q` bits
+            // per round the server has worked through, give or take one
+            // quantum and one maximum packet.
+            for (j, phi) in PHIS.iter().enumerate() {
+                let quantum = phi * RrRank::DEFAULT_QUANTUM_BASE;
+                let share = s.program().round as f64 * quantum;
+                assert!(
+                    (served[j] - share).abs() <= quantum + 12_000.0,
+                    "session {j} after {step} packets: served {}, share {share}",
+                    served[j]
+                );
+            }
+        }
+        (s, served)
+    }
+
+    #[test]
+    fn served_bits_track_the_weighted_share_within_a_quantum_and_a_packet() {
+        let (s, served) = serve(4000);
+        // Long enough to mean something: hundreds of rounds, every session
+        // well past its first packets.
+        assert!(s.program().round > 300, "{} rounds", s.program().round);
+        assert!(served.iter().all(|&b| b > 100_000.0), "{served:?}");
+    }
+
+    #[test]
+    fn state_round_trips_and_refuses_a_mismatched_shape() {
+        let (s, _) = serve(50);
+        let saved = s.program().save_state();
+        let mut fresh = RrRank::new();
+        PHIS.iter().for_each(|&phi| fresh.on_add_session(phi));
+        fresh.load_state(&saved, &s.sessions).unwrap();
+        assert_eq!(fresh.save_state().to_bytes(), saved.to_bytes());
+
+        let err = RrRank::with_quantum_base(6_000.0)
+            .load_state(&saved, &s.sessions)
+            .unwrap_err();
+        assert!(err.what.contains("quantum base mismatch"), "{err:?}");
+
+        let mut five = s.sessions.clone();
+        five.push(0.1, 1e6);
+        let err = RrRank::new().load_state(&saved, &five).unwrap_err();
+        assert!(err.what.contains("do not match session count 5"), "{err:?}");
     }
 }

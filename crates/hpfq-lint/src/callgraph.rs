@@ -44,11 +44,6 @@ pub fn is_hot_seed(f: &FnSym) -> bool {
             f.name.as_str(),
             "run" | "run_parallel" | "run_permuted" | "arm_train_front"
         ),
-        // The calendar eligible set and its timing wheels run under every
-        // PifoTree dispatch; seeding the whole surface keeps the wheel
-        // internals (cascade, rebuild, bucket sort) covered even when the
-        // set is driven directly through the EligibleSet trait.
-        Some("CalendarEligibleSet") | Some("Wheel") => true,
         // The PIFO substrate's per-packet dispatch surface: everything a
         // rank program does runs under one of these, so the taint makes
         // L002/L007/L009 cover rank programs out of tree too.

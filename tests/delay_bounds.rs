@@ -3,28 +3,19 @@
 //! (greedy leaky-bucket) sources with saturating cross traffic.
 
 use hpfq::analysis::{corollary2_bound, wf2q_plus_delay_bound};
-use hpfq::core::pifo::rank::Wf2qPlusRank;
-use hpfq::core::{CalendarEligibleSet, Hierarchy, NodeScheduler, PifoTree, SchedulerKind};
+use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::sim::{CbrSource, GreedyLbSource, Simulation, SourceConfig};
 
 const PKT: u32 = 1000; // 8000 bits
 const LMAX: f64 = 8000.0;
 
 /// Theorem 4(3): σ/r_i + L_max/r for a (σ, r_i)-constrained session under
-/// standalone WF²Q+, regardless of what the other sessions do — on the
-/// dual heap that ships and on the calendar queue.
+/// standalone WF²Q+, regardless of what the other sessions do.
 #[test]
 fn theorem4_standalone_bound() {
-    theorem4_standalone_bound_on(|r| SchedulerKind::Wf2qPlus.build(r));
-    theorem4_standalone_bound_on(|r| {
-        PifoTree::<_, CalendarEligibleSet>::with_backend(r, Wf2qPlusRank::new())
-    });
-}
-
-fn theorem4_standalone_bound_on<S: NodeScheduler + 'static>(node: fn(f64) -> S) {
     let rate = 1e6;
     for phi in [0.1, 0.3, 0.5] {
-        let mut h = Hierarchy::builder(rate, node).build();
+        let mut h = Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let measured = h.add_leaf(root, phi).unwrap();
         let cross = h.add_leaf(root, 1.0 - phi).unwrap();

@@ -4,10 +4,7 @@
 //! hierarchical generalization of the one-packet-accuracy property that
 //! motivates WF²Q+ (paper §3.3–3.4 and Theorem 4).
 
-use hpfq::core::pifo::rank::Wf2qPlusRank;
-use hpfq::core::{
-    CalendarEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, PifoTree, SchedulerKind,
-};
+use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::sim::{Simulation, SourceConfig, TraceSource};
 use hpfq_analysis::service_curve_from_records;
@@ -16,31 +13,21 @@ use hpfq_sim::SmallRng;
 const LINK: f64 = 1e6;
 const PKT: u32 = 500; // 4000 bits
 
-/// WF²Q+ on the dual heap, as [`SchedulerKind::build`] ships it.
+/// WF²Q+ as [`SchedulerKind::build`] ships it.
 fn shipped(rate: f64) -> MixedScheduler {
     SchedulerKind::Wf2qPlus.build(rate)
 }
 
-/// WF²Q+ on the calendar queue.
-fn calendar(rate: f64) -> PifoTree<Wf2qPlusRank, CalendarEligibleSet> {
-    PifoTree::with_backend(rate, Wf2qPlusRank::new())
-}
-
-struct Mirror<S: NodeScheduler> {
-    h: Hierarchy<S>,
+struct Mirror {
+    h: Hierarchy<MixedScheduler>,
     fluid: FluidTree,
     leaves: Vec<(NodeId, FluidNodeId)>,
 }
 
 /// Builds mirrored 2-level trees: `classes` internal nodes, each with
 /// `per_class` leaves, shares perturbed by `rng`.
-fn build<S: NodeScheduler + 'static>(
-    node: fn(f64) -> S,
-    classes: usize,
-    per_class: usize,
-    rng: &mut SmallRng,
-) -> Mirror<S> {
-    let mut bld = Hierarchy::builder(LINK, node);
+fn build(classes: usize, per_class: usize, rng: &mut SmallRng) -> Mirror {
+    let mut bld = Hierarchy::builder(LINK, shipped);
     let mut fluid = FluidTree::new();
     let mut leaves = Vec::new();
     // Random class shares summing to 1.
@@ -71,14 +58,9 @@ fn build<S: NodeScheduler + 'static>(
 
 #[test]
 fn packet_service_tracks_fluid_service() {
-    packet_service_tracks_fluid_service_on(shipped);
-    packet_service_tracks_fluid_service_on(calendar);
-}
-
-fn packet_service_tracks_fluid_service_on<S: NodeScheduler + 'static>(node: fn(f64) -> S) {
     let mut rng = SmallRng::seed_from_u64(2024);
     for trial in 0..5 {
-        let mirror = build(node, 3, 3, &mut rng);
+        let mirror = build(3, 3, &mut rng);
         let nleaves = mirror.leaves.len();
 
         // Random bursty arrivals: each leaf gets bursts at random times.
@@ -157,12 +139,7 @@ fn packet_service_tracks_fluid_service_on<S: NodeScheduler + 'static>(node: fn(f
 /// bandwidth by their shares even while an unrelated class floods.
 #[test]
 fn sibling_shares_respected_under_flooding() {
-    sibling_shares_respected_under_flooding_on(shipped);
-    sibling_shares_respected_under_flooding_on(calendar);
-}
-
-fn sibling_shares_respected_under_flooding_on<S: NodeScheduler + 'static>(node: fn(f64) -> S) {
-    let mut bld = Hierarchy::builder(LINK, node);
+    let mut bld = Hierarchy::builder(LINK, shipped);
     let root = bld.root();
     let a = bld.add_internal(root, 0.5).unwrap();
     let b = bld.add_leaf(root, 0.5).unwrap();

@@ -5,8 +5,9 @@
 //! time bits, same JSONL traces and statistics on the reduced Fig. 3
 //! workload with an outage and flow churn in the mix, and the same
 //! continuations across a PIFO snapshot → restore → resume. The same
-//! drivers hold `PifoTree<P, CalendarEligibleSet>` byte-identical to the
-//! dual heap that ships.
+//! drivers hold the dual heap that ships byte-identical, for all eight
+//! programs, to [`SortByRankPifo`]: a `Vec` and a linear scan on the ranked
+//! interface, sharing no code with it.
 //!
 //! Randomized churn + outage differential suites ride behind the
 //! `proptest-tests` feature alongside `tests/proptest_invariants.rs`:
@@ -22,8 +23,8 @@ use hpfq::core::pifo::rank::{
     DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
 };
 use hpfq::core::{
-    reference, CalendarEligibleSet, Hierarchy, NodeId, NodeScheduler, PifoTree, RankProgram,
-    SchedulerKind, SessionId,
+    reference, Hierarchy, NodeId, NodeScheduler, PifoBackend, PifoTree, RankProgram, SchedulerKind,
+    SessionId,
 };
 use hpfq::obs::{JsonlObserver, Observer, SharedBuf};
 use hpfq::sim::{
@@ -63,8 +64,72 @@ macro_rules! for_each_program {
     })*};
 }
 
-/// `program` on the calendar queue instead of the dual heap.
-fn calendar<P: RankProgram>(rate: f64, program: P) -> PifoTree<P, CalendarEligibleSet> {
+/// One member of [`SortByRankPifo`]: `(id, eligibility key, primary,
+/// secondary)`; the key is cleared when the member is admitted.
+type Member = (SessionId, Option<f64>, f64, f64);
+
+/// The reference PIFO: the rank model of `hpfq::core::pifo` written down
+/// as a `Vec` and a linear `(primary, secondary, id)` min-scan. A gated
+/// member is admitted by the first threshold that reaches its key and
+/// stays admitted (thresholds only go back across WF²Q's fallback, and an
+/// admission does not).
+#[derive(Debug, Clone, Default)]
+struct SortByRankPifo {
+    members: Vec<Member>,
+}
+
+impl PifoBackend for SortByRankPifo {
+    fn backend_name(&self) -> &'static str {
+        "sort-by-rank"
+    }
+    fn ensure_sessions(&mut self, _n: usize) {}
+    fn insert_ranked(&mut self, id: SessionId, elig: Option<f64>, primary: f64, secondary: f64) {
+        assert!(!self.members.iter().any(|m| m.0 == id), "{id:?} twice");
+        self.members.push((id, elig, primary, secondary));
+    }
+    fn push_monotone(&mut self, id: SessionId, primary: f64, secondary: f64) {
+        self.insert_ranked(id, None, primary, secondary);
+    }
+    fn pop_monotone(&mut self) -> Option<SessionId> {
+        self.pop_min_ranked()
+    }
+    fn pop_min_ranked(&mut self) -> Option<SessionId> {
+        self.pop_eligible(f64::INFINITY)
+    }
+    fn clamp_threshold(&mut self, v: f64) -> Option<f64> {
+        // An admitted member's key was at or below an earlier threshold.
+        let key = |m: &Member| m.1.unwrap_or(f64::NEG_INFINITY);
+        let smin = self.members.iter().map(key).reduce(f64::min)?;
+        Some(v.max(smin))
+    }
+    fn pop_eligible(&mut self, thr: f64) -> Option<SessionId> {
+        for m in &mut self.members {
+            m.1 = m.1.filter(|&key| key > thr);
+        }
+        let rank = |m: &Member| (m.2, m.3, m.0 .0);
+        let admitted = self.members.iter().filter(|m| m.1.is_none());
+        let best = admitted.min_by(|a, b| rank(a).partial_cmp(&rank(b)).unwrap())?;
+        let id = best.0;
+        self.members.retain(|m| m.0 != id);
+        Some(id)
+    }
+    fn members_in_order(&self) -> Vec<Member> {
+        // Admitted members by rank, then gated ones by key.
+        let order = |m: &Member| (m.1.is_some(), m.1.unwrap_or(m.2), m.3, m.0 .0);
+        let mut out = self.members.clone();
+        out.sort_by(|a, b| order(a).partial_cmp(&order(b)).unwrap());
+        out
+    }
+    fn members(&self) -> usize {
+        self.members.len()
+    }
+    fn reset(&mut self) {
+        self.members.clear();
+    }
+}
+
+/// `program` on the reference PIFO instead of the dual heap.
+fn oracle<P: RankProgram>(rate: f64, program: P) -> PifoTree<P, SortByRankPifo> {
     PifoTree::with_backend(rate, program)
 }
 
@@ -110,7 +175,7 @@ fn assert_lockstep(
 /// bit-identical selections, tags, and virtual times at every step. The
 /// schedule periodically drains both schedulers completely so the
 /// busy-period reset path is exercised too. Used both for PIFO-vs-reference
-/// and for calendar-vs-dual-heap equivalence.
+/// and for dual-heap-vs-reference-PIFO equivalence.
 fn drive_lockstep_pair(
     kind: SchedulerKind,
     mut pifo: impl NodeScheduler,
@@ -395,17 +460,18 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence: the calendar queue must pop in the exact same rank
-// order as the dual heap, so the full dispatch sequence — selections, tags,
-// virtual-time bits, network traces — is byte-identical for every policy.
+// Backend equivalence: the dual heap must pop in the exact rank order the
+// reference PIFO finds by scanning, so the full dispatch sequence —
+// selections, tags, virtual-time bits, network traces — is byte-identical
+// for every policy.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn every_backend_matches_dual_heap_in_lockstep() {
     for_each_program!(|kind, Program| {
         for (n, steps, seed) in LOCKSTEP_RUNS {
-            let cal = calendar(1e6, Program::new());
-            drive_lockstep_pair(kind, cal, kind.build(1e6), n, steps, seed);
+            let scan = oracle(1e6, Program::new());
+            drive_lockstep_pair(kind, scan, kind.build(1e6), n, steps, seed);
         }
     });
 }
@@ -414,25 +480,25 @@ fn every_backend_matches_dual_heap_in_lockstep() {
 fn fig3_trace_is_byte_identical_across_backends() {
     for_each_program!(|kind, Program| {
         let (trace_h, stats_h) = run_fig3ish(move |r| kind.build(r), 1.6);
-        let (trace_b, stats_b) = run_fig3ish(|r| calendar(r, Program::new()), 1.6);
+        let (trace_b, stats_b) = run_fig3ish(|r| oracle(r, Program::new()), 1.6);
         assert_eq!(
             stats_b,
             stats_h,
-            "{} on calendar: statistics diverged from dual heap",
+            "{} on the reference PIFO: statistics diverged from dual heap",
             kind.name()
         );
         assert_eq!(
             trace_b,
             trace_h,
-            "{} on calendar: trace diverged from dual heap",
+            "{} on the reference PIFO: trace diverged from dual heap",
             kind.name()
         );
     });
 }
 
 /// Snapshots are backend-portable: the rank-model membership saved from a
-/// calendar-backed run restores into a dual-heap scheduler (and vice versa)
-/// and both continue identically.
+/// run on the reference PIFO restores into a dual-heap scheduler (and vice
+/// versa) and both continue identically.
 #[test]
 fn snapshot_restores_across_backends() {
     const N: usize = 6;
@@ -489,15 +555,15 @@ fn snapshot_restores_across_backends() {
         let heap = || PifoTree::new(1e6, Program::new());
         restore_across(
             kind,
-            "calendar->dual-heap",
-            calendar(1e6, Program::new()),
+            "reference->dual-heap",
+            oracle(1e6, Program::new()),
             heap(),
         );
         restore_across(
             kind,
-            "dual-heap->calendar",
+            "dual-heap->reference",
             heap(),
-            calendar(1e6, Program::new()),
+            oracle(1e6, Program::new()),
         );
     });
 }
@@ -590,17 +656,17 @@ mod random_differential {
         });
     }
 
-    /// The same randomized schedules on the calendar eligible set against
-    /// the dual heap that ships.
+    /// The same randomized schedules on the reference PIFO against the
+    /// dual heap that ships.
     #[test]
     fn random_schedules_agree_across_backends() {
         for_each_program!(|kind, Program| {
             for case in 0..24u64 {
                 drive_random_schedule(
                     kind,
-                    "calendar",
+                    "reference-pifo",
                     case,
-                    calendar(1e6, Program::new()),
+                    oracle(1e6, Program::new()),
                     kind.build(1e6),
                 );
             }

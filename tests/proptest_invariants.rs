@@ -13,10 +13,7 @@
 #![cfg(feature = "proptest-tests")]
 
 use hpfq::analysis::{empirical_bwfi, service_curve_from_records, wf2q_plus_bwfi};
-use hpfq::core::eligible::{
-    calendar::CalendarEligibleSet, dual_heap::DualHeapEligibleSet, BruteForceEligibleSet,
-    EligibleSet, PifoBackend,
-};
+use hpfq::core::eligible::{dual_heap::DualHeapEligibleSet, BruteForceEligibleSet, EligibleSet};
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::obs::{InvariantObserver, NoopObserver};
@@ -26,8 +23,8 @@ use hpfq::sim::{
 };
 
 // ---------------------------------------------------------------------------
-// Eligible sets: the dual heap and the calendar queue behave exactly like
-// the O(N) reference under arbitrary operation sequences.
+// Eligible set: the dual heap behaves exactly like the O(N) reference under
+// arbitrary operation sequences.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -57,59 +54,69 @@ fn random_set_op(rng: &mut SmallRng) -> SetOp {
     }
 }
 
+/// Drives the dual heap and the O(N) reference through `nops` operations
+/// drawn from `op` over session ids `0..ids`, comparing every answer;
+/// returns both sets and the last threshold.
+fn drive_sets(
+    case: u64,
+    rng: &mut SmallRng,
+    nops: usize,
+    ids: usize,
+    op: impl Fn(&mut SmallRng) -> SetOp,
+) -> (DualHeapEligibleSet, BruteForceEligibleSet, f64) {
+    let mut dual = DualHeapEligibleSet::new();
+    let mut oracle = BruteForceEligibleSet::default();
+    let mut present = vec![false; ids];
+    let mut thr = 0.0_f64;
+    for _ in 0..nops {
+        match op(rng) {
+            SetOp::Insert(id, s, d) => {
+                if !present[id] {
+                    let start = thr + s;
+                    let finish = start + d;
+                    dual.insert(SessionId(id), start, finish);
+                    oracle.insert(SessionId(id), start, finish);
+                    present[id] = true;
+                }
+            }
+            SetOp::Pop(adv) => {
+                thr += adv;
+                let a = dual.pop_min_finish(thr);
+                let c = oracle.pop_min_finish(thr);
+                assert_eq!(a, c, "case {case}");
+                if let Some(id) = c {
+                    present[id.0] = false;
+                }
+            }
+            SetOp::Threshold => {
+                let a = dual.eligibility_threshold(thr);
+                let c = oracle.eligibility_threshold(thr);
+                assert_eq!(a, c, "case {case}");
+            }
+            SetOp::Remove(id) => {
+                dual.remove(SessionId(id));
+                oracle.remove(SessionId(id));
+                present[id] = false;
+            }
+            SetOp::Clear => {
+                dual.clear();
+                oracle.clear();
+                present.fill(false);
+                // Virtual time restarts with the new busy period.
+                thr = 0.0;
+            }
+        }
+        assert_eq!(dual.len(), oracle.len(), "case {case}");
+    }
+    (dual, oracle, thr)
+}
+
 #[test]
 fn eligible_sets_agree() {
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(0x5e7_0000 + case);
         let nops = rng.gen_range_usize(1, 400);
-        let mut dual = DualHeapEligibleSet::new();
-        let mut cal = CalendarEligibleSet::new();
-        let mut oracle = BruteForceEligibleSet::default();
-        let mut present = [false; 32];
-        let mut thr = 0.0_f64;
-        for _ in 0..nops {
-            match random_set_op(&mut rng) {
-                SetOp::Insert(id, s, d) => {
-                    if !present[id] {
-                        let start = thr + s;
-                        let finish = start + d;
-                        dual.insert(SessionId(id), start, finish);
-                        EligibleSet::insert(&mut cal, SessionId(id), start, finish);
-                        oracle.insert(SessionId(id), start, finish);
-                        present[id] = true;
-                    }
-                }
-                SetOp::Pop(adv) => {
-                    thr += adv;
-                    let a = dual.pop_min_finish(thr);
-                    let k = EligibleSet::pop_min_finish(&mut cal, thr);
-                    let c = oracle.pop_min_finish(thr);
-                    assert_eq!(a, c, "case {case}");
-                    assert_eq!(k, c, "case {case} (calendar)");
-                    if let Some(id) = c {
-                        present[id.0] = false;
-                    }
-                }
-                SetOp::Threshold => {
-                    let a = dual.eligibility_threshold(thr);
-                    let k = EligibleSet::eligibility_threshold(&mut cal, thr);
-                    let c = oracle.eligibility_threshold(thr);
-                    assert_eq!(a, c, "case {case}");
-                    assert_eq!(k, c, "case {case} (calendar)");
-                }
-                SetOp::Remove(id) => {
-                    dual.remove(SessionId(id));
-                    EligibleSet::remove(&mut cal, SessionId(id));
-                    oracle.remove(SessionId(id));
-                    present[id] = false;
-                }
-                // `random_set_op` never emits Clear; the tie-heavy suite
-                // below covers it.
-                SetOp::Clear => unreachable!(),
-            }
-            assert_eq!(dual.len(), oracle.len(), "case {case}");
-            assert_eq!(EligibleSet::len(&cal), oracle.len(), "case {case}");
-        }
+        drive_sets(case, &mut rng, nops, 32, random_set_op);
     }
 }
 
@@ -134,7 +141,7 @@ fn random_tie_op(rng: &mut SmallRng, ids: usize) -> SetOp {
     }
 }
 
-/// The eligible-set implementations stay in lockstep under a
+/// The dual heap and the reference stay in lockstep under a
 /// tie-saturated churn workload over a larger id space, including full
 /// `clear()` resets mid-sequence.
 #[test]
@@ -143,163 +150,19 @@ fn eligible_sets_agree_under_ties_and_clears() {
     for case in 0..64u64 {
         let mut rng = SmallRng::seed_from_u64(0x71e_0000 + case);
         let nops = rng.gen_range_usize(1, 600);
-        let mut dual = DualHeapEligibleSet::new();
-        let mut cal = CalendarEligibleSet::new();
-        let mut oracle = BruteForceEligibleSet::default();
-        let mut present = [false; IDS];
-        let mut thr = 0.0_f64;
-        for _ in 0..nops {
-            match random_tie_op(&mut rng, IDS) {
-                SetOp::Insert(id, s, d) => {
-                    if !present[id] {
-                        let start = thr + s;
-                        let finish = start + d;
-                        dual.insert(SessionId(id), start, finish);
-                        EligibleSet::insert(&mut cal, SessionId(id), start, finish);
-                        oracle.insert(SessionId(id), start, finish);
-                        present[id] = true;
-                    }
-                }
-                SetOp::Pop(adv) => {
-                    thr += adv;
-                    let a = dual.pop_min_finish(thr);
-                    let k = EligibleSet::pop_min_finish(&mut cal, thr);
-                    let c = oracle.pop_min_finish(thr);
-                    assert_eq!(a, c, "case {case}");
-                    assert_eq!(k, c, "case {case} (calendar)");
-                    if let Some(id) = c {
-                        present[id.0] = false;
-                    }
-                }
-                SetOp::Threshold => {
-                    let a = dual.eligibility_threshold(thr);
-                    let k = EligibleSet::eligibility_threshold(&mut cal, thr);
-                    let c = oracle.eligibility_threshold(thr);
-                    assert_eq!(a, c, "case {case}");
-                    assert_eq!(k, c, "case {case} (calendar)");
-                }
-                SetOp::Remove(id) => {
-                    dual.remove(SessionId(id));
-                    EligibleSet::remove(&mut cal, SessionId(id));
-                    oracle.remove(SessionId(id));
-                    present[id] = false;
-                }
-                SetOp::Clear => {
-                    dual.clear();
-                    EligibleSet::clear(&mut cal);
-                    oracle.clear();
-                    present = [false; IDS];
-                    // Virtual time restarts with the new busy period.
-                    thr = 0.0;
-                }
-            }
-            assert_eq!(dual.len(), oracle.len(), "case {case}");
-            assert_eq!(EligibleSet::len(&cal), oracle.len(), "case {case}");
-        }
+        let tie_op = |rng: &mut SmallRng| random_tie_op(rng, IDS);
+        let (mut dual, mut oracle, mut thr) = drive_sets(case, &mut rng, nops, IDS, tie_op);
         // Drain fully: the complete pop order must agree, not just the
         // prefix the random walk happened to sample.
         loop {
             thr += 1.0;
             let a = dual.pop_min_finish(thr);
-            let k = EligibleSet::pop_min_finish(&mut cal, thr);
             let c = oracle.pop_min_finish(thr);
             assert_eq!(a, c, "case {case} drain");
-            assert_eq!(k, c, "case {case} drain (calendar)");
             if c.is_none() && oracle.is_empty() {
                 break;
             }
         }
-    }
-}
-
-/// The calendar set's serialized form is a pure function of its live
-/// membership: two instances with arbitrarily different wheel/rotation/
-/// resize histories but the same members emit identical `snap::Value`
-/// trees. This is what makes PIFO snapshots backend-portable — a restore
-/// replays `members_in_order`, so any history dependence here would leak
-/// into the snapshot bytes.
-#[test]
-fn calendar_serialization_is_history_independent() {
-    use hpfq::obs::snap::Value;
-
-    /// Exactly the queue encoding `PifoTree::save_state` commits.
-    fn snap_of(set: &CalendarEligibleSet) -> Value {
-        Value::List(
-            set.members_in_order()
-                .into_iter()
-                .map(|(id, elig, primary, secondary)| {
-                    Value::map(vec![
-                        ("id", Value::U64(id.0 as u64)),
-                        ("elig", Value::opt(elig.map(Value::F64))),
-                        ("primary", Value::F64(primary)),
-                        ("secondary", Value::F64(secondary)),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    const IDS: usize = 192;
-    for case in 0..32u64 {
-        let mut rng = SmallRng::seed_from_u64(0xca1_5000 + case);
-        let mut cal = CalendarEligibleSet::new();
-        PifoBackend::ensure_sessions(&mut cal, IDS);
-        // Live membership mirror: id -> (elig, primary, secondary).
-        let mut live: std::collections::BTreeMap<usize, (Option<f64>, f64, f64)> =
-            std::collections::BTreeMap::new();
-        let mut thr = 0.0_f64;
-        for step in 0..rng.gen_range_usize(100, 800) {
-            match rng.gen_range_u32(0, 8) {
-                0..=3 => {
-                    let id = rng.gen_range_usize(0, IDS);
-                    if !live.contains_key(&id) {
-                        // Mix of gated (Some start past the threshold) and
-                        // open entries, quantized so ties are common.
-                        let elig = (rng.gen_range_u32(0, 3) > 0)
-                            .then(|| thr + 0.5 * rng.gen_range_usize(0, 12) as f64);
-                        let primary =
-                            elig.unwrap_or(thr) + 0.5 * rng.gen_range_usize(1, 12) as f64;
-                        let secondary = rng.gen_range_usize(0, 4) as f64;
-                        cal.insert_ranked(SessionId(id), elig, primary, secondary);
-                        live.insert(id, (elig, primary, secondary));
-                    }
-                }
-                4..=5 => {
-                    thr += 0.5 * rng.gen_range_usize(0, 4) as f64;
-                    if let Some(id) = cal.pop_eligible(thr) {
-                        assert!(live.remove(&id.0).is_some(), "case {case} step {step}");
-                    }
-                }
-                6 => {
-                    let _ = cal.clamp_threshold(thr);
-                }
-                _ => {
-                    cal.reset();
-                    live.clear();
-                    thr = 0.0;
-                }
-            }
-            assert_eq!(cal.members(), live.len(), "case {case} step {step}");
-        }
-        // Snapshot round trip: replay `members_in_order` (exactly what a
-        // PIFO restore does) into a fresh calendar in a scrambled insert
-        // order, so entries land in different buckets/tail positions than
-        // the churned instance, and demand byte-identical serialization.
-        let mut members = cal.members_in_order();
-        assert_eq!(members.len(), live.len(), "case {case}");
-        for i in (1..members.len()).rev() {
-            members.swap(i, rng.gen_range_usize(0, i + 1));
-        }
-        let mut fresh = CalendarEligibleSet::new();
-        PifoBackend::ensure_sessions(&mut fresh, IDS);
-        for &(id, elig, primary, secondary) in &members {
-            fresh.insert_ranked(id, elig, primary, secondary);
-        }
-        assert_eq!(
-            snap_of(&fresh),
-            snap_of(&cal),
-            "case {case}: serialized membership depends on insert history"
-        );
     }
 }
 
