@@ -6,7 +6,7 @@
 use hpfq_analysis::{corollary2_bound, CsvWriter};
 use hpfq_bench::experiments::results_dir;
 use hpfq_core::{vtime, Hierarchy, NodeId, SchedulerKind};
-use hpfq_sim::{CbrSource, GreedyLbSource, Simulation, SmallRng, SourceConfig};
+use hpfq_sim::{CbrSource, GreedyLbSource, Network, Route, SmallRng};
 
 const PKT: u32 = 1000; // bytes; L_max = 8000 bits
 const LINK: f64 = 1e6;
@@ -48,19 +48,19 @@ fn run_trial(rng: &mut SmallRng, depth: usize) -> Trial {
     let sigma_pkts = rng.gen_range_u32(2, 8);
     let sigma_bits = f64::from(sigma_pkts * PKT) * 8.0;
 
-    let mut sim = Simulation::new(h);
+    let mut sim = Network::single_link(h);
     sim.stats.trace_flow(0);
-    sim.add_source(
+    sim.add_route(
         0,
         GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 30.0),
-        SourceConfig::open_loop(leaf),
+        Route::open_loop(leaf),
     );
     for (i, &(cl, cr)) in cross_leaves.iter().enumerate() {
         let flow = (i + 1) as u32;
-        sim.add_source(
+        sim.add_route(
             flow,
             CbrSource::new(flow, PKT, cr * 1.3, 0.0, 30.0),
-            SourceConfig::open_loop(cl),
+            Route::open_loop(cl),
         );
     }
     sim.run(40.0);

@@ -12,7 +12,7 @@
 use hpfq_analysis::CsvWriter;
 use hpfq_bench::experiments::results_dir;
 use hpfq_core::{Hierarchy, MixedScheduler, SchedulerKind};
-use hpfq_sim::{Simulation, SourceConfig, TraceSource};
+use hpfq_sim::{Network, Route, TraceSource};
 
 const LINK: f64 = 100e6;
 const PKT: u32 = 1500;
@@ -33,23 +33,23 @@ fn rt_delay(kind: SchedulerKind) -> f64 {
         others.push(bld.add_leaf(root, phi_other).unwrap());
     }
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     sim.stats.trace_flow(FLOW_RT);
 
     // Best-effort burst: 1001 packets at t=0 (the Fig. 2 pattern at the
     // A1 level of the hierarchy).
-    sim.add_source(
+    sim.add_route(
         FLOW_BE,
         TraceSource::new(FLOW_BE, vec![(0.0, PKT); N_OTHER + 1]),
-        SourceConfig::open_loop(be),
+        Route::open_loop(be),
     );
     // Each other class: one packet at t=0.
     for (i, &leaf) in others.iter().enumerate() {
         let flow = 100 + i as u32;
-        sim.add_source(
+        sim.add_route(
             flow,
             TraceSource::new(flow, vec![(0.0, PKT)]),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     // The real-time packet arrives just after H-WFQ finishes serving the
@@ -57,10 +57,10 @@ fn rt_delay(kind: SchedulerKind) -> f64 {
     // adversarial instant. (Under H-WF²Q+ the system state at that moment
     // is entirely different, but the arrival time is the same.)
     let t_rt = (N_OTHER as f64 + 1.5) * f64::from(PKT) * 8.0 / LINK;
-    sim.add_source(
+    sim.add_route(
         FLOW_RT,
         TraceSource::new(FLOW_RT, vec![(t_rt, PKT)]),
-        SourceConfig::open_loop(rt),
+        Route::open_loop(rt),
     );
 
     sim.run(10.0);

@@ -15,7 +15,7 @@
 use hpfq_analysis::{empirical_bwfi, service_curve_from_records, CsvWriter};
 use hpfq_bench::experiments::results_dir;
 use hpfq_core::{Hierarchy, MixedScheduler, SchedulerKind};
-use hpfq_sim::{Simulation, SourceConfig, TraceSource};
+use hpfq_sim::{Network, Route, TraceSource};
 
 const PKT: u32 = 125; // 1000 bits
 
@@ -28,7 +28,7 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
     for _ in 0..n {
         small.push(h.add_leaf(root, 0.5 / n as f64).unwrap());
     }
-    let mut sim = Simulation::new(h);
+    let mut sim = Network::single_link(h);
     for flow in 0..=n as u32 {
         sim.stats.trace_flow(flow);
     }
@@ -38,19 +38,15 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
     let mut big_trace = vec![(0.0, PKT); n + 1];
     big_trace.extend(vec![(round2, PKT); n + 1]);
     arrivals_per_flow.push(big_trace.iter().map(|&(t, _)| (t, pkt_bits)).collect());
-    sim.add_source(
-        0,
-        TraceSource::new(0, big_trace),
-        SourceConfig::open_loop(big),
-    );
+    sim.add_route(0, TraceSource::new(0, big_trace), Route::open_loop(big));
     for (i, &leaf) in small.iter().enumerate() {
         let flow = (i + 1) as u32;
         let entries = vec![(0.0, PKT), (round2, PKT)];
         arrivals_per_flow.push(entries.iter().map(|&(t, _)| (t, pkt_bits)).collect());
-        sim.add_source(
+        sim.add_route(
             flow,
             TraceSource::new(flow, entries),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     sim.run(1e6);

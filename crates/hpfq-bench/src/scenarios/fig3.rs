@@ -26,9 +26,7 @@
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq_obs::{NoopObserver, Observer};
-use hpfq_sim::{
-    CbrSource, PacketTrainSource, PeriodicOnOffSource, PoissonSource, Simulation, SourceConfig,
-};
+use hpfq_sim::{CbrSource, Network, PacketTrainSource, PeriodicOnOffSource, PoissonSource, Route};
 
 /// Link rate: 45 Mbit/s (a T3, contemporary with the paper).
 pub const LINK_BPS: f64 = 45e6;
@@ -59,7 +57,7 @@ pub enum Scenario {
 /// can trace or invariant-check the full run at will.
 pub struct Fig3<O: Observer = NoopObserver> {
     /// The simulation (sources attached, RT-1 traced).
-    pub sim: Simulation<MixedScheduler, O>,
+    pub sim: Network<MixedScheduler, O>,
     /// Leaf node of the measured real-time session.
     pub rt1_leaf: NodeId,
     /// Guaranteed rate of RT-1 (9 Mbit/s).
@@ -118,24 +116,24 @@ pub fn build_with_observer<O: Observer>(
     let rt1_rates_path = vec![rt1_rate, h.rate(n1), h.rate(n2)];
 
     // --- sources ---------------------------------------------------------
-    let mut sim = Simulation::new(h);
+    let mut sim = Network::single_link(h);
     sim.stats.trace_flow(FLOW_RT1);
 
     // RT-1: deterministic on/off, starts at 200 ms; 25 ms on / 75 ms off
     // at its guaranteed 9 Mbit/s peak (see the module docs).
-    sim.add_source(
+    sim.add_route(
         FLOW_RT1,
         PeriodicOnOffSource::new(FLOW_RT1, PKT_BYTES, 9e6, 0.025, 0.100, 0.200, f64::INFINITY),
-        SourceConfig::open_loop(rt1),
+        Route::open_loop(rt1),
     );
 
     // BE-1: enough CBR to stay backlogged forever (its guarantee is
     // ~2.11 Mbit/s; with RT-1 averaging a quarter of its reservation the
     // spare capacity flowing to BE-1 can approach ~9 Mbit/s).
-    sim.add_source(
+    sim.add_route(
         FLOW_BE1,
         CbrSource::new(FLOW_BE1, PKT_BYTES, 12e6, 0.0, f64::INFINITY),
-        SourceConfig::open_loop(be1),
+        Route::open_loop(be1),
     );
 
     // PS-n: Poisson sessions.
@@ -146,7 +144,7 @@ pub fn build_with_observer<O: Observer>(
     for (i, &leaf) in ps_leaves.iter().enumerate() {
         let n = (i + 1) as u32;
         let guaranteed = if i < 5 { 2.25e6 } else { 22.5e6 * inner_rest };
-        sim.add_source(
+        sim.add_route(
             FLOW_PS_BASE + n,
             PoissonSource::new(
                 FLOW_PS_BASE + n,
@@ -156,7 +154,7 @@ pub fn build_with_observer<O: Observer>(
                 f64::INFINITY,
                 seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(n as u64),
             ),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
 
@@ -175,7 +173,7 @@ pub fn build_with_observer<O: Observer>(
             // multiplexer: "so that they do not have simultaneous
             // arrivals".
             let start = 0.193 * (i as f64) / 10.0;
-            sim.add_source(
+            sim.add_route(
                 FLOW_CS_BASE + n,
                 PacketTrainSource::new(
                     FLOW_CS_BASE + n,
@@ -186,7 +184,7 @@ pub fn build_with_observer<O: Observer>(
                     start,
                     f64::INFINITY,
                 ),
-                SourceConfig::open_loop(leaf),
+                Route::open_loop(leaf),
             );
         }
     }

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq_obs::{EscalationPolicy, FlightRecorder, InvariantKind, InvariantObserver, JsonlObserver};
-use hpfq_sim::{CbrSource, PeriodicOnOffSource, PoissonSource, Simulation, SourceConfig};
+use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
 use crate::inject::ChaosInjector;
@@ -161,7 +161,7 @@ pub struct ChaosReport {
 pub fn build_soak_sim(
     kind: SchedulerKind,
     cfg: &ChaosConfig,
-) -> (Simulation<MixedScheduler, SoakObserver>, [NodeId; 3]) {
+) -> (Network<MixedScheduler, SoakObserver>, [NodeId; 3]) {
     let obs: SoakObserver = (
         InvariantObserver::new(),
         (
@@ -181,24 +181,24 @@ pub fn build_soak_sim(
     let leaf1 = bld.add_leaf(class_a, 0.4).unwrap();
     let leaf2 = bld.add_leaf(class_b, 1.0).unwrap();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     for f in BASE_FLOWS {
         sim.stats.trace_flow(f);
     }
-    sim.add_source(
+    sim.add_route(
         0,
         CbrSource::new(0, 1000, 0.50e6, 0.0, cfg.horizon),
-        SourceConfig::open_loop(leaf0),
+        Route::open_loop(leaf0),
     );
-    sim.add_source(
+    sim.add_route(
         1,
         PoissonSource::new(1, 800, 0.35e6, 0.0, cfg.horizon, cfg.seed ^ 0xF1),
-        SourceConfig::open_loop(leaf1),
+        Route::open_loop(leaf1),
     );
-    sim.add_source(
+    sim.add_route(
         2,
         PeriodicOnOffSource::new(2, 1200, 0.8e6, 0.5, 1.0, 0.0, cfg.horizon),
-        SourceConfig::open_loop(leaf2),
+        Route::open_loop(leaf2),
     );
     (sim, [leaf0, leaf1, leaf2])
 }
@@ -206,7 +206,10 @@ pub fn build_soak_sim(
 /// Runs one scheduler under the shared `plan` and injector config.
 fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     let (mut sim, base_leaves) = build_soak_sim(kind, cfg);
-    let base_rates: Vec<f64> = base_leaves.iter().map(|&l| sim.server().rate(l)).collect();
+    let base_rates: Vec<f64> = base_leaves
+        .iter()
+        .map(|&l| sim.link_server(0).rate(l))
+        .collect();
 
     sim.set_fault_injector(ChaosInjector::new(*cfg));
     sim.set_escalation_policy(EscalationPolicy::standard());
@@ -251,7 +254,7 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         .any(|&f| sim.escalation().is_quarantined(f));
     let mut norms = Vec::new();
     for (i, &f) in BASE_FLOWS.iter().enumerate() {
-        if any_base_quarantined || sim.server().leaf_queue_bytes(base_leaves[i]) == 0 {
+        if any_base_quarantined || sim.link_server(0).leaf_queue_bytes(base_leaves[i]) == 0 {
             continue;
         }
         let bytes: u64 = sim
@@ -280,7 +283,7 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     let conservation = sim.verify_conservation();
     let spans = sim.span_snapshot();
 
-    let (inv, (jsonl, mut flight)) = sim.into_observer();
+    let (inv, (jsonl, mut flight)) = sim.into_observers().remove(0);
     flight.attach_spans(&spans);
     if conservation.is_err() {
         // Post-mortem on a broken ledger: persist the recent past (no-op
@@ -454,7 +457,9 @@ pub fn quarantine_scenario(seed: u64) -> QuarantineOutcome {
     sim.run(cfg.horizon);
     QuarantineOutcome {
         quarantined: sim.escalation().quarantined_flows(),
-        root_share_after: sim.server().allocated_share(sim.server().root()),
+        root_share_after: sim
+            .link_server(0)
+            .allocated_share(sim.link_server(0).root()),
         served_bytes: sim.stats.total_bytes,
         conservation: sim.verify_conservation(),
     }
@@ -492,7 +497,7 @@ pub fn halt_scenario(seed: u64, flight_path: &str) -> HaltOutcome {
         quarantine_after: 3,
         halt_after: 1,
     });
-    sim.observer_mut()
+    sim.observer_of_mut(0)
         .1
          .1
         .set_dump_path(Some(flight_path.to_string()));
@@ -500,7 +505,7 @@ pub fn halt_scenario(seed: u64, flight_path: &str) -> HaltOutcome {
     let halted = sim.is_halted();
     let quarantined = sim.escalation().quarantined_flows();
     let spans = sim.span_snapshot();
-    let (_, (_, mut flight)) = sim.into_observer();
+    let (_, (_, mut flight)) = sim.into_observers().remove(0);
     flight.attach_spans(&spans);
     // The auto-dump fired mid-run, before any span profile existed;
     // rewrite the artifact so the on-disk post-mortem carries the spans

@@ -10,7 +10,7 @@
 
 use hpfq_analysis::{empirical_bwfi, service_curve_from_records, theorem1_bwfi, wf2q_plus_bwfi};
 use hpfq_core::{Hierarchy, NodeScheduler, SchedulerKind};
-use hpfq_sim::{SimCommand, Simulation, SourceConfig, TraceSource};
+use hpfq_sim::{Network, Route, SimCommand, TraceSource};
 
 const RATE: f64 = 1000.0; // 1 packet per second
 const PKT: u32 = 125; // 1000 bits
@@ -33,18 +33,14 @@ fn measured_bwfi<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static) -> Vec<
     let class = bld.add_internal(root, 0.5).unwrap();
     let big = bld.add_leaf(class, 1.0).unwrap();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     let mut arrivals: Vec<Vec<(f64, f64)>> = Vec::new();
 
     let mut big_trace = vec![(ROUND1, PKT); N + 1];
     big_trace.extend(vec![(ROUND2, PKT); N + 1]);
     arrivals.push(big_trace.iter().map(|&(t, _)| (t, PKT_BITS)).collect());
     sim.stats.trace_flow(0);
-    sim.add_source(
-        0,
-        TraceSource::new(0, big_trace),
-        SourceConfig::open_loop(big),
-    );
+    sim.add_route(0, TraceSource::new(0, big_trace), Route::open_loop(big));
 
     // N small flows join (staggered) before round 1; half leave after the
     // round drains and sit out round 2.

@@ -1,54 +1,35 @@
-//! The chaos soak driven through the raw [`Network`] front-end.
+//! The chaos soak is deterministic run to run.
 //!
-//! `Simulation` is a thin wrapper over a one-link `Network`; the soak must
-//! therefore behave identically whether the harness holds the wrapper or
-//! unwraps it with `into_network()` and drives the network API directly —
-//! same fault schedule, same escalation, same trace bytes. This pins the
-//! refactor contract for the chaos layer specifically: fault injection,
-//! scheduled commands, churn, and quarantine all live in `Network`, and
-//! the wrapper adds no behavior of its own.
+//! `build_soak_sim` hands back the one-link [`hpfq_sim::Network`] the
+//! harness drives; everything the soak exercises — fault injection,
+//! scheduled commands, churn, quarantine — lives in that one type. Two
+//! independently built soaks under the same config must therefore agree
+//! exactly: same fault schedule, same escalation, same trace bytes.
 
 use hpfq_chaos::{build_plan, build_soak_sim, ChaosConfig, ChaosInjector};
 use hpfq_core::{NodeId, SchedulerKind};
 use hpfq_obs::EscalationPolicy;
-use hpfq_sim::Network;
 
 #[test]
 fn soak_is_identical_through_simulation_and_network_front_ends() {
     let cfg = ChaosConfig::all_faults(5, 15.0);
-    let kind = SchedulerKind::Wf2qPlus;
-
-    // Run A: the Simulation wrapper, as the soak harness uses it.
-    let (mut sim, _) = build_soak_sim(kind, &cfg);
-    sim.set_fault_injector(ChaosInjector::new(cfg));
-    sim.set_escalation_policy(EscalationPolicy::standard());
-    for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
-        sim.schedule_command(t, cmd);
-    }
-    sim.run(cfg.horizon);
-    sim.verify_conservation().unwrap();
-    let (total_bytes, total_packets) = (sim.stats.total_bytes, sim.stats.total_packets);
-    let quarantined = sim.escalation().quarantined_flows();
-    let (inv_a, (jsonl_a, _flight_a)) = sim.into_observer();
-    assert!(inv_a.events_checked > 0);
-
-    // Run B: the same soak, unwrapped to the raw network.
-    let (sim, _) = build_soak_sim(kind, &cfg);
-    let mut net: Network<_, _> = sim.into_network();
-    net.set_fault_injector(ChaosInjector::new(cfg));
-    net.set_escalation_policy(EscalationPolicy::standard());
-    for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
-        net.schedule_command(t, cmd);
-    }
-    net.run(cfg.horizon);
-    net.verify_conservation().unwrap();
-    assert_eq!(net.stats.total_bytes, total_bytes);
-    assert_eq!(net.stats.total_packets, total_packets);
-    assert_eq!(net.escalation().quarantined_flows(), quarantined);
-    let (_, (jsonl_b, _flight_b)) = net.into_observers().pop().expect("one link, one observer");
-    assert_eq!(
-        jsonl_a.into_inner(),
-        jsonl_b.into_inner(),
-        "soak trace diverged between front-ends"
-    );
+    let run = || {
+        let (mut net, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
+        net.set_fault_injector(ChaosInjector::new(cfg));
+        net.set_escalation_policy(EscalationPolicy::standard());
+        for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
+            net.schedule_command(t, cmd);
+        }
+        net.run(cfg.horizon);
+        net.verify_conservation().unwrap();
+        let totals = (net.stats.total_bytes, net.stats.total_packets);
+        let quarantined = net.escalation().quarantined_flows();
+        let (inv, (jsonl, _flight)) = net.into_observers().remove(0);
+        assert!(inv.events_checked > 0);
+        (totals, quarantined, jsonl.into_inner())
+    };
+    let (a, b) = (run(), run());
+    assert_eq!(a.0, b.0);
+    assert_eq!(a.1, b.1);
+    assert!(a.2 == b.2, "soak trace diverged between runs");
 }

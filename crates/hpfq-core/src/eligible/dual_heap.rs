@@ -25,7 +25,7 @@
 //!
 //! Besides the [`EligibleSet`] trait (start/finish tags, ties by session
 //! id), the set exposes a generalized *ranked* interface for the PIFO
-//! substrate ([`crate::pifo`]): [`DualHeapEligibleSet::insert_ranked`]
+//! substrate ([`crate::pifo`]): [`PifoBackend::insert_ranked`]
 //! takes an optional eligibility key (absent = immediately eligible, as in
 //! the un-gated policies WFQ/SCFQ/SFQ/FIFO/DRR) and a `(primary,
 //! secondary)` rank pair ordered lexicographically with ties broken by

@@ -923,18 +923,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             .expect("internal node has a scheduler")
     }
 
-    /// Sets the dispatch batch size on every node scheduler (see
-    /// [`NodeScheduler::set_dispatch_batch`]): the per-node eligibility
-    /// threshold is recomputed once per `k` dispatches. `k = 1` restores
-    /// the exact per-dispatch schedule.
-    pub fn set_dispatch_batch(&mut self, k: usize) {
-        for node in &mut self.nodes {
-            if let Some(s) = node.sched.as_mut() {
-                s.set_dispatch_batch(k);
-            }
-        }
-    }
-
     // ----- introspection ---------------------------------------------------
 
     /// Number of nodes (including the root).
@@ -1044,7 +1032,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.nodes[node.0].child_phi_sum
     }
 
-    // ----- epoch checkpointing (DESIGN.md §14) -----------------------------
+    // ----- epoch checkpointing (DESIGN.md §12) -----------------------------
 
     /// Serializes the hierarchy's complete mutable state — tree structure,
     /// leaf FIFOs, per-node scheduler states, the in-flight path, and the

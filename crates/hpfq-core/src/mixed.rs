@@ -185,10 +185,6 @@ impl NodeScheduler for MixedScheduler {
         dispatch!(self, s => s.set_is_root(is_root))
     }
 
-    fn set_dispatch_batch(&mut self, k: usize) {
-        dispatch!(self, s => s.set_dispatch_batch(k))
-    }
-
     fn save_state(&self) -> Value {
         Value::map(vec![
             ("kind", Value::Str(self.name().to_string())),

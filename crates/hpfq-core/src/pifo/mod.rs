@@ -191,8 +191,7 @@ pub trait RankProgram {
     /// Session `id` continues with a next head of `bits` after a dispatch
     /// (`S = F` continuation, eq. (28) first case, for virtual-time
     /// policies). Stamp its tags and return the new head's rank.
-    fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64)
-        -> Rank;
+    fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64) -> Rank;
 
     /// Eligibility rule for the next dispatch, computed once per dispatch
     /// ([`Admission::Rotate`] rounds re-pop under the same rule); the
@@ -281,16 +280,6 @@ pub struct PifoTree<P: RankProgram, Q: PifoBackend = DualHeapEligibleSet> {
     /// Whether this scheduler serves the hierarchy root (the default for a
     /// standalone server); cleared by [`NodeScheduler::set_is_root`].
     is_root: bool,
-    /// Dispatch batch size `k`: the eligibility [`Threshold`] is recomputed
-    /// every `k` dispatches instead of every dispatch. `k = 1` (default)
-    /// is the exact per-dispatch path; `k > 1` trades a bounded amount of
-    /// short-term fairness (see DESIGN.md §16) for fewer virtual-clock
-    /// reads on the hot path.
-    batch_k: usize,
-    /// Dispatches remaining under the cached [`Self::batch_rule`].
-    batch_left: usize,
-    /// Threshold cached for the current batch (valid while `batch_left > 0`).
-    batch_rule: Threshold,
     program: P,
 }
 
@@ -318,9 +307,6 @@ impl<P: RankProgram, Q: PifoBackend> PifoTree<P, Q> {
             in_service: None,
             backlogged: 0,
             is_root: true,
-            batch_k: 1,
-            batch_left: 0,
-            batch_rule: Threshold::All,
             program,
         }
     }
@@ -404,18 +390,7 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
         }
         // One eligibility rule per dispatch: rotation rounds re-pop under
         // the same rule (the in-tree rotator, DRR, is threshold-free).
-        // Batched dispatch (k > 1) holds one rule for k consecutive
-        // dispatches; at k = 1 this is exactly the per-dispatch path.
-        let rule = if self.batch_k > 1 {
-            if self.batch_left == 0 {
-                self.batch_rule = self.program.threshold(self.t);
-                self.batch_left = self.batch_k;
-            }
-            self.batch_left -= 1;
-            self.batch_rule
-        } else {
-            self.program.threshold(self.t)
-        };
+        let rule = self.program.threshold(self.t);
         let (id, thr) = loop {
             let (id, thr) = match rule {
                 Threshold::All => {
@@ -508,10 +483,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
                 self.backlogged -= 1;
                 if self.backlogged == 0 {
                     // Busy period over (paper eq. 4): restart the reference
-                    // clock, session tags, the program's virtual clock, and
-                    // any half-consumed dispatch batch.
+                    // clock, session tags and the program's virtual clock.
                     self.t = 0.0;
-                    self.batch_left = 0;
                     self.queue.reset();
                     self.sessions.reset_tags();
                     // lint:allow(L006): RankProgram hook, not an Observer
@@ -544,14 +517,6 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
 
     fn set_is_root(&mut self, is_root: bool) {
         self.is_root = is_root;
-    }
-
-    fn set_dispatch_batch(&mut self, k: usize) {
-        assert!(k >= 1, "dispatch batch must be at least 1");
-        self.batch_k = k;
-        // Any cached rule dies with the old batch size: the next dispatch
-        // recomputes (k = 1 never reads the cache).
-        self.batch_left = 0;
     }
 
     fn save_state(&self) -> Value {
@@ -609,9 +574,6 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
         self.t = state.get("t")?.as_f64()?;
         self.in_service = load_opt_id(state.get("in_service")?)?;
         self.backlogged = self.sessions.backlogged_count();
-        // Restores never resume mid-batch: the threshold cache is a
-        // transient perf artifact, not schedule state.
-        self.batch_left = 0;
         self.queue.reset();
         self.queue.ensure_sessions(self.sessions.len());
         let mut queued = 0usize;

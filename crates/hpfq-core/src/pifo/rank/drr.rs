@@ -137,7 +137,12 @@ impl RankProgram for DrrRank {
         }
     }
 
-    fn rank_continuation(&mut self, id: SessionId, _sessions: &mut SessionTable, bits: f64) -> Rank {
+    fn rank_continuation(
+        &mut self,
+        id: SessionId,
+        _sessions: &mut SessionTable,
+        bits: f64,
+    ) -> Rank {
         let slot = &mut self.slots[id.0];
         // The front session keeps its turn (and its ring position — the old
         // sequence value is still the minimum) while the deficit covers the

@@ -146,7 +146,12 @@ impl RankProgram for RrRank {
         self.rank_head(id, head_bits)
     }
 
-    fn rank_continuation(&mut self, id: SessionId, _sessions: &mut SessionTable, bits: f64) -> Rank {
+    fn rank_continuation(
+        &mut self,
+        id: SessionId,
+        _sessions: &mut SessionTable,
+        bits: f64,
+    ) -> Rank {
         self.rank_head(id, bits)
     }
 

@@ -75,7 +75,9 @@ impl RankProgram for WfqRank {
         ref_time: f64,
     ) {
         let _ = self.clock.advance_to(ref_now.unwrap_or(ref_time));
-        let base = self.clock.extend_backlog(id.0, bits * sessions.inv_rate(id));
+        let base = self
+            .clock
+            .extend_backlog(id.0, bits * sessions.inv_rate(id));
         self.pending[id.0].push_back(base);
     }
 

@@ -127,19 +127,17 @@ pub trait NodeScheduler {
         let _ = is_root;
     }
 
-    /// Sets the dispatch batch size `k`: schedulers that support batched
-    /// dispatch ([`crate::PifoTree`]) recompute their eligibility threshold
-    /// once per `k` dispatches instead of every dispatch. `k = 1` (the
-    /// default everywhere) is the exact per-dispatch schedule; `k > 1`
-    /// trades a bounded amount of short-term fairness for hot-path work.
-    /// The default ignores the hint — batching is an optimization, never a
-    /// semantic requirement.
+    /// Does nothing and nothing in the workspace calls or overrides it:
+    /// every scheduler selects one packet per dispatch. It stays only
+    /// because `benchmark/src/replay.rs` overrides it, and leaves with
+    /// [`crate::PifoBackend::ensure_sessions`] in the `benchmark` PR
+    /// of ROADMAP item 3.
     fn set_dispatch_batch(&mut self, k: usize) {
         let _ = k;
     }
 
     /// Serializes the scheduler's complete mutable state for an epoch
-    /// checkpoint (DESIGN.md §14). The returned value, fed back through
+    /// checkpoint (DESIGN.md §12). The returned value, fed back through
     /// [`NodeScheduler::load_state`] on a scheduler constructed with the
     /// same configuration, must reproduce the original's behaviour exactly
     /// — every subsequent dispatch decision and tag must be bit-identical.

@@ -1,7 +1,7 @@
 //! SFQ — Start-time Fair Queueing (Goyal, Vin & Cheng, SIGCOMM '96).
 //!
 //! A contemporary of WF²Q+ included as an extra baseline (see DESIGN.md
-//! §6): tags are computed exactly as in SCFQ, the virtual time is the
+//! §1): tags are computed exactly as in SCFQ, the virtual time is the
 //! *start* tag of the packet in service, and the server picks the smallest
 //! start tag (ties by finish tag). SFQ is fair and cheap but, like SCFQ and
 //! unlike WF²Q+, its delay bound degrades with the number of sessions.

@@ -1,5 +1,5 @@
 //! Checkpoint/restore identity at the scheduler and hierarchy layer
-//! (DESIGN.md §14): `save_state` → fresh construction → `load_state` must
+//! (DESIGN.md §12): `save_state` → fresh construction → `load_state` must
 //! reproduce the original's subsequent behaviour *bit-identically* — every
 //! dispatch decision, every tag, and the next snapshot's serialized bytes.
 

@@ -6,7 +6,7 @@
 //! inspectable artifact instead of hidden bookkeeping:
 //!
 //! * [`Observer`] — a zero-cost event hook threaded generically through
-//!   `hpfq_core::Hierarchy` and `hpfq_sim::Simulation`. Every method has an
+//!   `hpfq_core::Hierarchy` and `hpfq_sim::Network`. Every method has an
 //!   empty default body, so the [`NoopObserver`] monomorphizes to nothing.
 //! * [`jsonl::JsonlObserver`] — serializes every event as one JSON object
 //!   per line (plain `std::io`, no external dependencies) and
@@ -112,7 +112,7 @@ pub trait Observer {
 
     /// Returns an opaque marker for the sink's current output position.
     ///
-    /// The crash-contained parallel runtime (DESIGN.md §14) calls this at
+    /// The crash-contained parallel runtime (DESIGN.md §11) calls this at
     /// every epoch checkpoint so that rolling the simulation back to the
     /// checkpoint can also roll the observer's output back — otherwise a
     /// retried epoch would duplicate its trace lines. Sinks that cannot

@@ -20,7 +20,7 @@
 //! read it.
 //!
 //! When the harness has an epoch checkpoint in hand (the crash-contained
-//! parallel runtime, DESIGN.md §14), it can attach the serialized bytes
+//! parallel runtime, DESIGN.md §11), it can attach the serialized bytes
 //! via [`FlightRecorder::attach_checkpoint`]; every dump then also writes
 //! a `<dump_path>.ckpt` sidecar holding the exact state to resume from —
 //! the post-mortem carries not just *what happened* but *where to restart*.
@@ -243,7 +243,7 @@ impl Observer for FlightRecorder {
         self.dump();
     }
 
-    // Epoch-checkpoint support (DESIGN.md §14): the mark is the total
+    // Epoch-checkpoint support (DESIGN.md §12): the mark is the total
     // number of events ever recorded; rewinding pops events recorded
     // after the mark off the back of the ring. Events the ring has
     // already evicted cannot come back — the rewind is best-effort in

@@ -1,6 +1,6 @@
 //! Byte-deterministic snapshot values.
 //!
-//! The crash-contained parallel runtime (DESIGN.md §14) checkpoints the
+//! The crash-contained parallel runtime (DESIGN.md §11) checkpoints the
 //! full `Network` state at conservative-epoch boundaries and must be able
 //! to prove `run(0..T)` ≡ `run(0..t) → snapshot → restore → run(t..T)`
 //! *byte-for-byte*. That proof obligation rules out any encoding that

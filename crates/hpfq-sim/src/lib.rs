@@ -2,9 +2,9 @@
 //!
 //! A discrete-event network simulator standing in for the modified MIT
 //! NETSIM the paper used (§5). It drives H-PFQ [`hpfq_core::Hierarchy`]
-//! instances as output-link schedulers — one per link of a multi-link
-//! [`Network`], or the single-link [`Simulation`] front-end — on top of
-//! the shared [`hpfq_events`] engine, and provides:
+//! instances as output-link schedulers — one per link of a [`Network`]
+//! ([`Network::single_link`] for the paper's one-link experiments) — on
+//! top of the shared [`hpfq_events`] engine, and provides:
 //!
 //! * the paper's traffic sources — constant rate (PS-n), deterministic
 //!   on/off (RT-1 and the §5.2 on/off sources), Poisson, multiplexed
@@ -31,7 +31,8 @@ pub mod flow_map;
 pub mod network;
 pub mod parallel;
 pub mod rng;
-pub mod simulation;
+#[cfg(test)]
+mod simulation;
 pub mod snapshot;
 pub mod source;
 pub mod stats;
@@ -42,7 +43,6 @@ pub use network::{
 };
 pub use parallel::{FallbackReason, ParallelReport, ShardFailure};
 pub use rng::SmallRng;
-pub use simulation::{Simulation, SourceConfig};
 pub use snapshot::SNAPSHOT_VERSION;
 pub use source::{
     load_source, CbrSource, Few, GreedyLbSource, PacketTrainSource, PeriodicOnOffSource,

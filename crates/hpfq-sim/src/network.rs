@@ -7,11 +7,31 @@
 //! delay, is re-enqueued at the next hop, and so on; after the last hop it
 //! is delivered back to its source (ACK clocking for closed-loop sources).
 //!
+//! A one-link network is [`Network::single_link`] with [`Route::single`]
+//! or [`Route::open_loop`] routes.
+//!
 //! The event loop is [`hpfq_events::Engine`] — the same deterministic
 //! `(time, seq)` FIFO-tie-breaking core used by the fluid simulator and the
-//! chaos harness — so a one-link network replays the legacy single-link
-//! [`crate::Simulation`] byte-for-byte (that wrapper now *is* a one-link
-//! network).
+//! chaos harness. Event model (ties fire in a content-derived order, so
+//! runs are deterministic):
+//!
+//! * `Wake(source)` — a source timer fires; emitted packets are enqueued at
+//!   the first hop's leaf (subject to its drop-tail buffer) and the link
+//!   starts transmitting if idle.
+//! * link completion — the link finishes a packet (not a queued event:
+//!   the link holds its one pending completion time, and the loop takes
+//!   whichever of it and the queue head is earlier): the hierarchy runs
+//!   RESET-PATH / RESTART-NODE (pre-selecting the next head), the packet
+//!   propagates to its next hop (`Arrive`) or, after the last, the service
+//!   is recorded and a `Deliver` is scheduled after the hop's delay if the
+//!   source wants it; the next transmission starts immediately (work
+//!   conservation).
+//! * `Deliver(source, pkt)` — the packet reached its destination;
+//!   closed-loop sources (TCP) use this for ACK clocking. Never scheduled
+//!   for sources whose [`Source::wants_delivery`] is `false`.
+//! * `Command` — a pre-scheduled [`SimCommand`] fires: a link rate changes
+//!   (possibly to 0 — an outage), or a flow joins or leaves mid-run
+//!   (churn).
 //!
 //! Every hierarchy is stamped with its link id, so one shared observer
 //! (e.g. a [`hpfq_obs::JsonlObserver`] over a [`hpfq_obs::SharedBuf`])
@@ -27,8 +47,6 @@
 //! flow under the network's [`EscalationPolicy`]: warn, quarantine (the
 //! flow's leaves are removed at every hop), or halt. Nothing in this path
 //! panics.
-
-use std::collections::VecDeque;
 
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
@@ -85,7 +103,7 @@ impl Route {
         Route { hops }
     }
 
-    /// The single-hop route of a one-link simulation: serve at `leaf` on
+    /// The single-hop route of a one-link network: serve at `leaf` on
     /// link 0, deliver after `delivery_delay`.
     pub fn single(leaf: NodeId, buffer_bytes: Option<u64>, delivery_delay: f64) -> Self {
         Route {
@@ -97,6 +115,12 @@ impl Route {
             }],
         }
     }
+
+    /// [`Route::single`] for an open-loop source: unbounded buffer, no
+    /// delivery delay.
+    pub fn open_loop(leaf: NodeId) -> Self {
+        Route::single(leaf, None, 0.0)
+    }
 }
 
 /// A control-plane action scheduled against the simulation clock with
@@ -104,8 +128,8 @@ impl Route {
 /// environmental faults; they are part of the event schedule, so runs stay
 /// deterministic.
 pub enum SimCommand {
-    /// Change link 0's rate to `bps` (bits/s) — the single-link form kept
-    /// for [`crate::Simulation`] compatibility. `0.0` models an outage:
+    /// Change link 0's rate to `bps` (bits/s) — the form for a
+    /// [`Network::single_link`]. `0.0` models an outage:
     /// the in-flight packet is suspended and resumes — with its
     /// already-sent bits credited — when a later command restores service.
     SetLinkRate(f64),
@@ -397,9 +421,9 @@ pub(crate) struct Link<S: NodeScheduler, O: Observer> {
     pub(crate) rate: f64,
     /// Transmission start time of the in-flight packet.
     pub(crate) tx_start: f64,
-    /// When the in-flight packet (or train front) leaves the wire: the
-    /// link's one pending completion. `None` while the link is idle or
-    /// its transmission is suspended by an outage. A link has at most one
+    /// When the in-flight packet leaves the wire: the link's one pending
+    /// completion. `None` while the link is idle or its transmission is
+    /// suspended by an outage. A link has at most one
     /// completion outstanding, so it lives here instead of in the event
     /// queue; a rate change simply overwrites it.
     pub(crate) tx_done: Option<f64>,
@@ -408,14 +432,6 @@ pub(crate) struct Link<S: NodeScheduler, O: Observer> {
     pub(crate) tx_remaining_bits: f64,
     /// Time `tx_remaining_bits` was last brought up to date.
     pub(crate) tx_updated: f64,
-    /// Batched-dispatch train: transmissions already planned against the
-    /// hierarchy (selected, virtual clock advanced) but not yet completed
-    /// on the wire, as `(planned start, packet)` in service order. Always
-    /// empty when the network's dispatch batch is 1 — the pristine
-    /// one-packet path never touches it. Train packets have left their
-    /// leaf queues, so byte accounting counts them as queued-on-link
-    /// until their completion fires.
-    pub(crate) train: VecDeque<(f64, Packet)>,
     pub(crate) ledger: LinkLedger,
 }
 
@@ -529,9 +545,6 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// on a halt or exhausted retry budget, the state to resume from.
     /// Diagnostic only: not itself part of snapshots.
     pub(crate) last_checkpoint: Option<Value>,
-    /// Packets dispatched per virtual-clock update (see
-    /// [`Network::set_dispatch_batch`]). 1 = classic per-packet mode.
-    pub(crate) dispatch_batch: usize,
 }
 
 impl<S: NodeScheduler, O: Observer> Default for Network<S, O> {
@@ -565,32 +578,16 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             watchdog: std::time::Duration::from_secs(10),
             panic_plan: None,
             last_checkpoint: None,
-            dispatch_batch: 1,
         }
     }
 
-    /// Sets the dispatch batch size `k`: each time a link goes (or stays)
-    /// busy, up to `k` transmissions are planned against its hierarchy in
-    /// one pass — one virtual-clock update per batch instead of per packet
-    /// — and then complete on the wire back-to-back as a *train*.
-    ///
-    /// `k = 1` (the default) is the classic mode and is byte-identical to
-    /// the historical per-packet event loop. `k > 1` trades scheduling
-    /// exactness for amortized cost: packets arriving while a train is
-    /// planned cannot preempt it, so any session can be served up to
-    /// `k - 1` packets late — an `O(k * Lmax)` service deviation
-    /// (`hpfq-analysis` checks the bound). Under mid-train link-rate
-    /// changes the recorded per-packet start times keep their planned
-    /// values; only the train front's completion is rescheduled exactly.
-    ///
-    /// Also forwards `k` to every link hierarchy so the PIFO driver
-    /// batches its virtual-clock updates to match.
-    pub fn set_dispatch_batch(&mut self, k: usize) {
-        let k = k.max(1);
-        self.dispatch_batch = k;
-        for link in self.links.iter_mut().flatten() {
-            link.server.set_dispatch_batch(k);
-        }
+    /// A one-link network scheduled by the fully built `server`
+    /// hierarchy: link 0 is the only link, so routes are [`Route::single`]
+    /// or [`Route::open_loop`].
+    pub fn single_link(server: Hierarchy<S, O>) -> Self {
+        let mut net = Self::new();
+        net.add_link(server);
+        net
     }
 
     /// `link`, which must be owned by this network (or this shard of it).
@@ -624,7 +621,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     pub fn add_link(&mut self, mut server: Hierarchy<S, O>) -> usize {
         let idx = self.links.len();
         server.set_link_id(idx);
-        server.set_dispatch_batch(self.dispatch_batch);
         let rate = server.link_rate();
         self.links.push(Some(Link {
             server,
@@ -633,7 +629,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             tx_done: None,
             tx_remaining_bits: 0.0,
             tx_updated: 0.0,
-            train: VecDeque::new(),
             ledger: LinkLedger::default(),
         }));
         idx
@@ -952,63 +947,19 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn try_start(&mut self, link: usize) {
         let halted = self.halted;
         let now = self.engine.now();
-        let k = self.dispatch_batch;
         let l = self.link_mut(link);
-        if l.rate <= 0.0 || halted || l.server.is_transmitting() || !l.train.is_empty() {
+        if l.rate <= 0.0 || halted || l.server.is_transmitting() || !l.server.has_pending() {
             return;
         }
-        if k <= 1 {
-            if l.server.has_pending() {
-                // has_pending() was checked just above, so this is always
-                // Some; degrade to a no-op rather than asserting.
-                let Some(pkt) = l.server.start_transmission_at(now) else {
-                    return;
-                };
-                l.tx_start = now;
-                l.tx_remaining_bits = pkt.bits();
-                l.tx_updated = now;
-                l.tx_done = Some(now + pkt.tx_time(l.rate));
-            }
-            return;
-        }
-        // Batched mode: plan up to k back-to-back transmissions against the
-        // hierarchy in one pass (each start/complete pair runs at its
-        // projected wire time under the current rate), then ride them out
-        // as a train — one pending completion, the front's, at a time.
-        let rate = l.rate;
-        let mut start = now;
-        for _ in 0..k {
-            if !l.server.has_pending() {
-                break;
-            }
-            let Some(pkt) = l.server.start_transmission_at(start) else {
-                break;
-            };
-            let end = start + pkt.tx_time(rate);
-            let sent = l.server.complete_transmission_at(end);
-            debug_assert_eq!(sent.id, pkt.id);
-            l.train.push_back((start, sent));
-            start = end;
-        }
-        self.arm_train_front(link, now);
-    }
-
-    /// Sets the pending completion for the train's front packet and
-    /// points the in-flight bookkeeping (`tx_start`/`tx_remaining_bits`/
-    /// `tx_updated`) at it. No-op when the train is empty; during an
-    /// outage the bookkeeping is set but the completion waits for
-    /// `set_link_rate` to restore a positive rate.
-    fn arm_train_front(&mut self, link: usize, now: f64) {
-        let l = self.link_mut(link);
-        let Some(&(start, ref pkt)) = l.train.front() else {
+        // has_pending() was checked just above, so this is always Some;
+        // degrade to a no-op rather than asserting.
+        let Some(pkt) = l.server.start_transmission_at(now) else {
             return;
         };
-        l.tx_start = start;
+        l.tx_start = now;
         l.tx_remaining_bits = pkt.bits();
         l.tx_updated = now;
-        if l.rate > 0.0 {
-            l.tx_done = Some(now + l.tx_remaining_bits / l.rate);
-        }
+        l.tx_done = Some(now + pkt.tx_time(l.rate));
     }
 
     /// Changes one link's service rate at the current instant. A rate of 0
@@ -1023,12 +974,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             return;
         }
         let l = self.link_mut(link);
-        if l.server.is_transmitting() || !l.train.is_empty() {
+        if l.server.is_transmitting() {
             // Credit bits sent under the old rate, then reschedule the
-            // remainder under the new one. In batched mode this applies to
-            // the train's front packet; queued train members keep their
-            // full length and are timed at the prevailing rate when they
-            // reach the front.
+            // remainder under the new one.
             let sent = (now - l.tx_updated) * l.rate;
             l.tx_remaining_bits = (l.tx_remaining_bits - sent).max(0.0);
             l.tx_updated = now;
@@ -1042,9 +990,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         if let Err(e) = l.server.set_link_rate_factor(now, factor) {
             self.command_errors.push((now, e));
         }
-        if !self.link(link).server.is_transmitting() && self.link(link).train.is_empty() {
-            self.try_start(link);
-        }
+        self.try_start(link);
     }
 
     /// Records one incident against `flow` and applies the escalation
@@ -1293,23 +1239,16 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         }
     }
 
-    /// `link`'s pending completion came due: the in-flight packet (or
-    /// train front) has left the wire.
+    /// `link`'s pending completion came due: the in-flight packet has left
+    /// the wire.
     fn tx_complete(&mut self, link: usize) {
         let t = self.engine.now();
         if SpanProfiler::ENABLED {
             self.profiler.span_enter(SpanKind::Vclock);
         }
-        // Batched mode: the hierarchy already completed this packet at plan
-        // time; pop it off the train. Classic mode completes it now.
-        let (pkt, started) = match self.link_mut(link).train.pop_front() {
-            Some((start, pkt)) => (pkt, start),
-            None => {
-                let pkt = self.link_mut(link).server.complete_transmission_at(t);
-                let started = self.link(link).tx_start;
-                (pkt, started)
-            }
-        };
+        let l = self.link_mut(link);
+        let pkt = l.server.complete_transmission_at(t);
+        let started = l.tx_start;
         if SpanProfiler::ENABLED {
             self.profiler.span_exit(SpanKind::Vclock);
         }
@@ -1378,9 +1317,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         if SpanProfiler::ENABLED {
             self.profiler.span_enter(SpanKind::Dispatch);
         }
-        // Batched mode: the next train member (if any) goes on the wire
-        // back-to-back; try_start is then a no-op until the train drains.
-        self.arm_train_front(link, t);
         self.try_start(link);
         if SpanProfiler::ENABLED {
             self.profiler.span_exit(SpanKind::Dispatch);
@@ -1524,23 +1460,14 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         }
     }
 
-    /// Bytes currently queued at `link`: leaf queues (including any
-    /// in-flight packet, which stays in its leaf queue until completion)
-    /// plus any planned train packets (batched mode), which have left
-    /// their leaves but not yet completed on the wire.
+    /// Bytes currently queued at `link`: its leaf queues, including any
+    /// in-flight packet, which stays in its leaf queue until completion.
     pub fn queued_bytes_on(&self, link: usize) -> u64 {
         let l = self.link(link);
-        let leaves: u64 = l
-            .server
+        l.server
             .leaves_iter()
             .map(|leaf| l.server.leaf_queue_bytes(leaf))
-            .sum();
-        let train: u64 = l
-            .train
-            .iter()
-            .map(|(_, p)| u64::from(p.len_bytes))
-            .sum();
-        leaves + train
+            .sum()
     }
 
     /// Bytes currently queued across every link this network (or shard)
@@ -1587,7 +1514,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// Aggregated wall-clock span timings recorded so far: the sequential
-    /// engine's own samples plus, after [`crate::run_parallel`], every
+    /// engine's own samples plus, after [`Network::run_parallel`], every
     /// worker shard's (absorbed at merge). Empty unless the crate was
     /// built with the `profile` feature.
     pub fn span_snapshot(&self) -> SpanSnapshot {

@@ -21,13 +21,13 @@
 //! (jumping over empty windows keeps the epoch count proportional to
 //! event density, not to `horizon / W`).
 //!
-//! # Supervision (DESIGN.md §14)
+//! # Supervision (DESIGN.md §11)
 //!
 //! Epochs are grouped into **stints** of [`Network::set_stint_epochs`]
 //! epochs. At each stint boundary the shards merge back into the master,
 //! which refreshes its [`Network::snapshot`] **checkpoint** and re-splits.
 //! Each worker's stint runs under `catch_unwind`; a panic poisons the
-//! exchange barrier (a [`PhaseBarrier`] with a watchdog timeout, so a
+//! exchange barrier (a `PhaseBarrier` with a watchdog timeout, so a
 //! dead peer produces a typed timeout instead of a hang) and the stint's
 //! results are discarded: the supervisor restores the checkpoint and
 //! retries the stint within a bounded budget, then escalates to a typed
@@ -52,13 +52,13 @@
 //!
 //! The sequential run orders same-time events by `(minor key, global
 //! scheduling sequence)`; minor keys are content-derived
-//! ([`crate::network::minor_of`]) and collide only for events with
+//! (`network::minor_of`) and collide only for events with
 //! identical content streams (same packet id, same timer owner), whose
 //! relative FIFO order is itself content-determined. A shard therefore
 //! pops the events *of its links* in exactly the order the sequential
 //! engine would have popped them, provided every event reaches the right
 //! engine before its epoch — which the conservative window guarantees.
-//! Handlers are the *same code* in both modes ([`Network::handle`]) and
+//! Handlers are the *same code* in both modes (`Network::handle`) and
 //! mutate only shard-owned state (routing sends every event to the shard
 //! owning the link it mutates; the one cross-shard read — a removed
 //! flow's liveness — was converted into the explicitly propagated
@@ -1002,7 +1002,6 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     watchdog: self.watchdog,
                     panic_plan: None,
                     last_checkpoint: None,
-                    dispatch_batch: self.dispatch_batch,
                 }
             })
             .collect();

@@ -1,175 +1,10 @@
-//! The single-link front-end: [`Simulation`] is a thin wrapper over a
-//! one-link [`Network`], kept for the (large) body of depth-1 experiments
-//! and as the stable API from earlier releases.
-//!
-//! The event machinery lives in [`crate::network`] on top of the shared
-//! [`hpfq_events::Engine`]; this module only adds the single-link sugar:
-//! [`SourceConfig`] instead of a one-hop [`Route`], no-argument
-//! `link_rate`/`server`/`observer` accessors, and `Deref` to the
-//! underlying network for everything else (`stats`, `run`,
-//! `schedule_command`, conservation checks, …).
-//!
-//! Event model (deterministic: ties fire in scheduling order):
-//!
-//! * `Wake(source)` — a source timer fires; emitted packets are enqueued at
-//!   the source's leaf (subject to its drop-tail buffer) and the link
-//!   starts transmitting if idle.
-//! * link completion — the link finishes a packet (not a queued event:
-//!   the link holds its one pending completion time, and the loop takes
-//!   whichever of it and the queue head is earlier): the hierarchy runs
-//!   RESET-PATH / RESTART-NODE (pre-selecting the next head), the service
-//!   is recorded, a `Deliver` is scheduled after the source's one-way
-//!   delivery delay if the source wants it, and the next transmission
-//!   starts immediately (work conservation).
-//! * `Deliver(source, pkt)` — the packet reached its destination;
-//!   closed-loop sources (TCP) use this for ACK clocking. Never scheduled
-//!   for sources whose [`Source::wants_delivery`] is `false`.
-//! * `Command(idx)` — a pre-scheduled [`SimCommand`] fires: the link rate
-//!   changes (possibly to 0 — an outage), or a flow joins or leaves the
-//!   hierarchy mid-run (churn).
-//!
-//! A one-link [`Network`] driven through this wrapper replays the legacy
-//! single-link simulator byte-for-byte (the golden-trace test in
-//! `tests/network_vs_simulation.rs` pins this down).
+//! Single-link [`Network`](crate::Network) unit tests: one hierarchy, one
+//! link, driven through [`Network::single_link`](crate::Network::single_link).
 
-use std::ops::{Deref, DerefMut};
-
-use hpfq_core::{Hierarchy, NodeId, NodeScheduler};
-use hpfq_obs::{NoopObserver, Observer};
-
-use crate::network::{Network, Route, SourceId};
-use crate::source::Source;
-
-/// Per-source attachment configuration (single-link form; the multi-hop
-/// equivalent is a [`Route`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SourceConfig {
-    /// Leaf of the hierarchy this source feeds.
-    pub leaf: NodeId,
-    /// Drop-tail buffer limit for that leaf in bytes (`None` = unbounded).
-    pub buffer_bytes: Option<u64>,
-    /// One-way delay from transmission completion to delivery notification
-    /// (`on_delivered`); models the downstream path for ACK clocking.
-    pub delivery_delay: f64,
-}
-
-impl SourceConfig {
-    /// Open-loop attachment: unbounded buffer, no delivery notifications
-    /// needed (delay 0).
-    pub fn open_loop(leaf: NodeId) -> Self {
-        SourceConfig {
-            leaf,
-            buffer_bytes: None,
-            delivery_delay: 0.0,
-        }
-    }
-}
-
-/// A single-link simulation: a [`Network`] with exactly one link. Build
-/// the [`Hierarchy`] first, attach sources, then [`Simulation::run`].
-///
-/// The hierarchy's [`Observer`] (second type parameter, default
-/// [`NoopObserver`]) sees every scheduling event; the simulator adds the
-/// events only it can know: exact transmission times and buffer drops.
-///
-/// Everything beyond the single-link conveniences below — `run`,
-/// `schedule_command`, `stats`, `strike`, `verify_conservation`,
-/// `set_fault_injector`, … — derefs to [`Network`].
-pub struct Simulation<S: NodeScheduler, O: Observer = NoopObserver> {
-    net: Network<S, O>,
-}
-
-impl<S: NodeScheduler, O: Observer> Deref for Simulation<S, O> {
-    type Target = Network<S, O>;
-
-    fn deref(&self) -> &Network<S, O> {
-        &self.net
-    }
-}
-
-impl<S: NodeScheduler, O: Observer> DerefMut for Simulation<S, O> {
-    fn deref_mut(&mut self) -> &mut Network<S, O> {
-        &mut self.net
-    }
-}
-
-impl<S: NodeScheduler, O: Observer> Simulation<S, O> {
-    /// Wraps a fully built hierarchy into a one-link simulation.
-    pub fn new(server: Hierarchy<S, O>) -> Self {
-        let mut net = Network::new();
-        net.add_link(server);
-        Simulation { net }
-    }
-
-    /// The underlying multi-link network (this wrapper's link is index 0).
-    pub fn network(&self) -> &Network<S, O> {
-        &self.net
-    }
-
-    /// The underlying multi-link network, mutably.
-    pub fn network_mut(&mut self) -> &mut Network<S, O> {
-        &mut self.net
-    }
-
-    /// Consumes the wrapper, returning the underlying network.
-    pub fn into_network(self) -> Network<S, O> {
-        self.net
-    }
-
-    /// The link's current service rate in bits/s (0 during an outage).
-    pub fn link_rate(&self) -> f64 {
-        self.net.link_rate(0)
-    }
-
-    /// Read access to the hierarchy (e.g. for queue inspection).
-    pub fn server(&self) -> &Hierarchy<S, O> {
-        self.net.link_server(0)
-    }
-
-    /// The hierarchy's observer (e.g. to read counters or recover a trace
-    /// buffer after the run).
-    pub fn observer(&self) -> &O {
-        self.net.observer_of(0)
-    }
-
-    /// The hierarchy's observer, mutably.
-    pub fn observer_mut(&mut self) -> &mut O {
-        self.net.observer_of_mut(0)
-    }
-
-    /// Consumes the simulation, returning the observer.
-    pub fn into_observer(self) -> O {
-        self.net
-            .into_observers()
-            .pop()
-            // Teardown, unreachable from the engine entry points:
-            // `Simulation::new` constructs exactly one link.
-            .expect("a Simulation always owns exactly one link")
-    }
-
-    /// Attaches a source that feeds `cfg.leaf`. `flow` is the flow id the
-    /// source stamps on its packets (used to route delivery notifications
-    /// back to it).
-    pub fn add_source(
-        &mut self,
-        flow: u32,
-        source: impl Source + 'static,
-        cfg: SourceConfig,
-    ) -> SourceId {
-        self.net.add_route(
-            flow,
-            source,
-            Route::single(cfg.leaf, cfg.buffer_bytes, cfg.delivery_delay),
-        )
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::network::{FaultInjector, PacketVerdict, SimCommand};
+    use crate::network::{FaultInjector, Network, PacketVerdict, Route, SimCommand};
     use crate::source::{CbrSource, GreedyLbSource};
-    use hpfq_core::{MixedScheduler, Packet, SchedulerKind};
+    use hpfq_core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
     use hpfq_obs::EscalationPolicy;
 
     fn server(rate: f64) -> Hierarchy<MixedScheduler> {
@@ -184,16 +19,16 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.5).unwrap();
         let b = h.add_leaf(root, 0.5).unwrap();
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut sim = Network::single_link(h);
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 100.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, 1000, 8000.0, 0.0, 100.0),
-            SourceConfig::open_loop(b),
+            Route::open_loop(b),
         );
         sim.run(10.0);
         let fa = sim.stats.flow(0);
@@ -215,18 +50,18 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.25).unwrap(); // r_a = 20 kbit/s
         let b = h.add_leaf(root, 0.75).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         // sigma = 5 packets of 1000 bytes, rho = r_a.
-        sim.add_source(
+        sim.add_route(
             0,
             GreedyLbSource::new(0, 1000, 5000, 20_000.0, 0.0, 50.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         // Competitor saturates its share.
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, 1000, 70_000.0, 0.0, 50.0),
-            SourceConfig::open_loop(b),
+            Route::open_loop(b),
         );
         sim.stats.trace_flow(0);
         sim.run(60.0);
@@ -251,17 +86,13 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         // Burst of 10 packets into a 3-packet buffer; service drains one
         // per second.
-        sim.add_source(
+        sim.add_route(
             0,
             GreedyLbSource::new(0, 1000, 10_000, 1.0, 0.0, 0.5),
-            SourceConfig {
-                leaf: a,
-                buffer_bytes: Some(3000),
-                delivery_delay: 0.0,
-            },
+            Route::single(a, Some(3000), 0.0),
         );
         sim.run(100.0);
         let f = sim.stats.flow(0);
@@ -279,16 +110,16 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.5).unwrap();
         let b = h.add_leaf(root, 0.5).unwrap();
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut sim = Network::single_link(h);
+        sim.add_route(
             0,
             CbrSource::new(0, 500, 6000.0, 0.0, 1e9),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, 500, 6000.0, 0.0, 1e9),
-            SourceConfig::open_loop(b),
+            Route::open_loop(b),
         );
         sim.run(500.0);
         // ~1500 packets served; the only queued events are the wakes, one
@@ -314,17 +145,17 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.5).unwrap();
         let b = h.add_leaf(root, 0.5).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         // Both flows offer 1.5x their share: link saturated.
-        sim.add_source(
+        sim.add_route(
             0,
             CbrSource::new(0, 500, 6000.0, 0.0, 1000.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, 500, 6000.0, 0.0, 1000.0),
-            SourceConfig::open_loop(b),
+            Route::open_loop(b),
         );
         sim.run(100.0);
         // 100 s at 8 kbit/s = 100_000 bytes, minus sub-packet slack.
@@ -347,12 +178,12 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         // 1000-byte packets at exactly link rate: one per second, t=0..9.
-        sim.add_source(
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         // Outage from 2.5 s to 4.5 s: the packet in service (started at
         // 2.0) is half-sent; it must finish 0.5 s after recovery.
@@ -377,12 +208,12 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         // One isolated packet at t=0 (1 s at 8 kbit/s).
-        sim.add_source(
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 0.5),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         // At 0.5 s (half sent) the link halves: remaining 4000 bits at
         // 4 kbit/s take 1 s more -> completes at 1.5 s.
@@ -404,12 +235,12 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 0.5).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         // Flow 0 saturates the link alone.
-        sim.add_source(
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 30.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         // Flow 1 joins at t=5 offering its full share, leaves at t=15
         // while backlogged (it offered 8 kbit/s but was served 4 kbit/s).
@@ -462,16 +293,16 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.5).unwrap();
         let b = h.add_leaf(root, 0.5).unwrap();
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut sim = Network::single_link(h);
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 6000.0, 0.0, 20.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, 1000, 6000.0, 0.0, 20.0),
-            SourceConfig::open_loop(b),
+            Route::open_loop(b),
         );
         sim.set_fault_injector(CorruptFlow(1));
         sim.set_escalation_policy(EscalationPolicy::standard());
@@ -493,11 +324,11 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut sim = Network::single_link(h);
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 20.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         sim.set_fault_injector(CorruptFlow(0));
         sim.set_escalation_policy(EscalationPolicy::strict());
@@ -528,11 +359,11 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut sim = Network::single_link(h);
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         sim.set_fault_injector(DropAlternate(0));
         sim.run(30.0);
@@ -553,13 +384,13 @@ mod tests {
         let mut h = server(8_000.0);
         let root = h.root();
         let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         sim.stats.trace_flow(0);
         // Two 1000-byte packets, at t=0 and t=1; each takes 1 s at 8 kbit/s.
-        sim.add_source(
+        sim.add_route(
             0,
             CbrSource::new(0, 1000, 8000.0, 0.0, 1.5),
-            SourceConfig::open_loop(a),
+            Route::open_loop(a),
         );
         sim.schedule_command(1.0, SimCommand::SetLinkRate(4_000.0));
         sim.run(10.0);
@@ -580,11 +411,11 @@ mod tests {
             let mut h = server(8_000.0);
             let root = h.root();
             let a = h.add_leaf(root, 1.0).unwrap();
-            let mut sim = Simulation::new(h);
-            sim.add_source(
+            let mut sim = Network::single_link(h);
+            sim.add_route(
                 0,
                 CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
-                SourceConfig::open_loop(a),
+                Route::open_loop(a),
             );
             sim.schedule_command(2.5, SimCommand::SetLinkRate(0.0));
             sim.schedule_command(4.5, SimCommand::SetLinkRate(8000.0));
@@ -611,59 +442,5 @@ mod tests {
             assert_eq!(sim.outstanding_events(), 0);
             sim.verify_conservation().unwrap();
         }
-    }
-
-    /// Batched dispatch (`k > 1`): an outage and a rate change land inside
-    /// planned trains. Only the train front ever has a completion pending,
-    /// every packet completes exactly once, in order, and the queue never
-    /// holds more than the wakes and commands.
-    #[test]
-    fn train_completions_survive_an_outage_and_a_rate_change() {
-        let mut h = server(8_000.0);
-        let root = h.root();
-        let a = h.add_leaf(root, 0.5).unwrap();
-        let b = h.add_leaf(root, 0.5).unwrap();
-        let mut sim = Simulation::new(h);
-        sim.set_dispatch_batch(4);
-        sim.stats.trace_flow(0);
-        sim.stats.trace_flow(1);
-        // Saturating until t=20: 500-byte packets, 0.5 s each at 8 kbit/s.
-        for (flow, leaf) in [(0, a), (1, b)] {
-            sim.add_source(
-                flow,
-                CbrSource::new(flow, 500, 6000.0, 0.0, 20.0),
-                SourceConfig::open_loop(leaf),
-            );
-        }
-        sim.schedule_command(3.2, SimCommand::SetLinkRate(0.0));
-        sim.schedule_command(5.2, SimCommand::SetLinkRate(8000.0));
-        sim.schedule_command(9.1, SimCommand::SetLinkRate(16_000.0));
-        let mut t = 0.0;
-        while t < 60.0 {
-            t += 0.25;
-            sim.run(t);
-            // Two wakes and at most three commands; never a completion.
-            assert!(
-                sim.outstanding_events() <= 5,
-                "{}",
-                sim.outstanding_events()
-            );
-        }
-        let offered = sim.stats.flow(0).offered_packets + sim.stats.flow(1).offered_packets;
-        assert_eq!(sim.stats.total_packets, offered);
-        let mut ends: Vec<(f64, u64)> = [0, 1]
-            .iter()
-            .flat_map(|&f| sim.stats.trace(f).iter().map(|r| (r.end, r.id)))
-            .collect();
-        assert_eq!(ends.len() as u64, offered);
-        ends.sort_by(|x, y| x.0.total_cmp(&y.0));
-        assert!(ends.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 != w[1].1));
-        // No completion inside the outage.
-        assert!(
-            ends.iter().all(|&(t, _)| !(3.2..5.2).contains(&t)),
-            "{ends:?}"
-        );
-        assert!(sim.command_errors.is_empty(), "{:?}", sim.command_errors);
-        sim.verify_conservation().unwrap();
     }
 }

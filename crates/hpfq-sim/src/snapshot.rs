@@ -43,9 +43,10 @@ use crate::source::load_source;
 /// Format version stamped into every snapshot. Version 2 moved each
 /// link's pending completion out of the event list into the link's
 /// `tx_done` field (replacing `tx_epoch` and the `"tx"` event tag) and
-/// added `wants_delivery` to source slots; [`Network::restore`] rejects
-/// any other version with a typed error.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// added `wants_delivery` to source slots; version 3 dropped the per-link
+/// `train` list. [`Network::restore`] rejects any other version with a
+/// typed error.
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 fn err(what: String) -> SnapError {
     SnapError { at: 0, what }
@@ -387,15 +388,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     ("tx_done", Value::opt(l.tx_done.map(Value::F64))),
                     ("tx_remaining_bits", Value::F64(l.tx_remaining_bits)),
                     ("tx_updated", Value::F64(l.tx_updated)),
-                    (
-                        "train",
-                        Value::List(
-                            l.train
-                                .iter()
-                                .map(|(s, p)| Value::List(vec![Value::F64(*s), p.save()]))
-                                .collect(),
-                        ),
-                    ),
                     ("ledger", save_ledger(&l.ledger)),
                 ]),
             });
@@ -531,11 +523,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             };
             l.tx_remaining_bits = lv.get("tx_remaining_bits")?.as_f64()?;
             l.tx_updated = lv.get("tx_updated")?.as_f64()?;
-            l.train.clear();
-            for entry in lv.get("train")?.items()? {
-                let f = fixed_list(entry, 2, "train entry")?;
-                l.train.push_back((f[0].as_f64()?, Packet::load(&f[1])?));
-            }
             l.ledger = load_ledger(lv.get("ledger")?)?;
         }
         // Clock before queue: `schedule_keyed` clamps against `now`, so the

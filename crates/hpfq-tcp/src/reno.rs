@@ -344,7 +344,7 @@ impl Source for TcpSource {
 mod tests {
     use super::*;
     use hpfq_core::{Hierarchy, SchedulerKind};
-    use hpfq_sim::{Simulation, SourceConfig};
+    use hpfq_sim::{Network, Route};
 
     fn run_one_tcp(
         link_bps: f64,
@@ -355,7 +355,7 @@ mod tests {
         let mut h = Hierarchy::builder(link_bps, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaf = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         let tcp = TcpSource::new(
             0,
             TcpConfig {
@@ -364,14 +364,10 @@ mod tests {
                 ..TcpConfig::default()
             },
         );
-        sim.add_source(
+        sim.add_route(
             0,
             tcp,
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(buffer_bytes),
-                delivery_delay,
-            },
+            Route::single(leaf, Some(buffer_bytes), delivery_delay),
         );
         sim.run(horizon);
         let drops = sim.stats.flow(0).drops;
@@ -413,7 +409,7 @@ mod tests {
         let root = h.root();
         let a = h.add_leaf(root, 0.75).unwrap();
         let b = h.add_leaf(root, 0.25).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         for (flow, leaf) in [(0u32, a), (1u32, b)] {
             let tcp = TcpSource::new(
                 flow,
@@ -423,15 +419,7 @@ mod tests {
                     ..TcpConfig::default()
                 },
             );
-            sim.add_source(
-                flow,
-                tcp,
-                SourceConfig {
-                    leaf,
-                    buffer_bytes: Some(16_000),
-                    delivery_delay: 0.01,
-                },
-            );
+            sim.add_route(flow, tcp, Route::single(leaf, Some(16_000), 0.01));
         }
         sim.run(40.0);
         let ra = sim.stats.flow(0).bytes as f64;
@@ -536,17 +524,9 @@ mod tests {
         let mut h = Hierarchy::builder(400_000.0, |r| SchedulerKind::Wf2qPlus.build(r)).build();
         let root = h.root();
         let leaf = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         let tcp = TcpSource::new(0, TcpConfig::default());
-        sim.add_source(
-            0,
-            tcp,
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(5_000),
-                delivery_delay: 0.02,
-            },
-        );
+        sim.add_route(0, tcp, Route::single(leaf, Some(5_000), 0.02));
         sim.run(30.0);
         let stats = sim.stats.flow(0);
         // Progress implies holes were repaired despite drops.

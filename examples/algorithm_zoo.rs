@@ -8,7 +8,7 @@
 
 use hpfq::analysis::{empirical_bwfi, service_curve_from_records};
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{Simulation, SourceConfig, TraceSource};
+use hpfq::sim::{Network, Route, TraceSource};
 
 const LINK: f64 = 1e6;
 
@@ -25,30 +25,30 @@ fn run(kind: SchedulerKind) -> (f64, f64) {
     }
     let newcomer = h.add_leaf(root, 0.05).unwrap();
 
-    let mut sim = Simulation::new(h);
+    let mut sim = Network::single_link(h);
     for flow in 0..12u32 {
         sim.stats.trace_flow(flow);
     }
     let pkt = 500u32; // 4 ms on the wire
-    sim.add_source(
+    sim.add_route(
         0,
         TraceSource::new(0, vec![(0.0, pkt); 21]),
-        SourceConfig::open_loop(big),
+        Route::open_loop(big),
     );
     for (i, &leaf) in small.iter().enumerate() {
         let flow = 1 + i as u32;
-        sim.add_source(
+        sim.add_route(
             flow,
             TraceSource::new(flow, vec![(0.0, pkt)]),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     // The newcomer arrives at 20 ms — right after WFQ-family schedulers
     // have let the big session run ahead.
-    sim.add_source(
+    sim.add_route(
         11,
         TraceSource::new(11, vec![(0.020, pkt)]),
-        SourceConfig::open_loop(newcomer),
+        Route::open_loop(newcomer),
     );
     sim.run(10.0);
 

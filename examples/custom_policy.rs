@@ -55,7 +55,12 @@ impl RankProgram for PriorityRank {
         Rank::open(-sessions.phi(id), self.seq)
     }
 
-    fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, _bits: f64) -> Rank {
+    fn rank_continuation(
+        &mut self,
+        id: SessionId,
+        sessions: &mut SessionTable,
+        _bits: f64,
+    ) -> Rank {
         self.seq += 1.0;
         Rank::open(-sessions.phi(id), self.seq)
     }
@@ -97,7 +102,12 @@ impl RankProgram for SjfRank {
         Rank::open(head_bits, self.seq)
     }
 
-    fn rank_continuation(&mut self, _id: SessionId, _sessions: &mut SessionTable, bits: f64) -> Rank {
+    fn rank_continuation(
+        &mut self,
+        _id: SessionId,
+        _sessions: &mut SessionTable,
+        bits: f64,
+    ) -> Rank {
         self.seq += 1.0;
         Rank::open(bits, self.seq)
     }

@@ -12,7 +12,7 @@
 //! idle agencies' bandwidth is redistributed through the hierarchy.
 
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{CbrSource, Simulation, SourceConfig};
+use hpfq::sim::{CbrSource, Network, Route};
 
 const LINK: f64 = 45e6;
 const PKT: u32 = 1500;
@@ -31,30 +31,30 @@ fn main() {
         others.push(bld.add_leaf(root, 0.05).unwrap());
     }
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     for flow in 0..12u32 {
         sim.stats.trace_flow(flow);
     }
     // A1's real-time class sends hard at 30 Mbit/s (above its 18 Mbit/s
     // guarantee); best-effort floods too. Agencies 2..6 are active at
     // their shares; 7..11 are idle until t=2 s.
-    sim.add_source(
+    sim.add_route(
         0,
         CbrSource::new(0, PKT, 30e6, 0.0, 10.0),
-        SourceConfig::open_loop(a1_rt),
+        Route::open_loop(a1_rt),
     );
-    sim.add_source(
+    sim.add_route(
         1,
         CbrSource::new(1, PKT, 20e6, 0.0, 10.0),
-        SourceConfig::open_loop(a1_be),
+        Route::open_loop(a1_be),
     );
     for (i, &leaf) in others.iter().enumerate() {
         let flow = 2 + i as u32;
         let start = if i < 5 { 0.0 } else { 2.0 };
-        sim.add_source(
+        sim.add_route(
             flow,
             CbrSource::new(flow, PKT, 5e6, start, 10.0),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     sim.run(4.0);

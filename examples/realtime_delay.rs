@@ -13,7 +13,7 @@
 
 use hpfq::analysis::corollary2_bound;
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{CbrSource, PacketTrainSource, PeriodicOnOffSource, Simulation, SourceConfig};
+use hpfq::sim::{CbrSource, Network, PacketTrainSource, PeriodicOnOffSource, Route};
 
 const LINK: f64 = 10e6;
 const PKT: u32 = 1500;
@@ -31,27 +31,27 @@ fn run(kind: SchedulerKind) -> (f64, f64, Vec<f64>) {
     let rt_rate = bld.rate(rt);
     let class_rate = bld.rate(class);
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     sim.stats.trace_flow(0);
     // RT: sparse packets into a usually-empty queue (the §3.1 victim
     // pattern), slightly offset from the cross-traffic period.
-    sim.add_source(
+    sim.add_route(
         0,
         PeriodicOnOffSource::new(0, PKT, rt_rate, 0.005, 0.041, 0.013, f64::INFINITY),
-        SourceConfig::open_loop(rt),
+        Route::open_loop(rt),
     );
     // BE floods the class, letting it run ahead of its fluid schedule
     // under H-WFQ.
-    sim.add_source(
+    sim.add_route(
         1,
         CbrSource::new(1, PKT, LINK, 0.0, f64::INFINITY),
-        SourceConfig::open_loop(be),
+        Route::open_loop(be),
     );
     // Cross traffic: slow trains on each 5% session — queued packets with
     // far-future finish tags, the fuel for WFQ's run-ahead.
     for (i, &leaf) in cross.iter().enumerate() {
         let flow = 2 + i as u32;
-        sim.add_source(
+        sim.add_route(
             flow,
             PacketTrainSource::new(
                 flow,
@@ -62,7 +62,7 @@ fn run(kind: SchedulerKind) -> (f64, f64, Vec<f64>) {
                 0.067 * i as f64 / 10.0,
                 f64::INFINITY,
             ),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     sim.run(20.0);

@@ -11,7 +11,7 @@
 //! the middle — watch the TCPs shrink proportionally and recover.
 
 use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{ScheduledOnOffSource, Simulation, SourceConfig};
+use hpfq::sim::{Network, Route, ScheduledOnOffSource};
 use hpfq::tcp::{TcpConfig, TcpSource};
 
 const LINK: f64 = 8e6;
@@ -27,11 +27,11 @@ fn main() {
         .map(|&s| bld.add_leaf(tcp_class, s).unwrap())
         .collect();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     for (i, &leaf) in tcp_leaves.iter().enumerate() {
         let flow = i as u32;
         sim.stats.trace_flow(flow);
-        sim.add_source(
+        sim.add_route(
             flow,
             TcpSource::new(
                 flow,
@@ -41,22 +41,14 @@ fn main() {
                     ..TcpConfig::default()
                 },
             ),
-            SourceConfig {
-                leaf,
-                buffer_bytes: Some(8 * 1024),
-                delivery_delay: 0.002,
-            },
+            Route::single(leaf, Some(8 * 1024), 0.002),
         );
     }
     // The on/off source claims its 50% share during [2, 4) s.
-    sim.add_source(
+    sim.add_route(
         9,
         ScheduledOnOffSource::new(9, 1024, 3.9e6, vec![(2.0, 4.0)]),
-        SourceConfig {
-            leaf: burst_leaf,
-            buffer_bytes: Some(16 * 1024),
-            delivery_delay: 0.0,
-        },
+        Route::single(burst_leaf, Some(16 * 1024), 0.0),
     );
     sim.run(6.0);
 

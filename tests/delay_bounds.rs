@@ -1,10 +1,14 @@
 //! Deterministic verification of the paper's delay bounds: Theorem 4(3)
 //! for standalone WF²Q+ and Corollary 2 for H-WF²Q+, under adversarial
-//! (greedy leaky-bucket) sources with saturating cross traffic.
+//! (greedy leaky-bucket) sources with saturating cross traffic — and of
+//! Theorem 4's B-WFI on a fully backlogged link.
 
-use hpfq::analysis::{corollary2_bound, wf2q_plus_delay_bound};
-use hpfq::core::{Hierarchy, SchedulerKind};
-use hpfq::sim::{CbrSource, GreedyLbSource, Simulation, SourceConfig};
+use hpfq::analysis::{
+    corollary2_bound, empirical_bwfi, service_curve_from_records, wf2q_plus_bwfi,
+    wf2q_plus_delay_bound,
+};
+use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
+use hpfq::sim::{CbrSource, GreedyLbSource, Network, Route, TraceSource};
 
 const PKT: u32 = 1000; // 8000 bits
 const LMAX: f64 = 8000.0;
@@ -21,17 +25,17 @@ fn theorem4_standalone_bound() {
         let cross = h.add_leaf(root, 1.0 - phi).unwrap();
         let r_i = phi * rate;
         let sigma_pkts = 4u32;
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         sim.stats.trace_flow(0);
-        sim.add_source(
+        sim.add_route(
             0,
             GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 20.0),
-            SourceConfig::open_loop(measured),
+            Route::open_loop(measured),
         );
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, PKT, rate, 0.0, 20.0), // cross floods the link
-            SourceConfig::open_loop(cross),
+            Route::open_loop(cross),
         );
         sim.run(30.0);
         let sigma_bits = f64::from(sigma_pkts * PKT) * 8.0;
@@ -72,19 +76,19 @@ fn corollary2_three_levels() {
     let r_i = bld.rate(measured);
     let rates_path = vec![r_i, bld.rate(c2), bld.rate(c1)];
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     sim.stats.trace_flow(0);
     let sigma_pkts = 3u32;
-    sim.add_source(
+    sim.add_route(
         0,
         GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 20.0),
-        SourceConfig::open_loop(measured),
+        Route::open_loop(measured),
     );
     for (flow, leaf) in [(1u32, x1), (2, x2), (3, x3)] {
-        sim.add_source(
+        sim.add_route(
             flow,
             CbrSource::new(flow, PKT, rate, 0.0, 20.0),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     sim.run(30.0);
@@ -122,27 +126,27 @@ fn wfq_exceeds_the_wf2q_plus_bound_in_a_hierarchy() {
     };
     let worst_delay = |kind: SchedulerKind| -> f64 {
         let (h, rt, be, cross) = build(kind);
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         sim.stats.trace_flow(0);
         // BE floods its class; cross sessions send one packet each every
         // 100 ms; the measured session sends one packet every 250 ms into
         // an empty queue (the §3.1 victim pattern).
-        sim.add_source(
+        sim.add_route(
             0,
             CbrSource::new(0, PKT, 8000.0 * 4.0, 0.013, 20.0),
-            SourceConfig::open_loop(rt),
+            Route::open_loop(rt),
         );
-        sim.add_source(
+        sim.add_route(
             1,
             CbrSource::new(1, PKT, rate, 0.0, 20.0),
-            SourceConfig::open_loop(be),
+            Route::open_loop(be),
         );
         for (i, &leaf) in cross.iter().enumerate() {
             let flow = 2 + i as u32;
-            sim.add_source(
+            sim.add_route(
                 flow,
                 CbrSource::new(flow, PKT, 80_000.0, 0.0, 20.0),
-                SourceConfig::open_loop(leaf),
+                Route::open_loop(leaf),
             );
         }
         sim.run(30.0);
@@ -164,4 +168,57 @@ fn wfq_exceeds_the_wf2q_plus_bound_in_a_hierarchy() {
         wfq > plus,
         "H-WFQ worst delay {wfq} should exceed H-WF2Q+'s {plus}"
     );
+}
+
+/// Theorem 4's B-WFI, measured through `Network`: three flows (0.5 / 0.3
+/// / 0.2) backlogged from t = 0 with 300 densely spaced packets each stay
+/// near the closed form — within one extra max packet of slop for this
+/// tie-heavy workload.
+#[test]
+fn exact_schedule_bwfi_stays_within_one_lmax_of_theorem4() {
+    const LINK: f64 = 10e6;
+    const LEN: u32 = 1500;
+    const BITS: f64 = 12_000.0; // LEN * 8
+    let shares = [0.5, 0.3, 0.2];
+    let kind = SchedulerKind::Wf2qPlus;
+    let mut bld = Hierarchy::<MixedScheduler>::builder(LINK, move |r| kind.build(r));
+    let root = bld.root();
+    let leaves: Vec<_> = shares
+        .iter()
+        .map(|&phi| bld.add_leaf(root, phi).unwrap())
+        .collect();
+    let mut net = Network::single_link(bld.build());
+    let mut arrivals_per_flow: Vec<Vec<(f64, f64)>> = Vec::new();
+    for (i, leaf) in leaves.iter().enumerate() {
+        let flow = i as u32;
+        net.stats.trace_flow(flow);
+        let entries: Vec<(f64, u32)> = (0..300).map(|n| (f64::from(n) * 1e-4, LEN)).collect();
+        arrivals_per_flow.push(
+            entries
+                .iter()
+                .map(|&(t, l)| (t, f64::from(l) * 8.0))
+                .collect(),
+        );
+        net.add_route(
+            flow,
+            TraceSource::new(flow, entries),
+            Route::open_loop(*leaf),
+        );
+    }
+    net.run(100.0);
+    net.verify_conservation().unwrap();
+
+    let all: Vec<_> = (0..shares.len() as u32)
+        .flat_map(|f| net.stats.trace(f).iter().copied())
+        .collect();
+    let w_server = service_curve_from_records(all.iter());
+    for (i, &share) in shares.iter().enumerate() {
+        let w_i = service_curve_from_records(net.stats.trace(i as u32).iter());
+        let measured = empirical_bwfi(&arrivals_per_flow[i], &w_i, &w_server, share);
+        let theory = wf2q_plus_bwfi(BITS, BITS, share * LINK, LINK);
+        assert!(
+            measured <= theory + BITS + 1.0,
+            "flow {i}: exact-schedule B-WFI {measured} bits way above theory {theory}"
+        );
+    }
 }

@@ -6,7 +6,7 @@
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
-use hpfq::sim::{Simulation, SourceConfig, TraceSource};
+use hpfq::sim::{Network, Route, TraceSource};
 use hpfq_analysis::service_curve_from_records;
 use hpfq_sim::SmallRng;
 
@@ -93,14 +93,14 @@ fn packet_service_tracks_fluid_service() {
         let fluid_res = FluidSim::run(&mirror.fluid, LINK, &fluid_arr);
 
         // Packet run.
-        let mut sim = Simulation::new(mirror.h);
+        let mut sim = Network::single_link(mirror.h);
         for (i, times) in arrivals_per_leaf.iter().enumerate() {
             let flow = i as u32;
             sim.stats.trace_flow(flow);
-            sim.add_source(
+            sim.add_route(
                 flow,
                 TraceSource::new(flow, times.iter().map(|&t| (t, PKT)).collect()),
-                SourceConfig::open_loop(mirror.leaves[i].0),
+                Route::open_loop(mirror.leaves[i].0),
             );
         }
         sim.run(1000.0);
@@ -146,22 +146,14 @@ fn sibling_shares_respected_under_flooding() {
     let a1 = bld.add_leaf(a, 0.7).unwrap();
     let a2 = bld.add_leaf(a, 0.3).unwrap();
 
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     for flow in 0..3u32 {
         sim.stats.trace_flow(flow);
     }
     let deep: Vec<(f64, u32)> = (0..2000).map(|_| (0.0, PKT)).collect();
-    sim.add_source(
-        0,
-        TraceSource::new(0, deep.clone()),
-        SourceConfig::open_loop(a1),
-    );
-    sim.add_source(
-        1,
-        TraceSource::new(1, deep.clone()),
-        SourceConfig::open_loop(a2),
-    );
-    sim.add_source(2, TraceSource::new(2, deep), SourceConfig::open_loop(b));
+    sim.add_route(0, TraceSource::new(0, deep.clone()), Route::open_loop(a1));
+    sim.add_route(1, TraceSource::new(1, deep.clone()), Route::open_loop(a2));
+    sim.add_route(2, TraceSource::new(2, deep), Route::open_loop(b));
     sim.run(4.0);
 
     let bw = |flow: u32| hpfq_analysis::measures::bandwidth_over(sim.stats.trace(flow), 0.5, 3.5);

@@ -1,11 +1,12 @@
-//! The multi-link [`Network`] against the single-link [`Simulation`]
-//! facade, plus multi-hop conservation and trace-based per-hop delay
+//! The multi-link [`Network`] against the single-link `Simulation` facade
+//! it replaced, plus multi-hop conservation and trace-based per-hop delay
 //! recovery.
 //!
-//! The golden test pins the refactor's central claim: a depth-1 network
-//! assembled by hand (`add_link` + `Route::single`) replays the
-//! `Simulation` front-end **byte-for-byte** — same merged JSONL trace,
-//! same statistics — on a reduced Fig. 3 workload with an outage command
+//! The golden test pins the fold: a depth-1 network assembled by hand
+//! (`add_link` + `Route::single`) replays, **byte-for-byte**, what the
+//! `Simulation` front-end produced at the last commit that had it
+//! (66967db) — same merged JSONL trace, same statistics, held here as
+//! FNV-1a digests — on a reduced Fig. 3 workload with an outage command
 //! and a finite buffer in the mix.
 
 use hpfq::analysis::{path_records_from_trace, per_link_records_from_trace};
@@ -14,11 +15,18 @@ use hpfq::obs::jsonl::parse_trace;
 use hpfq::obs::{EscalationPolicy, JsonlObserver, Observer, SharedBuf, TraceEvent};
 use hpfq::sim::{
     CbrSource, FaultInjector, Hop, Network, PacketTrainSource, PacketVerdict, PeriodicOnOffSource,
-    PoissonSource, Route, SimCommand, Simulation, SourceConfig,
+    PoissonSource, Route, SimCommand,
 };
 
 const LINK: f64 = 45e6;
 const PKT: u32 = 8192;
+
+/// Digest of the merged JSONL trace of the `Simulation` run (834 588
+/// bytes, 7 632 lines).
+const SIMULATION_TRACE_FNV1A: u64 = 0x3c91_c15b_ba62_50ff;
+/// Digest of the `Simulation` run's statistics, rendered as the golden
+/// test renders them.
+const SIMULATION_STATS_FNV1A: u64 = 0x3f1a_c23a_3759_fc7f;
 
 /// A reduced Fig. 3 hierarchy: N-R → {N-2 → {N-1 → {RT-1, BE-1}, PS-6,
 /// CS-6}, PS-1, CS-1}. Returns the hierarchy and the five leaves in the
@@ -98,33 +106,18 @@ fn attach_sources(
     );
 }
 
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[test]
 fn depth1_network_replays_simulation_byte_for_byte() {
-    // Front-end A: the Simulation facade.
-    let buf_a = SharedBuf::new();
-    let (h, leaves) = fig3ish(JsonlObserver::new(buf_a.clone()));
-    let mut sim = Simulation::new(h);
-    sim.stats.trace_flow(1);
-    attach_sources(|flow, src, leaf, buffer_bytes, delivery_delay| {
-        sim.add_source(
-            flow,
-            src,
-            SourceConfig {
-                leaf: leaves[leaf],
-                buffer_bytes,
-                delivery_delay,
-            },
-        );
-    });
-    // A 30 ms outage mid-run exercises the epoch/credit machinery.
-    sim.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    sim.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
-    sim.run(2.0);
-    sim.verify_conservation().unwrap();
-
-    // Front-end B: a hand-assembled one-link Network.
-    let buf_b = SharedBuf::new();
-    let (h, leaves) = fig3ish(JsonlObserver::new(buf_b.clone()));
+    // A hand-assembled one-link Network.
+    let buf = SharedBuf::new();
+    let (h, leaves) = fig3ish(JsonlObserver::new(buf.clone()));
     let mut net: Network<MixedScheduler, _> = Network::new();
     let link = net.add_link(h);
     assert_eq!(link, 0);
@@ -136,25 +129,42 @@ fn depth1_network_replays_simulation_byte_for_byte() {
             Route::single(leaves[leaf], buffer_bytes, delivery_delay),
         );
     });
+    // A 30 ms outage mid-run exercises the epoch/credit machinery.
     net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
     net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
     net.run(2.0);
     net.verify_conservation().unwrap();
 
-    // Statistics agree exactly.
-    assert_eq!(sim.stats.total_bytes, net.stats.total_bytes);
-    assert_eq!(sim.stats.total_packets, net.stats.total_packets);
-    assert_eq!(sim.stats.last_departure, net.stats.last_departure);
-    assert_eq!(sim.stats.trace(1), net.stats.trace(1));
-    for flow in [1, 2, 11, 31, 16] {
-        assert_eq!(sim.stats.flow(flow), net.stats.flow(flow), "flow {flow}");
-    }
-    assert_eq!(sim.link_ledger(0), net.link_ledger(0));
+    // Statistics agree exactly with the `Simulation` run: the per-packet
+    // trace of flow 1, the five flows' aggregates and the link ledger as
+    // one digest of their `Debug` rendering (`f64` prints round-trip).
+    assert_eq!(net.stats.total_bytes, 4_759_552);
+    assert_eq!(net.stats.total_packets, 581);
+    assert_eq!(net.stats.last_departure, 1.9989326222222226);
+    let flows: Vec<_> = [1, 2, 11, 31, 16]
+        .iter()
+        .map(|&f| net.stats.flow(f))
+        .collect();
+    let stats = format!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        net.stats.total_bytes,
+        net.stats.total_packets,
+        net.stats.last_departure,
+        net.stats.trace(1),
+        flows,
+        net.link_ledger(0)
+    );
+    assert_eq!(stats.len(), 9107);
+    assert_eq!(fnv1a(stats.as_bytes()), SIMULATION_STATS_FNV1A);
 
-    // The merged JSONL traces are byte-identical and non-trivial.
-    let (a, b) = (buf_a.contents(), buf_b.contents());
+    // The merged JSONL trace is byte-identical and non-trivial.
+    let a = buf.contents();
     assert!(a.lines().count() > 1000, "trace too small to be meaningful");
-    assert_eq!(a, b, "depth-1 Network diverged from Simulation");
+    assert_eq!(
+        (a.len(), fnv1a(a.as_bytes())),
+        (834_588, SIMULATION_TRACE_FNV1A),
+        "depth-1 Network diverged from Simulation"
+    );
     let (events, skipped) = parse_trace(&a);
     assert_eq!(skipped, 0);
     // Drops happened (finite BE-1 buffer) and the outage faults are there.

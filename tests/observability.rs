@@ -30,7 +30,7 @@ fn fig3_run_reports_zero_invariant_violations() {
             "{}: too little traffic",
             kind.name()
         );
-        let inv = f.sim.observer();
+        let inv = f.sim.observer_of(0);
         assert!(
             inv.events_checked > 1_000,
             "{}: observer saw {} events",
@@ -57,7 +57,7 @@ fn jsonl_trace_round_trips_and_rebuilds_service_records() {
     let total_packets = f.sim.stats.total_packets;
     assert!(!live_rt1.is_empty());
 
-    let obs = f.sim.into_observer();
+    let obs = f.sim.into_observers().remove(0);
     assert_eq!(obs.write_errors, 0);
     let text = String::from_utf8(obs.into_inner()).unwrap();
     let (events, skipped) = parse_trace(&text);
@@ -100,7 +100,7 @@ fn tupled_metrics_and_invariants_agree_with_sim_stats() {
         (InvariantObserver::new(), MetricsObserver::new()),
     );
     f.sim.run(1.5);
-    let (inv, metrics) = f.sim.observer();
+    let (inv, metrics) = f.sim.observer_of(0);
     assert!(inv.is_clean(), "{}", inv.summary());
     assert_eq!(metrics.tx_packets, f.sim.stats.total_packets);
     assert_eq!(metrics.tx_bytes, f.sim.stats.total_bytes);

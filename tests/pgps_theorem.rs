@@ -11,7 +11,7 @@
 
 use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidSim, FluidTree};
-use hpfq::sim::{Simulation, SmallRng, SourceConfig, TraceSource};
+use hpfq::sim::{Network, Route, SmallRng, TraceSource};
 
 const LINK: f64 = 1e6;
 
@@ -67,14 +67,14 @@ fn worst_lag_vs_gps(kind: SchedulerKind, seed: u64) -> (f64, f64) {
         .iter()
         .map(|&w| h.add_leaf(root, w / total).unwrap())
         .collect();
-    let mut sim = Simulation::new(h);
+    let mut sim = Network::single_link(h);
     for (i, entries) in flows.iter().enumerate() {
         let flow = i as u32;
         sim.stats.trace_flow(flow);
-        sim.add_source(
+        sim.add_route(
             flow,
             TraceSource::new(flow, entries.clone()),
-            SourceConfig::open_loop(leaves[i]),
+            Route::open_loop(leaves[i]),
         );
     }
     sim.run(1e6);

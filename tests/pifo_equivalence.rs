@@ -28,8 +28,7 @@ use hpfq::core::{
 };
 use hpfq::obs::{JsonlObserver, Observer, SharedBuf};
 use hpfq::sim::{
-    CbrSource, PacketTrainSource, PeriodicOnOffSource, PoissonSource, SimCommand, Simulation,
-    SourceConfig,
+    CbrSource, Network, PacketTrainSource, PeriodicOnOffSource, PoissonSource, Route, SimCommand,
 };
 
 /// Evaluates `$body` once per policy that has a hand-rolled original, with
@@ -282,19 +281,11 @@ fn run_fig3ish<S: NodeScheduler + 'static>(
 ) -> (String, Vec<String>) {
     let buf = SharedBuf::new();
     let (h, leaves) = fig3ish(JsonlObserver::new(buf.clone()), node);
-    let mut sim = Simulation::new(h);
+    let mut sim = Network::single_link(h);
     sim.stats.trace_flow(1);
     let mut attach =
         |flow: u32, src: Box<dyn hpfq::sim::Source>, leaf: usize, buffer: Option<u64>| {
-            sim.add_source(
-                flow,
-                src,
-                SourceConfig {
-                    leaf: leaves[leaf],
-                    buffer_bytes: buffer,
-                    delivery_delay: 0.0,
-                },
-            );
+            sim.add_route(flow, src, Route::single(leaves[leaf], buffer, 0.0));
         };
     attach(
         1,
@@ -518,15 +509,17 @@ fn snapshot_restores_across_backends() {
                 a.backlog(SessionId(i), len_pattern(i as u64), None);
             }
         }
-        // Run `a` mid-busy-period, then restore into `b` (the other
-        // backend) and drive both forward in lockstep.
-        for step in 0..40u64 {
+        // Run `a` to mid-busy-period (10 of the 24 offered packets), then
+        // restore into `b` (the other backend) and drive both forward in
+        // lockstep.
+        for step in 0..10u64 {
             let Some(id) = a.select_next() else { break };
             queued[id.0] -= 1;
             let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
             a.requeue(id, next);
         }
         b.load_state(&a.save_state()).unwrap();
+        let mut matched = 0;
         for step in 0..80u64 {
             let x = a.select_next();
             let y = b.select_next();
@@ -547,7 +540,13 @@ fn snapshot_restores_across_backends() {
             let next = (queued[id.0] > 0).then(|| len_pattern(step + 5));
             a.requeue(id, next);
             b.requeue(id, next);
+            matched += 1;
         }
+        assert!(
+            matched >= 10,
+            "{} {label}: snapshot taken on an idle scheduler ({matched} selections after restore)",
+            kind.name()
+        );
     }
     // Bare `PifoTree`s on both sides: `MixedScheduler` wraps the same
     // state in a kind tag, which a bare tree does not read.
@@ -683,33 +682,21 @@ mod random_differential {
     ) -> String {
         let buf = SharedBuf::new();
         let (h, leaves) = fig3ish(JsonlObserver::new(buf.clone()), node);
-        let mut sim = Simulation::new(h);
-        sim.add_source(
+        let mut sim = Network::single_link(h);
+        sim.add_route(
             1,
             CbrSource::new(1, PKT, 9e6, 0.0, f64::INFINITY),
-            SourceConfig {
-                leaf: leaves[0],
-                buffer_bytes: None,
-                delivery_delay: 0.0,
-            },
+            Route::single(leaves[0], None, 0.0),
         );
-        sim.add_source(
+        sim.add_route(
             2,
             PoissonSource::new(2, PKT, 6e6, 0.0, f64::INFINITY, 5),
-            SourceConfig {
-                leaf: leaves[1],
-                buffer_bytes: Some(2 * u64::from(PKT)),
-                delivery_delay: 0.0,
-            },
+            Route::single(leaves[1], Some(2 * u64::from(PKT)), 0.0),
         );
-        sim.add_source(
+        sim.add_route(
             3,
             CbrSource::new(3, PKT, 3e6, 0.1, f64::INFINITY),
-            SourceConfig {
-                leaf: leaves[4],
-                buffer_bytes: None,
-                delivery_delay: 0.0,
-            },
+            Route::single(leaves[4], None, 0.0),
         );
         sim.schedule_command(out_start, SimCommand::SetLinkRate(0.0));
         sim.schedule_command(out_start + out_len, SimCommand::SetLinkRate(LINK));

@@ -19,7 +19,7 @@ use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::obs::{InvariantObserver, NoopObserver};
 use hpfq::sim::{
     CbrSource, FlowMap, FlowStats, Hop, Network, PoissonSource, Route, ServiceRecord, SimCommand,
-    SimStats, Simulation, SmallRng, SourceConfig, TraceSource,
+    SimStats, SmallRng, TraceSource,
 };
 
 // ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ fn wf2q_plus_bwfi_theorem_holds() {
             .iter()
             .map(|s| h.add_leaf(root, s.weight / total_w).unwrap())
             .collect();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         let mut arrivals_per_flow: Vec<Vec<(f64, f64)>> = Vec::new();
         for (i, spec) in specs.iter().enumerate() {
             let flow = i as u32;
@@ -221,10 +221,10 @@ fn wf2q_plus_bwfi_theorem_holds() {
                     .map(|&(t, l)| (t, f64::from(l) * 8.0))
                     .collect(),
             );
-            sim.add_source(
+            sim.add_route(
                 flow,
                 TraceSource::new(flow, entries),
-                SourceConfig::open_loop(leaves[i]),
+                Route::open_loop(leaves[i]),
             );
         }
         sim.run(10_000.0);
@@ -373,7 +373,7 @@ fn hierarchy_conserves_packets() {
             .iter()
             .map(|&w| h.add_leaf(root, w / total).unwrap())
             .collect();
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         let mut per_flow: Vec<Vec<(f64, u32)>> = vec![Vec::new(); leaves.len()];
         for &(li, t, n) in &bursts {
             let li = li % leaves.len();
@@ -387,10 +387,10 @@ fn hierarchy_conserves_packets() {
             expected += entries.len();
             let flow = i as u32;
             sim.stats.trace_flow(flow);
-            sim.add_source(
+            sim.add_route(
                 flow,
                 TraceSource::new(flow, entries.clone()),
-                SourceConfig::open_loop(leaves[i]),
+                Route::open_loop(leaves[i]),
             );
         }
         sim.run(1e6);
@@ -429,16 +429,16 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
     let l0 = bld.add_leaf(class, 0.6).unwrap();
     let l1 = bld.add_leaf(class, 0.4).unwrap();
     let l2 = bld.add_leaf(root, 0.3).unwrap();
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     for (i, (leaf, rate)) in [(l0, 0.45e6), (l1, 0.30e6), (l2, 0.50e6)]
         .into_iter()
         .enumerate()
     {
         let flow = i as u32;
-        sim.add_source(
+        sim.add_route(
             flow,
             CbrSource::new(flow, 500, rate, 0.0, 18.0),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
 
@@ -481,7 +481,7 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
     // each churn command fires, not just the final configuration.
     for &t in &boundaries {
         sim.run(t);
-        let h = sim.server();
+        let h = sim.link_server(0);
         for n in 0..h.node_count() {
             let node = NodeId(n);
             if h.is_detached(node) {
@@ -507,7 +507,7 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
     sim.verify_conservation().unwrap_or_else(|e| {
         panic!("seed {seed}: conservation broken after churn: {e}");
     });
-    let obs = sim.server().observer();
+    let obs = sim.link_server(0).observer();
     assert!(
         obs.is_clean(),
         "seed {seed}: invariant violations under churn: {}",

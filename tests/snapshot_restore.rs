@@ -367,32 +367,34 @@ fn tandem_resume_runs_parallel_byte_identically() {
 }
 
 /// A checkpoint written by an earlier format (version 1 kept link
-/// completions in the event list) is refused with a typed error naming
-/// both versions — never misread, never a panic.
+/// completions in the event list, version 2 carried a per-link `train`
+/// list) is refused with a typed error naming both versions — never
+/// misread, never a panic.
 #[test]
 fn older_format_snapshot_is_refused_with_a_typed_error() {
     let mut net = tandem_net();
     net.run(1.5);
     let snap = net.snapshot().unwrap();
-    assert_eq!(
-        snap.get("v").unwrap().as_u64().unwrap(),
-        hpfq::sim::SNAPSHOT_VERSION
-    );
-    let older = Value::Map(
-        snap.entries()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| match k.as_str() {
-                "v" => (k.clone(), Value::U64(hpfq::sim::SNAPSHOT_VERSION - 1)),
-                _ => (k.clone(), v.clone()),
-            })
-            .collect(),
-    );
-    let err = tandem_net().restore(&older).unwrap_err();
-    assert!(
-        err.what.contains("version 1") && err.what.contains("expected 2"),
-        "{err:?}"
-    );
+    let current = hpfq::sim::SNAPSHOT_VERSION;
+    assert_eq!(snap.get("v").unwrap().as_u64().unwrap(), current);
+    for version in 1..current {
+        let older = Value::Map(
+            snap.entries()
+                .unwrap()
+                .iter()
+                .map(|(k, v)| match k.as_str() {
+                    "v" => (k.clone(), Value::U64(version)),
+                    _ => (k.clone(), v.clone()),
+                })
+                .collect(),
+        );
+        let err = tandem_net().restore(&older).unwrap_err();
+        assert!(
+            err.what.contains(&format!("version {version}"))
+                && err.what.contains(&format!("expected {current}")),
+            "{err:?}"
+        );
+    }
     // The same bytes under the current version restore fine.
     tandem_net().restore(&snap).unwrap();
 }

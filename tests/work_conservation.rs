@@ -5,7 +5,7 @@
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::obs::InvariantObserver;
-use hpfq::sim::{CbrSource, Simulation, SourceConfig, TraceSource};
+use hpfq::sim::{CbrSource, Network, Route, TraceSource};
 use std::collections::HashMap;
 
 fn two_level(kind: SchedulerKind) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
@@ -26,13 +26,13 @@ fn two_level(kind: SchedulerKind) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
 fn saturated_link_transmits_at_capacity_under_every_policy() {
     for kind in SchedulerKind::ALL {
         let (h, leaves) = two_level(kind);
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         for (i, &leaf) in leaves.iter().enumerate() {
             let flow = i as u32;
-            sim.add_source(
+            sim.add_route(
                 flow,
                 CbrSource::new(flow, 500, 0.5e6, 0.0, 100.0), // 4x oversubscribed
-                SourceConfig::open_loop(leaf),
+                Route::open_loop(leaf),
             );
         }
         sim.run(10.0);
@@ -51,7 +51,7 @@ fn saturated_link_transmits_at_capacity_under_every_policy() {
 fn every_packet_transmitted_exactly_once_and_in_flow_order() {
     for kind in SchedulerKind::ALL {
         let (h, leaves) = two_level(kind);
-        let mut sim = Simulation::new(h);
+        let mut sim = Network::single_link(h);
         let mut expected = 0usize;
         for (i, &leaf) in leaves.iter().enumerate() {
             let flow = i as u32;
@@ -65,10 +65,10 @@ fn every_packet_transmitted_exactly_once_and_in_flow_order() {
                 entries.push((1.0 + 0.05 * k as f64, 600));
             }
             expected += entries.len();
-            sim.add_source(
+            sim.add_route(
                 flow,
                 TraceSource::new(flow, entries),
-                SourceConfig::open_loop(leaf),
+                Route::open_loop(leaf),
             );
         }
         sim.run(1000.0);
@@ -117,14 +117,14 @@ fn transmissions_do_not_overlap() {
         bld.add_leaf(b, 0.25).unwrap(),
         bld.add_leaf(b, 0.75).unwrap(),
     ];
-    let mut sim = Simulation::new(bld.build());
+    let mut sim = Network::single_link(bld.build());
     for (i, &leaf) in leaves.iter().enumerate() {
         let flow = i as u32;
         sim.stats.trace_flow(flow);
-        sim.add_source(
+        sim.add_route(
             flow,
             CbrSource::new(flow, 700, 0.4e6, 0.0, 5.0),
-            SourceConfig::open_loop(leaf),
+            Route::open_loop(leaf),
         );
     }
     sim.run(20.0);
@@ -135,7 +135,7 @@ fn transmissions_do_not_overlap() {
     for w in intervals.windows(2) {
         assert!(w[1].0 >= w[0].1 - 1e-9, "overlapping transmissions: {w:?}");
     }
-    let inv = sim.observer();
+    let inv = sim.observer_of(0);
     assert!(inv.events_checked > 0);
     assert!(inv.is_clean(), "{}", inv.summary());
 }
