@@ -11,6 +11,25 @@
 //! there is a path from the root to a leaf whose logical heads all refer to
 //! the packet in flight.
 //!
+//! ## Layout
+//!
+//! The two kinds of node are stored apart, because they share almost
+//! nothing. A leaf is one 64-byte record — its FIFO, the queued byte count,
+//! the length of the head it offers, its parent and session slot, three
+//! flags — so the per-packet work at a leaf stays inside one cache line. An
+//! internal node holds its scheduler by value, its children, and a
+//! *reference* to the head it offers (the leaf that owns the packet, and
+//! the packet's length). Children, heads and parents are `u32` indices into
+//! the two arrays; a child reference carries one tag bit saying which.
+//!
+//! [`NodeId`]s stay what callers have always seen: dense, in creation
+//! order, leaves and internal nodes interleaved as they were added. A table
+//! maps each id to its record, two more map records back to ids for the
+//! [`Observer`] events and the snapshot, and the shares (`rate`, `phi`, the
+//! allocated sum), which no per-packet path reads, sit in a side table
+//! indexed by id. Ids are translated once where a call enters; everything
+//! inside works on indices.
+//!
 //! ## Driving protocol (what the paper's pseudocode becomes)
 //!
 //! * [`Hierarchy::enqueue`] — ARRIVE: append to the leaf FIFO; if the leaf
@@ -32,7 +51,10 @@
 //! exactly as in the paper. Ancestors beyond that point still learn of the
 //! arrival through [`NodeScheduler::arrival_hint`], which the GPS-emulating
 //! policies (WFQ, WF²Q) use to keep their per-session fluid backlogs — and
-//! hence their virtual-time slopes — exact rather than head-limited.
+//! hence their virtual-time slopes — exact rather than head-limited. A tree
+//! in which no scheduler [wants](NodeScheduler::wants_arrival_hints) them
+//! (H-WF²Q+, say) skips that walk: its ARRIVE stops at the first node
+//! already offering a head, as the paper's does.
 //!
 //! ## Reference time
 //!
@@ -77,44 +99,146 @@ impl NodeId {
     }
 }
 
-/// The head of a logical queue: which leaf's front packet it refers to.
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    leaf: usize,
-    bits: f64,
+/// "No node" in a `u32` index field: the root's parent, the head of a node
+/// that offers nothing.
+const NIL: u32 = u32::MAX;
+
+/// Where a node's record lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// Index into `Hierarchy::leaves`.
+    Leaf(usize),
+    /// Index into `Hierarchy::inners`.
+    Inner(usize),
 }
 
+/// A [`Place`] in four bytes: the top bit says leaf, the rest is the index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ref(u32);
+
+impl Ref {
+    const LEAF_BIT: u32 = 1 << 31;
+    /// No child (an internal node that adopted no head). Never resolved.
+    const NONE: Ref = Ref(NIL);
+
+    #[inline]
+    fn leaf(index: usize) -> Ref {
+        Ref(index as u32 | Ref::LEAF_BIT)
+    }
+
+    #[inline]
+    fn inner(index: usize) -> Ref {
+        Ref(index as u32)
+    }
+
+    #[inline]
+    fn is_leaf(self) -> bool {
+        self.0 & Ref::LEAF_BIT != 0
+    }
+
+    #[inline]
+    fn place(self) -> Place {
+        debug_assert!(self != Ref::NONE, "resolving the null reference");
+        if self.is_leaf() {
+            Place::Leaf((self.0 & !Ref::LEAF_BIT) as usize)
+        } else {
+            Place::Inner(self.0 as usize)
+        }
+    }
+}
+
+/// A leaf: the real packet queue of one session. Exactly one cache line.
 #[derive(Debug)]
-struct Node<S> {
-    /// `(parent index, session slot within the parent's scheduler)`;
-    /// `None` for the root.
-    parent: Option<(usize, SessionId)>,
-    /// Child node index per session slot (internal nodes only).
-    children: Vec<usize>,
-    /// The one-level scheduler (internal nodes only).
-    sched: Option<S>,
+struct Leaf {
+    /// The queued packets; the front one is in flight while the link
+    /// transmits it.
+    fifo: VecDeque<Packet>,
+    /// Queued bytes in `fifo`, for buffer management by the caller.
+    fifo_bytes: u64,
+    /// Length in bits of the front packet, valid while `offering`: what
+    /// the parent reads when it adopts this leaf's head, without touching
+    /// the FIFO's buffer.
+    head_bits: f64,
+    /// Parent, as an index into `Hierarchy::inners`.
+    parent: u32,
+    /// Session slot within the parent's scheduler.
+    slot: u32,
+    /// The leaf currently offers its front packet to the parent.
+    offering: bool,
+    /// The leaf has been removed from the tree: its share is returned to
+    /// the parent's pool and it accepts no further traffic. The record
+    /// stays allocated (node ids are dense and stable).
+    detached: bool,
+    /// Removal was requested while the leaf still offered a head packet:
+    /// the head finishes service normally, then the detach completes.
+    draining: bool,
+}
+
+impl Leaf {
+    /// An empty, attached leaf in session `slot` of internal node `parent`.
+    fn new(parent: u32, slot: u32) -> Leaf {
+        Leaf {
+            fifo: VecDeque::new(),
+            fifo_bytes: 0,
+            head_bits: 0.0,
+            parent,
+            slot,
+            offering: false,
+            detached: false,
+            draining: false,
+        }
+    }
+}
+
+/// An internal node: a one-level scheduler over its children's logical
+/// queues, and a reference to the one head packet it offers upward.
+#[derive(Debug)]
+struct Inner<S> {
+    sched: S,
+    /// Child per session slot.
+    children: Vec<Ref>,
+    /// Length in bits of the offered head (valid while `head_leaf` is set).
+    head_bits: f64,
+    /// The leaf (index into `Hierarchy::leaves`) whose front packet this
+    /// node offers to its parent; [`NIL`] while it offers none.
+    head_leaf: u32,
+    /// The child whose head this node adopted; [`Ref::NONE`] with no head.
+    active_child: Ref,
+    /// Parent, as an index into `Hierarchy::inners`; [`NIL`] for the root.
+    parent: u32,
+    /// Session slot within the parent's scheduler.
+    slot: u32,
+    /// The class has been removed (see [`Hierarchy::remove_internal`]).
+    detached: bool,
+}
+
+impl<S> Inner<S> {
+    /// A childless node offering no head, in session `slot` of internal
+    /// node `parent` ([`NIL`] for the root).
+    fn new(sched: S, parent: u32, slot: u32) -> Inner<S> {
+        Inner {
+            sched,
+            children: Vec::new(),
+            head_bits: 0.0,
+            head_leaf: NIL,
+            active_child: Ref::NONE,
+            parent,
+            slot,
+            detached: false,
+        }
+    }
+}
+
+/// A node's share bookkeeping, read at construction, churn and reporting
+/// time only — never per packet.
+#[derive(Debug, Clone, Copy)]
+struct Share {
     /// Guaranteed rate `r_n = φ_n · r_parent` in bits/s.
     rate: f64,
     /// Share of the parent's rate (1.0 for the root).
     phi: f64,
-    /// Running sum of children's shares, for validation.
+    /// Running sum of attached children's shares, for validation.
     child_phi_sum: f64,
-    /// The packet this node currently offers to its parent.
-    head: Option<Head>,
-    /// The child whose head this node adopted.
-    active_child: Option<usize>,
-    /// Real packet queue (leaves only).
-    fifo: VecDeque<Packet>,
-    /// Queued bytes in `fifo`, for buffer management by the caller.
-    fifo_bytes: u64,
-    is_leaf: bool,
-    /// The node has been removed from the tree: its share is returned to
-    /// the parent's pool and it accepts no further traffic. The slot stays
-    /// allocated (node ids are dense and stable).
-    detached: bool,
-    /// Removal was requested while the node still offered a head packet:
-    /// the head finishes service normally, then the detach completes.
-    draining: bool,
 }
 
 /// An H-PFQ server: a tree of one-level schedulers. See the
@@ -124,7 +248,21 @@ struct Node<S> {
 /// event; it defaults to [`NoopObserver`], under which all instrumentation
 /// compiles away.
 pub struct Hierarchy<S: NodeScheduler, O: Observer = NoopObserver> {
-    nodes: Vec<Node<S>>,
+    leaves: Vec<Leaf>,
+    /// Internal nodes; index 0 is the root.
+    inners: Vec<Inner<S>>,
+    /// [`NodeId`] → record.
+    refs: Vec<Ref>,
+    /// [`NodeId`] → shares.
+    shares: Vec<Share>,
+    /// Leaf index → [`NodeId`], ascending (leaves are created in id order).
+    leaf_ids: Vec<u32>,
+    /// Internal-node index → [`NodeId`], ascending.
+    inner_ids: Vec<u32>,
+    /// Some scheduler in the tree [wants arrival
+    /// hints](NodeScheduler::wants_arrival_hints). Clear, ARRIVE never
+    /// walks past the first node already offering a head.
+    wants_hints: bool,
     transmitting: bool,
     /// Warped time at which the current busy period began (eq. 32: the
     /// root's reference time is elapsed busy time *on the warped clock* —
@@ -148,15 +286,16 @@ pub struct Hierarchy<S: NodeScheduler, O: Observer = NoopObserver> {
     /// Output link id stamped on every emitted event (0 for single-link
     /// setups); lets one observer ride a merged multi-link trace.
     link: usize,
-    /// Reused in [`Hierarchy::complete_transmission_at`] for the in-flight
-    /// root→leaf path, so RESET-PATH allocates nothing in steady state.
-    path_scratch: Vec<usize>,
+    /// Reused in [`Hierarchy::complete_transmission_at`] for the internal
+    /// nodes of the in-flight path, root first, so RESET-PATH allocates
+    /// nothing in steady state.
+    path_scratch: Vec<u32>,
 }
 
 impl<S: NodeScheduler, O: Observer> std::fmt::Debug for Hierarchy<S, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hierarchy")
-            .field("nodes", &self.nodes.len())
+            .field("nodes", &self.refs.len())
             .field("transmitting", &self.transmitting)
             .finish()
     }
@@ -197,23 +336,19 @@ impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
             "invalid link rate {rate_bps}"
         );
         let factory: Box<dyn Fn(f64) -> S> = Box::new(factory);
-        let root = Node {
-            parent: None,
-            children: Vec::new(),
-            sched: Some(factory(rate_bps)),
-            rate: rate_bps,
-            phi: 1.0,
-            child_phi_sum: 0.0,
-            head: None,
-            active_child: None,
-            fifo: VecDeque::new(),
-            fifo_bytes: 0,
-            is_leaf: false,
-            detached: false,
-            draining: false,
-        };
+        let sched = factory(rate_bps);
         let h = Hierarchy {
-            nodes: vec![root],
+            leaves: Vec::new(),
+            wants_hints: sched.wants_arrival_hints(),
+            inners: vec![Inner::new(sched, NIL, 0)],
+            refs: vec![Ref::inner(0)],
+            shares: vec![Share {
+                rate: rate_bps,
+                phi: 1.0,
+                child_phi_sum: 0.0,
+            }],
+            leaf_ids: Vec::new(),
+            inner_ids: vec![0],
             transmitting: false,
             busy_start: 0.0,
             warp_base: 0.0,
@@ -242,10 +377,9 @@ impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
     /// Adds an internal node (a link-sharing class) with share `phi` of its
     /// parent, running a scheduler built by the factory.
     pub fn add_internal(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
-        self.h.validate_new_child(parent, phi)?;
-        let rate = phi * self.h.nodes[parent.0].rate;
-        let sched = (self.factory)(rate);
-        Ok(self.h.push_node(parent, phi, Some(sched), false))
+        let p = self.h.validate_new_child(parent, phi)?;
+        let sched = (self.factory)(phi * self.h.shares[parent.0].rate);
+        Ok(self.h.push_node(p, phi, Some(sched)))
     }
 
     /// Adds an internal node running a caller-supplied scheduler (for
@@ -313,7 +447,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// virtual time loses monotonicity.
     pub fn set_link_rate_factor(&mut self, now: f64, factor: f64) -> Result<(), HpfqError> {
         if !(factor.is_finite() && factor >= 0.0) {
-            return Err(HpfqError::InvalidRate(factor * self.nodes[0].rate));
+            return Err(HpfqError::InvalidRate(factor * self.link_rate()));
         }
         self.warp_base = self.warped(now);
         self.warp_time = now;
@@ -344,7 +478,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
 
     /// Link rate in bits/s.
     pub fn link_rate(&self) -> f64 {
-        self.nodes[0].rate
+        self.shares[0].rate
     }
 
     /// The link id stamped on every emitted event (see
@@ -359,71 +493,84 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.link = link;
     }
 
-    fn validate_new_child(&mut self, parent: NodeId, phi: f64) -> Result<(), HpfqError> {
+    /// The [`NodeId`] index of the node stored at `r`.
+    fn id_of(&self, r: Ref) -> usize {
+        match r.place() {
+            Place::Leaf(l) => self.leaf_ids[l] as usize,
+            Place::Inner(n) => self.inner_ids[n] as usize,
+        }
+    }
+
+    /// Where `node` is stored; `None` for an id this hierarchy never issued.
+    fn place(&self, node: NodeId) -> Option<Place> {
+        self.refs.get(node.0).map(|r| r.place())
+    }
+
+    /// Checks that `parent` can take a child of share `phi`; returns the
+    /// parent's index among the internal nodes.
+    fn validate_new_child(&self, parent: NodeId, phi: f64) -> Result<usize, HpfqError> {
         if !(phi.is_finite() && phi > 0.0 && phi <= 1.0) {
             return Err(HpfqError::InvalidShare(phi));
         }
-        let p = self
-            .nodes
-            .get(parent.0)
-            .ok_or(HpfqError::UnknownNode(parent.0))?;
-        if p.is_leaf {
-            return Err(HpfqError::NotInternal(parent.0));
-        }
-        if p.detached || p.draining {
+        let p = match self.place(parent) {
+            None => return Err(HpfqError::UnknownNode(parent.0)),
+            Some(Place::Leaf(_)) => return Err(HpfqError::NotInternal(parent.0)),
+            Some(Place::Inner(p)) => p,
+        };
+        if self.inners[p].detached {
             return Err(HpfqError::NodeDetached(parent.0));
         }
-        let sum = p.child_phi_sum + phi;
+        let sum = self.shares[parent.0].child_phi_sum + phi;
         if vtime::strictly_after(sum, 1.0) {
             return Err(HpfqError::ShareOverflow {
                 node: parent.0,
                 sum,
             });
         }
-        Ok(())
+        Ok(p)
     }
 
-    fn push_node(
-        &mut self,
-        parent: NodeId,
-        phi: f64,
-        mut sched: Option<S>,
-        is_leaf: bool,
-    ) -> NodeId {
-        let rate = phi * self.nodes[parent.0].rate;
-        // Every node below the root sees reference time only through its
-        // own served work: the dispatch loop passes `ref_now = None` to
-        // internal nodes, and root-aware schedulers (PIFO-backed) assert
-        // that convention in debug builds.
-        if let Some(s) = sched.as_mut() {
-            s.set_is_root(false);
-        }
-        let idx = self.nodes.len();
-        let slot = self.nodes[parent.0]
-            .sched
-            .as_mut()
-            // lint:allow(L002): construct() only creates children under internal nodes
-            .expect("internal node has a scheduler")
-            .add_session(phi);
-        debug_assert_eq!(slot.0, self.nodes[parent.0].children.len());
-        self.nodes[parent.0].children.push(idx);
-        self.nodes[parent.0].child_phi_sum += phi;
-        self.nodes.push(Node {
-            parent: Some((parent.0, slot)),
-            children: Vec::new(),
-            sched,
+    /// Appends a child of internal node `p` (an index into `inners`): an
+    /// internal node when it comes with a scheduler, a leaf otherwise.
+    fn push_node(&mut self, p: usize, phi: f64, sched: Option<S>) -> NodeId {
+        let id = self.refs.len();
+        assert!(
+            id < Ref::LEAF_BIT as usize,
+            "hierarchy is full (2^31 nodes)"
+        );
+        let parent_id = self.inner_ids[p] as usize;
+        let rate = phi * self.shares[parent_id].rate;
+        let slot = self.inners[p].sched.add_session(phi);
+        debug_assert_eq!(slot.0, self.inners[p].children.len());
+        let (parent, slot) = (p as u32, slot.0 as u32);
+        let r = match sched {
+            Some(mut sched) => {
+                // Every node below the root sees reference time only
+                // through its own served work: the dispatch loop passes
+                // `ref_now = None` to internal nodes, and root-aware
+                // schedulers (PIFO-backed) assert that convention in debug
+                // builds.
+                sched.set_is_root(false);
+                self.wants_hints |= sched.wants_arrival_hints();
+                self.inner_ids.push(id as u32);
+                self.inners.push(Inner::new(sched, parent, slot));
+                Ref::inner(self.inners.len() - 1)
+            }
+            None => {
+                self.leaf_ids.push(id as u32);
+                self.leaves.push(Leaf::new(parent, slot));
+                Ref::leaf(self.leaves.len() - 1)
+            }
+        };
+        self.inners[p].children.push(r);
+        self.shares[parent_id].child_phi_sum += phi;
+        self.refs.push(r);
+        self.shares.push(Share {
             rate,
             phi,
             child_phi_sum: 0.0,
-            head: None,
-            active_child: None,
-            fifo: VecDeque::new(),
-            fifo_bytes: 0,
-            is_leaf,
-            detached: false,
-            draining: false,
         });
-        NodeId(idx)
+        NodeId(id)
     }
 
     /// Adds an internal node running a caller-supplied scheduler (for
@@ -435,15 +582,15 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         phi: f64,
         sched: S,
     ) -> Result<NodeId, HpfqError> {
-        self.validate_new_child(parent, phi)?;
-        Ok(self.push_node(parent, phi, Some(sched), false))
+        let p = self.validate_new_child(parent, phi)?;
+        Ok(self.push_node(p, phi, Some(sched)))
     }
 
     /// Adds a leaf (a session with a real FIFO queue) with share `phi` of
     /// its parent.
     pub fn add_leaf(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
-        self.validate_new_child(parent, phi)?;
-        Ok(self.push_node(parent, phi, None, true))
+        let p = self.validate_new_child(parent, phi)?;
+        Ok(self.push_node(p, phi, None))
     }
 
     /// Removes a leaf mid-run (flow churn / quarantine), returning the
@@ -465,29 +612,24 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// onward, and its `phi` returns to the parent's allocatable pool at
     /// finalization.
     pub fn remove_leaf(&mut self, leaf: NodeId) -> Result<Vec<Packet>, HpfqError> {
-        let l = leaf.0;
-        let node = self.nodes.get(l).ok_or(HpfqError::UnknownNode(l))?;
-        if !node.is_leaf {
-            return Err(HpfqError::NotALeaf(l));
+        let l = match self.place(leaf) {
+            None => return Err(HpfqError::UnknownNode(leaf.0)),
+            Some(Place::Inner(_)) => return Err(HpfqError::NotALeaf(leaf.0)),
+            Some(Place::Leaf(l)) => l,
+        };
+        let lf = &mut self.leaves[l];
+        if lf.detached || lf.draining {
+            return Err(HpfqError::NodeDetached(leaf.0));
         }
-        if node.detached || node.draining {
-            return Err(HpfqError::NodeDetached(l));
+        let purged: Vec<Packet> = lf.fifo.drain(usize::from(lf.offering)..).collect();
+        for p in &purged {
+            lf.fifo_bytes -= u64::from(p.len_bytes);
         }
-        let offering = self.nodes[l].head.is_some();
-        let keep = usize::from(offering);
-        let mut purged = Vec::new();
-        while self.nodes[l].fifo.len() > keep {
-            if let Some(p) = self.nodes[l].fifo.pop_back() {
-                self.nodes[l].fifo_bytes -= u64::from(p.len_bytes);
-                purged.push(p);
-            }
-        }
-        purged.reverse(); // back-to-front pops -> arrival order
-        if offering {
-            self.nodes[l].draining = true;
+        if lf.offering {
+            lf.draining = true;
         } else {
-            debug_assert_eq!(self.nodes[l].fifo.len(), 0);
-            self.detach_finalize(l);
+            debug_assert_eq!(lf.fifo.len(), 0);
+            self.detach_finalize(Ref::leaf(l));
         }
         Ok(purged)
     }
@@ -495,47 +637,62 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// Removes an interior class whose children have all been removed. The
     /// class's share returns to its parent's allocatable pool.
     pub fn remove_internal(&mut self, node: NodeId) -> Result<(), HpfqError> {
-        let n = node.0;
-        let nd = self.nodes.get(n).ok_or(HpfqError::UnknownNode(n))?;
-        if nd.is_leaf {
-            return Err(HpfqError::NotInternal(n));
-        }
-        if nd.parent.is_none() {
+        let n = match self.place(node) {
+            None => return Err(HpfqError::UnknownNode(node.0)),
+            Some(Place::Leaf(_)) => return Err(HpfqError::NotInternal(node.0)),
+            Some(Place::Inner(n)) => n,
+        };
+        let nd = &self.inners[n];
+        if nd.parent == NIL {
             // The root is the physical link; it cannot be removed.
-            return Err(HpfqError::UnknownNode(n));
+            return Err(HpfqError::UnknownNode(node.0));
         }
         if nd.detached {
-            return Err(HpfqError::NodeDetached(n));
+            return Err(HpfqError::NodeDetached(node.0));
         }
-        let live_child = self.nodes[n]
-            .children
-            .iter()
-            .any(|&c| !self.nodes[c].detached);
-        if live_child || self.nodes[n].head.is_some() {
-            return Err(HpfqError::HasChildren(n));
+        let live_child = nd.children.iter().any(|c| match c.place() {
+            Place::Leaf(l) => !self.leaves[l].detached,
+            Place::Inner(i) => !self.inners[i].detached,
+        });
+        if live_child || nd.head_leaf != NIL {
+            return Err(HpfqError::HasChildren(node.0));
         }
-        self.detach_finalize(n);
+        self.detach_finalize(Ref::inner(n));
         Ok(())
     }
 
     /// Completes a detach: returns the node's share to the parent pool and
-    /// marks the slot removed. The underlying scheduler session simply
+    /// marks the record removed. The underlying scheduler session simply
     /// stays idle forever — an idle session is invisible to every policy's
     /// selection and virtual clock.
-    fn detach_finalize(&mut self, n: usize) {
-        self.nodes[n].draining = false;
-        self.nodes[n].detached = true;
-        if let Some((p, _)) = self.nodes[n].parent {
-            let phi = self.nodes[n].phi;
+    fn detach_finalize(&mut self, r: Ref) {
+        let parent = match r.place() {
+            Place::Leaf(l) => {
+                let lf = &mut self.leaves[l];
+                lf.draining = false;
+                lf.detached = true;
+                lf.parent
+            }
+            Place::Inner(n) => {
+                self.inners[n].detached = true;
+                self.inners[n].parent
+            }
+        };
+        if parent != NIL {
+            let phi = self.shares[self.id_of(r)].phi;
+            let pool = &mut self.shares[self.inner_ids[parent as usize] as usize].child_phi_sum;
             // Clamp: repeated add/remove cycles must never drive the pool
             // accounting negative through f64 rounding.
-            self.nodes[p].child_phi_sum = (self.nodes[p].child_phi_sum - phi).max(0.0);
+            *pool = (*pool - phi).max(0.0);
         }
     }
 
     /// Whether `node` has been removed (or is draining toward removal).
     pub fn is_detached(&self, node: NodeId) -> bool {
-        self.nodes[node.0].detached || self.nodes[node.0].draining
+        match self.refs[node.0].place() {
+            Place::Leaf(l) => self.leaves[l].detached || self.leaves[l].draining,
+            Place::Inner(n) => self.inners[n].detached,
+        }
     }
 
     /// ARRIVE: appends `pkt` to leaf `leaf`'s queue and propagates logical
@@ -566,13 +723,13 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// enqueues. On `Err` the hierarchy is unchanged — this is the
     /// graceful-degradation entry point for untrusted traffic.
     pub fn try_enqueue(&mut self, leaf: NodeId, pkt: Packet) -> Result<(), HpfqError> {
-        let l = leaf.0;
-        let node = self.nodes.get(l).ok_or(HpfqError::UnknownNode(l))?;
-        if !node.is_leaf {
-            return Err(HpfqError::NotALeaf(l));
-        }
-        if node.detached || node.draining {
-            return Err(HpfqError::NodeDetached(l));
+        let l = match self.place(leaf) {
+            None => return Err(HpfqError::UnknownNode(leaf.0)),
+            Some(Place::Inner(_)) => return Err(HpfqError::NotALeaf(leaf.0)),
+            Some(Place::Leaf(l)) => l,
+        };
+        if self.leaves[l].detached || self.leaves[l].draining {
+            return Err(HpfqError::NodeDetached(leaf.0));
         }
         pkt.validate()?;
         if self.is_idle() {
@@ -580,68 +737,113 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         }
         self.last_time = self.last_time.max(pkt.arrival);
         let root_ref = (self.warped(pkt.arrival) - self.busy_start).max(0.0);
-        self.nodes[l].fifo_bytes += u64::from(pkt.len_bytes);
-        self.nodes[l].fifo.push_back(pkt);
+        let bits = pkt.bits();
+        let lf = &mut self.leaves[l];
+        lf.fifo_bytes += u64::from(pkt.len_bytes);
+        lf.fifo.push_back(pkt);
+        let (p, slot) = (lf.parent, lf.slot);
+        let was_offering = std::mem::replace(&mut lf.offering, true);
+        if !was_offering {
+            lf.head_bits = bits;
+        }
         if O::ENABLED {
             self.obs.on_enqueue(&EnqueueEvent {
                 time: pkt.arrival,
                 link: self.link,
-                leaf: l,
+                leaf: leaf.0,
                 pkt: pkt_info(&pkt),
-                queue_depth: self.nodes[l].fifo.len(),
-                queue_bytes: self.nodes[l].fifo_bytes,
+                queue_depth: lf.fifo.len(),
+                queue_bytes: lf.fifo_bytes,
             });
         }
-        let bits = pkt.bits();
-        if self.nodes[l].head.is_some() {
+        if was_offering {
             // The leaf already offers a packet, so no head changes upstream
             // — but the arrival still joins the emulated GPS backlog of
             // every ancestor (GPS-exact policies track it; others ignore
             // the hint).
-            self.hint_up(l, bits, root_ref);
+            self.hint_up(p, slot, bits, root_ref);
             return Ok(());
         }
-        self.nodes[l].head = Some(Head { leaf: l, bits });
         if O::ENABLED {
             self.obs.on_node_backlog(&BacklogEvent {
                 time: pkt.arrival,
                 link: self.link,
-                node: l,
+                node: leaf.0,
                 active: true,
             });
         }
-        // lint:allow(L002): enqueue targets a leaf, and every leaf has a parent
-        let (p, slot) = self.nodes[l].parent.expect("leaf has a parent");
         let hint = if p == 0 { Some(root_ref) } else { None };
-        self.sched_mut(p).backlog(slot, bits, hint);
-        self.bubble_up(p, bits, root_ref);
+        self.inners[p as usize]
+            .sched
+            .backlog(SessionId(slot as usize), bits, hint);
+        self.bubble_up(p as usize, bits, root_ref);
         Ok(())
     }
 
-    /// Announces an arrival of `bits` bits inside `from`'s subtree to every
-    /// ancestor scheduler whose session for the path child was *already*
-    /// backlogged (and therefore received no `backlog()` call). Keeps the
-    /// GPS-emulating policies' per-session fluid backlogs exact.
-    fn hint_up(&mut self, from: usize, bits: f64, root_ref: f64) {
-        let mut n = from;
-        while let Some((p, slot)) = self.nodes[n].parent {
+    /// Announces an arrival of `bits` bits to the scheduler of internal
+    /// node `p` — whose session `slot` was *already* backlogged, and
+    /// therefore received no `backlog()` call — and to every scheduler
+    /// above it. Keeps the GPS-emulating policies' per-session fluid
+    /// backlogs exact; a tree without such a policy returns at once.
+    fn hint_up(&mut self, mut p: u32, mut slot: u32, bits: f64, root_ref: f64) {
+        if !self.wants_hints {
+            return;
+        }
+        while p != NIL {
+            let n = &mut self.inners[p as usize];
             let rn = if p == 0 { Some(root_ref) } else { None };
-            self.sched_mut(p).arrival_hint(slot, bits, rn);
-            n = p;
+            n.sched.arrival_hint(SessionId(slot as usize), bits, rn);
+            (p, slot) = (n.parent, n.slot);
         }
     }
 
     /// Whether no packet is queued anywhere and the link is idle.
     pub fn is_idle(&self) -> bool {
         !self.transmitting
-            && self.nodes[0].head.is_none()
-            && self.nodes[0]
-                .sched
-                .as_ref()
-                // lint:allow(L002): node 0 is the root, which is always internal
-                .expect("root has a scheduler")
-                .backlogged()
-                == 0
+            && self.inners[0].head_leaf == NIL
+            && self.inners[0].sched.backlogged() == 0
+    }
+
+    /// The head `child` offers, as `(leaf index, bits)`.
+    #[inline]
+    fn head_of(&self, child: Ref) -> Option<(u32, f64)> {
+        match child.place() {
+            Place::Leaf(l) => {
+                let lf = &self.leaves[l];
+                lf.offering.then_some((l as u32, lf.head_bits))
+            }
+            Place::Inner(n) => {
+                let nd = &self.inners[n];
+                (nd.head_leaf != NIL).then_some((nd.head_leaf, nd.head_bits))
+            }
+        }
+    }
+
+    /// RESTART-NODE at internal node `n`: select the next session and adopt
+    /// its child's head. Returns the adopted head's length in bits, or
+    /// `None` if no child is backlogged.
+    #[inline]
+    fn restart_node(&mut self, n: usize) -> Option<f64> {
+        let sched = &mut self.inners[n].sched;
+        let v_before = if O::ENABLED {
+            sched.virtual_time()
+        } else {
+            0.0
+        };
+        let slot = sched.select_next()?;
+        let child = self.inners[n].children[slot.0];
+        let (head_leaf, head_bits) = self
+            .head_of(child)
+            // lint:allow(L002): select_next returned this child, so it offers a head
+            .expect("selected child offers a head");
+        if O::ENABLED {
+            self.emit_dispatch(n, slot, child, head_bits, v_before);
+        }
+        let nd = &mut self.inners[n];
+        nd.head_leaf = head_leaf;
+        nd.head_bits = head_bits;
+        nd.active_child = child;
+        Some(head_bits)
     }
 
     /// RESTART-NODE chain for newly backlogged subtrees: every ancestor not
@@ -650,67 +852,56 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// the arrival via [`NodeScheduler::arrival_hint`] instead.
     fn bubble_up(&mut self, from: usize, bits: f64, root_ref: f64) {
         let mut n = from;
-        while self.nodes[n].head.is_none() {
-            let v_before = self.sched_mut(n).virtual_time();
-            let slot = self
-                .sched_mut(n)
-                .select_next()
+        while self.inners[n].head_leaf == NIL {
+            let head_bits = self
+                .restart_node(n)
                 // lint:allow(L002): loop invariant: a descendant of n just became backlogged
                 .expect("bubble_up reached a node with no backlogged child");
-            if O::ENABLED {
-                self.emit_dispatch(n, slot, v_before);
-            }
-            let child = self.nodes[n].children[slot.0];
-            let head = self.nodes[child]
-                .head
-                // lint:allow(L002): select_next returned this child, so it offers a head
-                .expect("selected child offers a head");
-            self.nodes[n].head = Some(head);
-            self.nodes[n].active_child = Some(child);
             if O::ENABLED {
                 let t = self.last_time;
                 self.obs.on_node_backlog(&BacklogEvent {
                     time: t,
                     link: self.link,
-                    node: n,
+                    node: self.inner_ids[n] as usize,
                     active: true,
                 });
             }
-            let Some((p, pslot)) = self.nodes[n].parent else {
+            let (p, pslot) = (self.inners[n].parent, self.inners[n].slot);
+            if p == NIL {
                 return; // root now offers a packet; the link may start it
-            };
+            }
             let hint = if p == 0 { Some(root_ref) } else { None };
-            self.sched_mut(p).backlog(pslot, head.bits, hint);
-            n = p;
+            self.inners[p as usize]
+                .sched
+                .backlog(SessionId(pslot as usize), head_bits, hint);
+            n = p as usize;
         }
         // `n` was already offering a packet before this arrival: the bits
         // still extend the emulated GPS backlog of every remaining
         // ancestor.
-        self.hint_up(n, bits, root_ref);
+        self.hint_up(self.inners[n].parent, self.inners[n].slot, bits, root_ref);
     }
 
-    /// Builds and emits the [`DispatchEvent`] for node `n` having just
-    /// selected `slot` (tags are read *after* the selection, while the
-    /// winner is still the stamped head; `v_before` was captured before).
-    fn emit_dispatch(&mut self, n: usize, slot: SessionId, v_before: f64) {
-        let child = self.nodes[n].children[slot.0];
-        let head_bits = self.nodes[child]
-            .head
-            // lint:allow(L002): emit_dispatch runs right after this child was selected
-            .expect("selected child offers a head")
-            .bits;
-        let sched = self.nodes[n]
-            .sched
-            .as_ref()
-            // lint:allow(L002): only internal nodes dispatch, and they have schedulers
-            .expect("internal node has a scheduler");
+    /// Builds and emits the [`DispatchEvent`] for internal node `n` having
+    /// just selected `slot`, which is `child` offering `head_bits` (tags are
+    /// read *after* the selection, while the winner is still the stamped
+    /// head; `v_before` was captured before).
+    fn emit_dispatch(
+        &mut self,
+        n: usize,
+        slot: SessionId,
+        child: Ref,
+        head_bits: f64,
+        v_before: f64,
+    ) {
+        let sched = &self.inners[n].sched;
         let (start_tag, finish_tag) = sched.tags(slot);
         let e = DispatchEvent {
             time: self.last_time,
             link: self.link,
-            node: n,
+            node: self.inner_ids[n] as usize,
             session: slot.0,
-            child,
+            child: self.id_of(child),
             start_tag,
             finish_tag,
             phi: sched.phi(slot),
@@ -726,7 +917,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
 
     /// Whether the root currently offers a packet the link could transmit.
     pub fn has_pending(&self) -> bool {
-        self.nodes[0].head.is_some()
+        self.inners[0].head_leaf != NIL
     }
 
     /// Whether a transmission is in progress (between
@@ -752,19 +943,22 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// use this form).
     pub fn start_transmission_at(&mut self, now: f64) -> Option<Packet> {
         assert!(!self.transmitting, "transmission already in progress");
-        let head = self.nodes[0].head?;
+        let leaf = self.inners[0].head_leaf;
+        if leaf == NIL {
+            return None;
+        }
         self.transmitting = true;
         self.last_time = self.last_time.max(now);
-        let pkt = *self.nodes[head.leaf]
+        let pkt = *self.leaves[leaf as usize]
             .fifo
             .front()
-            // lint:allow(L002): nodes[0].head is Some, so a packet is queued at that leaf
+            // lint:allow(L002): the root offers a head, so a packet is queued at that leaf
             .expect("head refers to a queued packet");
         if O::ENABLED {
             self.obs.on_tx_start(&TxEvent {
                 time: now,
                 link: self.link,
-                leaf: head.leaf,
+                leaf: self.leaf_ids[leaf as usize] as usize,
                 pkt: pkt_info(&pkt),
             });
         }
@@ -790,94 +984,81 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.transmitting = false;
         self.last_time = self.last_time.max(now);
 
-        // Collect the in-flight path root → leaf and clear its heads. The
-        // buffer is owned by the hierarchy and reused across completions,
-        // so the steady-state cycle performs no heap allocation.
+        // Walk the in-flight path root → leaf, clearing each head on the
+        // way down. The buffer of internal nodes visited is owned by the
+        // hierarchy and reused across completions, so the steady-state
+        // cycle performs no heap allocation.
         let mut path = std::mem::take(&mut self.path_scratch);
         path.clear();
-        path.push(0usize);
-        let mut n = 0usize;
-        while let Some(c) = self.nodes[n].active_child {
-            path.push(c);
-            n = c;
-        }
-        let leaf = n;
-        debug_assert!(self.nodes[leaf].is_leaf, "path must end at a leaf");
-        for &x in &path {
-            self.nodes[x].head = None;
-            self.nodes[x].active_child = None;
-        }
+        let mut at = Ref::inner(0);
+        let leaf = loop {
+            assert!(at != Ref::NONE, "the in-flight path must end at a leaf");
+            match at.place() {
+                Place::Leaf(l) => break l,
+                Place::Inner(n) => {
+                    path.push(n as u32);
+                    let nd = &mut self.inners[n];
+                    at = std::mem::replace(&mut nd.active_child, Ref::NONE);
+                    nd.head_leaf = NIL;
+                }
+            }
+        };
 
         // Dequeue the transmitted packet and re-offer the leaf's next head.
-        let pkt = self.nodes[leaf]
+        let lf = &mut self.leaves[leaf];
+        let pkt = lf
             .fifo
             .pop_front()
             // lint:allow(L002): the transmitted head was queued at this leaf
             .expect("transmitted packet was queued");
-        self.nodes[leaf].fifo_bytes -= u64::from(pkt.len_bytes);
+        lf.fifo_bytes -= u64::from(pkt.len_bytes);
+        let next_bits = lf.fifo.front().map(Packet::bits);
+        lf.offering = next_bits.is_some();
+        let (lp, lslot) = (lf.parent as usize, SessionId(lf.slot as usize));
         if O::ENABLED {
             self.obs.on_tx_complete(&TxEvent {
                 time: now,
                 link: self.link,
-                leaf,
+                leaf: self.leaf_ids[leaf] as usize,
                 pkt: pkt_info(&pkt),
             });
         }
-        // lint:allow(L002): every leaf has a parent
-        let (lp, lslot) = self.nodes[leaf].parent.expect("leaf has a parent");
-        match self.nodes[leaf].fifo.front() {
-            Some(next) => {
-                let bits = next.bits();
-                self.nodes[leaf].head = Some(Head { leaf, bits });
-                self.sched_mut(lp).requeue(lslot, Some(bits));
+        match next_bits {
+            Some(bits) => {
+                lf.head_bits = bits;
+                self.inners[lp].sched.requeue(lslot, Some(bits));
             }
             None => {
-                self.requeue_empty(leaf, lp, lslot);
-                if self.nodes[leaf].draining {
+                self.requeue_empty(Ref::leaf(leaf), lp, lslot);
+                if self.leaves[leaf].draining {
                     // A remove_leaf() was deferred while this head finished
                     // service; the queue is now empty, so complete it.
-                    self.detach_finalize(leaf);
+                    self.detach_finalize(Ref::leaf(leaf));
                 }
             }
         }
 
-        // RESTART-NODE bottom-up along the path (excluding the leaf).
-        for i in (0..path.len() - 1).rev() {
-            let n = path[i];
-            let v_before = self.sched_mut(n).virtual_time();
-            let selected = self.sched_mut(n).select_next();
-            match selected {
-                Some(slot) => {
-                    if O::ENABLED {
-                        self.emit_dispatch(n, slot, v_before);
-                    }
-                    let child = self.nodes[n].children[slot.0];
-                    let head = self.nodes[child]
-                        .head
-                        // lint:allow(L002): select_next returned this child, so it offers a head
-                        .expect("selected child offers a head");
-                    self.nodes[n].head = Some(head);
-                    self.nodes[n].active_child = Some(child);
-                    if let Some((p, pslot)) = self.nodes[n].parent {
-                        self.sched_mut(p).requeue(pslot, Some(head.bits));
-                    }
+        // RESTART-NODE bottom-up along the path.
+        for &n in path.iter().rev() {
+            let n = n as usize;
+            let head_bits = self.restart_node(n);
+            let (p, pslot) = (self.inners[n].parent, self.inners[n].slot);
+            if p != NIL {
+                let pslot = SessionId(pslot as usize);
+                match head_bits {
+                    Some(_) => self.inners[p as usize].sched.requeue(pslot, head_bits),
+                    None => self.requeue_empty(Ref::inner(n), p as usize, pslot),
                 }
-                None => {
-                    if let Some((p, pslot)) = self.nodes[n].parent {
-                        self.requeue_empty(n, p, pslot);
-                    } else if O::ENABLED {
-                        // The root itself drained: its busy period ended
-                        // when its own scheduler emptied (detected inside
-                        // select_next/requeue); report the server going
-                        // idle.
-                        self.obs.on_node_backlog(&BacklogEvent {
-                            time: now,
-                            link: self.link,
-                            node: 0,
-                            active: false,
-                        });
-                    }
-                }
+            } else if O::ENABLED && head_bits.is_none() {
+                // The root itself drained: its busy period ended when its
+                // own scheduler emptied (detected inside
+                // select_next/requeue); report the server going idle.
+                self.obs.on_node_backlog(&BacklogEvent {
+                    time: now,
+                    link: self.link,
+                    node: 0,
+                    active: false,
+                });
             }
         }
         self.path_scratch = path;
@@ -887,23 +1068,23 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// Reports `node` idle to its parent (`requeue(slot, None)`), emitting
     /// the backlog transition and — if the parent's scheduler thereby
     /// drained and reset its virtual clock — the busy-period reset.
-    fn requeue_empty(&mut self, node: usize, parent: usize, slot: SessionId) {
+    fn requeue_empty(&mut self, node: Ref, parent: usize, slot: SessionId) {
         let t = self.last_time;
         if O::ENABLED {
             self.obs.on_node_backlog(&BacklogEvent {
                 time: t,
                 link: self.link,
-                node,
+                node: self.id_of(node),
                 active: false,
             });
         }
-        let sched = self.sched_mut(parent);
+        let sched = &mut self.inners[parent].sched;
         sched.requeue(slot, None);
         if O::ENABLED && sched.backlogged() == 0 {
             self.obs.on_busy_reset(&BusyResetEvent {
                 time: t,
                 link: self.link,
-                node: parent,
+                node: self.inner_ids[parent] as usize,
             });
         }
     }
@@ -915,73 +1096,85 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         Some(self.complete_transmission())
     }
 
-    fn sched_mut(&mut self, n: usize) -> &mut S {
-        self.nodes[n]
-            .sched
-            .as_mut()
-            // lint:allow(L002): sched_mut is only called for internal nodes
-            .expect("internal node has a scheduler")
-    }
-
     // ----- introspection ---------------------------------------------------
 
     /// Number of nodes (including the root).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.refs.len()
     }
 
     /// Guaranteed rate of `node` in bits/s.
     pub fn rate(&self, node: NodeId) -> f64 {
-        self.nodes[node.0].rate
+        self.shares[node.0].rate
     }
 
     /// Share of `node` relative to its parent.
     pub fn phi(&self, node: NodeId) -> f64 {
-        self.nodes[node.0].phi
+        self.shares[node.0].phi
+    }
+
+    /// `node`'s parent as an index into `inners` ([`NIL`] for the root),
+    /// and its session slot there.
+    fn parent_slot(&self, node: Ref) -> (u32, u32) {
+        match node.place() {
+            Place::Leaf(l) => (self.leaves[l].parent, self.leaves[l].slot),
+            Place::Inner(n) => (self.inners[n].parent, self.inners[n].slot),
+        }
     }
 
     /// Parent of `node`, or `None` for the root.
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        self.nodes[node.0].parent.map(|(p, _)| NodeId(p))
+        let (p, _) = self.parent_slot(self.refs[node.0]);
+        (p != NIL).then(|| NodeId(self.inner_ids[p as usize] as usize))
     }
 
     /// Whether `node` is a leaf.
     pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.nodes[node.0].is_leaf
+        self.refs[node.0].is_leaf()
+    }
+
+    /// The record of leaf `leaf`; `None` for an internal node.
+    fn leaf_record(&self, leaf: NodeId) -> Option<&Leaf> {
+        match self.refs[leaf.0].place() {
+            Place::Leaf(l) => Some(&self.leaves[l]),
+            Place::Inner(_) => None,
+        }
     }
 
     /// Queued packets in a leaf's FIFO (including one in flight).
     pub fn leaf_queue_len(&self, leaf: NodeId) -> usize {
-        debug_assert!(self.nodes[leaf.0].is_leaf);
-        self.nodes[leaf.0].fifo.len()
+        debug_assert!(self.is_leaf(leaf));
+        self.leaf_record(leaf).map_or(0, |lf| lf.fifo.len())
     }
 
     /// Queued bytes in a leaf's FIFO (including one in flight).
     pub fn leaf_queue_bytes(&self, leaf: NodeId) -> u64 {
-        debug_assert!(self.nodes[leaf.0].is_leaf);
-        self.nodes[leaf.0].fifo_bytes
+        debug_assert!(self.is_leaf(leaf));
+        self.leaf_record(leaf).map_or(0, |lf| lf.fifo_bytes)
     }
 
     /// Virtual time of an internal node's scheduler.
     pub fn node_virtual_time(&self, node: NodeId) -> f64 {
-        self.nodes[node.0]
-            .sched
-            .as_ref()
+        match self.refs[node.0].place() {
+            Place::Inner(n) => self.inners[n].sched.virtual_time(),
             // Diagnostic accessor (documented caller contract: node is
             // internal); unreachable from the engine entry points.
-            .expect("internal node")
-            .virtual_time()
+            Place::Leaf(_) => panic!("internal node"),
+        }
     }
 
     /// Ancestor chain of `node` from its parent up to the root — the
     /// `p(i), p²(i), …, p^H(i) = R` of Theorems 1–2. Non-allocating; see
     /// [`Hierarchy::ancestors`] for the collected form.
     pub fn ancestors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let mut n = node.0;
+        let (mut p, _) = self.parent_slot(self.refs[node.0]);
         std::iter::from_fn(move || {
-            let (p, _) = self.nodes[n].parent?;
-            n = p;
-            Some(NodeId(p))
+            if p == NIL {
+                return None;
+            }
+            let id = NodeId(self.inner_ids[p as usize] as usize);
+            p = self.inners[p as usize].parent;
+            Some(id)
         })
     }
 
@@ -995,11 +1188,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// [`Hierarchy::active_leaves_iter`]). Non-allocating; see
     /// [`Hierarchy::leaves`] for the collected form.
     pub fn leaves_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_leaf)
-            .map(|(i, _)| NodeId(i))
+        self.leaf_ids.iter().map(|&id| NodeId(id as usize))
     }
 
     /// All leaf node ids, collected ([`Hierarchy::leaves_iter`] is the
@@ -1012,11 +1201,11 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// Non-allocating; see [`Hierarchy::active_leaves`] for the collected
     /// form.
     pub fn active_leaves_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        self.leaves
             .iter()
-            .enumerate()
-            .filter(|(_, n)| n.is_leaf && !n.detached && !n.draining)
-            .map(|(i, _)| NodeId(i))
+            .zip(&self.leaf_ids)
+            .filter(|(lf, _)| !lf.detached && !lf.draining)
+            .map(|(_, &id)| NodeId(id as usize))
     }
 
     /// Leaf node ids still attached, collected
@@ -1029,16 +1218,16 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// — the quantity validated against 1.0 when adding a child. Exposed
     /// so churn harnesses can assert it never overflows or goes negative.
     pub fn allocated_share(&self, node: NodeId) -> f64 {
-        self.nodes[node.0].child_phi_sum
+        self.shares[node.0].child_phi_sum
     }
 
     // ----- epoch checkpointing (DESIGN.md §12) -----------------------------
 
     /// Serializes the hierarchy's complete mutable state — tree structure,
     /// leaf FIFOs, per-node scheduler states, the in-flight path, and the
-    /// warped-clock anchors — for an epoch checkpoint. The attached
-    /// observer is *not* included; drivers checkpoint it separately via
-    /// [`Observer::mark`].
+    /// warped-clock anchors — for an epoch checkpoint, as one record per
+    /// [`NodeId`] in id order. The attached observer is *not* included;
+    /// drivers checkpoint it separately via [`Observer::mark`].
     pub fn save_state(&self) -> Value {
         Value::map(vec![
             ("transmitting", Value::Bool(self.transmitting)),
@@ -1050,8 +1239,73 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             ("link", Value::U64(self.link as u64)),
             (
                 "nodes",
-                Value::List(self.nodes.iter().map(save_node).collect()),
+                Value::List((0..self.refs.len()).map(|id| self.save_node(id)).collect()),
             ),
+        ])
+    }
+
+    /// Serializes node `id` (children are rebuilt from the parent links on
+    /// load, so they are not stored). Every reference is written as a
+    /// [`NodeId`], and both kinds of node write the same fields.
+    fn save_node(&self, id: usize) -> Value {
+        let r = self.refs[id];
+        let (p, slot) = self.parent_slot(r);
+        let parent = match p {
+            NIL => Value::Null,
+            p => Value::List(vec![
+                Value::U64(u64::from(self.inner_ids[p as usize])),
+                Value::U64(u64::from(slot)),
+            ]),
+        };
+        let head = match self.head_of(r) {
+            Some((leaf, bits)) => Value::List(vec![
+                Value::U64(u64::from(self.leaf_ids[leaf as usize])),
+                Value::F64(bits),
+            ]),
+            None => Value::Null,
+        };
+        let share = self.shares[id];
+        let (active_child, fifo, fifo_bytes, detached, draining, sched) = match r.place() {
+            Place::Leaf(l) => {
+                let lf = &self.leaves[l];
+                (
+                    Value::Null,
+                    lf.fifo.iter().map(Packet::save).collect(),
+                    lf.fifo_bytes,
+                    lf.detached,
+                    lf.draining,
+                    Value::Null,
+                )
+            }
+            Place::Inner(n) => {
+                let nd = &self.inners[n];
+                let active_child = match nd.active_child {
+                    Ref::NONE => Value::Null,
+                    c => Value::U64(self.id_of(c) as u64),
+                };
+                (
+                    active_child,
+                    Vec::new(),
+                    0,
+                    nd.detached,
+                    false,
+                    nd.sched.save_state(),
+                )
+            }
+        };
+        Value::map(vec![
+            ("parent", parent),
+            ("rate", Value::F64(share.rate)),
+            ("phi", Value::F64(share.phi)),
+            ("child_phi_sum", Value::F64(share.child_phi_sum)),
+            ("head", head),
+            ("active_child", active_child),
+            ("fifo", Value::List(fifo)),
+            ("fifo_bytes", Value::U64(fifo_bytes)),
+            ("is_leaf", Value::Bool(r.is_leaf())),
+            ("detached", Value::Bool(detached)),
+            ("draining", Value::Bool(draining)),
+            ("sched", sched),
         ])
     }
 
@@ -1065,191 +1319,316 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// checkpoint — are discarded (the rollback path of a checkpoint
     /// restore); trailing internal nodes still mismatch. Share validation
     /// is bypassed: the snapshot's accounting is restored verbatim.
+    ///
+    /// The snapshot is untrusted input. Everything the tree structure
+    /// depends on — topology, queues, and that every `head` and
+    /// `active_child` names what the driving protocol will find there — is
+    /// checked before anything is modified, so a snapshot refused for one
+    /// of those reasons leaves the hierarchy as it was. Only a scheduler
+    /// refusing its own state, which is loaded last, can leave the tree
+    /// partly restored.
     pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let err = |what: String| SnapError { at: 0, what };
         let nodes_v = state.get("nodes")?.items()?;
-        if nodes_v.len() < self.nodes.len() {
-            // Nodes are only ever appended at runtime (removal merely
-            // detaches), so the surplus is a suffix. Only leaves can be
-            // added at runtime, which is what makes dropping them safe:
-            // an internal node in the suffix means this snapshot belongs
-            // to a differently built hierarchy.
-            if self.nodes[nodes_v.len()..].iter().any(|n| !n.is_leaf) {
-                return Err(err(format!(
-                    "snapshot has {} nodes but the rebuilt hierarchy has {} and the \
-                     surplus contains internal nodes",
-                    nodes_v.len(),
-                    self.nodes.len()
-                )));
-            }
-            self.nodes.truncate(nodes_v.len());
+        let saved = nodes_v
+            .iter()
+            .map(SavedNode::load)
+            .collect::<Result<Vec<_>, _>>()?;
+        let transmitting = state.get("transmitting")?.as_bool()?;
+        let busy_start = state.get("busy_start")?.as_f64()?;
+        let warp_base = state.get("warp_base")?.as_f64()?;
+        let warp_time = state.get("warp_time")?.as_f64()?;
+        let warp_factor = state.get("warp_factor")?.as_f64()?;
+        let last_time = state.get("last_time")?.as_f64()?;
+        let link = state.get("link")?.as_usize()?;
+        let new_leaves = self.check_topology(&saved)?;
+        check_heads(&saved, transmitting)?;
+
+        // Nodes are only ever appended at runtime (removal merely
+        // detaches), so live nodes beyond the snapshot are a suffix — all
+        // leaves, `check_topology` made sure — and so are their records.
+        if saved.len() < self.refs.len() {
+            let kept = self.refs[..saved.len()]
+                .iter()
+                .filter(|r| r.is_leaf())
+                .count();
+            self.leaves.truncate(kept);
+            self.leaf_ids.truncate(kept);
+            self.refs.truncate(saved.len());
+            self.shares.truncate(saved.len());
         }
-        // Pass 1: restore per-node fields, creating churn-added leaves.
-        for (i, nv) in nodes_v.iter().enumerate() {
-            let parent = load_parent(nv.get("parent")?)?;
-            let is_leaf = nv.get("is_leaf")?.as_bool()?;
-            if i < self.nodes.len() {
-                let n = &self.nodes[i];
-                if n.is_leaf != is_leaf || n.parent != parent {
-                    return Err(err(format!(
+        // Churn-added leaves the snapshot has beyond the rebuilt tree.
+        for (parent, slot) in new_leaves {
+            let id = self.refs.len();
+            self.leaf_ids.push(id as u32);
+            self.leaves.push(Leaf::new(parent, slot));
+            self.refs.push(Ref::leaf(self.leaves.len() - 1));
+            self.shares.push(Share {
+                rate: 0.0,
+                phi: 0.0,
+                child_phi_sum: 0.0,
+            });
+        }
+        // Per-node fields, and the children tables rebuilt from the parent
+        // links (node ids and session slots are both dense in creation
+        // order).
+        for nd in &mut self.inners {
+            nd.children.clear();
+        }
+        for (id, sn) in saved.into_iter().enumerate() {
+            self.shares[id] = Share {
+                rate: sn.rate,
+                phi: sn.phi,
+                child_phi_sum: sn.child_phi_sum,
+            };
+            let r = self.refs[id];
+            let (p, _) = self.parent_slot(r);
+            if p != NIL {
+                self.inners[p as usize].children.push(r);
+            }
+            match r.place() {
+                Place::Leaf(l) => {
+                    let lf = &mut self.leaves[l];
+                    lf.fifo = sn.fifo;
+                    lf.fifo_bytes = sn.fifo_bytes;
+                    lf.offering = sn.head.is_some();
+                    lf.head_bits = sn.head.map_or(0.0, |(_, bits)| bits);
+                    lf.detached = sn.detached;
+                    lf.draining = sn.draining;
+                }
+                Place::Inner(n) => {
+                    // `check_heads`: a head names a leaf, an active child a
+                    // node, so both ids are in `refs` — including those of
+                    // the leaves re-created above.
+                    let head_leaf = match sn.head.map(|(leaf, _)| self.refs[leaf].place()) {
+                        Some(Place::Leaf(l)) => l as u32,
+                        _ => NIL,
+                    };
+                    let active_child = sn.active_child.map_or(Ref::NONE, |c| self.refs[c]);
+                    let nd = &mut self.inners[n];
+                    nd.head_leaf = head_leaf;
+                    nd.head_bits = sn.head.map_or(0.0, |(_, bits)| bits);
+                    nd.active_child = active_child;
+                    nd.detached = sn.detached;
+                }
+            }
+        }
+        self.transmitting = transmitting;
+        self.busy_start = busy_start;
+        self.warp_base = warp_base;
+        self.warp_time = warp_time;
+        self.warp_factor = warp_factor;
+        self.last_time = last_time;
+        self.link = link;
+        self.path_scratch.clear();
+        // Scheduler states last, so a parent's restored session table
+        // covers its churn-added children.
+        for (nd, &id) in self.inners.iter_mut().zip(&self.inner_ids) {
+            nd.sched.load_state(nodes_v[id as usize].get("sched")?)?;
+        }
+        self.wants_hints = self.inners.iter().any(|nd| nd.sched.wants_arrival_hints());
+        Ok(())
+    }
+
+    /// Checks that the snapshot's nodes describe this tree: the same kind
+    /// and parent link for every node both have, only leaves — under
+    /// internal parents, with dense session slots — where either has more.
+    /// Returns the parent links, as stored in a [`Leaf`], of the leaves the
+    /// snapshot has beyond this tree.
+    fn check_topology(&self, saved: &[SavedNode]) -> Result<Vec<(u32, u32)>, SnapError> {
+        let live = self.refs.len();
+        if saved.len() < live && self.refs[saved.len()..].iter().any(|r| !r.is_leaf()) {
+            // Only leaves can be added at runtime, which is what makes
+            // dropping the surplus safe: an internal node in it means this
+            // snapshot belongs to a differently built hierarchy.
+            return Err(snap_err(format!(
+                "snapshot has {} nodes but the rebuilt hierarchy has {live} and the \
+                 surplus contains internal nodes",
+                saved.len(),
+            )));
+        }
+        let mut children = vec![0usize; saved.len()];
+        let mut new_leaves = Vec::new();
+        for (i, sn) in saved.iter().enumerate() {
+            if i < live {
+                let r = self.refs[i];
+                let (p, slot) = self.parent_slot(r);
+                let parent = (p != NIL).then(|| {
+                    (
+                        self.inner_ids[p as usize] as usize,
+                        SessionId(slot as usize),
+                    )
+                });
+                if r.is_leaf() != sn.is_leaf || parent != sn.parent {
+                    return Err(snap_err(format!(
                         "snapshot node {i} does not match the rebuilt hierarchy's topology"
                     )));
                 }
-            } else {
-                if !is_leaf {
-                    return Err(err(format!(
-                        "snapshot node {i} is an internal node absent from the rebuilt \
-                         hierarchy; only churn-added leaves can be restored"
-                    )));
-                }
-                let Some((p, _)) = parent else {
-                    return Err(err(format!("churn-added leaf {i} has no parent")));
-                };
-                if p >= i {
-                    return Err(err(format!("leaf {i} references later parent {p}")));
-                }
-                self.nodes.push(Node {
-                    parent,
-                    children: Vec::new(),
-                    sched: None,
-                    rate: 0.0,
-                    phi: 0.0,
-                    child_phi_sum: 0.0,
-                    head: None,
-                    active_child: None,
-                    fifo: VecDeque::new(),
-                    fifo_bytes: 0,
-                    is_leaf: true,
-                    detached: false,
-                    draining: false,
-                });
+            } else if !sn.is_leaf {
+                return Err(snap_err(format!(
+                    "snapshot node {i} is an internal node absent from the rebuilt \
+                     hierarchy; only churn-added leaves can be restored"
+                )));
             }
-            let n = &mut self.nodes[i];
-            n.rate = nv.get("rate")?.as_f64()?;
-            n.phi = nv.get("phi")?.as_f64()?;
-            n.child_phi_sum = nv.get("child_phi_sum")?.as_f64()?;
-            n.head = {
-                let hv = nv.get("head")?;
-                if hv.is_null() {
-                    None
-                } else {
-                    let items = hv.items()?;
-                    if items.len() != 2 {
-                        return Err(err(format!("node {i}: malformed head record")));
-                    }
-                    Some(Head {
-                        leaf: items[0].as_usize()?,
-                        bits: items[1].as_f64()?,
-                    })
-                }
-            };
-            n.active_child = {
-                let av = nv.get("active_child")?;
-                if av.is_null() {
-                    None
-                } else {
-                    Some(av.as_usize()?)
-                }
-            };
-            n.fifo.clear();
-            for pv in nv.get("fifo")?.items()? {
-                n.fifo.push_back(Packet::load(pv)?);
+            if sn.is_leaf && !sn.sched_is_null {
+                return Err(snap_err(format!(
+                    "snapshot node {i} carries scheduler state but the rebuilt node has no \
+                     scheduler"
+                )));
             }
-            n.fifo_bytes = nv.get("fifo_bytes")?.as_u64()?;
-            n.detached = nv.get("detached")?.as_bool()?;
-            n.draining = nv.get("draining")?.as_bool()?;
-        }
-        // Pass 2: rebuild the children tables from the parent links (node
-        // ids and session slots are both dense in creation order).
-        for n in &mut self.nodes {
-            n.children.clear();
-        }
-        for i in 1..self.nodes.len() {
-            let Some((p, slot)) = self.nodes[i].parent else {
-                return Err(err(format!("non-root node {i} has no parent")));
+            let Some((p, slot)) = sn.parent else {
+                if i == 0 {
+                    continue;
+                }
+                return Err(snap_err(format!("non-root node {i} has no parent")));
             };
-            if slot.0 != self.nodes[p].children.len() {
-                return Err(err(format!(
+            if p >= i {
+                return Err(snap_err(format!("node {i} references later parent {p}")));
+            }
+            if saved[p].is_leaf {
+                return Err(snap_err(format!("node {i}: parent {p} is a leaf")));
+            }
+            if slot.0 != children[p] {
+                return Err(snap_err(format!(
                     "node {i}: session slot {} is not dense under parent {p}",
                     slot.0
                 )));
             }
-            self.nodes[p].children.push(i);
-        }
-        // Pass 3: scheduler states (after pass 1, so a parent's restored
-        // session table may cover churn-added children).
-        for (i, nv) in nodes_v.iter().enumerate() {
-            let sv = nv.get("sched")?;
-            match self.nodes[i].sched.as_mut() {
-                Some(s) => s.load_state(sv)?,
-                None => {
-                    if !sv.is_null() {
-                        return Err(err(format!(
-                            "snapshot node {i} carries scheduler state but the rebuilt \
-                             node has no scheduler"
-                        )));
-                    }
-                }
+            children[p] += 1;
+            if i >= live {
+                // `p` is internal in the snapshot and older than `i`: were
+                // it not in the live tree, it would have been refused above.
+                let Some(Place::Inner(n)) = self.place(NodeId(p)) else {
+                    return Err(snap_err(format!("node {i}: parent {p} is a leaf")));
+                };
+                new_leaves.push((n as u32, slot.0 as u32));
             }
         }
-        self.transmitting = state.get("transmitting")?.as_bool()?;
-        self.busy_start = state.get("busy_start")?.as_f64()?;
-        self.warp_base = state.get("warp_base")?.as_f64()?;
-        self.warp_time = state.get("warp_time")?.as_f64()?;
-        self.warp_factor = state.get("warp_factor")?.as_f64()?;
-        self.last_time = state.get("last_time")?.as_f64()?;
-        self.link = state.get("link")?.as_usize()?;
-        self.path_scratch.clear();
-        Ok(())
+        Ok(new_leaves)
     }
 }
 
-/// Serializes one node of the tree (children are rebuilt from the parent
-/// links on load, so they are not stored).
-fn save_node<S: NodeScheduler>(n: &Node<S>) -> Value {
-    Value::map(vec![
-        (
-            "parent",
-            match n.parent {
-                Some((p, slot)) => {
-                    Value::List(vec![Value::U64(p as u64), Value::U64(slot.0 as u64)])
+fn snap_err(what: String) -> SnapError {
+    SnapError { at: 0, what }
+}
+
+/// One node record of a snapshot, parsed but not yet trusted.
+struct SavedNode {
+    parent: Option<(usize, SessionId)>,
+    rate: f64,
+    phi: f64,
+    child_phi_sum: f64,
+    /// `(leaf NodeId, bits)`.
+    head: Option<(usize, f64)>,
+    active_child: Option<usize>,
+    fifo: VecDeque<Packet>,
+    fifo_bytes: u64,
+    is_leaf: bool,
+    detached: bool,
+    draining: bool,
+    sched_is_null: bool,
+}
+
+impl SavedNode {
+    fn load(nv: &Value) -> Result<SavedNode, SnapError> {
+        let head = match nv.get("head")? {
+            hv if hv.is_null() => None,
+            hv => match hv.items()? {
+                [leaf, bits] => Some((leaf.as_usize()?, bits.as_f64()?)),
+                _ => return Err(snap_err("malformed head record".to_string())),
+            },
+        };
+        let active_child = match nv.get("active_child")? {
+            av if av.is_null() => None,
+            av => Some(av.as_usize()?),
+        };
+        Ok(SavedNode {
+            parent: load_parent(nv.get("parent")?)?,
+            rate: nv.get("rate")?.as_f64()?,
+            phi: nv.get("phi")?.as_f64()?,
+            child_phi_sum: nv.get("child_phi_sum")?.as_f64()?,
+            head,
+            active_child,
+            fifo: nv
+                .get("fifo")?
+                .items()?
+                .iter()
+                .map(Packet::load)
+                .collect::<Result<_, _>>()?,
+            fifo_bytes: nv.get("fifo_bytes")?.as_u64()?,
+            is_leaf: nv.get("is_leaf")?.as_bool()?,
+            detached: nv.get("detached")?.as_bool()?,
+            draining: nv.get("draining")?.as_bool()?,
+            sched_is_null: nv.get("sched")?.is_null(),
+        })
+    }
+}
+
+/// Checks the logical heads of a snapshot whose topology already passed
+/// [`Hierarchy::check_topology`]: every `head` and `active_child` must name
+/// what RESET-PATH and the link will look for there, or the next dispatch
+/// would index out of bounds or pop an empty queue.
+fn check_heads(saved: &[SavedNode], transmitting: bool) -> Result<(), SnapError> {
+    for (i, sn) in saved.iter().enumerate() {
+        if sn.is_leaf {
+            let queued: u64 = sn.fifo.iter().map(|p| u64::from(p.len_bytes)).sum();
+            if queued != sn.fifo_bytes {
+                return Err(snap_err(format!(
+                    "leaf {i}: fifo_bytes {} but the queue holds {queued} bytes",
+                    sn.fifo_bytes
+                )));
+            }
+        }
+        let Some((leaf, _)) = sn.head else {
+            if sn.active_child.is_some() {
+                return Err(snap_err(format!("node {i}: an active child but no head")));
+            }
+            continue;
+        };
+        match sn.active_child {
+            None if sn.is_leaf => {}
+            Some(c) if !sn.is_leaf => {
+                let through_child = saved
+                    .get(c)
+                    .filter(|child| child.parent.is_some_and(|(p, _)| p == i))
+                    .ok_or_else(|| {
+                        snap_err(format!(
+                            "node {i}: active_child {c} is not one of its children"
+                        ))
+                    })?
+                    .head;
+                if through_child.map(|(leaf, _)| leaf) != Some(leaf) {
+                    return Err(snap_err(format!(
+                        "node {i}: active_child {c} does not offer the node's head"
+                    )));
                 }
-                None => Value::Null,
-            },
-        ),
-        ("rate", Value::F64(n.rate)),
-        ("phi", Value::F64(n.phi)),
-        ("child_phi_sum", Value::F64(n.child_phi_sum)),
-        (
-            "head",
-            match n.head {
-                Some(h) => Value::List(vec![Value::U64(h.leaf as u64), Value::F64(h.bits)]),
-                None => Value::Null,
-            },
-        ),
-        (
-            "active_child",
-            match n.active_child {
-                Some(c) => Value::U64(c as u64),
-                None => Value::Null,
-            },
-        ),
-        (
-            "fifo",
-            Value::List(n.fifo.iter().map(Packet::save).collect()),
-        ),
-        ("fifo_bytes", Value::U64(n.fifo_bytes)),
-        ("is_leaf", Value::Bool(n.is_leaf)),
-        ("detached", Value::Bool(n.detached)),
-        ("draining", Value::Bool(n.draining)),
-        (
-            "sched",
-            match &n.sched {
-                Some(s) => s.save_state(),
-                None => Value::Null,
-            },
-        ),
-    ])
+            }
+            _ => {
+                return Err(snap_err(format!(
+                    "node {i}: head and active_child do not go together"
+                )))
+            }
+        }
+        let target = saved
+            .get(leaf)
+            .filter(|target| target.is_leaf)
+            .ok_or_else(|| snap_err(format!("node {i}: head {leaf} is not a leaf")))?;
+        if sn.is_leaf && leaf != i {
+            return Err(snap_err(format!(
+                "leaf {i}: a leaf's head is its own front packet, not leaf {leaf}'s"
+            )));
+        }
+        if target.head.is_none() || target.fifo.is_empty() {
+            return Err(snap_err(format!(
+                "node {i}: head {leaf} is a leaf that offers no packet"
+            )));
+        }
+    }
+    if transmitting && saved.first().is_some_and(|root| root.head.is_none()) {
+        return Err(snap_err(
+            "a transmission is in progress but the root offers no head".to_string(),
+        ));
+    }
+    Ok(())
 }
 
 /// Restores a `parent` record: `null` or `[parent index, session slot]`.
@@ -1259,10 +1638,10 @@ fn load_parent(v: &Value) -> Result<Option<(usize, SessionId)>, SnapError> {
     }
     let items = v.items()?;
     if items.len() != 2 {
-        return Err(SnapError {
-            at: 0,
-            what: format!("parent record has {} fields, expected 2", items.len()),
-        });
+        return Err(snap_err(format!(
+            "parent record has {} fields, expected 2",
+            items.len()
+        )));
     }
     Ok(Some((
         items[0].as_usize()?,
@@ -1680,6 +2059,90 @@ mod tests {
         // An outage (factor 0) and a restore are both valid.
         h.set_link_rate_factor(1.0, 0.0).unwrap();
         h.set_link_rate_factor(2.0, 1.0).unwrap();
+    }
+
+    #[test]
+    fn leaf_record_is_one_cache_line() {
+        // A 32-byte `VecDeque`, two 8-byte counters, two `u32` links and
+        // three flags; the per-packet work at a leaf stays inside it.
+        assert_eq!(std::mem::size_of::<Leaf>(), 64);
+    }
+
+    /// Leaves and internal nodes live in separate arrays, but the ids
+    /// callers hold are what they always were: one dense sequence in
+    /// creation order, through mid-run churn and removals.
+    #[test]
+    fn node_ids_stay_dense_in_creation_order() {
+        let mut bld = Hierarchy::builder(1000.0, wf2qp_node);
+        let root = bld.root();
+        let l1 = bld.add_leaf(root, 0.1).unwrap();
+        let a = bld.add_internal(root, 0.5).unwrap();
+        let l3 = bld.add_leaf(a, 0.25).unwrap();
+        let b = bld.add_internal(a, 0.5).unwrap();
+        let l5 = bld.add_leaf(b, 0.5).unwrap();
+        let l6 = bld.add_leaf(root, 0.1).unwrap();
+        let mut h = bld.build();
+        assert_eq!(
+            [root, l1, a, l3, b, l5, l6].map(NodeId::index),
+            [0, 1, 2, 3, 4, 5, 6]
+        );
+
+        // Churn while a packet of l5 is in flight.
+        h.enqueue(l5, pkt(1, 5));
+        h.enqueue(l5, pkt(2, 5));
+        assert_eq!(h.start_transmission().unwrap().id, 1);
+        let l7 = h.add_leaf(b, 0.25).unwrap();
+        let c = h.add_internal_with(root, 0.2, wf2qp_node(200.0)).unwrap();
+        let l9 = h.add_leaf(c, 1.0).unwrap();
+        assert_eq!([l7, c, l9].map(NodeId::index), [7, 8, 9]);
+        assert_eq!(h.node_count(), 10);
+        assert_eq!(h.leaves(), vec![l1, l3, l5, l6, l7, l9]);
+        let parents: Vec<_> = (0..10).map(|i| h.parent(NodeId(i))).collect();
+        assert_eq!(
+            parents,
+            [
+                None,
+                Some(root),
+                Some(root),
+                Some(a),
+                Some(a),
+                Some(b),
+                Some(root),
+                Some(b),
+                Some(root),
+                Some(c)
+            ]
+        );
+        assert_eq!(h.ancestors_iter(l7).collect::<Vec<_>>(), vec![b, a, root]);
+        assert_eq!(h.ancestors(l9), vec![c, root]);
+        assert_eq!(h.ancestors(root), vec![]);
+        assert_eq!(h.rate(l7), 1000.0 * 0.5 * 0.5 * 0.25);
+        assert_eq!((h.phi(c), h.rate(l9)), (0.2, 200.0));
+
+        // l5 is removed with its head in flight: it drains, holding its
+        // share until the completion.
+        assert_eq!(h.remove_leaf(l5).unwrap().len(), 1);
+        assert!(h.is_detached(l5));
+        assert_eq!(h.active_leaves(), vec![l1, l3, l6, l7, l9]);
+        assert_eq!(h.leaves().len(), 6);
+        assert_eq!(h.allocated_share(b), 0.75);
+        assert_eq!(h.complete_transmission().id, 1);
+        assert_eq!(h.allocated_share(b), 0.25);
+
+        assert!(h.remove_leaf(l9).unwrap().is_empty());
+        h.remove_internal(c).unwrap();
+        assert!(h.is_detached(c) && !h.is_leaf(c) && h.is_leaf(l9));
+        assert!((h.allocated_share(root) - 0.7).abs() < 1e-12);
+        let l10 = h.add_leaf(root, 0.2).unwrap();
+        assert_eq!(l10.index(), 10);
+        assert_eq!(h.leaves(), vec![l1, l3, l5, l6, l7, l9, l10]);
+        assert_eq!(
+            h.active_leaves_iter().collect::<Vec<_>>(),
+            vec![l1, l3, l6, l7, l10]
+        );
+        h.enqueue(l10, pkt(3, 10));
+        h.enqueue(l7, pkt(4, 7));
+        assert_eq!(std::iter::from_fn(|| h.dequeue()).count(), 2);
     }
 
     #[test]

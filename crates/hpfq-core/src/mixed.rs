@@ -153,6 +153,10 @@ impl NodeScheduler for MixedScheduler {
         dispatch!(self, s => s.arrival_hint(id, bits, ref_now))
     }
 
+    fn wants_arrival_hints(&self) -> bool {
+        dispatch!(self, s => s.wants_arrival_hints())
+    }
+
     fn select_next(&mut self) -> Option<SessionId> {
         dispatch!(self, s => s.select_next())
     }

@@ -149,6 +149,12 @@ pub trait RankProgram {
     /// are caught by debug assertions in the backing structure.
     const MONOTONE_RANKS: bool = false;
 
+    /// Whether [`RankProgram::arrival_hint`] does anything. The default is
+    /// `true`; a program that keeps the default (ignoring) `arrival_hint`
+    /// says `false`, and a hierarchy built only from such programs skips
+    /// the per-arrival walk that delivers hints.
+    const WANTS_HINTS: bool = true;
+
     /// Short policy name for reports ("wf2q+", "wfq", …).
     fn name(&self) -> &'static str;
 
@@ -374,6 +380,10 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
         );
         self.program
             .arrival_hint(id, &self.sessions, bits, ref_now, self.t);
+    }
+
+    fn wants_arrival_hints(&self) -> bool {
+        P::WANTS_HINTS
     }
 
     #[inline]

@@ -91,6 +91,9 @@ impl RankProgram for DrrRank {
     // (see the module docs' induction argument).
     const MONOTONE_RANKS: bool = true;
 
+    // Keeps the default `arrival_hint`, which ignores the hint.
+    const WANTS_HINTS: bool = false;
+
     fn name(&self) -> &'static str {
         "drr"
     }

@@ -41,6 +41,9 @@ impl RankProgram for FifoRank {
     // increasing — the ring-discipline contract.
     const MONOTONE_RANKS: bool = true;
 
+    // Keeps the default `arrival_hint`, which ignores the hint.
+    const WANTS_HINTS: bool = false;
+
     fn name(&self) -> &'static str {
         "fifo"
     }

@@ -125,6 +125,9 @@ impl Default for RrRank {
 }
 
 impl RankProgram for RrRank {
+    // Keeps the default `arrival_hint`, which ignores the hint.
+    const WANTS_HINTS: bool = false;
+
     fn name(&self) -> &'static str {
         "rr"
     }

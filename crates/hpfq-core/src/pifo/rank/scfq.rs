@@ -25,6 +25,9 @@ impl ScfqRank {
 }
 
 impl RankProgram for ScfqRank {
+    // Keeps the default `arrival_hint`, which ignores the hint.
+    const WANTS_HINTS: bool = false;
+
     fn name(&self) -> &'static str {
         "scfq"
     }

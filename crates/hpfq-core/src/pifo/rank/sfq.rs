@@ -24,6 +24,9 @@ impl SfqRank {
 }
 
 impl RankProgram for SfqRank {
+    // Keeps the default `arrival_hint`, which ignores the hint.
+    const WANTS_HINTS: bool = false;
+
     fn name(&self) -> &'static str {
         "sfq"
     }

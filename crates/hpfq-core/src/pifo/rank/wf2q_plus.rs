@@ -26,6 +26,9 @@ impl Wf2qPlusRank {
 }
 
 impl RankProgram for Wf2qPlusRank {
+    // Keeps the default `arrival_hint`, which ignores the hint.
+    const WANTS_HINTS: bool = false;
+
     fn name(&self) -> &'static str {
         "wf2q+"
     }

@@ -85,6 +85,15 @@ pub trait NodeScheduler {
         let _ = (id, bits, ref_now);
     }
 
+    /// Whether this scheduler does anything with
+    /// [`NodeScheduler::arrival_hint`]. A [`crate::Hierarchy`] in which no
+    /// scheduler does skips the walk to the root that delivers the hints
+    /// on every arrival to a backlogged leaf. The default is `true`, which
+    /// is always correct; a policy that ignores hints says `false`.
+    fn wants_arrival_hints(&self) -> bool {
+        true
+    }
+
     /// Picks the next session to serve per the policy and accounts its head
     /// packet as dispatched. Returns `None` iff no session is backlogged.
     ///

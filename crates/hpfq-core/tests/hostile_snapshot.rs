@@ -1,0 +1,123 @@
+//! A snapshot is untrusted input: `Hierarchy::load_state` must refuse one
+//! whose logical heads do not describe a tree it can serve, with a typed
+//! error, instead of accepting it and panicking at the next dispatch (an
+//! out-of-bounds index in `start_transmission`, a pop from an empty FIFO in
+//! `complete_transmission`).
+
+use hpfq_core::{Hierarchy, MixedScheduler, NodeId, Packet, SchedulerKind};
+use hpfq_obs::snap::Value;
+
+/// root(0) → class(1) → leaves a(2), b(3); leaf c(4) under the root.
+fn tree() -> (Hierarchy<MixedScheduler>, [NodeId; 3]) {
+    let mut b = Hierarchy::builder(1e6, |r| SchedulerKind::Wf2qPlus.build(r));
+    let root = b.root();
+    let class = b.add_internal(root, 0.5).unwrap();
+    let leaves = [
+        b.add_leaf(class, 0.5).unwrap(),
+        b.add_leaf(class, 0.5).unwrap(),
+        b.add_leaf(root, 0.5).unwrap(),
+    ];
+    (b.build(), leaves)
+}
+
+/// The tree with one packet queued at `a` and one at `c`: the class offers
+/// `a`'s, the root one of the two.
+fn backlogged() -> Hierarchy<MixedScheduler> {
+    let (mut h, [a, _, c]) = tree();
+    h.enqueue(a, Packet::new(1, 0, 100, 0.0));
+    h.enqueue(c, Packet::new(2, 2, 100, 0.0));
+    h
+}
+
+/// Map `v` with `key` replaced by `value`.
+fn with_key(v: &Value, key: &str, value: Value) -> Value {
+    Value::Map(
+        v.entries()
+            .unwrap()
+            .iter()
+            .map(|(k, old)| {
+                (
+                    k.clone(),
+                    if k == key { value.clone() } else { old.clone() },
+                )
+            })
+            .collect(),
+    )
+}
+
+/// `snap` with `key` of node `node` replaced by `value`.
+fn doctored(snap: &Value, node: usize, key: &str, value: Value) -> Value {
+    let mut nodes = snap.get("nodes").unwrap().items().unwrap().to_vec();
+    nodes[node] = with_key(&nodes[node], key, value);
+    with_key(snap, "nodes", Value::List(nodes))
+}
+
+#[test]
+fn doctored_heads_are_refused_and_the_tree_keeps_serving() {
+    let snap = backlogged().save_state();
+    let bits = Value::F64(800.0);
+    let head = |leaf: u64| Value::List(vec![Value::U64(leaf), bits.clone()]);
+    let cases = [
+        ("head names an unknown node", 0, "head", head(1_000_000)),
+        ("head names an internal node", 1, "head", head(1)),
+        ("a leaf's head is another leaf", 2, "head", head(4)),
+        (
+            "active_child is someone else's child",
+            1,
+            "active_child",
+            Value::U64(4),
+        ),
+        (
+            "active_child is an unknown node",
+            1,
+            "active_child",
+            Value::U64(1_000_000),
+        ),
+        (
+            "a head without an active child",
+            1,
+            "active_child",
+            Value::Null,
+        ),
+        ("head names a leaf that offers nothing", 0, "head", head(3)),
+    ];
+    for (what, node, key, value) in cases {
+        let bad = doctored(&snap, node, key, value);
+        // Onto a freshly rebuilt tree (resume) ...
+        let (mut fresh, [a, ..]) = tree();
+        assert!(fresh.load_state(&bad).is_err(), "{what}: accepted");
+        fresh.enqueue(a, Packet::new(9, 0, 100, 0.0));
+        assert_eq!(fresh.dequeue().map(|p| p.id), Some(9), "{what}");
+        // ... and onto the running one (rollback): refused, and the queue
+        // it held is still served.
+        let mut live = backlogged();
+        assert!(live.load_state(&bad).is_err(), "{what}: accepted");
+        let mut served: Vec<u64> = std::iter::from_fn(|| live.dequeue())
+            .map(|p| p.id)
+            .collect();
+        served.sort_unstable();
+        assert_eq!(served, [1, 2], "{what}");
+        assert!(live.is_idle(), "{what}");
+    }
+    // The undoctored snapshot still loads, and serves the same two packets.
+    let (mut fresh, _) = tree();
+    fresh.load_state(&snap).unwrap();
+    assert_eq!(std::iter::from_fn(|| fresh.dequeue()).count(), 2);
+}
+
+/// What the next completion would trip over is checked too: a byte count
+/// that disagrees with the queue (underflow), an offered head with nothing
+/// queued behind it, a transmission in progress with no path to complete.
+#[test]
+fn doctored_queue_accounting_is_refused() {
+    let snap = backlogged().save_state();
+    let mut live = backlogged();
+    for bad in [
+        doctored(&snap, 2, "fifo_bytes", Value::U64(0)),
+        doctored(&snap, 2, "fifo", Value::List(Vec::new())),
+        with_key(&tree().0.save_state(), "transmitting", Value::Bool(true)),
+    ] {
+        assert!(live.load_state(&bad).is_err());
+    }
+    assert_eq!(std::iter::from_fn(|| live.dequeue()).count(), 2);
+}

@@ -25,6 +25,12 @@ pub struct FlowMap<V> {
     /// the first insert, a power of two at most half full after it.
     table: Vec<u32>,
     entries: Vec<(u32, V)>,
+    /// Storage slot [`FlowMap::get_or_insert_with`] resolved last: the
+    /// packet path touches one flow's entry two or three times in a row
+    /// (offered, then accepted or dropped), and only the first needs the
+    /// probe. It is a guess checked against `entries[memo].0` on use, so
+    /// nothing has to keep it current across removals and re-inserts.
+    memo: usize,
 }
 
 impl<V> Default for FlowMap<V> {
@@ -39,6 +45,7 @@ impl<V> FlowMap<V> {
         FlowMap {
             table: Vec::new(),
             entries: Vec::new(),
+            memo: 0,
         }
     }
 
@@ -141,11 +148,14 @@ impl<V> FlowMap<V> {
 
     /// The value for `flow`, inserting `make()` on first touch.
     pub fn get_or_insert_with(&mut self, flow: u32, make: impl FnOnce() -> V) -> &mut V {
-        let slot = match self.slot(flow) {
-            Some(slot) => slot,
-            None => self.push_new(flow, make()),
-        };
-        &mut self.entries[slot].1
+        let memoised = matches!(self.entries.get(self.memo), Some((f, _)) if *f == flow);
+        if !memoised {
+            self.memo = match self.slot(flow) {
+                Some(slot) => slot,
+                None => self.push_new(flow, make()),
+            };
+        }
+        &mut self.entries[self.memo].1
     }
 
     /// Sets `flow`'s value, returning the one it replaces.
@@ -266,6 +276,49 @@ mod tests {
                 assert_eq!(m.get(f).copied(), (i != victim).then_some(f), "key {f}");
             }
         }
+    }
+
+    /// The memo is only a guess: whatever `remove` does to the storage
+    /// under it (the memoised entry gone, the last entry moved into its
+    /// slot, the slot past the end), every lookup lands on its own entry.
+    #[test]
+    fn memo_survives_remove_and_reinsert() {
+        let mut m: FlowMap<u32> = FlowMap::new();
+        for flow in 0..4 {
+            *m.get_or_insert_with(flow, || flow * 10) += 1;
+        }
+        let check = |m: &mut FlowMap<u32>, flow: u32, want: u32| {
+            assert_eq!(
+                *m.get_or_insert_with(flow, || 1000 + flow),
+                want,
+                "flow {flow}"
+            );
+            // And again, now through the memo.
+            assert_eq!(
+                *m.get_or_insert_with(flow, || 2000 + flow),
+                want,
+                "flow {flow}"
+            );
+        };
+        // Memo on flow 1 (slot 1); removing it moves flow 3 into slot 1.
+        check(&mut m, 1, 11);
+        assert_eq!(m.remove(1), Some(11));
+        check(&mut m, 3, 31);
+        check(&mut m, 1, 1001);
+        // Memo on the last entry (flow 1, re-inserted at the end); removing
+        // it leaves the memo past the end.
+        assert_eq!(m.remove(1), Some(1001));
+        check(&mut m, 0, 1);
+        check(&mut m, 2, 21);
+        // Memo on flow 2; remove it and re-insert it under a new slot with
+        // another flow taking its old one.
+        assert_eq!(m.remove(2), Some(21));
+        check(&mut m, 7, 1007);
+        check(&mut m, 2, 1002);
+        check(&mut m, 3, 31);
+        assert_eq!(m.keys(), vec![0, 2, 3, 7]);
+        m.clear();
+        check(&mut m, 3, 1003);
     }
 
     #[test]

@@ -58,7 +58,7 @@ use hpfq_obs::{
 };
 
 use crate::flow_map::FlowMap;
-use crate::source::{Source, SourceOutput};
+use crate::source::{Few, Source, SourceOutput};
 use crate::stats::{ServiceRecord, SimStats};
 
 /// Index of a registered source.
@@ -85,8 +85,9 @@ pub struct Hop {
 /// not visit the same link twice.
 #[derive(Debug, Clone)]
 pub struct Route {
-    /// The hops, in forwarding order. Never empty.
-    pub hops: Vec<Hop>,
+    /// The hops, in forwarding order. Never empty. A single hop — every
+    /// route of a one-link network — is held inline and allocates nothing.
+    pub hops: Few<Hop>,
 }
 
 impl Route {
@@ -100,19 +101,21 @@ impl Route {
                 h.link
             );
         }
-        Route { hops }
+        Route {
+            hops: hops.into_iter().collect(),
+        }
     }
 
     /// The single-hop route of a one-link network: serve at `leaf` on
     /// link 0, deliver after `delivery_delay`.
     pub fn single(leaf: NodeId, buffer_bytes: Option<u64>, delivery_delay: f64) -> Self {
         Route {
-            hops: vec![Hop {
+            hops: Few::one(Hop {
                 link: 0,
                 leaf,
                 buffer_bytes,
                 prop_delay: delivery_delay,
-            }],
+            }),
         }
     }
 
@@ -726,7 +729,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         source: impl Source + 'static,
         route: Route,
     ) -> SourceId {
-        for hop in &route.hops {
+        for hop in route.hops.iter() {
             assert!(hop.link < self.links.len(), "route references unknown link");
             assert!(
                 self.link(hop.link).server.is_leaf(hop.leaf),

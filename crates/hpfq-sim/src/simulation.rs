@@ -11,6 +11,15 @@ mod tests {
         Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r)).build()
     }
 
+    #[test]
+    fn source_slot_is_one_cache_line() {
+        // The boxed source, a route with its one hop inline, the flow id
+        // and three flags: what a wake, an arrival and a completion read
+        // of a flow sits in one place.
+        assert_eq!(std::mem::size_of::<Route>(), 40);
+        assert_eq!(std::mem::size_of::<crate::network::SourceSlot>(), 64);
+    }
+
     /// Two equal CBR flows at half the link rate each: no queueing beyond
     /// one packet, all traffic delivered.
     #[test]

@@ -38,7 +38,7 @@ use hpfq_obs::Observer;
 use crate::network::{
     DetachReason, Hop, LinkLedger, NetEvent, Network, Route, SimCommand, SourceSlot,
 };
-use crate::source::load_source;
+use crate::source::{load_source, Few};
 
 /// Format version stamped into every snapshot. Version 2 moved each
 /// link's pending completion out of the event list into the link's
@@ -139,7 +139,7 @@ pub(crate) fn load_route(v: &Value) -> Result<Route, SnapError> {
         .items()?
         .iter()
         .map(load_hop)
-        .collect::<Result<Vec<_>, _>>()?;
+        .collect::<Result<Few<_>, _>>()?;
     if hops.is_empty() {
         return Err(err("route has no hops".into()));
     }

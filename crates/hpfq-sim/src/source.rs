@@ -15,9 +15,10 @@ use hpfq_core::{vtime, Packet};
 use hpfq_obs::snap::{SnapError, Value};
 
 /// Zero, one, or many `T`s in order: the storage behind
-/// [`SourceOutput`]'s fields. Nearly every source callback returns at most
-/// one packet and one wake-up, so the first element is held inline and
-/// only a second one allocates. Reads like a slice (`len`, indexing,
+/// [`SourceOutput`]'s fields and a [`crate::Route`]'s hops. Nearly every
+/// source callback returns at most one packet and one wake-up, and every
+/// route of a one-link network has one hop, so the first element is held
+/// inline and only a second one allocates. Reads like a slice (`len`, indexing,
 /// `iter`), grows with [`Few::push`], and is consumed by value with `for`.
 #[derive(Debug, Clone)]
 pub struct Few<T>(Repr<T>);

@@ -476,3 +476,69 @@ fn sources_attached_between_segments_or_after_restore_start_exactly_once() {
     fresh.run(0.5);
     assert_eq!(offered(&fresh), want, "resume then attach");
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `Hierarchy::save_state` of the tree below, serialized, as written by
+/// the commit before the node table was split into leaf and internal
+/// arrays (PR 19). The encoding is per `NodeId` in creation order and
+/// must not notice how the nodes are stored.
+const HIERARCHY_SNAPSHOT_LEN: usize = 4321;
+const HIERARCHY_SNAPSHOT_FNV1A: u64 = 0xe8d5_7f5f_1b87_5e43;
+
+/// A depth-3 tree caught mid-run: leaves and classes created interleaved,
+/// a packet in flight, a second backlogged subtree, an idle leaf, one leaf
+/// draining towards removal and one added by churn after the build.
+#[test]
+fn hierarchy_snapshot_encoding_is_unchanged() {
+    use hpfq::core::Packet;
+    let kind = SchedulerKind::Wf2qPlus;
+    let mut bld = Hierarchy::builder(10e6, move |r| kind.build(r));
+    let root = bld.root();
+    let a = bld.add_internal(root, 0.6).unwrap();
+    let l0 = bld.add_leaf(root, 0.2).unwrap();
+    let a1 = bld
+        .add_internal_with(a, 0.5, SchedulerKind::Wfq.build(3e6))
+        .unwrap();
+    let l1 = bld.add_leaf(a, 0.5).unwrap();
+    let l2 = bld.add_leaf(a1, 0.75).unwrap();
+    let l3 = bld.add_leaf(a1, 0.25).unwrap();
+    let mut h = bld.build();
+    let mut id = 0u64;
+    let mut offer = |h: &mut Hierarchy<MixedScheduler>, leaf, flow: u32, len: u32, t: f64| {
+        id += 1;
+        h.try_enqueue(leaf, Packet::new(id, flow, len, t)).unwrap();
+    };
+    for round in 0..3 {
+        let t = f64::from(round) * 1e-4;
+        offer(&mut h, l2, 2, 1500, t);
+        offer(&mut h, l1, 1, 400, t);
+        offer(&mut h, l3, 3, 900, t);
+    }
+    let mut now = 3e-4;
+    for _ in 0..3 {
+        let p = h.start_transmission_at(now).unwrap();
+        now += p.bits() / 10e6;
+        h.complete_transmission_at(now);
+    }
+    // Churn: a leaf joins, a backlogged one is removed and drains its head.
+    let l4 = h.add_leaf(root, 0.1).unwrap();
+    offer(&mut h, l4, 4, 64, now);
+    assert_eq!(h.remove_leaf(l3).unwrap().len(), 2);
+    assert!(h.is_detached(l3) && h.leaf_queue_len(l3) == 1);
+    assert!(h.start_transmission_at(now).is_some());
+    assert_eq!(h.leaf_queue_len(l0), 0);
+
+    let bytes = h.save_state().to_bytes();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (HIERARCHY_SNAPSHOT_LEN, HIERARCHY_SNAPSHOT_FNV1A),
+        "hierarchy snapshot encoding moved: {:#x}",
+        fnv1a(&bytes)
+    );
+}
