@@ -7,7 +7,7 @@
 //!   per-packet server cost.
 //! * `enqueue` — one arrival into an already-backlogged leaf (FIFO append
 //!   plus `arrival_hint` to every ancestor). Queues grow during
-//!   measurement; the amortized `VecDeque` growth is part of the real
+//!   measurement; the amortized growth of the packet slab is part of the real
 //!   arrival cost.
 //!
 //! A second axis — the **flow-count scaling sweep** (`--sizes

@@ -14,9 +14,12 @@
 //! ## Layout
 //!
 //! The two kinds of node are stored apart, because they share almost
-//! nothing. A leaf is one 64-byte record — its FIFO, the queued byte count,
-//! the length of the head it offers, its parent and session slot, three
-//! flags — so the per-packet work at a leaf stays inside one cache line. An
+//! nothing. A leaf is one 40-byte record — the head, tail and length of its
+//! FIFO, the queued byte count, the length of the head it offers, its
+//! parent and session slot, three flags — so the per-packet work at a leaf
+//! stays inside one cache line. The packets themselves, every leaf's, are
+//! nodes of one slab owned by the hierarchy, each linked to the packet
+//! queued behind it (`slab.rs`): a leaf owns no allocation. An
 //! internal node holds its scheduler by value, its children, and a
 //! *reference* to the head it offers (the leaf that owns the packet, and
 //! the packet's length). Children, heads and parents are `u32` indices into
@@ -63,8 +66,6 @@
 //! with real time during busy periods (eq. 32), so a depth-1 hierarchy is a
 //! standalone packet server.
 
-use std::collections::VecDeque;
-
 use hpfq_obs::{
     BacklogEvent, BusyResetEvent, DispatchEvent, EnqueueEvent, NoopObserver, Observer, PacketInfo,
     TxEvent,
@@ -75,6 +76,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::error::HpfqError;
 use crate::packet::Packet;
 use crate::scheduler::{NodeScheduler, SessionId};
+use crate::slab::{Chain, PacketSlab};
 use crate::vtime;
 
 fn pkt_info(p: &Packet) -> PacketInfo {
@@ -147,17 +149,17 @@ impl Ref {
     }
 }
 
-/// A leaf: the real packet queue of one session. Exactly one cache line.
+/// A leaf: the real packet queue of one session. Forty bytes.
 #[derive(Debug)]
 struct Leaf {
-    /// The queued packets; the front one is in flight while the link
-    /// transmits it.
-    fifo: VecDeque<Packet>,
+    /// The queued packets, as a chain through `Hierarchy::slab`; the front
+    /// one is in flight while the link transmits it.
+    fifo: Chain,
     /// Queued bytes in `fifo`, for buffer management by the caller.
     fifo_bytes: u64,
     /// Length in bits of the front packet, valid while `offering`: what
     /// the parent reads when it adopts this leaf's head, without touching
-    /// the FIFO's buffer.
+    /// the slab.
     head_bits: f64,
     /// Parent, as an index into `Hierarchy::inners`.
     parent: u32,
@@ -178,7 +180,7 @@ impl Leaf {
     /// An empty, attached leaf in session `slot` of internal node `parent`.
     fn new(parent: u32, slot: u32) -> Leaf {
         Leaf {
-            fifo: VecDeque::new(),
+            fifo: Chain::EMPTY,
             fifo_bytes: 0,
             head_bits: 0.0,
             parent,
@@ -249,6 +251,8 @@ struct Share {
 /// compiles away.
 pub struct Hierarchy<S: NodeScheduler, O: Observer = NoopObserver> {
     leaves: Vec<Leaf>,
+    /// Every leaf's queued packets.
+    slab: PacketSlab,
     /// Internal nodes; index 0 is the root.
     inners: Vec<Inner<S>>,
     /// [`NodeId`] → record.
@@ -339,6 +343,7 @@ impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
         let sched = factory(rate_bps);
         let h = Hierarchy {
             leaves: Vec::new(),
+            slab: PacketSlab::new(),
             wants_hints: sched.wants_arrival_hints(),
             inners: vec![Inner::new(sched, NIL, 0)],
             refs: vec![Ref::inner(0)],
@@ -621,7 +626,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         if lf.detached || lf.draining {
             return Err(HpfqError::NodeDetached(leaf.0));
         }
-        let purged: Vec<Packet> = lf.fifo.drain(usize::from(lf.offering)..).collect();
+        let purged = self.slab.truncate(&mut lf.fifo, usize::from(lf.offering));
         for p in &purged {
             lf.fifo_bytes -= u64::from(p.len_bytes);
         }
@@ -740,7 +745,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         let bits = pkt.bits();
         let lf = &mut self.leaves[l];
         lf.fifo_bytes += u64::from(pkt.len_bytes);
-        lf.fifo.push_back(pkt);
+        self.slab.push_back(&mut lf.fifo, pkt);
         let (p, slot) = (lf.parent, lf.slot);
         let was_offering = std::mem::replace(&mut lf.offering, true);
         if !was_offering {
@@ -949,9 +954,9 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         }
         self.transmitting = true;
         self.last_time = self.last_time.max(now);
-        let pkt = *self.leaves[leaf as usize]
-            .fifo
-            .front()
+        let pkt = *self
+            .slab
+            .front(&self.leaves[leaf as usize].fifo)
             // lint:allow(L002): the root offers a head, so a packet is queued at that leaf
             .expect("head refers to a queued packet");
         if O::ENABLED {
@@ -1006,13 +1011,13 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
 
         // Dequeue the transmitted packet and re-offer the leaf's next head.
         let lf = &mut self.leaves[leaf];
-        let pkt = lf
-            .fifo
-            .pop_front()
+        let pkt = self
+            .slab
+            .pop_front(&mut lf.fifo)
             // lint:allow(L002): the transmitted head was queued at this leaf
             .expect("transmitted packet was queued");
         lf.fifo_bytes -= u64::from(pkt.len_bytes);
-        let next_bits = lf.fifo.front().map(Packet::bits);
+        let next_bits = self.slab.front(&lf.fifo).map(Packet::bits);
         lf.offering = next_bits.is_some();
         let (lp, lslot) = (lf.parent as usize, SessionId(lf.slot as usize));
         if O::ENABLED {
@@ -1214,6 +1219,13 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.active_leaves_iter().collect()
     }
 
+    /// Packet slots the leaf queues have allocated between them: the most
+    /// packets ever queued at once (slots of departed and purged packets
+    /// are reused). Exposed so churn harnesses can assert it stops growing.
+    pub fn packet_slots(&self) -> usize {
+        self.slab.slots()
+    }
+
     /// Sum of the shares currently allocated to `node`'s attached children
     /// — the quantity validated against 1.0 when adding a child. Exposed
     /// so churn harnesses can assert it never overflows or goes negative.
@@ -1270,7 +1282,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 let lf = &self.leaves[l];
                 (
                     Value::Null,
-                    lf.fifo.iter().map(Packet::save).collect(),
+                    self.slab.iter(&lf.fifo).map(Packet::save).collect(),
                     lf.fifo_bytes,
                     lf.detached,
                     lf.draining,
@@ -1368,9 +1380,10 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 child_phi_sum: 0.0,
             });
         }
-        // Per-node fields, and the children tables rebuilt from the parent
-        // links (node ids and session slots are both dense in creation
-        // order).
+        // Per-node fields, the queues refilled into an emptied slab, and
+        // the children tables rebuilt from the parent links (node ids and
+        // session slots are both dense in creation order).
+        self.slab.clear();
         for nd in &mut self.inners {
             nd.children.clear();
         }
@@ -1388,7 +1401,10 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             match r.place() {
                 Place::Leaf(l) => {
                     let lf = &mut self.leaves[l];
-                    lf.fifo = sn.fifo;
+                    lf.fifo = Chain::EMPTY;
+                    for pkt in sn.fifo {
+                        self.slab.push_back(&mut lf.fifo, pkt);
+                    }
                     lf.fifo_bytes = sn.fifo_bytes;
                     lf.offering = sn.head.is_some();
                     lf.head_bits = sn.head.map_or(0.0, |(_, bits)| bits);
@@ -1520,7 +1536,7 @@ struct SavedNode {
     /// `(leaf NodeId, bits)`.
     head: Option<(usize, f64)>,
     active_child: Option<usize>,
-    fifo: VecDeque<Packet>,
+    fifo: Vec<Packet>,
     fifo_bytes: u64,
     is_leaf: bool,
     detached: bool,
@@ -1765,6 +1781,91 @@ mod tests {
             }
             *last = Some(p.id);
         }
+    }
+
+    /// The leaves' packets are interleaved in one slab; each leaf must
+    /// still see exactly its own, in arrival order, whatever the others do.
+    #[test]
+    fn many_leaves_interleaved_in_one_slab_each_stay_fifo() {
+        const LEAVES: usize = 37;
+        let mut h = wf2qp(1e6);
+        let root = h.root();
+        let leaves: Vec<NodeId> = (0..LEAVES)
+            .map(|_| h.add_leaf(root, 1.0 / LEAVES as f64).unwrap())
+            .collect();
+        let mut state = 0x9e37_79b9_u64;
+        let mut sent = vec![Vec::new(); LEAVES];
+        let mut served = vec![Vec::new(); LEAVES];
+        let mut id = 0;
+        for _ in 0..if cfg!(miri) { 200 } else { 5000 } {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let flow = (state >> 33) as usize % LEAVES;
+            if (state >> 20) % 5 < 3 {
+                id += 1;
+                let len = 40 + (state >> 40) as u32 % 1400;
+                h.enqueue(leaves[flow], Packet::new(id, flow as u32, len, 0.0));
+                sent[flow].push(id);
+            } else if let Some(p) = h.dequeue() {
+                served[p.flow as usize].push(p.id);
+            }
+            let queued: usize = leaves.iter().map(|&l| h.leaf_queue_len(l)).sum();
+            assert!(queued <= h.packet_slots());
+        }
+        while let Some(p) = h.dequeue() {
+            served[p.flow as usize].push(p.id);
+        }
+        assert_eq!(served, sent);
+    }
+
+    /// Loading a snapshot over a hierarchy that holds packets drops them:
+    /// the slab ends up with the snapshot's packets and nothing else, and
+    /// loading again and again never grows it.
+    #[test]
+    fn load_state_over_a_backlogged_hierarchy_leaks_no_packet_slots() {
+        let build = || {
+            let mut h = wf2qp(1000.0);
+            let root = h.root();
+            let a = h.add_leaf(root, 0.4).unwrap();
+            let b = h.add_leaf(root, 0.4).unwrap();
+            (h, a, b)
+        };
+        let (mut h, a, b) = build();
+        for i in 0..3 {
+            h.enqueue(a, pkt(i, 0));
+            h.enqueue(b, pkt(10 + i, 1));
+        }
+        h.start_transmission().unwrap();
+        let snap = h.save_state();
+        // Run on: a deeper backlog, and a backlogged leaf the snapshot does
+        // not have (the restore discards it, queue and all).
+        let c = h.add_leaf(h.root(), 0.2).unwrap();
+        for i in 0..10 {
+            h.enqueue(a, pkt(100 + i, 0));
+            h.enqueue(c, pkt(200 + i, 2));
+        }
+        h.complete_transmission();
+        assert_eq!(h.packet_slots(), 26);
+        for _ in 0..3 {
+            h.load_state(&snap).unwrap();
+            assert_eq!(h.packet_slots(), 6);
+            assert_eq!((h.leaf_queue_len(a), h.leaf_queue_len(b)), (3, 3));
+            assert_eq!(h.save_state().to_bytes(), snap.to_bytes());
+        }
+        // It serves what the snapshot held, and reuses the slots it frees.
+        h.complete_transmission();
+        h.enqueue(b, pkt(50, 1));
+        assert_eq!(h.packet_slots(), 6);
+        let ids: Vec<u64> = std::iter::from_fn(|| h.dequeue()).map(|p| p.id).collect();
+        assert_eq!(ids.len(), 6);
+        let of = |flow: &[u64]| ids.iter().filter(|i| flow.contains(i)).copied().collect();
+        let (got_a, got_b): (Vec<u64>, Vec<u64>) = (of(&[1, 2]), of(&[10, 11, 12, 50]));
+        assert_eq!((got_a, got_b), (vec![1, 2], vec![10, 11, 12, 50]));
+        // A fresh hierarchy takes the same snapshot into an empty slab.
+        let (mut fresh, ..) = build();
+        fresh.load_state(&snap).unwrap();
+        assert_eq!(fresh.packet_slots(), 6);
     }
 
     #[test]
@@ -2063,9 +2164,10 @@ mod tests {
 
     #[test]
     fn leaf_record_is_one_cache_line() {
-        // A 32-byte `VecDeque`, two 8-byte counters, two `u32` links and
-        // three flags; the per-packet work at a leaf stays inside it.
-        assert_eq!(std::mem::size_of::<Leaf>(), 64);
+        // Three `u32`s of FIFO chain, two 8-byte counters, two `u32` links
+        // and three flags — well inside one line; a queue that owned a
+        // buffer again would be 64.
+        assert_eq!(std::mem::size_of::<Leaf>(), 40);
     }
 
     /// Leaves and internal nodes live in separate arrays, but the ids

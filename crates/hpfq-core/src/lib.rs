@@ -61,6 +61,7 @@ pub mod reference;
 mod scfq;
 pub mod scheduler;
 mod sfq;
+mod slab;
 mod tag_heap;
 mod wf2q;
 mod wf2q_plus;

@@ -10,6 +10,16 @@
 //! sequence whatever shape the array takes, which is what lets a layout
 //! change leave every simulated outcome untouched.
 //!
+//! An event-queue entry names either an arena slot, whose `(minor, seq)`
+//! decide between bit-equal times, or a *timer*: a 32-bit payload that is
+//! the whole event. A timer's minor key is computed from the payload, and
+//! it has no `seq` — at equal time and minor it orders ahead of every arena
+//! entry and against another timer by payload. Two timers equal in time
+//! and payload therefore compare equal, the one exception to "total", and
+//! a harmless one: they are the same event, and whoever pops them cannot
+//! tell which came out first. The heap moves both kinds as the same 16
+//! bytes and never looks inside.
+//!
 //! Four children per node halve the depth of a binary heap, and the four
 //! siblings are adjacent in memory — within one cache line or two
 //! neighbouring ones for entries of 16 bytes — so a level costs about one

@@ -11,7 +11,8 @@
 //!   simulation traces byte-reproducible across runs and platforms.
 //! * **Bounded memory** — events live in a slot arena; a fired slot goes
 //!   onto a free list and is reused. Memory is bounded by the maximum
-//!   number of *outstanding* events, not the total ever scheduled.
+//!   number of *outstanding* events, not the total ever scheduled. A
+//!   *timer* (below) takes no slot at all.
 //! * **Monotone clock** — [`Engine`] owns `now` and only advances it by
 //!   popping events. Scheduling into the past is clamped to `now` (and
 //!   flagged in debug builds), so a buggy client degrades to "fires
@@ -31,6 +32,18 @@
 //! for a comparison just when two time keys are equal, so a queue whose
 //! times are distinct — Poisson wakes, say — orders itself without
 //! touching the events at all, and ties cost two extra loads each.
+//!
+//! A **timer** is an event that 32 bits describe completely — "wake source
+//! *i*" — and whose minor key is a function of those bits. Its heap entry
+//! carries the bits where an arena index would go, with a flag saying so,
+//! and nothing else exists: no slot is written when it is scheduled and
+//! none is read when it fires. A queue built by
+//! [`EventQueue::with_timers`] is given the two plain functions that turn
+//! the bits back into an `E` and into the minor key, so every pop and peek
+//! returns ordinary events and keys whichever way an entry was stored. A
+//! timer has no `seq`: two timers with bit-equal time and payload are the
+//! same event, so no order between them can be observed, and against an
+//! arena event with the same time and minor the timer fires first.
 //!
 //! # Minor keys and parallel determinism
 //!
@@ -82,13 +95,20 @@ fn key_time(key: u64) -> f64 {
     })
 }
 
-/// What the heap moves: the time key and the arena slot holding the rest.
-/// 16 bytes, so the four siblings of a sift level are 64 contiguous bytes.
+/// What the heap moves: the time key and the arena slot holding the rest —
+/// or, for a timer, the payload that *is* the rest. 16 bytes, so the four
+/// siblings of a sift level are 64 contiguous bytes.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     key: u64,
+    /// Arena index, or the timer's payload.
     slot: u32,
+    timer: bool,
 }
+
+/// How a queue reads a timer entry back: payload → event, payload → minor
+/// key (see [`EventQueue::with_timers`]).
+type TimerFns<E> = (fn(u32) -> E, fn(u32) -> u64);
 
 /// One arena slot: the event and the part of its key that only decides
 /// between bit-equal times.
@@ -100,16 +120,53 @@ struct Slot<E> {
     ev: Option<E>,
 }
 
-/// The firing order: time key, then — read from the arena only when two
-/// times are bit-equal — the caller's minor key, then scheduling sequence.
-/// `seq` is unique, so this is a strict total order.
+/// The firing order: time key, then — looked up only when two times are
+/// bit-equal — the minor key, then scheduling sequence. `seq` is unique
+/// among arena entries and starts at 1; a timer stands at sequence 0, ahead
+/// of them, and two timers that tie that far are told apart by payload. So
+/// this is a strict total order, but for two timers equal in time and
+/// payload — which are the same event, whichever pops first.
 #[inline]
-fn fires_before<E>(arena: &[Slot<E>], a: &HeapEntry, b: &HeapEntry) -> bool {
+fn fires_before<E>(
+    arena: &[Slot<E>],
+    timers: Option<TimerFns<E>>,
+    a: &HeapEntry,
+    b: &HeapEntry,
+) -> bool {
     if a.key != b.key {
         return a.key < b.key;
     }
-    let (a, b) = (&arena[a.slot as usize], &arena[b.slot as usize]);
-    (a.minor, a.seq) < (b.minor, b.seq)
+    tie_fires_before(arena, timers, a, b)
+}
+
+/// [`fires_before`] for bit-equal times. Out of line: distinct times are
+/// the common case, and the sift loops that inline the comparison are
+/// measurably slower with this body in them.
+#[cold]
+#[inline(never)]
+fn tie_fires_before<E>(
+    arena: &[Slot<E>],
+    timers: Option<TimerFns<E>>,
+    a: &HeapEntry,
+    b: &HeapEntry,
+) -> bool {
+    let rank = |e: &HeapEntry| {
+        if e.timer {
+            ((timer_fns(timers).1)(e.slot), 0, e.slot)
+        } else {
+            let slot = &arena[e.slot as usize];
+            (slot.minor, slot.seq, 0)
+        }
+    };
+    rank(a) < rank(b)
+}
+
+/// The functions of a queue that holds a timer entry.
+#[inline]
+fn timer_fns<E>(timers: Option<TimerFns<E>>) -> TimerFns<E> {
+    // lint:allow(L002): `schedule_timer` is the only writer of timer
+    // entries and refuses a queue built without the functions
+    timers.expect("a timer entry in a queue built without timers")
 }
 
 /// A time-ordered event queue with FIFO tie-breaking and arena-backed
@@ -120,21 +177,37 @@ fn fires_before<E>(arena: &[Slot<E>], a: &HeapEntry, b: &HeapEntry) -> bool {
 pub struct EventQueue<E> {
     heap: QuadHeap<HeapEntry>,
     /// Event arena. Fired slots are pushed onto `free` and reused, so
-    /// memory is bounded by the maximum number of *outstanding* events,
-    /// not the total ever scheduled.
+    /// memory is bounded by the maximum number of *outstanding* arena
+    /// events, not the total ever scheduled.
     arena: Vec<Slot<E>>,
     free: Vec<u32>,
     seq: u64,
+    timers: Option<TimerFns<E>>,
 }
 
 impl<E> EventQueue<E> {
-    /// An empty queue.
+    /// An empty queue without timers: every event takes an arena slot.
     pub fn new() -> Self {
         EventQueue {
             heap: QuadHeap::new(),
             arena: Vec::new(),
             free: Vec::new(),
             seq: 0,
+            timers: None,
+        }
+    }
+
+    /// An empty queue that also takes **timers**
+    /// ([`EventQueue::schedule_timer`]): events that a `u32` payload
+    /// describes completely. `event` rebuilds the event a payload stands
+    /// for and `minor` gives its minor key; both must be pure functions of
+    /// the payload. A timer is held in its heap entry alone (see the crate
+    /// docs, "Layout"), and pops and peeks return it as the ordinary event
+    /// and key the two functions name.
+    pub fn with_timers(event: fn(u32) -> E, minor: fn(u32) -> u64) -> Self {
+        EventQueue {
+            timers: Some((event, minor)),
+            ..Self::new()
         }
     }
 
@@ -176,12 +249,37 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        let arena = &self.arena;
-        let entry = HeapEntry {
+        self.push(HeapEntry {
             key: time_key(t),
             slot,
-        };
-        self.heap.push(entry, |a, b| fires_before(arena, a, b));
+            timer: false,
+        });
+    }
+
+    /// Schedules the timer `payload` at time `t`. It fires as the event
+    /// and under the minor key the queue's two functions give for
+    /// `payload`; among events with that time and minor key it fires
+    /// first.
+    ///
+    /// # Panics
+    /// If the queue was not built by [`EventQueue::with_timers`].
+    pub fn schedule_timer(&mut self, t: f64, payload: u32) {
+        debug_assert!(t.is_finite(), "non-finite event time {t}");
+        assert!(
+            self.timers.is_some(),
+            "schedule_timer on a queue built without timers"
+        );
+        self.push(HeapEntry {
+            key: time_key(t),
+            slot: payload,
+            timer: true,
+        });
+    }
+
+    fn push(&mut self, entry: HeapEntry) {
+        let (arena, timers) = (&self.arena, self.timers);
+        self.heap
+            .push(entry, |a, b| fires_before(arena, timers, a, b));
     }
 
     /// Time of the earliest pending event.
@@ -193,9 +291,14 @@ impl<E> EventQueue<E> {
     /// content-derived part of the firing order, so epoch supervisors can
     /// compare queue heads against a global cut key without popping.
     pub fn peek_key(&self) -> Option<(f64, u64)> {
-        self.heap
-            .peek()
-            .map(|e| (key_time(e.key), self.arena[e.slot as usize].minor))
+        self.heap.peek().map(|e| {
+            let minor = if e.timer {
+                (timer_fns(self.timers).1)(e.slot)
+            } else {
+                self.arena[e.slot as usize].minor
+            };
+            (key_time(e.key), minor)
+        })
     }
 
     /// Removes and returns the earliest event and its time. Ties fire in
@@ -209,8 +312,12 @@ impl<E> EventQueue<E> {
     /// assembly/merge) where the minor keys must survive the transfer.
     pub fn pop_entry(&mut self) -> Option<(f64, u64, E)> {
         loop {
-            let arena = &self.arena;
-            let top = self.heap.pop(|a, b| fires_before(arena, a, b))?;
+            let (arena, timers) = (&self.arena, self.timers);
+            let top = self.heap.pop(|a, b| fires_before(arena, timers, a, b))?;
+            if top.timer {
+                let (event, minor) = timer_fns(timers);
+                return Some((key_time(top.key), minor(top.slot), event(top.slot)));
+            }
             // Each heap entry owns its arena slot until fired; a vacated
             // slot (impossible today, tolerated for robustness) is skipped.
             let slot = &mut self.arena[top.slot as usize];
@@ -226,13 +333,14 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Outstanding (scheduled, unfired) events — exposed for capacity
-    /// diagnostics and the arena-reuse tests.
+    /// Outstanding (scheduled, unfired) events, timers included — exposed
+    /// for capacity diagnostics and the arena-reuse tests.
     pub fn outstanding(&self) -> usize {
-        self.arena.len() - self.free.len()
+        self.heap.len()
     }
 
-    /// Size of the event arena (high-water mark of outstanding events).
+    /// Size of the event arena (high-water mark of outstanding events
+    /// other than timers, which take no slot).
     pub fn arena_len(&self) -> usize {
         self.arena.len()
     }
@@ -263,6 +371,15 @@ impl<E> Engine<E> {
         }
     }
 
+    /// An engine at time 0 with no events, whose queue also takes timers
+    /// (see [`EventQueue::with_timers`]).
+    pub fn with_timers(event: fn(u32) -> E, minor: fn(u32) -> u64) -> Self {
+        Engine {
+            queue: EventQueue::with_timers(event, minor),
+            now: 0.0,
+        }
+    }
+
     /// Current simulation time (the time of the last popped event).
     pub fn now(&self) -> f64 {
         self.now
@@ -278,6 +395,20 @@ impl<E> Engine<E> {
     /// [`Engine::schedule`] with an explicit minor tie-break key (see
     /// [`EventQueue::schedule_keyed`]).
     pub fn schedule_keyed(&mut self, t: f64, minor: u64, ev: E) {
+        let t = self.clamp_to_now(t);
+        self.queue.schedule_keyed(t, minor, ev);
+    }
+
+    /// Schedules the timer `payload` at `max(t, now)` (see
+    /// [`EventQueue::schedule_timer`]).
+    pub fn schedule_timer(&mut self, t: f64, payload: u32) {
+        let t = self.clamp_to_now(t);
+        self.queue.schedule_timer(t, payload);
+    }
+
+    /// `max(t, now)`, flagging in debug builds a `t` further in the past
+    /// than float rounding explains.
+    fn clamp_to_now(&self, t: f64) -> f64 {
         debug_assert!(
             // lint:allow(L003): hpfq-events is dependency-free by design and
             // cannot import `vtime::EPS`; this debug-only relative slack
@@ -286,7 +417,7 @@ impl<E> Engine<E> {
             "scheduling into the past: {t} < {}",
             self.now
         );
-        self.queue.schedule_keyed(t.max(self.now), minor, ev);
+        t.max(self.now)
     }
 
     /// Time of the earliest pending event.
@@ -365,12 +496,12 @@ impl<E> Engine<E> {
         self.queue.is_empty()
     }
 
-    /// Outstanding (scheduled, unfired) events.
+    /// Outstanding (scheduled, unfired) events, timers included.
     pub fn outstanding(&self) -> usize {
         self.queue.outstanding()
     }
 
-    /// Size of the event arena (high-water mark of outstanding events).
+    /// Size of the event arena (see [`EventQueue::arena_len`]).
     pub fn arena_len(&self) -> usize {
         self.queue.arena_len()
     }
@@ -663,6 +794,165 @@ mod tests {
             }
             assert!(q.is_empty());
         }
+    }
+
+    /// The timer functions of the tests below: a payload stands for the
+    /// event `u64::MAX - payload` (no arena event below carries such an
+    /// id), under a minor key from the same three-value pool the arena
+    /// events draw theirs from, so `(time, minor)` ties between the two
+    /// kinds, and between timers of different payloads, are common.
+    fn timer_event(payload: u32) -> u64 {
+        u64::MAX - u64::from(payload)
+    }
+
+    fn timer_minor(payload: u32) -> u64 {
+        u64::from(payload % 3)
+    }
+
+    /// The documented order, as a sort: `(time, minor, seq)` with a timer
+    /// at sequence 0. Two timers that still tie are ordered by payload,
+    /// which only matters when the payloads — and so the events — differ.
+    fn sort_model(model: &mut [(f64, u64, u64, u64)]) {
+        model.sort_by(|a, b| {
+            a.0.total_cmp(&b.0)
+                .then((a.1, a.2).cmp(&(b.1, b.2)))
+                .then(b.3.cmp(&a.3))
+        });
+    }
+
+    #[test]
+    fn timers_and_arena_events_interleave_in_the_documented_order() {
+        let mut state = 0x7157_e125;
+        for round in 0..if cfg!(miri) { 4 } else { 100 } {
+            let mut q = EventQueue::with_timers(timer_event, timer_minor);
+            // (time, minor, seq — 0 for a timer, event id).
+            let mut model: Vec<(f64, u64, u64, u64)> = Vec::new();
+            let mut seq = 0;
+            let (mut timers, mut arena_high) = (0, 0);
+            for _ in 0..300 {
+                let r = xorshift(&mut state);
+                let t = EDGE_TIMES[1 + (r >> 8) as usize % 14];
+                match r % 5 {
+                    0 | 1 => {
+                        seq += 1;
+                        let minor = (r >> 16) % 3;
+                        q.schedule_keyed(t, minor, seq);
+                        model.push((t, minor, seq, seq));
+                    }
+                    2 | 3 => {
+                        // Eight payloads: the same timer is often queued
+                        // twice at one time.
+                        let payload = (r >> 16) as u32 % 8;
+                        q.schedule_timer(t, payload);
+                        model.push((t, timer_minor(payload), 0, timer_event(payload)));
+                        timers += 1;
+                    }
+                    _ if model.is_empty() => {}
+                    _ => {
+                        sort_model(&mut model);
+                        let (t, minor, seq, id) = model.remove(0);
+                        timers -= usize::from(seq == 0);
+                        assert_eq!(
+                            q.peek_key().map(|(t, m)| (t.to_bits(), m)),
+                            Some((t.to_bits(), minor)),
+                            "round {round}"
+                        );
+                        let (pt, pminor, pid) = q.pop_entry().expect("model is non-empty");
+                        assert_eq!((pt.to_bits(), pminor, pid), (t.to_bits(), minor, id));
+                    }
+                }
+                assert_eq!(q.outstanding(), model.len());
+                // The arena is the high-water mark of the other events.
+                arena_high = arena_high.max(model.len() - timers);
+                assert_eq!(q.arena_len(), arena_high);
+            }
+            sort_model(&mut model);
+            for (t, minor, _, id) in model {
+                let (pt, pminor, pid) = q.pop_entry().expect("model is non-empty");
+                assert_eq!((pt.to_bits(), pminor, pid), (t.to_bits(), minor, id));
+            }
+            assert!(q.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_timer_fires_before_an_arena_event_with_its_time_and_minor() {
+        let mut q = EventQueue::with_timers(timer_event, timer_minor);
+        q.schedule_keyed(1.0, 1, 10);
+        q.schedule_keyed(1.0, 2, 11);
+        q.schedule_timer(1.0, 4); // minor 1: scheduled after 10, fires before
+        q.schedule_timer(1.0, 7); // minor 1 too: after timer 4, by payload
+        q.schedule_timer(1.0, 4); // the same event again
+        q.schedule_keyed(1.0, 0, 12);
+        assert_eq!(q.peek_key(), Some((1.0, 0)));
+        let fired: Vec<_> = std::iter::from_fn(|| q.pop_entry()).collect();
+        assert_eq!(
+            fired,
+            vec![
+                (1.0, 0, 12),
+                (1.0, 1, timer_event(4)),
+                (1.0, 1, timer_event(4)),
+                (1.0, 1, timer_event(7)),
+                (1.0, 1, 10),
+                (1.0, 2, 11),
+            ]
+        );
+    }
+
+    #[test]
+    fn timers_take_no_arena_slot_and_are_counted_outstanding() {
+        let mut e = Engine::with_timers(timer_event, timer_minor);
+        for i in 0..100 {
+            e.schedule_timer(f64::from(i), i);
+        }
+        assert_eq!((e.outstanding(), e.arena_len()), (100, 0));
+        e.schedule(0.5, 1);
+        assert_eq!((e.outstanding(), e.arena_len()), (101, 1));
+        // A timer at the head: its key comes from the payload alone.
+        assert_eq!(e.peek_key(), Some((0.0, 0)));
+        assert_eq!(e.pop_due(0.25), Some((0.0, timer_event(0))));
+        assert_eq!(e.pop_due(0.75), Some((0.5, 1)));
+        assert_eq!(e.peek_key(), Some((1.0, timer_minor(1))));
+        assert_eq!((e.outstanding(), e.arena_len()), (99, 1));
+        // Like any event, a timer asked for in the past fires now.
+        assert_eq!(e.pop_due(1.0), Some((1.0, timer_event(1))));
+        e.schedule_timer(1.0, 50);
+        assert_eq!(e.pop_strictly_before(2.0), Some((1.0, timer_event(50))));
+    }
+
+    #[test]
+    fn drained_timers_and_events_reschedule_in_the_same_order() {
+        // What a snapshot or a shard split does: drain, tell a timer from
+        // an arena event by the event alone, schedule each back.
+        let mut state = 0xd2a1_0000;
+        let mut e = Engine::with_timers(timer_event, timer_minor);
+        for i in 0..if cfg!(miri) { 40 } else { 400 } {
+            let r = xorshift(&mut state);
+            let t = EDGE_TIMES[6 + (r >> 8) as usize % 8];
+            if r & 1 == 0 {
+                e.schedule_timer(t, (r >> 16) as u32 % 16);
+            } else {
+                e.schedule_keyed(t, (r >> 16) % 3, i);
+            }
+        }
+        let drained = e.drain_ordered();
+        assert!(e.is_empty());
+        for &(t, minor, ev) in &drained {
+            match u32::try_from(u64::MAX - ev) {
+                Ok(payload) => {
+                    assert_eq!(minor, timer_minor(payload));
+                    e.schedule_timer(t, payload);
+                }
+                Err(_) => e.schedule_keyed(t, minor, ev),
+            }
+        }
+        assert_eq!(e.drain_ordered(), drained);
+    }
+
+    #[test]
+    #[should_panic(expected = "built without timers")]
+    fn a_queue_without_timers_refuses_one() {
+        EventQueue::<u64>::new().schedule_timer(0.0, 1);
     }
 
     #[test]

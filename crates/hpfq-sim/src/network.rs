@@ -17,7 +17,12 @@
 //!
 //! * `Wake(source)` — a source timer fires; emitted packets are enqueued at
 //!   the first hop's leaf (subject to its drop-tail buffer) and the link
-//!   starts transmitting if idle.
+//!   starts transmitting if idle. The source index is all there is to a
+//!   wake, so it is queued as an engine *timer*
+//!   ([`hpfq_events::EventQueue::with_timers`]): sixteen bytes in the
+//!   event heap and no arena slot, on the sequential engine and on every
+//!   shard's alike. Every other event carries a packet or a command and
+//!   takes a slot.
 //! * link completion — the link finishes a packet (not a queued event:
 //!   the link holds its one pending completion time, and the loop takes
 //!   whichever of it and the queue head is earlier): the hierarchy runs
@@ -356,6 +361,15 @@ pub(crate) fn minor_of(ev: &NetEvent) -> u64 {
     (class << 56) | (content & MINOR_CONTENT)
 }
 
+/// An engine for [`NetEvent`]s whose timers are the `Wake`s: payload `i`
+/// is `Wake(i)`, under [`minor_of`]'s key for it.
+pub(crate) fn new_engine() -> Engine<NetEvent> {
+    Engine::with_timers(
+        |source| NetEvent::Wake(source as usize),
+        |source| minor_of(&NetEvent::Wake(source as usize)),
+    )
+}
+
 /// Tie-break key of `link`'s transmission completion: class 2, after
 /// commands and wakes at the same instant, before arrivals, deliveries
 /// and detaches.
@@ -561,7 +575,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     pub fn new() -> Self {
         Network {
             links: Vec::new(),
-            engine: Engine::new(),
+            engine: new_engine(),
             sources: Vec::new(),
             started_below: 0,
             stats: SimStats::new(),
@@ -709,8 +723,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         self.engine.outstanding()
     }
 
-    /// Size of the event arena (high-water mark of outstanding events),
-    /// forwarded from the engine.
+    /// Size of the event arena (high-water mark of outstanding events
+    /// other than wakes, which are timers and take no slot), forwarded from
+    /// the engine.
     pub fn event_arena_len(&self) -> usize {
         self.engine.arena_len()
     }
@@ -786,7 +801,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// or into the cross-shard outbox when this network is a shard and the
     /// event belongs to another shard.
     pub(crate) fn send(&mut self, t: f64, ev: NetEvent) {
-        let minor = minor_of(&ev);
         let cross = match &self.shard {
             Some(ctx) => {
                 let dest = self.event_shard(&ctx.link_shard, &ev);
@@ -795,8 +809,31 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             None => None,
         };
         match (cross, self.shard.as_mut()) {
-            (Some(dest), Some(ctx)) => ctx.outbox.push(OutMsg { dest, t, minor, ev }),
-            _ => self.engine.schedule_keyed(t, minor, ev),
+            (Some(dest), Some(ctx)) => ctx.outbox.push(OutMsg {
+                dest,
+                t,
+                minor: minor_of(&ev),
+                ev,
+            }),
+            _ => self.queue_event(t, ev),
+        }
+    }
+
+    /// Puts `ev` into this network's own engine: a `Wake` as a timer,
+    /// anything else in the arena under its [`minor_of`] key. The one way
+    /// in, for new events ([`Network::send`]) and for those a snapshot, a
+    /// restore, or a shard split, exchange or merge moves between engines.
+    pub(crate) fn queue_event(&mut self, t: f64, ev: NetEvent) {
+        match ev {
+            NetEvent::Wake(i) => {
+                let source = u32::try_from(i)
+                    // lint:allow(L002): a `Wake` names a source this network
+                    // holds (restore checks a snapshot's), and 2^32 source
+                    // slots are 256 GiB
+                    .expect("source index fits the 32-bit timer payload");
+                self.engine.schedule_timer(t, source);
+            }
+            ev => self.engine.schedule_keyed(t, minor_of(&ev), ev),
         }
     }
 

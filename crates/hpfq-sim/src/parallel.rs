@@ -96,11 +96,12 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hpfq_core::NodeScheduler;
-use hpfq_events::Engine;
 use hpfq_obs::snap::Value;
 use hpfq_obs::{EpochSpan, Observer, SpanKind, SpanProfiler};
 
-use crate::network::{FaultInjector, NetEvent, Network, OutMsg, ShardCtx, SourceSlot, Until};
+use crate::network::{
+    new_engine, FaultInjector, NetEvent, Network, OutMsg, ShardCtx, SourceSlot, Until,
+};
 use crate::stats::SimStats;
 
 /// Retries the supervisor grants one stint before declaring the failure
@@ -829,7 +830,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 });
                 let net = &mut workers[sid];
                 for env in inbox {
-                    net.engine.schedule_keyed(env.t, env.minor, env.ev);
+                    net.queue_event(env.t, env.ev);
                 }
                 next_times[sid] = net.next_event_time().unwrap_or(f64::INFINITY);
             }
@@ -971,7 +972,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 for flow in self.stats.traced_flows() {
                     stats.trace_flow(flow);
                 }
-                let mut engine = Engine::new();
+                let mut engine = new_engine();
                 engine.advance_to(now);
                 Network {
                     links: Vec::new(),
@@ -1044,9 +1045,9 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                 workers[owner].stats.seed_trace(flow, records);
             }
         }
-        for (t, minor, ev) in pending {
+        for (t, _, ev) in pending {
             let dest = self.event_shard(link_shard, &ev);
-            workers[dest].engine.schedule_keyed(t, minor, ev);
+            workers[dest].queue_event(t, ev);
         }
         workers
     }
@@ -1156,8 +1157,8 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
         // at the earliest leftover.
         let clock = leftovers.first().map_or(max_now, |(t, ..)| t.min(max_now));
         self.engine.advance_to(clock);
-        for (t, minor, _, _, ev) in leftovers {
-            self.engine.schedule_keyed(t, minor, ev);
+        for (t, _, _, _, ev) in leftovers {
+            self.queue_event(t, ev);
         }
         errors.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         self.command_errors
@@ -1284,7 +1285,7 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
                 .then(a.seq.cmp(&b.seq))
         });
         for env in inbox {
-            net.engine.schedule_keyed(env.t, env.minor, env.ev);
+            net.queue_event(env.t, env.ev);
         }
         if SpanProfiler::ENABLED {
             net.profiler.span_exit(SpanKind::Exchange);

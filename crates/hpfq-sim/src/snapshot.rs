@@ -36,7 +36,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use hpfq_obs::Observer;
 
 use crate::network::{
-    DetachReason, Hop, LinkLedger, NetEvent, Network, Route, SimCommand, SourceSlot,
+    minor_of, DetachReason, Hop, LinkLedger, NetEvent, Network, Route, SimCommand, SourceSlot,
 };
 use crate::source::{load_source, Few};
 
@@ -354,6 +354,77 @@ pub(crate) fn load_event(v: &Value) -> Result<NetEvent, SnapError> {
     }
 }
 
+// --- source slots --------------------------------------------------------
+
+fn load_slot(sv: &Value) -> Result<SourceSlot, SnapError> {
+    let raw = sv.get("src")?;
+    Ok(SourceSlot {
+        src: if raw.is_null() {
+            None
+        } else {
+            Some(load_source(raw)?)
+        },
+        route: load_route(sv.get("route")?)?,
+        flow: sv.get("flow")?.as_u32()?,
+        live: sv.get("live")?.as_bool()?,
+        started: sv.get("started")?.as_bool()?,
+        wants_delivery: sv.get("wants_delivery")?.as_bool()?,
+    })
+}
+
+/// Refuses a source index the snapshot's own table does not hold.
+fn check_source(sources: &[SourceSlot], idx: usize, what: &str) -> Result<(), SnapError> {
+    if idx < sources.len() {
+        return Ok(());
+    }
+    Err(err(format!(
+        "{what} names source {idx} but the snapshot has {}",
+        sources.len()
+    )))
+}
+
+/// Refuses a queued event the handlers could not run: a source or hop its
+/// route table lacks, a time or key no run could have produced.
+fn check_event(
+    sources: &[SourceSlot],
+    now: f64,
+    t: f64,
+    minor: u64,
+    ev: &NetEvent,
+) -> Result<(), SnapError> {
+    if !(t.is_finite() && t >= now) {
+        return Err(err(format!(
+            "event time {t} is not a finite time at or after the clock {now}"
+        )));
+    }
+    match ev {
+        NetEvent::Wake(i) => {
+            check_source(sources, *i, "wake event")?;
+            if u32::try_from(*i).is_err() {
+                return Err(err(format!("wake source {i} exceeds the timer payload")));
+            }
+        }
+        NetEvent::Deliver(i, _) => check_source(sources, *i, "deliver event")?,
+        NetEvent::Arrive { src, hop, .. } | NetEvent::Detach { src, hop, .. } => {
+            check_source(sources, *src, "arrive/detach event")?;
+            let hops = sources[*src].route.hops.len();
+            if *hop >= hops {
+                return Err(err(format!(
+                    "event names hop {hop} of source {src}, whose route has {hops}"
+                )));
+            }
+        }
+        NetEvent::Command(_) => {}
+    }
+    // The key is a function of the event; the engine recomputes it.
+    if minor != minor_of(ev) {
+        return Err(err(format!(
+            "event key {minor:#x} does not match its content"
+        )));
+    }
+    Ok(())
+}
+
 // --- the network ---------------------------------------------------------
 
 impl<S: NodeScheduler, O: Observer> Network<S, O> {
@@ -393,8 +464,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             });
         }
         // Enumerate the queue: drain in firing order, serialize, put every
-        // entry straight back. All pending times are >= now, so the
-        // re-schedule neither clamps nor reorders. Every drained event is
+        // entry straight back (`queue_event`: a wake goes back as the timer it
+        // was). All pending times are >= now, so the re-schedule neither
+        // clamps nor reorders. Every drained event is
         // re-scheduled even when serialization fails partway — the error
         // must not eat the queue.
         let drained = self.engine.drain_ordered();
@@ -407,7 +479,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     Err(e) => save_err = Some(e),
                 }
             }
-            self.engine.schedule_keyed(t, minor, ev);
+            self.queue_event(t, ev);
         }
         if let Some(e) = save_err {
             return Err(e);
@@ -482,9 +554,14 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// installed fault injector must match the snapshot (state is loaded
     /// into it; an injector cannot be conjured from a snapshot alone).
     ///
-    /// On error the network may be partially restored; callers treat that
-    /// as fatal for the run (the crash-recovery supervisor escalates to a
-    /// typed halt).
+    /// The snapshot is untrusted input. Its queued events and flow-owner
+    /// table are checked against its own source table first — a source
+    /// index or hop that table lacks, an event time that is not finite or
+    /// lies before the clock, a key that is not the event's — and a
+    /// snapshot refused for one of those leaves the network as it was. On
+    /// a later error the network may be partially restored; callers treat
+    /// that as fatal for the run (the crash-recovery supervisor escalates
+    /// to a typed halt).
     pub fn restore(&mut self, snap: &Value) -> Result<(), SnapError> {
         if self.shard.is_some() {
             return Err(err("cannot restore into a shard of a parallel run".into()));
@@ -496,6 +573,33 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             )));
         }
         let now = snap.get("now")?.as_f64()?;
+        if !now.is_finite() {
+            return Err(err(format!("snapshot clock {now} is not finite")));
+        }
+        // Everything that indexes the source table is parsed and checked
+        // against the snapshot's own table before the engine or any table
+        // is touched: an index taken on trust would panic the next `run`.
+        let sources = snap
+            .get("sources")?
+            .items()?
+            .iter()
+            .map(load_slot)
+            .collect::<Result<Vec<_>, _>>()?;
+        let events_v = snap.get("events")?.items()?;
+        let mut events = Vec::with_capacity(events_v.len());
+        for entry in events_v {
+            let f = fixed_list(entry, 3, "event entry")?;
+            let (t, minor, ev) = (f[0].as_f64()?, f[1].as_u64()?, load_event(&f[2])?);
+            check_event(&sources, now, t, minor, &ev)?;
+            events.push((t, ev));
+        }
+        let mut owners = Vec::new();
+        for pair in snap.get("flow_owner")?.items()? {
+            let f = fixed_list(pair, 2, "flow-owner entry")?;
+            let (flow, idx) = (f[0].as_u32()?, f[1].as_usize()?);
+            check_source(&sources, idx, "flow-owner entry")?;
+            owners.push((flow, idx));
+        }
         let links_v = snap.get("links")?.items()?;
         if links_v.len() != self.links.len() {
             return Err(err(format!(
@@ -525,48 +629,21 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             l.tx_updated = lv.get("tx_updated")?.as_f64()?;
             l.ledger = load_ledger(lv.get("ledger")?)?;
         }
-        // Clock before queue: `schedule_keyed` clamps against `now`, so the
+        // Clock before queue: scheduling clamps against `now`, so the
         // clock must be rolled back before snapshot events are re-inserted.
         let _ = self.engine.drain_ordered();
         self.engine.reset_to(now);
-        for entry in snap.get("events")?.items()? {
-            let f = fixed_list(entry, 3, "event entry")?;
-            self.engine
-                .schedule_keyed(f[0].as_f64()?, f[1].as_u64()?, load_event(&f[2])?);
+        for (t, ev) in events {
+            self.queue_event(t, ev);
         }
-        // Source slots are append-only in both directions of time:
-        // truncate rollback surplus, rebuild everything else wholesale
-        // from the snapshot (generator state, cursors, RNG streams).
-        let sources_v = snap.get("sources")?.items()?;
-        self.sources.truncate(sources_v.len());
+        // Source slots are rebuilt wholesale from the snapshot (generator
+        // state, cursors, RNG streams): rollback surplus goes, churn the
+        // snapshot gained after the target was built arrives.
+        self.sources = sources;
         self.started_below = 0;
-        for (i, sv) in sources_v.iter().enumerate() {
-            let src = {
-                let raw = sv.get("src")?;
-                if raw.is_null() {
-                    None
-                } else {
-                    Some(load_source(raw)?)
-                }
-            };
-            let slot = SourceSlot {
-                src,
-                route: load_route(sv.get("route")?)?,
-                flow: sv.get("flow")?.as_u32()?,
-                live: sv.get("live")?.as_bool()?,
-                started: sv.get("started")?.as_bool()?,
-                wants_delivery: sv.get("wants_delivery")?.as_bool()?,
-            };
-            if i < self.sources.len() {
-                self.sources[i] = slot;
-            } else {
-                self.sources.push(slot);
-            }
-        }
         self.flow_owner.clear();
-        for pair in snap.get("flow_owner")?.items()? {
-            let f = fixed_list(pair, 2, "flow-owner entry")?;
-            self.flow_owner.insert(f[0].as_u32()?, f[1].as_usize()?);
+        for (flow, idx) in owners {
+            self.flow_owner.insert(flow, idx);
         }
         self.stats.load_state(snap.get("stats")?)?;
         let policy = fixed_list(snap.get("policy")?, 2, "escalation policy")?;

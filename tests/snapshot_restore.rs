@@ -477,6 +477,190 @@ fn sources_attached_between_segments_or_after_restore_start_exactly_once() {
     assert_eq!(offered(&fresh), want, "resume then attach");
 }
 
+/// `snap` with the value under `key` replaced.
+fn with_entry(snap: &Value, key: &str, value: Value) -> Value {
+    Value::Map(
+        snap.entries()
+            .unwrap()
+            .iter()
+            .map(|(k, v)| (k.clone(), if k == key { value.clone() } else { v.clone() }))
+            .collect(),
+    )
+}
+
+/// A snapshot is untrusted: a queued event or flow-owner entry that names
+/// a source or hop the snapshot's own tables lack, or a time no run could
+/// have queued, is a typed error at `restore` — it used to restore `Ok`
+/// and panic the next `run` with an index out of bounds — and the refused
+/// restore leaves the network exactly as it was.
+#[test]
+fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
+    use hpfq::core::Packet;
+
+    // The reported case first: one source, a first event `["wake", 9999]`.
+    let one_source = || {
+        let kind = SchedulerKind::Wf2qPlus;
+        let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
+            LINK,
+            move |r| kind.build(r),
+            sink(),
+        );
+        let root = bld.root();
+        let leaf = bld.add_leaf(root, 1.0).unwrap();
+        let mut net = Network::single_link(bld.build());
+        net.add_route(
+            7,
+            CbrSource::new(7, PKT, 8e6, 0.0, 5.0),
+            Route::open_loop(leaf),
+        );
+        net
+    };
+    let wake = |i: u64| Value::List(vec![Value::Str("wake".into()), Value::U64(i)]);
+    let mut net = one_source();
+    net.run(0.1);
+    let snap = net.snapshot().unwrap();
+    let mut events = snap.get("events").unwrap().items().unwrap().to_vec();
+    assert_eq!(events.len(), 1, "the source's one pending wake");
+    let t = events[0].items().unwrap()[0].clone();
+    events[0] = Value::List(vec![t, Value::U64(1 << 56 | 9999), wake(9999)]);
+    let err = one_source()
+        .restore(&with_entry(&snap, "events", Value::List(events)))
+        .unwrap_err();
+    assert!(err.what.contains("source 9999"), "{err:?}");
+
+    // One doctored field per case, on the tandem: four sources, source 3
+    // (flow 0) on a three-hop route, the others on one hop.
+    let mut net = tandem_net();
+    net.run(1.5);
+    let snap = net.snapshot().unwrap();
+    let bytes = snap.to_bytes();
+    let events = snap.get("events").unwrap().items().unwrap().to_vec();
+    let pkt = Packet::new(77, 0, PKT, 1.4).save();
+    let event = |t: f64, minor: u64, body: Vec<Value>| {
+        Value::List(vec![Value::F64(t), Value::U64(minor), Value::List(body)])
+    };
+    let tagged = |tag: &str, rest: Vec<Value>| {
+        let mut body = vec![Value::Str(tag.into())];
+        body.extend(rest);
+        body
+    };
+    let churn = Value::List(vec![Value::Str("churn".into())]);
+    let cases: Vec<(&str, Value)> = vec![
+        (
+            "source 4",
+            event(1.6, 1 << 56 | 4, tagged("wake", vec![Value::U64(4)])),
+        ),
+        (
+            "source 4",
+            event(
+                1.6,
+                3 << 56 | 77,
+                tagged("arrive", vec![Value::U64(4), Value::U64(0), pkt.clone()]),
+            ),
+        ),
+        (
+            "hop 3 of source 3",
+            event(
+                1.6,
+                3 << 56 | 77,
+                tagged("arrive", vec![Value::U64(3), Value::U64(3), pkt.clone()]),
+            ),
+        ),
+        (
+            "hop 1 of source 0",
+            event(
+                1.6,
+                3 << 56 | 77,
+                tagged("arrive", vec![Value::U64(0), Value::U64(1), pkt.clone()]),
+            ),
+        ),
+        (
+            "source 9",
+            event(
+                1.6,
+                4 << 56 | 77,
+                tagged("deliver", vec![Value::U64(9), pkt.clone()]),
+            ),
+        ),
+        (
+            "source 4",
+            event(
+                1.6,
+                5 << 56 | 4 << 16,
+                tagged("detach", vec![Value::U64(4), Value::U64(0), churn.clone()]),
+            ),
+        ),
+        (
+            "hop 5 of source 3",
+            event(
+                1.6,
+                5 << 56 | 3 << 16 | 5,
+                tagged("detach", vec![Value::U64(3), Value::U64(5), churn]),
+            ),
+        ),
+        (
+            "not a finite time",
+            event(f64::NAN, 1 << 56, tagged("wake", vec![Value::U64(0)])),
+        ),
+        (
+            "not a finite time",
+            event(f64::INFINITY, 1 << 56, tagged("wake", vec![Value::U64(0)])),
+        ),
+        (
+            "after the clock",
+            event(1.25, 1 << 56, tagged("wake", vec![Value::U64(0)])),
+        ),
+        (
+            "does not match its content",
+            event(1.6, 1 << 56 | 1, tagged("wake", vec![Value::U64(0)])),
+        ),
+    ];
+    // The legitimate forms of the doctored events are accepted.
+    let mut fine = events.clone();
+    fine.push(event(
+        1.6,
+        3 << 56 | 77,
+        tagged("arrive", vec![Value::U64(3), Value::U64(2), pkt]),
+    ));
+    tandem_net()
+        .restore(&with_entry(&snap, "events", Value::List(fine)))
+        .unwrap();
+    for (want, doctored) in cases {
+        // First in the list, as in the report: nothing may be scheduled
+        // before the refusal.
+        let mut hostile = vec![doctored];
+        hostile.extend(events.iter().cloned());
+        let err = net
+            .restore(&with_entry(&snap, "events", Value::List(hostile)))
+            .unwrap_err();
+        assert!(err.what.contains(want), "{want}: {err:?}");
+        assert_eq!(
+            net.snapshot().unwrap().to_bytes(),
+            bytes,
+            "{want}: network touched"
+        );
+    }
+    let mut owners = snap.get("flow_owner").unwrap().items().unwrap().to_vec();
+    owners[0] = Value::List(vec![Value::U64(0), Value::U64(4)]);
+    let err = net
+        .restore(&with_entry(&snap, "flow_owner", Value::List(owners)))
+        .unwrap_err();
+    assert!(
+        err.what.contains("flow-owner entry names source 4"),
+        "{err:?}"
+    );
+    assert_eq!(net.snapshot().unwrap().to_bytes(), bytes);
+    // Untouched means it still runs to the end like the unharmed run.
+    net.run(5.5);
+    let mut golden = tandem_net();
+    golden.run(5.5);
+    assert_artifacts_match(
+        &artifacts(golden, TANDEM_FLOWS, &[0]),
+        &artifacts(net, TANDEM_FLOWS, &[0]),
+        "after refused restores",
+    );
+}
+
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
