@@ -62,7 +62,7 @@ use hpfq_obs::{
     SpanSnapshot,
 };
 
-use crate::flow_map::FlowMap;
+use crate::flow_map::FlowIndex;
 use crate::source::{Few, Source, SourceOutput};
 use crate::stats::{ServiceRecord, SimStats};
 
@@ -474,6 +474,12 @@ pub(crate) struct SourceSlot {
     /// hop, which decides whether to schedule a `Deliver`, may run on a
     /// shard that does not hold the source itself.
     pub(crate) wants_delivery: bool,
+    /// Where [`SimStats`] keeps this flow's counters: the hint of
+    /// [`crate::FlowMap::get_or_insert_hinted`], so a packet's records
+    /// reach them without a lookup. Only a guess — checked on use, any
+    /// value safe — so it is not part of a snapshot, and whatever rebuilds
+    /// slots starts it at 0.
+    pub(crate) stats_slot: u32,
 }
 
 /// A cross-shard event captured at its source shard, delivered to `dest`'s
@@ -518,8 +524,11 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// Statistics collector (network-wide; service records are written at
     /// a flow's **last** hop).
     pub stats: SimStats,
-    /// Maps a flow id to the source that owns it (for delivery routing).
-    pub(crate) flow_owner: FlowMap<usize>,
+    /// Maps a flow id to the source that owns it (for delivery routing):
+    /// an index over `sources`, keyed by each slot's own `flow`. Of two
+    /// slots registered under one flow id it holds the later; built from
+    /// `sources` in slot order it is always the same index.
+    pub(crate) flow_owner: FlowIndex,
     pub(crate) injector: Option<Box<dyn FaultInjector>>,
     pub(crate) policy: EscalationPolicy,
     pub(crate) escalation: EscalationState,
@@ -579,7 +588,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             sources: Vec::new(),
             started_below: 0,
             stats: SimStats::new(),
-            flow_owner: FlowMap::new(),
+            flow_owner: FlowIndex::default(),
             injector: None,
             policy: EscalationPolicy::warn_only(),
             escalation: EscalationState::new(),
@@ -751,17 +760,30 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 "route must attach to a leaf"
             );
         }
-        let idx = self.sources.len();
-        self.sources.push(SourceSlot {
+        SourceId(self.push_source(SourceSlot {
             wants_delivery: source.wants_delivery(),
             src: Some(Box::new(source)),
             route,
             flow,
             live: true,
             started: false,
-        });
-        self.flow_owner.insert(flow, idx);
-        SourceId(idx)
+            stats_slot: 0,
+        }))
+    }
+
+    /// Appends `slot` and makes it the owner of its flow id; returns its
+    /// index.
+    pub(crate) fn push_source(&mut self, slot: SourceSlot) -> usize {
+        let idx = self.sources.len();
+        let flow = slot.flow;
+        self.sources.push(slot);
+        self.flow_owner.insert(flow, idx, |i| self.sources[i].flow);
+        idx
+    }
+
+    /// The source registered (last) under `flow`.
+    pub(crate) fn owner_of(&self, flow: u32) -> Option<usize> {
+        self.flow_owner.get(flow, |i| self.sources[i].flow)
     }
 
     /// Schedules a control-plane [`SimCommand`] to fire at time `t` (times
@@ -788,11 +810,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     // by whichever shard receives it; route to shard 0.
                     link_shard.get(*link).copied().unwrap_or(link_shard[0])
                 }
-                SimCommand::RemoveFlow(flow) => self
-                    .flow_owner
-                    .get(*flow)
-                    .map(|&i| of_src(i))
-                    .unwrap_or(link_shard[0]),
+                SimCommand::RemoveFlow(flow) => self.owner_of(*flow).map_or(link_shard[0], of_src),
             },
         }
     }
@@ -874,7 +892,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             // "Offered" is what reaches the network's ingress port —
             // recorded after corruption so the byte ledger matches what
             // was seen.
-            self.stats.record_arrival(&pkt);
+            self.stats
+                .record_arrival_at(&mut self.sources[src_idx].stats_slot, &pkt);
             match verdict {
                 PacketVerdict::Pass => {}
                 PacketVerdict::Drop => {
@@ -955,7 +974,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             }
             match admitted {
                 Ok(()) => {
-                    self.stats.record_accept(&pkt);
+                    self.stats
+                        .record_accept_at(&mut self.sources[src_idx].stats_slot, &pkt);
                     let l = &mut self.link_mut(ingress.link).ledger;
                     l.bytes_in += u64::from(pkt.len_bytes);
                     l.packets_in += 1;
@@ -1063,7 +1083,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// routes therefore behave exactly as the historical instantaneous
     /// quarantine did.
     fn quarantine(&mut self, flow: u32) {
-        let Some(&idx) = self.flow_owner.get(flow) else {
+        let Some(idx) = self.owner_of(flow) else {
             return;
         };
         if !self.sources[idx].live {
@@ -1162,16 +1182,15 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 delivery_delay,
             } => match self.link_mut(0).server.add_leaf(parent, phi) {
                 Ok(leaf) => {
-                    let idx = self.sources.len();
-                    self.sources.push(SourceSlot {
+                    let idx = self.push_source(SourceSlot {
                         wants_delivery: source.wants_delivery(),
                         src: Some(source),
                         route: Route::single(leaf, buffer_bytes, delivery_delay),
                         flow,
                         live: true,
                         started: true,
+                        stats_slot: 0,
                     });
-                    self.flow_owner.insert(flow, idx);
                     self.emit_fault(0, FaultKind::FlowAdd, leaf.index(), flow, phi);
                     let out = match self.sources[idx].src.as_mut() {
                         Some(src) => src.start(),
@@ -1183,7 +1202,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 Err(e) => self.command_errors.push((now, e)),
             },
             SimCommand::RemoveFlow(flow) => {
-                let Some(&idx) = self.flow_owner.get(flow) else {
+                let Some(idx) = self.owner_of(flow) else {
                     self.command_errors
                         .push((now, HpfqError::UnknownNode(usize::MAX)));
                     return;
@@ -1297,7 +1316,16 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             l.bytes_out += u64::from(pkt.len_bytes);
             l.packets_out += 1;
         }
-        if let Some(&owner) = self.flow_owner.get(pkt.flow) {
+        // What the statistics record if this hop is the packet's last.
+        let served = ServiceRecord {
+            id: pkt.id,
+            flow: pkt.flow,
+            len_bytes: pkt.len_bytes,
+            arrival: pkt.arrival,
+            start: started,
+            end: t,
+        };
+        if let Some(owner) = self.owner_of(pkt.flow) {
             let route = &self.sources[owner].route;
             // Routes never repeat a link, so the position identifies the
             // hop just served.
@@ -1328,16 +1356,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     // owning shard, in parallel runs). For a source whose
                     // `on_delivered` is the default no-op the event would
                     // change nothing, so none is scheduled.
-                    self.stats.record_service(ServiceRecord {
-                        id: pkt.id,
-                        flow: pkt.flow,
-                        len_bytes: pkt.len_bytes,
-                        arrival: pkt.arrival,
-                        start: started,
-                        end: t,
-                    });
-                    if self.sources[owner].wants_delivery {
-                        let delay = route.hops.last().map(|h| h.prop_delay).unwrap_or(0.0);
+                    let delay = route.hops.last().map(|h| h.prop_delay).unwrap_or(0.0);
+                    let slot = &mut self.sources[owner];
+                    self.stats.record_service_at(&mut slot.stats_slot, served);
+                    if slot.wants_delivery {
                         self.send(t + delay, NetEvent::Deliver(owner, pkt));
                     }
                 }
@@ -1345,14 +1367,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         } else {
             // No owner (should not happen): count the service at this
             // link as final.
-            self.stats.record_service(ServiceRecord {
-                id: pkt.id,
-                flow: pkt.flow,
-                len_bytes: pkt.len_bytes,
-                arrival: pkt.arrival,
-                start: started,
-                end: t,
-            });
+            self.stats.record_service(served);
         }
         if SpanProfiler::ENABLED {
             self.profiler.span_enter(SpanKind::Dispatch);

@@ -1025,6 +1025,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     live: slot.live,
                     started: slot.started,
                     wants_delivery: slot.wants_delivery,
+                    stats_slot: 0,
                 });
             }
         }
@@ -1055,7 +1056,7 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
     /// The shard that writes `flow`'s service-side stats: the owner of
     /// its route's last-hop link.
     fn service_shard(&self, link_shard: &[usize], flow: u32) -> Option<usize> {
-        let idx = *self.flow_owner.get(flow)?;
+        let idx = self.owner_of(flow)?;
         self.sources[idx]
             .route
             .hops
@@ -1097,13 +1098,16 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     // real (non-replica) slot at each appended index, in
                     // order — so indices line up with a plain push.
                     if slot.src.is_some() && i == self.sources.len() {
-                        self.sources.push(SourceSlot {
+                        // Indexed as its shard indexed it: the later
+                        // registration of a flow id owns it.
+                        self.push_source(SourceSlot {
                             src: slot.src.take(),
                             route: slot.route.clone(),
                             flow: slot.flow,
                             live: slot.live,
                             started: slot.started,
                             wants_delivery: slot.wants_delivery,
+                            stats_slot: 0,
                         });
                     }
                     continue;
@@ -1115,11 +1119,6 @@ impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
                     self.sources[i].live = slot.live;
                     self.sources[i].started = slot.started;
                 }
-            }
-            // flow_owner only grows (AddFlow on link 0's shard); absorb
-            // all entries.
-            for (flow, idx) in std::mem::take(&mut w.flow_owner).into_sorted() {
-                self.flow_owner.get_or_insert_with(flow, || idx);
             }
             // Exact counter/extremum merge (see SimStats::merge_from);
             // per-flow float fields came back from their single writer.

@@ -3,21 +3,24 @@
 
 mod tests {
     use crate::network::{FaultInjector, Network, PacketVerdict, Route, SimCommand};
-    use crate::source::{CbrSource, GreedyLbSource};
+    use crate::source::{CbrSource, GreedyLbSource, Source, SourceOutput};
     use hpfq_core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
     use hpfq_obs::EscalationPolicy;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn server(rate: f64) -> Hierarchy<MixedScheduler> {
         Hierarchy::builder(rate, |r| SchedulerKind::Wf2qPlus.build(r)).build()
     }
 
     #[test]
-    fn source_slot_is_one_cache_line() {
-        // The boxed source, a route with its one hop inline, the flow id
-        // and three flags: what a wake, an arrival and a completion read
-        // of a flow sits in one place.
+    fn source_slot_is_seventy_two_bytes() {
+        // The boxed source, a route with its one hop inline, the flow id,
+        // the slot of the flow's statistics and three flags: what a wake,
+        // an arrival and a completion read of a flow sits in one place,
+        // and reaches the flow's counters without a lookup.
         assert_eq!(std::mem::size_of::<Route>(), 40);
-        assert_eq!(std::mem::size_of::<crate::network::SourceSlot>(), 64);
+        assert_eq!(std::mem::size_of::<crate::network::SourceSlot>(), 72);
     }
 
     /// Two equal CBR flows at half the link rate each: no queueing beyond
@@ -277,6 +280,132 @@ mod tests {
         // Flow 0 is whole: everything it offered was eventually served.
         let f0 = sim.stats.flow(0);
         assert_eq!(f0.offered_packets, f0.packets);
+        sim.verify_conservation().unwrap();
+    }
+
+    /// One packet a second, stamped alternately with `own` and `other`;
+    /// counts its deliveries in `delivered`.
+    struct TwoFaced {
+        own: u32,
+        other: u32,
+        sent: u64,
+        until: f64,
+        delivered: Arc<AtomicU64>,
+    }
+
+    impl Source for TwoFaced {
+        fn start(&mut self) -> SourceOutput {
+            SourceOutput::wake_at(0.0)
+        }
+
+        fn on_wake(&mut self, now: f64) -> SourceOutput {
+            if now >= self.until {
+                return SourceOutput::none();
+            }
+            let flow = if self.sent.is_multiple_of(2) {
+                self.own
+            } else {
+                self.other
+            };
+            self.sent += 1;
+            let id = u64::from(self.own) << 32 | self.sent;
+            SourceOutput::packet_and_wake(Packet::new(id, flow, 500, now), now + 1.0)
+        }
+
+        fn on_delivered(&mut self, _now: f64, _pkt: &Packet) -> SourceOutput {
+            self.delivered.fetch_add(1, Ordering::Relaxed);
+            SourceOutput::none()
+        }
+    }
+
+    /// "Flow ids are the source's responsibility": a source may stamp a
+    /// packet with an id it was not registered under. Statistics key on
+    /// the packet's id, not the slot's — whatever slot hint the records go
+    /// through — so both ids are accounted and the books balance, whether
+    /// the foreign id is nobody's or another source's.
+    #[test]
+    fn packets_stamped_with_a_foreign_flow_id_are_accounted_under_it() {
+        for foreign in [99, 2] {
+            let mut h = server(80_000.0);
+            let root = h.root();
+            let a = h.add_leaf(root, 0.5).unwrap();
+            let b = h.add_leaf(root, 0.5).unwrap();
+            let mut sim = Network::single_link(h);
+            let two_faced = TwoFaced {
+                own: 1,
+                other: foreign,
+                sent: 0,
+                until: 10.0,
+                delivered: Arc::default(),
+            };
+            sim.add_route(1, two_faced, Route::open_loop(a));
+            sim.add_route(
+                2,
+                CbrSource::new(2, 500, 4000.0, 0.25, 10.0),
+                Route::open_loop(b),
+            );
+            sim.run(5.5);
+            sim.verify_conservation().unwrap();
+            sim.run(30.0);
+            let cbr = if foreign == 2 { 10 } else { 0 };
+            let own = sim.stats.flow(1);
+            assert_eq!((own.offered_packets, own.packets, own.bytes), (5, 5, 2500));
+            let other = sim.stats.flow(foreign);
+            assert_eq!(
+                (other.offered_packets, other.accepted_packets, other.packets),
+                (5 + cbr, 5 + cbr, 5 + cbr),
+                "foreign id {foreign}"
+            );
+            let mut flows = vec![1, 2, foreign];
+            flows.dedup();
+            assert_eq!(sim.stats.flows(), flows);
+            assert_eq!(sim.stats.total_packets, 20);
+            sim.verify_conservation().unwrap();
+        }
+    }
+
+    /// Two routes registered under one flow id: the later registration
+    /// owns the id, so it is the later source that hears of every delivery
+    /// — its own packets' and the earlier source's.
+    #[test]
+    fn later_of_two_routes_under_one_flow_id_receives_the_deliveries() {
+        let mut h = server(80_000.0);
+        let root = h.root();
+        let a = h.add_leaf(root, 0.5).unwrap();
+        let b = h.add_leaf(root, 0.5).unwrap();
+        let mut sim = Network::single_link(h);
+        let (first, second) = (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0)));
+        for (own, leaf, delivered) in [(7, a, &first), (8, b, &second)] {
+            let source = TwoFaced {
+                own,
+                other: own,
+                sent: 0,
+                until: 4.0,
+                delivered: Arc::clone(delivered),
+            };
+            // Registered under 5, whatever it stamps.
+            sim.add_route(5, source, Route::single(leaf, None, 0.01));
+        }
+        // A packet stamped 5 is routed by the later registration.
+        let stamped = TwoFaced {
+            own: 5,
+            other: 5,
+            sent: 0,
+            until: 4.0,
+            delivered: Arc::default(),
+        };
+        sim.add_route(6, stamped, Route::open_loop(a));
+        sim.run(20.0);
+        // Flows 7 and 8 have no owner: served, never delivered.
+        assert_eq!(sim.stats.flow(7).packets + sim.stats.flow(8).packets, 8);
+        assert_eq!(sim.stats.flow(5).packets, 4);
+        assert_eq!(
+            (
+                first.load(Ordering::Relaxed),
+                second.load(Ordering::Relaxed)
+            ),
+            (0, 4)
+        );
         sim.verify_conservation().unwrap();
     }
 

@@ -35,6 +35,7 @@ use hpfq_core::{HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_obs::snap::{SnapError, Value};
 use hpfq_obs::Observer;
 
+use crate::flow_map::FlowIndex;
 use crate::network::{
     minor_of, DetachReason, Hop, LinkLedger, NetEvent, Network, Route, SimCommand, SourceSlot,
 };
@@ -369,6 +370,7 @@ fn load_slot(sv: &Value) -> Result<SourceSlot, SnapError> {
         live: sv.get("live")?.as_bool()?,
         started: sv.get("started")?.as_bool()?,
         wants_delivery: sv.get("wants_delivery")?.as_bool()?,
+        stats_slot: 0,
     })
 }
 
@@ -506,9 +508,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             .collect::<Result<Vec<_>, SnapError>>()?;
         let flow_owner = self
             .flow_owner
-            .sorted()
+            .sorted(|i| self.sources[i].flow)
             .into_iter()
-            .map(|(flow, &idx)| {
+            .map(|(flow, idx)| {
                 Value::List(vec![Value::U64(u64::from(flow)), Value::U64(idx as u64)])
             })
             .collect();
@@ -555,9 +557,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// into it; an injector cannot be conjured from a snapshot alone).
     ///
     /// The snapshot is untrusted input. Its queued events and flow-owner
-    /// table are checked against its own source table first — a source
+    /// list are checked against its own source table first — a source
     /// index or hop that table lacks, an event time that is not finite or
-    /// lies before the clock, a key that is not the event's — and a
+    /// lies before the clock, a key that is not the event's, an owner list
+    /// that is not the one the source table implies — and a
     /// snapshot refused for one of those leaves the network as it was. On
     /// a later error the network may be partially restored; callers treat
     /// that as fatal for the run (the crash-recovery supervisor escalates
@@ -593,12 +596,35 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             check_event(&sources, now, t, minor, &ev)?;
             events.push((t, ev));
         }
+        // The owner table is a function of the source table — each flow id
+        // owned by the last slot registered under it — so it is rebuilt
+        // from that, and a snapshot whose list says anything else (a flow
+        // pointed at another flow's slot, at a shadowed slot, listed twice
+        // or not at all) is refused.
+        let mut flow_owner = FlowIndex::default();
+        for (idx, slot) in sources.iter().enumerate() {
+            flow_owner.insert(slot.flow, idx, |i| sources[i].flow);
+        }
         let mut owners = Vec::new();
         for pair in snap.get("flow_owner")?.items()? {
             let f = fixed_list(pair, 2, "flow-owner entry")?;
             let (flow, idx) = (f[0].as_u32()?, f[1].as_usize()?);
             check_source(&sources, idx, "flow-owner entry")?;
             owners.push((flow, idx));
+        }
+        let rebuilt = flow_owner.sorted(|i| sources[i].flow);
+        if let Some(at) =
+            (0..owners.len().max(rebuilt.len())).find(|&at| owners.get(at) != rebuilt.get(at))
+        {
+            let show = |pair: Option<&(u32, usize)>| match pair {
+                Some((flow, idx)) => format!("flow {flow} → source {idx}"),
+                None => "nothing".into(),
+            };
+            return Err(err(format!(
+                "flow-owner entry {at} is {}, but the source table gives {}",
+                show(owners.get(at)),
+                show(rebuilt.get(at))
+            )));
         }
         let links_v = snap.get("links")?.items()?;
         if links_v.len() != self.links.len() {
@@ -641,10 +667,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         // snapshot gained after the target was built arrives.
         self.sources = sources;
         self.started_below = 0;
-        self.flow_owner.clear();
-        for (flow, idx) in owners {
-            self.flow_owner.insert(flow, idx);
-        }
+        self.flow_owner = flow_owner;
         self.stats.load_state(snap.get("stats")?)?;
         let policy = fixed_list(snap.get("policy")?, 2, "escalation policy")?;
         self.policy.quarantine_after = policy[0].as_u32()?;

@@ -173,14 +173,119 @@ impl FlowStats {
     }
 }
 
+/// What the packet path writes of a flow's [`FlowStats`]: one entry per
+/// flow seen, touched two or three times per packet.
+#[derive(Debug, Clone, Default)]
+struct HotStats {
+    offered_packets: u64,
+    offered_bytes: u64,
+    accepted_packets: u64,
+    accepted_bytes: u64,
+    packets: u64,
+    bytes: u64,
+    delay_sum: f64,
+    delay_max: f64,
+    last_departure: f64,
+}
+
+impl HotStats {
+    fn offer(&mut self, pkt: &Packet) {
+        self.offered_packets += 1;
+        self.offered_bytes += u64::from(pkt.len_bytes);
+    }
+
+    fn accept(&mut self, pkt: &Packet) {
+        self.accepted_packets += 1;
+        self.accepted_bytes += u64::from(pkt.len_bytes);
+    }
+
+    fn serve(&mut self, rec: &ServiceRecord) {
+        self.packets += 1;
+        self.bytes += u64::from(rec.len_bytes);
+        let d = rec.delay();
+        self.delay_sum += d;
+        if d > self.delay_max {
+            self.delay_max = d;
+        }
+        self.last_departure = rec.end;
+    }
+}
+
+/// What only a loss writes of a flow's [`FlowStats`]: an entry exists
+/// only for a flow that has lost a packet.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct ColdStats {
+    drops: u64,
+    drop_bytes: u64,
+    fault_drops: u64,
+    fault_drop_bytes: u64,
+    purged_packets: u64,
+    purged_bytes: u64,
+}
+
+/// The two stored halves as the one public value.
+fn assemble(hot: &HotStats, cold: Option<&ColdStats>) -> FlowStats {
+    let none = ColdStats::default();
+    let cold = cold.unwrap_or(&none);
+    FlowStats {
+        packets: hot.packets,
+        bytes: hot.bytes,
+        drops: cold.drops,
+        drop_bytes: cold.drop_bytes,
+        offered_packets: hot.offered_packets,
+        offered_bytes: hot.offered_bytes,
+        accepted_packets: hot.accepted_packets,
+        accepted_bytes: hot.accepted_bytes,
+        fault_drops: cold.fault_drops,
+        fault_drop_bytes: cold.fault_drop_bytes,
+        purged_packets: cold.purged_packets,
+        purged_bytes: cold.purged_bytes,
+        delay_sum: hot.delay_sum,
+        delay_max: hot.delay_max,
+        last_departure: hot.last_departure,
+    }
+}
+
+/// [`assemble`]'s inverse.
+fn take_apart(f: FlowStats) -> (HotStats, ColdStats) {
+    (
+        HotStats {
+            offered_packets: f.offered_packets,
+            offered_bytes: f.offered_bytes,
+            accepted_packets: f.accepted_packets,
+            accepted_bytes: f.accepted_bytes,
+            packets: f.packets,
+            bytes: f.bytes,
+            delay_sum: f.delay_sum,
+            delay_max: f.delay_max,
+            last_departure: f.last_departure,
+        },
+        ColdStats {
+            drops: f.drops,
+            drop_bytes: f.drop_bytes,
+            fault_drops: f.fault_drops,
+            fault_drop_bytes: f.fault_drop_bytes,
+            purged_packets: f.purged_packets,
+            purged_bytes: f.purged_bytes,
+        },
+    )
+}
+
 /// Collected simulation statistics.
 ///
 /// Aggregates are always maintained; full per-packet [`ServiceRecord`]s are
 /// kept only for flows registered with [`SimStats::trace_flow`] (traces for
 /// a long run over every flow would dominate memory).
+///
+/// A flow's aggregates are stored in two parts and read as one
+/// [`FlowStats`]: the counters every packet writes, and the loss counters,
+/// which most flows of most runs never touch and so never store.
 #[derive(Debug, Default)]
 pub struct SimStats {
-    flows: FlowMap<FlowStats>,
+    /// One entry per flow seen — the flow list. Whatever writes `cold`
+    /// creates the flow's entry here first.
+    flows: FlowMap<HotStats>,
+    cold: FlowMap<ColdStats>,
     /// Empty in most runs, which is checked before any lookup: the packet
     /// path pays for tracing only when some flow is traced.
     traced: BTreeMap<u32, Vec<ServiceRecord>>,
@@ -211,21 +316,38 @@ impl SimStats {
         self.flows.reserve_total(flows);
     }
 
-    fn entry(&mut self, flow: u32) -> &mut FlowStats {
-        self.flows.get_or_insert_with(flow, FlowStats::default)
+    fn entry(&mut self, flow: u32) -> &mut HotStats {
+        self.flows.get_or_insert_with(flow, HotStats::default)
+    }
+
+    /// [`SimStats::entry`] through a storage-slot hint the caller keeps
+    /// for the flow ([`FlowMap::get_or_insert_hinted`]: any value is safe,
+    /// and the entry is `flow`'s whatever the hint says).
+    fn entry_at(&mut self, hint: &mut u32, flow: u32) -> &mut HotStats {
+        self.flows
+            .get_or_insert_hinted(flow, hint, HotStats::default)
+    }
+
+    /// `flow`'s loss counters, the flow listed from now on.
+    fn cold_entry(&mut self, flow: u32) -> &mut ColdStats {
+        self.entry(flow);
+        self.cold.get_or_insert_with(flow, ColdStats::default)
     }
 
     /// Records a completed transmission.
     pub fn record_service(&mut self, rec: ServiceRecord) {
-        let f = self.entry(rec.flow);
-        f.packets += 1;
-        f.bytes += u64::from(rec.len_bytes);
-        let d = rec.delay();
-        f.delay_sum += d;
-        if d > f.delay_max {
-            f.delay_max = d;
-        }
-        f.last_departure = rec.end;
+        self.entry(rec.flow).serve(&rec);
+        self.count_service(rec);
+    }
+
+    /// [`SimStats::record_service`] through a caller-held slot hint.
+    pub(crate) fn record_service_at(&mut self, hint: &mut u32, rec: ServiceRecord) {
+        self.entry_at(hint, rec.flow).serve(&rec);
+        self.count_service(rec);
+    }
+
+    /// The network-wide half of a service record, and its trace capture.
+    fn count_service(&mut self, rec: ServiceRecord) {
         self.total_bytes += u64::from(rec.len_bytes);
         self.total_packets += 1;
         self.last_departure = rec.end;
@@ -238,14 +360,17 @@ impl SimStats {
 
     /// Records a packet offered by its source (before any buffer check).
     pub fn record_arrival(&mut self, pkt: &Packet) {
-        let f = self.entry(pkt.flow);
-        f.offered_packets += 1;
-        f.offered_bytes += u64::from(pkt.len_bytes);
+        self.entry(pkt.flow).offer(pkt);
+    }
+
+    /// [`SimStats::record_arrival`] through a caller-held slot hint.
+    pub(crate) fn record_arrival_at(&mut self, hint: &mut u32, pkt: &Packet) {
+        self.entry_at(hint, pkt.flow).offer(pkt);
     }
 
     /// Records a buffer drop of `pkt`, including its size.
     pub fn record_drop(&mut self, pkt: &Packet) {
-        let f = self.entry(pkt.flow);
+        let f = self.cold_entry(pkt.flow);
         f.drops += 1;
         f.drop_bytes += u64::from(pkt.len_bytes);
     }
@@ -253,21 +378,24 @@ impl SimStats {
     /// Records a packet accepted into the hierarchy (survived fault
     /// injection, validation, and the buffer check).
     pub fn record_accept(&mut self, pkt: &Packet) {
-        let f = self.entry(pkt.flow);
-        f.accepted_packets += 1;
-        f.accepted_bytes += u64::from(pkt.len_bytes);
+        self.entry(pkt.flow).accept(pkt);
+    }
+
+    /// [`SimStats::record_accept`] through a caller-held slot hint.
+    pub(crate) fn record_accept_at(&mut self, hint: &mut u32, pkt: &Packet) {
+        self.entry_at(hint, pkt.flow).accept(pkt);
     }
 
     /// Records a packet lost to fault injection or admission validation.
     pub fn record_fault_drop(&mut self, pkt: &Packet) {
-        let f = self.entry(pkt.flow);
+        let f = self.cold_entry(pkt.flow);
         f.fault_drops += 1;
         f.fault_drop_bytes += u64::from(pkt.len_bytes);
     }
 
     /// Records a packet purged from its queue by flow removal/quarantine.
     pub fn record_purge(&mut self, pkt: &Packet) {
-        let f = self.entry(pkt.flow);
+        let f = self.cold_entry(pkt.flow);
         f.purged_packets += 1;
         f.purged_bytes += u64::from(pkt.len_bytes);
     }
@@ -285,7 +413,7 @@ impl SimStats {
         let mut accepted = 0u64;
         let mut served = 0u64;
         let mut purged = 0u64;
-        for (flow, f) in self.flows.sorted() {
+        for (flow, f) in self.assembled() {
             if f.offered_packets != f.accepted_packets + f.drops + f.fault_drops {
                 return Err(format!(
                     "flow {flow}: offered {} pkts != accepted {} + dropped {} + fault-dropped {}",
@@ -312,7 +440,18 @@ impl SimStats {
 
     /// Aggregates for `flow` (zeroes if it never sent).
     pub fn flow(&self, flow: u32) -> FlowStats {
-        self.flows.get(flow).cloned().unwrap_or_default()
+        self.flows
+            .get(flow)
+            .map(|hot| assemble(hot, self.cold.get(flow)))
+            .unwrap_or_default()
+    }
+
+    /// Every flow's aggregates, in ascending flow order.
+    fn assembled(&self) -> impl Iterator<Item = (u32, FlowStats)> + '_ {
+        self.flows
+            .sorted()
+            .into_iter()
+            .map(|(flow, hot)| (flow, assemble(hot, self.cold.get(flow))))
     }
 
     /// The captured trace for a flow registered via
@@ -340,13 +479,20 @@ impl SimStats {
     /// bit-identically: every other shard contributes `+ 0.0` to the sum
     /// instead of forcing a re-associated `prefix + partial` addition.
     pub fn extract_flow(&mut self, flow: u32) -> Option<FlowStats> {
-        self.flows.remove(flow)
+        let hot = self.flows.remove(flow)?;
+        Some(assemble(&hot, self.cold.remove(flow).as_ref()))
     }
 
     /// Installs `stats` as `flow`'s aggregate entry — the receiving end of
     /// [`SimStats::extract_flow`]. Any existing entry is replaced.
     pub fn seed_flow(&mut self, flow: u32, stats: FlowStats) {
-        self.flows.insert(flow, stats);
+        let (hot, cold) = take_apart(stats);
+        self.flows.insert(flow, hot);
+        if cold == ColdStats::default() {
+            self.cold.remove(flow);
+        } else {
+            self.cold.insert(flow, cold);
+        }
     }
 
     /// Moves out the captured trace for `flow`, leaving the registration
@@ -377,18 +523,12 @@ impl SimStats {
     pub fn merge_from(&mut self, other: SimStats) {
         for (flow, f) in other.flows.into_sorted() {
             let e = self.entry(flow);
-            e.packets += f.packets;
-            e.bytes += f.bytes;
-            e.drops += f.drops;
-            e.drop_bytes += f.drop_bytes;
             e.offered_packets += f.offered_packets;
             e.offered_bytes += f.offered_bytes;
             e.accepted_packets += f.accepted_packets;
             e.accepted_bytes += f.accepted_bytes;
-            e.fault_drops += f.fault_drops;
-            e.fault_drop_bytes += f.fault_drop_bytes;
-            e.purged_packets += f.purged_packets;
-            e.purged_bytes += f.purged_bytes;
+            e.packets += f.packets;
+            e.bytes += f.bytes;
             e.delay_sum += f.delay_sum;
             if f.delay_max > e.delay_max {
                 e.delay_max = f.delay_max;
@@ -396,6 +536,15 @@ impl SimStats {
             if f.last_departure > e.last_departure {
                 e.last_departure = f.last_departure;
             }
+        }
+        for (flow, f) in other.cold.into_sorted() {
+            let e = self.cold_entry(flow);
+            e.drops += f.drops;
+            e.drop_bytes += f.drop_bytes;
+            e.fault_drops += f.fault_drops;
+            e.fault_drop_bytes += f.fault_drop_bytes;
+            e.purged_packets += f.purged_packets;
+            e.purged_bytes += f.purged_bytes;
         }
         for (flow, mut tr) in other.traced {
             self.traced.entry(flow).or_default().append(&mut tr);
@@ -414,9 +563,7 @@ impl SimStats {
             (
                 "flows",
                 Value::List(
-                    self.flows
-                        .sorted()
-                        .into_iter()
+                    self.assembled()
                         .map(|(flow, f)| Value::List(vec![Value::U64(u64::from(flow)), f.save()]))
                         .collect(),
                 ),
@@ -442,9 +589,9 @@ impl SimStats {
     }
 
     /// Restores state saved by [`SimStats::save_state`], replacing the
-    /// current contents wholesale.
+    /// current contents wholesale (or, on an error, not at all).
     pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let mut flows = FlowMap::new();
+        let mut loaded = SimStats::new();
         for pair in state.get("flows")?.items()? {
             let fields = pair.items()?;
             if fields.len() != 2 {
@@ -453,9 +600,8 @@ impl SimStats {
                     what: format!("flow entry has {} fields, expected 2", fields.len()),
                 });
             }
-            flows.insert(fields[0].as_u32()?, FlowStats::load(&fields[1])?);
+            loaded.seed_flow(fields[0].as_u32()?, FlowStats::load(&fields[1])?);
         }
-        let mut traced = BTreeMap::new();
         for pair in state.get("traced")?.items()? {
             let fields = pair.items()?;
             if fields.len() != 2 {
@@ -468,13 +614,12 @@ impl SimStats {
             for rv in fields[1].items()? {
                 records.push(ServiceRecord::load(rv)?);
             }
-            traced.insert(fields[0].as_u32()?, records);
+            loaded.traced.insert(fields[0].as_u32()?, records);
         }
-        self.flows = flows;
-        self.traced = traced;
-        self.total_bytes = state.get("total_bytes")?.as_u64()?;
-        self.total_packets = state.get("total_packets")?.as_u64()?;
-        self.last_departure = state.get("last_departure")?.as_f64()?;
+        loaded.total_bytes = state.get("total_bytes")?.as_u64()?;
+        loaded.total_packets = state.get("total_packets")?.as_u64()?;
+        loaded.last_departure = state.get("last_departure")?.as_f64()?;
+        *self = loaded;
         Ok(())
     }
 }
@@ -618,6 +763,231 @@ mod tests {
         // An arrival that is neither accepted nor dropped is a leak.
         s.record_arrival(&Packet::new(4, 7, 400, 3.0));
         assert!(s.accounting_balanced(0).is_err());
+    }
+
+    /// A collector beside the thing it must be indistinguishable from: one
+    /// whole [`FlowStats`] per flow, created by whatever touches it first.
+    #[derive(Default)]
+    struct Modelled {
+        stats: SimStats,
+        model: BTreeMap<u32, FlowStats>,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Rec {
+        Arrival,
+        Accept,
+        Drop,
+        FaultDrop,
+        Purge,
+    }
+
+    impl Modelled {
+        /// One `record_*` for `pkt`; through `hint` where the method has a
+        /// hinted form and one is given.
+        fn packet(&mut self, rec: Rec, pkt: &Packet, hint: Option<&mut u32>) {
+            let len = u64::from(pkt.len_bytes);
+            let f = self.model.entry(pkt.flow).or_default();
+            match rec {
+                Rec::Arrival => {
+                    match hint {
+                        Some(h) => self.stats.record_arrival_at(h, pkt),
+                        None => self.stats.record_arrival(pkt),
+                    }
+                    f.offered_packets += 1;
+                    f.offered_bytes += len;
+                }
+                Rec::Accept => {
+                    match hint {
+                        Some(h) => self.stats.record_accept_at(h, pkt),
+                        None => self.stats.record_accept(pkt),
+                    }
+                    f.accepted_packets += 1;
+                    f.accepted_bytes += len;
+                }
+                Rec::Drop => {
+                    self.stats.record_drop(pkt);
+                    f.drops += 1;
+                    f.drop_bytes += len;
+                }
+                Rec::FaultDrop => {
+                    self.stats.record_fault_drop(pkt);
+                    f.fault_drops += 1;
+                    f.fault_drop_bytes += len;
+                }
+                Rec::Purge => {
+                    self.stats.record_purge(pkt);
+                    f.purged_packets += 1;
+                    f.purged_bytes += len;
+                }
+            }
+        }
+
+        fn service(&mut self, rec: ServiceRecord, hint: Option<&mut u32>) {
+            match hint {
+                Some(h) => self.stats.record_service_at(h, rec),
+                None => self.stats.record_service(rec),
+            }
+            let f = self.model.entry(rec.flow).or_default();
+            f.packets += 1;
+            f.bytes += u64::from(rec.len_bytes);
+            f.delay_sum += rec.delay();
+            f.delay_max = f.delay_max.max(rec.delay());
+            f.last_departure = rec.end;
+        }
+
+        /// Accepted bytes of `flow` neither served nor purged.
+        fn backlog(&self, flow: u32) -> u64 {
+            self.model.get(&flow).map_or(0, |f| {
+                f.accepted_bytes.saturating_sub(f.bytes + f.purged_bytes)
+            })
+        }
+
+        /// `accounting_balanced`, worked out from the model.
+        fn model_balances(&self, queued: u64) -> bool {
+            let per_flow = self.model.values().all(|f| {
+                f.offered_packets == f.accepted_packets + f.drops + f.fault_drops
+                    && f.offered_bytes == f.accepted_bytes + f.drop_bytes + f.fault_drop_bytes
+            });
+            let sum = |get: fn(&FlowStats) -> u64| self.model.values().map(get).sum::<u64>();
+            per_flow
+                && sum(|f| f.accepted_bytes) == sum(|f| f.bytes) + sum(|f| f.purged_bytes) + queued
+        }
+
+        fn check(&self, pool: &[u32], label: &str) {
+            assert_eq!(
+                self.stats.flows(),
+                self.model.keys().copied().collect::<Vec<_>>(),
+                "{label}"
+            );
+            for &flow in pool {
+                let want = self.model.get(&flow).cloned().unwrap_or_default();
+                assert_eq!(self.stats.flow(flow), want, "{label}: flow {flow}");
+            }
+            let queued: u64 = pool.iter().map(|&f| self.backlog(f)).sum();
+            for queued in [queued, queued + 1] {
+                assert_eq!(
+                    self.stats.accounting_balanced(queued).is_ok(),
+                    self.model_balances(queued),
+                    "{label}: {queued} B queued"
+                );
+            }
+        }
+    }
+
+    /// Hot and cold halves, caller-held hints and all, are not observable:
+    /// under random traffic — hinted and un-hinted records interleaved, the
+    /// hint cells handed to whichever flow comes next — and under the
+    /// shard split's `extract_flow` → `seed_flow`, `merge_from` and a
+    /// checkpoint round trip, every view equals the one-struct-per-flow
+    /// model's.
+    #[test]
+    fn split_storage_is_indistinguishable_from_one_record_per_flow() {
+        use crate::rng::SmallRng;
+        for case in 0..if cfg!(miri) { 3 } else { 48u64 } {
+            let mut rng = SmallRng::seed_from_u64(0x57a7_0000 + case);
+            let mut pool: Vec<u32> = (0..8).collect();
+            pool.extend([u32::MAX, 1 << 31, rng.gen_range_u32(8, u32::MAX)]);
+            // Fewer cells than flows, starting anywhere: every hint is
+            // wrong for most of the flows it is used for.
+            let mut hints = [0, u32::MAX, 3, 1_000_000];
+            let (mut a, mut b) = (Modelled::default(), Modelled::default());
+            // Listed from a loss alone.
+            a.packet(Rec::Purge, &Packet::new(0, pool[0], 40, 0.0), None);
+            a.packet(Rec::Accept, &Packet::new(0, pool[0], 40, 0.0), None);
+            a.packet(Rec::Arrival, &Packet::new(0, pool[0], 40, 0.0), None);
+            b.packet(Rec::Drop, &Packet::new(0, pool[1], 40, 0.0), None);
+            b.packet(Rec::Arrival, &Packet::new(0, pool[1], 40, 0.0), None);
+            for step in 0..rng.gen_range_usize(1, if cfg!(miri) { 60 } else { 400 }) as u64 {
+                let label = format!("case {case} step {step}");
+                let flow = pool[rng.gen_range_usize(0, pool.len())];
+                let pkt = Packet::new(step, flow, rng.gen_range_u32(40, 1500), step as f64);
+                let side = if rng.gen_bool(0.5) { &mut a } else { &mut b };
+                let mut hint = rng
+                    .gen_bool(0.6)
+                    .then(|| &mut hints[rng.gen_range_usize(0, 4)]);
+                match rng.gen_range_u32(0, 20) {
+                    0..=5 => {
+                        side.packet(Rec::Arrival, &pkt, hint.as_deref_mut());
+                        side.packet(Rec::Accept, &pkt, hint);
+                    }
+                    6 => {
+                        side.packet(Rec::Arrival, &pkt, hint);
+                        side.packet(Rec::Drop, &pkt, None);
+                    }
+                    7 => {
+                        side.packet(Rec::Arrival, &pkt, hint);
+                        side.packet(Rec::FaultDrop, &pkt, None);
+                    }
+                    8..=12 => {
+                        // Serve (mostly) or purge the flow's whole backlog
+                        // as one packet, keeping the books balanced.
+                        let Ok(len @ 1..) = u32::try_from(side.backlog(flow)) else {
+                            continue;
+                        };
+                        if rng.gen_bool(0.8) {
+                            let rec = ServiceRecord {
+                                id: step,
+                                flow,
+                                len_bytes: len,
+                                arrival: rng.gen_f64() * step as f64,
+                                start: step as f64,
+                                end: step as f64 + 0.5,
+                            };
+                            side.service(rec, hint);
+                        } else {
+                            side.packet(Rec::Purge, &Packet::new(step, flow, len, 0.0), None);
+                        }
+                    }
+                    // A leak: offered and never heard of again.
+                    13 => side.packet(Rec::Arrival, &pkt, hint),
+                    // The shard split moves a flow's entry across whole.
+                    14 | 15 => {
+                        let moved = a.stats.extract_flow(flow);
+                        assert_eq!(moved, a.model.remove(&flow), "{label}");
+                        if let Some(f) = moved {
+                            b.stats.seed_flow(flow, f.clone());
+                            b.model.insert(flow, f);
+                        }
+                    }
+                    // The shard merge.
+                    16 => {
+                        a.stats.merge_from(std::mem::take(&mut b.stats));
+                        for (flow, f) in std::mem::take(&mut b.model) {
+                            let e = a.model.entry(flow).or_default();
+                            let (max, last) = (e.delay_max, e.last_departure);
+                            *e = FlowStats {
+                                packets: e.packets + f.packets,
+                                bytes: e.bytes + f.bytes,
+                                drops: e.drops + f.drops,
+                                drop_bytes: e.drop_bytes + f.drop_bytes,
+                                offered_packets: e.offered_packets + f.offered_packets,
+                                offered_bytes: e.offered_bytes + f.offered_bytes,
+                                accepted_packets: e.accepted_packets + f.accepted_packets,
+                                accepted_bytes: e.accepted_bytes + f.accepted_bytes,
+                                fault_drops: e.fault_drops + f.fault_drops,
+                                fault_drop_bytes: e.fault_drop_bytes + f.fault_drop_bytes,
+                                purged_packets: e.purged_packets + f.purged_packets,
+                                purged_bytes: e.purged_bytes + f.purged_bytes,
+                                delay_sum: e.delay_sum + f.delay_sum,
+                                delay_max: max.max(f.delay_max),
+                                last_departure: last.max(f.last_departure),
+                            };
+                        }
+                    }
+                    // A checkpoint: same bytes out as went in.
+                    _ => {
+                        let saved = side.stats.save_state();
+                        let mut loaded = SimStats::new();
+                        loaded.load_state(&saved).unwrap();
+                        assert_eq!(loaded.save_state().to_bytes(), saved.to_bytes(), "{label}");
+                        side.stats = loaded;
+                    }
+                }
+                a.check(&pool, &label);
+                b.check(&pool, &label);
+            }
+        }
     }
 
     #[test]

@@ -661,6 +661,139 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
     );
 }
 
+/// The flow-owner list is redundant with the source table — each flow id is
+/// owned by the last slot registered under it — and `restore` holds the
+/// snapshot to that: a list that points a flow at another flow's source,
+/// names a flow twice, leaves one out or is out of order used to restore
+/// `Ok` and hand the flow's completions and deliveries to the wrong
+/// source. Each is a typed refusal that leaves the network as it was.
+#[test]
+fn flow_owner_list_that_disagrees_with_the_source_table_is_refused() {
+    let mut net = tandem_net();
+    net.run(1.5);
+    let snap = net.snapshot().unwrap();
+    let bytes = snap.to_bytes();
+    let owners = snap.get("flow_owner").unwrap().items().unwrap().to_vec();
+    let pair = |flow: u64, idx: u64| Value::List(vec![Value::U64(flow), Value::U64(idx)]);
+    // Source 3 carries flow 0; sources 0..3 the cross flows 100..103.
+    assert_eq!(
+        owners,
+        vec![pair(0, 3), pair(100, 0), pair(101, 1), pair(102, 2)]
+    );
+    let doctored = |at: usize, entry: Value| {
+        let mut list = owners.clone();
+        list[at] = entry;
+        list
+    };
+    let swapped = {
+        let mut list = owners.clone();
+        list.swap(1, 2);
+        list
+    };
+    let cases: Vec<(&str, Vec<Value>)> = vec![
+        // Flow 100's completions routed over flow 101's source.
+        ("entry 1 is flow 100 → source 1", doctored(1, pair(100, 1))),
+        // A flow no source carries, pointed at a real slot.
+        ("entry 1 is flow 7 → source 0", doctored(1, pair(7, 0))),
+        // Two entries for one flow.
+        ("entry 2 is flow 100 → source 1", doctored(2, pair(100, 1))),
+        ("entry 4 is flow 102 → source 2", {
+            let mut list = owners.clone();
+            list.push(pair(102, 2));
+            list
+        }),
+        // A flow left out.
+        ("entry 3 is nothing", owners[..3].to_vec()),
+        ("entry 0 is flow 100 → source 0", owners[1..].to_vec()),
+        // Not in flow order: no `snapshot` writes that.
+        ("entry 1 is flow 101 → source 1", swapped),
+    ];
+    for (want, list) in cases {
+        let err = net
+            .restore(&with_entry(&snap, "flow_owner", Value::List(list)))
+            .unwrap_err();
+        assert!(err.what.contains(want), "{want}: {err:?}");
+        assert_eq!(
+            net.snapshot().unwrap().to_bytes(),
+            bytes,
+            "{want}: network touched"
+        );
+    }
+    // The honest list restores.
+    net.run(1.7);
+    net.restore(&snap).unwrap();
+    assert_eq!(net.snapshot().unwrap().to_bytes(), bytes);
+}
+
+/// A flow id registered twice is owned by the later slot, in the snapshot
+/// as in the run, and the earlier slot's absence from the owner list is
+/// what `restore` expects.
+#[test]
+fn shadowed_registration_round_trips_through_a_snapshot() {
+    let build = || {
+        let kind = SchedulerKind::Wf2qPlus;
+        let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
+            LINK,
+            move |r| kind.build(r),
+            sink(),
+        );
+        let root = bld.root();
+        let leaves = [0.5, 0.25, 0.25].map(|phi| bld.add_leaf(root, phi).unwrap());
+        let mut net = Network::single_link(bld.build());
+        for (flow, leaf) in [(7, leaves[0]), (9, leaves[1]), (7, leaves[2])] {
+            net.add_route(
+                flow,
+                CbrSource::new(flow, PKT, 8e6, 0.0, 5.0),
+                Route::open_loop(leaf),
+            );
+        }
+        net
+    };
+    let mut net = build();
+    net.run(0.5);
+    let snap = net.snapshot().unwrap();
+    let pair = |flow: u64, idx: u64| Value::List(vec![Value::U64(flow), Value::U64(idx)]);
+    assert_eq!(
+        snap.get("flow_owner").unwrap().items().unwrap(),
+        [pair(7, 2), pair(9, 1)]
+    );
+    // The shadowed slot claimed back: refused.
+    let err = net
+        .restore(&with_entry(
+            &snap,
+            "flow_owner",
+            Value::List(vec![pair(7, 0), pair(9, 1)]),
+        ))
+        .unwrap_err();
+    assert!(
+        err.what
+            .contains("the source table gives flow 7 → source 2"),
+        "{err:?}"
+    );
+    assert_eq!(net.snapshot().unwrap().to_bytes(), snap.to_bytes());
+    // Rollback gives the same bytes back; a resume runs on as the
+    // original does.
+    net.run(1.0);
+    net.restore(&snap).unwrap();
+    assert_eq!(net.snapshot().unwrap().to_bytes(), snap.to_bytes());
+    let mut resumed = build();
+    resumed.restore(&snap).unwrap();
+    net.run(2.0);
+    resumed.run(2.0);
+    assert_eq!(
+        resumed.snapshot().unwrap().get("flow_owner").unwrap(),
+        snap.get("flow_owner").unwrap()
+    );
+    for flow in [7, 9] {
+        assert!(net.stats.flow(flow).packets > 0);
+        assert_eq!(
+            net.stats.flow(flow),
+            resumed.stats.flow(flow),
+            "flow {flow}"
+        );
+    }
+}
+
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
