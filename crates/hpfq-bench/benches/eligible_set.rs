@@ -1,25 +1,25 @@
-//! Ablation of the SEFF eligible-set structure (DESIGN.md §3.4): dual
-//! 4-ary heaps (migration on virtual-time advance) against the O(N)
-//! brute-force reference.
+//! The SEFF eligible set (DESIGN.md §3.4): dual 4-ary heaps, migration on
+//! virtual-time advance, driven through the [`PifoBackend`] calls a WF²Q+
+//! node makes per dispatch.
 //!
 //! The workload mirrors a busy WF²Q+ node: N sessions resident; each
 //! iteration pops the minimum-finish eligible session at an advancing
 //! threshold and reinserts it with later tags.
 
 use hpfq_bench::microbench::{report, time_op};
-use hpfq_core::eligible::{dual_heap::DualHeapEligibleSet, BruteForceEligibleSet, EligibleSet};
-use hpfq_core::SessionId;
+use hpfq_core::{DualHeapEligibleSet, PifoBackend, SessionId};
 
-struct Harness<E: EligibleSet> {
-    set: E,
+struct Harness {
+    set: DualHeapEligibleSet,
     v: f64,
 }
 
-impl<E: EligibleSet> Harness<E> {
-    fn new(mut set: E, n: usize) -> Self {
+impl Harness {
+    fn new(n: usize) -> Self {
+        let mut set = DualHeapEligibleSet::new();
         for i in 0..n {
             let start = i as f64 / n as f64;
-            set.insert(SessionId(i), start, start + 1.0);
+            set.insert_ranked(SessionId(i), Some(start), start + 1.0, 0.0);
         }
         let mut h = Harness { set, v: 0.0 };
         // Warm to steady state: the seed tags are packed at 1/n spacing
@@ -38,21 +38,18 @@ impl<E: EligibleSet> Harness<E> {
 
     /// One WF²Q+-style dispatch: threshold, pop, reinsert with later tags.
     fn step(&mut self) -> SessionId {
-        let thr = self.set.eligibility_threshold(self.v).expect("non-empty");
-        let id = self.set.pop_min_finish(thr).expect("eligible");
+        let thr = self.set.clamp_threshold(self.v).expect("non-empty");
+        let id = self.set.pop_eligible(thr).expect("eligible");
         self.v = thr + 0.01;
-        self.set.insert(id, self.v + 0.5, self.v + 1.5);
+        self.set
+            .insert_ranked(id, Some(self.v + 0.5), self.v + 1.5, 0.0);
         id
     }
 }
 
 fn main() {
     for n in [16usize, 64, 256, 1024, 4096, 65536, 1 << 20] {
-        let mut h = Harness::new(DualHeapEligibleSet::new(), n);
+        let mut h = Harness::new(n);
         report("eligible_set", "dual_heap", n, time_op(|| h.step()));
-        if n <= 1024 {
-            let mut h = Harness::new(BruteForceEligibleSet::default(), n);
-            report("eligible_set", "brute_force", n, time_op(|| h.step()));
-        }
     }
 }

@@ -1333,12 +1333,12 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// is bypassed: the snapshot's accounting is restored verbatim.
     ///
     /// The snapshot is untrusted input. Everything the tree structure
-    /// depends on — topology, queues, and that every `head` and
-    /// `active_child` names what the driving protocol will find there — is
-    /// checked before anything is modified, so a snapshot refused for one
-    /// of those reasons leaves the hierarchy as it was. Only a scheduler
-    /// refusing its own state, which is loaded last, can leave the tree
-    /// partly restored.
+    /// depends on — topology, queues, that every `head` and `active_child`
+    /// names what the driving protocol will find there, and that every
+    /// scheduler serves one session per child and has exactly the children
+    /// that offer a head backlogged — is checked before the tree is
+    /// modified, and a scheduler state that is refused puts every scheduler
+    /// back as it was: a refused snapshot leaves the hierarchy as it was.
     pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
         let nodes_v = state.get("nodes")?.items()?;
         let saved = nodes_v
@@ -1354,6 +1354,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         let link = state.get("link")?.as_usize()?;
         let new_leaves = self.check_topology(&saved)?;
         check_heads(&saved, transmitting)?;
+        self.load_schedulers(&saved, nodes_v)?;
 
         // Nodes are only ever appended at runtime (removal merely
         // detaches), so live nodes beyond the snapshot are a suffix — all
@@ -1436,12 +1437,35 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.last_time = last_time;
         self.link = link;
         self.path_scratch.clear();
-        // Scheduler states last, so a parent's restored session table
-        // covers its churn-added children.
-        for (nd, &id) in self.inners.iter_mut().zip(&self.inner_ids) {
-            nd.sched.load_state(nodes_v[id as usize].get("sched")?)?;
-        }
         self.wants_hints = self.inners.iter().any(|nd| nd.sched.wants_arrival_hints());
+        Ok(())
+    }
+
+    /// Loads every internal node's scheduler state and checks it against the
+    /// node the snapshot describes: as many sessions as children, and as
+    /// many of them backlogged as children offering a head. A refused state
+    /// puts every scheduler back as it was.
+    fn load_schedulers(&mut self, saved: &[SavedNode], nodes_v: &[Value]) -> Result<(), SnapError> {
+        let mut children = vec![0usize; saved.len()];
+        let mut offering = vec![0usize; saved.len()];
+        for sn in saved {
+            if let Some((p, _)) = sn.parent {
+                children[p] += 1;
+                offering[p] += usize::from(sn.head.is_some());
+            }
+        }
+        let kept: Vec<Value> = self.inners.iter().map(|nd| nd.sched.save_state()).collect();
+        for n in 0..self.inners.len() {
+            let id = self.inner_ids[n] as usize;
+            let sched = &mut self.inners[n].sched;
+            if let Err(e) = load_scheduler(sched, &nodes_v[id], children[id], offering[id]) {
+                for (nd, state) in self.inners[..=n].iter_mut().zip(&kept) {
+                    // The scheduler's own saved state: it loads.
+                    let _ = nd.sched.load_state(state);
+                }
+                return Err(snap_err(format!("node {id}: {}", e.what)));
+            }
+        }
         Ok(())
     }
 
@@ -1525,6 +1549,38 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
 
 fn snap_err(what: String) -> SnapError {
     SnapError { at: 0, what }
+}
+
+/// Loads the `sched` state of snapshot node `nv` into `sched`, which must
+/// then serve `children` sessions with `offering` of them backlogged.
+fn load_scheduler<S: NodeScheduler>(
+    sched: &mut S,
+    nv: &Value,
+    children: usize,
+    offering: usize,
+) -> Result<(), SnapError> {
+    let state = nv.get("sched")?;
+    sched.load_state(state)?;
+    if state.is_null() {
+        // Nothing restored: the scheduler keeps its own sessions.
+        return Ok(());
+    }
+    // The trait has no session count, but session ids are dense, so the id
+    // a new session gets is the count; loading again takes it back.
+    let sessions = sched.add_session(1.0).0;
+    sched.load_state(state)?;
+    if sessions != children {
+        return Err(snap_err(format!(
+            "scheduler has {sessions} sessions for {children} children"
+        )));
+    }
+    if sched.backlogged() != offering {
+        return Err(snap_err(format!(
+            "scheduler has {} sessions backlogged, but {offering} children offer a head",
+            sched.backlogged()
+        )));
+    }
+    Ok(())
 }
 
 /// One node record of a snapshot, parsed but not yet trusted.

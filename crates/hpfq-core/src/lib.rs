@@ -21,10 +21,8 @@
 //! 2016), over the crate's one priority structure, the dual heap
 //! ([`DualHeapEligibleSet`]). [`SchedulerKind::build`] is the one
 //! constructor and [`MixedScheduler`] holds exactly one `PifoTree<P>` per
-//! kind. The hand-rolled per-policy implementations the rank programs
-//! were derived from are kept in [`mod@reference`], named only by the
-//! differential suites in `tests/pifo_equivalence.rs` that hold each
-//! program byte-identical to them.
+//! kind. Each program's behaviour is pinned by golden digests in
+//! `tests/pifo_equivalence.rs`.
 //!
 //! ## Conventions
 //!
@@ -48,24 +46,15 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
-mod drr;
 pub mod eligible;
 pub mod error;
-mod fifo;
 pub mod gps_clock;
 pub mod hierarchy;
 pub mod mixed;
 pub mod packet;
 pub mod pifo;
-pub mod reference;
-mod scfq;
 pub mod scheduler;
-mod sfq;
 mod slab;
-mod tag_heap;
-mod wf2q;
-mod wf2q_plus;
-mod wfq;
 
 /// Canonical virtual-time comparison helpers (single `EPS`, tolerance-aware
 /// and exact comparisons). Implemented in `hpfq-obs` — the root of the
@@ -74,7 +63,7 @@ mod wfq;
 /// rules L001/L003 enforce its use).
 pub use hpfq_obs::vtime;
 
-pub use eligible::{dual_heap::DualHeapEligibleSet, EligibleSet, PifoBackend};
+pub use eligible::{dual_heap::DualHeapEligibleSet, PifoBackend};
 pub use error::HpfqError;
 pub use gps_clock::GpsClock;
 pub use hierarchy::{Hierarchy, HierarchyBuilder, NodeId};

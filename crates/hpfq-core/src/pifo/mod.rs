@@ -16,10 +16,9 @@
 //!   advances its virtual clock in [`RankProgram::on_dispatch`], and resets
 //!   at busy-period boundaries.
 //!
-//! The in-tree programs live in [`rank`] and are held *byte-identical* to
-//! the hand-rolled originals (kept in [`crate::reference`]) by the golden
-//! traces and differential proptests in `tests/pifo_equivalence.rs`: same
-//! dispatch order, same tags, same virtual times, bit-for-bit.
+//! The in-tree programs live in [`rank`]; the golden digests in
+//! `tests/pifo_equivalence.rs` pin each one's dispatch order, tags and
+//! virtual times bit for bit.
 //!
 //! ## The rank model
 //!
@@ -145,7 +144,7 @@ pub trait RankProgram {
     /// the unique minimum when it was popped). The driver then bypasses
     /// the dual-heap machinery entirely: inserts land on the sorted tail
     /// deque at one of its two ends and pops take its front, one deque
-    /// operation each, matching the legacy `VecDeque` rings. Violations
+    /// operation each, as on a `VecDeque` ring. Violations
     /// are caught by debug assertions in the backing structure.
     const MONOTONE_RANKS: bool = false;
 
@@ -392,9 +391,9 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             self.in_service.is_none(),
             "select_next() while a session is in service"
         );
-        // Every legacy policy returns None from an empty queue without any
-        // other state change, so the early return is byte-identical. With
-        // no session in service, queue membership == backlogged sessions.
+        // Every policy returns None from an empty queue without any other
+        // state change. With no session in service, queue membership ==
+        // backlogged sessions.
         if self.backlogged == 0 {
             return None;
         }

@@ -2,7 +2,7 @@
 //!
 //! Head-offer order as a rank: each offered head receives the next value of
 //! a monotone sequence counter as its primary key, so popping the minimum
-//! rank replays the legacy `VecDeque` offer order exactly. No tags are
+//! rank replays offer order exactly, as a `VecDeque` would. No tags are
 //! stamped ([`NodeScheduler::tags`] stays `(0, 0)`) and the virtual time is
 //! the driver's reference time.
 //!
@@ -13,7 +13,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The FIFO rank program. Byte-identical to [`crate::reference::Fifo`].
+/// The FIFO rank program.
 #[derive(Debug, Clone, Default)]
 pub struct FifoRank {
     /// Next sequence value to hand out. `f64` is exact for sequence values
@@ -65,7 +65,7 @@ impl RankProgram for FifoRank {
         _sessions: &mut SessionTable,
         _bits: f64,
     ) -> Rank {
-        // The next head re-joins at the back, like the legacy push_back.
+        // The next head re-joins at the back of the offer order.
         Rank::open(self.next_seq(), 0.0)
     }
 

@@ -1,8 +1,5 @@
 //! The eight in-tree rank programs — one per [`SchedulerKind`] — each
-//! held byte-identical to its hand-rolled original in [`crate::reference`]
-//! by `tests/pifo_equivalence.rs`. (The overlapped round-robin program
-//! [`RrRank`] was written as a rank program: it has no original and
-//! therefore no differential entry.)
+//! pinned by the golden digests in `tests/pifo_equivalence.rs`.
 //!
 //! [`crate::MixedScheduler`] holds a monomorphized `PifoTree<P>` per
 //! program (rather than one tree over a program *enum*) so each policy's

@@ -2,15 +2,14 @@
 //!
 //! Self-clocked: the virtual time is the finish tag of the packet most
 //! recently dispatched — O(1) to maintain, no eligibility gate. Heads are
-//! ranked `(finish, start)` with ties by session id, exactly the legacy
-//! `tag_heap` order.
+//! ranked `(finish, start)` with ties by session id.
 
 use hpfq_obs::snap::{SnapError, Value};
 
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The SCFQ rank program. Byte-identical to [`crate::reference::Scfq`].
+/// The SCFQ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct ScfqRank {
     /// Virtual time = finish tag of the packet most recently dispatched.
@@ -71,5 +70,47 @@ impl RankProgram for ScfqRank {
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
         self.v = state.get("v")?.as_f64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pifo::PifoTree;
+    use crate::scheduler::NodeScheduler;
+
+    #[test]
+    fn weighted_split() {
+        let mut s = PifoTree::new(1.0, ScfqRank::new());
+        let a = s.add_session(0.75);
+        let b = s.add_session(0.25);
+        s.backlog(a, 1.0, None);
+        s.backlog(b, 1.0, None);
+        let mut counts = [0usize; 2];
+        for _ in 0..400 {
+            let id = s.select_next().unwrap();
+            counts[id.0] += 1;
+            s.requeue(id, Some(1.0));
+        }
+        assert!((counts[0] as f64 - 300.0).abs() <= 2.0, "{counts:?}");
+    }
+
+    /// The SCFQ pathology: a session arriving to an idle queue inherits the
+    /// in-service packet's finish tag as its floor, so after a long burst by
+    /// one session the newcomer still starts immediately behind it — but the
+    /// virtual time never runs ahead of served work as GPS's can.
+    #[test]
+    fn newcomer_tagged_from_in_service_packet() {
+        let mut s = PifoTree::new(1.0, ScfqRank::new());
+        let a = s.add_session(0.5);
+        let b = s.add_session(0.5);
+        s.backlog(a, 1.0, None);
+        let id = s.select_next().unwrap();
+        assert_eq!(id, a);
+        // V jumped to a's finish tag (2.0); b arrives during service.
+        s.backlog(b, 1.0, None);
+        assert_eq!(s.tags(b).0, 2.0);
+        assert_eq!(s.tags(b).1, 4.0);
+        s.requeue(id, None);
     }
 }

@@ -9,7 +9,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The SFQ rank program. Byte-identical to [`crate::reference::Sfq`].
+/// The SFQ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct SfqRank {
     /// Virtual time = start tag of the packet most recently dispatched.
@@ -67,5 +67,52 @@ impl RankProgram for SfqRank {
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
         self.v = state.get("v")?.as_f64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pifo::PifoTree;
+    use crate::scheduler::NodeScheduler;
+
+    #[test]
+    fn weighted_split() {
+        let mut s = PifoTree::new(1.0, SfqRank::new());
+        let a = s.add_session(0.75);
+        let b = s.add_session(0.25);
+        s.backlog(a, 1.0, None);
+        s.backlog(b, 1.0, None);
+        let mut counts = [0usize; 2];
+        for _ in 0..400 {
+            let id = s.select_next().unwrap();
+            counts[id.0] += 1;
+            s.requeue(id, Some(1.0));
+        }
+        assert!((counts[0] as f64 - 300.0).abs() <= 2.0, "{counts:?}");
+    }
+
+    /// A newcomer is tagged from the start tag of the in-service packet, so
+    /// it begins service ahead of sessions that have built up large finish
+    /// tags — SFQ's low-latency property for newly active sessions.
+    #[test]
+    fn newcomer_starts_promptly() {
+        let mut s = PifoTree::new(1.0, SfqRank::new());
+        let a = s.add_session(0.5);
+        let b = s.add_session(0.5);
+        s.backlog(a, 1.0, None);
+        // Serve a for a while, accumulating start tags 0, 2, 4, ...
+        for _ in 0..5 {
+            let id = s.select_next().unwrap();
+            assert_eq!(id, a);
+            s.requeue(id, Some(1.0));
+        }
+        // V is the start tag of a's 5th packet = 8.
+        assert_eq!(s.virtual_time(), 8.0);
+        s.backlog(b, 1.0, None);
+        assert_eq!(s.tags(b).0, 8.0);
+        // Next dispatch: a's head has start 10, b's start 8 → b wins.
+        assert_eq!(s.select_next(), Some(b));
+        s.requeue(b, None);
     }
 }

@@ -16,7 +16,7 @@ use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{load_pending, save_pending, SessionId, SessionTable};
 use crate::vtime;
 
-/// The WF²Q rank program. Byte-identical to [`crate::reference::Wf2q`].
+/// The WF²Q rank program.
 #[derive(Debug, Clone, Default)]
 pub struct Wf2qRank {
     clock: GpsClock,
@@ -142,5 +142,79 @@ impl RankProgram for Wf2qRank {
         self.clock.load_state(state.get("clock")?)?;
         self.fallback_dispatches = state.get("fallback_dispatches")?.as_u64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pifo::PifoTree;
+    use crate::scheduler::NodeScheduler;
+
+    /// Fig. 2 bottom timeline: WF²Q interleaves session 1 with the small
+    /// sessions instead of sending its burst back-to-back.
+    #[test]
+    fn fig2_interleaving() {
+        let mut s = PifoTree::new(1.0, Wf2qRank::new());
+        let s0 = s.add_session(0.5);
+        for _ in 0..10 {
+            s.add_session(0.05);
+        }
+        s.backlog(s0, 1.0, Some(0.0));
+        for i in 1..=10 {
+            s.backlog(SessionId(i), 1.0, Some(0.0));
+        }
+        let mut remaining = vec![11usize, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+        let mut order = Vec::new();
+        while let Some(id) = s.select_next() {
+            order.push(id.0);
+            remaining[id.0] -= 1;
+            s.requeue(id, if remaining[id.0] > 0 { Some(1.0) } else { None });
+        }
+        assert_eq!(order.len(), 21);
+        for (slot, &id) in order.iter().enumerate() {
+            if slot % 2 == 0 {
+                assert_eq!(id, 0, "slot {slot}");
+            } else {
+                assert_ne!(id, 0, "slot {slot}");
+            }
+        }
+        assert_eq!(s.program().fallback_dispatches(), 0);
+    }
+
+    /// During any interval, WF²Q's service to the big session differs from
+    /// the GPS share (half the link) by less than one packet — the §3.3
+    /// accuracy claim.
+    #[test]
+    fn service_tracks_gps_within_one_packet() {
+        let mut s = PifoTree::new(1.0, Wf2qRank::new());
+        let s0 = s.add_session(0.5);
+        for _ in 0..10 {
+            s.add_session(0.05);
+        }
+        s.backlog(s0, 1.0, Some(0.0));
+        for i in 1..=10 {
+            s.backlog(SessionId(i), 1.0, Some(0.0));
+        }
+        let mut served0 = 0.0_f64;
+        let mut elapsed = 0.0_f64;
+        let mut remaining = vec![11usize, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
+        while let Some(id) = s.select_next() {
+            elapsed += 1.0;
+            if id.0 == 0 {
+                served0 += 1.0;
+            }
+            // GPS gives session 0 exactly half the link while all are
+            // backlogged (first 20 slots).
+            if elapsed <= 20.0 {
+                assert!(
+                    (served0 - 0.5 * elapsed).abs() < 1.0 + 1e-9,
+                    "lag {} at t={elapsed}",
+                    served0 - 0.5 * elapsed
+                );
+            }
+            remaining[id.0] -= 1;
+            s.requeue(id, if remaining[id.0] > 0 { Some(1.0) } else { None });
+        }
     }
 }

@@ -11,7 +11,7 @@ use hpfq_obs::snap::{SnapError, Value};
 use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{SessionId, SessionTable};
 
-/// The WF²Q+ rank program. Byte-identical to [`crate::reference::Wf2qPlus`].
+/// The WF²Q+ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct Wf2qPlusRank {
     /// Virtual time `V` of eq. (27), in reference-time seconds.
@@ -85,5 +85,49 @@ impl RankProgram for Wf2qPlusRank {
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
         self.v = state.get("v")?.as_f64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pifo::PifoTree;
+    use crate::scheduler::NodeScheduler;
+
+    /// A packet arriving to an idle session while others are backlogged is
+    /// stamped with at least the minimum start among existing sessions
+    /// (the "newly backlogged session" property of eq. 27).
+    #[test]
+    fn new_backlog_not_stamped_in_the_past() {
+        let mut s = PifoTree::new(1.0, Wf2qPlusRank::new());
+        let a = s.add_session(0.5);
+        let b = s.add_session(0.5);
+        s.backlog(a, 1.0, None);
+        let sel = s.select_next().unwrap();
+        assert_eq!(sel, a);
+        s.requeue(a, Some(1.0));
+        // V advanced to 1.0; b arrives now.
+        s.backlog(b, 1.0, None);
+        let (start_b, finish_b) = s.tags(b);
+        assert!(start_b >= 1.0, "start {start_b} must be >= V");
+        assert_eq!(finish_b, start_b + 2.0);
+    }
+
+    /// Weighted bandwidth split over a long backlog: shares 3:1.
+    #[test]
+    fn long_run_weighted_share() {
+        let mut s = PifoTree::new(1.0, Wf2qPlusRank::new());
+        let a = s.add_session(0.75);
+        let b = s.add_session(0.25);
+        s.backlog(a, 1.0, None);
+        s.backlog(b, 1.0, None);
+        let mut counts = [0usize; 2];
+        for _ in 0..400 {
+            let id = s.select_next().unwrap();
+            counts[id.0] += 1;
+            s.requeue(id, Some(1.0));
+        }
+        assert!((counts[0] as f64 - 300.0).abs() <= 1.0, "{counts:?}");
+        assert!((counts[1] as f64 - 100.0).abs() <= 1.0, "{counts:?}");
     }
 }

@@ -13,7 +13,7 @@ use crate::gps_clock::GpsClock;
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{load_pending, save_pending, SessionId, SessionTable};
 
-/// The WFQ rank program. Byte-identical to [`crate::reference::Wfq`].
+/// The WFQ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct WfqRank {
     clock: GpsClock,
@@ -116,5 +116,29 @@ impl RankProgram for WfqRank {
         self.pending = load_pending(state.get("pending")?, sessions.len())?;
         self.clock.load_state(state.get("clock")?)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pifo::PifoTree;
+    use crate::scheduler::NodeScheduler;
+
+    #[test]
+    fn equal_weights_round_robin_like() {
+        let mut s = PifoTree::new(1.0, WfqRank::new());
+        let a = s.add_session(0.5);
+        let b = s.add_session(0.5);
+        s.backlog(a, 1.0, None);
+        s.backlog(b, 1.0, None);
+        let mut counts = [0usize; 2];
+        for _ in 0..100 {
+            let id = s.select_next().unwrap();
+            counts[id.0] += 1;
+            s.requeue(id, Some(1.0));
+        }
+        assert_eq!(counts[0], 50);
+        assert_eq!(counts[1], 50);
     }
 }

@@ -225,9 +225,6 @@ struct SessionRecord {
 /// `finish` and `head_bits`. With a lane per field those were three to
 /// five cache misses per stamp at a 128k-session node; a record is one
 /// line, or two adjacent ones.
-/// The reference schedulers keep their own
-/// [`crate::reference::SessionState`]; serialization is format-compatible
-/// between the two.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
     records: Vec<SessionRecord>,
@@ -398,10 +395,8 @@ impl SessionTable {
         }
     }
 
-    /// Serializes the table — byte-identical to the reference schedulers'
-    /// `Vec<SessionState>` encoding, so the two kinds of snapshot stay
-    /// interchangeable. Tags from an earlier busy period are written as
-    /// the zeros they read as.
+    /// Serializes the table, one map per session. Tags from an earlier busy
+    /// period are written as the zeros they read as.
     pub(crate) fn save(&self) -> Value {
         Value::List(
             self.records
@@ -440,8 +435,8 @@ impl SessionTable {
 }
 
 /// Serializes per-session pending-stamp queues (the eq. (28) start bases
-/// recorded by `arrival_hint` in the GPS-emulating policies — WFQ, WF²Q,
-/// and their rank programs).
+/// recorded by `arrival_hint` in the GPS-emulating rank programs, WFQ and
+/// WF²Q).
 pub(crate) fn save_pending(pending: &[std::collections::VecDeque<f64>]) -> Value {
     Value::List(
         pending

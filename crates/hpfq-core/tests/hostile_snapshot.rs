@@ -121,3 +121,81 @@ fn doctored_queue_accounting_is_refused() {
     }
     assert_eq!(std::iter::from_fn(|| live.dequeue()).count(), 2);
 }
+
+/// A scheduler's session table must describe its node: one session per
+/// child, backlogged exactly for the children that offer a head. A record
+/// dropped or appended, or a session marked backlogged behind a child with
+/// nothing queued, is refused — where it used to load and panic the next
+/// `enqueue` or `dequeue` — and the tree keeps serving.
+#[test]
+fn doctored_session_tables_are_refused_and_the_tree_keeps_serving() {
+    let one_at_a = || {
+        let (mut h, [a, ..]) = tree();
+        h.enqueue(a, Packet::new(1, 0, 100, 0.0));
+        h
+    };
+    let snap = one_at_a().save_state();
+    // The root serves the class (session 0, in service) and `c` (session 1,
+    // idle); its queue is empty while the class is in service.
+    let sched = snap.get("nodes").unwrap().items().unwrap()[0]
+        .get("sched")
+        .unwrap()
+        .clone();
+    let state = sched.get("state").unwrap().clone();
+    let sessions = state.get("sessions").unwrap().items().unwrap().to_vec();
+    let backlogged = |record: &Value| with_key(record, "backlogged", Value::Bool(true));
+    let queued = |id: u64| {
+        Value::map(vec![
+            ("id", Value::U64(id)),
+            ("elig", Value::F64(0.0)),
+            ("primary", Value::F64(1e-4)),
+            ("secondary", Value::F64(0.0)),
+        ])
+    };
+    let cases = [
+        (
+            "the last session record dropped",
+            vec![sessions[0].clone()],
+            vec![],
+        ),
+        (
+            "a backlogged session appended",
+            vec![
+                sessions[0].clone(),
+                sessions[1].clone(),
+                backlogged(&sessions[1]),
+            ],
+            vec![queued(2)],
+        ),
+        (
+            "an idle child's session marked backlogged",
+            vec![sessions[0].clone(), backlogged(&sessions[1])],
+            vec![queued(1)],
+        ),
+    ];
+    for (what, sessions, queue) in cases {
+        let state = with_key(&state, "sessions", Value::List(sessions));
+        let state = with_key(&state, "queue", Value::List(queue));
+        let bad = doctored(&snap, 0, "sched", with_key(&sched, "state", state));
+        // Onto a freshly rebuilt tree ...
+        let (mut fresh, [a, _, c]) = tree();
+        assert!(fresh.load_state(&bad).is_err(), "{what}: accepted");
+        fresh.enqueue(c, Packet::new(9, 2, 100, 0.0));
+        fresh.enqueue(a, Packet::new(8, 0, 100, 0.0));
+        let mut served: Vec<u64> = std::iter::from_fn(|| fresh.dequeue())
+            .map(|p| p.id)
+            .collect();
+        served.sort_unstable();
+        assert_eq!(served, [8, 9], "{what}");
+        // ... and onto the running one, which still serves its packet.
+        let mut live = one_at_a();
+        assert!(live.load_state(&bad).is_err(), "{what}: accepted");
+        live.enqueue(c, Packet::new(9, 2, 100, 0.0));
+        let mut served: Vec<u64> = std::iter::from_fn(|| live.dequeue())
+            .map(|p| p.id)
+            .collect();
+        served.sort_unstable();
+        assert_eq!(served, [1, 9], "{what}");
+        assert!(live.is_idle(), "{what}");
+    }
+}

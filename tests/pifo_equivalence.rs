@@ -1,16 +1,23 @@
-//! PIFO-substrate equivalence oracle: every policy served by
-//! [`PifoTree`] (via [`SchedulerKind::build`]) must be **byte-identical**
-//! to its hand-rolled original in [`hpfq::core::reference`] (the `legacy`
-//! of the test names) — same dispatch decisions, same tags, same virtual
-//! time bits, same JSONL traces and statistics on the reduced Fig. 3
-//! workload with an outage and flow churn in the mix, and the same
-//! continuations across a PIFO snapshot → restore → resume. The same
-//! drivers hold the dual heap that ships byte-identical, for all eight
-//! programs, to [`SortByRankPifo`]: a `Vec` and a linear scan on the ranked
-//! interface, sharing no code with it.
+//! Golden and differential oracles for the eight policies [`PifoTree`]
+//! serves (via [`SchedulerKind::build`]).
 //!
-//! Randomized churn + outage differential suites ride behind the
-//! `proptest-tests` feature alongside `tests/proptest_invariants.rs`:
+//! **Goldens.** Each policy's dispatch decisions, tags and virtual-time
+//! bits on two fixed lockstep schedules, its JSONL trace and statistics on
+//! the reduced Fig. 3 workload (outage, finite buffer, flow churn), and its
+//! continuation across a snapshot → restore → resume are held to what the
+//! hand-rolled per-policy schedulers the rank programs were derived from
+//! produced at commit 1c9611a, the last commit that had them (their output
+//! had matched the rank programs bit for bit since the programs were
+//! written; "legacy" in the test names). Overlapped round robin never had a
+//! hand-rolled twin: its goldens were recorded from its rank program at the
+//! same commit.
+//!
+//! **Backends.** The same drivers hold the dual heap that ships
+//! byte-identical, for all eight programs, to [`SortByRankPifo`]: a `Vec`
+//! and a linear scan on the ranked interface, sharing no code with it.
+//!
+//! Randomized churn + outage suites ride behind the `proptest-tests`
+//! feature alongside `tests/proptest_invariants.rs`:
 //!
 //! ```text
 //! cargo test --features proptest-tests --test pifo_equivalence
@@ -23,30 +30,164 @@ use hpfq::core::pifo::rank::{
     DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
 };
 use hpfq::core::{
-    reference, Hierarchy, NodeId, NodeScheduler, PifoBackend, PifoTree, RankProgram, SchedulerKind,
-    SessionId,
+    Hierarchy, NodeId, NodeScheduler, PifoBackend, PifoTree, RankProgram, SchedulerKind, SessionId,
 };
 use hpfq::obs::{JsonlObserver, Observer, SharedBuf};
 use hpfq::sim::{
     CbrSource, Network, PacketTrainSource, PeriodicOnOffSource, PoissonSource, Route, SimCommand,
 };
 
-/// Evaluates `$body` once per policy that has a hand-rolled original, with
-/// `$kind` bound to its [`SchedulerKind`] and `$reference` to the
-/// original's type (a different one per expansion, which is why this is a
-/// macro and the drivers below are generic over [`NodeScheduler`]).
-macro_rules! for_each_reference {
-    (|$kind:ident, $reference:ident| $body:expr) => {
-        for_each_reference!(@ $kind, $reference, $body;
-            Wf2qPlus, Wfq, Wf2q, Scfq, Sfq, Drr, Fifo)
-    };
-    (@ $kind:ident, $reference:ident, $body:expr; $($name:ident),*) => {$({
-        let $kind = SchedulerKind::$name;
-        #[allow(dead_code)]
-        type $reference = reference::$name;
-        $body
-    })*};
+/// What one policy produced at commit 1c9611a (see the module docs).
+struct Golden {
+    kind: SchedulerKind,
+    /// `(FNV-1a, dispatches)` of each [`LOCKSTEP_RUNS`] schedule's steps.
+    lockstep: [(u64, u64); 2],
+    /// `(FNV-1a, lines)` of the reduced Fig. 3 JSONL trace.
+    fig3_trace: (u64, usize),
+    /// The reduced Fig. 3 totals and per-flow statistics, as
+    /// [`run_fig3ish`] renders them.
+    fig3_stats: [&'static str; 6],
+    /// `(FNV-1a, bytes)` of its last line, flow 1's per-packet records.
+    fig3_records: (u64, usize),
+    /// `(FNV-1a, entries)` of the 300-step straight run of the resume
+    /// schedule.
+    resume: (u64, usize),
+    /// FNV-1a of the 24 randomized schedules' steps.
+    #[cfg_attr(not(feature = "proptest-tests"), allow(dead_code))]
+    random: u64,
 }
+
+/// One entry per policy, in [`SchedulerKind::ALL`] order.
+const GOLDENS: [Golden; 8] = [
+    Golden {
+        kind: SchedulerKind::Wf2qPlus,
+        lockstep: [(0x733b_a932_f340_30bb, 552), (0xcd48_980e_4b89_13d3, 383)],
+        fig3_trace: (0x0509_9114_7aff_e3d3, 5999),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.16501902222220155, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.547381298593055, delay_max: 0.03361315555555722, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08334470906476998, delay_max: 0.004506191481091659, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.2730624944565414, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.05288480429119093, delay_max: 0.02430378313565651, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0x1fad_d134_9b65_e086, 5626),
+        resume: (0x2a54_1648_12a5_196a, 278),
+        random: 0xcb00_38f4_6b34_e3c0,
+    },
+    Golden {
+        kind: SchedulerKind::Wfq,
+        lockstep: [(0xf894_4a20_cdaa_c487, 552), (0xf58a_50df_c6ed_7350, 383)],
+        fig3_trace: (0x9151_8cdc_762f_cce9, 5999),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.15628088888886815, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.5430122319263883, delay_max: 0.0361617777777794, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08480106462032555, delay_max: 0.004506191481091659, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.27451885001209697, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0xdf17_9046_c1da_25d8, 5626),
+        resume: (0xbd2b_33c8_06e8_9555, 278),
+        random: 0xe297_00be_2595_6147,
+    },
+    Golden {
+        kind: SchedulerKind::Wf2q,
+        lockstep: [(0x867a_7039_ab84_aa06, 552), (0xbf9a_5d0b_5ef3_1bcb, 383)],
+        fig3_trace: (0x605e_e74e_d5a1_2d38, 5999),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.16210631111109042, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.5488376541486105, delay_max: 0.034705422222223836, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08334470906476998, delay_max: 0.004506191481091659, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.2730624944565414, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0543411598467465, delay_max: 0.025760138691212076, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0x3f21_c669_5811_7886, 5626),
+        resume: (0x11ed_01b5_84e6_c2f9, 278),
+        random: 0x1489_ac7c_06f6_de3b,
+    },
+    Golden {
+        kind: SchedulerKind::Scfq,
+        lockstep: [(0x310d_f5de_c4b3_207e, 552), (0xafdb_675f_afec_2a2c, 383)],
+        fig3_trace: (0x7750_29fe_3de1_31c1, 5999),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.15628088888886815, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.5430122319263883, delay_max: 0.0361617777777794, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08480106462032555, delay_max: 0.004506191481091659, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.27451885001209697, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0xdf17_9046_c1da_25d8, 5626),
+        resume: (0x55e0_5dd1_a8ee_0b69, 278),
+        random: 0x92bd_649c_2ccd_05dc,
+    },
+    Golden {
+        kind: SchedulerKind::Sfq,
+        lockstep: [(0x22ec_10fd_e136_3d87, 552), (0x1adc_8e49_94e0_a342, 383)],
+        fig3_trace: (0x4e70_d563_5093_b1a3, 5993),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.16647537777775712, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.547381298593055, delay_max: 0.03361315555555722, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08334470906476998, delay_max: 0.004506191481091659, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.27160613890098584, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.05288480429119093, delay_max: 0.02430378313565651, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0x0e94_e445_96c2_0d3e, 5626),
+        resume: (0xd357_e99f_c101_1832, 278),
+        random: 0xc933_e545_1e0b_78a8,
+    },
+    Golden {
+        kind: SchedulerKind::Drr,
+        lockstep: [(0x9f11_5cd8_f2e5_906b, 552), (0xb9ec_3a2e_73cb_6d81, 383)],
+        fig3_trace: (0x225b_92ca_1e8d_2d96, 5997),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.15628088888886815, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.5430122319263883, delay_max: 0.0361617777777794, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08771377573143668, delay_max: 0.0053689295432807205, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.27160613890098584, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0xdf17_9046_c1da_25d8, 5626),
+        resume: (0x3eb8_cf07_35c8_2643, 278),
+        random: 0x0df5_939e_3dba_2726,
+    },
+    Golden {
+        kind: SchedulerKind::Fifo,
+        lockstep: [(0x58a5_5ff1_2578_4382, 552), (0x16b6_e092_d7ea_0e15, 383)],
+        fig3_trace: (0x6b60_29d6_63c2_52e8, 5993),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.17230079999997938, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.547381298593055, delay_max: 0.03324906666666827, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08188835350921442, delay_max: 0.004506191481091659, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.2657807166787636, delay_max: 0.010039822222222439, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0543411598467465, delay_max: 0.02430378313565651, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0xdf51_9ff2_807e_949f, 5626),
+        resume: (0x5826_a7bd_90af_3120, 278),
+        random: 0x8170_567a_42d5_c80c,
+    },
+    Golden {
+        kind: SchedulerKind::Rr,
+        lockstep: [(0xbd9e_511e_e99c_da8c, 552), (0x4fb0_03af_aac8_3db4, 383)],
+        fig3_trace: (0x514d_6f32_8796_740c, 5997),
+        fig3_stats: [
+            "total 3686400 450 1.5998254222222223",
+            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.15628088888886815, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
+            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.5430122319263883, delay_max: 0.0361617777777794, last_departure: 1.5969127111111112 }",
+            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08771377573143668, delay_max: 0.0053689295432807205, last_departure: 1.5732294864565277 }",
+            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.27160613890098584, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
+            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
+        ],
+        fig3_records: (0xdf17_9046_c1da_25d8, 5626),
+        resume: (0x3eb8_cf07_35c8_2643, 278),
+        random: 0xa77f_4701_8bd7_893b,
+    },
+];
 
 /// Evaluates `$body` once per policy, with `$kind` bound to its
 /// [`SchedulerKind`] and `$program` to its rank program's type.
@@ -135,10 +276,80 @@ fn oracle<P: RankProgram>(rate: f64, program: P) -> PifoTree<P, SortByRankPifo> 
 const LINK: f64 = 45e6;
 const PKT: u32 = 8192;
 
+/// 64-bit FNV-1a of `bytes`, continuing from `h` (start from
+/// [`FNV_BASIS`]).
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a of `words` in little-endian byte order, continuing from `h`.
+fn fnv1a_words(h: u64, words: &[u64]) -> u64 {
+    words.iter().fold(h, |h, w| fnv1a(h, &w.to_le_bytes()))
+}
+
+/// The golden recorded for `kind`.
+fn golden(kind: SchedulerKind) -> &'static Golden {
+    GOLDENS.iter().find(|g| g.kind == kind).unwrap()
+}
+
 // ---------------------------------------------------------------------------
-// Scheduler-level lockstep: every dispatch decision, tag, and virtual-time
-// bit agrees between the PIFO-backed scheduler and the hand-rolled one.
+// Scheduler-level steps: every dispatch decision, tag, and virtual-time bit.
 // ---------------------------------------------------------------------------
+
+/// What one step of a schedule observes: the selection (`u64::MAX` for
+/// none), the selected head's start and finish tag bits, then the
+/// virtual-time bits and backlogged count after the selection and again
+/// after the requeue (zeros when nothing was selected).
+type Step = [u64; 7];
+
+/// The observations of one selection on `s`; the requeue half is filled in
+/// by [`requeued`].
+fn selected(s: &impl NodeScheduler, id: Option<SessionId>) -> Step {
+    let Some(id) = id else {
+        return [u64::MAX, 0, 0, 0, 0, 0, 0];
+    };
+    let (start, finish) = s.tags(id);
+    let vt = s.virtual_time().to_bits();
+    [
+        id.0 as u64,
+        start.to_bits(),
+        finish.to_bits(),
+        vt,
+        s.backlogged() as u64,
+        0,
+        0,
+    ]
+}
+
+/// `step` with the observations after the requeue.
+fn requeued(s: &impl NodeScheduler, mut step: Step) -> Step {
+    step[5] = s.virtual_time().to_bits();
+    step[6] = s.backlogged() as u64;
+    step
+}
+
+/// `(FNV-1a, dispatches)` of a schedule's steps — what [`Golden`] holds.
+fn digest(steps: &[Step]) -> (u64, u64) {
+    let h = steps.iter().fold(FNV_BASIS, |h, s| fnv1a_words(h, s));
+    let dispatches = steps.iter().filter(|s| s[0] != u64::MAX).count();
+    (h, dispatches as u64)
+}
+
+/// Asserts two schedules' steps agree, naming the first that does not.
+fn assert_same_steps(kind: SchedulerKind, label: &str, a: &[Step], b: &[Step]) {
+    if let Some(at) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+        panic!(
+            "{} {label} step {at}: {:?} vs {:?}",
+            kind.name(),
+            a.get(at),
+            b.get(at)
+        );
+    }
+}
 
 /// Deterministic packet-length pattern (primes keep lengths from aliasing
 /// into round numbers).
@@ -146,96 +357,49 @@ fn len_pattern(i: u64) -> f64 {
     [1000.0, 3000.0, 500.0, 7000.0, 1500.0, 11000.0][(i % 6) as usize]
 }
 
-/// Asserts `pifo` and `legacy` agree bit-for-bit on one observable step.
-fn assert_lockstep(
-    kind: SchedulerKind,
-    step: u64,
-    pifo: &impl NodeScheduler,
-    legacy: &impl NodeScheduler,
-) {
-    assert_eq!(
-        pifo.backlogged(),
-        legacy.backlogged(),
-        "{} step {step}: backlogged count diverged",
-        kind.name()
-    );
-    assert_eq!(
-        pifo.virtual_time().to_bits(),
-        legacy.virtual_time().to_bits(),
-        "{} step {step}: virtual time diverged ({} vs {})",
-        kind.name(),
-        pifo.virtual_time(),
-        legacy.virtual_time()
-    );
-}
-
-/// Drives any two schedulers of the same kind through the same
-/// deterministic dispatch / requeue / churn / drain schedule, asserting
-/// bit-identical selections, tags, and virtual times at every step. The
-/// schedule periodically drains both schedulers completely so the
-/// busy-period reset path is exercised too. Used both for PIFO-vs-reference
-/// and for dual-heap-vs-reference-PIFO equivalence.
-fn drive_lockstep_pair(
-    kind: SchedulerKind,
-    mut pifo: impl NodeScheduler,
-    mut legacy: impl NodeScheduler,
-    n: usize,
-    steps: u64,
-    seed: u64,
-) {
+/// Drives `s` through a deterministic dispatch / requeue / churn / drain
+/// schedule over `n` sessions and returns every step's observations. The
+/// schedule periodically drains the scheduler completely so the busy-period
+/// reset path is exercised too.
+fn drive_lockstep(mut s: impl NodeScheduler, n: usize, steps: u64, seed: u64) -> Vec<Step> {
     for _ in 0..n {
-        pifo.add_session(1.0 / n as f64);
-        legacy.add_session(1.0 / n as f64);
+        s.add_session(1.0 / n as f64);
     }
     let mut queued: Vec<u64> = (0..n as u64).map(|i| 2 + (i + seed) % 4).collect();
     for (i, &q) in queued.iter().enumerate() {
         if q > 0 {
-            let bits = len_pattern(i as u64 + seed);
-            pifo.backlog(SessionId(i), bits, None);
-            legacy.backlog(SessionId(i), bits, None);
+            s.backlog(SessionId(i), len_pattern(i as u64 + seed), None);
         }
     }
+    let mut log = Vec::new();
     for step in 0..steps {
-        let a = pifo.select_next();
-        let b = legacy.select_next();
-        assert_eq!(a, b, "{} step {step}: selection diverged", kind.name());
-        let Some(id) = a else {
-            // Both drained: busy period over; restart deterministically.
+        let picked = s.select_next();
+        let obs = selected(&s, picked);
+        let Some(id) = picked else {
+            // Drained: busy period over; restart deterministically.
             for (i, q) in queued.iter_mut().enumerate() {
                 *q = 1 + (i as u64 + step) % 3;
-                let bits = len_pattern(step + i as u64);
-                pifo.backlog(SessionId(i), bits, None);
-                legacy.backlog(SessionId(i), bits, None);
+                s.backlog(SessionId(i), len_pattern(step + i as u64), None);
             }
+            log.push(obs);
             continue;
         };
-        let (ps, pf) = pifo.tags(id);
-        let (ls, lf) = legacy.tags(id);
-        assert_eq!(
-            (ps.to_bits(), pf.to_bits()),
-            (ls.to_bits(), lf.to_bits()),
-            "{} step {step}: tags diverged ({ps},{pf}) vs ({ls},{lf})",
-            kind.name()
-        );
-        assert_lockstep(kind, step, &pifo, &legacy);
         queued[id.0] -= 1;
         // Occasionally a fresh arrival lands on an idle session mid-run.
         if (step * 7 + seed).is_multiple_of(11) {
             for (i, q) in queued.iter_mut().enumerate() {
                 if *q == 0 && SessionId(i) != id {
                     *q = 2;
-                    let bits = len_pattern(step + 1);
-                    pifo.backlog(SessionId(i), bits, None);
-                    legacy.backlog(SessionId(i), bits, None);
+                    s.backlog(SessionId(i), len_pattern(step + 1), None);
                     break;
                 }
             }
         }
         let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
-        pifo.requeue(id, next);
-        legacy.requeue(id, next);
-        assert_lockstep(kind, step, &pifo, &legacy);
+        s.requeue(id, next);
+        log.push(requeued(&s, obs));
     }
+    log
 }
 
 /// `(sessions, steps, seed)` of the two fixed lockstep schedules.
@@ -243,16 +407,22 @@ const LOCKSTEP_RUNS: [(usize, u64, u64); 2] = [(5, 600, 3), (9, 400, 17)];
 
 #[test]
 fn every_policy_matches_legacy_in_lockstep() {
-    for_each_reference!(|kind, Reference| {
-        for (n, steps, seed) in LOCKSTEP_RUNS {
-            drive_lockstep_pair(kind, kind.build(1e6), Reference::new(1e6), n, steps, seed);
+    for kind in SchedulerKind::ALL {
+        for (run, (n, steps, seed)) in LOCKSTEP_RUNS.into_iter().enumerate() {
+            let log = drive_lockstep(kind.build(1e6), n, steps, seed);
+            assert_eq!(
+                digest(&log),
+                golden(kind).lockstep[run],
+                "{} lockstep run {run}: steps diverged from the golden",
+                kind.name()
+            );
         }
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Network-level golden traces: the reduced Fig. 3 workload (outage, finite
-// buffer, flow churn) replays byte-for-byte under both backends.
+// Network-level traces: the reduced Fig. 3 workload (outage, finite buffer,
+// flow churn).
 // ---------------------------------------------------------------------------
 
 /// A reduced Fig. 3 hierarchy, generic over the node factory so the same
@@ -335,7 +505,7 @@ fn run_fig3ish<S: NodeScheduler + 'static>(
         None,
     );
     // A 30 ms outage and mid-run flow churn exercise the epoch/credit and
-    // detach machinery on both backends.
+    // detach machinery.
     sim.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
     sim.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
     sim.schedule_command(1.2, SimCommand::RemoveFlow(16));
@@ -354,84 +524,99 @@ fn run_fig3ish<S: NodeScheduler + 'static>(
 
 #[test]
 fn fig3_trace_is_byte_identical_for_every_policy() {
-    for_each_reference!(|kind, Reference| {
-        let (trace_p, stats_p) = run_fig3ish(move |r| kind.build(r), 1.6);
-        let (trace_l, stats_l) = run_fig3ish(Reference::new, 1.6);
-        assert!(
-            trace_p.lines().count() > 500,
-            "{}: trace too small to be meaningful",
+    for kind in SchedulerKind::ALL {
+        let (trace, mut stats) = run_fig3ish(move |r| kind.build(r), 1.6);
+        let records = stats.pop().unwrap();
+        let g = golden(kind);
+        assert_eq!(
+            stats,
+            g.fig3_stats,
+            "{}: statistics diverged from the golden",
             kind.name()
         );
         assert_eq!(
-            stats_p,
-            stats_l,
-            "{}: statistics diverged from legacy",
+            (fnv1a(FNV_BASIS, records.as_bytes()), records.len()),
+            g.fig3_records,
+            "{}: flow 1's records diverged from the golden",
             kind.name()
         );
         assert_eq!(
-            trace_p,
-            trace_l,
-            "{}: PIFO trace diverged from legacy",
+            (fnv1a(FNV_BASIS, trace.as_bytes()), trace.lines().count()),
+            g.fig3_trace,
+            "{}: trace diverged from the golden",
             kind.name()
         );
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot → restore → resume: a PIFO run interrupted mid-busy-period and
-// restored into a fresh scheduler must continue exactly like the
-// *hand-rolled* original run straight through.
+// Snapshot → restore → resume: a run interrupted mid-busy-period and
+// restored into a fresh scheduler must continue exactly like the straight
+// run.
 // ---------------------------------------------------------------------------
+
+/// Sessions of the resume schedule.
+const RESUME_SESSIONS: usize = 6;
+
+/// Registers the resume schedule's sessions on `s` and offers their first
+/// heads; returns the packets each session has queued.
+fn resume_start(s: &mut impl NodeScheduler) -> Vec<u64> {
+    for _ in 0..RESUME_SESSIONS {
+        s.add_session(1.0 / RESUME_SESSIONS as f64);
+    }
+    let queued: Vec<u64> = (0..RESUME_SESSIONS as u64).map(|i| 3 + i % 3).collect();
+    for (i, &q) in queued.iter().enumerate() {
+        if q > 0 {
+            s.backlog(SessionId(i), len_pattern(i as u64), None);
+        }
+    }
+    queued
+}
+
+/// Steps `start..start + steps` of the resume schedule on `s`, logging each
+/// dispatch as `(session, start tag bits, finish tag bits)`.
+fn resume_run(
+    s: &mut impl NodeScheduler,
+    q: &mut [u64],
+    start: u64,
+    steps: u64,
+) -> Vec<(usize, u64, u64)> {
+    let mut log = Vec::new();
+    for step in start..start + steps {
+        let Some(id) = s.select_next() else {
+            for (i, qq) in q.iter_mut().enumerate() {
+                *qq = 1 + (i as u64 + step) % 3;
+                s.backlog(SessionId(i), len_pattern(step + i as u64), None);
+            }
+            continue;
+        };
+        let tags = s.tags(id);
+        log.push((id.0, tags.0.to_bits(), tags.1.to_bits()));
+        q[id.0] -= 1;
+        let next = (q[id.0] > 0).then(|| len_pattern(step + 2));
+        s.requeue(id, next);
+    }
+    log
+}
+
+/// `(FNV-1a, entries)` of a resume log — what [`Golden`] holds.
+fn resume_digest(log: &[(usize, u64, u64)]) -> (u64, usize) {
+    let h = log.iter().fold(FNV_BASIS, |h, &(id, s, f)| {
+        fnv1a_words(h, &[id as u64, s, f])
+    });
+    (h, log.len())
+}
 
 #[test]
 fn pifo_snapshot_resume_matches_legacy_straight_run() {
-    const N: usize = 6;
-    fn run<S: NodeScheduler>(
-        s: &mut S,
-        q: &mut [u64],
-        start: u64,
-        steps: u64,
-    ) -> Vec<(usize, u64, u64)> {
-        let mut log = Vec::new();
-        for step in start..start + steps {
-            let Some(id) = s.select_next() else {
-                for (i, qq) in q.iter_mut().enumerate() {
-                    *qq = 1 + (i as u64 + step) % 3;
-                    s.backlog(SessionId(i), len_pattern(step + i as u64), None);
-                }
-                continue;
-            };
-            let tags = s.tags(id);
-            log.push((id.0, tags.0.to_bits(), tags.1.to_bits()));
-            q[id.0] -= 1;
-            let next = (q[id.0] > 0).then(|| len_pattern(step + 2));
-            s.requeue(id, next);
-        }
-        log
-    }
-    for_each_reference!(|kind, Reference| {
-        let mut legacy = Reference::new(1e6);
+    for kind in SchedulerKind::ALL {
         let mut pifo = kind.build(1e6);
-        for _ in 0..N {
-            legacy.add_session(1.0 / N as f64);
-            pifo.add_session(1.0 / N as f64);
-        }
-        let mut queued: Vec<u64> = (0..N as u64).map(|i| 3 + i % 3).collect();
-        let mut queued_l = queued.clone();
-        for (i, &q) in queued.iter().enumerate() {
-            if q > 0 {
-                legacy.backlog(SessionId(i), len_pattern(i as u64), None);
-                pifo.backlog(SessionId(i), len_pattern(i as u64), None);
-            }
-        }
-        let mut legacy_log = run(&mut legacy, &mut queued_l, 0, 150);
-        legacy_log.extend(run(&mut legacy, &mut queued_l, 150, 150));
-
-        let mut pifo_log = run(&mut pifo, &mut queued, 0, 150);
+        let mut queued = resume_start(&mut pifo);
+        let mut log = resume_run(&mut pifo, &mut queued, 0, 150);
         let snap = pifo.save_state();
         let mut resumed = kind.build(1e6);
-        for _ in 0..N {
-            resumed.add_session(1.0 / N as f64);
+        for _ in 0..RESUME_SESSIONS {
+            resumed.add_session(1.0 / RESUME_SESSIONS as f64);
         }
         resumed.load_state(&snap).unwrap();
         assert_eq!(
@@ -440,14 +625,14 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
             "{}: PIFO save→load→save is not byte-stable",
             kind.name()
         );
-        pifo_log.extend(run(&mut resumed, &mut queued, 150, 150));
+        log.extend(resume_run(&mut resumed, &mut queued, 150, 150));
         assert_eq!(
-            pifo_log,
-            legacy_log,
-            "{}: restored PIFO run diverges from the legacy straight run",
+            resume_digest(&log),
+            golden(kind).resume,
+            "{}: restored run diverges from the golden straight run",
             kind.name()
         );
-    });
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -461,8 +646,9 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
 fn every_backend_matches_dual_heap_in_lockstep() {
     for_each_program!(|kind, Program| {
         for (n, steps, seed) in LOCKSTEP_RUNS {
-            let scan = oracle(1e6, Program::new());
-            drive_lockstep_pair(kind, scan, kind.build(1e6), n, steps, seed);
+            let scan = drive_lockstep(oracle(1e6, Program::new()), n, steps, seed);
+            let heap = drive_lockstep(kind.build(1e6), n, steps, seed);
+            assert_same_steps(kind, "reference PIFO", &scan, &heap);
         }
     });
 }
@@ -568,7 +754,7 @@ fn snapshot_restores_across_backends() {
 }
 
 // ---------------------------------------------------------------------------
-// Randomized churn + outage differential suites (proptest-tests feature).
+// Randomized churn + outage suites (proptest-tests feature).
 // ---------------------------------------------------------------------------
 
 #[cfg(feature = "proptest-tests")]
@@ -576,26 +762,23 @@ mod random_differential {
     use super::*;
     use hpfq::sim::SmallRng;
 
-    /// One random admissible op schedule driven into two schedulers that
-    /// must stay bit-identical: random backlogs on idle sessions, random
-    /// service continuations/drains, random full-drain idle gaps.
-    fn drive_random_schedule(
-        kind: SchedulerKind,
-        label: &str,
-        case: u64,
-        mut pifo: impl NodeScheduler,
-        mut legacy: impl NodeScheduler,
-    ) {
+    /// FNV-1a of the six outage/churn traces, concatenated.
+    const OUTAGE_CHURN_FNV1A: u64 = 0x69d9_b030_76f8_23df;
+
+    /// Drives `s` through random admissible op schedule `case` — random
+    /// backlogs on idle sessions, random service continuations/drains,
+    /// random full-drain idle gaps — and returns every step's
+    /// observations.
+    fn drive_random_schedule(case: u64, mut s: impl NodeScheduler) -> Vec<Step> {
         let mut rng = SmallRng::seed_from_u64(0x91f0_0000 + case);
         let n = rng.gen_range_usize(2, 12);
         for i in 0..n {
-            let phi = 1.0 / n as f64 * if i % 2 == 0 { 1.2 } else { 0.8 };
-            pifo.add_session(phi);
-            legacy.add_session(phi);
+            s.add_session(1.0 / n as f64 * if i % 2 == 0 { 1.2 } else { 0.8 });
         }
         // queued[i] > 0 ⇔ session i is offered to the scheduler.
         let mut queued = vec![0u64; n];
-        for step in 0..rng.gen_range_usize(50, 400) as u64 {
+        let mut log = Vec::new();
+        for _ in 0..rng.gen_range_usize(50, 400) {
             // Random arrivals on idle sessions (more likely when
             // everything is idle, so busy periods restart).
             let idle_all = queued.iter().all(|&q| q == 0);
@@ -608,51 +791,34 @@ mod random_differential {
                 let i = rng.gen_range_usize(0, n);
                 let bits = (rng.gen_range_usize(1, 24) * 500) as f64;
                 if queued[i] == 0 {
-                    pifo.backlog(SessionId(i), bits, None);
-                    legacy.backlog(SessionId(i), bits, None);
+                    s.backlog(SessionId(i), bits, None);
                     queued[i] = rng.gen_range_usize(1, 5) as u64;
                 }
             }
-            let a = pifo.select_next();
-            let b = legacy.select_next();
-            assert_eq!(a, b, "{} {label} case {case} step {step}", kind.name());
-            let Some(id) = a else { continue };
-            let (ps, pf) = pifo.tags(id);
-            let (ls, lf) = legacy.tags(id);
-            assert_eq!(
-                (ps.to_bits(), pf.to_bits()),
-                (ls.to_bits(), lf.to_bits()),
-                "{} {label} case {case} step {step}: tags",
-                kind.name()
-            );
-            assert_eq!(
-                pifo.virtual_time().to_bits(),
-                legacy.virtual_time().to_bits(),
-                "{} {label} case {case} step {step}: virtual time",
-                kind.name()
-            );
+            let picked = s.select_next();
+            let obs = selected(&s, picked);
+            let Some(id) = picked else {
+                log.push(obs);
+                continue;
+            };
             queued[id.0] -= 1;
             let next = (queued[id.0] > 0).then(|| (rng.gen_range_usize(1, 24) * 500) as f64);
-            pifo.requeue(id, next);
-            legacy.requeue(id, next);
+            s.requeue(id, next);
+            log.push(requeued(&s, obs));
         }
+        log
     }
 
-    /// Arbitrary admissible op sequences against the hand-rolled
-    /// reference (policies that have one — rr does not).
+    /// Arbitrary admissible op sequences against each policy's golden.
     #[test]
     fn random_schedules_agree_for_every_policy() {
-        for_each_reference!(|kind, Reference| {
-            for case in 0..24u64 {
-                drive_random_schedule(
-                    kind,
-                    "vs-legacy",
-                    case,
-                    kind.build(1e6),
-                    Reference::new(1e6),
-                );
-            }
-        });
+        for kind in SchedulerKind::ALL {
+            let h = (0..24u64).fold(FNV_BASIS, |h, case| {
+                let log = drive_random_schedule(case, kind.build(1e6));
+                log.iter().fold(h, |h, s| fnv1a_words(h, s))
+            });
+            assert_eq!(h, golden(kind).random, "{}", kind.name());
+        }
     }
 
     /// The same randomized schedules on the reference PIFO against the
@@ -661,13 +827,9 @@ mod random_differential {
     fn random_schedules_agree_across_backends() {
         for_each_program!(|kind, Program| {
             for case in 0..24u64 {
-                drive_random_schedule(
-                    kind,
-                    "reference-pifo",
-                    case,
-                    oracle(1e6, Program::new()),
-                    kind.build(1e6),
-                );
+                let scan = drive_random_schedule(case, oracle(1e6, Program::new()));
+                let heap = drive_random_schedule(case, kind.build(1e6));
+                assert_same_steps(kind, &format!("reference-pifo case {case}"), &scan, &heap);
             }
         });
     }
@@ -706,28 +868,19 @@ mod random_differential {
         buf.contents()
     }
 
-    /// Random outage windows + random churn on the Fig. 3 workload: the
-    /// full network traces must stay byte-identical.
+    /// Random outage windows + random churn on the Fig. 3 workload, one
+    /// random policy per case: the six traces must match the golden.
     #[test]
     fn random_outage_and_churn_traces_agree() {
-        let mut legacy_kinds = Vec::new();
-        for_each_reference!(|kind, Reference| legacy_kinds.push(kind));
-        for case in 0..6u64 {
+        let h = (0..6u64).fold(FNV_BASIS, |h, case| {
             let mut rng = SmallRng::seed_from_u64(0x07a6_e000 + case);
-            let picked = legacy_kinds[rng.gen_range_usize(0, legacy_kinds.len())];
+            let kind = SchedulerKind::ALL[rng.gen_range_usize(0, SchedulerKind::ALL.len())];
             let out_start = rng.gen_range_f64(0.2, 1.0);
             let out_len = rng.gen_range_f64(0.005, 0.08);
             let churn_at = rng.gen_range_f64(0.3, 1.3);
-            for_each_reference!(|kind, Reference| if kind == picked {
-                let trace_p = run_random(move |r| kind.build(r), out_start, out_len, churn_at);
-                let trace_l = run_random(Reference::new, out_start, out_len, churn_at);
-                assert_eq!(
-                    trace_p,
-                    trace_l,
-                    "{} case {case}: random outage/churn trace diverged",
-                    kind.name()
-                );
-            });
-        }
+            let trace = run_random(move |r| kind.build(r), out_start, out_len, churn_at);
+            fnv1a(h, trace.as_bytes())
+        });
+        assert_eq!(h, OUTAGE_CHURN_FNV1A);
     }
 }

@@ -13,8 +13,10 @@
 #![cfg(feature = "proptest-tests")]
 
 use hpfq::analysis::{empirical_bwfi, service_curve_from_records, wf2q_plus_bwfi};
-use hpfq::core::eligible::{dual_heap::DualHeapEligibleSet, BruteForceEligibleSet, EligibleSet};
-use hpfq::core::{Hierarchy, MixedScheduler, NodeId, NodeScheduler, SchedulerKind, SessionId};
+use hpfq::core::{
+    DualHeapEligibleSet, Hierarchy, MixedScheduler, NodeId, NodeScheduler, PifoBackend,
+    SchedulerKind, SessionId,
+};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};
 use hpfq::obs::{InvariantObserver, NoopObserver};
 use hpfq::sim::{
@@ -23,9 +25,37 @@ use hpfq::sim::{
 };
 
 // ---------------------------------------------------------------------------
-// Eligible set: the dual heap behaves exactly like the O(N) reference under
-// arbitrary operation sequences.
+// Eligible set: the dual heap behaves exactly like an O(N) brute-force set
+// under arbitrary operation sequences.
 // ---------------------------------------------------------------------------
+
+/// The SEFF eligible set written down as a `Vec` and linear scans, sharing
+/// no code with the dual heap: the threshold is `max(v, Smin)`, and a pop
+/// takes the least `(finish, id)` among the members with `start <= thr`.
+#[derive(Debug, Default)]
+struct BruteForceSet {
+    /// `(id, start, finish)`.
+    members: Vec<(usize, f64, f64)>,
+}
+
+impl BruteForceSet {
+    fn insert(&mut self, id: usize, start: f64, finish: f64) {
+        assert!(!self.members.iter().any(|m| m.0 == id), "{id} twice");
+        self.members.push((id, start, finish));
+    }
+
+    fn threshold(&self, v: f64) -> Option<f64> {
+        let smin = self.members.iter().map(|m| m.1).reduce(f64::min)?;
+        Some(v.max(smin))
+    }
+
+    fn pop(&mut self, thr: f64) -> Option<SessionId> {
+        let key = |m: &(usize, f64, f64)| (m.2, m.0);
+        let eligible = self.members.iter().enumerate().filter(|(_, m)| m.1 <= thr);
+        let (at, _) = eligible.min_by(|a, b| key(a.1).partial_cmp(&key(b.1)).unwrap())?;
+        Some(SessionId(self.members.swap_remove(at).0))
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 enum SetOp {
@@ -35,37 +65,35 @@ enum SetOp {
     Pop(f64),
     /// Query the eligibility threshold.
     Threshold,
-    /// Remove a (possibly absent) session.
-    Remove(usize),
     /// Reset the whole set (busy-period end / link reconfiguration).
     Clear,
 }
 
 fn random_set_op(rng: &mut SmallRng) -> SetOp {
-    match rng.gen_range_u32(0, 4) {
+    match rng.gen_range_u32(0, 3) {
         0 => SetOp::Insert(
             rng.gen_range_usize(0, 32),
             rng.gen_range_f64(0.0, 10.0),
             rng.gen_range_f64(0.001, 10.0),
         ),
         1 => SetOp::Pop(rng.gen_range_f64(0.0, 3.0)),
-        2 => SetOp::Threshold,
-        _ => SetOp::Remove(rng.gen_range_usize(0, 32)),
+        _ => SetOp::Threshold,
     }
 }
 
-/// Drives the dual heap and the O(N) reference through `nops` operations
-/// drawn from `op` over session ids `0..ids`, comparing every answer;
-/// returns both sets and the last threshold.
+/// Drives the dual heap — through the [`PifoBackend`] calls the PIFO
+/// driver makes for a SEFF policy — and the brute-force set through `nops`
+/// operations drawn from `op` over session ids `0..ids`, comparing every
+/// answer; returns both sets and the last threshold.
 fn drive_sets(
     case: u64,
     rng: &mut SmallRng,
     nops: usize,
     ids: usize,
     op: impl Fn(&mut SmallRng) -> SetOp,
-) -> (DualHeapEligibleSet, BruteForceEligibleSet, f64) {
+) -> (DualHeapEligibleSet, BruteForceSet, f64) {
     let mut dual = DualHeapEligibleSet::new();
-    let mut oracle = BruteForceEligibleSet::default();
+    let mut oracle = BruteForceSet::default();
     let mut present = vec![false; ids];
     let mut thr = 0.0_f64;
     for _ in 0..nops {
@@ -74,39 +102,34 @@ fn drive_sets(
                 if !present[id] {
                     let start = thr + s;
                     let finish = start + d;
-                    dual.insert(SessionId(id), start, finish);
-                    oracle.insert(SessionId(id), start, finish);
+                    dual.insert_ranked(SessionId(id), Some(start), finish, 0.0);
+                    oracle.insert(id, start, finish);
                     present[id] = true;
                 }
             }
             SetOp::Pop(adv) => {
                 thr += adv;
-                let a = dual.pop_min_finish(thr);
-                let c = oracle.pop_min_finish(thr);
+                let a = dual.pop_eligible(thr);
+                let c = oracle.pop(thr);
                 assert_eq!(a, c, "case {case}");
                 if let Some(id) = c {
                     present[id.0] = false;
                 }
             }
             SetOp::Threshold => {
-                let a = dual.eligibility_threshold(thr);
-                let c = oracle.eligibility_threshold(thr);
+                let a = dual.clamp_threshold(thr);
+                let c = oracle.threshold(thr);
                 assert_eq!(a, c, "case {case}");
             }
-            SetOp::Remove(id) => {
-                dual.remove(SessionId(id));
-                oracle.remove(SessionId(id));
-                present[id] = false;
-            }
             SetOp::Clear => {
-                dual.clear();
-                oracle.clear();
+                dual.reset();
+                oracle.members.clear();
                 present.fill(false);
                 // Virtual time restarts with the new busy period.
                 thr = 0.0;
             }
         }
-        assert_eq!(dual.len(), oracle.len(), "case {case}");
+        assert_eq!(dual.members(), oracle.members.len(), "case {case}");
     }
     (dual, oracle, thr)
 }
@@ -128,7 +151,7 @@ fn eligible_sets_agree() {
 /// change.
 fn random_tie_op(rng: &mut SmallRng, ids: usize) -> SetOp {
     const Q: f64 = 0.25;
-    match rng.gen_range_u32(0, 16) {
+    match rng.gen_range_u32(0, 14) {
         0..=6 => SetOp::Insert(
             rng.gen_range_usize(0, ids),
             Q * rng.gen_range_usize(0, 8) as f64,
@@ -136,14 +159,13 @@ fn random_tie_op(rng: &mut SmallRng, ids: usize) -> SetOp {
         ),
         7..=10 => SetOp::Pop(Q * rng.gen_range_usize(0, 3) as f64),
         11..=12 => SetOp::Threshold,
-        13..=14 => SetOp::Remove(rng.gen_range_usize(0, ids)),
         _ => SetOp::Clear,
     }
 }
 
-/// The dual heap and the reference stay in lockstep under a
+/// The dual heap and the brute-force set stay in lockstep under a
 /// tie-saturated churn workload over a larger id space, including full
-/// `clear()` resets mid-sequence.
+/// resets mid-sequence.
 #[test]
 fn eligible_sets_agree_under_ties_and_clears() {
     const IDS: usize = 96;
@@ -156,10 +178,10 @@ fn eligible_sets_agree_under_ties_and_clears() {
         // prefix the random walk happened to sample.
         loop {
             thr += 1.0;
-            let a = dual.pop_min_finish(thr);
-            let c = oracle.pop_min_finish(thr);
+            let a = dual.pop_eligible(thr);
+            let c = oracle.pop(thr);
             assert_eq!(a, c, "case {case} drain");
-            if c.is_none() && oracle.is_empty() {
+            if c.is_none() && oracle.members.is_empty() {
                 break;
             }
         }
