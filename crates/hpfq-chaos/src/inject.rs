@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use hpfq_core::Packet;
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 use hpfq_sim::{FaultInjector, PacketVerdict, SmallRng};
 
 use crate::config::ChaosConfig;
@@ -79,20 +79,25 @@ impl ChaosInjector {
         ])
     }
 
+    /// Refuses a state no injector of this seed saved.
+    fn check_origin(&self, state: &Value) -> Result<(), SnapError> {
+        let (kind, seed) = (state.get("kind")?.as_str()?, state.get("seed")?.as_u64()?);
+        if (kind, seed) != ("chaos", self.cfg.seed) {
+            return Err(refuse(format!(
+                "a '{kind}' state for seed {seed} does not fit a chaos injector seeded {}",
+                self.cfg.seed
+            )));
+        }
+        Ok(())
+    }
+
     fn flow_from_value(v: &Value) -> Result<(u32, FlowChaos), SnapError> {
         let rng = |v: &Value| -> Result<SmallRng, SnapError> {
-            let items = v.items()?;
-            if items.len() != 4 {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("rng state has {} words, expected 4", items.len()),
-                });
-            }
-            let mut s = [0u64; 4];
-            for (i, w) in items.iter().enumerate() {
-                s[i] = w.as_u64()?;
-            }
-            Ok(SmallRng::from_state(s))
+            let [a, b, c, d] = v.items()? else {
+                return Err(refuse("an rng state is not four words"));
+            };
+            let words = [a.as_u64()?, b.as_u64()?, c.as_u64()?, d.as_u64()?];
+            Ok(SmallRng::from_state(words))
         };
         Ok((
             v.get("flow")?.as_u32()?,
@@ -189,35 +194,19 @@ impl FaultInjector for ChaosInjector {
         ]))
     }
 
+    /// Parses everything first: a refused state leaves the injector as it
+    /// was.
     fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        match state.get("kind")?.as_str()? {
-            "chaos" => {}
-            other => {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("expected chaos injector state, found '{other}'"),
-                })
-            }
-        }
-        let seed = state.get("seed")?.as_u64()?;
-        if seed != self.cfg.seed {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "chaos state for seed {seed} loaded into injector seeded {}",
-                    self.cfg.seed
-                ),
-            });
-        }
-        let mut flows = BTreeMap::new();
-        for v in state.get("flows")?.items()? {
-            let (flow, st) = Self::flow_from_value(v)?;
-            flows.insert(flow, st);
-        }
+        self.check_origin(state)?;
+        let flows = state.get("flows")?.items()?;
+        let flows = flows
+            .iter()
+            .map(Self::flow_from_value)
+            .collect::<Result<_, _>>()?;
+        let [dropped, corrupted, jittered] =
+            ["dropped", "corrupted", "jittered"].map(|key| state.get(key)?.as_counter());
+        (self.dropped, self.corrupted, self.jittered) = (dropped?, corrupted?, jittered?);
         self.flows = flows;
-        self.dropped = state.get("dropped")?.as_u64()?;
-        self.corrupted = state.get("corrupted")?.as_u64()?;
-        self.jittered = state.get("jittered")?.as_u64()?;
         Ok(())
     }
 
@@ -239,25 +228,7 @@ impl FaultInjector for ChaosInjector {
     }
 
     fn absorb_shard(&mut self, state: &Value) -> Result<(), SnapError> {
-        match state.get("kind")?.as_str()? {
-            "chaos" => {}
-            other => {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("expected chaos shard state, found '{other}'"),
-                })
-            }
-        }
-        let seed = state.get("seed")?.as_u64()?;
-        if seed != self.cfg.seed {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "chaos shard state for seed {seed} absorbed into injector seeded {}",
-                    self.cfg.seed
-                ),
-            });
-        }
+        self.check_origin(state)?;
         for v in state.get("flows")?.items()? {
             let (flow, st) = Self::flow_from_value(v)?;
             self.flows.insert(flow, st);

@@ -41,8 +41,9 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
+use crate::scheduler::is_share;
 use crate::vtime;
 
 /// A fluid-departure heap entry (min-heap by finish tag).
@@ -104,7 +105,7 @@ impl GpsClock {
 
     /// Registers a session with share `phi`; returns its index.
     pub fn add_session(&mut self, phi: f64) -> usize {
-        assert!(phi.is_finite() && phi > 0.0, "invalid share {phi}");
+        assert!(is_share(phi), "invalid share {phi}");
         self.sessions.push(GpsSession {
             phi,
             last_finish: 0.0,
@@ -266,31 +267,51 @@ impl GpsClock {
         ])
     }
 
-    /// Restores a clock saved by [`GpsClock::save_state`].
-    pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let mut sessions = Vec::new();
+    /// Restores a clock saved by [`GpsClock::save_state`] for sessions of
+    /// `shares`, which are what it registered. Refuses a clock of any other
+    /// sessions, one that is not finite, and a slope sum that could reach
+    /// zero while a session is active; a refusal leaves the clock as it
+    /// was.
+    pub fn load_state(&mut self, state: &Value, shares: &[f64]) -> Result<(), SnapError> {
+        let mut loaded = GpsClock {
+            v: state.get_finite("v")?,
+            t: state.get_finite("t")?,
+            active_phi: state.get_finite("active_phi")?,
+            worst_sweep: state.get("worst_sweep")?.as_usize()?,
+            ..GpsClock::default()
+        };
+        let mut sum = 0.0;
         for sv in state.get("sessions")?.items()? {
-            sessions.push(GpsSession {
+            let s = GpsSession {
                 phi: sv.get("phi")?.as_f64()?,
-                last_finish: sv.get("last_finish")?.as_f64()?,
+                last_finish: sv.get_finite("last_finish")?,
                 active: sv.get("active")?.as_bool()?,
-            });
-        }
-        self.v = state.get("v")?.as_f64()?;
-        self.t = state.get("t")?.as_f64()?;
-        self.active_phi = state.get("active_phi")?.as_f64()?;
-        self.worst_sweep = state.get("worst_sweep")?.as_usize()?;
-        self.active_count = sessions.iter().filter(|s| s.active).count();
-        self.departures.clear();
-        for (session, s) in sessions.iter().enumerate() {
-            if s.active {
-                self.departures.push(Departure {
-                    finish: s.last_finish,
-                    session,
-                });
+            };
+            let session = loaded.sessions.len();
+            if shares.get(session).map(|phi| phi.to_bits()) != Some(s.phi.to_bits()) {
+                return Err(refuse(format!("GPS session {session} has share {}", s.phi)));
             }
+            if s.active {
+                (loaded.active_count, sum) = (loaded.active_count + 1, sum + s.phi);
+                let finish = s.last_finish;
+                loaded.departures.push(Departure { finish, session });
+            }
+            loaded.sessions.push(s);
         }
-        self.sessions = sessions;
+        // Accumulated, so only close to the sum. `advance_to` divides by it
+        // while any session is active, so it must stay positive as sessions
+        // join and leave: its offset from the sum stays above minus the
+        // smallest share.
+        let phi_sum = loaded.active_phi;
+        let smallest = shares.iter().copied().fold(f64::INFINITY, f64::min);
+        if loaded.sessions.len() != shares.len() || phi_sum - sum <= -smallest {
+            return Err(refuse(format!(
+                "GPS clock of {} sessions for {}, slope sum {phi_sum} for active shares {sum}",
+                loaded.sessions.len(),
+                shares.len()
+            )));
+        }
+        *self = loaded;
         Ok(())
     }
 
@@ -378,5 +399,41 @@ mod tests {
         assert_eq!(c.active_sessions(), 0);
         c.on_stamp(a, 1.0);
         assert!((c.advance_to(0.5) - 0.5).abs() < 1e-12);
+    }
+
+    /// A saved slope sum may drift from the active shares' sum by far more
+    /// than rounding, but not so far below it that it could reach zero
+    /// while a session is still active.
+    #[test]
+    fn slope_sum_is_refused_only_where_it_could_reach_zero() {
+        let shares = [0.5, 0.3, 0.2];
+        let mut c = GpsClock::new();
+        for phi in shares {
+            c.add_session(phi);
+        }
+        c.on_stamp(0, 1.0);
+        c.on_stamp(1, 2.0);
+        let with_slope_sum = |x: f64| {
+            let Value::Map(mut pairs) = c.save_state() else {
+                unreachable!("a clock saves a map")
+            };
+            pairs.iter_mut().find(|(k, _)| k == "active_phi").unwrap().1 = Value::F64(x);
+            Value::Map(pairs)
+        };
+        for (x, ok) in [
+            (0.8 + 1e-7, true),
+            (0.61, true),
+            (0.6, false),
+            (-0.1, false),
+        ] {
+            let mut fresh = GpsClock::new();
+            let loaded = fresh.load_state(&with_slope_sum(x), &shares);
+            assert_eq!(loaded.is_ok(), ok, "slope sum {x}");
+            if ok {
+                // Both sessions depart in GPS with the slope sum positive.
+                fresh.advance_to(10.0);
+                assert_eq!(fresh.active_sessions(), 0);
+            }
+        }
     }
 }

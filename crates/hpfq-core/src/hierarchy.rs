@@ -71,7 +71,7 @@ use hpfq_obs::{
     TxEvent,
 };
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::error::HpfqError;
 use crate::packet::Packet;
@@ -451,7 +451,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// WFQ/WF²Q measures elapsed *real* time against work-based tags and its
     /// virtual time loses monotonicity.
     pub fn set_link_rate_factor(&mut self, now: f64, factor: f64) -> Result<(), HpfqError> {
-        if !(factor.is_finite() && factor >= 0.0) {
+        if !is_rate_factor(factor) {
             return Err(HpfqError::InvalidRate(factor * self.link_rate()));
         }
         self.warp_base = self.warped(now);
@@ -1277,13 +1277,12 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             None => Value::Null,
         };
         let share = self.shares[id];
-        let (active_child, fifo, fifo_bytes, detached, draining, sched) = match r.place() {
+        let (active_child, fifo, detached, draining, sched) = match r.place() {
             Place::Leaf(l) => {
                 let lf = &self.leaves[l];
                 (
                     Value::Null,
                     self.slab.iter(&lf.fifo).map(Packet::save).collect(),
-                    lf.fifo_bytes,
                     lf.detached,
                     lf.draining,
                     Value::Null,
@@ -1298,7 +1297,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 (
                     active_child,
                     Vec::new(),
-                    0,
                     nd.detached,
                     false,
                     nd.sched.save_state(),
@@ -1313,7 +1311,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             ("head", head),
             ("active_child", active_child),
             ("fifo", Value::List(fifo)),
-            ("fifo_bytes", Value::U64(fifo_bytes)),
             ("is_leaf", Value::Bool(r.is_leaf())),
             ("detached", Value::Bool(detached)),
             ("draining", Value::Bool(draining)),
@@ -1321,404 +1318,270 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         ])
     }
 
-    /// Restores state captured by [`Hierarchy::save_state`] onto a
-    /// hierarchy *built with the same topology* (same builder calls, same
-    /// scheduler configurations). Snapshot nodes beyond the rebuilt tree —
-    /// leaves attached by mid-run churn — are re-created; a churn-added
-    /// *internal* node cannot be (its scheduler factory is gone by then)
-    /// and is reported as an error. Conversely, trailing *leaves* the live
-    /// tree has beyond the snapshot — churn that happened after the
-    /// checkpoint — are discarded (the rollback path of a checkpoint
-    /// restore); trailing internal nodes still mismatch. Share validation
-    /// is bypassed: the snapshot's accounting is restored verbatim.
-    ///
-    /// The snapshot is untrusted input. Everything the tree structure
-    /// depends on — topology, queues, that every `head` and `active_child`
-    /// names what the driving protocol will find there, and that every
-    /// scheduler serves one session per child and has exactly the children
-    /// that offer a head backlogged — is checked before the tree is
-    /// modified, and a scheduler state that is refused puts every scheduler
-    /// back as it was: a refused snapshot leaves the hierarchy as it was.
-    pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let nodes_v = state.get("nodes")?.items()?;
-        let saved = nodes_v
-            .iter()
-            .map(SavedNode::load)
-            .collect::<Result<Vec<_>, _>>()?;
-        let transmitting = state.get("transmitting")?.as_bool()?;
-        let busy_start = state.get("busy_start")?.as_f64()?;
-        let warp_base = state.get("warp_base")?.as_f64()?;
-        let warp_time = state.get("warp_time")?.as_f64()?;
-        let warp_factor = state.get("warp_factor")?.as_f64()?;
-        let last_time = state.get("last_time")?.as_f64()?;
-        let link = state.get("link")?.as_usize()?;
-        let new_leaves = self.check_topology(&saved)?;
-        check_heads(&saved, transmitting)?;
-        self.load_schedulers(&saved, nodes_v)?;
+    /// Puts a state [`Hierarchy::parse_state`] accepted in place of this
+    /// tree's. Nothing here can fail: the parse checked everything that
+    /// could.
+    pub fn install_state(&mut self, state: HierarchyState<S>) {
+        let s = state.0;
+        (self.leaves, self.slab, self.inners, self.refs) = (s.leaves, s.slab, s.inners, s.refs);
+        (self.shares, self.leaf_ids, self.wants_hints) = (s.shares, s.leaf_ids, s.wants_hints);
+        (self.transmitting, self.busy_start, self.link) = (s.transmitting, s.busy_start, s.link);
+        (self.warp_base, self.warp_time) = (s.warp_base, s.warp_time);
+        (self.warp_factor, self.last_time) = (s.warp_factor, s.last_time);
+        self.path_scratch.clear();
+    }
 
-        // Nodes are only ever appended at runtime (removal merely
-        // detaches), so live nodes beyond the snapshot are a suffix — all
-        // leaves, `check_topology` made sure — and so are their records.
-        if saved.len() < self.refs.len() {
-            let kept = self.refs[..saved.len()]
-                .iter()
-                .filter(|r| r.is_leaf())
-                .count();
-            self.leaves.truncate(kept);
-            self.leaf_ids.truncate(kept);
-            self.refs.truncate(saved.len());
-            self.shares.truncate(saved.len());
-        }
-        // Churn-added leaves the snapshot has beyond the rebuilt tree.
-        for (parent, slot) in new_leaves {
-            let id = self.refs.len();
-            self.leaf_ids.push(id as u32);
-            self.leaves.push(Leaf::new(parent, slot));
-            self.refs.push(Ref::leaf(self.leaves.len() - 1));
-            self.shares.push(Share {
-                rate: 0.0,
-                phi: 0.0,
-                child_phi_sum: 0.0,
-            });
-        }
-        // Per-node fields, the queues refilled into an emptied slab, and
-        // the children tables rebuilt from the parent links (node ids and
-        // session slots are both dense in creation order).
-        self.slab.clear();
-        for nd in &mut self.inners {
-            nd.children.clear();
-        }
-        for (id, sn) in saved.into_iter().enumerate() {
-            self.shares[id] = Share {
-                rate: sn.rate,
-                phi: sn.phi,
-                child_phi_sum: sn.child_phi_sum,
-            };
-            let r = self.refs[id];
-            let (p, _) = self.parent_slot(r);
-            if p != NIL {
-                self.inners[p as usize].children.push(r);
+    /// The one check of a parsed snapshot (see [`Hierarchy::parse_state`]):
+    /// every logical head is what RESTART-NODE, RESET-PATH and the link
+    /// will find there. A leaf offers exactly the front of its queue; a
+    /// node offers the head of the child it adopted, one of its own; a
+    /// transmission in progress has a path from the root. Anything else
+    /// would index out of bounds or pop an empty queue at the next dispatch.
+    fn validate(&self) -> Result<(), SnapError> {
+        for (l, lf) in self.leaves.iter().enumerate() {
+            if self.slab.front(&lf.fifo).map(Packet::bits) != lf.offering.then_some(lf.head_bits) {
+                return Err(refuse(format!(
+                    "leaf {}: its head is not the front of its queue",
+                    self.leaf_ids[l]
+                )));
             }
+        }
+        for (n, nd) in self.inners.iter().enumerate() {
+            let head = (nd.head_leaf != NIL).then_some((nd.head_leaf, nd.head_bits));
+            let adopted = match nd.active_child {
+                Ref::NONE => None,
+                c if self.parent_slot(c).0 == n as u32 => self.head_of(c),
+                _ => None,
+            };
+            if adopted != head || head.is_some() != (nd.active_child != Ref::NONE) {
+                return Err(refuse(format!(
+                    "node {}: its head is not the one its active child offers",
+                    self.inner_ids[n]
+                )));
+            }
+        }
+        if self.transmitting && self.inners[0].head_leaf == NIL {
+            return Err(refuse(
+                "a transmission is in progress but the root offers no head",
+            ));
+        }
+        if !is_rate_factor(self.warp_factor) {
+            return Err(refuse(format!("link rate factor {}", self.warp_factor)));
+        }
+        Ok(())
+    }
+}
+
+impl<S: NodeScheduler + Clone, O: Observer> Hierarchy<S, O> {
+    /// Restores state captured by [`Hierarchy::save_state`]:
+    /// [`Hierarchy::parse_state`], then [`Hierarchy::install_state`]. A
+    /// refused snapshot leaves the hierarchy as it was.
+    pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
+        let parsed = self.parse_state(state)?;
+        self.install_state(parsed);
+        Ok(())
+    }
+
+    /// Parses a state captured by [`Hierarchy::save_state`] for this
+    /// hierarchy, which must be *built with the same topology* (same
+    /// builder calls, same scheduler configurations). Only leaves may
+    /// differ: snapshot leaves beyond the rebuilt tree — attached by churn
+    /// after the build — are re-created, and trailing leaves this tree has
+    /// beyond the snapshot — churn after the checkpoint — are dropped (the
+    /// rollback path of a checkpoint restore). A churn-added *internal*
+    /// node cannot be re-created (its scheduler factory is gone by then).
+    /// Share accounting is taken verbatim.
+    ///
+    /// The snapshot is untrusted input. It is parsed into scratch node
+    /// arrays and a fresh packet slab, each node's scheduler loads into a
+    /// clone of this tree's, and one `validate` pass checks the heads. Nothing of `self` is written: [`Hierarchy::install_state`]
+    /// does that.
+    pub fn parse_state(&self, state: &Value) -> Result<HierarchyState<S>, SnapError> {
+        let nodes = state.get("nodes")?.items()?;
+        let mut h = Hierarchy {
+            leaves: Vec::new(),
+            slab: PacketSlab::new(),
+            inners: Vec::with_capacity(self.inners.len()),
+            refs: Vec::with_capacity(nodes.len()),
+            shares: Vec::with_capacity(nodes.len()),
+            leaf_ids: Vec::new(),
+            inner_ids: Vec::with_capacity(self.inners.len()),
+            wants_hints: false,
+            transmitting: state.get("transmitting")?.as_bool()?,
+            busy_start: state.get_finite("busy_start")?,
+            warp_base: state.get_finite("warp_base")?,
+            warp_time: state.get_finite("warp_time")?,
+            warp_factor: state.get("warp_factor")?.as_f64()?,
+            obs: NoopObserver,
+            last_time: state.get_finite("last_time")?,
+            link: state.get("link")?.as_usize()?,
+            path_scratch: Vec::new(),
+        };
+        // Ids are dense in creation order, so which nodes are leaves says
+        // where every record lives.
+        for (i, nv) in nodes.iter().enumerate() {
+            let is_leaf = nv.get("is_leaf")?.as_bool()?;
+            let live = self.refs.get(i);
+            if live.map_or(!is_leaf, |r| r.is_leaf() != is_leaf) {
+                return Err(refuse(format!(
+                    "snapshot node {i} does not match the rebuilt hierarchy; only churn-added \
+                     leaves can differ"
+                )));
+            }
+            let (ids, at): (_, fn(usize) -> Ref) = match is_leaf {
+                true => (&mut h.leaf_ids, Ref::leaf),
+                false => (&mut h.inner_ids, Ref::inner),
+            };
+            h.refs.push(at(ids.len()));
+            ids.push(i as u32);
+        }
+        if h.inner_ids != self.inner_ids {
+            return Err(refuse(
+                "the rebuilt hierarchy has internal nodes the snapshot lacks",
+            ));
+        }
+        let mut scheds = Vec::with_capacity(self.inners.len());
+        for (i, nv) in nodes.iter().enumerate() {
+            // The root, or a child of an earlier internal node in its next
+            // session slot — and, for a node this tree has, its link.
+            let parent = match load_parent(nv.get("parent")?)? {
+                None if i == 0 => Some((NIL, 0)),
+                Some((p, slot)) if p < i => match h.refs[p].place() {
+                    Place::Inner(p) if slot == h.inners[p].children.len() => {
+                        Some((p as u32, slot as u32))
+                    }
+                    _ => None,
+                },
+                _ => None,
+            };
+            let live = self.refs.get(i).map(|&live| self.parent_slot(live));
+            let Some((p, slot)) = parent.filter(|&link| live.is_none_or(|live| live == link))
+            else {
+                return Err(refuse(format!(
+                    "snapshot node {i} does not match the rebuilt hierarchy's topology"
+                )));
+            };
+            let r = h.refs[i];
+            if p != NIL {
+                h.inners[p as usize].children.push(r);
+            }
+            h.shares.push(Share {
+                rate: nv.get("rate")?.as_f64()?,
+                phi: nv.get("phi")?.as_f64()?,
+                child_phi_sum: nv.get("child_phi_sum")?.as_f64()?,
+            });
+            let head = match nv.get("head")? {
+                hv if hv.is_null() => None,
+                hv => match hv.items()? {
+                    [leaf, bits] => match h.refs.get(leaf.as_usize()?).map(|r| r.place()) {
+                        Some(Place::Leaf(l)) => Some((l as u32, bits.as_f64()?)),
+                        _ => return Err(refuse(format!("node {i}: its head is not a leaf"))),
+                    },
+                    _ => return Err(refuse("malformed head record")),
+                },
+            };
+            let active_child = match nv.get("active_child")? {
+                av if av.is_null() => Ref::NONE,
+                av => *h
+                    .refs
+                    .get(av.as_usize()?)
+                    .ok_or_else(|| refuse(format!("node {i}: active_child is not a node")))?,
+            };
+            let (sched, detached) = (nv.get("sched")?, nv.get("detached")?.as_bool()?);
             match r.place() {
                 Place::Leaf(l) => {
-                    let lf = &mut self.leaves[l];
-                    lf.fifo = Chain::EMPTY;
-                    for pkt in sn.fifo {
-                        self.slab.push_back(&mut lf.fifo, pkt);
+                    if !sched.is_null()
+                        || active_child != Ref::NONE
+                        || head.is_some_and(|(leaf, _)| leaf as usize != l)
+                    {
+                        return Err(refuse(format!(
+                            "leaf {i}: scheduler state, an active child or another leaf's head"
+                        )));
                     }
-                    lf.fifo_bytes = sn.fifo_bytes;
-                    lf.offering = sn.head.is_some();
-                    lf.head_bits = sn.head.map_or(0.0, |(_, bits)| bits);
-                    lf.detached = sn.detached;
-                    lf.draining = sn.draining;
+                    let mut lf = Leaf::new(p, slot);
+                    for pv in nv.get("fifo")?.items()? {
+                        let pkt = Packet::load(pv)?;
+                        pkt.validate()
+                            .map_err(|e| refuse(format!("leaf {i}: {e}")))?;
+                        lf.fifo_bytes += u64::from(pkt.len_bytes);
+                        h.slab.push_back(&mut lf.fifo, pkt);
+                    }
+                    (lf.offering, lf.head_bits) = head.map_or((false, 0.0), |(_, b)| (true, b));
+                    (lf.detached, lf.draining) = (detached, nv.get("draining")?.as_bool()?);
+                    h.leaves.push(lf);
                 }
                 Place::Inner(n) => {
-                    // `check_heads`: a head names a leaf, an active child a
-                    // node, so both ids are in `refs` — including those of
-                    // the leaves re-created above.
-                    let head_leaf = match sn.head.map(|(leaf, _)| self.refs[leaf].place()) {
-                        Some(Place::Leaf(l)) => l as u32,
-                        _ => NIL,
-                    };
-                    let active_child = sn.active_child.map_or(Ref::NONE, |c| self.refs[c]);
-                    let nd = &mut self.inners[n];
-                    nd.head_leaf = head_leaf;
-                    nd.head_bits = sn.head.map_or(0.0, |(_, bits)| bits);
-                    nd.active_child = active_child;
-                    nd.detached = sn.detached;
+                    let mut nd = Inner::new(self.inners[n].sched.clone(), p, slot);
+                    (nd.head_leaf, nd.head_bits) = head.unwrap_or((NIL, 0.0));
+                    (nd.active_child, nd.detached) = (active_child, detached);
+                    h.inners.push(nd);
+                    scheds.push(sched);
                 }
             }
         }
-        self.transmitting = transmitting;
-        self.busy_start = busy_start;
-        self.warp_base = warp_base;
-        self.warp_time = warp_time;
-        self.warp_factor = warp_factor;
-        self.last_time = last_time;
-        self.link = link;
-        self.path_scratch.clear();
-        self.wants_hints = self.inners.iter().any(|nd| nd.sched.wants_arrival_hints());
-        Ok(())
-    }
-
-    /// Loads every internal node's scheduler state and checks it against the
-    /// node the snapshot describes: as many sessions as children, and as
-    /// many of them backlogged as children offering a head. A refused state
-    /// puts every scheduler back as it was.
-    fn load_schedulers(&mut self, saved: &[SavedNode], nodes_v: &[Value]) -> Result<(), SnapError> {
-        let mut children = vec![0usize; saved.len()];
-        let mut offering = vec![0usize; saved.len()];
-        for sn in saved {
-            if let Some((p, _)) = sn.parent {
-                children[p] += 1;
-                offering[p] += usize::from(sn.head.is_some());
-            }
-        }
-        let kept: Vec<Value> = self.inners.iter().map(|nd| nd.sched.save_state()).collect();
-        for n in 0..self.inners.len() {
-            let id = self.inner_ids[n] as usize;
-            let sched = &mut self.inners[n].sched;
-            if let Err(e) = load_scheduler(sched, &nodes_v[id], children[id], offering[id]) {
-                for (nd, state) in self.inners[..=n].iter_mut().zip(&kept) {
-                    // The scheduler's own saved state: it loads.
-                    let _ = nd.sched.load_state(state);
-                }
-                return Err(snap_err(format!("node {id}: {}", e.what)));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that the snapshot's nodes describe this tree: the same kind
-    /// and parent link for every node both have, only leaves — under
-    /// internal parents, with dense session slots — where either has more.
-    /// Returns the parent links, as stored in a [`Leaf`], of the leaves the
-    /// snapshot has beyond this tree.
-    fn check_topology(&self, saved: &[SavedNode]) -> Result<Vec<(u32, u32)>, SnapError> {
-        let live = self.refs.len();
-        if saved.len() < live && self.refs[saved.len()..].iter().any(|r| !r.is_leaf()) {
-            // Only leaves can be added at runtime, which is what makes
-            // dropping the surplus safe: an internal node in it means this
-            // snapshot belongs to a differently built hierarchy.
-            return Err(snap_err(format!(
-                "snapshot has {} nodes but the rebuilt hierarchy has {live} and the \
-                 surplus contains internal nodes",
-                saved.len(),
-            )));
-        }
-        let mut children = vec![0usize; saved.len()];
-        let mut new_leaves = Vec::new();
-        for (i, sn) in saved.iter().enumerate() {
-            if i < live {
-                let r = self.refs[i];
-                let (p, slot) = self.parent_slot(r);
-                let parent = (p != NIL).then(|| {
-                    (
-                        self.inner_ids[p as usize] as usize,
-                        SessionId(slot as usize),
-                    )
-                });
-                if r.is_leaf() != sn.is_leaf || parent != sn.parent {
-                    return Err(snap_err(format!(
-                        "snapshot node {i} does not match the rebuilt hierarchy's topology"
-                    )));
-                }
-            } else if !sn.is_leaf {
-                return Err(snap_err(format!(
-                    "snapshot node {i} is an internal node absent from the rebuilt \
-                     hierarchy; only churn-added leaves can be restored"
-                )));
-            }
-            if sn.is_leaf && !sn.sched_is_null {
-                return Err(snap_err(format!(
-                    "snapshot node {i} carries scheduler state but the rebuilt node has no \
-                     scheduler"
-                )));
-            }
-            let Some((p, slot)) = sn.parent else {
-                if i == 0 {
-                    continue;
-                }
-                return Err(snap_err(format!("non-root node {i} has no parent")));
-            };
-            if p >= i {
-                return Err(snap_err(format!("node {i} references later parent {p}")));
-            }
-            if saved[p].is_leaf {
-                return Err(snap_err(format!("node {i}: parent {p} is a leaf")));
-            }
-            if slot.0 != children[p] {
-                return Err(snap_err(format!(
-                    "node {i}: session slot {} is not dense under parent {p}",
-                    slot.0
-                )));
-            }
-            children[p] += 1;
-            if i >= live {
-                // `p` is internal in the snapshot and older than `i`: were
-                // it not in the live tree, it would have been refused above.
-                let Some(Place::Inner(n)) = self.place(NodeId(p)) else {
-                    return Err(snap_err(format!("node {i}: parent {p} is a leaf")));
-                };
-                new_leaves.push((n as u32, slot.0 as u32));
-            }
-        }
-        Ok(new_leaves)
-    }
-}
-
-fn snap_err(what: String) -> SnapError {
-    SnapError { at: 0, what }
-}
-
-/// Loads the `sched` state of snapshot node `nv` into `sched`, which must
-/// then serve `children` sessions with `offering` of them backlogged.
-fn load_scheduler<S: NodeScheduler>(
-    sched: &mut S,
-    nv: &Value,
-    children: usize,
-    offering: usize,
-) -> Result<(), SnapError> {
-    let state = nv.get("sched")?;
-    sched.load_state(state)?;
-    if state.is_null() {
-        // Nothing restored: the scheduler keeps its own sessions.
-        return Ok(());
-    }
-    // The trait has no session count, but session ids are dense, so the id
-    // a new session gets is the count; loading again takes it back.
-    let sessions = sched.add_session(1.0).0;
-    sched.load_state(state)?;
-    if sessions != children {
-        return Err(snap_err(format!(
-            "scheduler has {sessions} sessions for {children} children"
-        )));
-    }
-    if sched.backlogged() != offering {
-        return Err(snap_err(format!(
-            "scheduler has {} sessions backlogged, but {offering} children offer a head",
-            sched.backlogged()
-        )));
-    }
-    Ok(())
-}
-
-/// One node record of a snapshot, parsed but not yet trusted.
-struct SavedNode {
-    parent: Option<(usize, SessionId)>,
-    rate: f64,
-    phi: f64,
-    child_phi_sum: f64,
-    /// `(leaf NodeId, bits)`.
-    head: Option<(usize, f64)>,
-    active_child: Option<usize>,
-    fifo: Vec<Packet>,
-    fifo_bytes: u64,
-    is_leaf: bool,
-    detached: bool,
-    draining: bool,
-    sched_is_null: bool,
-}
-
-impl SavedNode {
-    fn load(nv: &Value) -> Result<SavedNode, SnapError> {
-        let head = match nv.get("head")? {
-            hv if hv.is_null() => None,
-            hv => match hv.items()? {
-                [leaf, bits] => Some((leaf.as_usize()?, bits.as_f64()?)),
-                _ => return Err(snap_err("malformed head record".to_string())),
-            },
-        };
-        let active_child = match nv.get("active_child")? {
-            av if av.is_null() => None,
-            av => Some(av.as_usize()?),
-        };
-        Ok(SavedNode {
-            parent: load_parent(nv.get("parent")?)?,
-            rate: nv.get("rate")?.as_f64()?,
-            phi: nv.get("phi")?.as_f64()?,
-            child_phi_sum: nv.get("child_phi_sum")?.as_f64()?,
-            head,
-            active_child,
-            fifo: nv
-                .get("fifo")?
-                .items()?
+        h.validate()?;
+        // Each scheduler serves one session per child, of the child's share,
+        // backlogged for exactly as many children as offer a head.
+        for (n, sched) in scheds.into_iter().enumerate() {
+            let id = h.inner_ids[n];
+            let sessions = h.inners[n].children.len();
+            h.inners[n]
+                .sched
+                .load_state(sched, sessions)
+                .map_err(|e| refuse(format!("node {id}: {}", e.what)))?;
+            let nd = &h.inners[n];
+            let offering = nd
+                .children
                 .iter()
-                .map(Packet::load)
-                .collect::<Result<_, _>>()?,
-            fifo_bytes: nv.get("fifo_bytes")?.as_u64()?,
-            is_leaf: nv.get("is_leaf")?.as_bool()?,
-            detached: nv.get("detached")?.as_bool()?,
-            draining: nv.get("draining")?.as_bool()?,
-            sched_is_null: nv.get("sched")?.is_null(),
-        })
+                .filter(|&&c| h.head_of(c).is_some())
+                .count();
+            let share = |(slot, &c): (usize, &Ref)| {
+                nd.sched.phi(SessionId(slot)).to_bits() == h.shares[h.id_of(c)].phi.to_bits()
+            };
+            if nd.sched.backlogged() != offering || !nd.children.iter().enumerate().all(share) {
+                return Err(refuse(format!(
+                    "node {id}: {} sessions backlogged for {offering} children offering a \
+                     head, or a session's share is not its child's",
+                    nd.sched.backlogged()
+                )));
+            }
+            h.wants_hints |= nd.sched.wants_arrival_hints();
+        }
+        Ok(HierarchyState(h))
     }
 }
 
-/// Checks the logical heads of a snapshot whose topology already passed
-/// [`Hierarchy::check_topology`]: every `head` and `active_child` must name
-/// what RESET-PATH and the link will look for there, or the next dispatch
-/// would index out of bounds or pop an empty queue.
-fn check_heads(saved: &[SavedNode], transmitting: bool) -> Result<(), SnapError> {
-    for (i, sn) in saved.iter().enumerate() {
-        if sn.is_leaf {
-            let queued: u64 = sn.fifo.iter().map(|p| u64::from(p.len_bytes)).sum();
-            if queued != sn.fifo_bytes {
-                return Err(snap_err(format!(
-                    "leaf {i}: fifo_bytes {} but the queue holds {queued} bytes",
-                    sn.fifo_bytes
-                )));
-            }
-        }
-        let Some((leaf, _)) = sn.head else {
-            if sn.active_child.is_some() {
-                return Err(snap_err(format!("node {i}: an active child but no head")));
-            }
-            continue;
-        };
-        match sn.active_child {
-            None if sn.is_leaf => {}
-            Some(c) if !sn.is_leaf => {
-                let through_child = saved
-                    .get(c)
-                    .filter(|child| child.parent.is_some_and(|(p, _)| p == i))
-                    .ok_or_else(|| {
-                        snap_err(format!(
-                            "node {i}: active_child {c} is not one of its children"
-                        ))
-                    })?
-                    .head;
-                if through_child.map(|(leaf, _)| leaf) != Some(leaf) {
-                    return Err(snap_err(format!(
-                        "node {i}: active_child {c} does not offer the node's head"
-                    )));
-                }
-            }
-            _ => {
-                return Err(snap_err(format!(
-                    "node {i}: head and active_child do not go together"
-                )))
-            }
-        }
-        let target = saved
-            .get(leaf)
-            .filter(|target| target.is_leaf)
-            .ok_or_else(|| snap_err(format!("node {i}: head {leaf} is not a leaf")))?;
-        if sn.is_leaf && leaf != i {
-            return Err(snap_err(format!(
-                "leaf {i}: a leaf's head is its own front packet, not leaf {leaf}'s"
-            )));
-        }
-        if target.head.is_none() || target.fifo.is_empty() {
-            return Err(snap_err(format!(
-                "node {i}: head {leaf} is a leaf that offers no packet"
-            )));
-        }
+/// A hierarchy snapshot parsed and checked by [`Hierarchy::parse_state`],
+/// ready for [`Hierarchy::install_state`].
+#[derive(Debug)]
+pub struct HierarchyState<S: NodeScheduler>(Hierarchy<S>);
+
+impl<S: NodeScheduler> HierarchyState<S> {
+    /// Whether `node` is a leaf of the parsed tree (a node id it does not
+    /// have is not).
+    pub fn is_leaf(&self, node: NodeId) -> bool {
+        self.0.refs.get(node.0).is_some_and(|r| r.is_leaf())
     }
-    if transmitting && saved.first().is_some_and(|root| root.head.is_none()) {
-        return Err(snap_err(
-            "a transmission is in progress but the root offers no head".to_string(),
-        ));
-    }
-    Ok(())
+}
+
+/// What [`Hierarchy::set_link_rate_factor`] accepts: a finite factor, at
+/// least 0.
+fn is_rate_factor(factor: f64) -> bool {
+    factor.is_finite() && factor >= 0.0
 }
 
 /// Restores a `parent` record: `null` or `[parent index, session slot]`.
-fn load_parent(v: &Value) -> Result<Option<(usize, SessionId)>, SnapError> {
+fn load_parent(v: &Value) -> Result<Option<(usize, usize)>, SnapError> {
     if v.is_null() {
         return Ok(None);
     }
-    let items = v.items()?;
-    if items.len() != 2 {
-        return Err(snap_err(format!(
+    match v.items()? {
+        [p, slot] => Ok(Some((p.as_usize()?, slot.as_usize()?))),
+        items => Err(refuse(format!(
             "parent record has {} fields, expected 2",
             items.len()
-        )));
+        ))),
     }
-    Ok(Some((
-        items[0].as_usize()?,
-        SessionId(items[1].as_usize()?),
-    )))
 }
 
 #[cfg(test)]

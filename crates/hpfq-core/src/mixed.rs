@@ -9,7 +9,7 @@
 //!   leaves inside a best-effort class) build a
 //!   `Hierarchy<MixedScheduler>` and choose a kind per node.
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::pifo::rank::{
     DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
@@ -196,18 +196,15 @@ impl NodeScheduler for MixedScheduler {
         ])
     }
 
-    fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
+    fn load_state(&mut self, state: &Value, sessions: usize) -> Result<(), SnapError> {
         let kind = state.get("kind")?.as_str()?;
         if kind != self.name() {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "scheduler kind mismatch: snapshot '{kind}', configured '{}'",
-                    self.name()
-                ),
-            });
+            return Err(refuse(format!(
+                "scheduler kind mismatch: snapshot '{kind}', configured '{}'",
+                self.name()
+            )));
         }
-        dispatch!(self, s => s.load_state(state.get("state")?))
+        dispatch!(self, s => s.load_state(state.get("state")?, sessions))
     }
 }
 

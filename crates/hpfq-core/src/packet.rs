@@ -1,7 +1,7 @@
 //! The packet type shared by the schedulers, the hierarchy, and the
 //! discrete-event simulator.
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::error::HpfqError;
 
@@ -99,18 +99,16 @@ impl Packet {
     /// Restores a packet saved by [`Packet::save`].
     pub fn load(v: &Value) -> Result<Packet, SnapError> {
         let items = v.items()?;
-        if items.len() != 5 {
-            return Err(SnapError {
-                at: 0,
-                what: format!("packet record has {} fields, expected 5", items.len()),
-            });
-        }
+        let [id, flow, len_bytes, birth, arrival] = items else {
+            let n = items.len();
+            return Err(refuse(format!("packet record has {n} fields, expected 5")));
+        };
         Ok(Packet {
-            id: items[0].as_u64()?,
-            flow: items[1].as_u32()?,
-            len_bytes: items[2].as_u32()?,
-            birth: items[3].as_f64()?,
-            arrival: items[4].as_f64()?,
+            id: id.as_u64()?,
+            flow: flow.as_u32()?,
+            len_bytes: len_bytes.as_u32()?,
+            birth: birth.as_f64()?,
+            arrival: arrival.as_f64()?,
         })
     }
 }

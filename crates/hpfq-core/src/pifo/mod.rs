@@ -46,11 +46,11 @@
 
 pub mod rank;
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::eligible::dual_heap::DualHeapEligibleSet;
 use crate::eligible::PifoBackend;
-use crate::scheduler::{load_opt_id, save_opt_id, NodeScheduler, SessionId, SessionTable};
+use crate::scheduler::{NodeScheduler, SessionId, SessionTable};
 
 /// A PIFO rank: where a head packet slots into the service order.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,17 +252,19 @@ pub trait RankProgram {
     }
 
     /// Restores state saved by [`RankProgram::save_state`]. `sessions` is
-    /// the already-restored session table for validation. The default
-    /// accepts only [`Value::Null`].
+    /// the session table the [`PifoTree`] is about to install, for
+    /// validation.
+    /// The state is untrusted input: a refusal leaves `self` as it was.
+    /// The default accepts only [`Value::Null`].
     fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
         let _ = sessions;
         if state.is_null() {
             Ok(())
         } else {
-            Err(SnapError {
-                at: 0,
-                what: format!("rank program '{}' does not support load_state", self.name()),
-            })
+            Err(refuse(format!(
+                "rank program '{}' does not support load_state",
+                self.name()
+            )))
         }
     }
 }
@@ -536,7 +538,10 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             ("backend", Value::Str("pifo".to_string())),
             ("rate", Value::F64(self.rate)),
             ("t", Value::F64(self.t)),
-            ("in_service", save_opt_id(self.in_service)),
+            (
+                "in_service",
+                Value::opt(self.in_service.map(|id| Value::U64(id.0 as u64))),
+            ),
             ("sessions", self.sessions.save()),
             (
                 "queue",
@@ -559,34 +564,41 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
         ])
     }
 
-    fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
+    /// Parses the session table and the queue into locals, checking them
+    /// against each other, and loads the program last: nothing is written
+    /// before its refusal could come.
+    fn load_state(&mut self, state: &Value, sessions: usize) -> Result<(), SnapError> {
         let backend = state.get("backend")?.as_str()?;
-        if backend != "pifo" {
-            return Err(SnapError {
-                at: 0,
-                what: format!("pifo scheduler cannot load backend '{backend}' snapshot"),
-            });
-        }
         let rate = state.get("rate")?.as_f64()?;
-        if rate.to_bits() != self.rate.to_bits() {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "pifo rate mismatch: snapshot {rate}, configured {}",
-                    self.rate
-                ),
-            });
+        if backend != "pifo" || rate.to_bits() != self.rate.to_bits() {
+            return Err(refuse(format!(
+                "a '{backend}' scheduler at {rate} b/s does not load into a pifo one at {} b/s",
+                self.rate
+            )));
         }
-        self.sessions = SessionTable::load(state.get("sessions")?)?;
-        self.program
-            .load_state(state.get("program")?, &self.sessions)?;
-        self.t = state.get("t")?.as_f64()?;
-        self.in_service = load_opt_id(state.get("in_service")?)?;
-        self.backlogged = self.sessions.backlogged_count();
-        self.queue.reset();
-        self.queue.ensure_sessions(self.sessions.len());
-        let mut queued = 0usize;
-        let mut seen = vec![false; self.sessions.len()];
+        let table = SessionTable::load(state.get("sessions")?, self.rate)?;
+        let t = state.get_finite("t")?;
+        let in_service = match state.get("in_service")? {
+            v if v.is_null() => None,
+            v => Some(SessionId(v.as_usize()?)),
+        };
+        if table.len() != sessions
+            || t < 0.0
+            || in_service.is_some_and(|id| id.0 >= sessions || !table.is_backlogged(id))
+        {
+            return Err(refuse(format!(
+                "{} sessions for {sessions} children, reference time {t}, in service {in_service:?}",
+                table.len()
+            )));
+        }
+        // Queued: every backlogged session but the one in service, once,
+        // under a finite rank — and, for a program promising monotone
+        // ranks, open and in increasing order, or its pops would never see
+        // them.
+        let mut queue = Q::default();
+        queue.ensure_sessions(sessions);
+        let mut seen = vec![false; sessions];
+        let mut last = None;
         for mv in state.get("queue")?.items()? {
             let id = mv.get("id")?.as_usize()?;
             let ev = mv.get("elig")?;
@@ -595,35 +607,30 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             } else {
                 Some(ev.as_f64()?)
             };
-            let primary = mv.get("primary")?.as_f64()?;
-            let secondary = mv.get("secondary")?.as_f64()?;
-            let valid = id < self.sessions.len()
+            let rank = (mv.get_finite("primary")?, mv.get_finite("secondary")?, id);
+            let valid = id < sessions
                 && !std::mem::replace(&mut seen[id], true)
-                && self.sessions.is_backlogged(SessionId(id))
-                && self.in_service != Some(SessionId(id))
-                && primary.is_finite()
-                && secondary.is_finite()
-                && elig.is_none_or(f64::is_finite);
+                && table.is_backlogged(SessionId(id))
+                && in_service != Some(SessionId(id))
+                && elig.is_none_or(f64::is_finite)
+                && !(P::MONOTONE_RANKS && (elig.is_some() || last.is_some_and(|l| l >= rank)));
             if !valid {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("queue entry for session {id} is invalid"),
-                });
+                return Err(refuse(format!("queue entry for session {id} is invalid")));
             }
-            self.queue
-                .insert_ranked(SessionId(id), elig, primary, secondary);
-            queued += 1;
+            last = Some(rank);
+            queue.insert_ranked(SessionId(id), elig, rank.0, rank.1);
         }
-        let expected = (0..self.sessions.len())
-            .map(SessionId)
-            .filter(|&i| self.sessions.is_backlogged(i) && self.in_service != Some(i))
-            .count();
-        if queued != expected {
-            return Err(SnapError {
-                at: 0,
-                what: format!("queue holds {queued} members, session table implies {expected}"),
-            });
+        let backlogged = table.backlogged_count();
+        if queue.members() + usize::from(in_service.is_some()) != backlogged {
+            return Err(refuse(format!(
+                "queue holds {} members, session table implies {}",
+                queue.members(),
+                backlogged - usize::from(in_service.is_some())
+            )));
         }
+        self.program.load_state(state.get("program")?, &table)?;
+        (self.sessions, self.queue, self.t) = (table, queue, t);
+        (self.in_service, self.backlogged) = (in_service, backlogged);
         Ok(())
     }
 }
@@ -760,7 +767,7 @@ mod tests {
         let mut restored = PifoTree::new(1.0, Wf2qPlusRank::new());
         restored.add_session(0.5);
         restored.add_session(0.5);
-        restored.load_state(&snap).unwrap();
+        restored.load_state(&snap, 2).unwrap();
 
         for _ in 0..8 {
             let x = s.select_next();

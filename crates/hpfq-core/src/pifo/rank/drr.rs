@@ -17,8 +17,9 @@
 //!
 //! [`Admission::Rotate`]: crate::pifo::Admission::Rotate
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
+use super::sequence;
 use crate::pifo::{Admission, Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 use crate::vtime;
@@ -72,6 +73,15 @@ impl DrrRank {
         }
     }
 
+    /// The deficit accounting of a fresh session of share `phi`.
+    fn slot(&self, phi: f64) -> DrrSlot {
+        DrrSlot {
+            quantum: phi * self.quantum_base,
+            deficit: 0.0,
+            turn_credited: false,
+        }
+    }
+
     fn next_seq(&mut self, id: SessionId) -> f64 {
         self.seq[id.0] = self.next;
         self.next += 1.0;
@@ -99,11 +109,7 @@ impl RankProgram for DrrRank {
     }
 
     fn on_add_session(&mut self, phi: f64) {
-        self.slots.push(DrrSlot {
-            quantum: phi * self.quantum_base,
-            deficit: 0.0,
-            turn_credited: false,
-        });
+        self.slots.push(self.slot(phi));
         self.seq.push(0.0);
     }
 
@@ -179,7 +185,6 @@ impl RankProgram for DrrRank {
                         .iter()
                         .map(|s| {
                             Value::map(vec![
-                                ("quantum", Value::F64(s.quantum)),
                                 ("deficit", Value::F64(s.deficit)),
                                 ("turn_credited", Value::Bool(s.turn_credited)),
                             ])
@@ -195,43 +200,41 @@ impl RankProgram for DrrRank {
         ])
     }
 
+    /// Quanta are not stored: each is rebuilt from its session's share as
+    /// [`RankProgram::on_add_session`] builds it.
     fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
         let quantum_base = state.get("quantum_base")?.as_f64()?;
         if quantum_base.to_bits() != self.quantum_base.to_bits() {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "drr quantum base mismatch: snapshot {quantum_base}, configured {}",
-                    self.quantum_base
-                ),
-            });
+            return Err(refuse(format!(
+                "drr quantum base mismatch: snapshot {quantum_base}, configured {}",
+                self.quantum_base
+            )));
         }
-        let mut slots = Vec::new();
-        for sv in state.get("slots")?.items()? {
-            slots.push(DrrSlot {
-                quantum: sv.get("quantum")?.as_f64()?,
-                deficit: sv.get("deficit")?.as_f64()?,
-                turn_credited: sv.get("turn_credited")?.as_bool()?,
-            });
+        let (slots_v, seq_v) = (state.get("slots")?.items()?, state.get("seq")?.items()?);
+        if slots_v.len() != sessions.len() || seq_v.len() != sessions.len() {
+            return Err(refuse(format!(
+                "drr slot/seq counts {}/{} do not match session count {}",
+                slots_v.len(),
+                seq_v.len(),
+                sessions.len()
+            )));
         }
-        let mut seq = Vec::new();
-        for qv in state.get("seq")?.items()? {
-            seq.push(qv.as_f64()?);
+        let mut slots = Vec::with_capacity(slots_v.len());
+        for (i, sv) in slots_v.iter().enumerate() {
+            let mut slot = self.slot(sessions.phi(SessionId(i)));
+            slot.deficit = sv.get_finite("deficit")?;
+            slot.turn_credited = sv.get("turn_credited")?.as_bool()?;
+            // A serve leaves the deficit short of zero by at most the
+            // tolerance of `admit`'s comparison, far less than a quantum; a
+            // deeper hole would rotate the ring turn after turn first.
+            if slot.deficit + slot.quantum < 0.0 {
+                return Err(refuse(format!("drr session {i}: deficit {}", slot.deficit)));
+            }
+            slots.push(slot);
         }
-        if slots.len() != sessions.len() || seq.len() != sessions.len() {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "drr slot/seq counts {}/{} do not match session count {}",
-                    slots.len(),
-                    seq.len(),
-                    sessions.len()
-                ),
-            });
-        }
-        self.slots = slots;
-        self.seq = seq;
-        self.next = state.get("next")?.as_f64()?;
+        let seq = seq_v.iter().map(sequence).collect::<Result<Vec<_>, _>>()?;
+        let next = sequence(state.get("next")?)?;
+        (self.slots, self.seq, self.next) = (slots, seq, next);
         Ok(())
     }
 }

@@ -10,6 +10,7 @@
 
 use hpfq_obs::snap::{SnapError, Value};
 
+use super::sequence;
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
@@ -80,7 +81,7 @@ impl RankProgram for FifoRank {
     }
 
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.next = state.get("next")?.as_f64()?;
+        self.next = sequence(state.get("next")?)?;
         Ok(())
     }
 }

@@ -8,6 +8,8 @@
 //!
 //! [`SchedulerKind`]: crate::mixed::SchedulerKind
 
+use hpfq_obs::snap::{refuse, SnapError, Value};
+
 pub mod drr;
 pub mod fifo;
 pub mod rr;
@@ -25,3 +27,12 @@ pub use sfq::SfqRank;
 pub use wf2q::Wf2qRank;
 pub use wf2q_plus::Wf2qPlusRank;
 pub use wfq::WfqRank;
+
+/// Reads a value of a sequence counter: a count from zero, below 2^53
+/// where adding one is still exact.
+fn sequence(v: &Value) -> Result<f64, SnapError> {
+    match v.as_f64()? {
+        x if (0.0..9_007_199_254_740_992.0).contains(&x) => Ok(x),
+        x => Err(refuse(format!("{x} is not a sequence counter value"))),
+    }
+}

@@ -36,7 +36,7 @@
 //!
 //! [`MONOTONE_RANKS`]: RankProgram::MONOTONE_RANKS
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
@@ -88,6 +88,11 @@ impl RrRank {
         }
     }
 
+    /// The quantum of a session of share `phi`.
+    fn quantum(&self, phi: f64) -> f64 {
+        phi * self.quantum_base
+    }
+
     /// Ranks a head of `bits`: fill the slack of round `max(R, prev_finish)`
     /// first, then whole quanta per further round; the rank is the round
     /// the last bit lands in. Finish rounds stay far below 2^53 (the
@@ -133,7 +138,7 @@ impl RankProgram for RrRank {
     }
 
     fn on_add_session(&mut self, phi: f64) {
-        self.quanta.push(phi * self.quantum_base);
+        self.quanta.push(self.quantum(phi));
         self.finish.push(0);
         self.slack.push(0.0);
     }
@@ -180,10 +185,6 @@ impl RankProgram for RrRank {
         Value::map(vec![
             ("quantum_base", Value::F64(self.quantum_base)),
             (
-                "quanta",
-                Value::List(self.quanta.iter().map(|&q| Value::F64(q)).collect()),
-            ),
-            (
                 "finish",
                 Value::List(self.finish.iter().map(|&f| Value::U64(f)).collect()),
             ),
@@ -195,50 +196,45 @@ impl RankProgram for RrRank {
         ])
     }
 
+    /// Quanta are not stored: each is rebuilt from its session's share as
+    /// [`RankProgram::on_add_session`] builds it. Rounds stay below 2^53
+    /// and slack within a quantum of zero, as a run keeps them, so ranking
+    /// a head can neither overflow nor lose exactness.
     fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
         let quantum_base = state.get("quantum_base")?.as_f64()?;
         if quantum_base.to_bits() != self.quantum_base.to_bits() {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "rr quantum base mismatch: snapshot {quantum_base}, configured {}",
-                    self.quantum_base
-                ),
-            });
+            return Err(refuse(format!(
+                "rr quantum base mismatch: snapshot {quantum_base}, configured {}",
+                self.quantum_base
+            )));
         }
-        let mut quanta = Vec::new();
-        for qv in state.get("quanta")?.items()? {
-            quanta.push(qv.as_f64()?);
+        let (rounds, slack) = (state.get("finish")?.items()?, state.get("slack")?.items()?);
+        if rounds.len() != sessions.len() || slack.len() != sessions.len() {
+            return Err(refuse(format!(
+                "rr finish/slack counts {}/{} do not match session count {}",
+                rounds.len(),
+                slack.len(),
+                sessions.len()
+            )));
         }
-        let mut finish = Vec::new();
-        for fv in state.get("finish")?.items()? {
-            finish.push(fv.as_u64()?);
+        let round = state.get("round")?.as_u64()?;
+        let quanta: Vec<f64> = (0..sessions.len())
+            .map(|i| self.quantum(sessions.phi(SessionId(i))))
+            .collect();
+        let finish = rounds
+            .iter()
+            .map(Value::as_u64)
+            .collect::<Result<Vec<_>, _>>()?;
+        let slack = slack
+            .iter()
+            .map(Value::as_f64)
+            .collect::<Result<Vec<_>, _>>()?;
+        let in_range = finish.iter().chain([&round]).all(|&f| f < 1 << 53)
+            && slack.iter().zip(&quanta).all(|(w, q)| w.abs() <= *q);
+        if !in_range {
+            return Err(refuse("rr rounds or slack out of range"));
         }
-        let mut slack = Vec::new();
-        for wv in state.get("slack")?.items()? {
-            slack.push(wv.as_f64()?);
-        }
-        if quanta.len() != sessions.len()
-            // lint:allow(L001): vector length check on a snapshot load
-            // path, not a virtual-time comparison
-            || finish.len() != sessions.len()
-            || slack.len() != sessions.len()
-        {
-            return Err(SnapError {
-                at: 0,
-                what: format!(
-                    "rr quanta/finish/slack counts {}/{}/{} do not match session count {}",
-                    quanta.len(),
-                    finish.len(),
-                    slack.len(),
-                    sessions.len()
-                ),
-            });
-        }
-        self.quanta = quanta;
-        self.finish = finish;
-        self.slack = slack;
-        self.round = state.get("round")?.as_u64()?;
+        (self.quanta, self.finish, self.slack, self.round) = (quanta, finish, slack, round);
         Ok(())
     }
 }

@@ -68,7 +68,7 @@ impl RankProgram for ScfqRank {
     }
 
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.v = state.get("v")?.as_f64()?;
+        self.v = state.get_finite("v")?;
         Ok(())
     }
 }

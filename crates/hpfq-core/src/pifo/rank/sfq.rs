@@ -65,7 +65,7 @@ impl RankProgram for SfqRank {
     }
 
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.v = state.get("v")?.as_f64()?;
+        self.v = state.get_finite("v")?;
         Ok(())
     }
 }

@@ -117,6 +117,12 @@ impl RankProgram for Wf2qRank {
         self.fallback_dispatches += 1;
     }
 
+    fn on_idle(&mut self, id: SessionId) {
+        // Bases of packets that will never be heads — a leaf removal purged
+        // them from behind the head — go with the backlog they were for.
+        self.pending[id.0].clear();
+    }
+
     fn on_busy_reset(&mut self) {
         self.clock.reset();
         for p in &mut self.pending {
@@ -138,9 +144,11 @@ impl RankProgram for Wf2qRank {
     }
 
     fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        self.pending = load_pending(state.get("pending")?, sessions.len())?;
-        self.clock.load_state(state.get("clock")?)?;
-        self.fallback_dispatches = state.get("fallback_dispatches")?.as_u64()?;
+        let pending = load_pending(state.get("pending")?, sessions.len())?;
+        let fallback_dispatches = state.get("fallback_dispatches")?.as_counter()?;
+        self.clock
+            .load_state(state.get("clock")?, &sessions.shares())?;
+        (self.pending, self.fallback_dispatches) = (pending, fallback_dispatches);
         Ok(())
     }
 }

@@ -83,7 +83,7 @@ impl RankProgram for Wf2qPlusRank {
     }
 
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.v = state.get("v")?.as_f64()?;
+        self.v = state.get_finite("v")?;
         Ok(())
     }
 }

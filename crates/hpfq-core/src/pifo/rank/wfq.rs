@@ -93,6 +93,12 @@ impl RankProgram for WfqRank {
         Rank::open(sessions.finish(id), 0.0)
     }
 
+    fn on_idle(&mut self, id: SessionId) {
+        // Bases of packets that will never be heads — a leaf removal purged
+        // them from behind the head — go with the backlog they were for.
+        self.pending[id.0].clear();
+    }
+
     fn on_busy_reset(&mut self) {
         self.clock.reset();
         for p in &mut self.pending {
@@ -113,8 +119,10 @@ impl RankProgram for WfqRank {
     }
 
     fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        self.pending = load_pending(state.get("pending")?, sessions.len())?;
-        self.clock.load_state(state.get("clock")?)?;
+        let pending = load_pending(state.get("pending")?, sessions.len())?;
+        self.clock
+            .load_state(state.get("clock")?, &sessions.shares())?;
+        self.pending = pending;
         Ok(())
     }
 }

@@ -30,7 +30,7 @@
 //! session tags to zero; tags from a previous busy period must not penalise
 //! (or favour) sessions in the next one.
 
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 /// Index of a session (child logical queue) within one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -157,36 +157,30 @@ pub trait NodeScheduler {
         Value::Null
     }
 
-    /// Restores state captured by [`NodeScheduler::save_state`]. The
-    /// default accepts only [`Value::Null`] so that a scheduler without
+    /// Restores state captured by [`NodeScheduler::save_state`] into a
+    /// scheduler that must serve `sessions` sessions; a state for any other
+    /// number is refused. The state is untrusted input: a refusal leaves
+    /// `self` as it was.
+    ///
+    /// The default accepts only [`Value::Null`] so that a scheduler without
     /// checkpoint support fails loudly rather than resuming from garbage.
-    fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
+    fn load_state(&mut self, state: &Value, sessions: usize) -> Result<(), SnapError> {
+        let _ = sessions;
         if state.is_null() {
             Ok(())
         } else {
-            Err(SnapError {
-                at: 0,
-                what: format!("scheduler '{}' does not support load_state", self.name()),
-            })
+            Err(refuse(format!(
+                "scheduler '{}' does not support load_state",
+                self.name()
+            )))
         }
     }
 }
 
-/// Serializes an optional in-service session id.
-pub(crate) fn save_opt_id(id: Option<SessionId>) -> Value {
-    match id {
-        Some(id) => Value::U64(id.0 as u64),
-        None => Value::Null,
-    }
-}
-
-/// Restores an optional in-service session id.
-pub(crate) fn load_opt_id(v: &Value) -> Result<Option<SessionId>, SnapError> {
-    if v.is_null() {
-        Ok(None)
-    } else {
-        Ok(Some(SessionId(v.as_usize()?)))
-    }
+/// What [`SessionTable::push`] and the GPS clock accept as a share: a
+/// positive finite number.
+pub(crate) fn is_share(phi: f64) -> bool {
+    phi.is_finite() && phi > 0.0
 }
 
 /// One session's record: everything the PIFO driver reads or writes for a
@@ -253,7 +247,7 @@ impl SessionTable {
     /// server and returns its id.
     pub fn push(&mut self, phi: f64, server_rate: f64) -> SessionId {
         assert!(
-            phi.is_finite() && phi > 0.0,
+            is_share(phi),
             "session share must be a positive finite number, got {phi}"
         );
         assert!(
@@ -270,6 +264,11 @@ impl SessionTable {
             backlogged: false,
         });
         SessionId(self.records.len() - 1)
+    }
+
+    /// Every session's share, in id order.
+    pub(crate) fn shares(&self) -> Vec<f64> {
+        self.records.iter().map(|r| r.phi).collect()
     }
 
     /// The session's guaranteed share.
@@ -405,7 +404,6 @@ impl SessionTable {
                     let (start, finish) = self.tags_of(r);
                     Value::map(vec![
                         ("phi", Value::F64(r.phi)),
-                        ("inv_rate", Value::F64(r.inv_rate)),
                         ("start", Value::F64(start)),
                         ("finish", Value::F64(finish)),
                         ("head_bits", Value::F64(r.head_bits)),
@@ -416,19 +414,25 @@ impl SessionTable {
         )
     }
 
-    /// Restores a table saved by [`SessionTable::save`].
-    pub(crate) fn load(v: &Value) -> Result<SessionTable, SnapError> {
+    /// Restores a table saved by [`SessionTable::save`] for a server of
+    /// `server_rate`, registering each session through
+    /// [`SessionTable::push`] as a live run does.
+    pub(crate) fn load(v: &Value, server_rate: f64) -> Result<SessionTable, SnapError> {
         let mut t = SessionTable::new();
         for sv in v.items()? {
-            t.records.push(SessionRecord {
-                phi: sv.get("phi")?.as_f64()?,
-                inv_rate: sv.get("inv_rate")?.as_f64()?,
-                start: sv.get("start")?.as_f64()?,
-                finish: sv.get("finish")?.as_f64()?,
-                head_bits: sv.get("head_bits")?.as_f64()?,
-                epoch: t.epoch,
-                backlogged: sv.get("backlogged")?.as_bool()?,
-            });
+            let phi = sv.get("phi")?.as_f64()?;
+            let head_bits = sv.get_finite("head_bits")?;
+            if !is_share(phi) || head_bits < 0.0 {
+                return Err(refuse(format!(
+                    "session {}: share {phi}, head of {head_bits} bits",
+                    t.len()
+                )));
+            }
+            let (start, finish) = (sv.get_finite("start")?, sv.get_finite("finish")?);
+            let backlogged = sv.get("backlogged")?.as_bool()?;
+            let id = t.push(phi, server_rate);
+            let r = &mut t.records[id.0];
+            (r.start, r.finish, r.head_bits, r.backlogged) = (start, finish, head_bits, backlogged);
         }
         Ok(t)
     }
@@ -446,27 +450,22 @@ pub(crate) fn save_pending(pending: &[std::collections::VecDeque<f64>]) -> Value
     )
 }
 
-/// Restores queues saved by [`save_pending`]; must match the session count.
+/// Restores queues saved by [`save_pending`]: one per session, of finite
+/// start bases.
 pub(crate) fn load_pending(
     v: &Value,
     sessions: usize,
 ) -> Result<Vec<std::collections::VecDeque<f64>>, SnapError> {
-    let mut pending = Vec::new();
-    for qv in v.items()? {
-        let mut q = std::collections::VecDeque::new();
-        for bv in qv.items()? {
-            q.push_back(bv.as_f64()?);
-        }
-        pending.push(q);
-    }
+    let pending = v
+        .items()?
+        .iter()
+        .map(|qv| qv.items()?.iter().map(Value::as_finite).collect())
+        .collect::<Result<Vec<_>, SnapError>>()?;
     if pending.len() != sessions {
-        return Err(SnapError {
-            at: 0,
-            what: format!(
-                "pending queue count {} does not match session count {sessions}",
-                pending.len()
-            ),
-        });
+        return Err(refuse(format!(
+            "pending queue count {} does not match session count {sessions}",
+            pending.len()
+        )));
     }
     Ok(pending)
 }

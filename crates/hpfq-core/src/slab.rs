@@ -69,13 +69,6 @@ impl PacketSlab {
         self.nodes.len()
     }
 
-    /// Forgets every node. Every [`Chain`] built on this slab must be reset
-    /// to [`Chain::EMPTY`] with it.
-    pub(crate) fn clear(&mut self) {
-        self.nodes.clear();
-        self.free = NIL;
-    }
-
     /// Appends `pkt` to `q`.
     #[inline]
     pub(crate) fn push_back(&mut self, q: &mut Chain, pkt: Packet) {
@@ -236,7 +229,5 @@ mod tests {
         assert_eq!(slab.pop_front(&mut a).map(|p| p.id), Some(1)); // frees node 1
         slab.push_back(&mut b, Packet::new(10, 1, 100, 0.0));
         assert_eq!((b.head, slab.free), (1, 0));
-        slab.clear();
-        assert_eq!((slab.slots(), slab.free), (0, NIL));
     }
 }

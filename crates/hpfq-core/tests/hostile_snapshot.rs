@@ -1,8 +1,9 @@
 //! A snapshot is untrusted input: `Hierarchy::load_state` must refuse one
-//! whose logical heads do not describe a tree it can serve, with a typed
-//! error, instead of accepting it and panicking at the next dispatch (an
-//! out-of-bounds index in `start_transmission`, a pop from an empty FIFO in
-//! `complete_transmission`).
+//! that does not describe a tree it can serve — logical heads, queues, or a
+//! scheduler's own state — with a typed error, and leave the tree as it
+//! was, instead of accepting it and panicking or spinning at a later
+//! dispatch. `tests/hostile_snapshots.rs` at the workspace root runs the
+//! same property over mutated real snapshots; these are the directed cases.
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, Packet, SchedulerKind};
 use hpfq_obs::snap::Value;
@@ -43,6 +44,135 @@ fn with_key(v: &Value, key: &str, value: Value) -> Value {
             })
             .collect(),
     )
+}
+
+/// What an edit puts in place of the value it finds.
+type Edit<'a> = &'a dyn Fn(&Value) -> Value;
+
+/// `v` with the value at the dotted `path` — map keys, and list indices
+/// as numbers — replaced by `f` of it.
+fn replaced(v: &Value, path: &str, f: Edit) -> Value {
+    if path.is_empty() {
+        return f(v);
+    }
+    let (first, rest) = path.split_once('.').unwrap_or((path, ""));
+    let at = |k: &str, x: &Value| {
+        if k == first {
+            replaced(x, rest, f)
+        } else {
+            x.clone()
+        }
+    };
+    match v {
+        Value::Map(pairs) => Value::Map(pairs.iter().map(|(k, x)| (k.clone(), at(k, x))).collect()),
+        Value::List(items) => Value::List(
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, x)| at(&i.to_string(), x))
+                .collect(),
+        ),
+        _ => panic!("no '{first}' in {v:?}"),
+    }
+}
+
+/// A tree of one `kind` root over three leaves.
+fn three_leaves(kind: SchedulerKind) -> (Hierarchy<MixedScheduler>, [NodeId; 3]) {
+    let mut b = Hierarchy::builder(1e6, move |r| kind.build(r));
+    let root = b.root();
+    let leaves = [0.4, 0.3, 0.3].map(|phi| b.add_leaf(root, phi).unwrap());
+    (b.build(), leaves)
+}
+
+/// [`three_leaves`] with a 100-byte packet queued at each leaf: the root
+/// serves one and queues the other two.
+fn three_backlogged(kind: SchedulerKind) -> Hierarchy<MixedScheduler> {
+    let (mut h, leaves) = three_leaves(kind);
+    for (i, &leaf) in leaves.iter().enumerate() {
+        h.enqueue(leaf, Packet::new(i as u64, i as u32, 100, 0.0));
+    }
+    h
+}
+
+/// Each edit of the root scheduler's state — a path below
+/// `nodes.0.sched.state` and what to put there — is refused, onto a fresh
+/// tree and onto the running one, which still serves its three packets.
+fn refused_root_edits(kind: SchedulerKind, edits: &[(&str, Edit)]) {
+    let snap = three_backlogged(kind).save_state();
+    for (path, f) in edits {
+        let bad = replaced(&snap, &format!("nodes.0.sched.state.{path}"), *f);
+        let what = format!("{} {path}", kind.name());
+        assert!(
+            three_leaves(kind).0.load_state(&bad).is_err(),
+            "{what}: accepted"
+        );
+        let mut live = three_backlogged(kind);
+        assert!(live.load_state(&bad).is_err(), "{what}: accepted");
+        assert_eq!(std::iter::from_fn(|| live.dequeue()).count(), 3, "{what}");
+    }
+}
+
+/// A `MONOTONE_RANKS` program's queue is popped as a ring: open ranks in
+/// increasing order are all it can see. A DRR queue with one rank negated
+/// (out of order) or gated behind an eligibility key used to load `Ok` and
+/// panic at the next dispatch ("queue is non-empty").
+#[test]
+fn monotone_queue_out_of_order_or_gated_is_refused() {
+    refused_root_edits(
+        SchedulerKind::Drr,
+        &[
+            ("queue.1.primary", &|v| Value::F64(-v.as_f64().unwrap())),
+            ("queue.0.elig", &|_| Value::F64(0.0)),
+        ],
+    );
+}
+
+/// A WFQ node's GPS clock must have one session per session of its table,
+/// with finite tags: a clock one session short used to load `Ok` and index
+/// out of bounds at the next dispatch, and a NaN tag panicked inside the
+/// load itself.
+#[test]
+fn gps_clock_of_the_wrong_size_or_with_a_nan_tag_is_refused() {
+    refused_root_edits(
+        SchedulerKind::Wfq,
+        &[
+            ("program.clock.sessions", &|v| {
+                Value::List(v.items().unwrap()[1..].to_vec())
+            }),
+            ("program.clock.sessions.0.last_finish", &|_| {
+                Value::F64(f64::NAN)
+            }),
+            ("program.clock.v", &|_| Value::F64(f64::INFINITY)),
+        ],
+    );
+}
+
+/// A DRR deficit that is not finite, or so far below zero that the ring
+/// would rotate for ages before the session sends, used to load `Ok` and
+/// make the next dispatch spin.
+#[test]
+fn drr_deficit_that_would_spin_the_ring_is_refused() {
+    refused_root_edits(
+        SchedulerKind::Drr,
+        &[
+            ("program.slots.1.deficit", &|_| Value::F64(f64::NAN)),
+            ("program.slots.1.deficit", &|_| Value::F64(-1e300)),
+        ],
+    );
+}
+
+/// A scheduler's session serves its child at the child's share. A round
+/// robin session's quantum is rebuilt from its share, and one far below
+/// the child's would overflow the round counter at the next dispatch.
+#[test]
+fn session_share_that_is_not_the_childs_is_refused() {
+    for kind in [
+        SchedulerKind::Rr,
+        SchedulerKind::Drr,
+        SchedulerKind::Wf2qPlus,
+    ] {
+        refused_root_edits(kind, &[("sessions.0.phi", &|_| Value::F64(1e-157))]);
+    }
 }
 
 /// `snap` with `key` of node `node` replaced by `value`.
@@ -105,15 +235,14 @@ fn doctored_heads_are_refused_and_the_tree_keeps_serving() {
     assert_eq!(std::iter::from_fn(|| fresh.dequeue()).count(), 2);
 }
 
-/// What the next completion would trip over is checked too: a byte count
-/// that disagrees with the queue (underflow), an offered head with nothing
-/// queued behind it, a transmission in progress with no path to complete.
+/// What the next completion would trip over is checked too: an offered
+/// head with nothing queued behind it, a transmission in progress with no
+/// path to complete.
 #[test]
 fn doctored_queue_accounting_is_refused() {
     let snap = backlogged().save_state();
     let mut live = backlogged();
     for bad in [
-        doctored(&snap, 2, "fifo_bytes", Value::U64(0)),
         doctored(&snap, 2, "fifo", Value::List(Vec::new())),
         with_key(&tree().0.save_state(), "transmitting", Value::Bool(true)),
     ] {

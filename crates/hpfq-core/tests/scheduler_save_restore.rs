@@ -102,7 +102,7 @@ fn every_policy_round_trips_mid_run() {
             resumed.add_session(1.0 / N as f64);
         }
         resumed
-            .load_state(&snap)
+            .load_state(&snap, N)
             .unwrap_or_else(|e| panic!("{}: load failed: {e}", kind.name()));
         assert_eq!(
             resumed.save_state().to_bytes(),
@@ -138,7 +138,7 @@ fn round_trip_with_session_in_service() {
         let mut r = kind.build(1e6);
         r.add_session(0.5);
         r.add_session(0.5);
-        r.load_state(&snap).unwrap();
+        r.load_state(&snap, 2).unwrap();
         assert_eq!(r.save_state().to_bytes(), snap.to_bytes());
         assert_eq!(r.backlogged(), s.backlogged());
 

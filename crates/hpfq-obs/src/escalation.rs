@@ -182,26 +182,21 @@ impl EscalationState {
     }
 
     /// Restores state saved by [`EscalationState::save_state`], replacing
-    /// the current contents wholesale.
+    /// the current contents wholesale — or, on a refusal, not at all.
     pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
         let mut strikes = BTreeMap::new();
         for pair in state.get("strikes")?.items()? {
-            let fields = pair.items()?;
-            if fields.len() != 2 {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("strike record has {} fields, expected 2", fields.len()),
-                });
-            }
-            strikes.insert(fields[0].as_u32()?, fields[1].as_u32()?);
+            let [flow, n] = pair.items()? else {
+                return Err(crate::snap::refuse("a strike record is not two fields"));
+            };
+            strikes.insert(flow.as_u32()?, n.as_u32()?);
         }
         let mut quarantined = BTreeSet::new();
         for f in state.get("quarantined")?.items()? {
             quarantined.insert(f.as_u32()?);
         }
-        self.strikes = strikes;
-        self.quarantined = quarantined;
-        self.halted = state.get("halted")?.as_bool()?;
+        let halted = state.get("halted")?.as_bool()?;
+        (self.strikes, self.quarantined, self.halted) = (strikes, quarantined, halted);
         Ok(())
     }
 

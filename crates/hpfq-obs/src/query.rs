@@ -523,7 +523,7 @@ pub struct SnapshotReport {
     /// Links with a transmission completion pending (`tx_done` set): a
     /// packet on the wire, not suspended by an outage.
     pub pending_completions: usize,
-    /// Flows with an owner entry.
+    /// Distinct flow ids among the sources.
     pub flows: usize,
     /// Whether the captured run had already halted.
     pub halted: bool,
@@ -559,12 +559,8 @@ pub fn snapshot_report(text: &str) -> Result<SnapshotReport, String> {
         .get("now")
         .and_then(|v| v.as_f64())
         .map_err(|e| format!("not a network snapshot: {e}"))?;
-    let count = |key: &str| {
-        state
-            .get(key)
-            .and_then(|v| v.items().map(<[Value]>::len))
-            .unwrap_or(0)
-    };
+    let items = |key: &str| state.get(key).and_then(|v| v.items()).unwrap_or(&[]);
+    let flow = |s: &Value| s.get("flow").and_then(|f| f.as_u64()).ok();
     Ok(SnapshotReport {
         bytes: text.len(),
         kind,
@@ -572,19 +568,18 @@ pub fn snapshot_report(text: &str) -> Result<SnapshotReport, String> {
         horizon,
         version,
         now,
-        links: count("links"),
-        sources: count("sources"),
-        queued_events: count("events"),
-        pending_completions: state
-            .get("links")
-            .and_then(|v| v.items())
-            .map_or(0, |links| {
-                links
-                    .iter()
-                    .filter(|l| l.get("tx_done").is_ok_and(|t| !t.is_null()))
-                    .count()
-            }),
-        flows: count("flow_owner"),
+        links: items("links").len(),
+        sources: items("sources").len(),
+        queued_events: items("events").len(),
+        pending_completions: items("links")
+            .iter()
+            .filter(|l| l.get("tx_done").is_ok_and(|t| !t.is_null()))
+            .count(),
+        flows: items("sources")
+            .iter()
+            .filter_map(flow)
+            .collect::<BTreeSet<_>>()
+            .len(),
         halted: state
             .get("halted")
             .and_then(|v| v.as_bool())
@@ -781,10 +776,13 @@ mod tests {
                 ]),
             ),
             ("events", Value::List(vec![Value::Null; 5])),
-            ("sources", Value::List(vec![Value::Null; 3])),
             (
-                "flow_owner",
-                Value::List(vec![Value::Null, Value::Null, Value::Null]),
+                "sources",
+                Value::List(
+                    [7, 9, 7]
+                        .map(|flow| Value::map(vec![("flow", Value::U64(flow))]))
+                        .to_vec(),
+                ),
             ),
             ("halted", Value::Bool(false)),
             ("injector", Value::U64(7)),
@@ -795,7 +793,7 @@ mod tests {
         assert_eq!(r.seed, None);
         assert_eq!(r.version, 2);
         assert_eq!(r.now, 3.25);
-        assert_eq!((r.links, r.sources, r.queued_events, r.flows), (2, 3, 5, 3));
+        assert_eq!((r.links, r.sources, r.queued_events, r.flows), (2, 3, 5, 2));
         assert_eq!(r.pending_completions, 1);
         assert!(r.injector && !r.halted);
 

@@ -73,6 +73,14 @@ fn err<T>(at: usize, what: impl Into<String>) -> Result<T, SnapError> {
     })
 }
 
+/// A loader's refusal of a value that parsed: a shape or range error.
+pub fn refuse(what: impl Into<String>) -> SnapError {
+    SnapError {
+        at: 0,
+        what: what.into(),
+    }
+}
+
 impl Value {
     /// Builds a map value from `(key, value)` pairs, preserving order.
     pub fn map(pairs: Vec<(&str, Value)>) -> Value {
@@ -166,6 +174,30 @@ impl Value {
     pub fn as_u32(&self) -> Result<u32, SnapError> {
         let v = self.as_u64()?;
         u32::try_from(v).or_else(|_| err(0, format!("u64 {v} does not fit u32")))
+    }
+
+    /// Unwraps a `U64` counter: below 2^63, so that a run adding to it
+    /// cannot overflow.
+    pub fn as_counter(&self) -> Result<u64, SnapError> {
+        match self.as_u64()? {
+            n if n < 1 << 63 => Ok(n),
+            n => err(0, format!("counter {n} is out of range")),
+        }
+    }
+
+    /// Unwraps an `F64` that is finite.
+    pub fn as_finite(&self) -> Result<f64, SnapError> {
+        match self.as_f64()? {
+            x if x.is_finite() => Ok(x),
+            x => err(0, format!("{x} is not a finite number")),
+        }
+    }
+
+    /// Looks up `key` in a map value and unwraps it as a finite `F64`.
+    pub fn get_finite(&self, key: &str) -> Result<f64, SnapError> {
+        self.get(key)?
+            .as_finite()
+            .map_err(|e| refuse(format!("'{key}': {}", e.what)))
     }
 
     /// Whether this is `Null`.
@@ -431,14 +463,17 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, SnapError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance by one UTF-8 character.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| SnapError {
-                    at: *pos,
-                    what: "invalid UTF-8 in string".into(),
-                })?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // A run of plain characters, up to the next quote or escape:
+                // both are ASCII, so never inside a multi-byte character.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |k| *pos + k);
+                match std::str::from_utf8(&b[*pos..end]) {
+                    Ok(run) => out.push_str(run),
+                    Err(_) => return err(*pos, "invalid UTF-8 in string"),
+                }
+                *pos = end;
             }
         }
     }
@@ -545,6 +580,52 @@ mod tests {
         assert!(parse("\"abc").is_err()); // unterminated string
     }
 
+    /// Byte-level mutants of a checkpoint-shaped value — truncated, one
+    /// bit flipped, or a piece of itself spliced in — parse or are refused,
+    /// never panic, and whatever parses writes bytes that parse back to it.
+    #[test]
+    fn mutated_bytes_parse_or_are_refused() {
+        let packet = |id: u64| Value::list(vec![Value::U64(id), Value::F64(1.5e-3 * id as f64)]);
+        let v = Value::map(vec![
+            ("v", Value::U64(4)),
+            ("now", Value::F64(0.25)),
+            ("inflight", Value::I64(-4096)),
+            ("tag", Value::Str("wf2q+ \"é\" \u{1}".into())),
+            ("fifo", Value::list((0..6).map(packet).collect())),
+            ("head", Value::Null),
+            ("live", Value::Bool(true)),
+        ]);
+        let text = v.to_bytes();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as usize % n.max(1)
+        };
+        let (mut parsed, rounds) = (0, if cfg!(miri) { 300 } else { 30_000 });
+        for _ in 0..rounds {
+            let mut bytes = text.clone();
+            match below(3) {
+                0 => bytes.truncate(below(text.len())),
+                1 => bytes[below(text.len())] ^= 1 << below(8),
+                _ => {
+                    let len = 1 + below(64).min(text.len() - 1);
+                    let from = below(text.len() - len + 1);
+                    let at = below(text.len());
+                    let cut = below(65).min(text.len() - at);
+                    bytes.splice(at..at + cut, text[from..from + len].iter().copied());
+                }
+            }
+            if let Ok(back) = parse(&String::from_utf8_lossy(&bytes)) {
+                parsed += 1;
+                let again = parse(&back.to_text()).expect("re-parse");
+                assert_eq!(again.to_bytes(), back.to_bytes());
+            }
+        }
+        assert!(parsed > 0 && parsed < rounds, "{parsed} of {rounds} parsed");
+    }
+
     #[test]
     fn accessors_report_shape_errors() {
         let v = Value::map(vec![("a", Value::U64(7))]);
@@ -554,5 +635,17 @@ mod tests {
         assert!(Value::U64(1).get("a").is_err());
         assert_eq!(Value::U64(7).as_usize().unwrap(), 7usize);
         assert!(Value::U64(u64::MAX).as_u32().is_err());
+        assert_eq!(
+            Value::U64((1 << 63) - 1).as_counter().unwrap(),
+            (1 << 63) - 1
+        );
+        assert!(Value::U64(1 << 63).as_counter().is_err());
+        let v = Value::map(vec![("x", Value::F64(0.5)), ("y", Value::F64(f64::NAN))]);
+        assert_eq!(v.get_finite("x").unwrap(), 0.5);
+        assert!(v.get_finite("y").is_err());
+        assert!(Value::F64(f64::NEG_INFINITY).as_finite().is_err());
+        assert!(Value::map(vec![("z", Value::F64(f64::INFINITY))])
+            .get_finite("z")
+            .is_err());
     }
 }

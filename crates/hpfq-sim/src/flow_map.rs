@@ -156,18 +156,6 @@ impl FlowIndex {
         self.table.fill(0);
         self.len = 0;
     }
-
-    /// `(flow, position)` pairs in ascending flow order.
-    pub(crate) fn sorted(&self, key_of: impl Fn(usize) -> u32) -> Vec<(u32, usize)> {
-        let mut pairs: Vec<(u32, usize)> = self
-            .table
-            .iter()
-            .filter(|&&p| p != 0)
-            .map(|&p| (key_of(p as usize - 1), p as usize - 1))
-            .collect();
-        pairs.sort_unstable_by_key(|(flow, _)| *flow);
-        pairs
-    }
 }
 
 /// A `u32 → V` map: dense `(flow, value)` storage in insertion order plus
@@ -502,11 +490,6 @@ mod tests {
                     "case {case} flow {flow}"
                 );
             }
-            assert_eq!(
-                ix.sorted(|p| keys[p]),
-                model.into_iter().collect::<Vec<_>>(),
-                "case {case}"
-            );
         }
     }
 
@@ -542,20 +525,6 @@ mod tests {
         assert!(grown >= 3);
         assert_eq!(ix.len(), n / 2);
         assert!(ix.table.len() >= 2 * ix.len());
-    }
-
-    #[test]
-    fn flow_index_sorted_is_by_flow_id() {
-        let keys = [40, u32::MAX, 0, 40, 7, 1 << 31];
-        let mut ix = FlowIndex::default();
-        assert!(ix.sorted(|p| keys[p]).is_empty());
-        for (p, &f) in keys.iter().enumerate() {
-            ix.insert(f, p, |p| keys[p]);
-        }
-        assert_eq!(
-            ix.sorted(|p| keys[p]),
-            vec![(0, 2), (7, 4), (40, 3), (1 << 31, 5), (u32::MAX, 1)]
-        );
     }
 
     /// A hint is only a guess. Whatever it holds — a slot `remove` emptied,

@@ -55,7 +55,7 @@
 
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 use hpfq_obs::{
     DropEvent, EpochSpan, EscalationLevel, EscalationPolicy, EscalationState, FaultEvent,
     FaultKind, NoopObserver, Observer, PacketInfo, QuarantineEvent, SpanKind, SpanProfiler,
@@ -96,19 +96,32 @@ pub struct Route {
 }
 
 impl Route {
-    /// A multi-hop route. Panics if `hops` is empty or revisits a link.
+    /// A multi-hop route. Panics unless it has a hop, visits no link twice
+    /// and has finite, non-negative propagation delays.
     pub fn new(hops: Vec<Hop>) -> Self {
-        assert!(!hops.is_empty(), "a route needs at least one hop");
-        for (i, h) in hops.iter().enumerate() {
-            assert!(
-                hops[..i].iter().all(|p| p.link != h.link),
-                "route visits link {} twice",
-                h.link
-            );
-        }
-        Route {
+        let route = Route {
             hops: hops.into_iter().collect(),
+        };
+        if let Err(what) = route.check() {
+            panic!("{what}");
         }
+        route
+    }
+
+    /// What [`Route::new`] asserts; a snapshot's routes are held to it.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        if self.hops.is_empty() {
+            return Err("a route needs at least one hop".into());
+        }
+        for (i, h) in self.hops.iter().enumerate() {
+            if self.hops[..i].iter().any(|p| p.link == h.link) {
+                return Err(format!("route visits link {} twice", h.link));
+            }
+            if !is_delay(h.prop_delay) {
+                return Err(format!("route propagation delay {}", h.prop_delay));
+            }
+        }
+        Ok(())
     }
 
     /// The single-hop route of a one-link network: serve at `leaf` on
@@ -129,6 +142,16 @@ impl Route {
     pub fn open_loop(leaf: NodeId) -> Self {
         Route::single(leaf, None, 0.0)
     }
+}
+
+/// A delay a route or a delivery may take: finite, not negative.
+pub(crate) fn is_delay(d: f64) -> bool {
+    d.is_finite() && d >= 0.0
+}
+
+/// A rate a link may run at: finite, not negative (0 is an outage).
+pub(crate) fn is_link_rate(bps: f64) -> bool {
+    bps.is_finite() && bps >= 0.0
 }
 
 /// A control-plane action scheduled against the simulation clock with
@@ -226,19 +249,14 @@ pub trait FaultInjector: Send {
     /// The default refuses: [`Network::snapshot`] then reports that the
     /// installed injector cannot be checkpointed.
     fn save_state(&self) -> Result<Value, SnapError> {
-        Err(SnapError {
-            at: 0,
-            what: "fault injector does not support checkpointing".into(),
-        })
+        Err(refuse("fault injector does not support checkpointing"))
     }
 
     /// Restores state captured by [`FaultInjector::save_state`] into an
-    /// injector of the same concrete type and configuration.
+    /// injector of the same concrete type and configuration. The state is
+    /// untrusted input: a refusal leaves `self` as it was.
     fn load_state(&mut self, _state: &Value) -> Result<(), SnapError> {
-        Err(SnapError {
-            at: 0,
-            what: "fault injector does not support checkpointing".into(),
-        })
+        Err(refuse("fault injector does not support checkpointing"))
     }
 
     /// Splits off a child injector owning the per-flow decision streams of
@@ -273,10 +291,9 @@ impl FaultInjector for NoFaults {
     fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
         match state.get("kind")?.as_str()? {
             "none" => Ok(()),
-            other => Err(SnapError {
-                at: 0,
-                what: format!("expected no-fault injector state, found '{other}'"),
-            }),
+            other => Err(refuse(format!(
+                "expected no-fault injector state, found '{other}'"
+            ))),
         }
     }
 
@@ -1028,7 +1045,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// a later call restores a positive rate.
     fn set_link_rate(&mut self, link: usize, new_rate: f64) {
         let now = self.engine.now();
-        if !(new_rate.is_finite() && new_rate >= 0.0) {
+        if !is_link_rate(new_rate) {
             self.command_errors
                 .push((now, HpfqError::InvalidRate(new_rate)));
             return;

@@ -363,7 +363,7 @@ impl PhaseBarrier {
     }
 }
 
-impl<S: NodeScheduler + Send, O: Observer + Send> Network<S, O> {
+impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
     /// Runs the simulation to `horizon` on up to `shards` worker threads,
     /// producing results byte-identical to [`Network::run`]`(horizon)`.
     ///

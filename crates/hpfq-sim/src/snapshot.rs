@@ -2,10 +2,10 @@
 //!
 //! [`Network::snapshot`] captures *everything* the event loop's future
 //! depends on — per-link hierarchies and transmission state (each link's
-//! pending completion included), the event queue with its
-//! content-derived tie-break keys, statistics, ledgers,
+//! pending completion included), the event queue, statistics, ledgers,
 //! escalation state, source generators (RNG streams, plan cursors), and
-//! the fault injector — as one [`Value`] tree. The tree serializes
+//! the fault injector — as one [`Value`] tree; what a restore rebuilds
+//! exactly (tie-break keys, the flow-owner index) is left out. The tree serializes
 //! byte-deterministically ([`Value::to_bytes`]), so two identical runs
 //! checkpointed at the same instant produce identical bytes.
 //!
@@ -31,27 +31,27 @@
 //!   re-created;
 //! * the degenerate identity restore.
 
-use hpfq_core::{HpfqError, NodeId, NodeScheduler, Packet};
-use hpfq_obs::snap::{SnapError, Value};
-use hpfq_obs::Observer;
+use hpfq_core::{Hierarchy, HierarchyState, HpfqError, NodeId, NodeScheduler, Packet};
+use hpfq_obs::snap::{refuse, SnapError, Value};
+use hpfq_obs::{EscalationPolicy, EscalationState, Observer};
 
 use crate::flow_map::FlowIndex;
 use crate::network::{
-    minor_of, DetachReason, Hop, LinkLedger, NetEvent, Network, Route, SimCommand, SourceSlot,
+    is_delay, is_link_rate, DetachReason, Hop, LinkLedger, NetEvent, Network, Route, SimCommand,
+    SourceSlot,
 };
 use crate::source::{load_source, Few};
+use crate::stats::SimStats;
 
 /// Format version stamped into every snapshot. Version 2 moved each
 /// link's pending completion out of the event list into the link's
 /// `tx_done` field (replacing `tx_epoch` and the `"tx"` event tag) and
 /// added `wants_delivery` to source slots; version 3 dropped the per-link
-/// `train` list. [`Network::restore`] rejects any other version with a
-/// typed error.
-pub const SNAPSHOT_VERSION: u64 = 3;
-
-fn err(what: String) -> SnapError {
-    SnapError { at: 0, what }
-}
+/// `train` list; version 4 stopped storing what a restore rebuilds with
+/// the code a run uses — event tie-break keys, the flow-owner list,
+/// session inverse rates, leaf byte counts and round-robin quanta.
+/// [`Network::restore`] rejects any other version with a typed error.
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 fn save_opt_u64(v: Option<u64>) -> Value {
     match v {
@@ -68,21 +68,20 @@ fn load_opt_u64(v: &Value) -> Result<Option<u64>, SnapError> {
     }
 }
 
-fn fixed_list(v: &Value, n: usize, what: &str) -> Result<Vec<Value>, SnapError> {
-    let items = v.items()?;
-    if items.len() != n {
-        return Err(err(format!(
+pub(crate) fn fixed_list<'a>(v: &'a Value, n: usize, what: &str) -> Result<&'a [Value], SnapError> {
+    match v.items()? {
+        items if items.len() == n => Ok(items),
+        items => Err(refuse(format!(
             "{what} has {} fields, expected {n}",
             items.len()
-        )));
+        ))),
     }
-    Ok(items.to_vec())
 }
 
 fn tagged(v: &Value, what: &str) -> Result<(String, Vec<Value>), SnapError> {
     let items = v.items()?;
     let Some((tag, rest)) = items.split_first() else {
-        return Err(err(format!("{what} is an empty list")));
+        return Err(refuse(format!("{what} is an empty list")));
     };
     Ok((tag.as_str()?.to_string(), rest.to_vec()))
 }
@@ -102,11 +101,11 @@ pub(crate) fn save_ledger(l: &LinkLedger) -> Value {
 pub(crate) fn load_ledger(v: &Value) -> Result<LinkLedger, SnapError> {
     let f = fixed_list(v, 5, "link ledger")?;
     Ok(LinkLedger {
-        bytes_in: f[0].as_u64()?,
-        bytes_out: f[1].as_u64()?,
-        bytes_purged: f[2].as_u64()?,
-        packets_in: f[3].as_u64()?,
-        packets_out: f[4].as_u64()?,
+        bytes_in: f[0].as_counter()?,
+        bytes_out: f[1].as_counter()?,
+        bytes_purged: f[2].as_counter()?,
+        packets_in: f[3].as_counter()?,
+        packets_out: f[4].as_counter()?,
     })
 }
 
@@ -141,12 +140,9 @@ pub(crate) fn load_route(v: &Value) -> Result<Route, SnapError> {
         .iter()
         .map(load_hop)
         .collect::<Result<Few<_>, _>>()?;
-    if hops.is_empty() {
-        return Err(err("route has no hops".into()));
-    }
-    // Bypasses `Route::new` — its panicking asserts are for hand-built
-    // routes; a snapshot route already passed them when first built.
-    Ok(Route { hops })
+    let route = Route { hops };
+    route.check().map_err(refuse)?;
+    Ok(route)
 }
 
 // --- detach reasons ------------------------------------------------------
@@ -168,7 +164,7 @@ fn load_reason(v: &Value) -> Result<DetachReason, SnapError> {
             strikes: rest[0].as_u32()?,
         }),
         "churn" if rest.is_empty() => Ok(DetachReason::Churn),
-        _ => Err(err(format!("unknown detach reason '{tag}'"))),
+        _ => Err(refuse(format!("unknown detach reason '{tag}'"))),
     }
 }
 
@@ -214,7 +210,7 @@ pub(crate) fn load_error(v: &Value) -> Result<HpfqError, SnapError> {
     let (tag, rest) = tagged(v, "scheduler error")?;
     let one_usize = |rest: &[Value]| -> Result<usize, SnapError> {
         if rest.len() != 1 {
-            return Err(err(format!(
+            return Err(refuse(format!(
                 "error '{tag}' wants 1 field, got {}",
                 rest.len()
             )));
@@ -237,7 +233,7 @@ pub(crate) fn load_error(v: &Value) -> Result<HpfqError, SnapError> {
                 .iter()
                 .find(|r| **r == reason_str)
                 .copied()
-                .ok_or_else(|| err(format!("unknown packet reason '{reason_str}'")))?;
+                .ok_or_else(|| refuse(format!("unknown packet reason '{reason_str}'")))?;
             Ok(HpfqError::InvalidPacket {
                 id: rest[0].as_u64()?,
                 flow: rest[1].as_u32()?,
@@ -246,7 +242,7 @@ pub(crate) fn load_error(v: &Value) -> Result<HpfqError, SnapError> {
         }
         "node_detached" => Ok(HpfqError::NodeDetached(one_usize(&rest)?)),
         "has_children" => Ok(HpfqError::HasChildren(one_usize(&rest)?)),
-        _ => Err(err(format!("unknown scheduler error '{tag}'"))),
+        _ => Err(refuse(format!("unknown scheduler error '{tag}'"))),
     }
 }
 
@@ -293,7 +289,7 @@ fn load_command(v: &Value) -> Result<SimCommand, SnapError> {
             link: rest[0].as_usize()?,
             bps: rest[1].as_f64()?,
         }),
-        "add_flow" if rest.len() == 6 => Ok(SimCommand::AddFlow {
+        "add_flow" if rest.len() == 6 && is_delay(rest[5].as_f64()?) => Ok(SimCommand::AddFlow {
             parent: NodeId(rest[0].as_usize()?),
             phi: rest[1].as_f64()?,
             flow: rest[2].as_u32()?,
@@ -302,7 +298,7 @@ fn load_command(v: &Value) -> Result<SimCommand, SnapError> {
             delivery_delay: rest[5].as_f64()?,
         }),
         "remove_flow" if rest.len() == 1 => Ok(SimCommand::RemoveFlow(rest[0].as_u32()?)),
-        _ => Err(err(format!("unknown command '{tag}'"))),
+        _ => Err(refuse(format!("unknown command '{tag}'"))),
     }
 }
 
@@ -351,7 +347,7 @@ pub(crate) fn load_event(v: &Value) -> Result<NetEvent, SnapError> {
             hop: rest[1].as_usize()?,
             reason: load_reason(&rest[2])?,
         }),
-        _ => Err(err(format!("unknown event '{tag}'"))),
+        _ => Err(refuse(format!("unknown event '{tag}'"))),
     }
 }
 
@@ -379,23 +375,17 @@ fn check_source(sources: &[SourceSlot], idx: usize, what: &str) -> Result<(), Sn
     if idx < sources.len() {
         return Ok(());
     }
-    Err(err(format!(
+    Err(refuse(format!(
         "{what} names source {idx} but the snapshot has {}",
         sources.len()
     )))
 }
 
 /// Refuses a queued event the handlers could not run: a source or hop its
-/// route table lacks, a time or key no run could have produced.
-fn check_event(
-    sources: &[SourceSlot],
-    now: f64,
-    t: f64,
-    minor: u64,
-    ev: &NetEvent,
-) -> Result<(), SnapError> {
+/// route table lacks, a time no run could have produced.
+fn check_event(sources: &[SourceSlot], now: f64, t: f64, ev: &NetEvent) -> Result<(), SnapError> {
     if !(t.is_finite() && t >= now) {
-        return Err(err(format!(
+        return Err(refuse(format!(
             "event time {t} is not a finite time at or after the clock {now}"
         )));
     }
@@ -403,7 +393,7 @@ fn check_event(
         NetEvent::Wake(i) => {
             check_source(sources, *i, "wake event")?;
             if u32::try_from(*i).is_err() {
-                return Err(err(format!("wake source {i} exceeds the timer payload")));
+                return Err(refuse(format!("wake source {i} exceeds the timer payload")));
             }
         }
         NetEvent::Deliver(i, _) => check_source(sources, *i, "deliver event")?,
@@ -411,20 +401,26 @@ fn check_event(
             check_source(sources, *src, "arrive/detach event")?;
             let hops = sources[*src].route.hops.len();
             if *hop >= hops {
-                return Err(err(format!(
+                return Err(refuse(format!(
                     "event names hop {hop} of source {src}, whose route has {hops}"
                 )));
             }
         }
         NetEvent::Command(_) => {}
     }
-    // The key is a function of the event; the engine recomputes it.
-    if minor != minor_of(ev) {
-        return Err(err(format!(
-            "event key {minor:#x} does not match its content"
-        )));
-    }
     Ok(())
+}
+
+/// One link's state from a snapshot, checked and waiting to be installed.
+struct LinkState<'a, S: NodeScheduler> {
+    server: HierarchyState<S>,
+    obs: &'a Value,
+    rate: f64,
+    tx_start: f64,
+    tx_done: Option<f64>,
+    tx_remaining_bits: f64,
+    tx_updated: f64,
+    ledger: LinkLedger,
 }
 
 // --- the network ---------------------------------------------------------
@@ -444,8 +440,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// support checkpointing.
     pub fn snapshot(&mut self) -> Result<Value, SnapError> {
         if self.shard.is_some() {
-            return Err(err(
-                "cannot snapshot one shard of a parallel run; checkpoint the merged master".into(),
+            return Err(refuse(
+                "cannot snapshot one shard of a parallel run; checkpoint the merged master",
             ));
         }
         let now = self.engine.now();
@@ -474,10 +470,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         let drained = self.engine.drain_ordered();
         let mut events = Vec::with_capacity(drained.len());
         let mut save_err = None;
-        for (t, minor, ev) in drained {
+        for (t, _, ev) in drained {
             if save_err.is_none() {
                 match save_event(&ev) {
-                    Ok(v) => events.push(Value::List(vec![Value::F64(t), Value::U64(minor), v])),
+                    Ok(v) => events.push(Value::List(vec![Value::F64(t), v])),
                     Err(e) => save_err = Some(e),
                 }
             }
@@ -506,14 +502,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 ]))
             })
             .collect::<Result<Vec<_>, SnapError>>()?;
-        let flow_owner = self
-            .flow_owner
-            .sorted(|i| self.sources[i].flow)
-            .into_iter()
-            .map(|(flow, idx)| {
-                Value::List(vec![Value::U64(u64::from(flow)), Value::U64(idx as u64)])
-            })
-            .collect();
         let cmd_errors = self
             .command_errors
             .iter()
@@ -529,7 +517,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             ("links", Value::List(links)),
             ("events", Value::List(events)),
             ("sources", Value::List(sources)),
-            ("flow_owner", Value::List(flow_owner)),
             ("stats", self.stats.save_state()),
             (
                 "policy",
@@ -545,7 +532,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             ("injector", injector),
         ]))
     }
+}
 
+impl<S: NodeScheduler + Clone, O: Observer> Network<S, O> {
     /// Restores state captured by [`Network::snapshot`].
     ///
     /// The target must have the same link topology (same `add_link`
@@ -556,104 +545,107 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// installed fault injector must match the snapshot (state is loaded
     /// into it; an injector cannot be conjured from a snapshot alone).
     ///
-    /// The snapshot is untrusted input. Its queued events and flow-owner
-    /// list are checked against its own source table first — a source
-    /// index or hop that table lacks, an event time that is not finite or
-    /// lies before the clock, a key that is not the event's, an owner list
-    /// that is not the one the source table implies — and a
-    /// snapshot refused for one of those leaves the network as it was. On
-    /// a later error the network may be partially restored; callers treat
-    /// that as fatal for the run (the crash-recovery supervisor escalates
-    /// to a typed halt).
+    /// The snapshot is untrusted input, and a refused one leaves the
+    /// network as it was. Every piece — each link's hierarchy and
+    /// transmission state, the sources and their routes, the queued
+    /// events, statistics, the escalation ladder, command errors — is
+    /// parsed and checked before anything is written; the fault injector
+    /// loads last of all fallible steps; then everything is installed.
     pub fn restore(&mut self, snap: &Value) -> Result<(), SnapError> {
         if self.shard.is_some() {
-            return Err(err("cannot restore into a shard of a parallel run".into()));
+            return Err(refuse("cannot restore into a shard of a parallel run"));
         }
         let version = snap.get("v")?.as_u64()?;
         if version != SNAPSHOT_VERSION {
-            return Err(err(format!(
+            return Err(refuse(format!(
                 "snapshot version {version} unsupported (expected {SNAPSHOT_VERSION})"
             )));
         }
-        let now = snap.get("now")?.as_f64()?;
-        if !now.is_finite() {
-            return Err(err(format!("snapshot clock {now} is not finite")));
+        let now = snap.get_finite("now")?;
+        let links_v = snap.get("links")?.items()?;
+        if links_v.len() != self.links.len() {
+            return Err(refuse(format!(
+                "snapshot has {} links but the network has {}",
+                links_v.len(),
+                self.links.len()
+            )));
         }
-        // Everything that indexes the source table is parsed and checked
-        // against the snapshot's own table before the engine or any table
-        // is touched: an index taken on trust would panic the next `run`.
+        let mut links = Vec::with_capacity(links_v.len());
+        for (i, (lv, link)) in links_v.iter().zip(&self.links).enumerate() {
+            let Some(l) = link else {
+                return Err(refuse(format!("network link {i} is a shard hole")));
+            };
+            links.push(
+                load_link(&l.server, lv, now)
+                    .map_err(|e| refuse(format!("link {i}: {}", e.what)))?,
+            );
+        }
         let sources = snap
             .get("sources")?
             .items()?
             .iter()
             .map(load_slot)
             .collect::<Result<Vec<_>, _>>()?;
-        let events_v = snap.get("events")?.items()?;
-        let mut events = Vec::with_capacity(events_v.len());
-        for entry in events_v {
-            let f = fixed_list(entry, 3, "event entry")?;
-            let (t, minor, ev) = (f[0].as_f64()?, f[1].as_u64()?, load_event(&f[2])?);
-            check_event(&sources, now, t, minor, &ev)?;
+        for (idx, slot) in sources.iter().enumerate() {
+            for hop in slot.route.hops.iter() {
+                if !links
+                    .get(hop.link)
+                    .is_some_and(|l| l.server.is_leaf(hop.leaf))
+                {
+                    return Err(refuse(format!(
+                        "source {idx} routes through leaf {} of link {}, which is no leaf there",
+                        hop.leaf.index(),
+                        hop.link
+                    )));
+                }
+            }
+        }
+        let mut events = Vec::new();
+        for entry in snap.get("events")?.items()? {
+            let f = fixed_list(entry, 2, "event entry")?;
+            let (t, ev) = (f[0].as_f64()?, load_event(&f[1])?);
+            check_event(&sources, now, t, &ev)?;
             events.push((t, ev));
         }
-        // The owner table is a function of the source table — each flow id
-        // owned by the last slot registered under it — so it is rebuilt
-        // from that, and a snapshot whose list says anything else (a flow
-        // pointed at another flow's slot, at a shadowed slot, listed twice
-        // or not at all) is refused.
-        let mut flow_owner = FlowIndex::default();
-        for (idx, slot) in sources.iter().enumerate() {
-            flow_owner.insert(slot.flow, idx, |i| sources[i].flow);
+        let mut stats = SimStats::new();
+        stats.load_state(snap.get("stats")?)?;
+        let policy = fixed_list(snap.get("policy")?, 2, "escalation policy")?;
+        let policy = EscalationPolicy {
+            quarantine_after: policy[0].as_u32()?,
+            halt_after: policy[1].as_u32()?,
+        };
+        let mut escalation = EscalationState::new();
+        escalation.load_state(snap.get("escalation")?)?;
+        let halted = snap.get("halted")?.as_bool()?;
+        let inflight_bytes = snap.get("inflight")?.as_i64()?;
+        let mut command_errors = Vec::new();
+        for pair in snap.get("cmd_errors")?.items()? {
+            let f = fixed_list(pair, 2, "command-error entry")?;
+            command_errors.push((f[0].as_f64()?, load_error(&f[1])?));
         }
-        let mut owners = Vec::new();
-        for pair in snap.get("flow_owner")?.items()? {
-            let f = fixed_list(pair, 2, "flow-owner entry")?;
-            let (flow, idx) = (f[0].as_u32()?, f[1].as_usize()?);
-            check_source(&sources, idx, "flow-owner entry")?;
-            owners.push((flow, idx));
-        }
-        let rebuilt = flow_owner.sorted(|i| sources[i].flow);
-        if let Some(at) =
-            (0..owners.len().max(rebuilt.len())).find(|&at| owners.get(at) != rebuilt.get(at))
-        {
-            let show = |pair: Option<&(u32, usize)>| match pair {
-                Some((flow, idx)) => format!("flow {flow} → source {idx}"),
-                None => "nothing".into(),
-            };
-            return Err(err(format!(
-                "flow-owner entry {at} is {}, but the source table gives {}",
-                show(owners.get(at)),
-                show(rebuilt.get(at))
-            )));
-        }
-        let links_v = snap.get("links")?.items()?;
-        if links_v.len() != self.links.len() {
-            return Err(err(format!(
-                "snapshot has {} links but the network has {}",
-                links_v.len(),
-                self.links.len()
-            )));
-        }
-        for (i, lv) in links_v.iter().enumerate() {
-            let Some(l) = self.links[i].as_mut() else {
-                return Err(err(format!("network link {i} is a shard hole")));
-            };
-            if lv.is_null() {
-                return Err(err(format!("snapshot link {i} is a shard hole")));
+        // Last of all fallible steps: a refusing injector is unchanged, and
+        // nothing else has been written yet.
+        match (&mut self.injector, snap.get("injector")?) {
+            (None, inj) if inj.is_null() => {}
+            (Some(inj), state) if !state.is_null() => inj.load_state(state)?,
+            (None, _) => {
+                return Err(refuse(
+                    "snapshot carries fault-injector state but none is installed; \
+                     install a matching injector before restoring",
+                ));
             }
-            l.server.load_state(lv.get("server")?)?;
-            l.server.observer_mut().rewind(lv.get("obs")?);
-            l.rate = lv.get("rate")?.as_f64()?;
-            l.tx_start = lv.get("tx_start")?.as_f64()?;
-            let done = lv.get("tx_done")?;
-            l.tx_done = if done.is_null() {
-                None
-            } else {
-                Some(done.as_f64()?)
-            };
-            l.tx_remaining_bits = lv.get("tx_remaining_bits")?.as_f64()?;
-            l.tx_updated = lv.get("tx_updated")?.as_f64()?;
-            l.ledger = load_ledger(lv.get("ledger")?)?;
+            (Some(_), _) => {
+                return Err(refuse(
+                    "a fault injector is installed but the snapshot has none",
+                ));
+            }
+        }
+        for (l, ls) in self.links.iter_mut().flatten().zip(links) {
+            l.server.install_state(ls.server);
+            l.server.observer_mut().rewind(ls.obs);
+            (l.rate, l.tx_start, l.tx_done) = (ls.rate, ls.tx_start, ls.tx_done);
+            (l.tx_remaining_bits, l.tx_updated) = (ls.tx_remaining_bits, ls.tx_updated);
+            l.ledger = ls.ledger;
         }
         // Clock before queue: scheduling clamps against `now`, so the
         // clock must be rolled back before snapshot events are re-inserted.
@@ -662,42 +654,57 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         for (t, ev) in events {
             self.queue_event(t, ev);
         }
-        // Source slots are rebuilt wholesale from the snapshot (generator
-        // state, cursors, RNG streams): rollback surplus goes, churn the
-        // snapshot gained after the target was built arrives.
-        self.sources = sources;
-        self.started_below = 0;
-        self.flow_owner = flow_owner;
-        self.stats.load_state(snap.get("stats")?)?;
-        let policy = fixed_list(snap.get("policy")?, 2, "escalation policy")?;
-        self.policy.quarantine_after = policy[0].as_u32()?;
-        self.policy.halt_after = policy[1].as_u32()?;
-        self.escalation.load_state(snap.get("escalation")?)?;
-        self.halted = snap.get("halted")?.as_bool()?;
-        self.inflight_bytes = snap.get("inflight")?.as_i64()?;
-        self.command_errors.clear();
-        for pair in snap.get("cmd_errors")?.items()? {
-            let f = fixed_list(pair, 2, "command-error entry")?;
-            self.command_errors
-                .push((f[0].as_f64()?, load_error(&f[1])?));
+        // The owner index is a function of the source table: rebuilt the
+        // way `push_source` builds it, slot by slot.
+        self.flow_owner = FlowIndex::default();
+        for (idx, slot) in sources.iter().enumerate() {
+            self.flow_owner.insert(slot.flow, idx, |i| sources[i].flow);
         }
-        let inj_state = snap.get("injector")?;
-        match (&mut self.injector, inj_state.is_null()) {
-            (None, true) => {}
-            (Some(inj), false) => inj.load_state(inj_state)?,
-            (None, false) => {
-                return Err(err(
-                    "snapshot carries fault-injector state but none is installed; \
-                     install a matching injector before restoring"
-                        .into(),
-                ));
-            }
-            (Some(_), true) => {
-                return Err(err(
-                    "a fault injector is installed but the snapshot has none".into(),
-                ));
-            }
-        }
+        (self.sources, self.started_below, self.stats) = (sources, 0, stats);
+        (self.policy, self.escalation, self.halted) = (policy, escalation, halted);
+        (self.inflight_bytes, self.command_errors) = (inflight_bytes, command_errors);
         Ok(())
     }
+}
+
+/// Parses snapshot link `lv` for the link `server` serves, at clock `now`:
+/// the hierarchy, then a transmission state the engine can complete — a
+/// pending completion exactly while a packet is in flight on a running
+/// link, at a finite time no earlier than the clock.
+fn load_link<'a, S: NodeScheduler + Clone, O: Observer>(
+    server: &Hierarchy<S, O>,
+    lv: &'a Value,
+    now: f64,
+) -> Result<LinkState<'a, S>, SnapError> {
+    if lv.is_null() {
+        return Err(refuse("the snapshot link is a shard hole"));
+    }
+    let server_v = lv.get("server")?;
+    let done = lv.get("tx_done")?;
+    let ls = LinkState {
+        server: server.parse_state(server_v)?,
+        obs: lv.get("obs")?,
+        rate: lv.get("rate")?.as_f64()?,
+        tx_start: lv.get_finite("tx_start")?,
+        tx_done: if done.is_null() {
+            None
+        } else {
+            Some(done.as_f64()?)
+        },
+        tx_remaining_bits: lv.get_finite("tx_remaining_bits")?,
+        tx_updated: lv.get_finite("tx_updated")?,
+        ledger: load_ledger(lv.get("ledger")?)?,
+    };
+    let in_flight = server_v.get("transmitting")?.as_bool()? && ls.rate > 0.0;
+    let valid = is_link_rate(ls.rate)
+        && ls.tx_remaining_bits >= 0.0
+        && ls.tx_done.is_some() == in_flight
+        && ls.tx_done.is_none_or(|t| t.is_finite() && t >= now);
+    if !valid {
+        return Err(refuse(format!(
+            "rate {}, completion {:?}, {} bits to send",
+            ls.rate, ls.tx_done, ls.tx_remaining_bits
+        )));
+    }
+    Ok(ls)
 }

@@ -11,8 +11,9 @@
 //! randomness is seeded, so simulations are reproducible.
 
 use crate::rng::SmallRng;
+use crate::snapshot::fixed_list;
 use hpfq_core::{vtime, Packet};
-use hpfq_obs::snap::{SnapError, Value};
+use hpfq_obs::snap::{refuse, SnapError, Value};
 
 /// Zero, one, or many `T`s in order: the storage behind
 /// [`SourceOutput`]'s fields and a [`crate::Route`]'s hops. Nearly every
@@ -178,10 +179,10 @@ pub trait Source: Send {
     /// snapshot fails with a typed error instead of silently losing the
     /// source.
     fn save_state(&self) -> Result<Value, SnapError> {
-        Err(SnapError {
-            at: 0,
-            what: format!("source '{}' does not support checkpointing", self.label()),
-        })
+        Err(refuse(format!(
+            "source '{}' does not support checkpointing",
+            self.label()
+        )))
     }
 }
 
@@ -225,10 +226,7 @@ pub fn load_source(v: &Value) -> Result<Box<dyn Source>, SnapError> {
         "train" => Ok(Box::new(PacketTrainSource::load(v)?)),
         "lb" => Ok(Box::new(GreedyLbSource::load(v)?)),
         "trace" => Ok(Box::new(TraceSource::load(v)?)),
-        other => Err(SnapError {
-            at: 0,
-            what: format!("unknown source kind '{other}'"),
-        }),
+        other => Err(refuse(format!("unknown source kind '{other}'"))),
     }
 }
 
@@ -236,6 +234,51 @@ pub fn load_source(v: &Value) -> Result<Box<dyn Source>, SnapError> {
 /// (Sources receive an id range at construction: flow id in the high bits.)
 fn pkt_id(flow: u32, seq: u64) -> u64 {
     (u64::from(flow) << 40) | (seq & 0xFF_FFFF_FFFF)
+}
+
+/// The one predicate of a built-in source — packets of at least one byte,
+/// start times short of +∞, gaps finite and positive — which its
+/// constructor asserts and [`load_source`] holds a snapshot's copy to.
+trait Valid: Source + Sized {
+    fn is_valid(&self) -> bool;
+
+    /// `self`, from a constructor. Panics if it is not valid.
+    fn built(self) -> Self {
+        assert!(self.is_valid(), "invalid {} parameters", self.label());
+        self
+    }
+
+    /// `self`, from a snapshot; refused if it is not valid.
+    fn loaded(self) -> Result<Self, SnapError> {
+        let what = format!("invalid {} parameters", self.label());
+        self.is_valid().then_some(self).ok_or_else(|| refuse(what))
+    }
+}
+
+/// A gap between two wakes: finite and positive.
+fn is_gap(dt: f64) -> bool {
+    dt.is_finite() && dt > 0.0
+}
+
+/// A time a source may first wake at: any but NaN or +∞ (one in the
+/// past, −∞ included, wakes at once).
+fn is_start(t: f64) -> bool {
+    t < f64::INFINITY
+}
+
+/// `wake`, or `now + gap` if `wake` is not later than `now`, or the next
+/// instant after `now` if that sum rounds back to it: a source's next wake
+/// is strictly later, so a gap below the clock's resolution, or a start
+/// time too far off for the period to register, cannot make it wake at one
+/// instant forever.
+fn later(now: f64, wake: f64, gap: f64) -> f64 {
+    if wake > now {
+        wake
+    } else if now + gap > now {
+        now + gap
+    } else {
+        now.next_up()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +298,6 @@ pub struct CbrSource {
 impl CbrSource {
     /// A CBR source sending `rate_bps` worth of `len_bytes` packets.
     pub fn new(flow: u32, len_bytes: u32, rate_bps: f64, start_time: f64, stop_time: f64) -> Self {
-        assert!(rate_bps > 0.0 && len_bytes > 0);
         CbrSource {
             flow,
             len_bytes,
@@ -264,6 +306,13 @@ impl CbrSource {
             stop_time,
             seq: 0,
         }
+        .built()
+    }
+}
+
+impl Valid for CbrSource {
+    fn is_valid(&self) -> bool {
+        self.len_bytes > 0 && is_gap(self.interval) && is_start(self.start_time)
     }
 }
 
@@ -278,7 +327,7 @@ impl Source for CbrSource {
         }
         self.seq += 1;
         let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-        SourceOutput::packet_and_wake(pkt, now + self.interval)
+        SourceOutput::packet_and_wake(pkt, later(now, now + self.interval, self.interval))
     }
 
     fn wants_delivery(&self) -> bool {
@@ -304,14 +353,15 @@ impl Source for CbrSource {
 
 impl CbrSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
-        Ok(CbrSource {
+        CbrSource {
             flow: v.get("flow")?.as_u32()?,
             len_bytes: v.get("len_bytes")?.as_u32()?,
             interval: v.get("interval")?.as_f64()?,
             start_time: v.get("start_time")?.as_f64()?,
             stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_u64()?,
-        })
+            seq: v.get("seq")?.as_counter()?,
+        }
+        .loaded()
     }
 }
 
@@ -342,7 +392,6 @@ impl PeriodicOnOffSource {
         start_time: f64,
         stop_time: f64,
     ) -> Self {
-        assert!(peak_rate_bps > 0.0 && on_duration > 0.0 && period >= on_duration);
         PeriodicOnOffSource {
             flow,
             len_bytes,
@@ -353,11 +402,23 @@ impl PeriodicOnOffSource {
             stop_time,
             seq: 0,
         }
+        .built()
     }
 
     /// Phase offset within the current period.
     fn phase(&self, now: f64) -> f64 {
         (now - self.start_time).rem_euclid(self.period)
+    }
+}
+
+impl Valid for PeriodicOnOffSource {
+    fn is_valid(&self) -> bool {
+        self.len_bytes > 0
+            && is_gap(self.interval)
+            && self.on_duration > 0.0
+            && is_gap(self.period)
+            && self.period >= self.on_duration
+            && is_start(self.start_time)
     }
 }
 
@@ -384,7 +445,7 @@ impl Source for PeriodicOnOffSource {
                 let k = ((next - self.start_time) / self.period).floor() + 1.0;
                 self.start_time + k * self.period
             };
-            SourceOutput::packet_and_wake(pkt, wake)
+            SourceOutput::packet_and_wake(pkt, later(now, wake, self.period))
         } else {
             // Woke in the off phase (e.g. first wake landed oddly): go to
             // the next period boundary — strictly in the future, so float
@@ -395,7 +456,7 @@ impl Source for PeriodicOnOffSource {
                 k += 1.0;
                 wake = self.start_time + k * self.period;
             }
-            SourceOutput::wake_at(wake)
+            SourceOutput::wake_at(later(now, wake, self.period))
         }
     }
 
@@ -424,7 +485,7 @@ impl Source for PeriodicOnOffSource {
 
 impl PeriodicOnOffSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
-        Ok(PeriodicOnOffSource {
+        PeriodicOnOffSource {
             flow: v.get("flow")?.as_u32()?,
             len_bytes: v.get("len_bytes")?.as_u32()?,
             interval: v.get("interval")?.as_f64()?,
@@ -432,8 +493,9 @@ impl PeriodicOnOffSource {
             period: v.get("period")?.as_f64()?,
             start_time: v.get("start_time")?.as_f64()?,
             stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_u64()?,
-        })
+            seq: v.get("seq")?.as_counter()?,
+        }
+        .loaded()
     }
 }
 
@@ -454,13 +516,6 @@ pub struct ScheduledOnOffSource {
 impl ScheduledOnOffSource {
     /// A source active during each `(start, end)` of `schedule`.
     pub fn new(flow: u32, len_bytes: u32, rate_bps: f64, schedule: Vec<(f64, f64)>) -> Self {
-        assert!(rate_bps > 0.0);
-        for w in schedule.windows(2) {
-            assert!(
-                w[0].1 <= w[1].0,
-                "schedule intervals must be sorted/disjoint"
-            );
-        }
         ScheduledOnOffSource {
             flow,
             len_bytes,
@@ -468,6 +523,7 @@ impl ScheduledOnOffSource {
             schedule,
             seq: 0,
         }
+        .built()
     }
 
     /// The active interval containing `t`, if any.
@@ -487,6 +543,20 @@ impl ScheduledOnOffSource {
     }
 }
 
+impl Valid for ScheduledOnOffSource {
+    /// Intervals sorted and disjoint, each starting at a finite time.
+    fn is_valid(&self) -> bool {
+        let mut at = f64::NEG_INFINITY;
+        self.len_bytes > 0
+            && is_gap(self.interval)
+            && self.schedule.iter().all(|&(s, e)| {
+                let ordered = is_start(s) && at <= s;
+                at = e;
+                ordered
+            })
+    }
+}
+
 impl Source for ScheduledOnOffSource {
     fn start(&mut self) -> SourceOutput {
         match self.schedule.first() {
@@ -499,7 +569,7 @@ impl Source for ScheduledOnOffSource {
         if let Some((_, end)) = self.active_at(now) {
             self.seq += 1;
             let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-            let next = now + self.interval;
+            let next = later(now, now + self.interval, self.interval);
             let wake = if vtime::strictly_before(next, end) {
                 Some(next)
             } else {
@@ -549,22 +619,17 @@ impl ScheduledOnOffSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
         let mut schedule = Vec::new();
         for iv in v.get("schedule")?.items()? {
-            let pair = iv.items()?;
-            if pair.len() != 2 {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("schedule interval has {} fields, expected 2", pair.len()),
-                });
-            }
+            let pair = fixed_list(iv, 2, "schedule interval")?;
             schedule.push((pair[0].as_f64()?, pair[1].as_f64()?));
         }
-        Ok(ScheduledOnOffSource {
+        ScheduledOnOffSource {
             flow: v.get("flow")?.as_u32()?,
             len_bytes: v.get("len_bytes")?.as_u32()?,
             interval: v.get("interval")?.as_f64()?,
             schedule,
-            seq: v.get("seq")?.as_u64()?,
-        })
+            seq: v.get("seq")?.as_counter()?,
+        }
+        .loaded()
     }
 }
 
@@ -594,7 +659,6 @@ impl PoissonSource {
         stop_time: f64,
         seed: u64,
     ) -> Self {
-        assert!(rate_bps > 0.0);
         PoissonSource {
             flow,
             len_bytes,
@@ -604,12 +668,19 @@ impl PoissonSource {
             rng: SmallRng::seed_from_u64(seed),
             seq: 0,
         }
+        .built()
     }
 
     fn exp_sample(&mut self) -> f64 {
         // Inverse-transform sampling; 1-u avoids ln(0).
         let u = self.rng.gen_f64();
         -(1.0 - u).ln() * self.mean_interval
+    }
+}
+
+impl Valid for PoissonSource {
+    fn is_valid(&self) -> bool {
+        self.len_bytes > 0 && is_gap(self.mean_interval) && is_start(self.start_time)
     }
 }
 
@@ -625,8 +696,8 @@ impl Source for PoissonSource {
         }
         self.seq += 1;
         let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-        let wake = now + self.exp_sample();
-        SourceOutput::packet_and_wake(pkt, wake)
+        let gap = self.exp_sample();
+        SourceOutput::packet_and_wake(pkt, later(now, now + gap, gap))
     }
 
     fn wants_delivery(&self) -> bool {
@@ -656,26 +727,20 @@ impl Source for PoissonSource {
 
 impl PoissonSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
-        let words = v.get("rng")?.items()?;
-        if words.len() != 4 {
-            return Err(SnapError {
-                at: 0,
-                what: format!("rng state has {} words, expected 4", words.len()),
-            });
-        }
         let mut s = [0u64; 4];
-        for (slot, w) in s.iter_mut().zip(words) {
+        for (slot, w) in s.iter_mut().zip(fixed_list(v.get("rng")?, 4, "rng state")?) {
             *slot = w.as_u64()?;
         }
-        Ok(PoissonSource {
+        PoissonSource {
             flow: v.get("flow")?.as_u32()?,
             len_bytes: v.get("len_bytes")?.as_u32()?,
             mean_interval: v.get("mean_interval")?.as_f64()?,
             start_time: v.get("start_time")?.as_f64()?,
             stop_time: v.get("stop_time")?.as_f64()?,
             rng: SmallRng::from_state(s),
-            seq: v.get("seq")?.as_u64()?,
-        })
+            seq: v.get("seq")?.as_counter()?,
+        }
+        .loaded()
     }
 }
 
@@ -710,11 +775,6 @@ impl PacketTrainSource {
         start_time: f64,
         stop_time: f64,
     ) -> Self {
-        assert!(burst_len > 0 && period > 0.0 && intra_gap >= 0.0);
-        assert!(
-            intra_gap * f64::from(burst_len) < period,
-            "burst must fit in the period"
-        );
         PacketTrainSource {
             flow,
             len_bytes,
@@ -726,6 +786,19 @@ impl PacketTrainSource {
             seq: 0,
             in_burst: 0,
         }
+        .built()
+    }
+}
+
+impl Valid for PacketTrainSource {
+    /// A non-empty burst that fits its period, one packet of it at a time.
+    fn is_valid(&self) -> bool {
+        self.len_bytes > 0
+            && self.in_burst < self.burst_len
+            && self.intra_gap >= 0.0
+            && self.intra_gap * f64::from(self.burst_len) < self.period
+            && is_gap(self.period)
+            && is_start(self.start_time)
     }
 }
 
@@ -750,7 +823,13 @@ impl Source for PacketTrainSource {
         } else {
             self.in_burst = 0;
             let elapsed_bursts = ((now - self.start_time) / self.period).floor() + 1.0;
-            self.start_time + elapsed_bursts * self.period
+            // A gapless burst ends at its period's start, where rounding can
+            // make this that same start: `later` moves it a period on.
+            later(
+                now,
+                self.start_time + elapsed_bursts * self.period,
+                self.period,
+            )
         };
         SourceOutput::packet_and_wake(pkt, wake)
     }
@@ -781,7 +860,7 @@ impl Source for PacketTrainSource {
 
 impl PacketTrainSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
-        Ok(PacketTrainSource {
+        PacketTrainSource {
             flow: v.get("flow")?.as_u32()?,
             len_bytes: v.get("len_bytes")?.as_u32()?,
             burst_len: v.get("burst_len")?.as_u32()?,
@@ -789,9 +868,10 @@ impl PacketTrainSource {
             period: v.get("period")?.as_f64()?,
             start_time: v.get("start_time")?.as_f64()?,
             stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_u64()?,
+            seq: v.get("seq")?.as_counter()?,
             in_burst: v.get("in_burst")?.as_u32()?,
-        })
+        }
+        .loaded()
     }
 }
 
@@ -823,7 +903,6 @@ impl GreedyLbSource {
         start_time: f64,
         stop_time: f64,
     ) -> Self {
-        assert!(rho_bps > 0.0 && len_bytes > 0 && sigma_bytes >= len_bytes);
         GreedyLbSource {
             flow,
             len_bytes,
@@ -834,6 +913,21 @@ impl GreedyLbSource {
             seq: 0,
             burst_sent: false,
         }
+        .built()
+    }
+
+    /// Seconds between two packets at the rate `rho`.
+    fn gap(&self) -> f64 {
+        f64::from(self.len_bytes) * 8.0 / self.rho_bps
+    }
+}
+
+impl Valid for GreedyLbSource {
+    fn is_valid(&self) -> bool {
+        self.len_bytes > 0
+            && self.sigma_bytes >= self.len_bytes
+            && is_gap(self.gap())
+            && is_start(self.start_time)
     }
 }
 
@@ -846,6 +940,7 @@ impl Source for GreedyLbSource {
         if now >= self.stop_time {
             return SourceOutput::none();
         }
+        let wake = later(now, now + self.gap(), self.gap());
         if !self.burst_sent {
             self.burst_sent = true;
             let n = self.sigma_bytes / self.len_bytes;
@@ -857,12 +952,12 @@ impl Source for GreedyLbSource {
                 .collect();
             return SourceOutput {
                 packets,
-                wakes: Few::one(now + f64::from(self.len_bytes) * 8.0 / self.rho_bps),
+                wakes: Few::one(wake),
             };
         }
         self.seq += 1;
         let pkt = Packet::new(pkt_id(self.flow, self.seq), self.flow, self.len_bytes, now);
-        SourceOutput::packet_and_wake(pkt, now + f64::from(self.len_bytes) * 8.0 / self.rho_bps)
+        SourceOutput::packet_and_wake(pkt, wake)
     }
 
     fn wants_delivery(&self) -> bool {
@@ -890,16 +985,17 @@ impl Source for GreedyLbSource {
 
 impl GreedyLbSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
-        Ok(GreedyLbSource {
+        GreedyLbSource {
             flow: v.get("flow")?.as_u32()?,
             len_bytes: v.get("len_bytes")?.as_u32()?,
             sigma_bytes: v.get("sigma_bytes")?.as_u32()?,
             rho_bps: v.get("rho_bps")?.as_f64()?,
             start_time: v.get("start_time")?.as_f64()?,
             stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_u64()?,
+            seq: v.get("seq")?.as_counter()?,
             burst_sent: v.get("burst_sent")?.as_bool()?,
-        })
+        }
+        .loaded()
     }
 }
 
@@ -917,15 +1013,21 @@ pub struct TraceSource {
 impl TraceSource {
     /// A source emitting exactly `entries` (must be sorted by time).
     pub fn new(flow: u32, mut entries: Vec<(f64, u32)>) -> Self {
-        for w in entries.windows(2) {
-            assert!(w[0].0 <= w[1].0, "trace must be sorted by time");
-        }
         entries.reverse();
         TraceSource {
             flow,
             entries,
             seq: 0,
         }
+        .built()
+    }
+}
+
+impl Valid for TraceSource {
+    /// Finite times of non-empty packets, sorted (held latest first).
+    fn is_valid(&self) -> bool {
+        let sorted = self.entries.windows(2).all(|w| w[0].0 >= w[1].0);
+        sorted && self.entries.iter().all(|&(t, len)| is_start(t) && len > 0)
     }
 }
 
@@ -988,23 +1090,18 @@ impl Source for TraceSource {
 impl TraceSource {
     fn load(v: &Value) -> Result<Self, SnapError> {
         // `entries` is saved in internal (reversed) order and restored
-        // verbatim, bypassing `new()`'s sort check.
+        // verbatim.
         let mut entries = Vec::new();
         for iv in v.get("entries")?.items()? {
-            let pair = iv.items()?;
-            if pair.len() != 2 {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("trace entry has {} fields, expected 2", pair.len()),
-                });
-            }
+            let pair = fixed_list(iv, 2, "trace entry")?;
             entries.push((pair[0].as_f64()?, pair[1].as_u32()?));
         }
-        Ok(TraceSource {
+        TraceSource {
             flow: v.get("flow")?.as_u32()?,
             entries,
-            seq: v.get("seq")?.as_u64()?,
-        })
+            seq: v.get("seq")?.as_counter()?,
+        }
+        .loaded()
     }
 }
 
@@ -1118,6 +1215,43 @@ mod tests {
             assert_eq!(p.0, 0.0);
         }
         assert!((pkts[5].0 - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fast_sources_are_valid_and_every_wake_is_later() {
+        // 1 Gb/s of 64-byte packets: 512 ns apart, about 1.95 Mpps.
+        let mut s = CbrSource::new(1, 64, 1e9, 0.0, 1.0);
+        assert!(load_source(&s.save_state().unwrap()).is_ok());
+        assert_eq!(drain(&mut s, 1e-5).len(), 20);
+        // Gaps below the clock's resolution at t = 1 s still move it on, as
+        // does a period lost in the rounding of a far-off start time.
+        let mut sources: Vec<Box<dyn Source>> = vec![
+            Box::new(PeriodicOnOffSource::new(6, 1, 8.0, 0.5, 1.0, 1e300, 2e300)),
+            Box::new(PeriodicOnOffSource::new(
+                7,
+                1,
+                8.0,
+                0.5,
+                1.0,
+                f64::NEG_INFINITY,
+                2.0,
+            )),
+            Box::new(CbrSource::new(1, 1, 1e300, 1.0, 2.0)),
+            Box::new(PoissonSource::new(2, 1, 1e300, 1.0, 2.0, 3)),
+            Box::new(ScheduledOnOffSource::new(3, 1, 1e300, vec![(1.0, 2.0)])),
+            Box::new(GreedyLbSource::new(4, 1, 1, 1e300, 1.0, 2.0)),
+            Box::new(PacketTrainSource::new(5, 1, 2, 0.0, 1e-300, 1.0, 2.0)),
+        ];
+        for s in &mut sources {
+            assert!(load_source(&s.save_state().unwrap()).is_ok());
+            let (mut now, mut wakes) = (1.0, 0);
+            while now == 1.0 {
+                now = s.on_wake(now).wakes[0];
+                wakes += 1;
+                assert!(wakes <= 2, "{} woke at 1 s again", s.label());
+            }
+            assert!(now > 1.0, "{}", s.label());
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use hpfq_core::Packet;
 use hpfq_obs::snap::{SnapError, Value};
 
 use crate::flow_map::FlowMap;
+use crate::snapshot::fixed_list;
 
 /// One transmitted packet, as recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,13 +49,7 @@ impl ServiceRecord {
 
     /// Restores a record saved by [`ServiceRecord::save`].
     pub fn load(v: &Value) -> Result<ServiceRecord, SnapError> {
-        let items = v.items()?;
-        if items.len() != 6 {
-            return Err(SnapError {
-                at: 0,
-                what: format!("service record has {} fields, expected 6", items.len()),
-            });
-        }
+        let items = fixed_list(v, 6, "service record")?;
         Ok(ServiceRecord {
             id: items[0].as_u64()?,
             flow: items[1].as_u32()?,
@@ -146,26 +141,20 @@ impl FlowStats {
 
     /// Restores aggregates saved by [`FlowStats::save`].
     pub fn load(v: &Value) -> Result<FlowStats, SnapError> {
-        let items = v.items()?;
-        if items.len() != 15 {
-            return Err(SnapError {
-                at: 0,
-                what: format!("flow stats record has {} fields, expected 15", items.len()),
-            });
-        }
+        let items = fixed_list(v, 15, "flow stats record")?;
         Ok(FlowStats {
-            packets: items[0].as_u64()?,
-            bytes: items[1].as_u64()?,
-            drops: items[2].as_u64()?,
-            drop_bytes: items[3].as_u64()?,
-            offered_packets: items[4].as_u64()?,
-            offered_bytes: items[5].as_u64()?,
-            accepted_packets: items[6].as_u64()?,
-            accepted_bytes: items[7].as_u64()?,
-            fault_drops: items[8].as_u64()?,
-            fault_drop_bytes: items[9].as_u64()?,
-            purged_packets: items[10].as_u64()?,
-            purged_bytes: items[11].as_u64()?,
+            packets: items[0].as_counter()?,
+            bytes: items[1].as_counter()?,
+            drops: items[2].as_counter()?,
+            drop_bytes: items[3].as_counter()?,
+            offered_packets: items[4].as_counter()?,
+            offered_bytes: items[5].as_counter()?,
+            accepted_packets: items[6].as_counter()?,
+            accepted_bytes: items[7].as_counter()?,
+            fault_drops: items[8].as_counter()?,
+            fault_drop_bytes: items[9].as_counter()?,
+            purged_packets: items[10].as_counter()?,
+            purged_bytes: items[11].as_counter()?,
             delay_sum: items[12].as_f64()?,
             delay_max: items[13].as_f64()?,
             last_departure: items[14].as_f64()?,
@@ -593,31 +582,19 @@ impl SimStats {
     pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
         let mut loaded = SimStats::new();
         for pair in state.get("flows")?.items()? {
-            let fields = pair.items()?;
-            if fields.len() != 2 {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("flow entry has {} fields, expected 2", fields.len()),
-                });
-            }
+            let fields = fixed_list(pair, 2, "flow entry")?;
             loaded.seed_flow(fields[0].as_u32()?, FlowStats::load(&fields[1])?);
         }
         for pair in state.get("traced")?.items()? {
-            let fields = pair.items()?;
-            if fields.len() != 2 {
-                return Err(SnapError {
-                    at: 0,
-                    what: format!("trace entry has {} fields, expected 2", fields.len()),
-                });
-            }
+            let fields = fixed_list(pair, 2, "trace entry")?;
             let mut records = Vec::new();
             for rv in fields[1].items()? {
                 records.push(ServiceRecord::load(rv)?);
             }
             loaded.traced.insert(fields[0].as_u32()?, records);
         }
-        loaded.total_bytes = state.get("total_bytes")?.as_u64()?;
-        loaded.total_packets = state.get("total_packets")?.as_u64()?;
+        loaded.total_bytes = state.get("total_bytes")?.as_counter()?;
+        loaded.total_packets = state.get("total_packets")?.as_counter()?;
         loaded.last_departure = state.get("last_departure")?.as_f64()?;
         *self = loaded;
         Ok(())

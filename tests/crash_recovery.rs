@@ -9,20 +9,12 @@
 //! and flow churn as `parallel_determinism.rs` — the adversarial
 //! scenario, not a friendly one.
 
-use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
+mod common;
+
+use common::{tandem_net, Obs};
+use hpfq::core::MixedScheduler;
 use hpfq::obs::jsonl::merge_traces;
-use hpfq::obs::JsonlObserver;
-use hpfq::sim::{
-    CbrSource, FlowStats, Hop, LinkLedger, Network, Route, ServiceRecord, ShardFailure, SimCommand,
-};
-
-const PKT: u32 = 8192;
-
-type Obs = JsonlObserver<Vec<u8>>;
-
-fn sink() -> Obs {
-    JsonlObserver::new(Vec::new())
-}
+use hpfq::sim::{FlowStats, LinkLedger, Network, ServiceRecord, ShardFailure};
 
 #[derive(Debug, PartialEq)]
 struct Golden {
@@ -60,54 +52,6 @@ fn drain(net: Network<MixedScheduler, Obs>) -> Golden {
         ledgers,
         merged: merge_traces(&bufs),
     }
-}
-
-/// 3-hop tandem with saturating cross traffic, a middle-link outage, and
-/// churn — `parallel_determinism::tandem_net` verbatim.
-fn tandem_net() -> Network<MixedScheduler, Obs> {
-    let kind = SchedulerKind::Wf2qPlus;
-    let mut net: Network<MixedScheduler, Obs> = Network::new();
-    let mut hops = Vec::new();
-    for li in 0..3usize {
-        let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
-            10e6,
-            move |r| kind.build(r),
-            sink(),
-        );
-        let root = bld.root();
-        let phi = if li == 1 { 0.2 } else { 0.5 };
-        let tandem_leaf = bld.add_leaf(root, phi).unwrap();
-        let cross_leaf = bld.add_leaf(root, 1.0 - phi).unwrap();
-        let link = net.add_link(bld.build());
-        hops.push(Hop {
-            link,
-            leaf: tandem_leaf,
-            buffer_bytes: if li == 1 {
-                Some(2 * u64::from(PKT))
-            } else {
-                None
-            },
-            prop_delay: 0.002,
-        });
-        let flow = 100 + link as u32;
-        net.add_route(
-            flow,
-            CbrSource::new(flow, PKT, 8e6, 0.0, 5.0),
-            Route::new(vec![Hop {
-                link,
-                leaf: cross_leaf,
-                buffer_bytes: Some(16 * u64::from(PKT)),
-                prop_delay: 0.0,
-            }]),
-        );
-    }
-    net.stats.trace_flow(0);
-    net.add_route(0, CbrSource::new(0, PKT, 4e6, 0.0, 5.0), Route::new(hops));
-    net.schedule_command(1.0, SimCommand::SetLinkRateOn { link: 1, bps: 0.0 });
-    net.schedule_command(1.05, SimCommand::SetLinkRateOn { link: 1, bps: 10e6 });
-    net.schedule_command(2.0, SimCommand::RemoveFlow(101));
-    net.schedule_command(3.0, SimCommand::RemoveFlow(0));
-    net
 }
 
 fn golden() -> Golden {

@@ -17,22 +17,12 @@
 //! the merged bytes a pure function of the per-link streams — the same
 //! canonical form regardless of how execution interleaved the links.
 
-use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
+mod common;
+
+use common::{fig3_net, tandem_net, Obs};
+use hpfq::core::MixedScheduler;
 use hpfq::obs::jsonl::merge_traces;
-use hpfq::obs::JsonlObserver;
-use hpfq::sim::{
-    CbrSource, FallbackReason, FlowStats, Hop, LinkLedger, Network, PacketTrainSource,
-    PeriodicOnOffSource, PoissonSource, Route, ServiceRecord, SimCommand,
-};
-
-const LINK: f64 = 45e6;
-const PKT: u32 = 8192;
-
-type Obs = JsonlObserver<Vec<u8>>;
-
-fn sink() -> Obs {
-    JsonlObserver::new(Vec::new())
-}
+use hpfq::sim::{FallbackReason, FlowStats, LinkLedger, Network, ServiceRecord};
 
 /// Everything a run leaves behind that the oracle compares.
 #[derive(Debug, PartialEq)]
@@ -99,121 +89,6 @@ fn assert_snapshots_match(seq: &Snapshot, par: &Snapshot, label: &str) {
             par.merged.lines().count()
         );
     }
-}
-
-/// The reduced Fig. 3 workload on one link: N-R → {N-2 → {N-1 → {RT-1,
-/// BE-1}, PS-6, CS-6}, PS-1, CS-1}, five sources, a 30 ms outage, one
-/// finite buffer. Mirrors `network_vs_simulation::fig3ish`.
-fn fig3_net() -> Network<MixedScheduler, Obs> {
-    let kind = SchedulerKind::Wf2qPlus;
-    let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
-        LINK,
-        move |r| kind.build(r),
-        sink(),
-    );
-    let root = bld.root();
-    let n2 = bld.add_internal(root, 0.5).unwrap();
-    let n1 = bld.add_internal(n2, 0.494).unwrap();
-    let rt1 = bld.add_leaf(n1, 0.81).unwrap();
-    let be1 = bld.add_leaf(n1, 0.19).unwrap();
-    let ps1 = bld.add_leaf(root, 0.05).unwrap();
-    let cs1 = bld.add_leaf(root, 0.05).unwrap();
-    let ps6 = bld.add_leaf(n2, 0.0506).unwrap();
-
-    let mut net: Network<MixedScheduler, Obs> = Network::new();
-    net.add_link(bld.build());
-    net.stats.trace_flow(1);
-    net.add_route(
-        1,
-        PeriodicOnOffSource::new(1, PKT, 9e6, 0.025, 0.100, 0.200, f64::INFINITY),
-        Route::single(rt1, None, 0.0),
-    );
-    net.add_route(
-        2,
-        CbrSource::new(2, PKT, 12e6, 0.0, f64::INFINITY),
-        Route::single(be1, Some(3 * u64::from(PKT)), 0.0),
-    );
-    net.add_route(
-        11,
-        PoissonSource::new(11, PKT, 2.25e6, 0.0, f64::INFINITY, 7),
-        Route::single(ps1, None, 0.001),
-    );
-    net.add_route(
-        31,
-        PacketTrainSource::new(
-            31,
-            PKT,
-            7,
-            f64::from(PKT) * 8.0 / LINK,
-            0.193,
-            0.05,
-            f64::INFINITY,
-        ),
-        Route::single(cs1, None, 0.0),
-    );
-    net.add_route(
-        16,
-        PoissonSource::new(16, PKT, 1.14e6, 0.0, f64::INFINITY, 9),
-        Route::single(ps6, None, 0.0),
-    );
-    net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
-    net
-}
-
-/// A 3-hop tandem (flow 0) with saturating single-hop cross traffic on
-/// every link, a tight mid-path buffer, a mid-run outage on the middle
-/// link, and churn: one cross flow leaves early, the tandem flow itself
-/// is removed mid-path late in the run (its downstream detachments ride
-/// cross-shard `Detach` events under parallel execution).
-fn tandem_net() -> Network<MixedScheduler, Obs> {
-    let kind = SchedulerKind::Wf2qPlus;
-    let mut net: Network<MixedScheduler, Obs> = Network::new();
-    let mut hops = Vec::new();
-    for li in 0..3usize {
-        let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
-            10e6,
-            move |r| kind.build(r),
-            sink(),
-        );
-        let root = bld.root();
-        let phi = if li == 1 { 0.2 } else { 0.5 };
-        let tandem_leaf = bld.add_leaf(root, phi).unwrap();
-        let cross_leaf = bld.add_leaf(root, 1.0 - phi).unwrap();
-        let link = net.add_link(bld.build());
-        assert_eq!(link, li);
-        hops.push(Hop {
-            link,
-            leaf: tandem_leaf,
-            buffer_bytes: if li == 1 {
-                Some(2 * u64::from(PKT))
-            } else {
-                None
-            },
-            prop_delay: 0.002,
-        });
-        let flow = 100 + link as u32;
-        net.add_route(
-            flow,
-            CbrSource::new(flow, PKT, 8e6, 0.0, 5.0),
-            Route::new(vec![Hop {
-                link,
-                leaf: cross_leaf,
-                buffer_bytes: Some(16 * u64::from(PKT)),
-                prop_delay: 0.0,
-            }]),
-        );
-    }
-    net.stats.trace_flow(0);
-    net.add_route(0, CbrSource::new(0, PKT, 4e6, 0.0, 5.0), Route::new(hops));
-    // 50 ms outage on the middle link mid-run.
-    net.schedule_command(1.0, SimCommand::SetLinkRateOn { link: 1, bps: 0.0 });
-    net.schedule_command(1.05, SimCommand::SetLinkRateOn { link: 1, bps: 10e6 });
-    // Churn: a cross flow leaves, then the tandem flow is torn down
-    // mid-path while packets are still in flight between hops.
-    net.schedule_command(2.0, SimCommand::RemoveFlow(101));
-    net.schedule_command(3.0, SimCommand::RemoveFlow(0));
-    net
 }
 
 const FIG3_FLOWS: &[u32] = &[1, 2, 11, 31, 16];

@@ -618,7 +618,7 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
         for _ in 0..RESUME_SESSIONS {
             resumed.add_session(1.0 / RESUME_SESSIONS as f64);
         }
-        resumed.load_state(&snap).unwrap();
+        resumed.load_state(&snap, RESUME_SESSIONS).unwrap();
         assert_eq!(
             resumed.save_state().to_bytes(),
             snap.to_bytes(),
@@ -704,7 +704,7 @@ fn snapshot_restores_across_backends() {
             let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
             a.requeue(id, next);
         }
-        b.load_state(&a.save_state()).unwrap();
+        b.load_state(&a.save_state(), N).unwrap();
         let mut matched = 0;
         for step in 0..80u64 {
             let x = a.select_next();

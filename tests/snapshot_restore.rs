@@ -25,23 +25,13 @@
 //! the same instant produce equal bytes, and a text round-trip through
 //! `snap::parse` preserves them.
 
+mod common;
+
+use common::{fig3_net, replaced, sink, tandem_net, Obs, LINK, PKT};
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::merge_traces;
 use hpfq::obs::snap::{self, Value};
-use hpfq::obs::JsonlObserver;
-use hpfq::sim::{
-    CbrSource, FlowStats, Hop, LinkLedger, Network, PacketTrainSource, PeriodicOnOffSource,
-    PoissonSource, Route, ServiceRecord, SimCommand,
-};
-
-const LINK: f64 = 45e6;
-const PKT: u32 = 8192;
-
-type Obs = JsonlObserver<Vec<u8>>;
-
-fn sink() -> Obs {
-    JsonlObserver::new(Vec::new())
-}
+use hpfq::sim::{CbrSource, FlowStats, LinkLedger, Network, Route, ServiceRecord};
 
 /// Everything a finished run leaves behind that the oracle compares.
 #[derive(Debug, PartialEq)]
@@ -140,115 +130,6 @@ fn assert_resumed_match(golden: &RunArtifacts, got: &RunArtifacts, snapshot: &Va
             "{label}: link {i} resumed trace is not the golden tail"
         );
     }
-}
-
-/// The reduced Fig. 3 workload on one link (mirrors
-/// `parallel_determinism::fig3_net`): five sources, a 30 ms outage, one
-/// finite buffer.
-fn fig3_net() -> Network<MixedScheduler, Obs> {
-    let kind = SchedulerKind::Wf2qPlus;
-    let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
-        LINK,
-        move |r| kind.build(r),
-        sink(),
-    );
-    let root = bld.root();
-    let n2 = bld.add_internal(root, 0.5).unwrap();
-    let n1 = bld.add_internal(n2, 0.494).unwrap();
-    let rt1 = bld.add_leaf(n1, 0.81).unwrap();
-    let be1 = bld.add_leaf(n1, 0.19).unwrap();
-    let ps1 = bld.add_leaf(root, 0.05).unwrap();
-    let cs1 = bld.add_leaf(root, 0.05).unwrap();
-    let ps6 = bld.add_leaf(n2, 0.0506).unwrap();
-
-    let mut net: Network<MixedScheduler, Obs> = Network::new();
-    net.add_link(bld.build());
-    net.stats.trace_flow(1);
-    net.add_route(
-        1,
-        PeriodicOnOffSource::new(1, PKT, 9e6, 0.025, 0.100, 0.200, f64::INFINITY),
-        Route::single(rt1, None, 0.0),
-    );
-    net.add_route(
-        2,
-        CbrSource::new(2, PKT, 12e6, 0.0, f64::INFINITY),
-        Route::single(be1, Some(3 * u64::from(PKT)), 0.0),
-    );
-    net.add_route(
-        11,
-        PoissonSource::new(11, PKT, 2.25e6, 0.0, f64::INFINITY, 7),
-        Route::single(ps1, None, 0.001),
-    );
-    net.add_route(
-        31,
-        PacketTrainSource::new(
-            31,
-            PKT,
-            7,
-            f64::from(PKT) * 8.0 / LINK,
-            0.193,
-            0.05,
-            f64::INFINITY,
-        ),
-        Route::single(cs1, None, 0.0),
-    );
-    net.add_route(
-        16,
-        PoissonSource::new(16, PKT, 1.14e6, 0.0, f64::INFINITY, 9),
-        Route::single(ps6, None, 0.0),
-    );
-    net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
-    net
-}
-
-/// The 3-link tandem with cross traffic, mid-run outage on the middle
-/// link, and churn (mirrors `parallel_determinism::tandem_net`).
-fn tandem_net() -> Network<MixedScheduler, Obs> {
-    let kind = SchedulerKind::Wf2qPlus;
-    let mut net: Network<MixedScheduler, Obs> = Network::new();
-    let mut hops = Vec::new();
-    for li in 0..3usize {
-        let mut bld = Hierarchy::<MixedScheduler, Obs>::builder_with_observer(
-            10e6,
-            move |r| kind.build(r),
-            sink(),
-        );
-        let root = bld.root();
-        let phi = if li == 1 { 0.2 } else { 0.5 };
-        let tandem_leaf = bld.add_leaf(root, phi).unwrap();
-        let cross_leaf = bld.add_leaf(root, 1.0 - phi).unwrap();
-        let link = net.add_link(bld.build());
-        assert_eq!(link, li);
-        hops.push(Hop {
-            link,
-            leaf: tandem_leaf,
-            buffer_bytes: if li == 1 {
-                Some(2 * u64::from(PKT))
-            } else {
-                None
-            },
-            prop_delay: 0.002,
-        });
-        let flow = 100 + link as u32;
-        net.add_route(
-            flow,
-            CbrSource::new(flow, PKT, 8e6, 0.0, 5.0),
-            Route::new(vec![Hop {
-                link,
-                leaf: cross_leaf,
-                buffer_bytes: Some(16 * u64::from(PKT)),
-                prop_delay: 0.0,
-            }]),
-        );
-    }
-    net.stats.trace_flow(0);
-    net.add_route(0, CbrSource::new(0, PKT, 4e6, 0.0, 5.0), Route::new(hops));
-    net.schedule_command(1.0, SimCommand::SetLinkRateOn { link: 1, bps: 0.0 });
-    net.schedule_command(1.05, SimCommand::SetLinkRateOn { link: 1, bps: 10e6 });
-    net.schedule_command(2.0, SimCommand::RemoveFlow(101));
-    net.schedule_command(3.0, SimCommand::RemoveFlow(0));
-    net
 }
 
 const FIG3_FLOWS: &[u32] = &[1, 2, 11, 31, 16];
@@ -488,11 +369,11 @@ fn with_entry(snap: &Value, key: &str, value: Value) -> Value {
     )
 }
 
-/// A snapshot is untrusted: a queued event or flow-owner entry that names
-/// a source or hop the snapshot's own tables lack, or a time no run could
-/// have queued, is a typed error at `restore` — it used to restore `Ok`
-/// and panic the next `run` with an index out of bounds — and the refused
-/// restore leaves the network exactly as it was.
+/// A snapshot is untrusted: a queued event that names a source or hop the
+/// snapshot's own tables lack, or a time no run could have queued, is a
+/// typed error at `restore` — it used to restore `Ok` and panic the next
+/// `run` with an index out of bounds — and the refused restore leaves the
+/// network exactly as it was.
 #[test]
 fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
     use hpfq::core::Packet;
@@ -522,7 +403,7 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
     let mut events = snap.get("events").unwrap().items().unwrap().to_vec();
     assert_eq!(events.len(), 1, "the source's one pending wake");
     let t = events[0].items().unwrap()[0].clone();
-    events[0] = Value::List(vec![t, Value::U64(1 << 56 | 9999), wake(9999)]);
+    events[0] = Value::List(vec![t, wake(9999)]);
     let err = one_source()
         .restore(&with_entry(&snap, "events", Value::List(events)))
         .unwrap_err();
@@ -536,9 +417,7 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
     let bytes = snap.to_bytes();
     let events = snap.get("events").unwrap().items().unwrap().to_vec();
     let pkt = Packet::new(77, 0, PKT, 1.4).save();
-    let event = |t: f64, minor: u64, body: Vec<Value>| {
-        Value::List(vec![Value::F64(t), Value::U64(minor), Value::List(body)])
-    };
+    let event = |t: f64, body: Vec<Value>| Value::List(vec![Value::F64(t), Value::List(body)]);
     let tagged = |tag: &str, rest: Vec<Value>| {
         let mut body = vec![Value::Str(tag.into())];
         body.extend(rest);
@@ -546,15 +425,11 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
     };
     let churn = Value::List(vec![Value::Str("churn".into())]);
     let cases: Vec<(&str, Value)> = vec![
-        (
-            "source 4",
-            event(1.6, 1 << 56 | 4, tagged("wake", vec![Value::U64(4)])),
-        ),
+        ("source 4", event(1.6, tagged("wake", vec![Value::U64(4)]))),
         (
             "source 4",
             event(
                 1.6,
-                3 << 56 | 77,
                 tagged("arrive", vec![Value::U64(4), Value::U64(0), pkt.clone()]),
             ),
         ),
@@ -562,7 +437,6 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
             "hop 3 of source 3",
             event(
                 1.6,
-                3 << 56 | 77,
                 tagged("arrive", vec![Value::U64(3), Value::U64(3), pkt.clone()]),
             ),
         ),
@@ -570,23 +444,17 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
             "hop 1 of source 0",
             event(
                 1.6,
-                3 << 56 | 77,
                 tagged("arrive", vec![Value::U64(0), Value::U64(1), pkt.clone()]),
             ),
         ),
         (
             "source 9",
-            event(
-                1.6,
-                4 << 56 | 77,
-                tagged("deliver", vec![Value::U64(9), pkt.clone()]),
-            ),
+            event(1.6, tagged("deliver", vec![Value::U64(9), pkt.clone()])),
         ),
         (
             "source 4",
             event(
                 1.6,
-                5 << 56 | 4 << 16,
                 tagged("detach", vec![Value::U64(4), Value::U64(0), churn.clone()]),
             ),
         ),
@@ -594,32 +462,26 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
             "hop 5 of source 3",
             event(
                 1.6,
-                5 << 56 | 3 << 16 | 5,
                 tagged("detach", vec![Value::U64(3), Value::U64(5), churn]),
             ),
         ),
         (
             "not a finite time",
-            event(f64::NAN, 1 << 56, tagged("wake", vec![Value::U64(0)])),
+            event(f64::NAN, tagged("wake", vec![Value::U64(0)])),
         ),
         (
             "not a finite time",
-            event(f64::INFINITY, 1 << 56, tagged("wake", vec![Value::U64(0)])),
+            event(f64::INFINITY, tagged("wake", vec![Value::U64(0)])),
         ),
         (
             "after the clock",
-            event(1.25, 1 << 56, tagged("wake", vec![Value::U64(0)])),
-        ),
-        (
-            "does not match its content",
-            event(1.6, 1 << 56 | 1, tagged("wake", vec![Value::U64(0)])),
+            event(1.25, tagged("wake", vec![Value::U64(0)])),
         ),
     ];
     // The legitimate forms of the doctored events are accepted.
     let mut fine = events.clone();
     fine.push(event(
         1.6,
-        3 << 56 | 77,
         tagged("arrive", vec![Value::U64(3), Value::U64(2), pkt]),
     ));
     tandem_net()
@@ -640,16 +502,6 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
             "{want}: network touched"
         );
     }
-    let mut owners = snap.get("flow_owner").unwrap().items().unwrap().to_vec();
-    owners[0] = Value::List(vec![Value::U64(0), Value::U64(4)]);
-    let err = net
-        .restore(&with_entry(&snap, "flow_owner", Value::List(owners)))
-        .unwrap_err();
-    assert!(
-        err.what.contains("flow-owner entry names source 4"),
-        "{err:?}"
-    );
-    assert_eq!(net.snapshot().unwrap().to_bytes(), bytes);
     // Untouched means it still runs to the end like the unharmed run.
     net.run(5.5);
     let mut golden = tandem_net();
@@ -661,73 +513,38 @@ fn snapshot_naming_an_unknown_source_or_hop_is_refused_not_run() {
     );
 }
 
-/// The flow-owner list is redundant with the source table — each flow id is
-/// owned by the last slot registered under it — and `restore` holds the
-/// snapshot to that: a list that points a flow at another flow's source,
-/// names a flow twice, leaves one out or is out of order used to restore
-/// `Ok` and hand the flow's completions and deliveries to the wrong
-/// source. Each is a typed refusal that leaves the network as it was.
+/// A source or route a constructor would refuse is refused in a snapshot
+/// too, and the network is left as it was. A zero, negative or NaN packet
+/// interval used to restore `Ok` and then keep `run` from ever returning;
+/// a hop on a link the network lacks, or at a node that is no leaf of its
+/// link, used to restore `Ok` and panic at the first arrival.
 #[test]
-fn flow_owner_list_that_disagrees_with_the_source_table_is_refused() {
-    let mut net = tandem_net();
-    net.run(1.5);
+fn sources_and_routes_a_constructor_would_refuse_are_refused() {
+    // Sources: on-off (flow 1), CBR (2), Poisson (11), train (31), Poisson (16).
+    let mut net = fig3_net();
+    net.run(0.5);
     let snap = net.snapshot().unwrap();
     let bytes = snap.to_bytes();
-    let owners = snap.get("flow_owner").unwrap().items().unwrap().to_vec();
-    let pair = |flow: u64, idx: u64| Value::List(vec![Value::U64(flow), Value::U64(idx)]);
-    // Source 3 carries flow 0; sources 0..3 the cross flows 100..103.
-    assert_eq!(
-        owners,
-        vec![pair(0, 3), pair(100, 0), pair(101, 1), pair(102, 2)]
-    );
-    let doctored = |at: usize, entry: Value| {
-        let mut list = owners.clone();
-        list[at] = entry;
-        list
-    };
-    let swapped = {
-        let mut list = owners.clone();
-        list.swap(1, 2);
-        list
-    };
-    let cases: Vec<(&str, Vec<Value>)> = vec![
-        // Flow 100's completions routed over flow 101's source.
-        ("entry 1 is flow 100 → source 1", doctored(1, pair(100, 1))),
-        // A flow no source carries, pointed at a real slot.
-        ("entry 1 is flow 7 → source 0", doctored(1, pair(7, 0))),
-        // Two entries for one flow.
-        ("entry 2 is flow 100 → source 1", doctored(2, pair(100, 1))),
-        ("entry 4 is flow 102 → source 2", {
-            let mut list = owners.clone();
-            list.push(pair(102, 2));
-            list
-        }),
-        // A flow left out.
-        ("entry 3 is nothing", owners[..3].to_vec()),
-        ("entry 0 is flow 100 → source 0", owners[1..].to_vec()),
-        // Not in flow order: no `snapshot` writes that.
-        ("entry 1 is flow 101 → source 1", swapped),
+    let cases = [
+        ("sources.1.src.interval", Value::F64(0.0)),
+        ("sources.1.src.interval", Value::F64(-1.0)),
+        ("sources.0.src.interval", Value::F64(f64::NAN)),
+        ("sources.2.src.mean_interval", Value::F64(0.0)),
+        ("sources.1.route.0.0", Value::U64(1)),
+        ("sources.1.route.0.1", Value::U64(0)),
+        ("sources.1.route.0.1", Value::U64(99)),
     ];
-    for (want, list) in cases {
-        let err = net
-            .restore(&with_entry(&snap, "flow_owner", Value::List(list)))
-            .unwrap_err();
-        assert!(err.what.contains(want), "{want}: {err:?}");
-        assert_eq!(
-            net.snapshot().unwrap().to_bytes(),
-            bytes,
-            "{want}: network touched"
-        );
+    for (path, value) in cases {
+        let bad = replaced(&snap, path, value);
+        assert!(fig3_net().restore(&bad).is_err(), "{path}: accepted");
+        assert!(net.restore(&bad).is_err(), "{path}: accepted");
+        assert_eq!(net.snapshot().unwrap().to_bytes(), bytes, "{path}");
     }
-    // The honest list restores.
-    net.run(1.7);
-    net.restore(&snap).unwrap();
-    assert_eq!(net.snapshot().unwrap().to_bytes(), bytes);
 }
 
-/// A flow id registered twice is owned by the later slot, in the snapshot
-/// as in the run, and the earlier slot's absence from the owner list is
-/// what `restore` expects.
+/// A flow id registered twice is owned by the later slot, after a
+/// restore as in the run: `restore` rebuilds the owner index from the
+/// source table in slot order, as `add_route` built it.
 #[test]
 fn shadowed_registration_round_trips_through_a_snapshot() {
     let build = || {
@@ -752,25 +569,6 @@ fn shadowed_registration_round_trips_through_a_snapshot() {
     let mut net = build();
     net.run(0.5);
     let snap = net.snapshot().unwrap();
-    let pair = |flow: u64, idx: u64| Value::List(vec![Value::U64(flow), Value::U64(idx)]);
-    assert_eq!(
-        snap.get("flow_owner").unwrap().items().unwrap(),
-        [pair(7, 2), pair(9, 1)]
-    );
-    // The shadowed slot claimed back: refused.
-    let err = net
-        .restore(&with_entry(
-            &snap,
-            "flow_owner",
-            Value::List(vec![pair(7, 0), pair(9, 1)]),
-        ))
-        .unwrap_err();
-    assert!(
-        err.what
-            .contains("the source table gives flow 7 → source 2"),
-        "{err:?}"
-    );
-    assert_eq!(net.snapshot().unwrap().to_bytes(), snap.to_bytes());
     // Rollback gives the same bytes back; a resume runs on as the
     // original does.
     net.run(1.0);
@@ -780,10 +578,6 @@ fn shadowed_registration_round_trips_through_a_snapshot() {
     resumed.restore(&snap).unwrap();
     net.run(2.0);
     resumed.run(2.0);
-    assert_eq!(
-        resumed.snapshot().unwrap().get("flow_owner").unwrap(),
-        snap.get("flow_owner").unwrap()
-    );
     for flow in [7, 9] {
         assert!(net.stats.flow(flow).packets > 0);
         assert_eq!(
@@ -801,12 +595,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// `Hierarchy::save_state` of the tree below, serialized, as written by
-/// the commit before the node table was split into leaf and internal
-/// arrays (PR 19). The encoding is per `NodeId` in creation order and
-/// must not notice how the nodes are stored.
-const HIERARCHY_SNAPSHOT_LEN: usize = 4321;
-const HIERARCHY_SNAPSHOT_FNV1A: u64 = 0xe8d5_7f5f_1b87_5e43;
+/// `Hierarchy::save_state` of the tree below, serialized. The encoding is
+/// per `NodeId` in creation order and must not notice how the nodes are
+/// stored. These are the format-v3 bytes (4 321, FNV-1a
+/// `0xe8d5_7f5f_1b87_5e43`, unchanged since before the node table was
+/// split into leaf and internal arrays) with exactly the keys format v4
+/// rebuilds instead of storing — seven `inv_rate`s and eight
+/// `fifo_bytes` — taken out.
+const HIERARCHY_SNAPSHOT_LEN: usize = 3982;
+const HIERARCHY_SNAPSHOT_FNV1A: u64 = 0x104c_59b3_2556_afa1;
 
 /// A depth-3 tree caught mid-run: leaves and classes created interleaved,
 /// a packet in flight, a second backlogged subtree, an idle leaf, one leaf
