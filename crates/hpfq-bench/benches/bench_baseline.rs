@@ -29,7 +29,6 @@ use hpfq_core::pifo::rank::DrrRank;
 use hpfq_core::{
     Hierarchy, MixedScheduler, NodeId, NodeScheduler, Packet, PifoTree, SchedulerKind,
 };
-use hpfq_obs::SpanKind;
 use hpfq_sim::{CbrSource, Network, Route};
 
 const LEAVES: usize = 64;
@@ -157,10 +156,7 @@ fn bench_enqueue<S: NodeScheduler>(
 }
 
 /// Drives a 64-flow single-link network through the real event engine and
-/// reports wall-clock ns per served packet, plus — when built with
-/// `--features profile` — the per-phase span breakdown (`group:"phase"`
-/// rows; the snapshot is empty otherwise, so profile-off baselines are
-/// byte-compatible with earlier ones apart from the one new `engine` row).
+/// reports wall-clock ns per served packet.
 fn bench_engine(profile: Profile, records: &mut Vec<BenchRecord>) {
     let kind = SchedulerKind::Wf2qPlus;
     let mut bld = Hierarchy::<MixedScheduler>::builder(1e9, move |r| kind.build(r));
@@ -199,19 +195,6 @@ fn bench_engine(profile: Profile, records: &mut Vec<BenchRecord>) {
         LEAVES,
         wall * 1e9 / packets as f64,
     ));
-    let spans = net.span_snapshot();
-    for kind in SpanKind::ALL {
-        let s = spans.get(kind);
-        if s.count == 0 {
-            continue;
-        }
-        records.push(BenchRecord::reported(
-            "phase",
-            &format!("wf2q+/net/{kind}"),
-            LEAVES,
-            s.mean_ns() as f64,
-        ));
-    }
 }
 
 /// Times dispatch and enqueue on one tree shape and records both rows
@@ -274,8 +257,7 @@ fn main() {
         ns,
     ));
 
-    // Event-engine section: wall clock through the full Network loop (and,
-    // with `--features profile`, the per-phase span breakdown).
+    // Event-engine section: wall clock through the full Network loop.
     println!("== engine: 64-flow single-link network ==");
     bench_engine(profile, &mut records);
 

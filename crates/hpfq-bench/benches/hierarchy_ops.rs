@@ -15,20 +15,11 @@
 
 use hpfq_bench::microbench::{report, time_op};
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, Packet, SchedulerKind};
-use hpfq_obs::{CountingObserver, NoopObserver, Observer, SpanProfiler};
+use hpfq_obs::{CountingObserver, NoopObserver, Observer};
 
 // The zero-cost contract, pinned at compile time: the noop observer's
-// liveness flag is false (every `if O::ENABLED` block is dead code)...
+// liveness flag is false (every `if O::ENABLED` block is dead code).
 const _: () = assert!(!NoopObserver::ENABLED);
-// ...and without the `profile` feature the span profiler carries no state
-// at all — `if SpanProfiler::ENABLED` blocks are dead code the same way.
-#[cfg(not(feature = "profile"))]
-const _: () = {
-    assert!(!SpanProfiler::ENABLED);
-    assert!(std::mem::size_of::<SpanProfiler>() == 0);
-};
-#[cfg(feature = "profile")]
-const _: () = assert!(SpanProfiler::ENABLED);
 
 /// Builds a uniform tree of the given depth/fanout and returns its leaves.
 fn build<O: Observer>(
@@ -105,19 +96,13 @@ fn main() {
         );
     }
 
-    // Zero-cost canary: with the noop observer (and, unless `profile` is
-    // on, the compiled-out span profiler) two independent measurements of
-    // the identical workload must agree to within measurement noise — if
-    // they don't, either the host is too noisy to trust any number above,
-    // or "disabled" instrumentation is doing work. The bound is generous
-    // (2x) because this runs on shared single-core CI workers.
-    println!("\n== zero-cost canary (noop observer, profiler {}) ==", {
-        if SpanProfiler::ENABLED {
-            "ON"
-        } else {
-            "off"
-        }
-    });
+    // Zero-cost canary: with the noop observer two independent
+    // measurements of the identical workload must agree to within
+    // measurement noise — if they don't, either the host is too noisy to
+    // trust any number above, or "disabled" instrumentation is doing work.
+    // The bound is generous (2x) because this runs on shared single-core
+    // CI workers.
+    println!("\n== zero-cost canary (noop observer) ==");
     let a = bench_tree(2, 16, NoopObserver);
     let b = bench_tree(2, 16, NoopObserver);
     let ratio = if a > b { a / b } else { b / a };

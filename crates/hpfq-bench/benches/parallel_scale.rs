@@ -22,7 +22,6 @@ use std::time::Instant;
 
 use hpfq_bench::microbench::{json_path_from_args, write_json, BenchRecord, MetaValue, Profile};
 use hpfq_core::{Hierarchy, MixedScheduler, SchedulerKind};
-use hpfq_obs::SpanKind;
 use hpfq_sim::{CbrSource, Hop, Network, Route};
 
 const LINKS: usize = 4;
@@ -141,23 +140,6 @@ fn main() {
             size: shards,
             ns_per_op: ns_per_pkt,
         });
-        // Per-phase wall-clock breakdown (mean ns per span). Rows exist
-        // only when the crate is built with `--features profile`; the
-        // snapshot is empty otherwise, so committed profile-off baselines
-        // are unchanged.
-        let spans = net.span_snapshot();
-        for kind in SpanKind::ALL {
-            let s = spans.get(kind);
-            if s.count == 0 {
-                continue;
-            }
-            records.push(BenchRecord::reported(
-                "phase",
-                &format!("{name}/{kind}"),
-                shards,
-                s.mean_ns() as f64,
-            ));
-        }
     }
 
     if let Some(path) = json {

@@ -151,39 +151,6 @@ fn run(args: &[String]) -> Result<bool, String> {
         );
     }
 
-    // Per-phase wall-clock breakdown (group "phase", emitted by profile
-    // builds): show each phase's share of the total and its drift. Purely
-    // informational — phase means are wall-clock on shared runners.
-    let phase_total = |rows: &[BenchRecord]| -> f64 {
-        rows.iter()
-            .filter(|r| r.group == "phase")
-            .map(|r| r.ns_per_op)
-            .sum()
-    };
-    let cur_total = phase_total(&current);
-    if cur_total > 0.0 {
-        let base_total = phase_total(&baseline);
-        println!("== phase breakdown (non-gating) ==");
-        for cur in current.iter().filter(|r| r.group == "phase") {
-            let share = cur.ns_per_op / cur_total * 100.0;
-            let drift = baseline
-                .iter()
-                .find(|b| b.group == cur.group && b.name == cur.name && b.size == cur.size)
-                .map(|b| format!("{:+.1}%", (cur.ns_per_op / b.ns_per_op - 1.0) * 100.0))
-                .unwrap_or_else(|| "new".to_string());
-            println!(
-                "  {:<32} {:>10.1} ns mean  {share:>5.1}% of breakdown  drift {drift}",
-                cur.name, cur.ns_per_op
-            );
-        }
-        if base_total > 0.0 {
-            println!(
-                "  breakdown total: {base_total:.1} -> {cur_total:.1} ns ({:+.1}%)",
-                (cur_total / base_total - 1.0) * 100.0
-            );
-        }
-    }
-
     println!(
         "== {matched} rows compared, {regressions} dispatch regression(s) over {threshold}%, \
          {slope_violations} sweep slope violation(s) over {MAX_GROWTH}x =="

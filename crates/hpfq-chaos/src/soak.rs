@@ -100,7 +100,7 @@ pub struct SoakRun {
     /// event) — byte-identical for identical seeds.
     pub trace: Vec<u8>,
     /// Post-mortem flight-recorder snapshot: the last
-    /// [`FLIGHT_CAPACITY`] events as JSONL (plus any span samples), ready
+    /// [`FLIGHT_CAPACITY`] events as JSONL, ready
     /// to write to disk and query with `hpfq-trace`.
     pub flight_dump: String,
 }
@@ -281,10 +281,8 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     let halted = sim.is_halted();
     let command_errors = sim.command_errors.len();
     let conservation = sim.verify_conservation();
-    let spans = sim.span_snapshot();
 
     let (inv, (jsonl, mut flight)) = sim.into_observers().remove(0);
-    flight.attach_spans(&spans);
     if conservation.is_err() {
         // Post-mortem on a broken ledger: persist the recent past (no-op
         // unless a dump path was configured on the recorder).
@@ -504,12 +502,10 @@ pub fn halt_scenario(seed: u64, flight_path: &str) -> HaltOutcome {
     sim.run(cfg.horizon);
     let halted = sim.is_halted();
     let quarantined = sim.escalation().quarantined_flows();
-    let spans = sim.span_snapshot();
     let (_, (_, mut flight)) = sim.into_observers().remove(0);
-    flight.attach_spans(&spans);
-    // The auto-dump fired mid-run, before any span profile existed;
-    // rewrite the artifact so the on-disk post-mortem carries the spans
-    // too (a no-op table unless built with `profile`).
+    // The auto-dump fired at the quarantine, mid-step; rewrite the
+    // artifact so the on-disk post-mortem carries every event up to the
+    // halt.
     flight.dump();
     HaltOutcome {
         halted,
@@ -583,7 +579,7 @@ mod tests {
             }
         }
         assert!(quarantines >= 1, "dump carries no quarantine event");
-        // The in-memory snapshot has the same shape plus attached spans.
+        // The in-memory snapshot has the same shape.
         let summary = hpfq_obs::query::summarize(&out.flight_dump);
         assert_eq!(summary.malformed, 0, "{summary:?}");
         assert_eq!(summary.flights, 1);

@@ -140,7 +140,7 @@ pub trait NodeScheduler {
     /// every scheduler selects one packet per dispatch. It stays only
     /// because `benchmark/src/replay.rs` overrides it, and leaves with
     /// [`crate::PifoBackend::ensure_sessions`] in the `benchmark` PR
-    /// of ROADMAP item 3.
+    /// of ROADMAP item 1(b).
     fn set_dispatch_batch(&mut self, k: usize) {
         let _ = k;
     }

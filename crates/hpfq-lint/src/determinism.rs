@@ -275,17 +275,15 @@ fn is_sync_accessor(name: &str) -> bool {
 ///
 /// For every worker-tainted function with `Mutex`/`Atomic`/`Barrier`
 /// parameters (the cross-shard channels), each use of such a parameter
-/// must (a) go through a synchronized accessor (`lock_clean(…)`,
-/// `.lock()`, `.wait()`, atomic ops) and (b) lie outside the
-/// `EpochCompute` span region — shards may only exchange state in the
-/// two-barrier exchange phase.
+/// must go through a synchronized accessor (`lock_clean(…)`, `.lock()`,
+/// `.wait()`, atomic ops). The compute phase needs no lexical check: the
+/// epoch drain is a function that is never handed the cross-shard state.
 fn l010_shard_state(ctx: &FileCtx, view: &FileView<'_>, out: &mut Vec<Finding>) {
     for w in &view.workers {
         let (a, b) = w.body;
         if a >= b {
             continue;
         }
-        let compute = compute_phase_mask(&ctx.tokens, a, b);
         for i in a..=b.min(ctx.tokens.len() - 1) {
             let t = &ctx.tokens[i];
             if t.kind != TokKind::Ident || !w.shared.iter().any(|s| s == &t.text) {
@@ -294,18 +292,6 @@ fn l010_shard_state(ctx: &FileCtx, view: &FileView<'_>, out: &mut Vec<Finding>) 
             // Skip the declaration in the parameter list / shadowed lets:
             // a use is an ident NOT immediately followed by `:`.
             if ctx.tokens.get(i + 1).is_some_and(|n| n.text == ":") {
-                continue;
-            }
-            if compute[i - a] {
-                out.push(ctx.finding(
-                    "L010",
-                    t.line,
-                    format!(
-                        "cross-shard state `{}` touched inside the EpochCompute phase; shards \
-                         may only exchange state between the two barriers (Exchange phase)",
-                        t.text
-                    ),
-                ));
                 continue;
             }
             if !use_is_synchronized(&ctx.tokens, i, b) {
@@ -321,47 +307,6 @@ fn l010_shard_state(ctx: &FileCtx, view: &FileView<'_>, out: &mut Vec<Finding>) 
             }
         }
     }
-}
-
-/// Marks the token span between `span_enter(…EpochCompute…)` and the
-/// matching `span_exit(…EpochCompute…)` inside `[a, b]`. Returns a mask
-/// indexed by `i - a`.
-fn compute_phase_mask(tokens: &[Tok], a: usize, b: usize) -> Vec<bool> {
-    let n = b - a + 1;
-    let mut mask = vec![false; n];
-    let mut in_compute = false;
-    let mut i = a;
-    while i <= b && i < tokens.len() {
-        let t = &tokens[i];
-        if t.kind == TokKind::Ident && (t.text == "span_enter" || t.text == "span_exit") {
-            // Scan the call's argument list for `EpochCompute`.
-            let mut j = i + 1;
-            let mut depth = 0;
-            let mut is_compute = false;
-            while j <= b && j < tokens.len() {
-                match tokens[j].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    "EpochCompute" => is_compute = true,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if is_compute {
-                in_compute = t.text == "span_enter";
-            }
-            i = j + 1;
-            continue;
-        }
-        mask[i - a] = in_compute;
-        i += 1;
-    }
-    mask
 }
 
 /// Whether the shared-state use at token `i` goes through a synchronized
@@ -500,9 +445,6 @@ mod tests {
         let src = "\
 fn run_shard(sid: usize, next_times: &Mutex<Vec<f64>>, barrier: &Barrier) {
     loop {
-        if SpanProfiler::ENABLED { prof.span_enter(SpanKind::EpochCompute); }
-        let t = lock_clean(next_times)[sid];
-        if SpanProfiler::ENABLED { prof.span_exit(SpanKind::EpochCompute); }
         barrier.wait();
         lock_clean(next_times)[sid] = 1.0;
         let raw = next_times;
@@ -510,9 +452,8 @@ fn run_shard(sid: usize, next_times: &Mutex<Vec<f64>>, barrier: &Barrier) {
     }
 }";
         let f = live("crates/hpfq-sim/src/parallel.rs", src);
-        // Line 4: inside compute phase (even though synchronized).
-        // Line 8: unsynchronized raw use. Lines 6/7/9 are clean.
-        assert_eq!(f, vec![("L010".into(), 4), ("L010".into(), 8)]);
+        // Line 5: unsynchronized raw use. Lines 3/4/6 are clean.
+        assert_eq!(f, vec![("L010".into(), 5)]);
     }
 
     #[test]

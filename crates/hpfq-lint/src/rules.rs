@@ -94,8 +94,8 @@ pub const RULES: [Rule; 11] = [
     Rule {
         id: "L006",
         name: "ungated-observer-call",
-        summary: "observer hook or span-profiler probe call not inside an `ENABLED`-gated block \
-                  in hot-path-tainted code",
+        summary: "observer hook call not inside an `ENABLED`-gated block in hot-path-tainted \
+                  code",
         rationale: "With NoopObserver the whole event construction must be dead code the \
                     optimizer deletes, not a call into an inlined-empty function that still \
                     built its argument. The `if O::ENABLED` gate is what makes observability \
@@ -143,14 +143,13 @@ pub const RULES: [Rule; 11] = [
         id: "L010",
         name: "cross-shard-access",
         summary: "cross-shard shared state (Mutex/Atomic/Barrier parameters of shard-worker \
-                  functions) accessed outside the two-barrier exchange phase or without the \
-                  synchronized accessors",
+                  functions) accessed without the synchronized accessors",
         rationale: "The parallel runtime's determinism proof assumes shards touch shared state \
-                    only inside the exchange phase, through lock_clean/.lock()/.wait(). An \
-                    access from the compute phase (or a raw get_mut) is exactly the kind of \
-                    cross-shard read that silently breaks byte-identity under reordering.",
-        example: "-    let next = next_times.get_mut().unwrap()[sid];   // compute phase\n\
-                  +    // exchange phase only:\n\
+                    only through lock_clean/.lock()/.wait() and atomic ops. The compute phase \
+                    cannot touch it at all: the epoch drain is a function that is never handed \
+                    it. A raw alias or get_mut is exactly the kind of cross-shard read that \
+                    silently breaks byte-identity under reordering.",
+        example: "-    let next = next_times.get_mut().unwrap()[sid];\n\
                   +    lock_clean(next_times)[sid] = net.engine.peek_time().unwrap_or(f64::INFINITY);",
     },
     Rule {
@@ -524,8 +523,6 @@ fn l005_float_as_int_cast(ctx: &FileCtx, out: &mut Vec<Finding>) {
 }
 
 /// Observer hook names whose call sites must be `O::ENABLED`-gated.
-/// Includes the span-profiler probes (`span_enter`/`span_exit`), which
-/// follow the same discipline against `SpanProfiler::ENABLED`.
 pub(crate) fn is_observer_hook(name: &str) -> bool {
     matches!(
         name,
@@ -536,8 +533,6 @@ pub(crate) fn is_observer_hook(name: &str) -> bool {
             | "on_tx_complete"
             | "on_node_backlog"
             | "on_busy_reset"
-            | "span_enter"
-            | "span_exit"
     )
 }
 
@@ -682,13 +677,6 @@ mod tests {
     fn l006_gated_calls_pass_ungated_hot_calls_fail() {
         let src = hot("if O::ENABLED { obs.on_dispatch(&e); } obs.on_drop(&d);");
         let f = findings("crates/hpfq-core/src/x.rs", &src);
-        assert_eq!(f, vec![("L006".into(), 2)]);
-    }
-
-    #[test]
-    fn l006_covers_span_profiler_probes() {
-        let src = hot("if SpanProfiler::ENABLED { p.span_enter(k); } p.span_exit(k);");
-        let f = findings("crates/hpfq-sim/src/x.rs", &src);
         assert_eq!(f, vec![("L006".into(), 2)]);
     }
 

@@ -14,8 +14,8 @@ pub fn bad_seed() -> u64 {
     t0.elapsed().as_nanos() as u64
 }
 
-pub fn profiled() -> u64 {
-    // lint:allow(L007): profile-feature wall clock, never feeds sim state
+pub fn watchdog() -> u64 {
+    // lint:allow(L007): watchdog wall clock, never feeds sim state
     let t0 = Instant::now();
     0
 }

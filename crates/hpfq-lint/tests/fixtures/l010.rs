@@ -1,16 +1,10 @@
 // Fixture for rule L010 (cross-shard-access). `run_shard` is the worker
-// seed; its Mutex/Barrier parameters are cross-shard state. Uses must be
-// synchronized and must stay out of the EpochCompute phase.
+// seed; its Mutex/Barrier parameters are cross-shard state. Every use must
+// go through a synchronized accessor.
 
 fn run_shard(sid: usize, next_times: &Mutex<Vec<f64>>, barrier: &Barrier) {
     loop {
-        if SpanProfiler::ENABLED {
-            prof.span_enter(SpanKind::EpochCompute);
-        }
-        let t = lock_clean(next_times)[sid]; // VIOLATION: compute phase.
-        if SpanProfiler::ENABLED {
-            prof.span_exit(SpanKind::EpochCompute);
-        }
+        let t = drain_epoch(net); // Clean: the drain cannot see the mailboxes.
         barrier.wait();
         lock_clean(next_times)[sid] = t; // Clean: exchange phase, locked.
         let raw = next_times; // VIOLATION: unsynchronized alias.

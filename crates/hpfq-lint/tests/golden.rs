@@ -90,7 +90,7 @@ fn l009_unordered_iteration() {
 
 #[test]
 fn l010_cross_shard_access() {
-    assert_findings("l010.rs", &[("L010", 10), ("L010", 16)]);
+    assert_findings("l010.rs", &[("L010", 10)]);
     assert_suppressed_case("l010.rs", "L010");
 }
 

@@ -4,11 +4,9 @@
 //! hpfq-trace <COMMAND> [FILE] [OPTIONS]
 //!
 //! Commands:
-//!   summary   Tally events, spans, epochs, and time range
+//!   summary   Tally events, flight headers, and time range
 //!   filter    Print event lines matching the filters
 //!   delays    Per-flow delay percentiles from tx_end events
-//!   epochs    Per-shard parallel epoch statistics
-//!   spans     Aggregated wall-clock span table
 //!   chrome    Render a Chrome trace-event (Perfetto) JSON document
 //!   snapshots Validate and summarize a snapshot artifact (a chaos-soak
 //!             --snapshot envelope or a flight recorder's .ckpt sidecar)
@@ -30,11 +28,11 @@
 use std::io::Read as _;
 
 use hpfq_obs::query::{
-    chrome_from_text, delay_report, epoch_report, filter_lines, render_delays, render_epochs,
-    render_snapshot, render_summary, snapshot_report, span_report, summarize, Filter,
+    chrome_from_text, delay_report, filter_lines, render_delays, render_snapshot, render_summary,
+    snapshot_report, summarize, Filter,
 };
 
-const USAGE: &str = "usage: hpfq-trace <summary|filter|delays|epochs|spans|chrome|snapshots> \
+const USAGE: &str = "usage: hpfq-trace <summary|filter|delays|chrome|snapshots> \
                      [FILE|-] [--link N] [--flow N] [--node N] [--from T] [--to T] [--out PATH]";
 
 struct Args {
@@ -117,8 +115,6 @@ fn run(args: &Args) -> Result<String, String> {
         "summary" => Ok(render_summary(&summarize(&text))),
         "filter" => Ok(filter_lines(&text, &args.filter)),
         "delays" => Ok(render_delays(&delay_report(&text, &args.filter))),
-        "epochs" => Ok(render_epochs(&epoch_report(&text))),
-        "spans" => Ok(span_report(&text)),
         "chrome" => Ok(chrome_from_text(&text)),
         "snapshots" => snapshot_report(&text).map(|r| render_snapshot(&r)),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),

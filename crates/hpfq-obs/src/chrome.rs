@@ -19,15 +19,27 @@
 //!
 //! Dense per-packet events (enqueue, dispatch, backlog) are deliberately
 //! not emitted — they would swamp the timeline; query them with
-//! `hpfq-trace` instead. Wall-clock span aggregates are likewise kept out
-//! (they are nondeterministic); render them with
-//! [`crate::span::SpanSnapshot::to_json`].
+//! `hpfq-trace` instead.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
-use crate::span::EpochSpan;
+
+/// One conservative epoch `[t0, t1)` executed by one shard of
+/// `Network::run_parallel`, in **simulation** time (so epoch timelines are
+/// deterministic and byte-identical run to run).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EpochSpan {
+    /// Shard that executed the epoch.
+    pub shard: usize,
+    /// Epoch window start (simulation seconds).
+    pub t0: f64,
+    /// Epoch window end (simulation seconds).
+    pub t1: f64,
+    /// Events the shard handled inside the window.
+    pub events: u64,
+}
 
 const US: f64 = 1e6;
 

@@ -24,6 +24,14 @@
 //!   at the root of the dependency graph, and is re-exported as
 //!   `hpfq_core::vtime`; the `hpfq-lint` static-analysis pass enforces that
 //!   all virtual-time comparisons and tolerance constants go through it.
+//! * [`recorder::FlightRecorder`] — a bounded ring of recent events that
+//!   dumps itself as JSONL on quarantine or halt.
+//! * [`query`] and [`chrome`] — the library behind the `hpfq-trace` CLI:
+//!   summaries, filters, delay percentiles and snapshot checks over
+//!   traces, and a Chrome trace-event (Perfetto) export.
+//! * [`event`], [`escalation`] and [`snap`] — the event records, the
+//!   degradation ladder, and the snapshot value format the other crates
+//!   share.
 //!
 //! Two observers can be combined by tupling: `(A, B)` implements
 //! [`Observer`] by forwarding every event to both.
@@ -45,10 +53,9 @@ pub mod metrics;
 pub mod query;
 pub mod recorder;
 pub mod snap;
-pub mod span;
 pub mod vtime;
 
-pub use chrome::chrome_trace;
+pub use chrome::{chrome_trace, EpochSpan};
 pub use escalation::{EscalationLevel, EscalationPolicy, EscalationState};
 pub use event::{
     BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, FaultEvent, FaultKind,
@@ -59,7 +66,6 @@ pub use jsonl::{merge_traces, JsonlObserver, SharedBuf, TraceSink};
 pub use metrics::{DelayHistogram, MetricsObserver};
 pub use recorder::FlightRecorder;
 pub use snap::{SnapError, Value};
-pub use span::{EpochSpan, SpanKind, SpanProfiler, SpanSnapshot, SpanStats};
 
 /// A sink for scheduler events.
 ///

@@ -1,13 +1,13 @@
 //! Trace query primitives behind the `hpfq-trace` CLI.
 //!
-//! JSONL traces now carry three families of lines: plain scheduler events
-//! (`crate::jsonl`), aggregated wall-clock span lines (`{"ev":"span",…}`,
-//! written by [`crate::span::SpanSnapshot::write_jsonl`]), and parallel
-//! epoch lines (`{"ev":"epoch",…}`). [`parse_obs_line`] decodes all of
-//! them into [`ObsLine`]; the report builders here ([`summarize`],
-//! [`delay_report`], [`epoch_report`], [`span_report`], [`filter_lines`])
-//! are the library form of the `hpfq-trace` subcommands, so they are unit
-//! testable without spawning the binary.
+//! JSONL traces carry plain scheduler events (`crate::jsonl`) and, in
+//! flight-recorder dumps, one `{"ev":"flight",…}` header.
+//! [`parse_obs_line`] decodes both into [`ObsLine`]; any other line
+//! (including the `span` / `epoch` lines older builds wrote) is counted
+//! as unparsed and otherwise ignored. The report builders here
+//! ([`summarize`], [`delay_report`], [`filter_lines`]) are the library
+//! form of the `hpfq-trace` subcommands, so they are unit testable
+//! without spawning the binary.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -15,28 +15,6 @@ use std::fmt::Write as _;
 use crate::event::TraceEvent;
 use crate::jsonl::{self, Fields};
 use crate::metrics::DelayHistogram;
-use crate::span::EpochSpan;
-
-/// One aggregated span line from a trace or flight-recorder dump.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanLine {
-    /// Shard the aggregate belongs to (0 for sequential runs).
-    pub shard: usize,
-    /// Span kind wire name (see [`crate::span::SpanKind::as_str`]).
-    pub kind: String,
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of sample durations, ns.
-    pub total_ns: u64,
-    /// Smallest sample, ns.
-    pub min_ns: u64,
-    /// Largest sample, ns.
-    pub max_ns: u64,
-    /// Median (histogram bucket lower edge), ns.
-    pub p50_ns: u64,
-    /// 99th percentile (histogram bucket lower edge), ns.
-    pub p99_ns: u64,
-}
 
 /// The `{"ev":"flight",…}` header of a flight-recorder dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,10 +32,6 @@ pub struct FlightInfo {
 pub enum ObsLine {
     /// A plain scheduler event.
     Event(TraceEvent),
-    /// An aggregated wall-clock span line.
-    Span(SpanLine),
-    /// A parallel-runtime epoch line.
-    Epoch(EpochSpan),
     /// A flight-recorder dump header.
     Flight(FlightInfo),
 }
@@ -69,30 +43,14 @@ pub fn parse_obs_line(line: &str) -> Option<ObsLine> {
         return Some(ObsLine::Event(ev));
     }
     let f = Fields::parse(line)?;
-    match f.str("ev")? {
-        "span" => Some(ObsLine::Span(SpanLine {
-            shard: f.usize("shard").unwrap_or(0),
-            kind: f.str("kind")?.to_string(),
-            count: f.u64("count")?,
-            total_ns: f.u64("total_ns")?,
-            min_ns: f.u64("min_ns")?,
-            max_ns: f.u64("max_ns")?,
-            p50_ns: f.u64("p50_ns")?,
-            p99_ns: f.u64("p99_ns")?,
-        })),
-        "epoch" => Some(ObsLine::Epoch(EpochSpan {
-            shard: f.usize("shard").unwrap_or(0),
-            t0: f.f64("t0")?,
-            t1: f.f64("t1")?,
-            events: f.u64("events")?,
-        })),
-        "flight" => Some(ObsLine::Flight(FlightInfo {
-            capacity: f.usize("capacity")?,
-            len: f.usize("len")?,
-            dropped: f.u64("dropped")?,
-        })),
-        _ => None,
+    if f.str("ev")? != "flight" {
+        return None;
     }
+    Some(ObsLine::Flight(FlightInfo {
+        capacity: f.usize("capacity")?,
+        len: f.usize("len")?,
+        dropped: f.u64("dropped")?,
+    }))
 }
 
 /// The time an event occurred.
@@ -224,10 +182,6 @@ pub struct TraceSummary {
     pub by_kind: BTreeMap<&'static str, u64>,
     /// Total scheduler events.
     pub events: u64,
-    /// Span lines seen.
-    pub spans: usize,
-    /// Epoch lines seen.
-    pub epochs: usize,
     /// Flight headers seen.
     pub flights: usize,
     /// Lines that parsed as nothing.
@@ -261,8 +215,6 @@ pub fn summarize(text: &str) -> TraceSummary {
                     Some((lo, hi)) => (lo.min(t), hi.max(t)),
                 });
             }
-            Some(ObsLine::Span(_)) => s.spans += 1,
-            Some(ObsLine::Epoch(_)) => s.epochs += 1,
             Some(ObsLine::Flight(_)) => s.flights += 1,
             None => s.malformed += 1,
         }
@@ -288,14 +240,14 @@ pub fn render_summary(s: &TraceSummary) -> String {
     }
     let _ = writeln!(
         out,
-        "span lines: {}, epoch lines: {}, flight headers: {}, malformed: {}",
-        s.spans, s.epochs, s.flights, s.malformed
+        "flight headers: {}, malformed: {}",
+        s.flights, s.malformed
     );
     out
 }
 
-/// Keeps the original lines whose event passes `filter` (span / epoch /
-/// flight / malformed lines are dropped — filtering is an event query).
+/// Keeps the original lines whose event passes `filter` (flight and
+/// malformed lines are dropped — filtering is an event query).
 pub fn filter_lines(text: &str, filter: &Filter) -> String {
     let mut out = String::new();
     for line in text.lines() {
@@ -396,96 +348,6 @@ pub fn render_delays(rows: &[FlowDelay]) -> String {
     }
     if rows.is_empty() {
         let _ = writeln!(out, "(no tx_end events matched)");
-    }
-    out
-}
-
-/// Per-shard epoch statistics from `{"ev":"epoch",…}` lines.
-#[derive(Debug, Clone, Default)]
-pub struct ShardEpochs {
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Events handled across all epochs.
-    pub events: u64,
-    /// Sum of epoch widths, seconds.
-    pub width_sum: f64,
-    /// Widest epoch, seconds.
-    pub width_max: f64,
-    /// Epochs in which the shard handled no events.
-    pub idle_epochs: u64,
-}
-
-/// Aggregates the epoch lines in `text` per shard.
-pub fn epoch_report(text: &str) -> BTreeMap<usize, ShardEpochs> {
-    let mut shards: BTreeMap<usize, ShardEpochs> = BTreeMap::new();
-    for line in text.lines() {
-        let Some(ObsLine::Epoch(e)) = parse_obs_line(line) else {
-            continue;
-        };
-        let s = shards.entry(e.shard).or_default();
-        let width = (e.t1 - e.t0).max(0.0);
-        s.epochs += 1;
-        s.events += e.events;
-        s.width_sum += width;
-        s.width_max = s.width_max.max(width);
-        if e.events == 0 {
-            s.idle_epochs += 1;
-        }
-    }
-    shards
-}
-
-/// Renders [`epoch_report`] output as the `hpfq-trace epochs` table.
-pub fn render_epochs(shards: &BTreeMap<usize, ShardEpochs>) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>6} {:>8} {:>10} {:>12} {:>12} {:>8}",
-        "shard", "epochs", "events", "mean_w_s", "max_w_s", "idle"
-    );
-    for (shard, s) in shards {
-        let mean_w = if s.epochs == 0 {
-            0.0
-        } else {
-            s.width_sum / s.epochs as f64
-        };
-        let _ = writeln!(
-            out,
-            "{:>6} {:>8} {:>10} {:>12.6} {:>12.6} {:>8}",
-            shard, s.epochs, s.events, mean_w, s.width_max, s.idle_epochs
-        );
-    }
-    if shards.is_empty() {
-        let _ = writeln!(out, "(no epoch lines found)");
-    }
-    out
-}
-
-/// Collects and renders the span lines in `text` as the
-/// `hpfq-trace spans` table (one row per shard × kind).
-pub fn span_report(text: &str) -> String {
-    let mut rows: Vec<SpanLine> = Vec::new();
-    for line in text.lines() {
-        if let Some(ObsLine::Span(s)) = parse_obs_line(line) {
-            rows.push(s);
-        }
-    }
-    rows.sort_by(|a, b| (a.shard, &a.kind).cmp(&(b.shard, &b.kind)));
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>6} {:<16} {:>10} {:>14} {:>10} {:>10} {:>12}",
-        "shard", "kind", "count", "total_ns", "p50_ns", "p99_ns", "max_ns"
-    );
-    for r in &rows {
-        let _ = writeln!(
-            out,
-            "{:>6} {:<16} {:>10} {:>14} {:>10} {:>10} {:>12}",
-            r.shard, r.kind, r.count, r.total_ns, r.p50_ns, r.p99_ns, r.max_ns
-        );
-    }
-    if rows.is_empty() {
-        let _ = writeln!(out, "(no span lines found)");
     }
     out
 }
@@ -618,18 +480,10 @@ pub fn render_snapshot(r: &SnapshotReport) -> String {
 }
 
 /// Parses `text` and renders it as a Chrome trace-event document (events
-/// plus any epoch lines); the library form of `hpfq-trace chrome`.
+/// only); the library form of `hpfq-trace chrome`.
 pub fn chrome_from_text(text: &str) -> String {
-    let mut events = Vec::new();
-    let mut epochs = Vec::new();
-    for line in text.lines() {
-        match parse_obs_line(line) {
-            Some(ObsLine::Event(ev)) => events.push(ev),
-            Some(ObsLine::Epoch(e)) => epochs.push(e),
-            _ => {}
-        }
-    }
-    crate::chrome::chrome_trace(&events, &epochs)
+    let (events, _) = jsonl::parse_trace(text);
+    crate::chrome::chrome_trace(&events, &[])
 }
 
 #[cfg(test)]
@@ -641,9 +495,18 @@ mod tests {
         "{\"ev\":\"tx_start\",\"t\":0.1,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
         "{\"ev\":\"tx_end\",\"t\":0.2,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
         "{\"ev\":\"tx_end\",\"t\":0.4,\"link\":1,\"leaf\":2,\"id\":2,\"flow\":6,\"len\":1000,\"arr\":0.1}\n",
-        "{\"ev\":\"span\",\"shard\":0,\"kind\":\"dispatch\",\"count\":4,\"total_ns\":400,\"min_ns\":50,\"max_ns\":200,\"p50_ns\":64,\"p99_ns\":128}\n",
-        "{\"ev\":\"epoch\",\"shard\":1,\"t0\":0,\"t1\":0.01,\"events\":3}\n",
         "garbage\n",
+    );
+
+    /// A flight dump in the shape builds with the span profiler wrote it:
+    /// a span aggregate after the events, plus an epoch line.
+    const LEGACY_DUMP: &str = concat!(
+        "{\"ev\":\"flight\",\"capacity\":8,\"len\":3,\"dropped\":1,\"checkpoint\":false}\n",
+        "{\"ev\":\"tx_start\",\"t\":0.1,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
+        "{\"ev\":\"epoch\",\"shard\":1,\"t0\":0,\"t1\":0.01,\"events\":3}\n",
+        "{\"ev\":\"tx_end\",\"t\":0.2,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
+        "{\"ev\":\"tx_end\",\"t\":0.4,\"link\":1,\"leaf\":2,\"id\":2,\"flow\":6,\"len\":1000,\"arr\":0.1}\n",
+        "{\"ev\":\"span\",\"shard\":0,\"kind\":\"dispatch\",\"count\":4,\"total_ns\":400,\"min_ns\":50,\"max_ns\":200,\"p50_ns\":64,\"p99_ns\":128}\n",
     );
 
     #[test]
@@ -652,23 +515,6 @@ mod tests {
             parse_obs_line("{\"ev\":\"busy_reset\",\"t\":1,\"node\":0}"),
             Some(ObsLine::Event(TraceEvent::BusyReset(_)))
         ));
-        match parse_obs_line(
-            "{\"ev\":\"span\",\"shard\":2,\"kind\":\"merge\",\"count\":1,\"total_ns\":9,\"min_ns\":9,\"max_ns\":9,\"p50_ns\":8,\"p99_ns\":8}",
-        ) {
-            Some(ObsLine::Span(s)) => {
-                assert_eq!(s.shard, 2);
-                assert_eq!(s.kind, "merge");
-                assert_eq!(s.count, 1);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_obs_line("{\"ev\":\"epoch\",\"shard\":0,\"t0\":0.5,\"t1\":1,\"events\":12}") {
-            Some(ObsLine::Epoch(e)) => {
-                assert_eq!(e.events, 12);
-                assert_eq!(e.t1, 1.0);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
         assert!(matches!(
             parse_obs_line("{\"ev\":\"flight\",\"capacity\":4,\"len\":4,\"dropped\":7}"),
             Some(ObsLine::Flight(FlightInfo {
@@ -685,8 +531,6 @@ mod tests {
         let s = summarize(TRACE);
         assert_eq!(s.events, 3);
         assert_eq!(s.by_kind.get("tx_end"), Some(&2));
-        assert_eq!(s.spans, 1);
-        assert_eq!(s.epochs, 1);
         assert_eq!(s.flights, 1);
         assert_eq!(s.malformed, 1);
         assert_eq!(s.links.len(), 2);
@@ -743,23 +587,47 @@ mod tests {
     }
 
     #[test]
-    fn epoch_and_span_reports_aggregate() {
-        let shards = epoch_report(TRACE);
-        assert_eq!(shards.len(), 1);
-        let s = &shards[&1];
-        assert_eq!(s.epochs, 1);
-        assert_eq!(s.events, 3);
-        assert!(render_epochs(&shards).contains("shard"), "render");
-        let spans = span_report(TRACE);
-        assert!(spans.contains("dispatch"), "{spans}");
-    }
+    fn legacy_span_and_epoch_lines_read_as_unparsed() {
+        let current: String = LEGACY_DUMP
+            .lines()
+            .filter(|l| !l.contains("\"ev\":\"span\"") && !l.contains("\"ev\":\"epoch\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(current.lines().count(), LEGACY_DUMP.lines().count() - 2);
 
-    #[test]
-    fn chrome_from_text_includes_epoch_tracks() {
-        let json = chrome_from_text(TRACE);
-        assert!(json.contains("\"traceEvents\""), "{json}");
-        assert!(json.contains("\"name\":\"epoch\""), "{json}");
+        let (old, new) = (summarize(LEGACY_DUMP), summarize(&current));
+        assert_eq!(old.events, 3);
+        assert_eq!(old.events, new.events);
+        assert_eq!(old.by_kind, new.by_kind);
+        assert_eq!(old.flights, new.flights);
+        assert_eq!(old.time_range, new.time_range);
+        assert_eq!((old.links, old.flows), (new.links, new.flows));
+        assert_eq!(old.malformed, new.malformed + 2);
+
+        for filter in [
+            Filter::default(),
+            Filter {
+                flow: Some(5),
+                ..Filter::default()
+            },
+            Filter {
+                node: Some(2),
+                ..Filter::default()
+            },
+        ] {
+            assert_eq!(
+                filter_lines(LEGACY_DUMP, &filter),
+                filter_lines(&current, &filter)
+            );
+            assert_eq!(
+                render_delays(&delay_report(LEGACY_DUMP, &filter)),
+                render_delays(&delay_report(&current, &filter))
+            );
+        }
+        let json = chrome_from_text(LEGACY_DUMP);
+        assert_eq!(json, chrome_from_text(&current));
         assert!(json.contains("\"name\":\"tx f5\""), "{json}");
+        assert!(!json.contains("\"name\":\"shards\""), "{json}");
     }
 
     #[test]

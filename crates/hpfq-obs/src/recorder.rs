@@ -2,22 +2,20 @@
 //!
 //! A [`FlightRecorder`] is an [`Observer`] that keeps the last `capacity`
 //! [`TraceEvent`]s in a fixed-capacity ring buffer — memory is bounded no
-//! matter how long the run — plus an optional aggregated span snapshot
-//! (see [`crate::span`]). When something goes wrong long after the
+//! matter how long the run. When something goes wrong long after the
 //! interesting history has scrolled out of any full trace you were willing
 //! to keep, the recorder still holds the final seconds.
 //!
 //! Dump semantics: the recorder snapshots itself as JSONL
 //! ([`FlightRecorder::snapshot_jsonl`]) — a `{"ev":"flight",…}` header
-//! line, the ring's events in arrival order in the standard
-//! [`crate::jsonl`] format, then one `{"ev":"span",…}` line per attached
-//! span kind. If a dump path is configured, the snapshot is written there
-//! **automatically when a flow is quarantined** — and, because the
-//! degradation layer in `hpfq-sim` quarantines the offending flow as part
-//! of halting, on escalation to halt as well. Harnesses (the chaos soak)
-//! also dump explicitly when a conservation check fails. The dump is a
-//! plain JSONL file: `hpfq-trace` and [`crate::jsonl::parse_trace`] both
-//! read it.
+//! line, then the ring's events in arrival order in the standard
+//! [`crate::jsonl`] format. If a dump path is configured, the snapshot is
+//! written there **automatically when a flow is quarantined** — and,
+//! because the degradation layer in `hpfq-sim` quarantines the offending
+//! flow as part of halting, on escalation to halt as well. Harnesses (the
+//! chaos soak) also dump explicitly when a conservation check fails. The
+//! dump is a plain JSONL file: `hpfq-trace` and
+//! [`crate::jsonl::parse_trace`] both read it.
 //!
 //! When the harness has an epoch checkpoint in hand (the crash-contained
 //! parallel runtime, DESIGN.md §11), it can attach the serialized bytes
@@ -36,7 +34,6 @@ use crate::event::{
 };
 use crate::jsonl::JsonlObserver;
 use crate::snap::Value;
-use crate::span::SpanSnapshot;
 use crate::{replay, Observer};
 
 /// Bounded ring of recent [`TraceEvent`]s with post-mortem dump support.
@@ -45,7 +42,6 @@ pub struct FlightRecorder {
     ring: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    spans: SpanSnapshot,
     dump_path: Option<String>,
     dumps_written: u64,
     dump_errors: u64,
@@ -60,7 +56,6 @@ impl FlightRecorder {
             ring: VecDeque::with_capacity(capacity),
             capacity,
             dropped: 0,
-            spans: SpanSnapshot::default(),
             dump_path: None,
             dumps_written: 0,
             dump_errors: 0,
@@ -121,12 +116,6 @@ impl FlightRecorder {
         self.ring.iter()
     }
 
-    /// Attaches (folds in) an aggregated span snapshot so dumps carry the
-    /// wall-clock profile alongside the event history.
-    pub fn attach_spans(&mut self, spans: &SpanSnapshot) {
-        self.spans.merge_from(spans);
-    }
-
     /// Attaches the serialized bytes of the last epoch checkpoint (a
     /// [`crate::snap::Value`] rendered with `to_bytes`). Subsequent
     /// [`FlightRecorder::dump`]s write them to a `<dump_path>.ckpt`
@@ -151,8 +140,7 @@ impl FlightRecorder {
     }
 
     /// Renders the recorder state as a JSONL snapshot: one `"flight"`
-    /// header line, the retained events oldest-first, then the attached
-    /// span aggregates.
+    /// header line, then the retained events oldest-first.
     pub fn snapshot_jsonl(&self) -> String {
         let mut out = format!(
             "{{\"ev\":\"flight\",\"capacity\":{},\"len\":{},\"dropped\":{},\"checkpoint\":{}}}\n",
@@ -166,7 +154,6 @@ impl FlightRecorder {
             replay(&mut sink, ev);
         }
         out.push_str(&String::from_utf8(sink.into_inner()).unwrap_or_default());
-        self.spans.write_jsonl(0, &mut out);
         out
     }
 
@@ -267,7 +254,6 @@ impl Observer for FlightRecorder {
 mod tests {
     use super::*;
     use crate::jsonl::parse_trace;
-    use crate::span::{SpanKind, SpanSnapshot};
 
     fn reset_at(time: f64, node: usize) -> BusyResetEvent {
         BusyResetEvent {
@@ -299,20 +285,17 @@ mod tests {
     fn snapshot_is_parseable_jsonl_with_header() {
         let mut r = FlightRecorder::new(8);
         r.on_busy_reset(&reset_at(1.0, 0));
-        let mut spans = SpanSnapshot::new();
-        spans.record(SpanKind::Dispatch, 50);
-        r.attach_spans(&spans);
         let snap = r.snapshot_jsonl();
         let mut lines = snap.lines();
         assert_eq!(
             lines.next(),
             Some("{\"ev\":\"flight\",\"capacity\":8,\"len\":1,\"dropped\":0,\"checkpoint\":false}")
         );
-        // The header and span lines are not TraceEvents; exactly those two
-        // are "skipped" by the plain event parser.
+        // The header is not a TraceEvent; it alone is "skipped" by the
+        // plain event parser.
         let (evs, skipped) = parse_trace(&snap);
         assert_eq!(evs.len(), 1);
-        assert_eq!(skipped, 2);
+        assert_eq!(skipped, 1);
     }
 
     #[test]

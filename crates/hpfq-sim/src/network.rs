@@ -58,8 +58,7 @@ use hpfq_events::Engine;
 use hpfq_obs::snap::{refuse, SnapError, Value};
 use hpfq_obs::{
     DropEvent, EpochSpan, EscalationLevel, EscalationPolicy, EscalationState, FaultEvent,
-    FaultKind, NoopObserver, Observer, PacketInfo, QuarantineEvent, SpanKind, SpanProfiler,
-    SpanSnapshot,
+    FaultKind, NoopObserver, Observer, PacketInfo, QuarantineEvent,
 };
 
 use crate::flow_map::FlowIndex;
@@ -561,16 +560,10 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     pub command_errors: Vec<(f64, HpfqError)>,
     /// Set only while this network is one shard of a parallel run.
     pub(crate) shard: Option<ShardCtx>,
-    /// Wall-clock span profiler over engine phases. With the `profile`
-    /// cargo feature off this is a ZST whose probes compile away.
-    pub(crate) profiler: SpanProfiler,
     /// When `true`, parallel runs log one [`EpochSpan`] per shard epoch.
     pub(crate) record_epochs: bool,
     /// Epoch windows recorded by parallel runs (shard order after merge).
     pub(crate) epoch_log: Vec<EpochSpan>,
-    /// Per-shard span snapshots collected by the last parallel merge
-    /// (empty for sequential runs, and when `profile` is off).
-    pub(crate) shard_spans: Vec<SpanSnapshot>,
     /// Conservative epochs per supervised stint of a parallel run: shards
     /// merge back into the master and the epoch checkpoint is refreshed
     /// every this-many epochs. `0` means one unbounded stint (a single
@@ -613,10 +606,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             inflight_bytes: 0,
             command_errors: Vec::new(),
             shard: None,
-            profiler: SpanProfiler::new(),
             record_epochs: false,
             epoch_log: Vec::new(),
-            shard_spans: Vec::new(),
             stint_epochs: 64,
             watchdog: std::time::Duration::from_secs(10),
             panic_plan: None,
@@ -979,16 +970,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     continue;
                 }
             }
-            if SpanProfiler::ENABLED {
-                self.profiler.span_enter(SpanKind::Enqueue);
-            }
             let admitted = self
                 .link_mut(ingress.link)
                 .server
                 .try_enqueue(ingress.leaf, pkt);
-            if SpanProfiler::ENABLED {
-                self.profiler.span_exit(SpanKind::Enqueue);
-            }
             match admitted {
                 Ok(()) => {
                     self.stats
@@ -1012,13 +997,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 }
             }
         }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Dispatch);
-        }
         self.try_start(ingress.link);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Dispatch);
-        }
     }
 
     fn try_start(&mut self, link: usize) {
@@ -1282,13 +1261,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 return;
             }
         }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Enqueue);
-        }
         let admitted = self.link_mut(hop.link).server.try_enqueue(hop.leaf, pkt);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Enqueue);
-        }
         match admitted {
             Ok(()) => {
                 let l = &mut self.link_mut(hop.link).ledger;
@@ -1306,28 +1279,16 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 );
             }
         }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Dispatch);
-        }
         self.try_start(hop.link);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Dispatch);
-        }
     }
 
     /// `link`'s pending completion came due: the in-flight packet has left
     /// the wire.
     fn tx_complete(&mut self, link: usize) {
         let t = self.engine.now();
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Vclock);
-        }
         let l = self.link_mut(link);
         let pkt = l.server.complete_transmission_at(t);
         let started = l.tx_start;
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Vclock);
-        }
         {
             let l = &mut self.link_mut(link).ledger;
             l.bytes_out += u64::from(pkt.len_bytes);
@@ -1386,13 +1347,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             // link as final.
             self.stats.record_service(served);
         }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Dispatch);
-        }
         self.try_start(link);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Dispatch);
-        }
     }
 
     /// Runs the simulation until `horizon` seconds (events strictly after
@@ -1434,25 +1389,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// nothing is due. The one pop used by the sequential loop and both
     /// parallel epoch drivers.
     pub(crate) fn step(&mut self, until: Until) -> bool {
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::EventPop);
-        }
-        let due = self.pop_due(until);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::EventPop);
-        }
-        let Some(due) = due else {
+        let Some(due) = self.pop_due(until) else {
             return false;
         };
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::EventHandle);
-        }
         match due {
             Due::Event(t, ev) => self.handle(t, ev),
             Due::Completion(link) => self.tx_complete(link),
-        }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::EventHandle);
         }
         true
     }
@@ -1585,25 +1527,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         Ok(())
     }
 
-    /// Aggregated wall-clock span timings recorded so far: the sequential
-    /// engine's own samples plus, after [`Network::run_parallel`], every
-    /// worker shard's (absorbed at merge). Empty unless the crate was
-    /// built with the `profile` feature.
-    pub fn span_snapshot(&self) -> SpanSnapshot {
-        self.profiler.snapshot()
-    }
-
-    /// Per-shard span snapshots from the last parallel run, in shard
-    /// order. Empty for sequential runs and when `profile` is off.
-    pub fn shard_span_snapshots(&self) -> &[SpanSnapshot] {
-        &self.shard_spans
-    }
-
     /// Enables (or disables) per-epoch logging for parallel runs: each
     /// shard records one [`EpochSpan`] per conservative epoch window.
-    /// Unlike span timing this is a runtime switch — epochs are stamped
-    /// with *simulation* time, so recording them is deterministic and
-    /// needs no feature gate.
+    /// Epochs are stamped with *simulation* time, so recording them is
+    /// deterministic.
     pub fn set_record_epochs(&mut self, on: bool) {
         self.record_epochs = on;
     }
@@ -1612,11 +1539,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// merge). Empty unless [`Network::set_record_epochs`] was called.
     pub fn epoch_log(&self) -> &[EpochSpan] {
         &self.epoch_log
-    }
-
-    /// Renders [`Network::span_snapshot`] as a fixed-width text table.
-    pub fn span_report(&self) -> String {
-        self.profiler.snapshot().report_text("network")
     }
 
     /// Sets how many conservative epochs a parallel run executes per

@@ -97,7 +97,7 @@ use std::time::{Duration, Instant};
 
 use hpfq_core::NodeScheduler;
 use hpfq_obs::snap::Value;
-use hpfq_obs::{EpochSpan, Observer, SpanKind, SpanProfiler};
+use hpfq_obs::{EpochSpan, Observer};
 
 use crate::network::{
     new_engine, FaultInjector, NetEvent, Network, OutMsg, ShardCtx, SourceSlot, Until,
@@ -559,13 +559,7 @@ impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
                     child_states.push((sid, c.save_state()));
                 }
             }
-            if SpanProfiler::ENABLED {
-                self.profiler.span_enter(SpanKind::Merge);
-            }
             self.merge(workers, &link_shard, base_sources);
-            if SpanProfiler::ENABLED {
-                self.profiler.span_exit(SpanKind::Merge);
-            }
 
             let failures: Vec<ShardFailure> =
                 results.iter().filter_map(|r| r.clone().err()).collect();
@@ -789,20 +783,8 @@ impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
             // of the first barrier in `run_shard`.
             for &sid in order {
                 let net = &mut workers[sid];
-                net.engine.advance_to(t_start);
-                let mut handled = 0u64;
-                while !net.halted && net.step(Until::epoch(epoch_end, horizon)) {
-                    handled += 1;
-                }
+                drain_epoch(net, sid, t_start, epoch_end, horizon);
                 halted |= net.halted;
-                if net.record_epochs {
-                    net.epoch_log.push(EpochSpan {
-                        shard: sid,
-                        t0: t_start,
-                        t1: epoch_end.min(horizon),
-                        events: handled,
-                    });
-                }
                 if let Some(ctx) = net.shard.as_mut() {
                     for OutMsg { dest, t, minor, ev } in ctx.outbox.drain(..) {
                         send_seq[sid] += 1;
@@ -852,13 +834,7 @@ impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
                 child_states.push((sid, c.save_state()));
             }
         }
-        if SpanProfiler::ENABLED {
-            self.profiler.span_enter(SpanKind::Merge);
-        }
         self.merge(workers, &link_shard, base_sources);
-        if SpanProfiler::ENABLED {
-            self.profiler.span_exit(SpanKind::Merge);
-        }
 
         let union_crossed = can_halt
             && self.escalation.quarantined_flows().len() as u64
@@ -992,13 +968,8 @@ impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
                         link_shard: std::sync::Arc::clone(link_shard),
                         outbox: Vec::new(),
                     }),
-                    // Each worker times against its own base Instant;
-                    // snapshots carry only durations, so merging them into
-                    // the master is exact.
-                    profiler: SpanProfiler::new(),
                     record_epochs: self.record_epochs,
                     epoch_log: Vec::new(),
-                    shard_spans: Vec::new(),
                     stint_epochs: self.stint_epochs,
                     watchdog: self.watchdog,
                     panic_plan: None,
@@ -1070,18 +1041,10 @@ impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
         let mut leftovers: Vec<(f64, u64, usize, usize, NetEvent)> = Vec::new();
         let mut errors: Vec<(f64, usize, hpfq_core::HpfqError)> = Vec::new();
         let mut max_now = self.engine.now();
-        self.shard_spans.clear();
         // Owner shards' `started` flags overwrite the master's below.
         self.started_below = 0;
         for (sid, mut w) in workers.into_iter().enumerate() {
-            // Wall-clock spans fold into the master aggregate and are also
-            // kept per shard; epoch windows (simulation time) append in
-            // shard-major order.
-            if SpanProfiler::ENABLED {
-                let snap = w.profiler.snapshot();
-                self.profiler.absorb(&snap);
-                self.shard_spans.push(snap);
-            }
+            // Epoch windows (simulation time) append in shard-major order.
             self.epoch_log.append(&mut w.epoch_log);
             // Links move back whole: ledger, hierarchy, observer state,
             // pending completion and all. Each was owned by exactly one
@@ -1165,6 +1128,38 @@ impl<S: NodeScheduler + Clone + Send, O: Observer + Send> Network<S, O> {
     }
 }
 
+/// The compute phase of one conservative epoch `[t0, t1)` on shard `sid`:
+/// advances the shard's clock to `t0` and drains its events due inside
+/// the window, logging the window when epoch recording is on. It is
+/// handed the shard's own network and nothing else — no mailboxes,
+/// barrier or flags — so the compute phase cannot touch cross-shard
+/// state.
+fn drain_epoch<S: NodeScheduler, O: Observer>(
+    net: &mut Network<S, O>,
+    sid: usize,
+    t0: f64,
+    t1: f64,
+    horizon: f64,
+) {
+    net.engine.advance_to(t0);
+    // Strictly before the epoch boundary, inclusively at the horizon
+    // (matching the sequential loop there — see `Until::epoch`). A ladder
+    // halt stops the drain immediately, like the sequential loop's
+    // `while !halted`.
+    let mut handled = 0u64;
+    while !net.halted && net.step(Until::epoch(t1, horizon)) {
+        handled += 1;
+    }
+    if net.record_epochs {
+        net.epoch_log.push(EpochSpan {
+            shard: sid,
+            t0,
+            t1: t1.min(horizon),
+            events: handled,
+        });
+    }
+}
+
 /// The per-shard epoch loop for one supervised stint. Returns how the
 /// stint ended (every variant is agreed on by all workers at the same
 /// epoch boundary) or the typed failure that aborted it.
@@ -1203,49 +1198,23 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
             }
         }
         epochs += 1;
-        let epoch_end = t_start + lookahead;
-        net.engine.advance_to(t_start);
-        // Drain this shard's events due inside the window (and horizon):
-        // strictly before the epoch boundary, inclusively at the horizon
-        // (matching the sequential loop there — see `Until::epoch`).
-        // A ladder halt stops the drain immediately — like the
-        // sequential loop's `while !halted` — and raises the shared halt
-        // flag; results are discarded and replayed sequentially anyway,
-        // the flag only ends the stint promptly on every shard.
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::EpochCompute);
-        }
-        let mut handled = 0u64;
-        while !net.halted && net.step(Until::epoch(epoch_end, horizon)) {
-            handled += 1;
-        }
+        drain_epoch(net, sid, t_start, t_start + lookahead, horizon);
         if net.halted {
-            // lint:allow(L010): deliberate pre-barrier publication. Every
-            // halt store is sequenced before this shard's first barrier,
-            // and readers capture the flag between the barriers — where
-            // no peer can be computing — so all shards decide the stint
-            // outcome from the same stable value. Storing in the exchange
-            // phase instead would reintroduce the read-after-barrier race
-            // this protocol exists to prevent.
+            // A ladder halt raises the shared halt flag; results are
+            // discarded and replayed sequentially anyway, the flag only
+            // ends the stint promptly on every shard. This is a deliberate
+            // pre-barrier publication: every halt store is sequenced before
+            // this shard's first barrier, and readers capture the flag
+            // between the barriers — where no peer can be computing — so
+            // all shards decide the stint outcome from the same stable
+            // value. Storing in the exchange phase instead would
+            // reintroduce the read-after-barrier race this protocol exists
+            // to prevent.
             halt_flag.store(true, Ordering::Relaxed);
-        }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::EpochCompute);
-        }
-        if net.record_epochs {
-            net.epoch_log.push(EpochSpan {
-                shard: sid,
-                t0: t_start,
-                t1: epoch_end.min(horizon),
-                events: handled,
-            });
         }
         // Post everything produced for other shards. `send_seq` keeps the
         // producing order so identical `(t, minor)` envelopes from one
         // sender stay FIFO after the inbox sort.
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::Exchange);
-        }
         if let Some(ctx) = net.shard.as_mut() {
             for OutMsg { dest, t, minor, ev } in ctx.outbox.drain(..) {
                 send_seq += 1;
@@ -1258,24 +1227,11 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
                 });
             }
         }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::Exchange);
-        }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::BarrierWait);
-        }
-        let first = barrier.wait();
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::BarrierWait);
-        }
-        if let Err(e) = first {
+        if let Err(e) = barrier.wait() {
             return Err(fail(e, global_epoch));
         }
         // All inboxes are complete now: take mine, order it canonically,
         // feed the engine.
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::Exchange);
-        }
         let mut inbox = std::mem::take(&mut *lock_clean(&mailboxes[sid]));
         inbox.sort_by(|a, b| {
             a.t.total_cmp(&b.t)
@@ -1285,9 +1241,6 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
         });
         for env in inbox {
             net.queue_event(env.t, env.ev);
-        }
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::Exchange);
         }
         lock_clean(next_times)[sid] = net.next_event_time().unwrap_or(f64::INFINITY);
         // Capture the halt flag between the barriers: every shard that
@@ -1301,14 +1254,7 @@ fn run_shard<S: NodeScheduler + Send, O: Observer + Send>(
         // barrier nobody else will reach, wedging the stint into a
         // watchdog timeout.
         let halted_this_epoch = halt_flag.load(Ordering::Relaxed);
-        if SpanProfiler::ENABLED {
-            net.profiler.span_enter(SpanKind::BarrierWait);
-        }
-        let second = barrier.wait();
-        if SpanProfiler::ENABLED {
-            net.profiler.span_exit(SpanKind::BarrierWait);
-        }
-        if let Err(e) = second {
+        if let Err(e) = barrier.wait() {
             return Err(fail(e, global_epoch));
         }
         // Every shard computes the same stint outcome from the same

@@ -1,23 +1,15 @@
-//! Span profiling and Perfetto export end-to-end: run the 3-link tandem
-//! under the parallel runtime, print the per-phase wall-clock profile,
-//! and write a `trace.json` timeline openable in Perfetto.
+//! Perfetto export end-to-end: run the 3-link tandem under the parallel
+//! runtime and write a `trace.json` timeline openable in Perfetto — one
+//! track per link with its transmissions, one track per shard with its
+//! conservative epochs, all stamped in *simulation* time.
 //!
 //! ```text
-//! cargo run --release --example profiling --features profile [trace.json]
+//! cargo run --release --example perfetto [trace.json]
 //! ```
-//!
-//! Without `--features profile` the example still runs — epoch recording
-//! is a runtime switch stamped in *simulation* time, so the Perfetto
-//! export (link tracks + shard epoch tracks) is complete either way — but
-//! the span table prints empty, because the profiler compiles down to a
-//! zero-sized no-op. With the feature on, the table shows where engine
-//! time goes (event pop/handle, enqueue, dispatch, virtual-clock update)
-//! and what the parallel phases cost (epoch compute, barrier wait,
-//! cross-shard exchange, merge), per shard and in aggregate.
 
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};
-use hpfq::obs::{chrome_trace, JsonlObserver, SpanProfiler};
+use hpfq::obs::{chrome_trace, JsonlObserver};
 use hpfq::sim::{CbrSource, Hop, Network, Route};
 
 const LINKS: usize = 3;
@@ -76,17 +68,6 @@ fn main() {
         "parallel run: {} shards, fallback {:?}, {} packets",
         report.shards, report.fallback, net.stats.total_packets
     );
-
-    // Per-phase wall-clock profile. Empty (a header-only table) unless
-    // built with `--features profile`.
-    if SpanProfiler::ENABLED {
-        println!("\n{}", net.span_report());
-        for (sid, snap) in net.shard_span_snapshots().iter().enumerate() {
-            println!("{}", snap.report_text(&format!("shard {sid}")));
-        }
-    } else {
-        println!("\nspan profiler compiled out; rebuild with --features profile");
-    }
 
     // Perfetto timeline: merge the per-link JSONL traces, parse them
     // back, and render tx slices + epoch windows in simulation time.

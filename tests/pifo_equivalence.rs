@@ -10,7 +10,9 @@
 //! had matched the rank programs bit for bit since the programs were
 //! written; "legacy" in the test names). Overlapped round robin never had a
 //! hand-rolled twin: its goldens were recorded from its rank program at the
-//! same commit.
+//! same commit. A third lockstep schedule, whose packet lengths are
+//! multiples of no quantum, was added later with goldens recorded from the
+//! rank programs.
 //!
 //! **Backends.** The same drivers hold the dual heap that ships
 //! byte-identical, for all eight programs, to [`SortByRankPifo`]: a `Vec`
@@ -40,8 +42,12 @@ use hpfq::sim::{
 /// What one policy produced at commit 1c9611a (see the module docs).
 struct Golden {
     kind: SchedulerKind,
-    /// `(FNV-1a, dispatches)` of each [`LOCKSTEP_RUNS`] schedule's steps.
+    /// `(FNV-1a, dispatches)` of the first two [`LOCKSTEP_RUNS`]
+    /// schedules' steps.
     lockstep: [(u64, u64); 2],
+    /// The same for the third, odd-length schedule, recorded at commit
+    /// ba8daa6 (the rank programs are unchanged since 1c9611a).
+    odd_lockstep: (u64, u64),
     /// `(FNV-1a, lines)` of the reduced Fig. 3 JSONL trace.
     fig3_trace: (u64, usize),
     /// The reduced Fig. 3 totals and per-flow statistics, as
@@ -62,6 +68,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Wf2qPlus,
         lockstep: [(0x733b_a932_f340_30bb, 552), (0xcd48_980e_4b89_13d3, 383)],
+        odd_lockstep: (0xee5d_59af_48ec_b23b, 476),
         fig3_trace: (0x0509_9114_7aff_e3d3, 5999),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -78,6 +85,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Wfq,
         lockstep: [(0xf894_4a20_cdaa_c487, 552), (0xf58a_50df_c6ed_7350, 383)],
+        odd_lockstep: (0x4d37_a154_0b32_babb, 476),
         fig3_trace: (0x9151_8cdc_762f_cce9, 5999),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -94,6 +102,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Wf2q,
         lockstep: [(0x867a_7039_ab84_aa06, 552), (0xbf9a_5d0b_5ef3_1bcb, 383)],
+        odd_lockstep: (0x0c52_6b09_6d35_9ab9, 476),
         fig3_trace: (0x605e_e74e_d5a1_2d38, 5999),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -110,6 +119,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Scfq,
         lockstep: [(0x310d_f5de_c4b3_207e, 552), (0xafdb_675f_afec_2a2c, 383)],
+        odd_lockstep: (0x8215_f928_0e40_6f48, 476),
         fig3_trace: (0x7750_29fe_3de1_31c1, 5999),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -126,6 +136,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Sfq,
         lockstep: [(0x22ec_10fd_e136_3d87, 552), (0x1adc_8e49_94e0_a342, 383)],
+        odd_lockstep: (0xeeec_79bc_67ad_6087, 476),
         fig3_trace: (0x4e70_d563_5093_b1a3, 5993),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -142,6 +153,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Drr,
         lockstep: [(0x9f11_5cd8_f2e5_906b, 552), (0xb9ec_3a2e_73cb_6d81, 383)],
+        odd_lockstep: (0x08d0_10c6_95e1_49b3, 476),
         fig3_trace: (0x225b_92ca_1e8d_2d96, 5997),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -158,6 +170,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Fifo,
         lockstep: [(0x58a5_5ff1_2578_4382, 552), (0x16b6_e092_d7ea_0e15, 383)],
+        odd_lockstep: (0x0e7d_292b_ba1a_e40c, 476),
         fig3_trace: (0x6b60_29d6_63c2_52e8, 5993),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -174,6 +187,7 @@ const GOLDENS: [Golden; 8] = [
     Golden {
         kind: SchedulerKind::Rr,
         lockstep: [(0xbd9e_511e_e99c_da8c, 552), (0x4fb0_03af_aac8_3db4, 383)],
+        odd_lockstep: (0xb8e6_4c70_39bf_8b24, 476),
         fig3_trace: (0x514d_6f32_8796_740c, 5997),
         fig3_stats: [
             "total 3686400 450 1.5998254222222223",
@@ -296,6 +310,13 @@ fn golden(kind: SchedulerKind) -> &'static Golden {
     GOLDENS.iter().find(|g| g.kind == kind).unwrap()
 }
 
+impl Golden {
+    /// `(FNV-1a, dispatches)` of [`LOCKSTEP_RUNS`]`[run]`.
+    fn lockstep_digest(&self, run: usize) -> (u64, u64) {
+        [self.lockstep[0], self.lockstep[1], self.odd_lockstep][run]
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scheduler-level steps: every dispatch decision, tag, and virtual-time bit.
 // ---------------------------------------------------------------------------
@@ -351,24 +372,38 @@ fn assert_same_steps(kind: SchedulerKind, label: &str, a: &[Step], b: &[Step]) {
     }
 }
 
+/// Packet lengths in bits, cycled by step.
+const LENS: &[f64] = &[1000.0, 3000.0, 500.0, 7000.0, 1500.0, 11000.0];
+
+/// Odd prime lengths, multiples of no quantum (every [`LENS`] entry is a
+/// multiple of 100 bits). Over 8 sessions a DRR quantum is a whole 1 500
+/// bits, so a head can miss its deficit by a single bit, and a program
+/// that credits a quantum one bit off moves the digest.
+const ODD_LENS: &[f64] = &[997.0, 2999.0, 4111.0, 1511.0, 6007.0, 523.0];
+
+/// `lens[i]`, cycling.
+fn cycled(lens: &[f64], i: u64) -> f64 {
+    lens[(i % lens.len() as u64) as usize]
+}
+
 /// Deterministic packet-length pattern (primes keep lengths from aliasing
 /// into round numbers).
 fn len_pattern(i: u64) -> f64 {
-    [1000.0, 3000.0, 500.0, 7000.0, 1500.0, 11000.0][(i % 6) as usize]
+    cycled(LENS, i)
 }
 
 /// Drives `s` through a deterministic dispatch / requeue / churn / drain
-/// schedule over `n` sessions and returns every step's observations. The
-/// schedule periodically drains the scheduler completely so the busy-period
-/// reset path is exercised too.
-fn drive_lockstep(mut s: impl NodeScheduler, n: usize, steps: u64, seed: u64) -> Vec<Step> {
+/// schedule over `n` sessions with packet lengths cycled from `lens`, and
+/// returns every step's observations. The schedule periodically drains the
+/// scheduler completely so the busy-period reset path is exercised too.
+fn drive_lockstep(mut s: impl NodeScheduler, (n, steps, seed, lens): LockstepRun) -> Vec<Step> {
     for _ in 0..n {
         s.add_session(1.0 / n as f64);
     }
     let mut queued: Vec<u64> = (0..n as u64).map(|i| 2 + (i + seed) % 4).collect();
     for (i, &q) in queued.iter().enumerate() {
         if q > 0 {
-            s.backlog(SessionId(i), len_pattern(i as u64 + seed), None);
+            s.backlog(SessionId(i), cycled(lens, i as u64 + seed), None);
         }
     }
     let mut log = Vec::new();
@@ -379,7 +414,7 @@ fn drive_lockstep(mut s: impl NodeScheduler, n: usize, steps: u64, seed: u64) ->
             // Drained: busy period over; restart deterministically.
             for (i, q) in queued.iter_mut().enumerate() {
                 *q = 1 + (i as u64 + step) % 3;
-                s.backlog(SessionId(i), len_pattern(step + i as u64), None);
+                s.backlog(SessionId(i), cycled(lens, step + i as u64), None);
             }
             log.push(obs);
             continue;
@@ -390,29 +425,33 @@ fn drive_lockstep(mut s: impl NodeScheduler, n: usize, steps: u64, seed: u64) ->
             for (i, q) in queued.iter_mut().enumerate() {
                 if *q == 0 && SessionId(i) != id {
                     *q = 2;
-                    s.backlog(SessionId(i), len_pattern(step + 1), None);
+                    s.backlog(SessionId(i), cycled(lens, step + 1), None);
                     break;
                 }
             }
         }
-        let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
+        let next = (queued[id.0] > 0).then(|| cycled(lens, step + 2));
         s.requeue(id, next);
         log.push(requeued(&s, obs));
     }
     log
 }
 
-/// `(sessions, steps, seed)` of the two fixed lockstep schedules.
-const LOCKSTEP_RUNS: [(usize, u64, u64); 2] = [(5, 600, 3), (9, 400, 17)];
+/// `(sessions, steps, seed, lengths)` of one fixed lockstep schedule.
+type LockstepRun = (usize, u64, u64, &'static [f64]);
+
+/// The fixed lockstep schedules.
+const LOCKSTEP_RUNS: [LockstepRun; 3] =
+    [(5, 600, 3, LENS), (9, 400, 17, LENS), (8, 500, 5, ODD_LENS)];
 
 #[test]
 fn every_policy_matches_legacy_in_lockstep() {
     for kind in SchedulerKind::ALL {
-        for (run, (n, steps, seed)) in LOCKSTEP_RUNS.into_iter().enumerate() {
-            let log = drive_lockstep(kind.build(1e6), n, steps, seed);
+        for (run, schedule) in LOCKSTEP_RUNS.into_iter().enumerate() {
+            let log = drive_lockstep(kind.build(1e6), schedule);
             assert_eq!(
                 digest(&log),
-                golden(kind).lockstep[run],
+                golden(kind).lockstep_digest(run),
                 "{} lockstep run {run}: steps diverged from the golden",
                 kind.name()
             );
@@ -645,9 +684,9 @@ fn pifo_snapshot_resume_matches_legacy_straight_run() {
 #[test]
 fn every_backend_matches_dual_heap_in_lockstep() {
     for_each_program!(|kind, Program| {
-        for (n, steps, seed) in LOCKSTEP_RUNS {
-            let scan = drive_lockstep(oracle(1e6, Program::new()), n, steps, seed);
-            let heap = drive_lockstep(kind.build(1e6), n, steps, seed);
+        for schedule in LOCKSTEP_RUNS {
+            let scan = drive_lockstep(oracle(1e6, Program::new()), schedule);
+            let heap = drive_lockstep(kind.build(1e6), schedule);
             assert_same_steps(kind, "reference PIFO", &scan, &heap);
         }
     });

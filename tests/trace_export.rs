@@ -10,10 +10,6 @@
 //! per link, tx slices, one track per shard with epoch slices) and its
 //! *byte determinism*: two identical runs must export identical bytes,
 //! because the timeline clock is simulation time, never wall clock.
-//!
-//! With `--features profile` the same run additionally carries wall-clock
-//! span aggregates; those are asserted present but deliberately kept out
-//! of the exported JSON (they are nondeterministic by nature).
 
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};
@@ -85,17 +81,6 @@ fn export() -> (String, usize, Vec<EpochSpan>) {
         !epochs.is_empty(),
         "epoch recording was on but logged nothing"
     );
-
-    // With the profiler compiled in, the run must have produced span
-    // samples on every shard; without it, the snapshot must be empty.
-    let spans = net.span_snapshot();
-    if cfg!(feature = "profile") {
-        assert!(!spans.is_empty(), "profile build recorded no spans");
-        assert_eq!(net.shard_span_snapshots().len(), SHARDS);
-    } else {
-        assert!(spans.is_empty(), "profile-off build recorded spans");
-        assert!(net.shard_span_snapshots().is_empty());
-    }
 
     let bufs: Vec<String> = net
         .into_observers()
