@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] [--flight-dir DIR]
-//!            [--quarantine-demo] [--halt-demo] [--parallel-shards N]
+//!            [--quarantine-demo] [--halt-demo]
 //!            [--snapshot PATH [--snapshot-at SECS]] [--resume PATH]
 //! ```
 //!
@@ -13,23 +13,16 @@
 //! CI uploads. `--halt-demo` instead drives the escalation ladder to a
 //! halt on purpose and writes the dump the recorder emits at that moment
 //! (to `--flight-dir`, default the working directory).
-//! `--parallel-shards N` runs the multi-link chaos scenarios through the
-//! crash-contained parallel runtime instead: the command-driven soak
-//! (flaps + churn), the injector-sharded soak (drops/corruption/jitter
-//! forked per shard), and the halt-replay soak, each `run_parallel(N)`
-//! differentially checked against the sequential run.
-//! `--snapshot PATH` runs the injected scenario partway (to
-//! `--snapshot-at`, default half the horizon) and writes a
-//! byte-deterministic epoch checkpoint; `--resume PATH` restores such a
-//! checkpoint and completes the run, checking the stitched run against an
-//! uninterrupted sequential one.
+//! `--snapshot PATH` runs a multi-link chaos scenario (flaps, churn,
+//! drops, corruption, jitter) partway (to `--snapshot-at`, default half
+//! the horizon) and writes a byte-deterministic snapshot; `--resume PATH`
+//! restores such a snapshot and completes the run, checking the stitched
+//! run against an uninterrupted one.
 
 use std::process::ExitCode;
 
 use hpfq_chaos::{
-    halt_scenario, halting_parallel_soak, halting_parallel_soak_with_flight,
-    injected_parallel_soak, parallel_soak, quarantine_scenario, run_soak, soak_resume,
-    soak_snapshot, ChaosConfig, ParallelSoakOutcome,
+    halt_scenario, quarantine_scenario, run_soak, soak_resume, soak_snapshot, ChaosConfig,
 };
 
 struct Args {
@@ -39,7 +32,6 @@ struct Args {
     flight_dir: Option<String>,
     quarantine_demo: bool,
     halt_demo: bool,
-    parallel_shards: Option<usize>,
     snapshot: Option<String>,
     snapshot_at: Option<f64>,
     resume: Option<String>,
@@ -53,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         flight_dir: None,
         quarantine_demo: false,
         halt_demo: false,
-        parallel_shards: None,
         snapshot: None,
         snapshot_at: None,
         resume: None,
@@ -77,16 +68,6 @@ fn parse_args() -> Result<Args, String> {
             "--flight-dir" => args.flight_dir = Some(grab("--flight-dir")?),
             "--quarantine-demo" => args.quarantine_demo = true,
             "--halt-demo" => args.halt_demo = true,
-            "--parallel-shards" => {
-                let v = grab("--parallel-shards")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|e| format!("--parallel-shards {v}: {e}"))?;
-                if n < 2 {
-                    return Err(format!("--parallel-shards {v}: need at least 2"));
-                }
-                args.parallel_shards = Some(n);
-            }
             "--snapshot" => args.snapshot = Some(grab("--snapshot")?),
             "--snapshot-at" => {
                 let v = grab("--snapshot-at")?;
@@ -101,8 +82,7 @@ fn parse_args() -> Result<Args, String> {
                 return Err(
                     "usage: chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] \
                      [--flight-dir DIR] [--quarantine-demo] [--halt-demo] \
-                     [--parallel-shards N] [--snapshot PATH [--snapshot-at SECS]] \
-                     [--resume PATH]"
+                     [--snapshot PATH [--snapshot-at SECS]] [--resume PATH]"
                         .to_string(),
                 )
             }
@@ -110,31 +90,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-fn print_outcome(label: &str, out: &ParallelSoakOutcome) {
-    println!(
-        "{label}: {} shard(s), {} epoch(s), {} pkts / {} B served, fallback {:?}, \
-         {} failure(s), {} rollback(s), halt {} (replayed {}), sequential match {}, \
-         conservation {}",
-        out.shards,
-        out.epochs,
-        out.served_packets,
-        out.served_bytes,
-        out.fallback,
-        out.failures.len(),
-        out.rollbacks,
-        out.halted,
-        out.halt_replayed,
-        match &out.matches_sequential {
-            Ok(()) => "OK".to_string(),
-            Err(e) => format!("DIVERGED: {e}"),
-        },
-        match &out.conservation {
-            Ok(()) => "OK".to_string(),
-            Err(e) => format!("BROKEN: {e}"),
-        }
-    );
 }
 
 fn main() -> ExitCode {
@@ -147,9 +102,8 @@ fn main() -> ExitCode {
     };
 
     if let Some(path) = &args.snapshot {
-        let shards = args.parallel_shards.unwrap_or(2);
         let t = args.snapshot_at.unwrap_or(args.horizon / 2.0);
-        let bytes = match soak_snapshot(args.seed, args.horizon, t, shards) {
+        let bytes = match soak_snapshot(args.seed, args.horizon, t) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("snapshot failed: {e}");
@@ -161,17 +115,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         println!(
-            "snapshot written: {path} ({} bytes, seed {}, t={t} of {} s, {} shard(s))",
+            "snapshot written: {path} ({} bytes, seed {}, t={t} of {} s)",
             bytes.len(),
             args.seed,
-            args.horizon,
-            shards
+            args.horizon
         );
         return ExitCode::SUCCESS;
     }
 
     if let Some(path) = &args.resume {
-        let shards = args.parallel_shards.unwrap_or(2);
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) => {
@@ -179,68 +131,31 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let out = match soak_resume(&bytes, shards) {
+        let out = match soak_resume(&bytes) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("resume failed: {e}");
                 return ExitCode::FAILURE;
             }
         };
-        print_outcome(&format!("resumed soak ({path})"), &out);
+        let verdict = |r: &Result<(), String>, bad: &str| match r {
+            Ok(()) => "OK".to_string(),
+            Err(e) => format!("{bad}: {e}"),
+        };
+        println!(
+            "resumed soak ({path}): {} pkts / {} B served, halted {}, \
+             uninterrupted match {}, conservation {}",
+            out.served_packets,
+            out.served_bytes,
+            out.halted,
+            verdict(&out.matches_uninterrupted, "DIVERGED"),
+            verdict(&out.conservation, "BROKEN"),
+        );
         return if out.healthy() {
-            println!("resume healthy: the stitched run reproduced the sequential run");
+            println!("resume healthy: the stitched run reproduced the uninterrupted run");
             ExitCode::SUCCESS
         } else {
             eprintln!("resume UNHEALTHY");
-            ExitCode::FAILURE
-        };
-    }
-
-    if let Some(shards) = args.parallel_shards {
-        println!(
-            "parallel chaos soaks: seed {}, horizon {} s, {} shard(s)",
-            args.seed, args.horizon, shards
-        );
-        let command_driven = parallel_soak(args.seed, args.horizon, shards);
-        print_outcome("command-driven (flaps + churn)", &command_driven);
-        let injected = injected_parallel_soak(args.seed, args.horizon, shards);
-        print_outcome("injector-sharded (drops/corrupt/jitter)", &injected);
-        // With --flight-dir, the halt soak rides flight recorders and
-        // leaves its post-mortem pair (JSONL + epoch-checkpoint sidecar)
-        // on disk for CI to upload.
-        let halting = if let Some(dir) = &args.flight_dir {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("cannot create {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-            let path = format!("{dir}/flight-parallel-halt-seed{}.jsonl", args.seed);
-            let (out, dumped) =
-                halting_parallel_soak_with_flight(args.seed, args.horizon, shards, &path);
-            if dumped {
-                println!("halt post-mortem written: {path} + {path}.ckpt");
-            } else {
-                eprintln!("halt post-mortem NOT written ({path})");
-            }
-            out
-        } else {
-            halting_parallel_soak(args.seed, args.horizon, shards)
-        };
-        print_outcome("halt-replay (halt_after 1)", &halting);
-        // The halting soak is healthy when it *matches*: it is expected
-        // to halt, so `healthy()`'s no-failure clause still applies but
-        // the halt flags must simply agree with the sequential run.
-        let halt_ok = halting.matches_sequential.is_ok()
-            && halting.fallback.is_none()
-            && halting.failures.is_empty()
-            && halting.halted
-            && halting.halt_replayed;
-        return if command_driven.healthy() && injected.healthy() && halt_ok {
-            println!(
-                "parallel soaks healthy: run_parallel({shards}) reproduced the sequential runs"
-            );
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("parallel soaks UNHEALTHY");
             ExitCode::FAILURE
         };
     }

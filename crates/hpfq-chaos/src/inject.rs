@@ -174,7 +174,7 @@ impl FaultInjector for ChaosInjector {
 
     /// Serializes the full injector state — per-flow RNG words,
     /// Gilbert–Elliott channel states, fault counters — byte-exactly, so
-    /// an epoch checkpoint can restore the decision streams mid-run.
+    /// a snapshot can restore the decision streams mid-run.
     fn save_state(&self) -> Result<Value, SnapError> {
         Ok(Value::map(vec![
             ("kind", Value::Str("chaos".into())),
@@ -207,35 +207,6 @@ impl FaultInjector for ChaosInjector {
             ["dropped", "corrupted", "jittered"].map(|key| state.get(key)?.as_counter());
         (self.dropped, self.corrupted, self.jittered) = (dropped?, corrupted?, jittered?);
         self.flows = flows;
-        Ok(())
-    }
-
-    /// Moves the decision streams of `flows` into a fresh child injector
-    /// for one shard. Exact by construction: a stream advances only on
-    /// its own flow's packets and timers, all of which the owning shard
-    /// executes; flows the child meets for the first time derive their
-    /// streams from the shared seed exactly as the parent would have. The
-    /// child's fault counters start at zero and are *added* back by
-    /// [`FaultInjector::absorb_shard`].
-    fn fork_shard(&mut self, flows: &[u32]) -> Option<Box<dyn FaultInjector>> {
-        let mut child = ChaosInjector::new(self.cfg);
-        for &f in flows {
-            if let Some(st) = self.flows.remove(&f) {
-                child.flows.insert(f, st);
-            }
-        }
-        Some(Box::new(child))
-    }
-
-    fn absorb_shard(&mut self, state: &Value) -> Result<(), SnapError> {
-        self.check_origin(state)?;
-        for v in state.get("flows")?.items()? {
-            let (flow, st) = Self::flow_from_value(v)?;
-            self.flows.insert(flow, st);
-        }
-        self.dropped += state.get("dropped")?.as_u64()?;
-        self.corrupted += state.get("corrupted")?.as_u64()?;
-        self.jittered += state.get("jittered")?.as_u64()?;
         Ok(())
     }
 }
@@ -334,47 +305,6 @@ mod tests {
         assert_eq!(expect, got);
         assert_eq!(whole.dropped, halves.dropped);
         assert_eq!(whole.corrupted, halves.corrupted);
-    }
-
-    #[test]
-    fn fork_and_absorb_match_sequential_streams() {
-        let cfg = ChaosConfig::all_faults(17, 30.0);
-        let mut seq = ChaosInjector::new(cfg);
-        let mut par = ChaosInjector::new(cfg);
-        let feed =
-            |inj: &mut dyn FaultInjector, flow: u32, lo: u64, hi: u64| -> Vec<PacketVerdict> {
-                (lo..hi)
-                    .map(|i| {
-                        let mut p = Packet::new(i, flow, 1000, 0.01 * i as f64);
-                        inj.on_packet(0.01 * i as f64, &mut p)
-                    })
-                    .collect()
-            };
-        // Warm both parents identically, then fork the parallel one.
-        for flow in [1u32, 2] {
-            assert_eq!(feed(&mut seq, flow, 0, 300), feed(&mut par, flow, 0, 300));
-        }
-        let mut child1 = par.fork_shard(&[1]).unwrap();
-        let mut child2 = par.fork_shard(&[2]).unwrap();
-        // Each child advances only its own flow; flow 3 is new to child 2.
-        let a1 = feed(child1.as_mut(), 1, 300, 700);
-        let a2 = feed(child2.as_mut(), 2, 300, 700);
-        let a3 = feed(child2.as_mut(), 3, 0, 200);
-        par.absorb_shard(&child1.save_state().unwrap()).unwrap();
-        par.absorb_shard(&child2.save_state().unwrap()).unwrap();
-        // The sequential parent runs the same work single-streamed.
-        assert_eq!(a1, feed(&mut seq, 1, 300, 700));
-        assert_eq!(a2, feed(&mut seq, 2, 300, 700));
-        assert_eq!(a3, feed(&mut seq, 3, 0, 200));
-        // After absorption the two parents are byte-identical.
-        assert_eq!(seq.save_state().unwrap(), par.save_state().unwrap());
-        // And they continue identically.
-        for flow in [1u32, 2, 3] {
-            assert_eq!(
-                feed(&mut seq, flow, 700, 900),
-                feed(&mut par, flow, 700, 900)
-            );
-        }
     }
 
     #[test]

@@ -19,12 +19,9 @@
 //! * [`soak::run_soak`] — the differential harness: all seven scheduler
 //!   policies under the *same* fault schedule, checked for conservation,
 //!   invariant cleanliness, fault determinism, and post-recovery fairness;
-//! * [`parallel::parallel_soak`] and friends — the chaos scenarios
-//!   replayed through the crash-contained parallel runtime
-//!   (`Network::run_parallel`), genuinely sharded: the injector forks
-//!   per-shard children, escalation halts are replayed byte-exactly from
-//!   epoch checkpoints, and every run is differentially checked against
-//!   the sequential oracle.
+//! * [`soak::soak_snapshot`] / [`soak::soak_resume`] — a multi-link chaos
+//!   scenario checkpointed mid-run and resumed, checked byte-identical
+//!   against the uninterrupted run.
 //!
 //! Reproduce any failure from its seed: `cargo run -p hpfq-chaos --bin
 //! chaos-soak -- --seed N`.
@@ -34,7 +31,6 @@
 
 pub mod config;
 pub mod inject;
-pub mod parallel;
 pub mod plan;
 pub mod soak;
 
@@ -43,13 +39,9 @@ pub use config::{
     LinkFaultConfig,
 };
 pub use inject::ChaosInjector;
-pub use parallel::{
-    halting_parallel_soak, halting_parallel_soak_with_flight, injected_parallel_soak,
-    parallel_soak, soak_resume, soak_snapshot, ParallelSoakOutcome,
-};
 pub use plan::{build_plan, ChaosPlan, CHURN_FLOW_BASE};
 pub use soak::{
-    build_soak_sim, halt_scenario, quarantine_scenario, run_soak, ChaosReport, FlowLedger,
-    HaltOutcome, QuarantineOutcome, SoakRun, BASE_FLOWS, FLIGHT_CAPACITY, LINK_BPS,
-    UNFAIRNESS_BOUND,
+    build_soak_sim, halt_scenario, quarantine_scenario, run_soak, soak_resume, soak_snapshot,
+    ChaosReport, FlowLedger, HaltOutcome, QuarantineOutcome, ResumeOutcome, SoakRun, BASE_FLOWS,
+    FLIGHT_CAPACITY, LINK_BPS, UNFAIRNESS_BOUND,
 };

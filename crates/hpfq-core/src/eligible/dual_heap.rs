@@ -310,7 +310,7 @@ impl PifoBackend for DualHeapEligibleSet {
         open.sort_by(|a, b| {
             (a.key, a.secondary, a.id)
                 .partial_cmp(&(b.key, b.secondary, b.id))
-                // lint:allow(L002): cold snapshot path; ranks are finite
+                // Cold snapshot path; ranks are finite.
                 .expect("ranks must not be NaN")
         });
         let mut out: Vec<(SessionId, Option<f64>, f64, f64)> = open

@@ -59,7 +59,7 @@ impl Ord for Departure {
     fn cmp(&self, other: &Self) -> Ordering {
         (other.finish, other.session)
             .partial_cmp(&(self.finish, self.session))
-            // lint:allow(L002): tags are sums of finite phi-scaled lengths
+            // Tags are sums of finite phi-scaled lengths.
             .expect("finish tags must not be NaN")
     }
 }
@@ -236,7 +236,7 @@ impl GpsClock {
         self.worst_sweep
     }
 
-    /// Serializes the clock for an epoch checkpoint. The departure heap is
+    /// Serializes the clock for a snapshot. The departure heap is
     /// not stored: its live content is exactly one entry per active session
     /// at that session's `last_finish` (stale entries are skipped on peek),
     /// so [`GpsClock::load_state`] rebuilds it from the session table.

@@ -1233,11 +1233,11 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.shares[node.0].child_phi_sum
     }
 
-    // ----- epoch checkpointing (DESIGN.md §12) -----------------------------
+    // ----- snapshots (DESIGN.md §12) ----------------------------------------
 
     /// Serializes the hierarchy's complete mutable state — tree structure,
     /// leaf FIFOs, per-node scheduler states, the in-flight path, and the
-    /// warped-clock anchors — for an epoch checkpoint, as one record per
+    /// warped-clock anchors — for a snapshot, as one record per
     /// [`NodeId`] in id order. The attached observer is *not* included;
     /// drivers checkpoint it separately via [`Observer::mark`].
     pub fn save_state(&self) -> Value {

@@ -83,7 +83,7 @@ impl Packet {
         Ok(())
     }
 
-    /// Serializes for an epoch checkpoint, as a fixed-arity list
+    /// Serializes for a snapshot, as a fixed-arity list
     /// `[id, flow, len_bytes, birth, arrival]` — packets dominate snapshot
     /// volume, so the compact form matters.
     pub fn save(&self) -> Value {

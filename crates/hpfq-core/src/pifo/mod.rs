@@ -244,7 +244,7 @@ pub trait RankProgram {
         ref_time
     }
 
-    /// Serializes program state for an epoch checkpoint (the driver saves
+    /// Serializes program state for a snapshot (the driver saves
     /// the session table, reference time, and in-service marker itself).
     /// The default returns [`Value::Null`] for stateless programs.
     fn save_state(&self) -> Value {
@@ -266,6 +266,16 @@ pub trait RankProgram {
                 self.name()
             )))
         }
+    }
+
+    /// For a [`RankProgram::MONOTONE_RANKS`] program: the primary key of
+    /// the next fresh rank a saved `state` would hand out. A queue
+    /// restored beside that state must hold only smaller ranks, or the
+    /// next offer would land out of order on the ring; [`PifoTree`]
+    /// refuses the pair. The default bounds nothing.
+    fn next_fresh_rank(state: &Value) -> Result<f64, SnapError> {
+        let _ = state;
+        Ok(f64::INFINITY)
     }
 }
 
@@ -620,6 +630,15 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             last = Some(rank);
             queue.insert_ranked(SessionId(id), elig, rank.0, rank.1);
         }
+        let program = state.get("program")?;
+        if let Some((primary, ..)) = last.filter(|_| P::MONOTONE_RANKS) {
+            let next = P::next_fresh_rank(program)?;
+            if primary >= next {
+                return Err(refuse(format!(
+                    "next fresh rank {next} is not past queued rank {primary}"
+                )));
+            }
+        }
         let backlogged = table.backlogged_count();
         if queue.members() + usize::from(in_service.is_some()) != backlogged {
             return Err(refuse(format!(
@@ -628,7 +647,7 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
                 backlogged - usize::from(in_service.is_some())
             )));
         }
-        self.program.load_state(state.get("program")?, &table)?;
+        self.program.load_state(program, &table)?;
         (self.sessions, self.queue, self.t) = (table, queue, t);
         (self.in_service, self.backlogged) = (in_service, backlogged);
         Ok(())

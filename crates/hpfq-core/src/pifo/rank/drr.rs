@@ -233,9 +233,13 @@ impl RankProgram for DrrRank {
             slots.push(slot);
         }
         let seq = seq_v.iter().map(sequence).collect::<Result<Vec<_>, _>>()?;
-        let next = sequence(state.get("next")?)?;
+        let next = Self::next_fresh_rank(state)?;
         (self.slots, self.seq, self.next) = (slots, seq, next);
         Ok(())
+    }
+
+    fn next_fresh_rank(state: &Value) -> Result<f64, SnapError> {
+        sequence(state.get("next")?)
     }
 }
 

@@ -81,7 +81,11 @@ impl RankProgram for FifoRank {
     }
 
     fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.next = sequence(state.get("next")?)?;
+        self.next = Self::next_fresh_rank(state)?;
         Ok(())
+    }
+
+    fn next_fresh_rank(state: &Value) -> Result<f64, SnapError> {
+        sequence(state.get("next")?)
     }
 }

@@ -145,8 +145,8 @@ pub trait NodeScheduler {
         let _ = k;
     }
 
-    /// Serializes the scheduler's complete mutable state for an epoch
-    /// checkpoint (DESIGN.md §12). The returned value, fed back through
+    /// Serializes the scheduler's complete mutable state for a snapshot
+    /// (DESIGN.md §12). The returned value, fed back through
     /// [`NodeScheduler::load_state`] on a scheduler constructed with the
     /// same configuration, must reproduce the original's behaviour exactly
     /// — every subsequent dispatch decision and tag must be bit-identical.

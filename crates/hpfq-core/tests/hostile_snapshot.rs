@@ -127,6 +127,23 @@ fn monotone_queue_out_of_order_or_gated_is_refused() {
     );
 }
 
+/// A `MONOTONE_RANKS` program's sequence counter is the rank of its next
+/// offer, which must land behind everything queued. A FIFO or DRR counter
+/// at or below the last queued rank used to load `Ok` and trip the ring's
+/// order assertion at the next offer.
+#[test]
+fn monotone_counter_at_or_below_a_queued_rank_is_refused() {
+    for kind in [SchedulerKind::Fifo, SchedulerKind::Drr] {
+        refused_root_edits(
+            kind,
+            &[
+                ("program.next", &|v| Value::F64(v.as_f64().unwrap() - 1.0)),
+                ("program.next", &|_| Value::F64(0.0)),
+            ],
+        );
+    }
+}
+
 /// A WFQ node's GPS clock must have one session per session of its table,
 /// with finite tags: a clock one session short used to load `Ok` and index
 /// out of bounds at the next dispatch, and a NaN tag panicked inside the

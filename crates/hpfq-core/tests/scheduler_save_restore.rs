@@ -122,8 +122,8 @@ fn every_policy_round_trips_mid_run() {
 }
 
 /// Restoring must also reproduce states captured *mid-service* (between
-/// `select_next` and `requeue`) — the common case at a conservative-epoch
-/// boundary while a packet is on the wire.
+/// `select_next` and `requeue`) — the common case for a snapshot taken
+/// while a packet is on the wire.
 #[test]
 fn round_trip_with_session_in_service() {
     for kind in SchedulerKind::ALL {

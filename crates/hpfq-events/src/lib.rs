@@ -45,24 +45,21 @@
 //! same event, so no order between them can be observed, and against an
 //! arena event with the same time and minor the timer fires first.
 //!
-//! # Minor keys and parallel determinism
+//! # Minor keys
 //!
 //! [`EventQueue::schedule_keyed`] accepts a caller-supplied **minor key**
 //! ordered between the time and the FIFO sequence: events fire in
 //! `(time, minor, seq)` order. A client that derives the minor key from
 //! event *content* (rather than scheduling order) gets a tie-break that is
-//! a pure function of the event itself — the property a conservative
-//! parallel simulator needs to reproduce a sequential run exactly, because
-//! per-shard sequence numbers cannot match the global ones. Plain
-//! [`EventQueue::schedule`] uses minor key 0, so single-keyed clients keep
-//! the original `(time, seq)` FIFO semantics unchanged.
+//! a pure function of the event itself, which a queue rebuilt from a
+//! snapshot recomputes instead of storing. Plain [`EventQueue::schedule`]
+//! uses minor key 0, so single-keyed clients keep the original
+//! `(time, seq)` FIFO semantics unchanged.
 //!
-//! The epoch/window API ([`Engine::pop_strictly_before`],
-//! [`Engine::advance_to`], [`EventQueue::pop_entry`]) supports
-//! conservative-epoch execution: a worker drains events with
-//! `t < epoch_end` only, the coordinator advances the clock across empty
-//! windows, and whole queues can be drained (keys included) when shards
-//! are assembled or merged.
+//! The window API ([`Engine::pop_strictly_before`], [`Engine::advance_to`],
+//! [`EventQueue::pop_entry`]) drains events before a bound only, moves the
+//! clock without popping, and drains whole queues keys included, so a
+//! client can replay or transfer a queue exactly.
 
 #![forbid(unsafe_code)]
 
@@ -222,7 +219,7 @@ impl<E> EventQueue<E> {
     /// Schedules `ev` at time `t` with an explicit minor tie-break key.
     /// Events fire in `(t, minor, scheduling order)` order; clients that
     /// derive `minor` from event content get execution-order-independent
-    /// tie-breaking (see the crate docs on parallel determinism).
+    /// tie-breaking (see the crate docs on minor keys).
     pub fn schedule_keyed(&mut self, t: f64, minor: u64, ev: E) {
         debug_assert!(t.is_finite(), "non-finite event time {t}");
         self.seq += 1;
@@ -288,8 +285,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Time and minor key of the earliest pending event. The pair is the
-    /// content-derived part of the firing order, so epoch supervisors can
-    /// compare queue heads against a global cut key without popping.
+    /// content-derived part of the firing order, so a client can compare
+    /// the queue head against an event it holds outside the queue without
+    /// popping.
     pub fn peek_key(&self) -> Option<(f64, u64)> {
         self.heap.peek().map(|e| {
             let minor = if e.timer {
@@ -308,8 +306,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event along with its time and
-    /// minor key. Used when draining one queue into another (shard
-    /// assembly/merge) where the minor keys must survive the transfer.
+    /// minor key. Used when draining one queue into another, where the
+    /// minor keys must survive the transfer.
     pub fn pop_entry(&mut self) -> Option<(f64, u64, E)> {
         loop {
             let (arena, timers) = (&self.arena, self.timers);
@@ -435,6 +433,9 @@ impl<E> Engine<E> {
     /// advancing the clock to its time. Events strictly after the horizon
     /// stay queued, so a later call with a larger horizon continues
     /// cleanly (segmented runs).
+    // Inlined so the due check runs in the caller's event loop and only an
+    // actual pop calls out, to `pop_entry`.
+    #[inline]
     pub fn pop_due(&mut self, horizon: f64) -> Option<(f64, E)> {
         if self.queue.peek_time()? > horizon {
             return None;
@@ -445,10 +446,8 @@ impl<E> Engine<E> {
     }
 
     /// Pops the earliest event if its time is **strictly** before `end`,
-    /// advancing the clock to its time. This is the conservative-epoch
-    /// window pop: an epoch `[T, T+W)` drains events with `t < T+W` only,
-    /// leaving everything at or past the epoch boundary for later epochs
-    /// (after cross-shard messages for that boundary have been exchanged).
+    /// advancing the clock to its time: a window `[T, T+W)` drains events
+    /// with `t < T+W` only, leaving everything at or past its end queued.
     pub fn pop_strictly_before(&mut self, end: f64) -> Option<(f64, E)> {
         if self.queue.peek_time()? >= end {
             return None;
@@ -458,9 +457,8 @@ impl<E> Engine<E> {
         Some((t, ev))
     }
 
-    /// Advances the clock to `t` without popping anything. Used by epoch
-    /// drivers to jump across empty windows so that `schedule` calls made
-    /// between epochs are clamped against the epoch start, not a stale
+    /// Advances the clock to `t` without popping anything, so that
+    /// `schedule` calls made next are clamped against `t`, not a stale
     /// clock. Moving backwards is a no-op (the clock stays monotone).
     pub fn advance_to(&mut self, t: f64) {
         if t > self.now {
@@ -470,9 +468,9 @@ impl<E> Engine<E> {
 
     /// Sets the clock to `t` unconditionally — the *restore* path. Unlike
     /// [`Engine::advance_to`], this may move the clock backwards: a
-    /// checkpoint rollback rebuilds queue contents from a snapshot taken
+    /// snapshot rollback rebuilds queue contents from a snapshot taken
     /// at an earlier time, and subsequent `schedule` calls must be clamped
-    /// against the checkpoint's clock, not the failed run's. Callers must
+    /// against the snapshot's clock, not the later one. Callers must
     /// restore the clock *before* rescheduling snapshot events, or the
     /// `max(t, now)` clamp would drag them forward.
     pub fn reset_to(&mut self, t: f64) {
@@ -481,8 +479,8 @@ impl<E> Engine<E> {
     }
 
     /// Drains every pending event in `(time, minor, seq)` order, returning
-    /// `(time, minor, event)` triples. Used to redistribute a queue across
-    /// shards and to fold shard leftovers back into the master engine.
+    /// `(time, minor, event)` triples. Used to serialize a queue and to
+    /// clear one before a restore.
     pub fn drain_ordered(&mut self) -> Vec<(f64, u64, E)> {
         let mut out = Vec::with_capacity(self.queue.outstanding());
         while let Some(entry) = self.queue.pop_entry() {
@@ -922,7 +920,7 @@ mod tests {
 
     #[test]
     fn drained_timers_and_events_reschedule_in_the_same_order() {
-        // What a snapshot or a shard split does: drain, tell a timer from
+        // What a snapshot does: drain, tell a timer from
         // an arena event by the event alone, schedule each back.
         let mut state = 0xd2a1_0000;
         let mut e = Engine::with_timers(timer_event, timer_minor);

@@ -117,11 +117,12 @@ impl FluidSim {
                 .peek_time()
                 .is_some_and(|ta| ta <= t + crate::eps::ULP)
             {
-                // lint:allow(L002): pop follows the successful peek in the loop condition
+                // The pop follows the successful peek in the loop condition.
                 let (_, a) = calendar.pop().expect("peeked event exists");
                 let leaf = leaves[a.leaf.0]
                     .as_mut()
-                    // lint:allow(L002): arrivals target leaves by construction; the fluid oracle fails loud on malformed workloads
+                    // Arrivals target leaves by construction; the fluid oracle
+                    // fails loud on malformed workloads.
                     .unwrap_or_else(|| panic!("arrival to non-leaf node {}", a.leaf.0));
                 assert!(a.bits > 0.0, "non-positive packet length");
                 leaf.arrived += a.bits;
@@ -196,7 +197,7 @@ impl FluidSim {
             }
         }
 
-        // lint:allow(L002): departure times are finite by construction (no NaN inputs)
+        // Departure times are finite by construction (no NaN inputs).
         departures.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite times"));
         FluidResult {
             service: curves,

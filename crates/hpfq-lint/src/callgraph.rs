@@ -11,19 +11,15 @@
 //! * `name(…)` free calls resolve to free functions of that name.
 //!
 //! Over-approximation errs toward *more* taint, which for the rules built
-//! on it (L002 hot-path panics, L006 ungated observers, L010 shard-state
-//! discipline) means false positives answerable with a reasoned
-//! `lint:allow` — never a silently missed hot path.
+//! on it (L002 hot-path panics, L006 ungated observers) means false
+//! positives answerable with a reasoned `lint:allow` — never a silently
+//! missed hot path.
 //!
-//! Two taints are propagated caller→callee to a fixed point:
-//!
-//! * **hot-path**: seeded at the engine entry points — `Network::run`,
-//!   `Network::run_parallel`, the per-shard worker `run_shard`, and every
-//!   `EventQueue`/`Engine` operation in `hpfq-events`. A function is hot
-//!   iff per-packet simulation work can reach it.
-//! * **shard-worker**: seeded at `run_shard` alone. A function is
-//!   worker-tainted iff it can execute on a parallel shard thread, which
-//!   is where rule L010 polices cross-shard state access.
+//! The **hot-path** taint is propagated caller→callee to a fixed point,
+//! seeded at the engine entry points — `Network::run`, the `PifoTree`
+//! dispatch surface, and every `EventQueue`/`Engine` operation in
+//! `hpfq-events`. A function is hot iff per-packet simulation work can
+//! reach it.
 
 use crate::symbols::{FnSym, SymbolTable};
 use std::collections::BTreeMap;
@@ -38,7 +34,7 @@ pub struct CallGraph {
 /// Whether `f` is a hot-path seed (engine entry point).
 pub fn is_hot_seed(f: &FnSym) -> bool {
     match f.self_ty.as_deref() {
-        Some("Network") => matches!(f.name.as_str(), "run" | "run_parallel" | "run_permuted"),
+        Some("Network") => f.name == "run",
         // The PIFO substrate's per-packet dispatch surface: everything a
         // rank program does runs under one of these, so the taint makes
         // L002/L007/L009 cover rank programs out of tree too.
@@ -47,13 +43,8 @@ pub fn is_hot_seed(f: &FnSym) -> bool {
             "select_next" | "backlog" | "requeue" | "arrival_hint"
         ),
         Some("EventQueue") | Some("Engine") => f.krate == "hpfq-events",
-        _ => f.name == "run_shard",
+        _ => false,
     }
-}
-
-/// Whether `f` is a shard-worker seed.
-pub fn is_worker_seed(f: &FnSym) -> bool {
-    f.self_ty.is_none() && f.name == "run_shard"
 }
 
 impl CallGraph {
@@ -177,26 +168,6 @@ mod tests {
         assert!(hot[by_name("enqueue")], "method call must cross the crate");
         assert!(hot[by_name("deep_helper")], "taint must be transitive");
         assert!(!hot[by_name("unrelated")]);
-    }
-
-    #[test]
-    fn worker_taint_is_narrower_than_hot() {
-        let (st, cg) = analyse(&[(
-            "crates/hpfq-sim/src/parallel.rs",
-            "fn run_shard(n: u32) { exchange(n); }\n\
-             fn exchange(n: u32) {}\n\
-             impl Network<S, O> { pub fn run(&mut self, h: f64) { seq_only(h); } }\n\
-             fn seq_only(h: f64) {}",
-        )]);
-        let hot = cg.reach(&st, is_hot_seed);
-        let worker = cg.reach(&st, is_worker_seed);
-        let by_name = |n: &str| st.fns.iter().position(|f| f.name == n).unwrap();
-        assert!(worker[by_name("run_shard")] && worker[by_name("exchange")]);
-        assert!(!worker[by_name("seq_only")]);
-        assert!(
-            hot[by_name("seq_only")],
-            "hot covers the sequential path too"
-        );
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! The determinism rule family (L007–L010).
+//! The determinism rule family (L007–L009).
 //!
 //! These rules defend the workspace's core contract: a simulation run is a
-//! pure function of its configuration, byte-identical across runs,
-//! machines, and (for the parallel runtime) shard counts. Each rule
-//! targets one way that contract silently breaks:
+//! pure function of its configuration, byte-identical across runs and
+//! machines. Each rule targets one way that contract silently breaks:
 //!
 //! * **L007** — wall-clock and entropy sources in simulation crates;
 //! * **L008** — pointer identity used as an ordering or hash key;
 //! * **L009** — `HashSet` / iteration over unordered containers feeding
-//!   observable output;
-//! * **L010** — cross-shard shared state touched outside the two-barrier
-//!   exchange discipline in shard-worker functions.
+//!   observable output.
 //!
 //! "Simulation crate" is not a hard-coded list: a crate is a sim crate iff
 //! the call graph proves it contains at least one hot-path function (see
@@ -25,7 +22,6 @@ pub fn check_file(ctx: &FileCtx, view: &FileView<'_>, out: &mut Vec<Finding>) {
     l007_wall_clock(ctx, view, out);
     l008_pointer_identity(ctx, out);
     l009_unordered_iteration(ctx, view, out);
-    l010_shard_state(ctx, view, out);
 }
 
 /// Whether `prev`/`name` form a qualified path segment `prev::name`.
@@ -259,107 +255,6 @@ fn l009_unordered_iteration(ctx: &FileCtx, view: &FileView<'_>, out: &mut Vec<Fi
     }
 }
 
-/// Synchronized accessors through which shard workers may touch shared
-/// state.
-fn is_sync_accessor(name: &str) -> bool {
-    name == "lock"
-        || name == "wait"
-        || name == "load"
-        || name == "store"
-        || name == "swap"
-        || name.starts_with("fetch_")
-        || name.starts_with("compare_exchange")
-}
-
-/// L010 — cross-shard state discipline in shard-worker functions.
-///
-/// For every worker-tainted function with `Mutex`/`Atomic`/`Barrier`
-/// parameters (the cross-shard channels), each use of such a parameter
-/// must go through a synchronized accessor (`lock_clean(…)`, `.lock()`,
-/// `.wait()`, atomic ops). The compute phase needs no lexical check: the
-/// epoch drain is a function that is never handed the cross-shard state.
-fn l010_shard_state(ctx: &FileCtx, view: &FileView<'_>, out: &mut Vec<Finding>) {
-    for w in &view.workers {
-        let (a, b) = w.body;
-        if a >= b {
-            continue;
-        }
-        for i in a..=b.min(ctx.tokens.len() - 1) {
-            let t = &ctx.tokens[i];
-            if t.kind != TokKind::Ident || !w.shared.iter().any(|s| s == &t.text) {
-                continue;
-            }
-            // Skip the declaration in the parameter list / shadowed lets:
-            // a use is an ident NOT immediately followed by `:`.
-            if ctx.tokens.get(i + 1).is_some_and(|n| n.text == ":") {
-                continue;
-            }
-            if !use_is_synchronized(&ctx.tokens, i, b) {
-                out.push(ctx.finding(
-                    "L010",
-                    t.line,
-                    format!(
-                        "cross-shard state `{}` accessed without a synchronized accessor \
-                         (lock_clean/.lock()/.wait()/atomic ops)",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Whether the shared-state use at token `i` goes through a synchronized
-/// accessor: wrapped in `lock_clean(…)` on the left, or followed (after an
-/// optional index group) by `.lock()`/`.wait()`/atomic ops.
-fn use_is_synchronized(tokens: &[Tok], i: usize, body_end: usize) -> bool {
-    // Left context: `lock_clean(` possibly with `&` / `&mut` in between.
-    let mut j = i as isize - 1;
-    while j >= 0 {
-        match tokens[j as usize].text.as_str() {
-            "&" | "mut" => j -= 1,
-            "(" => {
-                if j >= 1
-                    && tokens[j as usize - 1].kind == TokKind::Ident
-                    && tokens[j as usize - 1].text == "lock_clean"
-                {
-                    return true;
-                }
-                break;
-            }
-            _ => break,
-        }
-    }
-    // Right context: skip one optional `[ … ]` index group, then require
-    // `.accessor(`.
-    let mut k = i + 1;
-    if k <= body_end && tokens.get(k).is_some_and(|t| t.text == "[") {
-        let mut depth = 0;
-        while k <= body_end && k < tokens.len() {
-            match tokens[k].text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        k += 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-    }
-    if tokens.get(k).is_some_and(|t| t.text == ".") {
-        if let Some(m) = tokens.get(k + 1) {
-            if m.kind == TokKind::Ident && is_sync_accessor(&m.text) {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use crate::lint_source;
@@ -438,27 +333,5 @@ mod tests {
         let f = live("crates/hpfq-sim/src/x.rs", &src);
         // HashSet mention + for-loop use site.
         assert_eq!(f, vec![("L009".into(), 2), ("L009".into(), 2)]);
-    }
-
-    #[test]
-    fn l010_enforces_exchange_discipline() {
-        let src = "\
-fn run_shard(sid: usize, next_times: &Mutex<Vec<f64>>, barrier: &Barrier) {
-    loop {
-        barrier.wait();
-        lock_clean(next_times)[sid] = 1.0;
-        let raw = next_times;
-        barrier.wait();
-    }
-}";
-        let f = live("crates/hpfq-sim/src/parallel.rs", src);
-        // Line 5: unsynchronized raw use. Lines 3/4/6 are clean.
-        assert_eq!(f, vec![("L010".into(), 5)]);
-    }
-
-    #[test]
-    fn l010_ignores_non_worker_fns() {
-        let src = "fn helper(next_times: &Mutex<Vec<f64>>) { let raw = next_times; }";
-        assert!(live("crates/hpfq-sim/src/parallel.rs", src).is_empty());
     }
 }

@@ -122,22 +122,6 @@ impl FileCtx {
     }
 }
 
-/// A shard-worker function carrying cross-shard shared state, for rule
-/// L010: its body token range and the names of its `Mutex`/`Atomic`/
-/// `Barrier`-typed parameters.
-#[derive(Debug, Clone)]
-pub struct WorkerSharedFn {
-    /// Body token range `[open, close]` in the owning file.
-    pub body: (usize, usize),
-    /// Parameter names whose types are cross-shard shared state.
-    pub shared: Vec<String>,
-}
-
-/// Whether a flattened parameter type denotes cross-shard shared state.
-pub fn is_shared_ty(ty: &str) -> bool {
-    ty.contains("Mutex") || ty.contains("Atomic") || ty.contains("Barrier")
-}
-
 /// Workspace-derived context for one file: what the symbol table, call
 /// graph, and taint propagation concluded about it. Built once per file
 /// by [`crate::lint_sources`] and handed to every rule alongside the
@@ -155,50 +139,30 @@ pub struct FileView<'a> {
     /// Body ranges of functions that are themselves observer hooks —
     /// forwarding calls inside them inherit the caller's `ENABLED` gate.
     pub hook_bodies: Vec<(usize, usize)>,
-    /// Shard-worker functions with shared-state parameters (rule L010).
-    pub workers: Vec<WorkerSharedFn>,
 }
 
 impl<'a> FileView<'a> {
     /// Derives the view of file `file` from workspace-level analysis
-    /// results (`hot`/`worker` are per-fn taint flags).
+    /// results (`hot` is the per-fn hot-path taint).
     pub fn build(
         ctx: &FileCtx,
         file: usize,
         st: &'a crate::symbols::SymbolTable,
         hot: &[bool],
-        worker: &[bool],
         sim_crates: &std::collections::BTreeSet<String>,
     ) -> FileView<'a> {
         let hot_toks = crate::callgraph::token_mask(st, file, ctx.tokens.len(), hot);
-        let mut hook_bodies = Vec::new();
-        let mut workers = Vec::new();
-        for fid in st.fns_of_file(file) {
-            let f = &st.fns[fid];
-            if crate::rules::is_observer_hook(&f.name) && f.body.0 < f.body.1 {
-                hook_bodies.push(f.body);
-            }
-            if worker[fid] {
-                let shared: Vec<String> = f
-                    .params
-                    .iter()
-                    .filter(|p| is_shared_ty(&p.ty))
-                    .map(|p| p.name.clone())
-                    .collect();
-                if !shared.is_empty() {
-                    workers.push(WorkerSharedFn {
-                        body: f.body,
-                        shared,
-                    });
-                }
-            }
-        }
+        let hook_bodies = st
+            .fns_of_file(file)
+            .map(|fid| &st.fns[fid])
+            .filter(|f| crate::rules::is_observer_hook(&f.name) && f.body.0 < f.body.1)
+            .map(|f| f.body)
+            .collect();
         FileView {
             hot: hot_toks,
             sim_crate: sim_crates.contains(&ctx.krate),
             unordered: &st.unordered[file],
             hook_bodies,
-            workers,
         }
     }
 

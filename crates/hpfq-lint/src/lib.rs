@@ -18,15 +18,14 @@
 //! | L007 | wall-clock / entropy sources in simulation crates |
 //! | L008 | pointer identity used as an ordering or hash key |
 //! | L009 | `HashSet` / unordered iteration feeding observable output |
-//! | L010 | cross-shard state access outside the exchange phase |
 //! | L011 | stale `lint:allow` suppressions matching no finding |
 //!
 //! Analysis is a hand-rolled tokenizer ([`lexer`]) plus a lightweight
 //! workspace symbol table ([`symbols`]) and call graph ([`callgraph`]) —
 //! no `syn`, no external dependencies, so the pass runs in the offline CI
 //! image. Hot-path scope is *computed*, not configured: the call graph
-//! propagates taint from the engine entry points (`Network::run`,
-//! `run_shard`, the `EventQueue`/`Engine` ops), so L002/L006 follow the
+//! propagates taint from the engine entry points (`Network::run`, the
+//! `PifoTree` dispatch surface, the `EventQueue`/`Engine` ops), so L002/L006 follow the
 //! code wherever it moves, and a crate is a "simulation crate" (L007/L009
 //! scope) iff it contains a hot function. Intentional exceptions are
 //! allowlisted in place:
@@ -79,9 +78,9 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// Lints a set of sources as one workspace: builds the symbol table and
-/// call graph over *all* files, propagates the hot-path and shard-worker
-/// taints, then runs every rule plus the allowlist-hygiene post-passes
-/// (L000 bare allows, L011 stale allows).
+/// call graph over *all* files, propagates the hot-path taint, then runs
+/// every rule plus the allowlist-hygiene post-passes (L000 bare allows,
+/// L011 stale allows).
 ///
 /// Each element is `(rel_path, source)`; the path determines the crate
 /// (`crates/<name>/…`) and appears in diagnostics. Findings are globally
@@ -94,7 +93,6 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
     let st = symbols::SymbolTable::build(&ctxs);
     let cg = callgraph::CallGraph::build(&st);
     let hot = cg.reach(&st, callgraph::is_hot_seed);
-    let worker = cg.reach(&st, callgraph::is_worker_seed);
     let sim_crates: BTreeSet<String> = st
         .fns
         .iter()
@@ -105,7 +103,7 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Finding> {
 
     let mut all = Vec::new();
     for (file, ctx) in ctxs.iter().enumerate() {
-        let view = FileView::build(ctx, file, &st, &hot, &worker, &sim_crates);
+        let view = FileView::build(ctx, file, &st, &hot, &sim_crates);
         let mut findings = rules::check_file(ctx, &view);
 
         // L000 — a bare `lint:allow` without a reason is itself a
@@ -272,23 +270,6 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "L002");
         assert_eq!(f[0].file, "crates/hpfq-core/src/sched.rs");
-    }
-
-    #[test]
-    fn taint_reaches_supervisor_catch_unwind_sites() {
-        // The crash-contained supervisor wraps workers in `catch_unwind`;
-        // panics inside the closure and in the supervisor's own result
-        // handling are still hot-path (run_parallel is a taint seed), so
-        // every such site needs a reasoned L002 allow — the audit this
-        // test pins.
-        let src = "impl Network { pub fn run_parallel(&mut self) {\n    \
-                   let r = catch_unwind(|| self.step());\n    \
-                   r.expect(\"worker panicked\");\n} }\n\
-                   impl Network { fn step(&mut self) { self.q.pop().unwrap(); } }";
-        let f = lint_source("crates/hpfq-sim/src/parallel.rs", src);
-        let rules: Vec<&str> = f.iter().map(|f| f.rule).collect();
-        assert_eq!(rules, ["L002", "L002"], "{f:?}");
-        assert!(f.iter().all(|f| !f.suppressed), "{f:?}");
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! The lint rules (L001–L011): catalog, the original six token-level
-//! rules, and the dispatcher. The determinism family L007–L010 lives in
+//! The lint rules (L001–L009, L011): catalog, the original six
+//! token-level rules, and the dispatcher. The determinism family L007–L009 lives in
 //! [`crate::determinism`]; the stale-suppression rule L011 runs as a
 //! post-pass in [`crate::lint_sources`] because it needs the other
 //! rules' findings as input.
 //!
 //! Rules are pure functions over a [`FileCtx`] plus the workspace-derived
-//! [`FileView`] (hot-path taint, shard-worker taint, unordered-container
-//! declarations). L002 and L006 are *taint-scoped*: they fire inside
+//! [`FileView`] (hot-path taint, unordered-container declarations). L002 and L006 are *taint-scoped*: they fire inside
 //! functions the call graph proves reachable from the engine entry
 //! points, wherever those functions live — not inside a hard-coded crate
 //! list.
@@ -17,7 +16,7 @@ use crate::lexer::{Tok, TokKind};
 /// Static description of one rule, for `--list-rules`, `--explain`, and
 /// docs.
 pub struct Rule {
-    /// Rule ID (`L001`…`L011`).
+    /// Rule ID (`L001`…`L011`; L010 is retired).
     pub id: &'static str,
     /// Short name.
     pub name: &'static str,
@@ -30,7 +29,7 @@ pub struct Rule {
 }
 
 /// The rule catalog.
-pub const RULES: [Rule; 11] = [
+pub const RULES: [Rule; 10] = [
     Rule {
         id: "L001",
         name: "raw-vtime-comparison",
@@ -48,8 +47,8 @@ pub const RULES: [Rule; 11] = [
         name: "hot-path-panic",
         summary: "unwrap()/expect()/panic-family macro in non-test code reachable from the \
                   engine entry points (hot-path taint)",
-        rationale: "A panic on the per-packet path tears down the whole simulation (or a shard \
-                    thread) instead of degrading through the typed-error escalation ladder. \
+        rationale: "A panic on the per-packet path tears down the whole simulation instead of \
+                    degrading through the typed-error escalation ladder. \
                     The call graph decides what is hot; construction and teardown code may \
                     panic freely.",
         example: "-    let head = self.queue.pop().unwrap();\n\
@@ -112,8 +111,8 @@ pub const RULES: [Rule; 11] = [
                   OS randomness) in a crate that executes simulation state",
         rationale: "Simulation time is virtual; anything derived from host time, thread \
                     identity, or OS entropy differs across runs and machines. If it can reach \
-                    simulation state or output, byte-determinism is gone — and the golden \
-                    oracles can no longer prove the parallel runtime correct.",
+                    simulation state or output, byte-determinism is gone — and with it the \
+                    golden digests and the snapshot round-trip oracle.",
         example: "-    let seed = std::time::Instant::now().elapsed().as_nanos() as u64;\n\
                   +    let seed = self.rng.next_u64(); // SmallRng: seeded, deterministic",
     },
@@ -138,19 +137,6 @@ pub const RULES: [Rule; 11] = [
                     BTreeSet/BTreeMap, or sort before iterating.",
         example: "-    for flow in self.active.iter() { trace(flow); }   // active: HashSet\n\
                   +    for flow in self.active.iter() { trace(flow); }   // active: BTreeSet",
-    },
-    Rule {
-        id: "L010",
-        name: "cross-shard-access",
-        summary: "cross-shard shared state (Mutex/Atomic/Barrier parameters of shard-worker \
-                  functions) accessed without the synchronized accessors",
-        rationale: "The parallel runtime's determinism proof assumes shards touch shared state \
-                    only through lock_clean/.lock()/.wait() and atomic ops. The compute phase \
-                    cannot touch it at all: the epoch drain is a function that is never handed \
-                    it. A raw alias or get_mut is exactly the kind of cross-shard read that \
-                    silently breaks byte-identity under reordering.",
-        example: "-    let next = next_times.get_mut().unwrap()[sid];\n\
-                  +    lock_clean(next_times)[sid] = net.engine.peek_time().unwrap_or(f64::INFINITY);",
     },
     Rule {
         id: "L011",
@@ -703,7 +689,7 @@ mod tests {
         let text = explain("L007").unwrap();
         assert!(text.contains("wall-clock"), "{text}");
         assert!(text.contains("Fix:"), "{text}");
-        assert!(explain("l010").is_some(), "case-insensitive lookup");
+        assert!(explain("l007").is_some(), "case-insensitive lookup");
         assert!(explain("L999").is_none());
     }
 }

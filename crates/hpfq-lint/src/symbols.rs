@@ -4,9 +4,8 @@
 //! for whole-workspace analysis — no `syn`, no type inference:
 //!
 //! * every `fn` item, with its enclosing `impl` type (so `Network::run`
-//!   and a free `run_shard` are distinct symbols), its parameter list
-//!   (name + type text, for the shared-state rule L010), and its body as
-//!   a token range;
+//!   and a free `run` are distinct symbols), its parameter list (name +
+//!   type text), and its body as a token range;
 //! * every call site inside a body, classified as a method call
 //!   (`.name(…)`), a path-qualified call (`Type::name(…)`), or a free
 //!   call (`name(…)`) — the raw material of the [`crate::callgraph`];
@@ -424,11 +423,11 @@ mod tests {
     #[test]
     fn free_and_method_fns_are_distinguished() {
         let st = table(
-            "fn run_shard(x: u32) { helper(x); }\n\
+            "fn run(x: u32) { helper(x); }\n\
              impl Network<S, O> { pub fn run(&mut self, horizon: f64) { self.handle(horizon); } }",
         );
         let names: Vec<String> = st.fns.iter().map(|f| f.qname()).collect();
-        assert_eq!(names, vec!["run_shard", "Network::run"]);
+        assert_eq!(names, vec!["run", "Network::run"]);
         assert_eq!(st.fns[0].calls.len(), 1);
         assert_eq!(st.fns[0].calls[0].name, "helper");
         assert!(!st.fns[0].calls[0].method);

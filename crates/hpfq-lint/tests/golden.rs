@@ -1,12 +1,12 @@
 //! Golden tests: each rule is proven live against a fixture with known
 //! violation lines, a clean fixture passes every rule, and `lint:allow`
 //! suppression is honoured end-to-end. Every determinism-family fixture
-//! (L007–L011) carries both a violating and a suppressed case.
+//! (L007–L009, L011) carries both a violating and a suppressed case.
 //!
 //! Fixtures live in `tests/fixtures/` (not compiled — they reference
 //! undeclared items on purpose). Hot-path scope is taint-derived, so the
 //! fixtures for taint-scoped rules embed their own engine entry point
-//! (`impl Network { pub fn run … }` or a free `run_shard`).
+//! (`impl Network { pub fn run … }`).
 
 use hpfq_lint::{lint_source, Finding};
 
@@ -86,12 +86,6 @@ fn l008_pointer_identity() {
 fn l009_unordered_iteration() {
     assert_findings("l009.rs", &[("L009", 11), ("L009", 12)]);
     assert_suppressed_case("l009.rs", "L009");
-}
-
-#[test]
-fn l010_cross_shard_access() {
-    assert_findings("l010.rs", &[("L010", 10)]);
-    assert_suppressed_case("l010.rs", "L010");
 }
 
 #[test]

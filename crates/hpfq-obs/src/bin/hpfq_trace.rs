@@ -9,7 +9,7 @@
 //!   delays    Per-flow delay percentiles from tx_end events
 //!   chrome    Render a Chrome trace-event (Perfetto) JSON document
 //!   snapshots Validate and summarize a snapshot artifact (a chaos-soak
-//!             --snapshot envelope or a flight recorder's .ckpt sidecar)
+//!             --snapshot envelope or a bare network snapshot)
 //!
 //! FILE defaults to `-` (stdin).
 //!

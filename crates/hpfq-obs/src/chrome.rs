@@ -1,21 +1,16 @@
 //! Chrome trace-event (Perfetto) export.
 //!
-//! [`chrome_trace`] renders a parsed event stream plus the parallel
-//! runtime's epoch log as a Chrome trace-event JSON document — the format
-//! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) open
-//! directly. The timeline clock is **simulation** time (microseconds), so
-//! the export is a pure function of the trace: byte-identical run to run,
-//! which is what the golden test pins.
+//! [`chrome_trace`] renders a parsed event stream as a Chrome trace-event
+//! JSON document — the format `chrome://tracing` and
+//! [Perfetto](https://ui.perfetto.dev) open directly. The timeline clock is
+//! **simulation** time (microseconds), so the export is a pure function of
+//! the trace: byte-identical run to run, which is what the golden test
+//! pins.
 //!
-//! Track layout:
-//!
-//! * process 1 "links" — one thread (track) per link; each packet
-//!   transmission is a complete (`"ph":"X"`) slice from `tx_start` to
-//!   `tx_end`, and drops / faults / quarantines are instant events on the
-//!   link they occurred on.
-//! * process 2 "shards" — one thread per shard; each conservative epoch a
-//!   shard executed is a complete slice whose `events` arg counts the
-//!   events handled inside the window.
+//! Track layout: process 1 "links", one thread (track) per link; each
+//! packet transmission is a complete (`"ph":"X"`) slice from `tx_start` to
+//! `tx_end`, and drops / faults / quarantines are instant events on the
+//! link they occurred on.
 //!
 //! Dense per-packet events (enqueue, dispatch, backlog) are deliberately
 //! not emitted — they would swamp the timeline; query them with
@@ -25,21 +20,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
-
-/// One conservative epoch `[t0, t1)` executed by one shard of
-/// `Network::run_parallel`, in **simulation** time (so epoch timelines are
-/// deterministic and byte-identical run to run).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochSpan {
-    /// Shard that executed the epoch.
-    pub shard: usize,
-    /// Epoch window start (simulation seconds).
-    pub t0: f64,
-    /// Epoch window end (simulation seconds).
-    pub t1: f64,
-    /// Events the shard handled inside the window.
-    pub events: u64,
-}
 
 const US: f64 = 1e6;
 
@@ -52,26 +32,22 @@ fn push_event(out: &mut String, first: &mut bool, body: std::fmt::Arguments<'_>)
     let _ = out.write_fmt(body);
 }
 
-/// Renders `events` and `epochs` as a Chrome trace-event JSON document.
+/// Renders `events` as a Chrome trace-event JSON document.
 ///
 /// Accepts any event slice (typically from [`crate::jsonl::parse_trace`]
 /// over a merged multi-link trace or a flight-recorder dump). Transmission
 /// slices still open at the end of the trace are closed at the last
 /// timestamp seen and tagged `"open":true`.
-pub fn chrome_trace(events: &[TraceEvent], epochs: &[EpochSpan]) -> String {
+pub fn chrome_trace(events: &[TraceEvent]) -> String {
     let mut links: BTreeSet<usize> = BTreeSet::new();
     for ev in events {
         links.insert(crate::query::event_link(ev));
     }
-    let shards: BTreeSet<usize> = epochs.iter().map(|e| e.shard).collect();
 
     // Last timestamp in the trace, for closing unterminated tx slices.
     let mut t_end = 0.0f64;
     for ev in events {
         t_end = t_end.max(crate::query::event_time(ev));
-    }
-    for e in epochs {
-        t_end = t_end.max(e.t1);
     }
 
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -91,24 +67,6 @@ pub fn chrome_trace(events: &[TraceEvent], epochs: &[EpochSpan]) -> String {
                 &mut first,
                 format_args!(
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{link},\"args\":{{\"name\":\"link {link}\"}}}}"
-                ),
-            );
-        }
-    }
-    if !shards.is_empty() {
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{{\"name\":\"shards\"}}}}"
-            ),
-        );
-        for &shard in &shards {
-            push_event(
-                &mut out,
-                &mut first,
-                format_args!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":{shard},\"args\":{{\"name\":\"shard {shard}\"}}}}"
                 ),
             );
         }
@@ -203,20 +161,6 @@ pub fn chrome_trace(events: &[TraceEvent], epochs: &[EpochSpan]) -> String {
         );
     }
 
-    for e in epochs {
-        push_event(
-            &mut out,
-            &mut first,
-            format_args!(
-                "{{\"name\":\"epoch\",\"cat\":\"epoch\",\"ph\":\"X\",\"pid\":2,\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"events\":{}}}}}",
-                e.shard,
-                e.t0 * US,
-                (e.t1 - e.t0).max(0.0) * US,
-                e.events
-            ),
-        );
-    }
-
     out.push_str("\n]}\n");
     out
 }
@@ -288,7 +232,7 @@ mod tests {
                 queue_bytes: 4000,
             }),
         ];
-        let json = chrome_trace(&events, &[]);
+        let json = chrome_trace(&events);
         assert_balanced_json(&json);
         assert!(json.contains("\"name\":\"tx f3\""), "{json}");
         assert!(json.contains("\"ts\":1000,\"dur\":1000"), "{json}");
@@ -312,39 +256,16 @@ mod tests {
                 pkt: pkt(1, 0),
             }),
         ];
-        let json = chrome_trace(&events, &[]);
+        let json = chrome_trace(&events);
         assert_balanced_json(&json);
         assert!(json.contains("\"open\":true"), "{json}");
         assert!(json.contains("\"dur\":500000"), "{json}");
     }
 
     #[test]
-    fn epochs_render_on_shard_tracks() {
-        let epochs = vec![
-            EpochSpan {
-                shard: 0,
-                t0: 0.0,
-                t1: 0.01,
-                events: 4,
-            },
-            EpochSpan {
-                shard: 1,
-                t0: 0.0,
-                t1: 0.01,
-                events: 2,
-            },
-        ];
-        let json = chrome_trace(&[], &epochs);
-        assert_balanced_json(&json);
-        assert!(json.contains("\"name\":\"shards\""), "{json}");
-        assert!(json.contains("\"name\":\"shard 1\""), "{json}");
-        assert!(json.contains("\"args\":{\"events\":4}"), "{json}");
-    }
-
-    #[test]
     fn empty_input_is_valid_and_deterministic() {
-        let a = chrome_trace(&[], &[]);
-        let b = chrome_trace(&[], &[]);
+        let a = chrome_trace(&[]);
+        let b = chrome_trace(&[]);
         assert_eq!(a, b);
         assert_balanced_json(&a);
         assert!(a.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));

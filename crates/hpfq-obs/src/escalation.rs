@@ -144,17 +144,7 @@ impl EscalationState {
         self.halted
     }
 
-    /// Demands a halt directly, without charging a strike to any flow.
-    ///
-    /// The crash-contained parallel runtime uses this when a failure is a
-    /// property of the *system* rather than of one flow — a shard that
-    /// panics repeatedly past its retry budget, or a worker that wedges at
-    /// a barrier. The flag is as sticky as a policy-driven halt.
-    pub fn mark_halted(&mut self) {
-        self.halted = true;
-    }
-
-    /// Serializes the ladder state for an epoch checkpoint.
+    /// Serializes the ladder state for a snapshot.
     pub fn save_state(&self) -> Value {
         Value::map(vec![
             (
@@ -198,24 +188,6 @@ impl EscalationState {
         let halted = state.get("halted")?.as_bool()?;
         (self.strikes, self.quarantined, self.halted) = (strikes, quarantined, halted);
         Ok(())
-    }
-
-    /// Folds `other` into `self`, taking the maximum strike count per
-    /// flow, the union of quarantine rosters, and the OR of halt flags.
-    ///
-    /// Supports sharded execution: each shard evolves a clone of the
-    /// pre-run state, every flow's strikes are only advanced by the single
-    /// shard owning its ingress link, so the per-flow maximum across
-    /// shards is exactly the count a sequential run would have reached.
-    pub fn absorb_max(&mut self, other: &EscalationState) {
-        for (&flow, &n) in &other.strikes {
-            let e = self.strikes.entry(flow).or_insert(0);
-            if n > *e {
-                *e = n;
-            }
-        }
-        self.quarantined.extend(other.quarantined.iter().copied());
-        self.halted |= other.halted;
     }
 }
 

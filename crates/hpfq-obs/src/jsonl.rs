@@ -62,10 +62,10 @@ impl<W: Write> JsonlObserver<W> {
 }
 
 /// A JSONL sink that may additionally support *rewinding*: reporting its
-/// current write position and truncating back to an earlier one. The
-/// checkpoint/rollback machinery uses this to discard trace lines emitted
-/// after an epoch checkpoint when a crashed shard is rolled back, keeping
-/// recovered traces byte-identical to an uninterrupted run.
+/// current write position and truncating back to an earlier one. A
+/// snapshot rollback uses this to discard trace lines emitted after the
+/// snapshot, keeping the replayed trace byte-identical to an uninterrupted
+/// run.
 ///
 /// The default implementation is a non-rewindable sink (`mark_pos` returns
 /// `None`, `truncate_to` is a no-op) — correct for append-only sinks like
@@ -407,17 +407,13 @@ impl Write for SharedBuf {
 /// events in simulation order), so for equal `(t, link)` keys the stable
 /// sort preserves the emission order *within* that link's buffer, and
 /// distinct links never tie on the full key. The merged bytes are therefore
-/// a pure function of the per-link byte streams: two runs — e.g. a
-/// sequential run and a sharded [`run_parallel`] run — produce bit-identical
-/// merged traces exactly when they produced bit-identical per-link traces,
-/// regardless of how execution interleaved the links. This is the oracle
-/// the determinism tests compare.
+/// a pure function of the per-link byte streams: two runs produce
+/// bit-identical merged traces exactly when they produced bit-identical
+/// per-link traces. This is the oracle the determinism tests compare.
 ///
 /// Each buffer should carry a distinct `"link"` id (the normal per-link
 /// observer setup); a line that fails to parse sorts to the front with
 /// `t = -inf` rather than being dropped, so corruption stays visible.
-///
-/// [`run_parallel`]: https://docs.rs/hpfq-sim (Network::run_parallel)
 pub fn merge_traces<S: AsRef<str>>(traces: &[S]) -> String {
     let mut lines: Vec<(f64, usize, &str)> = Vec::new();
     let mut total = 0usize;

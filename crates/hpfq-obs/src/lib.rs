@@ -55,7 +55,7 @@ pub mod recorder;
 pub mod snap;
 pub mod vtime;
 
-pub use chrome::{chrome_trace, EpochSpan};
+pub use chrome::chrome_trace;
 pub use escalation::{EscalationLevel, EscalationPolicy, EscalationState};
 pub use event::{
     BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, FaultEvent, FaultKind,
@@ -118,12 +118,12 @@ pub trait Observer {
 
     /// Returns an opaque marker for the sink's current output position.
     ///
-    /// The crash-contained parallel runtime (DESIGN.md §11) calls this at
-    /// every epoch checkpoint so that rolling the simulation back to the
-    /// checkpoint can also roll the observer's output back — otherwise a
-    /// retried epoch would duplicate its trace lines. Sinks that cannot
-    /// rewind return [`snap::Value::Null`] and accept a best-effort (or
-    /// no-op) [`Observer::rewind`].
+    /// `Network::snapshot` stores it with each link, so that restoring the
+    /// snapshot onto a network that has already run past it (a rollback)
+    /// also rolls the observer's output back — otherwise the replayed
+    /// stretch would duplicate its trace lines. Sinks that cannot rewind
+    /// return [`snap::Value::Null`] and accept a best-effort (or no-op)
+    /// [`Observer::rewind`].
     #[inline]
     fn mark(&self) -> snap::Value {
         snap::Value::Null

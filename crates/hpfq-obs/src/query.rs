@@ -356,8 +356,7 @@ pub fn render_delays(rows: &[FlowDelay]) -> String {
 /// `hpfq-trace snapshots`.
 ///
 /// Covers both artifact shapes the toolchain writes: a bare network
-/// checkpoint (the `.ckpt` sidecar a [`crate::FlightRecorder`] dumps, or
-/// the state the crash-recovery supervisor rolls back to) and the
+/// snapshot (`Network::snapshot` serialized with `to_bytes`) and the
 /// `chaos-soak` envelope (`chaos-soak --snapshot`) that wraps one in
 /// `{kind, seed, horizon, state}` so a resume can rebuild the scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -483,7 +482,7 @@ pub fn render_snapshot(r: &SnapshotReport) -> String {
 /// only); the library form of `hpfq-trace chrome`.
 pub fn chrome_from_text(text: &str) -> String {
     let (events, _) = jsonl::parse_trace(text);
-    crate::chrome::chrome_trace(&events, &[])
+    crate::chrome::chrome_trace(&events)
 }
 
 #[cfg(test)]

@@ -17,14 +17,9 @@
 //! dump is a plain JSONL file: `hpfq-trace` and
 //! [`crate::jsonl::parse_trace`] both read it.
 //!
-//! When the harness has an epoch checkpoint in hand (the crash-contained
-//! parallel runtime, DESIGN.md §11), it can attach the serialized bytes
-//! via [`FlightRecorder::attach_checkpoint`]; every dump then also writes
-//! a `<dump_path>.ckpt` sidecar holding the exact state to resume from —
-//! the post-mortem carries not just *what happened* but *where to restart*.
-//! The recorder also participates in checkpoint rollback: its
+//! The recorder also participates in snapshot rollback: its
 //! [`Observer::mark`]/[`Observer::rewind`] drop ring events recorded after
-//! the mark so a retried stint does not duplicate history.
+//! the mark so a replayed stretch does not duplicate history.
 
 use std::collections::VecDeque;
 
@@ -45,7 +40,6 @@ pub struct FlightRecorder {
     dump_path: Option<String>,
     dumps_written: u64,
     dump_errors: u64,
-    checkpoint: Option<Vec<u8>>,
 }
 
 impl FlightRecorder {
@@ -59,7 +53,6 @@ impl FlightRecorder {
             dump_path: None,
             dumps_written: 0,
             dump_errors: 0,
-            checkpoint: None,
         }
     }
 
@@ -116,20 +109,6 @@ impl FlightRecorder {
         self.ring.iter()
     }
 
-    /// Attaches the serialized bytes of the last epoch checkpoint (a
-    /// [`crate::snap::Value`] rendered with `to_bytes`). Subsequent
-    /// [`FlightRecorder::dump`]s write them to a `<dump_path>.ckpt`
-    /// sidecar so a post-mortem carries the exact state to resume from
-    /// alongside the event history.
-    pub fn attach_checkpoint(&mut self, bytes: Vec<u8>) {
-        self.checkpoint = Some(bytes);
-    }
-
-    /// The attached epoch checkpoint bytes, if any.
-    pub fn checkpoint(&self) -> Option<&[u8]> {
-        self.checkpoint.as_deref()
-    }
-
     #[inline]
     fn record(&mut self, ev: TraceEvent) {
         if self.ring.len() == self.capacity {
@@ -143,11 +122,10 @@ impl FlightRecorder {
     /// header line, then the retained events oldest-first.
     pub fn snapshot_jsonl(&self) -> String {
         let mut out = format!(
-            "{{\"ev\":\"flight\",\"capacity\":{},\"len\":{},\"dropped\":{},\"checkpoint\":{}}}\n",
+            "{{\"ev\":\"flight\",\"capacity\":{},\"len\":{},\"dropped\":{}}}\n",
             self.capacity,
             self.ring.len(),
-            self.dropped,
-            self.checkpoint.is_some()
+            self.dropped
         );
         let mut sink = JsonlObserver::new(Vec::new());
         for ev in &self.ring {
@@ -160,13 +138,6 @@ impl FlightRecorder {
     /// Writes [`FlightRecorder::snapshot_jsonl`] to the configured dump
     /// path. Returns `true` on success; without a path this is a no-op
     /// returning `false`. Errors are counted, not propagated.
-    ///
-    /// If checkpoint bytes are attached ([`attach_checkpoint`]), they are
-    /// written alongside to `<dump_path>.ckpt` — a byte-deterministic
-    /// snapshot the run can be resumed from (`hpfq-trace snapshots`
-    /// inspects it, `chaos-soak --resume` replays it).
-    ///
-    /// [`attach_checkpoint`]: FlightRecorder::attach_checkpoint
     pub fn dump(&mut self) -> bool {
         let Some(path) = self.dump_path.clone() else {
             return false;
@@ -174,11 +145,6 @@ impl FlightRecorder {
         match std::fs::write(&path, self.snapshot_jsonl()) {
             Ok(()) => {
                 self.dumps_written += 1;
-                if let Some(ckpt) = &self.checkpoint {
-                    if std::fs::write(format!("{path}.ckpt"), ckpt).is_err() {
-                        self.dump_errors += 1;
-                    }
-                }
                 true
             }
             Err(_) => {
@@ -230,12 +196,12 @@ impl Observer for FlightRecorder {
         self.dump();
     }
 
-    // Epoch-checkpoint support (DESIGN.md §12): the mark is the total
-    // number of events ever recorded; rewinding pops events recorded
-    // after the mark off the back of the ring. Events the ring has
-    // already evicted cannot come back — the rewind is best-effort in
-    // that direction only, which is safe: a retried stint re-records
-    // them, and `dropped` already says the oldest history is gone.
+    // Snapshot support (DESIGN.md §12): the mark is the total number of
+    // events ever recorded; rewinding pops events recorded after the mark
+    // off the back of the ring. Events the ring has already evicted cannot
+    // come back — the rewind is best-effort in that direction only, which
+    // is safe: a replayed stretch re-records them, and `dropped` already
+    // says the oldest history is gone.
     fn mark(&self) -> Value {
         Value::U64(self.dropped + self.ring.len() as u64)
     }
@@ -289,7 +255,7 @@ mod tests {
         let mut lines = snap.lines();
         assert_eq!(
             lines.next(),
-            Some("{\"ev\":\"flight\",\"capacity\":8,\"len\":1,\"dropped\":0,\"checkpoint\":false}")
+            Some("{\"ev\":\"flight\",\"capacity\":8,\"len\":1,\"dropped\":0}")
         );
         // The header is not a TraceEvent; it alone is "skipped" by the
         // plain event parser.
@@ -330,28 +296,6 @@ mod tests {
         let mut r = FlightRecorder::new(2);
         assert!(!r.dump());
         assert_eq!(r.dumps_written(), 0);
-    }
-
-    #[test]
-    fn dump_writes_checkpoint_sidecar_when_attached() {
-        let path = std::env::temp_dir().join(format!(
-            "hpfq-flight-ckpt-test-{}-{:?}.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let mut r = FlightRecorder::with_dump_path(4, path.to_string_lossy());
-        r.on_busy_reset(&reset_at(0.25, 2));
-        r.attach_checkpoint(b"(map (kind snapshot))".to_vec());
-        assert!(r.dump());
-        let sidecar = format!("{}.ckpt", path.to_string_lossy());
-        let text = std::fs::read_to_string(&path).unwrap();
-        let ckpt = std::fs::read(&sidecar).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&sidecar);
-        assert!(text.starts_with("{\"ev\":\"flight\""), "{text}");
-        assert!(text.contains("\"checkpoint\":true"), "{text}");
-        assert_eq!(ckpt, b"(map (kind snapshot))");
-        assert_eq!(r.dump_errors(), 0);
     }
 
     #[test]

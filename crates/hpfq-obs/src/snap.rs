@@ -1,9 +1,8 @@
 //! Byte-deterministic snapshot values.
 //!
-//! The crash-contained parallel runtime (DESIGN.md §11) checkpoints the
-//! full `Network` state at conservative-epoch boundaries and must be able
+//! `Network::snapshot` captures the full network state and must be able
 //! to prove `run(0..T)` ≡ `run(0..t) → snapshot → restore → run(t..T)`
-//! *byte-for-byte*. That proof obligation rules out any encoding that
+//! *byte-for-byte* (DESIGN.md §12). That proof obligation rules out any encoding that
 //! round-trips floats through decimal: every `f64` is serialized as its
 //! exact IEEE-754 bit pattern, and maps preserve insertion order, so the
 //! same state always serializes to the same bytes on every platform.

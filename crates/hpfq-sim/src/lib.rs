@@ -29,7 +29,6 @@
 
 pub mod flow_map;
 pub mod network;
-pub mod parallel;
 pub mod rng;
 #[cfg(test)]
 mod simulation;
@@ -39,9 +38,9 @@ pub mod stats;
 
 pub use flow_map::FlowMap;
 pub use network::{
-    FaultInjector, Hop, LinkLedger, Network, NoFaults, PacketVerdict, Route, SimCommand, SourceId,
+    FallbackReason, FaultInjector, Hop, LinkLedger, Network, NoFaults, PacketVerdict,
+    ParallelReport, Route, SimCommand, SourceId,
 };
-pub use parallel::{FallbackReason, ParallelReport, ShardFailure};
 pub use rng::SmallRng;
 pub use snapshot::SNAPSHOT_VERSION;
 pub use source::{

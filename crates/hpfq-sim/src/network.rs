@@ -20,9 +20,8 @@
 //!   starts transmitting if idle. The source index is all there is to a
 //!   wake, so it is queued as an engine *timer*
 //!   ([`hpfq_events::EventQueue::with_timers`]): sixteen bytes in the
-//!   event heap and no arena slot, on the sequential engine and on every
-//!   shard's alike. Every other event carries a packet or a command and
-//!   takes a slot.
+//!   event heap and no arena slot. Every other event carries a packet or a
+//!   command and takes a slot.
 //! * link completion — the link finishes a packet (not a queued event:
 //!   the link holds its one pending completion time, and the loop takes
 //!   whichever of it and the queue head is earlier): the hierarchy runs
@@ -57,8 +56,8 @@ use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
 use hpfq_obs::snap::{refuse, SnapError, Value};
 use hpfq_obs::{
-    DropEvent, EpochSpan, EscalationLevel, EscalationPolicy, EscalationState, FaultEvent,
-    FaultKind, NoopObserver, Observer, PacketInfo, QuarantineEvent,
+    DropEvent, EscalationLevel, EscalationPolicy, EscalationState, FaultEvent, FaultKind,
+    NoopObserver, Observer, PacketInfo, QuarantineEvent,
 };
 
 use crate::flow_map::FlowIndex;
@@ -228,10 +227,7 @@ pub enum PacketVerdict {
 /// scheduler-differential experiments the per-flow decision streams should
 /// depend only on each flow's own packet/wake order (which open-loop
 /// sources make scheduler-independent).
-///
-/// `Send` is a supertrait so a `Network` holding an injector can cross
-/// the parallel runtime's thread-scope type check.
-pub trait FaultInjector: Send {
+pub trait FaultInjector {
     /// Inspect — and possibly mutate — a packet at admission.
     fn on_packet(&mut self, _now: f64, _pkt: &mut Packet) -> PacketVerdict {
         PacketVerdict::Pass
@@ -244,7 +240,7 @@ pub trait FaultInjector: Send {
         wake
     }
 
-    /// Serializes the injector's internal state for an epoch checkpoint.
+    /// Serializes the injector's internal state for a snapshot.
     /// The default refuses: [`Network::snapshot`] then reports that the
     /// installed injector cannot be checkpointed.
     fn save_state(&self) -> Result<Value, SnapError> {
@@ -256,25 +252,6 @@ pub trait FaultInjector: Send {
     /// untrusted input: a refusal leaves `self` as it was.
     fn load_state(&mut self, _state: &Value) -> Result<(), SnapError> {
         Err(refuse("fault injector does not support checkpointing"))
-    }
-
-    /// Splits off a child injector owning the per-flow decision streams of
-    /// `flows`, for one shard of a parallel run. Implementations whose
-    /// fault streams depend only on each flow's own packet/wake order can
-    /// fork exactly: the child advances precisely the streams its shard's
-    /// flows would have advanced sequentially. Returning `None` (the
-    /// default) declares the injector unsplittable, and parallel runs fall
-    /// back to sequential with
-    /// [`crate::FallbackReason::InjectorUnsplittable`].
-    fn fork_shard(&mut self, _flows: &[u32]) -> Option<Box<dyn FaultInjector>> {
-        None
-    }
-
-    /// Folds a shard child's final state (its [`FaultInjector::save_state`]
-    /// value) back into the parent after a parallel run, re-synchronizing
-    /// the streams the child advanced.
-    fn absorb_shard(&mut self, _state: &Value) -> Result<(), SnapError> {
-        Ok(())
     }
 }
 
@@ -295,18 +272,14 @@ impl FaultInjector for NoFaults {
             ))),
         }
     }
-
-    fn fork_shard(&mut self, _flows: &[u32]) -> Option<Box<dyn FaultInjector>> {
-        Some(Box::new(NoFaults))
-    }
 }
 
 /// Why a leaf is being detached by a [`NetEvent::Detach`] event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DetachReason {
     /// Escalation-ladder quarantine; carries the strike count at
-    /// quarantine time (captured then so delayed downstream detaches
-    /// report the same count in both sequential and parallel runs).
+    /// quarantine time, so a downstream hop's delayed detach reports the
+    /// count that quarantined the flow, not whatever it reads on arrival.
     Quarantine { strikes: u32 },
     /// Flow churn ([`SimCommand::RemoveFlow`]).
     Churn,
@@ -331,8 +304,9 @@ pub(crate) enum NetEvent {
     /// first hop detaches synchronously; downstream hops receive this
     /// event after the route's cumulative propagation delay — teardown is
     /// a control-plane signal that travels the same path as the data, so
-    /// its per-hop delay is at least the conservative lookahead of any
-    /// shard boundary it crosses.
+    /// packets already on the wire reach a hop before its leaf goes, and
+    /// are purged with it. Its place among same-time events is its
+    /// [`minor_of`] class.
     Detach {
         src: usize,
         hop: usize,
@@ -344,11 +318,12 @@ pub(crate) enum NetEvent {
 const MINOR_CONTENT: u64 = (1 << 56) - 1;
 
 /// Content-derived tie-break key for [`NetEvent`]s: a class tag in the
-/// top byte, an identifying payload below it. Two runs that pop the same
-/// events at the same times order equal-time events identically **without
-/// consulting scheduling order across streams**, which is what lets a
-/// sharded parallel run reproduce the sequential event order exactly
-/// (per-shard FIFO sequence numbers cannot match the global ones).
+/// top byte, an identifying payload below it. It defines the order of
+/// same-time events: commands, then wakes, then link completions, then
+/// arrivals, deliveries and detaches, each class by its payload — a
+/// function of the events themselves, not of when they were scheduled,
+/// so a snapshot stores no keys: a restore recomputes them from the
+/// events it re-queues.
 ///
 /// Payloads are unique per class at any instant (packet ids are globally
 /// unique; source/link indices identify their timers), so residual
@@ -393,41 +368,12 @@ pub(crate) fn tx_minor(link: usize) -> u64 {
     (2 << 56) | (link as u64 & MINOR_CONTENT)
 }
 
-/// How far [`Network::step`] may advance the clock.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Until {
-    /// Events at or before this time (a run horizon).
-    Through(f64),
-    /// Events strictly before this time (a conservative-epoch boundary).
-    Before(f64),
-}
-
 /// What [`Network::step`] found due.
 enum Due {
     /// A queued event, popped at its time.
     Event(f64, NetEvent),
     /// This link's pending completion.
     Completion(usize),
-}
-
-impl Until {
-    /// The bound for one conservative epoch of a run to `horizon`:
-    /// strictly before the epoch boundary, but inclusive of the horizon
-    /// when the epoch reaches past it, as the sequential loop is.
-    pub(crate) fn epoch(epoch_end: f64, horizon: f64) -> Self {
-        if epoch_end <= horizon {
-            Until::Before(epoch_end)
-        } else {
-            Until::Through(horizon)
-        }
-    }
-
-    fn admits(self, t: f64) -> bool {
-        match self {
-            Until::Through(horizon) => t <= horizon,
-            Until::Before(end) => t < end,
-        }
-    }
 }
 
 /// Per-link byte/packet conservation ledger, for multi-hop accounting
@@ -470,25 +416,20 @@ pub(crate) struct Link<S: NodeScheduler, O: Observer> {
 
 /// One attached source and its runtime state.
 pub(crate) struct SourceSlot {
-    /// The generator itself. `None` on shards that replicate this slot's
-    /// routing metadata but do not own the source (parallel mode): the
-    /// slot's `Wake`/`Deliver` events only ever fire on the owning shard.
-    pub(crate) src: Option<Box<dyn Source>>,
+    /// The generator itself.
+    pub(crate) src: Box<dyn Source>,
     pub(crate) route: Route,
     /// Flow id registered for the source at attach time.
     pub(crate) flow: u32,
     /// `false` once the flow has been removed (churn) or quarantined:
-    /// its timers and deliveries are discarded from then on. Only the
-    /// owning shard's copy is authoritative; every path that reads it
-    /// runs there.
+    /// its timers and deliveries are discarded from then on.
     pub(crate) live: bool,
     /// Whether `start()` has run (sources start exactly once even across
     /// segmented [`Network::run`] calls).
     pub(crate) started: bool,
-    /// [`Source::wants_delivery`], read when the source was attached.
-    /// Cached here — and replicated to every shard — because the last
-    /// hop, which decides whether to schedule a `Deliver`, may run on a
-    /// shard that does not hold the source itself.
+    /// [`Source::wants_delivery`], read when the source was attached and
+    /// checkpointed with the slot: the last hop reads it on every
+    /// completion without a virtual call.
     pub(crate) wants_delivery: bool,
     /// Where [`SimStats`] keeps this flow's counters: the hint of
     /// [`crate::FlowMap::get_or_insert_hinted`], so a packet's records
@@ -498,22 +439,18 @@ pub(crate) struct SourceSlot {
     pub(crate) stats_slot: u32,
 }
 
-/// A cross-shard event captured at its source shard, delivered to `dest`'s
-/// engine at the next epoch barrier.
-pub(crate) struct OutMsg {
-    pub(crate) dest: usize,
-    pub(crate) t: f64,
-    pub(crate) minor: u64,
-    pub(crate) ev: NetEvent,
+/// Why [`Network::run_parallel`] ran sequentially.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FallbackReason {
+    /// There is no sharded runtime: every run is [`Network::run`].
+    NoShardedRuntime,
 }
 
-/// Present only while a [`Network`] is acting as one shard of a parallel
-/// run: identifies the shard and buffers outbound cross-shard events.
-pub(crate) struct ShardCtx {
-    pub(crate) id: usize,
-    /// `link_shard[link]` = shard that owns `link`. Shared read-only.
-    pub(crate) link_shard: std::sync::Arc<Vec<usize>>,
-    pub(crate) outbox: Vec<OutMsg>,
+/// What [`Network::run_parallel`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ParallelReport {
+    /// Why the run was sequential; always set.
+    pub fallback: Option<FallbackReason>,
 }
 
 /// A multi-link discrete-event simulation. Build each link's [`Hierarchy`]
@@ -525,17 +462,14 @@ pub(crate) struct ShardCtx {
 /// adds the events only it can know: exact transmission times, buffer
 /// drops, faults, and quarantines.
 pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
-    /// `None` holes appear only in shard instances (parallel mode), for
-    /// links owned by other shards; a sequential network's links are all
-    /// `Some`.
-    pub(crate) links: Vec<Option<Link<S, O>>>,
+    pub(crate) links: Vec<Link<S, O>>,
     pub(crate) engine: Engine<NetEvent>,
     pub(crate) sources: Vec<SourceSlot>,
     /// Every source below this index has `started` set, so
     /// [`Network::start_pending_sources`] begins its scan here instead of
     /// re-probing every slot on each [`Network::run`] segment. Zero is
-    /// always valid; whatever rewrites `started` flags wholesale (snapshot
-    /// restore, shard merge) resets it.
+    /// always valid; a snapshot restore, which rewrites `started` flags
+    /// wholesale, resets it.
     pub(crate) started_below: usize,
     /// Statistics collector (network-wide; service records are written at
     /// a flow's **last** hop).
@@ -550,37 +484,14 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     pub(crate) escalation: EscalationState,
     pub(crate) halted: bool,
     /// Bytes currently propagating between hops (transmitted at hop *i*,
-    /// not yet admitted at hop *i+1*). Signed because a shard may admit
-    /// bytes another shard transmitted: its local delta can be negative;
-    /// the merged network-wide value never is.
+    /// not yet admitted at hop *i+1*). Signed as its snapshot field is:
+    /// [`Network::verify_conservation`] reports a negative count instead
+    /// of wrapping it.
     pub(crate) inflight_bytes: i64,
     /// Commands that could not be applied (e.g. adding a flow whose share
     /// would overflow its parent): `(time, error)` pairs. The run
     /// continues — a rejected command is degraded service, not a crash.
     pub command_errors: Vec<(f64, HpfqError)>,
-    /// Set only while this network is one shard of a parallel run.
-    pub(crate) shard: Option<ShardCtx>,
-    /// When `true`, parallel runs log one [`EpochSpan`] per shard epoch.
-    pub(crate) record_epochs: bool,
-    /// Epoch windows recorded by parallel runs (shard order after merge).
-    pub(crate) epoch_log: Vec<EpochSpan>,
-    /// Conservative epochs per supervised stint of a parallel run: shards
-    /// merge back into the master and the epoch checkpoint is refreshed
-    /// every this-many epochs. `0` means one unbounded stint (a single
-    /// checkpoint at the start of the run).
-    pub(crate) stint_epochs: u64,
-    /// Barrier watchdog for parallel runs: a worker stuck at the two-phase
-    /// exchange longer than this poisons the barrier, converting a wedged
-    /// run into a typed [`crate::ShardFailure::BarrierTimeout`].
-    pub(crate) watchdog: std::time::Duration,
-    /// Test hook: `(shard, global epoch)` at which that shard's worker
-    /// panics — armed only on the first attempt of the covering stint, so
-    /// a checkpointed run recovers on retry.
-    pub(crate) panic_plan: Option<(usize, u64)>,
-    /// The last epoch checkpoint a parallel run held when it returned —
-    /// on a halt or exhausted retry budget, the state to resume from.
-    /// Diagnostic only: not itself part of snapshots.
-    pub(crate) last_checkpoint: Option<Value>,
 }
 
 impl<S: NodeScheduler, O: Observer> Default for Network<S, O> {
@@ -605,13 +516,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             halted: false,
             inflight_bytes: 0,
             command_errors: Vec::new(),
-            shard: None,
-            record_epochs: false,
-            epoch_log: Vec::new(),
-            stint_epochs: 64,
-            watchdog: std::time::Duration::from_secs(10),
-            panic_plan: None,
-            last_checkpoint: None,
         }
     }
 
@@ -624,30 +528,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         net
     }
 
-    /// `link`, which must be owned by this network (or this shard of it).
-    /// Event routing guarantees handlers only touch owned links; a miss
-    /// here is a routing bug, not a runtime condition to degrade through.
-    #[track_caller]
-    pub(crate) fn link(&self, link: usize) -> &Link<S, O> {
-        self.links[link]
-            .as_ref()
-            // lint:allow(L002): shard routing invariant — an event for a
-            // non-owned link can only reach here through a bug in
-            // `event_shard`, which the determinism tests would surface;
-            // there is no sensible degraded behaviour for a misrouted
-            // borrow.
-            .expect("link owned by another shard")
-    }
-
-    /// Mutable [`Network::link`].
-    #[track_caller]
-    pub(crate) fn link_mut(&mut self, link: usize) -> &mut Link<S, O> {
-        self.links[link]
-            .as_mut()
-            // lint:allow(L002): see `link` — shard routing invariant.
-            .expect("link owned by another shard")
-    }
-
     /// Adds an output link scheduled by the fully built `server` hierarchy
     /// and returns its link index. The hierarchy's emitted events are
     /// re-stamped with that index, so a shared observer can tell links
@@ -656,7 +536,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         let idx = self.links.len();
         server.set_link_id(idx);
         let rate = server.link_rate();
-        self.links.push(Some(Link {
+        self.links.push(Link {
             server,
             rate,
             tx_start: 0.0,
@@ -664,7 +544,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             tx_remaining_bits: 0.0,
             tx_updated: 0.0,
             ledger: LinkLedger::default(),
-        }));
+        });
         idx
     }
 
@@ -699,27 +579,27 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
 
     /// `link`'s current service rate in bits/s (0 during an outage).
     pub fn link_rate(&self, link: usize) -> f64 {
-        self.link(link).rate
+        self.links[link].rate
     }
 
     /// Read access to `link`'s hierarchy (e.g. for queue inspection).
     pub fn link_server(&self, link: usize) -> &Hierarchy<S, O> {
-        &self.link(link).server
+        &self.links[link].server
     }
 
     /// `link`'s conservation ledger.
     pub fn link_ledger(&self, link: usize) -> LinkLedger {
-        self.link(link).ledger
+        self.links[link].ledger
     }
 
     /// `link`'s observer.
     pub fn observer_of(&self, link: usize) -> &O {
-        self.link(link).server.observer()
+        self.links[link].server.observer()
     }
 
     /// `link`'s observer, mutably (e.g. to flush or read counters).
     pub fn observer_of_mut(&mut self, link: usize) -> &mut O {
-        self.link_mut(link).server.observer_mut()
+        self.links[link].server.observer_mut()
     }
 
     /// Consumes the network, returning every link's observer in link
@@ -727,7 +607,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     pub fn into_observers(self) -> Vec<O> {
         self.links
             .into_iter()
-            .flatten()
             .map(|l| l.server.into_observer())
             .collect()
     }
@@ -764,13 +643,13 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         for hop in route.hops.iter() {
             assert!(hop.link < self.links.len(), "route references unknown link");
             assert!(
-                self.link(hop.link).server.is_leaf(hop.leaf),
+                self.links[hop.link].server.is_leaf(hop.leaf),
                 "route must attach to a leaf"
             );
         }
         SourceId(self.push_source(SourceSlot {
             wants_delivery: source.wants_delivery(),
-            src: Some(Box::new(source)),
+            src: Box::new(source),
             route,
             flow,
             live: true,
@@ -797,58 +676,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// Schedules a control-plane [`SimCommand`] to fire at time `t` (times
     /// in the past fire immediately once the run reaches them).
     pub fn schedule_command(&mut self, t: f64, cmd: SimCommand) {
-        self.send(t, NetEvent::Command(cmd));
+        self.queue_event(t, NetEvent::Command(cmd));
     }
 
-    /// Shard that should process `ev`. Every event is routed to the shard
-    /// owning the link (or the source's first-hop link) it mutates, so
-    /// handlers never touch state owned by another shard.
-    pub(crate) fn event_shard(&self, link_shard: &[usize], ev: &NetEvent) -> usize {
-        let of_src = |s: usize| link_shard[self.sources[s].route.hops[0].link];
-        match ev {
-            NetEvent::Wake(i) => of_src(*i),
-            NetEvent::Deliver(i, _) => of_src(*i),
-            NetEvent::Arrive { src, hop, .. } | NetEvent::Detach { src, hop, .. } => {
-                link_shard[self.sources[*src].route.hops[*hop].link]
-            }
-            NetEvent::Command(cmd) => match cmd {
-                SimCommand::SetLinkRate(_) | SimCommand::AddFlow { .. } => link_shard[0],
-                SimCommand::SetLinkRateOn { link, .. } => {
-                    // An out-of-range link is reported as a command error
-                    // by whichever shard receives it; route to shard 0.
-                    link_shard.get(*link).copied().unwrap_or(link_shard[0])
-                }
-                SimCommand::RemoveFlow(flow) => self.owner_of(*flow).map_or(link_shard[0], of_src),
-            },
-        }
-    }
-
-    /// Schedules `ev` at `t` with its content-derived minor key — locally,
-    /// or into the cross-shard outbox when this network is a shard and the
-    /// event belongs to another shard.
-    pub(crate) fn send(&mut self, t: f64, ev: NetEvent) {
-        let cross = match &self.shard {
-            Some(ctx) => {
-                let dest = self.event_shard(&ctx.link_shard, &ev);
-                (dest != ctx.id).then_some(dest)
-            }
-            None => None,
-        };
-        match (cross, self.shard.as_mut()) {
-            (Some(dest), Some(ctx)) => ctx.outbox.push(OutMsg {
-                dest,
-                t,
-                minor: minor_of(&ev),
-                ev,
-            }),
-            _ => self.queue_event(t, ev),
-        }
-    }
-
-    /// Puts `ev` into this network's own engine: a `Wake` as a timer,
-    /// anything else in the arena under its [`minor_of`] key. The one way
-    /// in, for new events ([`Network::send`]) and for those a snapshot, a
-    /// restore, or a shard split, exchange or merge moves between engines.
+    /// Puts `ev` into the engine: a `Wake` as a timer, anything else in the
+    /// arena under its [`minor_of`] key. The one way in, for new events and
+    /// for those a snapshot or a restore re-queues.
     pub(crate) fn queue_event(&mut self, t: f64, ev: NetEvent) {
         match ev {
             NetEvent::Wake(i) => {
@@ -873,7 +706,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 flow,
                 value,
             };
-            self.link_mut(link).server.observer_mut().on_fault(&ev);
+            self.links[link].server.observer_mut().on_fault(&ev);
         }
     }
 
@@ -889,7 +722,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     self.emit_fault(ingress.link, FaultKind::ClockJitter, 0, flow, wake - w);
                 }
             }
-            self.send(wake.max(now), NetEvent::Wake(src_idx));
+            self.queue_event(wake.max(now), NetEvent::Wake(src_idx));
         }
         for mut pkt in out.packets {
             pkt.arrival = now;
@@ -943,8 +776,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 continue;
             }
             if let Some(limit) = ingress.buffer_bytes {
-                let queued = self
-                    .link(ingress.link)
+                let queued = self.links[ingress.link]
                     .server
                     .leaf_queue_bytes(ingress.leaf);
                 if queued + u64::from(pkt.len_bytes) > limit {
@@ -962,23 +794,19 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                             },
                             queue_bytes: queued,
                         };
-                        self.link_mut(ingress.link)
-                            .server
-                            .observer_mut()
-                            .on_drop(&ev);
+                        self.links[ingress.link].server.observer_mut().on_drop(&ev);
                     }
                     continue;
                 }
             }
-            let admitted = self
-                .link_mut(ingress.link)
+            let admitted = self.links[ingress.link]
                 .server
                 .try_enqueue(ingress.leaf, pkt);
             match admitted {
                 Ok(()) => {
                     self.stats
                         .record_accept_at(&mut self.sources[src_idx].stats_slot, &pkt);
-                    let l = &mut self.link_mut(ingress.link).ledger;
+                    let l = &mut self.links[ingress.link].ledger;
                     l.bytes_in += u64::from(pkt.len_bytes);
                     l.packets_in += 1;
                 }
@@ -1003,7 +831,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn try_start(&mut self, link: usize) {
         let halted = self.halted;
         let now = self.engine.now();
-        let l = self.link_mut(link);
+        let l = &mut self.links[link];
         if l.rate <= 0.0 || halted || l.server.is_transmitting() || !l.server.has_pending() {
             return;
         }
@@ -1029,7 +857,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 .push((now, HpfqError::InvalidRate(new_rate)));
             return;
         }
-        let l = self.link_mut(link);
+        let l = &mut self.links[link];
         if l.server.is_transmitting() {
             // Credit bits sent under the old rate, then reschedule the
             // remainder under the new one.
@@ -1093,8 +921,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// Detaches hop 0 of `src`'s route now and schedules [`NetEvent::
     /// Detach`] for each downstream hop at the route's cumulative
     /// propagation delay. The delay keeps teardown causal with the data
-    /// path — and, in parallel runs, at or above the conservative
-    /// lookahead of any shard boundary the signal crosses.
+    /// path.
     fn detach_route(&mut self, src: usize, reason: DetachReason) {
         let now = self.engine.now();
         self.detach_hop(src, 0, reason);
@@ -1102,7 +929,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         let mut delay = 0.0;
         for hop in 1..n_hops {
             delay += self.sources[src].route.hops[hop - 1].prop_delay;
-            self.send(now + delay, NetEvent::Detach { src, hop, reason });
+            self.queue_event(now + delay, NetEvent::Detach { src, hop, reason });
         }
     }
 
@@ -1113,8 +940,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         let flow = self.sources[src].flow;
         let hop = self.sources[src].route.hops[hop_idx];
         // Captured before removal: churn reports the share being freed.
-        let phi = self.link(hop.link).server.phi(hop.leaf);
-        match self.link_mut(hop.link).server.remove_leaf(hop.leaf) {
+        let phi = self.links[hop.link].server.phi(hop.leaf);
+        match self.links[hop.link].server.remove_leaf(hop.leaf) {
             Ok(purged) => {
                 let mut purged_packets = 0u64;
                 let mut purged_bytes = 0u64;
@@ -1123,7 +950,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     purged_packets += 1;
                     purged_bytes += u64::from(p.len_bytes);
                 }
-                self.link_mut(hop.link).ledger.bytes_purged += purged_bytes;
+                self.links[hop.link].ledger.bytes_purged += purged_bytes;
                 match reason {
                     DetachReason::Quarantine { strikes } => {
                         if O::ENABLED {
@@ -1136,7 +963,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                                 purged_packets,
                                 purged_bytes,
                             };
-                            self.link_mut(hop.link)
+                            self.links[hop.link]
                                 .server
                                 .observer_mut()
                                 .on_quarantine(&ev);
@@ -1176,11 +1003,11 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 source,
                 buffer_bytes,
                 delivery_delay,
-            } => match self.link_mut(0).server.add_leaf(parent, phi) {
+            } => match self.links[0].server.add_leaf(parent, phi) {
                 Ok(leaf) => {
                     let idx = self.push_source(SourceSlot {
                         wants_delivery: source.wants_delivery(),
-                        src: Some(source),
+                        src: source,
                         route: Route::single(leaf, buffer_bytes, delivery_delay),
                         flow,
                         live: true,
@@ -1188,10 +1015,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                         stats_slot: 0,
                     });
                     self.emit_fault(0, FaultKind::FlowAdd, leaf.index(), flow, phi);
-                    let out = match self.sources[idx].src.as_mut() {
-                        Some(src) => src.start(),
-                        None => SourceOutput::none(),
-                    };
+                    let out = self.sources[idx].src.start();
                     debug_assert!(out.packets.is_empty(), "start() must not emit packets");
                     self.apply_output(idx, out);
                 }
@@ -1215,7 +1039,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn rate_command(&mut self, link: usize, bps: f64) {
         let kind = if bps == 0.0 {
             FaultKind::LinkDown
-        } else if self.link(link).rate == 0.0 {
+        } else if self.links[link].rate == 0.0 {
             FaultKind::LinkUp
         } else {
             FaultKind::LinkRate
@@ -1235,12 +1059,11 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         // A removed/quarantined flow's leaf disappears from this hop when
         // the Detach event lands here; until then bytes already on the
         // wire are admitted normally (they will be purged with the leaf).
-        // Keying the decision on local leaf state — never on the owner
-        // shard's `live` flag — is what keeps sequential and parallel
-        // runs identical.
+        // The decision is the hop's leaf state, not the source's `live`
+        // flag: teardown reaches each hop after the data ahead of it.
         pkt.arrival = now;
         if let Some(limit) = hop.buffer_bytes {
-            let queued = self.link(hop.link).server.leaf_queue_bytes(hop.leaf);
+            let queued = self.links[hop.link].server.leaf_queue_bytes(hop.leaf);
             if queued + u64::from(pkt.len_bytes) > limit {
                 self.stats.record_purge(&pkt);
                 if O::ENABLED {
@@ -1256,15 +1079,15 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                         },
                         queue_bytes: queued,
                     };
-                    self.link_mut(hop.link).server.observer_mut().on_drop(&ev);
+                    self.links[hop.link].server.observer_mut().on_drop(&ev);
                 }
                 return;
             }
         }
-        let admitted = self.link_mut(hop.link).server.try_enqueue(hop.leaf, pkt);
+        let admitted = self.links[hop.link].server.try_enqueue(hop.leaf, pkt);
         match admitted {
             Ok(()) => {
-                let l = &mut self.link_mut(hop.link).ledger;
+                let l = &mut self.links[hop.link].ledger;
                 l.bytes_in += u64::from(pkt.len_bytes);
                 l.packets_in += 1;
             }
@@ -1286,11 +1109,11 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// the wire.
     fn tx_complete(&mut self, link: usize) {
         let t = self.engine.now();
-        let l = self.link_mut(link);
+        let l = &mut self.links[link];
         let pkt = l.server.complete_transmission_at(t);
         let started = l.tx_start;
         {
-            let l = &mut self.link_mut(link).ledger;
+            let l = &mut self.links[link].ledger;
             l.bytes_out += u64::from(pkt.len_bytes);
             l.packets_out += 1;
         }
@@ -1316,7 +1139,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     // detached).
                     self.inflight_bytes += i64::from(pkt.len_bytes);
                     let delay = route.hops[i].prop_delay;
-                    self.send(
+                    self.queue_event(
                         t + delay,
                         NetEvent::Arrive {
                             src: owner,
@@ -1328,17 +1151,15 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 _ => {
                     // Final hop: the packet leaves the network. A source
                     // that wants the callback always gets a delivery
-                    // scheduled — the owner-side handler drops it if the
-                    // flow has since been removed, so that decision is
-                    // made where the `live` flag is authoritative (its
-                    // owning shard, in parallel runs). For a source whose
+                    // scheduled — the handler drops it if the flow has
+                    // been removed by the time it lands. For a source whose
                     // `on_delivered` is the default no-op the event would
                     // change nothing, so none is scheduled.
                     let delay = route.hops.last().map(|h| h.prop_delay).unwrap_or(0.0);
                     let slot = &mut self.sources[owner];
                     self.stats.record_service_at(&mut slot.stats_slot, served);
                     if slot.wants_delivery {
-                        self.send(t + delay, NetEvent::Deliver(owner, pkt));
+                        self.queue_event(t + delay, NetEvent::Deliver(owner, pkt));
                     }
                 }
             }
@@ -1356,9 +1177,21 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// growing horizons to run in segments; sources are started once.
     pub fn run(&mut self, horizon: f64) {
         self.start_pending_sources();
-        while !self.halted && self.step(Until::Through(horizon)) {}
+        while !self.halted && self.step(horizon) {}
         // Unfired events past the horizon stay queued so a subsequent
         // `run` with a larger horizon continues cleanly.
+    }
+
+    /// Runs to `horizon` exactly as [`Network::run`] does, and reports that
+    /// it ran sequentially: there is no sharded runtime (DESIGN.md §11).
+    /// Kept, like `NodeScheduler::set_dispatch_batch`, only because the
+    /// repository benchmark's ledger (`benchmark/src/ledger.rs`) calls it;
+    /// it leaves with that call in ROADMAP item 1(b).
+    pub fn run_parallel(&mut self, horizon: f64, _shards: usize) -> ParallelReport {
+        self.run(horizon);
+        ParallelReport {
+            fallback: Some(FallbackReason::NoShardedRuntime),
+        }
     }
 
     /// The link whose pending completion is earliest, with its time.
@@ -1366,7 +1199,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn next_completion(&self) -> Option<(f64, usize)> {
         let mut next: Option<(f64, usize)> = None;
         for (i, link) in self.links.iter().enumerate() {
-            if let Some(t) = link.as_ref().and_then(|l| l.tx_done) {
+            if let Some(t) = link.tx_done {
                 if next.is_none_or(|(best, _)| t < best) {
                     next = Some((t, i));
                 }
@@ -1375,21 +1208,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         next
     }
 
-    /// Time of the next thing [`Network::step`] would do: the earlier of
-    /// the queue head and the earliest link completion.
-    pub(crate) fn next_event_time(&self) -> Option<f64> {
-        let done = self.next_completion().map(|(t, _)| t);
-        match (self.engine.peek_time(), done) {
-            (Some(head), Some(done)) => Some(head.min(done)),
-            (head, done) => head.or(done),
-        }
-    }
-
-    /// Advances the simulation by one event within `until`; `false` when
-    /// nothing is due. The one pop used by the sequential loop and both
-    /// parallel epoch drivers.
-    pub(crate) fn step(&mut self, until: Until) -> bool {
-        let Some(due) = self.pop_due(until) else {
+    /// Advances the simulation by one event at or before `horizon`;
+    /// `false` when nothing is due.
+    fn step(&mut self, horizon: f64) -> bool {
+        let Some(due) = self.pop_due(horizon) else {
             return false;
         };
         match due {
@@ -1401,8 +1223,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
 
     /// Takes the earlier, in `(time, minor key)` order, of the queue head
     /// and the earliest link completion, advancing the clock to it — or
-    /// leaves both pending when that one lies beyond `until`.
-    fn pop_due(&mut self, until: Until) -> Option<Due> {
+    /// leaves both pending when that one lies beyond `horizon`.
+    fn pop_due(&mut self, horizon: f64) -> Option<Due> {
         if let Some((done, link)) = self.next_completion() {
             // Never a tie: no queued event carries the completion class.
             let first = self
@@ -1410,52 +1232,43 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 .peek_key()
                 .is_none_or(|head| (done, tx_minor(link)) < head);
             if first {
-                if !until.admits(done) {
+                if done > horizon {
                     return None;
                 }
-                self.link_mut(link).tx_done = None;
+                self.links[link].tx_done = None;
                 self.engine.advance_to(done);
                 return Some(Due::Completion(link));
             }
         }
-        match until {
-            Until::Through(horizon) => self.engine.pop_due(horizon),
-            Until::Before(end) => self.engine.pop_strictly_before(end),
-        }
-        .map(|(t, ev)| Due::Event(t, ev))
+        self.engine
+            .pop_due(horizon)
+            .map(|(t, ev)| Due::Event(t, ev))
     }
 
     /// Starts any sources not yet started (first call, or sources attached
     /// between run segments).
-    pub(crate) fn start_pending_sources(&mut self) {
+    fn start_pending_sources(&mut self) {
         self.stats.reserve_flows(self.flow_owner.len());
         let pending = self.started_below..self.sources.len();
         self.started_below = pending.end;
         for i in pending {
             if !self.sources[i].started {
                 self.sources[i].started = true;
-                let out = match self.sources[i].src.as_mut() {
-                    Some(src) => src.start(),
-                    None => continue,
-                };
+                let out = self.sources[i].src.start();
                 debug_assert!(out.packets.is_empty(), "start() must not emit packets");
                 self.apply_output(i, out);
             }
         }
     }
 
-    /// Dispatches one popped event. Shared by the sequential loop and the
-    /// parallel epoch driver so both modes run identical handler code.
-    pub(crate) fn handle(&mut self, t: f64, ev: NetEvent) {
+    /// Dispatches one popped event.
+    fn handle(&mut self, t: f64, ev: NetEvent) {
         match ev {
             NetEvent::Wake(i) => {
                 if !self.sources[i].live {
                     return;
                 }
-                let out = match self.sources[i].src.as_mut() {
-                    Some(src) => src.on_wake(t),
-                    None => return,
-                };
+                let out = self.sources[i].src.on_wake(t);
                 self.apply_output(i, out);
             }
             NetEvent::Arrive { src, hop, pkt } => self.arrive(src, hop, pkt),
@@ -1463,10 +1276,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 if !self.sources[i].live {
                     return;
                 }
-                let out = match self.sources[i].src.as_mut() {
-                    Some(src) => src.on_delivered(t, &pkt),
-                    None => return,
-                };
+                let out = self.sources[i].src.on_delivered(t, &pkt);
                 self.apply_output(i, out);
             }
             NetEvent::Command(cmd) => self.apply_command(cmd),
@@ -1477,20 +1287,16 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// Bytes currently queued at `link`: its leaf queues, including any
     /// in-flight packet, which stays in its leaf queue until completion.
     pub fn queued_bytes_on(&self, link: usize) -> u64 {
-        let l = self.link(link);
+        let l = &self.links[link];
         l.server
             .leaves_iter()
             .map(|leaf| l.server.leaf_queue_bytes(leaf))
             .sum()
     }
 
-    /// Bytes currently queued across every link this network (or shard)
-    /// owns.
+    /// Bytes currently queued across every link.
     pub fn queued_bytes(&self) -> u64 {
-        (0..self.links.len())
-            .filter(|&i| self.links[i].is_some())
-            .map(|i| self.queued_bytes_on(i))
-            .sum()
+        (0..self.links.len()).map(|i| self.queued_bytes_on(i)).sum()
     }
 
     /// End-to-end byte conservation check: every offered byte is accounted
@@ -1509,7 +1315,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         // Per-link ledgers must balance independently (multi-hop: every
         // hop conserves bytes on its own).
         for (i, link) in self.links.iter().enumerate() {
-            let Some(link) = link else { continue };
             let LinkLedger {
                 bytes_in,
                 bytes_out,
@@ -1525,57 +1330,5 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             }
         }
         Ok(())
-    }
-
-    /// Enables (or disables) per-epoch logging for parallel runs: each
-    /// shard records one [`EpochSpan`] per conservative epoch window.
-    /// Epochs are stamped with *simulation* time, so recording them is
-    /// deterministic.
-    pub fn set_record_epochs(&mut self, on: bool) {
-        self.record_epochs = on;
-    }
-
-    /// Epoch windows logged by parallel runs (shard-major order after the
-    /// merge). Empty unless [`Network::set_record_epochs`] was called.
-    pub fn epoch_log(&self) -> &[EpochSpan] {
-        &self.epoch_log
-    }
-
-    /// Sets how many conservative epochs a parallel run executes per
-    /// supervised stint: at each stint boundary the shards merge back into
-    /// the master and the epoch checkpoint is refreshed, bounding how much
-    /// work a crash rollback can lose. Default 64; `0` means a single
-    /// unbounded stint (one checkpoint at the start of the run).
-    pub fn set_stint_epochs(&mut self, epochs: u64) {
-        self.stint_epochs = epochs;
-    }
-
-    /// Sets the watchdog timeout for the parallel runtime's two-barrier
-    /// exchange (default 10 s). A worker waiting longer than this — its
-    /// peer died or wedged — poisons the barrier; the stint fails with a
-    /// typed [`crate::ShardFailure`] instead of hanging, and the
-    /// supervisor rolls back to the last checkpoint.
-    pub fn set_watchdog(&mut self, timeout: std::time::Duration) {
-        self.watchdog = timeout;
-    }
-
-    /// Arms a one-shot injected panic: the worker for `shard` panics when
-    /// the global epoch counter reaches `epoch` — on the **first** attempt
-    /// of the stint containing that epoch only, so a checkpointed run
-    /// recovers on retry. The crash-recovery tests and the CI soak use
-    /// this to prove panic containment end to end.
-    pub fn inject_shard_panic(&mut self, shard: usize, epoch: u64) {
-        self.panic_plan = Some((shard, epoch));
-    }
-
-    /// The last epoch checkpoint the most recent parallel run held when it
-    /// returned: after a clean run, the final stint-boundary refresh; after
-    /// a halt replay or an exhausted retry budget, the exact state the run
-    /// was rolled back to. `None` until a checkpointed parallel run has
-    /// completed. Harnesses attach its serialized bytes to a
-    /// [`hpfq_obs::FlightRecorder`] so post-mortem dumps carry the state to
-    /// resume from.
-    pub fn last_checkpoint(&self) -> Option<&Value> {
-        self.last_checkpoint.as_ref()
     }
 }

@@ -15,14 +15,9 @@
 //! run(0..T)  ≡  run(0..t) → snapshot → restore → run(t..T)
 //! ```
 //!
-//! on statistics, service records, ledgers, and the merged trace. The
-//! crash-contained parallel runtime leans on this: a supervisor
-//! checkpoints the merged master at conservative-epoch boundaries and
-//! rolls every shard back to the last checkpoint when one panics.
+//! on statistics, service records, ledgers, and the merged trace.
 //!
-//! Snapshots are taken on *full* networks (never on one shard of a
-//! parallel run — the supervisor checkpoints the merged master between
-//! stints). Restoring accepts three situations:
+//! Restoring accepts three situations:
 //!
 //! * the same network object later in its life (rollback) — churn the
 //!   live tree accrued after the checkpoint is discarded;
@@ -354,13 +349,8 @@ pub(crate) fn load_event(v: &Value) -> Result<NetEvent, SnapError> {
 // --- source slots --------------------------------------------------------
 
 fn load_slot(sv: &Value) -> Result<SourceSlot, SnapError> {
-    let raw = sv.get("src")?;
     Ok(SourceSlot {
-        src: if raw.is_null() {
-            None
-        } else {
-            Some(load_source(raw)?)
-        },
+        src: load_source(sv.get("src")?)?,
         route: load_route(sv.get("route")?)?,
         flow: sv.get("flow")?.as_u32()?,
         live: sv.get("live")?.as_bool()?,
@@ -434,22 +424,15 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// preserved and the network's behaviour is unchanged — snapshotting
     /// is observationally a no-op.
     ///
-    /// Errors if this network is currently one shard of a parallel run
-    /// (shards hold only part of the state; checkpoint the merged master
-    /// instead), or if an installed source or fault injector does not
-    /// support checkpointing.
+    /// Errors if an installed source or fault injector does not support
+    /// checkpointing.
     pub fn snapshot(&mut self) -> Result<Value, SnapError> {
-        if self.shard.is_some() {
-            return Err(refuse(
-                "cannot snapshot one shard of a parallel run; checkpoint the merged master",
-            ));
-        }
         let now = self.engine.now();
-        let mut links = Vec::with_capacity(self.links.len());
-        for link in &self.links {
-            links.push(match link {
-                None => Value::Null,
-                Some(l) => Value::map(vec![
+        let links = self
+            .links
+            .iter()
+            .map(|l| {
+                Value::map(vec![
                     ("server", l.server.save_state()),
                     ("obs", l.server.observer().mark()),
                     ("rate", Value::F64(l.rate)),
@@ -458,9 +441,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     ("tx_remaining_bits", Value::F64(l.tx_remaining_bits)),
                     ("tx_updated", Value::F64(l.tx_updated)),
                     ("ledger", save_ledger(&l.ledger)),
-                ]),
-            });
-        }
+                ])
+            })
+            .collect();
         // Enumerate the queue: drain in firing order, serialize, put every
         // entry straight back (`queue_event`: a wake goes back as the timer it
         // was). All pending times are >= now, so the re-schedule neither
@@ -487,13 +470,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             .iter()
             .map(|slot| {
                 Ok(Value::map(vec![
-                    (
-                        "src",
-                        match &slot.src {
-                            Some(s) => s.save_state()?,
-                            None => Value::Null,
-                        },
-                    ),
+                    ("src", slot.src.save_state()?),
                     ("route", save_route(&slot.route)),
                     ("flow", Value::U64(u64::from(slot.flow))),
                     ("live", Value::Bool(slot.live)),
@@ -552,9 +529,6 @@ impl<S: NodeScheduler + Clone, O: Observer> Network<S, O> {
     /// parsed and checked before anything is written; the fault injector
     /// loads last of all fallible steps; then everything is installed.
     pub fn restore(&mut self, snap: &Value) -> Result<(), SnapError> {
-        if self.shard.is_some() {
-            return Err(refuse("cannot restore into a shard of a parallel run"));
-        }
         let version = snap.get("v")?.as_u64()?;
         if version != SNAPSHOT_VERSION {
             return Err(refuse(format!(
@@ -571,10 +545,7 @@ impl<S: NodeScheduler + Clone, O: Observer> Network<S, O> {
             )));
         }
         let mut links = Vec::with_capacity(links_v.len());
-        for (i, (lv, link)) in links_v.iter().zip(&self.links).enumerate() {
-            let Some(l) = link else {
-                return Err(refuse(format!("network link {i} is a shard hole")));
-            };
+        for (i, (lv, l)) in links_v.iter().zip(&self.links).enumerate() {
             links.push(
                 load_link(&l.server, lv, now)
                     .map_err(|e| refuse(format!("link {i}: {}", e.what)))?,
@@ -640,7 +611,7 @@ impl<S: NodeScheduler + Clone, O: Observer> Network<S, O> {
                 ));
             }
         }
-        for (l, ls) in self.links.iter_mut().flatten().zip(links) {
+        for (l, ls) in self.links.iter_mut().zip(links) {
             l.server.install_state(ls.server);
             l.server.observer_mut().rewind(ls.obs);
             (l.rate, l.tx_start, l.tx_done) = (ls.rate, ls.tx_start, ls.tx_done);
@@ -676,9 +647,6 @@ fn load_link<'a, S: NodeScheduler + Clone, O: Observer>(
     lv: &'a Value,
     now: f64,
 ) -> Result<LinkState<'a, S>, SnapError> {
-    if lv.is_null() {
-        return Err(refuse("the snapshot link is a shard hole"));
-    }
     let server_v = lv.get("server")?;
     let done = lv.get("tx_done")?;
     let ls = LinkState {

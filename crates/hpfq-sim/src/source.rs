@@ -135,13 +135,7 @@ impl SourceOutput {
 }
 
 /// A traffic generator attached to one leaf of the hierarchy.
-///
-/// `Send` is a supertrait so that a whole [`crate::Network`] — sources
-/// included — can be sharded across `std::thread::scope` workers by the
-/// deterministic parallel execution mode. Sources are still driven from
-/// exactly one thread at a time; the bound only rules out thread-pinned
-/// interior handles (`Rc`, raw pointers) in source state.
-pub trait Source: Send {
+pub trait Source {
     /// Called once at simulation start (time 0); typically schedules the
     /// first wake-up.
     fn start(&mut self) -> SourceOutput;
@@ -172,7 +166,7 @@ pub trait Source: Send {
     }
 
     /// Serializes the source — configuration and mutable position in its
-    /// arrival process — for an epoch checkpoint. Every built-in source
+    /// arrival process — for a snapshot. Every built-in source
     /// returns a `kind`-tagged map that [`load_source`] reconstructs
     /// exactly (RNG state included). External closed-loop sources opt in
     /// by overriding; the default refuses, so a [`crate::Network`]

@@ -454,27 +454,9 @@ impl SimStats {
         self.flows.keys()
     }
 
-    /// Flows registered for per-packet trace capture, sorted by id.
-    pub fn traced_flows(&self) -> Vec<u32> {
-        self.traced.keys().copied().collect()
-    }
-
-    /// Removes and returns `flow`'s aggregate entry.
-    ///
-    /// The parallel split moves each flow's accumulator to the one shard
-    /// that writes its service-side fields (the flow's **last** hop), so
-    /// `delay_sum` keeps accumulating incrementally on its single writer.
-    /// A checkpointed master with non-zero prefix stats then merges back
-    /// bit-identically: every other shard contributes `+ 0.0` to the sum
-    /// instead of forcing a re-associated `prefix + partial` addition.
-    pub fn extract_flow(&mut self, flow: u32) -> Option<FlowStats> {
-        let hot = self.flows.remove(flow)?;
-        Some(assemble(&hot, self.cold.remove(flow).as_ref()))
-    }
-
-    /// Installs `stats` as `flow`'s aggregate entry — the receiving end of
-    /// [`SimStats::extract_flow`]. Any existing entry is replaced.
-    pub fn seed_flow(&mut self, flow: u32, stats: FlowStats) {
+    /// Installs `stats` as `flow`'s entry, replacing any existing one —
+    /// the inverse of [`assemble`], for [`SimStats::load_state`].
+    fn insert_flow(&mut self, flow: u32, stats: FlowStats) {
         let (hot, cold) = take_apart(stats);
         self.flows.insert(flow, hot);
         if cold == ColdStats::default() {
@@ -484,69 +466,8 @@ impl SimStats {
         }
     }
 
-    /// Moves out the captured trace for `flow`, leaving the registration
-    /// in place (an empty vector) so future records are still captured.
-    pub fn extract_trace(&mut self, flow: u32) -> Vec<ServiceRecord> {
-        self.traced
-            .get_mut(&flow)
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Seeds `flow`'s trace with `records` (the prefix from a checkpointed
-    /// run segment); newly captured records append after them. The
-    /// receiving end of [`SimStats::extract_trace`].
-    pub fn seed_trace(&mut self, flow: u32, records: Vec<ServiceRecord>) {
-        self.traced.insert(flow, records);
-    }
-
-    /// Folds `other` into `self` **exactly** (no approximation): counters
-    /// sum, extrema take the maximum, and per-flow traces concatenate.
-    ///
-    /// This is the shard-merge of parallel execution, and it reproduces
-    /// the sequential totals bit-for-bit because every field is either an
-    /// order-free integer sum, or written by exactly one shard per flow:
-    /// `delay_sum`/`delay_max`/`last_departure` and the trace records come
-    /// only from `record_service`, which runs at a flow's **last** hop —
-    /// a single link, hence a single shard.
-    pub fn merge_from(&mut self, other: SimStats) {
-        for (flow, f) in other.flows.into_sorted() {
-            let e = self.entry(flow);
-            e.offered_packets += f.offered_packets;
-            e.offered_bytes += f.offered_bytes;
-            e.accepted_packets += f.accepted_packets;
-            e.accepted_bytes += f.accepted_bytes;
-            e.packets += f.packets;
-            e.bytes += f.bytes;
-            e.delay_sum += f.delay_sum;
-            if f.delay_max > e.delay_max {
-                e.delay_max = f.delay_max;
-            }
-            if f.last_departure > e.last_departure {
-                e.last_departure = f.last_departure;
-            }
-        }
-        for (flow, f) in other.cold.into_sorted() {
-            let e = self.cold_entry(flow);
-            e.drops += f.drops;
-            e.drop_bytes += f.drop_bytes;
-            e.fault_drops += f.fault_drops;
-            e.fault_drop_bytes += f.fault_drop_bytes;
-            e.purged_packets += f.purged_packets;
-            e.purged_bytes += f.purged_bytes;
-        }
-        for (flow, mut tr) in other.traced {
-            self.traced.entry(flow).or_default().append(&mut tr);
-        }
-        self.total_bytes += other.total_bytes;
-        self.total_packets += other.total_packets;
-        if other.last_departure > self.last_departure {
-            self.last_departure = other.last_departure;
-        }
-    }
-
     /// Serializes the collector — aggregates, trace registrations, and
-    /// captured trace records — for an epoch checkpoint.
+    /// captured trace records — for a snapshot.
     pub fn save_state(&self) -> Value {
         Value::map(vec![
             (
@@ -583,7 +504,7 @@ impl SimStats {
         let mut loaded = SimStats::new();
         for pair in state.get("flows")?.items()? {
             let fields = fixed_list(pair, 2, "flow entry")?;
-            loaded.seed_flow(fields[0].as_u32()?, FlowStats::load(&fields[1])?);
+            loaded.insert_flow(fields[0].as_u32()?, FlowStats::load(&fields[1])?);
         }
         for pair in state.get("traced")?.items()? {
             let fields = fixed_list(pair, 2, "trace entry")?;
@@ -854,8 +775,7 @@ mod tests {
 
     /// Hot and cold halves, caller-held hints and all, are not observable:
     /// under random traffic — hinted and un-hinted records interleaved, the
-    /// hint cells handed to whichever flow comes next — and under the
-    /// shard split's `extract_flow` → `seed_flow`, `merge_from` and a
+    /// hint cells handed to whichever flow comes next — and across a
     /// checkpoint round trip, every view equals the one-struct-per-flow
     /// model's.
     #[test]
@@ -883,7 +803,7 @@ mod tests {
                 let mut hint = rng
                     .gen_bool(0.6)
                     .then(|| &mut hints[rng.gen_range_usize(0, 4)]);
-                match rng.gen_range_u32(0, 20) {
+                match rng.gen_range_u32(0, 17) {
                     0..=5 => {
                         side.packet(Rec::Arrival, &pkt, hint.as_deref_mut());
                         side.packet(Rec::Accept, &pkt, hint);
@@ -918,40 +838,6 @@ mod tests {
                     }
                     // A leak: offered and never heard of again.
                     13 => side.packet(Rec::Arrival, &pkt, hint),
-                    // The shard split moves a flow's entry across whole.
-                    14 | 15 => {
-                        let moved = a.stats.extract_flow(flow);
-                        assert_eq!(moved, a.model.remove(&flow), "{label}");
-                        if let Some(f) = moved {
-                            b.stats.seed_flow(flow, f.clone());
-                            b.model.insert(flow, f);
-                        }
-                    }
-                    // The shard merge.
-                    16 => {
-                        a.stats.merge_from(std::mem::take(&mut b.stats));
-                        for (flow, f) in std::mem::take(&mut b.model) {
-                            let e = a.model.entry(flow).or_default();
-                            let (max, last) = (e.delay_max, e.last_departure);
-                            *e = FlowStats {
-                                packets: e.packets + f.packets,
-                                bytes: e.bytes + f.bytes,
-                                drops: e.drops + f.drops,
-                                drop_bytes: e.drop_bytes + f.drop_bytes,
-                                offered_packets: e.offered_packets + f.offered_packets,
-                                offered_bytes: e.offered_bytes + f.offered_bytes,
-                                accepted_packets: e.accepted_packets + f.accepted_packets,
-                                accepted_bytes: e.accepted_bytes + f.accepted_bytes,
-                                fault_drops: e.fault_drops + f.fault_drops,
-                                fault_drop_bytes: e.fault_drop_bytes + f.fault_drop_bytes,
-                                purged_packets: e.purged_packets + f.purged_packets,
-                                purged_bytes: e.purged_bytes + f.purged_bytes,
-                                delay_sum: e.delay_sum + f.delay_sum,
-                                delay_max: max.max(f.delay_max),
-                                last_departure: last.max(f.last_departure),
-                            };
-                        }
-                    }
                     // A checkpoint: same bytes out as went in.
                     _ => {
                         let saved = side.stats.save_state();

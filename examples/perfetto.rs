@@ -1,7 +1,6 @@
-//! Perfetto export end-to-end: run the 3-link tandem under the parallel
-//! runtime and write a `trace.json` timeline openable in Perfetto — one
-//! track per link with its transmissions, one track per shard with its
-//! conservative epochs, all stamped in *simulation* time.
+//! Perfetto export end-to-end: run a 3-link tandem and write a
+//! `trace.json` timeline openable in Perfetto — one track per link with
+//! its transmissions, drops and faults, stamped in *simulation* time.
 //!
 //! ```text
 //! cargo run --release --example perfetto [trace.json]
@@ -15,7 +14,6 @@ use hpfq::sim::{CbrSource, Hop, Network, Route};
 const LINKS: usize = 3;
 const RATE: f64 = 10e6;
 const PKT: u32 = 1500;
-const SHARDS: usize = 3;
 
 type Obs = JsonlObserver<Vec<u8>>;
 
@@ -25,8 +23,7 @@ fn main() {
         .unwrap_or_else(|| "/tmp/hpfq-trace.json".into());
 
     // 3-link tandem: flow 0 crosses every link with 2 ms propagation
-    // delay (real lookahead for the conservative scheme); one saturating
-    // cross flow per link.
+    // delay; one saturating cross flow per link.
     let kind = SchedulerKind::Wf2qPlus;
     let mut net: Network<MixedScheduler, Obs> = Network::new();
     let mut hops = Vec::new();
@@ -61,22 +58,12 @@ fn main() {
     }
     net.add_route(0, CbrSource::new(0, PKT, 3e6, 0.0, 2.0), Route::new(hops));
 
-    net.set_record_epochs(true);
-    let report = net.run_parallel(3.0, SHARDS);
+    net.run(3.0);
     net.verify_conservation().expect("conservation holds");
-    println!(
-        "parallel run: {} shards, fallback {:?}, {} packets",
-        report.shards, report.fallback, net.stats.total_packets
-    );
+    println!("{} packets served", net.stats.total_packets);
 
     // Perfetto timeline: merge the per-link JSONL traces, parse them
-    // back, and render tx slices + epoch windows in simulation time.
-    let epochs = net.epoch_log().to_vec();
-    println!(
-        "{} conservative epochs across {} shards",
-        epochs.len(),
-        report.shards
-    );
+    // back, and render tx slices in simulation time.
     let bufs: Vec<String> = net
         .into_observers()
         .into_iter()
@@ -84,7 +71,7 @@ fn main() {
         .collect();
     let (events, skipped) = parse_trace(&merge_traces(&bufs));
     assert_eq!(skipped, 0, "trace had unparseable lines");
-    let json = chrome_trace(&events, &epochs);
+    let json = chrome_trace(&events);
     std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
     println!(
         "{} trace events -> {} ({} bytes); open in https://ui.perfetto.dev",

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Regenerates every paper artifact (figures + worked examples) into
 # results/, then runs the micro-benchmarks. See EXPERIMENTS.md for the
-# expected shapes. Total runtime: a few minutes for the experiments plus
-# a few more for the micro-benchmarks.
+# expected shapes. Total runtime: a few seconds for the experiments plus
+# a few minutes for the micro-benchmarks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,13 +10,27 @@ BINS=(sec22_example fig2 sec31_example fig4 fig5 fig6 fig7 fig9 wfi_table delay_
 
 cargo build --release -p hpfq-bench
 
+# Each bin writes only its own results/<bin>/, so they run $(nproc) at a
+# time; each one's output is kept apart and printed in BINS order.
+logs="$(mktemp -d)"
+trap 'rm -rf "$logs"' EXIT
+status=0
+printf '%s\n' "${BINS[@]}" |
+    xargs -P "$(nproc)" -I{} sh -c \
+        'cargo run --release -q -p hpfq-bench --bin "$1" > "$2/$1.log" 2>&1' sh {} "$logs" ||
+    status=$?
+
 for b in "${BINS[@]}"; do
     echo "==================================================================="
     echo "== $b"
     echo "==================================================================="
-    cargo run --release -q -p hpfq-bench --bin "$b"
+    cat "$logs/$b.log"
     echo
 done
+if [[ "$status" != "0" ]]; then
+    echo "reproduce_all: a figure binary failed (xargs status $status)" >&2
+    exit "$status"
+fi
 
 if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
     cargo bench --workspace

@@ -1,6 +1,6 @@
-//! The two reference networks of the snapshot, parallel, crash-recovery
-//! and hostile-snapshot suites, built once here: the reduced Fig. 3
-//! workload on one link and the 3-link tandem with cross traffic.
+//! The two reference networks of the snapshot and hostile-snapshot
+//! suites, built once here: the reduced Fig. 3 workload on one link and
+//! the 3-link tandem with cross traffic.
 
 // Each test crate uses its own subset of these builders.
 #![allow(dead_code)]
@@ -109,7 +109,7 @@ pub fn tandem_link(li: usize) -> (Hierarchy<MixedScheduler, Obs>, NodeId, NodeId
 /// every link, a tight mid-path buffer, a mid-run outage on the middle
 /// link, and churn: one cross flow leaves early, the tandem flow itself
 /// is removed mid-path late in the run (its downstream detachments ride
-/// cross-shard `Detach` events under parallel execution).
+/// `Detach` events behind the packets already on the wire).
 pub fn tandem_net() -> Network<MixedScheduler, Obs> {
     let mut net: Network<MixedScheduler, Obs> = Network::new();
     let mut hops = Vec::new();

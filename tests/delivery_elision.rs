@@ -4,14 +4,13 @@
 //! event scheduled for its packets. That is only sound if the elided event
 //! was a no-op: the same scenario with every open-loop source wrapped in a
 //! pass-through that keeps the trait's default (`true`) — so every
-//! delivery *is* scheduled, fired, and routed across shards — must leave
-//! byte-identical merged traces, statistics, service records and ledgers,
-//! in every execution mode. And for a source that does want its
-//! deliveries, removal or quarantine must still cut them off where the
-//! flow's liveness is authoritative: on the shard owning the source.
+//! delivery *is* scheduled and fired — must leave byte-identical merged
+//! traces, statistics, service records and ledgers, run straight through
+//! or across a snapshot and resume. And for a source that does want its
+//! deliveries, removal or quarantine must still cut them off.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use hpfq::core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
 use hpfq::obs::jsonl::merge_traces;
@@ -24,7 +23,7 @@ use hpfq::sim::{
 
 const PKT: u32 = 8192;
 const RATE: f64 = 10e6;
-/// Propagation between hops (the sharded runs' lookahead).
+/// Propagation between hops.
 const PROP: f64 = 0.002;
 /// Propagation from a multi-hop route's last hop to its destination: long
 /// enough that some delivery is always in flight.
@@ -55,13 +54,10 @@ impl<S: Source> Source for Loud<S> {
     }
 }
 
-/// Counts its deliveries and remembers the latest one.
+/// Counts its deliveries and remembers the latest one's time.
 struct Counting {
     inner: CbrSource,
-    delivered: Arc<AtomicU64>,
-    /// `f64` bits of the latest delivery time (non-negative floats order
-    /// like their bit patterns).
-    latest: Arc<AtomicU64>,
+    probe: Rc<Cell<(u64, f64)>>,
 }
 
 impl Source for Counting {
@@ -74,8 +70,8 @@ impl Source for Counting {
     }
 
     fn on_delivered(&mut self, now: f64, _pkt: &Packet) -> SourceOutput {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
-        self.latest.fetch_max(now.to_bits(), Ordering::Relaxed);
+        let (delivered, latest) = self.probe.get();
+        self.probe.set((delivered + 1, latest.max(now)));
         SourceOutput::none()
     }
 
@@ -88,10 +84,8 @@ impl Source for Counting {
 type Attach<'a> = dyn FnMut(&mut Net, u32, Box<dyn Source>, Route) + 'a;
 
 /// Three links in tandem. Flow 0 crosses all three, flow 1 crosses links
-/// 0 → 1 (so under two round-robin shards its last hop and its source
-/// live on different shards and every delivery is a cross-shard message),
-/// and each link carries Poisson or CBR cross traffic. An outage and two
-/// removals are in the mix.
+/// 0 → 1, and each link carries Poisson or CBR cross traffic. An outage and
+/// two removals are in the mix.
 fn tandem(attach: &mut Attach) -> Net {
     let kind = SchedulerKind::Wf2qPlus;
     let mut net: Net = Network::new();
@@ -213,40 +207,16 @@ fn assert_same(a: &Artifacts, b: &Artifacts, label: &str) {
 
 #[test]
 fn elided_deliveries_change_nothing_in_any_execution_mode() {
-    let both_orders = [vec![0, 1], vec![1, 0]];
-    type Mode<'a> = (&'a str, Box<dyn Fn(&mut Net) + 'a>);
-    let modes: Vec<Mode> = vec![
-        ("sequential", Box::new(|n| n.run(HORIZON))),
-        (
-            "run_parallel(2)",
-            Box::new(|n| {
-                let report = n.run_parallel(HORIZON, 2);
-                assert_eq!(report.fallback, None, "must genuinely shard");
-            }),
-        ),
-        (
-            "run_permuted(2)",
-            Box::new(|n| {
-                let report = n.run_permuted(HORIZON, 2, &both_orders);
-                assert_eq!(report.fallback, None, "must genuinely shard");
-            }),
-        ),
-    ];
-    let mut golden = None;
-    for (label, drive) in &modes {
-        let mut quiet = bare();
-        drive(&mut quiet);
-        // With every source open-loop, nothing is ever in flight to a
-        // source: what remains queued is at most one wake per source.
-        assert!(quiet.outstanding_events() <= FLOWS.len(), "{label}");
-        let mut noisy = loud();
-        drive(&mut noisy);
-        let (quiet, noisy) = (artifacts(quiet), artifacts(noisy));
-        assert!(quiet.merged.lines().count() > 1000, "trace too small");
-        assert_same(&quiet, &noisy, label);
-        // Every mode is also the sequential run.
-        assert_same(golden.get_or_insert(quiet), &noisy, label);
-    }
+    let mut quiet = bare();
+    quiet.run(HORIZON);
+    // With every source open-loop, nothing is ever in flight to a source:
+    // what remains queued is at most one wake per source.
+    assert!(quiet.outstanding_events() <= FLOWS.len());
+    let mut noisy = loud();
+    noisy.run(HORIZON);
+    let (quiet, noisy) = (artifacts(quiet), artifacts(noisy));
+    assert!(quiet.merged.lines().count() > 1000, "trace too small");
+    assert_same(&quiet, &noisy, "run");
 }
 
 #[test]
@@ -262,8 +232,7 @@ fn elided_deliveries_change_nothing_across_snapshot_and_resume() {
             let mut first = build();
             first.run(t);
             let snap = first.snapshot().unwrap();
-            // The flag is checkpointed state: a rebuilt source cannot be
-            // asked again on a shard that does not hold it.
+            // The flag is checkpointed state, read back with the slot.
             let wants: Vec<bool> = snap
                 .get("sources")
                 .unwrap()
@@ -291,70 +260,45 @@ fn elided_deliveries_change_nothing_across_snapshot_and_resume() {
 /// A source that *does* want its deliveries stops receiving them the
 /// moment its flow is removed (flow 1, by command) or quarantined (flow 0,
 /// by strikes at a segment boundary) — although packets already past the
-/// first hop are still served downstream, and although, sharded, the last
-/// hop runs on a different shard from the one that knows the flow is dead.
+/// first hop are still served downstream.
 #[test]
 fn removed_and_quarantined_flows_get_no_further_deliveries() {
     const REMOVED_AT: f64 = 3.0;
     const QUARANTINED_AT: f64 = 4.0;
-    let run = |sharded: bool| {
-        let probes: Vec<(Arc<AtomicU64>, Arc<AtomicU64>)> = (0..2)
-            .map(|_| (Arc::new(AtomicU64::new(0)), Arc::new(AtomicU64::new(0))))
-            .collect();
-        let mut net = tandem(&mut |net, flow, src, route| match flow {
-            0 | 1 => {
-                let (delivered, latest) = probes[flow as usize].clone();
-                let rate = if flow == 0 { 3e6 } else { 2e6 };
-                let inner = CbrSource::new(flow, PKT, rate, 0.0, 5.0);
-                net.add_route(
-                    flow,
-                    Counting {
-                        inner,
-                        delivered,
-                        latest,
-                    },
-                    route,
-                );
-            }
-            _ => {
-                net.add_route(flow, src, route);
-            }
-        });
-        net.set_escalation_policy(EscalationPolicy {
-            quarantine_after: 1,
-            halt_after: u32::MAX,
-        });
-        let drive = |net: &mut Net, until: f64| {
-            if sharded {
-                assert_eq!(net.run_parallel(until, 2).fallback, None);
-            } else {
-                net.run(until);
-            }
-        };
-        drive(&mut net, QUARANTINED_AT);
-        net.strike(0);
-        drive(&mut net, HORIZON);
-        net.verify_conservation().unwrap();
-        for (flow, cut) in [(1u32, REMOVED_AT), (0, QUARANTINED_AT)] {
-            let records = net.stats.trace(flow);
-            // Delivered: served at the last hop and landed before the cut
-            // (a delivery at the cut itself loses the tie to the command).
-            let expected = records.iter().filter(|r| r.end + LAST_PROP < cut).count() as u64;
-            let (delivered, latest) = &probes[flow as usize];
-            assert!(expected > 50, "flow {flow}: scenario too small");
-            assert_eq!(delivered.load(Ordering::Relaxed), expected, "flow {flow}");
-            assert!(f64::from_bits(latest.load(Ordering::Relaxed)) < cut);
-            // ... while service at the last hop went on past the cut: the
-            // discarded deliveries were real.
-            assert!(
-                records.iter().any(|r| r.end + LAST_PROP > cut),
-                "flow {flow}: nothing was in flight at the cut"
-            );
+    let probes: Vec<Rc<Cell<(u64, f64)>>> = (0..2).map(|_| Rc::default()).collect();
+    let mut net = tandem(&mut |net, flow, src, route| match flow {
+        0 | 1 => {
+            let probe = probes[flow as usize].clone();
+            let rate = if flow == 0 { 3e6 } else { 2e6 };
+            let inner = CbrSource::new(flow, PKT, rate, 0.0, 5.0);
+            net.add_route(flow, Counting { inner, probe }, route);
         }
-        (
-            probes[0].0.load(Ordering::Relaxed),
-            probes[1].0.load(Ordering::Relaxed),
-        )
-    };
-    assert_eq!(run(false), run(true));
+        _ => {
+            net.add_route(flow, src, route);
+        }
+    });
+    net.set_escalation_policy(EscalationPolicy {
+        quarantine_after: 1,
+        halt_after: u32::MAX,
+    });
+    net.run(QUARANTINED_AT);
+    net.strike(0);
+    net.run(HORIZON);
+    net.verify_conservation().unwrap();
+    for (flow, cut) in [(1u32, REMOVED_AT), (0, QUARANTINED_AT)] {
+        let records = net.stats.trace(flow);
+        // Delivered: served at the last hop and landed before the cut (a
+        // delivery at the cut itself loses the tie to the command).
+        let expected = records.iter().filter(|r| r.end + LAST_PROP < cut).count() as u64;
+        let (delivered, latest) = probes[flow as usize].get();
+        assert!(expected > 50, "flow {flow}: scenario too small");
+        assert_eq!(delivered, expected, "flow {flow}");
+        assert!(latest < cut);
+        // ... while service at the last hop went on past the cut: the
+        // discarded deliveries were real.
+        assert!(
+            records.iter().any(|r| r.end + LAST_PROP > cut),
+            "flow {flow}: nothing was in flight at the cut"
+        );
+    }
 }

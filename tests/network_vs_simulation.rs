@@ -396,3 +396,46 @@ fn faults_escalate_to_quarantine_at_every_hop() {
         assert!(net.stats.flow(50 + link).packets > 500);
     }
 }
+
+/// A hop with no propagation delay hands each finished packet to the next
+/// link at the instant it leaves the first: two links in tandem joined
+/// that way, each saturated by its own cross flow, run to the horizon and
+/// conserve bytes at every link.
+#[test]
+fn zero_propagation_delay_between_hops_runs_and_conserves_bytes() {
+    let kind = SchedulerKind::Wf2qPlus;
+    let mut net: Network<MixedScheduler> = Network::new();
+    let mut hops = Vec::new();
+    for _ in 0..2 {
+        let mut bld = Hierarchy::<MixedScheduler>::builder(10e6, move |r| kind.build(r));
+        let root = bld.root();
+        let leaf = bld.add_leaf(root, 0.5).unwrap();
+        let cross_leaf = bld.add_leaf(root, 0.5).unwrap();
+        let link = net.add_link(bld.build());
+        hops.push(Hop {
+            link,
+            leaf,
+            buffer_bytes: None,
+            prop_delay: 0.0,
+        });
+        let flow = 100 + link as u32;
+        net.add_route(
+            flow,
+            CbrSource::new(flow, PKT, 8e6, 0.0, 2.0),
+            Route::new(vec![Hop {
+                link,
+                leaf: cross_leaf,
+                buffer_bytes: None,
+                prop_delay: 0.0,
+            }]),
+        );
+    }
+    net.add_route(0, CbrSource::new(0, PKT, 4e6, 0.0, 2.0), Route::new(hops));
+    net.run(4.0);
+    net.verify_conservation().unwrap();
+    assert!(net.stats.flow(0).packets > 100, "the tandem flow ran");
+    for link in 0..2 {
+        let l = net.link_ledger(link);
+        assert!(l.packets_out > 0 && l.packets_in == l.packets_out, "{l:?}");
+    }
+}

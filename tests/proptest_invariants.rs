@@ -830,9 +830,9 @@ fn flow_map_agrees_with_btreemap() {
 }
 
 /// The same lockstep one level up, through the operations the engine and
-/// the shard split/merge actually perform on `SimStats`: first-touch
-/// creation by `record_*`, `extract_flow` / `seed_flow`, flow-ordered
-/// listing, and serialization that does not depend on insertion history.
+/// a restore perform on `SimStats`: first-touch creation by `record_*`,
+/// loss counters, flow-ordered listing, and serialization that does not
+/// depend on insertion history.
 #[test]
 fn sim_stats_flow_table_agrees_with_btreemap() {
     use std::collections::BTreeMap;
@@ -868,14 +868,19 @@ fn sim_stats_flow_table_agrees_with_btreemap() {
                     f.offered_packets += 1;
                     f.offered_bytes += 60;
                 }
-                2 => assert_eq!(stats.extract_flow(flow), oracle.remove(&flow)),
+                2 => {
+                    let pkt = hpfq::core::Packet::new(step, flow, 60, 0.0);
+                    stats.record_drop(&pkt);
+                    let f = oracle.entry(flow).or_default();
+                    f.drops += 1;
+                    f.drop_bytes += 60;
+                }
                 _ => {
-                    let seeded = FlowStats {
-                        drops: step,
-                        ..FlowStats::default()
-                    };
-                    stats.seed_flow(flow, seeded.clone());
-                    oracle.insert(flow, seeded);
+                    let pkt = hpfq::core::Packet::new(step, flow, 60, 0.0);
+                    stats.record_purge(&pkt);
+                    let f = oracle.entry(flow).or_default();
+                    f.purged_packets += 1;
+                    f.purged_bytes += 60;
                 }
             }
         }
@@ -884,22 +889,22 @@ fn sim_stats_flow_table_agrees_with_btreemap() {
             let want = oracle.get(&flow).cloned().unwrap_or_default();
             assert_eq!(stats.flow(flow), want, "case {case} flow {flow}");
         }
-        // Rebuilt in flow order from scratch, the collector serializes to
-        // the same bytes: layout history is not observable.
-        let mut rebuilt = SimStats::new();
-        for (flow, f) in &oracle {
-            rebuilt.seed_flow(*flow, f.clone());
-        }
-        rebuilt.total_bytes = stats.total_bytes;
-        rebuilt.total_packets = stats.total_packets;
-        rebuilt.last_departure = stats.last_departure;
-        assert_eq!(
-            stats.save_state().to_bytes(),
-            rebuilt.save_state().to_bytes(),
-            "case {case}"
-        );
+        // Reloaded — rebuilt in flow order from scratch — the collector
+        // serializes to the same bytes: layout history is not observable.
         let mut reloaded = SimStats::new();
         reloaded.load_state(&stats.save_state()).unwrap();
         assert_eq!(reloaded.flows(), stats.flows());
+        assert_eq!(
+            stats.save_state().to_bytes(),
+            reloaded.save_state().to_bytes(),
+            "case {case}"
+        );
+        for &flow in &pool {
+            assert_eq!(
+                reloaded.flow(flow),
+                stats.flow(flow),
+                "case {case} flow {flow}"
+            );
+        }
     }
 }

@@ -7,10 +7,10 @@
 //! ```
 //!
 //! on per-flow statistics, service records, link ledgers, and the JSONL
-//! trace. These tests pin that promise on the two reference scenarios the
-//! parallel-determinism oracle uses — the reduced Fig. 3 single-link
-//! workload (outage + finite buffer) and a 3-link tandem with cross
-//! traffic, a mid-run outage, and flow churn — in three restore modes:
+//! trace. These tests pin that promise on the two reference scenarios of
+//! `tests/common` — the reduced Fig. 3 single-link workload (outage +
+//! finite buffer) and a 3-link tandem with cross traffic, a mid-run
+//! outage, and flow churn — in three restore modes:
 //!
 //! * **no-op**: snapshotting mid-run and simply continuing must not
 //!   perturb the run (the queue is drained and rebuilt during capture);
@@ -223,27 +223,6 @@ fn tandem_rollback_and_resume_replay_byte_identically() {
         fresh.run(8.0);
         let resumed = artifacts(fresh, TANDEM_FLOWS, &[0]);
         assert_resumed_match(&golden, &resumed, &snap, &format!("tandem resume t={t}"));
-    }
-}
-
-#[test]
-fn tandem_resume_runs_parallel_byte_identically() {
-    let mut seq = tandem_net();
-    seq.run(8.0);
-    let golden = artifacts(seq, TANDEM_FLOWS, &[0]);
-
-    // Restore a mid-run checkpoint into a fresh network and finish the
-    // run *sharded*: the parallel tail must still be the golden tail.
-    for n in [1usize, 2, 4] {
-        let mut net = tandem_net();
-        net.run(2.5);
-        let snap = net.snapshot().unwrap();
-
-        let mut fresh = tandem_net();
-        fresh.restore(&snap).unwrap();
-        fresh.run_parallel(8.0, n);
-        let resumed = artifacts(fresh, TANDEM_FLOWS, &[0]);
-        assert_resumed_match(&golden, &resumed, &snap, &format!("tandem parallel n={n}"));
     }
 }
 

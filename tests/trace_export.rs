@@ -1,19 +1,18 @@
 //! Golden test for the Chrome trace-event (Perfetto) exporter on a real
-//! parallel run.
+//! multi-link run.
 //!
 //! A 3-link tandem (one flow crossing every link with a propagation delay,
-//! plus saturating single-hop cross traffic per link) runs under
-//! `run_parallel`, genuinely sharded. The per-link JSONL traces are merged
-//! into the canonical stream, parsed back into events, and rendered —
-//! together with the runtime's epoch log — as a `trace.json` document.
-//! The test pins the document's structure (valid balanced JSON, one track
-//! per link, tx slices, one track per shard with epoch slices) and its
-//! *byte determinism*: two identical runs must export identical bytes,
-//! because the timeline clock is simulation time, never wall clock.
+//! plus saturating single-hop cross traffic per link) runs to its horizon.
+//! The per-link JSONL traces are merged into the canonical stream, parsed
+//! back into events, and rendered as a `trace.json` document. The test
+//! pins the document's structure (valid balanced JSON, one track per link,
+//! tx slices) and its bytes: a committed digest, and two identical runs
+//! export identical bytes, because the timeline clock is simulation time,
+//! never wall clock.
 
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};
-use hpfq::obs::{chrome_trace, EpochSpan, JsonlObserver};
+use hpfq::obs::{chrome_trace, JsonlObserver};
 use hpfq::sim::{CbrSource, Hop, Network, Route};
 
 const LINKS: usize = 3;
@@ -21,13 +20,15 @@ const RATE: f64 = 10e6;
 const PKT: u32 = 1500;
 const PROP: f64 = 0.002;
 const HORIZON: f64 = 1.5;
-const SHARDS: usize = 3;
+
+/// FNV-1a of the exported document: byte for byte what the sharded
+/// runtime exported for this run, less its shard-epoch tracks (pid 2).
+const EXPORT_FNV1A: u64 = 0x5335_e5c8_fca7_22b8;
 
 type Obs = JsonlObserver<Vec<u8>>;
 
-/// 3-link tandem: flow 0 crosses every link (2 ms propagation per hop, so
-/// the conservative scheme gets real lookahead); flows 100..102 are
-/// single-hop cross traffic keeping each link busy.
+/// 3-link tandem: flow 0 crosses every link (2 ms propagation per hop);
+/// flows 100..102 are single-hop cross traffic keeping each link busy.
 fn tandem() -> Network<MixedScheduler, Obs> {
     let kind = SchedulerKind::Wf2qPlus;
     let mut net: Network<MixedScheduler, Obs> = Network::new();
@@ -65,22 +66,12 @@ fn tandem() -> Network<MixedScheduler, Obs> {
     net
 }
 
-/// One full pipeline pass: parallel run → merged trace → parsed events →
-/// chrome trace JSON. Returns the export plus the raw ingredients so the
-/// caller can assert on them.
-fn export() -> (String, usize, Vec<EpochSpan>) {
+/// One full pipeline pass: run → merged trace → parsed events → chrome
+/// trace JSON. Returns the export and the number of events rendered.
+fn export() -> (String, usize) {
     let mut net = tandem();
-    net.set_record_epochs(true);
-    let report = net.run_parallel(HORIZON, SHARDS);
-    assert_eq!(report.fallback, None, "tandem must genuinely shard");
-    assert_eq!(report.shards, SHARDS);
+    net.run(HORIZON);
     net.verify_conservation().unwrap();
-
-    let epochs: Vec<EpochSpan> = net.epoch_log().to_vec();
-    assert!(
-        !epochs.is_empty(),
-        "epoch recording was on but logged nothing"
-    );
 
     let bufs: Vec<String> = net
         .into_observers()
@@ -93,7 +84,13 @@ fn export() -> (String, usize, Vec<EpochSpan>) {
     assert_eq!(skipped, 0, "merged trace had unparseable lines");
     assert!(events.len() > 100, "trace too small to be meaningful");
 
-    (chrome_trace(&events, &epochs), events.len(), epochs)
+    (chrome_trace(&events), events.len())
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// Structural JSON check without an external parser: balanced braces and
@@ -126,8 +123,8 @@ fn assert_balanced_json(s: &str) {
 }
 
 #[test]
-fn tandem_parallel_run_exports_valid_chrome_trace() {
-    let (json, n_events, epochs) = export();
+fn tandem_run_exports_valid_chrome_trace() {
+    let (json, n_events) = export();
 
     assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
     assert!(json.ends_with("]}\n"));
@@ -145,37 +142,20 @@ fn tandem_parallel_run_exports_valid_chrome_trace() {
     assert!(json.contains("\"cat\":\"tx\",\"ph\":\"X\""), "no tx slices");
     // The tandem flow itself shows up on the timeline.
     assert!(json.contains("\"name\":\"tx f0\""), "tandem flow absent");
-
-    // Epoch slices land on per-shard tracks under the "shards" process.
-    assert!(json.contains("\"args\":{\"name\":\"shards\"}"), "{json}");
-    let shards_seen: std::collections::BTreeSet<usize> = epochs.iter().map(|e| e.shard).collect();
-    assert_eq!(shards_seen.len(), SHARDS, "epochs missing for some shard");
-    for shard in &shards_seen {
-        assert!(
-            json.contains(&format!("\"args\":{{\"name\":\"shard {shard}\"}}")),
-            "missing track for shard {shard}"
-        );
-    }
-    assert!(
-        json.contains("\"cat\":\"epoch\",\"ph\":\"X\",\"pid\":2"),
-        "no epoch slices"
-    );
-
-    // Every epoch is well-formed: windows ordered, work actually done.
-    // (Epoch `events` count engine events handled, not trace lines, so
-    // the only cross-check against the trace is non-triviality.)
-    let total_epoch_events: u64 = epochs.iter().map(|e| e.events).sum();
-    assert!(total_epoch_events > 0, "no events handled in any epoch");
+    // Links are the only process.
+    assert!(!json.contains("\"pid\":2"), "{json}");
     assert!(n_events > 100, "trace too small");
-    for e in &epochs {
-        assert!(e.t1 >= e.t0, "inverted epoch window {e:?}");
-        assert!(e.t1 <= HORIZON + 1e-9, "epoch past horizon {e:?}");
-    }
 }
 
 #[test]
 fn chrome_trace_export_is_byte_deterministic() {
-    let (a, _, _) = export();
-    let (b, _, _) = export();
+    let (a, _) = export();
+    let (b, _) = export();
     assert_eq!(a, b, "trace.json must be a pure function of the run");
+    assert_eq!(
+        fnv1a(a.as_bytes()),
+        EXPORT_FNV1A,
+        "{:016x}",
+        fnv1a(a.as_bytes())
+    );
 }
