@@ -3,7 +3,6 @@
 //! ```text
 //! chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] [--flight-dir DIR]
 //!            [--quarantine-demo] [--halt-demo]
-//!            [--snapshot PATH [--snapshot-at SECS]] [--resume PATH]
 //! ```
 //!
 //! Exits non-zero if [`hpfq_chaos::ChaosReport::assert_healthy`] finds any
@@ -13,17 +12,14 @@
 //! CI uploads. `--halt-demo` instead drives the escalation ladder to a
 //! halt on purpose and writes the dump the recorder emits at that moment
 //! (to `--flight-dir`, default the working directory).
-//! `--snapshot PATH` runs a multi-link chaos scenario (flaps, churn,
-//! drops, corruption, jitter) partway (to `--snapshot-at`, default half
-//! the horizon) and writes a byte-deterministic snapshot; `--resume PATH`
-//! restores such a snapshot and completes the run, checking the stitched
-//! run against an uninterrupted one.
 
+use std::ffi::OsString;
 use std::process::ExitCode;
 
-use hpfq_chaos::{
-    halt_scenario, quarantine_scenario, run_soak, soak_resume, soak_snapshot, ChaosConfig,
-};
+use hpfq_chaos::{halt_scenario, quarantine_scenario, run_soak, ChaosConfig};
+
+const USAGE: &str = "usage: chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] \
+                     [--flight-dir DIR] [--quarantine-demo] [--halt-demo]";
 
 struct Args {
     seed: u64,
@@ -32,12 +28,9 @@ struct Args {
     flight_dir: Option<String>,
     quarantine_demo: bool,
     halt_demo: bool,
-    snapshot: Option<String>,
-    snapshot_at: Option<f64>,
-    resume: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
     let mut args = Args {
         seed: 1,
         horizon: 30.0,
@@ -45,11 +38,12 @@ fn parse_args() -> Result<Args, String> {
         flight_dir: None,
         quarantine_demo: false,
         halt_demo: false,
-        snapshot: None,
-        snapshot_at: None,
-        resume: None,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv
+        .map(OsString::into_string)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|a| format!("argument {a:?} is not UTF-8\n{USAGE}"))?
+        .into_iter();
     while let Some(flag) = it.next() {
         let mut grab = |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
         match flag.as_str() {
@@ -68,24 +62,7 @@ fn parse_args() -> Result<Args, String> {
             "--flight-dir" => args.flight_dir = Some(grab("--flight-dir")?),
             "--quarantine-demo" => args.quarantine_demo = true,
             "--halt-demo" => args.halt_demo = true,
-            "--snapshot" => args.snapshot = Some(grab("--snapshot")?),
-            "--snapshot-at" => {
-                let v = grab("--snapshot-at")?;
-                let t: f64 = v.parse().map_err(|e| format!("--snapshot-at {v}: {e}"))?;
-                if !(t.is_finite() && t > 0.0) {
-                    return Err(format!("--snapshot-at {v}: must be finite and positive"));
-                }
-                args.snapshot_at = Some(t);
-            }
-            "--resume" => args.resume = Some(grab("--resume")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] \
-                     [--flight-dir DIR] [--quarantine-demo] [--halt-demo] \
-                     [--snapshot PATH [--snapshot-at SECS]] [--resume PATH]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
     }
@@ -93,72 +70,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args_os().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(path) = &args.snapshot {
-        let t = args.snapshot_at.unwrap_or(args.horizon / 2.0);
-        let bytes = match soak_snapshot(args.seed, args.horizon, t) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("snapshot failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = std::fs::write(path, &bytes) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "snapshot written: {path} ({} bytes, seed {}, t={t} of {} s)",
-            bytes.len(),
-            args.seed,
-            args.horizon
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(path) = &args.resume {
-        let bytes = match std::fs::read(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let out = match soak_resume(&bytes) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("resume failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let verdict = |r: &Result<(), String>, bad: &str| match r {
-            Ok(()) => "OK".to_string(),
-            Err(e) => format!("{bad}: {e}"),
-        };
-        println!(
-            "resumed soak ({path}): {} pkts / {} B served, halted {}, \
-             uninterrupted match {}, conservation {}",
-            out.served_packets,
-            out.served_bytes,
-            out.halted,
-            verdict(&out.matches_uninterrupted, "DIVERGED"),
-            verdict(&out.conservation, "BROKEN"),
-        );
-        return if out.healthy() {
-            println!("resume healthy: the stitched run reproduced the uninterrupted run");
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("resume UNHEALTHY");
-            ExitCode::FAILURE
-        };
-    }
 
     if args.halt_demo {
         let dir = args.flight_dir.as_deref().unwrap_or(".");

@@ -17,7 +17,6 @@
 use std::collections::BTreeMap;
 
 use hpfq_core::Packet;
-use hpfq_obs::snap::{refuse, SnapError, Value};
 use hpfq_sim::{FaultInjector, PacketVerdict, SmallRng};
 
 use crate::config::ChaosConfig;
@@ -67,46 +66,6 @@ impl ChaosInjector {
             wake_rng: SmallRng::seed_from_u64(seed ^ (u64::from(flow) << 20) ^ 0xC2B2),
             in_burst: false,
         })
-    }
-
-    fn flow_value(flow: u32, st: &FlowChaos) -> Value {
-        let rng = |r: &SmallRng| Value::List(r.state().iter().map(|&w| Value::U64(w)).collect());
-        Value::map(vec![
-            ("flow", Value::U64(u64::from(flow))),
-            ("pkt_rng", rng(&st.pkt_rng)),
-            ("wake_rng", rng(&st.wake_rng)),
-            ("in_burst", Value::Bool(st.in_burst)),
-        ])
-    }
-
-    /// Refuses a state no injector of this seed saved.
-    fn check_origin(&self, state: &Value) -> Result<(), SnapError> {
-        let (kind, seed) = (state.get("kind")?.as_str()?, state.get("seed")?.as_u64()?);
-        if (kind, seed) != ("chaos", self.cfg.seed) {
-            return Err(refuse(format!(
-                "a '{kind}' state for seed {seed} does not fit a chaos injector seeded {}",
-                self.cfg.seed
-            )));
-        }
-        Ok(())
-    }
-
-    fn flow_from_value(v: &Value) -> Result<(u32, FlowChaos), SnapError> {
-        let rng = |v: &Value| -> Result<SmallRng, SnapError> {
-            let [a, b, c, d] = v.items()? else {
-                return Err(refuse("an rng state is not four words"));
-            };
-            let words = [a.as_u64()?, b.as_u64()?, c.as_u64()?, d.as_u64()?];
-            Ok(SmallRng::from_state(words))
-        };
-        Ok((
-            v.get("flow")?.as_u32()?,
-            FlowChaos {
-                pkt_rng: rng(v.get("pkt_rng")?)?,
-                wake_rng: rng(v.get("wake_rng")?)?,
-                in_burst: v.get("in_burst")?.as_bool()?,
-            },
-        ))
     }
 }
 
@@ -170,44 +129,6 @@ impl FaultInjector for ChaosInjector {
         }
         self.jittered += 1;
         wake + off
-    }
-
-    /// Serializes the full injector state — per-flow RNG words,
-    /// Gilbert–Elliott channel states, fault counters — byte-exactly, so
-    /// a snapshot can restore the decision streams mid-run.
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("chaos".into())),
-            ("seed", Value::U64(self.cfg.seed)),
-            ("dropped", Value::U64(self.dropped)),
-            ("corrupted", Value::U64(self.corrupted)),
-            ("jittered", Value::U64(self.jittered)),
-            (
-                "flows",
-                Value::List(
-                    self.flows
-                        .iter()
-                        .map(|(&f, st)| Self::flow_value(f, st))
-                        .collect(),
-                ),
-            ),
-        ]))
-    }
-
-    /// Parses everything first: a refused state leaves the injector as it
-    /// was.
-    fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        self.check_origin(state)?;
-        let flows = state.get("flows")?.items()?;
-        let flows = flows
-            .iter()
-            .map(Self::flow_from_value)
-            .collect::<Result<_, _>>()?;
-        let [dropped, corrupted, jittered] =
-            ["dropped", "corrupted", "jittered"].map(|key| state.get(key)?.as_counter());
-        (self.dropped, self.corrupted, self.jittered) = (dropped?, corrupted?, jittered?);
-        self.flows = flows;
-        Ok(())
     }
 }
 
@@ -276,35 +197,6 @@ mod tests {
             }
         }
         assert!(seen > 50, "corruption rate too low to test ({seen})");
-    }
-
-    #[test]
-    fn save_load_resumes_streams_mid_run() {
-        let cfg = ChaosConfig::all_faults(13, 30.0);
-        let mut whole = ChaosInjector::new(cfg);
-        let mut halves = ChaosInjector::new(cfg);
-        let feed = |inj: &mut ChaosInjector, lo: u64, hi: u64| -> Vec<PacketVerdict> {
-            (lo..hi)
-                .flat_map(|i| {
-                    [1u32, 2].map(|flow| {
-                        let mut p = Packet::new(i, flow, 1000, 0.01 * i as f64);
-                        inj.on_packet(0.01 * i as f64, &mut p)
-                    })
-                })
-                .collect()
-        };
-        let mut expect = feed(&mut whole, 0, 400);
-        expect.extend(feed(&mut whole, 400, 800));
-        let mut got = feed(&mut halves, 0, 400);
-        // Checkpoint, scribble over the state, restore, continue.
-        let snap = halves.save_state().unwrap();
-        assert_eq!(snap, halves.save_state().unwrap(), "snapshot not stable");
-        let _ = feed(&mut halves, 400, 600);
-        halves.load_state(&snap).unwrap();
-        got.extend(feed(&mut halves, 400, 800));
-        assert_eq!(expect, got);
-        assert_eq!(whole.dropped, halves.dropped);
-        assert_eq!(whole.corrupted, halves.corrupted);
     }
 
     #[test]

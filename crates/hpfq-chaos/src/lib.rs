@@ -18,10 +18,7 @@
 //!   interleaving;
 //! * [`soak::run_soak`] — the differential harness: all seven scheduler
 //!   policies under the *same* fault schedule, checked for conservation,
-//!   invariant cleanliness, fault determinism, and post-recovery fairness;
-//! * [`soak::soak_snapshot`] / [`soak::soak_resume`] — a multi-link chaos
-//!   scenario checkpointed mid-run and resumed, checked byte-identical
-//!   against the uninterrupted run.
+//!   invariant cleanliness, fault determinism, and post-recovery fairness.
 //!
 //! Reproduce any failure from its seed: `cargo run -p hpfq-chaos --bin
 //! chaos-soak -- --seed N`.
@@ -41,7 +38,7 @@ pub use config::{
 pub use inject::ChaosInjector;
 pub use plan::{build_plan, ChaosPlan, CHURN_FLOW_BASE};
 pub use soak::{
-    build_soak_sim, halt_scenario, quarantine_scenario, run_soak, soak_resume, soak_snapshot,
-    ChaosReport, FlowLedger, HaltOutcome, QuarantineOutcome, ResumeOutcome, SoakRun, BASE_FLOWS,
-    FLIGHT_CAPACITY, LINK_BPS, UNFAIRNESS_BOUND,
+    build_soak_sim, halt_scenario, quarantine_scenario, run_soak, ChaosReport, FlowLedger,
+    HaltOutcome, QuarantineOutcome, SoakRun, BASE_FLOWS, FLIGHT_CAPACITY, LINK_BPS,
+    UNFAIRNESS_BOUND,
 };

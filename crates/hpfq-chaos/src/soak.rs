@@ -21,20 +21,12 @@
 //!   surviving backlogged base flow's normalized service (bytes over its
 //!   guaranteed rate) converges; FIFO, which offers no isolation, is
 //!   reported but not held to the bound.
-//!
-//! [`soak_snapshot`] / [`soak_resume`] take the checkpoint path through a
-//! seeded 3-link tandem under the same fault families: the stitched
-//! `prefix → snapshot → resume` run must end byte-identical to an
-//! uninterrupted one.
 
 use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
-use hpfq_obs::snap::Value;
 use hpfq_obs::{EscalationPolicy, FlightRecorder, InvariantKind, InvariantObserver, JsonlObserver};
-use hpfq_sim::{
-    CbrSource, Hop, Network, PeriodicOnOffSource, PoissonSource, Route, SimCommand, SmallRng,
-};
+use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
 use crate::inject::ChaosInjector;
@@ -523,228 +515,6 @@ pub fn halt_scenario(seed: u64, flight_path: &str) -> HaltOutcome {
     }
 }
 
-/// Links of the snapshot/resume scenario.
-const TANDEM_LINKS: usize = 3;
-/// Their nominal rate (10 Mbit/s — chaos flows fit comfortably, outages
-/// create real backlog).
-const TANDEM_LINK_BPS: f64 = 10e6;
-const TANDEM_PKT: u32 = 1500;
-/// Propagation delay between the tandem flow's hops.
-const TANDEM_PROP: f64 = 0.005;
-
-/// Flow ids of the snapshot/resume scenario: the tandem flow plus a CBR
-/// and a Poisson cross flow per link.
-fn tandem_flow_ids() -> Vec<u32> {
-    let mut ids = vec![0u32];
-    for li in 0..TANDEM_LINKS as u32 {
-        ids.push(100 + 2 * li);
-        ids.push(101 + 2 * li);
-    }
-    ids
-}
-
-/// The seeded snapshot/resume scenario: a flow crossing all
-/// [`TANDEM_LINKS`] links, two cross flows per link, two outage windows
-/// per link, a cross flow and then the tandem flow removed mid-run, and a
-/// [`ChaosInjector`] (drops, corruption, jitter) under the standard
-/// ladder. A resume rebuilds it from `seed` and `horizon`, so the command
-/// schedule is identical by construction.
-fn tandem_scenario(seed: u64, horizon: f64) -> Network<MixedScheduler> {
-    let kind = SchedulerKind::Wf2qPlus;
-    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0A5_CADE);
-    let mut net: Network<MixedScheduler> = Network::new();
-    let mut hops = Vec::new();
-    let buffer = |packets: u64| Some(packets * u64::from(TANDEM_PKT));
-    for li in 0..TANDEM_LINKS {
-        let mut bld = Hierarchy::<MixedScheduler>::builder(TANDEM_LINK_BPS, move |r| kind.build(r));
-        let root = bld.root();
-        let tandem = bld.add_leaf(root, 0.3).unwrap();
-        let cbr = bld.add_leaf(root, 0.4).unwrap();
-        let poisson = bld.add_leaf(root, 0.3).unwrap();
-        let link = net.add_link(bld.build());
-        hops.push(Hop {
-            link,
-            leaf: tandem,
-            buffer_bytes: buffer(64),
-            prop_delay: TANDEM_PROP,
-        });
-        let one_hop = |leaf| {
-            Route::new(vec![Hop {
-                link,
-                leaf,
-                buffer_bytes: buffer(32),
-                prop_delay: 0.0,
-            }])
-        };
-        let (f_cbr, f_poi) = (100 + 2 * li as u32, 101 + 2 * li as u32);
-        net.add_route(
-            f_cbr,
-            CbrSource::new(f_cbr, TANDEM_PKT, 3.5e6, 0.0, horizon),
-            one_hop(cbr),
-        );
-        let poi_seed = seed.wrapping_add(li as u64);
-        net.add_route(
-            f_poi,
-            PoissonSource::new(f_poi, TANDEM_PKT, 2.5e6, 0.0, horizon, poi_seed),
-            one_hop(poisson),
-        );
-    }
-    net.add_route(
-        0,
-        CbrSource::new(0, TANDEM_PKT, 2e6, 0.0, horizon),
-        Route::new(hops),
-    );
-    // Two outage windows per link, inside (10%, 85%) of the horizon so
-    // the tail is fault-free.
-    for link in 0..TANDEM_LINKS {
-        for _ in 0..2 {
-            let start = rng.gen_range_f64(0.10, 0.80) * horizon;
-            let dur = rng.gen_range_f64(0.01, 0.05) * horizon;
-            net.schedule_command(start, SimCommand::SetLinkRateOn { link, bps: 0.0 });
-            let bps = TANDEM_LINK_BPS;
-            net.schedule_command(start + dur, SimCommand::SetLinkRateOn { link, bps });
-        }
-    }
-    // Churn: one cross flow leaves mid-run, and the tandem flow — whose
-    // removal detaches a leaf at every hop — leaves late.
-    let departing = 100 + 2 * rng.gen_range_u32(0, TANDEM_LINKS as u32);
-    net.schedule_command(
-        rng.gen_range_f64(0.3, 0.5) * horizon,
-        SimCommand::RemoveFlow(departing),
-    );
-    net.schedule_command(
-        rng.gen_range_f64(0.6, 0.8) * horizon,
-        SimCommand::RemoveFlow(0),
-    );
-    // Data-plane chaos; link faults and churn are the commands above.
-    let mut cfg = ChaosConfig::all_faults(seed, horizon);
-    cfg.link.enabled = false;
-    cfg.churn.enabled = false;
-    net.set_fault_injector(ChaosInjector::new(cfg));
-    net.set_escalation_policy(EscalationPolicy::standard());
-    net
-}
-
-/// Every difference between two finished runs of the tandem scenario in
-/// per-flow statistics, per-link ledgers, totals, quarantine rosters or
-/// halt flags.
-fn tandem_differences(a: &Network<MixedScheduler>, b: &Network<MixedScheduler>) -> Vec<String> {
-    let mut out = Vec::new();
-    for flow in tandem_flow_ids() {
-        let (x, y) = (a.stats.flow(flow), b.stats.flow(flow));
-        if x != y {
-            out.push(format!("flow {flow}: {x:?} != {y:?}"));
-        }
-    }
-    for link in 0..TANDEM_LINKS {
-        let (x, y) = (a.link_ledger(link), b.link_ledger(link));
-        if x != y {
-            out.push(format!("link {link}: {x:?} != {y:?}"));
-        }
-    }
-    let totals = |n: &Network<MixedScheduler>| (n.stats.total_packets, n.stats.total_bytes);
-    if totals(a) != totals(b) {
-        out.push(format!("totals: {:?} != {:?}", totals(a), totals(b)));
-    }
-    let quarantined = |n: &Network<MixedScheduler>| n.escalation().quarantined_flows();
-    if quarantined(a) != quarantined(b) {
-        out.push(format!(
-            "quarantine: {:?} != {:?}",
-            quarantined(a),
-            quarantined(b)
-        ));
-    }
-    if a.is_halted() != b.is_halted() {
-        out.push(format!("halted: {} != {}", a.is_halted(), b.is_halted()));
-    }
-    out
-}
-
-/// What [`soak_resume`] observed.
-#[derive(Debug)]
-pub struct ResumeOutcome {
-    /// Packets the resumed run served in total.
-    pub served_packets: u64,
-    /// Bytes it served.
-    pub served_bytes: u64,
-    /// Whether it ended halted (it must agree with the uninterrupted run).
-    pub halted: bool,
-    /// `Ok` iff every per-flow stat, per-link ledger, quarantine roster and
-    /// halt flag matched the uninterrupted run exactly.
-    pub matches_uninterrupted: Result<(), String>,
-    /// End-of-run conservation audit of the resumed run.
-    pub conservation: Result<(), String>,
-}
-
-impl ResumeOutcome {
-    /// Whether the resumed run reproduced the uninterrupted one and
-    /// conserved bytes.
-    pub fn healthy(&self) -> bool {
-        self.matches_uninterrupted.is_ok() && self.conservation.is_ok()
-    }
-}
-
-/// Runs the seeded tandem scenario to `t` and serializes the full network
-/// state — hierarchies, event queue, ledgers, injector decision streams —
-/// as a byte-deterministic snapshot that [`soak_resume`] (or `hpfq-trace
-/// snapshots`) can pick up. `seed` and `horizon` are embedded so a resume
-/// can rebuild the same scenario.
-pub fn soak_snapshot(seed: u64, horizon: f64, t: f64) -> Result<Vec<u8>, String> {
-    if !(t > 0.0 && t < horizon) {
-        return Err(format!("snapshot time {t} outside (0, {horizon})"));
-    }
-    let mut net = tandem_scenario(seed, horizon);
-    net.run(t);
-    let state = net
-        .snapshot()
-        .map_err(|e| format!("snapshot failed: {e}"))?;
-    let envelope = Value::map(vec![
-        ("kind", Value::Str("chaos-soak".into())),
-        ("seed", Value::U64(seed)),
-        ("horizon", Value::F64(horizon)),
-        ("state", state),
-    ]);
-    Ok(envelope.to_bytes())
-}
-
-/// Restores a [`soak_snapshot`] into a freshly built scenario, completes
-/// the run, and checks the stitched `prefix → snapshot → resume` run
-/// against an uninterrupted run of the same seed — the end state must be
-/// byte-identical.
-pub fn soak_resume(snapshot: &[u8]) -> Result<ResumeOutcome, String> {
-    let text = std::str::from_utf8(snapshot).map_err(|e| format!("snapshot not UTF-8: {e}"))?;
-    let envelope =
-        hpfq_obs::snap::parse(text.trim_end()).map_err(|e| format!("unparseable snapshot: {e}"))?;
-    let field = |key: &str| envelope.get(key).map_err(|e| e.to_string());
-    let kind = field("kind")?.as_str().map_err(|e| e.to_string())?;
-    if kind != "chaos-soak" {
-        return Err(format!("not a chaos-soak snapshot (kind '{kind}')"));
-    }
-    let seed = field("seed")?.as_u64().map_err(|e| e.to_string())?;
-    let horizon = field("horizon")?.as_f64().map_err(|e| e.to_string())?;
-
-    let mut resumed = tandem_scenario(seed, horizon);
-    resumed
-        .restore(field("state")?)
-        .map_err(|e| format!("restore failed: {e}"))?;
-    resumed.run(horizon);
-    let mut whole = tandem_scenario(seed, horizon);
-    whole.run(horizon);
-
-    let differences = tandem_differences(&whole, &resumed);
-    Ok(ResumeOutcome {
-        served_packets: resumed.stats.total_packets,
-        served_bytes: resumed.stats.total_bytes,
-        halted: resumed.is_halted(),
-        matches_uninterrupted: if differences.is_empty() {
-            Ok(())
-        } else {
-            Err(differences.join("; "))
-        },
-        conservation: resumed.verify_conservation(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,17 +584,6 @@ mod tests {
         assert_eq!(summary.malformed, 0, "{summary:?}");
         assert_eq!(summary.flights, 1);
         assert!(summary.events > 0);
-    }
-
-    #[test]
-    fn soak_snapshot_resume_round_trip_is_byte_identical() {
-        let snap = soak_snapshot(9, 8.0, 3.0).unwrap();
-        // Snapshots are byte-deterministic: taking it twice gives the
-        // same artifact.
-        assert_eq!(snap, soak_snapshot(9, 8.0, 3.0).unwrap());
-        let out = soak_resume(&snap).unwrap();
-        assert!(out.healthy(), "{out:?}");
-        assert!(out.served_packets > 1000, "{out:?}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::scheduler::SessionId;
 /// `(primary, secondary, id)` order: the PIFO equivalence suite drives them
 /// on the same schedules and requires byte-identical dispatch sequences.
 pub trait PifoBackend: std::fmt::Debug + Clone + Default {
-    /// Short structure name for snapshots and diagnostics.
+    /// Short structure name for diagnostics.
     fn backend_name(&self) -> &'static str;
 
     /// Pre-sizes any per-session arrays for ids `< n` (the driver registers
@@ -72,8 +72,10 @@ pub trait PifoBackend: std::fmt::Debug + Clone + Default {
     fn pop_eligible(&mut self, thr: f64) -> Option<SessionId>;
 
     /// Live membership as re-insertable `(id, elig, primary, secondary)`
-    /// ranks, replayable through [`PifoBackend::insert_ranked`]. Must be a
-    /// deterministic function of the live membership (snapshot stability).
+    /// ranks, replayable through [`PifoBackend::insert_ranked`], in a
+    /// deterministic order. Nothing in the workspace calls it: it stays
+    /// only because `benchmark/src/replay.rs` forwards it, and leaves with
+    /// [`PifoBackend::ensure_sessions`] (ROADMAP item 4(b)).
     fn members_in_order(&self) -> Vec<(SessionId, Option<f64>, f64, f64)>;
 
     /// Number of members.

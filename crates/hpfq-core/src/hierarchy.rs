@@ -28,7 +28,7 @@
 //! [`NodeId`]s stay what callers have always seen: dense, in creation
 //! order, leaves and internal nodes interleaved as they were added. A table
 //! maps each id to its record, two more map records back to ids for the
-//! [`Observer`] events and the snapshot, and the shares (`rate`, `phi`, the
+//! [`Observer`] events, and the shares (`rate`, `phi`, the
 //! allocated sum), which no per-packet path reads, sit in a side table
 //! indexed by id. Ids are translated once where a call enters; everything
 //! inside works on indices.
@@ -70,8 +70,6 @@ use hpfq_obs::{
     BacklogEvent, BusyResetEvent, DispatchEvent, EnqueueEvent, NoopObserver, Observer, PacketInfo,
     TxEvent,
 };
-
-use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::error::HpfqError;
 use crate::packet::Packet;
@@ -1250,356 +1248,12 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     pub fn allocated_share(&self, node: NodeId) -> f64 {
         self.shares[node.0].child_phi_sum
     }
-
-    // ----- snapshots (DESIGN.md §12) ----------------------------------------
-
-    /// Serializes the hierarchy's complete mutable state — tree structure,
-    /// leaf FIFOs, per-node scheduler states, the in-flight path, and the
-    /// warped-clock anchors — for a snapshot, as one record per
-    /// [`NodeId`] in id order. The attached observer is *not* included;
-    /// drivers checkpoint it separately via [`Observer::mark`].
-    pub fn save_state(&self) -> Value {
-        Value::map(vec![
-            ("transmitting", Value::Bool(self.transmitting)),
-            ("busy_start", Value::F64(self.busy_start)),
-            ("warp_base", Value::F64(self.warp_base)),
-            ("warp_time", Value::F64(self.warp_time)),
-            ("warp_factor", Value::F64(self.warp_factor)),
-            ("last_time", Value::F64(self.last_time)),
-            ("link", Value::U64(self.link as u64)),
-            (
-                "nodes",
-                Value::List((0..self.refs.len()).map(|id| self.save_node(id)).collect()),
-            ),
-        ])
-    }
-
-    /// Serializes node `id` (children are rebuilt from the parent links on
-    /// load, so they are not stored). Every reference is written as a
-    /// [`NodeId`], and both kinds of node write the same fields.
-    fn save_node(&self, id: usize) -> Value {
-        let r = self.refs[id];
-        let (p, slot) = self.parent_slot(r);
-        let parent = match p {
-            NIL => Value::Null,
-            p => Value::List(vec![
-                Value::U64(u64::from(self.inner_ids[p as usize])),
-                Value::U64(u64::from(slot)),
-            ]),
-        };
-        let head = match self.head_of(r) {
-            Some((leaf, bits)) => Value::List(vec![
-                Value::U64(u64::from(self.leaf_ids[leaf as usize])),
-                Value::F64(bits),
-            ]),
-            None => Value::Null,
-        };
-        let share = self.shares[id];
-        let (active_child, fifo, detached, draining, sched) = match r.place() {
-            Place::Leaf(l) => {
-                let lf = &self.leaves[l];
-                (
-                    Value::Null,
-                    self.slab.iter(&lf.fifo).map(Packet::save).collect(),
-                    lf.detached,
-                    lf.draining,
-                    Value::Null,
-                )
-            }
-            Place::Inner(n) => {
-                let nd = &self.inners[n];
-                let active_child = match nd.active_child {
-                    Ref::NONE => Value::Null,
-                    c => Value::U64(self.id_of(c) as u64),
-                };
-                (
-                    active_child,
-                    Vec::new(),
-                    nd.detached,
-                    false,
-                    nd.sched.save_state(),
-                )
-            }
-        };
-        Value::map(vec![
-            ("parent", parent),
-            ("rate", Value::F64(share.rate)),
-            ("phi", Value::F64(share.phi)),
-            ("child_phi_sum", Value::F64(share.child_phi_sum)),
-            ("head", head),
-            ("active_child", active_child),
-            ("fifo", Value::List(fifo)),
-            ("is_leaf", Value::Bool(r.is_leaf())),
-            ("detached", Value::Bool(detached)),
-            ("draining", Value::Bool(draining)),
-            ("sched", sched),
-        ])
-    }
-
-    /// Puts a state [`Hierarchy::parse_state`] accepted in place of this
-    /// tree's. Nothing here can fail: the parse checked everything that
-    /// could.
-    pub fn install_state(&mut self, state: HierarchyState<S>) {
-        let s = state.0;
-        (self.leaves, self.slab, self.inners, self.refs) = (s.leaves, s.slab, s.inners, s.refs);
-        (self.shares, self.leaf_ids, self.wants_hints) = (s.shares, s.leaf_ids, s.wants_hints);
-        (self.transmitting, self.busy_start, self.link) = (s.transmitting, s.busy_start, s.link);
-        (self.warp_base, self.warp_time) = (s.warp_base, s.warp_time);
-        (self.warp_factor, self.last_time) = (s.warp_factor, s.last_time);
-        self.path_scratch.clear();
-    }
-
-    /// The one check of a parsed snapshot (see [`Hierarchy::parse_state`]):
-    /// every logical head is what RESTART-NODE, RESET-PATH and the link
-    /// will find there. A leaf offers exactly the front of its queue; a
-    /// node offers the head of the child it adopted, one of its own; a
-    /// transmission in progress has a path from the root. Anything else
-    /// would index out of bounds or pop an empty queue at the next dispatch.
-    fn validate(&self) -> Result<(), SnapError> {
-        for (l, lf) in self.leaves.iter().enumerate() {
-            if self.slab.front(&lf.fifo).map(Packet::bits) != lf.offering.then_some(lf.head_bits) {
-                return Err(refuse(format!(
-                    "leaf {}: its head is not the front of its queue",
-                    self.leaf_ids[l]
-                )));
-            }
-        }
-        for (n, nd) in self.inners.iter().enumerate() {
-            let head = (nd.head_leaf != NIL).then_some((nd.head_leaf, nd.head_bits));
-            let adopted = match nd.active_child {
-                Ref::NONE => None,
-                c if self.parent_slot(c).0 == n as u32 => self.head_of(c),
-                _ => None,
-            };
-            if adopted != head || head.is_some() != (nd.active_child != Ref::NONE) {
-                return Err(refuse(format!(
-                    "node {}: its head is not the one its active child offers",
-                    self.inner_ids[n]
-                )));
-            }
-        }
-        if self.transmitting && self.inners[0].head_leaf == NIL {
-            return Err(refuse(
-                "a transmission is in progress but the root offers no head",
-            ));
-        }
-        if !is_rate_factor(self.warp_factor) {
-            return Err(refuse(format!("link rate factor {}", self.warp_factor)));
-        }
-        Ok(())
-    }
-}
-
-impl<S: NodeScheduler + Clone, O: Observer> Hierarchy<S, O> {
-    /// Restores state captured by [`Hierarchy::save_state`]:
-    /// [`Hierarchy::parse_state`], then [`Hierarchy::install_state`]. A
-    /// refused snapshot leaves the hierarchy as it was.
-    pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let parsed = self.parse_state(state)?;
-        self.install_state(parsed);
-        Ok(())
-    }
-
-    /// Parses a state captured by [`Hierarchy::save_state`] for this
-    /// hierarchy, which must be *built with the same topology* (same
-    /// builder calls, same scheduler configurations). Only leaves may
-    /// differ: snapshot leaves beyond the rebuilt tree — attached by churn
-    /// after the build — are re-created, and trailing leaves this tree has
-    /// beyond the snapshot — churn after the checkpoint — are dropped (the
-    /// rollback path of a checkpoint restore). A churn-added *internal*
-    /// node cannot be re-created (its scheduler factory is gone by then).
-    /// Share accounting is taken verbatim.
-    ///
-    /// The snapshot is untrusted input. It is parsed into scratch node
-    /// arrays and a fresh packet slab, each node's scheduler loads into a
-    /// clone of this tree's, and one `validate` pass checks the heads. Nothing of `self` is written: [`Hierarchy::install_state`]
-    /// does that.
-    pub fn parse_state(&self, state: &Value) -> Result<HierarchyState<S>, SnapError> {
-        let nodes = state.get("nodes")?.items()?;
-        let mut h = Hierarchy {
-            leaves: Vec::new(),
-            slab: PacketSlab::new(),
-            inners: Vec::with_capacity(self.inners.len()),
-            refs: Vec::with_capacity(nodes.len()),
-            shares: Vec::with_capacity(nodes.len()),
-            leaf_ids: Vec::new(),
-            inner_ids: Vec::with_capacity(self.inners.len()),
-            wants_hints: false,
-            transmitting: state.get("transmitting")?.as_bool()?,
-            busy_start: state.get_finite("busy_start")?,
-            warp_base: state.get_finite("warp_base")?,
-            warp_time: state.get_finite("warp_time")?,
-            warp_factor: state.get("warp_factor")?.as_f64()?,
-            obs: NoopObserver,
-            last_time: state.get_finite("last_time")?,
-            link: state.get("link")?.as_usize()?,
-            path_scratch: Vec::new(),
-        };
-        // Ids are dense in creation order, so which nodes are leaves says
-        // where every record lives.
-        for (i, nv) in nodes.iter().enumerate() {
-            let is_leaf = nv.get("is_leaf")?.as_bool()?;
-            let live = self.refs.get(i);
-            if live.map_or(!is_leaf, |r| r.is_leaf() != is_leaf) {
-                return Err(refuse(format!(
-                    "snapshot node {i} does not match the rebuilt hierarchy; only churn-added \
-                     leaves can differ"
-                )));
-            }
-            let (ids, at): (_, fn(usize) -> Ref) = match is_leaf {
-                true => (&mut h.leaf_ids, Ref::leaf),
-                false => (&mut h.inner_ids, Ref::inner),
-            };
-            h.refs.push(at(ids.len()));
-            ids.push(i as u32);
-        }
-        if h.inner_ids != self.inner_ids {
-            return Err(refuse(
-                "the rebuilt hierarchy has internal nodes the snapshot lacks",
-            ));
-        }
-        let mut scheds = Vec::with_capacity(self.inners.len());
-        for (i, nv) in nodes.iter().enumerate() {
-            // The root, or a child of an earlier internal node in its next
-            // session slot — and, for a node this tree has, its link.
-            let parent = match load_parent(nv.get("parent")?)? {
-                None if i == 0 => Some((NIL, 0)),
-                Some((p, slot)) if p < i => match h.refs[p].place() {
-                    Place::Inner(p) if slot == h.inners[p].children.len() => {
-                        Some((p as u32, slot as u32))
-                    }
-                    _ => None,
-                },
-                _ => None,
-            };
-            let live = self.refs.get(i).map(|&live| self.parent_slot(live));
-            let Some((p, slot)) = parent.filter(|&link| live.is_none_or(|live| live == link))
-            else {
-                return Err(refuse(format!(
-                    "snapshot node {i} does not match the rebuilt hierarchy's topology"
-                )));
-            };
-            let r = h.refs[i];
-            if p != NIL {
-                h.inners[p as usize].children.push(r);
-            }
-            h.shares.push(Share {
-                rate: nv.get("rate")?.as_f64()?,
-                phi: nv.get("phi")?.as_f64()?,
-                child_phi_sum: nv.get("child_phi_sum")?.as_f64()?,
-            });
-            let head = match nv.get("head")? {
-                hv if hv.is_null() => None,
-                hv => match hv.items()? {
-                    [leaf, bits] => match h.refs.get(leaf.as_usize()?).map(|r| r.place()) {
-                        Some(Place::Leaf(l)) => Some((l as u32, bits.as_f64()?)),
-                        _ => return Err(refuse(format!("node {i}: its head is not a leaf"))),
-                    },
-                    _ => return Err(refuse("malformed head record")),
-                },
-            };
-            let active_child = match nv.get("active_child")? {
-                av if av.is_null() => Ref::NONE,
-                av => *h
-                    .refs
-                    .get(av.as_usize()?)
-                    .ok_or_else(|| refuse(format!("node {i}: active_child is not a node")))?,
-            };
-            let (sched, detached) = (nv.get("sched")?, nv.get("detached")?.as_bool()?);
-            match r.place() {
-                Place::Leaf(l) => {
-                    if !sched.is_null()
-                        || active_child != Ref::NONE
-                        || head.is_some_and(|(leaf, _)| leaf as usize != l)
-                    {
-                        return Err(refuse(format!(
-                            "leaf {i}: scheduler state, an active child or another leaf's head"
-                        )));
-                    }
-                    let mut lf = Leaf::new(p, slot);
-                    for pv in nv.get("fifo")?.items()? {
-                        let pkt = Packet::load(pv)?;
-                        pkt.validate()
-                            .map_err(|e| refuse(format!("leaf {i}: {e}")))?;
-                        lf.fifo_bytes += u64::from(pkt.len_bytes);
-                        h.slab.push_back(&mut lf.fifo, pkt);
-                    }
-                    (lf.offering, lf.head_bits) = head.map_or((false, 0.0), |(_, b)| (true, b));
-                    (lf.detached, lf.draining) = (detached, nv.get("draining")?.as_bool()?);
-                    h.leaves.push(lf);
-                }
-                Place::Inner(n) => {
-                    let mut nd = Inner::new(self.inners[n].sched.clone(), p, slot);
-                    (nd.head_leaf, nd.head_bits) = head.unwrap_or((NIL, 0.0));
-                    (nd.active_child, nd.detached) = (active_child, detached);
-                    h.inners.push(nd);
-                    scheds.push(sched);
-                }
-            }
-        }
-        h.validate()?;
-        // Each scheduler serves one session per child, of the child's share,
-        // backlogged for exactly as many children as offer a head.
-        for (n, sched) in scheds.into_iter().enumerate() {
-            let id = h.inner_ids[n];
-            let sessions = h.inners[n].children.len();
-            h.inners[n]
-                .sched
-                .load_state(sched, sessions)
-                .map_err(|e| refuse(format!("node {id}: {}", e.what)))?;
-            let nd = &h.inners[n];
-            let offering = nd
-                .children
-                .iter()
-                .filter(|&&c| h.head_of(c).is_some())
-                .count();
-            let share = |(slot, &c): (usize, &Ref)| {
-                nd.sched.phi(SessionId(slot)).to_bits() == h.shares[h.id_of(c)].phi.to_bits()
-            };
-            if nd.sched.backlogged() != offering || !nd.children.iter().enumerate().all(share) {
-                return Err(refuse(format!(
-                    "node {id}: {} sessions backlogged for {offering} children offering a \
-                     head, or a session's share is not its child's",
-                    nd.sched.backlogged()
-                )));
-            }
-            h.wants_hints |= nd.sched.wants_arrival_hints();
-        }
-        Ok(HierarchyState(h))
-    }
-}
-
-/// A hierarchy snapshot parsed and checked by [`Hierarchy::parse_state`],
-/// ready for [`Hierarchy::install_state`].
-#[derive(Debug)]
-pub struct HierarchyState<S: NodeScheduler>(Hierarchy<S>);
-
-impl<S: NodeScheduler> HierarchyState<S> {
-    /// Whether `node` is a leaf of the parsed tree (a node id it does not
-    /// have is not).
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.0.refs.get(node.0).is_some_and(|r| r.is_leaf())
-    }
 }
 
 /// What [`Hierarchy::set_link_rate_factor`] accepts: a finite factor, at
 /// least 0.
 fn is_rate_factor(factor: f64) -> bool {
     factor.is_finite() && factor >= 0.0
-}
-
-/// Restores a `parent` record: `null` or `[parent index, session slot]`.
-fn load_parent(v: &Value) -> Result<Option<(usize, usize)>, SnapError> {
-    if v.is_null() {
-        return Ok(None);
-    }
-    match v.items()? {
-        [p, slot] => Ok(Some((p.as_usize()?, slot.as_usize()?))),
-        items => Err(refuse(format!(
-            "parent record has {} fields, expected 2",
-            items.len()
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -1754,55 +1408,6 @@ mod tests {
             served[p.flow as usize].push(p.id);
         }
         assert_eq!(served, sent);
-    }
-
-    /// Loading a snapshot over a hierarchy that holds packets drops them:
-    /// the slab ends up with the snapshot's packets and nothing else, and
-    /// loading again and again never grows it.
-    #[test]
-    fn load_state_over_a_backlogged_hierarchy_leaks_no_packet_slots() {
-        let build = || {
-            let mut h = wf2qp(1000.0);
-            let root = h.root();
-            let a = h.add_leaf(root, 0.4).unwrap();
-            let b = h.add_leaf(root, 0.4).unwrap();
-            (h, a, b)
-        };
-        let (mut h, a, b) = build();
-        for i in 0..3 {
-            h.enqueue(a, pkt(i, 0));
-            h.enqueue(b, pkt(10 + i, 1));
-        }
-        h.start_transmission().unwrap();
-        let snap = h.save_state();
-        // Run on: a deeper backlog, and a backlogged leaf the snapshot does
-        // not have (the restore discards it, queue and all).
-        let c = h.add_leaf(h.root(), 0.2).unwrap();
-        for i in 0..10 {
-            h.enqueue(a, pkt(100 + i, 0));
-            h.enqueue(c, pkt(200 + i, 2));
-        }
-        h.complete_transmission();
-        assert_eq!(h.packet_slots(), 26);
-        for _ in 0..3 {
-            h.load_state(&snap).unwrap();
-            assert_eq!(h.packet_slots(), 6);
-            assert_eq!((h.leaf_queue_len(a), h.leaf_queue_len(b)), (3, 3));
-            assert_eq!(h.save_state().to_bytes(), snap.to_bytes());
-        }
-        // It serves what the snapshot held, and reuses the slots it frees.
-        h.complete_transmission();
-        h.enqueue(b, pkt(50, 1));
-        assert_eq!(h.packet_slots(), 6);
-        let ids: Vec<u64> = std::iter::from_fn(|| h.dequeue()).map(|p| p.id).collect();
-        assert_eq!(ids.len(), 6);
-        let of = |flow: &[u64]| ids.iter().filter(|i| flow.contains(i)).copied().collect();
-        let (got_a, got_b): (Vec<u64>, Vec<u64>) = (of(&[1, 2]), of(&[10, 11, 12, 50]));
-        assert_eq!((got_a, got_b), (vec![1, 2], vec![10, 11, 12, 50]));
-        // A fresh hierarchy takes the same snapshot into an empty slab.
-        let (mut fresh, ..) = build();
-        fresh.load_state(&snap).unwrap();
-        assert_eq!(fresh.packet_slots(), 6);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use hpfq_obs::vtime;
 pub use eligible::{dual_heap::DualHeapEligibleSet, PifoBackend};
 pub use error::HpfqError;
 pub use gps_clock::GpsClock;
-pub use hierarchy::{Hierarchy, HierarchyBuilder, HierarchyState, NodeId};
+pub use hierarchy::{Hierarchy, HierarchyBuilder, NodeId};
 pub use mixed::{MixedScheduler, SchedulerKind};
 pub use packet::Packet;
 pub use pifo::{Admission, PifoTree, Rank, RankProgram, Threshold};

@@ -9,8 +9,6 @@
 //!   leaves inside a best-effort class) build a
 //!   `Hierarchy<MixedScheduler>` and choose a kind per node.
 
-use hpfq_obs::snap::{refuse, SnapError, Value};
-
 use crate::pifo::rank::{
     DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
 };
@@ -194,24 +192,6 @@ impl NodeScheduler for MixedScheduler {
 
     fn set_is_root(&mut self, is_root: bool) {
         dispatch!(self, s => s.set_is_root(is_root))
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![
-            ("kind", Value::Str(self.name().to_string())),
-            ("state", dispatch!(self, s => s.save_state())),
-        ])
-    }
-
-    fn load_state(&mut self, state: &Value, sessions: usize) -> Result<(), SnapError> {
-        let kind = state.get("kind")?.as_str()?;
-        if kind != self.name() {
-            return Err(refuse(format!(
-                "scheduler kind mismatch: snapshot '{kind}', configured '{}'",
-                self.name()
-            )));
-        }
-        dispatch!(self, s => s.load_state(state.get("state")?, sessions))
     }
 }
 

@@ -1,8 +1,6 @@
 //! The packet type shared by the schedulers, the hierarchy, and the
 //! discrete-event simulator.
 
-use hpfq_obs::snap::{refuse, SnapError, Value};
-
 use crate::error::HpfqError;
 
 /// Largest packet length the admission path accepts, in bytes (16 MiB —
@@ -81,35 +79,6 @@ impl Packet {
             return Err(fail("non-finite birth time"));
         }
         Ok(())
-    }
-
-    /// Serializes for a snapshot, as a fixed-arity list
-    /// `[id, flow, len_bytes, birth, arrival]` — packets dominate snapshot
-    /// volume, so the compact form matters.
-    pub fn save(&self) -> Value {
-        Value::List(vec![
-            Value::U64(self.id),
-            Value::U64(u64::from(self.flow)),
-            Value::U64(u64::from(self.len_bytes)),
-            Value::F64(self.birth),
-            Value::F64(self.arrival),
-        ])
-    }
-
-    /// Restores a packet saved by [`Packet::save`].
-    pub fn load(v: &Value) -> Result<Packet, SnapError> {
-        let items = v.items()?;
-        let [id, flow, len_bytes, birth, arrival] = items else {
-            let n = items.len();
-            return Err(refuse(format!("packet record has {n} fields, expected 5")));
-        };
-        Ok(Packet {
-            id: id.as_u64()?,
-            flow: flow.as_u32()?,
-            len_bytes: len_bytes.as_u32()?,
-            birth: birth.as_f64()?,
-            arrival: arrival.as_f64()?,
-        })
     }
 }
 

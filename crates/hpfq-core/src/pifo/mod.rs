@@ -8,7 +8,7 @@
 //! module is that reduction for the H-PFQ node schedulers:
 //!
 //! * [`PifoTree`] is a [`NodeScheduler`] implementing the driving contract
-//!   (backlog / select / requeue / busy-period reset / checkpointing)
+//!   (backlog / select / requeue / busy-period reset)
 //!   exactly once, over the crate's one optimized priority structure — the
 //!   dual-heap eligible set ([`DualHeapEligibleSet`]).
 //! * [`RankProgram`] is the pluggable policy: it stamps ranks on backlog
@@ -45,8 +45,6 @@
 //! debug-asserts that internal nodes never receive `Some`.
 
 pub mod rank;
-
-use hpfq_obs::snap::{refuse, SnapError, Value};
 
 use crate::eligible::dual_heap::DualHeapEligibleSet;
 use crate::eligible::PifoBackend;
@@ -155,8 +153,7 @@ pub trait RankProgram {
     const WANTS_HINTS: bool = true;
 
     /// The smallest share this program serves a session at.
-    /// [`PifoTree::add_session`](NodeScheduler::add_session) asserts it,
-    /// [`PifoTree`] refuses a snapshot whose session table is below it, and
+    /// [`PifoTree::add_session`](NodeScheduler::add_session) asserts it, and
     /// [`crate::Hierarchy`] refuses such a child with
     /// [`crate::HpfqError::InvalidShare`]. The default bounds nothing.
     const MIN_SHARE: f64 = 0.0;
@@ -249,51 +246,6 @@ pub trait RankProgram {
     /// policy without a virtual clock of its own (FIFO, DRR, priority, …).
     fn virtual_time(&self, ref_time: f64) -> f64 {
         ref_time
-    }
-
-    /// Serializes program state for a snapshot (the driver saves
-    /// the session table, reference time, and in-service marker itself).
-    /// The default returns [`Value::Null`] for stateless programs.
-    fn save_state(&self) -> Value {
-        Value::Null
-    }
-
-    /// Restores state saved by [`RankProgram::save_state`]. `sessions` is
-    /// the session table the [`PifoTree`] is about to install, for
-    /// validation.
-    /// The state is untrusted input: a refusal leaves `self` as it was.
-    /// The default accepts only [`Value::Null`].
-    fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        let _ = sessions;
-        if state.is_null() {
-            Ok(())
-        } else {
-            Err(refuse(format!(
-                "rank program '{}' does not support load_state",
-                self.name()
-            )))
-        }
-    }
-
-    /// For a [`RankProgram::MONOTONE_RANKS`] program: the primary key of
-    /// the next fresh rank a saved `state` would hand out. A queue
-    /// restored beside that state must hold only smaller ranks, or the
-    /// next offer would land out of order on the ring; [`PifoTree`]
-    /// refuses the pair. The default bounds nothing.
-    fn next_fresh_rank(state: &Value) -> Result<f64, SnapError> {
-        let _ = state;
-        Ok(f64::INFINITY)
-    }
-
-    /// For a [`RankProgram::MONOTONE_RANKS`] program: the primary key a
-    /// saved `state` would re-offer in-service session `id` at, if its
-    /// continuation can keep an old rank (DRR's in-deficit turn). That rank
-    /// goes to the ring's front, so [`PifoTree`] refuses the pair unless
-    /// every queued rank and the next fresh one lie above it. The default
-    /// re-offers nothing.
-    fn reoffered_rank(state: &Value, id: SessionId) -> Result<f64, SnapError> {
-        let _ = (state, id);
-        Ok(f64::NEG_INFINITY)
     }
 }
 
@@ -560,128 +512,6 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
     fn set_is_root(&mut self, is_root: bool) {
         self.is_root = is_root;
     }
-
-    fn save_state(&self) -> Value {
-        // The priority structure is saved verbatim (in rank order) and
-        // replayed on load, so programs persist no queue-shadowing state
-        // and restore needs no rank recomputation.
-        Value::map(vec![
-            ("backend", Value::Str("pifo".to_string())),
-            ("rate", Value::F64(self.rate)),
-            ("t", Value::F64(self.t)),
-            (
-                "in_service",
-                Value::opt(self.in_service.map(|id| Value::U64(id.0 as u64))),
-            ),
-            ("sessions", self.sessions.save()),
-            (
-                "queue",
-                Value::List(
-                    self.queue
-                        .members_in_order()
-                        .into_iter()
-                        .map(|(id, elig, primary, secondary)| {
-                            Value::map(vec![
-                                ("id", Value::U64(id.0 as u64)),
-                                ("elig", Value::opt(elig.map(Value::F64))),
-                                ("primary", Value::F64(primary)),
-                                ("secondary", Value::F64(secondary)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("program", self.program.save_state()),
-        ])
-    }
-
-    /// Parses the session table and the queue into locals, checking them
-    /// against each other, and loads the program last: nothing is written
-    /// before its refusal could come.
-    fn load_state(&mut self, state: &Value, sessions: usize) -> Result<(), SnapError> {
-        let backend = state.get("backend")?.as_str()?;
-        let rate = state.get("rate")?.as_f64()?;
-        if backend != "pifo" || rate.to_bits() != self.rate.to_bits() {
-            return Err(refuse(format!(
-                "a '{backend}' scheduler at {rate} b/s does not load into a pifo one at {} b/s",
-                self.rate
-            )));
-        }
-        let table = SessionTable::load(state.get("sessions")?, self.rate)?;
-        let t = state.get_finite("t")?;
-        let in_service = match state.get("in_service")? {
-            v if v.is_null() => None,
-            v => Some(SessionId(v.as_usize()?)),
-        };
-        if table.len() != sessions
-            || t < 0.0
-            || in_service.is_some_and(|id| id.0 >= sessions || !table.is_backlogged(id))
-            || table.shares().iter().any(|&phi| phi < P::MIN_SHARE)
-        {
-            return Err(refuse(format!(
-                "{} sessions for {sessions} children, reference time {t}, in service {in_service:?}",
-                table.len()
-            )));
-        }
-        // Queued: every backlogged session but the one in service, once,
-        // under a finite rank — and, for a program promising monotone
-        // ranks, open and in increasing order, or its pops would never see
-        // them.
-        let mut queue = Q::default();
-        queue.ensure_sessions(sessions);
-        let mut seen = vec![false; sessions];
-        let program = state.get("program")?;
-        // An in-service session's continuation may re-offer its old rank at
-        // the ring's front: every queued rank, ties included, and the next
-        // fresh one must lie above it.
-        let mut last = match in_service {
-            Some(id) if P::MONOTONE_RANKS => {
-                Some((P::reoffered_rank(program, id)?, f64::INFINITY, usize::MAX))
-            }
-            _ => None,
-        };
-        for mv in state.get("queue")?.items()? {
-            let id = mv.get("id")?.as_usize()?;
-            let ev = mv.get("elig")?;
-            let elig = if ev.is_null() {
-                None
-            } else {
-                Some(ev.as_f64()?)
-            };
-            let rank = (mv.get_finite("primary")?, mv.get_finite("secondary")?, id);
-            let valid = id < sessions
-                && !std::mem::replace(&mut seen[id], true)
-                && table.is_backlogged(SessionId(id))
-                && in_service != Some(SessionId(id))
-                && elig.is_none_or(f64::is_finite)
-                && !(P::MONOTONE_RANKS && (elig.is_some() || last.is_some_and(|l| l >= rank)));
-            if !valid {
-                return Err(refuse(format!("queue entry for session {id} is invalid")));
-            }
-            last = Some(rank);
-            queue.insert_ranked(SessionId(id), elig, rank.0, rank.1);
-        }
-        if let Some((primary, ..)) = last.filter(|_| P::MONOTONE_RANKS) {
-            let next = P::next_fresh_rank(program)?;
-            if primary >= next {
-                return Err(refuse(format!(
-                    "next fresh rank {next} is not past queued rank {primary}"
-                )));
-            }
-        }
-        let backlogged = table.backlogged_count();
-        if queue.members() + usize::from(in_service.is_some()) != backlogged {
-            return Err(refuse(format!(
-                "queue holds {} members, session table implies {}",
-                queue.members(),
-                backlogged - usize::from(in_service.is_some())
-            )));
-        }
-        self.program.load_state(program, &table)?;
-        (self.sessions, self.queue, self.t) = (table, queue, t);
-        (self.in_service, self.backlogged) = (in_service, backlogged);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -808,34 +638,44 @@ mod tests {
         s.backlog(a, 1.0, Some(0.0));
     }
 
+    /// A tree that served a busy period to its end, then given a fresh
+    /// tree's history, continues exactly as the fresh tree does: no tag,
+    /// clock or queue state outlives the busy period. (The name dates from
+    /// when the second tree was restored from a snapshot of the first.)
     #[test]
     fn snapshot_round_trip_resumes_identically() {
+        fn offer_two(s: &mut impl NodeScheduler) {
+            s.backlog(SessionId(0), 1.0, Some(0.0));
+            s.backlog(SessionId(1), 2.0, Some(0.0));
+            let first = s.select_next().unwrap();
+            s.requeue(first, Some(1.0));
+        }
         let mut s = PifoTree::new(1.0, Wf2qPlusRank::new());
-        let a = s.add_session(0.5);
-        let b = s.add_session(0.5);
-        s.backlog(a, 1.0, Some(0.0));
-        s.backlog(b, 2.0, Some(0.0));
-        let first = s.select_next().unwrap();
-        s.requeue(first, Some(1.0));
-
-        let snap = s.save_state();
-        let mut restored = PifoTree::new(1.0, Wf2qPlusRank::new());
-        restored.add_session(0.5);
-        restored.add_session(0.5);
-        restored.load_state(&snap, 2).unwrap();
+        let mut used = PifoTree::new(1.0, Wf2qPlusRank::new());
+        for t in [&mut s, &mut used] {
+            t.add_session(0.5);
+            t.add_session(0.5);
+        }
+        offer_two(&mut s);
+        used.backlog(SessionId(0), 3.0, Some(0.0));
+        used.backlog(SessionId(1), 0.5, Some(0.0));
+        let mut served = 0;
+        while let Some(id) = used.select_next() {
+            used.requeue(id, (served < 4).then_some(0.75));
+            served += 1;
+        }
+        assert_eq!((served, used.backlogged()), (6, 0));
+        offer_two(&mut used);
 
         for _ in 0..8 {
             let x = s.select_next();
-            let y = restored.select_next();
+            let y = used.select_next();
             assert_eq!(x, y);
             let (Some(x), Some(_)) = (x, y) else { break };
-            assert_eq!(s.tags(x), restored.tags(x));
-            assert_eq!(
-                s.virtual_time().to_bits(),
-                restored.virtual_time().to_bits()
-            );
+            assert_eq!(s.tags(x), used.tags(x));
+            assert_eq!(s.virtual_time().to_bits(), used.virtual_time().to_bits());
             s.requeue(x, Some(1.0));
-            restored.requeue(x, Some(1.0));
+            used.requeue(x, Some(1.0));
         }
     }
 }

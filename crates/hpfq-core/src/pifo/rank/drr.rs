@@ -17,9 +17,7 @@
 //!
 //! [`Admission::Rotate`]: crate::pifo::Admission::Rotate
 
-use hpfq_obs::snap::{refuse, SnapError, Value};
-
-use super::{sequence, MIN_ROUND_ROBIN_SHARE};
+use super::MIN_ROUND_ROBIN_SHARE;
 use crate::pifo::{Admission, Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 use crate::vtime;
@@ -175,84 +173,6 @@ impl RankProgram for DrrRank {
         // No live offers remain; restart the sequence counter (deficits
         // were already zeroed per-session as each drained).
         self.next = 0.0;
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![
-            ("quantum_base", Value::F64(self.quantum_base)),
-            (
-                "slots",
-                Value::List(
-                    self.slots
-                        .iter()
-                        .map(|s| {
-                            Value::map(vec![
-                                ("deficit", Value::F64(s.deficit)),
-                                ("turn_credited", Value::Bool(s.turn_credited)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "seq",
-                Value::List(self.seq.iter().map(|&q| Value::F64(q)).collect()),
-            ),
-            ("next", Value::F64(self.next)),
-        ])
-    }
-
-    /// Quanta are not stored: each is rebuilt from its session's share as
-    /// [`RankProgram::on_add_session`] builds it.
-    fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        let quantum_base = state.get("quantum_base")?.as_f64()?;
-        if quantum_base.to_bits() != self.quantum_base.to_bits() {
-            return Err(refuse(format!(
-                "drr quantum base mismatch: snapshot {quantum_base}, configured {}",
-                self.quantum_base
-            )));
-        }
-        let (slots_v, seq_v) = (state.get("slots")?.items()?, state.get("seq")?.items()?);
-        if slots_v.len() != sessions.len() || seq_v.len() != sessions.len() {
-            return Err(refuse(format!(
-                "drr slot/seq counts {}/{} do not match session count {}",
-                slots_v.len(),
-                seq_v.len(),
-                sessions.len()
-            )));
-        }
-        let mut slots = Vec::with_capacity(slots_v.len());
-        for (i, sv) in slots_v.iter().enumerate() {
-            let mut slot = self.slot(sessions.phi(SessionId(i)));
-            slot.deficit = sv.get_finite("deficit")?;
-            slot.turn_credited = sv.get("turn_credited")?.as_bool()?;
-            // A serve leaves the deficit short of zero by at most the
-            // tolerance of `admit`'s comparison, far less than a quantum; a
-            // deeper hole would rotate the ring turn after turn first.
-            if slot.deficit + slot.quantum < 0.0 {
-                return Err(refuse(format!("drr session {i}: deficit {}", slot.deficit)));
-            }
-            slots.push(slot);
-        }
-        let seq = seq_v.iter().map(sequence).collect::<Result<Vec<_>, _>>()?;
-        let next = Self::next_fresh_rank(state)?;
-        (self.slots, self.seq, self.next) = (slots, seq, next);
-        Ok(())
-    }
-
-    fn next_fresh_rank(state: &Value) -> Result<f64, SnapError> {
-        sequence(state.get("next")?)
-    }
-
-    /// An in-deficit continuation keeps the session's ring position.
-    fn reoffered_rank(state: &Value, id: SessionId) -> Result<f64, SnapError> {
-        match state.get("seq")?.items()?.get(id.0) {
-            Some(seq) => sequence(seq),
-            None => Err(refuse(format!(
-                "drr has no ring position for session {}",
-                id.0
-            ))),
-        }
     }
 }
 

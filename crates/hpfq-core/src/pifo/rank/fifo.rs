@@ -8,9 +8,6 @@
 //!
 //! [`NodeScheduler::tags`]: crate::NodeScheduler::tags
 
-use hpfq_obs::snap::{SnapError, Value};
-
-use super::sequence;
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
@@ -19,8 +16,8 @@ use crate::scheduler::{SessionId, SessionTable};
 pub struct FifoRank {
     /// Next sequence value to hand out. `f64` is exact for sequence values
     /// below 2^53, far beyond any busy period, and the counter resets with
-    /// each one. No per-session state: the driver persists the queue (and
-    /// with it the offer order) verbatim across checkpoints.
+    /// each one. No per-session state: the driver's queue holds the offer
+    /// order.
     next: f64,
 }
 
@@ -74,18 +71,5 @@ impl RankProgram for FifoRank {
         // No live offers remain; restart the counter so it never drifts
         // toward the 2^53 exactness bound across busy periods.
         self.next = 0.0;
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![("next", Value::F64(self.next))])
-    }
-
-    fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.next = Self::next_fresh_rank(state)?;
-        Ok(())
-    }
-
-    fn next_fresh_rank(state: &Value) -> Result<f64, SnapError> {
-        sequence(state.get("next")?)
     }
 }

@@ -8,8 +8,6 @@
 //!
 //! [`SchedulerKind`]: crate::mixed::SchedulerKind
 
-use hpfq_obs::snap::{refuse, SnapError, Value};
-
 pub mod drr;
 pub mod fifo;
 pub mod rr;
@@ -38,12 +36,3 @@ pub use wfq::WfqRank;
 /// under 2^53 for any packet under 2^29 quantum bases (every
 /// `len_bytes: u32` packet at the default base).
 pub const MIN_ROUND_ROBIN_SHARE: f64 = 1.0 / 16_777_216.0;
-
-/// Reads a value of a sequence counter: a count from zero, below 2^53
-/// where adding one is still exact.
-fn sequence(v: &Value) -> Result<f64, SnapError> {
-    match v.as_f64()? {
-        x if (0.0..9_007_199_254_740_992.0).contains(&x) => Ok(x),
-        x => Err(refuse(format!("{x} is not a sequence counter value"))),
-    }
-}

@@ -36,8 +36,6 @@
 //!
 //! [`MONOTONE_RANKS`]: RankProgram::MONOTONE_RANKS
 
-use hpfq_obs::snap::{refuse, SnapError, Value};
-
 use super::MIN_ROUND_ROBIN_SHARE;
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
@@ -184,63 +182,6 @@ impl RankProgram for RrRank {
         self.finish.fill(0);
         self.slack.fill(0.0);
     }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![
-            ("quantum_base", Value::F64(self.quantum_base)),
-            (
-                "finish",
-                Value::List(self.finish.iter().map(|&f| Value::U64(f)).collect()),
-            ),
-            (
-                "slack",
-                Value::List(self.slack.iter().map(|&w| Value::F64(w)).collect()),
-            ),
-            ("round", Value::U64(self.round)),
-        ])
-    }
-
-    /// Quanta are not stored: each is rebuilt from its session's share as
-    /// [`RankProgram::on_add_session`] builds it. Rounds stay below 2^53
-    /// and slack within a quantum of zero, as a run keeps them, so ranking
-    /// a head can neither overflow nor lose exactness.
-    fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        let quantum_base = state.get("quantum_base")?.as_f64()?;
-        if quantum_base.to_bits() != self.quantum_base.to_bits() {
-            return Err(refuse(format!(
-                "rr quantum base mismatch: snapshot {quantum_base}, configured {}",
-                self.quantum_base
-            )));
-        }
-        let (rounds, slack) = (state.get("finish")?.items()?, state.get("slack")?.items()?);
-        if rounds.len() != sessions.len() || slack.len() != sessions.len() {
-            return Err(refuse(format!(
-                "rr finish/slack counts {}/{} do not match session count {}",
-                rounds.len(),
-                slack.len(),
-                sessions.len()
-            )));
-        }
-        let round = state.get("round")?.as_u64()?;
-        let quanta: Vec<f64> = (0..sessions.len())
-            .map(|i| self.quantum(sessions.phi(SessionId(i))))
-            .collect();
-        let finish = rounds
-            .iter()
-            .map(Value::as_u64)
-            .collect::<Result<Vec<_>, _>>()?;
-        let slack = slack
-            .iter()
-            .map(Value::as_f64)
-            .collect::<Result<Vec<_>, _>>()?;
-        let in_range = finish.iter().chain([&round]).all(|&f| f < 1 << 53)
-            && slack.iter().zip(&quanta).all(|(w, q)| w.abs() <= *q);
-        if !in_range {
-            return Err(refuse("rr rounds or slack out of range"));
-        }
-        (self.quanta, self.finish, self.slack, self.round) = (quanta, finish, slack, round);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -298,25 +239,5 @@ mod tests {
         // well past its first packets.
         assert!(s.program().round > 300, "{} rounds", s.program().round);
         assert!(served.iter().all(|&b| b > 100_000.0), "{served:?}");
-    }
-
-    #[test]
-    fn state_round_trips_and_refuses_a_mismatched_shape() {
-        let (s, _) = serve(50);
-        let saved = s.program().save_state();
-        let mut fresh = RrRank::new();
-        PHIS.iter().for_each(|&phi| fresh.on_add_session(phi));
-        fresh.load_state(&saved, &s.sessions).unwrap();
-        assert_eq!(fresh.save_state().to_bytes(), saved.to_bytes());
-
-        let err = RrRank::with_quantum_base(6_000.0)
-            .load_state(&saved, &s.sessions)
-            .unwrap_err();
-        assert!(err.what.contains("quantum base mismatch"), "{err:?}");
-
-        let mut five = s.sessions.clone();
-        five.push(0.1, 1e6);
-        let err = RrRank::new().load_state(&saved, &five).unwrap_err();
-        assert!(err.what.contains("do not match session count 5"), "{err:?}");
     }
 }

@@ -4,8 +4,6 @@
 //! recently dispatched — O(1) to maintain, no eligibility gate. Heads are
 //! ranked `(finish, start)` with ties by session id.
 
-use hpfq_obs::snap::{SnapError, Value};
-
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
@@ -61,15 +59,6 @@ impl RankProgram for ScfqRank {
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
         self.v
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![("v", Value::F64(self.v))])
-    }
-
-    fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.v = state.get_finite("v")?;
-        Ok(())
     }
 }
 

@@ -4,8 +4,6 @@
 //! time is the *start* tag of the packet in service, and heads are ranked
 //! `(start, finish)` with ties by session id — smallest start tag first.
 
-use hpfq_obs::snap::{SnapError, Value};
-
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
 
@@ -58,15 +56,6 @@ impl RankProgram for SfqRank {
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
         self.v
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![("v", Value::F64(self.v))])
-    }
-
-    fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.v = state.get_finite("v")?;
-        Ok(())
     }
 }
 

@@ -9,11 +9,9 @@
 
 use std::collections::VecDeque;
 
-use hpfq_obs::snap::{SnapError, Value};
-
 use crate::gps_clock::GpsClock;
 use crate::pifo::{Rank, RankProgram, Threshold};
-use crate::scheduler::{load_pending, save_pending, SessionId, SessionTable};
+use crate::scheduler::{SessionId, SessionTable};
 use crate::vtime;
 
 /// The WF²Q rank program.
@@ -133,23 +131,6 @@ impl RankProgram for Wf2qRank {
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
         self.clock.virtual_time()
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![
-            ("pending", save_pending(&self.pending)),
-            ("clock", self.clock.save_state()),
-            ("fallback_dispatches", Value::U64(self.fallback_dispatches)),
-        ])
-    }
-
-    fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        let pending = load_pending(state.get("pending")?, sessions.len())?;
-        let fallback_dispatches = state.get("fallback_dispatches")?.as_counter()?;
-        self.clock
-            .load_state(state.get("clock")?, &sessions.shares())?;
-        (self.pending, self.fallback_dispatches) = (pending, fallback_dispatches);
-        Ok(())
     }
 }
 

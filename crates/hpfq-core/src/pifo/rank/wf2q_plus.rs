@@ -6,8 +6,6 @@
 //! dispatch advances `V ← max(V, Smin) + L/r` (RESTART-NODE line 12 — the
 //! reference-time advance of line 13 lives in the driver).
 
-use hpfq_obs::snap::{SnapError, Value};
-
 use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{SessionId, SessionTable};
 
@@ -76,15 +74,6 @@ impl RankProgram for Wf2qPlusRank {
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
         self.v
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![("v", Value::F64(self.v))])
-    }
-
-    fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.v = state.get_finite("v")?;
-        Ok(())
     }
 }
 

@@ -7,11 +7,9 @@
 
 use std::collections::VecDeque;
 
-use hpfq_obs::snap::{SnapError, Value};
-
 use crate::gps_clock::GpsClock;
 use crate::pifo::{Rank, RankProgram};
-use crate::scheduler::{load_pending, save_pending, SessionId, SessionTable};
+use crate::scheduler::{SessionId, SessionTable};
 
 /// The WFQ rank program.
 #[derive(Debug, Clone, Default)]
@@ -109,21 +107,6 @@ impl RankProgram for WfqRank {
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
         self.clock.virtual_time()
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![
-            ("pending", save_pending(&self.pending)),
-            ("clock", self.clock.save_state()),
-        ])
-    }
-
-    fn load_state(&mut self, state: &Value, sessions: &SessionTable) -> Result<(), SnapError> {
-        let pending = load_pending(state.get("pending")?, sessions.len())?;
-        self.clock
-            .load_state(state.get("clock")?, &sessions.shares())?;
-        self.pending = pending;
-        Ok(())
     }
 }
 

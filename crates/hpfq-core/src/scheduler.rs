@@ -30,8 +30,6 @@
 //! session tags to zero; tags from a previous busy period must not penalise
 //! (or favour) sessions in the next one.
 
-use hpfq_obs::snap::{refuse, SnapError, Value};
-
 /// Index of a session (child logical queue) within one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub usize);
@@ -151,37 +149,6 @@ pub trait NodeScheduler {
     fn set_dispatch_batch(&mut self, k: usize) {
         let _ = k;
     }
-
-    /// Serializes the scheduler's complete mutable state for a snapshot
-    /// (DESIGN.md §12). The returned value, fed back through
-    /// [`NodeScheduler::load_state`] on a scheduler constructed with the
-    /// same configuration, must reproduce the original's behaviour exactly
-    /// — every subsequent dispatch decision and tag must be bit-identical.
-    ///
-    /// The default returns [`Value::Null`] ("no checkpointable state"); all
-    /// in-tree schedulers override it.
-    fn save_state(&self) -> Value {
-        Value::Null
-    }
-
-    /// Restores state captured by [`NodeScheduler::save_state`] into a
-    /// scheduler that must serve `sessions` sessions; a state for any other
-    /// number is refused. The state is untrusted input: a refusal leaves
-    /// `self` as it was.
-    ///
-    /// The default accepts only [`Value::Null`] so that a scheduler without
-    /// checkpoint support fails loudly rather than resuming from garbage.
-    fn load_state(&mut self, state: &Value, sessions: usize) -> Result<(), SnapError> {
-        let _ = sessions;
-        if state.is_null() {
-            Ok(())
-        } else {
-            Err(refuse(format!(
-                "scheduler '{}' does not support load_state",
-                self.name()
-            )))
-        }
-    }
 }
 
 /// What [`SessionTable::push`] and the GPS clock accept as a share: a
@@ -271,11 +238,6 @@ impl SessionTable {
             backlogged: false,
         });
         SessionId(self.records.len() - 1)
-    }
-
-    /// Every session's share, in id order.
-    pub(crate) fn shares(&self) -> Vec<f64> {
-        self.records.iter().map(|r| r.phi).collect()
     }
 
     /// The session's guaranteed share.
@@ -376,11 +338,6 @@ impl SessionTable {
         self.records[id.0].backlogged = false;
     }
 
-    /// Number of sessions currently flagged backlogged.
-    pub(crate) fn backlogged_count(&self) -> usize {
-        self.records.iter().filter(|r| r.backlogged).count()
-    }
-
     /// Resets every session's tags at a busy-period boundary, in O(1): the
     /// epoch moves on and every record stamped before reads as zero.
     pub(crate) fn reset_tags(&mut self) {
@@ -400,83 +357,7 @@ impl SessionTable {
             }
         }
     }
-
-    /// Serializes the table, one map per session. Tags from an earlier busy
-    /// period are written as the zeros they read as.
-    pub(crate) fn save(&self) -> Value {
-        Value::List(
-            self.records
-                .iter()
-                .map(|r| {
-                    let (start, finish) = self.tags_of(r);
-                    Value::map(vec![
-                        ("phi", Value::F64(r.phi)),
-                        ("start", Value::F64(start)),
-                        ("finish", Value::F64(finish)),
-                        ("head_bits", Value::F64(r.head_bits)),
-                        ("backlogged", Value::Bool(r.backlogged)),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    /// Restores a table saved by [`SessionTable::save`] for a server of
-    /// `server_rate`, registering each session through
-    /// [`SessionTable::push`] as a live run does.
-    pub(crate) fn load(v: &Value, server_rate: f64) -> Result<SessionTable, SnapError> {
-        let mut t = SessionTable::new();
-        for sv in v.items()? {
-            let phi = sv.get("phi")?.as_f64()?;
-            let head_bits = sv.get_finite("head_bits")?;
-            if !is_share(phi) || head_bits < 0.0 {
-                return Err(refuse(format!(
-                    "session {}: share {phi}, head of {head_bits} bits",
-                    t.len()
-                )));
-            }
-            let (start, finish) = (sv.get_finite("start")?, sv.get_finite("finish")?);
-            let backlogged = sv.get("backlogged")?.as_bool()?;
-            let id = t.push(phi, server_rate);
-            let r = &mut t.records[id.0];
-            (r.start, r.finish, r.head_bits, r.backlogged) = (start, finish, head_bits, backlogged);
-        }
-        Ok(t)
-    }
 }
-
-/// Serializes per-session pending-stamp queues (the eq. (28) start bases
-/// recorded by `arrival_hint` in the GPS-emulating rank programs, WFQ and
-/// WF²Q).
-pub(crate) fn save_pending(pending: &[std::collections::VecDeque<f64>]) -> Value {
-    Value::List(
-        pending
-            .iter()
-            .map(|q| Value::List(q.iter().map(|&b| Value::F64(b)).collect()))
-            .collect(),
-    )
-}
-
-/// Restores queues saved by [`save_pending`]: one per session, of finite
-/// start bases.
-pub(crate) fn load_pending(
-    v: &Value,
-    sessions: usize,
-) -> Result<Vec<std::collections::VecDeque<f64>>, SnapError> {
-    let pending = v
-        .items()?
-        .iter()
-        .map(|qv| qv.items()?.iter().map(Value::as_finite).collect())
-        .collect::<Result<Vec<_>, SnapError>>()?;
-    if pending.len() != sessions {
-        return Err(refuse(format!(
-            "pending queue count {} does not match session count {sessions}",
-            pending.len()
-        )));
-    }
-    Ok(pending)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,14 +397,9 @@ mod tests {
         t.set_idle(a);
         t.set_idle(b);
         t.reset_tags();
-        // Both read as zero, and the snapshot says so too (the record
-        // itself still holds the old tags).
+        // Both read as zero (the record itself still holds the old tags).
         assert_eq!((t.start(a), t.finish(a)), (0.0, 0.0));
         assert_eq!(t.records[a.0].finish, 7.0);
-        let saved = t.save();
-        let saved_a = &saved.items().unwrap()[a.0];
-        assert_eq!(saved_a.get("start").unwrap().as_f64().unwrap(), 0.0);
-        assert_eq!(saved_a.get("finish").unwrap().as_f64().unwrap(), 0.0);
         // The next stamp starts from F = 0, not from the stale tag...
         t.stamp_new_backlog(a, 0.5, 4.0);
         assert_eq!((t.start(a), t.finish(a)), (0.5, 4.5));

@@ -121,17 +121,6 @@ impl PacketSlab {
         Some(node.pkt)
     }
 
-    /// The packets of `q`, front first.
-    pub(crate) fn iter<'a>(&'a self, q: &Chain) -> impl Iterator<Item = &'a Packet> {
-        let mut at = q.head;
-        std::iter::from_fn(move || {
-            // `NIL` is past the end of any slab `push_back` can build.
-            let node = self.nodes.get(at as usize)?;
-            at = node.next;
-            Some(&node.pkt)
-        })
-    }
-
     /// Cuts `q` down to its first `keep` packets and returns the rest,
     /// front first.
     pub(crate) fn truncate(&mut self, q: &mut Chain, keep: usize) -> Vec<Packet> {
@@ -175,6 +164,18 @@ mod tests {
         .count()
     }
 
+    /// The packet ids of `q`, front first.
+    fn ids(slab: &PacketSlab, q: &Chain) -> Vec<u64> {
+        let mut at = q.head;
+        std::iter::from_fn(|| {
+            // `NIL` is past the end of any slab `push_back` can build.
+            let node = slab.nodes.get(at as usize)?;
+            at = node.next;
+            Some(node.pkt.id)
+        })
+        .collect()
+    }
+
     #[test]
     fn many_chains_match_vecdeques_and_every_node_is_accounted_for() {
         const CHAINS: usize = 7;
@@ -216,7 +217,7 @@ mod tests {
             for (chain, want) in chains.iter().zip(&model) {
                 assert_eq!(chain.len(), want.len());
                 assert_eq!(slab.front(chain).map(|p| p.id), want.front().copied());
-                assert!(slab.iter(chain).map(|p| p.id).eq(want.iter().copied()));
+                assert!(ids(&slab, chain).iter().eq(want));
             }
         }
     }

@@ -51,15 +51,12 @@
 //! ordered between the time and the FIFO sequence: events fire in
 //! `(time, minor, seq)` order. A client that derives the minor key from
 //! event *content* (rather than scheduling order) gets a tie-break that is
-//! a pure function of the event itself, which a queue rebuilt from a
-//! snapshot recomputes instead of storing. Plain [`EventQueue::schedule`]
+//! a pure function of the event itself. Plain [`EventQueue::schedule`]
 //! uses minor key 0, so single-keyed clients keep the original
 //! `(time, seq)` FIFO semantics unchanged.
 //!
-//! The window API ([`Engine::pop_strictly_before`], [`Engine::advance_to`],
-//! [`EventQueue::pop_entry`]) drains events before a bound only, moves the
-//! clock without popping, and drains whole queues keys included, so a
-//! client can replay or transfer a queue exactly.
+//! [`Engine::advance_to`] moves the clock without popping, so schedules
+//! made next are clamped against the new time.
 
 #![forbid(unsafe_code)]
 // The per-packet path runs here: a panic tears the whole run down, so
@@ -322,9 +319,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event along with its time and
-    /// minor key. Used when draining one queue into another, where the
-    /// minor keys must survive the transfer.
-    pub fn pop_entry(&mut self) -> Option<(f64, u64, E)> {
+    /// minor key: [`EventQueue::pop`]'s body, and the tests' view of the
+    /// minor keys.
+    fn pop_entry(&mut self) -> Option<(f64, u64, E)> {
         loop {
             let (arena, timers) = (&self.arena, self.timers);
             let top = self.heap.pop(|a, b| fires_before(arena, timers, a, b))?;
@@ -461,18 +458,6 @@ impl<E> Engine<E> {
         Some((t, ev))
     }
 
-    /// Pops the earliest event if its time is **strictly** before `end`,
-    /// advancing the clock to its time: a window `[T, T+W)` drains events
-    /// with `t < T+W` only, leaving everything at or past its end queued.
-    pub fn pop_strictly_before(&mut self, end: f64) -> Option<(f64, E)> {
-        if self.queue.peek_time()? >= end {
-            return None;
-        }
-        let (t, ev) = self.queue.pop()?;
-        self.now = t;
-        Some((t, ev))
-    }
-
     /// Advances the clock to `t` without popping anything, so that
     /// `schedule` calls made next are clamped against `t`, not a stale
     /// clock. Moving backwards is a no-op (the clock stays monotone).
@@ -480,29 +465,6 @@ impl<E> Engine<E> {
         if t > self.now {
             self.now = t;
         }
-    }
-
-    /// Sets the clock to `t` unconditionally — the *restore* path. Unlike
-    /// [`Engine::advance_to`], this may move the clock backwards: a
-    /// snapshot rollback rebuilds queue contents from a snapshot taken
-    /// at an earlier time, and subsequent `schedule` calls must be clamped
-    /// against the snapshot's clock, not the later one. Callers must
-    /// restore the clock *before* rescheduling snapshot events, or the
-    /// `max(t, now)` clamp would drag them forward.
-    pub fn reset_to(&mut self, t: f64) {
-        debug_assert!(t.is_finite(), "non-finite clock {t}");
-        self.now = t;
-    }
-
-    /// Drains every pending event in `(time, minor, seq)` order, returning
-    /// `(time, minor, event)` triples. Used to serialize a queue and to
-    /// clear one before a restore.
-    pub fn drain_ordered(&mut self) -> Vec<(f64, u64, E)> {
-        let mut out = Vec::with_capacity(self.queue.outstanding());
-        while let Some(entry) = self.queue.pop_entry() {
-            out.push(entry);
-        }
-        out
     }
 
     /// Whether no events are pending.
@@ -635,18 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_strictly_before_excludes_boundary() {
-        let mut e = Engine::new();
-        e.schedule(1.0, "in");
-        e.schedule(2.0, "boundary");
-        assert_eq!(e.pop_strictly_before(2.0), Some((1.0, "in")));
-        assert_eq!(e.pop_strictly_before(2.0), None);
-        assert_eq!(e.outstanding(), 1);
-        // pop_due is inclusive; the boundary event is still reachable.
-        assert_eq!(e.pop_due(2.0), Some((2.0, "boundary")));
-    }
-
-    #[test]
     fn advance_to_is_monotone_and_clamps_schedules() {
         let mut e = Engine::new();
         e.advance_to(5.0);
@@ -658,22 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_ordered_preserves_keys() {
-        let mut e = Engine::new();
-        e.schedule_keyed(2.0, 1, "c");
-        e.schedule_keyed(1.0, 9, "b");
-        e.schedule_keyed(1.0, 3, "a");
-        let drained = e.drain_ordered();
-        assert_eq!(drained, vec![(1.0, 3, "a"), (1.0, 9, "b"), (2.0, 1, "c")]);
-        assert!(e.is_empty());
-        // Re-scheduling the drained entries reproduces the same order.
-        for (t, minor, ev) in drained {
-            e.schedule_keyed(t, minor, ev);
-        }
-        assert_eq!(e.pop_due(10.0), Some((1.0, "a")));
-    }
-
-    #[test]
     fn peek_key_exposes_time_and_minor() {
         let mut e = Engine::new();
         assert_eq!(e.peek_key(), None);
@@ -682,21 +616,6 @@ mod tests {
         assert_eq!(e.peek_key(), Some((1.0, 4)));
         assert_eq!(e.pop_due(10.0), Some((1.0, "sooner")));
         assert_eq!(e.peek_key(), Some((2.0, 7)));
-    }
-
-    #[test]
-    fn reset_to_allows_backward_clock_for_restore() {
-        let mut e = Engine::new();
-        e.schedule(1.0, "a");
-        assert_eq!(e.pop_due(10.0), Some((1.0, "a")));
-        assert_eq!(e.now(), 1.0);
-        // Rollback: clock returns to 0.25 and re-scheduled snapshot events
-        // keep their original times instead of being clamped to 1.0.
-        e.reset_to(0.25);
-        assert_eq!(e.now(), 0.25);
-        e.schedule_keyed(0.5, 3, "replayed");
-        assert_eq!(e.pop_due(10.0), Some((0.5, "replayed")));
-        assert_eq!(e.now(), 0.5);
     }
 
     #[test]
@@ -931,36 +850,37 @@ mod tests {
         // Like any event, a timer asked for in the past fires now.
         assert_eq!(e.pop_due(1.0), Some((1.0, timer_event(1))));
         e.schedule_timer(1.0, 50);
-        assert_eq!(e.pop_strictly_before(2.0), Some((1.0, timer_event(50))));
+        assert_eq!(e.pop_due(1.0), Some((1.0, timer_event(50))));
     }
 
     #[test]
     fn drained_timers_and_events_reschedule_in_the_same_order() {
-        // What a snapshot does: drain, tell a timer from
-        // an arena event by the event alone, schedule each back.
+        // Pop every entry with its key, tell a timer from an arena event
+        // by the event alone, schedule each back: the order is unchanged.
         let mut state = 0xd2a1_0000;
-        let mut e = Engine::with_timers(timer_event, timer_minor);
+        let mut q = EventQueue::with_timers(timer_event, timer_minor);
         for i in 0..if cfg!(miri) { 40 } else { 400 } {
             let r = xorshift(&mut state);
             let t = EDGE_TIMES[6 + (r >> 8) as usize % 8];
             if r & 1 == 0 {
-                e.schedule_timer(t, (r >> 16) as u32 % 16);
+                q.schedule_timer(t, (r >> 16) as u32 % 16);
             } else {
-                e.schedule_keyed(t, (r >> 16) % 3, i);
+                q.schedule_keyed(t, (r >> 16) % 3, i);
             }
         }
-        let drained = e.drain_ordered();
-        assert!(e.is_empty());
+        let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop_entry()).collect();
+        let drained: Vec<(f64, u64, u64)> = drain(&mut q);
+        assert!(q.is_empty());
         for &(t, minor, ev) in &drained {
             match u32::try_from(u64::MAX - ev) {
                 Ok(payload) => {
                     assert_eq!(minor, timer_minor(payload));
-                    e.schedule_timer(t, payload);
+                    q.schedule_timer(t, payload);
                 }
-                Err(_) => e.schedule_keyed(t, minor, ev),
+                Err(_) => q.schedule_keyed(t, minor, ev),
             }
         }
-        assert_eq!(e.drain_ordered(), drained);
+        assert_eq!(drain(&mut q), drained);
     }
 
     #[test]

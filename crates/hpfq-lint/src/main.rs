@@ -9,6 +9,7 @@
 //! cargo run -p hpfq-lint -- path/to/file.rs …     # lint specific files
 //! ```
 
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -33,7 +34,14 @@ fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut paths: Vec<PathBuf> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
+    let argv = std::env::args_os().skip(1).map(OsString::into_string);
+    let mut args = match argv.collect::<Result<Vec<_>, _>>() {
+        Ok(argv) => argv.into_iter(),
+        Err(a) => {
+            eprintln!("argument {a:?} is not UTF-8\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
     while let Some(a) = args.next() {
         match a.as_str() {
             "--workspace" => workspace = true,

@@ -8,8 +8,6 @@
 //!   filter    Print event lines matching the filters
 //!   delays    Per-flow delay percentiles from tx_end events
 //!   chrome    Render a Chrome trace-event (Perfetto) JSON document
-//!   snapshots Validate and summarize a snapshot artifact (a chaos-soak
-//!             --snapshot envelope or a bare network snapshot)
 //!
 //! FILE defaults to `-` (stdin).
 //!
@@ -25,14 +23,14 @@
 //! All the heavy lifting lives in `hpfq_obs::query`, which is unit tested;
 //! this binary only parses arguments and moves bytes.
 
+use std::ffi::OsString;
 use std::io::Read as _;
 
 use hpfq_obs::query::{
-    chrome_from_text, delay_report, filter_lines, render_delays, render_snapshot, render_summary,
-    snapshot_report, summarize, Filter,
+    chrome_from_text, delay_report, filter_lines, render_delays, render_summary, summarize, Filter,
 };
 
-const USAGE: &str = "usage: hpfq-trace <summary|filter|delays|chrome|snapshots> \
+const USAGE: &str = "usage: hpfq-trace <summary|filter|delays|chrome> \
                      [FILE|-] [--link N] [--flow N] [--node N] [--from T] [--to T] [--out PATH]";
 
 struct Args {
@@ -42,7 +40,11 @@ struct Args {
     out: Option<String>,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
+    let argv = argv
+        .map(OsString::into_string)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|a| format!("argument {a:?} is not UTF-8\n{USAGE}"))?;
     let mut command = None;
     let mut file = None;
     let mut filter = Filter::default();
@@ -116,14 +118,12 @@ fn run(args: &Args) -> Result<String, String> {
         "filter" => Ok(filter_lines(&text, &args.filter)),
         "delays" => Ok(render_delays(&delay_report(&text, &args.filter))),
         "chrome" => Ok(chrome_from_text(&text)),
-        "snapshots" => snapshot_report(&text).map(|r| render_snapshot(&r)),
         other => Err(format!("unknown command `{other}`\n{USAGE}")),
     }
 }
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
+    let args = match parse_args(std::env::args_os().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");

@@ -23,8 +23,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::snap::{SnapError, Value};
-
 /// The response the ladder selects for one incident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EscalationLevel {
@@ -142,52 +140,6 @@ impl EscalationState {
     /// Whether the ladder has demanded a halt.
     pub fn is_halted(&self) -> bool {
         self.halted
-    }
-
-    /// Serializes the ladder state for a snapshot.
-    pub fn save_state(&self) -> Value {
-        Value::map(vec![
-            (
-                "strikes",
-                Value::List(
-                    self.strikes
-                        .iter()
-                        .map(|(&flow, &n)| {
-                            Value::List(vec![Value::U64(u64::from(flow)), Value::U64(u64::from(n))])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "quarantined",
-                Value::List(
-                    self.quarantined
-                        .iter()
-                        .map(|&f| Value::U64(u64::from(f)))
-                        .collect(),
-                ),
-            ),
-            ("halted", Value::Bool(self.halted)),
-        ])
-    }
-
-    /// Restores state saved by [`EscalationState::save_state`], replacing
-    /// the current contents wholesale — or, on a refusal, not at all.
-    pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let mut strikes = BTreeMap::new();
-        for pair in state.get("strikes")?.items()? {
-            let [flow, n] = pair.items()? else {
-                return Err(crate::snap::refuse("a strike record is not two fields"));
-            };
-            strikes.insert(flow.as_u32()?, n.as_u32()?);
-        }
-        let mut quarantined = BTreeSet::new();
-        for f in state.get("quarantined")?.items()? {
-            quarantined.insert(f.as_u32()?);
-        }
-        let halted = state.get("halted")?.as_bool()?;
-        (self.strikes, self.quarantined, self.halted) = (strikes, quarantined, halted);
-        Ok(())
     }
 }
 

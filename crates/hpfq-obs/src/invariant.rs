@@ -25,6 +25,7 @@
 //! (every link and node seen once) the checker allocates only when it
 //! stores a violation, so it is safe on the hot path.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::event::{BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, TxEvent};
@@ -93,8 +94,9 @@ struct NodeState {
 /// work-conservation ledger.
 #[derive(Debug, Clone, Default)]
 struct LinkState {
-    /// Node state indexed by node id, grown on demand.
-    nodes: Vec<NodeState>,
+    /// Node state by node id, created on first sight: ids come from
+    /// traces too, so none may size an allocation.
+    nodes: BTreeMap<usize, NodeState>,
     /// Packets enqueued minus transmitted on this link.
     queued: i64,
     link_busy: bool,
@@ -105,10 +107,7 @@ struct LinkState {
 
 impl LinkState {
     fn node_mut(&mut self, node: usize) -> &mut NodeState {
-        if node >= self.nodes.len() {
-            self.nodes.resize(node + 1, NodeState::default());
-        }
-        &mut self.nodes[node]
+        self.nodes.entry(node).or_default()
     }
 }
 
@@ -119,8 +118,8 @@ impl LinkState {
 /// the tags are accumulated `f64` sums.
 #[derive(Debug, Clone, Default)]
 pub struct InvariantObserver {
-    /// Per-link state indexed by link id, grown on demand.
-    links: Vec<LinkState>,
+    /// Per-link state by link id, created on first sight.
+    links: BTreeMap<usize, LinkState>,
     violations: Vec<Violation>,
     /// Total breaches seen, including ones beyond the storage bound.
     pub total_violations: u64,
@@ -169,10 +168,7 @@ impl InvariantObserver {
     }
 
     fn link_mut(&mut self, link: usize) -> &mut LinkState {
-        if link >= self.links.len() {
-            self.links.resize(link + 1, LinkState::default());
-        }
-        &mut self.links[link]
+        self.links.entry(link).or_default()
     }
 
     /// Records a breach. `detail` is a closure so the message only
@@ -437,6 +433,26 @@ mod tests {
         inv.on_dispatch(&dispatch_on(0, 1.0, 2.0, 1.0, 2.0));
         assert_eq!(inv.total_violations, 1);
         assert_eq!(inv.violations()[0].link, 0);
+        assert_eq!(inv.violations()[0].kind, InvariantKind::VirtualTimeMonotone);
+    }
+
+    /// Link and node ids arrive from traces too: the largest are tracked
+    /// like any other, and no id sizes an allocation.
+    #[test]
+    fn ids_from_a_trace_size_no_allocation() {
+        let mut inv = InvariantObserver::new();
+        let far = DispatchEvent {
+            node: usize::MAX,
+            ..dispatch_on(usize::MAX, 0.0, 5.0, 0.0, 1.0)
+        };
+        inv.on_dispatch(&far);
+        inv.on_dispatch(&DispatchEvent {
+            v_before: 1.0,
+            v_after: 2.0,
+            ..far
+        });
+        assert_eq!(inv.total_violations, 1);
+        assert_eq!(inv.violations()[0].link, usize::MAX);
         assert_eq!(inv.violations()[0].kind, InvariantKind::VirtualTimeMonotone);
     }
 

@@ -61,67 +61,7 @@ impl<W: Write> JsonlObserver<W> {
     }
 }
 
-/// A JSONL sink that may additionally support *rewinding*: reporting its
-/// current write position and truncating back to an earlier one. A
-/// snapshot rollback uses this to discard trace lines emitted after the
-/// snapshot, keeping the replayed trace byte-identical to an uninterrupted
-/// run.
-///
-/// The default implementation is a non-rewindable sink (`mark_pos` returns
-/// `None`, `truncate_to` is a no-op) — correct for append-only sinks like
-/// stdout or a network pipe, where rollback simply leaves the overwritten
-/// tail in place. In-memory sinks ([`Vec<u8>`], [`SharedBuf`]) rewind for
-/// real.
-pub trait TraceSink: Write {
-    /// Current write position, or `None` if this sink cannot rewind.
-    fn mark_pos(&self) -> Option<u64> {
-        None
-    }
-
-    /// Discards everything written after `pos`. No-op on non-rewindable
-    /// sinks.
-    fn truncate_to(&mut self, _pos: u64) {}
-}
-
-impl TraceSink for Vec<u8> {
-    fn mark_pos(&self) -> Option<u64> {
-        Some(self.len() as u64)
-    }
-
-    fn truncate_to(&mut self, pos: u64) {
-        if let Ok(pos) = usize::try_from(pos) {
-            if pos <= self.len() {
-                self.truncate(pos);
-            }
-        }
-    }
-}
-
-impl TraceSink for SharedBuf {
-    fn mark_pos(&self) -> Option<u64> {
-        Some(self.0.borrow().len() as u64)
-    }
-
-    fn truncate_to(&mut self, pos: u64) {
-        if let Ok(pos) = usize::try_from(pos) {
-            let mut buf = self.0.borrow_mut();
-            if pos <= buf.len() {
-                buf.truncate(pos);
-            }
-        }
-    }
-}
-
-// Append-only sinks: rollback keeps writing forward. (A file could
-// truncate via `set_len`, but `BufWriter` position bookkeeping across
-// unflushed data makes that fragile — and post-mortem tooling prefers the
-// pre-rollback tail to survive on disk anyway.)
-impl TraceSink for std::fs::File {}
-impl<W: Write> TraceSink for std::io::BufWriter<W> {}
-impl TraceSink for std::io::Stdout {}
-impl TraceSink for std::io::Sink {}
-
-impl<W: TraceSink> Observer for JsonlObserver<W> {
+impl<W: Write> Observer for JsonlObserver<W> {
     fn on_enqueue(&mut self, e: &EnqueueEvent) {
         self.emit(format_args!(
             "{{\"ev\":\"enqueue\",\"t\":{},\"link\":{},\"leaf\":{},\"id\":{},\"flow\":{},\"len\":{},\"arr\":{},\"depth\":{},\"qbytes\":{}}}\n",
@@ -191,25 +131,6 @@ impl<W: TraceSink> Observer for JsonlObserver<W> {
             "{{\"ev\":\"quarantine\",\"t\":{},\"link\":{},\"leaf\":{},\"flow\":{},\"strikes\":{},\"purged\":{},\"pbytes\":{}}}\n",
             e.time, e.link, e.leaf, e.flow, e.strikes, e.purged_packets, e.purged_bytes,
         ));
-    }
-
-    fn mark(&self) -> crate::snap::Value {
-        match self.w.mark_pos() {
-            Some(pos) => crate::snap::Value::List(vec![
-                crate::snap::Value::U64(pos),
-                crate::snap::Value::U64(self.write_errors),
-            ]),
-            None => crate::snap::Value::Null,
-        }
-    }
-
-    fn rewind(&mut self, mark: &crate::snap::Value) {
-        if let crate::snap::Value::List(parts) = mark {
-            if let [crate::snap::Value::U64(pos), crate::snap::Value::U64(errs)] = parts[..] {
-                self.w.truncate_to(pos);
-                self.write_errors = errs;
-            }
-        }
     }
 }
 

@@ -27,11 +27,10 @@
 //! * [`recorder::FlightRecorder`] — a bounded ring of recent events that
 //!   dumps itself as JSONL on quarantine or halt.
 //! * [`query`] and [`chrome`] — the library behind the `hpfq-trace` CLI:
-//!   summaries, filters, delay percentiles and snapshot checks over
-//!   traces, and a Chrome trace-event (Perfetto) export.
-//! * [`event`], [`escalation`] and [`snap`] — the event records, the
-//!   degradation ladder, and the snapshot value format the other crates
-//!   share.
+//!   summaries, filters and delay percentiles over traces, and a Chrome
+//!   trace-event (Perfetto) export.
+//! * [`event`] and [`escalation`] — the event records and the degradation
+//!   ladder the other crates share.
 //!
 //! Two observers can be combined by tupling: `(A, B)` implements
 //! [`Observer`] by forwarding every event to both.
@@ -62,7 +61,6 @@ pub mod jsonl;
 pub mod metrics;
 pub mod query;
 pub mod recorder;
-pub mod snap;
 pub mod vtime;
 
 pub use chrome::chrome_trace;
@@ -72,10 +70,9 @@ pub use event::{
     PacketInfo, QuarantineEvent, TraceEvent, TxEvent,
 };
 pub use invariant::{InvariantKind, InvariantObserver, Violation};
-pub use jsonl::{merge_traces, JsonlObserver, SharedBuf, TraceSink};
+pub use jsonl::{merge_traces, JsonlObserver, SharedBuf};
 pub use metrics::{DelayHistogram, MetricsObserver};
 pub use recorder::FlightRecorder;
-pub use snap::{SnapError, Value};
 
 /// A sink for scheduler events.
 ///
@@ -125,24 +122,6 @@ pub trait Observer {
     /// The degradation layer quarantined a flow.
     #[inline]
     fn on_quarantine(&mut self, _e: &QuarantineEvent) {}
-
-    /// Returns an opaque marker for the sink's current output position.
-    ///
-    /// `Network::snapshot` stores it with each link, so that restoring the
-    /// snapshot onto a network that has already run past it (a rollback)
-    /// also rolls the observer's output back — otherwise the replayed
-    /// stretch would duplicate its trace lines. Sinks that cannot rewind
-    /// return [`snap::Value::Null`] and accept a best-effort (or no-op)
-    /// [`Observer::rewind`].
-    #[inline]
-    fn mark(&self) -> snap::Value {
-        snap::Value::Null
-    }
-
-    /// Rolls the sink back to a position previously returned by
-    /// [`Observer::mark`]. Events observed since that mark are discarded.
-    #[inline]
-    fn rewind(&mut self, _mark: &snap::Value) {}
 }
 
 /// The do-nothing observer: with it, every hook call compiles away.
@@ -263,19 +242,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
     fn on_quarantine(&mut self, e: &QuarantineEvent) {
         self.0.on_quarantine(e);
         self.1.on_quarantine(e);
-    }
-    #[inline]
-    fn mark(&self) -> snap::Value {
-        snap::Value::List(vec![self.0.mark(), self.1.mark()])
-    }
-    #[inline]
-    fn rewind(&mut self, mark: &snap::Value) {
-        if let snap::Value::List(parts) = mark {
-            if parts.len() == 2 {
-                self.0.rewind(&parts[0]);
-                self.1.rewind(&parts[1]);
-            }
-        }
     }
 }
 

@@ -48,8 +48,9 @@ impl DelayHistogram {
             return 0;
         }
         // lint:allow(L005): seconds > BASE here, so log2 >= 0 and the
-        // floor is a small non-negative integer, clamped below BUCKETS
-        let i = (seconds / Self::BASE).log2().floor() as usize + 1;
+        // floor is a non-negative integer (saturating for an infinite or
+        // overflowing delay), clamped below BUCKETS
+        let i = ((seconds / Self::BASE).log2().floor() as usize).saturating_add(1);
         i.min(Self::BUCKETS - 1)
     }
 
@@ -330,8 +331,11 @@ mod tests {
         // 1 ms = 1000 µs ∈ [512µs, 1024µs) = bucket 10.
         assert_eq!(DelayHistogram::bucket_of(1e-3), 10);
         assert_eq!(DelayHistogram::bucket_low(10), 512e-6);
-        // Everything huge lands in the last bucket.
-        assert_eq!(DelayHistogram::bucket_of(1e9), DelayHistogram::BUCKETS - 1);
+        // Everything huge lands in the last bucket, infinity and delays
+        // whose ratio to BASE overflows included.
+        for huge in [1e9, 1e308, f64::INFINITY] {
+            assert_eq!(DelayHistogram::bucket_of(huge), DelayHistogram::BUCKETS - 1);
+        }
         // Edges are consistent: low(bucket_of(x)) <= x for x >= BASE.
         for i in 1..DelayHistogram::BUCKETS {
             let lo = DelayHistogram::bucket_low(i);

@@ -352,132 +352,6 @@ pub fn render_delays(rows: &[FlowDelay]) -> String {
     out
 }
 
-/// What a snapshot artifact contains: the library form of
-/// `hpfq-trace snapshots`.
-///
-/// Covers both artifact shapes the toolchain writes: a bare network
-/// snapshot (`Network::snapshot` serialized with `to_bytes`) and the
-/// `chaos-soak` envelope (`chaos-soak --snapshot`) that wraps one in
-/// `{kind, seed, horizon, state}` so a resume can rebuild the scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotReport {
-    /// Artifact size in bytes.
-    pub bytes: usize,
-    /// Envelope kind (`"chaos-soak"`) or `"network"` for a bare
-    /// checkpoint.
-    pub kind: String,
-    /// Scenario seed, when the envelope carries one.
-    pub seed: Option<u64>,
-    /// Scenario horizon in seconds, when the envelope carries one.
-    pub horizon: Option<f64>,
-    /// Snapshot format version (`v`).
-    pub version: u64,
-    /// Simulated time the state was captured at.
-    pub now: f64,
-    /// Links in the captured topology.
-    pub links: usize,
-    /// Source slots (live and churned-out).
-    pub sources: usize,
-    /// Events pending in the captured queue. Link completions are not
-    /// among them (since format v2): see `pending_completions`.
-    pub queued_events: usize,
-    /// Links with a transmission completion pending (`tx_done` set): a
-    /// packet on the wire, not suspended by an outage.
-    pub pending_completions: usize,
-    /// Distinct flow ids among the sources.
-    pub flows: usize,
-    /// Whether the captured run had already halted.
-    pub halted: bool,
-    /// Whether a fault injector's state is embedded.
-    pub injector: bool,
-}
-
-/// Parses a snapshot artifact (bare checkpoint or `chaos-soak` envelope)
-/// and summarizes it. `Err` carries a parse/validation message — this is
-/// the `hpfq-trace snapshots` validity check.
-pub fn snapshot_report(text: &str) -> Result<SnapshotReport, String> {
-    use crate::snap::{self, Value};
-    let root = snap::parse(text.trim_end()).map_err(|e| format!("unparseable snapshot: {e}"))?;
-    let (kind, seed, horizon, state) = match root.get("kind").and_then(|v| v.as_str()) {
-        Ok(kind) => {
-            let state = root
-                .get("state")
-                .map_err(|e| format!("envelope missing state: {e}"))?;
-            (
-                kind.to_string(),
-                root.get("seed").and_then(|v| v.as_u64()).ok(),
-                root.get("horizon").and_then(|v| v.as_f64()).ok(),
-                state,
-            )
-        }
-        Err(_) => ("network".to_string(), None, None, &root),
-    };
-    let version = state
-        .get("v")
-        .and_then(|v| v.as_u64())
-        .map_err(|e| format!("not a network snapshot: {e}"))?;
-    let now = state
-        .get("now")
-        .and_then(|v| v.as_f64())
-        .map_err(|e| format!("not a network snapshot: {e}"))?;
-    let items = |key: &str| state.get(key).and_then(|v| v.items()).unwrap_or(&[]);
-    let flow = |s: &Value| s.get("flow").and_then(|f| f.as_u64()).ok();
-    Ok(SnapshotReport {
-        bytes: text.len(),
-        kind,
-        seed,
-        horizon,
-        version,
-        now,
-        links: items("links").len(),
-        sources: items("sources").len(),
-        queued_events: items("events").len(),
-        pending_completions: items("links")
-            .iter()
-            .filter(|l| l.get("tx_done").is_ok_and(|t| !t.is_null()))
-            .count(),
-        flows: items("sources")
-            .iter()
-            .filter_map(flow)
-            .collect::<BTreeSet<_>>()
-            .len(),
-        halted: state
-            .get("halted")
-            .and_then(|v| v.as_bool())
-            .unwrap_or(false),
-        injector: state
-            .get("injector")
-            .map(|v| !matches!(v, Value::Null))
-            .unwrap_or(false),
-    })
-}
-
-/// Renders a [`SnapshotReport`] as the `hpfq-trace snapshots` text.
-pub fn render_snapshot(r: &SnapshotReport) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "snapshot: {}", r.kind);
-    if let Some(seed) = r.seed {
-        let _ = write!(out, ", seed {seed}");
-    }
-    if let Some(h) = r.horizon {
-        let _ = write!(out, ", horizon {h} s");
-    }
-    let _ = writeln!(out, " ({} bytes, format v{})", r.bytes, r.version);
-    let _ = writeln!(
-        out,
-        "state: t={:.6} s, {} link(s), {} source slot(s), {} flow(s), {} queued event(s), \
-         {} pending link completion(s)",
-        r.now, r.links, r.sources, r.flows, r.queued_events, r.pending_completions
-    );
-    let _ = writeln!(
-        out,
-        "flags: injector {}, halted {}",
-        if r.injector { "present" } else { "absent" },
-        r.halted
-    );
-    out
-}
-
 /// Parses `text` and renders it as a Chrome trace-event document (events
 /// only); the library form of `hpfq-trace chrome`.
 pub fn chrome_from_text(text: &str) -> String {
@@ -627,65 +501,5 @@ mod tests {
         assert_eq!(json, chrome_from_text(&current));
         assert!(json.contains("\"name\":\"tx f5\""), "{json}");
         assert!(!json.contains("\"name\":\"shards\""), "{json}");
-    }
-
-    #[test]
-    fn snapshot_report_reads_bare_and_enveloped_artifacts() {
-        use crate::snap::Value;
-        let state = Value::map(vec![
-            ("v", Value::U64(2)),
-            ("now", Value::F64(3.25)),
-            (
-                "links",
-                Value::List(vec![
-                    Value::map(vec![("tx_done", Value::F64(3.5))]),
-                    Value::map(vec![("tx_done", Value::Null)]),
-                ]),
-            ),
-            ("events", Value::List(vec![Value::Null; 5])),
-            (
-                "sources",
-                Value::List(
-                    [7, 9, 7]
-                        .map(|flow| Value::map(vec![("flow", Value::U64(flow))]))
-                        .to_vec(),
-                ),
-            ),
-            ("halted", Value::Bool(false)),
-            ("injector", Value::U64(7)),
-        ]);
-        let bare = String::from_utf8(state.to_bytes()).unwrap();
-        let r = snapshot_report(&bare).unwrap();
-        assert_eq!(r.kind, "network");
-        assert_eq!(r.seed, None);
-        assert_eq!(r.version, 2);
-        assert_eq!(r.now, 3.25);
-        assert_eq!((r.links, r.sources, r.queued_events, r.flows), (2, 3, 5, 2));
-        assert_eq!(r.pending_completions, 1);
-        assert!(r.injector && !r.halted);
-
-        let envelope = Value::map(vec![
-            ("kind", Value::Str("chaos-soak".into())),
-            ("seed", Value::U64(9)),
-            ("horizon", Value::F64(8.0)),
-            ("state", state),
-        ]);
-        let text = String::from_utf8(envelope.to_bytes()).unwrap();
-        let r = snapshot_report(&text).unwrap();
-        assert_eq!(r.kind, "chaos-soak");
-        assert_eq!(r.seed, Some(9));
-        assert_eq!(r.horizon, Some(8.0));
-        assert_eq!(r.links, 2);
-        let rendered = render_snapshot(&r);
-        assert!(rendered.contains("chaos-soak"), "{rendered}");
-        assert!(rendered.contains("seed 9"), "{rendered}");
-        assert!(rendered.contains("2 link(s)"), "{rendered}");
-        assert!(
-            rendered.contains("1 pending link completion(s)"),
-            "{rendered}"
-        );
-
-        assert!(snapshot_report("not a snapshot").is_err());
-        assert!(snapshot_report("(map (x (u 1)))").is_err());
     }
 }

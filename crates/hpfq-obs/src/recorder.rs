@@ -16,10 +16,6 @@
 //! chaos soak) also dump explicitly when a conservation check fails. The
 //! dump is a plain JSONL file: `hpfq-trace` and
 //! [`crate::jsonl::parse_trace`] both read it.
-//!
-//! The recorder also participates in snapshot rollback: its
-//! [`Observer::mark`]/[`Observer::rewind`] drop ring events recorded after
-//! the mark so a replayed stretch does not duplicate history.
 
 use std::collections::VecDeque;
 
@@ -28,7 +24,6 @@ use crate::event::{
     QuarantineEvent, TraceEvent, TxEvent,
 };
 use crate::jsonl::JsonlObserver;
-use crate::snap::Value;
 use crate::{replay, Observer};
 
 /// Bounded ring of recent [`TraceEvent`]s with post-mortem dump support.
@@ -195,25 +190,6 @@ impl Observer for FlightRecorder {
         // post-mortem moment the recorder exists for.
         self.dump();
     }
-
-    // Snapshot support (DESIGN.md §12): the mark is the total number of
-    // events ever recorded; rewinding pops events recorded after the mark
-    // off the back of the ring. Events the ring has already evicted cannot
-    // come back — the rewind is best-effort in that direction only, which
-    // is safe: a replayed stretch re-records them, and `dropped` already
-    // says the oldest history is gone.
-    fn mark(&self) -> Value {
-        Value::U64(self.dropped + self.ring.len() as u64)
-    }
-
-    fn rewind(&mut self, mark: &Value) {
-        let Ok(target) = mark.as_u64() else { return };
-        while self.dropped + self.ring.len() as u64 > target {
-            if self.ring.pop_back().is_none() {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -300,41 +276,5 @@ mod tests {
         let mut r = FlightRecorder::new(2);
         assert!(!r.dump());
         assert_eq!(r.dumps_written(), 0);
-    }
-
-    #[test]
-    fn mark_rewind_discards_events_recorded_after_the_mark() {
-        let mut r = FlightRecorder::new(8);
-        r.on_busy_reset(&reset_at(0.0, 0));
-        r.on_busy_reset(&reset_at(1.0, 1));
-        let mark = r.mark();
-        r.on_busy_reset(&reset_at(2.0, 2));
-        r.on_busy_reset(&reset_at(3.0, 3));
-        r.rewind(&mark);
-        let nodes: Vec<usize> = r
-            .events()
-            .map(|e| match e {
-                TraceEvent::BusyReset(b) => b.node,
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(nodes, [0, 1]);
-        // Re-recording after the rewind continues cleanly.
-        r.on_busy_reset(&reset_at(2.5, 9));
-        assert_eq!(r.len(), 3);
-    }
-
-    #[test]
-    fn rewind_past_evicted_history_is_best_effort() {
-        let mut r = FlightRecorder::new(2);
-        let mark = r.mark(); // 0 events seen
-        for i in 0..4 {
-            r.on_busy_reset(&reset_at(i as f64, i));
-        }
-        // Two of the four events were evicted; rewinding to 0 can only
-        // drop what the ring still holds.
-        r.rewind(&mark);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 2);
     }
 }

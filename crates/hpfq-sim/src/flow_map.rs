@@ -17,9 +17,8 @@
 //! The index is deterministic by construction — a fixed multiplicative
 //! hash, linear probing, no per-process seed — and nothing observable
 //! depends on its internal layout: every ordered view ([`FlowMap::keys`],
-//! [`FlowMap::sorted`]) is by flow id, so serialized state is
-//! byte-comparable between runs that inserted in different orders (a run
-//! and its snapshot-restored twin, for instance). Memory is
+//! [`FlowMap::sorted`]) is by flow id, so reports are byte-comparable
+//! between runs that inserted in different orders. Memory is
 //! `O(entries)` for any `u32` ids, however sparse.
 
 /// Smallest non-empty probe table.

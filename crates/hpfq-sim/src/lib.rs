@@ -42,7 +42,6 @@ pub mod network;
 pub mod rng;
 #[cfg(test)]
 mod simulation;
-pub mod snapshot;
 pub mod source;
 pub mod stats;
 
@@ -52,9 +51,8 @@ pub use network::{
     ParallelReport, Route, SimCommand, SourceId,
 };
 pub use rng::SmallRng;
-pub use snapshot::SNAPSHOT_VERSION;
 pub use source::{
-    load_source, CbrSource, Few, GreedyLbSource, PacketTrainSource, PeriodicOnOffSource,
-    PoissonSource, ScheduledOnOffSource, Source, SourceOutput, TraceSource,
+    CbrSource, Few, GreedyLbSource, PacketTrainSource, PeriodicOnOffSource, PoissonSource,
+    ScheduledOnOffSource, Source, SourceOutput, TraceSource,
 };
 pub use stats::{BandwidthEstimator, FlowStats, ServiceRecord, SimStats};

@@ -54,7 +54,6 @@
 
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
-use hpfq_obs::snap::{refuse, SnapError, Value};
 use hpfq_obs::{
     DropEvent, EscalationLevel, EscalationPolicy, EscalationState, FaultEvent, FaultKind,
     NoopObserver, Observer, PacketInfo, QuarantineEvent,
@@ -98,8 +97,7 @@ impl Route {
     /// and has finite, non-negative propagation delays.
     #[expect(
         clippy::panic,
-        reason = "documented constructor contract; routes are built before the run, and a \
-                  snapshot's are refused through `Route::check`"
+        reason = "documented constructor contract; routes are built before the run"
     )]
     pub fn new(hops: Vec<Hop>) -> Self {
         let route = Route {
@@ -111,8 +109,8 @@ impl Route {
         route
     }
 
-    /// What [`Route::new`] asserts; a snapshot's routes are held to it.
-    pub(crate) fn check(&self) -> Result<(), String> {
+    /// What [`Route::new`] asserts.
+    fn check(&self) -> Result<(), String> {
         if self.hops.is_empty() {
             return Err("a route needs at least one hop".into());
         }
@@ -148,12 +146,12 @@ impl Route {
 }
 
 /// A delay a route or a delivery may take: finite, not negative.
-pub(crate) fn is_delay(d: f64) -> bool {
+fn is_delay(d: f64) -> bool {
     d.is_finite() && d >= 0.0
 }
 
 /// A rate a link may run at: finite, not negative (0 is an outage).
-pub(crate) fn is_link_rate(bps: f64) -> bool {
+fn is_link_rate(bps: f64) -> bool {
     bps.is_finite() && bps >= 0.0
 }
 
@@ -244,44 +242,17 @@ pub trait FaultInjector {
     fn jitter(&mut self, _now: f64, _flow: u32, wake: f64) -> f64 {
         wake
     }
-
-    /// Serializes the injector's internal state for a snapshot.
-    /// The default refuses: [`Network::snapshot`] then reports that the
-    /// installed injector cannot be checkpointed.
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Err(refuse("fault injector does not support checkpointing"))
-    }
-
-    /// Restores state captured by [`FaultInjector::save_state`] into an
-    /// injector of the same concrete type and configuration. The state is
-    /// untrusted input: a refusal leaves `self` as it was.
-    fn load_state(&mut self, _state: &Value) -> Result<(), SnapError> {
-        Err(refuse("fault injector does not support checkpointing"))
-    }
 }
 
 /// The no-fault injector (used when none is installed).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 
-impl FaultInjector for NoFaults {
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![("kind", Value::Str("none".into()))]))
-    }
-
-    fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        match state.get("kind")?.as_str()? {
-            "none" => Ok(()),
-            other => Err(refuse(format!(
-                "expected no-fault injector state, found '{other}'"
-            ))),
-        }
-    }
-}
+impl FaultInjector for NoFaults {}
 
 /// Why a leaf is being detached by a [`NetEvent::Detach`] event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DetachReason {
+enum DetachReason {
     /// Escalation-ladder quarantine; carries the strike count at
     /// quarantine time, so a downstream hop's delayed detach reports the
     /// count that quarantined the flow, not whatever it reads on arrival.
@@ -291,7 +262,7 @@ pub(crate) enum DetachReason {
 }
 
 #[derive(Debug)]
-pub(crate) enum NetEvent {
+enum NetEvent {
     Wake(usize),
     /// A packet propagated between hops: admit it at `hop` of `src`'s
     /// route.
@@ -326,9 +297,7 @@ const MINOR_CONTENT: u64 = (1 << 56) - 1;
 /// top byte, an identifying payload below it. It defines the order of
 /// same-time events: commands, then wakes, then link completions, then
 /// arrivals, deliveries and detaches, each class by its payload — a
-/// function of the events themselves, not of when they were scheduled,
-/// so a snapshot stores no keys: a restore recomputes them from the
-/// events it re-queues.
+/// function of the events themselves, not of when they were scheduled.
 ///
 /// Payloads are unique per class at any instant (packet ids are globally
 /// unique; source/link indices identify their timers), so residual
@@ -338,7 +307,7 @@ const MINOR_CONTENT: u64 = (1 << 56) - 1;
 /// Class 2 is the link completion ([`tx_minor`]): it is never queued, but
 /// it takes its place in the same order when [`Network::step`] picks
 /// between the queue head and the earliest [`Link::tx_done`].
-pub(crate) fn minor_of(ev: &NetEvent) -> u64 {
+fn minor_of(ev: &NetEvent) -> u64 {
     let (class, content) = match ev {
         NetEvent::Command(cmd) => {
             let c = match cmd {
@@ -359,7 +328,7 @@ pub(crate) fn minor_of(ev: &NetEvent) -> u64 {
 
 /// An engine for [`NetEvent`]s whose timers are the `Wake`s: payload `i`
 /// is `Wake(i)`, under [`minor_of`]'s key for it.
-pub(crate) fn new_engine() -> Engine<NetEvent> {
+fn new_engine() -> Engine<NetEvent> {
     Engine::with_timers(
         |source| NetEvent::Wake(source as usize),
         |source| minor_of(&NetEvent::Wake(source as usize)),
@@ -369,7 +338,7 @@ pub(crate) fn new_engine() -> Engine<NetEvent> {
 /// Tie-break key of `link`'s transmission completion: class 2, after
 /// commands and wakes at the same instant, before arrivals, deliveries
 /// and detaches.
-pub(crate) fn tx_minor(link: usize) -> u64 {
+fn tx_minor(link: usize) -> u64 {
     (2 << 56) | (link as u64 & MINOR_CONTENT)
 }
 
@@ -399,49 +368,47 @@ pub struct LinkLedger {
 }
 
 /// One output link: its hierarchy plus the in-flight transmission state.
-pub(crate) struct Link<S: NodeScheduler, O: Observer> {
-    pub(crate) server: Hierarchy<S, O>,
+struct Link<S: NodeScheduler, O: Observer> {
+    server: Hierarchy<S, O>,
     /// Current service rate in bits/s (0 during an outage).
-    pub(crate) rate: f64,
+    rate: f64,
     /// Transmission start time of the in-flight packet.
-    pub(crate) tx_start: f64,
+    tx_start: f64,
     /// When the in-flight packet leaves the wire: the link's one pending
     /// completion. `None` while the link is idle or its transmission is
     /// suspended by an outage. A link has at most one
     /// completion outstanding, so it lives here instead of in the event
     /// queue; a rate change simply overwrites it.
-    pub(crate) tx_done: Option<f64>,
+    tx_done: Option<f64>,
     /// Bits of the in-flight packet not yet on the wire, as of
     /// `tx_updated`.
-    pub(crate) tx_remaining_bits: f64,
+    tx_remaining_bits: f64,
     /// Time `tx_remaining_bits` was last brought up to date.
-    pub(crate) tx_updated: f64,
-    pub(crate) ledger: LinkLedger,
+    tx_updated: f64,
+    ledger: LinkLedger,
 }
 
 /// One attached source and its runtime state.
 pub(crate) struct SourceSlot {
     /// The generator itself.
-    pub(crate) src: Box<dyn Source>,
-    pub(crate) route: Route,
+    src: Box<dyn Source>,
+    route: Route,
     /// Flow id registered for the source at attach time.
-    pub(crate) flow: u32,
+    flow: u32,
     /// `false` once the flow has been removed (churn) or quarantined:
     /// its timers and deliveries are discarded from then on.
-    pub(crate) live: bool,
+    live: bool,
     /// Whether `start()` has run (sources start exactly once even across
     /// segmented [`Network::run`] calls).
-    pub(crate) started: bool,
-    /// [`Source::wants_delivery`], read when the source was attached and
-    /// checkpointed with the slot: the last hop reads it on every
-    /// completion without a virtual call.
-    pub(crate) wants_delivery: bool,
+    started: bool,
+    /// [`Source::wants_delivery`], read when the source was attached: the
+    /// last hop reads it on every completion without a virtual call.
+    wants_delivery: bool,
     /// Where [`SimStats`] keeps this flow's counters: the hint of
     /// [`crate::FlowMap::get_or_insert_hinted`], so a packet's records
     /// reach them without a lookup. Only a guess — checked on use, any
-    /// value safe — so it is not part of a snapshot, and whatever rebuilds
-    /// slots starts it at 0.
-    pub(crate) stats_slot: u32,
+    /// value safe.
+    stats_slot: u32,
 }
 
 /// Why [`Network::run_parallel`] ran sequentially.
@@ -467,15 +434,14 @@ pub struct ParallelReport {
 /// adds the events only it can know: exact transmission times, buffer
 /// drops, faults, and quarantines.
 pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
-    pub(crate) links: Vec<Link<S, O>>,
-    pub(crate) engine: Engine<NetEvent>,
-    pub(crate) sources: Vec<SourceSlot>,
+    links: Vec<Link<S, O>>,
+    engine: Engine<NetEvent>,
+    sources: Vec<SourceSlot>,
     /// Every source below this index has `started` set, so
     /// [`Network::start_pending_sources`] begins its scan here instead of
     /// re-probing every slot on each [`Network::run`] segment. Zero is
-    /// always valid; a snapshot restore, which rewrites `started` flags
-    /// wholesale, resets it.
-    pub(crate) started_below: usize,
+    /// always valid.
+    started_below: usize,
     /// Statistics collector (network-wide; service records are written at
     /// a flow's **last** hop).
     pub stats: SimStats,
@@ -483,16 +449,16 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// an index over `sources`, keyed by each slot's own `flow`. Of two
     /// slots registered under one flow id it holds the later; built from
     /// `sources` in slot order it is always the same index.
-    pub(crate) flow_owner: FlowIndex,
-    pub(crate) injector: Option<Box<dyn FaultInjector>>,
-    pub(crate) policy: EscalationPolicy,
-    pub(crate) escalation: EscalationState,
-    pub(crate) halted: bool,
+    flow_owner: FlowIndex,
+    injector: Option<Box<dyn FaultInjector>>,
+    policy: EscalationPolicy,
+    escalation: EscalationState,
+    halted: bool,
     /// Bytes currently propagating between hops (transmitted at hop *i*,
-    /// not yet admitted at hop *i+1*). Signed as its snapshot field is:
+    /// not yet admitted at hop *i+1*). Signed so that
     /// [`Network::verify_conservation`] reports a negative count instead
     /// of wrapping it.
-    pub(crate) inflight_bytes: i64,
+    inflight_bytes: i64,
     /// Commands that could not be applied (e.g. adding a flow whose share
     /// would overflow its parent): `(time, error)` pairs. The run
     /// continues — a rejected command is degraded service, not a crash.
@@ -665,7 +631,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
 
     /// Appends `slot` and makes it the owner of its flow id; returns its
     /// index.
-    pub(crate) fn push_source(&mut self, slot: SourceSlot) -> usize {
+    fn push_source(&mut self, slot: SourceSlot) -> usize {
         let idx = self.sources.len();
         let flow = slot.flow;
         self.sources.push(slot);
@@ -674,7 +640,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// The source registered (last) under `flow`.
-    pub(crate) fn owner_of(&self, flow: u32) -> Option<usize> {
+    fn owner_of(&self, flow: u32) -> Option<usize> {
         self.flow_owner.get(flow, |i| self.sources[i].flow)
     }
 
@@ -685,15 +651,14 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// Puts `ev` into the engine: a `Wake` as a timer, anything else in the
-    /// arena under its [`minor_of`] key. The one way in, for new events and
-    /// for those a snapshot or a restore re-queues.
-    pub(crate) fn queue_event(&mut self, t: f64, ev: NetEvent) {
+    /// arena under its [`minor_of`] key. The one way in.
+    fn queue_event(&mut self, t: f64, ev: NetEvent) {
         match ev {
             NetEvent::Wake(i) => {
                 #[expect(
                     clippy::expect_used,
-                    reason = "a `Wake` names a source this network holds (restore checks a \
-                              snapshot's), and 2^32 source slots are 256 GiB"
+                    reason = "a `Wake` names a source this network holds, and 2^32 source \
+                              slots are 256 GiB"
                 )]
                 let source = u32::try_from(i).expect("source index fits the 32-bit timer payload");
                 self.engine.schedule_timer(t, source);

@@ -81,18 +81,6 @@ impl SmallRng {
     pub fn gen_bool(&mut self, p: f64) -> bool {
         self.gen_f64() < p
     }
-
-    /// The raw 256-bit generator state, for checkpointing. Restoring it
-    /// with [`SmallRng::from_state`] resumes the stream exactly where it
-    /// left off.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuilds a generator from a state captured by [`SmallRng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        SmallRng { s }
-    }
 }
 
 #[cfg(test)]

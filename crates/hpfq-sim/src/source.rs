@@ -11,9 +11,7 @@
 //! randomness is seeded, so simulations are reproducible.
 
 use crate::rng::SmallRng;
-use crate::snapshot::fixed_list;
 use hpfq_core::{vtime, Packet};
-use hpfq_obs::snap::{refuse, SnapError, Value};
 
 /// Zero, one, or many `T`s in order: the storage behind
 /// [`SourceOutput`]'s fields and a [`crate::Route`]'s hops. Nearly every
@@ -164,20 +162,6 @@ pub trait Source {
     fn label(&self) -> String {
         "source".to_owned()
     }
-
-    /// Serializes the source — configuration and mutable position in its
-    /// arrival process — for a snapshot. Every built-in source
-    /// returns a `kind`-tagged map that [`load_source`] reconstructs
-    /// exactly (RNG state included). External closed-loop sources opt in
-    /// by overriding; the default refuses, so a [`crate::Network`]
-    /// snapshot fails with a typed error instead of silently losing the
-    /// source.
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Err(refuse(format!(
-            "source '{}' does not support checkpointing",
-            self.label()
-        )))
-    }
 }
 
 impl Source for Box<dyn Source> {
@@ -200,28 +184,6 @@ impl Source for Box<dyn Source> {
     fn label(&self) -> String {
         (**self).label()
     }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        (**self).save_state()
-    }
-}
-
-/// Rebuilds a boxed source from a snapshot produced by
-/// [`Source::save_state`]. The `kind` tag selects among the built-in
-/// source types; snapshots of external `Source` implementations cannot be
-/// rebuilt here and yield an error naming the unknown kind.
-pub fn load_source(v: &Value) -> Result<Box<dyn Source>, SnapError> {
-    let kind = v.get("kind")?.as_str()?;
-    match kind {
-        "cbr" => Ok(Box::new(CbrSource::load(v)?)),
-        "onoff" => Ok(Box::new(PeriodicOnOffSource::load(v)?)),
-        "sched" => Ok(Box::new(ScheduledOnOffSource::load(v)?)),
-        "poisson" => Ok(Box::new(PoissonSource::load(v)?)),
-        "train" => Ok(Box::new(PacketTrainSource::load(v)?)),
-        "lb" => Ok(Box::new(GreedyLbSource::load(v)?)),
-        "trace" => Ok(Box::new(TraceSource::load(v)?)),
-        other => Err(refuse(format!("unknown source kind '{other}'"))),
-    }
 }
 
 /// Allocates globally unique packet ids within one simulation.
@@ -232,7 +194,7 @@ fn pkt_id(flow: u32, seq: u64) -> u64 {
 
 /// The one predicate of a built-in source — packets of at least one byte,
 /// start times short of +∞, gaps finite and positive — which its
-/// constructor asserts and [`load_source`] holds a snapshot's copy to.
+/// constructor asserts.
 trait Valid: Source + Sized {
     fn is_valid(&self) -> bool;
 
@@ -240,12 +202,6 @@ trait Valid: Source + Sized {
     fn built(self) -> Self {
         assert!(self.is_valid(), "invalid {} parameters", self.label());
         self
-    }
-
-    /// `self`, from a snapshot; refused if it is not valid.
-    fn loaded(self) -> Result<Self, SnapError> {
-        let what = format!("invalid {} parameters", self.label());
-        self.is_valid().then_some(self).ok_or_else(|| refuse(what))
     }
 }
 
@@ -330,32 +286,6 @@ impl Source for CbrSource {
 
     fn label(&self) -> String {
         format!("cbr-{}", self.flow)
-    }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("cbr".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            ("len_bytes", Value::U64(u64::from(self.len_bytes))),
-            ("interval", Value::F64(self.interval)),
-            ("start_time", Value::F64(self.start_time)),
-            ("stop_time", Value::F64(self.stop_time)),
-            ("seq", Value::U64(self.seq)),
-        ]))
-    }
-}
-
-impl CbrSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        CbrSource {
-            flow: v.get("flow")?.as_u32()?,
-            len_bytes: v.get("len_bytes")?.as_u32()?,
-            interval: v.get("interval")?.as_f64()?,
-            start_time: v.get("start_time")?.as_f64()?,
-            stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_counter()?,
-        }
-        .loaded()
     }
 }
 
@@ -461,36 +391,6 @@ impl Source for PeriodicOnOffSource {
     fn label(&self) -> String {
         format!("onoff-{}", self.flow)
     }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("onoff".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            ("len_bytes", Value::U64(u64::from(self.len_bytes))),
-            ("interval", Value::F64(self.interval)),
-            ("on_duration", Value::F64(self.on_duration)),
-            ("period", Value::F64(self.period)),
-            ("start_time", Value::F64(self.start_time)),
-            ("stop_time", Value::F64(self.stop_time)),
-            ("seq", Value::U64(self.seq)),
-        ]))
-    }
-}
-
-impl PeriodicOnOffSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        PeriodicOnOffSource {
-            flow: v.get("flow")?.as_u32()?,
-            len_bytes: v.get("len_bytes")?.as_u32()?,
-            interval: v.get("interval")?.as_f64()?,
-            on_duration: v.get("on_duration")?.as_f64()?,
-            period: v.get("period")?.as_f64()?,
-            start_time: v.get("start_time")?.as_f64()?,
-            stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_counter()?,
-        }
-        .loaded()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -588,43 +488,6 @@ impl Source for ScheduledOnOffSource {
     fn label(&self) -> String {
         format!("sched-{}", self.flow)
     }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("sched".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            ("len_bytes", Value::U64(u64::from(self.len_bytes))),
-            ("interval", Value::F64(self.interval)),
-            (
-                "schedule",
-                Value::List(
-                    self.schedule
-                        .iter()
-                        .map(|&(s, e)| Value::List(vec![Value::F64(s), Value::F64(e)]))
-                        .collect(),
-                ),
-            ),
-            ("seq", Value::U64(self.seq)),
-        ]))
-    }
-}
-
-impl ScheduledOnOffSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        let mut schedule = Vec::new();
-        for iv in v.get("schedule")?.items()? {
-            let pair = fixed_list(iv, 2, "schedule interval")?;
-            schedule.push((pair[0].as_f64()?, pair[1].as_f64()?));
-        }
-        ScheduledOnOffSource {
-            flow: v.get("flow")?.as_u32()?,
-            len_bytes: v.get("len_bytes")?.as_u32()?,
-            interval: v.get("interval")?.as_f64()?,
-            schedule,
-            seq: v.get("seq")?.as_counter()?,
-        }
-        .loaded()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -700,41 +563,6 @@ impl Source for PoissonSource {
 
     fn label(&self) -> String {
         format!("poisson-{}", self.flow)
-    }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("poisson".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            ("len_bytes", Value::U64(u64::from(self.len_bytes))),
-            ("mean_interval", Value::F64(self.mean_interval)),
-            ("start_time", Value::F64(self.start_time)),
-            ("stop_time", Value::F64(self.stop_time)),
-            (
-                "rng",
-                Value::List(self.rng.state().iter().map(|&w| Value::U64(w)).collect()),
-            ),
-            ("seq", Value::U64(self.seq)),
-        ]))
-    }
-}
-
-impl PoissonSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        let mut s = [0u64; 4];
-        for (slot, w) in s.iter_mut().zip(fixed_list(v.get("rng")?, 4, "rng state")?) {
-            *slot = w.as_u64()?;
-        }
-        PoissonSource {
-            flow: v.get("flow")?.as_u32()?,
-            len_bytes: v.get("len_bytes")?.as_u32()?,
-            mean_interval: v.get("mean_interval")?.as_f64()?,
-            start_time: v.get("start_time")?.as_f64()?,
-            stop_time: v.get("stop_time")?.as_f64()?,
-            rng: SmallRng::from_state(s),
-            seq: v.get("seq")?.as_counter()?,
-        }
-        .loaded()
     }
 }
 
@@ -835,38 +663,6 @@ impl Source for PacketTrainSource {
     fn label(&self) -> String {
         format!("train-{}", self.flow)
     }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("train".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            ("len_bytes", Value::U64(u64::from(self.len_bytes))),
-            ("burst_len", Value::U64(u64::from(self.burst_len))),
-            ("intra_gap", Value::F64(self.intra_gap)),
-            ("period", Value::F64(self.period)),
-            ("start_time", Value::F64(self.start_time)),
-            ("stop_time", Value::F64(self.stop_time)),
-            ("seq", Value::U64(self.seq)),
-            ("in_burst", Value::U64(u64::from(self.in_burst))),
-        ]))
-    }
-}
-
-impl PacketTrainSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        PacketTrainSource {
-            flow: v.get("flow")?.as_u32()?,
-            len_bytes: v.get("len_bytes")?.as_u32()?,
-            burst_len: v.get("burst_len")?.as_u32()?,
-            intra_gap: v.get("intra_gap")?.as_f64()?,
-            period: v.get("period")?.as_f64()?,
-            start_time: v.get("start_time")?.as_f64()?,
-            stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_counter()?,
-            in_burst: v.get("in_burst")?.as_u32()?,
-        }
-        .loaded()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -961,36 +757,6 @@ impl Source for GreedyLbSource {
     fn label(&self) -> String {
         format!("lb-{}", self.flow)
     }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("lb".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            ("len_bytes", Value::U64(u64::from(self.len_bytes))),
-            ("sigma_bytes", Value::U64(u64::from(self.sigma_bytes))),
-            ("rho_bps", Value::F64(self.rho_bps)),
-            ("start_time", Value::F64(self.start_time)),
-            ("stop_time", Value::F64(self.stop_time)),
-            ("seq", Value::U64(self.seq)),
-            ("burst_sent", Value::Bool(self.burst_sent)),
-        ]))
-    }
-}
-
-impl GreedyLbSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        GreedyLbSource {
-            flow: v.get("flow")?.as_u32()?,
-            len_bytes: v.get("len_bytes")?.as_u32()?,
-            sigma_bytes: v.get("sigma_bytes")?.as_u32()?,
-            rho_bps: v.get("rho_bps")?.as_f64()?,
-            start_time: v.get("start_time")?.as_f64()?,
-            stop_time: v.get("stop_time")?.as_f64()?,
-            seq: v.get("seq")?.as_counter()?,
-            burst_sent: v.get("burst_sent")?.as_bool()?,
-        }
-        .loaded()
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1059,43 +825,6 @@ impl Source for TraceSource {
 
     fn label(&self) -> String {
         format!("trace-{}", self.flow)
-    }
-
-    fn save_state(&self) -> Result<Value, SnapError> {
-        Ok(Value::map(vec![
-            ("kind", Value::Str("trace".to_owned())),
-            ("flow", Value::U64(u64::from(self.flow))),
-            (
-                "entries",
-                Value::List(
-                    self.entries
-                        .iter()
-                        .map(|&(t, len)| {
-                            Value::List(vec![Value::F64(t), Value::U64(u64::from(len))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("seq", Value::U64(self.seq)),
-        ]))
-    }
-}
-
-impl TraceSource {
-    fn load(v: &Value) -> Result<Self, SnapError> {
-        // `entries` is saved in internal (reversed) order and restored
-        // verbatim.
-        let mut entries = Vec::new();
-        for iv in v.get("entries")?.items()? {
-            let pair = fixed_list(iv, 2, "trace entry")?;
-            entries.push((pair[0].as_f64()?, pair[1].as_u32()?));
-        }
-        TraceSource {
-            flow: v.get("flow")?.as_u32()?,
-            entries,
-            seq: v.get("seq")?.as_counter()?,
-        }
-        .loaded()
     }
 }
 
@@ -1215,7 +944,6 @@ mod tests {
     fn fast_sources_are_valid_and_every_wake_is_later() {
         // 1 Gb/s of 64-byte packets: 512 ns apart, about 1.95 Mpps.
         let mut s = CbrSource::new(1, 64, 1e9, 0.0, 1.0);
-        assert!(load_source(&s.save_state().unwrap()).is_ok());
         assert_eq!(drain(&mut s, 1e-5).len(), 20);
         // Gaps below the clock's resolution at t = 1 s still move it on, as
         // does a period lost in the rounding of a far-off start time.
@@ -1237,7 +965,6 @@ mod tests {
             Box::new(PacketTrainSource::new(5, 1, 2, 0.0, 1e-300, 1.0, 2.0)),
         ];
         for s in &mut sources {
-            assert!(load_source(&s.save_state().unwrap()).is_ok());
             let (mut now, mut wakes) = (1.0, 0);
             while now == 1.0 {
                 now = s.on_wake(now).wakes[0];

@@ -5,10 +5,8 @@
 use std::collections::BTreeMap;
 
 use hpfq_core::Packet;
-use hpfq_obs::snap::{SnapError, Value};
 
 use crate::flow_map::FlowMap;
-use crate::snapshot::fixed_list;
 
 /// One transmitted packet, as recorded by the simulator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,32 +30,6 @@ impl ServiceRecord {
     /// metric).
     pub fn delay(&self) -> f64 {
         self.end - self.arrival
-    }
-
-    /// Serializes as a fixed-arity list — records dominate the traced
-    /// portion of a checkpoint, so the compact form matters.
-    pub fn save(&self) -> Value {
-        Value::List(vec![
-            Value::U64(self.id),
-            Value::U64(u64::from(self.flow)),
-            Value::U64(u64::from(self.len_bytes)),
-            Value::F64(self.arrival),
-            Value::F64(self.start),
-            Value::F64(self.end),
-        ])
-    }
-
-    /// Restores a record saved by [`ServiceRecord::save`].
-    pub fn load(v: &Value) -> Result<ServiceRecord, SnapError> {
-        let items = fixed_list(v, 6, "service record")?;
-        Ok(ServiceRecord {
-            id: items[0].as_u64()?,
-            flow: items[1].as_u32()?,
-            len_bytes: items[2].as_u32()?,
-            arrival: items[3].as_f64()?,
-            start: items[4].as_f64()?,
-            end: items[5].as_f64()?,
-        })
     }
 }
 
@@ -115,50 +87,6 @@ impl FlowStats {
         } else {
             self.drops as f64 / self.offered_packets as f64
         }
-    }
-
-    /// Serializes every counter as a fixed-arity list (field order matches
-    /// the struct declaration).
-    pub fn save(&self) -> Value {
-        Value::List(vec![
-            Value::U64(self.packets),
-            Value::U64(self.bytes),
-            Value::U64(self.drops),
-            Value::U64(self.drop_bytes),
-            Value::U64(self.offered_packets),
-            Value::U64(self.offered_bytes),
-            Value::U64(self.accepted_packets),
-            Value::U64(self.accepted_bytes),
-            Value::U64(self.fault_drops),
-            Value::U64(self.fault_drop_bytes),
-            Value::U64(self.purged_packets),
-            Value::U64(self.purged_bytes),
-            Value::F64(self.delay_sum),
-            Value::F64(self.delay_max),
-            Value::F64(self.last_departure),
-        ])
-    }
-
-    /// Restores aggregates saved by [`FlowStats::save`].
-    pub fn load(v: &Value) -> Result<FlowStats, SnapError> {
-        let items = fixed_list(v, 15, "flow stats record")?;
-        Ok(FlowStats {
-            packets: items[0].as_counter()?,
-            bytes: items[1].as_counter()?,
-            drops: items[2].as_counter()?,
-            drop_bytes: items[3].as_counter()?,
-            offered_packets: items[4].as_counter()?,
-            offered_bytes: items[5].as_counter()?,
-            accepted_packets: items[6].as_counter()?,
-            accepted_bytes: items[7].as_counter()?,
-            fault_drops: items[8].as_counter()?,
-            fault_drop_bytes: items[9].as_counter()?,
-            purged_packets: items[10].as_counter()?,
-            purged_bytes: items[11].as_counter()?,
-            delay_sum: items[12].as_f64()?,
-            delay_max: items[13].as_f64()?,
-            last_departure: items[14].as_f64()?,
-        })
     }
 }
 
@@ -233,31 +161,6 @@ fn assemble(hot: &HotStats, cold: Option<&ColdStats>) -> FlowStats {
         delay_max: hot.delay_max,
         last_departure: hot.last_departure,
     }
-}
-
-/// [`assemble`]'s inverse.
-fn take_apart(f: FlowStats) -> (HotStats, ColdStats) {
-    (
-        HotStats {
-            offered_packets: f.offered_packets,
-            offered_bytes: f.offered_bytes,
-            accepted_packets: f.accepted_packets,
-            accepted_bytes: f.accepted_bytes,
-            packets: f.packets,
-            bytes: f.bytes,
-            delay_sum: f.delay_sum,
-            delay_max: f.delay_max,
-            last_departure: f.last_departure,
-        },
-        ColdStats {
-            drops: f.drops,
-            drop_bytes: f.drop_bytes,
-            fault_drops: f.fault_drops,
-            fault_drop_bytes: f.fault_drop_bytes,
-            purged_packets: f.purged_packets,
-            purged_bytes: f.purged_bytes,
-        },
-    )
 }
 
 /// Collected simulation statistics.
@@ -452,73 +355,6 @@ impl SimStats {
     /// All flows seen, sorted by id.
     pub fn flows(&self) -> Vec<u32> {
         self.flows.keys()
-    }
-
-    /// Installs `stats` as `flow`'s entry, replacing any existing one —
-    /// the inverse of [`assemble`], for [`SimStats::load_state`].
-    fn insert_flow(&mut self, flow: u32, stats: FlowStats) {
-        let (hot, cold) = take_apart(stats);
-        self.flows.insert(flow, hot);
-        if cold == ColdStats::default() {
-            self.cold.remove(flow);
-        } else {
-            self.cold.insert(flow, cold);
-        }
-    }
-
-    /// Serializes the collector — aggregates, trace registrations, and
-    /// captured trace records — for a snapshot.
-    pub fn save_state(&self) -> Value {
-        Value::map(vec![
-            (
-                "flows",
-                Value::List(
-                    self.assembled()
-                        .map(|(flow, f)| Value::List(vec![Value::U64(u64::from(flow)), f.save()]))
-                        .collect(),
-                ),
-            ),
-            (
-                "traced",
-                Value::List(
-                    self.traced
-                        .iter()
-                        .map(|(&flow, records)| {
-                            Value::List(vec![
-                                Value::U64(u64::from(flow)),
-                                Value::List(records.iter().map(ServiceRecord::save).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("total_bytes", Value::U64(self.total_bytes)),
-            ("total_packets", Value::U64(self.total_packets)),
-            ("last_departure", Value::F64(self.last_departure)),
-        ])
-    }
-
-    /// Restores state saved by [`SimStats::save_state`], replacing the
-    /// current contents wholesale (or, on an error, not at all).
-    pub fn load_state(&mut self, state: &Value) -> Result<(), SnapError> {
-        let mut loaded = SimStats::new();
-        for pair in state.get("flows")?.items()? {
-            let fields = fixed_list(pair, 2, "flow entry")?;
-            loaded.insert_flow(fields[0].as_u32()?, FlowStats::load(&fields[1])?);
-        }
-        for pair in state.get("traced")?.items()? {
-            let fields = fixed_list(pair, 2, "trace entry")?;
-            let mut records = Vec::new();
-            for rv in fields[1].items()? {
-                records.push(ServiceRecord::load(rv)?);
-            }
-            loaded.traced.insert(fields[0].as_u32()?, records);
-        }
-        loaded.total_bytes = state.get("total_bytes")?.as_counter()?;
-        loaded.total_packets = state.get("total_packets")?.as_counter()?;
-        loaded.last_departure = state.get("last_departure")?.as_f64()?;
-        *self = loaded;
-        Ok(())
     }
 }
 
@@ -775,9 +611,8 @@ mod tests {
 
     /// Hot and cold halves, caller-held hints and all, are not observable:
     /// under random traffic — hinted and un-hinted records interleaved, the
-    /// hint cells handed to whichever flow comes next — and across a
-    /// checkpoint round trip, every view equals the one-struct-per-flow
-    /// model's.
+    /// hint cells handed to whichever flow comes next — every view equals
+    /// the one-struct-per-flow model's.
     #[test]
     fn split_storage_is_indistinguishable_from_one_record_per_flow() {
         use crate::rng::SmallRng;
@@ -803,7 +638,7 @@ mod tests {
                 let mut hint = rng
                     .gen_bool(0.6)
                     .then(|| &mut hints[rng.gen_range_usize(0, 4)]);
-                match rng.gen_range_u32(0, 17) {
+                match rng.gen_range_u32(0, 14) {
                     0..=5 => {
                         side.packet(Rec::Arrival, &pkt, hint.as_deref_mut());
                         side.packet(Rec::Accept, &pkt, hint);
@@ -837,15 +672,7 @@ mod tests {
                         }
                     }
                     // A leak: offered and never heard of again.
-                    13 => side.packet(Rec::Arrival, &pkt, hint),
-                    // A checkpoint: same bytes out as went in.
-                    _ => {
-                        let saved = side.stats.save_state();
-                        let mut loaded = SimStats::new();
-                        loaded.load_state(&saved).unwrap();
-                        assert_eq!(loaded.save_state().to_bytes(), saved.to_bytes(), "{label}");
-                        side.stats = loaded;
-                    }
+                    _ => side.packet(Rec::Arrival, &pkt, hint),
                 }
                 a.check(&pool, &label);
                 b.check(&pool, &label);

@@ -22,12 +22,10 @@
 //!   fairness of its own.
 //!
 //! Both implement only the required hooks (`name`, `rank_backlog`,
-//! `rank_continuation`) plus checkpointing for the sequence counter; the
-//! eligibility threshold, admission, and virtual-clock hooks keep their
-//! defaults.
+//! `rank_continuation`) and the busy-period reset; the eligibility
+//! threshold, admission, and virtual-clock hooks keep their defaults.
 
 use hpfq::core::{Hierarchy, Packet, PifoTree, Rank, RankProgram, SessionId, SessionTable};
-use hpfq::obs::snap::{SnapError, Value};
 
 /// Weighted strict priority: serve the largest-share backlogged session,
 /// FIFO within equal shares.
@@ -67,15 +65,6 @@ impl RankProgram for PriorityRank {
 
     fn on_busy_reset(&mut self) {
         self.seq = 0.0;
-    }
-
-    fn save_state(&self) -> Value {
-        Value::map(vec![("seq", Value::F64(self.seq))])
-    }
-
-    fn load_state(&mut self, state: &Value, _sessions: &SessionTable) -> Result<(), SnapError> {
-        self.seq = state.get("seq")?.as_f64()?;
-        Ok(())
     }
 }
 

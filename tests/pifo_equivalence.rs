@@ -4,7 +4,7 @@
 //! **Goldens.** Each policy's dispatch decisions, tags and virtual-time
 //! bits on two fixed lockstep schedules, its JSONL trace and statistics on
 //! the reduced Fig. 3 workload (outage, finite buffer, flow churn), and its
-//! continuation across a snapshot → restore → resume are held to what the
+//! run through the busy periods of a six-session schedule are held to what the
 //! hand-rolled per-policy schedulers the rank programs were derived from
 //! produced at commit 1c9611a, the last commit that had them (their output
 //! had matched the rank programs bit for bit since the programs were
@@ -55,9 +55,8 @@ struct Golden {
     fig3_stats: [&'static str; 6],
     /// `(FNV-1a, bytes)` of its last line, flow 1's per-packet records.
     fig3_records: (u64, usize),
-    /// `(FNV-1a, entries)` of the 300-step straight run of the resume
-    /// schedule.
-    resume: (u64, usize),
+    /// `(FNV-1a, entries)` of the six-session schedule's 300 steps.
+    six_session: (u64, usize),
     /// FNV-1a of the 24 randomized schedules' steps.
     #[cfg_attr(
         not(feature = "proptest-tests"),
@@ -82,7 +81,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.05288480429119093, delay_max: 0.02430378313565651, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0x1fad_d134_9b65_e086, 5626),
-        resume: (0x2a54_1648_12a5_196a, 278),
+        six_session: (0x2a54_1648_12a5_196a, 278),
         random: 0xcb00_38f4_6b34_e3c0,
     },
     Golden {
@@ -99,7 +98,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0xdf17_9046_c1da_25d8, 5626),
-        resume: (0xbd2b_33c8_06e8_9555, 278),
+        six_session: (0xbd2b_33c8_06e8_9555, 278),
         random: 0xe297_00be_2595_6147,
     },
     Golden {
@@ -116,7 +115,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0543411598467465, delay_max: 0.025760138691212076, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0x3f21_c669_5811_7886, 5626),
-        resume: (0x11ed_01b5_84e6_c2f9, 278),
+        six_session: (0x11ed_01b5_84e6_c2f9, 278),
         random: 0x1489_ac7c_06f6_de3b,
     },
     Golden {
@@ -133,7 +132,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0xdf17_9046_c1da_25d8, 5626),
-        resume: (0x55e0_5dd1_a8ee_0b69, 278),
+        six_session: (0x55e0_5dd1_a8ee_0b69, 278),
         random: 0x92bd_649c_2ccd_05dc,
     },
     Golden {
@@ -150,7 +149,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.05288480429119093, delay_max: 0.02430378313565651, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0x0e94_e445_96c2_0d3e, 5626),
-        resume: (0xd357_e99f_c101_1832, 278),
+        six_session: (0xd357_e99f_c101_1832, 278),
         random: 0xc933_e545_1e0b_78a8,
     },
     Golden {
@@ -167,7 +166,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0xdf17_9046_c1da_25d8, 5626),
-        resume: (0x3eb8_cf07_35c8_2643, 278),
+        six_session: (0x3eb8_cf07_35c8_2643, 278),
         random: 0x0df5_939e_3dba_2726,
     },
     Golden {
@@ -184,7 +183,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0543411598467465, delay_max: 0.02430378313565651, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0xdf51_9ff2_807e_949f, 5626),
-        resume: (0x5826_a7bd_90af_3120, 278),
+        six_session: (0x5826_a7bd_90af_3120, 278),
         random: 0x8170_567a_42d5_c80c,
     },
     Golden {
@@ -201,7 +200,7 @@ const GOLDENS: [Golden; 8] = [
             "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
         ],
         fig3_records: (0xdf17_9046_c1da_25d8, 5626),
-        resume: (0x3eb8_cf07_35c8_2643, 278),
+        six_session: (0x3eb8_cf07_35c8_2643, 278),
         random: 0xa77f_4701_8bd7_893b,
     },
 ];
@@ -592,39 +591,26 @@ fn fig3_trace_is_byte_identical_for_every_policy() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot → restore → resume: a run interrupted mid-busy-period and
-// restored into a fresh scheduler must continue exactly like the straight
-// run.
+// The six-session schedule: 300 straight steps through repeated busy
+// periods, each restarted with fresh heads.
 // ---------------------------------------------------------------------------
 
-/// Sessions of the resume schedule.
-const RESUME_SESSIONS: usize = 6;
+/// Sessions of the six-session schedule.
+const SIX_SESSIONS: usize = 6;
 
-/// Registers the resume schedule's sessions on `s` and offers their first
-/// heads; returns the packets each session has queued.
-fn resume_start(s: &mut impl NodeScheduler) -> Vec<u64> {
-    for _ in 0..RESUME_SESSIONS {
-        s.add_session(1.0 / RESUME_SESSIONS as f64);
+/// `(FNV-1a, entries)` of the six-session schedule's 300 steps on `s`,
+/// each dispatch logged as `(session, start tag bits, finish tag bits)` —
+/// what [`Golden`] holds.
+fn six_session_digest(s: &mut impl NodeScheduler) -> (u64, usize) {
+    for _ in 0..SIX_SESSIONS {
+        s.add_session(1.0 / SIX_SESSIONS as f64);
     }
-    let queued: Vec<u64> = (0..RESUME_SESSIONS as u64).map(|i| 3 + i % 3).collect();
-    for (i, &q) in queued.iter().enumerate() {
-        if q > 0 {
-            s.backlog(SessionId(i), len_pattern(i as u64), None);
-        }
+    let mut q: Vec<u64> = (0..SIX_SESSIONS as u64).map(|i| 3 + i % 3).collect();
+    for i in 0..SIX_SESSIONS {
+        s.backlog(SessionId(i), len_pattern(i as u64), None);
     }
-    queued
-}
-
-/// Steps `start..start + steps` of the resume schedule on `s`, logging each
-/// dispatch as `(session, start tag bits, finish tag bits)`.
-fn resume_run(
-    s: &mut impl NodeScheduler,
-    q: &mut [u64],
-    start: u64,
-    steps: u64,
-) -> Vec<(usize, u64, u64)> {
-    let mut log = Vec::new();
-    for step in start..start + steps {
+    let (mut h, mut entries) = (FNV_BASIS, 0);
+    for step in 0..300 {
         let Some(id) = s.select_next() else {
             for (i, qq) in q.iter_mut().enumerate() {
                 *qq = 1 + (i as u64 + step) % 3;
@@ -633,45 +619,25 @@ fn resume_run(
             continue;
         };
         let tags = s.tags(id);
-        log.push((id.0, tags.0.to_bits(), tags.1.to_bits()));
+        h = fnv1a_words(h, &[id.0 as u64, tags.0.to_bits(), tags.1.to_bits()]);
+        entries += 1;
         q[id.0] -= 1;
         let next = (q[id.0] > 0).then(|| len_pattern(step + 2));
         s.requeue(id, next);
     }
-    log
+    (h, entries)
 }
 
-/// `(FNV-1a, entries)` of a resume log — what [`Golden`] holds.
-fn resume_digest(log: &[(usize, u64, u64)]) -> (u64, usize) {
-    let h = log.iter().fold(FNV_BASIS, |h, &(id, s, f)| {
-        fnv1a_words(h, &[id as u64, s, f])
-    });
-    (h, log.len())
-}
-
+/// Every policy's six-session run matches the legacy schedulers' straight
+/// run. (The name dates from when the run was cut at step 150 by a
+/// snapshot and finished in a fresh scheduler.)
 #[test]
 fn pifo_snapshot_resume_matches_legacy_straight_run() {
     for kind in SchedulerKind::ALL {
-        let mut pifo = kind.build(1e6);
-        let mut queued = resume_start(&mut pifo);
-        let mut log = resume_run(&mut pifo, &mut queued, 0, 150);
-        let snap = pifo.save_state();
-        let mut resumed = kind.build(1e6);
-        for _ in 0..RESUME_SESSIONS {
-            resumed.add_session(1.0 / RESUME_SESSIONS as f64);
-        }
-        resumed.load_state(&snap, RESUME_SESSIONS).unwrap();
         assert_eq!(
-            resumed.save_state().to_bytes(),
-            snap.to_bytes(),
-            "{}: PIFO save→load→save is not byte-stable",
-            kind.name()
-        );
-        log.extend(resume_run(&mut resumed, &mut queued, 150, 150));
-        assert_eq!(
-            resume_digest(&log),
-            golden(kind).resume,
-            "{}: restored run diverges from the golden straight run",
+            six_session_digest(&mut kind.build(1e6)),
+            golden(kind).six_session,
+            "{}: the six-session run diverges from the golden",
             kind.name()
         );
     }
@@ -715,38 +681,45 @@ fn fig3_trace_is_byte_identical_across_backends() {
     });
 }
 
-/// Snapshots are backend-portable: the rank-model membership saved from a
-/// run on the reference PIFO restores into a dual-heap scheduler (and vice
-/// versa) and both continue identically.
+/// The two backends, each run on its own to mid-busy-period of the
+/// six-session schedule (10 of the 24 offered packets), then driven on in
+/// lockstep with fresh heads, select and tag identically. (The name dates
+/// from when the second backend took its midpoint from a snapshot of the
+/// first.)
 #[test]
 fn snapshot_restores_across_backends() {
     const N: usize = 6;
-    fn restore_across(
+    fn continue_across(
         kind: SchedulerKind,
         label: &str,
         mut a: impl NodeScheduler,
         mut b: impl NodeScheduler,
     ) {
-        for _ in 0..N {
-            a.add_session(1.0 / N as f64);
-            b.add_session(1.0 / N as f64);
-        }
-        let mut queued: Vec<u64> = (0..N as u64).map(|i| 3 + i % 3).collect();
-        for (i, &q) in queued.iter().enumerate() {
-            if q > 0 {
-                a.backlog(SessionId(i), len_pattern(i as u64), None);
+        // Each backend on its own to mid-busy-period; returns the packets
+        // each session still has queued.
+        fn to_midpoint(s: &mut dyn NodeScheduler) -> Vec<u64> {
+            let mut queued: Vec<u64> = (0..N as u64).map(|i| 3 + i % 3).collect();
+            for _ in 0..N {
+                s.add_session(1.0 / N as f64);
             }
+            for i in 0..N {
+                s.backlog(SessionId(i), len_pattern(i as u64), None);
+            }
+            for step in 0..10u64 {
+                let Some(id) = s.select_next() else { break };
+                queued[id.0] -= 1;
+                let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
+                s.requeue(id, next);
+            }
+            queued
         }
-        // Run `a` to mid-busy-period (10 of the 24 offered packets), then
-        // restore into `b` (the other backend) and drive both forward in
-        // lockstep.
-        for step in 0..10u64 {
-            let Some(id) = a.select_next() else { break };
-            queued[id.0] -= 1;
-            let next = (queued[id.0] > 0).then(|| len_pattern(step + 2));
-            a.requeue(id, next);
-        }
-        b.load_state(&a.save_state(), N).unwrap();
+        let mut queued = to_midpoint(&mut a);
+        assert_eq!(
+            to_midpoint(&mut b),
+            queued,
+            "{} {label}: midpoint",
+            kind.name()
+        );
         let mut matched = 0;
         for step in 0..80u64 {
             let x = a.select_next();
@@ -754,7 +727,7 @@ fn snapshot_restores_across_backends() {
             assert_eq!(
                 x,
                 y,
-                "{} {label} step {step}: post-restore selection diverged",
+                "{} {label} step {step}: selection diverged past the midpoint",
                 kind.name()
             );
             let Some(id) = x else { break };
@@ -772,21 +745,19 @@ fn snapshot_restores_across_backends() {
         }
         assert!(
             matched >= 10,
-            "{} {label}: snapshot taken on an idle scheduler ({matched} selections after restore)",
+            "{} {label}: the midpoint left the schedulers idle ({matched} selections after it)",
             kind.name()
         );
     }
-    // Bare `PifoTree`s on both sides: `MixedScheduler` wraps the same
-    // state in a kind tag, which a bare tree does not read.
     for_each_program!(|kind, Program| {
         let heap = || PifoTree::new(1e6, Program::new());
-        restore_across(
+        continue_across(
             kind,
             "reference->dual-heap",
             oracle(1e6, Program::new()),
             heap(),
         );
-        restore_across(
+        continue_across(
             kind,
             "dual-heap->reference",
             heap(),

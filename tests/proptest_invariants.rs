@@ -538,13 +538,9 @@ fn churn_case<S: NodeScheduler>(factory: impl Fn(f64) -> S + 'static, seed: u64)
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot/restore round-trip identity: for *arbitrary* multi-link
-// networks with random hierarchies, mixed sources, outages, and flow
-// churn, checkpointing at a random instant and restoring — into the same
-// network after it ran further (rollback) or into a freshly built twin
-// (resume) — must reproduce the uncheckpointed run exactly. The final
-// full-state snapshot is the equality witness: byte-identical bytes mean
-// identical clocks, queues, sources, shares, ledgers, and stats.
+// Multi-link churn: *arbitrary* networks with random hierarchies, mixed
+// sources, outages, and flow churn run to their horizon, apply every
+// command, and conserve bytes at every link.
 // ---------------------------------------------------------------------------
 
 /// One random network: 1–3 links, each with a randomized hierarchy (an
@@ -696,60 +692,24 @@ fn random_churn_net(rng_seed: u64) -> (Network<MixedScheduler, NoopObserver>, f6
     (net, HORIZON)
 }
 
-/// `run(0..T)` ≡ `run(0..t) → snapshot → restore → run(t..T)` on random
-/// networks: the rollback and fresh-resume tails must land on a final
-/// state whose serialized snapshot is byte-identical to the golden run's,
-/// and re-capturing a checkpoint must be byte-stable.
 #[test]
-fn snapshot_restore_round_trip_identity_on_random_churn_networks() {
+fn random_churn_networks_conserve_and_apply_every_command() {
     for case in 0..24u64 {
         let seed = 0x54a9_0000 + case;
-        let (mut golden, horizon) = random_churn_net(seed);
-        golden.run(horizon);
-        golden.verify_conservation().unwrap_or_else(|e| {
-            panic!("case {case}: golden run broke conservation: {e}");
+        let (mut net, horizon) = random_churn_net(seed);
+        net.run(horizon);
+        net.verify_conservation().unwrap_or_else(|e| {
+            panic!("case {case}: run broke conservation: {e}");
         });
         assert!(
-            golden.command_errors.is_empty(),
+            net.command_errors.is_empty(),
             "case {case}: churn commands failed: {:?}",
-            golden.command_errors
+            net.command_errors
         );
         assert!(
-            golden.stats.total_packets > 100,
+            net.stats.total_packets > 100,
             "case {case}: degenerate workload ({} packets)",
-            golden.stats.total_packets
-        );
-        let golden_final = golden.snapshot().unwrap().to_bytes();
-
-        let mut case_rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
-        let t = case_rng.gen_range_f64(0.1, horizon - 0.1);
-        let (mut net, _) = random_churn_net(seed);
-        net.run(t);
-        let snap = net.snapshot().unwrap();
-        assert_eq!(
-            snap.to_bytes(),
-            net.snapshot().unwrap().to_bytes(),
-            "case {case}: re-capture at t={t} changed bytes"
-        );
-
-        // Rollback: run to completion, rewind to the checkpoint, replay.
-        net.run(horizon);
-        net.restore(&snap).unwrap();
-        net.run(horizon);
-        assert_eq!(
-            net.snapshot().unwrap().to_bytes(),
-            golden_final,
-            "case {case}: rollback from t={t} diverged from the golden run"
-        );
-
-        // Resume: restore into a freshly built twin and run the tail.
-        let (mut fresh, _) = random_churn_net(seed);
-        fresh.restore(&snap).unwrap();
-        fresh.run(horizon);
-        assert_eq!(
-            fresh.snapshot().unwrap().to_bytes(),
-            golden_final,
-            "case {case}: fresh resume from t={t} diverged from the golden run"
+            net.stats.total_packets
         );
     }
 }
@@ -829,10 +789,9 @@ fn flow_map_agrees_with_btreemap() {
     }
 }
 
-/// The same lockstep one level up, through the operations the engine and
-/// a restore perform on `SimStats`: first-touch creation by `record_*`,
-/// loss counters, flow-ordered listing, and serialization that does not
-/// depend on insertion history.
+/// The same lockstep one level up, through the operations the engine
+/// performs on `SimStats`: first-touch creation by `record_*`, loss
+/// counters, and flow-ordered listing.
 #[test]
 fn sim_stats_flow_table_agrees_with_btreemap() {
     use std::collections::BTreeMap;
@@ -888,23 +847,6 @@ fn sim_stats_flow_table_agrees_with_btreemap() {
         for &flow in &pool {
             let want = oracle.get(&flow).cloned().unwrap_or_default();
             assert_eq!(stats.flow(flow), want, "case {case} flow {flow}");
-        }
-        // Reloaded — rebuilt in flow order from scratch — the collector
-        // serializes to the same bytes: layout history is not observable.
-        let mut reloaded = SimStats::new();
-        reloaded.load_state(&stats.save_state()).unwrap();
-        assert_eq!(reloaded.flows(), stats.flows());
-        assert_eq!(
-            stats.save_state().to_bytes(),
-            reloaded.save_state().to_bytes(),
-            "case {case}"
-        );
-        for &flow in &pool {
-            assert_eq!(
-                reloaded.flow(flow),
-                stats.flow(flow),
-                "case {case} flow {flow}"
-            );
         }
     }
 }
