@@ -1,33 +1,25 @@
 //! The chaos-soak CLI: run the differential fault soak and report.
 //!
 //! ```text
-//! chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] [--flight-dir DIR]
-//!            [--quarantine-demo] [--halt-demo]
+//! chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR]
 //! ```
 //!
 //! Exits non-zero if [`hpfq_chaos::ChaosReport::assert_healthy`] finds any
 //! breach of the degradation contract, so CI can gate on it directly.
-//! `--flight-dir DIR` writes each run's flight-recorder snapshot there
-//! when (and only when) the soak is unhealthy — the post-mortem artifact
-//! CI uploads. `--halt-demo` instead drives the escalation ladder to a
-//! halt on purpose and writes the dump the recorder emits at that moment
-//! (to `--flight-dir`, default the working directory).
+//! `--trace-dir DIR` writes each scheduler's full JSONL trace there
+//! (healthy or not) — the artifact `hpfq-trace` queries.
 
 use std::ffi::OsString;
 use std::process::ExitCode;
 
-use hpfq_chaos::{halt_scenario, quarantine_scenario, run_soak, ChaosConfig};
+use hpfq_chaos::{run_soak, ChaosConfig};
 
-const USAGE: &str = "usage: chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR] \
-                     [--flight-dir DIR] [--quarantine-demo] [--halt-demo]";
+const USAGE: &str = "usage: chaos-soak [--seed N] [--horizon SECS] [--trace-dir DIR]";
 
 struct Args {
     seed: u64,
     horizon: f64,
     trace_dir: Option<String>,
-    flight_dir: Option<String>,
-    quarantine_demo: bool,
-    halt_demo: bool,
 }
 
 fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
@@ -35,9 +27,6 @@ fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
         seed: 1,
         horizon: 30.0,
         trace_dir: None,
-        flight_dir: None,
-        quarantine_demo: false,
-        halt_demo: false,
     };
     let mut it = argv
         .map(OsString::into_string)
@@ -59,9 +48,6 @@ fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
                 }
             }
             "--trace-dir" => args.trace_dir = Some(grab("--trace-dir")?),
-            "--flight-dir" => args.flight_dir = Some(grab("--flight-dir")?),
-            "--quarantine-demo" => args.quarantine_demo = true,
-            "--halt-demo" => args.halt_demo = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown flag {other} (try --help)")),
         }
@@ -77,47 +63,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if args.halt_demo {
-        let dir = args.flight_dir.as_deref().unwrap_or(".");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-        let path = format!("{dir}/flight-halt-seed{}.jsonl", args.seed);
-        let out = halt_scenario(args.seed, &path);
-        println!(
-            "halt demo (seed {}): halted {}, quarantined {:?}, {} flight dump(s) -> {path}",
-            args.seed, out.halted, out.quarantined, out.dumps_written
-        );
-        return if out.halted && out.dumps_written > 0 {
-            ExitCode::SUCCESS
-        } else {
-            eprintln!("halt demo FAILED: expected a halt and at least one flight dump");
-            ExitCode::FAILURE
-        };
-    }
-
-    if args.quarantine_demo {
-        let out = quarantine_scenario(args.seed);
-        println!(
-            "quarantine demo (seed {}): isolated flows {:?}, {} B served, \
-             root share after {:.3}, conservation {}",
-            args.seed,
-            out.quarantined,
-            out.served_bytes,
-            out.root_share_after,
-            match &out.conservation {
-                Ok(()) => "OK".to_string(),
-                Err(e) => format!("BROKEN: {e}"),
-            }
-        );
-        return if out.conservation.is_ok() && !out.quarantined.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
 
     let cfg = ChaosConfig::all_faults(args.seed, args.horizon);
     println!(
@@ -160,21 +105,6 @@ fn main() -> ExitCode {
             eprintln!("soak UNHEALTHY ({} problem(s)):", problems.len());
             for p in &problems {
                 eprintln!("  {p}");
-            }
-            // Post-mortem: persist every run's flight-recorder snapshot so
-            // CI can upload them as failure artifacts.
-            if let Some(dir) = &args.flight_dir {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {dir}: {e}");
-                } else {
-                    for run in &report.runs {
-                        let path = format!("{dir}/flight-{}-seed{}.jsonl", run.scheduler, cfg.seed);
-                        match std::fs::write(&path, &run.flight_dump) {
-                            Ok(()) => eprintln!("flight dump written: {path}"),
-                            Err(e) => eprintln!("cannot write {path}: {e}"),
-                        }
-                    }
-                }
             }
             ExitCode::FAILURE
         }

@@ -1,191 +1,106 @@
 //! Chaos configuration: one seed, five fault families.
 //!
-//! Every knob here feeds a deterministic generator — the same
-//! [`ChaosConfig`] always produces the same fault schedule and the same
-//! per-packet fault decisions, so a failing soak reproduces from its seed
-//! alone.
+//! A [`ChaosConfig`] is a seed, a horizon and one switch. The five
+//! families' intensities are fixed constants (the submodules below), so
+//! the same config always produces the same fault schedule and the same
+//! per-packet fault decisions, and a failing soak reproduces from its
+//! seed alone.
+
+/// Faults stop at `QUIET_FRACTION * horizon`, leaving a fault-free tail
+/// (at the nominal link rate) for post-recovery fairness checks.
+pub(crate) const QUIET_FRACTION: f64 = 0.7;
 
 /// Link-rate fluctuation and outages.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFaultConfig {
-    /// Master switch for this family.
-    pub enabled: bool,
+pub(crate) mod link {
     /// Seconds between link events.
-    pub interval: f64,
-    /// Probability that a link event is a full outage (rate 0) rather than
-    /// a rate change.
-    pub outage_prob: f64,
+    pub const INTERVAL: f64 = 2.0;
+    /// Probability that a link event is a full outage (rate 0) rather
+    /// than a rate change.
+    pub const OUTAGE_PROB: f64 = 0.25;
     /// Outage duration range in seconds, `[min, max)`.
-    pub outage_duration: (f64, f64),
+    pub const OUTAGE_DURATION: (f64, f64) = (0.2, 0.8);
     /// Rate-change multiplier range applied to the nominal rate,
     /// `[min, max)`.
-    pub rate_factor: (f64, f64),
-}
-
-impl Default for LinkFaultConfig {
-    fn default() -> Self {
-        LinkFaultConfig {
-            enabled: true,
-            interval: 2.0,
-            outage_prob: 0.25,
-            outage_duration: (0.2, 0.8),
-            rate_factor: (0.4, 1.0),
-        }
-    }
+    pub const RATE_FACTOR: (f64, f64) = (0.4, 1.0);
 }
 
 /// Bursty, correlated packet loss: a two-state Gilbert–Elliott chain per
 /// flow (a *good* state with rare loss and a *burst* state with heavy
 /// loss), advanced once per packet of that flow.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DropFaultConfig {
-    /// Master switch for this family.
-    pub enabled: bool,
+pub(crate) mod drops {
     /// Per-packet probability of entering the burst state from good.
-    pub p_good_to_burst: f64,
+    pub const P_GOOD_TO_BURST: f64 = 0.02;
     /// Per-packet probability of leaving the burst state.
-    pub p_burst_to_good: f64,
+    pub const P_BURST_TO_GOOD: f64 = 0.25;
     /// Loss probability while in the good state.
-    pub p_drop_good: f64,
+    pub const P_DROP_GOOD: f64 = 0.002;
     /// Loss probability while in the burst state.
-    pub p_drop_burst: f64,
-}
-
-impl Default for DropFaultConfig {
-    fn default() -> Self {
-        DropFaultConfig {
-            enabled: true,
-            p_good_to_burst: 0.02,
-            p_burst_to_good: 0.25,
-            p_drop_good: 0.002,
-            p_drop_burst: 0.4,
-        }
-    }
+    pub const P_DROP_BURST: f64 = 0.4;
 }
 
 /// Adversarial packet corruption: a sampled packet has one field mangled
 /// into something [`hpfq_core::Packet::validate`] must reject (zero or
 /// absurd length, non-finite timestamp).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CorruptFaultConfig {
-    /// Master switch for this family.
-    pub enabled: bool,
-    /// Per-packet corruption probability.
-    pub prob: f64,
-}
-
-impl Default for CorruptFaultConfig {
-    fn default() -> Self {
-        CorruptFaultConfig {
-            enabled: true,
-            // Low by default: corruption strikes flows under the escalation
-            // ladder, and the differential soak wants its base flows to
-            // survive into the recovery window (the quarantine scenario
-            // boosts this deliberately).
-            prob: 5e-4,
-        }
-    }
+pub(crate) mod corrupt {
+    /// Per-packet corruption probability. Every corrupted packet is
+    /// dropped and counted at admission.
+    pub const PROB: f64 = 5e-4;
 }
 
 /// Clock jitter: source timers fire early or late by a bounded offset.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JitterFaultConfig {
-    /// Master switch for this family.
-    pub enabled: bool,
+pub(crate) mod jitter {
     /// Probability that any given timer is perturbed.
-    pub prob: f64,
+    pub const PROB: f64 = 0.05;
     /// Maximum absolute perturbation in seconds (uniform in `±max`).
-    pub max_offset: f64,
-}
-
-impl Default for JitterFaultConfig {
-    fn default() -> Self {
-        JitterFaultConfig {
-            enabled: true,
-            prob: 0.05,
-            max_offset: 0.02,
-        }
-    }
+    pub const MAX_OFFSET: f64 = 0.02;
 }
 
 /// Flow churn: leaves join and leave the hierarchy mid-run, with shares
 /// rebalanced by the server's own work conservation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChurnFaultConfig {
-    /// Master switch for this family.
-    pub enabled: bool,
+pub(crate) mod churn {
     /// Seconds between churn events.
-    pub interval: f64,
+    pub const INTERVAL: f64 = 2.5;
     /// Maximum churn flows attached at once.
-    pub max_concurrent: usize,
+    pub const MAX_CONCURRENT: usize = 3;
     /// Total root share budgeted for churn flows. Each churn flow gets
-    /// `share_budget / total slots`, so even if every slot is attached (or
+    /// `SHARE_BUDGET / total slots`, so even if every slot is attached (or
     /// draining) simultaneously the root's share sum cannot overflow.
-    pub share_budget: f64,
+    pub const SHARE_BUDGET: f64 = 0.3;
 }
 
-impl Default for ChurnFaultConfig {
-    fn default() -> Self {
-        ChurnFaultConfig {
-            enabled: true,
-            interval: 2.5,
-            max_concurrent: 3,
-            share_budget: 0.3,
-        }
-    }
-}
-
-/// Full chaos-run configuration: seed, horizon, and the five families.
+/// Full chaos-run configuration: seed, horizon, and whether the five
+/// fault families run at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChaosConfig {
     /// Master seed; all fault randomness derives from it.
     pub seed: u64,
     /// Run length in seconds.
     pub horizon: f64,
-    /// Faults stop at `quiet_fraction * horizon`, leaving a fault-free
-    /// tail (at the nominal link rate) for post-recovery fairness checks.
-    pub quiet_fraction: f64,
-    /// Link-rate faults.
-    pub link: LinkFaultConfig,
-    /// Correlated loss.
-    pub drops: DropFaultConfig,
-    /// Packet corruption.
-    pub corrupt: CorruptFaultConfig,
-    /// Timer jitter.
-    pub jitter: JitterFaultConfig,
-    /// Flow churn.
-    pub churn: ChurnFaultConfig,
+    /// All five fault families on (`true`) or none (a control run).
+    pub faults: bool,
 }
 
 impl ChaosConfig {
-    /// All five fault families enabled at their default intensities.
+    /// All five fault families enabled.
     pub fn all_faults(seed: u64, horizon: f64) -> Self {
         ChaosConfig {
             seed,
             horizon,
-            quiet_fraction: 0.7,
-            link: LinkFaultConfig::default(),
-            drops: DropFaultConfig::default(),
-            corrupt: CorruptFaultConfig::default(),
-            jitter: JitterFaultConfig::default(),
-            churn: ChurnFaultConfig::default(),
+            faults: true,
         }
     }
 
     /// No faults at all (a control run).
     pub fn quiescent(seed: u64, horizon: f64) -> Self {
-        let mut cfg = ChaosConfig::all_faults(seed, horizon);
-        cfg.link.enabled = false;
-        cfg.drops.enabled = false;
-        cfg.corrupt.enabled = false;
-        cfg.jitter.enabled = false;
-        cfg.churn.enabled = false;
-        cfg
+        ChaosConfig {
+            faults: false,
+            ..ChaosConfig::all_faults(seed, horizon)
+        }
     }
 
     /// The time faults stop and the recovery window begins.
     pub fn quiet_from(&self) -> f64 {
-        self.horizon * self.quiet_fraction
+        self.horizon * QUIET_FRACTION
     }
 }
 
@@ -196,9 +111,10 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let cfg = ChaosConfig::all_faults(42, 30.0);
-        assert!(cfg.link.enabled && cfg.churn.enabled);
+        assert!(cfg.faults);
         assert!(cfg.quiet_from() > 0.0 && cfg.quiet_from() < cfg.horizon);
         let q = ChaosConfig::quiescent(42, 30.0);
-        assert!(!q.link.enabled && !q.corrupt.enabled);
+        assert!(!q.faults);
+        assert_eq!(q.quiet_from(), cfg.quiet_from());
     }
 }

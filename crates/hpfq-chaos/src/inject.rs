@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use hpfq_core::Packet;
 use hpfq_sim::{FaultInjector, PacketVerdict, SmallRng};
 
-use crate::config::ChaosConfig;
+use crate::config::{corrupt, drops, jitter, ChaosConfig};
 
 /// Per-flow injector state: two RNG streams (packets and timers advance
 /// independently) and the Gilbert–Elliott channel state.
@@ -72,8 +72,7 @@ impl ChaosInjector {
 impl FaultInjector for ChaosInjector {
     fn on_packet(&mut self, now: f64, pkt: &mut Packet) -> PacketVerdict {
         let quiet_from = self.cfg.quiet_from();
-        let drops = self.cfg.drops;
-        let corrupt = self.cfg.corrupt;
+        let faults = self.cfg.faults;
         let st = self.flow_state(pkt.flow);
         // The RNG streams advance for every packet — even in the quiet
         // tail — so the decision sequence depends only on the flow's
@@ -85,25 +84,25 @@ impl FaultInjector for ChaosInjector {
         if now >= quiet_from {
             return PacketVerdict::Pass;
         }
-        if drops.enabled {
+        if faults {
             if st.in_burst {
-                if r_state < drops.p_burst_to_good {
+                if r_state < drops::P_BURST_TO_GOOD {
                     st.in_burst = false;
                 }
-            } else if r_state < drops.p_good_to_burst {
+            } else if r_state < drops::P_GOOD_TO_BURST {
                 st.in_burst = true;
             }
             let p = if st.in_burst {
-                drops.p_drop_burst
+                drops::P_DROP_BURST
             } else {
-                drops.p_drop_good
+                drops::P_DROP_GOOD
             };
             if r_drop < p {
                 self.dropped += 1;
                 return PacketVerdict::Drop;
             }
         }
-        if corrupt.enabled && r_corrupt < corrupt.prob {
+        if faults && r_corrupt < corrupt::PROB {
             match r_mode {
                 0 => pkt.len_bytes = 0,
                 1 => pkt.len_bytes = u32::MAX,
@@ -118,13 +117,13 @@ impl FaultInjector for ChaosInjector {
 
     fn jitter(&mut self, now: f64, flow: u32, wake: f64) -> f64 {
         let quiet_from = self.cfg.quiet_from();
-        let jitter = self.cfg.jitter;
+        let faults = self.cfg.faults;
         let st = self.flow_state(flow);
         let r = st.wake_rng.gen_f64();
         let off = st
             .wake_rng
-            .gen_range_f64(-jitter.max_offset, jitter.max_offset);
-        if now >= quiet_from || !jitter.enabled || r >= jitter.prob {
+            .gen_range_f64(-jitter::MAX_OFFSET, jitter::MAX_OFFSET);
+        if now >= quiet_from || !faults || r >= jitter::PROB {
             return wake;
         }
         self.jittered += 1;

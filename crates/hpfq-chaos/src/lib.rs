@@ -10,7 +10,7 @@
 //!
 //! * [`config::ChaosConfig`] — five fault families (link rate/outage,
 //!   correlated Gilbert–Elliott loss, adversarial packet corruption, clock
-//!   jitter, flow churn) behind one knob set;
+//!   jitter, flow churn) at fixed intensities behind one on/off switch;
 //! * [`plan::build_plan`] — the control-plane schedule
 //!   ([`hpfq_sim::SimCommand`]s) plus the outage windows it creates;
 //! * [`inject::ChaosInjector`] — the data-plane [`hpfq_sim::FaultInjector`]
@@ -31,14 +31,10 @@ pub mod inject;
 pub mod plan;
 pub mod soak;
 
-pub use config::{
-    ChaosConfig, ChurnFaultConfig, CorruptFaultConfig, DropFaultConfig, JitterFaultConfig,
-    LinkFaultConfig,
-};
+pub use config::ChaosConfig;
 pub use inject::ChaosInjector;
 pub use plan::{build_plan, ChaosPlan, CHURN_FLOW_BASE};
 pub use soak::{
-    build_soak_sim, halt_scenario, quarantine_scenario, run_soak, ChaosReport, FlowLedger,
-    HaltOutcome, QuarantineOutcome, SoakRun, BASE_FLOWS, FLIGHT_CAPACITY, LINK_BPS,
+    build_soak_sim, run_soak, ChaosReport, FlowLedger, SoakRun, BASE_FLOWS, LINK_BPS,
     UNFAIRNESS_BOUND,
 };

@@ -10,7 +10,7 @@
 use hpfq_core::NodeId;
 use hpfq_sim::{CbrSource, SimCommand, SmallRng};
 
-use crate::config::ChaosConfig;
+use crate::config::{churn, link, ChaosConfig};
 
 /// Flow ids `CHURN_FLOW_BASE..` are churn flows; lower ids are the static
 /// base traffic.
@@ -39,22 +39,22 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
     let quiet_from = cfg.quiet_from();
 
     // ---- Link-rate fluctuation and outages -------------------------------
-    if cfg.link.enabled {
-        let mut t = cfg.link.interval;
+    if cfg.faults {
+        let mut t = link::INTERVAL;
         while t < quiet_from {
-            if rng.gen_bool(cfg.link.outage_prob) {
-                let dur = rng.gen_range_f64(cfg.link.outage_duration.0, cfg.link.outage_duration.1);
+            if rng.gen_bool(link::OUTAGE_PROB) {
+                let dur = rng.gen_range_f64(link::OUTAGE_DURATION.0, link::OUTAGE_DURATION.1);
                 let up = (t + dur).min(quiet_from);
                 commands.push((t, SimCommand::SetLinkRate(0.0)));
                 commands.push((up, SimCommand::SetLinkRate(link_bps)));
                 outages.push((t, up));
                 last_fault = last_fault.max(up);
             } else {
-                let f = rng.gen_range_f64(cfg.link.rate_factor.0, cfg.link.rate_factor.1);
+                let f = rng.gen_range_f64(link::RATE_FACTOR.0, link::RATE_FACTOR.1);
                 commands.push((t, SimCommand::SetLinkRate(f * link_bps)));
                 last_fault = last_fault.max(t);
             }
-            t += cfg.link.interval;
+            t += link::INTERVAL;
         }
         // Restore the nominal rate for the recovery window.
         commands.push((quiet_from, SimCommand::SetLinkRate(link_bps)));
@@ -63,20 +63,19 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
 
     // ---- Flow churn ------------------------------------------------------
     let mut churn_flows = Vec::new();
-    if cfg.churn.enabled {
+    if cfg.faults {
         // Budgeted shares: even if every slot ever attached were live (or
         // draining) at once, their sum stays within the churn budget.
         let total_slots = {
-            let events = (quiet_from / cfg.churn.interval) as usize;
+            let events = (quiet_from / churn::INTERVAL) as usize;
             events.max(1)
         };
-        let phi = cfg.churn.share_budget / total_slots.max(cfg.churn.max_concurrent) as f64;
+        let phi = churn::SHARE_BUDGET / total_slots.max(churn::MAX_CONCURRENT) as f64;
         let mut live: Vec<u32> = Vec::new();
         let mut next_flow = CHURN_FLOW_BASE;
-        let mut t = cfg.churn.interval * 0.75; // offset from link events
+        let mut t = churn::INTERVAL * 0.75; // offset from link events
         while t < quiet_from {
-            let add =
-                live.len() < cfg.churn.max_concurrent && (live.is_empty() || rng.gen_bool(0.6));
+            let add = live.len() < churn::MAX_CONCURRENT && (live.is_empty() || rng.gen_bool(0.6));
             if add {
                 let flow = next_flow;
                 next_flow += 1;
@@ -102,7 +101,7 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
                 commands.push((t, SimCommand::RemoveFlow(flow)));
             }
             last_fault = last_fault.max(t);
-            t += cfg.churn.interval;
+            t += churn::INTERVAL;
         }
     }
 
@@ -165,9 +164,9 @@ mod tests {
             }
         }
         assert!(
-            total_phi <= cfg.churn.share_budget + 1e-9,
+            total_phi <= churn::SHARE_BUDGET + 1e-9,
             "cumulative churn share {total_phi} exceeds budget {}",
-            cfg.churn.share_budget
+            churn::SHARE_BUDGET
         );
     }
 }

@@ -18,14 +18,18 @@
 //!   offered/dropped/corrupted counts (the faults are scheduler-independent
 //!   by construction, so any divergence is a harness bug);
 //! * **bounded unfairness after recovery** — in the fault-free tail every
-//!   surviving backlogged base flow's normalized service (bytes over its
-//!   guaranteed rate) converges; FIFO, which offers no isolation, is
-//!   reported but not held to the bound.
+//!   backlogged base flow's normalized service (bytes over its guaranteed
+//!   rate) converges; FIFO, which offers no isolation, is reported but not
+//!   held to the bound.
+//!
+//! Corrupted packets are dropped and counted at admission (they show up in
+//! each flow's `fault_drops`); the flow that sent them keeps its leaf and
+//! its guarantee.
 
 use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
-use hpfq_obs::{EscalationPolicy, FlightRecorder, InvariantKind, InvariantObserver, JsonlObserver};
+use hpfq_obs::{InvariantKind, InvariantObserver, JsonlObserver};
 use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
@@ -40,14 +44,9 @@ pub const BASE_FLOWS: [u32; 3] = [0, 1, 2];
 /// for schedulers that provide isolation (everything but FIFO).
 pub const UNFAIRNESS_BOUND: f64 = 0.35;
 
-/// Events the soak's flight recorder retains (most recent first out).
-pub const FLIGHT_CAPACITY: usize = 4096;
-
-/// The observer stack every soak run carries: online invariant checking,
-/// a full JSONL trace (faults and quarantines included), and a bounded
-/// flight recorder that snapshots the recent past when the escalation
-/// ladder fires.
-pub type SoakObserver = (InvariantObserver, (JsonlObserver<Vec<u8>>, FlightRecorder));
+/// The observer stack every soak run carries: online invariant checking
+/// and a full JSONL trace (faults included).
+pub type SoakObserver = (InvariantObserver, JsonlObserver<Vec<u8>>);
 
 /// Per-flow admission ledger, for cross-scheduler differential checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,10 +74,6 @@ pub struct SoakRun {
     pub served_bytes: u64,
     /// Admission ledger per flow (base and churn).
     pub per_flow: BTreeMap<u32, FlowLedger>,
-    /// Flows the escalation ladder quarantined.
-    pub quarantined: Vec<u32>,
-    /// Whether the ladder halted the run.
-    pub halted: bool,
     /// Commands the simulation rejected (count; the run continues past
     /// them by design).
     pub command_errors: usize,
@@ -93,16 +88,13 @@ pub struct SoakRun {
     /// Stored violations that are *not* excused work-conservation.
     pub unexcused: Vec<String>,
     /// Relative spread of normalized base-flow service in the recovery
-    /// window (`None` if fewer than two base flows remained live *and*
-    /// backlogged — fairness is only observable among backlogged flows).
+    /// window (`None` if fewer than two base flows remained backlogged —
+    /// fairness is only observable among backlogged flows).
     pub unfairness: Option<f64>,
-    /// The full JSONL trace (every scheduling, fault, and quarantine
-    /// event) — byte-identical for identical seeds.
+    /// The full JSONL trace (every scheduling and fault event) —
+    /// byte-identical for identical seeds, ready to write to disk and
+    /// query with `hpfq-trace`.
     pub trace: Vec<u8>,
-    /// Post-mortem flight-recorder snapshot: the last
-    /// [`FLIGHT_CAPACITY`] events as JSONL, ready
-    /// to write to disk and query with `hpfq-trace`.
-    pub flight_dump: String,
 }
 
 impl SoakRun {
@@ -114,14 +106,11 @@ impl SoakRun {
         };
         format!(
             "{{\"scheduler\":\"{}\",\"served_packets\":{},\"served_bytes\":{},\
-             \"quarantined\":{:?},\"halted\":{},\"command_errors\":{},\
-             \"conservation_ok\":{},\"violations_total\":{},\"excused_wc\":{},\
+             \"command_errors\":{},\"conservation_ok\":{},\"violations_total\":{},\"excused_wc\":{},\
              \"unexcused\":{},\"unfairness\":{}}}",
             self.scheduler,
             self.served_packets,
             self.served_bytes,
-            self.quarantined,
-            self.halted,
             self.command_errors,
             self.conservation.is_ok(),
             self.violations_total,
@@ -162,13 +151,7 @@ pub fn build_soak_sim(
     kind: SchedulerKind,
     cfg: &ChaosConfig,
 ) -> (Network<MixedScheduler, SoakObserver>, [NodeId; 3]) {
-    let obs: SoakObserver = (
-        InvariantObserver::new(),
-        (
-            JsonlObserver::new(Vec::new()),
-            FlightRecorder::new(FLIGHT_CAPACITY),
-        ),
-    );
+    let obs: SoakObserver = (InvariantObserver::new(), JsonlObserver::new(Vec::new()));
     let mut bld = Hierarchy::<MixedScheduler, SoakObserver>::builder_with_observer(
         LINK_BPS,
         move |rate| kind.build(rate),
@@ -212,7 +195,6 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         .collect();
 
     sim.set_fault_injector(ChaosInjector::new(*cfg));
-    sim.set_escalation_policy(EscalationPolicy::standard());
     for (t, cmd) in plan.commands {
         sim.schedule_command(t, cmd);
     }
@@ -236,25 +218,16 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         );
     }
 
-    // Recovery-window fairness: normalized service of every surviving,
-    // backlogged base flow over the fault-free tail. Normalizing by the
-    // leaf's guaranteed rate makes the values directly comparable — under
-    // any fair policy the spread is small; FIFO's is whatever the packet
-    // mix makes it. A flow that drained its queue (e.g. because a
-    // quarantine elsewhere freed enough capacity) is source-limited, not
+    // Recovery-window fairness: normalized service of every backlogged
+    // base flow over the fault-free tail. Normalizing by the leaf's
+    // guaranteed rate makes the values directly comparable — under any
+    // fair policy the spread is small; FIFO's is whatever the packet mix
+    // makes it. A flow that drained its queue is source-limited, not
     // scheduler-limited, so it says nothing about fairness and is skipped.
-    // And if *any* base flow was quarantined, the probe is skipped
-    // entirely: removing a leaf changes every survivor's effective
-    // guarantee (its class's excess flows to its siblings), so the static
-    // normalization no longer measures fairness — the quarantine path is
-    // instead held to conservation and cross-scheduler determinism.
     let window_start = plan.last_fault.max(cfg.quiet_from()) + 0.5;
-    let any_base_quarantined = BASE_FLOWS
-        .iter()
-        .any(|&f| sim.escalation().is_quarantined(f));
     let mut norms = Vec::new();
     for (i, &f) in BASE_FLOWS.iter().enumerate() {
-        if any_base_quarantined || sim.link_server(0).leaf_queue_bytes(base_leaves[i]) == 0 {
+        if sim.link_server(0).leaf_queue_bytes(base_leaves[i]) == 0 {
             continue;
         }
         let bytes: u64 = sim
@@ -277,18 +250,10 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
 
     let served_packets = sim.stats.total_packets;
     let served_bytes = sim.stats.total_bytes;
-    let quarantined = sim.escalation().quarantined_flows();
-    let halted = sim.is_halted();
     let command_errors = sim.command_errors.len();
     let conservation = sim.verify_conservation();
 
-    let (inv, (jsonl, mut flight)) = sim.into_observers().remove(0);
-    if conservation.is_err() {
-        // Post-mortem on a broken ledger: persist the recent past (no-op
-        // unless a dump path was configured on the recorder).
-        flight.dump();
-    }
-    let flight_dump = flight.snapshot_jsonl();
+    let (inv, jsonl) = sim.into_observers().remove(0);
     let mut excused_wc = 0usize;
     let mut unexcused = Vec::new();
     for viol in inv.violations() {
@@ -310,8 +275,6 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         served_packets,
         served_bytes,
         per_flow,
-        quarantined,
-        halted,
         command_errors,
         conservation,
         violations_total: inv.total_violations,
@@ -319,7 +282,6 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         unexcused,
         unfairness,
         trace: jsonl.into_inner(),
-        flight_dump,
     }
 }
 
@@ -355,9 +317,6 @@ impl ChaosReport {
             if let Err(e) = &run.conservation {
                 problems.push(format!("[{name}] conservation: {e}"));
             }
-            if run.halted {
-                problems.push(format!("[{name}] run halted under standard policy"));
-            }
             if run.served_packets == 0 {
                 problems.push(format!("[{name}] served nothing"));
             }
@@ -373,8 +332,8 @@ impl ChaosReport {
                     run.violations_total
                 ));
             }
-            // `None` is legitimate — a quarantine can free enough capacity
-            // that the survivors drain and fairness becomes unobservable.
+            // `None` is legitimate — outages and churn can leave too few
+            // base flows backlogged for fairness to be observable.
             if run.scheduler != SchedulerKind::Fifo.name() {
                 if let Some(u) = run.unfairness {
                     if u > UNFAIRNESS_BOUND {
@@ -387,15 +346,9 @@ impl ChaosReport {
         }
         // Differential determinism: the fault stream is scheduler-blind, so
         // every scheduler must have seen identical per-flow offered and
-        // fault-dropped counts, and quarantined the same flows.
+        // fault-dropped counts.
         if let Some((first, rest)) = self.runs.split_first() {
             for run in rest {
-                if run.quarantined != first.quarantined {
-                    problems.push(format!(
-                        "[{}] quarantined {:?} but [{}] quarantined {:?}",
-                        run.scheduler, run.quarantined, first.scheduler, first.quarantined
-                    ));
-                }
                 for (flow, a) in &first.per_flow {
                     let Some(b) = run.per_flow.get(flow) else {
                         problems.push(format!(
@@ -423,109 +376,32 @@ impl ChaosReport {
     }
 }
 
-/// Outcome of [`quarantine_scenario`].
-#[derive(Debug)]
-pub struct QuarantineOutcome {
-    /// Flows the ladder isolated (expected non-empty).
-    pub quarantined: Vec<u32>,
-    /// Share allocated at the root after the run (quarantined leaves'
-    /// shares have been returned to the pool once fully drained).
-    pub root_share_after: f64,
-    /// Bytes served after the first quarantine (service continued).
-    pub served_bytes: u64,
-    /// Conservation audit result.
-    pub conservation: Result<(), String>,
-}
-
-/// A focused single-scheduler (WF²Q+) scenario demonstrating graceful
-/// degradation: corruption is boosted two orders of magnitude so the base
-/// flows rack up strikes fast, the standard three-strike ladder
-/// quarantines them, and the run completes with the byte ledger intact
-/// and the isolated shares redistributed.
-pub fn quarantine_scenario(seed: u64) -> QuarantineOutcome {
-    let mut cfg = ChaosConfig::all_faults(seed, 20.0);
-    cfg.corrupt.prob = 0.05;
-    cfg.link.enabled = false; // isolate the corruption family
-    cfg.churn.enabled = false;
-    cfg.drops.enabled = false;
-    cfg.jitter.enabled = false;
-    let (mut sim, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
-    sim.set_fault_injector(ChaosInjector::new(cfg));
-    sim.set_escalation_policy(EscalationPolicy::standard());
-    sim.run(cfg.horizon);
-    QuarantineOutcome {
-        quarantined: sim.escalation().quarantined_flows(),
-        root_share_after: sim
-            .link_server(0)
-            .allocated_share(sim.link_server(0).root()),
-        served_bytes: sim.stats.total_bytes,
-        conservation: sim.verify_conservation(),
-    }
-}
-
-/// Outcome of [`halt_scenario`].
-#[derive(Debug)]
-pub struct HaltOutcome {
-    /// Whether the ladder halted the run (expected `true`).
-    pub halted: bool,
-    /// Flows quarantined before the halt.
-    pub quarantined: Vec<u32>,
-    /// Flight-recorder dumps written to `flight_path`.
-    pub dumps_written: u64,
-    /// The same snapshot, in memory (for callers without a disk path).
-    pub flight_dump: String,
-}
-
-/// Drives the escalation ladder all the way to **halt** and exercises the
-/// flight recorder's post-mortem path: corruption is boosted as in
-/// [`quarantine_scenario`] but the policy halts on the very first
-/// quarantine, and the recorder is given `flight_path`, so the moment the
-/// ladder fires it writes the last [`FLIGHT_CAPACITY`] events there as
-/// JSONL — the artifact `hpfq-trace` then queries.
-pub fn halt_scenario(seed: u64, flight_path: &str) -> HaltOutcome {
-    let mut cfg = ChaosConfig::all_faults(seed, 20.0);
-    cfg.corrupt.prob = 0.05;
-    cfg.link.enabled = false;
-    cfg.churn.enabled = false;
-    cfg.drops.enabled = false;
-    cfg.jitter.enabled = false;
-    let (mut sim, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
-    sim.set_fault_injector(ChaosInjector::new(cfg));
-    sim.set_escalation_policy(EscalationPolicy {
-        quarantine_after: 3,
-        halt_after: 1,
-    });
-    sim.observer_of_mut(0)
-        .1
-         .1
-        .set_dump_path(Some(flight_path.to_string()));
-    sim.run(cfg.horizon);
-    let halted = sim.is_halted();
-    let quarantined = sim.escalation().quarantined_flows();
-    let (_, (_, mut flight)) = sim.into_observers().remove(0);
-    // The auto-dump fired at the quarantine, mid-step; rewrite the
-    // artifact so the on-disk post-mortem carries every event up to the
-    // halt.
-    flight.dump();
-    HaltOutcome {
-        halted,
-        quarantined,
-        dumps_written: flight.dumps_written(),
-        flight_dump: flight.snapshot_jsonl(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Seeds 1 and 2: on seed 2 the corruption family hits base flow 0,
+    /// whose invalid packets are dropped and counted while its leaf keeps
+    /// its share, so the recovery-window probe must still run.
     #[test]
     fn soak_all_schedulers_healthy_seed_1() {
-        let cfg = ChaosConfig::all_faults(1, 30.0);
-        let report = run_soak(&cfg);
-        assert_eq!(report.runs.len(), SchedulerKind::ALL.len());
-        if let Err(problems) = report.assert_healthy() {
-            panic!("unhealthy soak:\n{}", problems.join("\n"));
+        for seed in [1, 2] {
+            let cfg = ChaosConfig::all_faults(seed, 30.0);
+            let report = run_soak(&cfg);
+            assert_eq!(report.runs.len(), SchedulerKind::ALL.len());
+            if let Err(problems) = report.assert_healthy() {
+                panic!("seed {seed}: unhealthy soak:\n{}", problems.join("\n"));
+            }
+            for run in &report.runs {
+                if run.scheduler != SchedulerKind::Fifo.name() {
+                    assert!(
+                        run.unfairness.is_some(),
+                        "seed {seed} [{}]: the recovery-window fairness probe saw no two \
+                         backlogged base flows",
+                        run.scheduler
+                    );
+                }
+            }
         }
     }
 
@@ -545,48 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_redistributes_and_conserves() {
-        let out = quarantine_scenario(3);
-        assert!(
-            !out.quarantined.is_empty(),
-            "boosted corruption should quarantine at least one flow: {out:?}"
-        );
-        assert!(out.served_bytes > 0);
-        out.conservation.as_ref().unwrap();
-        // Fully drained quarantined leaves give their share back.
-        assert!(out.root_share_after <= 0.6 + 1e-9, "{out:?}");
-    }
-
-    #[test]
-    fn halt_scenario_dumps_queryable_flight_recording() {
-        let path = std::env::temp_dir().join("hpfq-halt-flight-test.jsonl");
-        let path_str = path.to_string_lossy().into_owned();
-        let _ = std::fs::remove_file(&path);
-        let out = halt_scenario(3, &path_str);
-        assert!(out.halted, "{out:?}");
-        assert!(!out.quarantined.is_empty(), "{out:?}");
-        assert!(out.dumps_written >= 1, "{out:?}");
-        let dumped = std::fs::read_to_string(&path).expect("dump file written");
-        let _ = std::fs::remove_file(&path);
-        // The dump must be line-by-line parseable by the query layer and
-        // must contain the quarantine that tripped the halt.
-        let mut quarantines = 0usize;
-        for line in dumped.lines() {
-            let parsed = hpfq_obs::query::parse_obs_line(line)
-                .unwrap_or_else(|| panic!("unparseable dump line: {line}"));
-            if let hpfq_obs::query::ObsLine::Event(hpfq_obs::TraceEvent::Quarantine(_)) = parsed {
-                quarantines += 1;
-            }
-        }
-        assert!(quarantines >= 1, "dump carries no quarantine event");
-        // The in-memory snapshot has the same shape.
-        let summary = hpfq_obs::query::summarize(&out.flight_dump);
-        assert_eq!(summary.malformed, 0, "{summary:?}");
-        assert_eq!(summary.flights, 1);
-        assert!(summary.events > 0);
-    }
-
-    #[test]
     fn quiescent_control_run_is_violation_free() {
         let cfg = ChaosConfig::quiescent(9, 10.0);
         let report = run_soak(&cfg);
@@ -597,7 +431,7 @@ mod tests {
                 run.scheduler
             );
             run.conservation.as_ref().unwrap();
-            assert!(run.quarantined.is_empty());
+            assert!(run.per_flow.values().all(|l| l.fault_drops == 0));
         }
     }
 }

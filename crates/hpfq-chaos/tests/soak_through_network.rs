@@ -2,13 +2,12 @@
 //!
 //! `build_soak_sim` hands back the one-link [`hpfq_sim::Network`] the
 //! harness drives; everything the soak exercises — fault injection,
-//! scheduled commands, churn, quarantine — lives in that one type. Two
-//! independently built soaks under the same config must therefore agree
-//! exactly: same fault schedule, same escalation, same trace bytes.
+//! scheduled commands, churn — lives in that one type. Two independently
+//! built soaks under the same config must therefore agree exactly: same
+//! fault schedule, same fault drops, same trace bytes.
 
 use hpfq_chaos::{build_plan, build_soak_sim, ChaosConfig, ChaosInjector};
 use hpfq_core::{NodeId, SchedulerKind};
-use hpfq_obs::EscalationPolicy;
 
 #[test]
 fn soak_is_identical_through_simulation_and_network_front_ends() {
@@ -16,17 +15,16 @@ fn soak_is_identical_through_simulation_and_network_front_ends() {
     let run = || {
         let (mut net, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
         net.set_fault_injector(ChaosInjector::new(cfg));
-        net.set_escalation_policy(EscalationPolicy::standard());
         for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
             net.schedule_command(t, cmd);
         }
         net.run(cfg.horizon);
         net.verify_conservation().unwrap();
         let totals = (net.stats.total_bytes, net.stats.total_packets);
-        let quarantined = net.escalation().quarantined_flows();
-        let (inv, (jsonl, _flight)) = net.into_observers().remove(0);
+        let fault_drops: Vec<u64> = (0..3).map(|f| net.stats.flow(f).fault_drops).collect();
+        let (inv, jsonl) = net.into_observers().remove(0);
         assert!(inv.events_checked > 0);
-        (totals, quarantined, jsonl.into_inner())
+        (totals, fault_drops, jsonl.into_inner())
     };
     let (a, b) = (run(), run());
     assert_eq!(a.0, b.0);

@@ -24,7 +24,7 @@ pub enum HpfqError {
     InvalidRate(f64),
     /// A packet failed admission validation (zero/oversized length or a
     /// non-finite timestamp). Carries the packet's claimed identity so the
-    /// degradation layer can attribute the strike to a flow.
+    /// drop can be counted against its flow.
     InvalidPacket {
         /// Claimed packet id.
         id: u64,
@@ -34,7 +34,7 @@ pub enum HpfqError {
         reason: &'static str,
     },
     /// An operation targeted a leaf that has been removed (or is draining
-    /// toward removal) — e.g. an enqueue on a quarantined flow's leaf.
+    /// toward removal) — e.g. an enqueue on a removed flow's leaf.
     NodeDetached(usize),
     /// A structural mutation (leaf removal) was attempted on a node that
     /// still has attached children.

@@ -599,8 +599,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         Ok(self.push_node(p, phi, None))
     }
 
-    /// Removes a leaf mid-run (flow churn / quarantine), returning the
-    /// packets purged from its queue.
+    /// Removes a leaf mid-run (flow churn), returning the packets purged
+    /// from its queue.
     ///
     /// This is exactly the dynamic-session scenario WF²Q+'s virtual-time
     /// function was designed for (eqs. 27–29): an idle session exerts no

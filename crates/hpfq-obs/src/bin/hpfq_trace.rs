@@ -1,10 +1,10 @@
-//! `hpfq-trace` — query JSONL traces and flight-recorder dumps.
+//! `hpfq-trace` — query JSONL traces.
 //!
 //! ```text
 //! hpfq-trace <COMMAND> [FILE] [OPTIONS]
 //!
 //! Commands:
-//!   summary   Tally events, flight headers, and time range
+//!   summary   Tally events, malformed lines, and time range
 //!   filter    Print event lines matching the filters
 //!   delays    Per-flow delay percentiles from tx_end events
 //!   chrome    Render a Chrome trace-event (Perfetto) JSON document
@@ -20,6 +20,10 @@
 //!   --out PATH  Write output to PATH instead of stdout
 //! ```
 //!
+//! The command and every option are checked before any input is read, so
+//! a bad command line fails fast even when stdin never closes. `--from` /
+//! `--to` must be finite.
+//!
 //! All the heavy lifting lives in `hpfq_obs::query`, which is unit tested;
 //! this binary only parses arguments and moves bytes.
 
@@ -33,8 +37,15 @@ use hpfq_obs::query::{
 const USAGE: &str = "usage: hpfq-trace <summary|filter|delays|chrome> \
                      [FILE|-] [--link N] [--flow N] [--node N] [--from T] [--to T] [--out PATH]";
 
+enum Cmd {
+    Summary,
+    Filter,
+    Delays,
+    Chrome,
+}
+
 struct Args {
-    command: String,
+    command: Cmd,
     file: String,
     filter: Filter,
     out: Option<String>,
@@ -76,14 +87,8 @@ fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
                         .map_err(|e| format!("--node: {e}"))?,
                 )
             }
-            "--from" => {
-                filter.t_from = Some(
-                    value("--from")?
-                        .parse()
-                        .map_err(|e| format!("--from: {e}"))?,
-                )
-            }
-            "--to" => filter.t_to = Some(value("--to")?.parse().map_err(|e| format!("--to: {e}"))?),
+            "--from" => filter.t_from = Some(time_value("--from", value("--from")?)?),
+            "--to" => filter.t_to = Some(time_value("--to", value("--to")?)?),
             "--out" => out = Some(value("--out")?.clone()),
             "--help" | "-h" => return Err(USAGE.to_string()),
             other if command.is_none() => command = Some(other.to_string()),
@@ -91,12 +96,29 @@ fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
             other => return Err(format!("unexpected argument `{other}`\n{USAGE}")),
         }
     }
+    let command = match command.ok_or_else(|| USAGE.to_string())?.as_str() {
+        "summary" => Cmd::Summary,
+        "filter" => Cmd::Filter,
+        "delays" => Cmd::Delays,
+        "chrome" => Cmd::Chrome,
+        other => return Err(format!("unknown command `{other}`\n{USAGE}")),
+    };
     Ok(Args {
-        command: command.ok_or_else(|| USAGE.to_string())?,
+        command,
         file: file.unwrap_or_else(|| "-".to_string()),
         filter,
         out,
     })
+}
+
+/// A `--from` / `--to` bound: a finite number of seconds. `t < NaN` is
+/// always false, so a NaN bound would silently drop the filter.
+fn time_value(name: &str, raw: &str) -> Result<f64, String> {
+    match raw.parse::<f64>() {
+        Ok(t) if t.is_finite() => Ok(t),
+        Ok(_) => Err(format!("{name}: `{raw}` is not a finite time\n{USAGE}")),
+        Err(e) => Err(format!("{name}: {e}")),
+    }
 }
 
 fn read_input(file: &str) -> Result<String, String> {
@@ -113,13 +135,12 @@ fn read_input(file: &str) -> Result<String, String> {
 
 fn run(args: &Args) -> Result<String, String> {
     let text = read_input(&args.file)?;
-    match args.command.as_str() {
-        "summary" => Ok(render_summary(&summarize(&text))),
-        "filter" => Ok(filter_lines(&text, &args.filter)),
-        "delays" => Ok(render_delays(&delay_report(&text, &args.filter))),
-        "chrome" => Ok(chrome_from_text(&text)),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    }
+    Ok(match args.command {
+        Cmd::Summary => render_summary(&summarize(&text)),
+        Cmd::Filter => filter_lines(&text, &args.filter),
+        Cmd::Delays => render_delays(&delay_report(&text, &args.filter)),
+        Cmd::Chrome => chrome_from_text(&text),
+    })
 }
 
 fn main() {

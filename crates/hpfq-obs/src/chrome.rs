@@ -9,8 +9,8 @@
 //!
 //! Track layout: process 1 "links", one thread (track) per link; each
 //! packet transmission is a complete (`"ph":"X"`) slice from `tx_start` to
-//! `tx_end`, and drops / faults / quarantines are instant events on the
-//! link they occurred on.
+//! `tx_end`, and drops and faults are instant events on the link they
+//! occurred on.
 //!
 //! Dense per-packet events (enqueue, dispatch, backlog) are deliberately
 //! not emitted — they would swamp the timeline; query them with
@@ -35,7 +35,7 @@ fn push_event(out: &mut String, first: &mut bool, body: std::fmt::Arguments<'_>)
 /// Renders `events` as a Chrome trace-event JSON document.
 ///
 /// Accepts any event slice (typically from [`crate::jsonl::parse_trace`]
-/// over a merged multi-link trace or a flight-recorder dump). Transmission
+/// over a merged multi-link trace or a window of one). Transmission
 /// slices still open at the end of the trace are closed at the last
 /// timestamp seen and tagged `"open":true`.
 pub fn chrome_trace(events: &[TraceEvent]) -> String {
@@ -124,21 +124,6 @@ pub fn chrome_trace(events: &[TraceEvent]) -> String {
                         e.node,
                         e.flow,
                         e.value
-                    ),
-                );
-            }
-            TraceEvent::Quarantine(e) => {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    format_args!(
-                        "{{\"name\":\"quarantine f{}\",\"cat\":\"quarantine\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{\"flow\":{},\"strikes\":{},\"purged\":{}}}}}",
-                        e.flow,
-                        e.link,
-                        e.time * US,
-                        e.flow,
-                        e.strikes,
-                        e.purged_packets
                     ),
                 );
             }

@@ -145,8 +145,8 @@ pub struct BusyResetEvent {
 
 /// The family of an injected or detected fault (see [`FaultEvent`]).
 ///
-/// The first six are *injected* by a chaos harness; the last three are
-/// *detected* by the degradation layer reacting to traffic.
+/// The first six are *injected* by a chaos harness; the next two record
+/// churn, and [`FaultKind::InvalidPacket`] is *detected* at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The link rate changed (value = new rate in bits/s).
@@ -227,28 +227,6 @@ pub struct FaultEvent {
     pub value: f64,
 }
 
-/// The degradation layer isolated a flow: its leaf was removed from the
-/// tree, queued packets were purged, and its share returned to the parent
-/// pool (redistributed by work conservation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuarantineEvent {
-    /// Time of the quarantine decision.
-    pub time: f64,
-    /// Output link (hierarchy) the event belongs to; 0 for
-    /// single-link setups.
-    pub link: usize,
-    /// The quarantined flow's leaf node index.
-    pub leaf: usize,
-    /// The quarantined flow.
-    pub flow: u32,
-    /// Strikes accumulated when the ladder tripped.
-    pub strikes: u32,
-    /// Packets purged from the leaf's queue.
-    pub purged_packets: u64,
-    /// Bytes purged from the leaf's queue.
-    pub purged_bytes: u64,
-}
-
 /// A union of every event — the form traces are parsed back into (see
 /// [`crate::jsonl`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,8 +248,6 @@ pub enum TraceEvent {
     BusyReset(BusyResetEvent),
     /// See [`FaultEvent`].
     Fault(FaultEvent),
-    /// See [`QuarantineEvent`].
-    Quarantine(QuarantineEvent),
 }
 
 /// Maps a policy name read from a trace back to a `'static` string so a

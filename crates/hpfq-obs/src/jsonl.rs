@@ -18,14 +18,13 @@
 //! {"ev":"busy_reset","t":0.4,"link":0,"node":0}
 //! {"ev":"drop","t":0.2,"link":0,"leaf":3,"id":8,"flow":1,"len":8192,"arr":0.2,"qbytes":65536}
 //! {"ev":"fault","t":0.5,"link":0,"kind":"link_rate","node":0,"flow":0,"value":22500000}
-//! {"ev":"quarantine","t":0.7,"link":0,"leaf":4,"flow":9,"strikes":3,"purged":12,"pbytes":98304}
 //! ```
 
 use std::io::Write;
 
 use crate::event::{
     intern_policy, BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent,
-    FaultEvent, FaultKind, PacketInfo, QuarantineEvent, TraceEvent, TxEvent,
+    FaultEvent, FaultKind, PacketInfo, TraceEvent, TxEvent,
 };
 use crate::Observer;
 
@@ -125,13 +124,6 @@ impl<W: Write> Observer for JsonlObserver<W> {
             e.value,
         ));
     }
-
-    fn on_quarantine(&mut self, e: &QuarantineEvent) {
-        self.emit(format_args!(
-            "{{\"ev\":\"quarantine\",\"t\":{},\"link\":{},\"leaf\":{},\"flow\":{},\"strikes\":{},\"purged\":{},\"pbytes\":{}}}\n",
-            e.time, e.link, e.leaf, e.flow, e.strikes, e.purged_packets, e.purged_bytes,
-        ));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -140,14 +132,13 @@ impl<W: Write> Observer for JsonlObserver<W> {
 
 /// A parsed `"key":value` pair list from one flat JSON object. The format
 /// above never nests objects and its only strings are bare identifiers, so
-/// a small scanner suffices. Shared with `crate::query`, which parses the
-/// span/epoch/flight line families on top of the same scanner.
-pub(crate) struct Fields<'a> {
+/// a small scanner suffices.
+struct Fields<'a> {
     pairs: Vec<(&'a str, &'a str)>,
 }
 
 impl<'a> Fields<'a> {
-    pub(crate) fn parse(line: &'a str) -> Option<Self> {
+    fn parse(line: &'a str) -> Option<Self> {
         let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
         let mut pairs = Vec::new();
         let mut rest = body;
@@ -176,19 +167,19 @@ impl<'a> Fields<'a> {
         Some(Fields { pairs })
     }
 
-    pub(crate) fn str(&self, key: &str) -> Option<&'a str> {
+    fn str(&self, key: &str) -> Option<&'a str> {
         self.pairs.iter().find(|&&(k, _)| k == key).map(|&(_, v)| v)
     }
 
-    pub(crate) fn f64(&self, key: &str) -> Option<f64> {
+    fn f64(&self, key: &str) -> Option<f64> {
         self.str(key)?.parse().ok()
     }
 
-    pub(crate) fn usize(&self, key: &str) -> Option<usize> {
+    fn usize(&self, key: &str) -> Option<usize> {
         self.str(key)?.parse().ok()
     }
 
-    pub(crate) fn u64(&self, key: &str) -> Option<u64> {
+    fn u64(&self, key: &str) -> Option<u64> {
         self.str(key)?.parse().ok()
     }
 
@@ -272,15 +263,6 @@ pub fn parse_line(line: &str) -> Option<TraceEvent> {
             node: f.usize("node")?,
             flow: f.u32("flow")?,
             value: f.f64("value")?,
-        })),
-        "quarantine" => Some(TraceEvent::Quarantine(QuarantineEvent {
-            time,
-            link: f.usize("link").unwrap_or(0),
-            leaf: f.usize("leaf")?,
-            flow: f.u32("flow")?,
-            strikes: f.u32("strikes")?,
-            purged_packets: f.u64("purged")?,
-            purged_bytes: f.u64("pbytes")?,
         })),
         _ => None,
     }
@@ -484,20 +466,6 @@ mod tests {
             value: 1500.0,
         };
         assert_eq!(roundtrip(|o| o.on_fault(&flt)), TraceEvent::Fault(flt));
-
-        let q = QuarantineEvent {
-            time: 7.5,
-            link: 0,
-            leaf: 4,
-            flow: 9,
-            strikes: 3,
-            purged_packets: 12,
-            purged_bytes: 98_304,
-        };
-        assert_eq!(
-            roundtrip(|o| o.on_quarantine(&q)),
-            TraceEvent::Quarantine(q)
-        );
     }
 
     #[test]

@@ -24,13 +24,10 @@
 //!   at the root of the dependency graph, and is re-exported as
 //!   `hpfq_core::vtime`; the `hpfq-lint` static-analysis pass enforces that
 //!   all virtual-time comparisons and tolerance constants go through it.
-//! * [`recorder::FlightRecorder`] — a bounded ring of recent events that
-//!   dumps itself as JSONL on quarantine or halt.
 //! * [`query`] and [`chrome`] — the library behind the `hpfq-trace` CLI:
 //!   summaries, filters and delay percentiles over traces, and a Chrome
 //!   trace-event (Perfetto) export.
-//! * [`event`] and [`escalation`] — the event records and the degradation
-//!   ladder the other crates share.
+//! * [`event`] — the event records the other crates share.
 //!
 //! Two observers can be combined by tupling: `(A, B)` implements
 //! [`Observer`] by forwarding every event to both.
@@ -54,25 +51,21 @@
 )]
 
 pub mod chrome;
-pub mod escalation;
 pub mod event;
 pub mod invariant;
 pub mod jsonl;
 pub mod metrics;
 pub mod query;
-pub mod recorder;
 pub mod vtime;
 
 pub use chrome::chrome_trace;
-pub use escalation::{EscalationLevel, EscalationPolicy, EscalationState};
 pub use event::{
     BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, FaultEvent, FaultKind,
-    PacketInfo, QuarantineEvent, TraceEvent, TxEvent,
+    PacketInfo, TraceEvent, TxEvent,
 };
 pub use invariant::{InvariantKind, InvariantObserver, Violation};
 pub use jsonl::{merge_traces, JsonlObserver, SharedBuf};
 pub use metrics::{DelayHistogram, MetricsObserver};
-pub use recorder::FlightRecorder;
 
 /// A sink for scheduler events.
 ///
@@ -118,10 +111,6 @@ pub trait Observer {
     /// A fault was injected into, or detected by, the system under test.
     #[inline]
     fn on_fault(&mut self, _e: &FaultEvent) {}
-
-    /// The degradation layer quarantined a flow.
-    #[inline]
-    fn on_quarantine(&mut self, _e: &QuarantineEvent) {}
 }
 
 /// The do-nothing observer: with it, every hook call compiles away.
@@ -151,8 +140,6 @@ pub struct CountingObserver {
     pub busy_resets: u64,
     /// Faults (injected or detected) seen.
     pub faults: u64,
-    /// Flow quarantines seen.
-    pub quarantines: u64,
 }
 
 impl Observer for CountingObserver {
@@ -187,10 +174,6 @@ impl Observer for CountingObserver {
     #[inline]
     fn on_fault(&mut self, _e: &FaultEvent) {
         self.faults += 1;
-    }
-    #[inline]
-    fn on_quarantine(&mut self, _e: &QuarantineEvent) {
-        self.quarantines += 1;
     }
 }
 
@@ -238,11 +221,6 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
         self.0.on_fault(e);
         self.1.on_fault(e);
     }
-    #[inline]
-    fn on_quarantine(&mut self, e: &QuarantineEvent) {
-        self.0.on_quarantine(e);
-        self.1.on_quarantine(e);
-    }
 }
 
 /// Dispatches a [`TraceEvent`] (e.g. parsed from a JSONL trace) to the
@@ -260,7 +238,6 @@ pub fn replay<O: Observer>(obs: &mut O, ev: &TraceEvent) {
             TraceEvent::Backlog(e) => obs.on_node_backlog(e),
             TraceEvent::BusyReset(e) => obs.on_busy_reset(e),
             TraceEvent::Fault(e) => obs.on_fault(e),
-            TraceEvent::Quarantine(e) => obs.on_quarantine(e),
         }
     }
 }

@@ -1,57 +1,19 @@
 //! Trace query primitives behind the `hpfq-trace` CLI.
 //!
-//! JSONL traces carry plain scheduler events (`crate::jsonl`) and, in
-//! flight-recorder dumps, one `{"ev":"flight",…}` header.
-//! [`parse_obs_line`] decodes both into [`ObsLine`]; any other line
-//! (including the `span` / `epoch` lines older builds wrote) is counted
-//! as unparsed and otherwise ignored. The report builders here
-//! ([`summarize`], [`delay_report`], [`filter_lines`]) are the library
-//! form of the `hpfq-trace` subcommands, so they are unit testable
-//! without spawning the binary.
+//! JSONL traces carry plain scheduler events (`crate::jsonl`); any other
+//! line (including the `span` / `epoch` lines, flight-recorder headers
+//! and `quarantine` events older builds wrote) is counted as unparsed and
+//! otherwise ignored. The report builders here ([`summarize`],
+//! [`delay_report`], [`filter_lines`]) are the library form of the
+//! `hpfq-trace` subcommands, so they are unit testable without spawning
+//! the binary.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
-use crate::jsonl::{self, Fields};
+use crate::jsonl;
 use crate::metrics::DelayHistogram;
-
-/// The `{"ev":"flight",…}` header of a flight-recorder dump.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlightInfo {
-    /// Ring capacity.
-    pub capacity: usize,
-    /// Events retained in the dump.
-    pub len: usize,
-    /// Events evicted before the dump.
-    pub dropped: u64,
-}
-
-/// Any line an observability JSONL stream can carry.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ObsLine {
-    /// A plain scheduler event.
-    Event(TraceEvent),
-    /// A flight-recorder dump header.
-    Flight(FlightInfo),
-}
-
-/// Parses one line of an observability JSONL stream (superset of
-/// [`crate::jsonl::parse_line`], which only yields events).
-pub fn parse_obs_line(line: &str) -> Option<ObsLine> {
-    if let Some(ev) = jsonl::parse_line(line) {
-        return Some(ObsLine::Event(ev));
-    }
-    let f = Fields::parse(line)?;
-    if f.str("ev")? != "flight" {
-        return None;
-    }
-    Some(ObsLine::Flight(FlightInfo {
-        capacity: f.usize("capacity")?,
-        len: f.usize("len")?,
-        dropped: f.u64("dropped")?,
-    }))
-}
 
 /// The time an event occurred.
 pub fn event_time(ev: &TraceEvent) -> f64 {
@@ -64,7 +26,6 @@ pub fn event_time(ev: &TraceEvent) -> f64 {
         TraceEvent::Backlog(e) => e.time,
         TraceEvent::BusyReset(e) => e.time,
         TraceEvent::Fault(e) => e.time,
-        TraceEvent::Quarantine(e) => e.time,
     }
 }
 
@@ -79,7 +40,6 @@ pub fn event_link(ev: &TraceEvent) -> usize {
         TraceEvent::Backlog(e) => e.link,
         TraceEvent::BusyReset(e) => e.link,
         TraceEvent::Fault(e) => e.link,
-        TraceEvent::Quarantine(e) => e.link,
     }
 }
 
@@ -91,7 +51,6 @@ pub fn event_flow(ev: &TraceEvent) -> Option<u32> {
         TraceEvent::TxStart(e) => Some(e.pkt.flow),
         TraceEvent::TxComplete(e) => Some(e.pkt.flow),
         TraceEvent::Fault(e) => Some(e.flow),
-        TraceEvent::Quarantine(e) => Some(e.flow),
         TraceEvent::Dispatch(_) | TraceEvent::Backlog(_) | TraceEvent::BusyReset(_) => None,
     }
 }
@@ -107,7 +66,6 @@ pub fn event_node(ev: &TraceEvent) -> Option<usize> {
         TraceEvent::Backlog(e) => Some(e.node),
         TraceEvent::BusyReset(e) => Some(e.node),
         TraceEvent::Fault(e) => Some(e.node),
-        TraceEvent::Quarantine(e) => Some(e.leaf),
     }
 }
 
@@ -122,7 +80,6 @@ pub fn event_kind(ev: &TraceEvent) -> &'static str {
         TraceEvent::Backlog(_) => "backlog",
         TraceEvent::BusyReset(_) => "busy_reset",
         TraceEvent::Fault(_) => "fault",
-        TraceEvent::Quarantine(_) => "quarantine",
     }
 }
 
@@ -182,8 +139,6 @@ pub struct TraceSummary {
     pub by_kind: BTreeMap<&'static str, u64>,
     /// Total scheduler events.
     pub events: u64,
-    /// Flight headers seen.
-    pub flights: usize,
     /// Lines that parsed as nothing.
     pub malformed: usize,
     /// `(first, last)` event time, if any events were seen.
@@ -201,8 +156,8 @@ pub fn summarize(text: &str) -> TraceSummary {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_obs_line(line) {
-            Some(ObsLine::Event(ev)) => {
+        match jsonl::parse_line(line) {
+            Some(ev) => {
                 *s.by_kind.entry(event_kind(&ev)).or_insert(0) += 1;
                 s.events += 1;
                 s.links.insert(event_link(&ev));
@@ -215,7 +170,6 @@ pub fn summarize(text: &str) -> TraceSummary {
                     Some((lo, hi)) => (lo.min(t), hi.max(t)),
                 });
             }
-            Some(ObsLine::Flight(_)) => s.flights += 1,
             None => s.malformed += 1,
         }
     }
@@ -238,16 +192,12 @@ pub fn render_summary(s: &TraceSummary) -> String {
     for (kind, n) in &s.by_kind {
         let _ = writeln!(out, "  {kind:<12} {n}");
     }
-    let _ = writeln!(
-        out,
-        "flight headers: {}, malformed: {}",
-        s.flights, s.malformed
-    );
+    let _ = writeln!(out, "malformed: {}", s.malformed);
     out
 }
 
-/// Keeps the original lines whose event passes `filter` (flight and
-/// malformed lines are dropped — filtering is an event query).
+/// Keeps the original lines whose event passes `filter` (lines that are
+/// not events are dropped — filtering is an event query).
 pub fn filter_lines(text: &str, filter: &Filter) -> String {
     let mut out = String::new();
     for line in text.lines() {
@@ -364,47 +314,30 @@ mod tests {
     use super::*;
 
     const TRACE: &str = concat!(
-        "{\"ev\":\"flight\",\"capacity\":8,\"len\":3,\"dropped\":1}\n",
         "{\"ev\":\"tx_start\",\"t\":0.1,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
         "{\"ev\":\"tx_end\",\"t\":0.2,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
         "{\"ev\":\"tx_end\",\"t\":0.4,\"link\":1,\"leaf\":2,\"id\":2,\"flow\":6,\"len\":1000,\"arr\":0.1}\n",
         "garbage\n",
     );
 
-    /// A flight dump in the shape builds with the span profiler wrote it:
-    /// a span aggregate after the events, plus an epoch line.
+    /// A flight dump in the shape builds with the span profiler and the
+    /// quarantine ladder wrote it: a flight header, a span aggregate after
+    /// the events, an epoch line and a quarantine event.
     const LEGACY_DUMP: &str = concat!(
         "{\"ev\":\"flight\",\"capacity\":8,\"len\":3,\"dropped\":1,\"checkpoint\":false}\n",
         "{\"ev\":\"tx_start\",\"t\":0.1,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
         "{\"ev\":\"epoch\",\"shard\":1,\"t0\":0,\"t1\":0.01,\"events\":3}\n",
         "{\"ev\":\"tx_end\",\"t\":0.2,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":5,\"len\":1000,\"arr\":0.05}\n",
         "{\"ev\":\"tx_end\",\"t\":0.4,\"link\":1,\"leaf\":2,\"id\":2,\"flow\":6,\"len\":1000,\"arr\":0.1}\n",
+        "{\"ev\":\"quarantine\",\"t\":0.3,\"link\":0,\"leaf\":1,\"flow\":5,\"strikes\":3,\"purged\":2,\"pbytes\":2000}\n",
         "{\"ev\":\"span\",\"shard\":0,\"kind\":\"dispatch\",\"count\":4,\"total_ns\":400,\"min_ns\":50,\"max_ns\":200,\"p50_ns\":64,\"p99_ns\":128}\n",
     );
-
-    #[test]
-    fn parse_obs_line_covers_all_families() {
-        assert!(matches!(
-            parse_obs_line("{\"ev\":\"busy_reset\",\"t\":1,\"node\":0}"),
-            Some(ObsLine::Event(TraceEvent::BusyReset(_)))
-        ));
-        assert!(matches!(
-            parse_obs_line("{\"ev\":\"flight\",\"capacity\":4,\"len\":4,\"dropped\":7}"),
-            Some(ObsLine::Flight(FlightInfo {
-                capacity: 4,
-                len: 4,
-                dropped: 7
-            }))
-        ));
-        assert_eq!(parse_obs_line("nonsense"), None);
-    }
 
     #[test]
     fn summary_counts_every_family() {
         let s = summarize(TRACE);
         assert_eq!(s.events, 3);
         assert_eq!(s.by_kind.get("tx_end"), Some(&2));
-        assert_eq!(s.flights, 1);
         assert_eq!(s.malformed, 1);
         assert_eq!(s.links.len(), 2);
         assert_eq!(s.flows.len(), 2);
@@ -461,21 +394,25 @@ mod tests {
 
     #[test]
     fn legacy_span_and_epoch_lines_read_as_unparsed() {
+        const RETIRED: [&str; 4] = ["span", "epoch", "flight", "quarantine"];
         let current: String = LEGACY_DUMP
             .lines()
-            .filter(|l| !l.contains("\"ev\":\"span\"") && !l.contains("\"ev\":\"epoch\""))
+            .filter(|l| {
+                !RETIRED
+                    .iter()
+                    .any(|ev| l.contains(&format!("\"ev\":\"{ev}\"")))
+            })
             .map(|l| format!("{l}\n"))
             .collect();
-        assert_eq!(current.lines().count(), LEGACY_DUMP.lines().count() - 2);
+        assert_eq!(current.lines().count(), LEGACY_DUMP.lines().count() - 4);
 
         let (old, new) = (summarize(LEGACY_DUMP), summarize(&current));
         assert_eq!(old.events, 3);
         assert_eq!(old.events, new.events);
         assert_eq!(old.by_kind, new.by_kind);
-        assert_eq!(old.flights, new.flights);
         assert_eq!(old.time_range, new.time_range);
         assert_eq!((old.links, old.flows), (new.links, new.flows));
-        assert_eq!(old.malformed, new.malformed + 2);
+        assert_eq!(old.malformed, new.malformed + 4);
 
         for filter in [
             Filter::default(),

@@ -8,7 +8,7 @@
 use hpfq_obs::jsonl::{merge_traces, parse_line, JsonlObserver};
 use hpfq_obs::{
     replay, BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, FaultEvent,
-    FaultKind, Observer, PacketInfo, QuarantineEvent, TraceEvent, TxEvent,
+    FaultKind, Observer, PacketInfo, TraceEvent, TxEvent,
 };
 
 /// xorshift64* — deterministic, seedable, good enough for fuzzing fields.
@@ -84,7 +84,7 @@ const POLICIES: [&str; 7] = ["wf2q+", "wfq", "wf2q", "scfq", "sfq", "drr", "fifo
 
 /// One random event of each variant per iteration — every variant is
 /// exercised with every PRNG state.
-fn random_events(rng: &mut Rng) -> [TraceEvent; 9] {
+fn random_events(rng: &mut Rng) -> [TraceEvent; 8] {
     [
         TraceEvent::Enqueue(EnqueueEvent {
             time: rng.f64(),
@@ -146,15 +146,6 @@ fn random_events(rng: &mut Rng) -> [TraceEvent; 9] {
             node: rng.usize(64),
             flow: rng.u32() % 4096,
             value: rng.f64(),
-        }),
-        TraceEvent::Quarantine(QuarantineEvent {
-            time: rng.f64(),
-            link: rng.usize(8),
-            leaf: rng.usize(64),
-            flow: rng.u32() % 4096,
-            strikes: rng.u32() % 100,
-            purged_packets: rng.next() % 100_000,
-            purged_bytes: rng.next() % (1 << 40),
         }),
     ]
 }

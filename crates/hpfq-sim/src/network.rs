@@ -47,17 +47,15 @@
 //! A [`FaultInjector`] installed with [`Network::set_fault_injector`] sees
 //! every packet at network ingress (it may drop or corrupt it) and every
 //! source timer (it may jitter it). Malformed packets are caught by
-//! [`Packet::validate`] at admission and become *strikes* against their
-//! flow under the network's [`EscalationPolicy`]: warn, quarantine (the
-//! flow's leaves are removed at every hop), or halt. Nothing in this path
-//! panics.
+//! [`Packet::validate`] at admission: each is dropped before it reaches
+//! the scheduler, counted as a fault drop, and reported as a
+//! [`FaultKind::InvalidPacket`] fault. The flow keeps being served —
+//! isolating a misbehaving flow is the scheduler's own job. Nothing in
+//! this path panics.
 
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
-use hpfq_obs::{
-    DropEvent, EscalationLevel, EscalationPolicy, EscalationState, FaultEvent, FaultKind,
-    NoopObserver, Observer, PacketInfo, QuarantineEvent,
-};
+use hpfq_obs::{DropEvent, FaultEvent, FaultKind, NoopObserver, Observer, PacketInfo};
 
 use crate::flow_map::FlowIndex;
 use crate::source::{Few, Source, SourceOutput};
@@ -218,8 +216,8 @@ pub enum PacketVerdict {
     /// Silently lose the packet (modeling loss upstream of the server).
     Drop,
     /// The injector mutated the packet's fields in place; the admission
-    /// path revalidates it (a corrupted-invalid packet then strikes its
-    /// flow under the escalation policy).
+    /// path revalidates it (a corrupted-invalid packet is then dropped
+    /// and counted).
     Corrupted,
 }
 
@@ -250,17 +248,6 @@ pub struct NoFaults;
 
 impl FaultInjector for NoFaults {}
 
-/// Why a leaf is being detached by a [`NetEvent::Detach`] event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DetachReason {
-    /// Escalation-ladder quarantine; carries the strike count at
-    /// quarantine time, so a downstream hop's delayed detach reports the
-    /// count that quarantined the flow, not whatever it reads on arrival.
-    Quarantine { strikes: u32 },
-    /// Flow churn ([`SimCommand::RemoveFlow`]).
-    Churn,
-}
-
 #[derive(Debug)]
 enum NetEvent {
     Wake(usize),
@@ -276,17 +263,16 @@ enum NetEvent {
     /// [`SourceSlot::wants_delivery`]).
     Deliver(usize, Packet),
     Command(SimCommand),
-    /// Tear down hop `hop` of `src`'s route (quarantine or churn). The
-    /// first hop detaches synchronously; downstream hops receive this
-    /// event after the route's cumulative propagation delay — teardown is
-    /// a control-plane signal that travels the same path as the data, so
+    /// Tear down hop `hop` of `src`'s route (churn). The first hop
+    /// detaches synchronously; downstream hops receive this event after
+    /// the route's cumulative propagation delay — teardown is a
+    /// control-plane signal that travels the same path as the data, so
     /// packets already on the wire reach a hop before its leaf goes, and
     /// are purged with it. Its place among same-time events is its
     /// [`minor_of`] class.
     Detach {
         src: usize,
         hop: usize,
-        reason: DetachReason,
     },
 }
 
@@ -321,7 +307,7 @@ fn minor_of(ev: &NetEvent) -> u64 {
         NetEvent::Wake(i) => (1, *i as u64),
         NetEvent::Arrive { pkt, .. } => (3, pkt.id),
         NetEvent::Deliver(_, pkt) => (4, pkt.id),
-        NetEvent::Detach { src, hop, .. } => (5, ((*src as u64) << 16) | (*hop as u64 & 0xFFFF)),
+        NetEvent::Detach { src, hop } => (5, ((*src as u64) << 16) | (*hop as u64 & 0xFFFF)),
     };
     (class << 56) | (content & MINOR_CONTENT)
 }
@@ -358,8 +344,8 @@ pub struct LinkLedger {
     pub bytes_in: u64,
     /// Bytes the link finished transmitting.
     pub bytes_out: u64,
-    /// Bytes purged from this link's leaves (churn/quarantine) or dropped
-    /// at a later-hop buffer of this link.
+    /// Bytes purged from this link's leaves (churn) or dropped at a
+    /// later-hop buffer of this link.
     pub bytes_purged: u64,
     /// Packets accepted into this link's hierarchy.
     pub packets_in: u64,
@@ -395,8 +381,8 @@ pub(crate) struct SourceSlot {
     route: Route,
     /// Flow id registered for the source at attach time.
     flow: u32,
-    /// `false` once the flow has been removed (churn) or quarantined:
-    /// its timers and deliveries are discarded from then on.
+    /// `false` once the flow has been removed (churn): its timers and
+    /// deliveries are discarded from then on.
     live: bool,
     /// Whether `start()` has run (sources start exactly once even across
     /// segmented [`Network::run`] calls).
@@ -432,7 +418,7 @@ pub struct ParallelReport {
 /// Each hierarchy's [`Observer`] (second type parameter, default
 /// [`NoopObserver`]) sees every scheduling event on its link; the network
 /// adds the events only it can know: exact transmission times, buffer
-/// drops, faults, and quarantines.
+/// drops, and faults.
 pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     links: Vec<Link<S, O>>,
     engine: Engine<NetEvent>,
@@ -451,9 +437,6 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// `sources` in slot order it is always the same index.
     flow_owner: FlowIndex,
     injector: Option<Box<dyn FaultInjector>>,
-    policy: EscalationPolicy,
-    escalation: EscalationState,
-    halted: bool,
     /// Bytes currently propagating between hops (transmitted at hop *i*,
     /// not yet admitted at hop *i+1*). Signed so that
     /// [`Network::verify_conservation`] reports a negative count instead
@@ -482,9 +465,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             stats: SimStats::new(),
             flow_owner: FlowIndex::default(),
             injector: None,
-            policy: EscalationPolicy::warn_only(),
-            escalation: EscalationState::new(),
-            halted: false,
             inflight_bytes: 0,
             command_errors: Vec::new(),
         }
@@ -523,24 +503,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// scheduling. Replaces any previous injector.
     pub fn set_fault_injector(&mut self, inj: impl FaultInjector + 'static) {
         self.injector = Some(Box::new(inj));
-    }
-
-    /// Sets the degradation ladder for misbehaving flows. The default is
-    /// [`EscalationPolicy::warn_only`]: invalid packets are dropped and
-    /// recorded but flows are never quarantined.
-    pub fn set_escalation_policy(&mut self, policy: EscalationPolicy) {
-        self.policy = policy;
-    }
-
-    /// The escalation ladder's current state (strikes, quarantine roster).
-    pub fn escalation(&self) -> &EscalationState {
-        &self.escalation
-    }
-
-    /// Whether the escalation ladder halted the run ([`Network::run`]
-    /// returns early once this is set).
-    pub fn is_halted(&self) -> bool {
-        self.halted
     }
 
     /// Number of links.
@@ -729,8 +691,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     );
                 }
             }
-            // Degradation layer: malformed packets never reach the
-            // scheduler maths — they are dropped here and strike the flow.
+            // Malformed packets never reach the scheduler maths: they are
+            // dropped and counted here.
             if pkt.validate().is_err() {
                 self.stats.record_fault_drop(&pkt);
                 self.emit_fault(
@@ -740,10 +702,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     pkt.flow,
                     f64::from(pkt.len_bytes),
                 );
-                self.strike(pkt.flow);
-                if self.halted {
-                    return;
-                }
                 continue;
             }
             if let Some(limit) = ingress.buffer_bytes {
@@ -782,7 +740,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     l.packets_in += 1;
                 }
                 // The leaf vanished between emission and admission (e.g.
-                // quarantined while this packet was being generated):
+                // removed while this packet was being generated):
                 // account the packet as fault-dropped and move on.
                 Err(_) => {
                     self.stats.record_fault_drop(&pkt);
@@ -800,10 +758,9 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     fn try_start(&mut self, link: usize) {
-        let halted = self.halted;
         let now = self.engine.now();
         let l = &mut self.links[link];
-        if l.rate <= 0.0 || halted || l.server.is_transmitting() || !l.server.has_pending() {
+        if l.rate <= 0.0 || l.server.is_transmitting() || !l.server.has_pending() {
             return;
         }
         // has_pending() was checked just above, so this is always Some;
@@ -848,65 +805,24 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         self.try_start(link);
     }
 
-    /// Records one incident against `flow` and applies the escalation
-    /// ladder's response: warn (no-op beyond the strike count), quarantine
-    /// (the flow's leaves are removed at every hop and their queues
-    /// purged), or halt (the run stops at the current event). Returns the
-    /// level applied.
-    ///
-    /// Invalid packets strike automatically at admission; harnesses call
-    /// this directly to escalate externally detected misbehaviour (e.g. an
-    /// invariant-check violation attributed to a flow).
-    pub fn strike(&mut self, flow: u32) -> EscalationLevel {
-        let level = self.escalation.strike(&self.policy, flow);
-        match level {
-            EscalationLevel::Warn => {}
-            EscalationLevel::Quarantine => self.quarantine(flow),
-            EscalationLevel::Halt => {
-                // Halt still isolates the offending flow so a post-mortem
-                // inspection sees a consistent tree.
-                self.quarantine(flow);
-                self.halted = true;
-            }
-        }
-        level
-    }
-
-    /// Stops `flow`'s source and tears its route down: the first hop's
-    /// leaf is removed immediately, downstream hops when the teardown
-    /// signal propagates to them (see [`NetEvent::Detach`]). Single-hop
-    /// routes therefore behave exactly as the historical instantaneous
-    /// quarantine did.
-    fn quarantine(&mut self, flow: u32) {
-        let Some(idx) = self.owner_of(flow) else {
-            return;
-        };
-        if !self.sources[idx].live {
-            return;
-        }
-        self.sources[idx].live = false;
-        let strikes = self.escalation.strikes(flow);
-        self.detach_route(idx, DetachReason::Quarantine { strikes });
-    }
-
     /// Detaches hop 0 of `src`'s route now and schedules [`NetEvent::
     /// Detach`] for each downstream hop at the route's cumulative
     /// propagation delay. The delay keeps teardown causal with the data
     /// path.
-    fn detach_route(&mut self, src: usize, reason: DetachReason) {
+    fn detach_route(&mut self, src: usize) {
         let now = self.engine.now();
-        self.detach_hop(src, 0, reason);
+        self.detach_hop(src, 0);
         let n_hops = self.sources[src].route.hops.len();
         let mut delay = 0.0;
         for hop in 1..n_hops {
             delay += self.sources[src].route.hops[hop - 1].prop_delay;
-            self.queue_event(now + delay, NetEvent::Detach { src, hop, reason });
+            self.queue_event(now + delay, NetEvent::Detach { src, hop });
         }
     }
 
     /// Removes the leaf at hop `hop_idx` of `src`'s route, purging and
     /// accounting its queued packets.
-    fn detach_hop(&mut self, src: usize, hop_idx: usize, reason: DetachReason) {
+    fn detach_hop(&mut self, src: usize, hop_idx: usize) {
         let now = self.engine.now();
         let flow = self.sources[src].flow;
         let hop = self.sources[src].route.hops[hop_idx];
@@ -914,42 +830,13 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         let phi = self.links[hop.link].server.phi(hop.leaf);
         match self.links[hop.link].server.remove_leaf(hop.leaf) {
             Ok(purged) => {
-                let mut purged_packets = 0u64;
                 let mut purged_bytes = 0u64;
                 for p in &purged {
                     self.stats.record_purge(p);
-                    purged_packets += 1;
                     purged_bytes += u64::from(p.len_bytes);
                 }
                 self.links[hop.link].ledger.bytes_purged += purged_bytes;
-                match reason {
-                    DetachReason::Quarantine { strikes } => {
-                        if O::ENABLED {
-                            let ev = QuarantineEvent {
-                                time: now,
-                                link: hop.link,
-                                leaf: hop.leaf.index(),
-                                flow,
-                                strikes,
-                                purged_packets,
-                                purged_bytes,
-                            };
-                            self.links[hop.link]
-                                .server
-                                .observer_mut()
-                                .on_quarantine(&ev);
-                        }
-                    }
-                    DetachReason::Churn => {
-                        self.emit_fault(
-                            hop.link,
-                            FaultKind::FlowRemove,
-                            hop.leaf.index(),
-                            flow,
-                            phi,
-                        );
-                    }
-                }
+                self.emit_fault(hop.link, FaultKind::FlowRemove, hop.leaf.index(), flow, phi);
             }
             Err(e) => self.command_errors.push((now, e)),
         }
@@ -1002,7 +889,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                     return;
                 }
                 self.sources[idx].live = false;
-                self.detach_route(idx, DetachReason::Churn);
+                self.detach_route(idx);
             }
         }
     }
@@ -1027,7 +914,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         self.inflight_bytes -= i64::from(pkt.len_bytes);
         let now = self.engine.now();
         let hop = self.sources[src].route.hops[hop_idx];
-        // A removed/quarantined flow's leaf disappears from this hop when
+        // A removed flow's leaf disappears from this hop when
         // the Detach event lands here; until then bytes already on the
         // wire are admitted normally (they will be purged with the leaf).
         // The decision is the hop's leaf state, not the source's `live`
@@ -1143,12 +1030,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     /// Runs the simulation until `horizon` seconds (events strictly after
-    /// the horizon are left unprocessed), until no events remain, or until
-    /// the escalation ladder halts the run. May be called repeatedly with
-    /// growing horizons to run in segments; sources are started once.
+    /// the horizon are left unprocessed) or until no events remain. May be
+    /// called repeatedly with growing horizons to run in segments; sources
+    /// are started once.
     pub fn run(&mut self, horizon: f64) {
         self.start_pending_sources();
-        while !self.halted && self.step(horizon) {}
+        while self.step(horizon) {}
         // Unfired events past the horizon stay queued so a subsequent
         // `run` with a larger horizon continues cleanly.
     }
@@ -1251,7 +1138,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 self.apply_output(i, out);
             }
             NetEvent::Command(cmd) => self.apply_command(cmd),
-            NetEvent::Detach { src, hop, reason } => self.detach_hop(src, hop, reason),
+            NetEvent::Detach { src, hop } => self.detach_hop(src, hop),
         }
     }
 

@@ -57,10 +57,10 @@ pub struct FlowStats {
     pub fault_drops: u64,
     /// Bytes lost to fault injection or admission validation.
     pub fault_drop_bytes: u64,
-    /// Packets purged from the queue when the flow was removed or
-    /// quarantined (accepted but never served).
+    /// Packets purged from the queue when the flow was removed (accepted
+    /// but never served).
     pub purged_packets: u64,
-    /// Bytes purged on removal/quarantine.
+    /// Bytes purged on removal.
     pub purged_bytes: u64,
     /// Sum of per-packet delays (seconds).
     pub delay_sum: f64,
@@ -285,7 +285,7 @@ impl SimStats {
         f.fault_drop_bytes += u64::from(pkt.len_bytes);
     }
 
-    /// Records a packet purged from its queue by flow removal/quarantine.
+    /// Records a packet purged from its queue by flow removal.
     pub fn record_purge(&mut self, pkt: &Packet) {
         let f = self.cold_entry(pkt.flow);
         f.purged_packets += 1;

@@ -7,14 +7,14 @@
 //! delivery *is* scheduled and fired — must leave byte-identical merged
 //! traces, statistics, service records and ledgers, run straight through
 //! or stopped and continued. And for a source that does want its
-//! deliveries, removal or quarantine must still cut them off.
+//! deliveries, removal must still cut them off.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use hpfq::core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
 use hpfq::obs::jsonl::merge_traces;
-use hpfq::obs::{EscalationPolicy, JsonlObserver};
+use hpfq::obs::JsonlObserver;
 use hpfq::sim::{
     CbrSource, FlowStats, Hop, LinkLedger, Network, PoissonSource, Route, ServiceRecord,
     SimCommand, Source, SourceOutput,
@@ -234,13 +234,13 @@ fn elided_deliveries_change_nothing_across_snapshot_and_resume() {
 }
 
 /// A source that *does* want its deliveries stops receiving them the
-/// moment its flow is removed (flow 1, by command) or quarantined (flow 0,
-/// by strikes at a segment boundary) — although packets already past the
-/// first hop are still served downstream.
+/// moment its flow is removed (flow 1 at 3 s, two hops; flow 0 at 4 s,
+/// three hops) — although packets already past the first hop are still
+/// served downstream.
 #[test]
-fn removed_and_quarantined_flows_get_no_further_deliveries() {
+fn removed_flows_get_no_further_deliveries() {
     const REMOVED_AT: f64 = 3.0;
-    const QUARANTINED_AT: f64 = 4.0;
+    const LONG_REMOVED_AT: f64 = 4.0;
     let probes: Vec<Rc<Cell<(u64, f64)>>> = (0..2).map(|_| Rc::default()).collect();
     let mut net = tandem(&mut |net, flow, src, route| match flow {
         0 | 1 => {
@@ -253,15 +253,10 @@ fn removed_and_quarantined_flows_get_no_further_deliveries() {
             net.add_route(flow, src, route);
         }
     });
-    net.set_escalation_policy(EscalationPolicy {
-        quarantine_after: 1,
-        halt_after: u32::MAX,
-    });
-    net.run(QUARANTINED_AT);
-    net.strike(0);
+    net.schedule_command(LONG_REMOVED_AT, SimCommand::RemoveFlow(0));
     net.run(HORIZON);
     net.verify_conservation().unwrap();
-    for (flow, cut) in [(1u32, REMOVED_AT), (0, QUARANTINED_AT)] {
+    for (flow, cut) in [(1u32, REMOVED_AT), (0, LONG_REMOVED_AT)] {
         let records = net.stats.trace(flow);
         // Delivered: served at the last hop and landed before the cut (a
         // delivery at the cut itself loses the tie to the command).

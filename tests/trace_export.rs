@@ -11,18 +11,16 @@
 //! never wall clock.
 //!
 //! Traces are also input from outside the program: the same run's trace
-//! and a flight-recorder dump of it, mutated at the byte and the value
-//! level, must go through every reader — parser, merger, replay into the
-//! observers, and each `hpfq-trace` report — without a panic.
+//! and its last 64 lines, mutated at the byte and the value level, must go
+//! through every reader — parser, merger, replay into the observers, and
+//! each `hpfq-trace` report — without a panic.
 
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};
 use hpfq::obs::query::{
     chrome_from_text, delay_report, filter_lines, render_delays, render_summary, summarize, Filter,
 };
-use hpfq::obs::{
-    chrome_trace, replay, FlightRecorder, InvariantObserver, JsonlObserver, MetricsObserver,
-};
+use hpfq::obs::{chrome_trace, replay, InvariantObserver, JsonlObserver, MetricsObserver};
 use hpfq::sim::{CbrSource, Hop, Network, Route};
 
 const LINKS: usize = 3;
@@ -269,18 +267,20 @@ fn floor_char(s: &str, mut at: usize) -> usize {
 fn read_every_way(text: &str, other: &str) {
     let (events, _) = parse_trace(text);
     let _ = merge_traces(&[text, other]);
-    let mut observers = (MetricsObserver::new(), InvariantObserver::new());
-    let mut recorder = FlightRecorder::new(64);
+    let mut observers = (
+        (MetricsObserver::new(), InvariantObserver::new()),
+        JsonlObserver::new(Vec::new()),
+    );
     for ev in &events {
         replay(&mut observers, ev);
-        replay(&mut recorder, ev);
     }
+    let ((metrics, invariants), rewritten) = observers;
     let _ = (
-        observers.0.report(),
-        observers.0.report_json(),
-        observers.1.summary(),
+        metrics.report(),
+        metrics.report_json(),
+        invariants.summary(),
     );
-    let _ = summarize(&recorder.snapshot_jsonl());
+    let _ = summarize(&String::from_utf8_lossy(&rewritten.into_inner()));
     let _ = chrome_trace(&events);
     let _ = render_summary(&summarize(text));
     for filter in [
@@ -299,9 +299,9 @@ fn read_every_way(text: &str, other: &str) {
     let _ = chrome_from_text(text);
 }
 
-/// Traces are hostile input: a real multi-link trace and a flight dump of
-/// it, mutated, are parsed or skipped line by line and reported on, never
-/// a panic. 1 500 cases, 15 000 under `proptest-tests`.
+/// Traces are hostile input: a real multi-link trace and its last 64
+/// lines, mutated, are parsed or skipped line by line and reported on,
+/// never a panic. 1 500 cases, 15 000 under `proptest-tests`.
 #[test]
 fn hostile_traces_are_read_without_a_panic() {
     let cases = if cfg!(feature = "proptest-tests") {
@@ -318,12 +318,9 @@ fn hostile_traces_are_read_without_a_panic() {
         "trace too small: {} events",
         events.len()
     );
-    let mut recorder = FlightRecorder::new(64);
-    for ev in &events {
-        replay(&mut recorder, ev);
-    }
-    let dump = recorder.snapshot_jsonl();
-    let seeds = [&merged, &dump, &bufs[1]];
+    let lines: Vec<&str> = merged.lines().collect();
+    let tail = lines[lines.len() - 64..].join("\n") + "\n";
+    let seeds = [&merged, &tail, &bufs[1]];
     let mut rng = Xorshift(0x7ace_5eed);
     for case in 0..cases {
         let text = mutate(seeds[case % seeds.len()], &mut rng);
