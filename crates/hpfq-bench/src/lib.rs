@@ -1,4 +1,4 @@
-//! # hpfq-bench — experiment harness and benchmarks
+//! # hpfq-bench — experiment harness
 //!
 //! One binary per paper artifact (see DESIGN.md §4 for the index):
 //!
@@ -14,14 +14,14 @@
 //! | `fig9` | Fig. 9 TCP link-sharing bandwidth vs ideal H-GPS |
 //! | `wfi_table` | measured vs theoretical B-WFI across schedulers |
 //! | `delay_bound_table` | Corollary-2 bound vs measured max delay |
+//! | `complexity_tail` | §3.4 per-call work: `V_GPS` sweep and heap comparisons |
 //!
 //! Each binary prints a summary to stdout and writes CSV series under
-//! `results/<name>/`. Micro-benchmarks (`benches/`, driven by the
-//! dependency-free [`microbench`] harness) cover the O(log N) complexity
-//! claims, the eligible-set ablation, and the observer overhead.
+//! `results/<name>/`. Every series is deterministic, so the §3.4
+//! complexity claims are exact counts, not timings; wall-clock cost is
+//! the repository benchmark's (`benchmark/`) to measure.
 
 pub mod experiments;
-pub mod microbench;
 pub mod scenarios;
 
 pub use scenarios::{fig3, fig8};

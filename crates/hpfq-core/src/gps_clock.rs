@@ -12,7 +12,7 @@
 //! one at a time. Between two consecutive packet events there may be up to
 //! `N` fluid departures — this is precisely the O(N) worst case the paper
 //! attributes to WFQ/WF²Q and the reason WF²Q+ replaces this clock with
-//! eq. (27). The cost is measured in the `scheduler_ops` bench.
+//! eq. (27). `complexity_tail` counts the worst single sweep.
 //!
 //! ## Scope of the emulation
 //!

@@ -121,6 +121,10 @@ impl Observer for NoopObserver {
     const ENABLED: bool = false;
 }
 
+// The zero-cost contract, pinned at compile time: the noop observer's
+// liveness flag is false (every `if O::ENABLED` block is dead code).
+const _: () = assert!(!NoopObserver::ENABLED);
+
 /// Counts events per kind — handy in tests and as a cheap liveness probe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CountingObserver {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates every paper artifact (figures + worked examples) into
-# results/, then runs the micro-benchmarks. See EXPERIMENTS.md for the
-# expected shapes. Total runtime: a few seconds for the experiments plus
-# a few minutes for the micro-benchmarks.
+# Regenerates every paper artifact (figures, tables, worked examples and
+# the §3.4 work counts) into results/. Every file it writes is
+# deterministic. See EXPERIMENTS.md for the expected shapes. Total
+# runtime: well under a minute.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,8 +30,4 @@ done
 if [[ "$status" != "0" ]]; then
     echo "reproduce_all: a figure binary failed (xargs status $status)" >&2
     exit "$status"
-fi
-
-if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
-    cargo bench --workspace
 fi
