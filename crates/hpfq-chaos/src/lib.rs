@@ -16,12 +16,14 @@
 //! * [`inject::ChaosInjector`] — the data-plane [`hpfq_sim::FaultInjector`]
 //!   with per-flow decision streams that are independent of scheduler
 //!   interleaving;
-//! * [`soak::run_soak`] — the differential harness: all seven scheduler
+//! * [`soak::run_soak`] — the differential harness: all eight scheduler
 //!   policies under the *same* fault schedule, checked for conservation,
 //!   invariant cleanliness, fault determinism, and post-recovery fairness.
 //!
-//! Reproduce any failure from its seed: `cargo run -p hpfq-chaos --bin
-//! chaos-soak -- --seed N`.
+//! `soak::tests::soak_all_schedulers_healthy_seed_1` runs seeds 1, 2 and
+//! 3 under plain `cargo test`, and a failure is reproduced from its seed
+//! with
+//! `run_soak(&ChaosConfig::all_faults(seed, 30.0)).assert_healthy()`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,7 @@
 //! The differential chaos soak: every scheduler, one fault schedule.
 //!
 //! [`run_soak`] builds the same three-class hierarchy under each of the
-//! seven node-scheduler policies, subjects every build to the *identical*
+//! eight node-scheduler policies, subjects every build to the *identical*
 //! fault schedule (same [`crate::plan::ChaosPlan`], same per-flow
 //! [`crate::inject::ChaosInjector`] decision streams), and collects a
 //! [`SoakRun`] per scheduler. [`ChaosReport::assert_healthy`] then checks
@@ -95,30 +95,6 @@ pub struct SoakRun {
     /// byte-identical for identical seeds, ready to write to disk and
     /// query with `hpfq-trace`.
     pub trace: Vec<u8>,
-}
-
-impl SoakRun {
-    /// One-line, hand-rolled JSON summary (the trace itself is separate).
-    pub fn summary_json(&self) -> String {
-        let unfair = match self.unfairness {
-            Some(u) => format!("{u:.6}"),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"scheduler\":\"{}\",\"served_packets\":{},\"served_bytes\":{},\
-             \"command_errors\":{},\"conservation_ok\":{},\"violations_total\":{},\"excused_wc\":{},\
-             \"unexcused\":{},\"unfairness\":{}}}",
-            self.scheduler,
-            self.served_packets,
-            self.served_bytes,
-            self.command_errors,
-            self.conservation.is_ok(),
-            self.violations_total,
-            self.excused_wc,
-            self.unexcused.len(),
-            unfair,
-        )
-    }
 }
 
 /// The full differential report: one [`SoakRun`] per scheduler.
@@ -285,7 +261,7 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     }
 }
 
-/// Runs the full differential soak: all seven schedulers under the same
+/// Runs the full differential soak: all eight schedulers under the same
 /// seed-derived fault schedule.
 pub fn run_soak(cfg: &ChaosConfig) -> ChaosReport {
     // Build the plan once for the outage windows; each run regenerates its
@@ -380,12 +356,14 @@ impl ChaosReport {
 mod tests {
     use super::*;
 
-    /// Seeds 1 and 2: on seed 2 the corruption family hits base flow 0,
-    /// whose invalid packets are dropped and counted while its leaf keeps
-    /// its share, so the recovery-window probe must still run.
+    /// Seeds 1, 2 and 3 at a 30 s horizon: every scheduler keeps the
+    /// degradation contract, and `hpfq-trace`'s reader parses every line
+    /// of every run's trace. On seed 2 the corruption family hits base
+    /// flow 0, whose invalid packets are dropped and counted while its
+    /// leaf keeps its share, so the recovery-window probe must still run.
     #[test]
     fn soak_all_schedulers_healthy_seed_1() {
-        for seed in [1, 2] {
+        for seed in [1, 2, 3] {
             let cfg = ChaosConfig::all_faults(seed, 30.0);
             let report = run_soak(&cfg);
             assert_eq!(report.runs.len(), SchedulerKind::ALL.len());
@@ -401,6 +379,18 @@ mod tests {
                         run.scheduler
                     );
                 }
+                let text = std::str::from_utf8(&run.trace).expect("the trace is UTF-8");
+                let summary = hpfq_obs::query::summarize(text);
+                assert!(
+                    summary.events > 0,
+                    "seed {seed} [{}]: empty trace",
+                    run.scheduler
+                );
+                assert_eq!(
+                    summary.malformed, 0,
+                    "seed {seed} [{}]: hpfq-trace cannot read the soak trace",
+                    run.scheduler
+                );
             }
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! Sivaraman et al., *Programmable Packet Scheduling at Line Rate*
 //! (SIGCOMM 2016), observe that a large family of scheduling algorithms —
-//! including all seven policies in this crate — reduce to a single
+//! including all eight policies in this crate — reduce to a single
 //! *push-in-first-out* (PIFO) priority structure plus a per-node *rank
 //! program* that stamps each head packet with a rank on arrival. This
 //! module is that reduction for the H-PFQ node schedulers:
@@ -260,7 +260,7 @@ pub struct PifoTree<P: RankProgram, Q: PifoBackend = DualHeapEligibleSet> {
     sessions: SessionTable,
     queue: Q,
     /// Reference time `T = W(0,t)/r`, advanced by `L/r` per dispatch —
-    /// identical across all seven policies, hence owned by the driver.
+    /// identical across all eight policies, hence owned by the driver.
     t: f64,
     in_service: Option<SessionId>,
     backlogged: usize,
@@ -640,10 +640,9 @@ mod tests {
 
     /// A tree that served a busy period to its end, then given a fresh
     /// tree's history, continues exactly as the fresh tree does: no tag,
-    /// clock or queue state outlives the busy period. (The name dates from
-    /// when the second tree was restored from a snapshot of the first.)
+    /// clock or queue state outlives the busy period.
     #[test]
-    fn snapshot_round_trip_resumes_identically() {
+    fn drained_tree_continues_like_a_fresh_one() {
         fn offer_two(s: &mut impl NodeScheduler) {
             s.backlog(SessionId(0), 1.0, Some(0.0));
             s.backlog(SessionId(1), 2.0, Some(0.0));

@@ -30,9 +30,9 @@
 //!
 //! Fairness: sessions backlogged together receive within one quantum per
 //! round of their share, giving a WFI-style bound of
-//! `quantum/phi + Lmax/r` seconds — quantum-granular like DRR
-//! (`hpfq-analysis` checks the conservation law and this bound in the
-//! scheduler sweeps), not packet-sharp like WF²Q+'s `Lmax` bounds.
+//! `quantum/phi + Lmax/r` seconds — quantum-granular like DRR, not
+//! packet-sharp like WF²Q+'s `Lmax` bounds. No test or experiment checks
+//! this bound yet (ROADMAP item 13 asks for one).
 //!
 //! [`MONOTONE_RANKS`]: RankProgram::MONOTONE_RANKS
 

@@ -33,24 +33,25 @@
 //! continuation lines in between are fine), requires a `: reason`, and
 //! accepts a comma-separated rule list. Allowlist hygiene is itself
 //! linted: a bare allow is L000, and an allow that no longer matches any
-//! finding is L011 (stale). Run with
-//! `cargo run -p hpfq-lint -- --workspace` (`--deny` for a non-zero exit
-//! on violations, `--json` for the machine-readable report,
-//! `--explain L00x` for a rule's rationale and fix).
+//! finding is L011 (stale). Each rule's rationale is the doc comment on
+//! its `fn l00x` in [`rules`].
+//!
+//! ## Where it runs
+//!
+//! As a test: `tests/golden.rs`'s `workspace_has_no_unsuppressed_findings`
+//! runs [`lint_workspace`] over the repository under plain `cargo test`
+//! and fails with one `file:line [rule] message` per live finding.
 //!
 //! ## Scan scope
 //!
-//! `--workspace` scans `src/` and `crates/*/src/` under the root —
+//! [`lint_workspace`] scans `src/` and `crates/*/src/` under the root —
 //! production code only. `tests/`, `benches/`, and `examples/` are out of
 //! scope by design, and so are `#[cfg(test)]` regions: test code
 //! legitimately uses ad-hoc tolerances and fixture literals.
 //!
-//! ## Determinism of the report itself
-//!
 //! Findings are globally sorted by `(file, line, rule, message)` and paths
-//! are normalised to forward-slash relative form, so the JSON report is
-//! byte-identical regardless of directory-walk order or platform —
-//! the linter practices what it lints.
+//! are root-relative with forward slashes, so the report does not depend
+//! on directory-walk order or platform.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,11 +59,10 @@
 
 pub mod engine;
 pub mod lexer;
-pub mod report;
 pub mod rules;
 
 pub use engine::{FileCtx, Finding};
-pub use rules::{check_file, explain, Rule, RULES};
+pub use rules::check_file;
 
 use std::path::{Path, PathBuf};
 
@@ -137,7 +137,7 @@ pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
 
 /// Collects the production `.rs` files of the workspace rooted at `root`:
 /// `src/**` plus `crates/*/src/**`, sorted for deterministic output.
-pub fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+fn workspace_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let root_src = root.join("src");
     if root_src.is_dir() {
@@ -178,27 +178,17 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Normalises a path to scan-root-relative, forward-slash form.
-fn rel_path(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .to_string_lossy()
-        .replace('\\', "/")
-}
-
-/// Lints a set of files on disk; `root` anchors the relative paths used in
-/// diagnostics.
-pub fn lint_files(root: &Path, paths: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
-    let sources: std::io::Result<Vec<(String, String)>> = paths
-        .iter()
-        .map(|p| Ok((rel_path(root, p), std::fs::read_to_string(p)?)))
-        .collect();
-    Ok(lint_sources(&sources?))
-}
-
-/// Lints every production file of the workspace under `root`.
+/// Lints every production file of the workspace under `root`; paths in
+/// the findings are root-relative, with forward slashes.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    lint_files(root, &workspace_files(root)?)
+    let sources = workspace_files(root)?
+        .into_iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).unwrap_or(&p).to_string_lossy();
+            Ok((rel.replace('\\', "/"), std::fs::read_to_string(&p)?))
+        })
+        .collect::<std::io::Result<Vec<_>>>()?;
+    Ok(lint_sources(&sources))
 }
 
 #[cfg(test)]

@@ -1,112 +1,15 @@
-//! The lint rules: catalog, the four token-level rules, and the
-//! dispatcher. The stale-suppression rule L011 runs as a post-pass in
+//! The lint rules: the four token-level rules and the dispatcher. The
+//! stale-suppression rule L011 runs as a post-pass in
 //! [`crate::lint_sources`] because it needs the other rules' findings as
 //! input.
 //!
 //! Rules are pure functions over one file's [`FileCtx`], and every one
-//! covers all non-test code. L002, L004 and L007–L009 moved to clippy
+//! covers all non-test code. Each rule's doc comment says why it exists
+//! and shows the fix. L002, L004 and L007–L009 moved to clippy
 //! (DESIGN.md §8); L010 left with the sharded runtime.
 
 use crate::engine::{FileCtx, Finding};
 use crate::lexer::{Tok, TokKind};
-
-/// Static description of one rule, for `--list-rules`, `--explain`, and
-/// docs.
-pub struct Rule {
-    /// Rule ID (`L001`, `L003`, `L005`, `L006`, `L011`).
-    pub id: &'static str,
-    /// Short name.
-    pub name: &'static str,
-    /// One-line summary.
-    pub summary: &'static str,
-    /// Why the rule exists — the failure mode it prevents.
-    pub rationale: &'static str,
-    /// A minimal before/after fix example.
-    pub example: &'static str,
-}
-
-/// The rule catalog.
-pub const RULES: [Rule; 5] = [
-    Rule {
-        id: "L001",
-        name: "raw-vtime-comparison",
-        summary: "raw f64 comparison operator on a virtual-time-typed identifier outside the \
-                  approved vtime helper module",
-        rationale: "Virtual-time tags are sums of f64 increments; two mathematically equal tags \
-                    can differ in the last ulp depending on summation order. A raw `<` that \
-                    should have been drift-tolerant (or a tolerant compare where exact stamp \
-                    identity was required) silently reorders dispatch.",
-        example: "-    if pkt.finish <= v { dispatch(); }\n\
-                  +    if vtime::approx_le(pkt.finish, v) { dispatch(); }",
-    },
-    Rule {
-        id: "L003",
-        name: "hardcoded-tolerance",
-        summary: "hard-coded float tolerance literal (0 < |x| <= 1e-6) outside the canonical \
-                  vtime::EPS definition",
-        rationale: "Scattered ad-hoc epsilons drift apart and make two comparisons of the same \
-                    pair of tags disagree. One canonical EPS per domain keeps every tolerance \
-                    decision consistent and auditable.",
-        example: "-    if (a - b).abs() < 1e-9 { merge(); }\n\
-                  +    if vtime::same_stamp(a, b) { merge(); }",
-    },
-    Rule {
-        id: "L005",
-        name: "float-as-int-cast",
-        summary: "`as` cast of a float expression to an integer type in byte/length accounting \
-                  (saturating, truncating, silently lossy)",
-        rationale: "`as` saturates on overflow and truncates toward zero without any signal; \
-                    byte ledgers that must balance to zero can silently leak. Prove the range \
-                    and allowlist, or keep the accounting in integers.",
-        example: "-    let bytes = (rate * dt) as u64;\n\
-                  +    // lint:allow(L005): rate*dt < 2^53 by construction (link <= 100G, dt <= 1h)\n\
-                  +    let bytes = (rate * dt) as u64;",
-    },
-    Rule {
-        id: "L006",
-        name: "ungated-observer-call",
-        summary: "observer hook call not inside an `ENABLED`-gated block, outside the body \
-                  of an observer hook",
-        rationale: "With NoopObserver the whole event construction must be dead code the \
-                    optimizer deletes, not a call into an inlined-empty function that still \
-                    built its argument. The `if O::ENABLED` gate is what makes observability \
-                    zero-cost when off.",
-        example: "-    obs.on_dispatch(&DispatchEvent::new(now, node));\n\
-                  +    if O::ENABLED {\n\
-                  +        obs.on_dispatch(&DispatchEvent::new(now, node));\n\
-                  +    }",
-    },
-    Rule {
-        id: "L011",
-        name: "stale-lint-allow",
-        summary: "a `lint:allow` directive that no longer matches any finding on the lines it \
-                  covers",
-        rationale: "An allowlist entry whose violation was since fixed (or whose rule was \
-                    retired) is dead weight: it documents an invariant nobody checks and will \
-                    silently excuse a *future* unrelated violation on that line. Remove it, or \
-                    re-justify it against a finding that still exists.",
-        example: "-    // lint:allow(L005): the floor of a non-negative time fits u64\n\
-                  -    let bucket = ticks / per_bucket;   // integer now: allow is stale\n\
-                  +    let bucket = ticks / per_bucket;",
-    },
-];
-
-/// Renders the `--explain` text for one rule id, if known.
-pub fn explain(id: &str) -> Option<String> {
-    let r = RULES.iter().find(|r| r.id.eq_ignore_ascii_case(id))?;
-    Some(format!(
-        "{} ({})\n\n{}\n\nWhy:\n  {}\n\nFix:\n{}\n",
-        r.id,
-        r.name,
-        r.summary,
-        r.rationale,
-        r.example
-            .lines()
-            .map(|l| format!("  {l}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    ))
-}
 
 /// Identifiers that carry virtual-time / tag semantics in this workspace.
 fn is_vtime_ident(name: &str) -> bool {
@@ -233,7 +136,18 @@ fn operand_idents(tokens: &[Tok], i: usize, dir: isize) -> Vec<String> {
     idents
 }
 
-/// L001 — raw comparison operators on virtual-time-typed identifiers.
+/// L001 — raw comparison operators on virtual-time-typed identifiers
+/// outside the approved `vtime` helper module.
+///
+/// Virtual-time tags are sums of `f64` increments; two mathematically
+/// equal tags can differ in the last ulp depending on summation order. A
+/// raw `<` that should have been drift-tolerant (or a tolerant compare
+/// where exact stamp identity was required) silently reorders dispatch.
+///
+/// ```text
+/// -    if pkt.finish <= v { dispatch(); }
+/// +    if vtime::approx_le(pkt.finish, v) { dispatch(); }
+/// ```
 fn l001_raw_vtime_comparison(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if is_vtime_module(&ctx.path) {
         return;
@@ -271,7 +185,17 @@ fn l001_raw_vtime_comparison(ctx: &FileCtx, out: &mut Vec<Finding>) {
     }
 }
 
-/// L003 — hard-coded tolerance literals.
+/// L003 — hard-coded float tolerance literals (0 < |x| ≤ 1e-6) outside
+/// the canonical `vtime::EPS` definition.
+///
+/// Scattered ad-hoc epsilons drift apart and make two comparisons of the
+/// same pair of tags disagree. One canonical `EPS` per domain keeps every
+/// tolerance decision consistent and auditable.
+///
+/// ```text
+/// -    if (a - b).abs() < 1e-9 { merge(); }
+/// +    if vtime::same_stamp(a, b) { merge(); }
+/// ```
 fn l003_hardcoded_tolerance(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if is_vtime_module(&ctx.path) {
         return;
@@ -329,7 +253,17 @@ fn is_float_marker(name: &str) -> bool {
     )
 }
 
-/// L005 — `as` float→integer casts.
+/// L005 — `as` casts of a float expression to an integer type.
+///
+/// `as` saturates on overflow and truncates toward zero without any
+/// signal; byte ledgers that must balance to zero can silently leak. Prove
+/// the range and allowlist, or keep the accounting in integers.
+///
+/// ```text
+/// -    let bytes = (rate * dt) as u64;
+/// +    // lint:allow(L005): rate*dt < 2^53 by construction (link <= 100G, dt <= 1h)
+/// +    let bytes = (rate * dt) as u64;
+/// ```
 fn l005_float_as_int_cast(ctx: &FileCtx, out: &mut Vec<Finding>) {
     for (i, t) in ctx.tokens.iter().enumerate() {
         if ctx.is_test[i] || t.kind != TokKind::Ident || t.text != "as" {
@@ -412,7 +346,19 @@ fn is_observer_hook(name: &str) -> bool {
     )
 }
 
-/// L006 — ungated observer hook calls in non-test code.
+/// L006 — observer hook calls outside an `ENABLED`-gated block.
+///
+/// With `NoopObserver` the whole event construction must be dead code the
+/// optimizer deletes, not a call into an inlined-empty function that still
+/// built its argument. The `if O::ENABLED` gate is what makes
+/// observability zero-cost when off.
+///
+/// ```text
+/// -    obs.on_dispatch(&DispatchEvent::new(now, node));
+/// +    if O::ENABLED {
+/// +        obs.on_dispatch(&DispatchEvent::new(now, node));
+/// +    }
+/// ```
 ///
 /// Calls inside a function that is *itself* an observer hook are exempt:
 /// a composed observer forwarding `self.inner.on_drop(e)` runs under the
@@ -445,7 +391,6 @@ fn l006_ungated_observer_call(ctx: &FileCtx, out: &mut Vec<Finding>) {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::lint_source;
 
     fn findings(path: &str, src: &str) -> Vec<(String, u32)> {
@@ -532,15 +477,5 @@ mod tests {
         let all = lint_source("crates/hpfq-sim/src/x.rs", src);
         assert_eq!(all.len(), 1);
         assert!(all[0].suppressed);
-    }
-
-    #[test]
-    fn explain_renders_known_rules_only() {
-        let text = explain("L006").unwrap();
-        assert!(text.contains("ENABLED"), "{text}");
-        assert!(text.contains("Fix:"), "{text}");
-        assert!(explain("l006").is_some(), "case-insensitive lookup");
-        assert!(explain("L007").is_none(), "moved to clippy");
-        assert!(explain("L999").is_none());
     }
 }

@@ -1,5 +1,6 @@
 //! `hpfq-trace` refuses a bad command line with its usage error (exit 2)
-//! instead of panicking, and before it reads any input.
+//! instead of panicking, and before it reads any input; given a good one
+//! and a valid trace, it exits 0 and writes where `--out` says.
 
 use std::ffi::OsStr;
 use std::io::Write as _;
@@ -90,4 +91,32 @@ fn non_finite_time_bounds_are_usage_errors() {
             flag,
         );
     }
+}
+
+#[test]
+fn summary_of_a_valid_trace_exits_zero_and_counts_no_malformed_line() {
+    let dir = env!("CARGO_TARGET_TMPDIR");
+    let trace = format!("{dir}/argv-summary-{}.jsonl", std::process::id());
+    let out = format!("{trace}.txt");
+    std::fs::write(
+        &trace,
+        concat!(
+            r#"{"ev":"enqueue","t":0.2,"link":0,"leaf":3,"id":7,"flow":1,"len":8192,"arr":0.2,"depth":2,"qbytes":16384}"#,
+            "\n",
+            r#"{"ev":"tx_start","t":0.2,"link":0,"leaf":3,"id":7,"flow":1,"len":8192,"arr":0.2}"#,
+            "\n",
+            r#"{"ev":"tx_end","t":0.21,"link":0,"leaf":3,"id":7,"flow":1,"len":8192,"arr":0.2}"#,
+            "\n",
+            r#"{"ev":"busy_reset","t":0.4,"link":0,"node":0}"#,
+            "\n",
+        ),
+    )
+    .expect("write the trace");
+    let run = hpfq_trace(&["summary", &trace, "--out", &out]);
+    let summary = std::fs::read_to_string(&out).unwrap_or_default();
+    let _ = (std::fs::remove_file(&trace), std::fs::remove_file(&out));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(0), "{stderr}");
+    assert!(summary.contains("events: 4 "), "{summary}");
+    assert!(summary.contains("malformed: 0"), "{summary}");
 }

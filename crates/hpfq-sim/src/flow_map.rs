@@ -122,39 +122,6 @@ impl FlowIndex {
         self.len += 1;
         None
     }
-
-    /// Removes `flow`, returning the position it was indexed at.
-    pub(crate) fn remove(&mut self, flow: u32, key_of: impl Fn(usize) -> u32) -> Option<usize> {
-        let mut hole = self.probe(flow, &key_of).ok()?;
-        let pos = self.table[hole] as usize - 1;
-        // Backward-shift deletion: close the gap so every remaining key
-        // stays reachable from its home position without tombstones. An
-        // entry at `j` may move into the hole unless its home lies
-        // cyclically inside `(hole, j]`.
-        let mask = self.table.len() - 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & mask;
-            let p = self.table[j];
-            if p == 0 {
-                break;
-            }
-            let home = home(key_of(p as usize - 1), self.table.len());
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
-                self.table[hole] = p;
-                hole = j;
-            }
-        }
-        self.table[hole] = 0;
-        self.len -= 1;
-        Some(pos)
-    }
-
-    /// Forgets every flow, keeping the allocation.
-    pub(crate) fn clear(&mut self) {
-        self.table.fill(0);
-        self.len = 0;
-    }
 }
 
 /// A `u32 → V` map: dense `(flow, value)` storage in insertion order plus
@@ -232,8 +199,8 @@ impl<V> FlowMap<V> {
     /// through a storage slot the caller remembers from its last call.
     ///
     /// `hint` is a guess checked against the flow id stored at that slot,
-    /// so it is safe at any value — left over from before a removal, taken
-    /// for another flow, never set — and comes back naming `flow`'s slot.
+    /// so it is safe at any value — taken for another flow, past the end,
+    /// never set — and comes back naming `flow`'s slot.
     /// A holder that keeps one hint per flow pays for the probe once.
     pub fn get_or_insert_hinted(
         &mut self,
@@ -261,37 +228,6 @@ impl<V> FlowMap<V> {
         &mut self.entries[memo as usize].1
     }
 
-    /// Sets `flow`'s value, returning the one it replaces.
-    pub fn insert(&mut self, flow: u32, value: V) -> Option<V> {
-        match self.slot(flow) {
-            Some(slot) => Some(std::mem::replace(&mut self.entries[slot].1, value)),
-            None => {
-                self.push_new(flow, value);
-                None
-            }
-        }
-    }
-
-    /// Removes `flow`, returning its value.
-    pub fn remove(&mut self, flow: u32) -> Option<V> {
-        let slot = self.index.remove(flow, |s| self.entries[s].0)?;
-        // Dense storage stays dense: the last entry takes the freed slot,
-        // so it is re-pointed first (while `entries` still backs every
-        // position the index holds).
-        let last = self.entries.len() - 1;
-        if slot != last {
-            self.index
-                .insert(self.entries[last].0, slot, |s| self.entries[s].0);
-        }
-        Some(self.entries.swap_remove(slot).1)
-    }
-
-    /// Removes every flow, keeping the allocations.
-    pub fn clear(&mut self) {
-        self.index.clear();
-        self.entries.clear();
-    }
-
     /// Flow ids in ascending order.
     pub fn keys(&self) -> Vec<u32> {
         let mut keys: Vec<u32> = self.entries.iter().map(|(flow, _)| *flow).collect();
@@ -306,12 +242,6 @@ impl<V> FlowMap<V> {
         pairs.sort_unstable_by_key(|(flow, _)| *flow);
         pairs
     }
-
-    /// Consumes the map into `(flow, value)` pairs in ascending flow order.
-    pub fn into_sorted(mut self) -> Vec<(u32, V)> {
-        self.entries.sort_unstable_by_key(|(flow, _)| *flow);
-        self.entries
-    }
 }
 
 #[cfg(test)]
@@ -321,94 +251,12 @@ mod tests {
     use std::collections::BTreeMap;
 
     #[test]
-    fn insert_get_remove_round_trip() {
-        let mut m: FlowMap<u64> = FlowMap::new();
-        assert!(m.is_empty() && m.get(3).is_none() && m.remove(3).is_none());
-        for flow in [7, 0, u32::MAX, 1 << 31, 12] {
-            assert_eq!(m.insert(flow, u64::from(flow) * 2), None);
-        }
-        assert_eq!(m.insert(7, 99), Some(14));
-        assert_eq!(m.get(7), Some(&99));
-        assert_eq!(m.keys(), vec![0, 7, 12, 1 << 31, u32::MAX]);
-        assert_eq!(m.remove(0), Some(0));
-        assert_eq!(m.remove(0), None);
-        assert_eq!(m.get(u32::MAX), Some(&(u64::from(u32::MAX) * 2)));
-        *m.get_or_insert_with(5, || 1) += 1;
-        assert_eq!(m.get(5), Some(&2));
-        assert_eq!(m.len(), 5);
-        m.clear();
-        assert!(m.is_empty() && m.get(7).is_none());
-    }
-
-    /// Keys sharing one home position form a single probe run; removing
-    /// from its front, middle and end must keep the rest reachable.
-    #[test]
-    fn colliding_keys_survive_removal_anywhere_in_the_run() {
-        let len = MIN_TABLE * 4;
-        let colliding = colliding_keys(len);
-        for victim in 0..colliding.len() {
-            let mut m = FlowMap::new();
-            m.reserve_total(len / 2);
-            for &f in &colliding {
-                m.insert(f, f);
-            }
-            assert_eq!(m.remove(colliding[victim]), Some(colliding[victim]));
-            for (i, &f) in colliding.iter().enumerate() {
-                assert_eq!(m.get(f).copied(), (i != victim).then_some(f), "key {f}");
-            }
-        }
-    }
-
-    /// The memo is only a guess: whatever `remove` does to the storage
-    /// under it (the memoised entry gone, the last entry moved into its
-    /// slot, the slot past the end), every lookup lands on its own entry.
-    #[test]
-    fn memo_survives_remove_and_reinsert() {
-        let mut m: FlowMap<u32> = FlowMap::new();
-        for flow in 0..4 {
-            *m.get_or_insert_with(flow, || flow * 10) += 1;
-        }
-        let check = |m: &mut FlowMap<u32>, flow: u32, want: u32| {
-            assert_eq!(
-                *m.get_or_insert_with(flow, || 1000 + flow),
-                want,
-                "flow {flow}"
-            );
-            // And again, now through the memo.
-            assert_eq!(
-                *m.get_or_insert_with(flow, || 2000 + flow),
-                want,
-                "flow {flow}"
-            );
-        };
-        // Memo on flow 1 (slot 1); removing it moves flow 3 into slot 1.
-        check(&mut m, 1, 11);
-        assert_eq!(m.remove(1), Some(11));
-        check(&mut m, 3, 31);
-        check(&mut m, 1, 1001);
-        // Memo on the last entry (flow 1, re-inserted at the end); removing
-        // it leaves the memo past the end.
-        assert_eq!(m.remove(1), Some(1001));
-        check(&mut m, 0, 1);
-        check(&mut m, 2, 21);
-        // Memo on flow 2; remove it and re-insert it under a new slot with
-        // another flow taking its old one.
-        assert_eq!(m.remove(2), Some(21));
-        check(&mut m, 7, 1007);
-        check(&mut m, 2, 1002);
-        check(&mut m, 3, 31);
-        assert_eq!(m.keys(), vec![0, 2, 3, 7]);
-        m.clear();
-        check(&mut m, 3, 1003);
-    }
-
-    #[test]
     fn reserve_total_prevents_regrowth() {
         let mut m: FlowMap<u8> = FlowMap::new();
         m.reserve_total(1000);
         let (table, cap) = (m.index.table.len(), m.entries.capacity());
         for f in 0..1000 {
-            m.insert(f * 7919, 0);
+            m.get_or_insert_with(f * 7919, || 0);
         }
         assert_eq!((m.index.table.len(), m.entries.capacity()), (table, cap));
         assert_eq!(m.len(), 1000);
@@ -420,29 +268,6 @@ mod tests {
             .filter(|&f| home(f, len) == 3)
             .take(6)
             .collect()
-    }
-
-    /// The same run, with the keys held outside the index: position `i` is
-    /// `keys[i]`, and a removal leaves the other positions where they were.
-    #[test]
-    fn flow_index_colliding_keys_survive_removal_anywhere_in_the_run() {
-        let len = MIN_TABLE * 4;
-        let keys = colliding_keys(len);
-        let key_of = |p: usize| keys[p];
-        for victim in 0..keys.len() {
-            let mut ix = FlowIndex::default();
-            ix.reserve_total(len / 2, key_of);
-            for (p, &f) in keys.iter().enumerate() {
-                assert_eq!(ix.insert(f, p, key_of), None);
-            }
-            assert_eq!(ix.table.len(), len);
-            assert_eq!(ix.remove(keys[victim], key_of), Some(victim));
-            assert_eq!(ix.remove(keys[victim], key_of), None);
-            for (p, &f) in keys.iter().enumerate() {
-                assert_eq!(ix.get(f, key_of), (p != victim).then_some(p), "key {f}");
-            }
-            assert_eq!(ix.len(), keys.len() - 1);
-        }
     }
 
     /// Lockstep against a `BTreeMap<flow, position>`, the keys in an
@@ -461,23 +286,12 @@ mod tests {
             let mut model: BTreeMap<u32, usize> = BTreeMap::new();
             for step in 0..rng.gen_range_usize(1, if cfg!(miri) { 80 } else { 500 }) {
                 let flow = pool[rng.gen_range_usize(0, pool.len())];
-                match rng.gen_range_u32(0, 16) {
-                    // Insert, or re-point when `flow` is already indexed.
-                    0..=7 => {
-                        keys.push(flow);
-                        let pos = keys.len() - 1;
-                        let was = ix.insert(flow, pos, |p| keys[p]);
-                        assert_eq!(was, model.insert(flow, pos), "case {case} step {step}");
-                    }
-                    8..=12 => {
-                        let was = ix.remove(flow, |p| keys[p]);
-                        assert_eq!(was, model.remove(&flow), "case {case} step {step}");
-                    }
-                    13 => {
-                        ix.clear();
-                        model.clear();
-                    }
-                    _ => {}
+                // Insert, or re-point when `flow` is already indexed.
+                if rng.gen_range_u32(0, 2) == 0 {
+                    keys.push(flow);
+                    let pos = keys.len() - 1;
+                    let was = ix.insert(flow, pos, |p| keys[p]);
+                    assert_eq!(was, model.insert(flow, pos), "case {case} step {step}");
                 }
                 assert_eq!(ix.len(), model.len(), "case {case} step {step}");
                 assert_eq!(ix.get(flow, |p| keys[p]), model.get(&flow).copied());
@@ -526,10 +340,9 @@ mod tests {
         assert!(ix.table.len() >= 2 * ix.len());
     }
 
-    /// A hint is only a guess. Whatever it holds — a slot `remove` emptied,
-    /// refilled with the last entry, or cut off the end; another flow's
-    /// slot; a value never set — the call lands on `flow`'s own entry and
-    /// hands back that entry's slot.
+    /// A hint is only a guess. Whatever it holds — another flow's slot, a
+    /// slot past the end, a value never set — the call lands on `flow`'s
+    /// own entry and hands back that entry's slot.
     #[test]
     fn hint_of_any_value_lands_on_the_right_entry_and_is_refreshed() {
         let mut m: FlowMap<u32> = FlowMap::new();
@@ -553,25 +366,13 @@ mod tests {
         let mut unset = u32::MAX;
         assert_eq!(*m.get_or_insert_hinted(4, &mut unset, || 0), 41);
         assert_eq!(unset, hints[4]);
-        // Flow 1 removed: the last entry (flow 4) moves into its slot.
-        // Flow 1's hint now names flow 4's entry; flow 4's is past the end.
-        assert_eq!(m.remove(1), Some(11));
-        let (mut stale_1, mut stale_4) = (hints[1], hints[4]);
-        assert_eq!(*m.get_or_insert_hinted(4, &mut stale_4, || 0), 41);
-        assert_eq!(stale_4, hints[1]);
-        assert_eq!(*m.get_or_insert_hinted(1, &mut stale_1, || 1001), 1001);
-        assert_eq!(stale_1 as usize, m.len() - 1);
-        // The entry under the hint gone and nothing moved in: the hinted
-        // slot is the end of storage.
-        assert_eq!(m.remove(1), Some(1001));
-        assert_eq!(*m.get_or_insert_hinted(3, &mut stale_1, || 0), 31);
-        assert_eq!(stale_1, hints[3]);
+        // A hint at the end of storage: the new flow is appended there.
+        let mut end = m.len() as u32;
+        assert_eq!(*m.get_or_insert_hinted(7, &mut end, || 70), 70);
+        assert_eq!(end as usize, m.len() - 1);
         // The un-hinted path is the same code on the map's own memo.
         assert_eq!(*m.get_or_insert_with(4, || 0), 41);
-        assert_eq!(m.memo, hints[1]);
-        assert_eq!(m.keys(), vec![0, 2, 3, 4, 9]);
-        m.clear();
-        assert_eq!(*m.get_or_insert_hinted(2, &mut stale_4, || 5), 5);
-        assert_eq!(stale_4, 0);
+        assert_eq!(m.memo, hints[4]);
+        assert_eq!(m.keys(), vec![0, 1, 2, 3, 4, 7, 9]);
     }
 }

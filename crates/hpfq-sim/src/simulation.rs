@@ -544,10 +544,9 @@ mod tests {
     /// A run stopped during an outage holds a suspended transmission — bits
     /// credited, no completion pending — and no queued event stands in for
     /// it; continued from there it finishes exactly as a run straight
-    /// through does. (The name dates from when the stop was a snapshot and
-    /// the continuation a restore into a fresh network.)
+    /// through does.
     #[test]
-    fn snapshot_during_an_outage_resumes_the_suspended_packet() {
+    fn run_stopped_during_an_outage_resumes_the_suspended_packet() {
         let build = || {
             let mut h = server(8_000.0);
             let root = h.root();

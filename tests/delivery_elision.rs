@@ -212,10 +212,9 @@ fn elided_deliveries_change_nothing_in_any_execution_mode() {
 
 /// A run stopped and continued — at instants bracketing the outage and both
 /// removals — leaves what the straight run leaves, with deliveries elided
-/// or scheduled. (Named for when the stop was a snapshot and the
-/// continuation a restore.)
+/// or scheduled.
 #[test]
-fn elided_deliveries_change_nothing_across_snapshot_and_resume() {
+fn elided_deliveries_change_nothing_across_a_stop_and_continue() {
     let mut whole = bare();
     whole.run(HORIZON);
     let golden = artifacts(whole);

@@ -629,10 +629,9 @@ fn six_session_digest(s: &mut impl NodeScheduler) -> (u64, usize) {
 }
 
 /// Every policy's six-session run matches the legacy schedulers' straight
-/// run. (The name dates from when the run was cut at step 150 by a
-/// snapshot and finished in a fresh scheduler.)
+/// run.
 #[test]
-fn pifo_snapshot_resume_matches_legacy_straight_run() {
+fn six_session_run_matches_legacy_straight_run() {
     for kind in SchedulerKind::ALL {
         assert_eq!(
             six_session_digest(&mut kind.build(1e6)),
@@ -683,11 +682,9 @@ fn fig3_trace_is_byte_identical_across_backends() {
 
 /// The two backends, each run on its own to mid-busy-period of the
 /// six-session schedule (10 of the 24 offered packets), then driven on in
-/// lockstep with fresh heads, select and tag identically. (The name dates
-/// from when the second backend took its midpoint from a snapshot of the
-/// first.)
+/// lockstep with fresh heads, select and tag identically.
 #[test]
-fn snapshot_restores_across_backends() {
+fn backends_continue_identically_from_their_own_midpoints() {
     const N: usize = 6;
     fn continue_across(
         kind: SchedulerKind,
