@@ -16,7 +16,7 @@
 //! * [`inject::ChaosInjector`] — the data-plane [`hpfq_sim::FaultInjector`]
 //!   with per-flow decision streams that are independent of scheduler
 //!   interleaving;
-//! * [`soak::run_soak`] — the differential harness: all eight scheduler
+//! * [`soak::run_soak`] — the differential harness: all seven scheduler
 //!   policies under the *same* fault schedule, checked for conservation,
 //!   invariant cleanliness, fault determinism, and post-recovery fairness.
 //!

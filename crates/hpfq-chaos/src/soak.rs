@@ -1,7 +1,7 @@
 //! The differential chaos soak: every scheduler, one fault schedule.
 //!
 //! [`run_soak`] builds the same three-class hierarchy under each of the
-//! eight node-scheduler policies, subjects every build to the *identical*
+//! seven node-scheduler policies, subjects every build to the *identical*
 //! fault schedule (same [`crate::plan::ChaosPlan`], same per-flow
 //! [`crate::inject::ChaosInjector`] decision streams), and collects a
 //! [`SoakRun`] per scheduler. [`ChaosReport::assert_healthy`] then checks
@@ -261,7 +261,7 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     }
 }
 
-/// Runs the full differential soak: all eight schedulers under the same
+/// Runs the full differential soak: all seven schedulers under the same
 /// seed-derived fault schedule.
 pub fn run_soak(cfg: &ChaosConfig) -> ChaosReport {
     // Build the plan once for the outage windows; each run regenerates its

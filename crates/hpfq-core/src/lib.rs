@@ -10,8 +10,7 @@
 //! * WFQ and WF²Q — the classic baselines that track the exact GPS fluid
 //!   virtual time (O(N) worst case, see [`GpsClock`]).
 //! * SCFQ, SFQ, DRR, FIFO — the related low-complexity schedulers the
-//!   paper compares against in its related-work discussion — and
-//!   overlapped round robin ([`pifo::rank::RrRank`]).
+//!   paper compares against in its related-work discussion.
 //! * [`Hierarchy`] — the H-PFQ construction of §4: a tree of one-level
 //!   schedulers implementing the paper's ARRIVE / RESTART-NODE / RESET-PATH
 //!   pseudocode, generic over the node scheduler (H-WFQ, H-SCFQ, H-WF²Q+, …).

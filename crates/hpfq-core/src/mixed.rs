@@ -9,9 +9,7 @@
 //!   leaves inside a best-effort class) build a
 //!   `Hierarchy<MixedScheduler>` and choose a kind per node.
 
-use crate::pifo::rank::{
-    DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
-};
+use crate::pifo::rank::{DrrRank, FifoRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank};
 use crate::pifo::PifoTree;
 use crate::scheduler::{NodeScheduler, SessionId};
 
@@ -32,14 +30,11 @@ pub enum SchedulerKind {
     Drr,
     /// FIFO.
     Fifo,
-    /// Overlapped round robin (integer finish rounds; see
-    /// [`crate::pifo::rank::RrRank`]).
-    Rr,
 }
 
 impl SchedulerKind {
     /// Every kind, in report order.
-    pub const ALL: [SchedulerKind; 8] = [
+    pub const ALL: [SchedulerKind; 7] = [
         SchedulerKind::Wf2qPlus,
         SchedulerKind::Wfq,
         SchedulerKind::Wf2q,
@@ -47,7 +42,6 @@ impl SchedulerKind {
         SchedulerKind::Sfq,
         SchedulerKind::Drr,
         SchedulerKind::Fifo,
-        SchedulerKind::Rr,
     ];
 
     /// Builds a scheduler of this kind for a server of `rate_bps`: a
@@ -66,7 +60,6 @@ impl SchedulerKind {
             SchedulerKind::Sfq => MixedScheduler::Sfq(PifoTree::new(rate_bps, SfqRank::new())),
             SchedulerKind::Drr => MixedScheduler::Drr(PifoTree::new(rate_bps, DrrRank::new())),
             SchedulerKind::Fifo => MixedScheduler::Fifo(PifoTree::new(rate_bps, FifoRank::new())),
-            SchedulerKind::Rr => MixedScheduler::Rr(PifoTree::new(rate_bps, RrRank::new())),
         }
     }
 
@@ -80,7 +73,6 @@ impl SchedulerKind {
             SchedulerKind::Sfq => "sfq",
             SchedulerKind::Drr => "drr",
             SchedulerKind::Fifo => "fifo",
-            SchedulerKind::Rr => "rr",
         }
     }
 }
@@ -97,7 +89,6 @@ impl std::str::FromStr for SchedulerKind {
             "sfq" => Ok(SchedulerKind::Sfq),
             "drr" => Ok(SchedulerKind::Drr),
             "fifo" => Ok(SchedulerKind::Fifo),
-            "rr" => Ok(SchedulerKind::Rr),
             other => Err(format!("unknown scheduler kind '{other}'")),
         }
     }
@@ -119,7 +110,6 @@ pub enum MixedScheduler {
     Sfq(PifoTree<SfqRank>),
     Drr(PifoTree<DrrRank>),
     Fifo(PifoTree<FifoRank>),
-    Rr(PifoTree<RrRank>),
 }
 
 macro_rules! dispatch {
@@ -132,7 +122,6 @@ macro_rules! dispatch {
             MixedScheduler::Sfq($inner) => $body,
             MixedScheduler::Drr($inner) => $body,
             MixedScheduler::Fifo($inner) => $body,
-            MixedScheduler::Rr($inner) => $body,
         }
     };
 }
@@ -207,28 +196,6 @@ mod tests {
             assert_eq!(sched.rate_bps(), 1e6);
             assert_eq!(kind.name().parse::<SchedulerKind>().unwrap(), kind);
         }
-    }
-
-    #[test]
-    fn rr_shares_capacity_by_phi() {
-        // 3:1 shares, equal packet sizes: over any long window the heavy
-        // session must receive ~3x the dispatches.
-        let mut m = SchedulerKind::Rr.build(1e6);
-        let heavy = m.add_session(0.75);
-        let light = m.add_session(0.25);
-        m.backlog(heavy, 3000.0, None);
-        m.backlog(light, 3000.0, None);
-        let mut served = [0u32; 2];
-        for _ in 0..400 {
-            let id = m.select_next().unwrap();
-            served[id.0] += 1;
-            m.requeue(id, Some(3000.0));
-        }
-        let ratio = f64::from(served[heavy.0]) / f64::from(served[light.0]);
-        assert!(
-            (ratio - 3.0).abs() < 0.1,
-            "rr served {served:?}: ratio {ratio} far from shares 3:1"
-        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Sivaraman et al., *Programmable Packet Scheduling at Line Rate*
 //! (SIGCOMM 2016), observe that a large family of scheduling algorithms —
-//! including all eight policies in this crate — reduce to a single
+//! including all seven policies in this crate — reduce to a single
 //! *push-in-first-out* (PIFO) priority structure plus a per-node *rank
 //! program* that stamps each head packet with a rank on arrival. This
 //! module is that reduction for the H-PFQ node schedulers:
@@ -260,7 +260,7 @@ pub struct PifoTree<P: RankProgram, Q: PifoBackend = DualHeapEligibleSet> {
     sessions: SessionTable,
     queue: Q,
     /// Reference time `T = W(0,t)/r`, advanced by `L/r` per dispatch —
-    /// identical across all eight policies, hence owned by the driver.
+    /// identical across all seven policies, hence owned by the driver.
     t: f64,
     in_service: Option<SessionId>,
     backlogged: usize,

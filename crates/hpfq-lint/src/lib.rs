@@ -25,8 +25,8 @@
 //! Intentional exceptions are allowlisted in place:
 //!
 //! ```text
-//! // lint:allow(L005): rest/q <= 2^24 * bits/quantum_base < 2^53
-//! let extra = (rest / q).ceil() as u64;
+//! // lint:allow(L005): pos = q*(len-1) with q asserted in [0, 1] above
+//! let lo = pos.floor() as usize;
 //! ```
 //!
 //! The directive covers its own line and the next code line (comment

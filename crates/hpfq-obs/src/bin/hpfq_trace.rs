@@ -7,7 +7,6 @@
 //!   summary   Tally events, malformed lines, and time range
 //!   filter    Print event lines matching the filters
 //!   delays    Per-flow delay percentiles from tx_end events
-//!   chrome    Render a Chrome trace-event (Perfetto) JSON document
 //!
 //! FILE defaults to `-` (stdin).
 //!
@@ -22,7 +21,7 @@
 //!
 //! The command and every option are checked before any input is read, so
 //! a bad command line fails fast even when stdin never closes. `--from` /
-//! `--to` must be finite.
+//! `--to` must be finite, and `summary` refuses the five filter options.
 //!
 //! All the heavy lifting lives in `hpfq_obs::query`, which is unit tested;
 //! this binary only parses arguments and moves bytes.
@@ -31,17 +30,16 @@ use std::ffi::OsString;
 use std::io::Read as _;
 
 use hpfq_obs::query::{
-    chrome_from_text, delay_report, filter_lines, render_delays, render_summary, summarize, Filter,
+    delay_report, filter_lines, render_delays, render_summary, summarize, Filter,
 };
 
-const USAGE: &str = "usage: hpfq-trace <summary|filter|delays|chrome> \
+const USAGE: &str = "usage: hpfq-trace <summary|filter|delays> \
                      [FILE|-] [--link N] [--flow N] [--node N] [--from T] [--to T] [--out PATH]";
 
 enum Cmd {
     Summary,
     Filter,
     Delays,
-    Chrome,
 }
 
 struct Args {
@@ -97,10 +95,12 @@ fn parse_args(argv: impl Iterator<Item = OsString>) -> Result<Args, String> {
         }
     }
     let command = match command.ok_or_else(|| USAGE.to_string())?.as_str() {
+        "summary" if filter != Filter::default() => {
+            return Err(format!("summary takes no filter option\n{USAGE}"))
+        }
         "summary" => Cmd::Summary,
         "filter" => Cmd::Filter,
         "delays" => Cmd::Delays,
-        "chrome" => Cmd::Chrome,
         other => return Err(format!("unknown command `{other}`\n{USAGE}")),
     };
     Ok(Args {
@@ -139,7 +139,6 @@ fn run(args: &Args) -> Result<String, String> {
         Cmd::Summary => render_summary(&summarize(&text)),
         Cmd::Filter => filter_lines(&text, &args.filter),
         Cmd::Delays => render_delays(&delay_report(&text, &args.filter)),
-        Cmd::Chrome => chrome_from_text(&text),
     })
 }
 

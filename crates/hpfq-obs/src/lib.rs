@@ -24,9 +24,8 @@
 //!   at the root of the dependency graph, and is re-exported as
 //!   `hpfq_core::vtime`; the `hpfq-lint` static-analysis pass enforces that
 //!   all virtual-time comparisons and tolerance constants go through it.
-//! * [`query`] and [`chrome`] — the library behind the `hpfq-trace` CLI:
-//!   summaries, filters and delay percentiles over traces, and a Chrome
-//!   trace-event (Perfetto) export.
+//! * [`query`] — the library behind the `hpfq-trace` CLI: summaries,
+//!   filters and delay percentiles over traces.
 //! * [`event`] — the event records the other crates share.
 //!
 //! Two observers can be combined by tupling: `(A, B)` implements
@@ -50,7 +49,6 @@
     clippy::unimplemented
 )]
 
-pub mod chrome;
 pub mod event;
 pub mod invariant;
 pub mod jsonl;
@@ -58,7 +56,6 @@ pub mod metrics;
 pub mod query;
 pub mod vtime;
 
-pub use chrome::chrome_trace;
 pub use event::{
     BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, FaultEvent, FaultKind,
     PacketInfo, TraceEvent, TxEvent,

@@ -85,7 +85,7 @@ pub fn event_kind(ev: &TraceEvent) -> &'static str {
 
 /// An event predicate over link / flow / node / time range; `None` fields
 /// match everything.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Filter {
     /// Keep only events on this link.
     pub link: Option<usize>,
@@ -302,13 +302,6 @@ pub fn render_delays(rows: &[FlowDelay]) -> String {
     out
 }
 
-/// Parses `text` and renders it as a Chrome trace-event document (events
-/// only); the library form of `hpfq-trace chrome`.
-pub fn chrome_from_text(text: &str) -> String {
-    let (events, _) = jsonl::parse_trace(text);
-    crate::chrome::chrome_trace(&events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -434,9 +427,5 @@ mod tests {
                 render_delays(&delay_report(&current, &filter))
             );
         }
-        let json = chrome_from_text(LEGACY_DUMP);
-        assert_eq!(json, chrome_from_text(&current));
-        assert!(json.contains("\"name\":\"tx f5\""), "{json}");
-        assert!(!json.contains("\"name\":\"shards\""), "{json}");
     }
 }

@@ -94,6 +94,22 @@ fn non_finite_time_bounds_are_usage_errors() {
 }
 
 #[test]
+fn summary_refuses_filter_options_before_the_file_is_read() {
+    for (flag, value) in [
+        ("--flow", "3"),
+        ("--link", "0"),
+        ("--node", "1"),
+        ("--from", "0.5"),
+        ("--to", "1"),
+    ] {
+        assert_usage_error(
+            &hpfq_trace(&["summary", "/nonexistent", flag, value]),
+            "summary takes no filter option",
+        );
+    }
+}
+
+#[test]
 fn summary_of_a_valid_trace_exits_zero_and_counts_no_malformed_line() {
     let dir = env!("CARGO_TARGET_TMPDIR");
     let trace = format!("{dir}/argv-summary-{}.jsonl", std::process::id());

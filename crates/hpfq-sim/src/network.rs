@@ -530,11 +530,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         self.links[link].server.observer()
     }
 
-    /// `link`'s observer, mutably (e.g. to flush or read counters).
-    pub fn observer_of_mut(&mut self, link: usize) -> &mut O {
-        self.links[link].server.observer_mut()
-    }
-
     /// Consumes the network, returning every link's observer in link
     /// order.
     pub fn into_observers(self) -> Vec<O> {

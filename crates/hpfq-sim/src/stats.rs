@@ -71,15 +71,6 @@ pub struct FlowStats {
 }
 
 impl FlowStats {
-    /// Mean per-packet delay.
-    pub fn mean_delay(&self) -> f64 {
-        if self.packets == 0 {
-            0.0
-        } else {
-            self.delay_sum / self.packets as f64
-        }
-    }
-
     /// Fraction of offered packets that were dropped.
     pub fn loss_rate(&self) -> f64 {
         if self.offered_packets == 0 {

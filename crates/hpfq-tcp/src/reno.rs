@@ -8,7 +8,6 @@
 //! seconds later (ideal, uncongested return path).
 
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
 
 use hpfq_core::{vtime, Packet};
 use hpfq_sim::{Source, SourceOutput};
@@ -50,10 +49,6 @@ fn seg_id(flow: u32, seq: u64) -> u64 {
     (u64::from(flow) << 40) | (seq & SEQ_MASK)
 }
 
-/// Shared `(time, cwnd-in-segments)` sample buffer returned by
-/// [`TcpSource::cwnd_trace_handle`].
-pub type CwndTrace = Arc<Mutex<Vec<(f64, f64)>>>;
-
 /// A greedy (always has data) TCP Reno connection.
 #[derive(Debug)]
 pub struct TcpSource {
@@ -92,9 +87,6 @@ pub struct TcpSource {
     // --- ACK channel back to the sender ---
     pending_acks: VecDeque<(f64, u64)>,
 
-    /// Optional externally readable `(time, cwnd)` trace.
-    cwnd_trace: Option<CwndTrace>,
-
     /// Diagnostics.
     retransmits: u64,
     timeouts: u64,
@@ -122,33 +114,14 @@ impl TcpSource {
             rcv_next: 0,
             out_of_order: BTreeSet::new(),
             pending_acks: VecDeque::new(),
-            cwnd_trace: None,
             retransmits: 0,
             timeouts: 0,
         }
     }
 
-    /// Returns a handle that will accumulate `(time, cwnd-in-segments)`
-    /// samples as the connection runs; call before moving the source into
-    /// the simulation.
-    pub fn cwnd_trace_handle(&mut self) -> CwndTrace {
-        let h = Arc::new(Mutex::new(Vec::new()));
-        self.cwnd_trace = Some(Arc::clone(&h));
-        h
-    }
-
     /// Segments retransmitted so far.
     pub fn retransmits(&self) -> u64 {
         self.retransmits
-    }
-
-    fn sample_cwnd(&self, now: f64) {
-        if let Some(tr) = &self.cwnd_trace {
-            // Poison-tolerant: a panicked reader cannot lose us samples.
-            tr.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((now, self.cwnd));
-        }
     }
 
     fn effective_window(&self) -> f64 {
@@ -263,7 +236,6 @@ impl TcpSource {
                 self.rtt_probe = None;
             }
         }
-        self.sample_cwnd(now);
         self.pump(now, out);
     }
 
@@ -277,7 +249,6 @@ impl TcpSource {
         self.rtx_pending = Some(self.snd_una);
         self.rtt_probe = None;
         self.rto = (self.rto * 2.0).min(60.0); // exponential backoff
-        self.sample_cwnd(now);
         self.pump(now, out);
     }
 }
@@ -315,7 +286,6 @@ impl Source for TcpSource {
         }
         // 3. Initial open / start of data.
         if self.next_seq == 0 && now >= self.cfg.start_time && now < self.cfg.stop_time {
-            self.sample_cwnd(now);
             self.pump(now, &mut out);
         }
         out

@@ -5,7 +5,7 @@
 //! cargo run --example custom_policy
 //! ```
 //!
-//! The eight in-tree policies are rank programs plugged into
+//! The seven in-tree policies are rank programs plugged into
 //! [`PifoTree`]; this example shows the same extension point is open to
 //! downstream code. Two programs are defined here, with no access to
 //! `hpfq-core` internals:

@@ -5,6 +5,7 @@
 
 use hpfq::analysis::{flow_records_from_trace, service_records_from_trace};
 use hpfq::core::SchedulerKind;
+use hpfq::obs::event::intern_policy;
 use hpfq::obs::{jsonl::parse_trace, replay, InvariantObserver, JsonlObserver, MetricsObserver};
 use hpfq::sim::ServiceRecord;
 use hpfq_bench::fig3::{self, Scenario, FLOW_BE1, FLOW_RT1};
@@ -116,4 +117,13 @@ fn tupled_metrics_and_invariants_agree_with_sim_stats() {
     let report = metrics.report();
     assert!(report.contains("link:"), "{report}");
     assert!(report.contains("flow"), "{report}");
+}
+
+/// Every policy's name survives a trace round trip: `intern_policy` reads
+/// back what a `DispatchEvent` of each `SchedulerKind` wrote, not `"?"`.
+#[test]
+fn every_policy_name_survives_a_trace_round_trip() {
+    for kind in SchedulerKind::ALL {
+        assert_eq!(intern_policy(kind.name()), kind.name());
+    }
 }

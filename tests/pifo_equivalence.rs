@@ -1,4 +1,4 @@
-//! Golden and differential oracles for the eight policies [`PifoTree`]
+//! Golden and differential oracles for the seven policies [`PifoTree`]
 //! serves (via [`SchedulerKind::build`]).
 //!
 //! **Goldens.** Each policy's dispatch decisions, tags and virtual-time
@@ -8,14 +8,12 @@
 //! hand-rolled per-policy schedulers the rank programs were derived from
 //! produced at commit 1c9611a, the last commit that had them (their output
 //! had matched the rank programs bit for bit since the programs were
-//! written; "legacy" in the test names). Overlapped round robin never had a
-//! hand-rolled twin: its goldens were recorded from its rank program at the
-//! same commit. A third lockstep schedule, whose packet lengths are
-//! multiples of no quantum, was added later with goldens recorded from the
-//! rank programs.
+//! written; "legacy" in the test names). A third lockstep schedule, whose
+//! packet lengths are multiples of no quantum, was added later with goldens
+//! recorded from the rank programs.
 //!
 //! **Backends.** The same drivers hold the dual heap that ships
-//! byte-identical, for all eight programs, to [`SortByRankPifo`]: a `Vec`
+//! byte-identical, for all seven programs, to [`SortByRankPifo`]: a `Vec`
 //! and a linear scan on the ranked interface, sharing no code with it.
 //!
 //! Randomized churn + outage suites ride behind the `proptest-tests`
@@ -29,7 +27,7 @@
 //! [`SchedulerKind::build`]: hpfq::core::SchedulerKind::build
 
 use hpfq::core::pifo::rank::{
-    DrrRank, FifoRank, RrRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
+    DrrRank, FifoRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,
 };
 use hpfq::core::{
     Hierarchy, NodeId, NodeScheduler, PifoBackend, PifoTree, RankProgram, SchedulerKind, SessionId,
@@ -66,7 +64,7 @@ struct Golden {
 }
 
 /// One entry per policy, in [`SchedulerKind::ALL`] order.
-const GOLDENS: [Golden; 8] = [
+const GOLDENS: [Golden; 7] = [
     Golden {
         kind: SchedulerKind::Wf2qPlus,
         lockstep: [(0x733b_a932_f340_30bb, 552), (0xcd48_980e_4b89_13d3, 383)],
@@ -186,23 +184,6 @@ const GOLDENS: [Golden; 8] = [
         six_session: (0x5826_a7bd_90af_3120, 278),
         random: 0x8170_567a_42d5_c80c,
     },
-    Golden {
-        kind: SchedulerKind::Rr,
-        lockstep: [(0xbd9e_511e_e99c_da8c, 552), (0x4fb0_03af_aac8_3db4, 383)],
-        odd_lockstep: (0xb8e6_4c70_39bf_8b24, 476),
-        fig3_trace: (0x514d_6f32_8796_740c, 5997),
-        fig3_stats: [
-            "total 3686400 450 1.5998254222222223",
-            "flow 1 FlowStats { packets: 40, bytes: 327680, drops: 0, drop_bytes: 0, offered_packets: 41, offered_bytes: 335872, accepted_packets: 41, accepted_bytes: 335872, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.15628088888886815, delay_max: 0.03145635555555548, last_departure: 1.4233016888888892 }",
-            "flow 2 FlowStats { packets: 289, bytes: 2367488, drops: 4, drop_bytes: 32768, offered_packets: 293, offered_bytes: 2400256, accepted_packets: 289, accepted_bytes: 2367488, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.5430122319263883, delay_max: 0.0361617777777794, last_departure: 1.5969127111111112 }",
-            "flow 11 FlowStats { packets: 47, bytes: 385024, drops: 0, drop_bytes: 0, offered_packets: 47, offered_bytes: 385024, accepted_packets: 47, accepted_bytes: 385024, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.08771377573143668, delay_max: 0.0053689295432807205, last_departure: 1.5732294864565277 }",
-            "flow 31 FlowStats { packets: 59, bytes: 483328, drops: 0, drop_bytes: 0, offered_packets: 61, offered_bytes: 499712, accepted_packets: 61, accepted_bytes: 499712, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.27160613890098584, delay_max: 0.010208533333330605, last_departure: 1.5998254222222223 }",
-            "flow 16 FlowStats { packets: 15, bytes: 122880, drops: 0, drop_bytes: 0, offered_packets: 15, offered_bytes: 122880, accepted_packets: 15, accepted_bytes: 122880, fault_drops: 0, fault_drop_bytes: 0, purged_packets: 0, purged_bytes: 0, delay_sum: 0.0630792931800799, delay_max: 0.03449827202454547, last_departure: 1.0650777542455168 }",
-        ],
-        fig3_records: (0xdf17_9046_c1da_25d8, 5626),
-        six_session: (0x3eb8_cf07_35c8_2643, 278),
-        random: 0xa77f_4701_8bd7_893b,
-    },
 ];
 
 /// Evaluates `$body` once per policy, with `$kind` bound to its
@@ -211,7 +192,7 @@ macro_rules! for_each_program {
     (|$kind:ident, $program:ident| $body:expr) => {
         for_each_program!(@ $kind, $program, $body;
             Wf2qPlus Wf2qPlusRank, Wfq WfqRank, Wf2q Wf2qRank, Scfq ScfqRank,
-            Sfq SfqRank, Drr DrrRank, Fifo FifoRank, Rr RrRank)
+            Sfq SfqRank, Drr DrrRank, Fifo FifoRank)
     };
     (@ $kind:ident, $program:ident, $body:expr; $($name:ident $rank:ident),*) => {$({
         let $kind = SchedulerKind::$name;
@@ -773,7 +754,7 @@ mod random_differential {
     use hpfq::sim::SmallRng;
 
     /// FNV-1a of the six outage/churn traces, concatenated.
-    const OUTAGE_CHURN_FNV1A: u64 = 0x69d9_b030_76f8_23df;
+    const OUTAGE_CHURN_FNV1A: u64 = 0x6878_547d_1a63_4700;
 
     /// Drives `s` through random admissible op schedule `case` — random
     /// backlogs on idle sessions, random service continuations/drains,
@@ -878,19 +859,33 @@ mod random_differential {
         buf.contents()
     }
 
+    /// The policy each outage/churn case runs.
+    const OUTAGE_CHURN_KINDS: [SchedulerKind; 6] = [
+        SchedulerKind::Drr,
+        SchedulerKind::Sfq,
+        SchedulerKind::Wf2qPlus,
+        SchedulerKind::Wfq,
+        SchedulerKind::Scfq,
+        SchedulerKind::Wf2q,
+    ];
+
     /// Random outage windows + random churn on the Fig. 3 workload, one
-    /// random policy per case: the six traces must match the golden.
+    /// policy per case: the six traces must match the golden.
     #[test]
     fn random_outage_and_churn_traces_agree() {
-        let h = (0..6u64).fold(FNV_BASIS, |h, case| {
-            let mut rng = SmallRng::seed_from_u64(0x07a6_e000 + case);
-            let kind = SchedulerKind::ALL[rng.gen_range_usize(0, SchedulerKind::ALL.len())];
-            let out_start = rng.gen_range_f64(0.2, 1.0);
-            let out_len = rng.gen_range_f64(0.005, 0.08);
-            let churn_at = rng.gen_range_f64(0.3, 1.3);
-            let trace = run_random(move |r| kind.build(r), out_start, out_len, churn_at);
-            fnv1a(h, trace.as_bytes())
-        });
+        let h = (0..6u64)
+            .zip(OUTAGE_CHURN_KINDS)
+            .fold(FNV_BASIS, |h, (case, kind)| {
+                let mut rng = SmallRng::seed_from_u64(0x07a6_e000 + case);
+                // Each seed's first draw is skipped: the windows below are the
+                // ones the golden was recorded with.
+                rng.next_u64();
+                let out_start = rng.gen_range_f64(0.2, 1.0);
+                let out_len = rng.gen_range_f64(0.005, 0.08);
+                let churn_at = rng.gen_range_f64(0.3, 1.3);
+                let trace = run_random(move |r| kind.build(r), out_start, out_len, churn_at);
+                fnv1a(h, trace.as_bytes())
+            });
         assert_eq!(h, OUTAGE_CHURN_FNV1A);
     }
 }

@@ -1,14 +1,9 @@
-//! Golden test for the Chrome trace-event (Perfetto) exporter on a real
-//! multi-link run.
+//! The multi-hop trace golden, and hostile traces for every reader.
 //!
 //! A 3-link tandem (one flow crossing every link with a propagation delay,
 //! plus saturating single-hop cross traffic per link) runs to its horizon.
-//! The per-link JSONL traces are merged into the canonical stream, parsed
-//! back into events, and rendered as a `trace.json` document. The test
-//! pins the document's structure (valid balanced JSON, one track per link,
-//! tx slices) and its bytes: a committed digest, and two identical runs
-//! export identical bytes, because the timeline clock is simulation time,
-//! never wall clock.
+//! The per-link JSONL traces are merged into the canonical stream, which
+//! must parse back without a skipped line and match a committed digest.
 //!
 //! Traces are also input from outside the program: the same run's trace
 //! and its last 64 lines, mutated at the byte and the value level, must go
@@ -18,9 +13,9 @@
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};
 use hpfq::obs::query::{
-    chrome_from_text, delay_report, filter_lines, render_delays, render_summary, summarize, Filter,
+    delay_report, filter_lines, render_delays, render_summary, summarize, Filter,
 };
-use hpfq::obs::{chrome_trace, replay, InvariantObserver, JsonlObserver, MetricsObserver};
+use hpfq::obs::{replay, InvariantObserver, JsonlObserver, MetricsObserver};
 use hpfq::sim::{CbrSource, Hop, Network, Route};
 
 const LINKS: usize = 3;
@@ -29,9 +24,8 @@ const PKT: u32 = 1500;
 const PROP: f64 = 0.002;
 const HORIZON: f64 = 1.5;
 
-/// FNV-1a of the exported document: byte for byte what the sharded
-/// runtime exported for this run, less its shard-epoch tracks (pid 2).
-const EXPORT_FNV1A: u64 = 0x5335_e5c8_fca7_22b8;
+/// FNV-1a of the merged trace of the run to [`HORIZON`].
+const MERGED_FNV1A: u64 = 0x17ce_e2ae_21bb_d135;
 
 type Obs = JsonlObserver<Vec<u8>>;
 
@@ -85,89 +79,28 @@ fn link_traces(horizon: f64) -> Vec<String> {
         .collect()
 }
 
-/// One full pipeline pass: run → merged trace → parsed events → chrome
-/// trace JSON. Returns the export and the number of events rendered.
-fn export() -> (String, usize) {
-    let bufs = link_traces(HORIZON);
-    assert_eq!(bufs.len(), LINKS);
-    let merged = merge_traces(&bufs);
-    let (events, skipped) = parse_trace(&merged);
-    assert_eq!(skipped, 0, "merged trace had unparseable lines");
-    assert!(events.len() > 100, "trace too small to be meaningful");
-
-    (chrome_trace(&events), events.len())
-}
-
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
 }
 
-/// Structural JSON check without an external parser: balanced braces and
-/// brackets outside string literals, no unterminated strings.
-fn assert_balanced_json(s: &str) {
-    let mut depth: i64 = 0;
-    let mut in_str = false;
-    let mut escape = false;
-    for c in s.chars() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            _ => {}
-        }
-        assert!(depth >= 0, "unbalanced close");
-    }
-    assert_eq!(depth, 0, "unbalanced JSON");
-    assert!(!in_str, "unterminated string");
-}
-
+/// The merged tandem trace is a pure function of the run: two runs merge
+/// to the same bytes, and those bytes are the committed digest.
 #[test]
-fn tandem_run_exports_valid_chrome_trace() {
-    let (json, n_events) = export();
-
-    assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-    assert!(json.ends_with("]}\n"));
-    assert_balanced_json(&json);
-
-    // One named track per link under the "links" process.
-    assert!(json.contains("\"args\":{\"name\":\"links\"}"), "{json}");
-    for link in 0..LINKS {
-        assert!(
-            json.contains(&format!("\"args\":{{\"name\":\"link {link}\"}}")),
-            "missing track for link {link}"
-        );
-    }
-    // Transmission slices are complete (`ph:X`) events in the tx category.
-    assert!(json.contains("\"cat\":\"tx\",\"ph\":\"X\""), "no tx slices");
-    // The tandem flow itself shows up on the timeline.
-    assert!(json.contains("\"name\":\"tx f0\""), "tandem flow absent");
-    // Links are the only process.
-    assert!(!json.contains("\"pid\":2"), "{json}");
-    assert!(n_events > 100, "trace too small");
-}
-
-#[test]
-fn chrome_trace_export_is_byte_deterministic() {
-    let (a, _) = export();
-    let (b, _) = export();
-    assert_eq!(a, b, "trace.json must be a pure function of the run");
+fn tandem_merged_trace_is_byte_deterministic() {
+    let bufs = link_traces(HORIZON);
+    assert_eq!(bufs.len(), LINKS);
+    let merged = merge_traces(&bufs);
+    let (events, skipped) = parse_trace(&merged);
+    assert_eq!(skipped, 0, "merged trace had unparseable lines");
+    assert!(events.len() > 100, "trace too small to be meaningful");
+    assert_eq!(merged, merge_traces(&link_traces(HORIZON)));
     assert_eq!(
-        fnv1a(a.as_bytes()),
-        EXPORT_FNV1A,
+        fnv1a(merged.as_bytes()),
+        MERGED_FNV1A,
         "{:016x}",
-        fnv1a(a.as_bytes())
+        fnv1a(merged.as_bytes())
     );
 }
 
@@ -281,7 +214,6 @@ fn read_every_way(text: &str, other: &str) {
         invariants.summary(),
     );
     let _ = summarize(&String::from_utf8_lossy(&rewritten.into_inner()));
-    let _ = chrome_trace(&events);
     let _ = render_summary(&summarize(text));
     for filter in [
         Filter::default(),
@@ -296,7 +228,6 @@ fn read_every_way(text: &str, other: &str) {
         let _ = filter_lines(text, &filter);
         let _ = render_delays(&delay_report(text, &filter));
     }
-    let _ = chrome_from_text(text);
 }
 
 /// Traces are hostile input: a real multi-link trace and its last 64
