@@ -59,17 +59,6 @@ pub fn corollary2_bound(sigma: f64, l_max: f64, rates_path: &[f64]) -> f64 {
     sigma / r_i + rates_path.iter().map(|&r| l_max / r).sum::<f64>()
 }
 
-/// The §3.1 worked comparison: worst-case H-WFQ delay contribution from a
-/// WFQ node serving `n` sessions (≈ `n/2` maximum packets, the Fig. 2
-/// burst), versus the one-packet contribution of a small-WFI scheduler —
-/// returned as `(wfq_seconds, ideal_seconds)` for a node of rate `r` and
-/// packet size `l_max`. Used by the `sec31_example` experiment.
-pub fn sec31_node_delay(n_sessions: usize, l_max: f64, r: f64) -> (f64, f64) {
-    let wfq = (n_sessions as f64 / 2.0) * l_max / r;
-    let ideal = l_max / r;
-    (wfq, ideal)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,15 +93,5 @@ mod tests {
         let b = corollary1_bound(10_000.0, 1e6, &[(1e6, 8_000.0), (1e7, 12_000.0)]);
         let expect = 0.01 + 8e3 / 1e6 + 12e3 / 1e7;
         assert!((b - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sec31_scale() {
-        // Paper: 1001 classes on 100 Mbit/s with 1500 B packets =>
-        // ~60 ms... the paper quotes 120 ms for a two-level effect; the
-        // single-node figure here is N/2 * L/r = 500.5 * 120 µs ≈ 60 ms.
-        let (wfq, ideal) = sec31_node_delay(1001, 12_000.0, 100e6);
-        assert!((wfq - 0.06006).abs() < 1e-5);
-        assert!((ideal - 0.00012).abs() < 1e-9);
     }
 }

@@ -19,23 +19,11 @@ pub fn t_wfi_from_b_wfi(alpha_bits: f64, r_i: f64) -> f64 {
     alpha_bits / r_i
 }
 
-/// Converts a T-WFI (seconds) into the equivalent B-WFI (bits).
-pub fn b_wfi_from_t_wfi(a_seconds: f64, r_i: f64) -> f64 {
-    assert!(r_i > 0.0);
-    a_seconds * r_i
-}
-
 /// Lemma 1: the delay bound `(σ + γ)/r_i` a standalone server guarantees
 /// a `(σ, r_i)` leaky-bucket session from an SBI of `γ` bits.
 pub fn lemma1_delay_bound(sigma_bits: f64, gamma_bits: f64, r_i: f64) -> f64 {
     assert!(r_i > 0.0);
     (sigma_bits + gamma_bits) / r_i
-}
-
-/// The converse stated in §3.2 for rate-based disciplines: a delay bound
-/// `D` for a `(σ, r_i)` session implies an SBI of `r_i·D − σ` bits.
-pub fn sbi_from_delay_bound(delay_bound: f64, sigma_bits: f64, r_i: f64) -> f64 {
-    r_i * delay_bound - sigma_bits
 }
 
 /// Empirical SBI (bits) of a session over a trace (Definition 3): for
@@ -95,16 +83,13 @@ mod tests {
         let alpha = 12_000.0;
         let r = 1.5e6;
         let a = t_wfi_from_b_wfi(alpha, r);
-        assert!((b_wfi_from_t_wfi(a, r) - alpha).abs() < 1e-9);
+        assert!((a * r - alpha).abs() < 1e-9);
     }
 
     #[test]
     fn lemma1_matches_hand_computation() {
         // σ = 16 kbit, γ = 8 kbit, r = 1 Mbit/s => 24 ms.
         assert!((lemma1_delay_bound(16e3, 8e3, 1e6) - 0.024).abs() < 1e-12);
-        // §3.2 converse round-trips.
-        let gamma = sbi_from_delay_bound(0.024, 16e3, 1e6);
-        assert!((gamma - 8e3).abs() < 1e-9);
     }
 
     /// The WFQ example from §3.2: SBI is one packet while the WFI is ~N

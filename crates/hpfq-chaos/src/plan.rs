@@ -45,19 +45,37 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
             if rng.gen_bool(link::OUTAGE_PROB) {
                 let dur = rng.gen_range_f64(link::OUTAGE_DURATION.0, link::OUTAGE_DURATION.1);
                 let up = (t + dur).min(quiet_from);
-                commands.push((t, SimCommand::SetLinkRate(0.0)));
-                commands.push((up, SimCommand::SetLinkRate(link_bps)));
+                commands.push((t, SimCommand::SetLinkRate { link: 0, bps: 0.0 }));
+                commands.push((
+                    up,
+                    SimCommand::SetLinkRate {
+                        link: 0,
+                        bps: link_bps,
+                    },
+                ));
                 outages.push((t, up));
                 last_fault = last_fault.max(up);
             } else {
                 let f = rng.gen_range_f64(link::RATE_FACTOR.0, link::RATE_FACTOR.1);
-                commands.push((t, SimCommand::SetLinkRate(f * link_bps)));
+                commands.push((
+                    t,
+                    SimCommand::SetLinkRate {
+                        link: 0,
+                        bps: f * link_bps,
+                    },
+                ));
                 last_fault = last_fault.max(t);
             }
             t += link::INTERVAL;
         }
         // Restore the nominal rate for the recovery window.
-        commands.push((quiet_from, SimCommand::SetLinkRate(link_bps)));
+        commands.push((
+            quiet_from,
+            SimCommand::SetLinkRate {
+                link: 0,
+                bps: link_bps,
+            },
+        ));
         last_fault = last_fault.max(quiet_from);
     }
 

@@ -36,9 +36,6 @@ pub enum HpfqError {
     /// An operation targeted a leaf that has been removed (or is draining
     /// toward removal) — e.g. an enqueue on a removed flow's leaf.
     NodeDetached(usize),
-    /// A structural mutation (leaf removal) was attempted on a node that
-    /// still has attached children.
-    HasChildren(usize),
 }
 
 impl fmt::Display for HpfqError {
@@ -59,7 +56,6 @@ impl fmt::Display for HpfqError {
                 write!(f, "invalid packet id={id} flow={flow}: {reason}")
             }
             HpfqError::NodeDetached(n) => write!(f, "node {n} has been removed from the tree"),
-            HpfqError::HasChildren(n) => write!(f, "node {n} still has attached children"),
         }
     }
 }

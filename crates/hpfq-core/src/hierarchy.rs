@@ -40,9 +40,9 @@
 //!   stamping `S = max(F, V_parent)`) and *bubble up*: every ancestor that
 //!   was not offering a packet runs RESTART-NODE (selects a head, advancing
 //!   its own `V`/`T` per lines 12–13) and offers it upward in turn.
-//! * [`Hierarchy::start_transmission`] — the link takes the root's offered
-//!   packet (pseudocode line 20).
-//! * [`Hierarchy::complete_transmission`] — RESET-PATH: clear the logical
+//! * [`Hierarchy::start_transmission_at`] — the link takes the root's
+//!   offered packet (pseudocode line 20).
+//! * [`Hierarchy::complete_transmission_at`] — RESET-PATH: clear the logical
 //!   heads along the in-flight path, pop the packet from its leaf FIFO,
 //!   re-offer the leaf's next packet (`S = F`, eq. 28 first case), and
 //!   re-run RESTART-NODE bottom-up along the path so every node on it
@@ -208,8 +208,6 @@ struct Inner<S> {
     parent: u32,
     /// Session slot within the parent's scheduler.
     slot: u32,
-    /// The class has been removed (see [`Hierarchy::remove_internal`]).
-    detached: bool,
 }
 
 impl<S> Inner<S> {
@@ -224,7 +222,6 @@ impl<S> Inner<S> {
             active_child: Ref::NONE,
             parent,
             slot,
-            detached: false,
         }
     }
 }
@@ -308,31 +305,81 @@ impl<S: NodeScheduler, O: Observer> std::fmt::Debug for Hierarchy<S, O> {
 /// closure rides along on the hot path.
 ///
 /// ```ignore
-/// let mut b = HierarchyBuilder::new(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
+/// let mut b = Hierarchy::builder(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
 /// let cls = b.add_internal(b.root(), 0.8)?;
 /// let leaf = b.add_leaf(cls, 0.5)?;
 /// let mut h = b.build();
 /// ```
 ///
-/// Mid-run churn does not need the factory: leaves attach via
-/// [`Hierarchy::add_leaf`], and heterogeneous internal nodes via
-/// [`Hierarchy::add_internal_with`] with an explicit scheduler.
+/// The classes (internal nodes) are fixed here: once built, the tree only
+/// gains and loses leaves ([`Hierarchy::add_leaf`] /
+/// [`Hierarchy::remove_leaf`]), which needs no factory.
 pub struct HierarchyBuilder<S: NodeScheduler, O: Observer = NoopObserver> {
     h: Hierarchy<S, O>,
     factory: Box<dyn Fn(f64) -> S>,
 }
 
-impl<S: NodeScheduler> HierarchyBuilder<S> {
-    /// Starts a hierarchy whose root (the physical link) runs at
-    /// `rate_bps`, building node schedulers with `factory`.
-    pub fn new(rate_bps: f64, factory: impl Fn(f64) -> S + 'static) -> Self {
-        HierarchyBuilder::with_observer(rate_bps, factory, NoopObserver)
+impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
+    /// The root node (the physical link).
+    pub fn root(&self) -> NodeId {
+        NodeId(0)
+    }
+
+    /// Adds an internal node (a link-sharing class) with share `phi` of its
+    /// parent, running a scheduler built by the factory.
+    pub fn add_internal(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
+        let p = self.h.validate_new_child(parent, phi)?;
+        let sched = (self.factory)(phi * self.h.shares[parent.0].rate);
+        Ok(self.h.push_node(p, phi, Some(sched)))
+    }
+
+    /// Adds an internal node running a caller-supplied scheduler (for
+    /// heterogeneous trees via [`crate::MixedScheduler`]). The scheduler's
+    /// configured rate should equal `phi` times the parent's rate.
+    pub fn add_internal_with(
+        &mut self,
+        parent: NodeId,
+        phi: f64,
+        sched: S,
+    ) -> Result<NodeId, HpfqError> {
+        let p = self.h.validate_new_child(parent, phi)?;
+        Ok(self.h.push_node(p, phi, Some(sched)))
+    }
+
+    /// Adds a leaf (a session with a real FIFO queue) with share `phi` of
+    /// its parent.
+    pub fn add_leaf(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
+        self.h.add_leaf(parent, phi)
+    }
+
+    /// The guaranteed rate of a node added so far (bits/s), for topology
+    /// code that derives shares from already-placed nodes.
+    pub fn rate(&self, node: NodeId) -> f64 {
+        self.h.rate(node)
+    }
+
+    /// Finishes construction, dropping the factory. The returned hierarchy
+    /// is ready to serve traffic; from here on only leaves join and leave.
+    pub fn build(self) -> Hierarchy<S, O> {
+        self.h
     }
 }
 
-impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
-    /// Like [`HierarchyBuilder::new`], with an explicit event sink attached.
-    pub fn with_observer(rate_bps: f64, factory: impl Fn(f64) -> S + 'static, obs: O) -> Self {
+impl<S: NodeScheduler> Hierarchy<S> {
+    /// Starts a hierarchy whose root (the physical link) runs at
+    /// `rate_bps`, building node schedulers with `factory`.
+    pub fn builder(rate_bps: f64, factory: impl Fn(f64) -> S + 'static) -> HierarchyBuilder<S> {
+        Hierarchy::builder_with_observer(rate_bps, factory, NoopObserver)
+    }
+}
+
+impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
+    /// Like [`Hierarchy::builder`], with an explicit event sink attached.
+    pub fn builder_with_observer(
+        rate_bps: f64,
+        factory: impl Fn(f64) -> S + 'static,
+        obs: O,
+    ) -> HierarchyBuilder<S, O> {
         assert!(
             rate_bps.is_finite() && rate_bps > 0.0,
             "invalid link rate {rate_bps}"
@@ -363,74 +410,6 @@ impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
             path_scratch: Vec::new(),
         };
         HierarchyBuilder { h, factory }
-    }
-
-    /// The root node (the physical link).
-    pub fn root(&self) -> NodeId {
-        NodeId(0)
-    }
-
-    /// Stamps every event the finished hierarchy emits with `link` (for
-    /// multi-link simulations sharing one trace; defaults to 0).
-    pub fn link_id(mut self, link: usize) -> Self {
-        self.h.link = link;
-        self
-    }
-
-    /// Adds an internal node (a link-sharing class) with share `phi` of its
-    /// parent, running a scheduler built by the factory.
-    pub fn add_internal(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
-        let p = self.h.validate_new_child(parent, phi)?;
-        let sched = (self.factory)(phi * self.h.shares[parent.0].rate);
-        Ok(self.h.push_node(p, phi, Some(sched)))
-    }
-
-    /// Adds an internal node running a caller-supplied scheduler (for
-    /// heterogeneous trees via [`crate::MixedScheduler`]).
-    pub fn add_internal_with(
-        &mut self,
-        parent: NodeId,
-        phi: f64,
-        sched: S,
-    ) -> Result<NodeId, HpfqError> {
-        self.h.add_internal_with(parent, phi, sched)
-    }
-
-    /// Adds a leaf (a session with a real FIFO queue) with share `phi` of
-    /// its parent.
-    pub fn add_leaf(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
-        self.h.add_leaf(parent, phi)
-    }
-
-    /// The guaranteed rate of a node added so far (bits/s), for topology
-    /// code that derives shares from already-placed nodes.
-    pub fn rate(&self, node: NodeId) -> f64 {
-        self.h.rate(node)
-    }
-
-    /// Finishes construction, dropping the factory. The returned hierarchy
-    /// is ready to serve traffic (and can still grow leaves and
-    /// caller-supplied internal nodes mid-run).
-    pub fn build(self) -> Hierarchy<S, O> {
-        self.h
-    }
-}
-
-impl<S: NodeScheduler> Hierarchy<S> {
-    /// Shorthand for [`HierarchyBuilder::new`].
-    pub fn builder(rate_bps: f64, factory: impl Fn(f64) -> S + 'static) -> HierarchyBuilder<S> {
-        HierarchyBuilder::new(rate_bps, factory)
-    }
-}
-
-impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
-    /// Shorthand for [`HierarchyBuilder::with_observer`].
-    pub fn builder_with_observer(
-        rate_bps: f64,
-        factory: impl Fn(f64) -> S + 'static,
-        obs: O,
-    ) -> HierarchyBuilder<S, O> {
-        HierarchyBuilder::with_observer(rate_bps, factory, obs)
     }
 
     /// Maps real time onto the warped reference clock (nominal-rate link
@@ -484,14 +463,9 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.shares[0].rate
     }
 
-    /// The link id stamped on every emitted event (see
-    /// [`HierarchyBuilder::link_id`]).
-    pub fn link_id(&self) -> usize {
-        self.link
-    }
-
-    /// Re-stamps future events with `link` — for drivers that assign link
-    /// ids after construction (e.g. a network wiring hierarchies to ports).
+    /// Stamps future events with `link` (0 until set) — for drivers that
+    /// assign link ids after construction (e.g. a network wiring
+    /// hierarchies to ports), so one observer can ride a merged trace.
     pub fn set_link_id(&mut self, link: usize) {
         self.link = link;
     }
@@ -520,9 +494,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             Some(Place::Leaf(_)) => return Err(HpfqError::NotInternal(parent.0)),
             Some(Place::Inner(p)) => p,
         };
-        if self.inners[p].detached {
-            return Err(HpfqError::NodeDetached(parent.0));
-        }
         if phi < self.inners[p].sched.min_share() {
             return Err(HpfqError::InvalidShare(phi));
         }
@@ -579,21 +550,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         NodeId(id)
     }
 
-    /// Adds an internal node running a caller-supplied scheduler (for
-    /// heterogeneous trees via [`crate::MixedScheduler`]). The scheduler's
-    /// configured rate should equal `phi` times the parent's rate.
-    pub fn add_internal_with(
-        &mut self,
-        parent: NodeId,
-        phi: f64,
-        sched: S,
-    ) -> Result<NodeId, HpfqError> {
-        let p = self.validate_new_child(parent, phi)?;
-        Ok(self.push_node(p, phi, Some(sched)))
-    }
-
     /// Adds a leaf (a session with a real FIFO queue) with share `phi` of
-    /// its parent.
+    /// its parent — at build time, or mid-run (flow churn).
     pub fn add_leaf(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
         let p = self.validate_new_child(parent, phi)?;
         Ok(self.push_node(p, phi, None))
@@ -635,70 +593,32 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             lf.draining = true;
         } else {
             debug_assert_eq!(lf.fifo.len(), 0);
-            self.detach_finalize(Ref::leaf(l));
+            self.detach_finalize(l);
         }
         Ok(purged)
     }
 
-    /// Removes an interior class whose children have all been removed. The
-    /// class's share returns to its parent's allocatable pool.
-    pub fn remove_internal(&mut self, node: NodeId) -> Result<(), HpfqError> {
-        let n = match self.place(node) {
-            None => return Err(HpfqError::UnknownNode(node.0)),
-            Some(Place::Leaf(_)) => return Err(HpfqError::NotInternal(node.0)),
-            Some(Place::Inner(n)) => n,
-        };
-        let nd = &self.inners[n];
-        if nd.parent == NIL {
-            // The root is the physical link; it cannot be removed.
-            return Err(HpfqError::UnknownNode(node.0));
-        }
-        if nd.detached {
-            return Err(HpfqError::NodeDetached(node.0));
-        }
-        let live_child = nd.children.iter().any(|c| match c.place() {
-            Place::Leaf(l) => !self.leaves[l].detached,
-            Place::Inner(i) => !self.inners[i].detached,
-        });
-        if live_child || nd.head_leaf != NIL {
-            return Err(HpfqError::HasChildren(node.0));
-        }
-        self.detach_finalize(Ref::inner(n));
-        Ok(())
+    /// Completes the detach of leaf `l`: returns its share to the parent
+    /// pool and marks the record removed. The underlying scheduler session
+    /// simply stays idle forever — an idle session is invisible to every
+    /// policy's selection and virtual clock.
+    fn detach_finalize(&mut self, l: usize) {
+        let lf = &mut self.leaves[l];
+        lf.draining = false;
+        lf.detached = true;
+        let parent = self.inner_ids[lf.parent as usize] as usize;
+        let phi = self.shares[self.leaf_ids[l] as usize].phi;
+        let pool = &mut self.shares[parent].child_phi_sum;
+        // Clamp: repeated add/remove cycles must never drive the pool
+        // accounting negative through f64 rounding.
+        *pool = (*pool - phi).max(0.0);
     }
 
-    /// Completes a detach: returns the node's share to the parent pool and
-    /// marks the record removed. The underlying scheduler session simply
-    /// stays idle forever — an idle session is invisible to every policy's
-    /// selection and virtual clock.
-    fn detach_finalize(&mut self, r: Ref) {
-        let parent = match r.place() {
-            Place::Leaf(l) => {
-                let lf = &mut self.leaves[l];
-                lf.draining = false;
-                lf.detached = true;
-                lf.parent
-            }
-            Place::Inner(n) => {
-                self.inners[n].detached = true;
-                self.inners[n].parent
-            }
-        };
-        if parent != NIL {
-            let phi = self.shares[self.id_of(r)].phi;
-            let pool = &mut self.shares[self.inner_ids[parent as usize] as usize].child_phi_sum;
-            // Clamp: repeated add/remove cycles must never drive the pool
-            // accounting negative through f64 rounding.
-            *pool = (*pool - phi).max(0.0);
-        }
-    }
-
-    /// Whether `node` has been removed (or is draining toward removal).
+    /// Whether `node` is a leaf that has been removed (or is draining
+    /// toward removal). Internal nodes are never removed.
     pub fn is_detached(&self, node: NodeId) -> bool {
-        match self.refs[node.0].place() {
-            Place::Leaf(l) => self.leaves[l].detached || self.leaves[l].draining,
-            Place::Inner(n) => self.inners[n].detached,
-        }
+        self.leaf_record(node)
+            .is_some_and(|lf| lf.detached || lf.draining)
     }
 
     /// ARRIVE: appends `pkt` to leaf `leaf`'s queue and propagates logical
@@ -807,7 +727,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     }
 
     /// Whether no packet is queued anywhere and the link is idle.
-    pub fn is_idle(&self) -> bool {
+    fn is_idle(&self) -> bool {
         !self.transmitting
             && self.inners[0].head_leaf == NIL
             && self.inners[0].sched.backlogged() == 0
@@ -934,26 +854,20 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     }
 
     /// Whether a transmission is in progress (between
-    /// [`Hierarchy::start_transmission`] and
-    /// [`Hierarchy::complete_transmission`]).
+    /// [`Hierarchy::start_transmission_at`] and
+    /// [`Hierarchy::complete_transmission_at`]).
     pub fn is_transmitting(&self) -> bool {
         self.transmitting
     }
 
-    /// The link takes the root's offered packet for transmission; returns a
-    /// copy of it (the packet stays in its leaf queue until
-    /// [`Hierarchy::complete_transmission`]). `None` if nothing is pending.
+    /// The link takes the root's offered packet for transmission at real
+    /// time `now`, which stamps the emitted [`TxEvent`]; returns a copy of
+    /// the packet (it stays in its leaf queue until
+    /// [`Hierarchy::complete_transmission_at`]). `None` if nothing is
+    /// pending.
     ///
     /// # Panics
     /// If a transmission is already in progress.
-    pub fn start_transmission(&mut self) -> Option<Packet> {
-        let t = self.last_time;
-        self.start_transmission_at(t)
-    }
-
-    /// [`Hierarchy::start_transmission`] with the exact real start time, so
-    /// emitted [`TxEvent`]s carry it (drivers with a clock — the simulator —
-    /// use this form).
     pub fn start_transmission_at(&mut self, now: f64) -> Option<Packet> {
         assert!(!self.transmitting, "transmission already in progress");
         let leaf = self.inners[0].head_leaf;
@@ -978,20 +892,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         Some(pkt)
     }
 
-    /// RESET-PATH + RESTART-NODE chain at the end of a transmission: pops
-    /// the transmitted packet from its leaf, re-offers successors along the
+    /// RESET-PATH + RESTART-NODE chain at the end of a transmission, at
+    /// real time `now` (stamped on the emitted [`TxEvent`]): pops the
+    /// transmitted packet from its leaf, re-offers successors along the
     /// path, and pre-selects the root's next packet. Returns the popped
     /// packet.
     ///
     /// # Panics
     /// If no transmission is in progress.
-    pub fn complete_transmission(&mut self) -> Packet {
-        let t = self.last_time;
-        self.complete_transmission_at(t)
-    }
-
-    /// [`Hierarchy::complete_transmission`] with the exact real completion
-    /// time for the emitted [`TxEvent`].
     pub fn complete_transmission_at(&mut self, now: f64) -> Packet {
         assert!(self.transmitting, "no transmission in progress");
         self.transmitting = false;
@@ -1049,7 +957,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 if self.leaves[leaf].draining {
                     // A remove_leaf() was deferred while this head finished
                     // service; the queue is now empty, so complete it.
-                    self.detach_finalize(Ref::leaf(leaf));
+                    self.detach_finalize(leaf);
                 }
             }
         }
@@ -1105,11 +1013,13 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         }
     }
 
-    /// Convenience for order-only tests and simple examples:
-    /// `start_transmission` + `complete_transmission` in one step.
+    /// Convenience for order-only tests and simple examples: one
+    /// transmission started and completed at once, at the latest time the
+    /// hierarchy has seen.
     pub fn dequeue(&mut self) -> Option<Packet> {
-        self.start_transmission()?;
-        Some(self.complete_transmission())
+        let t = self.last_time;
+        self.start_transmission_at(t)?;
+        Some(self.complete_transmission_at(t))
     }
 
     // ----- introspection ---------------------------------------------------
@@ -1169,70 +1079,10 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.leaf_record(leaf).map_or(0, |lf| lf.fifo_bytes)
     }
 
-    /// Virtual time of an internal node's scheduler.
-    ///
-    /// # Panics
-    /// If `node` is a leaf.
-    #[expect(
-        clippy::panic,
-        reason = "diagnostic accessor documented for internal nodes"
-    )]
-    pub fn node_virtual_time(&self, node: NodeId) -> f64 {
-        match self.refs[node.0].place() {
-            Place::Inner(n) => self.inners[n].sched.virtual_time(),
-            Place::Leaf(_) => panic!("internal node"),
-        }
-    }
-
-    /// Ancestor chain of `node` from its parent up to the root — the
-    /// `p(i), p²(i), …, p^H(i) = R` of Theorems 1–2. Non-allocating; see
-    /// [`Hierarchy::ancestors`] for the collected form.
-    pub fn ancestors_iter(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let (mut p, _) = self.parent_slot(self.refs[node.0]);
-        std::iter::from_fn(move || {
-            if p == NIL {
-                return None;
-            }
-            let id = NodeId(self.inner_ids[p as usize] as usize);
-            p = self.inners[p as usize].parent;
-            Some(id)
-        })
-    }
-
-    /// Ancestor chain of `node`, collected ([`Hierarchy::ancestors_iter`]
-    /// is the non-allocating form).
-    pub fn ancestors(&self, node: NodeId) -> Vec<NodeId> {
-        self.ancestors_iter(node).collect()
-    }
-
     /// All leaf node ids, in creation order (including removed ones; see
-    /// [`Hierarchy::active_leaves_iter`]). Non-allocating; see
-    /// [`Hierarchy::leaves`] for the collected form.
+    /// [`Hierarchy::is_detached`]).
     pub fn leaves_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.leaf_ids.iter().map(|&id| NodeId(id as usize))
-    }
-
-    /// All leaf node ids, collected ([`Hierarchy::leaves_iter`] is the
-    /// non-allocating form).
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.leaves_iter().collect()
-    }
-
-    /// Leaf node ids still attached to the tree, in creation order.
-    /// Non-allocating; see [`Hierarchy::active_leaves`] for the collected
-    /// form.
-    pub fn active_leaves_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.leaves
-            .iter()
-            .zip(&self.leaf_ids)
-            .filter(|(lf, _)| !lf.detached && !lf.draining)
-            .map(|(_, &id)| NodeId(id as usize))
-    }
-
-    /// Leaf node ids still attached, collected
-    /// ([`Hierarchy::active_leaves_iter`] is the non-allocating form).
-    pub fn active_leaves(&self) -> Vec<NodeId> {
-        self.active_leaves_iter().collect()
     }
 
     /// Packet slots the leaf queues have allocated between them: the most
@@ -1417,12 +1267,12 @@ mod tests {
         let a = h.add_leaf(root, 0.5).unwrap();
         let b = h.add_leaf(root, 0.5).unwrap();
         h.enqueue(a, pkt(1, 0));
-        let started = h.start_transmission().unwrap();
+        let started = h.start_transmission_at(0.0).unwrap();
         assert_eq!(started.id, 1);
         // b's packet arrives mid-flight; the in-flight head is untouched.
         h.enqueue(b, pkt(2, 1));
         assert!(h.is_transmitting());
-        let done = h.complete_transmission();
+        let done = h.complete_transmission_at(0.0);
         assert_eq!(done.id, 1);
         // Root pre-selected b's packet during completion.
         assert!(h.has_pending());
@@ -1528,8 +1378,8 @@ mod tests {
         // The freed share is allocatable again.
         let c = h.add_leaf(root, 0.6).unwrap();
         assert!(!h.is_detached(c));
-        assert_eq!(h.active_leaves().len(), 2);
-        assert_eq!(h.leaves().len(), 3);
+        assert_eq!(h.leaves_iter().filter(|&l| !h.is_detached(l)).count(), 2);
+        assert_eq!(h.leaves_iter().count(), 3);
     }
 
     #[test]
@@ -1569,11 +1419,11 @@ mod tests {
         h.enqueue(a, pkt(1, 0));
         h.enqueue(a, pkt(2, 0));
         h.enqueue(b, pkt(3, 1));
-        let started = h.start_transmission().unwrap();
+        let started = h.start_transmission_at(0.0).unwrap();
         assert_eq!(started.flow, 0);
         let purged = h.remove_leaf(a).unwrap();
         assert_eq!(purged.len(), 1); // pkt 2; pkt 1 is in flight
-        let done = h.complete_transmission();
+        let done = h.complete_transmission_at(0.0);
         assert_eq!(done.id, 1);
         assert!(h.is_detached(a));
         assert_eq!(h.dequeue().unwrap().id, 3);
@@ -1582,34 +1432,8 @@ mod tests {
     }
 
     #[test]
-    fn remove_internal_requires_empty_subtree() {
-        let mut bld = Hierarchy::builder(1000.0, wf2qp_node);
-        let root = bld.root();
-        let cls = bld.add_internal(root, 0.8).unwrap();
-        let l1 = bld.add_leaf(cls, 0.5).unwrap();
-        let mut h = bld.build();
-        assert!(matches!(
-            h.remove_internal(cls),
-            Err(HpfqError::HasChildren(_))
-        ));
-        h.remove_leaf(l1).unwrap();
-        h.remove_internal(cls).unwrap();
-        assert!(h.is_detached(cls));
-        assert_eq!(h.allocated_share(root), 0.0);
-        assert!(matches!(
-            h.add_leaf(cls, 0.1),
-            Err(HpfqError::NodeDetached(_))
-        ));
-        assert!(matches!(
-            h.remove_internal(root),
-            Err(HpfqError::UnknownNode(0))
-        ));
-        // Full share is allocatable again.
-        h.add_leaf(root, 1.0).unwrap();
-    }
-
-    #[test]
     fn churn_add_remove_mid_run_keeps_serving() {
+        let root_v = |h: &Hierarchy<MixedScheduler>| h.inners[0].sched.virtual_time();
         let mut h = wf2qp(1000.0);
         let root = h.root();
         let a = h.add_leaf(root, 0.5).unwrap();
@@ -1621,7 +1445,7 @@ mod tests {
         let mut v_last = 0.0;
         for _ in 0..2 {
             h.dequeue().unwrap();
-            let v = h.node_virtual_time(root);
+            let v = root_v(&h);
             assert!(v >= v_last);
             v_last = v;
         }
@@ -1633,14 +1457,14 @@ mod tests {
         while h.allocated_share(root) > 0.5 + 1e-12 {
             assert!(h.dequeue().is_some(), "drain must complete");
             served += 1;
-            v_last = h.node_virtual_time(root);
+            v_last = root_v(&h);
         }
         let c = h.add_leaf(root, 0.5).unwrap();
         for i in 0..4 {
             h.enqueue(c, pkt(20 + i, 2));
         }
         while let Some(_p) = h.dequeue() {
-            let v = h.node_virtual_time(root);
+            let v = root_v(&h);
             assert!(
                 v >= v_last || h.is_idle(),
                 "virtual time went backwards mid-busy-period"
@@ -1734,7 +1558,7 @@ mod tests {
 
     /// Leaves and internal nodes live in separate arrays, but the ids
     /// callers hold are what they always were: one dense sequence in
-    /// creation order, through mid-run churn and removals.
+    /// creation order, through mid-run leaf churn and removals.
     #[test]
     fn node_ids_stay_dense_in_creation_order() {
         let mut bld = Hierarchy::builder(1000.0, wf2qp_node);
@@ -1745,22 +1569,25 @@ mod tests {
         let b = bld.add_internal(a, 0.5).unwrap();
         let l5 = bld.add_leaf(b, 0.5).unwrap();
         let l6 = bld.add_leaf(root, 0.1).unwrap();
+        let c = bld.add_internal_with(root, 0.2, wf2qp_node(200.0)).unwrap();
+        let l8 = bld.add_leaf(c, 1.0).unwrap();
         let mut h = bld.build();
         assert_eq!(
-            [root, l1, a, l3, b, l5, l6].map(NodeId::index),
-            [0, 1, 2, 3, 4, 5, 6]
+            [root, l1, a, l3, b, l5, l6, c, l8].map(NodeId::index),
+            [0, 1, 2, 3, 4, 5, 6, 7, 8]
         );
 
         // Churn while a packet of l5 is in flight.
         h.enqueue(l5, pkt(1, 5));
         h.enqueue(l5, pkt(2, 5));
-        assert_eq!(h.start_transmission().unwrap().id, 1);
-        let l7 = h.add_leaf(b, 0.25).unwrap();
-        let c = h.add_internal_with(root, 0.2, wf2qp_node(200.0)).unwrap();
-        let l9 = h.add_leaf(c, 1.0).unwrap();
-        assert_eq!([l7, c, l9].map(NodeId::index), [7, 8, 9]);
+        assert_eq!(h.start_transmission_at(0.0).unwrap().id, 1);
+        let l9 = h.add_leaf(b, 0.25).unwrap();
+        assert_eq!(l9.index(), 9);
         assert_eq!(h.node_count(), 10);
-        assert_eq!(h.leaves(), vec![l1, l3, l5, l6, l7, l9]);
+        assert_eq!(
+            h.leaves_iter().collect::<Vec<_>>(),
+            vec![l1, l3, l5, l6, l8, l9]
+        );
         let parents: Vec<_> = (0..10).map(|i| h.parent(NodeId(i))).collect();
         assert_eq!(
             parents,
@@ -1772,40 +1599,39 @@ mod tests {
                 Some(a),
                 Some(b),
                 Some(root),
-                Some(b),
                 Some(root),
-                Some(c)
+                Some(c),
+                Some(b)
             ]
         );
-        assert_eq!(h.ancestors_iter(l7).collect::<Vec<_>>(), vec![b, a, root]);
-        assert_eq!(h.ancestors(l9), vec![c, root]);
-        assert_eq!(h.ancestors(root), vec![]);
-        assert_eq!(h.rate(l7), 1000.0 * 0.5 * 0.5 * 0.25);
-        assert_eq!((h.phi(c), h.rate(l9)), (0.2, 200.0));
+        assert_eq!(h.rate(l9), 1000.0 * 0.5 * 0.5 * 0.25);
+        assert_eq!((h.phi(c), h.rate(l8)), (0.2, 200.0));
 
         // l5 is removed with its head in flight: it drains, holding its
         // share until the completion.
+        let active = |h: &Hierarchy<MixedScheduler>| {
+            h.leaves_iter()
+                .filter(|&l| !h.is_detached(l))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(h.remove_leaf(l5).unwrap().len(), 1);
         assert!(h.is_detached(l5));
-        assert_eq!(h.active_leaves(), vec![l1, l3, l6, l7, l9]);
-        assert_eq!(h.leaves().len(), 6);
+        assert_eq!(active(&h), vec![l1, l3, l6, l8, l9]);
         assert_eq!(h.allocated_share(b), 0.75);
-        assert_eq!(h.complete_transmission().id, 1);
+        assert_eq!(h.complete_transmission_at(0.0).id, 1);
         assert_eq!(h.allocated_share(b), 0.25);
 
-        assert!(h.remove_leaf(l9).unwrap().is_empty());
-        h.remove_internal(c).unwrap();
-        assert!(h.is_detached(c) && !h.is_leaf(c) && h.is_leaf(l9));
-        assert!((h.allocated_share(root) - 0.7).abs() < 1e-12);
-        let l10 = h.add_leaf(root, 0.2).unwrap();
+        // A class outlives its last leaf, and its freed share is
+        // allocatable again.
+        assert!(h.remove_leaf(l8).unwrap().is_empty());
+        assert!(!h.is_detached(c) && !h.is_leaf(c));
+        assert_eq!(h.allocated_share(c), 0.0);
+        let l10 = h.add_leaf(c, 1.0).unwrap();
         assert_eq!(l10.index(), 10);
-        assert_eq!(h.leaves(), vec![l1, l3, l5, l6, l7, l9, l10]);
-        assert_eq!(
-            h.active_leaves_iter().collect::<Vec<_>>(),
-            vec![l1, l3, l6, l7, l10]
-        );
+        assert_eq!(h.leaves_iter().count(), 7);
+        assert_eq!(active(&h), vec![l1, l3, l6, l9, l10]);
         h.enqueue(l10, pkt(3, 10));
-        h.enqueue(l7, pkt(4, 7));
+        h.enqueue(l9, pkt(4, 9));
         assert_eq!(std::iter::from_fn(|| h.dequeue()).count(), 2);
     }
 
@@ -1818,11 +1644,8 @@ mod tests {
         let h = bld.build();
         assert_eq!(h.rate(a), 800.0);
         assert_eq!(h.rate(a1), 400.0);
-        assert_eq!(h.ancestors(a1), vec![a, root]);
-        assert_eq!(h.ancestors_iter(a1).collect::<Vec<_>>(), vec![a, root]);
-        assert_eq!(h.leaves(), vec![a1]);
+        assert_eq!((h.parent(a1), h.parent(a)), (Some(a), Some(root)));
         assert_eq!(h.leaves_iter().collect::<Vec<_>>(), vec![a1]);
-        assert_eq!(h.active_leaves_iter().collect::<Vec<_>>(), vec![a1]);
         assert!(h.is_leaf(a1));
         assert!(!h.is_leaf(a));
     }

@@ -1,6 +1,5 @@
-//! The discrete-event core shared by every simulator front-end
-//! (`hpfq-sim`'s packet network, `hpfq-fluid`'s fluid server, and the
-//! chaos soak harness).
+//! The discrete-event core shared by both simulator front-ends:
+//! `hpfq-sim`'s packet network and `hpfq-fluid`'s fluid server.
 //!
 //! Event storage, ordering, and clock discipline exist exactly once,
 //! here:

@@ -74,30 +74,6 @@ impl ServiceCurve {
         self.points.last().map_or(0.0, |&(t, _)| t)
     }
 
-    /// The earliest time at which `W(t) >= w`, or `None` if the curve never
-    /// reaches `w`. Used to extract fluid packet finish times.
-    pub fn time_to_reach(&self, w: f64) -> Option<f64> {
-        if w <= 0.0 {
-            return Some(self.points.first().map_or(0.0, |&(t, _)| t));
-        }
-        let i = self
-            .points
-            .partition_point(|&(_, pw)| pw < w - crate::eps::TIGHT);
-        if i == self.points.len() {
-            return None;
-        }
-        let (t1, w1) = self.points[i];
-        if i == 0 {
-            return Some(t1);
-        }
-        let (t0, w0) = self.points[i - 1];
-        if w1 - w0 <= 0.0 {
-            Some(t1)
-        } else {
-            Some(t0 + (t1 - t0) * (w - w0) / (w1 - w0))
-        }
-    }
-
     /// Breakpoints `(t, W(t))`.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
@@ -110,70 +86,6 @@ impl ServiceCurve {
         } else {
             self.served(t1, t2) / (t2 - t1)
         }
-    }
-}
-
-/// A right-continuous step function of time — cumulative *arrivals*
-/// `A(t)`: the amount of traffic arrived in `[0, t]` (paper eq. 17 uses
-/// `A_i(t1, t2) = A(t2) − A(t1⁻)`; this type exposes both one-sided
-/// limits).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ArrivalCurve {
-    /// `(t, cumulative bits including the arrival at t)`, strictly
-    /// increasing in `t`.
-    steps: Vec<(f64, f64)>,
-}
-
-impl ArrivalCurve {
-    /// An empty arrival curve.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `bits` arriving at time `t` (must be non-decreasing in `t`).
-    pub fn add(&mut self, t: f64, bits: f64) {
-        debug_assert!(bits > 0.0);
-        if let Some(last) = self.steps.last_mut() {
-            assert!(t >= last.0, "arrivals must be time-ordered");
-            if (t - last.0).abs() < crate::eps::ULP {
-                last.1 += bits;
-                return;
-            }
-            let w = last.1 + bits;
-            self.steps.push((t, w));
-        } else {
-            self.steps.push((t, bits));
-        }
-    }
-
-    /// `A(t)`: bits arrived in `[0, t]` (inclusive of arrivals at `t`).
-    pub fn value_at(&self, t: f64) -> f64 {
-        let i = self.steps.partition_point(|&(st, _)| st <= t);
-        if i == 0 {
-            0.0
-        } else {
-            self.steps[i - 1].1
-        }
-    }
-
-    /// `A(t⁻)`: bits arrived strictly before `t`.
-    pub fn value_before(&self, t: f64) -> f64 {
-        let i = self.steps.partition_point(|&(st, _)| st < t);
-        if i == 0 {
-            0.0
-        } else {
-            self.steps[i - 1].1
-        }
-    }
-
-    /// Total arrived bits.
-    pub fn total(&self) -> f64 {
-        self.steps.last().map_or(0.0, |&(_, w)| w)
-    }
-
-    /// The step points `(t, A(t))`.
-    pub fn steps(&self) -> &[(f64, f64)] {
-        &self.steps
     }
 }
 
@@ -195,31 +107,5 @@ mod tests {
         assert_eq!(c.value_at(10.0), 7.0);
         assert_eq!(c.served(1.0, 5.5), 3.5);
         assert!((c.avg_rate(0.0, 2.0) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_to_reach_inverts() {
-        let mut c = ServiceCurve::new();
-        c.push(1.0, 0.0);
-        c.push(3.0, 4.0);
-        assert_eq!(c.time_to_reach(0.0), Some(1.0));
-        assert_eq!(c.time_to_reach(2.0), Some(2.0));
-        assert_eq!(c.time_to_reach(4.0), Some(3.0));
-        assert_eq!(c.time_to_reach(4.5), None);
-    }
-
-    #[test]
-    fn arrival_curve_steps() {
-        let mut a = ArrivalCurve::new();
-        a.add(1.0, 10.0);
-        a.add(1.0, 5.0); // same-instant arrivals merge
-        a.add(2.0, 1.0);
-        assert_eq!(a.value_at(0.5), 0.0);
-        assert_eq!(a.value_at(1.0), 15.0);
-        assert_eq!(a.value_before(1.0), 0.0);
-        assert_eq!(a.value_at(1.5), 15.0);
-        assert_eq!(a.value_at(2.0), 16.0);
-        assert_eq!(a.value_before(2.0), 15.0);
-        assert_eq!(a.total(), 16.0);
     }
 }

@@ -144,18 +144,6 @@ impl FluidTree {
             .map(FluidNodeId)
             .collect()
     }
-
-    /// Guaranteed absolute share of node `n` (product of φ along its path
-    /// from the root) — `r_n / r` in the paper's notation.
-    pub fn absolute_share(&self, n: FluidNodeId) -> f64 {
-        let mut share = 1.0;
-        let mut cur = n.0;
-        while let Some(p) = self.nodes[cur].parent {
-            share *= self.nodes[cur].phi;
-            cur = p;
-        }
-        share
-    }
 }
 
 #[cfg(test)]
@@ -170,8 +158,6 @@ mod tests {
         let a1 = t.add_leaf(a, 0.9375).unwrap();
         let a2 = t.add_leaf(a, 0.0625).unwrap();
         assert_eq!(t.leaves(), vec![b, a1, a2]);
-        assert!((t.absolute_share(a1) - 0.75).abs() < 1e-12);
-        assert!((t.absolute_share(a2) - 0.05).abs() < 1e-12);
         assert_eq!(t.children(a), vec![a1, a2]);
         assert!(t.add_leaf(t.root(), 0.1).is_err()); // overflow
         assert!(t.add_leaf(b, 0.5).is_err()); // leaf parent

@@ -223,55 +223,6 @@ impl MetricsObserver {
         }
         out
     }
-
-    /// Renders the registry as one JSON object (same data as
-    /// [`MetricsObserver::report`], machine-readable):
-    /// `{"link":{…},"flows":[…],"nodes":[…]}`. Uses only `std::fmt` —
-    /// floats print with shortest-round-trip `Display`, like the JSONL
-    /// trace format.
-    pub fn report_json(&self) -> String {
-        let mut out = format!(
-            "{{\"link\":{{\"tx_packets\":{},\"tx_bytes\":{}}},\"flows\":[",
-            self.tx_packets, self.tx_bytes
-        );
-        for (i, (&flow, m)) in self.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"flow\":{},\"packets\":{},\"bytes\":{},\"drops\":{},\"drop_bytes\":{},\"p50_delay\":{},\"p99_delay\":{},\"p999_delay\":{}}}",
-                flow,
-                m.packets,
-                m.bytes,
-                m.drops,
-                m.drop_bytes,
-                m.delay.p50(),
-                m.delay.p99(),
-                m.delay.p999()
-            );
-        }
-        out.push_str("],\"nodes\":[");
-        for (i, (&node, m)) in self.nodes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"node\":{},\"dispatches\":{},\"busy_resets\":{},\"backlog_transitions\":{},\"queue_depth\":{},\"queue_bytes\":{},\"queue_depth_max\":{},\"queue_bytes_max\":{}}}",
-                node,
-                m.dispatches,
-                m.busy_resets,
-                m.backlog_transitions,
-                m.queue_depth,
-                m.queue_bytes,
-                m.queue_depth_max,
-                m.queue_bytes_max
-            );
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl Observer for MetricsObserver {
@@ -414,11 +365,6 @@ mod tests {
         assert_eq!(m.tx_bytes, 1000);
         let report = m.report();
         assert!(report.contains("link: 1 packets"));
-        let json = m.report_json();
-        assert!(json.starts_with("{\"link\":{\"tx_packets\":1,\"tx_bytes\":1000}"));
-        assert!(json.contains("\"flow\":3,\"packets\":1"), "{json}");
-        assert!(json.contains("\"node\":0,\"dispatches\":1"), "{json}");
-        assert!(json.ends_with("]}"), "{json}");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! or [`Route::open_loop`] routes.
 //!
 //! The event loop is [`hpfq_events::Engine`] — the same deterministic
-//! `(time, seq)` FIFO-tie-breaking core used by the fluid simulator and the
-//! chaos harness. Event model (ties fire in a content-derived order, so
+//! `(time, seq)` FIFO-tie-breaking core the fluid simulator uses. Event
+//! model (ties fire in a content-derived order, so
 //! runs are deterministic):
 //!
 //! * `Wake(source)` — a source timer fires; emitted packets are enqueued at
@@ -158,20 +158,21 @@ fn is_link_rate(bps: f64) -> bool {
 /// environmental faults; they are part of the event schedule, so runs stay
 /// deterministic.
 pub enum SimCommand {
-    /// Change link 0's rate to `bps` (bits/s) — the form for a
-    /// [`Network::single_link`]. `0.0` models an outage:
-    /// the in-flight packet is suspended and resumes — with its
-    /// already-sent bits credited — when a later command restores service.
-    SetLinkRate(f64),
-    /// Change the rate of a specific link (multi-link networks).
-    SetLinkRateOn {
+    /// Change `link`'s rate to `bps` (bits/s; link 0 for a
+    /// [`Network::single_link`]). `0.0` models an outage: the in-flight
+    /// packet is suspended and resumes — with its already-sent bits
+    /// credited — when a later command restores service. An unknown link
+    /// or a rate that is NaN, negative or infinite is refused into
+    /// [`Network::command_errors`].
+    SetLinkRate {
         /// Link to change.
         link: usize,
         /// New rate in bits/s (0 = outage).
         bps: f64,
     },
     /// Attach a new leaf under `parent` on **link 0** with share `phi` and
-    /// start `source` feeding it (flow churn: join).
+    /// start `source` feeding it (flow churn: join). Refused into
+    /// [`Network::command_errors`] on a network without a link 0.
     AddFlow {
         /// Parent node for the new leaf (on link 0's hierarchy).
         parent: NodeId,
@@ -196,9 +197,8 @@ pub enum SimCommand {
 impl std::fmt::Debug for SimCommand {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimCommand::SetLinkRate(r) => write!(f, "SetLinkRate({r})"),
-            SimCommand::SetLinkRateOn { link, bps } => {
-                write!(f, "SetLinkRateOn{{link:{link},bps:{bps}}}")
+            SimCommand::SetLinkRate { link, bps } => {
+                write!(f, "SetLinkRate{{link:{link},bps:{bps}}}")
             }
             SimCommand::AddFlow {
                 parent, phi, flow, ..
@@ -297,8 +297,7 @@ fn minor_of(ev: &NetEvent) -> u64 {
     let (class, content) = match ev {
         NetEvent::Command(cmd) => {
             let c = match cmd {
-                SimCommand::SetLinkRate(_) => 0,
-                SimCommand::SetLinkRateOn { link, .. } => *link as u64,
+                SimCommand::SetLinkRate { link, .. } => *link as u64,
                 SimCommand::AddFlow { flow, .. } => u64::from(*flow),
                 SimCommand::RemoveFlow(flow) => u64::from(*flow),
             };
@@ -772,14 +771,10 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     /// Changes one link's service rate at the current instant. A rate of 0
     /// suspends service (outage); the in-flight packet, if any, keeps the
     /// bits it already transmitted and its completion is rescheduled when
-    /// a later call restores a positive rate.
+    /// a later call restores a positive rate. `new_rate` has passed
+    /// [`is_link_rate`].
     fn set_link_rate(&mut self, link: usize, new_rate: f64) {
         let now = self.engine.now();
-        if !is_link_rate(new_rate) {
-            self.command_errors
-                .push((now, HpfqError::InvalidRate(new_rate)));
-            return;
-        }
         let l = &mut self.links[link];
         if l.server.is_transmitting() {
             // Credit bits sent under the old rate, then reschedule the
@@ -840,15 +835,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     fn apply_command(&mut self, cmd: SimCommand) {
         let now = self.engine.now();
         match cmd {
-            SimCommand::SetLinkRate(bps) => self.rate_command(0, bps),
-            SimCommand::SetLinkRateOn { link, bps } => {
-                if link >= self.links.len() {
-                    self.command_errors
-                        .push((now, HpfqError::UnknownNode(link)));
-                    return;
-                }
-                self.rate_command(link, bps);
-            }
+            SimCommand::SetLinkRate { link, bps } => self.rate_command(link, bps),
             SimCommand::AddFlow {
                 parent,
                 phi,
@@ -856,7 +843,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 source,
                 buffer_bytes,
                 delivery_delay,
-            } => match self.links[0].server.add_leaf(parent, phi) {
+            } => match self
+                .links
+                .first_mut()
+                .map_or(Err(HpfqError::UnknownNode(0)), |l| {
+                    l.server.add_leaf(parent, phi)
+                }) {
                 Ok(leaf) => {
                     let idx = self.push_source(SourceSlot {
                         wants_delivery: source.wants_delivery(),
@@ -889,7 +881,20 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         }
     }
 
+    /// Applies a [`SimCommand::SetLinkRate`]: refuses an unknown link or a
+    /// rate no link can run at before the change is traced, so a refused
+    /// command leaves no fault event behind.
     fn rate_command(&mut self, link: usize, bps: f64) {
+        let now = self.engine.now();
+        if link >= self.links.len() {
+            self.command_errors
+                .push((now, HpfqError::UnknownNode(link)));
+            return;
+        }
+        if !is_link_rate(bps) {
+            self.command_errors.push((now, HpfqError::InvalidRate(bps)));
+            return;
+        }
         let kind = if bps == 0.0 {
             FaultKind::LinkDown
         } else if self.links[link].rate == 0.0 {

@@ -4,7 +4,7 @@
 mod tests {
     use crate::network::{FaultInjector, Network, PacketVerdict, Route, SimCommand};
     use crate::source::{CbrSource, GreedyLbSource, Source, SourceOutput};
-    use hpfq_core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
+    use hpfq_core::{Hierarchy, HpfqError, MixedScheduler, NodeId, Packet, SchedulerKind};
     use hpfq_obs::CountingObserver;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -200,8 +200,14 @@ mod tests {
         );
         // Outage from 2.5 s to 4.5 s: the packet in service (started at
         // 2.0) is half-sent; it must finish 0.5 s after recovery.
-        sim.schedule_command(2.5, SimCommand::SetLinkRate(0.0));
-        sim.schedule_command(4.5, SimCommand::SetLinkRate(8000.0));
+        sim.schedule_command(2.5, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+        sim.schedule_command(
+            4.5,
+            SimCommand::SetLinkRate {
+                link: 0,
+                bps: 8000.0,
+            },
+        );
         sim.run(30.0);
         assert_eq!(sim.stats.flow(0).packets, 10);
         // 10 s of work + 2 s outage.
@@ -230,7 +236,13 @@ mod tests {
         );
         // At 0.5 s (half sent) the link halves: remaining 4000 bits at
         // 4 kbit/s take 1 s more -> completes at 1.5 s.
-        sim.schedule_command(0.5, SimCommand::SetLinkRate(4_000.0));
+        sim.schedule_command(
+            0.5,
+            SimCommand::SetLinkRate {
+                link: 0,
+                bps: 4_000.0,
+            },
+        );
         sim.run(10.0);
         assert_eq!(sim.stats.flow(0).packets, 1);
         assert!(
@@ -239,6 +251,32 @@ mod tests {
             sim.stats.last_departure
         );
         sim.verify_conservation().unwrap();
+    }
+
+    /// A network with no link refuses a join and a rate change naming
+    /// link 0 into `command_errors`: neither has a link to act on.
+    #[test]
+    fn commands_on_a_network_without_links_are_refused() {
+        let mut net: Network<MixedScheduler> = Network::new();
+        net.schedule_command(
+            1.0,
+            SimCommand::AddFlow {
+                parent: NodeId(0),
+                phi: 0.5,
+                flow: 1,
+                source: Box::new(CbrSource::new(1, 1000, 8000.0, 1.0, 2.0)),
+                buffer_bytes: None,
+                delivery_delay: 0.0,
+            },
+        );
+        net.schedule_command(2.0, SimCommand::SetLinkRate { link: 0, bps: 1e6 });
+        net.run(3.0);
+        assert_eq!(net.command_errors.len(), 2, "{:?}", net.command_errors);
+        assert!(net
+            .command_errors
+            .iter()
+            .all(|(_, e)| matches!(e, HpfqError::UnknownNode(0))));
+        assert_eq!(net.stats.flow(1).offered_packets, 0);
     }
 
     /// Flow churn via commands: a flow joins mid-run, competes, and leaves
@@ -532,7 +570,13 @@ mod tests {
             CbrSource::new(0, 1000, 8000.0, 0.0, 1.5),
             Route::open_loop(a),
         );
-        sim.schedule_command(1.0, SimCommand::SetLinkRate(4_000.0));
+        sim.schedule_command(
+            1.0,
+            SimCommand::SetLinkRate {
+                link: 0,
+                bps: 4_000.0,
+            },
+        );
         sim.run(10.0);
         let ends: Vec<f64> = sim.stats.trace(0).iter().map(|r| r.end).collect();
         // The second packet is sent wholly at the halved rate.
@@ -557,8 +601,14 @@ mod tests {
                 CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
                 Route::open_loop(a),
             );
-            sim.schedule_command(2.5, SimCommand::SetLinkRate(0.0));
-            sim.schedule_command(4.5, SimCommand::SetLinkRate(8000.0));
+            sim.schedule_command(2.5, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+            sim.schedule_command(
+                4.5,
+                SimCommand::SetLinkRate {
+                    link: 0,
+                    bps: 8000.0,
+                },
+            );
             sim
         };
         let mut sim = build();

@@ -70,17 +70,6 @@ pub struct FlowStats {
     pub last_departure: f64,
 }
 
-impl FlowStats {
-    /// Fraction of offered packets that were dropped.
-    pub fn loss_rate(&self) -> f64 {
-        if self.offered_packets == 0 {
-            0.0
-        } else {
-            self.drops as f64 / self.offered_packets as f64
-        }
-    }
-}
-
 /// What the packet path writes of a flow's [`FlowStats`]: one entry per
 /// flow seen, touched two or three times per packet.
 #[derive(Debug, Clone, Default)]
@@ -450,8 +439,6 @@ mod tests {
         assert_eq!(s.flow(8).drops, 1);
         assert_eq!(s.flow(8).drop_bytes, 300);
         assert_eq!(s.flow(8).offered_bytes, 300);
-        assert_eq!(s.flow(8).loss_rate(), 1.0);
-        assert_eq!(s.flow(7).loss_rate(), 0.0);
         assert_eq!(s.flow(8).delay_max, 3.0);
         assert_eq!(s.trace(7).len(), 1);
         assert_eq!(s.trace(8).len(), 0); // not traced

@@ -127,8 +127,8 @@ fn tandem(attach: &mut Attach) -> Net {
         };
         attach(&mut net, flow, src, Route::new(vec![hop]));
     }
-    net.schedule_command(1.0, SimCommand::SetLinkRateOn { link: 1, bps: 0.0 });
-    net.schedule_command(1.05, SimCommand::SetLinkRateOn { link: 1, bps: RATE });
+    net.schedule_command(1.0, SimCommand::SetLinkRate { link: 1, bps: 0.0 });
+    net.schedule_command(1.05, SimCommand::SetLinkRate { link: 1, bps: RATE });
     net.schedule_command(2.0, SimCommand::RemoveFlow(101));
     net.schedule_command(3.0, SimCommand::RemoveFlow(1));
     net

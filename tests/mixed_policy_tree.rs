@@ -8,23 +8,23 @@ use hpfq::core::{Hierarchy, MixedScheduler, Packet, SchedulerKind};
 /// though the inner policies provide none.
 #[test]
 fn mixed_policy_tree_isolates_at_the_link_level() {
-    let mut h: Hierarchy<MixedScheduler> =
-        Hierarchy::builder(1e6, |r| SchedulerKind::Wf2qPlus.build(r)).build();
-    let root = h.root();
+    let mut b = Hierarchy::builder(1e6, |r| SchedulerKind::Wf2qPlus.build(r));
+    let root = b.root();
     // Guaranteed class under WF²Q+.
-    let guaranteed = h.add_leaf(root, 0.5).unwrap();
+    let guaranteed = b.add_leaf(root, 0.5).unwrap();
     // Best-effort class whose children are served FIFO.
-    let be = h
+    let be = b
         .add_internal_with(root, 0.3, SchedulerKind::Fifo.build(0.3 * 1e6))
         .unwrap();
-    let be1 = h.add_leaf(be, 0.5).unwrap();
-    let be2 = h.add_leaf(be, 0.5).unwrap();
+    let be1 = b.add_leaf(be, 0.5).unwrap();
+    let be2 = b.add_leaf(be, 0.5).unwrap();
     // Bulk class whose children are served DRR.
-    let bulk = h
+    let bulk = b
         .add_internal_with(root, 0.2, SchedulerKind::Drr.build(0.2 * 1e6))
         .unwrap();
-    let bulk1 = h.add_leaf(bulk, 0.9).unwrap();
-    let bulk2 = h.add_leaf(bulk, 0.1).unwrap();
+    let bulk1 = b.add_leaf(bulk, 0.9).unwrap();
+    let bulk2 = b.add_leaf(bulk, 0.1).unwrap();
+    let mut h: Hierarchy<MixedScheduler> = b.build();
 
     // Everyone floods with 500 packets of 1000 bits.
     let mut id = 0;
@@ -124,28 +124,29 @@ fn a_wfq_node_deep_in_a_wf2q_plus_tree_still_gets_every_hint() {
             hints: Hints::clone(hints),
         };
         let for_root = Hints::clone(&above);
-        let mut h: Hierarchy<CountingHints> =
-            Hierarchy::builder(1e6, move |r| counted(SchedulerKind::Wf2qPlus, r, &for_root))
-                .build();
-        let root = h.root();
-        let other = h.add_leaf(root, 0.4).unwrap();
-        let class = h
+        let mut b =
+            Hierarchy::builder(1e6, move |r| counted(SchedulerKind::Wf2qPlus, r, &for_root));
+        let root = b.root();
+        let other = b.add_leaf(root, 0.4).unwrap();
+        let class = b
             .add_internal_with(root, 0.6, counted(SchedulerKind::Wf2qPlus, 0.6e6, &above))
             .unwrap();
-        let sibling = h.add_leaf(class, 0.5).unwrap();
-        let node = h
+        let sibling = b.add_leaf(class, 0.5).unwrap();
+        let node = b
             .add_internal_with(class, 0.5, counted(deep_kind, 0.3e6, &deep))
             .unwrap();
         let under = [
-            h.add_leaf(node, 0.5).unwrap(),
-            h.add_leaf(node, 0.5).unwrap(),
+            b.add_leaf(node, 0.5).unwrap(),
+            b.add_leaf(node, 0.5).unwrap(),
         ];
+        let mut h: Hierarchy<CountingHints> = b.build();
 
         // A fixed pseudo-random interleaving of arrivals and services.
         let leaves = [other, sibling, under[0], under[1]];
         let (mut id, mut x, mut owed) = (0u64, 12345u32, 0u64);
         for step in 0..2000 {
             x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            let now = f64::from(step) * 1e-3;
             let leaf = leaves[(x >> 16) as usize % leaves.len()];
             if (x >> 8) % 3 != 0 {
                 // The deep node hears of this arrival by hint exactly when
@@ -154,11 +155,11 @@ fn a_wfq_node_deep_in_a_wf2q_plus_tree_still_gets_every_hint() {
                     owed += 1;
                 }
                 id += 1;
-                h.enqueue(leaf, Packet::new(id, 0, 125, f64::from(step) * 1e-3));
+                h.enqueue(leaf, Packet::new(id, 0, 125, now));
             } else if !h.is_transmitting() {
-                h.start_transmission();
+                h.start_transmission_at(now);
             } else {
-                h.complete_transmission();
+                h.complete_transmission_at(now);
             }
         }
         assert!(owed > 100, "workload too small: {owed}");

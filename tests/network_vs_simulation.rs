@@ -130,8 +130,8 @@ fn depth1_network_replays_simulation_byte_for_byte() {
         );
     });
     // A 30 ms outage mid-run exercises the epoch/credit machinery.
-    net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
+    net.schedule_command(0.9, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+    net.schedule_command(0.93, SimCommand::SetLinkRate { link: 0, bps: LINK });
     net.run(2.0);
     net.verify_conservation().unwrap();
 

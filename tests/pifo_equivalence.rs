@@ -528,8 +528,8 @@ fn run_fig3ish<S: NodeScheduler + 'static>(
     );
     // A 30 ms outage and mid-run flow churn exercise the epoch/credit and
     // detach machinery.
-    sim.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    sim.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
+    sim.schedule_command(0.9, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+    sim.schedule_command(0.93, SimCommand::SetLinkRate { link: 0, bps: LINK });
     sim.schedule_command(1.2, SimCommand::RemoveFlow(16));
     sim.run(horizon);
     sim.verify_conservation().unwrap();
@@ -851,8 +851,11 @@ mod random_differential {
             CbrSource::new(3, PKT, 3e6, 0.1, f64::INFINITY),
             Route::single(leaves[4], None, 0.0),
         );
-        sim.schedule_command(out_start, SimCommand::SetLinkRate(0.0));
-        sim.schedule_command(out_start + out_len, SimCommand::SetLinkRate(LINK));
+        sim.schedule_command(out_start, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+        sim.schedule_command(
+            out_start + out_len,
+            SimCommand::SetLinkRate { link: 0, bps: LINK },
+        );
         sim.schedule_command(churn_at, SimCommand::RemoveFlow(3));
         sim.run(1.5);
         sim.verify_conservation().unwrap();

@@ -655,14 +655,14 @@ fn random_churn_net(rng_seed: u64) -> (Network<MixedScheduler, NoopObserver>, f6
     let t_down = rng.gen_range_f64(0.3, 1.2);
     net.schedule_command(
         t_down,
-        SimCommand::SetLinkRateOn {
+        SimCommand::SetLinkRate {
             link: out_link,
             bps: 0.0,
         },
     );
     net.schedule_command(
         t_down + rng.gen_range_f64(0.01, 0.1),
-        SimCommand::SetLinkRateOn {
+        SimCommand::SetLinkRate {
             link: out_link,
             bps: LINK_BPS,
         },

@@ -110,8 +110,8 @@ fn fig3_net() -> Traced {
         PoissonSource::new(16, PKT, 1.14e6, 0.0, f64::INFINITY, 9),
         Route::single(ps6, None, 0.0),
     );
-    net.schedule_command(0.9, SimCommand::SetLinkRate(0.0));
-    net.schedule_command(0.93, SimCommand::SetLinkRate(LINK));
+    net.schedule_command(0.9, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+    net.schedule_command(0.93, SimCommand::SetLinkRate { link: 0, bps: LINK });
     t
 }
 
@@ -155,8 +155,8 @@ fn tandem_net() -> Traced {
     net.stats.trace_flow(0);
     net.add_route(0, CbrSource::new(0, PKT, 4e6, 0.0, 5.0), Route::new(hops));
     // 50 ms outage on the middle link mid-run.
-    net.schedule_command(1.0, SimCommand::SetLinkRateOn { link: 1, bps: 0.0 });
-    net.schedule_command(1.05, SimCommand::SetLinkRateOn { link: 1, bps: 10e6 });
+    net.schedule_command(1.0, SimCommand::SetLinkRate { link: 1, bps: 0.0 });
+    net.schedule_command(1.05, SimCommand::SetLinkRate { link: 1, bps: 10e6 });
     // Churn: a cross flow leaves, then the tandem flow is torn down
     // mid-path while packets are still in flight between hops.
     net.schedule_command(2.0, SimCommand::RemoveFlow(101));
@@ -358,7 +358,9 @@ fn sources_attached_between_segments_start_exactly_once() {
 
 /// Whatever names a flow, link or node the network lacks is refused, and
 /// the run goes on exactly as the unharmed one: a command naming an
-/// unknown flow, link or parent lands in `command_errors`, and a route
+/// unknown flow, link or parent, or a link rate that is NaN, negative or
+/// infinite, lands in `command_errors` and leaves no fault line in the
+/// trace, and a route
 /// with a hop on an unknown link, or at a node that is no leaf of its
 /// link, is refused by `add_route` before it touches the network.
 #[test]
@@ -372,7 +374,16 @@ fn commands_and_hops_naming_an_unknown_flow_link_or_node_are_refused() {
     t.net.run(1.5);
     let commands = [
         SimCommand::RemoveFlow(9999),
-        SimCommand::SetLinkRateOn { link: 3, bps: 1e6 },
+        SimCommand::SetLinkRate { link: 3, bps: 1e6 },
+        SimCommand::SetLinkRate {
+            link: 0,
+            bps: f64::NAN,
+        },
+        SimCommand::SetLinkRate { link: 0, bps: -1.0 },
+        SimCommand::SetLinkRate {
+            link: 0,
+            bps: f64::INFINITY,
+        },
         SimCommand::AddFlow {
             parent: NodeId(99),
             phi: 0.1,

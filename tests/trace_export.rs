@@ -208,11 +208,7 @@ fn read_every_way(text: &str, other: &str) {
         replay(&mut observers, ev);
     }
     let ((metrics, invariants), rewritten) = observers;
-    let _ = (
-        metrics.report(),
-        metrics.report_json(),
-        invariants.summary(),
-    );
+    let _ = (metrics.report(), invariants.summary());
     let _ = summarize(&String::from_utf8_lossy(&rewritten.into_inner()));
     let _ = render_summary(&summarize(text));
     for filter in [
