@@ -14,24 +14,27 @@
 //! ## Layout
 //!
 //! The two kinds of node are stored apart, because they share almost
-//! nothing. A leaf is one 40-byte record — the head, tail and length of its
-//! FIFO, the queued byte count, the length of the head it offers, its
-//! parent and session slot, three flags — so the per-packet work at a leaf
-//! stays inside one cache line. The packets themselves, every leaf's, are
-//! nodes of one slab owned by the hierarchy, each linked to the packet
-//! queued behind it (`slab.rs`): a leaf owns no allocation. An
-//! internal node holds its scheduler by value, its children, and a
+//! nothing. A leaf is one 32-byte record — the head, tail and length of its
+//! FIFO, the queued byte count, its parent and session slot, three flags —
+//! so the per-packet work at a leaf stays inside one cache line. The
+//! packets themselves, every leaf's, are nodes of one slab owned by the
+//! hierarchy, each linked to the packet queued behind it (`slab.rs`): a
+//! leaf owns no allocation, and the length of the head it offers is read
+//! from that packet. An internal node holds its scheduler by value, its
+//! children, its share (`rate`, `phi`, the allocated sum), and a
 //! *reference* to the head it offers (the leaf that owns the packet, and
 //! the packet's length). Children, heads and parents are `u32` indices into
 //! the two arrays; a child reference carries one tag bit saying which.
 //!
+//! A leaf stores no share of its own: its `phi` is the one its parent's
+//! scheduler registered for its session, and its rate is that `phi` times
+//! the parent's rate — the product the leaf was admitted under.
+//!
 //! [`NodeId`]s stay what callers have always seen: dense, in creation
 //! order, leaves and internal nodes interleaved as they were added. A table
-//! maps each id to its record, two more map records back to ids for the
-//! [`Observer`] events, and the shares (`rate`, `phi`, the
-//! allocated sum), which no per-packet path reads, sit in a side table
-//! indexed by id. Ids are translated once where a call enters; everything
-//! inside works on indices.
+//! maps each id to its record and two more map records back to ids for the
+//! [`Observer`] events. Ids are translated once where a call enters;
+//! everything inside works on indices.
 //!
 //! ## Driving protocol (what the paper's pseudocode becomes)
 //!
@@ -147,18 +150,16 @@ impl Ref {
     }
 }
 
-/// A leaf: the real packet queue of one session. Forty bytes.
+/// A leaf: the real packet queue of one session. Thirty-two bytes; its
+/// share lives with its parent's scheduler ([`NodeScheduler::phi`]).
 #[derive(Debug)]
 struct Leaf {
     /// The queued packets, as a chain through `Hierarchy::slab`; the front
-    /// one is in flight while the link transmits it.
+    /// one is the head the leaf offers, and is in flight while the link
+    /// transmits it.
     fifo: Chain,
     /// Queued bytes in `fifo`, for buffer management by the caller.
     fifo_bytes: u64,
-    /// Length in bits of the front packet, valid while `offering`: what
-    /// the parent reads when it adopts this leaf's head, without touching
-    /// the slab.
-    head_bits: f64,
     /// Parent, as an index into `Hierarchy::inners`.
     parent: u32,
     /// Session slot within the parent's scheduler.
@@ -180,7 +181,6 @@ impl Leaf {
         Leaf {
             fifo: Chain::EMPTY,
             fifo_bytes: 0,
-            head_bits: 0.0,
             parent,
             slot,
             offering: false,
@@ -191,10 +191,12 @@ impl Leaf {
 }
 
 /// An internal node: a one-level scheduler over its children's logical
-/// queues, and a reference to the one head packet it offers upward.
+/// queues, its share, and a reference to the one head packet it offers
+/// upward.
 #[derive(Debug)]
 struct Inner<S> {
     sched: S,
+    share: Share,
     /// Child per session slot.
     children: Vec<Ref>,
     /// Length in bits of the offered head (valid while `head_leaf` is set).
@@ -211,11 +213,12 @@ struct Inner<S> {
 }
 
 impl<S> Inner<S> {
-    /// A childless node offering no head, in session `slot` of internal
-    /// node `parent` ([`NIL`] for the root).
-    fn new(sched: S, parent: u32, slot: u32) -> Inner<S> {
+    /// A childless node offering no head with share `share`, in session
+    /// `slot` of internal node `parent` ([`NIL`] for the root).
+    fn new(sched: S, share: Share, parent: u32, slot: u32) -> Inner<S> {
         Inner {
             sched,
+            share,
             children: Vec::new(),
             head_bits: 0.0,
             head_leaf: NIL,
@@ -226,8 +229,8 @@ impl<S> Inner<S> {
     }
 }
 
-/// A node's share bookkeeping, read at construction, churn and reporting
-/// time only — never per packet.
+/// An internal node's share bookkeeping, read at construction, churn and
+/// reporting time only — never per packet.
 #[derive(Debug, Clone, Copy)]
 struct Share {
     /// Guaranteed rate `r_n = φ_n · r_parent` in bits/s.
@@ -236,6 +239,17 @@ struct Share {
     phi: f64,
     /// Running sum of attached children's shares, for validation.
     child_phi_sum: f64,
+}
+
+impl Share {
+    /// `phi` of a parent serving at `parent_rate`, with no child yet.
+    fn of(phi: f64, parent_rate: f64) -> Share {
+        Share {
+            rate: phi * parent_rate,
+            phi,
+            child_phi_sum: 0.0,
+        }
+    }
 }
 
 /// An H-PFQ server: a tree of one-level schedulers. See the
@@ -252,8 +266,6 @@ pub struct Hierarchy<S: NodeScheduler, O: Observer = NoopObserver> {
     inners: Vec<Inner<S>>,
     /// [`NodeId`] → record.
     refs: Vec<Ref>,
-    /// [`NodeId`] → shares.
-    shares: Vec<Share>,
     /// Leaf index → [`NodeId`], ascending (leaves are created in id order).
     leaf_ids: Vec<u32>,
     /// Internal-node index → [`NodeId`], ascending.
@@ -329,7 +341,7 @@ impl<S: NodeScheduler, O: Observer> HierarchyBuilder<S, O> {
     /// parent, running a scheduler built by the factory.
     pub fn add_internal(&mut self, parent: NodeId, phi: f64) -> Result<NodeId, HpfqError> {
         let p = self.h.validate_new_child(parent, phi)?;
-        let sched = (self.factory)(phi * self.h.shares[parent.0].rate);
+        let sched = (self.factory)(phi * self.h.inners[p].share.rate);
         Ok(self.h.push_node(p, phi, Some(sched)))
     }
 
@@ -390,13 +402,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             leaves: Vec::new(),
             slab: PacketSlab::new(),
             wants_hints: sched.wants_arrival_hints(),
-            inners: vec![Inner::new(sched, NIL, 0)],
+            inners: vec![Inner::new(sched, Share::of(1.0, rate_bps), NIL, 0)],
             refs: vec![Ref::inner(0)],
-            shares: vec![Share {
-                rate: rate_bps,
-                phi: 1.0,
-                child_phi_sum: 0.0,
-            }],
             leaf_ids: Vec::new(),
             inner_ids: vec![0],
             transmitting: false,
@@ -460,7 +467,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
 
     /// Link rate in bits/s.
     pub fn link_rate(&self) -> f64 {
-        self.shares[0].rate
+        self.inners[0].share.rate
     }
 
     /// Stamps future events with `link` (0 until set) — for drivers that
@@ -497,7 +504,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         if phi < self.inners[p].sched.min_share() {
             return Err(HpfqError::InvalidShare(phi));
         }
-        let sum = self.shares[parent.0].child_phi_sum + phi;
+        let sum = self.inners[p].share.child_phi_sum + phi;
         if vtime::strictly_after(sum, 1.0) {
             return Err(HpfqError::ShareOverflow {
                 node: parent.0,
@@ -515,8 +522,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             id < Ref::LEAF_BIT as usize,
             "hierarchy is full (2^31 nodes)"
         );
-        let parent_id = self.inner_ids[p] as usize;
-        let rate = phi * self.shares[parent_id].rate;
+        let parent_rate = self.inners[p].share.rate;
         let slot = self.inners[p].sched.add_session(phi);
         debug_assert_eq!(slot.0, self.inners[p].children.len());
         let (parent, slot) = (p as u32, slot.0 as u32);
@@ -530,7 +536,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 sched.set_is_root(false);
                 self.wants_hints |= sched.wants_arrival_hints();
                 self.inner_ids.push(id as u32);
-                self.inners.push(Inner::new(sched, parent, slot));
+                let share = Share::of(phi, parent_rate);
+                self.inners.push(Inner::new(sched, share, parent, slot));
                 Ref::inner(self.inners.len() - 1)
             }
             None => {
@@ -539,14 +546,10 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 Ref::leaf(self.leaves.len() - 1)
             }
         };
-        self.inners[p].children.push(r);
-        self.shares[parent_id].child_phi_sum += phi;
+        let nd = &mut self.inners[p];
+        nd.children.push(r);
+        nd.share.child_phi_sum += phi;
         self.refs.push(r);
-        self.shares.push(Share {
-            rate,
-            phi,
-            child_phi_sum: 0.0,
-        });
         NodeId(id)
     }
 
@@ -606,9 +609,9 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         let lf = &mut self.leaves[l];
         lf.draining = false;
         lf.detached = true;
-        let parent = self.inner_ids[lf.parent as usize] as usize;
-        let phi = self.shares[self.leaf_ids[l] as usize].phi;
-        let pool = &mut self.shares[parent].child_phi_sum;
+        let nd = &mut self.inners[lf.parent as usize];
+        let phi = nd.sched.phi(SessionId(lf.slot as usize));
+        let pool = &mut nd.share.child_phi_sum;
         // Clamp: repeated add/remove cycles must never drive the pool
         // accounting negative through f64 rounding.
         *pool = (*pool - phi).max(0.0);
@@ -672,9 +675,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.slab.push_back(&mut lf.fifo, pkt);
         let (p, slot) = (lf.parent, lf.slot);
         let was_offering = std::mem::replace(&mut lf.offering, true);
-        if !was_offering {
-            lf.head_bits = bits;
-        }
         if O::ENABLED {
             self.obs.on_enqueue(&EnqueueEvent {
                 time: pkt.arrival,
@@ -733,13 +733,18 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             && self.inners[0].sched.backlogged() == 0
     }
 
-    /// The head `child` offers, as `(leaf index, bits)`.
+    /// The head `child` offers, as `(leaf index, bits)`. A leaf's is its
+    /// front packet, which the link reads next if this head reaches the
+    /// root.
     #[inline]
     fn head_of(&self, child: Ref) -> Option<(u32, f64)> {
         match child.place() {
             Place::Leaf(l) => {
                 let lf = &self.leaves[l];
-                lf.offering.then_some((l as u32, lf.head_bits))
+                if !lf.offering {
+                    return None;
+                }
+                self.slab.front(&lf.fifo).map(|p| (l as u32, p.bits()))
             }
             Place::Inner(n) => {
                 let nd = &self.inners[n];
@@ -948,10 +953,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             });
         }
         match next_bits {
-            Some(bits) => {
-                lf.head_bits = bits;
-                self.inners[lp].sched.requeue(lslot, Some(bits));
-            }
+            Some(bits) => self.inners[lp].sched.requeue(lslot, Some(bits)),
             None => {
                 self.requeue_empty(Ref::leaf(leaf), lp, lslot);
                 if self.leaves[leaf].draining {
@@ -1031,12 +1033,29 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
 
     /// Guaranteed rate of `node` in bits/s.
     pub fn rate(&self, node: NodeId) -> f64 {
-        self.shares[node.0].rate
+        match self.refs[node.0].place() {
+            Place::Leaf(l) => {
+                let (phi, parent) = self.leaf_share(l);
+                phi * parent.rate
+            }
+            Place::Inner(n) => self.inners[n].share.rate,
+        }
     }
 
     /// Share of `node` relative to its parent.
     pub fn phi(&self, node: NodeId) -> f64 {
-        self.shares[node.0].phi
+        match self.refs[node.0].place() {
+            Place::Leaf(l) => self.leaf_share(l).0,
+            Place::Inner(n) => self.inners[n].share.phi,
+        }
+    }
+
+    /// Leaf `l`'s `phi`, as its parent's scheduler registered it, and the
+    /// parent's share.
+    fn leaf_share(&self, l: usize) -> (f64, &Share) {
+        let lf = &self.leaves[l];
+        let nd = &self.inners[lf.parent as usize];
+        (nd.sched.phi(SessionId(lf.slot as usize)), &nd.share)
     }
 
     /// `node`'s parent as an index into `inners` ([`NIL`] for the root),
@@ -1096,7 +1115,10 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// — the quantity validated against 1.0 when adding a child. Exposed
     /// so churn harnesses can assert it never overflows or goes negative.
     pub fn allocated_share(&self, node: NodeId) -> f64 {
-        self.shares[node.0].child_phi_sum
+        match self.refs[node.0].place() {
+            Place::Leaf(_) => 0.0,
+            Place::Inner(n) => self.inners[n].share.child_phi_sum,
+        }
     }
 }
 
@@ -1380,6 +1402,40 @@ mod tests {
         assert!(!h.is_detached(c));
         assert_eq!(h.leaves_iter().filter(|&l| !h.is_detached(l)).count(), 2);
         assert_eq!(h.leaves_iter().count(), 3);
+
+        // A leaf stores no share: its `phi` is read back from its parent's
+        // scheduler and its rate derived from the parent's. Both must be
+        // the values it was admitted under, bit for bit, under nested
+        // classes too, and removing it must give the parent's pool back
+        // exactly what it took.
+        let mut bld = Hierarchy::builder(1e9, wf2qp_node);
+        let root = bld.root();
+        let a = bld.add_internal(root, 0.125).unwrap();
+        let b = bld.add_internal(a, 0.1).unwrap();
+        let mut h = bld.build();
+        for parent in [root, a, b] {
+            // A sibling keeps the pool non-empty through every cycle.
+            h.add_leaf(parent, 0.5).unwrap();
+            let dyadic = [0.5f64.powi(20), 0.5f64.powi(13), 0.25];
+            for phi in dyadic.into_iter().chain([0.1, 1.0 / 7.0, 1.0 / 3.0]) {
+                let pool = h.allocated_share(parent);
+                let leaf = h.add_leaf(parent, phi).unwrap();
+                assert_eq!(h.phi(leaf).to_bits(), phi.to_bits());
+                assert_eq!(h.rate(leaf).to_bits(), (phi * h.rate(parent)).to_bits());
+                assert_eq!(h.allocated_share(leaf), 0.0);
+                assert!(h.remove_leaf(leaf).unwrap().is_empty());
+                // Exactly `phi` went in and came out: the pool is back to
+                // its bits wherever `pool + phi` is exact (every dyadic
+                // share here), and one rounding off them where it is not.
+                let back = h.allocated_share(parent);
+                assert_eq!(back.to_bits(), ((pool + phi) - phi).to_bits(), "phi {phi}");
+                if dyadic.contains(&phi) {
+                    assert_eq!(back.to_bits(), pool.to_bits(), "phi {phi}");
+                }
+                assert_eq!(h.phi(leaf).to_bits(), phi.to_bits(), "detached");
+            }
+        }
+        assert_eq!(h.rate(b), 0.1 * (0.125 * 1e9));
     }
 
     #[test]
@@ -1550,10 +1606,11 @@ mod tests {
 
     #[test]
     fn leaf_record_is_one_cache_line() {
-        // Three `u32`s of FIFO chain, two 8-byte counters, two `u32` links
-        // and three flags — well inside one line; a queue that owned a
-        // buffer again would be 64.
-        assert_eq!(std::mem::size_of::<Leaf>(), 40);
+        // Three `u32`s of FIFO chain, the 8-byte byte counter, two `u32`
+        // links and three flags — half a line. The head's length is read
+        // from the slab and the share from the parent's scheduler; a
+        // queue that owned a buffer again would be 56.
+        assert_eq!(std::mem::size_of::<Leaf>(), 32);
     }
 
     /// Leaves and internal nodes live in separate arrays, but the ids

@@ -119,7 +119,9 @@ pub trait NodeScheduler {
     /// virtual clock return their served-work reference time instead.
     fn virtual_time(&self) -> f64;
 
-    /// Guaranteed share of session `id`.
+    /// Guaranteed share of session `id`: the `phi` that
+    /// [`NodeScheduler::add_session`] registered, bit for bit. A
+    /// [`crate::Hierarchy`] keeps no other copy of a leaf's share.
     fn phi(&self, id: SessionId) -> f64;
 
     /// Virtual start and finish tags of session `id`'s current head packet.

@@ -53,12 +53,14 @@
 //! isolating a misbehaving flow is the scheduler's own job. Nothing in
 //! this path panics.
 
+use std::any::Any;
+
 use hpfq_core::{Hierarchy, HpfqError, NodeId, NodeScheduler, Packet};
 use hpfq_events::Engine;
 use hpfq_obs::{DropEvent, FaultEvent, FaultKind, NoopObserver, Observer, PacketInfo};
 
 use crate::flow_map::FlowIndex;
-use crate::source::{Few, Source, SourceOutput};
+use crate::source::{CbrSource, Few, PoissonSource, Source, SourceOutput};
 use crate::stats::{ServiceRecord, SimStats};
 
 /// Index of a registered source.
@@ -373,10 +375,69 @@ struct Link<S: NodeScheduler, O: Observer> {
     ledger: LinkLedger,
 }
 
+/// An attached source: the built-in open-loop generators by value, in the
+/// slot, so a wake on one is a `match` rather than a call through a
+/// pointer to a separate allocation; every other source boxed.
+enum HeldSource {
+    Cbr(CbrSource),
+    Poisson(PoissonSource),
+    Boxed(Box<dyn Source>),
+}
+
+impl HeldSource {
+    /// `source`, by value if it is a [`CbrSource`] or a [`PoissonSource`],
+    /// else boxed.
+    fn new<T: Source + 'static>(source: T) -> HeldSource {
+        let mut source = Some(source);
+        let any: &mut dyn Any = &mut source;
+        if let Some(s) = take(any) {
+            return HeldSource::Cbr(s);
+        }
+        if let Some(s) = take(any) {
+            return HeldSource::Poisson(s);
+        }
+        #[expect(
+            clippy::expect_used,
+            reason = "only a downcast that matched takes the source, and it returned"
+        )]
+        let source = source.expect("no downcast took the source");
+        HeldSource::Boxed(Box::new(source))
+    }
+
+    fn start(&mut self) -> SourceOutput {
+        match self {
+            HeldSource::Cbr(s) => s.start(),
+            HeldSource::Poisson(s) => s.start(),
+            HeldSource::Boxed(s) => s.start(),
+        }
+    }
+
+    fn on_wake(&mut self, now: f64) -> SourceOutput {
+        match self {
+            HeldSource::Cbr(s) => s.on_wake(now),
+            HeldSource::Poisson(s) => s.on_wake(now),
+            HeldSource::Boxed(s) => s.on_wake(now),
+        }
+    }
+
+    fn on_delivered(&mut self, now: f64, pkt: &Packet) -> SourceOutput {
+        match self {
+            HeldSource::Cbr(s) => s.on_delivered(now, pkt),
+            HeldSource::Poisson(s) => s.on_delivered(now, pkt),
+            HeldSource::Boxed(s) => s.on_delivered(now, pkt),
+        }
+    }
+}
+
+/// The `T` in `any`, taken out, if `any` is an `Option<T>` holding one.
+fn take<T: 'static>(any: &mut dyn Any) -> Option<T> {
+    any.downcast_mut::<Option<T>>().and_then(Option::take)
+}
+
 /// One attached source and its runtime state.
 pub(crate) struct SourceSlot {
     /// The generator itself.
-    src: Box<dyn Source>,
+    src: HeldSource,
     route: Route,
     /// Flow id registered for the source at attach time.
     flow: u32,
@@ -576,7 +637,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         }
         SourceId(self.push_source(SourceSlot {
             wants_delivery: source.wants_delivery(),
-            src: Box::new(source),
+            src: HeldSource::new(source),
             route,
             flow,
             live: true,
@@ -852,7 +913,7 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 Ok(leaf) => {
                     let idx = self.push_source(SourceSlot {
                         wants_delivery: source.wants_delivery(),
-                        src: source,
+                        src: HeldSource::Boxed(source),
                         route: Route::single(leaf, buffer_bytes, delivery_delay),
                         flow,
                         live: true,

@@ -3,7 +3,7 @@
 
 mod tests {
     use crate::network::{FaultInjector, Network, PacketVerdict, Route, SimCommand};
-    use crate::source::{CbrSource, GreedyLbSource, Source, SourceOutput};
+    use crate::source::{CbrSource, GreedyLbSource, PoissonSource, Source, SourceOutput};
     use hpfq_core::{Hierarchy, HpfqError, MixedScheduler, NodeId, Packet, SchedulerKind};
     use hpfq_obs::CountingObserver;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,13 +14,16 @@ mod tests {
     }
 
     #[test]
-    fn source_slot_is_seventy_two_bytes() {
-        // The boxed source, a route with its one hop inline, the flow id,
-        // the slot of the flow's statistics and three flags: what a wake,
-        // an arrival and a completion read of a flow sits in one place,
+    fn source_slot_holds_a_builtin_source_by_value() {
+        // The source — a CBR or Poisson generator by value (the Poisson
+        // one's 72 bytes and a tag), any other source as a box — a route
+        // with its one hop inline, the flow id, the slot of the flow's
+        // statistics and three flags: what a wake, an arrival and a
+        // completion read of a flow sits in one place, behind no pointer,
         // and reaches the flow's counters without a lookup.
+        assert_eq!(std::mem::size_of::<PoissonSource>(), 72);
         assert_eq!(std::mem::size_of::<Route>(), 40);
-        assert_eq!(std::mem::size_of::<crate::network::SourceSlot>(), 72);
+        assert_eq!(std::mem::size_of::<crate::network::SourceSlot>(), 136);
     }
 
     /// Two equal CBR flows at half the link rate each: no queueing beyond

@@ -8,6 +8,11 @@
 //! traces, statistics, service records and ledgers, run straight through
 //! or stopped and continued. And for a source that does want its
 //! deliveries, removal must still cut them off.
+//!
+//! The same oracle covers how a source is held: a network stores a
+//! [`CbrSource`] or [`PoissonSource`] by value and any other source boxed,
+//! and the scenario with every built-in source attached as a
+//! `Box<dyn Source>` must leave what it leaves with them attached directly.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -71,8 +76,32 @@ impl Source for Counting {
     }
 }
 
+/// One of the scenario's sources, as built: a network holds either kind
+/// by value when it is attached directly.
+enum Builtin {
+    Cbr(CbrSource),
+    Poisson(PoissonSource),
+}
+
+impl Builtin {
+    /// Attaches the source itself, by value.
+    fn attach(self, net: &mut Net, flow: u32, route: Route) {
+        match self {
+            Builtin::Cbr(s) => net.add_route(flow, s, route),
+            Builtin::Poisson(s) => net.add_route(flow, s, route),
+        };
+    }
+
+    fn boxed(self) -> Box<dyn Source> {
+        match self {
+            Builtin::Cbr(s) => Box::new(s),
+            Builtin::Poisson(s) => Box::new(s),
+        }
+    }
+}
+
 /// How a scenario attaches (and possibly wraps) each of its sources.
-type Attach<'a> = dyn FnMut(&mut Net, u32, Box<dyn Source>, Route) + 'a;
+type Attach<'a> = dyn FnMut(&mut Net, u32, Builtin, Route) + 'a;
 
 /// Three links in tandem. Flow 0 crosses all three, flow 1 crosses links
 /// 0 → 1, and each link carries Poisson or CBR cross traffic. An outage and
@@ -109,21 +138,21 @@ fn tandem(attach: &mut Attach) -> Net {
     attach(
         &mut net,
         0,
-        Box::new(CbrSource::new(0, PKT, 3e6, 0.0, 5.0)),
+        Builtin::Cbr(CbrSource::new(0, PKT, 3e6, 0.0, 5.0)),
         Route::new(long),
     );
     attach(
         &mut net,
         1,
-        Box::new(PoissonSource::new(1, PKT, 2e6, 0.0, 5.0, 11)),
+        Builtin::Poisson(PoissonSource::new(1, PKT, 2e6, 0.0, 5.0, 11)),
         Route::new(short),
     );
     for (li, hop) in cross.into_iter().enumerate() {
         let flow = 100 + li as u32;
-        let src: Box<dyn Source> = if li == 1 {
-            Box::new(CbrSource::new(flow, PKT, 7e6, 0.0, 5.0))
+        let src = if li == 1 {
+            Builtin::Cbr(CbrSource::new(flow, PKT, 7e6, 0.0, 5.0))
         } else {
-            Box::new(PoissonSource::new(flow, PKT, 6e6, 0.0, 5.0, 20 + li as u64))
+            Builtin::Poisson(PoissonSource::new(flow, PKT, 6e6, 0.0, 5.0, 20 + li as u64))
         };
         attach(&mut net, flow, src, Route::new(vec![hop]));
     }
@@ -135,14 +164,19 @@ fn tandem(attach: &mut Attach) -> Net {
 }
 
 fn bare() -> Net {
+    tandem(&mut |net, flow, src, route| src.attach(net, flow, route))
+}
+
+/// [`bare`] with every source boxed: none is held by value.
+fn boxed() -> Net {
     tandem(&mut |net, flow, src, route| {
-        net.add_route(flow, src, route);
+        net.add_route(flow, src.boxed(), route);
     })
 }
 
 fn loud() -> Net {
     tandem(&mut |net, flow, src, route| {
-        net.add_route(flow, Loud(src), route);
+        net.add_route(flow, Loud(src.boxed()), route);
     })
 }
 
@@ -205,9 +239,14 @@ fn elided_deliveries_change_nothing_in_any_execution_mode() {
     assert!(quiet.outstanding_events() <= FLOWS.len());
     let mut noisy = loud();
     noisy.run(HORIZON);
+    let mut held_boxed = boxed();
+    held_boxed.run(HORIZON);
     let (quiet, noisy) = (artifacts(quiet), artifacts(noisy));
+    let held_boxed = artifacts(held_boxed);
     assert!(quiet.merged.lines().count() > 1000, "trace too small");
     assert_same(&quiet, &noisy, "run");
+    // Holding a built-in source by value is unobservable too.
+    assert_same(&quiet, &held_boxed, "boxed");
 }
 
 /// A run stopped and continued — at instants bracketing the outage and both
@@ -248,9 +287,7 @@ fn removed_flows_get_no_further_deliveries() {
             let inner = CbrSource::new(flow, PKT, rate, 0.0, 5.0);
             net.add_route(flow, Counting { inner, probe }, route);
         }
-        _ => {
-            net.add_route(flow, src, route);
-        }
+        _ => src.attach(net, flow, route),
     });
     net.schedule_command(LONG_REMOVED_AT, SimCommand::RemoveFlow(0));
     net.run(HORIZON);
