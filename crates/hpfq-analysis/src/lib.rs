@@ -30,7 +30,6 @@ use hpfq_core::vtime;
 /// Near-ulp slack for deduplicating candidate evaluation times assembled
 /// from arrivals and service-curve breakpoints — these differ only by
 /// rounding when the same instant is reached through different sums.
-// lint:allow(L003): canonical crate-local definition used by sbi/wfi
 pub(crate) const TIME_DEDUP_EPS: f64 = 1e-15;
 
 /// Bits-scale threshold below which a session counts as idle when

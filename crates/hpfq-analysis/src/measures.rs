@@ -39,10 +39,11 @@ pub fn percentile(samples: &[f64], q: f64) -> f64 {
     let mut v: Vec<f64> = samples.to_vec();
     v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
     let pos = q * (v.len() - 1) as f64;
-    // lint:allow(L005): pos = q*(len-1) with q asserted in [0, 1] above
-    let lo = pos.floor() as usize;
-    // lint:allow(L005): same in-range-by-construction bound as `lo`
-    let hi = pos.ceil() as usize;
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "pos = q*(len-1) with q asserted in [0, 1] above"
+    )]
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
     if lo == hi {
         v[lo]
     } else {

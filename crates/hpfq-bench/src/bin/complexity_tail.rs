@@ -154,7 +154,8 @@ impl HeapCount {
 /// total. Filling the heap is not counted.
 fn count_heap(n: usize) -> HeapCount {
     let mut rng = SmallRng::seed_from_u64(n as u64);
-    let step: Vec<u32> = (0..n).map(|_| rng.gen_range_u32(1, n as u32 + 1)).collect();
+    let top = u32::try_from(n).expect("heap sizes fit u32") + 1;
+    let step: Vec<u32> = (0..n).map(|_| rng.gen_range_u32(1, top)).collect();
     let mut heap = QuadHeap::new();
     for (s, &d) in (0u32..).zip(&step) {
         heap.push((u64::from(d), s), |a, b| a < b);

@@ -55,8 +55,7 @@ fn run_trial(rng: &mut SmallRng, depth: usize) -> Trial {
         GreedyLbSource::new(0, PKT, sigma_pkts * PKT, r_i, 0.0, 30.0),
         Route::open_loop(leaf),
     );
-    for (i, &(cl, cr)) in cross_leaves.iter().enumerate() {
-        let flow = (i + 1) as u32;
+    for (flow, &(cl, cr)) in (1u32..).zip(&cross_leaves) {
         sim.add_route(
             flow,
             CbrSource::new(flow, PKT, cr * 1.3, 0.0, 30.0),

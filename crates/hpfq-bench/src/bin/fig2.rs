@@ -28,9 +28,9 @@ fn packet_order(kind: SchedulerKind) -> Vec<usize> {
         id += 1;
         h.enqueue(leaves[0], Packet::new(id, 0, 1, 0.0));
     }
-    for (j, &leaf) in leaves.iter().enumerate().skip(1) {
+    for (j, &leaf) in (0u32..).zip(&leaves).skip(1) {
         id += 1;
-        h.enqueue(leaf, Packet::new(id, j as u32, 1, 0.0));
+        h.enqueue(leaf, Packet::new(id, j, 1, 0.0));
     }
     let mut order = Vec::new();
     while let Some(p) = h.dequeue() {

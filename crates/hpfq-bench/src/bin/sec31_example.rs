@@ -44,8 +44,7 @@ fn rt_delay(kind: SchedulerKind) -> f64 {
         Route::open_loop(be),
     );
     // Each other class: one packet at t=0.
-    for (i, &leaf) in others.iter().enumerate() {
-        let flow = 100 + i as u32;
+    for (flow, &leaf) in (100u32..).zip(&others) {
         sim.add_route(
             flow,
             TraceSource::new(flow, vec![(0.0, PKT)]),

@@ -29,7 +29,8 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
         small.push(h.add_leaf(root, 0.5 / n as f64).unwrap());
     }
     let mut sim = Network::single_link(h);
-    for flow in 0..=n as u32 {
+    let last_flow = u32::try_from(n).expect("a flow per small session fits u32");
+    for flow in 0..=last_flow {
         sim.stats.trace_flow(flow);
     }
     let pkt_bits = f64::from(PKT) * 8.0;
@@ -39,8 +40,7 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
     big_trace.extend(vec![(round2, PKT); n + 1]);
     arrivals_per_flow.push(big_trace.iter().map(|&(t, _)| (t, pkt_bits)).collect());
     sim.add_route(0, TraceSource::new(0, big_trace), Route::open_loop(big));
-    for (i, &leaf) in small.iter().enumerate() {
-        let flow = (i + 1) as u32;
+    for (flow, &leaf) in (1u32..).zip(&small) {
         let entries = vec![(0.0, PKT), (round2, PKT)];
         arrivals_per_flow.push(entries.iter().map(|&(t, _)| (t, pkt_bits)).collect());
         sim.add_route(
@@ -52,12 +52,12 @@ fn measured_wfi_packets(kind: SchedulerKind, n: usize) -> f64 {
     sim.run(1e6);
 
     // Worst session WFI, in packets.
-    let all: Vec<_> = (0..=n as u32)
+    let all: Vec<_> = (0..=last_flow)
         .flat_map(|fl| sim.stats.trace(fl).iter().copied())
         .collect();
     let w_server = service_curve_from_records(all.iter());
     let mut worst = 0.0_f64;
-    for flow in 0..=n as u32 {
+    for flow in 0..=last_flow {
         let w_i = service_curve_from_records(sim.stats.trace(flow).iter());
         let share = if flow == 0 { 0.5 } else { 0.5 / n as f64 };
         let wfi_bits = empirical_bwfi(&arrivals_per_flow[flow as usize], &w_i, &w_server, share);

@@ -141,9 +141,8 @@ pub fn build_with_observer<O: Observer>(
         Scenario::GuaranteedRates => 1.0,
         _ => 1.5,
     };
-    for (i, &leaf) in ps_leaves.iter().enumerate() {
-        let n = (i + 1) as u32;
-        let guaranteed = if i < 5 { 2.25e6 } else { 22.5e6 * inner_rest };
+    for (n, &leaf) in (1u32..).zip(&ps_leaves) {
+        let guaranteed = if n <= 5 { 2.25e6 } else { 22.5e6 * inner_rest };
         sim.add_route(
             FLOW_PS_BASE + n,
             PoissonSource::new(
@@ -152,7 +151,8 @@ pub fn build_with_observer<O: Observer>(
                 guaranteed * overload,
                 0.0,
                 f64::INFINITY,
-                seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(n as u64),
+                seed.wrapping_mul(0x9E3779B97F4A7C15)
+                    .wrapping_add(u64::from(n)),
             ),
             Route::open_loop(leaf),
         );
@@ -162,17 +162,19 @@ pub fn build_with_observer<O: Observer>(
     // guaranteed rate, packets arriving back-to-back at line rate.
     if scenario != Scenario::OverloadedPoisson {
         let gap = f64::from(PKT_BYTES) * 8.0 / LINK_BPS;
-        for (i, &leaf) in cs_leaves.iter().enumerate() {
-            let n = (i + 1) as u32;
-            let guaranteed = if i < 5 { 2.25e6 } else { 22.5e6 * inner_rest };
+        for (n, &leaf) in (1u32..).zip(&cs_leaves) {
+            let guaranteed = if n <= 5 { 2.25e6 } else { 22.5e6 * inner_rest };
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "rate·0.193/pkt_bits ≤ ~5.5e3, rounded and clamped ≥ 1: fits u32"
+            )]
             let burst = ((guaranteed * 0.193) / (f64::from(PKT_BYTES) * 8.0))
                 .round()
-                // lint:allow(L005): rate·0.193/pkt_bits ≤ ~5.5e3, rounded and clamped ≥ 1 — fits u32
                 .max(1.0) as u32;
             // Staggered starts, as produced by the paper's upstream
             // multiplexer: "so that they do not have simultaneous
             // arrivals".
-            let start = 0.193 * (i as f64) / 10.0;
+            let start = 0.193 * f64::from(n - 1) / 10.0;
             sim.add_route(
                 FLOW_CS_BASE + n,
                 PacketTrainSource::new(

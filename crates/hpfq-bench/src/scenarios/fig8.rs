@@ -116,8 +116,7 @@ pub fn build(kind: SchedulerKind) -> Fig8 {
     // ideal allocation within a fraction of an interval — the premise of
     // Fig. 9(b). Deep buffers would inflate RTTs to hundreds of
     // milliseconds and freeze the flows at their first equilibrium.
-    for (i, &leaf) in tcp_leaves.iter().enumerate() {
-        let flow = (i + 1) as u32;
+    for (flow, &leaf) in (1u32..).zip(&tcp_leaves) {
         let tcp = TcpSource::new(
             flow,
             TcpConfig {
@@ -134,8 +133,7 @@ pub fn build(kind: SchedulerKind) -> Fig8 {
 
     // On/off sources per schedule.
     let schedules = on_schedules();
-    for (i, &leaf) in on_leaves.iter().enumerate() {
-        let flow = FLOW_ON_BASE + (i + 1) as u32;
+    for (i, (flow, &leaf)) in (FLOW_ON_BASE + 1..).zip(&on_leaves).enumerate() {
         sim.add_route(
             flow,
             ScheduledOnOffSource::new(flow, ONOFF_BYTES, ON_RATES[i], schedules[i].clone()),

@@ -85,6 +85,10 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
         // Budgeted shares: even if every slot ever attached were live (or
         // draining) at once, their sum stays within the churn budget.
         let total_slots = {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a count of churn intervals within the soak horizon; the cast saturates"
+            )]
             let events = (quiet_from / churn::INTERVAL) as usize;
             events.max(1)
         };

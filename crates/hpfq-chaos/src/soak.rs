@@ -236,8 +236,7 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         let in_outage = plan
             .outages
             .iter()
-            // lint:allow(L003): real-time outage-window slop, not a
-            // virtual-time tolerance
+            // Real-time outage-window slop, not a virtual-time tolerance.
             .any(|&(down, up)| viol.time >= down - 1e-9 && viol.time <= up + 1e-9);
         if viol.kind == InvariantKind::WorkConservation && in_outage {
             excused_wc += 1;

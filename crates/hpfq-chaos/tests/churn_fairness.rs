@@ -7,6 +7,7 @@
 //! self-clocked virtual time lets the bursting session run ahead by ~N/2
 //! packets, so its measured unfairness on the identical schedule must
 //! exceed WF²Q+'s.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq_analysis::{empirical_bwfi, service_curve_from_records, theorem1_bwfi, wf2q_plus_bwfi};
 use hpfq_core::{Hierarchy, NodeScheduler, SchedulerKind};

@@ -38,7 +38,7 @@ use hpfq_events::heap::QuadHeap;
 
 use super::PifoBackend;
 use crate::scheduler::SessionId;
-use crate::vtime;
+use crate::{index_u32, vtime};
 
 /// An eligible member: its `(key, secondary, id)` rank — the primary
 /// (finish) rank first; the id tie-break reproduces the session-index
@@ -190,7 +190,7 @@ impl PifoBackend for DualHeapEligibleSet {
                     start,
                     secondary,
                     finish: primary,
-                    id: id.0 as u32,
+                    id: index_u32(id.0),
                 };
                 self.pending.push(e, pending_lt);
             }
@@ -198,7 +198,7 @@ impl PifoBackend for DualHeapEligibleSet {
                 let e = Ready {
                     key: primary,
                     secondary,
-                    id: id.0 as u32,
+                    id: index_u32(id.0),
                 };
                 // Monotone tail: a rank >= the current back appends in
                 // O(1); only out-of-order ranks pay the heap's O(log N).
@@ -228,7 +228,7 @@ impl PifoBackend for DualHeapEligibleSet {
         let e = Ready {
             key: primary,
             secondary,
-            id: id.0 as u32,
+            id: index_u32(id.0),
         };
         match self.ready_tail.back() {
             Some(b) if ready_lt(&e, b) => {

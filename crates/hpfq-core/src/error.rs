@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors raised while building or operating a scheduler hierarchy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HpfqError {
-    /// A service share was not a finite positive number.
+    /// A service share was not a finite number from [`crate::MIN_SHARE`]
+    /// to 1, or was below its policy's minimum.
     InvalidShare(f64),
     /// The children of a node were assigned shares summing to more than 1.
     ShareOverflow {

@@ -42,27 +42,34 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::scheduler::is_share;
-use crate::vtime;
+use crate::VTime;
 
 /// A fluid-departure heap entry (min-heap by finish tag).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Departure {
-    finish: f64,
+    finish: VTime,
     session: usize,
+}
+
+impl PartialEq for Departure {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
 }
 
 impl Eq for Departure {}
 
 impl Ord for Departure {
-    #[expect(
-        clippy::expect_used,
-        reason = "tags are sums of finite phi-scaled lengths, and a loaded clock's are checked \
-                  finite"
-    )]
+    /// Reversed `(finish, session)` order, with finish tags compared
+    /// exactly: both come from the same per-session tag arithmetic.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.finish, other.session)
-            .partial_cmp(&(self.finish, self.session))
-            .expect("finish tags must not be NaN")
+        if other.finish.exactly_lt(self.finish) {
+            Ordering::Less
+        } else if self.finish.exactly_lt(other.finish) {
+            Ordering::Greater
+        } else {
+            other.session.cmp(&self.session)
+        }
     }
 }
 
@@ -77,7 +84,7 @@ struct GpsSession {
     phi: f64,
     /// Finish tag of the latest stamped packet; the session's emulated GPS
     /// backlog empties when `V` reaches this value.
-    last_finish: f64,
+    last_finish: VTime,
     /// Whether the session currently contributes to the slope sum.
     active: bool,
 }
@@ -88,7 +95,7 @@ pub struct GpsClock {
     sessions: Vec<GpsSession>,
     departures: BinaryHeap<Departure>,
     /// Current virtual time.
-    v: f64,
+    v: VTime,
     /// Reference time up to which `v` has been integrated.
     t: f64,
     /// Σ φ over GPS-backlogged sessions.
@@ -110,14 +117,14 @@ impl GpsClock {
         assert!(is_share(phi), "invalid share {phi}");
         self.sessions.push(GpsSession {
             phi,
-            last_finish: 0.0,
+            last_finish: VTime::ZERO,
             active: false,
         });
         self.sessions.len() - 1
     }
 
     /// Current virtual time without advancing.
-    pub fn virtual_time(&self) -> f64 {
+    pub fn virtual_time(&self) -> VTime {
         self.v
     }
 
@@ -128,7 +135,7 @@ impl GpsClock {
     /// the dispatch boundary, so a mid-packet arrival's (earlier) real
     /// reference time is served from the boundary value — a bounded,
     /// sub-packet skew.
-    pub fn advance_to(&mut self, t_new: f64) -> f64 {
+    pub fn advance_to(&mut self, t_new: f64) -> VTime {
         let mut dt = t_new - self.t;
         if dt <= 0.0 {
             return self.v;
@@ -138,7 +145,7 @@ impl GpsClock {
         loop {
             let Some(next) = self.peek_departure() else {
                 // GPS-backlogged set empty: minimum slope 1.
-                self.v += dt;
+                self.v = self.v + dt;
                 self.worst_sweep = self.worst_sweep.max(sweep);
                 return self.v;
             };
@@ -146,7 +153,7 @@ impl GpsClock {
             // Reference time needed to reach the next fluid departure.
             let need = ((next.finish - self.v) * self.active_phi).max(0.0);
             if need > dt {
-                self.v += dt / self.active_phi;
+                self.v = self.v + dt / self.active_phi;
                 self.worst_sweep = self.worst_sweep.max(sweep);
                 return self.v;
             }
@@ -168,14 +175,14 @@ impl GpsClock {
     /// A stamp already covered by the emulated backlog (because
     /// [`GpsClock::extend_backlog`] announced the packet at its arrival) is
     /// a no-op: the backlog horizon only ever extends.
-    pub fn on_stamp(&mut self, session: usize, finish: f64) {
+    pub fn on_stamp(&mut self, session: usize, finish: VTime) {
         let s = &mut self.sessions[session];
         // Exact: the horizon only extends on a strictly later stamp, and
         // both values come from the same per-session tag arithmetic.
-        if s.active && vtime::exactly_le(finish, s.last_finish) {
+        if s.active && finish.exactly_le(s.last_finish) {
             return;
         }
-        debug_assert!(vtime::approx_ge(finish, s.last_finish) || !s.active);
+        debug_assert!(finish.approx_ge(s.last_finish) || !s.active);
         s.last_finish = finish;
         if !s.active {
             s.active = true;
@@ -196,7 +203,7 @@ impl GpsClock {
     /// module docs). Returns the packet's virtual start `max(V, tail)` —
     /// its exact GPS start under eq. (28) — for the caller to use when the
     /// packet later becomes the head.
-    pub fn extend_backlog(&mut self, session: usize, delta_v: f64) -> f64 {
+    pub fn extend_backlog(&mut self, session: usize, delta_v: f64) -> VTime {
         debug_assert!(delta_v.is_finite() && delta_v > 0.0);
         let s = &mut self.sessions[session];
         let base = self.v.max(s.last_finish);
@@ -213,14 +220,14 @@ impl GpsClock {
 
     /// Resets the clock at a busy-period boundary.
     pub fn reset(&mut self) {
-        self.v = 0.0;
+        self.v = VTime::ZERO;
         self.t = 0.0;
         self.departures.clear();
         self.active_phi = 0.0;
         self.active_count = 0;
         // worst_sweep intentionally survives: it is a lifetime diagnostic.
         for s in &mut self.sessions {
-            s.last_finish = 0.0;
+            s.last_finish = VTime::ZERO;
             s.active = false;
         }
     }
@@ -255,7 +262,7 @@ impl GpsClock {
     fn peek_departure(&mut self) -> Option<Departure> {
         while let Some(&top) = self.departures.peek() {
             let s = &self.sessions[top.session];
-            if s.active && vtime::same_stamp(s.last_finish, top.finish) {
+            if s.active && s.last_finish.same_stamp(top.finish) {
                 return Some(top);
             }
             self.departures.pop();
@@ -276,13 +283,13 @@ mod tests {
         let a = c.add_session(0.5);
         let b = c.add_session(0.5);
         // Both backlogged with fluid departures at V=2 each.
-        c.on_stamp(a, 2.0);
-        c.on_stamp(b, 2.0);
+        c.on_stamp(a, VTime::new(2.0));
+        c.on_stamp(b, VTime::new(2.0));
         // Slope 1/(0.5+0.5) = 1: after 1s of reference time, V = 1.
-        assert!((c.advance_to(1.0) - 1.0).abs() < 1e-12);
+        assert!((c.advance_to(1.0).get() - 1.0).abs() < 1e-12);
         // Both depart at V=2 (reaching it costs 1 more ref-second); after
         // that the set is empty and the slope floors at 1: V = 2 + 1 = 3.
-        assert!((c.advance_to(3.0) - 3.0).abs() < 1e-12);
+        assert!((c.advance_to(3.0).get() - 3.0).abs() < 1e-12);
         assert_eq!(c.active_sessions(), 0);
     }
 
@@ -291,36 +298,36 @@ mod tests {
         let mut c = GpsClock::new();
         let a = c.add_session(0.5);
         let _b = c.add_session(0.5);
-        c.on_stamp(a, 1.0); // only session a backlogged
-                            // Slope 1/0.5 = 2 until V reaches 1.0 (costs 0.5 ref-seconds),
-                            // then empty-set slope 1 for the remaining 0.5: V = 1.5.
-        assert!((c.advance_to(1.0) - 1.5).abs() < 1e-12);
+        c.on_stamp(a, VTime::new(1.0)); // only session a backlogged
+                                        // Slope 1/0.5 = 2 until V reaches 1.0 (costs 0.5 ref-seconds),
+                                        // then empty-set slope 1 for the remaining 0.5: V = 1.5.
+        assert!((c.advance_to(1.0).get() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn restamping_extends_backlog() {
         let mut c = GpsClock::new();
         let a = c.add_session(0.25);
-        c.on_stamp(a, 1.0);
-        c.on_stamp(a, 2.0); // head consumed, next head stamped: backlog extends
-                            // Slope 1/0.25 = 4; V reaches 2.0 after 0.5 ref-seconds, then slope 1.
-        assert!((c.advance_to(0.25) - 1.0).abs() < 1e-12);
+        c.on_stamp(a, VTime::new(1.0));
+        c.on_stamp(a, VTime::new(2.0)); // head consumed, next head stamped: backlog extends
+                                        // Slope 1/0.25 = 4; V reaches 2.0 after 0.5 ref-seconds, then slope 1.
+        assert!((c.advance_to(0.25).get() - 1.0).abs() < 1e-12);
         assert_eq!(c.active_sessions(), 1);
-        assert!((c.advance_to(0.5) - 2.0).abs() < 1e-12);
+        assert!((c.advance_to(0.5).get() - 2.0).abs() < 1e-12);
         assert_eq!(c.active_sessions(), 0);
-        assert!((c.advance_to(1.5) - 3.0).abs() < 1e-12);
+        assert!((c.advance_to(1.5).get() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn reset_starts_fresh_busy_period() {
         let mut c = GpsClock::new();
         let a = c.add_session(1.0);
-        c.on_stamp(a, 5.0);
+        c.on_stamp(a, VTime::new(5.0));
         c.advance_to(2.0);
         c.reset();
-        assert_eq!(c.virtual_time(), 0.0);
+        assert_eq!(c.virtual_time().get(), 0.0);
         assert_eq!(c.active_sessions(), 0);
-        c.on_stamp(a, 1.0);
-        assert!((c.advance_to(0.5) - 0.5).abs() < 1e-12);
+        c.on_stamp(a, VTime::new(1.0));
+        assert!((c.advance_to(0.5).get() - 0.5).abs() < 1e-12);
     }
 }

@@ -75,10 +75,11 @@ use hpfq_obs::{
 };
 
 use crate::error::HpfqError;
+use crate::gate::Gated;
+use crate::index_u32;
 use crate::packet::Packet;
 use crate::scheduler::{NodeScheduler, SessionId};
 use crate::slab::{Chain, PacketSlab};
-use crate::vtime;
 
 fn pkt_info(p: &Packet) -> PacketInfo {
     PacketInfo {
@@ -100,6 +101,38 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0
     }
+}
+
+/// The smallest share a child may have, under every policy: `2^-40`.
+/// Every `f64` share at or above it is a whole number of pool units
+/// (`2^-92`), so a parent's allocated pool is an exact integer sum. A
+/// policy may ask for more ([`NodeScheduler::min_share`]).
+pub const MIN_SHARE: f64 = 1.0 / 1_099_511_627_776.0;
+
+/// Pool units per unit of share: `2^92`.
+const POOL_SCALE: f64 = 4_951_760_157_141_521_099_596_496_896.0;
+
+/// A full pool: shares summing to 1.
+const POOL_FULL: u128 = 1 << 92;
+
+/// How far past a full pool an admission may reach: `2^-29` of share,
+/// about the `2e-9` a float sum was once allowed, so that ten shares of
+/// `fl(0.1)` (which add to 1 + 5.6e-17) still fit.
+const POOL_SLACK: u128 = 1 << 63;
+
+/// `phi` in pool units, exactly.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "phi in [2^-40, 1] makes phi * 2^92 an integer in [2^52, 2^92]"
+)]
+fn pool_units(phi: f64) -> u128 {
+    debug_assert!((MIN_SHARE..=1.0).contains(&phi));
+    (phi * POOL_SCALE) as u128
+}
+
+/// A pool in units of share, rounded to the nearest `f64`.
+fn pool_share(units: u128) -> f64 {
+    units as f64 / POOL_SCALE
 }
 
 /// "No node" in a `u32` index field: the root's parent, the head of a node
@@ -126,12 +159,12 @@ impl Ref {
 
     #[inline]
     fn leaf(index: usize) -> Ref {
-        Ref(index as u32 | Ref::LEAF_BIT)
+        Ref(index_u32(index) | Ref::LEAF_BIT)
     }
 
     #[inline]
     fn inner(index: usize) -> Ref {
-        Ref(index as u32)
+        Ref(index_u32(index))
     }
 
     #[inline]
@@ -237,8 +270,9 @@ struct Share {
     rate: f64,
     /// Share of the parent's rate (1.0 for the root).
     phi: f64,
-    /// Running sum of attached children's shares, for validation.
-    child_phi_sum: f64,
+    /// Attached children's shares, summed exactly in pool units
+    /// ([`pool_units`]), for validation.
+    child_phi_sum: u128,
 }
 
 impl Share {
@@ -247,7 +281,7 @@ impl Share {
         Share {
             rate: phi * parent_rate,
             phi,
-            child_phi_sum: 0.0,
+            child_phi_sum: 0,
         }
     }
 }
@@ -289,8 +323,8 @@ pub struct Hierarchy<S: NodeScheduler, O: Observer = NoopObserver> {
     warp_base: f64,
     warp_time: f64,
     warp_factor: f64,
-    /// Event sink.
-    obs: O,
+    /// Event sink, reachable only through its `O::ENABLED` gate.
+    obs: Gated<O>,
     /// Best-known real time, advanced by arrivals and the `*_at` driving
     /// calls; stamps events from code paths that have no exact clock.
     last_time: f64,
@@ -316,11 +350,17 @@ impl<S: NodeScheduler, O: Observer> std::fmt::Debug for Hierarchy<S, O> {
 /// construction only, so the finished hierarchy is plain data — no boxed
 /// closure rides along on the hot path.
 ///
-/// ```ignore
+/// ```
+/// # use hpfq_core::{Hierarchy, HpfqError, Packet, SchedulerKind};
+/// # fn main() -> Result<(), HpfqError> {
 /// let mut b = Hierarchy::builder(1e9, |r| SchedulerKind::Wf2qPlus.build(r));
 /// let cls = b.add_internal(b.root(), 0.8)?;
 /// let leaf = b.add_leaf(cls, 0.5)?;
 /// let mut h = b.build();
+/// # h.enqueue(leaf, Packet::new(1, 0, 1500, 0.0));
+/// # assert_eq!(h.dequeue().map(|p| p.id), Some(1));
+/// # Ok(())
+/// # }
 /// ```
 ///
 /// The classes (internal nodes) are fixed here: once built, the tree only
@@ -411,7 +451,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             warp_base: 0.0,
             warp_time: 0.0,
             warp_factor: 1.0,
-            obs,
+            obs: Gated::new(obs),
             last_time: 0.0,
             link: 0,
             path_scratch: Vec::new(),
@@ -444,20 +484,41 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         Ok(())
     }
 
-    /// The attached observer.
+    /// The attached observer, to read (e.g. its counters). Its hooks take
+    /// `&mut self`, so they are out of reach through it:
+    ///
+    /// ```compile_fail,E0596
+    /// # use hpfq_core::{Hierarchy, SchedulerKind};
+    /// # use hpfq_obs::{BusyResetEvent, CountingObserver, Observer};
+    /// let wf2qp = |r| SchedulerKind::Wf2qPlus.build(r);
+    /// let h = Hierarchy::builder_with_observer(1e6, wf2qp, CountingObserver::default()).build();
+    /// h.observer().on_busy_reset(&BusyResetEvent { time: 0.0, link: 0, node: 0 });
+    /// ```
     pub fn observer(&self) -> &O {
-        &self.obs
+        self.obs.get()
     }
 
-    /// The attached observer, mutably (e.g. to flush or read counters).
-    pub fn observer_mut(&mut self) -> &mut O {
-        &mut self.obs
+    /// Hands the attached observer to `hook` if it is enabled
+    /// (`O::ENABLED`); a disabled one costs nothing, not even the event.
+    /// Drivers report their own events (drops, faults) this way:
+    ///
+    /// ```
+    /// # use hpfq_core::{Hierarchy, SchedulerKind};
+    /// # use hpfq_obs::{BusyResetEvent, CountingObserver, Observer};
+    /// let wf2qp = |r| SchedulerKind::Wf2qPlus.build(r);
+    /// let mut h = Hierarchy::builder_with_observer(1e6, wf2qp, CountingObserver::default()).build();
+    /// h.observe(|o| o.on_busy_reset(&BusyResetEvent { time: 0.0, link: 0, node: 0 }));
+    /// assert_eq!(h.observer().busy_resets, 1);
+    /// ```
+    #[inline]
+    pub fn observe(&mut self, hook: impl FnOnce(&mut O)) {
+        self.obs.emit(hook);
     }
 
     /// Consumes the hierarchy and returns the observer (e.g. to recover a
     /// trace writer's buffer).
     pub fn into_observer(self) -> O {
-        self.obs
+        self.obs.into_inner()
     }
 
     /// The root node (the physical link).
@@ -477,14 +538,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.link = link;
     }
 
-    /// The [`NodeId`] index of the node stored at `r`.
-    fn id_of(&self, r: Ref) -> usize {
-        match r.place() {
-            Place::Leaf(l) => self.leaf_ids[l] as usize,
-            Place::Inner(n) => self.inner_ids[n] as usize,
-        }
-    }
-
     /// Where `node` is stored; `None` for an id this hierarchy never issued.
     fn place(&self, node: NodeId) -> Option<Place> {
         self.refs.get(node.0).map(|r| r.place())
@@ -501,14 +554,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             Some(Place::Leaf(_)) => return Err(HpfqError::NotInternal(parent.0)),
             Some(Place::Inner(p)) => p,
         };
-        if phi < self.inners[p].sched.min_share() {
+        if phi < MIN_SHARE.max(self.inners[p].sched.min_share()) {
             return Err(HpfqError::InvalidShare(phi));
         }
-        let sum = self.inners[p].share.child_phi_sum + phi;
-        if vtime::strictly_after(sum, 1.0) {
+        let sum = self.inners[p].share.child_phi_sum + pool_units(phi);
+        if sum > POOL_FULL + POOL_SLACK {
             return Err(HpfqError::ShareOverflow {
                 node: parent.0,
-                sum,
+                sum: pool_share(sum),
             });
         }
         Ok(p)
@@ -525,7 +578,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         let parent_rate = self.inners[p].share.rate;
         let slot = self.inners[p].sched.add_session(phi);
         debug_assert_eq!(slot.0, self.inners[p].children.len());
-        let (parent, slot) = (p as u32, slot.0 as u32);
+        let (parent, slot) = (index_u32(p), index_u32(slot.0));
         let r = match sched {
             Some(mut sched) => {
                 // Every node below the root sees reference time only
@@ -535,20 +588,20 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 // builds.
                 sched.set_is_root(false);
                 self.wants_hints |= sched.wants_arrival_hints();
-                self.inner_ids.push(id as u32);
+                self.inner_ids.push(index_u32(id));
                 let share = Share::of(phi, parent_rate);
                 self.inners.push(Inner::new(sched, share, parent, slot));
                 Ref::inner(self.inners.len() - 1)
             }
             None => {
-                self.leaf_ids.push(id as u32);
+                self.leaf_ids.push(index_u32(id));
                 self.leaves.push(Leaf::new(parent, slot));
                 Ref::leaf(self.leaves.len() - 1)
             }
         };
         let nd = &mut self.inners[p];
         nd.children.push(r);
-        nd.share.child_phi_sum += phi;
+        nd.share.child_phi_sum += pool_units(phi);
         self.refs.push(r);
         NodeId(id)
     }
@@ -610,11 +663,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         lf.draining = false;
         lf.detached = true;
         let nd = &mut self.inners[lf.parent as usize];
-        let phi = nd.sched.phi(SessionId(lf.slot as usize));
-        let pool = &mut nd.share.child_phi_sum;
-        // Clamp: repeated add/remove cycles must never drive the pool
-        // accounting negative through f64 rounding.
-        *pool = (*pool - phi).max(0.0);
+        nd.share.child_phi_sum -= pool_units(nd.sched.phi(SessionId(lf.slot as usize)));
     }
 
     /// Whether `node` is a leaf that has been removed (or is draining
@@ -675,8 +724,8 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         self.slab.push_back(&mut lf.fifo, pkt);
         let (p, slot) = (lf.parent, lf.slot);
         let was_offering = std::mem::replace(&mut lf.offering, true);
-        if O::ENABLED {
-            self.obs.on_enqueue(&EnqueueEvent {
+        self.obs.emit(|o| {
+            o.on_enqueue(&EnqueueEvent {
                 time: pkt.arrival,
                 link: self.link,
                 leaf: leaf.0,
@@ -684,7 +733,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 queue_depth: lf.fifo.len(),
                 queue_bytes: lf.fifo_bytes,
             });
-        }
+        });
         if was_offering {
             // The leaf already offers a packet, so no head changes upstream
             // — but the arrival still joins the emulated GPS backlog of
@@ -693,14 +742,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             self.hint_up(p, slot, bits, root_ref);
             return Ok(());
         }
-        if O::ENABLED {
-            self.obs.on_node_backlog(&BacklogEvent {
+        self.obs.emit(|o| {
+            o.on_node_backlog(&BacklogEvent {
                 time: pkt.arrival,
                 link: self.link,
                 node: leaf.0,
                 active: true,
             });
-        }
+        });
         let hint = if p == 0 { Some(root_ref) } else { None };
         self.inners[p as usize]
             .sched
@@ -744,7 +793,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                 if !lf.offering {
                     return None;
                 }
-                self.slab.front(&lf.fifo).map(|p| (l as u32, p.bits()))
+                self.slab.front(&lf.fifo).map(|p| (index_u32(l), p.bits()))
             }
             Place::Inner(n) => {
                 let nd = &self.inners[n];
@@ -771,9 +820,26 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             reason = "select_next picked this child: it offers a head"
         )]
         let (head_leaf, head_bits) = self.head_of(child).expect("selected child offers a head");
-        if O::ENABLED {
-            self.emit_dispatch(n, slot, child, head_bits, v_before);
-        }
+        // The tags are the winner's, still its stamped head's.
+        self.obs.emit(|o| {
+            let sched = &self.inners[n].sched;
+            let (start_tag, finish_tag) = sched.tags(slot);
+            o.on_dispatch(&DispatchEvent {
+                time: self.last_time,
+                link: self.link,
+                node: self.inner_ids[n] as usize,
+                session: slot.0,
+                child: id_of(&self.leaf_ids, &self.inner_ids, child),
+                start_tag,
+                finish_tag,
+                phi: sched.phi(slot),
+                v_before,
+                v_after: sched.virtual_time(),
+                head_bits,
+                node_rate: sched.rate_bps(),
+                policy: sched.name(),
+            });
+        });
         let nd = &mut self.inners[n];
         nd.head_leaf = head_leaf;
         nd.head_bits = head_bits;
@@ -795,15 +861,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             let head_bits = self
                 .restart_node(n)
                 .expect("bubble_up reached a node with no backlogged child");
-            if O::ENABLED {
-                let t = self.last_time;
-                self.obs.on_node_backlog(&BacklogEvent {
-                    time: t,
+            self.obs.emit(|o| {
+                o.on_node_backlog(&BacklogEvent {
+                    time: self.last_time,
                     link: self.link,
                     node: self.inner_ids[n] as usize,
                     active: true,
                 });
-            }
+            });
             let (p, pslot) = (self.inners[n].parent, self.inners[n].slot);
             if p == NIL {
                 return; // root now offers a packet; the link may start it
@@ -818,39 +883,6 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         // still extend the emulated GPS backlog of every remaining
         // ancestor.
         self.hint_up(self.inners[n].parent, self.inners[n].slot, bits, root_ref);
-    }
-
-    /// Builds and emits the [`DispatchEvent`] for internal node `n` having
-    /// just selected `slot`, which is `child` offering `head_bits` (tags are
-    /// read *after* the selection, while the winner is still the stamped
-    /// head; `v_before` was captured before).
-    fn emit_dispatch(
-        &mut self,
-        n: usize,
-        slot: SessionId,
-        child: Ref,
-        head_bits: f64,
-        v_before: f64,
-    ) {
-        let sched = &self.inners[n].sched;
-        let (start_tag, finish_tag) = sched.tags(slot);
-        let e = DispatchEvent {
-            time: self.last_time,
-            link: self.link,
-            node: self.inner_ids[n] as usize,
-            session: slot.0,
-            child: self.id_of(child),
-            start_tag,
-            finish_tag,
-            phi: sched.phi(slot),
-            v_before,
-            v_after: sched.virtual_time(),
-            head_bits,
-            node_rate: sched.rate_bps(),
-            policy: sched.name(),
-        };
-        // lint:allow(L006): every emit_dispatch call site is behind an O::ENABLED gate
-        self.obs.on_dispatch(&e);
     }
 
     /// Whether the root currently offers a packet the link could transmit.
@@ -886,14 +918,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             .slab
             .front(&self.leaves[leaf as usize].fifo)
             .expect("head refers to a queued packet");
-        if O::ENABLED {
-            self.obs.on_tx_start(&TxEvent {
+        self.obs.emit(|o| {
+            o.on_tx_start(&TxEvent {
                 time: now,
                 link: self.link,
                 leaf: self.leaf_ids[leaf as usize] as usize,
                 pkt: pkt_info(&pkt),
             });
-        }
+        });
         Some(pkt)
     }
 
@@ -922,7 +954,7 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
             match at.place() {
                 Place::Leaf(l) => break l,
                 Place::Inner(n) => {
-                    path.push(n as u32);
+                    path.push(index_u32(n));
                     let nd = &mut self.inners[n];
                     at = std::mem::replace(&mut nd.active_child, Ref::NONE);
                     nd.head_leaf = NIL;
@@ -944,14 +976,14 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
         let next_bits = self.slab.front(&lf.fifo).map(Packet::bits);
         lf.offering = next_bits.is_some();
         let (lp, lslot) = (lf.parent as usize, SessionId(lf.slot as usize));
-        if O::ENABLED {
-            self.obs.on_tx_complete(&TxEvent {
+        self.obs.emit(|o| {
+            o.on_tx_complete(&TxEvent {
                 time: now,
                 link: self.link,
                 leaf: self.leaf_ids[leaf] as usize,
                 pkt: pkt_info(&pkt),
             });
-        }
+        });
         match next_bits {
             Some(bits) => self.inners[lp].sched.requeue(lslot, Some(bits)),
             None => {
@@ -975,15 +1007,17 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
                     Some(_) => self.inners[p as usize].sched.requeue(pslot, head_bits),
                     None => self.requeue_empty(Ref::inner(n), p as usize, pslot),
                 }
-            } else if O::ENABLED && head_bits.is_none() {
+            } else if head_bits.is_none() {
                 // The root itself drained: its busy period ended when its
                 // own scheduler emptied (detected inside
                 // select_next/requeue); report the server going idle.
-                self.obs.on_node_backlog(&BacklogEvent {
-                    time: now,
-                    link: self.link,
-                    node: 0,
-                    active: false,
+                self.obs.emit(|o| {
+                    o.on_node_backlog(&BacklogEvent {
+                        time: now,
+                        link: self.link,
+                        node: 0,
+                        active: false,
+                    });
                 });
             }
         }
@@ -996,23 +1030,24 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     /// drained and reset its virtual clock — the busy-period reset.
     fn requeue_empty(&mut self, node: Ref, parent: usize, slot: SessionId) {
         let t = self.last_time;
-        if O::ENABLED {
-            self.obs.on_node_backlog(&BacklogEvent {
+        self.obs.emit(|o| {
+            o.on_node_backlog(&BacklogEvent {
                 time: t,
                 link: self.link,
-                node: self.id_of(node),
+                node: id_of(&self.leaf_ids, &self.inner_ids, node),
                 active: false,
             });
-        }
-        let sched = &mut self.inners[parent].sched;
-        sched.requeue(slot, None);
-        if O::ENABLED && sched.backlogged() == 0 {
-            self.obs.on_busy_reset(&BusyResetEvent {
-                time: t,
-                link: self.link,
-                node: self.inner_ids[parent] as usize,
-            });
-        }
+        });
+        self.inners[parent].sched.requeue(slot, None);
+        self.obs.emit(|o| {
+            if self.inners[parent].sched.backlogged() == 0 {
+                o.on_busy_reset(&BusyResetEvent {
+                    time: t,
+                    link: self.link,
+                    node: self.inner_ids[parent] as usize,
+                });
+            }
+        });
     }
 
     /// Convenience for order-only tests and simple examples: one
@@ -1112,13 +1147,23 @@ impl<S: NodeScheduler, O: Observer> Hierarchy<S, O> {
     }
 
     /// Sum of the shares currently allocated to `node`'s attached children
-    /// — the quantity validated against 1.0 when adding a child. Exposed
-    /// so churn harnesses can assert it never overflows or goes negative.
+    /// — the quantity validated against 1.0 when adding a child — rounded
+    /// from its exact value. Exposed so churn harnesses can assert it
+    /// never overflows and returns to 0.
     pub fn allocated_share(&self, node: NodeId) -> f64 {
         match self.refs[node.0].place() {
             Place::Leaf(_) => 0.0,
-            Place::Inner(n) => self.inners[n].share.child_phi_sum,
+            Place::Inner(n) => pool_share(self.inners[n].share.child_phi_sum),
         }
+    }
+}
+
+/// The [`NodeId`] index of the node stored at `r`, from the back-maps (a
+/// free function, so an event can use them while the observer is lent).
+fn id_of(leaf_ids: &[u32], inner_ids: &[u32], r: Ref) -> usize {
+    match r.place() {
+        Place::Leaf(l) => leaf_ids[l] as usize,
+        Place::Inner(n) => inner_ids[n] as usize,
     }
 }
 
@@ -1351,9 +1396,61 @@ mod tests {
         let leaf = h.add_leaf(root, MIN_ROUND_ROBIN_SHARE).unwrap();
         h.enqueue(leaf, Packet::new(1, 0, 1, 0.0));
         assert_eq!(h.dequeue().map(|p| p.id), Some(1));
-        // Other policies take any positive share.
+        // Other policies take any share down to the pool's floor.
         let mut h = wf2qp(1e6);
-        assert!(h.add_leaf(h.root(), 1e-157).is_ok());
+        let refused = h.add_leaf(h.root(), 1e-157);
+        assert!(matches!(refused, Err(HpfqError::InvalidShare(_))));
+        assert!(h.add_leaf(h.root(), MIN_SHARE).is_ok());
+    }
+
+    /// The allocated pool is the exact sum of the live children's shares:
+    /// random add / remove churn of non-dyadic shares under nested classes
+    /// leaves it equal to that sum, to the bit, and empty once every leaf
+    /// is gone. Ten shares of `fl(0.1)` still fill a node.
+    #[test]
+    fn share_pool_is_the_exact_sum_of_live_shares() {
+        let mut bld = Hierarchy::builder(1e9, wf2qp_node);
+        let a = bld.add_internal(bld.root(), 1.0 / 3.0).unwrap();
+        let b = bld.add_internal(a, 0.1).unwrap();
+        let mut h = bld.build();
+        // Internal nodes are stored in creation order: root, a, b. Each
+        // live child is (leaf, parent's index, share); the classes are two.
+        let mut live = vec![(a, 0, 1.0 / 3.0), (b, 1, 0.1)];
+        let shares = [1.0 / 3.0, 1.0 / 7.0, 0.1, 0.5f64.powi(20)];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (n, phi) = ((x % 3) as usize, shares[(x >> 8) as usize % 4]);
+            if x & (1 << 16) == 0 && live.len() > 2 {
+                let (leaf, ..) = live.swap_remove(2 + (x >> 20) as usize % (live.len() - 2));
+                assert!(h.remove_leaf(leaf).unwrap().is_empty());
+            } else if let Ok(leaf) = h.add_leaf([h.root(), a, b][n], phi) {
+                live.push((leaf, n, phi));
+            }
+            for (n, nd) in h.inners.iter().enumerate() {
+                let of_n = live.iter().filter(|&&(_, p, _)| p == n);
+                let exact: u128 = of_n.map(|&(.., phi)| pool_units(phi)).sum();
+                assert_eq!(nd.share.child_phi_sum, exact);
+            }
+        }
+        for (leaf, ..) in live.drain(2..) {
+            h.remove_leaf(leaf).unwrap();
+        }
+        assert_eq!(h.allocated_share(b), 0.0);
+        assert_eq!(h.inners[0].share.child_phi_sum, pool_units(1.0 / 3.0));
+        // A pool unit is exact for every share the floor admits.
+        for phi in shares.into_iter().chain([MIN_SHARE, 1.0]) {
+            assert_eq!(pool_share(pool_units(phi)), phi);
+        }
+        for _ in 0..10 {
+            h.add_leaf(b, 0.1).unwrap();
+        }
+        assert!(matches!(
+            h.add_leaf(b, 0.5f64.powi(20)),
+            Err(HpfqError::ShareOverflow { .. })
+        ));
     }
 
     #[test]
@@ -1425,13 +1522,9 @@ mod tests {
                 assert_eq!(h.allocated_share(leaf), 0.0);
                 assert!(h.remove_leaf(leaf).unwrap().is_empty());
                 // Exactly `phi` went in and came out: the pool is back to
-                // its bits wherever `pool + phi` is exact (every dyadic
-                // share here), and one rounding off them where it is not.
+                // its bits, whether or not `pool + phi` is exact in `f64`.
                 let back = h.allocated_share(parent);
-                assert_eq!(back.to_bits(), ((pool + phi) - phi).to_bits(), "phi {phi}");
-                if dyadic.contains(&phi) {
-                    assert_eq!(back.to_bits(), pool.to_bits(), "phi {phi}");
-                }
+                assert_eq!(back.to_bits(), pool.to_bits(), "phi {phi}");
                 assert_eq!(h.phi(leaf).to_bits(), phi.to_bits(), "detached");
             }
         }

@@ -27,9 +27,10 @@
 //!
 //! * Real (simulation) time and *reference time* (§4.1 of the paper,
 //!   `T_n(t) = W_n(0,t) / r_n`) are `f64` seconds.
-//! * Virtual time is `f64` in reference-time seconds; a session with
-//!   guaranteed rate `r_i` advances its virtual finish tag by `L / r_i` per
-//!   packet of `L` bits.
+//! * Virtual time is a [`VTime`] (an `f64` in reference-time seconds that
+//!   orders only through named comparisons); a session with guaranteed
+//!   rate `r_i` advances its virtual finish tag by `L / r_i` per packet of
+//!   `L` bits.
 //! * Rates are bits/second; packet lengths are bytes on the wire and bits in
 //!   the scheduler maths.
 //!
@@ -46,6 +47,10 @@
 #![warn(missing_docs)]
 // The per-packet path runs here: a panic tears the whole run down, so
 // every one outside tests is a reasoned `#[expect]` (DESIGN.md §8).
+#![cfg_attr(
+    test,
+    allow(clippy::cast_possible_truncation, reason = "small test inputs")
+)]
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -57,6 +62,7 @@
 
 pub mod eligible;
 pub mod error;
+mod gate;
 pub mod gps_clock;
 pub mod hierarchy;
 pub mod mixed;
@@ -64,22 +70,37 @@ pub mod packet;
 pub mod pifo;
 pub mod scheduler;
 mod slab;
+mod virtual_time;
 
 /// Canonical virtual-time comparison helpers (single `EPS`, tolerance-aware
 /// and exact comparisons). Implemented in `hpfq-obs` — the root of the
 /// dependency graph, so the observers can share the same tolerance — and
-/// re-exported here as this crate's approved comparison module (`hpfq-lint`
-/// rules L001/L003 enforce its use).
+/// re-exported here; [`VTime`]'s ordering methods are thin wrappers over
+/// them.
 pub use hpfq_obs::vtime;
 
 pub use eligible::{dual_heap::DualHeapEligibleSet, PifoBackend};
 pub use error::HpfqError;
 pub use gps_clock::GpsClock;
-pub use hierarchy::{Hierarchy, HierarchyBuilder, NodeId};
+pub use hierarchy::{Hierarchy, HierarchyBuilder, NodeId, MIN_SHARE};
 pub use mixed::{MixedScheduler, SchedulerKind};
 pub use packet::Packet;
 pub use pifo::{Admission, PifoTree, Rank, RankProgram, Threshold};
 pub use scheduler::{NodeScheduler, SessionId, SessionTable};
+pub use virtual_time::VTime;
+
+/// A node, slot, session or queue index as the `u32` the per-packet
+/// structures store. Each counts records held in memory, and [`Hierarchy`]
+/// refuses a node past `2^31`, so none reaches `2^32`.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "an index of in-memory records: 2^32 of them would not fit in memory"
+)]
+pub(crate) fn index_u32(i: usize) -> u32 {
+    debug_assert!(u32::try_from(i).is_ok(), "index {i} overflows u32");
+    i as u32
+}
 
 /// Converts a packet length in bytes to bits.
 #[inline]

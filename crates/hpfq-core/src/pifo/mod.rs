@@ -442,8 +442,6 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             }
         };
         let dt = self.sessions.head_bits(id) / self.rate;
-        // lint:allow(L006): RankProgram hook, not an Observer call — the
-        // rank program's virtual clock must advance unconditionally
         self.program.on_dispatch(id, &self.sessions, thr, dt);
         // RESTART-NODE line 13.
         self.t += dt;
@@ -481,8 +479,6 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
                     self.t = 0.0;
                     self.queue.reset();
                     self.sessions.reset_tags();
-                    // lint:allow(L006): RankProgram hook, not an Observer
-                    // call — busy-period reset is unconditional policy state
                     self.program.on_busy_reset();
                 }
             }
@@ -502,7 +498,10 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
     }
 
     fn tags(&self, id: SessionId) -> (f64, f64) {
-        (self.sessions.start(id), self.sessions.finish(id))
+        (
+            self.sessions.start(id).get(),
+            self.sessions.finish(id).get(),
+        )
     }
 
     fn name(&self) -> &'static str {

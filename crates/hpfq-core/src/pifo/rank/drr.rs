@@ -20,6 +20,8 @@
 use super::MIN_ROUND_ROBIN_SHARE;
 use crate::pifo::{Admission, Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
+// Deficits and head lengths are bits, not virtual time: no `VTime`, and the
+// `vtime` helpers below stay, because DRR's goldens pin their tolerance.
 use crate::vtime;
 
 /// Per-session deficit accounting.

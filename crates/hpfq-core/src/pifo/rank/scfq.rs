@@ -6,12 +6,13 @@
 
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
+use crate::VTime;
 
 /// The SCFQ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct ScfqRank {
     /// Virtual time = finish tag of the packet most recently dispatched.
-    v: f64,
+    v: VTime,
 }
 
 impl ScfqRank {
@@ -40,12 +41,12 @@ impl RankProgram for ScfqRank {
         // F = max(V, F_prev) + L/r_i — Golestani's tag rule. The
         // self-clocked virtual time ignores ref_now entirely.
         sessions.stamp_new_backlog(id, self.v, head_bits);
-        Rank::open(sessions.finish(id), sessions.start(id))
+        Rank::open(sessions.finish(id).get(), sessions.start(id).get())
     }
 
     fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64) -> Rank {
         sessions.stamp_continuation(id, bits);
-        Rank::open(sessions.finish(id), sessions.start(id))
+        Rank::open(sessions.finish(id).get(), sessions.start(id).get())
     }
 
     fn on_dispatch(&mut self, id: SessionId, sessions: &SessionTable, _thr: f64, _dt: f64) {
@@ -54,11 +55,11 @@ impl RankProgram for ScfqRank {
     }
 
     fn on_busy_reset(&mut self) {
-        self.v = 0.0;
+        self.v = VTime::ZERO;
     }
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
-        self.v
+        self.v.get()
     }
 }
 

@@ -6,12 +6,13 @@
 
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
+use crate::VTime;
 
 /// The SFQ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct SfqRank {
     /// Virtual time = start tag of the packet most recently dispatched.
-    v: f64,
+    v: VTime,
 }
 
 impl SfqRank {
@@ -38,12 +39,12 @@ impl RankProgram for SfqRank {
         _ref_time: f64,
     ) -> Rank {
         sessions.stamp_new_backlog(id, self.v, head_bits);
-        Rank::open(sessions.start(id), sessions.finish(id))
+        Rank::open(sessions.start(id).get(), sessions.finish(id).get())
     }
 
     fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64) -> Rank {
         sessions.stamp_continuation(id, bits);
-        Rank::open(sessions.start(id), sessions.finish(id))
+        Rank::open(sessions.start(id).get(), sessions.finish(id).get())
     }
 
     fn on_dispatch(&mut self, id: SessionId, sessions: &SessionTable, _thr: f64, _dt: f64) {
@@ -51,11 +52,11 @@ impl RankProgram for SfqRank {
     }
 
     fn on_busy_reset(&mut self) {
-        self.v = 0.0;
+        self.v = VTime::ZERO;
     }
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
-        self.v
+        self.v.get()
     }
 }
 

@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use crate::gps_clock::GpsClock;
 use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{SessionId, SessionTable};
-use crate::vtime;
+use crate::VTime;
 
 /// The WF²Q rank program.
 #[derive(Debug, Clone, Default)]
@@ -20,7 +20,7 @@ pub struct Wf2qRank {
     clock: GpsClock,
     /// Exact eq. (28) start bases announced via `arrival_hint`, consumed as
     /// those packets become heads.
-    pending: Vec<VecDeque<f64>>,
+    pending: Vec<VecDeque<VTime>>,
     /// Diagnostic: dispatches where no session satisfied `S_i ≤ V_GPS` and
     /// the `max(V, Smin)` fallback fired. Provably impossible with exact
     /// GPS tracking; stays zero in all paper scenarios with the head-only
@@ -73,7 +73,7 @@ impl RankProgram for Wf2qRank {
         debug_assert!(self.pending[id.0].is_empty());
         sessions.stamp_new_backlog(id, v, head_bits);
         self.clock.on_stamp(id.0, sessions.finish(id));
-        Rank::gated(sessions.start(id), sessions.finish(id))
+        Rank::gated(sessions.start(id).get(), sessions.finish(id).get())
     }
 
     fn arrival_hint(
@@ -97,7 +97,7 @@ impl RankProgram for Wf2qRank {
             None => sessions.stamp_continuation(id, bits),
         }
         self.clock.on_stamp(id.0, sessions.finish(id));
-        Rank::gated(sessions.start(id), sessions.finish(id))
+        Rank::gated(sessions.start(id).get(), sessions.finish(id).get())
     }
 
     fn threshold(&mut self, ref_time: f64) -> Threshold {
@@ -106,7 +106,7 @@ impl RankProgram for Wf2qRank {
         // integration (e.g. Σφ of ten 0.05-shares summing to 1+2ulp); it is
         // ~9 orders of magnitude below packet granularity.
         let v = self.clock.advance_to(ref_time);
-        Threshold::ExactWithFallback(vtime::nudge_up(v))
+        Threshold::ExactWithFallback(v.nudge_up().get())
     }
 
     fn on_fallback(&mut self) {
@@ -130,7 +130,7 @@ impl RankProgram for Wf2qRank {
     }
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
-        self.clock.virtual_time()
+        self.clock.virtual_time().get()
     }
 }
 

@@ -8,12 +8,13 @@
 
 use crate::pifo::{Rank, RankProgram, Threshold};
 use crate::scheduler::{SessionId, SessionTable};
+use crate::VTime;
 
 /// The WF²Q+ rank program.
 #[derive(Debug, Clone, Default)]
 pub struct Wf2qPlusRank {
     /// Virtual time `V` of eq. (27), in reference-time seconds.
-    v: f64,
+    v: VTime,
 }
 
 impl Wf2qPlusRank {
@@ -49,31 +50,31 @@ impl RankProgram for Wf2qPlusRank {
             None => self.v,
         };
         sessions.stamp_new_backlog(id, v, head_bits);
-        Rank::gated(sessions.start(id), sessions.finish(id))
+        Rank::gated(sessions.start(id).get(), sessions.finish(id).get())
     }
 
     fn rank_continuation(&mut self, id: SessionId, sessions: &mut SessionTable, bits: f64) -> Rank {
         sessions.stamp_continuation(id, bits);
-        Rank::gated(sessions.start(id), sessions.finish(id))
+        Rank::gated(sessions.start(id).get(), sessions.finish(id).get())
     }
 
     fn threshold(&mut self, _ref_time: f64) -> Threshold {
         // Eligibility threshold max(V, Smin) — eq. (27)'s max-over-min,
         // applied by the driver via the eligible set.
-        Threshold::Clamped(self.v)
+        Threshold::Clamped(self.v.get())
     }
 
     fn on_dispatch(&mut self, _id: SessionId, _sessions: &SessionTable, thr: f64, dt: f64) {
         // RESTART-NODE line 12: V = max(V, Smin) + L/r.
-        self.v = thr + dt;
+        self.v = VTime::new(thr + dt);
     }
 
     fn on_busy_reset(&mut self) {
-        self.v = 0.0;
+        self.v = VTime::ZERO;
     }
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
-        self.v
+        self.v.get()
     }
 }
 

@@ -10,6 +10,7 @@ use std::collections::VecDeque;
 use crate::gps_clock::GpsClock;
 use crate::pifo::{Rank, RankProgram};
 use crate::scheduler::{SessionId, SessionTable};
+use crate::VTime;
 
 /// The WFQ rank program.
 #[derive(Debug, Clone, Default)]
@@ -19,7 +20,7 @@ pub struct WfqRank {
     /// announced via `arrival_hint`, in arrival order: each is the exact
     /// `max(F_prev, V(a_k))` of eq. (28), consumed when the packet becomes
     /// the head.
-    pending: Vec<VecDeque<f64>>,
+    pending: Vec<VecDeque<VTime>>,
 }
 
 impl WfqRank {
@@ -61,7 +62,7 @@ impl RankProgram for WfqRank {
         // Finish-tag ties break by session index (secondary held at 0),
         // matching the paper's Fig. 2 timeline where session 1's 10th
         // packet (GPS finish 20) precedes the small sessions' packets.
-        Rank::open(sessions.finish(id), 0.0)
+        Rank::open(sessions.finish(id).get(), 0.0)
     }
 
     fn arrival_hint(
@@ -88,7 +89,7 @@ impl RankProgram for WfqRank {
             None => sessions.stamp_continuation(id, bits),
         }
         self.clock.on_stamp(id.0, sessions.finish(id));
-        Rank::open(sessions.finish(id), 0.0)
+        Rank::open(sessions.finish(id).get(), 0.0)
     }
 
     fn on_idle(&mut self, id: SessionId) {
@@ -106,7 +107,7 @@ impl RankProgram for WfqRank {
     }
 
     fn virtual_time(&self, _ref_time: f64) -> f64 {
-        self.clock.virtual_time()
+        self.clock.virtual_time().get()
     }
 }
 

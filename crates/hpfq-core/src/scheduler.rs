@@ -30,6 +30,8 @@
 //! session tags to zero; tags from a previous busy period must not penalise
 //! (or favour) sessions in the next one.
 
+use crate::VTime;
+
 /// Index of a session (child logical queue) within one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub usize);
@@ -170,9 +172,9 @@ struct SessionRecord {
     inv_rate: f64,
     /// Virtual start tag of the head packet; meaningful only while
     /// `epoch` is the table's.
-    start: f64,
+    start: VTime,
     /// Virtual finish tag of the head packet; as `start`.
-    finish: f64,
+    finish: VTime,
     /// Length of the head packet in bits (valid while backlogged).
     head_bits: f64,
     /// The table epoch (busy period) the tags were stamped in. A record
@@ -233,8 +235,8 @@ impl SessionTable {
         self.records.push(SessionRecord {
             phi,
             inv_rate: 1.0 / (phi * server_rate),
-            start: 0.0,
-            finish: 0.0,
+            start: VTime::ZERO,
+            finish: VTime::ZERO,
             head_bits: 0.0,
             epoch: self.epoch,
             backlogged: false,
@@ -256,23 +258,23 @@ impl SessionTable {
 
     /// `(start, finish)` of record `r` as of the current epoch.
     #[inline]
-    fn tags_of(&self, r: &SessionRecord) -> (f64, f64) {
+    fn tags_of(&self, r: &SessionRecord) -> (VTime, VTime) {
         if r.epoch == self.epoch {
             (r.start, r.finish)
         } else {
-            (0.0, 0.0)
+            (VTime::ZERO, VTime::ZERO)
         }
     }
 
     /// Virtual start tag of the session's head packet.
     #[inline]
-    pub fn start(&self, id: SessionId) -> f64 {
+    pub fn start(&self, id: SessionId) -> VTime {
         self.tags_of(&self.records[id.0]).0
     }
 
     /// Virtual finish tag of the session's head packet.
     #[inline]
-    pub fn finish(&self, id: SessionId) -> f64 {
+    pub fn finish(&self, id: SessionId) -> VTime {
         self.tags_of(&self.records[id.0]).1
     }
 
@@ -291,11 +293,15 @@ impl SessionTable {
     /// Stamps `S = max(F, base)` where given a base and `S = F` otherwise,
     /// then `F = S + L / r_i` (eq. 29), in the current epoch.
     #[inline]
-    fn stamp(&mut self, id: SessionId, base: Option<f64>, head_bits: f64) -> &mut SessionRecord {
+    fn stamp(&mut self, id: SessionId, base: Option<VTime>, head_bits: f64) -> &mut SessionRecord {
         debug_assert!(head_bits.is_finite() && head_bits > 0.0);
         let epoch = self.epoch;
         let r = &mut self.records[id.0];
-        let prev_finish = if r.epoch == epoch { r.finish } else { 0.0 };
+        let prev_finish = if r.epoch == epoch {
+            r.finish
+        } else {
+            VTime::ZERO
+        };
         r.start = base.map_or(prev_finish, |b| prev_finish.max(b));
         r.finish = r.start + head_bits * r.inv_rate;
         r.head_bits = head_bits;
@@ -306,7 +312,7 @@ impl SessionTable {
     /// Stamps tags for a head arriving to an idle session: `S = max(F, V)`,
     /// `F = S + L / r_i` (eq. 28 second case + eq. 29).
     #[inline]
-    pub fn stamp_new_backlog(&mut self, id: SessionId, v: f64, head_bits: f64) {
+    pub fn stamp_new_backlog(&mut self, id: SessionId, v: VTime, head_bits: f64) {
         self.stamp(id, Some(v), head_bits).backlogged = true;
     }
 
@@ -321,7 +327,7 @@ impl SessionTable {
     /// at its arrival (the GPS-emulating policies' `arrival_hint` path):
     /// `S = max(F, base)`, `F = S + L / r_i`.
     #[inline]
-    pub fn stamp_from_base(&mut self, id: SessionId, base: f64, head_bits: f64) {
+    pub fn stamp_from_base(&mut self, id: SessionId, base: VTime, head_bits: f64) {
         self.stamp(id, Some(base), head_bits);
     }
 
@@ -353,7 +359,7 @@ impl SessionTable {
                 // Once per 2^32 busy periods: a record stamped in an epoch
                 // about to be reused must not come back to life.
                 for r in &mut self.records {
-                    (r.start, r.finish, r.epoch) = (0.0, 0.0, 0);
+                    (r.start, r.finish, r.epoch) = (VTime::ZERO, VTime::ZERO, 0);
                 }
                 self.epoch = 0;
             }
@@ -364,23 +370,28 @@ impl SessionTable {
 mod tests {
     use super::*;
 
+    /// `(start, finish)` as plain numbers.
+    fn tags(t: &SessionTable, id: SessionId) -> (f64, f64) {
+        (t.start(id).get(), t.finish(id).get())
+    }
+
     #[test]
     fn stamp_rules_follow_eq_28_29() {
         // phi = 0.5 of a 2 bit/s server => r_i = 1 bit/s.
         let mut t = SessionTable::new();
         let s = t.push(0.5, 2.0);
-        t.stamp_new_backlog(s, 3.0, 4.0);
-        assert_eq!(t.start(s), 3.0);
-        assert_eq!(t.finish(s), 7.0);
+        t.stamp_new_backlog(s, VTime::new(3.0), 4.0);
+        assert_eq!(t.start(s).get(), 3.0);
+        assert_eq!(t.finish(s).get(), 7.0);
         // Continuation: S = F.
         t.stamp_continuation(s, 2.0);
-        assert_eq!(t.start(s), 7.0);
-        assert_eq!(t.finish(s), 9.0);
+        assert_eq!(t.start(s).get(), 7.0);
+        assert_eq!(t.finish(s).get(), 9.0);
         // Re-backlog with stale V: S = max(F, V) = F.
         t.set_idle(s);
-        t.stamp_new_backlog(s, 1.0, 1.0);
-        assert_eq!(t.start(s), 9.0);
-        assert_eq!(t.finish(s), 10.0);
+        t.stamp_new_backlog(s, VTime::new(1.0), 1.0);
+        assert_eq!(t.start(s).get(), 9.0);
+        assert_eq!(t.finish(s).get(), 10.0);
     }
 
     #[test]
@@ -394,21 +405,21 @@ mod tests {
         let mut t = SessionTable::new();
         let a = t.push(0.5, 2.0);
         let b = t.push(0.5, 2.0);
-        t.stamp_new_backlog(a, 3.0, 4.0);
-        t.stamp_new_backlog(b, 1.0, 2.0);
+        t.stamp_new_backlog(a, VTime::new(3.0), 4.0);
+        t.stamp_new_backlog(b, VTime::new(1.0), 2.0);
         t.set_idle(a);
         t.set_idle(b);
         t.reset_tags();
         // Both read as zero (the record itself still holds the old tags).
-        assert_eq!((t.start(a), t.finish(a)), (0.0, 0.0));
-        assert_eq!(t.records[a.0].finish, 7.0);
+        assert_eq!(tags(&t, a), (0.0, 0.0));
+        assert_eq!(t.records[a.0].finish.get(), 7.0);
         // The next stamp starts from F = 0, not from the stale tag...
-        t.stamp_new_backlog(a, 0.5, 4.0);
-        assert_eq!((t.start(a), t.finish(a)), (0.5, 4.5));
+        t.stamp_new_backlog(a, VTime::new(0.5), 4.0);
+        assert_eq!(tags(&t, a), (0.5, 4.5));
         // ...and b, untouched since the reset, still reads zero.
-        assert_eq!((t.start(b), t.finish(b)), (0.0, 0.0));
+        assert_eq!(tags(&t, b), (0.0, 0.0));
         t.stamp_continuation(b, 2.0);
-        assert_eq!((t.start(b), t.finish(b)), (0.0, 2.0));
+        assert_eq!(tags(&t, b), (0.0, 2.0));
     }
 
     #[test]
@@ -417,16 +428,16 @@ mod tests {
         let a = t.push(0.5, 2.0);
         let b = t.push(0.5, 2.0);
         // `a` is stamped in epoch 0 and then sleeps through 2^32 resets.
-        t.stamp_new_backlog(a, 3.0, 4.0);
+        t.stamp_new_backlog(a, VTime::new(3.0), 4.0);
         t.set_idle(a);
         t.reset_tags();
         t.epoch = u32::MAX;
-        t.stamp_new_backlog(b, 1.0, 2.0);
+        t.stamp_new_backlog(b, VTime::new(1.0), 2.0);
         t.set_idle(b);
         t.reset_tags();
         assert_eq!(t.epoch, 0);
-        assert_eq!((t.start(a), t.finish(a)), (0.0, 0.0));
-        assert_eq!((t.start(b), t.finish(b)), (0.0, 0.0));
+        assert_eq!(tags(&t, a), (0.0, 0.0));
+        assert_eq!(tags(&t, b), (0.0, 0.0));
     }
 
     #[test]

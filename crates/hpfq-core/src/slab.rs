@@ -12,6 +12,7 @@
 //!
 //! Indices are `u32`, as everywhere in the hierarchy.
 
+use crate::index_u32;
 use crate::packet::Packet;
 
 /// "No node": the link of a chain's last node, the head of an empty chain.
@@ -142,7 +143,7 @@ impl PacketSlab {
             self.free = at;
             at = next;
         }
-        q.len -= cut.len() as u32;
+        q.len -= index_u32(cut.len());
         cut
     }
 }

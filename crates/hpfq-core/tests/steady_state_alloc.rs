@@ -16,6 +16,7 @@
 //! The allocation counter is per thread (a `const`-initialized
 //! thread-local, which the allocator can read without allocating), so the
 //! tests of this binary cannot disturb each other's counts.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

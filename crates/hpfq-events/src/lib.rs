@@ -60,6 +60,10 @@
 #![forbid(unsafe_code)]
 // The per-packet path runs here: a panic tears the whole run down, so
 // every one outside tests is a reasoned `#[expect]` (DESIGN.md §8).
+#![cfg_attr(
+    test,
+    allow(clippy::cast_possible_truncation, reason = "small test inputs")
+)]
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,
@@ -359,10 +363,20 @@ impl<E> EventQueue<E> {
 /// [`EventQueue`] plus the simulation clock: the standard event-loop
 /// driver. Clients pump it themselves —
 ///
-/// ```ignore
+/// ```
+/// # use hpfq_events::Engine;
+/// # enum Ev { Tick(u32) }
+/// # let (mut engine, horizon) = (Engine::new(), 10.0);
+/// # engine.schedule(0.0, Ev::Tick(0));
+/// # let mut fired = 0;
 /// while let Some((t, ev)) = engine.pop_due(horizon) {
-///     match ev { /* ... may call engine.schedule(...) ... */ }
+///     match ev {
+///         // ... may call engine.schedule(...) ...
+///         Ev::Tick(n) => engine.schedule(t + 1.0, Ev::Tick(n + 1)),
+///     }
+/// #   fired += 1;
 /// }
+/// # assert_eq!(fired, 11);
 /// ```
 ///
 /// — so event handling can borrow the rest of the client's state freely.
@@ -420,9 +434,9 @@ impl<E> Engine<E> {
     /// than float rounding explains.
     fn clamp_to_now(&self, t: f64) -> f64 {
         debug_assert!(
-            // lint:allow(L003): hpfq-events is dependency-free by design and
-            // cannot import `vtime::EPS`; this debug-only relative slack
-            // guards the clock monotonicity assert, not a virtual-time compare
+            // hpfq-events is dependency-free by design and cannot import
+            // `vtime::EPS`; this debug-only relative slack guards the clock
+            // monotonicity assert, not a virtual-time compare
             t >= self.now - 1e-9 * self.now.abs().max(1.0),
             "scheduling into the past: {t} < {}",
             self.now

@@ -4,23 +4,21 @@
 //! needs slacks at three distinct scales — a near-machine-precision one
 //! for collapsing duplicate breakpoints, a tight one for backlog/work
 //! comparisons, and a loose one for drain/termination tests. They are
-//! consolidated here as the crate's only tolerance definitions (hpfq-lint
-//! rule L003); every use site references these names. The scheduler-side
+//! consolidated here as the crate's only tolerance definitions (the root
+//! `tests/golden.rs` scan refuses any other); every use site references
+//! these names. The scheduler-side
 //! comparisons use `hpfq_core::vtime` instead — these constants exist
 //! because the fluid maths needs *different* scales than the tag
 //! arithmetic.
 
 /// Near-ulp slack for deduplicating time breakpoints that differ only by
 /// rounding in the slope integration.
-// lint:allow(L003): canonical crate-local definition (see module docs)
 pub(crate) const ULP: f64 = 1e-15;
 
 /// Tight slack for work/backlog/capacity comparisons (bits at second
 /// scale accumulate ~1e-13 of drift over long curves).
-// lint:allow(L003): canonical crate-local definition (see module docs)
 pub(crate) const TIGHT: f64 = 1e-12;
 
 /// Loose slack for drain/termination decisions, matching
 /// `hpfq_core::vtime::EPS` at magnitude 1.
-// lint:allow(L003): canonical crate-local definition (see module docs)
 pub(crate) const LOOSE: f64 = 1e-9;

@@ -22,8 +22,8 @@
 //! * [`vtime`] — the canonical virtual-time comparison helpers (single
 //!   [`vtime::EPS`], tolerance-aware and exact comparisons). It lives here,
 //!   at the root of the dependency graph, and is re-exported as
-//!   `hpfq_core::vtime`; the `hpfq-lint` static-analysis pass enforces that
-//!   all virtual-time comparisons and tolerance constants go through it.
+//!   `hpfq_core::vtime`; `hpfq_core::VTime`, the type of every stored tag,
+//!   orders only through it.
 //! * [`query`] — the library behind the `hpfq-trace` CLI: summaries,
 //!   filters and delay percentiles over traces.
 //! * [`event`] — the event records the other crates share.
@@ -40,6 +40,10 @@
 #![warn(missing_docs)]
 // The per-packet path runs here: a panic tears the whole run down, so
 // every one outside tests is a reasoned `#[expect]` (DESIGN.md §8).
+#![cfg_attr(
+    test,
+    allow(clippy::cast_possible_truncation, reason = "small test inputs")
+)]
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,

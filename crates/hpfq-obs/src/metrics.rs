@@ -38,7 +38,6 @@ impl DelayHistogram {
     /// Number of buckets.
     pub const BUCKETS: usize = 27;
     /// Lower edge of bucket 1 in seconds (bucket 0 is `[0, BASE)`).
-    // lint:allow(L003): histogram bucket edge, not a comparison tolerance
     pub const BASE: f64 = 1e-6;
 
     /// The bucket index a delay of `seconds` falls into.
@@ -47,9 +46,11 @@ impl DelayHistogram {
         if seconds.is_nan() || seconds <= Self::BASE {
             return 0;
         }
-        // lint:allow(L005): seconds > BASE here, so log2 >= 0 and the
-        // floor is a non-negative integer (saturating for an infinite or
-        // overflowing delay), clamped below BUCKETS
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "seconds > BASE here, so log2 >= 0 and the floor is a non-negative integer \
+                      (saturating for an infinite or overflowing delay), clamped below BUCKETS"
+        )]
         let i = ((seconds / Self::BASE).log2().floor() as usize).saturating_add(1);
         i.min(Self::BUCKETS - 1)
     }
@@ -59,7 +60,7 @@ impl DelayHistogram {
         if i == 0 {
             0.0
         } else {
-            Self::BASE * f64::powi(2.0, i as i32 - 1)
+            Self::BASE * f64::powi(2.0, i32::try_from(i - 1).unwrap_or(i32::MAX))
         }
     }
 
@@ -86,7 +87,10 @@ impl DelayHistogram {
         if self.total == 0 {
             return 0.0;
         }
-        // lint:allow(L005): ceil of p.clamp(0,1) * total is within 0..=total
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "ceil of p.clamp(0,1) * total is within 0..=total"
+        )]
         let target = (p.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
         let mut acc = 0;
         for (i, &c) in self.counts.iter().enumerate() {

@@ -5,10 +5,11 @@
 //! tag ordering `S ≤ F` are only correct if comparisons on accumulated
 //! floating-point tags are tolerance-aware where sums drift and *exact*
 //! where determinism (tie-breaks, stamp identity) is the point. This module
-//! is the single approved home for both kinds — `hpfq-lint` rule **L001**
-//! flags raw comparison operators on virtual-time-typed identifiers
-//! anywhere else, and rule **L003** flags tolerance literals outside the
-//! one canonical [`EPS`] defined here.
+//! is the single home for both kinds: `hpfq_core::VTime`, the type of every
+//! tag `hpfq-core` stores, has no comparison operators and orders only
+//! through these helpers, and the root `tests/golden.rs` refuses tolerance
+//! literals outside the one canonical [`EPS`] defined here (and a few named
+//! crate-local ones).
 //!
 //! ## Choosing a helper
 //!
@@ -34,8 +35,8 @@
 
 /// The canonical comparison tolerance, in (virtual-) seconds at magnitude 1.
 ///
-/// All scaled tolerances derive from this constant via [`tol`]; it is the
-/// only tolerance literal allowed in the workspace (lint rule L003).
+/// All scaled tolerances derive from this constant via [`tol`]; the
+/// scheduler-side code has no other tolerance literal.
 pub const EPS: f64 = 1e-9;
 
 /// Magnitude-scaled tolerance for comparing `a` and `b`:

@@ -4,6 +4,7 @@
 //! must be byte-identical (floats use shortest-round-trip `Display`, so
 //! the first serialization is already canonical). Randomized inputs come
 //! from a hand-rolled xorshift PRNG — `hpfq-obs` stays dependency-free.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq_obs::jsonl::{merge_traces, parse_line, JsonlObserver};
 use hpfq_obs::{

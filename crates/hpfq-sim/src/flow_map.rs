@@ -109,6 +109,10 @@ impl FlowIndex {
             pos < u32::MAX as usize,
             "flow index is full (2^32 - 1 positions)"
         );
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "pos < u32::MAX, asserted above"
+        )]
         let entry = pos as u32 + 1;
         let vacant = match self.probe(flow, &key_of) {
             Ok(i) => return Some(std::mem::replace(&mut self.table[i], entry) as usize - 1),
@@ -214,8 +218,12 @@ impl<V> FlowMap<V> {
                 Some(slot) => slot,
                 None => self.push_new(flow, make()),
             };
-            // `push_new` keeps slots below `u32::MAX`.
-            *hint = slot as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`push_new` keeps slots below `u32::MAX`"
+            )]
+            let slot = slot as u32;
+            *hint = slot;
         }
         &mut self.entries[*hint as usize].1
     }

@@ -28,6 +28,10 @@
 #![warn(missing_docs)]
 // The per-packet path runs here: a panic tears the whole run down, so
 // every one outside tests is a reasoned `#[expect]` (DESIGN.md §8).
+#![cfg_attr(
+    test,
+    allow(clippy::cast_possible_truncation, reason = "small test inputs")
+)]
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -685,17 +685,16 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
     }
 
     fn emit_fault(&mut self, link: usize, kind: FaultKind, node: usize, flow: u32, value: f64) {
-        if O::ENABLED {
-            let ev = FaultEvent {
+        self.links[link].server.observe(|o| {
+            o.on_fault(&FaultEvent {
                 time: self.engine.now(),
                 link,
                 kind,
                 node,
                 flow,
                 value,
-            };
-            self.links[link].server.observer_mut().on_fault(&ev);
-        }
+            });
+        });
     }
 
     fn apply_output(&mut self, src_idx: usize, out: SourceOutput) {
@@ -760,13 +759,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 continue;
             }
             if let Some(limit) = ingress.buffer_bytes {
-                let queued = self.links[ingress.link]
-                    .server
-                    .leaf_queue_bytes(ingress.leaf);
+                let server = &mut self.links[ingress.link].server;
+                let queued = server.leaf_queue_bytes(ingress.leaf);
                 if queued + u64::from(pkt.len_bytes) > limit {
                     self.stats.record_drop(&pkt);
-                    if O::ENABLED {
-                        let ev = DropEvent {
+                    server.observe(|o| {
+                        o.on_drop(&DropEvent {
                             time: now,
                             link: ingress.link,
                             leaf: ingress.leaf.index(),
@@ -777,9 +775,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                                 arrival: pkt.arrival,
                             },
                             queue_bytes: queued,
-                        };
-                        self.links[ingress.link].server.observer_mut().on_drop(&ev);
-                    }
+                        });
+                    });
                     continue;
                 }
             }
@@ -982,11 +979,12 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         // flag: teardown reaches each hop after the data ahead of it.
         pkt.arrival = now;
         if let Some(limit) = hop.buffer_bytes {
-            let queued = self.links[hop.link].server.leaf_queue_bytes(hop.leaf);
+            let server = &mut self.links[hop.link].server;
+            let queued = server.leaf_queue_bytes(hop.leaf);
             if queued + u64::from(pkt.len_bytes) > limit {
                 self.stats.record_purge(&pkt);
-                if O::ENABLED {
-                    let ev = DropEvent {
+                server.observe(|o| {
+                    o.on_drop(&DropEvent {
                         time: now,
                         link: hop.link,
                         leaf: hop.leaf.index(),
@@ -997,9 +995,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                             arrival: pkt.arrival,
                         },
                         queue_bytes: queued,
-                    };
-                    self.links[hop.link].server.observer_mut().on_drop(&ev);
-                }
+                    });
+                });
                 return;
             }
         }

@@ -61,18 +61,31 @@ impl SmallRng {
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(span as u128);
-            if (m as u64) >= zone {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "Lemire's test reads the low 64 bits of the product"
+            )]
+            let low = m as u64;
+            if low >= zone {
                 return lo + (m >> 64) as u64;
             }
         }
     }
 
     /// Uniform `u32` in `[lo, hi)`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below hi, a u32"
+    )]
     pub fn gen_range_u32(&mut self, lo: u32, hi: u32) -> u32 {
         self.gen_range_u64(lo as u64, hi as u64) as u32
     }
 
     /// Uniform `usize` in `[lo, hi)`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below hi, a usize"
+    )]
     pub fn gen_range_usize(&mut self, lo: usize, hi: usize) -> usize {
         self.gen_range_u64(lo as u64, hi as u64) as usize
     }

@@ -379,8 +379,11 @@ impl BandwidthEstimator {
 
     /// Closes every window ending at or before `t`.
     fn roll_to(&mut self, t: f64) {
-        // lint:allow(L005): floor().max(0.0) is a non-negative window
-        // count, far below u64::MAX for any simulated horizon
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "floor().max(0.0) is a non-negative window count, far below u64::MAX for \
+                      any simulated horizon"
+        )]
         let target = ((t - self.origin) / self.window).floor().max(0.0) as u64;
         while self.cur_window < target {
             let inst = self.acc_bytes * 8.0 / self.window;

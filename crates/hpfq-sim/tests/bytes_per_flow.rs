@@ -29,6 +29,7 @@
 //! The counters are per thread (a `const`-initialized thread-local, which
 //! the allocator can read without allocating), so the tests of this binary
 //! cannot disturb each other's figures, and neither can the harness.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

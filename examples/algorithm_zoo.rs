@@ -35,8 +35,7 @@ fn run(kind: SchedulerKind) -> (f64, f64) {
         TraceSource::new(0, vec![(0.0, pkt); 21]),
         Route::open_loop(big),
     );
-    for (i, &leaf) in small.iter().enumerate() {
-        let flow = 1 + i as u32;
+    for (flow, &leaf) in (1u32..).zip(&small) {
         sim.add_route(
             flow,
             TraceSource::new(flow, vec![(0.0, pkt)]),

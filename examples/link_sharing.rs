@@ -48,9 +48,8 @@ fn main() {
         CbrSource::new(1, PKT, 20e6, 0.0, 10.0),
         Route::open_loop(a1_be),
     );
-    for (i, &leaf) in others.iter().enumerate() {
-        let flow = 2 + i as u32;
-        let start = if i < 5 { 0.0 } else { 2.0 };
+    for (flow, &leaf) in (2u32..).zip(&others) {
+        let start = if flow < 7 { 0.0 } else { 2.0 };
         sim.add_route(
             flow,
             CbrSource::new(flow, PKT, 5e6, start, 10.0),

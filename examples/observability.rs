@@ -47,8 +47,7 @@ fn main() {
     ];
 
     let mut sim = Network::single_link(bld.build());
-    for (i, &leaf) in leaves.iter().enumerate() {
-        let flow = i as u32;
+    for (flow, &leaf) in (0u32..).zip(&leaves) {
         // 0.35 Mbit/s each: 1.4x oversubscribed, so queues build and the
         // delay histograms have something to show.
         sim.add_route(
@@ -87,6 +86,10 @@ fn main() {
         records.len(),
         anomalies,
     );
-    assert_eq!(records.len() as u64, total, "offline/live mismatch");
+    assert_eq!(
+        u64::try_from(records.len()),
+        Ok(total),
+        "offline/live mismatch"
+    );
     println!("trace written to {path}");
 }

@@ -49,8 +49,7 @@ fn run(kind: SchedulerKind) -> (f64, f64, Vec<f64>) {
     );
     // Cross traffic: slow trains on each 5% session — queued packets with
     // far-future finish tags, the fuel for WFQ's run-ahead.
-    for (i, &leaf) in cross.iter().enumerate() {
-        let flow = 2 + i as u32;
+    for (flow, &leaf) in (2u32..).zip(&cross) {
         sim.add_route(
             flow,
             PacketTrainSource::new(
@@ -59,7 +58,7 @@ fn run(kind: SchedulerKind) -> (f64, f64, Vec<f64>) {
                 3,
                 0.0012,
                 0.067,
-                0.067 * i as f64 / 10.0,
+                0.067 * f64::from(flow - 2) / 10.0,
                 f64::INFINITY,
             ),
             Route::open_loop(leaf),

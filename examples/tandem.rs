@@ -67,7 +67,7 @@ fn run(kind: SchedulerKind) -> RunResult {
         // backlogged for the whole run (finite buffers keep memory bounded;
         // single-hop drops don't affect the tandem measurement).
         for (ci, &cl) in cross_leaves.iter().enumerate() {
-            let flow = 1000 + (li * CROSS_PER_LINK + ci) as u32;
+            let flow = u32::try_from(1000 + li * CROSS_PER_LINK + ci).expect("a few flow ids");
             let share_bps = (1.0 - PHI_TANDEM) * LINK / CROSS_PER_LINK as f64;
             net.add_route(
                 flow,

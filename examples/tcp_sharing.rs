@@ -28,8 +28,7 @@ fn main() {
         .collect();
 
     let mut sim = Network::single_link(bld.build());
-    for (i, &leaf) in tcp_leaves.iter().enumerate() {
-        let flow = i as u32;
+    for (flow, &leaf) in (0u32..).zip(&tcp_leaves) {
         sim.stats.trace_flow(flow);
         sim.add_route(
             flow,

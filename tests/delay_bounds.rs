@@ -2,6 +2,7 @@
 //! for standalone WF²Q+ and Corollary 2 for H-WF²Q+, under adversarial
 //! (greedy leaky-bucket) sources with saturating cross traffic — and of
 //! Theorem 4's B-WFI on a fully backlogged link.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::analysis::{
     corollary2_bound, empirical_bwfi, service_curve_from_records, wf2q_plus_bwfi,

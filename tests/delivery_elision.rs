@@ -13,6 +13,7 @@
 //! [`CbrSource`] or [`PoissonSource`] by value and any other source boxed,
 //! and the scenario with every built-in source attached as a
 //! `Box<dyn Source>` must leave what it leaves with them attached directly.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use std::cell::Cell;
 use std::rc::Rc;

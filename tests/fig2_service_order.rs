@@ -2,6 +2,7 @@
 //! WFQ, WF²Q and WF²Q+ on the 11-session example, cross-checked against
 //! the GPS fluid finish times, all driven through the full `Hierarchy`
 //! machinery (depth-1 tree = standalone server).
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::{Hierarchy, Packet, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidSim, FluidTree};

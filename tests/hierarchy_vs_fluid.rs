@@ -3,6 +3,7 @@
 //! service must stay within a few packets of its fluid service — the
 //! hierarchical generalization of the one-packet-accuracy property that
 //! motivates WF²Q+ (paper §3.3–3.4 and Theorem 4).
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidNodeId, FluidSim, FluidTree};

@@ -8,6 +8,7 @@
 //! (66967db) — same merged JSONL trace, same statistics, held here as
 //! FNV-1a digests — on a reduced Fig. 3 workload with an outage command
 //! and a finite buffer in the mix.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::analysis::{path_records_from_trace, per_link_records_from_trace};
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};

@@ -8,6 +8,7 @@
 //!
 //! This cross-validates three subsystems at once: the fluid simulator,
 //! the GPS virtual clock inside WFQ/WF²Q, and the DES driving them.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::{Hierarchy, SchedulerKind};
 use hpfq::fluid::{Arrival, FluidSim, FluidTree};

@@ -25,6 +25,7 @@
 //!
 //! [`PifoTree`]: hpfq::core::PifoTree
 //! [`SchedulerKind::build`]: hpfq::core::SchedulerKind::build
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::pifo::rank::{
     DrrRank, FifoRank, ScfqRank, SfqRank, Wf2qPlusRank, Wf2qRank, WfqRank,

@@ -15,6 +15,7 @@
 //! tandem with cross traffic, a mid-run outage, and flow churn. They also
 //! pin what a running network refuses: sources, routes and commands that
 //! name what it lacks, refused without touching the run.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

@@ -9,6 +9,7 @@
 //! and its last 64 lines, mutated at the byte and the value level, must go
 //! through every reader — parser, merger, replay into the observers, and
 //! each `hpfq-trace` report — without a panic.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};

@@ -2,6 +2,7 @@
 //! policy, standalone and hierarchical: a PFQ server never idles while
 //! packets are queued, transmits every packet exactly once, and preserves
 //! per-flow FIFO order.
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq::obs::InvariantObserver;
