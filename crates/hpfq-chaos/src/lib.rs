@@ -13,9 +13,10 @@
 //!   jitter, flow churn) at fixed intensities behind one on/off switch;
 //! * [`plan::build_plan`] — the control-plane schedule
 //!   ([`hpfq_sim::SimCommand`]s) plus the outage windows it creates;
-//! * [`inject::ChaosInjector`] — the data-plane [`hpfq_sim::FaultInjector`]
-//!   with per-flow decision streams that are independent of scheduler
-//!   interleaving;
+//! * [`inject::ChaosSource`] — the data plane: a [`hpfq_sim::Source`]
+//!   adapter that loses, corrupts and jitters one flow's output before the
+//!   network sees it, from a decision stream of that flow's own, so every
+//!   scheduler sees the same faults;
 //! * [`soak::run_soak`] — the differential harness: all seven scheduler
 //!   policies under the *same* fault schedule, checked for conservation,
 //!   invariant cleanliness, fault determinism, and post-recovery fairness.
@@ -34,7 +35,7 @@ pub mod plan;
 pub mod soak;
 
 pub use config::ChaosConfig;
-pub use inject::ChaosInjector;
+pub use inject::ChaosSource;
 pub use plan::{build_plan, ChaosPlan, CHURN_FLOW_BASE};
 pub use soak::{
     build_soak_sim, run_soak, ChaosReport, FlowLedger, SoakRun, BASE_FLOWS, LINK_BPS,

@@ -11,6 +11,7 @@ use hpfq_core::NodeId;
 use hpfq_sim::{CbrSource, SimCommand, SmallRng};
 
 use crate::config::{churn, link, ChaosConfig};
+use crate::inject::ChaosSource;
 
 /// Flow ids `CHURN_FLOW_BASE..` are churn flows; lower ids are the static
 /// base traffic.
@@ -30,7 +31,8 @@ pub struct ChaosPlan {
 
 /// Generates the command schedule for `cfg` against a hierarchy whose
 /// churn leaves will be attached under `churn_parent` on a link of
-/// `link_bps`. Deterministic: same inputs, same plan.
+/// `link_bps`; each churn flow's source runs under `cfg`'s data-plane
+/// faults from its join time. Deterministic: same inputs, same plan.
 pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> ChaosPlan {
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x51_7CC1_B727_2220);
     let mut commands: Vec<(f64, SimCommand)> = Vec::new();
@@ -106,13 +108,14 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
                 // A churn flow offers a bit more than its share so it
                 // competes: phi * link * 1.5.
                 let rate = (phi * link_bps * 1.5).max(8_000.0);
+                let source = CbrSource::new(flow, 500, rate, t, cfg.horizon);
                 commands.push((
                     t,
                     SimCommand::AddFlow {
                         parent: churn_parent,
                         phi,
                         flow,
-                        source: Box::new(CbrSource::new(flow, 500, rate, t, cfg.horizon)),
+                        source: Box::new(ChaosSource::new(*cfg, flow, t, source)),
                         buffer_bytes: None,
                         delivery_delay: 0.0,
                     },

@@ -3,7 +3,7 @@
 //! [`run_soak`] builds the same three-class hierarchy under each of the
 //! seven node-scheduler policies, subjects every build to the *identical*
 //! fault schedule (same [`crate::plan::ChaosPlan`], same per-flow
-//! [`crate::inject::ChaosInjector`] decision streams), and collects a
+//! [`crate::inject::ChaosSource`] decision streams), and collects a
 //! [`SoakRun`] per scheduler. [`ChaosReport::assert_healthy`] then checks
 //! the degradation contract:
 //!
@@ -15,7 +15,7 @@
 //!   are excused only inside the plan's outage windows (the link idling
 //!   with traffic queued is exactly what an outage is);
 //! * **fault determinism** — every scheduler saw byte-identical per-flow
-//!   offered/dropped/corrupted counts (the faults are scheduler-independent
+//!   offered and fault-dropped counts (the faults are scheduler-independent
 //!   by construction, so any divergence is a harness bug);
 //! * **bounded unfairness after recovery** — in the fault-free tail every
 //!   backlogged base flow's normalized service (bytes over its guaranteed
@@ -33,7 +33,7 @@ use hpfq_obs::{InvariantKind, InvariantObserver, JsonlObserver};
 use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
-use crate::inject::ChaosInjector;
+use crate::inject::ChaosSource;
 use crate::plan::{build_plan, ChaosPlan};
 
 /// Nominal link rate of the soak topology (1 Mbit/s).
@@ -51,11 +51,12 @@ pub type SoakObserver = (InvariantObserver, JsonlObserver<Vec<u8>>);
 /// Per-flow admission ledger, for cross-scheduler differential checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowLedger {
-    /// Packets offered at the server's input port.
+    /// Packets offered at the server's input port (those the loss model
+    /// dropped upstream never reach it).
     pub offered_packets: u64,
     /// Bytes offered.
     pub offered_bytes: u64,
-    /// Packets lost to injected faults (drops + rejected corruption).
+    /// Packets dropped at admission as invalid (the corrupted ones).
     pub fault_drops: u64,
     /// Packets accepted into the hierarchy.
     pub accepted_packets: u64,
@@ -108,7 +109,8 @@ pub struct ChaosReport {
     pub runs: Vec<SoakRun>,
 }
 
-/// Builds the soak hierarchy under `kind` and attaches the base sources.
+/// Builds the soak hierarchy under `kind` and attaches the base sources,
+/// each under `cfg`'s data-plane faults.
 ///
 /// ```text
 /// root (1 Mbit/s)
@@ -144,25 +146,28 @@ pub fn build_soak_sim(
     for f in BASE_FLOWS {
         sim.stats.trace_flow(f);
     }
+    let cbr = CbrSource::new(0, 1000, 0.50e6, 0.0, cfg.horizon);
     sim.add_route(
         0,
-        CbrSource::new(0, 1000, 0.50e6, 0.0, cfg.horizon),
+        ChaosSource::new(*cfg, 0, 0.0, cbr),
         Route::open_loop(leaf0),
     );
+    let poisson = PoissonSource::new(1, 800, 0.35e6, 0.0, cfg.horizon, cfg.seed ^ 0xF1);
     sim.add_route(
         1,
-        PoissonSource::new(1, 800, 0.35e6, 0.0, cfg.horizon, cfg.seed ^ 0xF1),
+        ChaosSource::new(*cfg, 1, 0.0, poisson),
         Route::open_loop(leaf1),
     );
+    let on_off = PeriodicOnOffSource::new(2, 1200, 0.8e6, 0.5, 1.0, 0.0, cfg.horizon);
     sim.add_route(
         2,
-        PeriodicOnOffSource::new(2, 1200, 0.8e6, 0.5, 1.0, 0.0, cfg.horizon),
+        ChaosSource::new(*cfg, 2, 0.0, on_off),
         Route::open_loop(leaf2),
     );
     (sim, [leaf0, leaf1, leaf2])
 }
 
-/// Runs one scheduler under the shared `plan` and injector config.
+/// Runs one scheduler under the shared `plan` and fault config.
 fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     let (mut sim, base_leaves) = build_soak_sim(kind, cfg);
     let base_rates: Vec<f64> = base_leaves
@@ -170,7 +175,6 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         .map(|&l| sim.link_server(0).rate(l))
         .collect();
 
-    sim.set_fault_injector(ChaosInjector::new(*cfg));
     for (t, cmd) in plan.commands {
         sim.schedule_command(t, cmd);
     }
@@ -355,11 +359,24 @@ impl ChaosReport {
 mod tests {
     use super::*;
 
+    /// FNV-1a of seed 1's WF²Q+ trace at a 30 s horizon. Recorded when the
+    /// network itself still consulted the fault decisions, from that trace
+    /// less its `pkt_drop`, `pkt_corrupt` and `clock_jitter` lines (events
+    /// the network no longer sees): the sources make the same decisions.
+    const SOAK_SEED1_WF2QPLUS_FNV1A: u64 = 0x838c_0fbd_bcd4_e6cb;
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     /// Seeds 1, 2 and 3 at a 30 s horizon: every scheduler keeps the
     /// degradation contract, and `hpfq-trace`'s reader parses every line
     /// of every run's trace. On seed 2 the corruption family hits base
     /// flow 0, whose invalid packets are dropped and counted while its
     /// leaf keeps its share, so the recovery-window probe must still run.
+    /// Seed 1's WF²Q+ trace is pinned to [`SOAK_SEED1_WF2QPLUS_FNV1A`].
     #[test]
     fn soak_all_schedulers_healthy_seed_1() {
         for seed in [1, 2, 3] {
@@ -370,6 +387,13 @@ mod tests {
                 panic!("seed {seed}: unhealthy soak:\n{}", problems.join("\n"));
             }
             for run in &report.runs {
+                if seed == 1 && run.scheduler == SchedulerKind::Wf2qPlus.name() {
+                    assert_eq!(
+                        fnv1a(&run.trace),
+                        SOAK_SEED1_WF2QPLUS_FNV1A,
+                        "seed 1 [wf2q+]: the soak trace moved"
+                    );
+                }
                 if run.scheduler != SchedulerKind::Fifo.name() {
                     assert!(
                         run.unfairness.is_some(),

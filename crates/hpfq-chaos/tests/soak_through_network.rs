@@ -1,12 +1,12 @@
 //! The chaos soak is deterministic run to run.
 //!
 //! `build_soak_sim` hands back the one-link [`hpfq_sim::Network`] the
-//! harness drives; everything the soak exercises — fault injection,
+//! harness drives; everything the soak exercises — faulty sources,
 //! scheduled commands, churn — lives in that one type. Two independently
 //! built soaks under the same config must therefore agree exactly: same
 //! fault schedule, same fault drops, same trace bytes.
 
-use hpfq_chaos::{build_plan, build_soak_sim, ChaosConfig, ChaosInjector};
+use hpfq_chaos::{build_plan, build_soak_sim, ChaosConfig};
 use hpfq_core::{NodeId, SchedulerKind};
 
 #[test]
@@ -14,7 +14,6 @@ fn soak_is_identical_through_simulation_and_network_front_ends() {
     let cfg = ChaosConfig::all_faults(5, 15.0);
     let run = || {
         let (mut net, _) = build_soak_sim(SchedulerKind::Wf2qPlus, &cfg);
-        net.set_fault_injector(ChaosInjector::new(cfg));
         for (t, cmd) in build_plan(&cfg, NodeId(0), hpfq_chaos::LINK_BPS).commands {
             net.schedule_command(t, cmd);
         }

@@ -20,6 +20,15 @@ use crate::vtime;
 /// let eligible = start < v; // a raw comparison on a tag does not compile
 /// ```
 ///
+/// while the named comparison does:
+///
+/// ```
+/// use hpfq_core::VTime;
+/// let (start, v) = (VTime::new(1.0), VTime::new(2.0));
+/// let eligible = start.approx_le(v);
+/// assert!(eligible);
+/// ```
+///
 /// Ranks ([`crate::Rank`], [`crate::Threshold`]) stay plain `f64`: a PIFO
 /// rank is any number (DRR rounds, FIFO sequence numbers, priorities), and
 /// virtual time is one kind of it. [`VTime::get`] is the one way out.

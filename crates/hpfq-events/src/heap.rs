@@ -91,26 +91,15 @@ impl<T: Copy> QuadHeap<T> {
 
     /// Removes and returns the minimum entry.
     #[inline]
-    pub fn pop(&mut self, less: impl FnMut(&T, &T) -> bool) -> Option<T> {
-        if self.items.is_empty() {
-            None
-        } else {
-            Some(self.remove_at(0, less))
-        }
-    }
-
-    /// Removes and returns the entry at array index `pos` (as numbered by
-    /// [`QuadHeap::iter`]); `pos = 0` is the pop. Panics when out of range.
-    pub fn remove_at(&mut self, pos: usize, mut less: impl FnMut(&T, &T) -> bool) -> T {
-        // The last entry lands in the vacated position; it is re-placed below.
-        let removed = self.items.swap_remove(pos);
+    pub fn pop(&mut self, mut less: impl FnMut(&T, &T) -> bool) -> Option<T> {
+        // The last entry takes the root's place; it is re-placed below.
+        let last = self.items.pop()?;
+        let Some(&top) = self.items.first() else {
+            return Some(last);
+        };
         let len = self.items.len();
-        if pos == len {
-            return removed;
-        }
-        let last = self.items[pos];
-        // Walk the hole at `pos` down to a leaf along the smallest child.
-        let mut hole = pos;
+        // Walk the hole at the root down to a leaf along the smallest child.
+        let mut hole = 0;
         loop {
             let first = ARITY * hole + 1;
             if first >= len {
@@ -139,7 +128,7 @@ impl<T: Copy> QuadHeap<T> {
             hole = best;
         }
         self.sift_up(hole, last, less);
-        removed
+        Some(top)
     }
 
     /// Writes `item` into the hole at index `hole`, first moving the hole
@@ -207,26 +196,6 @@ mod tests {
             model.sort_unstable();
             let drained: Vec<u32> = std::iter::from_fn(|| heap.pop(|a, b| a < b)).collect();
             assert_eq!(drained, model, "round {round}");
-        }
-    }
-
-    #[test]
-    fn remove_at_any_position_keeps_the_heap() {
-        let mut rng = Rng(7);
-        for _ in 0..ROUNDS {
-            let mut heap = QuadHeap::new();
-            let n = 1 + rng.next() % 64;
-            for _ in 0..n {
-                heap.push((rng.next() % 32) as u32, |a, b| a < b);
-            }
-            let mut model: Vec<u32> = heap.iter().copied().collect();
-            let pos = (rng.next() % n) as usize;
-            let removed = heap.remove_at(pos, |a, b| a < b);
-            assert_eq!(removed, model.swap_remove(pos));
-            assert!(is_heap(&heap));
-            model.sort_unstable();
-            let drained: Vec<u32> = std::iter::from_fn(|| heap.pop(|a, b| a < b)).collect();
-            assert_eq!(drained, model);
         }
     }
 

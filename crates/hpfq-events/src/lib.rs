@@ -1,5 +1,5 @@
-//! The discrete-event core shared by both simulator front-ends:
-//! `hpfq-sim`'s packet network and `hpfq-fluid`'s fluid server.
+//! The discrete-event core of `hpfq-sim`'s packet network: [`Engine`],
+//! an event queue and the simulation clock in one.
 //!
 //! Event storage, ordering, and clock discipline exist exactly once,
 //! here:
@@ -13,9 +13,9 @@
 //!   number of *outstanding* events, not the total ever scheduled. A
 //!   *timer* (below) takes no slot at all.
 //! * **Monotone clock** — [`Engine`] owns `now` and only advances it by
-//!   popping events. Scheduling into the past is clamped to `now` (and
-//!   flagged in debug builds), so a buggy client degrades to "fires
-//!   immediately" instead of corrupting the order.
+//!   popping events or [`Engine::advance_to`]. Scheduling into the past is
+//!   clamped to `now` (and flagged in debug builds), so a buggy client
+//!   degrades to "fires immediately" instead of corrupting the order.
 //!
 //! The crate is dependency-free and knows nothing about packets or
 //! scheduling policies: `E` is whatever event enum the client defines.
@@ -25,7 +25,7 @@
 //! The queue is a [`heap::QuadHeap`] — an implicit 4-ary min-heap, shared
 //! with `hpfq-core`'s eligible set — of 16-byte entries: the event time as
 //! a `u64` that orders exactly as [`f64::total_cmp`] does (and converts
-//! back bit for bit, which is what `peek_time`/`pop` return), and the
+//! back bit for bit, which is what `peek_key`/`pop_due` return), and the
 //! `u32` index of an arena slot. The slot holds the event together with
 //! its `(minor, seq)`. Sifting compares time keys only; the arena is read
 //! for a comparison just when two time keys are equal, so a queue whose
@@ -36,23 +36,23 @@
 //! *i*" — and whose minor key is a function of those bits. Its heap entry
 //! carries the bits where an arena index would go, with a flag saying so,
 //! and nothing else exists: no slot is written when it is scheduled and
-//! none is read when it fires. A queue built by
-//! [`EventQueue::with_timers`] is given the two plain functions that turn
-//! the bits back into an `E` and into the minor key, so every pop and peek
-//! returns ordinary events and keys whichever way an entry was stored. A
-//! timer has no `seq`: two timers with bit-equal time and payload are the
-//! same event, so no order between them can be observed, and against an
-//! arena event with the same time and minor the timer fires first.
+//! none is read when it fires. An engine built by [`Engine::with_timers`]
+//! is given the two plain functions that turn the bits back into an `E`
+//! and into the minor key, so every pop and peek returns ordinary events
+//! and keys whichever way an entry was stored. A timer has no `seq`: two
+//! timers with bit-equal time and payload are the same event, so no order
+//! between them can be observed, and against an arena event with the same
+//! time and minor the timer fires first.
 //!
 //! # Minor keys
 //!
-//! [`EventQueue::schedule_keyed`] accepts a caller-supplied **minor key**
+//! [`Engine::schedule_keyed`] accepts a caller-supplied **minor key**
 //! ordered between the time and the FIFO sequence: events fire in
 //! `(time, minor, seq)` order. A client that derives the minor key from
 //! event *content* (rather than scheduling order) gets a tie-break that is
-//! a pure function of the event itself. Plain [`EventQueue::schedule`]
-//! uses minor key 0, so single-keyed clients keep the original
-//! `(time, seq)` FIFO semantics unchanged.
+//! a pure function of the event itself. Plain [`Engine::schedule`] uses
+//! minor key 0, so single-keyed clients keep the original `(time, seq)`
+//! FIFO semantics unchanged.
 //!
 //! [`Engine::advance_to`] moves the clock without popping, so schedules
 //! made next are clamped against the new time.
@@ -113,8 +113,8 @@ struct HeapEntry {
     timer: bool,
 }
 
-/// How a queue reads a timer entry back: payload → event, payload → minor
-/// key (see [`EventQueue::with_timers`]).
+/// How an engine reads a timer entry back: payload → event, payload →
+/// minor key (see [`Engine::with_timers`]).
 type TimerFns<E> = (fn(u32) -> E, fn(u32) -> u64);
 
 /// One arena slot: the event and the part of its key that only decides
@@ -168,23 +168,40 @@ fn tie_fires_before<E>(
     rank(a) < rank(b)
 }
 
-/// The functions of a queue that holds a timer entry.
+/// The functions of an engine that holds a timer entry.
 #[inline]
 #[expect(
     clippy::expect_used,
-    reason = "`schedule_timer` is the only writer of timer entries and refuses a queue built \
+    reason = "`insert_timer` is the only writer of timer entries and refuses an engine built \
               without the functions"
 )]
 fn timer_fns<E>(timers: Option<TimerFns<E>>) -> TimerFns<E> {
-    timers.expect("a timer entry in a queue built without timers")
+    timers.expect("a timer entry in an engine built without timers")
 }
 
 /// A time-ordered event queue with FIFO tie-breaking and arena-backed
-/// storage. The queue has no notion of "now" — pair it with [`Engine`]
-/// for the usual clocked event loop, or drive it directly if the client
-/// owns the clock (segmented runs, co-simulation).
+/// storage, plus the simulation clock: the standard event-loop driver.
+/// Clients pump it themselves —
+///
+/// ```
+/// # use hpfq_events::Engine;
+/// # enum Ev { Tick(u32) }
+/// # let (mut engine, horizon) = (Engine::new(), 10.0);
+/// # engine.schedule(0.0, Ev::Tick(0));
+/// # let mut fired = 0;
+/// while let Some((t, ev)) = engine.pop_due(horizon) {
+///     match ev {
+///         // ... may call engine.schedule(...) ...
+///         Ev::Tick(n) => engine.schedule(t + 1.0, Ev::Tick(n + 1)),
+///     }
+/// #   fired += 1;
+/// }
+/// # assert_eq!(fired, 11);
+/// ```
+///
+/// — so event handling can borrow the rest of the client's state freely.
 #[derive(Debug, Default)]
-pub struct EventQueue<E> {
+pub struct Engine<E> {
     heap: QuadHeap<HeapEntry>,
     /// Event arena. Fired slots are pushed onto `free` and reused, so
     /// memory is bounded by the maximum number of *outstanding* arena
@@ -193,47 +210,90 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     seq: u64,
     timers: Option<TimerFns<E>>,
+    now: f64,
 }
 
-impl<E> EventQueue<E> {
-    /// An empty queue without timers: every event takes an arena slot.
+impl<E> Engine<E> {
+    /// An engine at time 0 with no events, and without timers: every event
+    /// takes an arena slot.
     pub fn new() -> Self {
-        EventQueue {
+        Engine {
             heap: QuadHeap::new(),
             arena: Vec::new(),
             free: Vec::new(),
             seq: 0,
             timers: None,
+            now: 0.0,
         }
     }
 
-    /// An empty queue that also takes **timers**
-    /// ([`EventQueue::schedule_timer`]): events that a `u32` payload
-    /// describes completely. `event` rebuilds the event a payload stands
-    /// for and `minor` gives its minor key; both must be pure functions of
-    /// the payload. A timer is held in its heap entry alone (see the crate
+    /// An engine at time 0 with no events that also takes **timers**
+    /// ([`Engine::schedule_timer`]): events that a `u32` payload describes
+    /// completely. `event` rebuilds the event a payload stands for and
+    /// `minor` gives its minor key; both must be pure functions of the
+    /// payload. A timer is held in its heap entry alone (see the crate
     /// docs, "Layout"), and pops and peeks return it as the ordinary event
     /// and key the two functions name.
     pub fn with_timers(event: fn(u32) -> E, minor: fn(u32) -> u64) -> Self {
-        EventQueue {
+        Engine {
             timers: Some((event, minor)),
             ..Self::new()
         }
     }
 
-    /// Schedules `ev` at time `t` with minor key 0. Callers must pass
-    /// finite times (debug-asserted); the `total_cmp` key ordering keeps
-    /// the heap consistent even if a non-finite time slips through in
-    /// release.
+    /// Current simulation time (the time of the last popped event).
+    pub fn now(&self) -> f64 {
+        self.now
+    }
+
+    /// Schedules `ev` at `max(t, now)` with minor key 0: the engine clock
+    /// never runs backwards, so a request into the past fires immediately
+    /// instead. Debug builds flag such requests beyond float-rounding
+    /// slack.
     pub fn schedule(&mut self, t: f64, ev: E) {
         self.schedule_keyed(t, 0, ev);
     }
 
-    /// Schedules `ev` at time `t` with an explicit minor tie-break key.
-    /// Events fire in `(t, minor, scheduling order)` order; clients that
-    /// derive `minor` from event content get execution-order-independent
+    /// [`Engine::schedule`] with an explicit minor tie-break key. Events
+    /// fire in `(t, minor, scheduling order)` order; clients that derive
+    /// `minor` from event content get execution-order-independent
     /// tie-breaking (see the crate docs on minor keys).
     pub fn schedule_keyed(&mut self, t: f64, minor: u64, ev: E) {
+        let t = self.clamp_to_now(t);
+        self.insert(t, minor, ev);
+    }
+
+    /// Schedules the timer `payload` at `max(t, now)`. It fires as the
+    /// event and under the minor key the engine's two functions give for
+    /// `payload`; among events with that time and minor key it fires
+    /// first.
+    ///
+    /// # Panics
+    /// If the engine was not built by [`Engine::with_timers`].
+    pub fn schedule_timer(&mut self, t: f64, payload: u32) {
+        let t = self.clamp_to_now(t);
+        self.insert_timer(t, payload);
+    }
+
+    /// `max(t, now)`, flagging in debug builds a `t` further in the past
+    /// than float rounding explains.
+    fn clamp_to_now(&self, t: f64) -> f64 {
+        debug_assert!(
+            // hpfq-events is dependency-free by design and cannot import
+            // `vtime::EPS`; this debug-only relative slack guards the clock
+            // monotonicity assert, not a virtual-time compare
+            t >= self.now - 1e-9 * self.now.abs().max(1.0),
+            "scheduling into the past: {t} < {}",
+            self.now
+        );
+        t.max(self.now)
+    }
+
+    /// Queues `ev` at `t`, whatever the clock says. Callers must pass
+    /// finite times (debug-asserted); the `total_cmp` key ordering keeps
+    /// the heap consistent even if a non-finite time slips through in
+    /// release.
+    fn insert(&mut self, t: f64, minor: u64, ev: E) {
         debug_assert!(t.is_finite(), "non-finite event time {t}");
         self.seq += 1;
         let filled = Slot {
@@ -269,18 +329,12 @@ impl<E> EventQueue<E> {
         });
     }
 
-    /// Schedules the timer `payload` at time `t`. It fires as the event
-    /// and under the minor key the queue's two functions give for
-    /// `payload`; among events with that time and minor key it fires
-    /// first.
-    ///
-    /// # Panics
-    /// If the queue was not built by [`EventQueue::with_timers`].
-    pub fn schedule_timer(&mut self, t: f64, payload: u32) {
+    /// Queues the timer `payload` at `t`, whatever the clock says.
+    fn insert_timer(&mut self, t: f64, payload: u32) {
         debug_assert!(t.is_finite(), "non-finite event time {t}");
         assert!(
             self.timers.is_some(),
-            "schedule_timer on a queue built without timers"
+            "schedule_timer on an engine built without timers"
         );
         self.push(HeapEntry {
             key: time_key(t),
@@ -293,11 +347,6 @@ impl<E> EventQueue<E> {
         let (arena, timers) = (&self.arena, self.timers);
         self.heap
             .push(entry, |a, b| fires_before(arena, timers, a, b));
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| key_time(e.key))
     }
 
     /// Time and minor key of the earliest pending event. The pair is the
@@ -315,15 +364,26 @@ impl<E> EventQueue<E> {
         })
     }
 
-    /// Removes and returns the earliest event and its time. Ties fire in
-    /// `(minor, scheduling order)` order.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.pop_entry().map(|(t, _, ev)| (t, ev))
+    /// Pops the earliest event if it is due at or before `horizon`,
+    /// advancing the clock to its time. Events strictly after the horizon
+    /// stay queued, so a later call with a larger horizon continues
+    /// cleanly (segmented runs). Ties fire in `(minor, scheduling order)`
+    /// order.
+    // Inlined so the due check runs in the caller's event loop and only an
+    // actual pop calls out, to `pop_entry`.
+    #[inline]
+    pub fn pop_due(&mut self, horizon: f64) -> Option<(f64, E)> {
+        if key_time(self.heap.peek()?.key) > horizon {
+            return None;
+        }
+        let (t, _, ev) = self.pop_entry()?;
+        self.now = t;
+        Some((t, ev))
     }
 
     /// Removes and returns the earliest event along with its time and
-    /// minor key: [`EventQueue::pop`]'s body, and the tests' view of the
-    /// minor keys.
+    /// minor key, leaving the clock alone: [`Engine::pop_due`]'s body, and
+    /// the tests' view of the minor keys.
     fn pop_entry(&mut self) -> Option<(f64, u64, E)> {
         loop {
             let (arena, timers) = (&self.arena, self.timers);
@@ -342,9 +402,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+    /// Advances the clock to `t` without popping anything, so that
+    /// `schedule` calls made next are clamped against `t`, not a stale
+    /// clock. Moving backwards is a no-op (the clock stays monotone).
+    pub fn advance_to(&mut self, t: f64) {
+        if t > self.now {
+            self.now = t;
+        }
     }
 
     /// Outstanding (scheduled, unfired) events, timers included — exposed
@@ -360,166 +424,30 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// [`EventQueue`] plus the simulation clock: the standard event-loop
-/// driver. Clients pump it themselves —
-///
-/// ```
-/// # use hpfq_events::Engine;
-/// # enum Ev { Tick(u32) }
-/// # let (mut engine, horizon) = (Engine::new(), 10.0);
-/// # engine.schedule(0.0, Ev::Tick(0));
-/// # let mut fired = 0;
-/// while let Some((t, ev)) = engine.pop_due(horizon) {
-///     match ev {
-///         // ... may call engine.schedule(...) ...
-///         Ev::Tick(n) => engine.schedule(t + 1.0, Ev::Tick(n + 1)),
-///     }
-/// #   fired += 1;
-/// }
-/// # assert_eq!(fired, 11);
-/// ```
-///
-/// — so event handling can borrow the rest of the client's state freely.
-#[derive(Debug, Default)]
-pub struct Engine<E> {
-    queue: EventQueue<E>,
-    now: f64,
-}
-
-impl<E> Engine<E> {
-    /// An engine at time 0 with no events.
-    pub fn new() -> Self {
-        Engine {
-            queue: EventQueue::new(),
-            now: 0.0,
-        }
-    }
-
-    /// An engine at time 0 with no events, whose queue also takes timers
-    /// (see [`EventQueue::with_timers`]).
-    pub fn with_timers(event: fn(u32) -> E, minor: fn(u32) -> u64) -> Self {
-        Engine {
-            queue: EventQueue::with_timers(event, minor),
-            now: 0.0,
-        }
-    }
-
-    /// Current simulation time (the time of the last popped event).
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
-    /// Schedules `ev` at `max(t, now)`: the engine clock never runs
-    /// backwards, so a request into the past fires immediately instead.
-    /// Debug builds flag such requests beyond float-rounding slack.
-    pub fn schedule(&mut self, t: f64, ev: E) {
-        self.schedule_keyed(t, 0, ev);
-    }
-
-    /// [`Engine::schedule`] with an explicit minor tie-break key (see
-    /// [`EventQueue::schedule_keyed`]).
-    pub fn schedule_keyed(&mut self, t: f64, minor: u64, ev: E) {
-        let t = self.clamp_to_now(t);
-        self.queue.schedule_keyed(t, minor, ev);
-    }
-
-    /// Schedules the timer `payload` at `max(t, now)` (see
-    /// [`EventQueue::schedule_timer`]).
-    pub fn schedule_timer(&mut self, t: f64, payload: u32) {
-        let t = self.clamp_to_now(t);
-        self.queue.schedule_timer(t, payload);
-    }
-
-    /// `max(t, now)`, flagging in debug builds a `t` further in the past
-    /// than float rounding explains.
-    fn clamp_to_now(&self, t: f64) -> f64 {
-        debug_assert!(
-            // hpfq-events is dependency-free by design and cannot import
-            // `vtime::EPS`; this debug-only relative slack guards the clock
-            // monotonicity assert, not a virtual-time compare
-            t >= self.now - 1e-9 * self.now.abs().max(1.0),
-            "scheduling into the past: {t} < {}",
-            self.now
-        );
-        t.max(self.now)
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.queue.peek_time()
-    }
-
-    /// Time and minor key of the earliest pending event (see
-    /// [`EventQueue::peek_key`]).
-    pub fn peek_key(&self) -> Option<(f64, u64)> {
-        self.queue.peek_key()
-    }
-
-    /// Pops the earliest event if it is due at or before `horizon`,
-    /// advancing the clock to its time. Events strictly after the horizon
-    /// stay queued, so a later call with a larger horizon continues
-    /// cleanly (segmented runs).
-    // Inlined so the due check runs in the caller's event loop and only an
-    // actual pop calls out, to `pop_entry`.
-    #[inline]
-    pub fn pop_due(&mut self, horizon: f64) -> Option<(f64, E)> {
-        if self.queue.peek_time()? > horizon {
-            return None;
-        }
-        let (t, ev) = self.queue.pop()?;
-        self.now = t;
-        Some((t, ev))
-    }
-
-    /// Advances the clock to `t` without popping anything, so that
-    /// `schedule` calls made next are clamped against `t`, not a stale
-    /// clock. Moving backwards is a no-op (the clock stays monotone).
-    pub fn advance_to(&mut self, t: f64) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Outstanding (scheduled, unfired) events, timers included.
-    pub fn outstanding(&self) -> usize {
-        self.queue.outstanding()
-    }
-
-    /// Size of the event arena (see [`EventQueue::arena_len`]).
-    pub fn arena_len(&self) -> usize {
-        self.queue.arena_len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn events_fire_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         q.schedule(3.0, "c");
         q.schedule(1.0, "a");
         q.schedule(2.0, "b");
-        assert_eq!(q.pop(), Some((1.0, "a")));
-        assert_eq!(q.pop(), Some((2.0, "b")));
-        assert_eq!(q.pop(), Some((3.0, "c")));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, "a")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((2.0, "b")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((3.0, "c")));
+        assert_eq!(q.pop_due(f64::INFINITY), None);
     }
 
     #[test]
     fn ties_fire_in_scheduling_order() {
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         for i in 0..100 {
             q.schedule(1.0, i);
         }
         for i in 0..100 {
-            assert_eq!(q.pop(), Some((1.0, i)));
+            assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, i)));
         }
     }
 
@@ -527,23 +455,23 @@ mod tests {
     fn interleaved_ties_stay_fifo() {
         // Ties scheduled across pops must still respect scheduling order
         // among themselves.
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         q.schedule(1.0, 0);
         q.schedule(1.0, 1);
-        assert_eq!(q.pop(), Some((1.0, 0)));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, 0)));
         q.schedule(1.0, 2);
-        assert_eq!(q.pop(), Some((1.0, 1)));
-        assert_eq!(q.pop(), Some((1.0, 2)));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, 1)));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, 2)));
     }
 
     #[test]
     fn arena_reuses_fired_slots() {
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         for round in 0..1000 {
             q.schedule(round as f64, round);
             q.schedule(round as f64 + 0.5, round);
-            assert_eq!(q.pop().map(|(_, e)| e), Some(round));
-            assert_eq!(q.pop().map(|(_, e)| e), Some(round));
+            assert_eq!(q.pop_due(f64::INFINITY).map(|(_, e)| e), Some(round));
+            assert_eq!(q.pop_due(f64::INFINITY).map(|(_, e)| e), Some(round));
         }
         assert!(q.arena_len() <= 2, "arena grew to {}", q.arena_len());
         assert_eq!(q.outstanding(), 0);
@@ -564,7 +492,7 @@ mod tests {
         assert_eq!(e.pop_due(10.0), Some((5.0, "b")));
         assert_eq!(e.now(), 5.0);
         assert_eq!(e.pop_due(10.0), None);
-        assert!(e.is_empty());
+        assert!(e.outstanding() == 0);
     }
 
     #[test]
@@ -580,7 +508,7 @@ mod tests {
 
     #[test]
     fn minor_keys_order_ties_before_seq() {
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         // Scheduled in an order deliberately different from the minor-key
         // order: ties in time must fire by minor key, then FIFO.
         q.schedule_keyed(1.0, 5, "e");
@@ -588,25 +516,25 @@ mod tests {
         q.schedule_keyed(1.0, 2, "c");
         q.schedule_keyed(1.0, 0, "a");
         q.schedule_keyed(0.5, 9, "first");
-        assert_eq!(q.pop(), Some((0.5, "first")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((0.5, "first")));
         assert_eq!(q.pop_entry(), Some((1.0, 0, "a")));
         assert_eq!(q.pop_entry(), Some((1.0, 2, "b")));
         assert_eq!(q.pop_entry(), Some((1.0, 2, "c")));
         assert_eq!(q.pop_entry(), Some((1.0, 5, "e")));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_due(f64::INFINITY), None);
     }
 
     #[test]
     fn plain_schedule_keeps_fifo_semantics() {
         // schedule() is schedule_keyed(minor = 0): mixing it with keyed
         // events must keep plain events ahead of any positive minor key.
-        let mut q = EventQueue::new();
+        let mut q = Engine::new();
         q.schedule_keyed(1.0, 7, "keyed");
         q.schedule(1.0, "plain1");
         q.schedule(1.0, "plain2");
-        assert_eq!(q.pop(), Some((1.0, "plain1")));
-        assert_eq!(q.pop(), Some((1.0, "plain2")));
-        assert_eq!(q.pop(), Some((1.0, "keyed")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, "plain1")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, "plain2")));
+        assert_eq!(q.pop_due(f64::INFINITY), Some((1.0, "keyed")));
     }
 
     #[test]
@@ -636,9 +564,9 @@ mod tests {
         let mut e = Engine::new();
         e.schedule(0.25, 1u32);
         e.schedule(0.125, 2u32);
-        assert_eq!(e.peek_time(), Some(0.125));
+        assert_eq!(e.peek_key(), Some((0.125, 0)));
         assert_eq!(e.pop_due(f64::INFINITY), Some((0.125, 2)));
-        assert_eq!(e.peek_time(), Some(0.25));
+        assert_eq!(e.peek_key(), Some((0.25, 0)));
     }
 
     /// One time from every region of the `total_cmp` order short of the
@@ -701,13 +629,13 @@ mod tests {
         // is often re-scheduled at the same `t` with a later sequence.
         let mut state = 0x0dd_ba11;
         for round in 0..if cfg!(miri) { 4 } else { 100 } {
-            let mut q = EventQueue::new();
+            let mut q = Engine::new();
             // (time, minor, seq); the event payload is its seq.
             let mut model: Vec<(f64, u64, u64)> = Vec::new();
             let mut seq = 0;
-            let mut schedule = |q: &mut EventQueue<u64>, model: &mut Vec<_>, t: f64, minor| {
+            let mut schedule = |q: &mut Engine<u64>, model: &mut Vec<_>, t: f64, minor| {
                 seq += 1;
-                q.schedule_keyed(t, minor, seq);
+                q.insert(t, minor, seq);
                 model.push((t, minor, seq));
             };
             for _ in 0..300 {
@@ -738,7 +666,7 @@ mod tests {
                 let (pt, pminor, pid) = q.pop_entry().expect("model is non-empty");
                 assert_eq!((pt.to_bits(), pminor, pid), (t.to_bits(), minor, id));
             }
-            assert!(q.is_empty());
+            assert!(q.outstanding() == 0);
         }
     }
 
@@ -770,7 +698,7 @@ mod tests {
     fn timers_and_arena_events_interleave_in_the_documented_order() {
         let mut state = 0x7157_e125;
         for round in 0..if cfg!(miri) { 4 } else { 100 } {
-            let mut q = EventQueue::with_timers(timer_event, timer_minor);
+            let mut q = Engine::with_timers(timer_event, timer_minor);
             // (time, minor, seq — 0 for a timer, event id).
             let mut model: Vec<(f64, u64, u64, u64)> = Vec::new();
             let mut seq = 0;
@@ -782,14 +710,14 @@ mod tests {
                     0 | 1 => {
                         seq += 1;
                         let minor = (r >> 16) % 3;
-                        q.schedule_keyed(t, minor, seq);
+                        q.insert(t, minor, seq);
                         model.push((t, minor, seq, seq));
                     }
                     2 | 3 => {
                         // Eight payloads: the same timer is often queued
                         // twice at one time.
                         let payload = (r >> 16) as u32 % 8;
-                        q.schedule_timer(t, payload);
+                        q.insert_timer(t, payload);
                         model.push((t, timer_minor(payload), 0, timer_event(payload)));
                         timers += 1;
                     }
@@ -817,13 +745,13 @@ mod tests {
                 let (pt, pminor, pid) = q.pop_entry().expect("model is non-empty");
                 assert_eq!((pt.to_bits(), pminor, pid), (t.to_bits(), minor, id));
             }
-            assert!(q.is_empty());
+            assert!(q.outstanding() == 0);
         }
     }
 
     #[test]
     fn a_timer_fires_before_an_arena_event_with_its_time_and_minor() {
-        let mut q = EventQueue::with_timers(timer_event, timer_minor);
+        let mut q = Engine::with_timers(timer_event, timer_minor);
         q.schedule_keyed(1.0, 1, 10);
         q.schedule_keyed(1.0, 2, 11);
         q.schedule_timer(1.0, 4); // minor 1: scheduled after 10, fires before
@@ -871,7 +799,7 @@ mod tests {
         // Pop every entry with its key, tell a timer from an arena event
         // by the event alone, schedule each back: the order is unchanged.
         let mut state = 0xd2a1_0000;
-        let mut q = EventQueue::with_timers(timer_event, timer_minor);
+        let mut q = Engine::with_timers(timer_event, timer_minor);
         for i in 0..if cfg!(miri) { 40 } else { 400 } {
             let r = xorshift(&mut state);
             let t = EDGE_TIMES[6 + (r >> 8) as usize % 8];
@@ -881,9 +809,9 @@ mod tests {
                 q.schedule_keyed(t, (r >> 16) % 3, i);
             }
         }
-        let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop_entry()).collect();
+        let drain = |q: &mut Engine<u64>| std::iter::from_fn(|| q.pop_entry()).collect();
         let drained: Vec<(f64, u64, u64)> = drain(&mut q);
-        assert!(q.is_empty());
+        assert!(q.outstanding() == 0);
         for &(t, minor, ev) in &drained {
             match u32::try_from(u64::MAX - ev) {
                 Ok(payload) => {
@@ -899,7 +827,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "built without timers")]
     fn a_queue_without_timers_refuses_one() {
-        EventQueue::<u64>::new().schedule_timer(0.0, 1);
+        Engine::<u64>::new().schedule_timer(0.0, 1);
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use crate::curve::ServiceCurve;
 use crate::tree::{FluidNodeId, FluidTree};
-use hpfq_events::EventQueue;
 use std::collections::VecDeque;
 
 /// A packet arrival for the fluid system.
@@ -92,17 +91,13 @@ impl FluidSim {
             assert!(w[0].time <= w[1].time, "arrivals must be sorted by time");
         }
 
-        // The arrival calendar: an `hpfq_events::EventQueue` so that
-        // simultaneous arrivals fire in trace order (FIFO tie-break) under
-        // the same discipline as the packet simulators. The segment clock
-        // stays client-owned — queue-empty instants are computed, not
-        // scheduled, because every rate change would invalidate them.
-        let mut calendar = EventQueue::new();
-        for a in arrivals {
-            calendar.schedule(a.time, *a);
-        }
+        // The arrival calendar: the sorted arrivals themselves, so
+        // simultaneous arrivals are applied in trace order. Queue-empty
+        // instants are computed, not scheduled, because every rate change
+        // would invalidate them.
+        let mut calendar = arrivals.iter().peekable();
 
-        let mut t = calendar.peek_time().unwrap_or(0.0);
+        let mut t = calendar.peek().map(|a| a.time).unwrap_or(0.0);
         let mut end_time = t;
 
         // Record a zero point so curves start from the first activity.
@@ -113,12 +108,7 @@ impl FluidSim {
         let mut rates = vec![0.0_f64; n];
         loop {
             // Apply all arrivals due at the current instant.
-            while calendar
-                .peek_time()
-                .is_some_and(|ta| ta <= t + crate::eps::ULP)
-            {
-                // The pop follows the successful peek in the loop condition.
-                let (_, a) = calendar.pop().expect("peeked event exists");
+            while let Some(a) = calendar.next_if(|a| a.time <= t + crate::eps::ULP) {
                 let leaf = leaves[a.leaf.0]
                     .as_mut()
                     // Arrivals target leaves by construction; the fluid oracle
@@ -135,7 +125,7 @@ impl FluidSim {
                 .flatten()
                 .any(|l| l.backlog > crate::eps::TIGHT);
             if !any_backlog {
-                let Some(t_next) = calendar.peek_time() else {
+                let Some(t_next) = calendar.peek().map(|a| a.time) else {
                     break; // drained and no more work
                 };
                 // Idle gap: flat curve segment, then jump to next arrival.
@@ -151,7 +141,7 @@ impl FluidSim {
 
             // Segment length: next arrival or earliest fluid queue-empty.
             let mut dt = f64::INFINITY;
-            if let Some(t_next) = calendar.peek_time() {
+            if let Some(t_next) = calendar.peek().map(|a| a.time) {
                 dt = t_next - t;
             }
             for (i, l) in leaves.iter().enumerate() {

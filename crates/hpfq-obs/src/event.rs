@@ -145,8 +145,10 @@ pub struct BusyResetEvent {
 
 /// The family of an injected or detected fault (see [`FaultEvent`]).
 ///
-/// The first six are *injected* by a chaos harness; the next two record
-/// churn, and [`FaultKind::InvalidPacket`] is *detected* at admission.
+/// The three link faults are scheduled (by a chaos harness, say),
+/// [`FaultKind::FlowAdd`] and [`FaultKind::FlowRemove`] record churn, and
+/// [`FaultKind::PacketDrop`] and [`FaultKind::InvalidPacket`] are
+/// *detected* at admission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The link rate changed (value = new rate in bits/s).
@@ -155,13 +157,8 @@ pub enum FaultKind {
     LinkDown,
     /// The link came back up (outage end; value = restored rate).
     LinkUp,
-    /// A packet was dropped by fault injection (value = length in bytes).
+    /// A packet found its leaf gone at admission (value = length in bytes).
     PacketDrop,
-    /// A packet was corrupted in flight to the server (value = original
-    /// length in bytes).
-    PacketCorrupt,
-    /// A timer was perturbed by clock jitter (value = applied offset, s).
-    ClockJitter,
     /// A flow/leaf was added mid-run (churn; value = its share).
     FlowAdd,
     /// A flow/leaf was removed mid-run (churn; value = its share).
@@ -178,8 +175,6 @@ impl FaultKind {
             FaultKind::LinkDown => "link_down",
             FaultKind::LinkUp => "link_up",
             FaultKind::PacketDrop => "pkt_drop",
-            FaultKind::PacketCorrupt => "pkt_corrupt",
-            FaultKind::ClockJitter => "clock_jitter",
             FaultKind::FlowAdd => "flow_add",
             FaultKind::FlowRemove => "flow_remove",
             FaultKind::InvalidPacket => "invalid_pkt",
@@ -193,8 +188,6 @@ impl FaultKind {
             "link_down" => FaultKind::LinkDown,
             "link_up" => FaultKind::LinkUp,
             "pkt_drop" => FaultKind::PacketDrop,
-            "pkt_corrupt" => FaultKind::PacketCorrupt,
-            "clock_jitter" => FaultKind::ClockJitter,
             "flow_add" => FaultKind::FlowAdd,
             "flow_remove" => FaultKind::FlowRemove,
             "invalid_pkt" => FaultKind::InvalidPacket,

@@ -460,7 +460,7 @@ mod tests {
         let flt = FaultEvent {
             time: 0.333_333_333_333_333_3,
             link: 0,
-            kind: FaultKind::PacketCorrupt,
+            kind: FaultKind::InvalidPacket,
             node: 2,
             flow: 11,
             value: 1500.0,
@@ -476,8 +476,6 @@ mod tests {
             LinkDown,
             LinkUp,
             PacketDrop,
-            PacketCorrupt,
-            ClockJitter,
             FlowAdd,
             FlowRemove,
             InvalidPacket,

@@ -69,13 +69,11 @@ fn assert_round_trips(ev: TraceEvent) {
     assert_eq!(first, second, "re-serialization not byte-identical");
 }
 
-const FAULT_KINDS: [FaultKind; 9] = [
+const FAULT_KINDS: [FaultKind; 7] = [
     FaultKind::LinkRate,
     FaultKind::LinkDown,
     FaultKind::LinkUp,
     FaultKind::PacketDrop,
-    FaultKind::PacketCorrupt,
-    FaultKind::ClockJitter,
     FaultKind::FlowAdd,
     FaultKind::FlowRemove,
     FaultKind::InvalidPacket,

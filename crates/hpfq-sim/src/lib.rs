@@ -4,7 +4,7 @@
 //! NETSIM the paper used (§5). It drives H-PFQ [`hpfq_core::Hierarchy`]
 //! instances as output-link schedulers — one per link of a [`Network`]
 //! ([`Network::single_link`] for the paper's one-link experiments) — on
-//! top of the shared [`hpfq_events`] engine, and provides:
+//! top of the [`hpfq_events`] engine, and provides:
 //!
 //! * the paper's traffic sources — constant rate (PS-n), deterministic
 //!   on/off (RT-1 and the §5.2 on/off sources), Poisson, multiplexed
@@ -51,8 +51,7 @@ pub mod stats;
 
 pub use flow_map::FlowMap;
 pub use network::{
-    FallbackReason, FaultInjector, Hop, LinkLedger, Network, NoFaults, PacketVerdict,
-    ParallelReport, Route, SimCommand, SourceId,
+    FallbackReason, Hop, LinkLedger, Network, ParallelReport, Route, SimCommand, SourceId,
 };
 pub use rng::SmallRng;
 pub use source::{

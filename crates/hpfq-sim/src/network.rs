@@ -1,4 +1,4 @@
-//! Multi-link network simulation on the shared [`hpfq_events`] engine.
+//! Multi-link network simulation on the [`hpfq_events`] engine.
 //!
 //! A [`Network`] owns any number of output links, each scheduled by its own
 //! H-PFQ [`Hierarchy`], plus a set of flows with **static routes**: an
@@ -10,16 +10,15 @@
 //! A one-link network is [`Network::single_link`] with [`Route::single`]
 //! or [`Route::open_loop`] routes.
 //!
-//! The event loop is [`hpfq_events::Engine`] — the same deterministic
-//! `(time, seq)` FIFO-tie-breaking core the fluid simulator uses. Event
-//! model (ties fire in a content-derived order, so
-//! runs are deterministic):
+//! The event loop is [`hpfq_events::Engine`], a deterministic
+//! `(time, minor, seq)` event core. Event model (ties fire in a
+//! content-derived order, so runs are deterministic):
 //!
 //! * `Wake(source)` — a source timer fires; emitted packets are enqueued at
 //!   the first hop's leaf (subject to its drop-tail buffer) and the link
 //!   starts transmitting if idle. The source index is all there is to a
 //!   wake, so it is queued as an engine *timer*
-//!   ([`hpfq_events::EventQueue::with_timers`]): sixteen bytes in the
+//!   ([`hpfq_events::Engine::with_timers`]): sixteen bytes in the
 //!   event heap and no arena slot. Every other event carries a packet or a
 //!   command and takes a slot.
 //! * link completion — the link finishes a packet (not a queued event:
@@ -44,14 +43,14 @@
 //!
 //! # Faults and degradation
 //!
-//! A [`FaultInjector`] installed with [`Network::set_fault_injector`] sees
-//! every packet at network ingress (it may drop or corrupt it) and every
-//! source timer (it may jitter it). Malformed packets are caught by
-//! [`Packet::validate`] at admission: each is dropped before it reaches
-//! the scheduler, counted as a fault drop, and reported as a
-//! [`FaultKind::InvalidPacket`] fault. The flow keeps being served —
-//! isolating a misbehaving flow is the scheduler's own job. Nothing in
-//! this path panics.
+//! The network validates what arrives and knows nothing of how a packet
+//! was lost or mangled upstream: a lossy or corrupting path is a
+//! [`Source`] whose output says so (`hpfq-chaos`'s `ChaosSource` wraps
+//! one). Malformed packets are caught by [`Packet::validate`] at
+//! admission: each is dropped before it reaches the scheduler, counted as
+//! a fault drop, and reported as a [`FaultKind::InvalidPacket`] fault. The
+//! flow keeps being served — isolating a misbehaving flow is the
+//! scheduler's own job. Nothing in this path panics.
 
 use std::any::Any;
 
@@ -210,46 +209,6 @@ impl std::fmt::Debug for SimCommand {
     }
 }
 
-/// What a [`FaultInjector`] decided about one packet at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketVerdict {
-    /// Deliver the packet to the scheduler unchanged.
-    Pass,
-    /// Silently lose the packet (modeling loss upstream of the server).
-    Drop,
-    /// The injector mutated the packet's fields in place; the admission
-    /// path revalidates it (a corrupted-invalid packet is then dropped
-    /// and counted).
-    Corrupted,
-}
-
-/// A deterministic fault source consulted on the simulator's hot paths.
-///
-/// Implementations must be pure functions of their own seeded state so the
-/// same injector over the same workload reproduces the same faults; for
-/// scheduler-differential experiments the per-flow decision streams should
-/// depend only on each flow's own packet/wake order (which open-loop
-/// sources make scheduler-independent).
-pub trait FaultInjector {
-    /// Inspect — and possibly mutate — a packet at admission.
-    fn on_packet(&mut self, _now: f64, _pkt: &mut Packet) -> PacketVerdict {
-        PacketVerdict::Pass
-    }
-
-    /// Perturb a wake time requested by `flow`'s source. Returning `wake`
-    /// unchanged means no jitter; returned times earlier than `now` are
-    /// clamped to `now` by the scheduler.
-    fn jitter(&mut self, _now: f64, _flow: u32, wake: f64) -> f64 {
-        wake
-    }
-}
-
-/// The no-fault injector (used when none is installed).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
 #[derive(Debug)]
 enum NetEvent {
     Wake(usize),
@@ -327,6 +286,14 @@ fn new_engine() -> Engine<NetEvent> {
 /// and detaches.
 fn tx_minor(link: usize) -> u64 {
     (2 << 56) | (link as u64 & MINOR_CONTENT)
+}
+
+/// Why [`Network::admit`] refused a packet.
+enum Refused {
+    /// The leaf's drop-tail buffer has no room for it.
+    Full,
+    /// The leaf is no longer in the hierarchy.
+    NoLeaf,
 }
 
 /// What [`Network::step`] found due.
@@ -496,7 +463,6 @@ pub struct Network<S: NodeScheduler, O: Observer = NoopObserver> {
     /// slots registered under one flow id it holds the later; built from
     /// `sources` in slot order it is always the same index.
     flow_owner: FlowIndex,
-    injector: Option<Box<dyn FaultInjector>>,
     /// Bytes currently propagating between hops (transmitted at hop *i*,
     /// not yet admitted at hop *i+1*). Signed so that
     /// [`Network::verify_conservation`] reports a negative count instead
@@ -524,7 +490,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             started_below: 0,
             stats: SimStats::new(),
             flow_owner: FlowIndex::default(),
-            injector: None,
             inflight_bytes: 0,
             command_errors: Vec::new(),
         }
@@ -557,12 +522,6 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
             ledger: LinkLedger::default(),
         });
         idx
-    }
-
-    /// Installs a fault injector consulted at packet admission and timer
-    /// scheduling. Replaces any previous injector.
-    pub fn set_fault_injector(&mut self, inj: impl FaultInjector + 'static) {
-        self.injector = Some(Box::new(inj));
     }
 
     /// Number of links.
@@ -699,52 +658,15 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
 
     fn apply_output(&mut self, src_idx: usize, out: SourceOutput) {
         let now = self.engine.now();
-        let flow = self.sources[src_idx].flow;
         let ingress = self.sources[src_idx].route.hops[0];
-        for w in out.wakes {
-            let mut wake = w;
-            if let Some(inj) = self.injector.as_mut() {
-                wake = inj.jitter(now, flow, w);
-                if wake != w {
-                    self.emit_fault(ingress.link, FaultKind::ClockJitter, 0, flow, wake - w);
-                }
-            }
+        for wake in out.wakes {
             self.queue_event(wake.max(now), NetEvent::Wake(src_idx));
         }
         for mut pkt in out.packets {
             pkt.arrival = now;
-            let verdict = self
-                .injector
-                .as_mut()
-                .map_or(PacketVerdict::Pass, |inj| inj.on_packet(now, &mut pkt));
-            // "Offered" is what reaches the network's ingress port —
-            // recorded after corruption so the byte ledger matches what
-            // was seen.
+            // "Offered" is what reaches the network's ingress port.
             self.stats
                 .record_arrival_at(&mut self.sources[src_idx].stats_slot, &pkt);
-            match verdict {
-                PacketVerdict::Pass => {}
-                PacketVerdict::Drop => {
-                    self.stats.record_fault_drop(&pkt);
-                    self.emit_fault(
-                        ingress.link,
-                        FaultKind::PacketDrop,
-                        ingress.leaf.index(),
-                        pkt.flow,
-                        f64::from(pkt.len_bytes),
-                    );
-                    continue;
-                }
-                PacketVerdict::Corrupted => {
-                    self.emit_fault(
-                        ingress.link,
-                        FaultKind::PacketCorrupt,
-                        ingress.leaf.index(),
-                        pkt.flow,
-                        f64::from(pkt.len_bytes),
-                    );
-                }
-            }
             // Malformed packets never reach the scheduler maths: they are
             // dropped and counted here.
             if pkt.validate().is_err() {
@@ -758,55 +680,61 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
                 );
                 continue;
             }
-            if let Some(limit) = ingress.buffer_bytes {
-                let server = &mut self.links[ingress.link].server;
-                let queued = server.leaf_queue_bytes(ingress.leaf);
-                if queued + u64::from(pkt.len_bytes) > limit {
-                    self.stats.record_drop(&pkt);
-                    server.observe(|o| {
-                        o.on_drop(&DropEvent {
-                            time: now,
-                            link: ingress.link,
-                            leaf: ingress.leaf.index(),
-                            pkt: PacketInfo {
-                                id: pkt.id,
-                                flow: pkt.flow,
-                                len_bytes: pkt.len_bytes,
-                                arrival: pkt.arrival,
-                            },
-                            queue_bytes: queued,
-                        });
-                    });
-                    continue;
-                }
-            }
-            let admitted = self.links[ingress.link]
-                .server
-                .try_enqueue(ingress.leaf, pkt);
-            match admitted {
-                Ok(()) => {
-                    self.stats
-                        .record_accept_at(&mut self.sources[src_idx].stats_slot, &pkt);
-                    let l = &mut self.links[ingress.link].ledger;
-                    l.bytes_in += u64::from(pkt.len_bytes);
-                    l.packets_in += 1;
-                }
+            match self.admit(ingress, pkt) {
+                Ok(()) => self
+                    .stats
+                    .record_accept_at(&mut self.sources[src_idx].stats_slot, &pkt),
+                Err(Refused::Full) => self.stats.record_drop(&pkt),
                 // The leaf vanished between emission and admission (e.g.
-                // removed while this packet was being generated):
-                // account the packet as fault-dropped and move on.
-                Err(_) => {
-                    self.stats.record_fault_drop(&pkt);
-                    self.emit_fault(
-                        ingress.link,
-                        FaultKind::PacketDrop,
-                        ingress.leaf.index(),
-                        pkt.flow,
-                        f64::from(pkt.len_bytes),
-                    );
-                }
+                // removed while this packet was being generated).
+                Err(Refused::NoLeaf) => self.stats.record_fault_drop(&pkt),
             }
         }
         self.try_start(ingress.link);
+    }
+
+    /// Enqueues `pkt` at `hop`'s leaf and counts it into the link's ledger,
+    /// or refuses it: a full drop-tail buffer is traced as a [`DropEvent`],
+    /// a leaf that is gone as a [`FaultKind::PacketDrop`] fault. The one
+    /// admission path of ingress and downstream hops; each caller accounts
+    /// a refusal in its own statistics.
+    fn admit(&mut self, hop: Hop, pkt: Packet) -> Result<(), Refused> {
+        let now = self.engine.now();
+        let server = &mut self.links[hop.link].server;
+        if let Some(limit) = hop.buffer_bytes {
+            let queued = server.leaf_queue_bytes(hop.leaf);
+            if queued + u64::from(pkt.len_bytes) > limit {
+                server.observe(|o| {
+                    o.on_drop(&DropEvent {
+                        time: now,
+                        link: hop.link,
+                        leaf: hop.leaf.index(),
+                        pkt: PacketInfo {
+                            id: pkt.id,
+                            flow: pkt.flow,
+                            len_bytes: pkt.len_bytes,
+                            arrival: pkt.arrival,
+                        },
+                        queue_bytes: queued,
+                    });
+                });
+                return Err(Refused::Full);
+            }
+        }
+        if server.try_enqueue(hop.leaf, pkt).is_err() {
+            self.emit_fault(
+                hop.link,
+                FaultKind::PacketDrop,
+                hop.leaf.index(),
+                pkt.flow,
+                f64::from(pkt.len_bytes),
+            );
+            return Err(Refused::NoLeaf);
+        }
+        let l = &mut self.links[hop.link].ledger;
+        l.bytes_in += u64::from(pkt.len_bytes);
+        l.packets_in += 1;
+        Ok(())
     }
 
     fn try_start(&mut self, link: usize) {
@@ -978,45 +906,8 @@ impl<S: NodeScheduler, O: Observer> Network<S, O> {
         // The decision is the hop's leaf state, not the source's `live`
         // flag: teardown reaches each hop after the data ahead of it.
         pkt.arrival = now;
-        if let Some(limit) = hop.buffer_bytes {
-            let server = &mut self.links[hop.link].server;
-            let queued = server.leaf_queue_bytes(hop.leaf);
-            if queued + u64::from(pkt.len_bytes) > limit {
-                self.stats.record_purge(&pkt);
-                server.observe(|o| {
-                    o.on_drop(&DropEvent {
-                        time: now,
-                        link: hop.link,
-                        leaf: hop.leaf.index(),
-                        pkt: PacketInfo {
-                            id: pkt.id,
-                            flow: pkt.flow,
-                            len_bytes: pkt.len_bytes,
-                            arrival: pkt.arrival,
-                        },
-                        queue_bytes: queued,
-                    });
-                });
-                return;
-            }
-        }
-        let admitted = self.links[hop.link].server.try_enqueue(hop.leaf, pkt);
-        match admitted {
-            Ok(()) => {
-                let l = &mut self.links[hop.link].ledger;
-                l.bytes_in += u64::from(pkt.len_bytes);
-                l.packets_in += 1;
-            }
-            Err(_) => {
-                self.stats.record_purge(&pkt);
-                self.emit_fault(
-                    hop.link,
-                    FaultKind::PacketDrop,
-                    hop.leaf.index(),
-                    pkt.flow,
-                    f64::from(pkt.len_bytes),
-                );
-            }
+        if self.admit(hop, pkt).is_err() {
+            self.stats.record_purge(&pkt);
         }
         self.try_start(hop.link);
     }

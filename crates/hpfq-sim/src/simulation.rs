@@ -2,7 +2,7 @@
 //! link, driven through [`Network::single_link`](crate::Network::single_link).
 
 mod tests {
-    use crate::network::{FaultInjector, Network, PacketVerdict, Route, SimCommand};
+    use crate::network::{Network, Route, SimCommand};
     use crate::source::{CbrSource, GreedyLbSource, PoissonSource, Source, SourceOutput};
     use hpfq_core::{Hierarchy, HpfqError, MixedScheduler, NodeId, Packet, SchedulerKind};
     use hpfq_obs::CountingObserver;
@@ -450,25 +450,33 @@ mod tests {
         sim.verify_conservation().unwrap();
     }
 
-    /// An injector that corrupts every other packet of one flow in
-    /// flight (the first, third, …), leaving a length no scheduler accepts.
-    struct CorruptAlternate {
-        flow: u32,
+    /// A CBR source whose every other packet (the first, third, …)
+    /// claims a length no scheduler accepts.
+    struct ZeroEveryOther {
+        inner: CbrSource,
         seen: u64,
     }
 
-    impl FaultInjector for CorruptAlternate {
-        fn on_packet(&mut self, _now: f64, pkt: &mut Packet) -> PacketVerdict {
-            if pkt.flow != self.flow {
-                return PacketVerdict::Pass;
-            }
-            self.seen += 1;
-            if self.seen % 2 == 1 {
-                pkt.len_bytes = 0;
-                PacketVerdict::Corrupted
-            } else {
-                PacketVerdict::Pass
-            }
+    impl Source for ZeroEveryOther {
+        fn start(&mut self) -> SourceOutput {
+            self.inner.start()
+        }
+
+        fn on_wake(&mut self, now: f64) -> SourceOutput {
+            let mut out = self.inner.on_wake(now);
+            out.packets = out
+                .packets
+                .into_iter()
+                .map(|mut pkt| {
+                    self.seen += 1;
+                    if self.seen % 2 == 1 {
+                        // After `Packet::new`, which refuses a zero length.
+                        pkt.len_bytes = 0;
+                    }
+                    pkt
+                })
+                .collect();
+            out
         }
     }
 
@@ -495,10 +503,12 @@ mod tests {
         );
         sim.add_route(
             1,
-            CbrSource::new(1, 1000, 3000.0, 0.0, 20.0),
+            ZeroEveryOther {
+                inner: CbrSource::new(1, 1000, 3000.0, 0.0, 20.0),
+                seen: 0,
+            },
             Route::open_loop(b),
         );
-        sim.set_fault_injector(CorruptAlternate { flow: 1, seen: 0 });
         sim.run(30.0);
         let f1 = sim.stats.flow(1);
         assert!(f1.offered_packets >= 6, "{f1:?}");
@@ -513,46 +523,8 @@ mod tests {
         let f0 = sim.stats.flow(0);
         assert_eq!(f0.offered_packets, f0.packets);
         assert_eq!(f0.fault_drops, 0);
-        // Each corrupted packet is one `pkt_corrupt` and one `invalid_pkt`
-        // fault.
-        assert_eq!(sim.link_server(0).observer().faults, 2 * f1.fault_drops);
-        sim.verify_conservation().unwrap();
-    }
-
-    /// An injector dropping every other packet of every flow.
-    struct DropAlternate(u64);
-
-    impl FaultInjector for DropAlternate {
-        fn on_packet(&mut self, _now: f64, _pkt: &mut Packet) -> PacketVerdict {
-            self.0 += 1;
-            if self.0.is_multiple_of(2) {
-                PacketVerdict::Drop
-            } else {
-                PacketVerdict::Pass
-            }
-        }
-    }
-
-    /// Injected drops are accounted separately from buffer drops and keep
-    /// the books balanced.
-    #[test]
-    fn injected_drops_are_accounted() {
-        let mut h = server(8_000.0);
-        let root = h.root();
-        let a = h.add_leaf(root, 1.0).unwrap();
-        let mut sim = Network::single_link(h);
-        sim.add_route(
-            0,
-            CbrSource::new(0, 1000, 8000.0, 0.0, 10.0),
-            Route::open_loop(a),
-        );
-        sim.set_fault_injector(DropAlternate(0));
-        sim.run(30.0);
-        let f = sim.stats.flow(0);
-        assert_eq!(f.offered_packets, 10);
-        assert_eq!(f.fault_drops, 5);
-        assert_eq!(f.packets, 5);
-        assert_eq!(f.drops, 0);
+        // Each invalid packet is one `invalid_pkt` fault.
+        assert_eq!(sim.link_server(0).observer().faults, f1.fault_drops);
         sim.verify_conservation().unwrap();
     }
 

@@ -52,10 +52,10 @@ pub struct FlowStats {
     pub accepted_packets: u64,
     /// Bytes accepted into the hierarchy.
     pub accepted_bytes: u64,
-    /// Packets lost to fault injection or admission validation (distinct
-    /// from buffer `drops`).
+    /// Packets refused at admission as invalid, or because their leaf was
+    /// gone (distinct from buffer `drops`).
     pub fault_drops: u64,
-    /// Bytes lost to fault injection or admission validation.
+    /// Bytes of the `fault_drops` packets.
     pub fault_drop_bytes: u64,
     /// Packets purged from the queue when the flow was removed (accepted
     /// but never served).
@@ -258,7 +258,8 @@ impl SimStats {
         self.entry_at(hint, pkt.flow).accept(pkt);
     }
 
-    /// Records a packet lost to fault injection or admission validation.
+    /// Records a packet refused at admission as invalid, or because its
+    /// leaf was gone.
     pub fn record_fault_drop(&mut self, pkt: &Packet) {
         let f = self.cold_entry(pkt.flow);
         f.fault_drops += 1;
