@@ -20,7 +20,11 @@
 //! * **bounded unfairness after recovery** — in the fault-free tail every
 //!   backlogged base flow's normalized service (bytes over its guaranteed
 //!   rate) converges; FIFO, which offers no isolation, is reported but not
-//!   held to the bound.
+//!   held to the bound;
+//! * **a fault-free tail** — each run's own trace shows no `invalid_pkt`
+//!   fault at or after [`ChaosConfig::quiet_from`], and every base flow's
+//!   packets reach the server there without a gap in their ids (enqueued
+//!   or buffer-dropped, none lost upstream).
 //!
 //! Corrupted packets are dropped and counted at admission (they show up in
 //! each flow's `fault_drops`); the flow that sent them keeps its leaf and
@@ -29,7 +33,8 @@
 use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
-use hpfq_obs::{InvariantKind, InvariantObserver, JsonlObserver};
+use hpfq_obs::jsonl::parse_trace;
+use hpfq_obs::{FaultKind, InvariantKind, InvariantObserver, JsonlObserver, TraceEvent};
 use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
@@ -311,6 +316,9 @@ impl ChaosReport {
                     run.violations_total
                 ));
             }
+            for p in tail_faults(&run.trace, self.cfg.quiet_from()) {
+                problems.push(format!("[{name}] fault-free tail: {p}"));
+            }
             // `None` is legitimate — outages and churn can leave too few
             // base flows backlogged for fairness to be observable.
             if run.scheduler != SchedulerKind::Fifo.name() {
@@ -353,6 +361,40 @@ impl ChaosReport {
             Err(problems)
         }
     }
+}
+
+/// What `trace` shows of a fault at or after `quiet_from`: an
+/// `invalid_pkt` fault, or a base flow whose packets reach the server with
+/// a gap in their ids (a packet lost before the server). Ids are per-flow
+/// sequence numbers, so consecutive arrivals differ by one.
+fn tail_faults(trace: &[u8], quiet_from: f64) -> Vec<String> {
+    let (events, _) = parse_trace(&String::from_utf8_lossy(trace));
+    let mut problems = Vec::new();
+    let mut last_id: BTreeMap<u32, u64> = BTreeMap::new();
+    for ev in events {
+        let (time, pkt) = match ev {
+            TraceEvent::Enqueue(e) => (e.time, e.pkt),
+            TraceEvent::Drop(e) => (e.time, e.pkt),
+            TraceEvent::Fault(f) if f.kind == FaultKind::InvalidPacket && f.time >= quiet_from => {
+                problems.push(format!("flow {} invalid packet at t = {}", f.flow, f.time));
+                continue;
+            }
+            _ => continue,
+        };
+        if time < quiet_from || !BASE_FLOWS.contains(&pkt.flow) {
+            continue;
+        }
+        if let Some(prev) = last_id.insert(pkt.flow, pkt.id) {
+            if pkt.id != prev + 1 {
+                problems.push(format!(
+                    "flow {} lost {} packet(s) before t = {time}",
+                    pkt.flow,
+                    pkt.id.wrapping_sub(prev + 1)
+                ));
+            }
+        }
+    }
+    problems
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@
 //! (pops take the smaller of the two fronts). Ring disciplines — FIFO
 //! offer order, DRR rotation — emit exactly such monotone sequence ranks,
 //! so their steady-state cost stays O(1) per operation, as a `VecDeque`
-//! ring's would.
+//! ring's would. DRR's one out-of-order rank, the in-deficit continuation
+//! that re-offers the minimum it was popped with, is the ready heap's only
+//! entry and pops first (`pifo::tests::ring_policies_stay_off_the_heaps`).
 
 use std::collections::VecDeque;
 
@@ -131,6 +133,12 @@ impl DualHeapEligibleSet {
         let _ = (id, joins);
     }
 
+    /// `(pending, ready)` heap sizes, the sorted tail not counted.
+    #[cfg(test)]
+    pub(crate) fn heap_lens(&self) -> (usize, usize) {
+        (self.pending.len(), self.ready.len())
+    }
+
     /// Migrates every pending entry with `start <= thr` into `ready`.
     #[inline]
     fn migrate(&mut self, thr: f64) {
@@ -208,52 +216,6 @@ impl PifoBackend for DualHeapEligibleSet {
                 }
             }
         }
-    }
-
-    /// The caller promises (via
-    /// [`crate::pifo::RankProgram::MONOTONE_RANKS`]) that every rank is
-    /// open and is either >= everything queued (a fresh sequence value —
-    /// the common case, appended to the tail back) or <= everything queued
-    /// (a re-offered front, e.g. DRR's in-deficit continuation — pushed
-    /// back onto the tail front). Either way the tail stays sorted and the
-    /// heaps stay empty, so [`PifoBackend::pop_monotone`] is a single deque
-    /// pop.
-    #[inline]
-    fn push_monotone(&mut self, id: SessionId, primary: f64, secondary: f64) {
-        debug_assert!(
-            primary.is_finite() && secondary.is_finite(),
-            "bad rank ({primary}, {secondary}) for session {id:?}"
-        );
-        self.note_member(id.0, true);
-        let e = Ready {
-            key: primary,
-            secondary,
-            id: index_u32(id.0),
-        };
-        match self.ready_tail.back() {
-            Some(b) if ready_lt(&e, b) => {
-                debug_assert!(
-                    self.ready_tail.front().is_none_or(|f| !ready_lt(f, &e)),
-                    "MONOTONE_RANKS violated: rank between the tail front and back"
-                );
-                self.ready_tail.push_front(e);
-            }
-            _ => self.ready_tail.push_back(e),
-        }
-    }
-
-    /// The heaps are provably empty (no gated or out-of-order insert ever
-    /// happened), so the minimum rank is the tail front — one deque pop, as
-    /// on a ring.
-    #[inline]
-    fn pop_monotone(&mut self) -> Option<SessionId> {
-        debug_assert!(
-            self.pending.is_empty() && self.ready.is_empty(),
-            "MONOTONE_RANKS program has heap entries"
-        );
-        let top = self.ready_tail.pop_front()?;
-        self.note_member(top.id as usize, false);
-        Some(SessionId(top.id as usize))
     }
 
     fn pop_min_ranked(&mut self) -> Option<SessionId> {

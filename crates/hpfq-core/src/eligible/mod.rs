@@ -30,8 +30,8 @@ use crate::scheduler::SessionId;
 /// The *ranked* interface the driver uses, a trait so that something other
 /// than the dual heap can sit under it: a reference PIFO in a test, an
 /// instrumented wrapper in a benchmark. The semantic contract — rank
-/// model, monotone thresholds within a busy period, id tie-breaks, the
-/// `MONOTONE_RANKS` tail promise — is documented on
+/// model, monotone thresholds within a busy period, id tie-breaks — is
+/// documented on
 /// [`dual_heap::DualHeapEligibleSet`] and applies verbatim to every
 /// implementation: a session id is a member at most once, ranks are
 /// finite, and within one busy period the thresholds passed to
@@ -52,12 +52,19 @@ pub trait PifoBackend: std::fmt::Debug + Clone + Default {
     /// rank, ties by session id.
     fn insert_ranked(&mut self, id: SessionId, elig: Option<f64>, primary: f64, secondary: f64);
 
-    /// Ring-discipline insert under the `MONOTONE_RANKS` promise (open rank,
-    /// >= everything queued or <= everything queued).
-    fn push_monotone(&mut self, id: SessionId, primary: f64, secondary: f64);
+    /// An open [`PifoBackend::insert_ranked`]. Nothing in the workspace
+    /// calls it: it stays only because `benchmark/src/replay.rs` forwards
+    /// it, and leaves with [`PifoBackend::ensure_sessions`] (ROADMAP item
+    /// 6(b)).
+    fn push_monotone(&mut self, id: SessionId, primary: f64, secondary: f64) {
+        self.insert_ranked(id, None, primary, secondary);
+    }
 
-    /// Pop for `MONOTONE_RANKS` programs: the front of the sorted tail.
-    fn pop_monotone(&mut self) -> Option<SessionId>;
+    /// [`PifoBackend::pop_min_ranked`]; kept, like
+    /// [`PifoBackend::push_monotone`], only for that forwarder.
+    fn pop_monotone(&mut self) -> Option<SessionId> {
+        self.pop_min_ranked()
+    }
 
     /// Pops the minimum `(primary, secondary, id)` rank regardless of
     /// eligibility keys ([`Threshold::All`](crate::pifo::Threshold::All)).
@@ -75,7 +82,7 @@ pub trait PifoBackend: std::fmt::Debug + Clone + Default {
     /// ranks, replayable through [`PifoBackend::insert_ranked`], in a
     /// deterministic order. Nothing in the workspace calls it: it stays
     /// only because `benchmark/src/replay.rs` forwards it, and leaves with
-    /// [`PifoBackend::ensure_sessions`] (ROADMAP item 4(b)).
+    /// [`PifoBackend::ensure_sessions`] (ROADMAP item 6(b)).
     fn members_in_order(&self) -> Vec<(SessionId, Option<f64>, f64, f64)>;
 
     /// Number of members.

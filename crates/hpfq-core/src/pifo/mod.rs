@@ -134,18 +134,6 @@ pub enum Admission {
 /// Programs defined *outside* this crate work exactly like the in-tree
 /// ones; see `examples/custom_policy.rs`.
 pub trait RankProgram {
-    /// Promise that every rank this program ever emits is *open* (no
-    /// eligibility key) and ring-shaped: at the moment it is emitted, the
-    /// rank is either >= every queued rank (a fresh sequence value — FIFO
-    /// offers, DRR rotations) or <= every queued rank (a re-offered front,
-    /// e.g. DRR's in-deficit continuation, whose old sequence value was
-    /// the unique minimum when it was popped). The driver then bypasses
-    /// the dual-heap machinery entirely: inserts land on the sorted tail
-    /// deque at one of its two ends and pops take its front, one deque
-    /// operation each, as on a `VecDeque` ring. Violations
-    /// are caught by debug assertions in the backing structure.
-    const MONOTONE_RANKS: bool = false;
-
     /// Whether [`RankProgram::arrival_hint`] does anything. The default is
     /// `true`; a program that keeps the default (ignoring) `arrival_hint`
     /// says `false`, and a hierarchy built only from such programs skips
@@ -348,13 +336,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             .program
             .rank_backlog(id, &mut self.sessions, head_bits, ref_now, self.t);
         self.sessions.note_head(id, head_bits, true);
-        if P::MONOTONE_RANKS {
-            debug_assert!(rank.elig.is_none(), "MONOTONE_RANKS rank is gated");
-            self.queue.push_monotone(id, rank.primary, rank.secondary);
-        } else {
-            self.queue
-                .insert_ranked(id, rank.elig, rank.primary, rank.secondary);
-        }
+        self.queue
+            .insert_ranked(id, rank.elig, rank.primary, rank.secondary);
         self.backlogged += 1;
     }
 
@@ -394,13 +377,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
         let (id, thr) = loop {
             let (id, thr) = match rule {
                 Threshold::All => {
-                    let popped = if P::MONOTONE_RANKS {
-                        self.queue.pop_monotone()
-                    } else {
-                        self.queue.pop_min_ranked()
-                    };
                     #[expect(clippy::expect_used, reason = "queue verified non-empty above")]
-                    let id = popped.expect("queue is non-empty");
+                    let id = self.queue.pop_min_ranked().expect("queue is non-empty");
                     (id, f64::INFINITY)
                 }
                 Threshold::Clamped(v) => {
@@ -431,13 +409,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             match self.program.admit(id, &self.sessions) {
                 Admission::Serve => break (id, thr),
                 Admission::Rotate(rank) => {
-                    if P::MONOTONE_RANKS {
-                        debug_assert!(rank.elig.is_none(), "MONOTONE_RANKS rank is gated");
-                        self.queue.push_monotone(id, rank.primary, rank.secondary);
-                    } else {
-                        self.queue
-                            .insert_ranked(id, rank.elig, rank.primary, rank.secondary);
-                    }
+                    self.queue
+                        .insert_ranked(id, rank.elig, rank.primary, rank.secondary);
                 }
             }
         };
@@ -461,13 +434,8 @@ impl<P: RankProgram, Q: PifoBackend> NodeScheduler for PifoTree<P, Q> {
             Some(bits) => {
                 let rank = self.program.rank_continuation(id, &mut self.sessions, bits);
                 self.sessions.note_head(id, bits, true);
-                if P::MONOTONE_RANKS {
-                    debug_assert!(rank.elig.is_none(), "MONOTONE_RANKS rank is gated");
-                    self.queue.push_monotone(id, rank.primary, rank.secondary);
-                } else {
-                    self.queue
-                        .insert_ranked(id, rank.elig, rank.primary, rank.secondary);
-                }
+                self.queue
+                    .insert_ranked(id, rank.elig, rank.primary, rank.secondary);
             }
             None => {
                 self.sessions.set_idle(id);
@@ -625,6 +593,54 @@ mod tests {
         assert_eq!(s.select_next(), Some(a));
         s.requeue(a, None);
         assert_eq!(s.select_next(), None);
+    }
+
+    /// The ring policies keep the dual heap's O(1) ring cost: over 20 000
+    /// dispatches to 64 sessions of mixed packet lengths, FIFO never puts
+    /// an entry on either heap, and DRR puts at most one on the ready heap
+    /// (its in-deficit continuation, which pops next). Returns the peak
+    /// ready-heap size and how many dispatches repeated the session before.
+    fn ring_heap_peak<P: RankProgram>(program: P) -> (usize, usize) {
+        let mut s = PifoTree::new(1.0, program);
+        let lens = [1_000.0, 8_000.0, 12_000.0, 24_000.0];
+        let mut draw = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next_len = || {
+            draw ^= draw << 13;
+            draw ^= draw >> 7;
+            draw ^= draw << 17;
+            lens[(draw % 4) as usize]
+        };
+        for _ in 0..64 {
+            let id = s.add_session(1.0 / 64.0);
+            s.backlog(id, next_len(), None);
+        }
+        let (mut peak, mut repeats, mut last) = (0, 0, None);
+        for _ in 0..20_000 {
+            let id = s.select_next().unwrap();
+            repeats += usize::from(last == Some(id));
+            last = Some(id);
+            let bits = next_len();
+            // One dispatch in sixteen ends the backlog; the session returns
+            // at once with a fresh head.
+            if bits == 1_000.0 && next_len() == 1_000.0 {
+                s.requeue(id, None);
+                s.backlog(id, bits, None);
+            } else {
+                s.requeue(id, Some(bits));
+            }
+            let (pending, ready) = s.queue.heap_lens();
+            assert_eq!(pending, 0, "{}: an open rank was gated", s.name());
+            peak = peak.max(ready);
+        }
+        (peak, repeats)
+    }
+
+    #[test]
+    fn ring_policies_stay_off_the_heaps() {
+        assert_eq!(ring_heap_peak(FifoRank::new()).0, 0);
+        let (peak, repeats) = ring_heap_peak(DrrRank::with_quantum_base(64.0 * 24_000.0));
+        assert_eq!(peak, 1, "DRR's continuation is the one heap entry");
+        assert!(repeats > 5_000, "only {repeats} in-deficit continuations");
     }
 
     #[test]

@@ -96,11 +96,6 @@ impl Default for DrrRank {
 }
 
 impl RankProgram for DrrRank {
-    // Ring discipline: backlog/rotation ranks are fresh maxima, and the
-    // in-deficit continuation re-offers the minimum it was popped with
-    // (see the module docs' induction argument).
-    const MONOTONE_RANKS: bool = true;
-
     // Keeps the default `arrival_hint`, which ignores the hint.
     const WANTS_HINTS: bool = false;
 

@@ -35,10 +35,6 @@ impl FifoRank {
 }
 
 impl RankProgram for FifoRank {
-    // Offer order is a single global sequence counter: open ranks, strictly
-    // increasing — the ring-discipline contract.
-    const MONOTONE_RANKS: bool = true;
-
     // Keeps the default `arrival_hint`, which ignores the hint.
     const WANTS_HINTS: bool = false;
 

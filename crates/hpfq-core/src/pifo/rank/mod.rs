@@ -1,8 +1,18 @@
-//! The seven in-tree rank programs — one per [`SchedulerKind`] — each
-//! pinned by the golden digests in `tests/pifo_equivalence.rs`.
+//! The in-tree rank programs, each pinned by the golden digests in
+//! `tests/pifo_equivalence.rs`: seven policies — one per [`SchedulerKind`]
+//! — on five programs. The paper (§3) tells PFQ algorithms apart by a
+//! virtual-time function and a packet-selection policy, and the types say
+//! which is which:
+//!
+//! | program | virtual time | policies |
+//! |---|---|---|
+//! | [`GpsRank<SEFF>`](gps::GpsRank) | exact GPS | [`WfqRank`] (SFF), [`Wf2qRank`] (SEFF) |
+//! | [`SelfClockedRank<BY_START>`](self_clocked::SelfClockedRank) | last dispatched tag | [`ScfqRank`] (finish), [`SfqRank`] (start) |
+//! | [`Wf2qPlusRank`] | eq. (27) | WF²Q+ (SEFF) |
+//! | [`DrrRank`], [`FifoRank`] | none (reference time) | DRR, FIFO |
 //!
 //! [`crate::MixedScheduler`] holds a monomorphized `PifoTree<P>` per
-//! program (rather than one tree over a program *enum*) so each policy's
+//! policy (rather than one tree over a program *enum*) so each policy's
 //! driver specializes and inlines its rank hooks — the enum indirection
 //! cost double-digit percent on the cheap policies (FIFO, DRR).
 //!
@@ -10,19 +20,22 @@
 
 pub mod drr;
 pub mod fifo;
-pub mod scfq;
-pub mod sfq;
-pub mod wf2q;
+pub mod gps;
+pub mod self_clocked;
 pub mod wf2q_plus;
-pub mod wfq;
 
 pub use drr::DrrRank;
 pub use fifo::FifoRank;
-pub use scfq::ScfqRank;
-pub use sfq::SfqRank;
-pub use wf2q::Wf2qRank;
 pub use wf2q_plus::Wf2qPlusRank;
-pub use wfq::WfqRank;
+
+/// WFQ (PGPS, paper §3.1): GPS virtual time, SFF selection.
+pub type WfqRank = gps::GpsRank<false>;
+/// WF²Q (paper §3.3): GPS virtual time, SEFF selection.
+pub type Wf2qRank = gps::GpsRank<true>;
+/// SCFQ: self-clocked on the finish tag, ranked `(finish, start)`.
+pub type ScfqRank = self_clocked::SelfClockedRank<false>;
+/// SFQ: self-clocked on the start tag, ranked `(start, finish)`.
+pub type SfqRank = self_clocked::SelfClockedRank<true>;
 
 /// The smallest share the round-robin program ([`DrrRank`]) serves:
 /// `2^-24`. A session of share `phi` earns `phi * quantum_base` bits per

@@ -225,12 +225,6 @@ impl PifoBackend for SortByRankPifo {
         assert!(!self.members.iter().any(|m| m.0 == id), "{id:?} twice");
         self.members.push((id, elig, primary, secondary));
     }
-    fn push_monotone(&mut self, id: SessionId, primary: f64, secondary: f64) {
-        self.insert_ranked(id, None, primary, secondary);
-    }
-    fn pop_monotone(&mut self) -> Option<SessionId> {
-        self.pop_min_ranked()
-    }
     fn pop_min_ranked(&mut self) -> Option<SessionId> {
         self.pop_eligible(f64::INFINITY)
     }
