@@ -6,19 +6,22 @@ use hpfq_sim::ServiceRecord;
 /// Builds a cumulative service curve `W(t)` from service records: each
 /// packet contributes a linear ramp of its bits over its transmission
 /// interval `[start, end]` (the link transfers bits at line rate during
-/// the transmission). Records must be non-overlapping in time — true for
-/// any set of records from one link — but may be given unsorted.
+/// the transmission). Records should be non-overlapping in time — true
+/// for any set of records from one link — but may be given unsorted;
+/// records that overlap (a corrupt trace's) are laid end to end.
 pub fn service_curve_from_records<'a>(
     records: impl IntoIterator<Item = &'a ServiceRecord>,
 ) -> ServiceCurve {
     let mut recs: Vec<&ServiceRecord> = records.into_iter().collect();
     recs.sort_by(|a, b| a.start.partial_cmp(&b.start).expect("finite times"));
     let mut curve = ServiceCurve::new();
-    let mut w = 0.0;
+    let (mut t, mut w) = (f64::NEG_INFINITY, 0.0);
     for r in recs {
-        curve.push(r.start, w);
+        t = t.max(r.start);
+        curve.push(t, w);
         w += f64::from(r.len_bytes) * 8.0;
-        curve.push(r.end, w);
+        t = t.max(r.end);
+        curve.push(t, w);
     }
     curve
 }

@@ -27,13 +27,9 @@ pub struct TraceAnomalies {
     pub unmatched_starts: usize,
 }
 
-/// Reconstructs the transmitted-packet service records from a parsed
-/// trace, in departure order, together with pairing diagnostics.
-///
-/// Only `tx_start`/`tx_end` events matter; all others are skipped. A
-/// healthy complete trace yields zero [`TraceAnomalies`]; a trace cut off
-/// mid-transmission leaves exactly one unmatched start.
-pub fn service_records_from_trace(events: &[TraceEvent]) -> (Vec<ServiceRecord>, TraceAnomalies) {
+/// Pairs every `tx_start` with the `tx_end` of the same packet on the
+/// same link: `(link, service)` in departure order, and the anomalies.
+fn paired_services(events: &[TraceEvent]) -> (Vec<(usize, ServiceRecord)>, TraceAnomalies) {
     let mut tagged = Vec::new();
     let mut anomalies = TraceAnomalies::default();
     // (packet id, start time) of the in-flight transmission per link —
@@ -68,6 +64,17 @@ pub fn service_records_from_trace(events: &[TraceEvent]) -> (Vec<ServiceRecord>,
         }
     }
     anomalies.unmatched_starts += in_flight.len();
+    (tagged, anomalies)
+}
+
+/// Reconstructs the transmitted-packet service records from a parsed
+/// trace, in departure order, together with pairing diagnostics.
+///
+/// Only `tx_start`/`tx_end` events matter; all others are skipped. A
+/// healthy complete trace yields zero [`TraceAnomalies`]; a trace cut off
+/// mid-transmission leaves exactly one unmatched start.
+pub fn service_records_from_trace(events: &[TraceEvent]) -> (Vec<ServiceRecord>, TraceAnomalies) {
+    let (tagged, anomalies) = paired_services(events);
     (tagged.into_iter().map(|(_, r)| r).collect(), anomalies)
 }
 
@@ -77,37 +84,11 @@ pub fn service_records_from_trace(events: &[TraceEvent]) -> (Vec<ServiceRecord>,
 pub fn per_link_records_from_trace(
     events: &[TraceEvent],
 ) -> (BTreeMap<usize, Vec<ServiceRecord>>, TraceAnomalies) {
+    let (tagged, anomalies) = paired_services(events);
     let mut by_link: BTreeMap<usize, Vec<ServiceRecord>> = BTreeMap::new();
-    let mut anomalies = TraceAnomalies::default();
-    let mut in_flight: BTreeMap<usize, (u64, f64)> = BTreeMap::new();
-    for ev in events {
-        match ev {
-            TraceEvent::TxStart(e) => {
-                let clobbered = in_flight.insert(e.link, (e.pkt.id, e.time));
-                anomalies.unmatched_starts += usize::from(clobbered.is_some());
-            }
-            TraceEvent::TxComplete(e) => match in_flight.remove(&e.link) {
-                Some((id, start)) if id == e.pkt.id => {
-                    by_link.entry(e.link).or_default().push(ServiceRecord {
-                        id: e.pkt.id,
-                        flow: e.pkt.flow,
-                        len_bytes: e.pkt.len_bytes,
-                        arrival: e.pkt.arrival,
-                        start,
-                        end: e.time,
-                    });
-                }
-                other => {
-                    anomalies.unmatched_ends += 1;
-                    if other.is_some() {
-                        anomalies.unmatched_starts += 1;
-                    }
-                }
-            },
-            _ => {}
-        }
+    for (link, rec) in tagged {
+        by_link.entry(link).or_default().push(rec);
     }
-    anomalies.unmatched_starts += in_flight.len();
     (by_link, anomalies)
 }
 
@@ -272,6 +253,24 @@ mod tests {
         assert_eq!(by_link[&1].len(), 1);
         assert_eq!(by_link[&0][0].id, 1);
         assert_eq!(by_link[&1][0].id, 2);
+    }
+
+    /// A time that is not a finite number makes its line malformed, so no
+    /// reader sorts by it.
+    #[test]
+    fn a_non_finite_time_is_a_malformed_line() {
+        let text = concat!(
+            "{\"ev\":\"tx_start\",\"t\":0,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":0,\"len\":1000,\"arr\":0}\n",
+            "{\"ev\":\"tx_end\",\"t\":1,\"link\":0,\"leaf\":1,\"id\":1,\"flow\":0,\"len\":1000,\"arr\":0}\n",
+            "{\"ev\":\"tx_start\",\"t\":NaN,\"link\":1,\"leaf\":1,\"id\":1,\"flow\":0,\"len\":1000,\"arr\":1}\n",
+            "{\"ev\":\"tx_end\",\"t\":2,\"link\":1,\"leaf\":1,\"id\":1,\"flow\":0,\"len\":1000,\"arr\":1}\n",
+        );
+        let (events, skipped) = hpfq_obs::jsonl::parse_trace(text);
+        let (paths, anomalies) = path_records_from_trace(&events);
+        assert_eq!(skipped, 1);
+        assert_eq!(paths.len(), 1);
+        assert_eq!(paths[0].hops.len(), 1);
+        assert_eq!(anomalies.unmatched_ends, 1);
     }
 
     #[test]

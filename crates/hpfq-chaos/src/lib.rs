@@ -12,7 +12,7 @@
 //!   correlated Gilbert–Elliott loss, adversarial packet corruption, clock
 //!   jitter, flow churn) at fixed intensities behind one on/off switch;
 //! * [`plan::build_plan`] — the control-plane schedule
-//!   ([`hpfq_sim::SimCommand`]s) plus the outage windows it creates;
+//!   ([`hpfq_sim::SimCommand`]s);
 //! * [`inject::ChaosSource`] — the data plane: a [`hpfq_sim::Source`]
 //!   adapter that loses, corrupts and jitters one flow's output before the
 //!   network sees it, from a decision stream of that flow's own, so every
@@ -38,6 +38,5 @@ pub use config::ChaosConfig;
 pub use inject::ChaosSource;
 pub use plan::{build_plan, ChaosPlan, CHURN_FLOW_BASE};
 pub use soak::{
-    build_soak_sim, run_soak, ChaosReport, FlowLedger, SoakRun, BASE_FLOWS, LINK_BPS,
-    UNFAIRNESS_BOUND,
+    build_soak_sim, run_soak, ChaosReport, SoakRun, BASE_FLOWS, LINK_BPS, UNFAIRNESS_BOUND,
 };

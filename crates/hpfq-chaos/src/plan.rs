@@ -3,9 +3,9 @@
 //! A [`ChaosPlan`] is a time-stamped command schedule generated from the
 //! seed *before* the run starts, so it is identical for every scheduler in
 //! a differential soak (commands are pure functions of the config, never
-//! of scheduler behaviour). The plan also records the outage windows it
-//! created — consumers use them to excuse work-conservation "violations"
-//! during intervals when the link was legitimately down.
+//! of scheduler behaviour). An outage is a pair of rate commands; the
+//! network traces it as `link_down` / `link_up`, which is all a consumer
+//! of the run's trace needs to know of it.
 
 use hpfq_core::NodeId;
 use hpfq_sim::{CbrSource, SimCommand, SmallRng};
@@ -21,8 +21,6 @@ pub const CHURN_FLOW_BASE: u32 = 100;
 pub struct ChaosPlan {
     /// `(time, command)` pairs, time-ascending.
     pub commands: Vec<(f64, SimCommand)>,
-    /// Closed outage intervals `[down, up]`.
-    pub outages: Vec<(f64, f64)>,
     /// Churn flow ids the plan ever attaches.
     pub churn_flows: Vec<u32>,
     /// Time of the last scheduled fault (the recovery window starts here).
@@ -36,7 +34,6 @@ pub struct ChaosPlan {
 pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> ChaosPlan {
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x51_7CC1_B727_2220);
     let mut commands: Vec<(f64, SimCommand)> = Vec::new();
-    let mut outages = Vec::new();
     let mut last_fault: f64 = 0.0;
     let quiet_from = cfg.quiet_from();
 
@@ -55,7 +52,6 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
                         bps: link_bps,
                     },
                 ));
-                outages.push((t, up));
                 last_fault = last_fault.max(up);
             } else {
                 let f = rng.gen_range_f64(link::RATE_FACTOR.0, link::RATE_FACTOR.1);
@@ -133,7 +129,6 @@ pub fn build_plan(cfg: &ChaosConfig, churn_parent: NodeId, link_bps: f64) -> Cha
     commands.sort_by(|a, b| a.0.total_cmp(&b.0));
     ChaosPlan {
         commands,
-        outages,
         churn_flows,
         last_fault,
     }
@@ -157,7 +152,6 @@ mod tests {
         let a = build_plan(&cfg, parent, 1e6);
         let b = build_plan(&cfg, parent, 1e6);
         assert_eq!(plan_fingerprint(&a), plan_fingerprint(&b));
-        assert_eq!(a.outages, b.outages);
         assert!(!a.commands.is_empty());
     }
 

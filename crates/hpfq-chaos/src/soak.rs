@@ -10,10 +10,10 @@
 //! * **no panics** — the run returning at all is the first assertion;
 //! * **byte conservation** — per flow, offered = accepted + buffer drops +
 //!   fault drops; in aggregate, accepted = served + purged + still queued;
-//! * **invariants across outages** — zero virtual-time-monotonicity,
-//!   tag-order, or eligibility violations; work-conservation "violations"
-//!   are excused only inside the plan's outage windows (the link idling
-//!   with traffic queued is exactly what an outage is);
+//! * **invariants across faults** — the run's trace, replayed into an
+//!   [`InvariantObserver`], breaks no invariant. The checker reads the
+//!   trace's `link_down`, `link_up` and `flow_remove` events, so an outage
+//!   or a purge is checked as what it is and nothing is excused;
 //! * **fault determinism** — every scheduler saw byte-identical per-flow
 //!   offered and fault-dropped counts (the faults are scheduler-independent
 //!   by construction, so any divergence is a harness bug);
@@ -34,8 +34,8 @@ use std::collections::BTreeMap;
 
 use hpfq_core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
 use hpfq_obs::jsonl::parse_trace;
-use hpfq_obs::{FaultKind, InvariantKind, InvariantObserver, JsonlObserver, TraceEvent};
-use hpfq_sim::{CbrSource, Network, PeriodicOnOffSource, PoissonSource, Route};
+use hpfq_obs::{replay, FaultKind, InvariantObserver, JsonlObserver, TraceEvent};
+use hpfq_sim::{CbrSource, FlowStats, Network, PeriodicOnOffSource, PoissonSource, Route};
 
 use crate::config::ChaosConfig;
 use crate::inject::ChaosSource;
@@ -49,26 +49,6 @@ pub const BASE_FLOWS: [u32; 3] = [0, 1, 2];
 /// for schedulers that provide isolation (everything but FIFO).
 pub const UNFAIRNESS_BOUND: f64 = 0.35;
 
-/// The observer stack every soak run carries: online invariant checking
-/// and a full JSONL trace (faults included).
-pub type SoakObserver = (InvariantObserver, JsonlObserver<Vec<u8>>);
-
-/// Per-flow admission ledger, for cross-scheduler differential checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowLedger {
-    /// Packets offered at the server's input port (those the loss model
-    /// dropped upstream never reach it).
-    pub offered_packets: u64,
-    /// Bytes offered.
-    pub offered_bytes: u64,
-    /// Packets dropped at admission as invalid (the corrupted ones).
-    pub fault_drops: u64,
-    /// Packets accepted into the hierarchy.
-    pub accepted_packets: u64,
-    /// Bytes actually served on the link.
-    pub served_bytes: u64,
-}
-
 /// Everything measured from one scheduler's run under the fault schedule.
 #[derive(Debug)]
 pub struct SoakRun {
@@ -78,21 +58,14 @@ pub struct SoakRun {
     pub served_packets: u64,
     /// Total bytes served on the link.
     pub served_bytes: u64,
-    /// Admission ledger per flow (base and churn).
-    pub per_flow: BTreeMap<u32, FlowLedger>,
+    /// Statistics per flow (base and churn), for the cross-scheduler
+    /// differential checks.
+    pub per_flow: BTreeMap<u32, FlowStats>,
     /// Commands the simulation rejected (count; the run continues past
     /// them by design).
     pub command_errors: usize,
     /// Result of the end-of-run conservation audit.
     pub conservation: Result<(), String>,
-    /// Invariant violations, total (including any beyond the checker's
-    /// storage bound).
-    pub violations_total: u64,
-    /// Stored work-conservation violations that fall inside a planned
-    /// outage window — the link idling during an outage is expected.
-    pub excused_wc: usize,
-    /// Stored violations that are *not* excused work-conservation.
-    pub unexcused: Vec<String>,
     /// Relative spread of normalized base-flow service in the recovery
     /// window (`None` if fewer than two base flows remained backlogged —
     /// fairness is only observable among backlogged flows).
@@ -108,8 +81,6 @@ pub struct SoakRun {
 pub struct ChaosReport {
     /// The configuration the soak ran under.
     pub cfg: ChaosConfig,
-    /// Outage windows of the shared plan (for trace consumers).
-    pub outages: Vec<(f64, f64)>,
     /// One run per scheduler, in [`SchedulerKind::ALL`] order.
     pub runs: Vec<SoakRun>,
 }
@@ -133,12 +104,11 @@ pub struct ChaosReport {
 pub fn build_soak_sim(
     kind: SchedulerKind,
     cfg: &ChaosConfig,
-) -> (Network<MixedScheduler, SoakObserver>, [NodeId; 3]) {
-    let obs: SoakObserver = (InvariantObserver::new(), JsonlObserver::new(Vec::new()));
-    let mut bld = Hierarchy::<MixedScheduler, SoakObserver>::builder_with_observer(
+) -> (Network<MixedScheduler, JsonlObserver<Vec<u8>>>, [NodeId; 3]) {
+    let mut bld = Hierarchy::builder_with_observer(
         LINK_BPS,
         move |rate| kind.build(rate),
-        obs,
+        JsonlObserver::new(Vec::new()),
     );
     let root = bld.root();
     let class_a = bld.add_internal(root, 0.35).unwrap();
@@ -185,24 +155,6 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
     }
     sim.run(cfg.horizon);
 
-    // ---- harvest (stats before the observer is consumed) ----------------
-    let mut per_flow = BTreeMap::new();
-    let mut flow_ids: Vec<u32> = BASE_FLOWS.to_vec();
-    flow_ids.extend_from_slice(&plan.churn_flows);
-    for f in flow_ids {
-        let fs = sim.stats.flow(f);
-        per_flow.insert(
-            f,
-            FlowLedger {
-                offered_packets: fs.offered_packets,
-                offered_bytes: fs.offered_bytes,
-                fault_drops: fs.fault_drops,
-                accepted_packets: fs.accepted_packets,
-                served_bytes: fs.bytes,
-            },
-        );
-    }
-
     // Recovery-window fairness: normalized service of every backlogged
     // base flow over the fault-free tail. Normalizing by the leaf's
     // guaranteed rate makes the values directly comparable — under any
@@ -233,62 +185,33 @@ fn run_one(kind: SchedulerKind, cfg: &ChaosConfig, plan: ChaosPlan) -> SoakRun {
         None
     };
 
-    let served_packets = sim.stats.total_packets;
-    let served_bytes = sim.stats.total_bytes;
-    let command_errors = sim.command_errors.len();
-    let conservation = sim.verify_conservation();
-
-    let (inv, jsonl) = sim.into_observers().remove(0);
-    let mut excused_wc = 0usize;
-    let mut unexcused = Vec::new();
-    for viol in inv.violations() {
-        let in_outage = plan
-            .outages
-            .iter()
-            // Real-time outage-window slop, not a virtual-time tolerance.
-            .any(|&(down, up)| viol.time >= down - 1e-9 && viol.time <= up + 1e-9);
-        if viol.kind == InvariantKind::WorkConservation && in_outage {
-            excused_wc += 1;
-        } else {
-            unexcused.push(viol.to_string());
-        }
-    }
-
+    // Fields are evaluated in order: the trace is taken last.
     SoakRun {
         scheduler: kind.name(),
-        served_packets,
-        served_bytes,
-        per_flow,
-        command_errors,
-        conservation,
-        violations_total: inv.total_violations,
-        excused_wc,
-        unexcused,
+        served_packets: sim.stats.total_packets,
+        served_bytes: sim.stats.total_bytes,
+        per_flow: BASE_FLOWS
+            .iter()
+            .chain(&plan.churn_flows)
+            .map(|&f| (f, sim.stats.flow(f)))
+            .collect(),
+        command_errors: sim.command_errors.len(),
+        conservation: sim.verify_conservation(),
         unfairness,
-        trace: jsonl.into_inner(),
+        trace: sim.into_observers().remove(0).into_inner(),
     }
 }
 
 /// Runs the full differential soak: all seven schedulers under the same
 /// seed-derived fault schedule.
 pub fn run_soak(cfg: &ChaosConfig) -> ChaosReport {
-    // Build the plan once for the outage windows; each run regenerates its
-    // own copy (commands hold boxed sources, so the plan is not `Clone` —
-    // determinism makes regeneration exact).
-    let shared = build_plan(cfg, NodeId(0), LINK_BPS);
-    let outages = shared.outages.clone();
+    // Each run generates its own copy of the plan (commands hold boxed
+    // sources, so the plan is not `Clone`; determinism makes it exact).
     let runs = SchedulerKind::ALL
         .iter()
-        .map(|&kind| {
-            let plan = build_plan(cfg, NodeId(0), LINK_BPS);
-            run_one(kind, cfg, plan)
-        })
+        .map(|&kind| run_one(kind, cfg, build_plan(cfg, NodeId(0), LINK_BPS)))
         .collect();
-    ChaosReport {
-        cfg: *cfg,
-        outages,
-        runs,
-    }
+    ChaosReport { cfg: *cfg, runs }
 }
 
 impl ChaosReport {
@@ -304,20 +227,8 @@ impl ChaosReport {
             if run.served_packets == 0 {
                 problems.push(format!("[{name}] served nothing"));
             }
-            for v in &run.unexcused {
-                problems.push(format!("[{name}] invariant: {v}"));
-            }
-            // If the checker overflowed its storage, everything stored must
-            // have been excused outage idling; anything else is suspect.
-            let stored = run.excused_wc + run.unexcused.len();
-            if run.violations_total > stored as u64 && !run.unexcused.is_empty() {
-                problems.push(format!(
-                    "[{name}] {} violations total with unexcused among the stored",
-                    run.violations_total
-                ));
-            }
-            for p in tail_faults(&run.trace, self.cfg.quiet_from()) {
-                problems.push(format!("[{name}] fault-free tail: {p}"));
+            for p in trace_problems(&run.trace, self.cfg.quiet_from()) {
+                problems.push(format!("[{name}] {p}"));
             }
             // `None` is legitimate — outages and churn can leave too few
             // base flows backlogged for fairness to be observable.
@@ -363,20 +274,27 @@ impl ChaosReport {
     }
 }
 
-/// What `trace` shows of a fault at or after `quiet_from`: an
-/// `invalid_pkt` fault, or a base flow whose packets reach the server with
-/// a gap in their ids (a packet lost before the server). Ids are per-flow
-/// sequence numbers, so consecutive arrivals differ by one.
-fn tail_faults(trace: &[u8], quiet_from: f64) -> Vec<String> {
+/// What `trace` shows wrong: each invariant violation the checker finds
+/// when the trace is replayed into it, and each fault at or after
+/// `quiet_from` — an `invalid_pkt` fault, or a base flow whose packets
+/// reach the server with a gap in their ids (a packet lost before the
+/// server). Ids are per-flow sequence numbers, so consecutive arrivals
+/// differ by one.
+fn trace_problems(trace: &[u8], quiet_from: f64) -> Vec<String> {
     let (events, _) = parse_trace(&String::from_utf8_lossy(trace));
+    let mut invariants = InvariantObserver::new();
     let mut problems = Vec::new();
     let mut last_id: BTreeMap<u32, u64> = BTreeMap::new();
-    for ev in events {
-        let (time, pkt) = match ev {
+    for ev in &events {
+        replay(&mut invariants, ev);
+        let (time, pkt) = match *ev {
             TraceEvent::Enqueue(e) => (e.time, e.pkt),
             TraceEvent::Drop(e) => (e.time, e.pkt),
             TraceEvent::Fault(f) if f.kind == FaultKind::InvalidPacket && f.time >= quiet_from => {
-                problems.push(format!("flow {} invalid packet at t = {}", f.flow, f.time));
+                problems.push(format!(
+                    "fault-free tail: flow {} invalid packet at t = {}",
+                    f.flow, f.time
+                ));
                 continue;
             }
             _ => continue,
@@ -387,13 +305,19 @@ fn tail_faults(trace: &[u8], quiet_from: f64) -> Vec<String> {
         if let Some(prev) = last_id.insert(pkt.flow, pkt.id) {
             if pkt.id != prev + 1 {
                 problems.push(format!(
-                    "flow {} lost {} packet(s) before t = {time}",
+                    "fault-free tail: flow {} lost {} packet(s) before t = {time}",
                     pkt.flow,
                     pkt.id.wrapping_sub(prev + 1)
                 ));
             }
         }
     }
+    problems.extend(
+        invariants
+            .violations()
+            .iter()
+            .map(|v| format!("invariant: {v}")),
+    );
     problems
 }
 
@@ -480,11 +404,8 @@ mod tests {
         let cfg = ChaosConfig::quiescent(9, 10.0);
         let report = run_soak(&cfg);
         for run in &report.runs {
-            assert_eq!(
-                run.violations_total, 0,
-                "[{}] control run has violations",
-                run.scheduler
-            );
+            let problems = trace_problems(&run.trace, cfg.quiet_from());
+            assert!(problems.is_empty(), "[{}] {problems:?}", run.scheduler);
             run.conservation.as_ref().unwrap();
             assert!(run.per_flow.values().all(|l| l.fault_drops == 0));
         }

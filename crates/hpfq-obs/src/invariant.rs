@@ -11,10 +11,16 @@
 //! * **SEFF eligibility** — for WF²Q+ nodes, the dispatched session was
 //!   eligible: its start tag does not exceed the system virtual time used
 //!   for the selection (recovered as `v_after − L/r` from eq. 27).
-//! * **Work conservation** — a link never sits idle while packets are
-//!   queued: whenever a transmission completes with backlog remaining (or a
-//!   packet arrives at an idle server), the next `tx_start` carries the
-//!   same timestamp.
+//! * **Work conservation** — a link that is up never sits idle while
+//!   packets are queued: whenever a transmission completes with backlog
+//!   remaining, a packet arrives at an idle server, or the link comes back
+//!   up with backlog, the next `tx_start` carries the same timestamp.
+//!
+//! The checker reads the faults a run traces, so nothing is excused: a
+//! `link_down` suspends the link's debt (a start already overdue is still
+//! reported), a `link_up` owes a start if packets wait and none is in
+//! flight, and a `flow_remove` cuts its leaf's queue (its last enqueue's
+//! `queue_depth`, less completions) to the one head `remove_leaf` keeps.
 //!
 //! All state is kept **per link** (events carry a link id), so one checker
 //! can ride a merged multi-link trace: node virtual times and the
@@ -22,13 +28,16 @@
 //! are recorded (bounded, first [`InvariantObserver::MAX_STORED`] kept)
 //! rather than panicked on, so a checker can ride along in benches and long
 //! soak runs; tests assert [`InvariantObserver::is_clean`]. After warm-up
-//! (every link and node seen once) the checker allocates only when it
-//! stores a violation, so it is safe on the hot path.
+//! (every link, node and leaf seen once) the checker allocates only when
+//! it stores a violation, so it is safe on the hot path.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::{BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, TxEvent};
+use crate::event::{
+    BacklogEvent, BusyResetEvent, DispatchEvent, DropEvent, EnqueueEvent, FaultEvent, FaultKind,
+    TxEvent,
+};
 use crate::vtime;
 use crate::Observer;
 
@@ -97,9 +106,14 @@ struct LinkState {
     /// Node state by node id, created on first sight: ids come from
     /// traces too, so none may size an allocation.
     nodes: BTreeMap<usize, NodeState>,
-    /// Packets enqueued minus transmitted on this link.
-    queued: i64,
+    /// Packets queued (in flight included) per leaf id.
+    depth: BTreeMap<usize, usize>,
+    /// The sum of `depth`.
+    queued: usize,
     link_busy: bool,
+    /// Between a `link_down` and the next `link_up`: an idle link owes
+    /// no start.
+    down: bool,
     /// When set, a `tx_start` at exactly this time is owed; any later
     /// event arriving first is an idle-while-backlogged breach.
     pending_start: Option<f64>,
@@ -108,6 +122,13 @@ struct LinkState {
 impl LinkState {
     fn node_mut(&mut self, node: usize) -> &mut NodeState {
         self.nodes.entry(node).or_default()
+    }
+
+    /// Sets `leaf`'s queue to `depth` packets.
+    fn set_depth(&mut self, leaf: usize, depth: usize) {
+        let old = std::mem::replace(self.depth.entry(leaf).or_default(), depth);
+        // Saturating: a hostile trace's depths may be anything.
+        self.queued = self.queued.saturating_sub(old).saturating_add(depth);
     }
 }
 
@@ -220,8 +241,8 @@ impl Observer for InvariantObserver {
         self.events_checked += 1;
         self.check_pending_start(e.link, e.time);
         let st = self.link_mut(e.link);
-        st.queued += 1;
-        if !st.link_busy && st.pending_start.is_none() {
+        st.set_depth(e.leaf, e.queue_depth);
+        if !st.link_busy && !st.down && st.pending_start.is_none() {
             // Packet arrived at an idle server: service must start now.
             st.pending_start = Some(e.time);
         }
@@ -315,14 +336,10 @@ impl Observer for InvariantObserver {
         self.events_checked += 1;
         let st = self.link_mut(e.link);
         st.link_busy = false;
-        st.queued -= 1;
-        let underflow = st.queued < 0;
-        if underflow {
-            // More completions than enqueues: count it once and clamp.
-            st.queued = 0;
-        }
-        st.pending_start = if st.queued > 0 { Some(e.time) } else { None };
-        if underflow {
+        let depth = st.depth.get(&e.leaf).copied().unwrap_or_default();
+        st.set_depth(e.leaf, depth.saturating_sub(1));
+        st.pending_start = (st.queued > 0 && !st.down).then_some(e.time);
+        if depth == 0 {
             self.push(InvariantKind::WorkConservation, e.time, e.link, 0, || {
                 "tx_complete without matching enqueue".to_string()
             });
@@ -338,6 +355,30 @@ impl Observer for InvariantObserver {
         self.events_checked += 1;
         // Eq. 4: V is defined per busy period — the rewind is legitimate.
         self.link_mut(e.link).node_mut(e.node).last_v = None;
+    }
+
+    fn on_fault(&mut self, e: &FaultEvent) {
+        self.events_checked += 1;
+        self.check_pending_start(e.link, e.time);
+        let st = self.link_mut(e.link);
+        match e.kind {
+            FaultKind::LinkDown => {
+                st.down = true;
+                st.pending_start = None;
+            }
+            FaultKind::LinkUp => {
+                st.down = false;
+                if st.queued > 0 && !st.link_busy {
+                    st.pending_start = Some(e.time);
+                }
+            }
+            // `remove_leaf` purges all but the leaf's offered head.
+            FaultKind::FlowRemove => {
+                let depth = st.depth.get(&e.node).copied().unwrap_or_default();
+                st.set_depth(e.node, depth.min(1));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -546,6 +587,35 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.kind == InvariantKind::WorkConservation));
+    }
+
+    /// A `link_down` suspends the debt, but a start already overdue when
+    /// it comes is still reported.
+    #[test]
+    fn a_start_overdue_at_link_down_is_still_reported() {
+        let mut inv = InvariantObserver::new();
+        inv.on_enqueue(&EnqueueEvent {
+            time: 0.0,
+            link: 0,
+            leaf: 1,
+            pkt: PacketInfo {
+                id: 1,
+                flow: 0,
+                len_bytes: 125,
+                arrival: 0.0,
+            },
+            queue_depth: 1,
+            queue_bytes: 125,
+        });
+        inv.on_fault(&FaultEvent {
+            time: 0.5,
+            link: 0,
+            kind: FaultKind::LinkDown,
+            node: 0,
+            flow: 0,
+            value: 0.0,
+        });
+        assert_eq!(inv.total_violations, 1, "{}", inv.summary());
     }
 
     #[test]

@@ -187,21 +187,27 @@ impl<'a> Fields<'a> {
         self.str(key)?.parse().ok()
     }
 
+    /// A time: finite, as every one the writer emits is.
+    fn time(&self, key: &str) -> Option<f64> {
+        self.f64(key).filter(|t| t.is_finite())
+    }
+
     fn pkt(&self) -> Option<PacketInfo> {
         Some(PacketInfo {
             id: self.u64("id")?,
             flow: self.u32("flow")?,
             len_bytes: self.u32("len")?,
-            arrival: self.f64("arr")?,
+            arrival: self.time("arr")?,
         })
     }
 }
 
 /// Parses one JSONL trace line back into a [`TraceEvent`]. Returns `None`
-/// for malformed lines (callers typically skip them, counting).
+/// for malformed lines (callers typically skip them, counting), a `t` or
+/// `arr` that is not a finite number included.
 pub fn parse_line(line: &str) -> Option<TraceEvent> {
     let f = Fields::parse(line)?;
-    let time = f.f64("t")?;
+    let time = f.time("t")?;
     match f.str("ev")? {
         "enqueue" => Some(TraceEvent::Enqueue(EnqueueEvent {
             time,

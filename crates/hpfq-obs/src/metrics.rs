@@ -131,6 +131,10 @@ pub struct FlowMetrics {
     pub drop_bytes: u64,
     /// Histogram of enqueue→departure delays.
     pub delay: DelayHistogram,
+    /// Sum of those delays, seconds.
+    pub delay_sum: f64,
+    /// Largest of those delays (0 before any), seconds.
+    pub delay_max: f64,
 }
 
 /// Per-node aggregates maintained by the registry.
@@ -156,7 +160,7 @@ pub struct NodeMetrics {
 /// event; render with [`MetricsObserver::report`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsObserver {
-    flows: BTreeMap<u32, FlowMetrics>,
+    pub(crate) flows: BTreeMap<u32, FlowMetrics>,
     nodes: BTreeMap<usize, NodeMetrics>,
     /// Total packets transmitted on the link.
     pub tx_packets: u64,
@@ -252,7 +256,10 @@ impl Observer for MetricsObserver {
         let f = self.flows.entry(e.pkt.flow).or_default();
         f.packets += 1;
         f.bytes += u64::from(e.pkt.len_bytes);
-        f.delay.record(e.time - e.pkt.arrival);
+        let delay = e.time - e.pkt.arrival;
+        f.delay.record(delay);
+        f.delay_sum += delay;
+        f.delay_max = f.delay_max.max(delay);
         self.tx_packets += 1;
         self.tx_bytes += u64::from(e.pkt.len_bytes);
         let n = self.nodes.entry(e.leaf).or_default();

@@ -13,7 +13,8 @@ use std::fmt::Write as _;
 
 use crate::event::TraceEvent;
 use crate::jsonl;
-use crate::metrics::DelayHistogram;
+use crate::metrics::MetricsObserver;
+use crate::replay;
 
 /// The time an event occurred.
 pub fn event_time(ev: &TraceEvent) -> f64 {
@@ -235,48 +236,26 @@ pub struct FlowDelay {
 }
 
 /// Builds per-flow delay percentiles from the events in `text` that pass
-/// `filter`.
+/// `filter`: their `tx_end` events, replayed into a [`MetricsObserver`].
 pub fn delay_report(text: &str, filter: &Filter) -> Vec<FlowDelay> {
-    struct Acc {
-        hist: DelayHistogram,
-        sum: f64,
-        max: f64,
-        n: u64,
-    }
-    let mut flows: BTreeMap<u32, Acc> = BTreeMap::new();
-    for line in text.lines() {
-        let Some(TraceEvent::TxComplete(e)) = jsonl::parse_line(line) else {
-            continue;
-        };
-        if !filter.matches(&TraceEvent::TxComplete(e)) {
-            continue;
+    let mut metrics = MetricsObserver::new();
+    for ev in text.lines().filter_map(jsonl::parse_line) {
+        if matches!(ev, TraceEvent::TxComplete(_)) && filter.matches(&ev) {
+            replay(&mut metrics, &ev);
         }
-        let delay = e.time - e.pkt.arrival;
-        let acc = flows.entry(e.pkt.flow).or_insert_with(|| Acc {
-            hist: DelayHistogram::new(),
-            sum: 0.0,
-            max: 0.0,
-            n: 0,
-        });
-        acc.hist.record(delay);
-        acc.sum += delay;
-        acc.max = acc.max.max(delay);
-        acc.n += 1;
     }
-    flows
+    metrics
+        .flows
         .into_iter()
-        .map(|(flow, acc)| FlowDelay {
+        .map(|(flow, m)| FlowDelay {
             flow,
-            packets: acc.n,
-            mean: if acc.n == 0 {
-                0.0
-            } else {
-                acc.sum / acc.n as f64
-            },
-            p50: acc.hist.p50(),
-            p99: acc.hist.p99(),
-            p999: acc.hist.p999(),
-            max: acc.max,
+            packets: m.packets,
+            // Only completions are replayed: every flow here has one.
+            mean: m.delay_sum / m.packets as f64,
+            p50: m.delay.p50(),
+            p99: m.delay.p99(),
+            p999: m.delay.p999(),
+            max: m.delay_max,
         })
         .collect()
 }

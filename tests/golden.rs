@@ -103,7 +103,7 @@ fn small_floats(src: &str) -> Vec<(usize, String)> {
 }
 
 /// The only tolerance literals non-test code may hold, by file and line.
-const TOLERANCES: [(&str, &str); 8] = [
+const TOLERANCES: [(&str, &str); 7] = [
     ("hpfq-obs/src/vtime.rs", "const EPS"),   // the canonical EPS
     ("hpfq-fluid/src/eps.rs", "const ULP"),   // fluid breakpoint dedup
     ("hpfq-fluid/src/eps.rs", "const TIGHT"), // fluid work at bit scale
@@ -111,7 +111,6 @@ const TOLERANCES: [(&str, &str); 8] = [
     ("hpfq-analysis/src/lib.rs", "TIME_DEDUP_EPS"), // sbi/wfi instants
     ("hpfq-obs/src/metrics.rs", "const BASE"), // a bucket edge
     ("hpfq-events/src/lib.rs", "self.now - 1e-9"), // no vtime dependency
-    ("hpfq-chaos/src/soak.rs", "down - 1e-9"), // real-time outage slop
 ];
 
 /// The violating lines are found, by line and literal, also after a test

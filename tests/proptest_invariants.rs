@@ -11,6 +11,7 @@
 //! cargo test --features proptest-tests --test proptest_invariants
 //! ```
 #![cfg(feature = "proptest-tests")]
+#![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::analysis::{empirical_bwfi, service_curve_from_records, wf2q_plus_bwfi};
 use hpfq::core::{

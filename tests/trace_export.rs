@@ -3,14 +3,20 @@
 //! A 3-link tandem (one flow crossing every link with a propagation delay,
 //! plus saturating single-hop cross traffic per link) runs to its horizon.
 //! The per-link JSONL traces are merged into the canonical stream, which
-//! must parse back without a skipped line and match a committed digest.
+//! must parse back without a skipped line and match a committed digest,
+//! and so must its `hpfq-trace delays` tables.
 //!
 //! Traces are also input from outside the program: the same run's trace
 //! and its last 64 lines, mutated at the byte and the value level, must go
-//! through every reader — parser, merger, replay into the observers, and
-//! each `hpfq-trace` report — without a panic.
+//! through every reader — parser, merger, the `hpfq-analysis` record and
+//! service-curve builders, replay into the observers, and each
+//! `hpfq-trace` report — without a panic.
 #![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
+use hpfq::analysis::{
+    path_records_from_trace, per_link_records_from_trace, service_curve_from_records,
+    service_records_from_trace,
+};
 use hpfq::core::{Hierarchy, MixedScheduler, SchedulerKind};
 use hpfq::obs::jsonl::{merge_traces, parse_trace};
 use hpfq::obs::query::{
@@ -27,6 +33,10 @@ const HORIZON: f64 = 1.5;
 
 /// FNV-1a of the merged trace of the run to [`HORIZON`].
 const MERGED_FNV1A: u64 = 0x17ce_e2ae_21bb_d135;
+
+/// FNV-1a of the `hpfq-trace delays` tables of that trace, unfiltered
+/// and on link 1, recorded when `delay_report` kept its own histograms.
+const DELAYS_FNV1A: u64 = 0x03ac_17a4_7173_7db3;
 
 type Obs = JsonlObserver<Vec<u8>>;
 
@@ -102,6 +112,24 @@ fn tandem_merged_trace_is_byte_deterministic() {
         MERGED_FNV1A,
         "{:016x}",
         fnv1a(merged.as_bytes())
+    );
+}
+
+/// `hpfq-trace delays` on the merged tandem trace is pinned byte for byte.
+#[test]
+fn tandem_delay_tables_are_pinned() {
+    let merged = merge_traces(&link_traces(HORIZON));
+    let on_link_1 = Filter {
+        link: Some(1),
+        ..Filter::default()
+    };
+    let tables = render_delays(&delay_report(&merged, &Filter::default()))
+        + &render_delays(&delay_report(&merged, &on_link_1));
+    assert_eq!(
+        fnv1a(tables.as_bytes()),
+        DELAYS_FNV1A,
+        "{:016x}\n{tables}",
+        fnv1a(tables.as_bytes())
     );
 }
 
@@ -201,6 +229,11 @@ fn floor_char(s: &str, mut at: usize) -> usize {
 fn read_every_way(text: &str, other: &str) {
     let (events, _) = parse_trace(text);
     let _ = merge_traces(&[text, other]);
+    let _ = service_records_from_trace(&events);
+    let _ = path_records_from_trace(&events);
+    for records in per_link_records_from_trace(&events).0.values() {
+        let _ = service_curve_from_records(records);
+    }
     let mut observers = (
         (MetricsObserver::new(), InvariantObserver::new()),
         JsonlObserver::new(Vec::new()),

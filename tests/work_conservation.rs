@@ -5,8 +5,9 @@
 #![allow(clippy::cast_possible_truncation, reason = "small test inputs")]
 
 use hpfq::core::{Hierarchy, MixedScheduler, NodeId, SchedulerKind};
-use hpfq::obs::InvariantObserver;
-use hpfq::sim::{CbrSource, Network, Route, TraceSource};
+use hpfq::obs::jsonl::parse_trace;
+use hpfq::obs::{replay, InvariantObserver, JsonlObserver};
+use hpfq::sim::{CbrSource, Network, Route, SimCommand, TraceSource};
 use std::collections::BTreeMap;
 
 fn two_level(kind: SchedulerKind) -> (Hierarchy<MixedScheduler>, Vec<NodeId>) {
@@ -138,5 +139,80 @@ fn transmissions_do_not_overlap() {
     }
     let inv = sim.observer_of(0);
     assert!(inv.events_checked > 0);
+    assert!(inv.is_clean(), "{}", inv.summary());
+}
+
+/// A link that is down owes no start: packets that arrive during an
+/// outage are served from the instant the link comes back up. Two
+/// 12.8 kb/s CBR flows share a 64 kb/s WF²Q+ root whose link is down from
+/// 0.5 s to 1.0 s, so the arrivals at 0.625 s wait for the `link_up`. The
+/// checker replaying the run's JSONL trace reaches the online verdict.
+#[test]
+fn an_outage_owes_no_start_until_the_link_is_up() {
+    const RATE: f64 = 64e3;
+    let kind = SchedulerKind::Wf2qPlus;
+    let sinks = (InvariantObserver::new(), JsonlObserver::new(Vec::new()));
+    let mut bld = Hierarchy::builder_with_observer(RATE, move |r| kind.build(r), sinks);
+    let root = bld.root();
+    let leaves = [
+        bld.add_leaf(root, 0.5).unwrap(),
+        bld.add_leaf(root, 0.5).unwrap(),
+    ];
+    let mut sim = Network::single_link(bld.build());
+    for (flow, leaf) in (0..).zip(leaves) {
+        sim.add_route(
+            flow,
+            CbrSource::new(flow, 1000, 12.8e3, 0.0, 2.0),
+            Route::open_loop(leaf),
+        );
+    }
+    sim.schedule_command(0.5, SimCommand::SetLinkRate { link: 0, bps: 0.0 });
+    sim.schedule_command(1.0, SimCommand::SetLinkRate { link: 0, bps: RATE });
+    sim.run(10.0);
+    sim.verify_conservation().unwrap();
+    assert_eq!(sim.stats.total_packets, 8);
+
+    let (online, jsonl) = sim.into_observers().remove(0);
+    assert!(online.is_clean(), "{}", online.summary());
+    let (events, skipped) = parse_trace(&String::from_utf8(jsonl.into_inner()).unwrap());
+    assert_eq!(skipped, 0);
+    let mut replayed = InvariantObserver::new();
+    for ev in &events {
+        replay(&mut replayed, ev);
+    }
+    assert_eq!(replayed.summary(), online.summary());
+}
+
+/// Removing a flow purges its queue behind the offered head, so the link
+/// owes nothing for the purged packets. Flow 0 offers 2 Mb/s to a 1 Mb/s
+/// link until its removal at 0.5 s purges 62 queued packets; flow 1's one
+/// packet at 5 s finds the link idle and empty.
+#[test]
+fn a_purged_queue_owes_no_start() {
+    let kind = SchedulerKind::Wf2qPlus;
+    let mut bld =
+        Hierarchy::builder_with_observer(1e6, move |r| kind.build(r), InvariantObserver::new());
+    let root = bld.root();
+    let leaves = [
+        bld.add_leaf(root, 0.5).unwrap(),
+        bld.add_leaf(root, 0.5).unwrap(),
+    ];
+    let mut sim = Network::single_link(bld.build());
+    sim.add_route(
+        0,
+        CbrSource::new(0, 1000, 2e6, 0.0, 1.0),
+        Route::open_loop(leaves[0]),
+    );
+    sim.add_route(
+        1,
+        TraceSource::new(1, vec![(5.0, 1000)]),
+        Route::open_loop(leaves[1]),
+    );
+    sim.schedule_command(0.5, SimCommand::RemoveFlow(0));
+    sim.run(10.0);
+    sim.verify_conservation().unwrap();
+    assert_eq!(sim.stats.flow(0).purged_packets, 62);
+    assert_eq!(sim.stats.flow(1).packets, 1);
+    let inv = sim.observer_of(0);
     assert!(inv.is_clean(), "{}", inv.summary());
 }
